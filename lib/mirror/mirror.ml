@@ -29,6 +29,7 @@
     rescan finds the source again. *)
 
 module Relay = Omf_relay.Relay
+module Proto = Omf_relay.Relay_proto
 module Client = Relay.Client
 module Counters = Omf_util.Counters
 module Trace = Omf_trace.Trace
@@ -176,17 +177,6 @@ let connect_local (cfg : config) : Client.t =
     ?auth:cfg.local_auth ~compress:cfg.compress
     ~io_timeout_s:cfg.io_timeout_s ()
 
-(* A relay refusal that retrying cannot fix (the gate said no, or the
-   stream is gone); everything else is an outage worth a backoff. *)
-let is_refusal (msg : string) : bool =
-  let has needle =
-    let nl = String.length needle and ml = String.length msg in
-    let rec at i = i + nl <= ml && (String.sub msg i nl = needle || at (i + 1)) in
-    at 0
-  in
-  has "stale epoch" || has "stale mirror link" || has "read-only"
-  || has "originates here" || has "unknown stream" || has "access denied"
-
 type session_end =
   | Stopped  (** stop requested mid-pump *)
   | Refused  (** gate refusal / vanished stream: park until rescan *)
@@ -207,12 +197,7 @@ let replicate_once (t : t) (ls : link_state) : session_end =
     let src = connect_source cfg in
     Fun.protect ~finally:(fun () -> Client.close src) @@ fun () ->
     let meta, schema = Client.describe src ~stream in
-    let origin = Option.value (List.assoc_opt "origin" meta) ~default:"" in
-    let epoch =
-      match Option.bind (List.assoc_opt "epoch" meta) int_of_string_opt with
-      | Some e -> e
-      | None -> 0
-    in
+    let origin, epoch = Proto.tag meta ~relay_id:"" in
     if origin = "" then begin
       (* source predates origin tags: replicating without arbitration
          could amplify cycles, so refuse *)
@@ -230,16 +215,11 @@ let replicate_once (t : t) (ls : link_state) : session_end =
          [mirror=1] PUBLISH — downstream spans join the same trace —
          and strip it before re-advertising: it is per-publisher state,
          not stream metadata to persist. *)
-      let trace =
-        match t.trace_col with
-        | None -> None
-        | Some _ ->
-          Option.bind (List.assoc_opt "trace" meta) Trace.of_string
-      in
-      let meta = List.filter (fun (k, _) -> k <> "trace") meta in
+      let trace, meta = Proto.split_trace meta in
+      let trace = if t.trace_col = None then None else trace in
       let lc = connect_local cfg in
       Fun.protect ~finally:(fun () -> Client.close lc) @@ fun () ->
-      Client.advertise_with_meta lc ~stream ~meta ~schema;
+      Client.advertise lc ~meta ~stream ~schema;
       let wm, local_link =
         Client.publish_mirror ?trace lc ~stream ~origin ~epoch
       in
@@ -309,13 +289,14 @@ let replicate_once (t : t) (ls : link_state) : session_end =
     Log.info (fun m ->
         m "stream %s: relay overloaded; pausing catch-up %dms" stream retry_ms);
     Busy retry_ms
-  | exception Client.Error msg when is_refusal msg ->
+  | exception Client.Error msg when Proto.is_refusal msg ->
     Counters.incr t.counters "links_refused";
     Log.info (fun m -> m "stream %s: refused: %s" stream msg);
     Refused
   | exception
       ( Client.Error _ | Link.Closed | Link.Timeout | End_of_file
-      | Tcp.Tcp_error _ | Frame.Frame_error _ | Unix.Unix_error _ ) ->
+      | Tcp.Tcp_error _ | Omf_reactor.Frame.Frame_error _ | Unix.Unix_error _ )
+      ->
     Lost !established
 
 (** The source is gone for good (budget exhausted): take ownership

@@ -33,25 +33,13 @@
     - {b Graceful drain.} Shutdown stops accepting and reading, flushes
       every subscriber queue (up to a deadline), then closes.
 
-    Control protocol (each frame: 1-byte kind + body; see PROTOCOLS.md
-    section 11):
-
-    - ['h'] HELLO     creds as ["k=v"] lines        -> ['o' banner]
-    - ['a'] ADVERTISE ["stream\n<schema xml>"]      -> ['o']
-    - ['p'] PUBLISH   ["stream"]                    -> ['o'], connection
-      becomes the stream's publisher; subsequent ['D']/['M'] endpoint
-      frames are fanned out verbatim
-    - ['s'] SUBSCRIBE ["stream"]                    -> ['o' scoped-schema],
-      then replayed ['D'] frames, then live frames
-    - ['t'] STATS                                   -> ['o' "name value" lines]
-    - ['l'] LIST                                    -> ['o' stream names]
-    - ['q'] DESCRIBE  ["stream"]                    -> ['o' meta + schema]
-    - ['m'] PROMOTE   ["stream"]                    -> ['o' "epoch=N"]
-    - ['e' message] is the error reply to any of the above;
-      ['b' "retry_ms=N"] is the retryable overload refusal
-      (PROTOCOLS.md section 16) to PUBLISH / SUBSCRIBE [from=]. *)
+    The control protocol — every command, option and reply — is defined
+    in relay_proto.mli ({!Relay_proto}); this file only dispatches on
+    its decoded requests. *)
 
 open Omf_transport
+module Frame = Omf_reactor.Frame
+module Proto = Relay_proto
 module Broker = Omf_backbone.Broker
 module Counters = Omf_util.Counters
 module Slice = Omf_util.Slice
@@ -76,39 +64,6 @@ let policy_of_string = function
   | "drop-oldest" -> Some Drop_oldest
   | "evict-slow-consumer" | "evict-slow" | "evict" -> Some Evict_slow
   | _ -> None
-
-(* control / reply frame kinds (lowercase; relayed endpoint frames are
-   the uppercase 'D'/'M' of Omf_transport.Endpoint) *)
-let k_hello = 'h'
-let k_advertise = 'a'
-let k_publish = 'p'
-let k_subscribe = 's'
-let k_stats = 't'
-let k_ok = 'o'
-let k_err = 'e'
-
-let k_ack = 'k'
-(** durability acknowledgement to an [acks=1] publisher: body is the
-    decimal cumulative durable offset of its stream's store *)
-
-let k_busy = 'b'
-(** retryable overload refusal (PROTOCOLS.md §16): the shard's resource
-    governor is [Overloaded], the command was shed rather than queued;
-    body is ["retry_ms=N"], the suggested backoff before retrying on
-    the {e same} connection *)
-
-(* replication controls (PROTOCOLS.md §15) *)
-let k_list = 'l'  (** LIST: reply is one hosted stream name per line *)
-
-let k_describe = 'q'
-(** DESCRIBE ["stream"]: reply is the advertisement metadata lines
-    (always including [origin=]/[epoch=]) followed by the scoped
-    schema; does not change the connection's role *)
-
-let k_promote = 'm'
-(** PROMOTE ["stream"]: take write ownership of a mirrored stream —
-    origin becomes this relay, epoch is bumped; reply ["epoch=N"] *)
-
 
 (* ------------------------------------------------------------------ *)
 (* Connections and shards                                               *)
@@ -185,6 +140,9 @@ type conn = {
   cid : int;  (** unique across the cluster: strided by shard count *)
   io : Rconn.t;  (** the reactor-side buffered connection driver *)
   mutable creds : (string * string) list;
+  mutable greeted : bool;
+      (** HELLO was answered; a second one would re-arm [mac]/[comp]
+          mid-stream *)
   mutable role : role;
   mutable over_since : float option;
       (** when the queue first crossed the watermark (Evict_slow) *)
@@ -358,10 +316,6 @@ let stats t : (string * int) list =
     back — by invariant exactly the unwritten queued bytes (test hook
     for the debit/credit symmetry guarantee). *)
 let governor_used t = Governor.used t.governor
-
-let stats_text t =
-  String.concat ""
-    (List.map (fun (k, v) -> Printf.sprintf "%s %d\n" k v) (stats t))
 
 (** Ask the loop to drain and stop. Safe from another thread or a signal
     handler: it only sets a flag and writes the wake pipe (the loop's
@@ -567,17 +521,14 @@ let trace_mark_span (t : t) (tm : tmark) ~(stage : string) =
   trace_record t ~trace:tm.tm_trace ~parent:tm.tm_parent
     ~sampled:tm.tm_sampled ~stage ~stream:tm.tm_stream ~t0_us:tm.tm_enq_us
 
-let reply (c : conn) kind (body : string) =
-  let b = Bytes.create (1 + String.length body) in
-  Bytes.set b 0 kind;
-  Bytes.blit_string body 0 b 1 (String.length body);
-  enqueue_entry c ~droppable:false b
+let reply (c : conn) (r : Proto.reply) =
+  enqueue_entry c ~droppable:false (Proto.encode_reply r)
 
-let reply_ok c body = reply c k_ok body
+let reply_ok c body = reply c (Proto.Ok body)
 
 let reply_err (t : t) c msg =
   Counters.incr t.counters "errors";
-  reply c k_err msg
+  reply c (Proto.Err msg)
 
 (** Shed a command with the retryable overload status (PROTOCOLS.md
     §16). The connection keeps its (Pending) role and stays usable —
@@ -585,8 +536,7 @@ let reply_err (t : t) c msg =
     connection. *)
 let reply_busy (t : t) c (what : string) =
   Counters.incr t.counters (what ^ "_busy");
-  reply c k_busy
-    (Printf.sprintf "retry_ms=%d" (Governor.busy_retry_ms t.governor))
+  reply c (Proto.Busy (Governor.busy_retry_ms t.governor))
 
 (* ------------------------------------------------------------------ *)
 (* Durable store plumbing (loop-thread only)                            *)
@@ -630,7 +580,7 @@ let flush_acks (t : t) =
                      && durable > p.acked
                      && Rconn.alive c.io ->
                 p.acked <- durable;
-                reply c k_ack (string_of_int durable)
+                reply c (Proto.Ack durable)
               | _ -> ())
             t.conns)
       streams
@@ -964,16 +914,6 @@ let on_governor_transition (t : t) (prev : Governor.health)
 (* Frame dispatch                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let parse_creds (s : string) : (string * string) list =
-  String.split_on_char '\n' s
-  |> List.filter_map (fun line ->
-         match String.index_opt line '=' with
-         | None -> None
-         | Some i ->
-           Some
-             ( String.sub line 0 i
-             , String.sub line (i + 1) (String.length line - i - 1) ))
-
 (** Reject a connection at the protocol level: count it, reply, doom
     (the doom's opportunistic flush usually gets the ['e'] out). *)
 let protocol_reject (t : t) (c : conn) (msg : string) =
@@ -988,28 +928,30 @@ let protocol_reject (t : t) (c : conn) (msg : string) =
     ({!Macframe}); an unknown key or unsupported mode is refused and
     the connection dropped. A client that reconnects after an outage
     marks itself with an [omf-reconnect] credential so operators can
-    see churn in STATS. *)
-let handle_hello (t : t) (c : conn) (body : string) =
-  c.creds <- parse_creds body;
-  if List.mem_assoc "omf-reconnect" c.creds then
+    see churn in STATS. A repeated HELLO is a protocol violation: it
+    would re-arm the frame modes mid-stream. *)
+let handle_hello (t : t) (c : conn) (creds : (string * string) list) =
+  c.greeted <- true;
+  c.creds <- creds;
+  if List.mem_assoc "omf-reconnect" creds then
     Counters.incr t.counters "reconnects_accepted";
   (* comp=lz (PROTOCOLS.md §18) negotiates down, never refuses: an
      unknown mode simply isn't echoed in the banner, so both sides fall
      back to plain frames — exactly what an old peer would do *)
-  let comp = List.assoc_opt "comp" c.creds = Some "lz" in
-  let comp_tok = if comp then " comp=lz" else "" in
+  let comp = List.assoc_opt "comp" creds = Some "lz" in
+  let banner mac = Proto.encode_banner { Proto.mac; comp } in
   let arm_comp () =
     if comp then begin
       Counters.incr t.counters "comp_sessions";
       c.comp <- true
     end
   in
-  match List.assoc_opt "auth" c.creds with
+  match List.assoc_opt "auth" creds with
   | None ->
-    reply_ok c ("omf-relay 1" ^ comp_tok);
+    reply_ok c (banner false);
     arm_comp ()
   | Some "hmac" -> (
-    match List.assoc_opt "key-id" c.creds with
+    match List.assoc_opt "key-id" creds with
     | None ->
       Counters.incr t.counters "auth_denied";
       reply_err t c "hello: auth=hmac requires key-id";
@@ -1022,7 +964,7 @@ let handle_hello (t : t) (c : conn) (body : string) =
         Rconn.doom c.io "auth denied"
       | Some key ->
         Counters.incr t.counters "auth_sessions";
-        reply_ok c ("omf-relay 1 mac" ^ comp_tok);
+        reply_ok c (banner true);
         (* armed after the reply: the reply itself is plaintext, the
            next outbound frame is the first sealed (and compressed)
            one *)
@@ -1050,83 +992,13 @@ let stream_owner (t : t) (stream : string) : t =
     Mutex.unlock sh.pins_mu;
     owner
 
-(* PUBLISH and SUBSCRIBE bodies are the stream name, optionally
-   followed by "k=v" option lines (PROTOCOLS.md §13): a publisher sends
-   [acks=1] to request durability acks, a subscriber sends [from=N] to
-   request stored replay. A body with no newline is the bare stream
-   name — the pre-store wire format, still fully supported. *)
-let parse_stream_body (body : string) : string * (string * string) list =
-  match String.index_opt body '\n' with
-  | None -> (body, [])
-  | Some i ->
-    ( String.sub body 0 i,
-      parse_creds (String.sub body (i + 1) (String.length body - i - 1)) )
-
-(* ADVERTISE bodies are "stream\nschema", optionally with "k=v"
-   metadata lines between the stream name and the schema text
-   (PROTOCOLS.md §14): [subject=] / [version=] / [fingerprint=] bind
-   the stream to a schema-registry entry so receivers can resolve
-   conversion plans by content fingerprint. A metadata line is one
-   whose key is a bare identifier and whose text contains no ['<']; the
-   schema resumes at the first line failing that test, so the pre-§14
-   "stream\nschema" body parses unchanged (XML starts with ['<']). *)
-let is_meta_line (line : string) : bool =
-  match String.index_opt line '=' with
-  | None -> false
-  | Some i ->
-    i > 0
-    && (not (String.contains line '<'))
-    && String.for_all
-         (fun ch ->
-           (ch >= 'a' && ch <= 'z')
-           || (ch >= 'A' && ch <= 'Z')
-           || (ch >= '0' && ch <= '9')
-           || Char.equal ch '-' || Char.equal ch '_')
-         (String.sub line 0 i)
-
-let split_advert_meta (rest : string) : (string * string) list * string =
-  let rec go acc off =
-    match String.index_from_opt rest off '\n' with
-    | Some j when is_meta_line (String.sub rest off (j - off)) ->
-      let line = String.sub rest off (j - off) in
-      let k = String.index line '=' in
-      go
-        ((String.sub line 0 k, String.sub line (k + 1) (String.length line - k - 1))
-        :: acc)
-        (j + 1)
-    | Some _ | None -> (List.rev acc, String.sub rest off (String.length rest - off))
-  in
-  go [] 0
-
-let meta_text (kvs : (string * string) list) : string =
-  String.concat "" (List.map (fun (k, v) -> Printf.sprintf "%s=%s\n" k v) kvs)
-
-(* Every advertised stream's metadata carries a replication tag
-   (PROTOCOLS.md §15): [origin=] is the relay id that owns writes,
-   [epoch=] a monotonically increasing ownership generation bumped by
-   PROMOTE. A stream whose origin is not this relay is read-only here:
-   only a mirror link carrying the matching tag may append. *)
-let advert_origin (kvs : (string * string) list) : string option =
-  List.assoc_opt "origin" kvs
-
-let advert_epoch (kvs : (string * string) list) : int =
-  match Option.bind (List.assoc_opt "epoch" kvs) int_of_string_opt with
-  | Some n -> n
-  | None -> 0
-
-let with_origin (kvs : (string * string) list) ~origin ~epoch :
-    (string * string) list =
-  List.filter (fun (k, _) -> k <> "origin" && k <> "epoch") kvs
-  @ [ ("origin", origin); ("epoch", string_of_int epoch) ]
-
 (** The stream's advertisement metadata, defaulting streams advertised
     before origin tracking (or recovered from a pre-§15 store) to
     owned-here at epoch 0. *)
 let advert_info (t : t) (stream : string) : (string * string) list =
-  match Hashtbl.find_opt t.adverts stream with
-  | Some kvs when advert_origin kvs <> None -> kvs
-  | Some kvs -> kvs @ [ ("origin", t.relay_id); ("epoch", "0") ]
-  | None -> [ ("origin", t.relay_id); ("epoch", "0") ]
+  Proto.tagged
+    (Option.value (Hashtbl.find_opt t.adverts stream) ~default:[])
+    ~origin:t.relay_id
 
 (** Record (and, when store-backed, persist) the stream's metadata so a
     restarted relay re-advertises it — registry binding and origin tag
@@ -1140,131 +1012,67 @@ let persist_advert (t : t) (stream : string) (kvs : (string * string) list) =
     Counters.incr t.counters "store_errors";
     Log.err (fun m -> m "store %s: %s" stream msg)
 
-(** Gate an ADVERTISE by (origin, epoch) against what this relay holds:
-    [Ok kvs] is the full metadata to record, [Error msg] a refusal.
-    This is the loop/ownership arbiter — a relay's own advert coming
-    back around a mirror cycle, a plain advertise of a mirrored
-    (read-only) stream, and a stale epoch after a promote are all
-    refused; a strictly higher epoch from elsewhere wins ownership
-    (demotion — failback after the old origin returns). *)
-let gate_advert (t : t) (stream : string) (meta : (string * string) list) :
-    ((string * string) list, string) result =
-  let cur = Hashtbl.find_opt t.adverts stream in
-  match (advert_origin meta, cur) with
-  | None, None -> Ok (with_origin meta ~origin:t.relay_id ~epoch:0)
-  | None, Some cur_kvs ->
-    let cur_origin =
-      Option.value (advert_origin cur_kvs) ~default:t.relay_id
-    in
-    if String.equal cur_origin t.relay_id then
-      Ok (with_origin meta ~origin:t.relay_id ~epoch:(advert_epoch cur_kvs))
+(** Serve one decoded control request. {!dispatch} has already refused
+    role conflicts and moved a command naming another shard's stream
+    to that shard. *)
+let handle_control (t : t) (c : conn) (req : Proto.request) =
+  match req with
+  | Proto.Hello _ when c.greeted ->
+    protocol_reject t c "hello: repeated on this connection"
+  | Proto.Hello creds -> handle_hello t c creds
+  | Proto.Stats -> reply_ok c (Proto.encode_stats (stats t))
+  | Proto.Advertise { stream; meta; schema } -> (
+    let current = Hashtbl.find_opt t.adverts stream in
+    match Proto.gate_advert ~relay_id:t.relay_id ~current stream meta with
+    | Error msg ->
+      Counters.incr t.counters "advert_refused";
+      reply_err t c msg
+    | Ok kvs -> (
+      match Broker.advertise t.broker ~stream ~schema with
+      | () ->
+        Counters.incr t.counters "advertisements";
+        if meta <> [] then Counters.incr t.counters "advert_meta";
+        (* persist the schema so a restarted relay can re-advertise
+           the stream before any publisher returns *)
+        (match store_handle t stream with
+        | None -> ()
+        | Some st -> Store.set_schema st schema
+        | exception Store.Store_error msg ->
+          Counters.incr t.counters "store_errors";
+          Log.err (fun m -> m "store %s: %s" stream msg));
+        persist_advert t stream kvs;
+        reply_ok c ""
+      | exception Omf_xschema.Schema.Schema_error m ->
+        reply_err t c (Printf.sprintf "advertise %s: %s" stream m)))
+  | Proto.Publish { stream; acks; mirror = tag; trace } -> (
+    if Governor.health t.governor = Governor.Overloaded then
+      (* shed by class: new ingress is refused retryably while
+         descriptor/control traffic (ADVERTISE, DESCRIBE, STATS, live
+         SUBSCRIBE) still flows, so streams stay decodable *)
+      reply_busy t c "publish"
     else
-      Error
-        (Printf.sprintf "advertise %s: read-only (mirrored from %s)" stream
-           cur_origin)
-  | Some o, _ when String.equal o t.relay_id ->
-    Error
-      (Printf.sprintf "advertise %s: origin loop (stream originates here)"
-         stream)
-  | Some o, None -> Ok (with_origin meta ~origin:o ~epoch:(advert_epoch meta))
-  | Some o, Some cur_kvs ->
-    let cur_origin =
-      Option.value (advert_origin cur_kvs) ~default:t.relay_id
-    in
-    let cur_epoch = advert_epoch cur_kvs in
-    let e = advert_epoch meta in
-    if String.equal cur_origin o then
-      Ok (with_origin meta ~origin:o ~epoch:(max e cur_epoch))
-    else if e > cur_epoch then Ok (with_origin meta ~origin:o ~epoch:e)
-    else
-      Error
-        (Printf.sprintf "advertise %s: stale epoch %d (held by %s at epoch %d)"
-           stream e cur_origin cur_epoch)
-
-let rec handle_control (t : t) (c : conn) kind (body : string) =
-  if Char.equal kind k_hello then handle_hello t c body
-  else if Char.equal kind k_stats then reply_ok c (stats_text t)
-  else if Char.equal kind k_advertise then begin
-    match String.index_opt body '\n' with
-    | None -> reply_err t c "advertise: want \"stream\\n[k=v...]\\nschema\""
-    | Some i -> (
-      let stream = String.sub body 0 i in
-      let owner = stream_owner t stream in
-      if owner != t then route t owner c kind body stream
-      else
-        let rest = String.sub body (i + 1) (String.length body - i - 1) in
-        let meta, schema = split_advert_meta rest in
-        match gate_advert t stream meta with
-        | Error msg ->
-          Counters.incr t.counters "advert_refused";
-          reply_err t c msg
-        | Ok kvs -> (
-          match Broker.advertise t.broker ~stream ~schema with
-          | () ->
-            Counters.incr t.counters "advertisements";
-            if meta <> [] then Counters.incr t.counters "advert_meta";
-            (* persist the schema so a restarted relay can re-advertise
-               the stream before any publisher returns *)
-            (match store_handle t stream with
-            | None -> ()
-            | Some st -> Store.set_schema st schema
-            | exception Store.Store_error msg ->
-              Counters.incr t.counters "store_errors";
-              Log.err (fun m -> m "store %s: %s" stream msg));
-            persist_advert t stream kvs;
-            reply_ok c ""
-          | exception Omf_xschema.Schema.Schema_error m ->
-            reply_err t c (Printf.sprintf "advertise %s: %s" stream m)))
-  end
-  else if Char.equal kind k_publish then begin
-    match c.role with
-    | Publisher _ | Subscriber _ ->
-      reply_err t c "publish: connection already has a role"
-    | Pending -> (
-      let stream, opts = parse_stream_body body in
-      let owner = stream_owner t stream in
-      if owner != t then route t owner c kind body stream
-      else if Governor.health t.governor = Governor.Overloaded then
-        (* shed by class: new ingress is refused retryably while
-           descriptor/control traffic (ADVERTISE, DESCRIBE, STATS,
-           live SUBSCRIBE) still flows, so streams stay decodable *)
-        reply_busy t c "publish"
-      else
-        match Broker.publisher_link t.broker ~stream with
-        | link -> (
-          let kvs = advert_info t stream in
-          let origin = Option.value (advert_origin kvs) ~default:t.relay_id in
-          let epoch = advert_epoch kvs in
-          let owned = String.equal origin t.relay_id in
-          let mirror =
-            match List.assoc_opt "mirror" opts with
-            | Some "1" -> true
-            | _ -> false
-          in
-          (* The replication write gate (PROTOCOLS.md §15): a mirrored
-             stream takes appends only from a mirror link whose
-             (origin, epoch) tag matches the local record — a plain
-             publisher is told the stream is read-only, a mirror link
-             that outlived a promote (or looped back to the origin) is
-             told to re-handshake. *)
-          if (not mirror) && not owned then
-            reply_err t c
-              (Printf.sprintf "publish %s: read-only (mirrored from %s)"
-                 stream origin)
-          else if
-            mirror
-            && (owned
-               || List.assoc_opt "origin" opts <> Some origin
-               || Option.bind (List.assoc_opt "epoch" opts) int_of_string_opt
-                  <> Some epoch)
-          then begin
-            Counters.incr t.counters "mirror_publish_refused";
-            reply_err t c
-              (Printf.sprintf
-                 "publish %s: stale mirror link (stream is %s@%d here)"
-                 stream origin epoch)
-          end
-          else
+      match Broker.publisher_link t.broker ~stream with
+      | exception Broker.Unknown_stream s ->
+        reply_err t c (Proto.unknown_stream "publish" s)
+      | link -> (
+        let origin, epoch =
+          Proto.tag (advert_info t stream) ~relay_id:t.relay_id
+        in
+        let owned = String.equal origin t.relay_id in
+        let mirror = tag <> None in
+        (* The replication write gate (PROTOCOLS.md §15): a mirrored
+           stream takes appends only from a mirror link whose (origin,
+           epoch) tag matches the local record — a plain publisher is
+           told the stream is read-only, a mirror link that outlived a
+           promote (or looped back to the origin) is told to
+           re-handshake. *)
+        match tag with
+        | None when not owned ->
+          reply_err t c (Proto.read_only "publish" stream origin)
+        | Some tag when owned || tag <> (origin, epoch) ->
+          Counters.incr t.counters "mirror_publish_refused";
+          reply_err t c (Proto.stale_mirror stream origin epoch)
+        | None | Some _ -> (
             let become ~acks ~skip_dup ~acked reply_body =
               (* Trace head sampling happens here, once per publisher:
                  a supplied [trace=] context (a capture point or an
@@ -1277,10 +1085,7 @@ let rec handle_control (t : t) (c : conn) kind (body : string) =
                 | None -> None
                 | Some col ->
                   let ctx =
-                    match
-                      Option.bind (List.assoc_opt "trace" opts)
-                        Trace.of_string
-                    with
+                    match trace with
                     | Some ctx -> ctx
                     | None -> Trace.make ~sampled:(Trace.sample col) ()
                   in
@@ -1297,7 +1102,9 @@ let rec handle_control (t : t) (c : conn) kind (body : string) =
               reply_ok c reply_body
             in
             match store_handle t stream with
-            | None -> become ~acks:false ~skip_dup:0 ~acked:0 ""
+            | None ->
+              become ~acks:false ~skip_dup:0 ~acked:0
+                (Proto.encode_published None)
             | Some st ->
               (* Store-backed: report the durable watermark. An [acks=1]
                  publisher resumes from it — it resends every buffered
@@ -1310,42 +1117,22 @@ let rec handle_control (t : t) (c : conn) kind (body : string) =
                  ever diverge between the sync and the reply. A mirror
                  link gets the same exact handshake plus the tail — the
                  offset it resumes pumping source frames from. *)
-              let acks =
-                match List.assoc_opt "acks" opts with
-                | Some "1" -> true
-                | _ -> false
-              in
               if acks || mirror then ignore (Store.sync st);
               let durable = Store.durable st in
               let skip_dup =
                 if acks || mirror then Store.tail st - durable else 0
               in
+              let tail = if mirror then Some (Store.tail st) else None in
               become ~acks ~skip_dup ~acked:durable
-                (if mirror then
-                   Printf.sprintf "durable=%d\ntail=%d" durable (Store.tail st)
-                 else Printf.sprintf "durable=%d" durable)
+                (Proto.encode_published (Some { Proto.durable; tail }))
             | exception Store.Store_error msg ->
               Counters.incr t.counters "store_errors";
               reply_err t c (Printf.sprintf "publish %s: store: %s" stream msg)
-            )
-        | exception Broker.Unknown_stream s ->
-          reply_err t c (Printf.sprintf "publish: unknown stream %s" s))
-  end
-  else if Char.equal kind k_subscribe then begin
-    match c.role with
-    | Publisher _ | Subscriber _ ->
-      reply_err t c "subscribe: connection already has a role"
-    | Pending -> (
-      let stream, opts = parse_stream_body body in
-      let owner = stream_owner t stream in
-      if owner != t then route t owner c kind body stream
-      else if
+            )))
+  | Proto.Subscribe { stream; from; meta } -> (
+      if
         Governor.health t.governor = Governor.Overloaded
-        && (match
-              Option.bind (List.assoc_opt "from" opts) int_of_string_opt
-            with
-           | Some from -> from >= 0
-           | None -> false)
+        && Option.value from ~default:(-1) >= 0
       then
         (* a stored replay would queue an arbitrary backlog against an
            exhausted budget; live (tail) subscriptions drain the shard
@@ -1363,26 +1150,24 @@ let rec handle_control (t : t) (c : conn) kind (body : string) =
              ([subject=] / [fingerprint=] ...) to the schema reply —
              only on request, so pre-§14 clients parse the body as
              before *)
-          let meta_prefix =
-            match List.assoc_opt "meta" opts with
-            | Some "1" ->
-              (match Hashtbl.find_opt t.adverts stream with
-              | Some kvs -> meta_text kvs
-              | None -> "")
-            | _ -> ""
+          let meta =
+            if meta then
+              Option.value (Hashtbl.find_opt t.adverts stream) ~default:[]
+            else []
+          in
+          let answer offset =
+            reply_ok c
+              (Proto.encode_schema_reply { Proto.offset; meta; schema })
           in
           let plain () =
             (* reply first so the scoped schema precedes replayed frames *)
-            reply_ok c (meta_prefix ^ schema);
+            answer None;
             let unsubscribe =
               Broker.subscribe t.broker ~stream ~creds:c.creds link
             in
             c.role <-
               Subscriber { stream; unsubscribe; skip_until = -1; replay = None };
             Counters.incr t.counters "subscriptions"
-          in
-          let from =
-            Option.bind (List.assoc_opt "from" opts) int_of_string_opt
           in
           match from with
           | None -> plain ()
@@ -1406,8 +1191,7 @@ let rec handle_control (t : t) (c : conn) kind (body : string) =
               let start = if from < 0 then tail else max from oldest in
               if from >= 0 && start > from then
                 Counters.incr t.counters "store_replay_clamped";
-              reply_ok c
-                (Printf.sprintf "offset=%d\n%s%s" start meta_prefix schema);
+              answer (Some start);
               let unsubscribe =
                 Broker.subscribe t.broker ~stream ~creds:c.creds link
               in
@@ -1431,11 +1215,10 @@ let rec handle_control (t : t) (c : conn) kind (body : string) =
               reply_err t c
                 (Printf.sprintf "subscribe %s: store: %s" stream msg)))
         | exception Broker.Unknown_stream s ->
-          reply_err t c (Printf.sprintf "subscribe: unknown stream %s" s)
+          reply_err t c (Proto.unknown_stream "subscribe" s)
         | exception Broker.Access_denied m ->
-          reply_err t c (Printf.sprintf "subscribe: access denied: %s" m))
-  end
-  else if Char.equal kind k_list then begin
+          reply_err t c (Proto.access_denied "subscribe" m))
+  | Proto.List ->
     (* cluster-wide: the pins table names every stream any shard owns,
        so a mirror scanning for streams needs no shard awareness *)
     let names =
@@ -1448,53 +1231,39 @@ let rec handle_control (t : t) (c : conn) kind (body : string) =
       | None -> Broker.stream_names t.broker
     in
     Counters.incr t.counters "lists";
-    reply_ok c (String.concat "\n" (List.sort compare names))
-  end
-  else if Char.equal kind k_describe then begin
-    let stream, _ = parse_stream_body body in
-    let owner = stream_owner t stream in
-    if owner != t then route t owner c kind body stream
-    else
-      match Broker.metadata_for t.broker ~stream c.creds with
-      | schema ->
-        Counters.incr t.counters "describes";
-        (* §17: when tracing is on and the stream's publisher carries a
-           context, serve it as a [trace=] metadata line — a mirror
-           DESCRIBEs before replicating and joins the same trace, so
-           spans line up across relays. Never persisted (the mirror
-           strips it before re-advertising). *)
-        let meta =
-          let kvs = advert_info t stream in
-          match
-            if t.trace = None then None
-            else Hashtbl.find_opt t.stream_trace stream
-          with
-          | Some ctx -> kvs @ [ ("trace", Trace.to_string ctx) ]
-          | None -> kvs
-        in
-        reply_ok c (meta_text meta ^ schema)
-      | exception Broker.Unknown_stream s ->
-        reply_err t c (Printf.sprintf "describe: unknown stream %s" s)
-      | exception Broker.Access_denied m ->
-        reply_err t c (Printf.sprintf "describe: access denied: %s" m)
-  end
-  else if Char.equal kind k_promote then begin
-    let stream, _ = parse_stream_body body in
-    let owner = stream_owner t stream in
-    if owner != t then route t owner c kind body stream
-    else if
-      not (List.exists (String.equal stream) (Broker.stream_names t.broker))
-    then reply_err t c (Printf.sprintf "promote: unknown stream %s" stream)
+    reply_ok c (Proto.encode_list (List.sort compare names))
+  | Proto.Describe stream -> (
+    match Broker.metadata_for t.broker ~stream c.creds with
+    | schema ->
+      Counters.incr t.counters "describes";
+      (* §17: when tracing is on and the stream's publisher carries a
+         context, serve it as a [trace=] metadata line — a mirror
+         DESCRIBEs before replicating and joins the same trace, so
+         spans line up across relays. Never persisted (the mirror
+         strips it before re-advertising). *)
+      let ctx =
+        if t.trace = None then None else Hashtbl.find_opt t.stream_trace stream
+      in
+      let meta = Proto.with_trace (advert_info t stream) ctx in
+      reply_ok c
+        (Proto.encode_schema_reply { Proto.offset = None; meta; schema })
+    | exception Broker.Unknown_stream s ->
+      reply_err t c (Proto.unknown_stream "describe" s)
+    | exception Broker.Access_denied m ->
+      reply_err t c (Proto.access_denied "describe" m))
+  | Proto.Promote stream ->
+    if not (List.exists (String.equal stream) (Broker.stream_names t.broker))
+    then reply_err t c (Proto.unknown_stream "promote" stream)
     else begin
       let kvs = advert_info t stream in
-      let origin = Option.value (advert_origin kvs) ~default:t.relay_id in
-      let epoch = advert_epoch kvs in
+      let origin, epoch = Proto.tag kvs ~relay_id:t.relay_id in
       if String.equal origin t.relay_id then
         (* already owned here: idempotent, no epoch burn *)
-        reply_ok c (Printf.sprintf "epoch=%d" epoch)
+        reply_ok c (Proto.encode_epoch epoch)
       else begin
         let epoch = epoch + 1 in
-        persist_advert t stream (with_origin kvs ~origin:t.relay_id ~epoch);
+        persist_advert t stream
+          (Proto.with_origin kvs ~origin:t.relay_id ~epoch);
         Counters.incr t.counters "promotes";
         (* any live replication link into this stream predates the
            ownership change: doom it so its epoch check re-runs *)
@@ -1508,52 +1277,53 @@ let rec handle_control (t : t) (c : conn) kind (body : string) =
         Log.info (fun m ->
             m "stream %s promoted: now %s@%d (was %s)" stream t.relay_id epoch
               origin);
-        reply_ok c (Printf.sprintf "epoch=%d" epoch)
+        reply_ok c (Proto.encode_epoch epoch)
       end
     end
-  end
-  else protocol_reject t c (Printf.sprintf "unknown command %C" kind)
 
-(** The stream named by this command lives on another shard. A
-    still-roleless connection migrates there (fd, decoder backlog, write
-    queue and MAC state travel; the command re-dispatches on the target
-    loop, then any buffered frames — per-connection order preserved). A
-    connection that already has a role is wedded to its shard's broker,
-    so the command is refused instead. *)
-and route (src : t) (target : t) (c : conn) kind (body : string)
-    (stream : string) =
-  match c.role with
-  | Publisher _ | Subscriber _ ->
-    reply_err src c
-      (Printf.sprintf "%s: stream %s is pinned to another shard"
-         (match kind with
-         | 'a' -> "advertise"
-         | 'p' -> "publish"
-         | 'q' -> "describe"
-         | 'm' -> "promote"
-         | _ -> "subscribe")
-         stream)
-  | Pending ->
-    Counters.incr src.counters "shard_handoffs";
-    Hashtbl.remove src.conns c.cid;
-    (* the write queue travels with the connection: surrender its byte
-       accounting to the source governor here (source loop thread) and
-       re-debit the target governor on its own loop after adoption *)
-    if c.gov_debited > 0 then begin
-      Governor.credit src.governor c.gov_debited;
-      c.gov_debited <- 0
-    end;
-    Rconn.detach c.io;
-    Reactor.inject target.reactor (fun () ->
-        if target.state = Running && Rconn.alive c.io then begin
-          c.home <- target;
-          Hashtbl.replace target.conns c.cid c;
-          c.gov_debited <- Rconn.queued_bytes c.io;
-          Governor.debit target.governor c.gov_debited;
-          Rconn.adopt target.reactor c.io;
-          handle_control target c kind body
-        end
-        else Rconn.doom c.io "shard draining")
+(** The still-roleless connection [c] names a stream pinned to another
+    shard: it migrates there (fd, decoder backlog, write queue and MAC
+    state travel; the command runs on the target loop, then any
+    buffered frames — per-connection order preserved). *)
+let route (src : t) (target : t) (c : conn) (req : Proto.request) =
+  Counters.incr src.counters "shard_handoffs";
+  Hashtbl.remove src.conns c.cid;
+  (* the write queue travels with the connection: surrender its byte
+     accounting to the source governor here (source loop thread) and
+     re-debit the target governor on its own loop after adoption *)
+  if c.gov_debited > 0 then begin
+    Governor.credit src.governor c.gov_debited;
+    c.gov_debited <- 0
+  end;
+  Rconn.detach c.io;
+  Reactor.inject target.reactor (fun () ->
+      if target.state = Running && Rconn.alive c.io then begin
+        c.home <- target;
+        Hashtbl.replace target.conns c.cid c;
+        c.gov_debited <- Rconn.queued_bytes c.io;
+        Governor.debit target.governor c.gov_debited;
+        Rconn.adopt target.reactor c.io;
+        handle_control target c req
+      end
+      else Rconn.doom c.io "shard draining")
+
+(** Run one decoded control request on the shard that owns its stream.
+    A connection with a role is wedded to its shard's broker: it may not
+    PUBLISH or SUBSCRIBE again, nor name another shard's stream. *)
+let dispatch (t : t) (c : conn) (req : Proto.request) =
+  match (req, Proto.target req, c.role) with
+  | ( (Proto.Publish _ | Proto.Subscribe _),
+      Some (cmd, _),
+      (Publisher _ | Subscriber _) ) ->
+    reply_err t c (cmd ^ ": connection already has a role")
+  | _, Some (cmd, stream), role -> (
+    match (stream_owner t stream, role) with
+    | owner, _ when owner == t -> handle_control t c req
+    | owner, Pending -> route t owner c req
+    | _, (Publisher _ | Subscriber _) ->
+      reply_err t c
+        (Printf.sprintf "%s: stream %s is pinned to another shard" cmd stream))
+  | _, None, _ -> handle_control t c req
 
 let handle_frame (t : t) (c : conn) (frame : Bytes.t) =
   Counters.incr t.counters "frames_in";
@@ -1671,9 +1441,11 @@ let handle_frame (t : t) (c : conn) (frame : Bytes.t) =
         protocol_reject t c "subscriber connections are receive-only"
     else
       match c.role with
-      | Publisher _ | Pending ->
-        handle_control t c kind
-          (Bytes.sub_string frame 1 (Bytes.length frame - 1))
+      | Publisher _ | Pending -> (
+        match Proto.decode_request frame with
+        | Ok req -> dispatch t c req
+        | Error (Proto.Malformed msg) -> reply_err t c msg
+        | Error (Proto.Unknown msg) -> protocol_reject t c msg)
       | Subscriber _ ->
         (* replies would interleave with relayed frames: refuse *)
         protocol_reject t c "subscriber connections are receive-only"
@@ -1826,7 +1598,7 @@ let adopt_fd (t : t) (fd : Unix.file_descr) =
       | None -> None
     in
     let c =
-      { cid; io; creds = []; role = Pending; over_since = None
+      { cid; io; creds = []; greeted = false; role = Pending; over_since = None
       ; grace_timer = None; congesting = false; mac = None; mac_rejects = 0
       ; comp = false; gov_debited = 0; throttled = false; bucket
       ; trace_mark = None; home = t }
@@ -2250,12 +2022,6 @@ module Client = struct
     ; close = (fun () -> Link.close link)
     }
 
-  let ctrl kind (body : string) : Bytes.t =
-    let b = Bytes.create (1 + String.length body) in
-    Bytes.set b 0 kind;
-    Bytes.blit_string body 0 b 1 (String.length body);
-    b
-
   (* every transport-level failure surfaces as Client.Error with a
      readable message; raw Unix_error / Tcp_error never escape *)
   let reraise (context : string) = function
@@ -2271,31 +2037,28 @@ module Client = struct
       raise (Error (Printf.sprintf "%s: %s: %s" context fn (Unix.error_message e)))
     | e -> raise e
 
-  let rpc (t : t) kind body : string =
+  let rpc (t : t) (req : Proto.request) : Proto.reply =
     match
-      Link.send t.link (ctrl kind body);
+      Link.send t.link (Proto.encode_request req);
       Link.recv t.link
     with
     | None -> raise (Error "relay closed the connection")
-    | Some r when Bytes.length r >= 1 && Char.equal (Bytes.get r 0) k_ok ->
-      Bytes.sub_string r 1 (Bytes.length r - 1)
-    | Some r when Bytes.length r >= 1 && Char.equal (Bytes.get r 0) k_err ->
-      raise (Error (Bytes.sub_string r 1 (Bytes.length r - 1)))
-    | Some r when Bytes.length r >= 1 && Char.equal (Bytes.get r 0) k_busy ->
-      let kvs = parse_creds (Bytes.sub_string r 1 (Bytes.length r - 1)) in
-      let retry_ms =
-        match
-          Option.bind (List.assoc_opt "retry_ms" kvs) int_of_string_opt
-        with
-        | Some n when n > 0 -> n
-        | _ -> 250
-      in
-      raise (Busy { retry_ms })
-    | Some _ -> raise (Error "malformed reply")
+    | Some r -> (
+      match Proto.decode_reply r with
+      | Ok reply -> reply
+      | Error _ -> raise (Error "malformed reply"))
     | exception e -> reraise "relay rpc" e
 
-  let creds_text creds =
-    String.concat "\n" (List.map (fun (k, v) -> k ^ "=" ^ v) creds)
+  (* the OK body of [req]: error and busy replies raise *)
+  let call (t : t) (req : Proto.request) : string =
+    match rpc t req with
+    | Proto.Ok body -> body
+    | Proto.Err msg -> raise (Error msg)
+    | Proto.Busy ms -> raise (Busy { retry_ms = (if ms > 0 then ms else 250) })
+    | Proto.Ack _ -> raise (Error "malformed reply")
+
+  let decoded (r : ('a, string) result) : 'a =
+    match r with Ok v -> v | Error msg -> raise (Error ("relay reply: " ^ msg))
 
   (** [connect ~port ()] dials and HELLOs. With [?auth:(key_id, key)]
       the HELLO requests HMAC frame mode; the handshake itself is
@@ -2322,19 +2085,19 @@ module Client = struct
         | Some (key_id, _) ->
           creds @ [ ("auth", "hmac"); ("key-id", key_id) ]
       in
-      let banner =
-        rpc { link; comp = None } k_hello (creds_text hello_creds)
+      let granted =
+        Proto.decode_banner
+          (call { link; comp = None } (Proto.Hello hello_creds))
       in
-      let granted = String.split_on_char ' ' banner in
       (* the relay must have granted the auth mode we asked for *)
-      if auth <> None && not (List.mem "mac" granted) then
+      if auth <> None && not granted.Proto.mac then
         raise (Error "relay did not negotiate authenticated framing");
       let link =
         match auth with
         | None -> link
         | Some (_, key) -> Macframe.wrap (Macframe.state ~key) link
       in
-      if compress && List.mem "comp=lz" granted then begin
+      if compress && granted.Proto.comp then begin
         let totals = { raw_bytes = 0; wire_bytes = 0 } in
         { link = compress_wrap totals link; comp = Some totals }
       end
@@ -2353,34 +2116,22 @@ module Client = struct
     | None -> None
     | Some c -> Some (c.raw_bytes, c.wire_bytes)
 
-  let advertise (t : t) ~(stream : string) ~(schema : string) : unit =
-    ignore (rpc t k_advertise (stream ^ "\n" ^ schema))
-
-  (** [advertise_meta t ~stream ~schema ()] is {!advertise} with the
-      stream's schema-registry binding (PROTOCOLS.md §14) attached as
-      advertisement metadata lines; subscribers asking with [meta=1]
-      (see {!subscribe_meta}) get them back and can bind conversion
-      plans by content fingerprint instead of re-parsing schema
-      text. *)
-  let advertise_meta (t : t) ?subject ?version ?fingerprint
-      ~(stream : string) ~(schema : string) () : unit =
-    let meta =
-      (match subject with Some s -> [ ("subject", s) ] | None -> [])
-      @ (match version with
-        | Some v -> [ ("version", string_of_int v) ]
-        | None -> [])
-      @ (match fingerprint with Some f -> [ ("fingerprint", f) ] | None -> [])
-    in
-    ignore (rpc t k_advertise (stream ^ "\n" ^ meta_text meta ^ schema))
+  (** [advertise t ~stream ~schema] declares the stream. [?meta] lines
+      ride along: a registry binding (PROTOCOLS.md §14) that [meta=1]
+      subscribers get back, or — from a mirror — the source's metadata
+      verbatim, [origin]/[epoch] tag included (§15). *)
+  let advertise ?(meta = []) (t : t) ~(stream : string) ~(schema : string) :
+      unit =
+    ignore (call t (Proto.Advertise { stream; meta; schema }))
 
   let stats (t : t) : (string * int) list =
-    Counters.of_text (rpc t k_stats "")
+    Proto.decode_stats (call t Proto.Stats)
 
-  (* PROTOCOLS.md §17: an optional trace context rides PUBLISH as one
-     more [k=v] option line *)
-  let trace_opt = function
-    | None -> ""
-    | Some ctx -> "\ntrace=" ^ Trace.to_string ctx
+  (* plain, acked and mirror PUBLISH: the typed watermark reply *)
+  let publish_with ?trace ?mirror ~acks (t : t) stream =
+    decoded
+      (Proto.decode_published
+         (call t (Proto.Publish { stream; acks; mirror; trace })))
 
   (** [publish t ~stream] switches the connection into publisher mode
       and returns the raw link: drive it with
@@ -2388,14 +2139,17 @@ module Client = struct
       context to the stream (PROTOCOLS.md §17): a tracing-enabled relay
       adopts it instead of head-sampling its own. *)
   let publish ?trace (t : t) ~(stream : string) : Link.t =
-    ignore (rpc t k_publish (stream ^ trace_opt trace));
+    ignore (publish_with ?trace ~acks:false t stream);
     t.link
+
+  (* SUBSCRIBE and DESCRIBE: the typed schema reply *)
+  let schema_reply ~offset ~meta (t : t) (req : Proto.request) =
+    decoded (Proto.decode_schema_reply ~offset ~meta (call t req))
 
   (** [subscribe t ~stream] returns the (credential-scoped) stream
       schema and the raw link now carrying descriptor/message frames. *)
   let subscribe (t : t) ~(stream : string) : string * Link.t =
-    let schema = rpc t k_subscribe stream in
-    (schema, t.link)
+    (call t (Proto.Subscribe { stream; from = None; meta = false }), t.link)
 
   (** [subscribe_meta t ~stream] is {!subscribe} plus the stream's
       advertised registry-binding metadata — [("subject", _)],
@@ -2403,9 +2157,11 @@ module Client = struct
       supplied any (empty list otherwise). *)
   let subscribe_meta (t : t) ~(stream : string) :
       (string * string) list * string * Link.t =
-    let body = rpc t k_subscribe (stream ^ "\nmeta=1") in
-    let meta, schema = split_advert_meta body in
-    (meta, schema, t.link)
+    let r =
+      schema_reply ~offset:false ~meta:true t
+        (Proto.Subscribe { stream; from = None; meta = true })
+    in
+    (r.Proto.meta, r.Proto.schema, t.link)
 
   (** [publish_acked t ~stream] enters publisher mode requesting
       durability acks (PROTOCOLS.md §13). Against a store-backed relay
@@ -2414,13 +2170,8 @@ module Client = struct
       this link whenever the watermark advances. [None] means the relay
       is memory-only and will never ack. *)
   let publish_acked ?trace (t : t) ~(stream : string) : int option * Link.t =
-    let body = rpc t k_publish (stream ^ "\nacks=1" ^ trace_opt trace) in
-    let durable =
-      if String.length body >= 8 && String.sub body 0 8 = "durable=" then
-        int_of_string_opt (String.sub body 8 (String.length body - 8))
-      else None
-    in
-    (durable, t.link)
+    let w = publish_with ?trace ~acks:true t stream in
+    (Option.map (fun w -> w.Proto.durable) w, t.link)
 
   (** [subscribe_from t ~stream ~from] subscribes with stored replay
       (PROTOCOLS.md §13): delivery starts at offset [from] (clamped up
@@ -2430,49 +2181,31 @@ module Client = struct
       the relay is memory-only and offsets are not tracked. *)
   let subscribe_from (t : t) ~(stream : string) ~(from : int) :
       int option * string * Link.t =
-    let body = rpc t k_subscribe (Printf.sprintf "%s\nfrom=%d" stream from) in
-    match String.index_opt body '\n' with
-    | Some i when String.length body >= 7 && String.sub body 0 7 = "offset=" ->
-      let off = int_of_string_opt (String.sub body 7 (i - 7)) in
-      let schema = String.sub body (i + 1) (String.length body - i - 1) in
-      (off, schema, t.link)
-    | _ -> (None, body, t.link)
+    let r =
+      schema_reply ~offset:true ~meta:false t
+        (Proto.Subscribe { stream; from = Some from; meta = false })
+    in
+    (r.Proto.offset, r.Proto.schema, t.link)
 
   (** [list_streams t] names every stream the relay (all shards of a
       cluster) currently hosts, sorted. *)
   let list_streams (t : t) : string list =
-    rpc t k_list "" |> String.split_on_char '\n'
-    |> List.filter (fun s -> s <> "")
+    Proto.decode_list (call t Proto.List)
 
   (** [describe t ~stream] returns the stream's advertisement metadata
       — always including its [origin]/[epoch] replication tag
       (PROTOCOLS.md §15) — and its (credential-scoped) schema, without
       changing the connection's role. *)
   let describe (t : t) ~(stream : string) : (string * string) list * string =
-    split_advert_meta (rpc t k_describe stream)
-
-  (** [advertise_with_meta t ~stream ~meta ~schema] is {!advertise}
-      with an explicit metadata list — the mirror re-advertises a
-      replicated stream with the source's metadata verbatim (registry
-      binding plus [origin]/[epoch]). *)
-  let advertise_with_meta (t : t) ~(stream : string)
-      ~(meta : (string * string) list) ~(schema : string) : unit =
-    ignore (rpc t k_advertise (stream ^ "\n" ^ meta_text meta ^ schema))
+    let r = schema_reply ~offset:false ~meta:true t (Proto.Describe stream) in
+    (r.Proto.meta, r.Proto.schema)
 
   (** [promote t ~stream] transfers write ownership of a mirrored
       stream to the relay (PROTOCOLS.md §15): its origin becomes the
       relay's id with a bumped epoch, returned here. Idempotent on
       streams the relay already owns. *)
   let promote (t : t) ~(stream : string) : int =
-    let body = rpc t k_promote stream in
-    match
-      if String.length body >= 6 && String.sub body 0 6 = "epoch=" then
-        int_of_string_opt (String.sub body 6 (String.length body - 6))
-      else None
-    with
-    | Some e -> e
-    | None ->
-      raise (Error (Printf.sprintf "promote %s: malformed reply %S" stream body))
+    decoded (Proto.decode_epoch (call t (Proto.Promote stream)))
 
   (** [publish_mirror t ~stream ~origin ~epoch] enters publisher mode
       as a replication link (PROTOCOLS.md §15): accepted only while
@@ -2482,21 +2215,9 @@ module Client = struct
       memory-only relay (live-only replication). *)
   let publish_mirror ?trace (t : t) ~(stream : string) ~(origin : string)
       ~(epoch : int) : (int * int) option * Link.t =
-    let body =
-      rpc t k_publish
-        (Printf.sprintf "%s\nmirror=1\norigin=%s\nepoch=%d%s" stream origin
-           epoch (trace_opt trace))
-    in
-    let kvs = parse_creds body in
-    let watermarks =
-      match
-        ( Option.bind (List.assoc_opt "durable" kvs) int_of_string_opt,
-          Option.bind (List.assoc_opt "tail" kvs) int_of_string_opt )
-      with
-      | Some d, Some tl -> Some (d, tl)
-      | _ -> None
-    in
-    (watermarks, t.link)
+    match publish_with ?trace ~mirror:(origin, epoch) ~acks:false t stream with
+    | Some { Proto.durable; tail = Some tail } -> (Some (durable, tail), t.link)
+    | Some _ | None -> (None, t.link)
 
   let close (t : t) = try Link.close t.link with _ -> ()
 end
@@ -2745,7 +2466,7 @@ module Session = struct
         if not want_trace then None
         else
           match Client.describe client ~stream with
-          | meta, _ -> Option.bind (List.assoc_opt "trace" meta) Trace.of_string
+          | meta, _ -> fst (Proto.split_trace meta)
           | exception _ -> None
       in
       ( trace,
@@ -3062,22 +2783,13 @@ module Session = struct
     | None -> false
     | Some link -> (
       match Link.recv link with
-      | Some frame
-        when Bytes.length frame >= 1 && Char.equal (Bytes.get frame 0) k_ack
-        -> (
-        (match
-           int_of_string_opt
-             (Bytes.sub_string frame 1 (Bytes.length frame - 1))
-         with
-        | Some n -> process_ack p n
-        | None -> ());
-        true)
-      | Some frame
-        when Bytes.length frame >= 1 && Char.equal (Bytes.get frame 0) k_err
-        ->
-        raise
-          (Client.Error (Bytes.sub_string frame 1 (Bytes.length frame - 1)))
-      | Some _ -> true
+      | Some frame -> (
+        match Proto.decode_reply frame with
+        | Ok (Proto.Ack n) ->
+          process_ack p n;
+          true
+        | Ok (Proto.Err msg) -> raise (Client.Error msg)
+        | Ok (Proto.Ok _ | Proto.Busy _) | Error _ -> true)
       | None ->
         drop_publisher_link p;
         false

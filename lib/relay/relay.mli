@@ -9,12 +9,11 @@
     behind a small control protocol on the same length-prefixed framing
     as the {!Omf_transport.Endpoint} frames it relays verbatim.
 
-    Control protocol (1-byte kind + body per frame; PROTOCOLS.md §11):
-    ['h'] HELLO, ['a'] ADVERTISE, ['p'] PUBLISH, ['s'] SUBSCRIBE,
-    ['t'] STATS, ['l'] LIST, ['q'] DESCRIBE, ['m'] PROMOTE; replies
-    ['o' body] / ['e' message]. After PUBLISH a connection's
-    ['D']/['M'] endpoint frames are fanned out; after SUBSCRIBE the
-    connection is receive-only.
+    The control protocol — HELLO, ADVERTISE, PUBLISH, SUBSCRIBE, STATS,
+    LIST, DESCRIBE, PROMOTE and their replies — is {!Relay_proto}
+    (PROTOCOLS.md §11–18). After PUBLISH a connection's ['D']/['M']
+    endpoint frames are fanned out; after SUBSCRIBE the connection is
+    receive-only.
 
     Replication (PROTOCOLS.md §15): every advertised stream carries an
     [origin=relay-id]/[epoch=N] metadata tag. A stream whose origin is
@@ -286,21 +285,21 @@ module Client : sig
       directions — the achieved ratio is [raw / wire]. [None] when the
       connection is uncompressed. *)
 
-  val advertise : t -> stream:string -> schema:string -> unit
+  val rpc : t -> Relay_proto.request -> Relay_proto.reply
+  (** One control exchange: send the request, return the relay's reply
+      as is — [Err] and [Busy] included. Transport failures and an
+      unreadable reply raise {!Error}. The functions below are [rpc]
+      plus the typed reading of each command's reply. *)
 
-  val advertise_meta :
-    t ->
-    ?subject:string ->
-    ?version:int ->
-    ?fingerprint:string ->
-    stream:string ->
-    schema:string ->
-    unit ->
-    unit
-  (** As {!advertise}, attaching the stream's schema-registry binding
-      (PROTOCOLS.md §14) — subject, version, content fingerprint — as
-      advertisement metadata; {!subscribe_meta} returns it so receivers
-      can bind conversion plans by fingerprint. *)
+  val advertise :
+    ?meta:(string * string) list -> t -> stream:string -> schema:string -> unit
+  (** [meta] lines ride along as advertisement metadata: a
+      schema-registry binding (PROTOCOLS.md §14) — [subject], [version],
+      content [fingerprint] — that {!subscribe_meta} returns so
+      receivers can bind conversion plans by fingerprint; or, from a
+      mirror, the source's metadata verbatim with its [origin]/[epoch]
+      tag (§15), which the relay gates: stale epochs and origin loops
+      are refused with an ['e'] reply. *)
 
   val publish : ?trace:Trace.ctx -> t -> stream:string -> Omf_transport.Link.t
   (** [?trace] attaches a trace context (PROTOCOLS.md §17) as a
@@ -346,18 +345,6 @@ module Client : sig
       [origin]/[epoch] replication tag (PROTOCOLS.md §15) — and its
       (credential-scoped) schema. Does not change the connection's
       role, so one connection can describe many streams. *)
-
-  val advertise_with_meta :
-    t ->
-    stream:string ->
-    meta:(string * string) list ->
-    schema:string ->
-    unit
-  (** {!advertise} with an explicit metadata list — how a mirror
-      re-advertises a replicated stream with the source's metadata
-      (registry binding plus [origin]/[epoch]) verbatim. The relay
-      gates acceptance on the (origin, epoch) tag: stale epochs and
-      origin loops are refused with an ['e'] reply. *)
 
   val promote : t -> stream:string -> int
   (** Transfer write ownership of a mirrored stream to the relay: its

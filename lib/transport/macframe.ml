@@ -1,5 +1,5 @@
 (** Authenticated frames: HMAC-SHA256 sealing of the length-prefixed
-    {!Frame} bodies (PROTOCOLS.md section 12).
+    {!Omf_reactor.Frame} bodies (PROTOCOLS.md section 12).
 
     A sealed frame body is
 

@@ -3,6 +3,8 @@
     binaries; simulations and benchmarks prefer {!Loopback} / {!Netsim}
     for determinism. *)
 
+module Frame = Omf_reactor.Frame
+
 exception Tcp_error of string
 
 let tcp_error fmt = Printf.ksprintf (fun s -> raise (Tcp_error s)) fmt

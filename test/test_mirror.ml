@@ -72,10 +72,9 @@ let seq_of v =
 
 (* an advertised stream (with a registry binding) plus a publisher
    endpoint on it *)
-let make_publisher ?subject ?version ?fingerprint ~port ~stream () =
+let make_publisher ?meta ~port ~stream () =
   let client = Relay.Client.connect ~port () in
-  Relay.Client.advertise_meta client ?subject ?version ?fingerprint ~stream
-    ~schema:Fx.schema_a ();
+  Relay.Client.advertise ?meta client ~stream ~schema:Fx.schema_a;
   let link = Relay.Client.publish client ~stream in
   let catalog = Catalog.create Abi.x86_64 in
   ignore (X2W.register_schema catalog Fx.schema_a);
@@ -153,7 +152,8 @@ let test_replicates_frames_and_metadata () =
   let id_b = Relay.relay_id (Relay.relay hb) in
   check bool "relay ids differ" true (not (String.equal id_a id_b));
   let pub, sender, fmt =
-    make_publisher ~subject:"flights" ~version:3 ~fingerprint:"fp-abc"
+    make_publisher
+      ~meta:[ ("subject", "flights"); ("version", "3"); ("fingerprint", "fp-abc") ]
       ~port:port_a ~stream:"flights" ()
   in
   let n = 20 in
@@ -226,7 +226,8 @@ let test_compressed_link_fidelity () =
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let id_b = Relay.relay_id (Relay.relay hb) in
   let pub, sender, fmt =
-    make_publisher ~subject:"flights" ~version:3 ~fingerprint:"fp-z"
+    make_publisher
+      ~meta:[ ("subject", "flights"); ("version", "3"); ("fingerprint", "fp-z") ]
       ~port:port_a ~stream:"flights" ()
   in
   let n = 40 in
@@ -447,7 +448,9 @@ let test_restart_readvertises_metadata () =
   let port1 = Relay.port (Relay.relay h1) in
   let id1 = Relay.relay_id (Relay.relay h1) in
   let pub, sender, fmt =
-    make_publisher ~subject:"flights" ~version:7 ~fingerprint:"fp-persist"
+    make_publisher
+      ~meta:
+        [ ("subject", "flights"); ("version", "7"); ("fingerprint", "fp-persist") ]
       ~port:port1 ~stream:"flights" ()
   in
   publish sender fmt 0;

@@ -325,8 +325,11 @@ let test_async_discovery_zero_loss () =
   let port = Relay.port (Relay.relay h) in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub = Relay.Client.connect ~port () in
-  Relay.Client.advertise_meta pub ~subject:"flights" ~version:rv
-    ~fingerprint:fp ~stream:"flights" ~schema:Fx.schema_a ();
+  Relay.Client.advertise pub
+    ~meta:
+      [ ("subject", "flights"); ("version", string_of_int rv)
+      ; ("fingerprint", fp) ]
+    ~stream:"flights" ~schema:Fx.schema_a;
   let plink = Relay.Client.publish pub ~stream:"flights" in
   let pcat = Catalog.create Abi.x86_64 in
   ignore (Omf_xml2wire.Xml2wire.register_schema pcat Fx.schema_a);

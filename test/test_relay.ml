@@ -7,7 +7,9 @@
 open Omf_machine
 open Omf_pbio.Pbio
 open Omf_transport
+module Frame = Omf_reactor.Frame
 module Relay = Omf_relay.Relay
+module Proto = Omf_relay.Relay_proto
 module Broker = Omf_backbone.Broker
 module Fx = Omf_fixtures.Paper_structs
 module Catalog = Omf_xml2wire.Catalog
@@ -793,6 +795,240 @@ let test_governor_accounting_symmetry () =
   Relay.Client.close pub;
   check int "used returns to 0 after an eviction" 0 (wait_used_zero h)
 
+(* ------------------------------------------------------------------ *)
+(* Control protocol codec (Relay_proto)                                 *)
+(* ------------------------------------------------------------------ *)
+
+let ctx =
+  { Relay.Trace.trace_id = 0x0123456789abcdefL; span_id = 1L; sampled = true }
+
+let publish_req ?(acks = false) ?mirror ?trace stream =
+  Proto.Publish { stream; acks; mirror; trace }
+
+let subscribe_req ?from ?(meta = false) stream =
+  Proto.Subscribe { stream; from; meta }
+
+(* one instance of every command and reply, with the exact bytes the
+   hand-written encoders this module replaced put on the wire *)
+let test_proto_golden () =
+  let schema = "<s/>" in
+  let requests =
+    [ (Proto.Hello [ ("role", "display"); ("user", "x=y") ],
+       "hrole=display\nuser=x=y")
+    ; (Proto.Hello [ ("auth", "hmac"); ("key-id", "k1") ], "hauth=hmac\nkey-id=k1")
+    ; (Proto.Advertise { stream = "flights"; meta = []; schema }, "aflights\n<s/>")
+    ; ( Proto.Advertise
+          { stream = "flights"
+          ; meta = [ ("subject", "fl"); ("version", "3"); ("fingerprint", "ab12") ]
+          ; schema }
+      , "aflights\nsubject=fl\nversion=3\nfingerprint=ab12\n<s/>" )
+    ; (publish_req "flights", "pflights")
+    ; ( publish_req ~trace:ctx "flights"
+      , "pflights\ntrace=0123456789abcdef-0000000000000001-01" )
+    ; (publish_req ~acks:true "flights", "pflights\nacks=1")
+    ; ( publish_req ~mirror:("r1", 4) ~trace:ctx "flights"
+      , "pflights\nmirror=1\norigin=r1\nepoch=4\n\
+         trace=0123456789abcdef-0000000000000001-01" )
+    ; (subscribe_req "flights", "sflights")
+    ; (subscribe_req ~meta:true "flights", "sflights\nmeta=1")
+    ; (subscribe_req ~from:(-1) "flights", "sflights\nfrom=-1")
+    ; (Proto.Stats, "t")
+    ; (Proto.List, "l")
+    ; (Proto.Describe "flights", "qflights")
+    ; (Proto.Promote "flights", "mflights") ]
+  in
+  List.iter
+    (fun (req, wire) ->
+      check Alcotest.string wire wire (Bytes.to_string (Proto.encode_request req));
+      check bool ("decodes " ^ wire) true
+        (Proto.decode_request (Bytes.of_string wire) = Ok req))
+    requests;
+  let replies =
+    [ (Proto.Ok "", "o")
+    ; (Proto.Err "publish: unknown stream nope", "epublish: unknown stream nope")
+    ; (Proto.Busy 250, "bretry_ms=250")
+    ; (Proto.Ack 1, "k1") ]
+  in
+  List.iter
+    (fun (r, wire) ->
+      check Alcotest.string wire wire (Bytes.to_string (Proto.encode_reply r));
+      check bool ("decodes " ^ wire) true
+        (Proto.decode_reply (Bytes.of_string wire) = Ok r))
+    replies;
+  let refusal ~current stream meta =
+    match Proto.gate_advert ~relay_id:"aaaa" ~current:(Some current) stream meta with
+    | Error msg -> msg
+    | Ok _ -> "accepted"
+  in
+  let bodies =
+    [ (Proto.encode_banner { mac = false; comp = false }, "omf-relay 1")
+    ; (Proto.encode_banner { mac = true; comp = true }, "omf-relay 1 mac comp=lz")
+    ; (Proto.encode_published None, "")
+    ; (Proto.encode_published (Some { durable = 1; tail = None }), "durable=1")
+    ; ( Proto.encode_published (Some { durable = 0; tail = Some 0 })
+      , "durable=0\ntail=0" )
+    ; ( Proto.encode_schema_reply
+          { offset = Some 0; meta = [ ("subject", "s") ]; schema }
+      , "offset=0\nsubject=s\n<s/>" )
+    ; (Proto.encode_epoch 3, "epoch=3")
+    ; (Proto.encode_list [ "flights"; "mirr" ], "flights\nmirr")
+    ; (Proto.encode_stats [ ("errors", 2) ], "errors 2\n")
+    ; (Proto.read_only "publish" "mirr" "ffff", "publish mirr: read-only (mirrored from ffff)")
+    ; ( Proto.stale_mirror "mirr" "ffff" 2
+      , "publish mirr: stale mirror link (stream is ffff@2 here)" )
+    ; ( refusal ~current:[ ("origin", "ffff"); ("epoch", "2") ] "mirr"
+          [ ("origin", "bbbb"); ("epoch", "1") ]
+      , "advertise mirr: stale epoch 1 (held by ffff at epoch 2)" )
+    ; ( refusal ~current:[ ("origin", "ffff"); ("epoch", "2") ] "mirr" []
+      , "advertise mirr: read-only (mirrored from ffff)" )
+    ; ( refusal ~current:[] "loop" [ ("origin", "aaaa") ]
+      , "advertise loop: origin loop (stream originates here)" ) ]
+  in
+  List.iter (fun (got, want) -> check Alcotest.string want want got) bodies
+
+(* generators: names and values never hold the separators their field
+   is delimited by (a newline; '=' in a key; '<' in a metadata line) *)
+let gen_text ?(avoid = "\n") n =
+  QCheck.Gen.(
+    string_size
+      ~gen:(map (fun c -> if String.contains avoid c then '.' else c) printable)
+      (0 -- n))
+
+let gen_key =
+  QCheck.Gen.(
+    string_size ~gen:(oneofl (List.of_seq (String.to_seq "abcxyz019-_")))
+      (1 -- 8))
+
+let gen_meta =
+  QCheck.Gen.(list_size (0 -- 4) (pair gen_key (gen_text ~avoid:"\n<" 12)))
+
+let gen_schema = QCheck.Gen.(map (fun s -> "<" ^ s) (string_size (0 -- 40)))
+
+let gen_ctx =
+  QCheck.Gen.(
+    map3
+      (fun trace_id span_id sampled ->
+        { Relay.Trace.trace_id; span_id; sampled })
+      ui64 ui64 bool)
+
+let gen_request =
+  let open QCheck.Gen in
+  let stream = gen_text 12 in
+  let creds = list_size (0 -- 4) (pair (gen_text ~avoid:"\n=" 8) (gen_text 8)) in
+  oneof
+    [ map (fun c -> Proto.Hello c) creds
+    ; map3
+        (fun stream meta schema -> Proto.Advertise { stream; meta; schema })
+        stream gen_meta gen_schema
+    ; map3
+        (fun (stream, acks) mirror trace ->
+          Proto.Publish { stream; acks; mirror; trace })
+        (pair stream bool)
+        (opt (pair (gen_text 12) int))
+        (opt gen_ctx)
+    ; map3
+        (fun stream from meta -> Proto.Subscribe { stream; from; meta })
+        stream (opt int) bool
+    ; return Proto.Stats
+    ; return Proto.List
+    ; map (fun s -> Proto.Describe s) stream
+    ; map (fun s -> Proto.Promote s) stream ]
+
+let prop_proto_request_roundtrip =
+  QCheck.Test.make ~name:"request decode (encode r) = Ok r" ~count:1000
+    (QCheck.make gen_request)
+    (fun r -> Proto.decode_request (Proto.encode_request r) = Ok r)
+
+(* every reply variant and every typed OK body round-trips *)
+let prop_proto_reply_roundtrip =
+  let open QCheck.Gen in
+  let gen =
+    quad
+      (oneof
+         [ map (fun s -> Proto.Ok s) (string_size (0 -- 30))
+         ; map (fun s -> Proto.Err s) (string_size (0 -- 30))
+         ; map (fun n -> Proto.Busy n) int
+         ; map (fun n -> Proto.Ack n) int ])
+      (pair (pair bool bool) (opt (pair int (opt int))))
+      (triple (opt int) gen_meta gen_schema)
+      (triple int
+         (list_size (0 -- 5) (gen_text 10 |> map (fun s -> "s" ^ s)))
+         (list_size (0 -- 5) (pair (map (fun k -> "n." ^ k) gen_key) int)))
+  in
+  QCheck.Test.make ~name:"reply and typed bodies round-trip" ~count:1000
+    (QCheck.make gen)
+    (fun (r, ((mac, comp), published), (offset, meta, schema), (epoch, names, stats)) ->
+      let published =
+        Option.map (fun (durable, tail) -> { Proto.durable; tail }) published
+      in
+      let sr = { Proto.offset; meta; schema } in
+      Proto.decode_reply (Proto.encode_reply r) = Ok r
+      && Proto.decode_banner (Proto.encode_banner { mac; comp }) = { mac; comp }
+      && Proto.decode_published (Proto.encode_published published) = Ok published
+      && Proto.decode_schema_reply ~offset:(offset <> None) ~meta:true
+           (Proto.encode_schema_reply sr)
+         = Ok sr
+      && Proto.decode_epoch (Proto.encode_epoch epoch) = Ok epoch
+      && Proto.decode_list (Proto.encode_list names) = names
+      && Proto.decode_stats (Proto.encode_stats stats) = stats)
+
+(* decoders are total: arbitrary bytes, and every truncation of a valid
+   encoding, give Ok or Error — never Failure, Invalid_argument or
+   Not_found *)
+let prop_proto_decoders_total =
+  let open QCheck.Gen in
+  let garbage =
+    map2 (fun k s -> String.make 1 k ^ s) (oneofl (String.to_seq "hapstlqmoebkxDM" |> List.of_seq))
+      (string_size ~gen:(oneofl (String.to_seq "a=\n<0-1 o" |> List.of_seq)) (0 -- 24))
+  in
+  let truncations =
+    map2
+      (fun r n ->
+        let s = Bytes.to_string (Proto.encode_request r) in
+        String.sub s 0 (min n (String.length s)))
+      gen_request (0 -- 60)
+  in
+  QCheck.Test.make ~name:"decoders never raise" ~count:2000
+    (QCheck.make (oneof [ garbage; truncations; string_size (0 -- 40) ]))
+    (fun s ->
+      let b = Bytes.of_string s in
+      let body = if s = "" then "" else String.sub s 1 (String.length s - 1) in
+      match
+        ignore (Proto.decode_request b);
+        ignore (Proto.decode_reply b);
+        ignore (Proto.decode_banner body);
+        ignore (Proto.decode_published body);
+        ignore (Proto.decode_epoch body);
+        ignore (Proto.decode_list body);
+        ignore (Proto.decode_stats body);
+        List.iter
+          (fun (offset, meta) ->
+            ignore (Proto.decode_schema_reply ~offset ~meta body))
+          [ (true, true); (true, false); (false, true); (false, false) ]
+      with
+      | () -> true
+      | exception _ -> false)
+
+(* A repeated HELLO would re-arm the negotiated frame modes mid-stream
+   (fresh MAC nonce counters on one side only, a second comp_sessions
+   count): the relay refuses it and the first session stands. *)
+let test_second_hello_refused () =
+  let key = ("k", "a shared capture-point secret") in
+  let h = Relay.start ~auth_keys:[ key ] () in
+  let port = Relay.port (Relay.relay h) in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let c = Relay.Client.connect ~port ~auth:key () in
+  (match Relay.Client.rpc c (Proto.Hello [ ("auth", "hmac"); ("key-id", "k") ]) with
+  | Proto.Err _ | (exception Relay.Client.Error _) -> ()
+  | _ -> Alcotest.fail "a second HELLO was accepted");
+  Relay.Client.close c;
+  ignore (wait_stat ~port "frames_rejected" 1);
+  let admin = Relay.Client.connect ~port () in
+  let stats = Relay.Client.stats admin in
+  Relay.Client.close admin;
+  check int "one authenticated session" 1
+    (Option.value ~default:0 (List.assoc_opt "auth_sessions" stats))
+
 let () =
   Alcotest.run "relay"
     [ ( "frames",
@@ -830,4 +1066,11 @@ let () =
             test_governor_accounting_symmetry ] )
     ; ( "shutdown",
         [ Alcotest.test_case "graceful drain" `Quick
-            test_graceful_drain_on_shutdown ] ) ]
+            test_graceful_drain_on_shutdown ] )
+    ; ( "proto",
+        [ Alcotest.test_case "golden wire bytes" `Quick test_proto_golden
+        ; QCheck_alcotest.to_alcotest prop_proto_request_roundtrip
+        ; QCheck_alcotest.to_alcotest prop_proto_reply_roundtrip
+        ; QCheck_alcotest.to_alcotest prop_proto_decoders_total
+        ; Alcotest.test_case "second HELLO refused" `Quick
+            test_second_hello_refused ] ) ]

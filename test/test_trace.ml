@@ -196,7 +196,7 @@ let event seq =
 
 let make_publisher ?trace ~port ~stream () =
   let client = Relay.Client.connect ~port () in
-  Relay.Client.advertise_meta client ~stream ~schema:Fx.schema_a ();
+  Relay.Client.advertise client ~stream ~schema:Fx.schema_a;
   let link = Relay.Client.publish ?trace client ~stream in
   let catalog = Catalog.create Abi.x86_64 in
   ignore (X2W.register_schema catalog Fx.schema_a);

@@ -1,9 +1,8 @@
-(** Tests for the utility modules: hexdump, the deterministic PRNG, the
-    coarse timing helpers, and the SHA-256/HMAC primitives. *)
+(** Tests for the utility modules: hexdump, the deterministic PRNG and
+    the SHA-256/HMAC primitives. *)
 
 module Hexdump = Omf_util.Hexdump
 module Prng = Omf_util.Prng
-module Clock = Omf_util.Clock
 module Sha256 = Omf_util.Sha256
 
 let check = Alcotest.check
@@ -89,19 +88,6 @@ let test_prng_distribution_rough () =
       if c < n / 20 || c > n / 5 then
         Alcotest.failf "bucket %d wildly off: %d/%d" i c n)
     buckets
-
-let test_clock_measures_something () =
-  let _, ns =
-    Clock.time_ns (fun () ->
-        let acc = ref 0 in
-        for i = 1 to 100_000 do
-          acc := !acc + i
-        done;
-        !acc)
-  in
-  check bool "non-negative" true (Int64.compare ns 0L >= 0);
-  let per = Clock.repeat_ns 10 (fun () -> Sys.opaque_identity (List.init 100 Fun.id)) in
-  check bool "repeat gives a finite mean" true (Float.is_finite per && per >= 0.0)
 
 (* FIPS 180-4 / NIST CAVP and RFC 4231 vectors *)
 let test_sha256_vectors () =
@@ -386,8 +372,6 @@ let () =
         ; Alcotest.test_case "zero seed" `Quick test_prng_zero_seed_is_usable
         ; Alcotest.test_case "rough uniformity" `Quick
             test_prng_distribution_rough ] )
-    ; ( "clock",
-        [ Alcotest.test_case "measures" `Quick test_clock_measures_something ] )
     ; ( "sha256",
         [ Alcotest.test_case "digest vectors" `Quick test_sha256_vectors
         ; Alcotest.test_case "incremental feed" `Quick
