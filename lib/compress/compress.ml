@@ -28,9 +28,10 @@ let is_lz b = Bytes.length b > 0 && Bytes.get b 0 = tag_lz
 
 (* -- encoder ------------------------------------------------------- *)
 
+(* the four bytes at [i] as a little-endian u32, hashed; one unboxed
+   load, no closure, so the match finder allocates nothing per position *)
 let hash4 src i =
-  let b k = Char.code (Bytes.unsafe_get src (i + k)) in
-  let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
+  let v = Int32.to_int (Bytes.get_int32_le src i) land 0xFFFF_FFFF in
   (v * 0x9E3779B1) lsr (32 - hash_bits) land (hash_size - 1)
 
 (* Longest common run of [a] (at cand) and [b] (at cur), both relative

@@ -139,16 +139,19 @@ let find_by_name name = List.find_opt (fun t -> String.equal t.name name) all
     endianness, short size, int size, long size, pointer size, cap. *)
 let fingerprint_length = 6
 
-let fingerprint t : string =
+let blit_fingerprint t b ~off =
   let e = match t.endianness with Endian.Little -> 0 | Endian.Big -> 1 in
+  Bytes.set b off (Char.chr e);
+  Bytes.set b (off + 1) (Char.chr t.short_size);
+  Bytes.set b (off + 2) (Char.chr t.int_size);
+  Bytes.set b (off + 3) (Char.chr t.long_size);
+  Bytes.set b (off + 4) (Char.chr t.pointer_size);
+  Bytes.set b (off + 5) (Char.chr t.align_cap)
+
+let fingerprint t : string =
   let b = Bytes.create fingerprint_length in
-  Bytes.set b 0 (Char.chr e);
-  Bytes.set b 1 (Char.chr t.short_size);
-  Bytes.set b 2 (Char.chr t.int_size);
-  Bytes.set b 3 (Char.chr t.long_size);
-  Bytes.set b 4 (Char.chr t.pointer_size);
-  Bytes.set b 5 (Char.chr t.align_cap);
-  Bytes.to_string b
+  blit_fingerprint t b ~off:0;
+  Bytes.unsafe_to_string b
 
 exception Bad_fingerprint of string
 

@@ -70,6 +70,9 @@ val fingerprint_length : int
 val fingerprint : t -> string
 (** 6 bytes: endianness, short/int/long/pointer sizes, alignment cap. *)
 
+val blit_fingerprint : t -> bytes -> off:int -> unit
+(** Write the fingerprint into the buffer at [off] (message headers). *)
+
 exception Bad_fingerprint of string
 
 val of_fingerprint : string -> t

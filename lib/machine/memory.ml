@@ -67,6 +67,10 @@ let write_bytes t addr (src : bytes) =
   let off = offset_of_addr t addr (Bytes.length src) in
   Bytes.blit src 0 t.arena off (Bytes.length src)
 
+let write_string t addr (src : string) =
+  let off = offset_of_addr t addr (String.length src) in
+  Bytes.blit_string src 0 t.arena off (String.length src)
+
 let blit_to_buffer t addr len ~dst ~dst_off =
   let off = offset_of_addr t addr len in
   Bytes.blit t.arena off dst dst_off len
@@ -77,6 +81,10 @@ let blit_from_buffer t ~src ~src_off ~len addr =
 
 (* ---- typed access in the owner's byte order ---- *)
 
+(* Each typed access goes straight from the arena to the caller through
+   Endian's unboxed primitives: a read boxes only the value it returns,
+   a write allocates nothing. *)
+
 let read_uint t addr ~size =
   let off = offset_of_addr t addr size in
   Endian.read_uint t.abi.Abi.endianness t.arena ~off ~size
@@ -84,6 +92,10 @@ let read_uint t addr ~size =
 let read_int t addr ~size =
   let off = offset_of_addr t addr size in
   Endian.read_int t.abi.Abi.endianness t.arena ~off ~size
+
+let read_count t addr ~size =
+  let off = offset_of_addr t addr size in
+  Endian.read_count t.abi.Abi.endianness t.arena ~off ~size
 
 let write_uint t addr ~size v =
   let off = offset_of_addr t addr size in
@@ -99,32 +111,72 @@ let write_float t addr ~size v =
   let off = offset_of_addr t addr size in
   Endian.write_float t.abi.Abi.endianness t.arena ~off ~size v
 
+(** [convert_from_buffer t kind order ~src ~src_off ~src_size ~size addr]
+    stores the [src_size]-byte number at [src.[src_off]], held in
+    [order], as a [size]-byte number in [t]'s byte order at [addr]
+    (see {!Endian.convert}). *)
+let convert_from_buffer t kind order ~src ~src_off ~src_size ~size addr =
+  let off = offset_of_addr t addr size in
+  Endian.convert kind order src ~src_off ~src_size t.abi.Abi.endianness
+    t.arena ~dst_off:off ~dst_size:size
+
+(** [swap_from_buffer t ~src ~src_off ~size ~count addr] copies [count]
+    contiguous [size]-byte values to [addr], reversing each one's bytes. *)
+let swap_from_buffer t ~src ~src_off ~size ~count addr =
+  let off = offset_of_addr t addr (size * count) in
+  Endian.swap_blit ~src ~src_off ~dst:t.arena ~dst_off:off ~size ~count
+
 (* ---- pointers ---- *)
 
 let pointer_size t = Abi.size_of t.abi Abi.Pointer
 
-let read_pointer t addr = Int64.to_int (read_uint t addr ~size:(pointer_size t))
+let read_pointer t addr =
+  let size = pointer_size t in
+  Endian.read_offset t.abi.Abi.endianness t.arena
+    ~off:(offset_of_addr t addr size) ~size
 
 let write_pointer t addr target =
-  write_uint t addr ~size:(pointer_size t) (Int64.of_int target)
+  let size = pointer_size t in
+  Endian.write_offset t.abi.Abi.endianness t.arena
+    ~off:(offset_of_addr t addr size) ~size target
 
 (* ---- C strings ---- *)
 
 (** [strlen t addr] is the length of the NUL-terminated string at [addr]. *)
 let strlen t addr =
   let start = offset_of_addr t addr 1 in
-  match Bytes.index_from_opt t.arena start '\000' with
-  | Some nul when nul < t.brk -> nul - start
-  | Some _ | None -> fault "unterminated string at 0x%x" addr
+  match Bytes.index_from t.arena start '\000' with
+  | nul when nul < t.brk -> nul - start
+  | _ | (exception Not_found) -> fault "unterminated string at 0x%x" addr
 
-let read_cstring t addr = Bytes.to_string (read_bytes t addr (strlen t addr))
+let read_cstring t addr =
+  let len = strlen t addr in
+  Bytes.sub_string t.arena (offset_of_addr t addr len) len
+
+(** [read_chars t addr n] reads a [char[n]] buffer as C string-in-buffer
+    semantics do: up to its first NUL, or all [n] bytes. *)
+let read_chars t addr n =
+  let off = offset_of_addr t addr n in
+  let len = ref 0 in
+  while !len < n && Bytes.get t.arena (off + !len) <> '\000' do
+    incr len
+  done;
+  Bytes.sub_string t.arena off !len
+
+(** [alloc_cstring_sub t src ~off ~len] copies [src.[off..off+len-1]]
+    into the heap with a NUL terminator and returns its address. *)
+let alloc_cstring_sub t src ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length src - len then
+    invalid_arg "Memory.alloc_cstring_sub";
+  let addr = alloc t ~align:1 (len + 1) in
+  (* the block is zero-filled, so the terminator is already there *)
+  Bytes.blit src off t.arena (addr - t.base) len;
+  addr
 
 (** [alloc_cstring t s] copies [s] into the heap with a NUL terminator and
     returns its address. *)
 let alloc_cstring t s =
-  let addr = alloc t ~align:1 (String.length s + 1) in
-  write_bytes t addr (Bytes.of_string (s ^ "\000"));
-  addr
+  alloc_cstring_sub t (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 (** Total bytes currently allocated — used by tests and capacity checks. *)
 let allocated_bytes t = t.brk

@@ -22,17 +22,37 @@ val alloc : t -> ?align:int -> int -> int
 
 val read_bytes : t -> int -> int -> bytes
 val write_bytes : t -> int -> bytes -> unit
+val write_string : t -> int -> string -> unit
 val blit_to_buffer : t -> int -> int -> dst:bytes -> dst_off:int -> unit
 val blit_from_buffer : t -> src:bytes -> src_off:int -> len:int -> int -> unit
 
-(** {1 Typed access} (in the owner's byte order) *)
+(** {1 Typed access} (in the owner's byte order)
+
+    Reads box only the value they return; writes and the
+    buffer-to-memory conversions allocate nothing. *)
 
 val read_uint : t -> int -> size:int -> int64
 val read_int : t -> int -> size:int -> int64
+val read_count : t -> int -> size:int -> int
+(** A signed field that sizes an array: its value when it lies in
+    [0, max_int], else -1 ({!Endian.read_count}). *)
+
 val write_uint : t -> int -> size:int -> int64 -> unit
 val write_int : t -> int -> size:int -> int64 -> unit
 val read_float : t -> int -> size:int -> float
 val write_float : t -> int -> size:int -> float -> unit
+
+val convert_from_buffer :
+  t -> Endian.kind -> Endian.order -> src:bytes -> src_off:int ->
+  src_size:int -> size:int -> int -> unit
+(** Store the [src_size]-byte number at [src.[src_off]], held in the given
+    byte order, as a [size]-byte number in the owner's byte order at the
+    address ({!Endian.convert}). *)
+
+val swap_from_buffer :
+  t -> src:bytes -> src_off:int -> size:int -> count:int -> int -> unit
+(** Copy [count] contiguous [size]-byte values to the address, reversing
+    each one's bytes ({!Endian.swap_blit}). *)
 
 (** {1 Pointers and C strings} *)
 
@@ -45,8 +65,16 @@ val strlen : t -> int -> int
 
 val read_cstring : t -> int -> string
 
+val read_chars : t -> int -> int -> string
+(** [read_chars t addr n] reads a [char[n]] buffer with C
+    string-in-buffer semantics: up to its first NUL, or all [n] bytes. *)
+
 val alloc_cstring : t -> string -> int
 (** Copies the string into the heap with a NUL terminator. *)
+
+val alloc_cstring_sub : t -> bytes -> off:int -> len:int -> int
+(** [alloc_cstring_sub t src ~off ~len] copies that range of [src] into
+    the heap with a NUL terminator. *)
 
 (** {1 Lifecycle} *)
 

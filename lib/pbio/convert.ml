@@ -8,7 +8,18 @@
     tight interpreter loop. A coalescing pass merges runs of
     conversion-free fields into single blits, so the homogeneous case
     degenerates to one [Blit] plus pointer fixups, i.e. the
-    "directly from the transmission medium into memory" fast path.
+    "directly from the transmission medium into memory" fast path. An
+    array whose elements differ only in byte order compiles to one [Swap]
+    (or a [Swapped] dynamic array), which reverses every element in a
+    single pass — the heterogeneous counterpart of the bulk blit.
+
+    Allocation contract: executing a plan allocates only the native
+    blocks it materialises in the receiver's {!Memory.t} (the struct,
+    its strings and arrays, inside the memory's arena). Every number
+    moves through {!Memory.convert_from_buffer} / {!Memory.swap_from_buffer},
+    which keep values unboxed; the per-op loop builds no closures; and
+    {!run_sub} converts a payload in place inside a larger buffer (the
+    framed message), so the receiver never copies it out.
 
     Field matching is by name (PBIO's restricted format evolution):
     wire-only fields are ignored; native-only fields stay zero. *)
@@ -21,11 +32,6 @@ exception Decode_error of string
 let mismatch fmt = Printf.ksprintf (fun s -> raise (Field_mismatch s)) fmt
 let dec_error fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
-type num_kind =
-  | Ksint  (** sign-extend when widening *)
-  | Kuint  (** zero-extend *)
-  | Kfloat  (** IEEE re-encode when resizing *)
-
 type count_src =
   | Wire_field of { off : int; size : int }
       (** count read from the wire record (relative to current src base) *)
@@ -33,7 +39,16 @@ type count_src =
 type op =
   | Blit of { s_off : int; d_off : int; len : int }
       (** verbatim copy: layouts and byte order agree over this range *)
-  | Num of { s_off : int; s_size : int; d_off : int; d_size : int; kind : num_kind }
+  | Swap of { s_off : int; d_off : int; size : int; count : int }
+      (** [count] packed [size]-byte values whose only difference is byte
+          order: each one's bytes reversed, in one pass *)
+  | Num of {
+      s_off : int;
+      s_size : int;
+      d_off : int;
+      d_size : int;
+      kind : Endian.kind;
+    }
   | Str of { s_off : int; d_off : int }
       (** string pointer slot: wire offset -> fresh heap block *)
   | Loop of {
@@ -51,11 +66,18 @@ type op =
       s_stride : int;
       d_stride : int;
       d_align : int;
-      body : op array;
-      bulk : int;
-          (** when >= 0, every element is a verbatim copy of [bulk] bytes
-              and the whole array is copied with one blit *)
+      elems : elems;
     }
+
+(** How a dynamic array's elements move. *)
+and elems =
+  | Each of op array  (** the element-relative plan, run per element *)
+  | Copy of int
+      (** every element is a verbatim copy of this many bytes: the whole
+          array is one blit *)
+  | Swapped of int
+      (** every element is one value of this width in the other byte
+          order: the whole array is one swap *)
 
 type t = {
   wire_name : string;
@@ -70,11 +92,12 @@ type t = {
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let num_kind_of (wf : Format.rfield) (nf : Format.rfield) : num_kind =
+let num_kind_of (wf : Format.rfield) (nf : Format.rfield) : Endian.kind =
   match (wf.Format.rf_elem, nf.Format.rf_elem) with
-  | Format.Rfloat _, Format.Rfloat _ -> Kfloat
-  | Format.Rint { signed; _ }, Format.Rint _ -> if signed then Ksint else Kuint
-  | Format.Rchar, Format.Rchar -> Kuint
+  | Format.Rfloat _, Format.Rfloat _ -> Endian.Ieee
+  | Format.Rint { signed; _ }, Format.Rint _ ->
+    if signed then Endian.Signed else Endian.Unsigned
+  | Format.Rchar, Format.Rchar -> Endian.Unsigned
   | _ ->
     mismatch "field %S: wire and native element kinds disagree" nf.Format.rf_name
 
@@ -92,6 +115,7 @@ let offset_ops (ops : op array) ~ds ~dd : op array =
   Array.map
     (function
       | Blit b -> Blit { b with s_off = b.s_off + ds; d_off = b.d_off + dd }
+      | Swap w -> Swap { w with s_off = w.s_off + ds; d_off = w.d_off + dd }
       | Num n -> Num { n with s_off = n.s_off + ds; d_off = n.d_off + dd }
       | Str s -> Str { s_off = s.s_off + ds; d_off = s.d_off + dd }
       | Loop l -> Loop { l with s_off = l.s_off + ds; d_off = l.d_off + dd }
@@ -114,9 +138,11 @@ let coalesce ~(same_order : bool) (ops : op list) : op array =
       (* a Num is a plain copy if sizes match and no byte-swap is needed;
          float bits copy fine when same width & order *)
       if s_size = d_size && (same_order || s_size = 1) then
-        (match kind with Ksint | Kuint | Kfloat -> Some (s_off, d_off, s_size))
+        (match kind with
+         | Endian.Signed | Endian.Unsigned | Endian.Ieee ->
+           Some (s_off, d_off, s_size))
       else None
-    | Str _ | Loop _ | Var_array _ -> None
+    | Swap _ | Str _ | Loop _ | Var_array _ -> None
   in
   let rec go acc pending = function
     | [] -> (
@@ -138,17 +164,23 @@ let coalesce ~(same_order : bool) (ops : op list) : op array =
   in
   Array.of_list (go [] None ops)
 
-(* If [body] (already coalesced) is one verbatim copy starting at element
-   offset 0 with identical strides, the whole array can be copied in one
-   blit of [(count-1) * stride + len] bytes (interior padding is copied
-   verbatim, exactly as a C memcpy of the array would). Returns the
-   per-element copy length, or -1 when per-element work is needed. *)
-let bulk_copy_length ~s_stride ~d_stride (body : op array) : int =
-  if s_stride <> d_stride then -1
+(* How a whole array of [body] elements can move at once. [Copy len]:
+   [body] (already coalesced) is one verbatim copy starting at element
+   offset 0 with identical strides, so the array is one blit of
+   [(count-1) * stride + len] bytes (interior padding is copied
+   verbatim, exactly as a C memcpy of the array would). [Swapped size]:
+   [body] is one same-width number packed at the stride, which coalescing
+   left a [Num] only because the byte orders differ. Otherwise
+   [Each body]. *)
+let elems_of ~s_stride ~d_stride (body : op array) : elems =
+  if s_stride <> d_stride then Each body
   else
     match body with
-    | [| Blit { s_off = 0; d_off = 0; len } |] when len <= s_stride -> len
-    | _ -> -1
+    | [| Blit { s_off = 0; d_off = 0; len } |] when len <= s_stride -> Copy len
+    | [| Num { s_off = 0; d_off = 0; s_size; d_size; kind = _ } |]
+      when s_size = d_size && s_size = s_stride && s_size > 1 ->
+      Swapped s_size
+    | _ -> Each body
 
 let rec compile_record ~optimize ~(wire : Format.t) ~(native : Format.t) :
     op array =
@@ -212,15 +244,17 @@ and compile_field ~optimize ~wire ~native ~same_order ~(wf : Format.rfield)
       if optimize then coalesce ~same_order (scalar_ops ())
       else Array.of_list (scalar_ops ())
     in
-    let bulk =
-      if optimize then bulk_copy_length ~s_stride:s_size ~d_stride:d_size body
-      else -1
-    in
-    if bulk >= 0 then
-      (* fold the whole inline array into one blit *)
-      [ Blit { s_off; d_off; len = ((count - 1) * s_size) + bulk } ]
-    else
-      [ Loop { count; s_off; d_off; s_stride = s_size; d_stride = d_size; body } ]
+    (match
+       if optimize then elems_of ~s_stride:s_size ~d_stride:d_size body
+       else Each body
+     with
+     | Copy len ->
+       (* fold the whole inline array into one blit *)
+       [ Blit { s_off; d_off; len = ((count - 1) * s_size) + len } ]
+     | Swapped size -> [ Swap { s_off; d_off; size; count } ]
+     | Each body ->
+       [ Loop
+           { count; s_off; d_off; s_stride = s_size; d_stride = d_size; body } ])
   | Format.Rvar w_control, Format.Rvar _ ->
     let count_field =
       match Format.find_field wire w_control with
@@ -231,9 +265,9 @@ and compile_field ~optimize ~wire ~native ~same_order ~(wf : Format.rfield)
       if optimize then coalesce ~same_order (scalar_ops ())
       else Array.of_list (scalar_ops ())
     in
-    let bulk =
-      if optimize then bulk_copy_length ~s_stride:s_size ~d_stride:d_size body
-      else -1
+    let elems =
+      if optimize then elems_of ~s_stride:s_size ~d_stride:d_size body
+      else Each body
     in
     [ Var_array
         { s_slot = s_off; d_slot = d_off
@@ -242,7 +276,7 @@ and compile_field ~optimize ~wire ~native ~same_order ~(wf : Format.rfield)
               { off = count_field.Format.rf_layout.Layout.offset
               ; size = count_field.Format.rf_layout.Layout.elem_size }
         ; s_stride = s_size; d_stride = d_size
-        ; d_align = elem_align_native (); body; bulk } ]
+        ; d_align = elem_align_native (); elems } ]
   | _ ->
     mismatch "field %S: wire and native dimensions disagree (fixed/var/scalar)"
       nf.Format.rf_name
@@ -274,107 +308,126 @@ let op_count (t : t) : int = Array.length t.ops
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Execution reads a payload window: [plen] bytes of [buf] starting at
+   [base]. Every offset below — op offsets, and the string and array
+   offsets stored in the payload — is relative to the window, and is
+   bounds-checked against it before the access. *)
+
+let window_strlen buf ~base ~plen (woff : int) : int =
+  if woff < 0 || woff >= plen then
+    dec_error "string offset %d out of payload" woff;
+  match Bytes.index_from buf (base + woff) '\000' with
+  | nul when nul < base + plen -> nul - (base + woff)
+  | _ | (exception Not_found) ->
+    dec_error "unterminated string at payload offset %d" woff
+
+let check_window ~plen off len what =
+  if off < 0 || len < 0 || off > plen - len then
+    dec_error "%s [%d, +%d) escapes payload of %d bytes" what off len plen
+
 let payload_strlen (payload : bytes) (off : int) : int =
-  let len = Bytes.length payload in
-  let rec go i =
-    if i >= len then dec_error "unterminated string at payload offset %d" off
-    else if Bytes.get payload i = '\000' then i - off
-    else go (i + 1)
-  in
-  if off < 0 || off >= len then dec_error "string offset %d out of payload" off;
-  go off
+  window_strlen payload ~base:0 ~plen:(Bytes.length payload) off
 
 let check_range payload off len what =
-  if off < 0 || len < 0 || off + len > Bytes.length payload then
-    dec_error "%s [%d, +%d) escapes payload of %d bytes" what off len
-      (Bytes.length payload)
+  check_window ~plen:(Bytes.length payload) off len what
 
-(** Execute [plan] over [payload], materialising a native struct in [mem]
-    at [d_base] (an allocated, zeroed block of [plan.dst_size] bytes). *)
-let rec exec_ops (plan : t) (payload : bytes) (s_base : int) (mem : Memory.t)
+(** Execute [ops] over the payload window, materialising native data in
+    [mem] at [d_base] (an allocated, zeroed block); [s_base] is the
+    current source base within the window. *)
+let rec exec_ops (plan : t) buf ~base ~plen (s_base : int) (mem : Memory.t)
     (d_base : int) (ops : op array) : unit =
+  for i = 0 to Array.length ops - 1 do
+    exec_op plan buf ~base ~plen s_base mem d_base (Array.unsafe_get ops i)
+  done
+
+and exec_op plan buf ~base ~plen s_base mem d_base op =
   let we = plan.wire_endian in
   let wp = plan.wire_ptr_size in
-  Array.iter
-    (fun op ->
-      match op with
-      | Blit { s_off; d_off; len } ->
-        check_range payload (s_base + s_off) len "blit";
-        Memory.blit_from_buffer mem ~src:payload ~src_off:(s_base + s_off) ~len
-          (d_base + d_off)
-      | Num { s_off; s_size; d_off; d_size; kind } -> (
-        let src = s_base + s_off in
-        check_range payload src s_size "number";
-        match kind with
-        | Ksint ->
-          let v = Endian.read_int we payload ~off:src ~size:s_size in
-          Memory.write_int mem (d_base + d_off) ~size:d_size v
-        | Kuint ->
-          let v = Endian.read_uint we payload ~off:src ~size:s_size in
-          Memory.write_uint mem (d_base + d_off) ~size:d_size v
-        | Kfloat ->
-          let v = Endian.read_float we payload ~off:src ~size:s_size in
-          Memory.write_float mem (d_base + d_off) ~size:d_size v)
-      | Str { s_off; d_off } ->
-        let slot = s_base + s_off in
-        check_range payload slot wp "string pointer";
-        let woff = Int64.to_int (Endian.read_uint we payload ~off:slot ~size:wp) in
-        if woff = 0 then Memory.write_pointer mem (d_base + d_off) Memory.null
-        else begin
-          let len = payload_strlen payload woff in
-          let s = Bytes.sub_string payload woff len in
-          Memory.write_pointer mem (d_base + d_off) (Memory.alloc_cstring mem s)
-        end
-      | Loop { count; s_off; d_off; s_stride; d_stride; body } ->
-        for i = 0 to count - 1 do
-          exec_ops plan payload
-            (s_base + s_off + (i * s_stride))
+  match op with
+  | Blit { s_off; d_off; len } ->
+    check_window ~plen (s_base + s_off) len "blit";
+    Memory.blit_from_buffer mem ~src:buf ~src_off:(base + s_base + s_off) ~len
+      (d_base + d_off)
+  | Swap { s_off; d_off; size; count } ->
+    check_window ~plen (s_base + s_off) (size * count) "array";
+    Memory.swap_from_buffer mem ~src:buf ~src_off:(base + s_base + s_off) ~size
+      ~count (d_base + d_off)
+  | Num { s_off; s_size; d_off; d_size; kind } ->
+    check_window ~plen (s_base + s_off) s_size "number";
+    Memory.convert_from_buffer mem kind we ~src:buf
+      ~src_off:(base + s_base + s_off) ~src_size:s_size ~size:d_size
+      (d_base + d_off)
+  | Str { s_off; d_off } ->
+    let slot = s_base + s_off in
+    check_window ~plen slot wp "string pointer";
+    let woff = Endian.read_offset we buf ~off:(base + slot) ~size:wp in
+    if woff = 0 then Memory.write_pointer mem (d_base + d_off) Memory.null
+    else begin
+      let len = window_strlen buf ~base ~plen woff in
+      Memory.write_pointer mem (d_base + d_off)
+        (Memory.alloc_cstring_sub mem buf ~off:(base + woff) ~len)
+    end
+  | Loop { count; s_off; d_off; s_stride; d_stride; body } ->
+    for i = 0 to count - 1 do
+      exec_ops plan buf ~base ~plen
+        (s_base + s_off + (i * s_stride))
+        mem
+        (d_base + d_off + (i * d_stride))
+        body
+    done
+  | Var_array { s_slot; d_slot; count; s_stride; d_stride; d_align; elems } ->
+    let n =
+      match count with
+      | Wire_field { off; size } ->
+        check_window ~plen (s_base + off) size "array count";
+        let n = Endian.read_count we buf ~off:(base + s_base + off) ~size in
+        if n < 0 || n > 0x7FFFFFFF then
+          dec_error "dynamic array count %Ld out of range"
+            (Endian.read_int we buf ~off:(base + s_base + off) ~size);
+        n
+    in
+    if n = 0 then Memory.write_pointer mem (d_base + d_slot) Memory.null
+    else begin
+      let slot = s_base + s_slot in
+      check_window ~plen slot wp "array pointer";
+      let woff = Endian.read_offset we buf ~off:(base + slot) ~size:wp in
+      check_window ~plen woff (n * s_stride) "dynamic array";
+      let block = Memory.alloc mem ~align:d_align (n * d_stride) in
+      Memory.write_pointer mem (d_base + d_slot) block;
+      match elems with
+      | Copy len ->
+        (* conversion-free elements: one blit for the whole array *)
+        Memory.blit_from_buffer mem ~src:buf ~src_off:(base + woff)
+          ~len:(((n - 1) * s_stride) + len)
+          block
+      | Swapped size ->
+        Memory.swap_from_buffer mem ~src:buf ~src_off:(base + woff) ~size
+          ~count:n block
+      | Each body ->
+        for i = 0 to n - 1 do
+          exec_ops plan buf ~base ~plen
+            (woff + (i * s_stride))
             mem
-            (d_base + d_off + (i * d_stride))
+            (block + (i * d_stride))
             body
         done
-      | Var_array
-          { s_slot; d_slot; count; s_stride; d_stride; d_align; body; bulk } ->
-        let n =
-          match count with
-          | Wire_field { off; size } ->
-            let v = Endian.read_int we payload ~off:(s_base + off) ~size in
-            if Int64.compare v 0L < 0 || Int64.compare v 0x7FFFFFFFL > 0 then
-              dec_error "dynamic array count %Ld out of range" v;
-            Int64.to_int v
-        in
-        if n = 0 then Memory.write_pointer mem (d_base + d_slot) Memory.null
-        else begin
-          let slot = s_base + s_slot in
-          check_range payload slot wp "array pointer";
-          let woff =
-            Int64.to_int (Endian.read_uint we payload ~off:slot ~size:wp)
-          in
-          check_range payload woff (n * s_stride) "dynamic array";
-          let block = Memory.alloc mem ~align:d_align (n * d_stride) in
-          Memory.write_pointer mem (d_base + d_slot) block;
-          if bulk >= 0 then begin
-            (* conversion-free elements: one blit for the whole array *)
-            let len = ((n - 1) * s_stride) + bulk in
-            Memory.blit_from_buffer mem ~src:payload ~src_off:woff ~len block
-          end
-          else
-            for i = 0 to n - 1 do
-              exec_ops plan payload
-                (woff + (i * s_stride))
-                mem
-                (block + (i * d_stride))
-                body
-            done
-        end)
-    ops
+    end
+
+(** [run_sub plan buf ~off ~len mem] converts the payload held in
+    [buf.[off..off+len-1]] in place — typically a framed message, with
+    [off] the header length — allocating the destination struct and
+    returning its address. *)
+let run_sub (plan : t) (buf : bytes) ~off ~len (mem : Memory.t) : int =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
+    invalid_arg "Convert.run_sub: window escapes the buffer";
+  let d_base = Memory.alloc mem ~align:plan.dst_align (max plan.dst_size 1) in
+  exec_ops plan buf ~base:off ~plen:len 0 mem d_base plan.ops;
+  d_base
 
 (** [run plan payload mem] allocates the destination struct and executes
     the plan, returning the new struct's address. *)
 let run (plan : t) (payload : bytes) (mem : Memory.t) : int =
-  let d_base = Memory.alloc mem ~align:plan.dst_align (max plan.dst_size 1) in
-  exec_ops plan payload 0 mem d_base plan.ops;
-  d_base
+  run_sub plan payload ~off:0 ~len:(Bytes.length payload) mem
 
 (* ------------------------------------------------------------------ *)
 (* Interpreted baseline                                                 *)

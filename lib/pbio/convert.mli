@@ -4,9 +4,10 @@
     analogue of the paper's dynamic code generation — and executed by a
     tight loop; a coalescing pass merges conversion-free field runs into
     single blits so the homogeneous case degenerates to one copy plus
-    pointer fixups. Field matching is by name (PBIO's restricted format
-    evolution): wire-only fields are ignored, native-only fields stay
-    zero. *)
+    pointer fixups, and a same-width array that differs only in byte
+    order degenerates to one swap pass. Field matching is by name
+    (PBIO's restricted format evolution): wire-only fields are ignored,
+    native-only fields stay zero. *)
 
 open Omf_machine
 
@@ -32,7 +33,13 @@ val op_count : t -> int
 
 val run : t -> bytes -> Memory.t -> int
 (** Allocate the destination struct in the memory, execute the plan over
-    the payload, return the struct's address. *)
+    the payload, return the struct's address. Allocates nothing on the
+    OCaml heap beyond the native blocks it builds in the memory. *)
+
+val run_sub : t -> bytes -> off:int -> len:int -> Memory.t -> int
+(** {!run} over the payload held in [buf.[off..off+len-1]], in place (a
+    framed message, with [off] the header length). Offsets inside the
+    payload are relative to [off]; nothing outside the window is read. *)
 
 val interpret : wire:Format.t -> native:Format.t -> bytes -> Memory.t -> int
 (** Per-record metadata interpretation (no compiled plan): the baseline

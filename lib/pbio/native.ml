@@ -13,7 +13,14 @@
     - The control field of a dynamic array may be omitted from the record;
       it is then filled from the array's length. If present, it must agree.
     - [Value.String] fields always store as non-null pointers (an empty
-      string is a 1-byte NUL block), matching what C senders do. *)
+      string is a 1-byte NUL block), matching what C senders do.
+
+    Allocation contract: [store] writes straight into the memory's arena
+    and allocates nothing per field or element on the OCaml heap (no
+    boxed intermediates, option boxes or closures; an omitted control
+    field costs one count value). [load] allocates the {!Value.t} it
+    returns; the one extra box is the integer behind each [char] it
+    reads. *)
 
 open Omf_machine
 
@@ -21,21 +28,76 @@ exception Bind_error of string
 
 let bind_error fmt = Printf.ksprintf (fun s -> raise (Bind_error s)) fmt
 
-(* Map control-field name -> var-array field, for auto-filling counts. *)
-let controls_of (fmt : Format.t) : (string * Format.rfield) list =
-  List.filter_map
-    (fun (f : Format.rfield) ->
-      match f.Format.rf_dim with
-      | Format.Rvar control -> Some (control, f)
-      | Format.Rscalar | Format.Rfixed _ -> None)
-    fmt.Format.fields
-
 let elem_align (abi : Abi.t) (elem : Format.relem) : int =
   match elem with
   | Format.Rint { prim; _ } | Format.Rfloat prim -> Abi.align_of abi prim
   | Format.Rchar -> 1
   | Format.Rstring -> Abi.align_of abi Abi.Pointer
   | Format.Rnested nested -> nested.Format.layout.Layout.struct_align
+
+(* Binding walks the format's fields and looks each one up in the record
+   with these allocation-free scans (no option boxes, no closures). *)
+
+let rec lookup name = function
+  | [] -> raise Not_found
+  | (k, v) :: rest -> if String.equal k name then v else lookup name rest
+
+let rec field_named name = function
+  | [] -> raise Not_found
+  | (f : Format.rfield) :: rest ->
+    if String.equal f.Format.rf_name name then f else field_named name rest
+
+let has_field name fields =
+  match field_named name fields with
+  | _ -> true
+  | exception Not_found -> false
+
+(* The dynamic-array field whose count lives in [name], if any. *)
+let rec array_counted_by name = function
+  | [] -> raise Not_found
+  | (f : Format.rfield) :: rest -> (
+    match f.Format.rf_dim with
+    | Format.Rvar control when String.equal control name -> f
+    | Format.Rvar _ | Format.Rscalar | Format.Rfixed _ ->
+      array_counted_by name rest)
+
+let rec check_known (fmt : Format.t) = function
+  | [] -> ()
+  | (k, _) :: rest ->
+    if not (has_field k fmt.Format.fields) then
+      bind_error "format %s: value has unknown field %S" fmt.Format.name k;
+    check_known fmt rest
+
+(* The value to store for field [f]: the record's own binding (checked
+   against the array length when [f] is a control field), or, for an
+   omitted control field, the length of the array it counts. *)
+let field_value (fmt : Format.t) fields (f : Format.rfield) : Value.t =
+  let name = f.Format.rf_name in
+  match lookup name fields with
+  | v -> (
+    match array_counted_by name fmt.Format.fields with
+    | exception Not_found -> v
+    | arr_field -> (
+      match lookup arr_field.Format.rf_name fields with
+      | Value.Array a when Int64.to_int (Value.to_int64 v) <> Array.length a ->
+        bind_error
+          "format %s: control field %S = %Ld disagrees with %S length %d"
+          fmt.Format.name name (Value.to_int64 v) arr_field.Format.rf_name
+          (Array.length a)
+      | _ | (exception Not_found) -> v))
+  | exception Not_found -> (
+    match array_counted_by name fmt.Format.fields with
+    | exception Not_found ->
+      bind_error "format %s: missing field %S" fmt.Format.name name
+    | arr_field -> (
+      match lookup arr_field.Format.rf_name fields with
+      | Value.Array a -> Value.Int (Int64.of_int (Array.length a))
+      | v ->
+        bind_error "format %s: field %S must be an array, got %s"
+          fmt.Format.name arr_field.Format.rf_name (Value.to_string v)
+      | exception Not_found ->
+        bind_error "format %s: missing field %S" fmt.Format.name
+          arr_field.Format.rf_name))
 
 let rec store_into (mem : Memory.t) (fmt : Format.t) (addr : int)
     (record : Value.t) : unit =
@@ -45,99 +107,71 @@ let rec store_into (mem : Memory.t) (fmt : Format.t) (addr : int)
     | v -> bind_error "format %s: expected a record, got %s" fmt.Format.name
              (Value.to_string v)
   in
-  let known name = Option.is_some (Format.find_field fmt name) in
-  List.iter
-    (fun (k, _) ->
-      if not (known k) then
-        bind_error "format %s: value has unknown field %S" fmt.Format.name k)
-    fields;
-  let controls = controls_of fmt in
-  let field_value (f : Format.rfield) : Value.t =
-    match List.assoc_opt f.Format.rf_name fields with
-    | Some v -> (
-      (* If this is a control field, validate against the array length. *)
-      match List.assoc_opt f.Format.rf_name controls with
-      | None -> v
-      | Some arr_field -> (
-        match List.assoc_opt arr_field.Format.rf_name fields with
-        | Some (Value.Array a)
-          when Int64.to_int (Value.to_int64 v) <> Array.length a ->
-          bind_error
-            "format %s: control field %S = %Ld disagrees with %S length %d"
-            fmt.Format.name f.Format.rf_name (Value.to_int64 v)
-            arr_field.Format.rf_name (Array.length a)
-        | _ -> v))
-    | None -> (
-      match List.assoc_opt f.Format.rf_name controls with
-      | Some arr_field -> (
-        match List.assoc_opt arr_field.Format.rf_name fields with
-        | Some (Value.Array a) -> Value.Int (Int64.of_int (Array.length a))
-        | Some v ->
-          bind_error "format %s: field %S must be an array, got %s"
-            fmt.Format.name arr_field.Format.rf_name (Value.to_string v)
-        | None ->
-          bind_error "format %s: missing field %S" fmt.Format.name
-            arr_field.Format.rf_name)
-      | None ->
-        bind_error "format %s: missing field %S" fmt.Format.name
-          f.Format.rf_name)
-  in
-  let store_scalar (f : Format.rfield) slot v =
-    let size = f.Format.rf_layout.Layout.elem_size in
-    match f.Format.rf_elem with
-    | Format.Rint _ -> Memory.write_int mem slot ~size (Value.to_int64 v)
-    | Format.Rfloat _ -> Memory.write_float mem slot ~size (Value.to_float_exn v)
-    | Format.Rchar -> (
-      match v with
-      | Value.Char c ->
-        Memory.write_uint mem slot ~size:1 (Int64.of_int (Char.code c))
-      | Value.Int n | Value.Uint n -> Memory.write_uint mem slot ~size:1 n
-      | v ->
-        bind_error "format %s, field %S: expected a char, got %s"
-          fmt.Format.name f.Format.rf_name (Value.to_string v))
-    | Format.Rstring ->
-      let s = Value.to_string_exn v in
-      Memory.write_pointer mem slot (Memory.alloc_cstring mem s)
-    | Format.Rnested nested -> store_into mem nested slot v
-  in
-  List.iter
-    (fun (f : Format.rfield) ->
-      let v = field_value f in
-      let slot = addr + f.Format.rf_layout.Layout.offset in
-      let elem_size = f.Format.rf_layout.Layout.elem_size in
-      match f.Format.rf_dim with
-      | Format.Rscalar -> store_scalar f slot v
-      | Format.Rfixed n -> (
-        match (f.Format.rf_elem, v) with
-        | Format.Rchar, Value.String s ->
-          if String.length s > n then
-            bind_error "format %s, field %S: string %S exceeds char[%d]"
-              fmt.Format.name f.Format.rf_name s n;
-          Memory.write_bytes mem slot (Bytes.of_string s)
-          (* remaining bytes stay zero: Memory.alloc zero-fills *)
-        | _, Value.Array a ->
-          if Array.length a <> n then
-            bind_error "format %s, field %S: expected %d elements, got %d"
-              fmt.Format.name f.Format.rf_name n (Array.length a);
-          Array.iteri (fun i v -> store_scalar f (slot + (i * elem_size)) v) a
-        | _, v ->
-          bind_error "format %s, field %S: expected an array, got %s"
-            fmt.Format.name f.Format.rf_name (Value.to_string v))
-      | Format.Rvar _ -> (
-        match v with
-        | Value.Array a when Array.length a = 0 ->
-          Memory.write_pointer mem slot Memory.null
-        | Value.Array a ->
-          let align = elem_align (Memory.abi mem) f.Format.rf_elem in
-          let block =
-            Memory.alloc mem ~align (Array.length a * elem_size)
-          in
-          Array.iteri (fun i v -> store_scalar f (block + (i * elem_size)) v) a;
-          Memory.write_pointer mem slot block
-        | v ->
-          bind_error "format %s, field %S: expected an array, got %s"
-            fmt.Format.name f.Format.rf_name (Value.to_string v)))
-    fmt.Format.fields
+  check_known fmt fields;
+  store_fields mem fmt addr fields fmt.Format.fields
+
+and store_fields mem fmt addr fields = function
+  | [] -> ()
+  | f :: rest ->
+    store_field mem fmt addr f (field_value fmt fields f);
+    store_fields mem fmt addr fields rest
+
+and store_field mem (fmt : Format.t) addr (f : Format.rfield) v =
+  let slot = addr + f.Format.rf_layout.Layout.offset in
+  let elem_size = f.Format.rf_layout.Layout.elem_size in
+  match f.Format.rf_dim with
+  | Format.Rscalar -> store_scalar mem fmt f slot v
+  | Format.Rfixed n -> (
+    match (f.Format.rf_elem, v) with
+    | Format.Rchar, Value.String s ->
+      if String.length s > n then
+        bind_error "format %s, field %S: string %S exceeds char[%d]"
+          fmt.Format.name f.Format.rf_name s n;
+      Memory.write_string mem slot s
+      (* remaining bytes stay zero: Memory.alloc zero-fills *)
+    | _, Value.Array a ->
+      if Array.length a <> n then
+        bind_error "format %s, field %S: expected %d elements, got %d"
+          fmt.Format.name f.Format.rf_name n (Array.length a);
+      store_elements mem fmt f slot elem_size a
+    | _, v ->
+      bind_error "format %s, field %S: expected an array, got %s"
+        fmt.Format.name f.Format.rf_name (Value.to_string v))
+  | Format.Rvar _ -> (
+    match v with
+    | Value.Array a when Array.length a = 0 ->
+      Memory.write_pointer mem slot Memory.null
+    | Value.Array a ->
+      let align = elem_align (Memory.abi mem) f.Format.rf_elem in
+      let block = Memory.alloc mem ~align (Array.length a * elem_size) in
+      store_elements mem fmt f block elem_size a;
+      Memory.write_pointer mem slot block
+    | v ->
+      bind_error "format %s, field %S: expected an array, got %s"
+        fmt.Format.name f.Format.rf_name (Value.to_string v))
+
+and store_elements mem fmt f slot elem_size a =
+  for i = 0 to Array.length a - 1 do
+    store_scalar mem fmt f (slot + (i * elem_size)) (Array.unsafe_get a i)
+  done
+
+and store_scalar mem (fmt : Format.t) (f : Format.rfield) slot v =
+  let size = f.Format.rf_layout.Layout.elem_size in
+  match f.Format.rf_elem with
+  | Format.Rint _ -> Memory.write_int mem slot ~size (Value.to_int64 v)
+  | Format.Rfloat _ -> Memory.write_float mem slot ~size (Value.to_float_exn v)
+  | Format.Rchar -> (
+    match v with
+    | Value.Char c ->
+      Memory.write_uint mem slot ~size:1 (Int64.of_int (Char.code c))
+    | Value.Int n | Value.Uint n -> Memory.write_uint mem slot ~size:1 n
+    | v ->
+      bind_error "format %s, field %S: expected a char, got %s"
+        fmt.Format.name f.Format.rf_name (Value.to_string v))
+  | Format.Rstring ->
+    let s = Value.to_string_exn v in
+    Memory.write_pointer mem slot (Memory.alloc_cstring mem s)
+  | Format.Rnested nested -> store_into mem nested slot v
 
 (** [store mem fmt record] allocates a struct block and writes [record]
     into it, returning its simulated address. *)
@@ -150,57 +184,59 @@ let store (mem : Memory.t) (fmt : Format.t) (record : Value.t) : int =
   addr
 
 let rec load_from (mem : Memory.t) (fmt : Format.t) (addr : int) : Value.t =
-  let read_count (control : string) : int =
-    match Format.find_field fmt control with
-    | Some cf ->
-      Int64.to_int
-        (Memory.read_int mem
-           (addr + cf.Format.rf_layout.Layout.offset)
-           ~size:cf.Format.rf_layout.Layout.elem_size)
-    | None -> assert false (* registration validated this *)
-  in
-  let load_scalar (f : Format.rfield) slot : Value.t =
-    let size = f.Format.rf_layout.Layout.elem_size in
+  Value.Record (load_fields mem fmt addr fmt.Format.fields)
+
+and load_fields mem fmt addr = function
+  | [] -> []
+  | (f : Format.rfield) :: rest ->
+    let v = load_field mem fmt addr f in
+    (f.Format.rf_name, v) :: load_fields mem fmt addr rest
+
+and load_field mem (fmt : Format.t) addr (f : Format.rfield) : Value.t =
+  let slot = addr + f.Format.rf_layout.Layout.offset in
+  let elem_size = f.Format.rf_layout.Layout.elem_size in
+  match f.Format.rf_dim with
+  | Format.Rscalar -> load_scalar mem f slot
+  | Format.Rfixed n -> (
     match f.Format.rf_elem with
-    | Format.Rint { signed = true; _ } -> Value.Int (Memory.read_int mem slot ~size)
-    | Format.Rint { signed = false; _ } -> Value.Uint (Memory.read_uint mem slot ~size)
-    | Format.Rfloat _ -> Value.Float (Memory.read_float mem slot ~size)
     | Format.Rchar ->
-      Value.Char (Char.chr (Int64.to_int (Memory.read_uint mem slot ~size:1)))
-    | Format.Rstring ->
-      let ptr = Memory.read_pointer mem slot in
-      Value.String (if ptr = Memory.null then "" else Memory.read_cstring mem ptr)
-    | Format.Rnested nested -> load_from mem nested slot
-  in
-  let load_field (f : Format.rfield) : string * Value.t =
-    let slot = addr + f.Format.rf_layout.Layout.offset in
-    let elem_size = f.Format.rf_layout.Layout.elem_size in
-    let v =
-      match f.Format.rf_dim with
-      | Format.Rscalar -> load_scalar f slot
-      | Format.Rfixed n -> (
-        match f.Format.rf_elem with
-        | Format.Rchar ->
-          (* char[N]: C string-in-buffer semantics, stop at first NUL *)
-          let raw = Memory.read_bytes mem slot n in
-          let len =
-            match Bytes.index_opt raw '\000' with Some i -> i | None -> n
-          in
-          Value.String (Bytes.sub_string raw 0 len)
-        | _ ->
-          Value.Array
-            (Array.init n (fun i -> load_scalar f (slot + (i * elem_size)))))
-      | Format.Rvar control ->
-        let count = read_count control in
-        let ptr = Memory.read_pointer mem slot in
-        if count = 0 then Value.Array [||]
-        else
-          Value.Array
-            (Array.init count (fun i -> load_scalar f (ptr + (i * elem_size))))
+      (* char[N]: C string-in-buffer semantics, stop at first NUL *)
+      Value.String (Memory.read_chars mem slot n)
+    | _ -> Value.Array (load_elements mem f slot elem_size n))
+  | Format.Rvar control ->
+    (* registration validated the control field *)
+    let cf = field_named control fmt.Format.fields in
+    let count =
+      Memory.read_count mem
+        (addr + cf.Format.rf_layout.Layout.offset)
+        ~size:cf.Format.rf_layout.Layout.elem_size
     in
-    (f.Format.rf_name, v)
-  in
-  Value.Record (List.map load_field fmt.Format.fields)
+    if count = 0 then Value.Array [||]
+    else
+      Value.Array
+        (load_elements mem f (Memory.read_pointer mem slot) elem_size count)
+
+and load_elements mem f slot elem_size n =
+  let a = Array.make n (Value.Int 0L) in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (load_scalar mem f (slot + (i * elem_size)))
+  done;
+  a
+
+and load_scalar mem (f : Format.rfield) slot : Value.t =
+  let size = f.Format.rf_layout.Layout.elem_size in
+  match f.Format.rf_elem with
+  | Format.Rint { signed = true; _ } ->
+    Value.Int (Memory.read_int mem slot ~size)
+  | Format.Rint { signed = false; _ } ->
+    Value.Uint (Memory.read_uint mem slot ~size)
+  | Format.Rfloat _ -> Value.Float (Memory.read_float mem slot ~size)
+  | Format.Rchar ->
+    Value.Char (Char.chr (Int64.to_int (Memory.read_uint mem slot ~size:1)))
+  | Format.Rstring ->
+    let ptr = Memory.read_pointer mem slot in
+    Value.String (if ptr = Memory.null then "" else Memory.read_cstring mem ptr)
+  | Format.Rnested nested -> load_from mem nested slot
 
 (** [load mem fmt addr] reads the struct at [addr] back into a record, in
     declaration field order (control fields included). *)

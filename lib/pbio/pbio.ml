@@ -32,12 +32,18 @@ exception Unknown_format of string
     plus framing header. The sender performs no data conversion. [?id]
     overrides the header's format id (global ids from the schema registry). *)
 let message ?id (mem : Memory.t) (fmt : Format.t) (addr : int) : bytes =
-  Wire.message ?id fmt (Encode.payload mem fmt addr)
+  (* one allocation: the header and the payload emitted straight after it *)
+  let payload_length = Encode.length mem fmt addr in
+  let msg = Bytes.create (Wire.header_length + payload_length) in
+  Wire.put_header ?id fmt ~payload_length msg;
+  Encode.emit mem fmt addr msg ~off:Wire.header_length;
+  msg
 
 (** [message_of_value abi fmt v] is the one-shot convenience used by
     examples and tests. *)
 let message_of_value (abi : Abi.t) (fmt : Format.t) (v : Value.t) : bytes =
-  Wire.message fmt (Encode.payload_of_value abi fmt v)
+  let mem = Memory.create abi in
+  message mem fmt (Native.store mem fmt v)
 
 (* ------------------------------------------------------------------ *)
 (* Receiving                                                           *)
@@ -65,8 +71,8 @@ module Receiver = struct
         (** fetch a descriptor blob for an unknown wire id — typically a
             format-server lookup *)
     wire_formats : (int, Format.t) Hashtbl.t;  (** peer format id -> format *)
-    plans : (int * int, Convert.t) Hashtbl.t;
-        (** (peer format id, native format id) -> compiled plan *)
+    plans : (int, Format.t * Convert.t) Hashtbl.t;
+        (** peer format id -> (native format, compiled plan) *)
     stats : stats;
   }
 
@@ -93,11 +99,8 @@ module Receiver = struct
     in
     Hashtbl.replace t.wire_formats fmt.Format.id fmt;
     t.stats.formats_learned <- t.stats.formats_learned + 1;
-    (* any cached plans for this id are stale *)
-    Hashtbl.iter
-      (fun (wid, nid) _ ->
-        if wid = fmt.Format.id then Hashtbl.remove t.plans (wid, nid))
-      (Hashtbl.copy t.plans);
+    (* a cached plan for this id is stale *)
+    Hashtbl.remove t.plans fmt.Format.id;
     fmt
 
   let wire_format (t : t) (id : int) : Format.t option =
@@ -108,50 +111,59 @@ module Receiver = struct
     | Some f -> f
     | None -> raise (Unknown_format wire.Format.name)
 
+  (* Plans are cached per wire format id, for the native format they were
+     compiled against: re-registering the native name compiles afresh. *)
   let plan_for (t : t) (wire : Format.t) (native : Format.t) : Convert.t =
-    let key = (wire.Format.id, native.Format.id) in
-    match Hashtbl.find_opt t.plans key with
-    | Some plan -> plan
-    | None ->
+    match Hashtbl.find t.plans wire.Format.id with
+    | native', plan when native' == native -> plan
+    | _ | (exception Not_found) ->
       let plan = Convert.compile ~wire ~native in
-      Hashtbl.replace t.plans key plan;
+      Hashtbl.replace t.plans wire.Format.id (native, plan);
       t.stats.plans_compiled <- t.stats.plans_compiled + 1;
       plan
 
-  (** [receive t msg] demarshals a framed message into [t]'s memory and
-      returns [(native_format, struct_address)]. The struct is laid out
-      for the receiver's ABI regardless of the sender's. *)
-  let receive (t : t) (msg : bytes) : Format.t * int =
-    let header, payload = Wire.split msg in
-    let wire =
-      match wire_format t header.Wire.format_id with
-      | Some f -> f
-      | None -> (
-        (* last chance: ask the resolver (schema registry) for the blob *)
-        match t.resolve with
-        | Some fetch -> (
-          t.stats.resolver_lookups <- t.stats.resolver_lookups + 1;
-          match fetch header.Wire.format_id with
-          | Some blob -> learn ~id:header.Wire.format_id t blob
-          | None ->
-            raise
-              (Unknown_format
-                 (Printf.sprintf "format id %d (unknown to the resolver)"
-                    header.Wire.format_id)))
+  let resolve_format (t : t) (id : int) : Format.t =
+    match Hashtbl.find t.wire_formats id with
+    | f -> f
+    | exception Not_found -> (
+      (* last chance: ask the resolver (schema registry) for the blob *)
+      match t.resolve with
+      | Some fetch -> (
+        t.stats.resolver_lookups <- t.stats.resolver_lookups + 1;
+        match fetch id with
+        | Some blob -> learn ~id t blob
         | None ->
           raise
             (Unknown_format
-               (Printf.sprintf "peer format id %d (no negotiation seen)"
-                  header.Wire.format_id)))
-    in
+               (Printf.sprintf "format id %d (unknown to the resolver)" id)))
+      | None ->
+        raise
+          (Unknown_format
+             (Printf.sprintf "peer format id %d (no negotiation seen)" id)))
+
+  (** [receive t msg] demarshals a framed message into [t]'s memory and
+      returns [(native_format, struct_address)]. The struct is laid out
+      for the receiver's ABI regardless of the sender's. The compiled
+      path converts the payload in place inside [msg]: beyond the native
+      blocks it builds in [t]'s memory, it allocates only the pair it
+      returns. *)
+  let receive (t : t) (msg : bytes) : Format.t * int =
+    let id = Wire.format_id msg in
+    let len = Bytes.length msg - Wire.header_length in
+    let wire = resolve_format t id in
     let native = native_format_for t wire in
     let addr =
       match t.mode with
-      | Compiled -> Convert.run (plan_for t wire native) payload t.mem
-      | Interpreted -> Convert.interpret ~wire ~native payload t.mem
+      | Compiled ->
+        Convert.run_sub (plan_for t wire native) msg ~off:Wire.header_length
+          ~len t.mem
+      | Interpreted ->
+        Convert.interpret ~wire ~native
+          (Bytes.sub msg Wire.header_length len)
+          t.mem
     in
     t.stats.messages <- t.stats.messages + 1;
-    t.stats.bytes <- t.stats.bytes + Bytes.length payload;
+    t.stats.bytes <- t.stats.bytes + len;
     (native, addr)
 
   (** [receive_value t msg] additionally lifts the struct to a

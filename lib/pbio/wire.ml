@@ -21,47 +21,58 @@ type header = {
   payload_length : int;
 }
 
-let write_header (h : header) : bytes =
-  let b = Bytes.make header_length '\000' in
+(* Everything but the ABI fingerprint (bytes 6..11). *)
+let put_fields b ~format_id ~base_size ~payload_length =
   Bytes.blit_string magic 0 b 0 4;
   Bytes.set b 4 (Char.chr version);
   Bytes.set b 5 '\000';
+  Endian.write_offset Endian.Big b ~off:12 ~size:4 format_id;
+  Endian.write_offset Endian.Big b ~off:16 ~size:4 base_size;
+  Endian.write_offset Endian.Big b ~off:20 ~size:4 payload_length
+
+let write_header (h : header) : bytes =
+  let b = Bytes.create header_length in
+  put_fields b ~format_id:h.format_id ~base_size:h.base_size
+    ~payload_length:h.payload_length;
   Bytes.blit_string h.abi_fingerprint 0 b 6 Abi.fingerprint_length;
-  Endian.write_uint Endian.Big b ~off:12 ~size:4 (Int64.of_int h.format_id);
-  Endian.write_uint Endian.Big b ~off:16 ~size:4 (Int64.of_int h.base_size);
-  Endian.write_uint Endian.Big b ~off:20 ~size:4 (Int64.of_int h.payload_length);
   b
 
-let read_header (b : bytes) : header =
+let u32 b off = Endian.read_offset Endian.Big b ~off ~size:4
+
+(* Validates magic and version in place. *)
+let check_prefix (b : bytes) =
   if Bytes.length b < header_length then
     frame_error "truncated header: %d bytes" (Bytes.length b);
-  if not (String.equal (Bytes.sub_string b 0 4) magic) then
-    frame_error "bad magic %S" (Bytes.sub_string b 0 4);
+  if not (Bytes.get b 0 = magic.[0] && Bytes.get b 1 = magic.[1]
+          && Bytes.get b 2 = magic.[2] && Bytes.get b 3 = magic.[3])
+  then frame_error "bad magic %S" (Bytes.sub_string b 0 4);
   let v = Char.code (Bytes.get b 4) in
-  if v <> version then frame_error "unsupported version %d" v;
-  let u32 off = Int64.to_int (Endian.read_uint Endian.Big b ~off ~size:4) in
+  if v <> version then frame_error "unsupported version %d" v
+
+let read_header (b : bytes) : header =
+  check_prefix b;
   { abi_fingerprint = Bytes.sub_string b 6 Abi.fingerprint_length
-  ; format_id = u32 12
-  ; base_size = u32 16
-  ; payload_length = u32 20 }
+  ; format_id = u32 b 12
+  ; base_size = u32 b 16
+  ; payload_length = u32 b 20 }
 
-(** [message ?id fmt payload] frames an NDR payload produced by
-    {!Encode.payload} for [fmt]. The format id defaults to the sender's
-    registry id (per-connection negotiation); pass [?id] to use a global
-    id from the schema registry instead. *)
-let message ?id (fmt : Format.t) (payload : bytes) : bytes =
-  let h =
-    { abi_fingerprint = Abi.fingerprint fmt.Format.abi
-    ; format_id = Option.value id ~default:fmt.Format.id
-    ; base_size = fmt.Format.layout.Layout.size
-    ; payload_length = Bytes.length payload }
-  in
-  Bytes.cat (write_header h) payload
+(** [put_header ?id fmt ~payload_length b] writes the header for a
+    [payload_length]-byte NDR payload of [fmt] into the first
+    {!header_length} bytes of [b]: the one-allocation framing path, where
+    the payload is encoded straight into [b] after it. *)
+let put_header ?id (fmt : Format.t) ~payload_length (b : bytes) : unit =
+  put_fields b
+    ~format_id:(match id with Some id -> id | None -> fmt.Format.id)
+    ~base_size:fmt.Format.layout.Layout.size ~payload_length;
+  Abi.blit_fingerprint fmt.Format.abi b ~off:6
 
-(** [split msg] returns the parsed header and the payload. *)
-let split (msg : bytes) : header * bytes =
-  let h = read_header msg in
-  if Bytes.length msg <> header_length + h.payload_length then
+(** [format_id msg] checks a framed message's header and length in
+    place and returns its format id. The payload is
+    [msg.[header_length ..]]; nothing is copied. *)
+let format_id (msg : bytes) : int =
+  check_prefix msg;
+  let payload_length = u32 msg 20 in
+  if Bytes.length msg <> header_length + payload_length then
     frame_error "message length %d does not match header (%d + %d)"
-      (Bytes.length msg) header_length h.payload_length;
-  (h, Bytes.sub msg header_length h.payload_length)
+      (Bytes.length msg) header_length payload_length;
+  u32 msg 12

@@ -19,10 +19,14 @@ type header = {
 val write_header : header -> bytes
 val read_header : bytes -> header
 
-val message : ?id:int -> Format.t -> bytes -> bytes
-(** Frame an NDR payload. The format id defaults to the sender's registry
-    id (per-connection negotiation); pass [?id] for a format-server
-    global id. *)
+val put_header : ?id:int -> Format.t -> payload_length:int -> bytes -> unit
+(** Write the header for a [payload_length]-byte NDR payload of the
+    format into the first {!header_length} bytes of the buffer; the
+    caller encodes the payload straight after it. The format id defaults
+    to the sender's registry id (per-connection negotiation); pass [?id]
+    for a global id from the schema registry. *)
 
-val split : bytes -> header * bytes
-(** Parse and length-check a framed message. Raises {!Frame_error}. *)
+val format_id : bytes -> int
+(** Check a framed message's header and length in place and return its
+    format id. The payload is the rest of the message after
+    {!header_length} bytes; nothing is copied. Raises {!Frame_error}. *)

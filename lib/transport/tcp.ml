@@ -45,10 +45,14 @@ let really_write fd buf off len =
   in
   go off len
 
-(** [link_of_fd fd] wraps a connected socket. [io_timeout_s] arms
+(** [link_of_fd fd] wraps a connected socket, with [TCP_NODELAY] set.
+    [io_timeout_s] arms
     [SO_RCVTIMEO]/[SO_SNDTIMEO]: a receive or send that stalls past the
     deadline raises {!Link.Timeout} instead of blocking forever. *)
 let link_of_fd ?io_timeout_s (fd : Unix.file_descr) : Link.t =
+  (* small frames (acks, control replies, events) must not wait for the
+     peer's delayed ACK behind Nagle's algorithm *)
+  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   (match io_timeout_s with
   | Some t when t > 0.0 -> (
     try

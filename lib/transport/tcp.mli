@@ -5,7 +5,8 @@
 exception Tcp_error of string
 
 val link_of_fd : ?io_timeout_s:float -> Unix.file_descr -> Link.t
-(** Wrap a connected socket. [io_timeout_s] arms per-operation
+(** Wrap a connected socket and set [TCP_NODELAY] on it, so small frames
+    never wait out the peer's delayed ACK. [io_timeout_s] arms per-operation
     send/receive deadlines ([SO_RCVTIMEO]/[SO_SNDTIMEO]): an operation
     that stalls past the deadline raises {!Link.Timeout} and the link
     should be treated as broken. *)

@@ -2,81 +2,85 @@
 
     Small and dependency-free on purpose: the relay's authenticated
     frame mode needs a keyed MAC and the container ships no crypto
-    library. Throughput is a few hundred MB/s on the int32 path — far
-    above what the frame sizes here require. Not constant-time in the
-    digest itself (inputs are not secret); MAC comparison should use
+    library. The schedule and state are unboxed native ints, so hashing
+    allocates nothing per block. Not constant-time in the digest itself
+    (inputs are not secret); MAC comparison should use
     {!equal_constant_time}. *)
 
 (* round constants: first 32 bits of the fractional parts of the cube
    roots of the first 64 primes *)
 let k =
-  [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl
-   ; 0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l
-   ; 0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l
-   ; 0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl
-   ; 0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l
-   ; 0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l
-   ; 0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl
-   ; 0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l
-   ; 0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l
-   ; 0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l
-   ; 0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl
-   ; 0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l
-   ; 0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b
+   ; 0x59f111f1; 0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01
+   ; 0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7
+   ; 0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc
+   ; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152
+   ; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147
+   ; 0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc
+   ; 0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85
+   ; 0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819
+   ; 0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116; 0x1e376c08
+   ; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f
+   ; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208
+   ; 0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-let ( +% ) = Int32.add
-let ( ^% ) = Int32.logxor
-let ( &% ) = Int32.logand
+(* 32-bit words live in native ints (63 bits wide on the 64-bit hosts
+   this code targets), masked back to 32 bits after additions, so the
+   schedule and the state never box: hashing allocates nothing per
+   block. *)
+let mask = 0xFFFF_FFFF
+
+let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
 type ctx = {
-  h : int32 array;  (** running hash state, 8 words *)
+  h : int array;  (** running hash state, 8 words *)
   block : Bytes.t;  (** 64-byte working block *)
   mutable fill : int;  (** bytes currently in [block] *)
-  mutable total : int64;  (** message length so far, bytes *)
-  w : int32 array;  (** message schedule scratch, 64 words *)
+  mutable total : int;  (** message length so far, bytes *)
+  w : int array;  (** message schedule scratch, 64 words *)
 }
 
 let init () : ctx =
   { h =
-      [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl
-       ; 0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |]
-  ; block = Bytes.create 64; fill = 0; total = 0L; w = Array.make 64 0l }
+      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f
+       ; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+  ; block = Bytes.create 64; fill = 0; total = 0; w = Array.make 64 0 }
 
 let compress (c : ctx) (blk : Bytes.t) (off : int) : unit =
   let w = c.w in
   for i = 0 to 15 do
-    w.(i) <- Bytes.get_int32_be blk (off + (4 * i))
+    w.(i) <- Int32.to_int (Bytes.get_int32_be blk (off + (4 * i))) land mask
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 ^% rotr w.(i - 15) 18
-             ^% Int32.shift_right_logical w.(i - 15) 3 in
-    let s1 = rotr w.(i - 2) 17 ^% rotr w.(i - 2) 19
-             ^% Int32.shift_right_logical w.(i - 2) 10 in
-    w.(i) <- w.(i - 16) +% s0 +% w.(i - 7) +% s1
+    let x = w.(i - 15) and y = w.(i - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
   done;
-  let a = ref c.h.(0) and b = ref c.h.(1) and cc = ref c.h.(2)
-  and d = ref c.h.(3) and e = ref c.h.(4) and f = ref c.h.(5)
-  and g = ref c.h.(6) and h = ref c.h.(7) in
+  let h = c.h in
+  let a = ref h.(0) and b = ref h.(1) and cc = ref h.(2)
+  and d = ref h.(3) and e = ref h.(4) and f = ref h.(5)
+  and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 ^% rotr !e 11 ^% rotr !e 25 in
-    let ch = (!e &% !f) ^% (Int32.lognot !e &% !g) in
-    let t1 = !h +% s1 +% ch +% k.(i) +% w.(i) in
-    let s0 = rotr !a 2 ^% rotr !a 13 ^% rotr !a 22 in
-    let maj = (!a &% !b) ^% (!a &% !cc) ^% (!b &% !cc) in
-    let t2 = s0 +% maj in
-    h := !g; g := !f; f := !e; e := !d +% t1;
-    d := !cc; cc := !b; b := !a; a := t1 +% t2
+    let e' = !e and a' = !a in
+    let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
+    let ch = (e' land !f) lxor (lnot e' land !g) in
+    let t1 = !hh + s1 + ch + k.(i) + w.(i) in
+    let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
+    let maj = (a' land !b) lxor (a' land !cc) lxor (!b land !cc) in
+    let t2 = s0 + maj in
+    hh := !g; g := !f; f := e'; e := (!d + t1) land mask;
+    d := !cc; cc := !b; b := a'; a := (t1 + t2) land mask
   done;
-  c.h.(0) <- c.h.(0) +% !a; c.h.(1) <- c.h.(1) +% !b;
-  c.h.(2) <- c.h.(2) +% !cc; c.h.(3) <- c.h.(3) +% !d;
-  c.h.(4) <- c.h.(4) +% !e; c.h.(5) <- c.h.(5) +% !f;
-  c.h.(6) <- c.h.(6) +% !g; c.h.(7) <- c.h.(7) +% !h
+  h.(0) <- (h.(0) + !a) land mask; h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !cc) land mask; h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask; h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask; h.(7) <- (h.(7) + !hh) land mask
 
 let feed_bytes (c : ctx) (data : Bytes.t) (off : int) (len : int) : unit =
   if off < 0 || len < 0 || off + len > Bytes.length data then
     invalid_arg "Sha256.feed";
-  c.total <- Int64.add c.total (Int64.of_int len);
+  c.total <- c.total + len;
   let off = ref off and len = ref len in
   (* top up a partial block first *)
   if c.fill > 0 then begin
@@ -104,7 +108,7 @@ let feed (c : ctx) (s : string) : unit =
   feed_bytes c (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let finish (c : ctx) : string =
-  let bitlen = Int64.mul c.total 8L in
+  let bitlen = Int64.mul (Int64.of_int c.total) 8L in
   (* pad: 0x80, zeros to 56 mod 64, then the 64-bit bit length *)
   Bytes.set c.block c.fill '\x80';
   c.fill <- c.fill + 1;
@@ -118,7 +122,7 @@ let finish (c : ctx) : string =
   compress c c.block 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    Bytes.set_int32_be out (4 * i) c.h.(i)
+    Bytes.set_int32_be out (4 * i) (Int32.of_int c.h.(i))
   done;
   Bytes.unsafe_to_string out
 

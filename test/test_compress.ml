@@ -153,6 +153,66 @@ let prop_slice_roundtrip =
       let got = Compress.decompress_slice (Slice.of_bytes (Compress.compress_slice s)) in
       Bytes.equal (Bytes.sub raw off len) got)
 
+(* Encoded blocks of fixed inputs, captured before the match finder's
+   hash was rewritten: the wire format and the encoder's choices must not
+   move. [zeros] is checked in full, the rest by length and MD5. *)
+let golden_inputs () =
+  let shape = List.nth Omf_testkit.Shapes.bench 3 in
+  let abi = shape.Omf_testkit.Shapes.send_abi in
+  let fmt = Omf_testkit.Shapes.register abi shape in
+  let mem = Omf_machine.Memory.create abi in
+  let msg =
+    Omf_pbio.Pbio.message mem fmt
+      (Omf_pbio.Native.store mem fmt shape.Omf_testkit.Shapes.value)
+  in
+  let mixed =
+    let rng = Random.State.make [| 42 |] in
+    let words = [| "flight"; "gate"; "runway"; "ATL"; "holding" |] in
+    let b = Buffer.create 8192 in
+    while Buffer.length b < 8192 do
+      if Random.State.int rng 4 = 0 then
+        for _ = 1 to 1 + Random.State.int rng 24 do
+          Buffer.add_char b (Char.chr (Random.State.int rng 256))
+        done
+      else Buffer.add_string b words.(Random.State.int rng 5)
+    done;
+    Bytes.of_string (Buffer.sub b 0 8192)
+  in
+  [ ("secure-compressed message", msg, 151, "487c2d5e1147b4cf47edf738add54145")
+  ; ( "counting"
+    , Bytes.init 4096 (fun i -> Char.chr (((i * 7) + (i / 13)) land 0xff))
+    , 550, "713f6ec03305749c88f24a12cbfd2fe4" )
+  ; ("zeros", Bytes.make 2000 '\000', 17, "a0374115e9f8336d183e3280ffe5050e")
+  ; ("mixed", mixed, 5002, "37b150ff69af459d5895d59fbbf1ebb1") ]
+
+let test_golden () =
+  List.iter
+    (fun (what, raw, len, md5) ->
+      let blk = Compress.compress raw in
+      Alcotest.(check int) (what ^ ": block length") len (Bytes.length blk);
+      Alcotest.(check string) (what ^ ": block MD5") md5
+        (Digest.to_hex (Digest.bytes blk));
+      roundtrip what raw)
+    (golden_inputs ());
+  Alcotest.(check string) "zeros: block bytes"
+    "01000007d01f000001ffffffffffffffc3"
+    (Bytes.fold_left
+       (fun acc c -> acc ^ Printf.sprintf "%02x" (Char.code c))
+       ""
+       (Compress.compress (Bytes.make 2000 '\000')))
+
+(* with a reused scratch, compressing a frame allocates its output block
+   and little else: no closure or box per input position *)
+let test_allocation () =
+  let _, raw, _, _ = List.hd (golden_inputs ()) in
+  let scratch = Compress.scratch () in
+  let b =
+    Omf_testkit.Alloc.bytes_per_call (fun () -> Compress.compress ~scratch raw)
+  in
+  if b > 2048.0 then
+    Alcotest.failf "compressing %d B allocates %.0f B per call (budget 2048)"
+      (Bytes.length raw) b
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -165,5 +225,7 @@ let () =
             test_incompressible
         ; Alcotest.test_case "ragged slice offsets" `Quick test_ragged_slices
         ; Alcotest.test_case "gathered wire message" `Quick test_slices_gather
-        ; Alcotest.test_case "malformed blocks rejected" `Quick test_malformed ]
+        ; Alcotest.test_case "malformed blocks rejected" `Quick test_malformed
+        ; Alcotest.test_case "golden blocks" `Quick test_golden
+        ; Alcotest.test_case "allocation per frame" `Quick test_allocation ]
         @ qsuite [ prop_roundtrip; prop_slice_roundtrip ] ) ]

@@ -94,6 +94,34 @@ let test_unoptimized_keeps_per_field_ops () =
   (* raw: a, b as Num ops + a Loop for the array *)
   check int "unoptimised keeps structure" 3 (Convert.op_count raw)
 
+let test_swapped_array_is_one_op () =
+  (* same widths, opposite byte orders: one swap pass per array *)
+  let fixed = Ftype.declare "arr" [ ("data", "double[16]") ] in
+  let p = plan ~sender:Abi.x86_64 ~receiver:Abi.sparc_64 fixed in
+  check int "fixed array is one swap" 1 (Convert.op_count p);
+  let raw =
+    plan ~optimized:false ~sender:Abi.x86_64 ~receiver:Abi.sparc_64 fixed
+  in
+  check int "unoptimised: one loop" 1 (Convert.op_count raw);
+  let var = Ftype.declare "v" [ ("n", "integer"); ("data", "short[n]") ] in
+  let p = plan ~sender:Abi.x86_64 ~receiver:Abi.power_64 var in
+  check int "count + var-array ops" 2 (Convert.op_count p);
+  let v =
+    Value.Record
+      [ ("data", Value.Array (Array.init 5 (fun i -> Value.Int (Int64.of_int (i - 2))))) ]
+  in
+  let sfmt = fmt_for Abi.x86_64 var in
+  let nfmt = fmt_for Abi.power_64 var in
+  let smem = Memory.create Abi.x86_64 in
+  let payload = Encode.payload smem sfmt (Native.store smem sfmt v) in
+  let rmem = Memory.create Abi.power_64 in
+  let got =
+    Native.load rmem nfmt
+      (Convert.run (Convert.compile ~wire:(wire_of sfmt) ~native:nfmt) payload rmem)
+  in
+  check value_testable "swapped shorts keep their values"
+    (Value.field_exn v "data") (Value.field_exn got "data")
+
 let test_var_array_stays_one_op () =
   let d =
     Ftype.declare "v" [ ("n", "integer"); ("data", "double[n]") ]
@@ -226,6 +254,167 @@ let test_m68k_repacking () =
   in
   check value_testable "m68k -> x86-64 repack" sent received
 
+(* ------------------------------------------------------------------ *)
+(* Bench shapes over every ABI pair                                     *)
+(* ------------------------------------------------------------------ *)
+
+module Shapes = Omf_testkit.Shapes
+
+let shapes = Shapes.bench @ [ Shapes.strvar ]
+
+let pairs =
+  List.concat_map (fun s -> List.map (fun r -> (s, r)) Abi.all) Abi.all
+
+let send (shape : Shapes.t) abi =
+  let fmt = Shapes.register abi shape in
+  let mem = Memory.create abi in
+  (fmt, message mem fmt (Native.store mem fmt shape.value))
+
+(* the receiver's whole arena after one conversion into fresh memory:
+   the struct is its first block, so this is every byte the plan wrote *)
+let native_image abi run =
+  let mem = Memory.create abi in
+  let addr = run mem in
+  Memory.read_bytes mem addr (Memory.allocated_bytes mem)
+
+let test_plans_agree_on_every_pair () =
+  List.iter
+    (fun (shape : Shapes.t) ->
+      List.iter
+        (fun ((sender : Abi.t), (receiver : Abi.t)) ->
+          let sfmt, msg = send shape sender in
+          let wire = wire_of sfmt in
+          let native = Shapes.register receiver shape in
+          let payload =
+            Bytes.sub msg Wire.header_length (Bytes.length msg - Wire.header_length)
+          in
+          let image run = native_image receiver run in
+          let compiled =
+            image (Convert.run (Convert.compile ~wire ~native) payload)
+          in
+          let what =
+            Printf.sprintf "%s %s -> %s" shape.name sender.name receiver.name
+          in
+          check bool (what ^ ": unoptimized = compiled") true
+            (Bytes.equal compiled
+               (image
+                  (Convert.run (Convert.compile_unoptimized ~wire ~native) payload)));
+          check bool (what ^ ": interpreted = compiled") true
+            (Bytes.equal compiled (image (Convert.interpret ~wire ~native payload))))
+        pairs)
+    shapes
+
+(* (shape, sender ABI, message length, MD5 of the message), captured
+   before the encoder was rewritten to size first and emit in place: NDR
+   output must stay byte-identical *)
+let golden_messages =
+  [ ("paper-a", "x86-32", 96, "e93e699c168af1f10bee533a16b66683")
+  ; ("paper-a", "x86-64", 128, "18ff7f1048a4e531143b14858060f8ea")
+  ; ("paper-a", "sparc-32", 96, "8a2e4818f470c5be6ed4b635635ad404")
+  ; ("paper-a", "sparc-64", 128, "4946e79477b61f8dbe7dd69dd4fa9ffd")
+  ; ("paper-a", "arm-32", 96, "40b8b6ea6e36c7e41be93172183fb521")
+  ; ("paper-a", "power-64", 128, "4946e79477b61f8dbe7dd69dd4fa9ffd")
+  ; ("paper-a", "alpha-64", 128, "18ff7f1048a4e531143b14858060f8ea")
+  ; ("paper-a", "m68k-32", 96, "70a7c00479373a9300339f4bd32511b5")
+  ; ("paper-a", "mips-32", 96, "8a2e4818f470c5be6ed4b635635ad404")
+  ; ("science-16k", "x86-32", 16412, "d4c5e47f252c32abb6e75bf7fa2c3b15")
+  ; ("science-16k", "x86-64", 16416, "40ea75cfaa9b73b7b0fca6fca3ed438f")
+  ; ("science-16k", "sparc-32", 16416, "102f807f1cf58b6410ca41bb888fa2ae")
+  ; ("science-16k", "sparc-64", 16416, "b3648c221840edb37dfdc43ead86b1de")
+  ; ("science-16k", "arm-32", 16416, "8dd2665a19410c0f72c56bd059de623c")
+  ; ("science-16k", "power-64", 16416, "b3648c221840edb37dfdc43ead86b1de")
+  ; ("science-16k", "alpha-64", 16416, "40ea75cfaa9b73b7b0fca6fca3ed438f")
+  ; ("science-16k", "m68k-32", 16412, "b8b9c11828fbc9d0f792a4e566e42b16")
+  ; ("science-16k", "mips-32", 16416, "102f807f1cf58b6410ca41bb888fa2ae")
+  ; ("durable-cd", "x86-32", 352, "02853cea810736cecbe337885e6d6907")
+  ; ("durable-cd", "x86-64", 544, "dcd15790e395d10b44dbfae9e7581ae6")
+  ; ("durable-cd", "sparc-32", 364, "51d2e8b2c1785103c5d4d4f0c7277bbb")
+  ; ("durable-cd", "sparc-64", 544, "e121f4c17c128be792c9d5bfc38e4bca")
+  ; ("durable-cd", "arm-32", 364, "0e269a1c1ee9bb0d808f71b27738120e")
+  ; ("durable-cd", "power-64", 544, "e121f4c17c128be792c9d5bfc38e4bca")
+  ; ("durable-cd", "alpha-64", 544, "dcd15790e395d10b44dbfae9e7581ae6")
+  ; ("durable-cd", "m68k-32", 352, "fba04c92fe4ec92d4b78512472d00288")
+  ; ("durable-cd", "mips-32", 364, "51d2e8b2c1785103c5d4d4f0c7277bbb")
+  ; ("secure-a1k", "x86-32", 1112, "5459a1a1983417ea332d7322e026cd32")
+  ; ("secure-a1k", "x86-64", 1144, "4d7327a96c682f9a52af52953665dcab")
+  ; ("secure-a1k", "sparc-32", 1112, "335819281e0ec3b4b4c7f0cd62c5528f")
+  ; ("secure-a1k", "sparc-64", 1144, "b475bdd09fea6244c814ac6a1ca04035")
+  ; ("secure-a1k", "arm-32", 1112, "40874cde5000dd2bf3ec43c131febb0d")
+  ; ("secure-a1k", "power-64", 1144, "b475bdd09fea6244c814ac6a1ca04035")
+  ; ("secure-a1k", "alpha-64", 1144, "4d7327a96c682f9a52af52953665dcab")
+  ; ("secure-a1k", "m68k-32", 1112, "cba3772016598c5329ca675e07d23dbd")
+  ; ("secure-a1k", "mips-32", 1112, "335819281e0ec3b4b4c7f0cd62c5528f")
+  ; ("strvar", "x86-32", 119, "a23b588b591dc4930083e1d6011ceb1f")
+  ; ("strvar", "x86-64", 151, "34c2393e964532c4315623f7ad59d141")
+  ; ("strvar", "sparc-32", 119, "7da3696f545b89b55126569d600e4898")
+  ; ("strvar", "sparc-64", 151, "2539276f3f49f43ea28e363481d9fcda")
+  ; ("strvar", "arm-32", 119, "179c1d86150ee3adcb4aaa4a7c6a9699")
+  ; ("strvar", "power-64", 151, "2539276f3f49f43ea28e363481d9fcda")
+  ; ("strvar", "alpha-64", 151, "34c2393e964532c4315623f7ad59d141")
+  ; ("strvar", "m68k-32", 117, "466bdd6fe2472f3247b5365615dfbbe7")
+  ; ("strvar", "mips-32", 119, "7da3696f545b89b55126569d600e4898") ]
+
+let test_messages_match_golden () =
+  List.iter
+    (fun (name, abi_name, len, md5) ->
+      let shape = List.find (fun (s : Shapes.t) -> s.name = name) shapes in
+      let abi = Option.get (Abi.find_by_name abi_name) in
+      let _, msg = send shape abi in
+      let what = Printf.sprintf "%s from %s" name abi_name in
+      check int (what ^ ": length") len (Bytes.length msg);
+      check Alcotest.string (what ^ ": MD5") md5 (Digest.to_hex (Digest.bytes msg)))
+    golden_messages
+
+(* Damaged messages — payload bytes overwritten, or the payload cut
+   short with the header's length fixed up to match — must be refused
+   with a typed error, never anything else: every fast path keeps its
+   bounds checks. *)
+let prop_damaged_messages_are_refused =
+  let gen =
+    QCheck.Gen.(
+      let* shape = oneofl shapes in
+      let* sender = oneofl Abi.all in
+      let* receiver = oneofl Abi.all in
+      let* edits = list_size (int_range 1 6) (pair (int_bound 1_000_000) char) in
+      let* cut = opt (int_bound 1_000_000) in
+      return (shape, sender, receiver, edits, cut))
+  in
+  QCheck.Test.make ~name:"damaged messages are refused" ~count:2000
+    (QCheck.make
+       ~print:(fun ((s : Shapes.t), (a : Abi.t), (b : Abi.t), edits, cut) ->
+         Printf.sprintf "%s %s->%s edits=%s cut=%s" s.name a.name b.name
+           (String.concat ","
+              (List.map (fun (p, c) -> Printf.sprintf "%d:%02x" p (Char.code c)) edits))
+           (match cut with Some c -> string_of_int c | None -> "-"))
+       gen)
+    (fun (shape, sender, receiver, edits, cut) ->
+      let sfmt, msg = send shape sender in
+      let hl = Wire.header_length in
+      let plen = Bytes.length msg - hl in
+      let base = sfmt.Format.layout.Omf_machine.Layout.size in
+      List.iter
+        (fun (p, c) ->
+          (* half the edits land in the base image, where the pointer
+             slots and counts live *)
+          let off = if p land 1 = 0 then p mod base else p mod plen in
+          Bytes.set msg (hl + off) c)
+        edits;
+      let msg =
+        match cut with
+        | None -> msg
+        | Some c ->
+          let keep = c mod (plen + 1) in
+          let m = Bytes.sub msg 0 (hl + keep) in
+          Bytes.set_int32_be m 20 (Int32.of_int keep);
+          m
+      in
+      let receiver_reg = Shapes.registry receiver shape in
+      let r = Receiver.create receiver_reg (Memory.create receiver) in
+      ignore (Receiver.learn r (Format_codec.encode sfmt));
+      match Receiver.receive r msg with
+      | _ -> true
+      | exception (Wire.Frame_error _ | Convert.Decode_error _) -> true)
+
 let () =
   Alcotest.run "convert-plans"
     [ ( "coalescing",
@@ -246,7 +435,9 @@ let () =
         ; Alcotest.test_case "unoptimized keeps per-field ops" `Quick
             test_unoptimized_keeps_per_field_ops
         ; Alcotest.test_case "var array op structure" `Quick
-            test_var_array_stays_one_op ] )
+            test_var_array_stays_one_op
+        ; Alcotest.test_case "swapped array is one op" `Quick
+            test_swapped_array_is_one_op ] )
     ; ( "conversions",
         [ Alcotest.test_case "fixed arrays shrink and grow" `Quick
             test_fixed_array_shrinks_and_grows
@@ -258,4 +449,10 @@ let () =
             test_narrowing_truncates_like_c
         ; Alcotest.test_case "float width conversion" `Quick
             test_float_width_conversion
-        ; Alcotest.test_case "m68k repacking" `Quick test_m68k_repacking ] ) ]
+        ; Alcotest.test_case "m68k repacking" `Quick test_m68k_repacking ] )
+    ; ( "shapes",
+        [ Alcotest.test_case "plans agree on every ABI pair" `Quick
+            test_plans_agree_on_every_pair
+        ; Alcotest.test_case "messages match golden" `Quick
+            test_messages_match_golden
+        ; QCheck_alcotest.to_alcotest prop_damaged_messages_are_refused ] ) ]

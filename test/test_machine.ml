@@ -55,6 +55,76 @@ let test_endian_bounds () =
   Alcotest.check_raises "bad size" (Invalid_argument "Endian.read_uint: size")
     (fun () -> ignore (Endian.read_uint Endian.Big b ~off:0 ~size:9))
 
+(* [Endian.convert] against the boxed reference path it replaces: read
+   the value whole, then store it (same-width floats move as bits) *)
+let prop_endian_convert =
+  QCheck.Test.make ~name:"convert = read then write"
+    ~count:1000
+    QCheck.(
+      pair
+        (triple (oneofl [ Endian.Signed; Endian.Unsigned; Endian.Ieee ])
+           (pair (oneofl [ 1; 2; 4; 8 ]) (oneofl [ 1; 2; 4; 8 ]))
+           (pair bool bool))
+        (string_of_size (Gen.return 8)))
+    (fun ((kind, (ss, ds), (sbig, dbig)), src) ->
+      let order big = if big then Endian.Big else Endian.Little in
+      let so = order sbig and dst_order = order dbig in
+      let src = Bytes.of_string src in
+      let got = Bytes.make 8 '\x55' and want = Bytes.make 8 '\x55' in
+      match kind with
+      | Endian.Ieee when ss < 4 || ds < 4 -> true
+      | Endian.Ieee when ss <> ds ->
+        Endian.convert kind so src ~src_off:0 ~src_size:ss dst_order got ~dst_off:0 ~dst_size:ds;
+        Endian.write_float dst_order want ~off:0 ~size:ds
+          (Endian.read_float so src ~off:0 ~size:ss);
+        Bytes.equal got want
+      | _ ->
+        Endian.convert kind so src ~src_off:0 ~src_size:ss dst_order got ~dst_off:0 ~dst_size:ds;
+        Endian.write_uint dst_order want ~off:0 ~size:ds
+          (if kind = Endian.Signed then Endian.read_int so src ~off:0 ~size:ss
+           else Endian.read_uint so src ~off:0 ~size:ss);
+        Bytes.equal got want)
+
+let test_endian_swap_blit () =
+  List.iter
+    (fun size ->
+      let count = 5 in
+      let src = Bytes.init (size * count) (fun i -> Char.chr (i * 7 land 0xff)) in
+      let got = Bytes.make (size * count) '\000' in
+      Endian.swap_blit ~src ~src_off:0 ~dst:got ~dst_off:0 ~size ~count;
+      let want = Bytes.copy src in
+      for i = 0 to count - 1 do
+        Endian.swap_in_place want ~off:(i * size) ~size
+      done;
+      check str (Printf.sprintf "%d-byte values" size)
+        (Omf_util.Hexdump.short want) (Omf_util.Hexdump.short got))
+    [ 1; 2; 3; 4; 8 ]
+
+(* the conversion hot path's primitives keep every value unboxed *)
+let test_endian_no_allocation () =
+  let b = Bytes.make 64 '\001' and d = Bytes.make 64 '\000' in
+  let none what f =
+    let per_call = Omf_testkit.Alloc.bytes_per_call ~iters:1000 f in
+    if per_call >= 1.0 then
+      Alcotest.failf "%s allocates %.1f B per call" what per_call
+  in
+  none "write_float 8" (fun () -> Endian.write_float Endian.Big d ~off:8 ~size:8 1.5);
+  none "write_float 4" (fun () -> Endian.write_float Endian.Big d ~off:8 ~size:4 1.5);
+  none "read_offset" (fun () -> Endian.read_offset Endian.Big b ~off:0 ~size:8);
+  none "write_offset" (fun () -> Endian.write_offset Endian.Little d ~off:0 ~size:4 77);
+  none "read_count" (fun () -> Endian.read_count Endian.Little b ~off:0 ~size:2);
+  List.iter
+    (fun (kind, ss, ds) ->
+      none
+        (Printf.sprintf "convert %d->%d" ss ds)
+        (fun () ->
+          Endian.convert kind Endian.Little b ~src_off:0 ~src_size:ss Endian.Big d
+            ~dst_off:16 ~dst_size:ds))
+    [ (Endian.Signed, 4, 8); (Endian.Unsigned, 8, 2); (Endian.Ieee, 8, 8)
+    ; (Endian.Ieee, 4, 8); (Endian.Ieee, 8, 4) ];
+  none "swap_blit" (fun () ->
+      Endian.swap_blit ~src:b ~src_off:0 ~dst:d ~dst_off:0 ~size:8 ~count:8)
+
 let prop_endian_roundtrip =
   QCheck.Test.make ~name:"endian round-trip (uint, any size/order)" ~count:500
     QCheck.(
@@ -380,8 +450,12 @@ let () =
         ; Alcotest.test_case "signed readback" `Quick test_endian_signed_readback
         ; Alcotest.test_case "floats" `Quick test_endian_floats
         ; Alcotest.test_case "swap in place" `Quick test_endian_swap
-        ; Alcotest.test_case "bounds checks" `Quick test_endian_bounds ]
-        @ qsuite [ prop_endian_roundtrip; prop_endian_signed_roundtrip ] )
+        ; Alcotest.test_case "bounds checks" `Quick test_endian_bounds
+        ; Alcotest.test_case "swap_blit" `Quick test_endian_swap_blit
+        ; Alcotest.test_case "no allocation" `Quick test_endian_no_allocation ]
+        @ qsuite
+            [ prop_endian_roundtrip; prop_endian_signed_roundtrip
+            ; prop_endian_convert ] )
     ; ( "abi",
         [ Alcotest.test_case "primitive sizes" `Quick test_abi_sizes
         ; Alcotest.test_case "fingerprints" `Quick test_abi_fingerprints

@@ -502,7 +502,7 @@ let test_wire_rejects_garbage () =
   let msg = message_of_value Abi.x86_64 a Fx.value_a in
   let truncated = Bytes.sub msg 0 (Bytes.length msg - 1) in
   try
-    ignore (Wire.split truncated);
+    ignore (Wire.format_id truncated);
     Alcotest.fail "expected Frame_error (length)"
   with Wire.Frame_error _ -> ()
 
@@ -634,6 +634,30 @@ let prop_interpreted_equals_compiled =
       Value.equal (receive Receiver.Compiled) (receive Receiver.Interpreted))
 
 (* ------------------------------------------------------------------ *)
+(* Allocation budgets                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Bytes per call of the four per-event entry points on the shapes
+   bench/e2e sends. Allocation is deterministic, so these are exact
+   gates, not timings: each entry point allocates what it returns and
+   (almost) nothing else.
+   - [Native.store] returns an address: only the odd boxed option or
+     autofilled count (<= 256 B);
+   - [Pbio.message] returns the message: its own bytes + 256 B;
+   - [Receiver.receive] converts in place and returns a pair: <= 512 B;
+   - [Native.load] returns a [Value.t]: the bytes reachable from it (field
+     names included) + 128 B; a [Value.Float] array element is 40 B. *)
+let test_alloc_budget (shape : Omf_testkit.Shapes.t) () =
+  let m = Omf_testkit.Shapes.measure shape in
+  let within what got budget =
+    if got > budget then
+      Alcotest.failf "%s: %s allocates %.0f B per call (budget %.0f B)"
+        shape.name what got budget
+  in
+  within "Native.store" m.bind 256.0;
+  within "Pbio.message" m.encode (float_of_int m.message_length +. 256.0);
+  within "Receiver.receive" m.receive 512.0;
+  within "Native.load" m.load (float_of_int m.value_bytes +. 128.0)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -704,4 +728,9 @@ let () =
         [ Alcotest.test_case "header round-trip" `Quick test_wire_header_roundtrip
         ; Alcotest.test_case "garbage rejected" `Quick test_wire_rejects_garbage
         ; Alcotest.test_case "malicious payload bounds-checked" `Quick
-            test_malicious_payload_bounds ] ) ]
+            test_malicious_payload_bounds ] )
+    ; ( "alloc",
+        List.map
+          (fun (shape : Omf_testkit.Shapes.t) ->
+            Alcotest.test_case shape.name `Quick (test_alloc_budget shape))
+          (Omf_testkit.Shapes.bench @ [ Omf_testkit.Shapes.strvar ]) ) ]

@@ -105,6 +105,16 @@ let test_sha256_vectors () =
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     (Sha256.hex (Sha256.digest (String.make 1_000_000 'a')))
 
+(* the schedule and state are unboxed: an HMAC over a relay-sized frame
+   allocates its two contexts, pads and tags, not garbage per block *)
+let test_hmac_allocation () =
+  let msg = String.init 1100 (fun i -> Char.chr (i land 0xff)) in
+  let b =
+    Omf_testkit.Alloc.bytes_per_call (fun () -> Sha256.hmac ~key:"bench-key" msg)
+  in
+  if b > 3072.0 then
+    Alcotest.failf "hmac over 1100 B allocates %.0f B per call (budget 3072)" b
+
 let test_sha256_incremental_matches_oneshot () =
   let r = Prng.create ~seed:99L () in
   for _ = 1 to 50 do
@@ -377,6 +387,7 @@ let () =
         ; Alcotest.test_case "incremental feed" `Quick
             test_sha256_incremental_matches_oneshot
         ; Alcotest.test_case "hmac vectors" `Quick test_hmac_vectors
+        ; Alcotest.test_case "hmac allocation" `Quick test_hmac_allocation
         ; Alcotest.test_case "constant-time compare" `Quick
             test_constant_time_equal ] )
     ; ( "counters",
