@@ -418,7 +418,7 @@ let e3_tcp () =
     List.map
       (fun n ->
         let h = Relay.start () in
-        let port = Relay.port (Relay.relay h) in
+        let port = Relay.port h in
         Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
         let admin = Relay.Client.connect ~port () in
         Relay.Client.advertise admin ~stream ~schema:Fx.schema_a;
@@ -513,7 +513,7 @@ let e4_faults () =
     | _ -> assert false
   in
   let h = ref (Relay.start ()) in
-  let port = Relay.port (Relay.relay !h) in
+  let port = Relay.port !h in
   let cfg =
     Relay.Session.config ~port ~max_attempts:200 ~base_delay_s:0.005
       ~max_delay_s:0.05 ~connect_timeout_s:2.0 ()
@@ -654,9 +654,9 @@ let e5_shards () =
   ignore (X2W.register_schema catalog Fx.schema_a);
   let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
   let run_combo ~subs ~shards =
-    let cluster = Relay.Cluster.start ~shards ~policy:Relay.Block () in
-    Fun.protect ~finally:(fun () -> Relay.Cluster.stop cluster) @@ fun () ->
-    let port = Relay.Cluster.port cluster in
+    let relay = Relay.start ~shards ~policy:Relay.Block () in
+    Fun.protect ~finally:(fun () -> Relay.stop relay) @@ fun () ->
+    let port = Relay.port relay in
     (* per-(stream, seq) pre-send timestamps; written by the publisher
        thread just before the send, read by subscriber threads after the
        relayed frame arrives (all systhreads on this domain) *)
@@ -737,7 +737,7 @@ let e5_shards () =
     List.iter Thread.join sub_threads;
     let dt = Unix.gettimeofday () -. t0 in
     Array.iter Relay.Client.close pubs;
-    let stats = Relay.Cluster.stats cluster in
+    let stats = Relay.stats relay in
     let handoffs =
       Option.value ~default:0 (List.assoc_opt "shard_handoffs" stats)
     in
@@ -869,7 +869,7 @@ let e6_store () =
   let pipeline_row (label, fsync) =
     let run store =
       let h = Relay.start ?store () in
-      let port = Relay.port (Relay.relay h) in
+      let port = Relay.port h in
       Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
       let admin = Relay.Client.connect ~port () in
       Relay.Client.advertise admin ~stream ~schema:Fx.schema_a;
@@ -916,7 +916,7 @@ let e6_store () =
         { (Store.default_config ~root) with fsync = Store.Every_n 64 }
       in
       let h = Relay.start ~store () in
-      let port = Relay.port (Relay.relay h) in
+      let port = Relay.port h in
       let cfg = Relay.Session.config ~port () in
       let pub =
         Relay.Session.publisher ~acked:true cfg ~stream ~schema:Fx.schema_a
@@ -945,7 +945,7 @@ let e6_store () =
       let nsegs = Store.segments st in
       Store.close st;
       let h = Relay.start ~store () in
-      let port = Relay.port (Relay.relay h) in
+      let port = Relay.port h in
       Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
       let sub = Relay.Client.connect ~port () in
       let t0 = Unix.gettimeofday () in
@@ -1059,7 +1059,7 @@ let e7_registry () =
         | None -> failwith "subject not registered")
   in
   let h = Relay.start () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub = Relay.Client.connect ~port () in
   Relay.Client.advertise pub ~stream:"flights" ~schema:Fx.schema_a;
@@ -1147,12 +1147,12 @@ let e8_mirror () =
     { (Store.default_config ~root) with fsync = Store.Interval 0.01 }
   in
   let ha = Relay.start ~store:(store root_a) () in
-  let port_a = Relay.port (Relay.relay ha) in
+  let port_a = Relay.port ha in
   let stopped_a = ref false in
   Fun.protect ~finally:(fun () -> if not !stopped_a then Relay.stop ha)
   @@ fun () ->
   let hb = Relay.start ~store:(store root_b) () in
-  let port_b = Relay.port (Relay.relay hb) in
+  let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   (* a backlog on the source, then the link starts cold *)
   let backlog = if quick then 2_000 else 20_000 in
@@ -1185,7 +1185,7 @@ let e8_mirror () =
       (Mirror.config ~rescan_s:0.02 ~io_timeout_s:0.25 ~max_attempts:4
          ~base_delay_s:0.02 ~max_delay_s:0.1 ~promote_on_loss:true
          ~source_host:"127.0.0.1" ~source_port:port_a ~local_port:port_b
-         ~local_relay_id:(Relay.relay_id (Relay.relay hb)) ())
+         ~local_relay_id:(Relay.relay_id hb) ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   let t0 = Unix.gettimeofday () in
@@ -1294,7 +1294,7 @@ let e9_overload () =
       ()
   in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   let admin = Relay.Client.connect ~port () in
   Fun.protect ~finally:(fun () -> Relay.Client.close admin) @@ fun () ->
   let stats () = Relay.Client.stats admin in
@@ -1423,7 +1423,7 @@ let e10_fanout () =
           (fun pad ->
             let events = events_for pad in
             let h = Relay.start () in
-            let port = Relay.port (Relay.relay h) in
+            let port = Relay.port h in
             Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
             let admin = Relay.Client.connect ~port () in
             Relay.Client.advertise admin ~stream ~schema:Fx.schema_a;
@@ -1548,7 +1548,7 @@ let e11_trace () =
   let events = if quick then 300 else 4_000 in
   let run_once ?trace () =
     let h = Relay.start ?trace () in
-    let port = Relay.port (Relay.relay h) in
+    let port = Relay.port h in
     Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
     let admin = Relay.Client.connect ~port () in
     Relay.Client.advertise admin ~stream ~schema:Fx.schema_a;
@@ -1594,7 +1594,7 @@ let e11_trace () =
     done;
     List.iter Thread.join subs;
     let dt = Unix.gettimeofday () -. t0 in
-    let spans = Relay.trace_spans (Relay.relay h) in
+    let spans = Relay.trace_spans h in
     let stats = Relay.Client.stats admin in
     Relay.Client.close admin;
     (float_of_int events /. dt, spans, stats)
@@ -1692,7 +1692,7 @@ let e12_compress () =
         store_root
     in
     let h = Relay.start ?store () in
-    let port = Relay.port (Relay.relay h) in
+    let port = Relay.port h in
     Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
     let admin = Relay.Client.connect ~port () in
     Relay.Client.advertise admin ~stream ~schema:Fx.schema_a;

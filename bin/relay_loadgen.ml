@@ -217,7 +217,7 @@ let run serve host port policy max_queue auth compress subscribers events pad
     else None
   in
   let port =
-    match handle with Some h -> Relay.port (Relay.relay h) | None -> port
+    match handle with Some h -> Relay.port h | None -> port
   in
   (* advertise, then bring up the publisher endpoint *)
   let admin = Relay.Client.connect ~host ~port ?auth ~compress () in

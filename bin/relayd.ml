@@ -358,20 +358,20 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
   if shards < 1 then `Error (false, "--shards must be >= 1")
   else
     match
-      Omf_relay.Relay.Cluster.start ~host ~port ~shards ~policy ~max_queue
+      Omf_relay.Relay.start ~host ~port ~shards ~policy ~max_queue
         ~evict_grace_s:evict_grace ~auth_keys ~mac_reject_limit
         ~drain_s:drain ~governor ?ingress ?trace ?store ?relay_id ()
     with
-    | cluster ->
+    | relay ->
       Printf.printf
         "relayd: listening on %s:%d (policy %s, max queue %d, shards %d, \
          auth keys %d, relay id %s%s%s)\n\
          %!"
         host
-        (Omf_relay.Relay.Cluster.port cluster)
+        (Omf_relay.Relay.port relay)
         (Omf_relay.Relay.policy_to_string policy)
         max_queue shards (List.length auth_keys)
-        (Omf_relay.Relay.Cluster.relay_id cluster)
+        (Omf_relay.Relay.relay_id relay)
         (match store with
         | None -> ""
         | Some s ->
@@ -398,8 +398,8 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
                    ~compress:mirror_compress ?trace
                    ~source_host:src_host ~source_port:src_port
                    ~local_host:host
-                   ~local_port:(Omf_relay.Relay.Cluster.port cluster)
-                   ~local_relay_id:(Omf_relay.Relay.Cluster.relay_id cluster)
+                   ~local_port:(Omf_relay.Relay.port relay)
+                   ~local_relay_id:(Omf_relay.Relay.relay_id relay)
                    ())
             in
             Printf.printf "relayd: mirroring %s:%d%s%s%s\n%!" src_host
@@ -413,13 +413,13 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
           mirror
       in
       let stats_components () =
-        ("relay", Omf_relay.Relay.Cluster.stats cluster)
+        ("relay", Omf_relay.Relay.stats relay)
         :: (match mir with
            | None -> []
            | Some m -> [ ("mirror", Omf_mirror.Mirror.stats m) ])
       in
       let all_spans () =
-        Omf_relay.Relay.Cluster.trace_spans cluster
+        Omf_relay.Relay.trace_spans relay
         @ (match mir with
           | None -> []
           | Some m -> Omf_mirror.Mirror.trace_spans m)
@@ -454,11 +454,11 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
             srv)
           metrics_port
       in
-      let stop _ = Omf_relay.Relay.Cluster.request_shutdown cluster in
+      let stop _ = Omf_relay.Relay.request_shutdown relay in
       Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
       Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      Omf_relay.Relay.Cluster.wait cluster;
+      Omf_relay.Relay.wait relay;
       Option.iter Omf_mirror.Mirror.stop mir;
       Option.iter Omf_httpd.Http.shutdown metrics;
       Printf.printf "relayd: final stats\n";

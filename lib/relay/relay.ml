@@ -11,13 +11,14 @@
 
     Design points:
 
-    - {b Single-threaded per shard.} One reactor loop owns every socket
-      of its shard; non-blocking reads are reassembled into frames by
+    - {b Single-threaded per shard.} A relay is N shards (one by
+      default), each a reactor loop on its own domain, behind one
+      acceptor thread. A loop owns every socket of its shard;
+      non-blocking reads are reassembled into frames by
       {!Omf_reactor.Conn}, writes are queued per connection and flushed
       on writability. No locks on the hot path, deterministic fan-out
-      order. {!Cluster} runs N such loops (one domain each) behind one
-      acceptor, pinning each stream to a shard so per-stream ordering
-      is preserved.
+      order. Each advertised stream is pinned to one shard, so
+      per-stream ordering is preserved.
     - {b Bounded queues + backpressure.} Each subscriber has a bounded
       outbound queue of data frames. When a subscriber falls behind, the
       configured {!policy} decides: [Block] stops reading from the
@@ -137,7 +138,7 @@ type tmark = {
 }
 
 type conn = {
-  cid : int;  (** unique across the cluster: strided by shard count *)
+  cid : int;  (** unique across the relay: strided by shard count *)
   io : Rconn.t;  (** the reactor-side buffered connection driver *)
   mutable creds : (string * string) list;
   mutable greeted : bool;
@@ -172,27 +173,26 @@ type conn = {
   mutable trace_mark : tmark option;
       (** pending flush/deliver trace spans for the most recently
           enqueued traced frame (subscribers only) *)
-  mutable home : t;  (** the shard whose loop owns this connection *)
+  mutable home : shard;  (** the shard whose loop owns this connection *)
 }
 
-(** Cluster-wide state: which shard owns which stream, and every shard
+(** Relay-wide state: which shard hosts which stream, and every shard
     (for merged stats). The pins table is the only cross-shard mutable
     structure on the request path; it is mutex-guarded and touched once
-    per ADVERTISE/PUBLISH/SUBSCRIBE. *)
+    per stream-naming command. A stream is pinned only while a shard
+    hosts it: from its first ADVERTISE, or from store recovery. *)
 and shared = {
   pins_mu : Mutex.t;
   pins : (string, int) Hashtbl.t;  (** stream -> owning shard id *)
-  mutable peers : t array;  (** every shard, indexed by shard id *)
+  mutable peers : shard array;  (** every shard, indexed by shard id *)
 }
 
-and t = {
-  host : string;
-  port : int;
+and shard = {
   relay_id : string;
       (** this relay's replication identity (PROTOCOLS.md §15): the
           [origin=] tag stamped on locally advertised streams, shared
-          by every shard of a cluster; persisted under the store root
-          so a restart keeps owning its streams *)
+          by every shard; persisted under the store root so a restart
+          keeps owning its streams *)
   policy : policy;
   max_queue : int;
   evict_grace : float;
@@ -222,21 +222,18 @@ and t = {
   ingress : (float * float) option;
       (** per-connection ingress token bucket [(rate, burst)] in
           frames/s; [None] = unlimited *)
-  mutable lsock : Unix.file_descr option;
-      (** shards in a cluster have no listener of their own *)
-  mutable lreg : Reactor.registration option;
   reactor : Reactor.t;
   broker : Broker.t;
   conns : (int, conn) Hashtbl.t;  (** loop-thread only *)
   counters : Counters.t;
   shard_id : int;
   cid_stride : int;
-  shared : shared option;  (** [None] for a standalone relay *)
+  shared : shared;
   store_cfg : Store.config option;
       (** durable stream store; [None] = memory-only relay *)
   stores : (string, Store.t) Hashtbl.t;
-      (** per-shard store handles, loop-thread only — the cluster path
-          stays lock-free because a stream is pinned to one shard *)
+      (** per-shard store handles, loop-thread only — lock-free because
+          a stream is pinned to one shard *)
   adverts : (string, (string * string) list) Hashtbl.t;
       (** per-stream advertisement metadata ([subject=] / [version=] /
           [fingerprint=] registry bindings, PROTOCOLS.md §14);
@@ -273,67 +270,54 @@ and t = {
   mutable stop_flag : bool;  (** set by {!request_shutdown} *)
 }
 
-let port t = t.port
-let relay_id t = t.relay_id
+(** Every shard's counters summed, so a STATS reply from any shard
+    reports whole-relay traffic. *)
+let counter_snapshot (sh : shared) : (string * int) list =
+  Counters.merged (Array.to_list (Array.map (fun s -> s.counters) sh.peers))
 
-(** The embedded broker — for scope policies and direct inspection
-    ([Broker.set_scope] installs credential-based field scoping exactly
-    as for the in-process broker). *)
-let broker t = t.broker
-
-(** One counter snapshot: cluster-wide (summed over every shard) when
-    sharded, so a STATS reply from any shard reports whole-relay
-    traffic; just this relay's counters when standalone. *)
-let counter_snapshot (t : t) : (string * int) list =
-  match t.shared with
-  | Some sh when Array.length sh.peers > 0 ->
-    Counters.merged (Array.to_list (Array.map (fun s -> s.counters) sh.peers))
-  | _ -> Counters.dump t.counters
-
-let stats t : (string * int) list =
-  counter_snapshot t
-  @ List.concat_map
+(** The STATS reply body: relay-wide counters, with the answering
+    shard's own per-stream broker and store gauges read live. Each key
+    appears once — a live value replaces the counter copy the periodic
+    {!gauge_tick} left, which may be up to a second stale. *)
+let stats (t : shard) : (string * int) list =
+  let live =
+    List.concat_map
       (fun s ->
         [ (Printf.sprintf "stream.%s.published" s, Broker.published_count t.broker ~stream:s)
         ; (Printf.sprintf "stream.%s.subscribers" s, Broker.subscriber_count t.broker ~stream:s) ])
       (Broker.stream_names t.broker)
-  @ Hashtbl.fold
-      (fun s st acc ->
-        (Printf.sprintf "store.%s.tail" s, Store.tail st)
-        :: (Printf.sprintf "store.%s.durable" s, Store.durable st)
-        :: (Printf.sprintf "store.%s.segments" s, Store.segments st)
-        :: (Printf.sprintf "store.%s.bytes" s, Store.bytes st)
-        ::
-        (if Store.comp_raw_bytes st > 0 then
-           [ (Printf.sprintf "store.%s.comp_raw" s, Store.comp_raw_bytes st)
-           ; ( Printf.sprintf "store.%s.comp_stored" s
-             , Store.comp_stored_bytes st ) ]
-         else [])
-        @ acc)
-      t.stores []
-
-(** Bytes debited against this shard's governor and not yet credited
-    back — by invariant exactly the unwritten queued bytes (test hook
-    for the debit/credit symmetry guarantee). *)
-let governor_used t = Governor.used t.governor
-
-(** Ask the loop to drain and stop. Safe from another thread or a signal
-    handler: it only sets a flag and writes the wake pipe (the loop's
-    per-iteration tick polls the flag — no mutex on this path). *)
-let request_shutdown (t : t) : unit =
-  t.stop_flag <- true;
-  Reactor.wake t.reactor
+    @ Hashtbl.fold
+        (fun s st acc ->
+          (Printf.sprintf "store.%s.tail" s, Store.tail st)
+          :: (Printf.sprintf "store.%s.durable" s, Store.durable st)
+          :: (Printf.sprintf "store.%s.segments" s, Store.segments st)
+          :: (Printf.sprintf "store.%s.bytes" s, Store.bytes st)
+          ::
+          (if Store.comp_raw_bytes st > 0 then
+             [ (Printf.sprintf "store.%s.comp_raw" s, Store.comp_raw_bytes st)
+             ; ( Printf.sprintf "store.%s.comp_stored" s
+               , Store.comp_stored_bytes st ) ]
+           else [])
+          @ acc)
+        t.stores []
+  in
+  let is_live = Hashtbl.create 16 in
+  List.iter (fun (k, _) -> Hashtbl.replace is_live k ()) live;
+  List.filter
+    (fun (k, _) -> not (Hashtbl.mem is_live k))
+    (counter_snapshot t.shared)
+  @ live
 
 (* ------------------------------------------------------------------ *)
 (* Graceful drain                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let total_queued (t : t) : int =
+let total_queued (t : shard) : int =
   Hashtbl.fold (fun _ c acc -> acc + Rconn.queued c.io) t.conns 0
 
 (** Flush deadline reached (or everything flushed): doom what is left
     and stop the loop. *)
-let finish_drain (t : t) =
+let finish_drain (t : shard) =
   if t.state <> Stopped then begin
     t.state <- Stopped;
     (match t.drain_timer with
@@ -364,24 +348,14 @@ let finish_drain (t : t) =
     Log.info (fun m -> m "shard %d stopped" t.shard_id)
   end
 
-let check_drain_done (t : t) =
+let check_drain_done (t : shard) =
   if t.state = Draining && total_queued t = 0 then finish_drain t
 
-(** Stop accepting and reading, keep flushing subscriber queues until
-    they empty or the drain deadline fires. Loop-thread only. *)
-let begin_drain (t : t) =
+(** Stop reading, keep flushing subscriber queues until they empty or
+    the drain deadline fires. Loop-thread only. *)
+let begin_drain (t : shard) =
   if t.state = Running then begin
     t.state <- Draining;
-    (match t.lreg with
-    | Some r ->
-      Reactor.deregister t.reactor r;
-      t.lreg <- None
-    | None -> ());
-    (match t.lsock with
-    | Some s ->
-      (try Unix.close s with Unix.Unix_error _ -> ());
-      t.lsock <- None
-    | None -> ());
     Hashtbl.iter (fun _ c -> Rconn.set_read_intent c.io false) t.conns;
     t.drain_timer <-
       Some (Reactor.after t.reactor t.drain_default_s (fun () -> finish_drain t));
@@ -500,7 +474,7 @@ let credit_conn (c : conn) (n : int) =
 (* A span is written only when the trace is sampled or the duration
    crosses the slow threshold; the same gate feeds the stage-latency
    histogram so "stage_us.*" and /trace/spans always agree. *)
-let trace_record (t : t) ~(trace : int64) ~(parent : int64)
+let trace_record (t : shard) ~(trace : int64) ~(parent : int64)
     ~(sampled : bool) ~(stage : string) ~(stream : string) ~(t0_us : int) =
   match t.trace with
   | None -> ()
@@ -512,12 +486,12 @@ let trace_record (t : t) ~(trace : int64) ~(parent : int64)
       Counters.observe t.counters ("stage_us." ^ stage) dur
     end
 
-let trace_span (t : t) (ctx : Trace.ctx) ~(stage : string)
+let trace_span (t : shard) (ctx : Trace.ctx) ~(stage : string)
     ~(stream : string) ~(t0_us : int) =
   trace_record t ~trace:ctx.Trace.trace_id ~parent:ctx.Trace.span_id
     ~sampled:ctx.Trace.sampled ~stage ~stream ~t0_us
 
-let trace_mark_span (t : t) (tm : tmark) ~(stage : string) =
+let trace_mark_span (t : shard) (tm : tmark) ~(stage : string) =
   trace_record t ~trace:tm.tm_trace ~parent:tm.tm_parent
     ~sampled:tm.tm_sampled ~stage ~stream:tm.tm_stream ~t0_us:tm.tm_enq_us
 
@@ -526,7 +500,7 @@ let reply (c : conn) (r : Proto.reply) =
 
 let reply_ok c body = reply c (Proto.Ok body)
 
-let reply_err (t : t) c msg =
+let reply_err (t : shard) c msg =
   Counters.incr t.counters "errors";
   reply c (Proto.Err msg)
 
@@ -534,7 +508,7 @@ let reply_err (t : t) c msg =
     §16). The connection keeps its (Pending) role and stays usable —
     the client is expected to back off [retry_ms] and retry on the same
     connection. *)
-let reply_busy (t : t) c (what : string) =
+let reply_busy (t : shard) c (what : string) =
   Counters.incr t.counters (what ^ "_busy");
   reply c (Proto.Busy (Governor.busy_retry_ms t.governor))
 
@@ -546,7 +520,7 @@ let reply_busy (t : t) c (what : string) =
     first touch. [None] when the relay runs memory-only. Raises
     {!Store.Store_error} if the on-disk log is damaged beyond the
     torn-tail repair. *)
-let store_handle (t : t) (stream : string) : Store.t option =
+let store_handle (t : shard) (stream : string) : Store.t option =
   match t.store_cfg with
   | None -> None
   | Some cfg -> (
@@ -560,7 +534,7 @@ let store_handle (t : t) (stream : string) : Store.t option =
 (** Send ['k' durable] to every [acks=1] publisher of the streams
     marked in [pending_acks] whose durable watermark advanced since the
     last ack. Coalesced: scheduled at most once per dispatch round. *)
-let flush_acks (t : t) =
+let flush_acks (t : shard) =
   t.ack_flush_scheduled <- false;
   if Hashtbl.length t.pending_acks > 0 then begin
     let streams = Hashtbl.fold (fun s () acc -> s :: acc) t.pending_acks [] in
@@ -586,7 +560,7 @@ let flush_acks (t : t) =
       streams
   end
 
-let schedule_ack_flush (t : t) (stream : string) =
+let schedule_ack_flush (t : shard) (stream : string) =
   Hashtbl.replace t.pending_acks stream ();
   if not t.ack_flush_scheduled then begin
     t.ack_flush_scheduled <- true;
@@ -597,7 +571,7 @@ let schedule_ack_flush (t : t) (stream : string) =
     the [Interval] policy, and bounds straggler latency for [Every_n]),
     wake acks whose durable advanced, and enforce age-based retention.
     Re-arms itself while the shard runs. *)
-let rec store_tick (t : t) (period : float) =
+let rec store_tick (t : shard) (period : float) =
   Hashtbl.iter
     (fun stream st ->
       let before = Store.durable st in
@@ -617,7 +591,7 @@ let rec store_tick (t : t) (period : float) =
     second on the shard's own loop, so no locks are needed; the gauges
     land in [t.counters] and flow through STATS, [Counters.merged] and
     [Http.serve_metrics] like any counter. *)
-let rec gauge_tick (t : t) =
+let rec gauge_tick (t : shard) =
   List.iter
     (fun stream ->
       let depth =
@@ -661,7 +635,7 @@ let rec gauge_tick (t : t) =
     t.gauge_timer <- Some (Reactor.after t.reactor 1.0 (fun () -> gauge_tick t))
 
 (** Under [Block]: is some subscriber of [stream] over the watermark? *)
-let stream_congested (t : t) (stream : string) : bool =
+let stream_congested (t : shard) (stream : string) : bool =
   t.policy = Block
   && Hashtbl.fold
        (fun _ c acc ->
@@ -679,12 +653,12 @@ let stream_congested (t : t) (stream : string) : bool =
     or the governor is [Overloaded] (ingress shed until usage falls
     back below the low watermark). Per-stream [Block] congestion is a
     separate condition checked by the callers that know the stream. *)
-let publisher_read_ok (t : t) (c : conn) : bool =
+let publisher_read_ok (t : shard) (c : conn) : bool =
   t.state = Running
   && (not c.throttled)
   && Governor.health t.governor <> Governor.Overloaded
 
-let set_publishers_reading (t : t) (stream : string) (b : bool) =
+let set_publishers_reading (t : shard) (stream : string) (b : bool) =
   Hashtbl.iter
     (fun _ c ->
       match c.role with
@@ -693,7 +667,7 @@ let set_publishers_reading (t : t) (stream : string) (b : bool) =
       | _ -> ())
     t.conns
 
-let maybe_resume_stream (t : t) (stream : string) =
+let maybe_resume_stream (t : shard) (stream : string) =
   if t.policy = Block && t.state = Running && not (stream_congested t stream)
   then set_publishers_reading t stream true
 
@@ -706,7 +680,7 @@ let clear_grace (c : conn) =
   | None -> ()
 
 (** Doom [c] as a slow consumer. *)
-let evict_slow (t : t) (c : conn) =
+let evict_slow (t : shard) (c : conn) =
   Counters.incr t.counters "subscribers_evicted";
   Log.info (fun m -> m "conn %d: evicting slow consumer" c.cid);
   Rconn.doom c.io "slow consumer evicted"
@@ -715,7 +689,7 @@ let evict_slow (t : t) (c : conn) =
     watermark when the timer fires, it is evicted — an actively
     draining consumer that recovers in time is spared ({!conn_progress}
     cancels the timer). *)
-let arm_grace (t : t) (c : conn) =
+let arm_grace (t : shard) (c : conn) =
   match c.grace_timer with
   | Some _ -> ()
   | None ->
@@ -740,7 +714,7 @@ let replay_chunk = 64
     the pump catches the store tail, the replay ends and [skip_until]
     moves up so live delivery takes over at exactly the next offset —
     no gap, no duplicate. *)
-let pump_replay (t : t) (c : conn) =
+let pump_replay (t : shard) (c : conn) =
   match c.role with
   | Subscriber ({ replay = Some r; _ } as s) ->
     if t.state <> Running || not (Rconn.alive c.io) then s.replay <- None
@@ -792,7 +766,7 @@ let pump_replay (t : t) (c : conn) =
 (** Enqueue a relayed stream frame onto a subscriber, applying the
     backpressure policy. Raises {!Link.Closed} when the subscriber is
     dead so the broker skips it. *)
-let rec enqueue_relayed (t : t) (c : conn) (frame : Bytes.t) =
+let rec enqueue_relayed (t : shard) (c : conn) (frame : Bytes.t) =
   if not (Rconn.alive c.io) then raise Link.Closed;
   (* Store-backed crash recovery: a resuming publisher re-appends
      offsets a resubscribed consumer already received live before the
@@ -811,7 +785,7 @@ let rec enqueue_relayed (t : t) (c : conn) (frame : Bytes.t) =
     Counters.incr t.counters "store_fanout_skipped"
   | Subscriber _ | Publisher _ | Pending -> enqueue_relayed_frame t c frame
 
-and enqueue_relayed_frame (t : t) (c : conn) (frame : Bytes.t) =
+and enqueue_relayed_frame (t : shard) (c : conn) (frame : Bytes.t) =
   let droppable =
     not
       (Bytes.length frame > 0
@@ -876,7 +850,7 @@ and enqueue_relayed_frame (t : t) (c : conn) (frame : Bytes.t) =
     resumes publishers (unless individually throttled or their stream
     is Block-congested) and re-pumps stored replays stalled at the
     zero-chunk budget. *)
-let on_governor_transition (t : t) (prev : Governor.health)
+let on_governor_transition (t : shard) (prev : Governor.health)
     (next : Governor.health) =
   Counters.set t.counters "governor_health" (Governor.health_level next);
   Counters.incr t.counters
@@ -916,7 +890,7 @@ let on_governor_transition (t : t) (prev : Governor.health)
 
 (** Reject a connection at the protocol level: count it, reply, doom
     (the doom's opportunistic flush usually gets the ['e'] out). *)
-let protocol_reject (t : t) (c : conn) (msg : string) =
+let protocol_reject (t : shard) (c : conn) (msg : string) =
   Counters.incr t.counters "frames_rejected";
   Log.warn (fun m -> m "conn %d: %s" c.cid msg);
   reply_err t c msg;
@@ -930,7 +904,7 @@ let protocol_reject (t : t) (c : conn) (msg : string) =
     marks itself with an [omf-reconnect] credential so operators can
     see churn in STATS. A repeated HELLO is a protocol violation: it
     would re-arm the frame modes mid-stream. *)
-let handle_hello (t : t) (c : conn) (creds : (string * string) list) =
+let handle_hello (t : shard) (c : conn) (creds : (string * string) list) =
   c.greeted <- true;
   c.creds <- creds;
   if List.mem_assoc "omf-reconnect" creds then
@@ -975,27 +949,41 @@ let handle_hello (t : t) (c : conn) (creds : (string * string) list) =
     reply_err t c (Printf.sprintf "hello: unsupported auth mode %s" other);
     Rconn.doom c.io "auth denied"
 
-(** Which shard owns [stream]? First toucher pins it (standalone relays
-    always own everything). Thread-safe; called from any shard loop. *)
-let stream_owner (t : t) (stream : string) : t =
-  match t.shared with
-  | None -> t
-  | Some sh ->
+(** Which shard hosts [stream]? The one it is pinned to; an unpinned
+    stream is hosted nowhere, so the asking shard [t] answers for it
+    (with an unknown-stream error). [~claim:true] (ADVERTISE) pins an
+    unpinned stream to [t]. Thread-safe; called from any shard loop. *)
+let stream_owner ?(claim = false) (t : shard) (stream : string) : shard =
+  let sh = t.shared in
+  Mutex.lock sh.pins_mu;
+  let owner =
+    match Hashtbl.find_opt sh.pins stream with
+    | Some id -> sh.peers.(id)
+    | None ->
+      if claim then Hashtbl.replace sh.pins stream t.shard_id;
+      t
+  in
+  Mutex.unlock sh.pins_mu;
+  owner
+
+(** Give back the pin a failed ADVERTISE claimed: [t] neither hosts the
+    stream in its broker nor holds its store. *)
+let release_pin (t : shard) (stream : string) =
+  if
+    (not (List.mem stream (Broker.stream_names t.broker)))
+    && not (Hashtbl.mem t.stores stream)
+  then begin
+    let sh = t.shared in
     Mutex.lock sh.pins_mu;
-    let owner =
-      match Hashtbl.find_opt sh.pins stream with
-      | Some id -> sh.peers.(id)
-      | None ->
-        Hashtbl.replace sh.pins stream t.shard_id;
-        t
-    in
-    Mutex.unlock sh.pins_mu;
-    owner
+    if Hashtbl.find_opt sh.pins stream = Some t.shard_id then
+      Hashtbl.remove sh.pins stream;
+    Mutex.unlock sh.pins_mu
+  end
 
 (** The stream's advertisement metadata, defaulting streams advertised
     before origin tracking (or recovered from a pre-§15 store) to
     owned-here at epoch 0. *)
-let advert_info (t : t) (stream : string) : (string * string) list =
+let advert_info (t : shard) (stream : string) : (string * string) list =
   Proto.tagged
     (Option.value (Hashtbl.find_opt t.adverts stream) ~default:[])
     ~origin:t.relay_id
@@ -1003,7 +991,8 @@ let advert_info (t : t) (stream : string) : (string * string) list =
 (** Record (and, when store-backed, persist) the stream's metadata so a
     restarted relay re-advertises it — registry binding and origin tag
     included — before any publisher returns. *)
-let persist_advert (t : t) (stream : string) (kvs : (string * string) list) =
+let persist_advert (t : shard) (stream : string)
+    (kvs : (string * string) list) =
   Hashtbl.replace t.adverts stream kvs;
   match store_handle t stream with
   | None -> ()
@@ -1015,7 +1004,7 @@ let persist_advert (t : t) (stream : string) (kvs : (string * string) list) =
 (** Serve one decoded control request. {!dispatch} has already refused
     role conflicts and moved a command naming another shard's stream
     to that shard. *)
-let handle_control (t : t) (c : conn) (req : Proto.request) =
+let handle_control (t : shard) (c : conn) (req : Proto.request) =
   match req with
   | Proto.Hello _ when c.greeted ->
     protocol_reject t c "hello: repeated on this connection"
@@ -1219,17 +1208,12 @@ let handle_control (t : t) (c : conn) (req : Proto.request) =
         | exception Broker.Access_denied m ->
           reply_err t c (Proto.access_denied "subscribe" m))
   | Proto.List ->
-    (* cluster-wide: the pins table names every stream any shard owns,
+    (* relay-wide: the pins table names every stream any shard hosts,
        so a mirror scanning for streams needs no shard awareness *)
-    let names =
-      match t.shared with
-      | Some sh ->
-        Mutex.lock sh.pins_mu;
-        let l = Hashtbl.fold (fun s _ acc -> s :: acc) sh.pins [] in
-        Mutex.unlock sh.pins_mu;
-        l
-      | None -> Broker.stream_names t.broker
-    in
+    let sh = t.shared in
+    Mutex.lock sh.pins_mu;
+    let names = Hashtbl.fold (fun s _ acc -> s :: acc) sh.pins [] in
+    Mutex.unlock sh.pins_mu;
     Counters.incr t.counters "lists";
     reply_ok c (Proto.encode_list (List.sort compare names))
   | Proto.Describe stream -> (
@@ -1283,9 +1267,9 @@ let handle_control (t : t) (c : conn) (req : Proto.request) =
 
 (** The still-roleless connection [c] names a stream pinned to another
     shard: it migrates there (fd, decoder backlog, write queue and MAC
-    state travel; the command runs on the target loop, then any
-    buffered frames — per-connection order preserved). *)
-let route (src : t) (target : t) (c : conn) (req : Proto.request) =
+    state travel; the command is dispatched again on the target loop,
+    then any buffered frames — per-connection order preserved). *)
+let rec route (src : shard) (target : shard) (c : conn) (req : Proto.request) =
   Counters.incr src.counters "shard_handoffs";
   Hashtbl.remove src.conns c.cid;
   (* the write queue travels with the connection: surrender its byte
@@ -1303,29 +1287,32 @@ let route (src : t) (target : t) (c : conn) (req : Proto.request) =
         c.gov_debited <- Rconn.queued_bytes c.io;
         Governor.debit target.governor c.gov_debited;
         Rconn.adopt target.reactor c.io;
-        handle_control target c req
+        dispatch target c req
       end
       else Rconn.doom c.io "shard draining")
 
 (** Run one decoded control request on the shard that owns its stream.
     A connection with a role is wedded to its shard's broker: it may not
     PUBLISH or SUBSCRIBE again, nor name another shard's stream. *)
-let dispatch (t : t) (c : conn) (req : Proto.request) =
+and dispatch (t : shard) (c : conn) (req : Proto.request) =
   match (req, Proto.target req, c.role) with
   | ( (Proto.Publish _ | Proto.Subscribe _),
       Some (cmd, _),
       (Publisher _ | Subscriber _) ) ->
     reply_err t c (cmd ^ ": connection already has a role")
   | _, Some (cmd, stream), role -> (
-    match (stream_owner t stream, role) with
-    | owner, _ when owner == t -> handle_control t c req
+    let claim = match req with Proto.Advertise _ -> true | _ -> false in
+    match (stream_owner ~claim t stream, role) with
+    | owner, _ when owner == t ->
+      handle_control t c req;
+      if claim then release_pin t stream
     | owner, Pending -> route t owner c req
     | _, (Publisher _ | Subscriber _) ->
       reply_err t c
         (Printf.sprintf "%s: stream %s is pinned to another shard" cmd stream))
   | _, None, _ -> handle_control t c req
 
-let handle_frame (t : t) (c : conn) (frame : Bytes.t) =
+let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
   Counters.incr t.counters "frames_in";
   if Bytes.length frame = 0 then protocol_reject t c "empty frame"
   else
@@ -1453,7 +1440,7 @@ let handle_frame (t : t) (c : conn) (frame : Bytes.t) =
 (** Unseal an inbound frame on an authenticated connection. A frame
     that fails authentication is counted and skipped; once the reject
     limit is reached the connection is doomed. [None] = drop frame. *)
-let unseal (t : t) (c : conn) (frame : Bytes.t) : Bytes.t option =
+let unseal (t : shard) (c : conn) (frame : Bytes.t) : Bytes.t option =
   match c.mac with
   | None -> Some frame
   | Some st -> (
@@ -1473,7 +1460,7 @@ let unseal (t : t) (c : conn) (frame : Bytes.t) : Bytes.t option =
     {!unseal}, mirroring the outbound [seal (compress _)] order. A
     malformed block means the peer lost framing sync entirely (there is
     no per-frame tolerance to build on, unlike MAC rejects): doom. *)
-let decompress_in (t : t) (c : conn) (frame : Bytes.t) : Bytes.t option =
+let decompress_in (t : shard) (c : conn) (frame : Bytes.t) : Bytes.t option =
   if not c.comp then Some frame
   else
     match Compress.decompress frame with
@@ -1548,8 +1535,8 @@ let conn_progress (c : conn) =
   if t.state = Draining && Rconn.queued c.io = 0 then check_drain_done t
 
 (** Wire an accepted socket into shard [t] (loop-thread only; the
-    cluster acceptor reaches this through {!Reactor.inject}). *)
-let adopt_fd (t : t) (fd : Unix.file_descr) =
+    acceptor reaches this through {!Reactor.inject}). *)
+let adopt_fd (t : shard) (fd : Unix.file_descr) =
   if t.state <> Running then (
     try Unix.close fd with Unix.Unix_error _ -> ())
   else begin
@@ -1610,11 +1597,7 @@ let adopt_fd (t : t) (fd : Unix.file_descr) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Construction and the loop                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* Replication identity                                                 *)
+(* Identity, recovery and the shard loop                                *)
 (* ------------------------------------------------------------------ *)
 
 let gen_relay_id () : string =
@@ -1656,59 +1639,12 @@ let resolve_relay_id ?relay_id (store : Store.config option) : string =
        with Sys_error _ | Unix.Unix_error _ -> ());
       id)
 
-let create_shard ~host ~port ~relay_id ~policy ~max_queue ~evict_grace
-    ~sndbuf ~auth_keys ~mac_reject_limit ~drain_s ~governor ~ingress ~trace
-    ~shard_id ~cid_stride ~shared ~store () : t =
-  let gov = Governor.create governor in
-  let t =
-    { host; port; relay_id; policy; max_queue; evict_grace; sndbuf; auth_keys
-    ; mac_reject_limit; drain_default_s = drain_s; governor = gov; ingress
-    ; trace = Option.map (fun s -> Trace.collector ~shard:shard_id s) trace
-    ; stream_trace = Hashtbl.create 8; cur_trace = None
-    ; lsock = None; lreg = None
-    ; reactor = Reactor.create (); broker = Broker.create ()
-    ; conns = Hashtbl.create 64; counters = Counters.create (); shard_id
-    ; cid_stride; shared; store_cfg = store; stores = Hashtbl.create 8
-    ; adverts = Hashtbl.create 8
-    ; fanout_offset = -1
-    ; wire_cache_body = Bytes.empty
-    ; wire_cache = Frame.wire [ Slice.of_bytes Bytes.empty ]
-    ; comp_cache_body = Bytes.empty
-    ; comp_cache_blk = Bytes.empty
-    ; comp_cache_wire = Frame.wire [ Slice.of_bytes Bytes.empty ]
-    ; comp_scratch = Compress.scratch ()
-    ; pending_acks = Hashtbl.create 8
-    ; ack_flush_scheduled = false; store_timer = None; gauge_timer = None
-    ; next_cid = shard_id + 1; state = Running
-    ; drain_timer = None; stop_flag = false }
-  in
-  Governor.on_transition gov (fun prev next ->
-      on_governor_transition t prev next);
-  Counters.set t.counters "governor_health" 0;
-  t
-
-let install_listener (t : t) (lsock : Unix.file_descr) =
-  Unix.set_nonblock lsock;
-  t.lsock <- Some lsock;
-  let rec accept_all () =
-    match Unix.accept ~cloexec:true lsock with
-    | fd, _ ->
-      adopt_fd t fd;
-      accept_all ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  t.lreg <-
-    Some
-      (Reactor.register t.reactor lsock ~on_readable:accept_all
-         ~on_writable:ignore)
-
 (** Reopen every stored stream assigned to this shard: recover the log
     (torn-tail truncation happens here), re-advertise the persisted
     schema and replay the stored descriptor frames into the broker's
     cache, so late joiners can decode history without the original
     publisher. Runs before the loop (single-threaded). *)
-let recover_streams (t : t) (streams : string list) =
+let recover_streams (t : shard) (streams : string list) =
   List.iter
     (fun stream ->
       match store_handle t stream with
@@ -1747,42 +1683,9 @@ let recover_streams (t : t) (streams : string list) =
         Log.err (fun m -> m "store %s: recovery failed: %s" stream msg))
     streams
 
-let create ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(policy = Block)
-    ?(max_queue = 256) ?(evict_grace_s = 1.0) ?sndbuf ?(auth_keys = [])
-    ?(mac_reject_limit = 3) ?(drain_s = 2.0)
-    ?(governor = Governor.config ~budget:0 ()) ?ingress ?trace ?store () : t =
-  let lsock, bound_port = Tcp.listener ~host ~port () in
-  let relay_id = resolve_relay_id ?relay_id store in
-  let t =
-    create_shard ~host ~port:bound_port ~relay_id ~policy ~max_queue
-      ~evict_grace:evict_grace_s ~sndbuf ~auth_keys ~mac_reject_limit
-      ~drain_s ~governor ~ingress ~trace ~shard_id:0 ~cid_stride:1
-      ~shared:None ~store ()
-  in
-  install_listener t lsock;
-  (match store with
-  | Some cfg -> recover_streams t (Store.streams cfg)
-  | None -> ());
-  t
-
-(** Snapshot of the relay's recorded trace spans, oldest first (empty
-    when tracing is disabled). Safe from any thread. *)
-let trace_spans (t : t) : Trace.span list =
-  match t.trace with None -> [] | Some col -> Trace.spans col
-
-(** Run the loop until {!request_shutdown} (then drain) completes. *)
-let run (t : t) : unit =
-  (match t.lsock with
-  | Some _ ->
-    Log.info (fun m ->
-        m "listening on %s:%d (policy %s, max queue %d%s)" t.host t.port
-          (policy_to_string t.policy) t.max_queue
-          (match t.store_cfg with
-          | Some cfg ->
-            Printf.sprintf ", store %s fsync %s" cfg.Store.root
-              (Store.fsync_policy_to_string cfg.Store.fsync)
-          | None -> ""))
-  | None -> Log.debug (fun m -> m "shard %d loop running" t.shard_id));
+(** Run the shard's loop on the calling domain until a requested
+    shutdown completes its drain. *)
+let run_loop (t : shard) : unit =
   (match t.store_cfg with
   | Some cfg ->
     let period =
@@ -1796,181 +1699,208 @@ let run (t : t) : unit =
   Reactor.run t.reactor;
   Reactor.dispose t.reactor
 
-(* ------------------------------------------------------------------ *)
-(* Sharded cluster                                                      *)
-(* ------------------------------------------------------------------ *)
+(** The acceptor: deal accepted sockets out to the shards round-robin,
+    until the listener is shut down.
 
-(** N relay shards — one reactor loop per domain — behind a single
-    blocking acceptor thread that deals accepted sockets out
-    round-robin. The first ADVERTISE/PUBLISH/SUBSCRIBE naming a stream
-    pins it to the shard that received it; a connection landing on the
-    wrong shard migrates there before taking a role, so every frame of
-    a stream flows through exactly one loop and per-stream order is
-    what a standalone relay gives. *)
-module Cluster = struct
-  type relay = t
-
-  type t = {
-    lsock : Unix.file_descr;
-    cport : int;
-    shards : relay array;
-    mutable acceptor : Thread.t option;
-    mutable domains : unit Domain.t array;
-    mutable stopped : bool;
-    mutable joined : bool;
-  }
-
-  let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
-      ?(policy = Block) ?(max_queue = 256) ?(evict_grace_s = 1.0) ?sndbuf
-      ?(auth_keys = []) ?(mac_reject_limit = 3) ?(drain_s = 2.0)
-      ?(governor = Governor.config ~budget:0 ()) ?ingress ?trace ?store () :
-      t =
-    if shards < 1 then invalid_arg "Cluster.start: shards must be >= 1";
-    let lsock, bound_port = Tcp.listener ~host ~port () in
-    let relay_id = resolve_relay_id ?relay_id store in
-    let shared =
-      { pins_mu = Mutex.create (); pins = Hashtbl.create 32; peers = [||] }
+    Governor-aware dealing (doc/OVERLOAD.md): scan the round-robin
+    order but skip shards currently Overloaded, so a drowning loop is
+    not handed fresh connections while its healthy siblings have room.
+    The health read crosses domains unlocked — it is a monotone-ish
+    hint, and a stale read only costs one connection landing on a shard
+    that was recovering anyway. When every shard is overloaded the
+    plain round-robin pick stands (the governor's admission control
+    sheds work from there). *)
+let accept_loop (lsock : Unix.file_descr) (shards : shard array) () =
+  let n = Array.length shards in
+  let next = ref 0 in
+  let pick () =
+    let first = !next mod n in
+    incr next;
+    let rec scan k =
+      if k = n then shards.(first)
+      else
+        let cand = shards.((first + k) mod n) in
+        if Governor.health cand.governor <> Governor.Overloaded then begin
+          if k > 0 then Counters.incr cand.counters ~by:k "accept_deferred";
+          cand
+        end
+        else scan (k + 1)
     in
-    let arr =
-      Array.init shards (fun i ->
-          create_shard ~host ~port:bound_port ~relay_id ~policy ~max_queue
-            ~evict_grace:evict_grace_s ~sndbuf ~auth_keys ~mac_reject_limit
-            ~drain_s ~governor ~ingress ~trace ~shard_id:i ~cid_stride:shards
-            ~shared:(Some shared) ~store ())
-    in
-    shared.peers <- arr;
-    let cl =
-      { lsock; cport = bound_port; shards = arr; acceptor = None
-      ; domains = [||]; stopped = false; joined = false }
-    in
-    (* Recover stored streams before any loop runs: pin each stream to
-       a shard by name hash (a restart reproduces the same pinning, and
-       per-shard store handles stay single-threaded), then let that
-       shard reopen its logs. *)
-    (match store with
-    | Some cfg ->
-      let per_shard = Array.make shards [] in
-      List.iter
-        (fun stream ->
-          let sid = Hashtbl.hash stream mod shards in
-          Hashtbl.replace shared.pins stream sid;
-          per_shard.(sid) <- stream :: per_shard.(sid))
-        (Store.streams cfg);
-      Array.iteri (fun i streams -> recover_streams arr.(i) streams) per_shard
-    | None -> ());
-    cl.domains <- Array.map (fun s -> Domain.spawn (fun () -> run s)) arr;
-    let acceptor () =
-      let next = ref 0 in
-      let continue = ref true in
-      (* Governor-aware dealing (doc/OVERLOAD.md): scan the round-robin
-         order but skip shards currently Overloaded, so a drowning loop
-         is not handed fresh connections while its healthy siblings
-         have room. The health read crosses threads unlocked — it is a
-         monotone-ish hint, and a stale read only costs one connection
-         landing on a shard that was recovering anyway. When every
-         shard is overloaded the plain round-robin pick stands (the
-         governor's admission control sheds work from there). *)
-      let pick () =
-        let first = !next mod shards in
-        incr next;
-        let rec scan k =
-          if k = shards then arr.(first)
-          else
-            let cand = arr.((first + k) mod shards) in
-            if Governor.health cand.governor <> Governor.Overloaded then begin
-              if k > 0 then
-                Counters.incr cand.counters ~by:k "accept_deferred";
-              cand
-            end
-            else scan (k + 1)
-        in
-        scan 0
-      in
-      while !continue do
-        match Unix.accept ~cloexec:true lsock with
-        | fd, _ ->
-          let shard = pick () in
-          Reactor.inject shard.reactor (fun () -> adopt_fd shard fd)
-        | exception Unix.Unix_error (EINTR, _, _) -> ()
-        | exception Unix.Unix_error _ ->
-          (* listener shut down (or died): stop dealing *)
-          continue := false
-      done
-    in
-    cl.acceptor <- Some (Thread.create acceptor ());
-    Log.info (fun m ->
-        m "cluster listening on %s:%d (%d shard%s, policy %s)" host
-          bound_port shards
-          (if shards = 1 then "" else "s")
-          (policy_to_string policy));
-    cl
-
-  let port (cl : t) = cl.cport
-  let shard_count (cl : t) = Array.length cl.shards
-  let relay_id (cl : t) = cl.shards.(0).relay_id
-
-  (** Cluster-wide counter totals (per-shard counters summed). Broker
-      gauges are per-shard state and are only reported over the wire
-      (STATS is answered by the shard that owns the connection). *)
-  let stats (cl : t) : (string * int) list =
-    Counters.merged
-      (Array.to_list (Array.map (fun s -> s.counters) cl.shards))
-
-  (** Every shard's recorded trace spans, merged and time-ordered. *)
-  let trace_spans (cl : t) : Trace.span list =
-    Array.to_list cl.shards
-    |> List.concat_map (fun (s : relay) ->
-           match s.trace with None -> [] | Some col -> Trace.spans col)
-    |> List.sort (fun a b ->
-           compare a.Trace.sp_start_us b.Trace.sp_start_us)
-
-  (** Signal-handler safe: unblock the acceptor and ask every shard to
-      drain. *)
-  let request_shutdown (cl : t) =
-    cl.stopped <- true;
-    (try Unix.shutdown cl.lsock Unix.SHUTDOWN_ALL
-     with Unix.Unix_error _ -> ());
-    Array.iter request_shutdown cl.shards
-
-  (** Join the acceptor and every shard domain (call after
-      {!request_shutdown}). *)
-  let wait (cl : t) =
-    if not cl.joined then begin
-      cl.joined <- true;
-      Option.iter Thread.join cl.acceptor;
-      Array.iter Domain.join cl.domains;
-      try Unix.close cl.lsock with Unix.Unix_error _ -> ()
-    end
-
-  let stop (cl : t) =
-    request_shutdown cl;
-    wait cl
-end
-
-(* ------------------------------------------------------------------ *)
-(* Hosted convenience                                                   *)
-(* ------------------------------------------------------------------ *)
-
-type handle = { relay : t; thread : Thread.t }
-
-(** [start ()] runs a relay loop in a background thread (ephemeral port
-    by default) — the embedding used by tests and benchmarks. *)
-let start ?host ?port ?relay_id ?policy ?max_queue ?evict_grace_s ?sndbuf
-    ?auth_keys ?mac_reject_limit ?drain_s ?governor ?ingress ?trace ?store
-    () : handle =
-  let relay =
-    create ?host ?port ?relay_id ?policy ?max_queue ?evict_grace_s ?sndbuf
-      ?auth_keys ?mac_reject_limit ?drain_s ?governor ?ingress ?trace ?store
-      ()
+    scan 0
   in
-  { relay; thread = Thread.create run relay }
+  let continue = ref true in
+  while !continue do
+    match Unix.accept ~cloexec:true lsock with
+    | fd, _ ->
+      let shard = pick () in
+      Reactor.inject shard.reactor (fun () -> adopt_fd shard fd)
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
+    | exception Unix.Unix_error _ ->
+      (* listener shut down (or died): stop dealing *)
+      continue := false
+  done
 
-let relay (h : handle) : t = h.relay
+(* ------------------------------------------------------------------ *)
+(* The relay: shards behind one acceptor                                *)
+(* ------------------------------------------------------------------ *)
 
-(** [stop h] requests a graceful drain and waits for the loop to end. *)
-let stop (h : handle) : unit =
-  request_shutdown h.relay;
-  Thread.join h.thread
+type t = {
+  lsock : Unix.file_descr;
+  port : int;
+  shared : shared;  (** the pins table and every shard *)
+  acceptor : Thread.t;
+  domains : unit Domain.t array;
+  mutable stopped : bool;  (** {!request_shutdown} was called *)
+  mutable joined : bool;
+}
+
+let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
+    ?(policy = Block) ?(max_queue = 256) ?(evict_grace_s = 1.0) ?sndbuf
+    ?(auth_keys = []) ?(mac_reject_limit = 3) ?(drain_s = 2.0)
+    ?(governor = Governor.config ~budget:0 ()) ?ingress ?trace ?store () : t =
+  if shards < 1 then invalid_arg "Relay.start: shards must be >= 1";
+  let lsock, bound_port = Tcp.listener ~host ~port () in
+  let relay_id = resolve_relay_id ?relay_id store in
+  let shared =
+    { pins_mu = Mutex.create (); pins = Hashtbl.create 32; peers = [||] }
+  in
+  let make_shard shard_id =
+    let gov = Governor.create governor in
+    let t =
+      { relay_id; policy; max_queue; evict_grace = evict_grace_s; sndbuf
+      ; auth_keys; mac_reject_limit; drain_default_s = drain_s; governor = gov
+      ; ingress
+      ; trace = Option.map (fun s -> Trace.collector ~shard:shard_id s) trace
+      ; stream_trace = Hashtbl.create 8; cur_trace = None
+      ; reactor = Reactor.create (); broker = Broker.create ()
+      ; conns = Hashtbl.create 64; counters = Counters.create (); shard_id
+      ; cid_stride = shards; shared; store_cfg = store
+      ; stores = Hashtbl.create 8; adverts = Hashtbl.create 8
+      ; fanout_offset = -1
+      ; wire_cache_body = Bytes.empty
+      ; wire_cache = Frame.wire [ Slice.of_bytes Bytes.empty ]
+      ; comp_cache_body = Bytes.empty
+      ; comp_cache_blk = Bytes.empty
+      ; comp_cache_wire = Frame.wire [ Slice.of_bytes Bytes.empty ]
+      ; comp_scratch = Compress.scratch ()
+      ; pending_acks = Hashtbl.create 8
+      ; ack_flush_scheduled = false; store_timer = None; gauge_timer = None
+      ; next_cid = shard_id + 1; state = Running
+      ; drain_timer = None; stop_flag = false }
+    in
+    Governor.on_transition gov (fun prev next ->
+        on_governor_transition t prev next);
+    Counters.set t.counters "governor_health" 0;
+    t
+  in
+  let arr = Array.init shards make_shard in
+  shared.peers <- arr;
+  (* Recover stored streams before any loop runs: pin each stream to a
+     shard by name hash (a restart reproduces the same pinning, and
+     per-shard store handles stay single-threaded), then let that shard
+     reopen its logs. *)
+  (match store with
+  | Some cfg ->
+    let per_shard = Array.make shards [] in
+    List.iter
+      (fun stream ->
+        let sid = Hashtbl.hash stream mod shards in
+        Hashtbl.replace shared.pins stream sid;
+        per_shard.(sid) <- stream :: per_shard.(sid))
+      (Store.streams cfg);
+    Array.iteri (fun i streams -> recover_streams arr.(i) streams) per_shard
+  | None -> ());
+  let domains = Array.map (fun s -> Domain.spawn (fun () -> run_loop s)) arr in
+  let acceptor = Thread.create (accept_loop lsock arr) () in
+  Log.info (fun m ->
+      m "relay listening on %s:%d (%d shard%s, policy %s, max queue %d%s)"
+        host bound_port shards
+        (if shards = 1 then "" else "s")
+        (policy_to_string policy) max_queue
+        (match store with
+        | Some cfg ->
+          Printf.sprintf ", store %s fsync %s" cfg.Store.root
+            (Store.fsync_policy_to_string cfg.Store.fsync)
+        | None -> ""));
+  { lsock; port = bound_port; shared; acceptor; domains; stopped = false
+  ; joined = false }
+
+let port (r : t) = r.port
+let shard_count (r : t) = Array.length r.shared.peers
+let relay_id (r : t) = r.shared.peers.(0).relay_id
+
+(** Relay-wide counter totals (per-shard counters summed). Broker and
+    store gauges are per-shard state, read live only over the wire
+    (STATS is answered by the shard that owns the connection). *)
+let stats (r : t) : (string * int) list = counter_snapshot r.shared
+
+(** Bytes debited against every shard's governor and not yet credited
+    back — by invariant exactly the unwritten queued bytes (test hook
+    for the debit/credit symmetry guarantee). *)
+let governor_used (r : t) : int =
+  Array.fold_left (fun acc s -> acc + Governor.used s.governor) 0 r.shared.peers
+
+(** Install a scope policy on the shard hosting [stream], on that
+    shard's own loop (broker tables are loop-thread only), and wait
+    until it is in place. *)
+let set_scope (r : t) ~(stream : string) (policy : Broker.scope_policy) : unit
+    =
+  if r.stopped then invalid_arg "Relay.set_scope: relay is shutting down";
+  let owner = stream_owner r.shared.peers.(0) stream in
+  let mu = Mutex.create () and cv = Condition.create () in
+  let result = ref None in
+  Reactor.inject owner.reactor (fun () ->
+      let res =
+        match Broker.set_scope owner.broker ~stream policy with
+        | () -> Ok ()
+        | exception e -> Error e
+      in
+      Mutex.lock mu;
+      result := Some res;
+      Condition.signal cv;
+      Mutex.unlock mu);
+  Mutex.lock mu;
+  while Option.is_none !result do
+    Condition.wait cv mu
+  done;
+  Mutex.unlock mu;
+  match !result with Some (Error e) -> raise e | Some (Ok ()) | None -> ()
+
+(** Every shard's recorded trace spans, merged and time-ordered. Safe
+    from any thread. *)
+let trace_spans (r : t) : Trace.span list =
+  Array.to_list r.shared.peers
+  |> List.concat_map (fun (s : shard) ->
+         match s.trace with None -> [] | Some col -> Trace.spans col)
+  |> List.sort (fun a b -> compare a.Trace.sp_start_us b.Trace.sp_start_us)
+
+(** Signal-handler safe: unblock the acceptor and ask every shard to
+    drain. Each shard only gets a flag and a wake-pipe byte (its loop's
+    per-iteration tick polls the flag — no mutex on this path). *)
+let request_shutdown (r : t) =
+  r.stopped <- true;
+  (try Unix.shutdown r.lsock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  Array.iter
+    (fun s ->
+      s.stop_flag <- true;
+      Reactor.wake s.reactor)
+    r.shared.peers
+
+(** Join the acceptor and every shard domain (call after
+    {!request_shutdown}). *)
+let wait (r : t) =
+  if not r.joined then begin
+    r.joined <- true;
+    Thread.join r.acceptor;
+    Array.iter Domain.join r.domains;
+    try Unix.close r.lsock with Unix.Unix_error _ -> ()
+  end
+
+let stop (r : t) =
+  request_shutdown r;
+  wait r
+
+
 (* ------------------------------------------------------------------ *)
 (* Client                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -2193,8 +2123,8 @@ module Client = struct
     in
     (r.Proto.offset, r.Proto.schema, t.link)
 
-  (** [list_streams t] names every stream the relay (all shards of a
-      cluster) currently hosts, sorted. *)
+  (** [list_streams t] names every stream the relay (all of its
+      shards) currently hosts, sorted. *)
   let list_streams (t : t) : string list =
     Proto.decode_list (call t Proto.List)
 

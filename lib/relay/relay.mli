@@ -1,6 +1,5 @@
 (** The networked event relay: the {!Omf_backbone.Broker} served over
-    real TCP by {!Omf_reactor.Reactor} event loops (one loop per shard;
-    a standalone relay is a one-shard special case).
+    real TCP by {!Omf_reactor.Reactor} event loops, one per shard.
 
     The deployable form of the paper's event backbone (Figures 1/3):
     capture points and subscribers are separate processes; the relay
@@ -34,24 +33,35 @@ val policy_to_string : policy -> string
 val policy_of_string : string -> policy option
 
 module Store = Omf_store.Store
-(** Re-export of the durable stream store the [?store] arguments
-    configure (see {!Omf_store.Store} and doc/STORE.md). *)
+(** Re-export of the durable stream store {!start}'s [?store]
+    configures (see {!Omf_store.Store} and doc/STORE.md). *)
 
 module Governor = Governor
-(** Re-export of the per-shard resource governor the [?governor]
-    arguments configure (see {!Governor} and doc/OVERLOAD.md). *)
+(** Re-export of the per-shard resource governor {!start}'s
+    [?governor] configures (see {!Governor} and doc/OVERLOAD.md). *)
 
 module Trace = Omf_trace.Trace
-(** Re-export of the sampled distributed-tracing substrate the
-    [?trace] arguments configure (see {!Omf_trace.Trace}, doc/TRACE.md
+(** Re-export of the sampled distributed-tracing substrate
+    {!start}'s [?trace] configures (see {!Omf_trace.Trace}, doc/TRACE.md
     and PROTOCOLS.md §17). *)
+
+(** {2 The relay}
+
+    N shards (one by default) — one {!Omf_reactor.Reactor} loop per
+    domain — behind a single acceptor thread that deals accepted sockets
+    out round-robin. A stream is pinned to the shard that first
+    ADVERTISEs it (or, with a store, the one its name hashes to at
+    recovery); a connection landing on the wrong shard migrates there
+    before taking a role, so every frame of a stream flows through
+    exactly one loop and per-stream delivery order is total. *)
 
 type t
 
-val create :
+val start :
   ?host:string ->
   ?port:int ->
   ?relay_id:string ->
+  ?shards:int ->
   ?policy:policy ->
   ?max_queue:int ->
   ?evict_grace_s:float ->
@@ -65,8 +75,12 @@ val create :
   ?store:Omf_store.Store.config ->
   unit ->
   t
-(** Bind the listening socket (ephemeral port when [?port] is 0, the
-    default). [max_queue] bounds each subscriber's queued data frames
+(** Bind one listening socket (ephemeral port when [?port] is 0, the
+    default) and run [?shards] (default 1) relay loops, each on its own
+    domain; every argument below applies to every shard. Pair each
+    [start] with {!stop}: live domains are a capped resource.
+
+    [max_queue] bounds each subscriber's queued data frames
     (default 256); [evict_grace_s] (default 1.0) is how long a
     subscriber may stay continuously over that watermark before
     {!Evict_slow} disconnects it — a consumer that drains back below
@@ -105,6 +119,9 @@ val create :
     offsets, and at startup the relay recovers every stream found on
     disk — schemas re-advertised, descriptor caches rebuilt — so
     sessions survive a relay restart with no loss and no duplicates.
+    Recovery runs before the shards start, each stream on the shard
+    its name hashes to, so it is deterministic across restarts and
+    every stream's store stays single-loop.
 
     [relay_id] is the replication identity stamped as [origin=] on
     locally advertised streams (PROTOCOLS.md §15). Unset, a
@@ -113,124 +130,45 @@ val create :
     a fresh random id. *)
 
 val port : t -> int
+val shard_count : t -> int
 
 val relay_id : t -> string
-(** The replication identity ([origin=] tag) of this relay. *)
-
-val broker : t -> Omf_backbone.Broker.t
-(** The embedded broker — e.g. for [Broker.set_scope] policies. *)
+(** The replication identity ([origin=] tag) of this relay, shared by
+    every shard. *)
 
 val stats : t -> (string * int) list
-(** Counters (frames/bytes in/out, events, drops, evictions, …) plus
-    per-stream published/subscriber gauges — the STATS reply body. *)
+(** Relay-wide counter totals (per-shard counters summed; includes
+    [shard_handoffs], the connections migrated between loops). The
+    per-stream broker and store gauges are per-shard state: the STATS
+    reply of the shard a connection lands on reads its own live. *)
 
 val governor_used : t -> int
-(** Bytes currently debited against this relay's governor — by
+(** Bytes currently debited against the governors of every shard — by
     invariant, exactly the unwritten bytes across every connection's
     write queue (slice-length accounting; 0 when fully drained). Test
     hook for the debit/credit symmetry guarantee (doc/OVERLOAD.md). *)
 
-val trace_spans : t -> Trace.span list
-(** Snapshot of the recorded trace spans, oldest first; empty when
-    tracing is disabled. Safe from any thread. *)
+val set_scope :
+  t -> stream:string -> Omf_backbone.Broker.scope_policy -> unit
+(** Install a credential scope policy ({!Omf_backbone.Broker.set_scope})
+    on the shard hosting [stream], run on that shard's loop; returns
+    once the policy is in place, so every later SUBSCRIBE sees it.
+    Raises {!Omf_backbone.Broker.Unknown_stream} if no shard hosts the
+    stream, [Invalid_argument] after {!request_shutdown}. *)
 
-val run : t -> unit
-(** Run the event loop in the calling thread until a requested
-    shutdown completes its drain. *)
+val trace_spans : t -> Trace.span list
+(** Every shard's recorded trace spans, merged and ordered by start
+    time; empty when tracing is disabled. Safe from any thread. *)
 
 val request_shutdown : t -> unit
-(** Ask the loop to drain and stop. Safe from another thread or a
-    signal handler (sets a flag, writes a wake pipe). *)
+(** Unblock the acceptor and ask every shard to drain. Safe from
+    another thread or a signal handler. *)
 
-(** {2 Sharded cluster}
+val wait : t -> unit
+(** Join the acceptor thread and every shard domain. *)
 
-    N relay shards — one {!Omf_reactor.Reactor} loop per domain —
-    behind a single acceptor that deals accepted sockets out
-    round-robin. The first ADVERTISE/PUBLISH/SUBSCRIBE naming a stream
-    pins it to the shard that received it; a connection landing on the
-    wrong shard migrates there before taking a role, so every frame of
-    a stream flows through exactly one loop and per-stream delivery
-    order is exactly what a standalone relay gives. *)
-module Cluster : sig
-  type t
-
-  val start :
-    ?host:string ->
-    ?port:int ->
-    ?relay_id:string ->
-    ?shards:int ->
-    ?policy:policy ->
-    ?max_queue:int ->
-    ?evict_grace_s:float ->
-    ?sndbuf:int ->
-    ?auth_keys:(string * string) list ->
-    ?mac_reject_limit:int ->
-    ?drain_s:float ->
-    ?governor:Governor.config ->
-    ?ingress:float * float ->
-    ?trace:Trace.settings ->
-    ?store:Omf_store.Store.config ->
-    unit ->
-    t
-  (** Bind one listening socket and run [?shards] (default 1) relay
-      loops, each on its own domain. The relay configuration arguments
-      are as for {!create} and apply to every shard. With [?store],
-      streams found on disk are recovered before the shards start,
-      each on the shard its name hashes to — the same pinning a fresh
-      cluster would choose, so recovery is deterministic across
-      restarts and every stream's store stays single-loop. *)
-
-  val port : t -> int
-  val shard_count : t -> int
-
-  val relay_id : t -> string
-  (** The cluster's replication identity (shared by every shard). *)
-
-  val stats : t -> (string * int) list
-  (** Cluster-wide counter totals (per-shard counters summed; includes
-      [shard_handoffs], the connections migrated between loops). *)
-
-  val trace_spans : t -> Trace.span list
-  (** Every shard's recorded trace spans, merged and ordered by start
-      time. Safe from any thread. *)
-
-  val request_shutdown : t -> unit
-  (** Unblock the acceptor and ask every shard to drain. Safe from a
-      signal handler. *)
-
-  val wait : t -> unit
-  (** Join the acceptor thread and every shard domain. *)
-
-  val stop : t -> unit
-  (** {!request_shutdown} then {!wait}. *)
-end
-
-(** {2 Hosted convenience} *)
-
-type handle
-
-val start :
-  ?host:string ->
-  ?port:int ->
-  ?relay_id:string ->
-  ?policy:policy ->
-  ?max_queue:int ->
-  ?evict_grace_s:float ->
-  ?sndbuf:int ->
-  ?auth_keys:(string * string) list ->
-  ?mac_reject_limit:int ->
-  ?drain_s:float ->
-  ?governor:Governor.config ->
-  ?ingress:float * float ->
-  ?trace:Trace.settings ->
-  ?store:Omf_store.Store.config ->
-  unit ->
-  handle
-(** Run a relay loop in a background thread. *)
-
-val relay : handle -> t
-val stop : handle -> unit
-(** Graceful drain, then join the loop thread. *)
+val stop : t -> unit
+(** {!request_shutdown} then {!wait}: graceful drain, then join. *)
 
 (** {2 Client} *)
 
@@ -343,8 +281,8 @@ module Client : sig
       memory-only (delivery is live-tail, as {!subscribe}). *)
 
   val list_streams : t -> string list
-  (** Every stream the relay (all shards of a cluster) currently
-      hosts, sorted. *)
+  (** Every stream the relay (all of its shards) currently hosts —
+      advertised or recovered from its store — sorted. *)
 
   val describe : t -> stream:string -> (string * string) list * string
   (** The stream's advertisement metadata — always including its

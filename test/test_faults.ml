@@ -157,7 +157,7 @@ let test_handshake_failure_closes_socket () =
      many failing connections; if fds leaked, this would exhaust the
      default soft limit quickly under the faults alias's repetitions *)
   let h = Relay.start () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   for _ = 1 to 100 do
     match Relay.Client.connect ~port ~auth:("nope", "k") () with
@@ -172,7 +172,7 @@ let test_handshake_failure_closes_socket () =
 
 let test_auth_pubsub_end_to_end () =
   let h = Relay.start ~auth_keys:keys () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let auth = List.hd keys in
   let pub =
@@ -203,7 +203,7 @@ let test_auth_pubsub_end_to_end () =
 
 let test_forged_frames_counted_then_closed () =
   let h = Relay.start ~auth_keys:keys ~mac_reject_limit:3 () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   (* speak the handshake honestly, then send frames sealed with the
      wrong key: every one must be rejected and counted, and the third
@@ -239,7 +239,7 @@ let test_corrupted_handshake_counted_via_chaos () =
      nonsense frame length, counts the malformed-frame disconnect, and
      the client gets a clear error, not a hang *)
   let h = Relay.start () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let chaos = Chaos.start ~upstream_port:port () in
   Fun.protect ~finally:(fun () -> Chaos.stop chaos) @@ fun () ->
@@ -262,7 +262,7 @@ let test_corrupted_handshake_counted_via_chaos () =
 
 let test_session_survives_relayd_restart () =
   let h1 = Relay.start ~auth_keys:keys () in
-  let port = Relay.port (Relay.relay h1) in
+  let port = Relay.port h1 in
   let auth = List.hd keys in
   let pub =
     Session.publisher (cfg ~auth ~port ()) ~stream:"flights"
@@ -323,7 +323,7 @@ let test_session_survives_relayd_restart () =
 
 let test_session_survives_severed_link () =
   let h = Relay.start () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let chaos = Chaos.start ~upstream_port:port () in
   Fun.protect ~finally:(fun () -> Chaos.stop chaos) @@ fun () ->
@@ -395,7 +395,7 @@ let test_store_relay_restart_zero_loss () =
   with_store_root @@ fun root ->
   let store = store_cfg root in
   let h1 = Relay.start ~store () in
-  let port = Relay.port (Relay.relay h1) in
+  let port = Relay.port h1 in
   let pub =
     Session.publisher ~acked:true (cfg ~port ()) ~stream:"flights"
       ~schema:Fx.schema_a Abi.x86_64
@@ -550,7 +550,7 @@ let mirror_failover_sigkill ~compress () =
           true
         | exception Relay.Client.Error _ -> false);
     let hb = Relay.start ~store:(store_cfg root_b) () in
-    let port_b = Relay.port (Relay.relay hb) in
+    let port_b = Relay.port hb in
     Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
     let m =
       Mirror.start
@@ -558,7 +558,7 @@ let mirror_failover_sigkill ~compress () =
            ~base_delay_s:0.02 ~max_delay_s:0.1 ~promote_on_loss:true
            ~compress ~source_host:"127.0.0.1" ~source_port:port_a
            ~local_port:port_b
-           ~local_relay_id:(Relay.relay_id (Relay.relay hb)) ())
+           ~local_relay_id:(Relay.relay_id hb) ())
     in
     Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
     let mstat k = Option.value ~default:0 (List.assoc_opt k (Mirror.stats m)) in
@@ -672,7 +672,7 @@ let test_acked_resume_watermark_ahead () =
       fsync = Relay.Store.Every_n 1 }
   in
   let h1 = Relay.start ~store () in
-  let port = Relay.port (Relay.relay h1) in
+  let port = Relay.port h1 in
   let pub =
     Session.publisher ~window:64 ~acked:true (cfg ~port ()) ~stream:"flights"
       ~schema:Fx.schema_a Abi.x86_64
@@ -715,7 +715,7 @@ let test_acked_resume_watermark_ahead () =
 
 let test_publisher_overflow_is_explicit () =
   let h = Relay.start () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   (* max_attempts = 0: never reconnect, so frames accumulate *)
   let pub =
     Session.publisher ~window:3
@@ -739,7 +739,7 @@ let test_publisher_overflow_is_explicit () =
   Session.close_publisher pub
 
 (* ------------------------------------------------------------------ *)
-(* Sharded cluster: pinned streams, handoffs, zero loss                 *)
+(* Sharded relay: pinned streams, handoffs, zero loss                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Three streams on a two-shard cluster: the round-robin acceptor is
@@ -748,9 +748,9 @@ let test_publisher_overflow_is_explicit () =
    under HMAC framing, whose per-direction nonces must survive the
    migration. *)
 let test_cluster_pubsub_across_shards () =
-  let cl = Relay.Cluster.start ~shards:2 ~auth_keys:keys () in
-  Fun.protect ~finally:(fun () -> Relay.Cluster.stop cl) @@ fun () ->
-  let port = Relay.Cluster.port cl in
+  let cl = Relay.start ~shards:2 ~auth_keys:keys () in
+  Fun.protect ~finally:(fun () -> Relay.stop cl) @@ fun () ->
+  let port = Relay.port cl in
   let auth = List.hd keys in
   let streams = [ "flights-a"; "flights-b"; "flights-c" ] in
   let pubs =
@@ -791,7 +791,7 @@ let test_cluster_pubsub_across_shards () =
       check bool "zero loss, in order, across shards" true
         (collected col = List.init n Fun.id))
     subs;
-  let stats = Relay.Cluster.stats cl in
+  let stats = Relay.stats cl in
   let stat k = Option.value ~default:0 (List.assoc_opt k stats) in
   check bool "wrong-shard connections migrated" true
     (stat "shard_handoffs" >= 1);
@@ -806,9 +806,9 @@ let test_cluster_pubsub_across_shards () =
    descriptor replay — a relay restartless version of severed-link
    recovery. *)
 let test_cluster_survives_severed_link () =
-  let cl = Relay.Cluster.start ~shards:2 () in
-  Fun.protect ~finally:(fun () -> Relay.Cluster.stop cl) @@ fun () ->
-  let port = Relay.Cluster.port cl in
+  let cl = Relay.start ~shards:2 () in
+  Fun.protect ~finally:(fun () -> Relay.stop cl) @@ fun () ->
+  let port = Relay.port cl in
   let chaos = Chaos.start ~upstream_port:port () in
   Fun.protect ~finally:(fun () -> Chaos.stop chaos) @@ fun () ->
   let pub =
@@ -864,7 +864,7 @@ let test_overload_governor_drill () =
       ()
   in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   (* VIP: an acked publisher session established while healthy *)
   let vip =
     Session.publisher ~acked:true (cfg ~port ()) ~stream:"vip"
@@ -971,7 +971,7 @@ let test_ingress_rate_limit_paces_publisher () =
      reads paused — pacing through TCP pushback, never loss *)
   let h = Relay.start ~ingress:(100.0, 8.0) () in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   let pub =
     Session.publisher (cfg ~port ()) ~stream:"paced" ~schema:Fx.schema_a
       Abi.x86_64

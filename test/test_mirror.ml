@@ -144,13 +144,13 @@ let test_replicates_frames_and_metadata () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
   let ha = Relay.start ~store:(store_cfg root_a) () in
-  let port_a = Relay.port (Relay.relay ha) in
+  let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
   let hb = Relay.start ~store:(store_cfg root_b) () in
-  let port_b = Relay.port (Relay.relay hb) in
+  let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
-  let id_a = Relay.relay_id (Relay.relay ha) in
-  let id_b = Relay.relay_id (Relay.relay hb) in
+  let id_a = Relay.relay_id ha in
+  let id_b = Relay.relay_id hb in
   check bool "relay ids differ" true (not (String.equal id_a id_b));
   let pub, sender, fmt =
     make_publisher
@@ -220,12 +220,12 @@ let test_compressed_link_fidelity () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
   let ha = Relay.start ~store:(store_cfg root_a) () in
-  let port_a = Relay.port (Relay.relay ha) in
+  let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
   let hb = Relay.start ~store:(store_cfg root_b) () in
-  let port_b = Relay.port (Relay.relay hb) in
+  let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
-  let id_b = Relay.relay_id (Relay.relay hb) in
+  let id_b = Relay.relay_id hb in
   let pub, sender, fmt =
     make_publisher
       ~meta:[ ("subject", "flights"); ("version", "3"); ("fingerprint", "fp-z") ]
@@ -285,10 +285,10 @@ let test_corrupt_sealed_frame_relinks () =
   with_root @@ fun root_b ->
   let key = ("k1", "mirror-secret") in
   let ha = Relay.start ~store:(store_cfg root_a) ~auth_keys:[ key ] () in
-  let port_a = Relay.port (Relay.relay ha) in
+  let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
   let hb = Relay.start ~store:(store_cfg root_b) () in
-  let port_b = Relay.port (Relay.relay hb) in
+  let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
   let n = 200 in
@@ -305,7 +305,7 @@ let test_corrupt_sealed_frame_relinks () =
   let m =
     Mirror.start
       { (mcfg ~source_port:(Chaos.port chaos) ~local_port:port_b
-           ~local_relay_id:(Relay.relay_id (Relay.relay hb)) ())
+           ~local_relay_id:(Relay.relay_id hb) ())
         with Mirror.source_auth = Some key }
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
@@ -333,13 +333,13 @@ let test_bidirectional_no_amplification () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
   let ha = Relay.start ~store:(store_cfg root_a) () in
-  let port_a = Relay.port (Relay.relay ha) in
+  let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
   let hb = Relay.start ~store:(store_cfg root_b) () in
-  let port_b = Relay.port (Relay.relay hb) in
+  let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
-  let id_a = Relay.relay_id (Relay.relay ha) in
-  let id_b = Relay.relay_id (Relay.relay hb) in
+  let id_a = Relay.relay_id ha in
+  let id_b = Relay.relay_id hb in
   let m_ab =
     Mirror.start
       (mcfg ~source_port:port_a ~local_port:port_b ~local_relay_id:id_b ())
@@ -380,12 +380,12 @@ let test_promote_transfers_ownership () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
   let ha = Relay.start ~store:(store_cfg root_a) () in
-  let port_a = Relay.port (Relay.relay ha) in
+  let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
   let hb = Relay.start ~store:(store_cfg root_b) () in
-  let port_b = Relay.port (Relay.relay hb) in
+  let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
-  let id_b = Relay.relay_id (Relay.relay hb) in
+  let id_b = Relay.relay_id hb in
   let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
   let n = 10 in
   for seq = 0 to n - 1 do
@@ -442,15 +442,15 @@ let test_promote_on_loss_failover () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
   let ha = Relay.start ~store:(store_cfg root_a) () in
-  let port_a = Relay.port (Relay.relay ha) in
+  let port_a = Relay.port ha in
   let stopped_a = ref false in
   Fun.protect
     ~finally:(fun () -> if not !stopped_a then Relay.stop ha)
   @@ fun () ->
   let hb = Relay.start ~store:(store_cfg root_b) () in
-  let port_b = Relay.port (Relay.relay hb) in
+  let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
-  let id_b = Relay.relay_id (Relay.relay hb) in
+  let id_b = Relay.relay_id hb in
   let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
   let n = 15 in
   for seq = 0 to n - 1 do
@@ -499,8 +499,8 @@ let test_promote_on_loss_failover () =
 let test_restart_readvertises_metadata () =
   with_root @@ fun root ->
   let h1 = Relay.start ~store:(store_cfg root) () in
-  let port1 = Relay.port (Relay.relay h1) in
-  let id1 = Relay.relay_id (Relay.relay h1) in
+  let port1 = Relay.port h1 in
+  let id1 = Relay.relay_id h1 in
   let pub, sender, fmt =
     make_publisher
       ~meta:
@@ -515,10 +515,10 @@ let test_restart_readvertises_metadata () =
   (* a fresh process over the same store: the stream comes back with
      its registry binding and its replication identity *)
   let h2 = Relay.start ~store:(store_cfg root) () in
-  let port2 = Relay.port (Relay.relay h2) in
+  let port2 = Relay.port h2 in
   Fun.protect ~finally:(fun () -> Relay.stop h2) @@ fun () ->
   check string "relay id persisted across restart" id1
-    (Relay.relay_id (Relay.relay h2));
+    (Relay.relay_id h2);
   let c = Relay.Client.connect ~port:port2 () in
   let meta, schema = Relay.Client.describe c ~stream:"flights" in
   check (Alcotest.option string) "subject recovered" (Some "flights")

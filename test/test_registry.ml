@@ -323,7 +323,7 @@ let test_async_discovery_zero_loss () =
   let resolver = Registry.Resolver.create rc in
   (* the relay side: a publisher advertising its registry binding *)
   let h = Relay.start () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub = Relay.Client.connect ~port () in
   Relay.Client.advertise pub

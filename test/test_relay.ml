@@ -10,7 +10,6 @@ open Omf_transport
 module Frame = Omf_reactor.Frame
 module Relay = Omf_relay.Relay
 module Proto = Omf_relay.Relay_proto
-module Broker = Omf_backbone.Broker
 module Fx = Omf_fixtures.Paper_structs
 module Catalog = Omf_xml2wire.Catalog
 module X2W = Omf_xml2wire.Xml2wire
@@ -218,14 +217,12 @@ let make_publisher ~port ~stream =
 let publish sender fmt ?pad seq =
   Endpoint.Sender.send_value sender fmt (event ?pad seq)
 
-(* poll the relay's stats (via a fresh control connection) until [key]
-   reaches [target] — makes async milestones deterministic *)
-let wait_stat ~port key target =
+(* poll [stats] until [key] reaches [target] — makes async milestones
+   deterministic *)
+let poll_stat stats key target =
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec go () =
-    let c = Relay.Client.connect ~port () in
-    let v = Option.value ~default:0 (List.assoc_opt key (Relay.Client.stats c)) in
-    Relay.Client.close c;
+    let v = Option.value ~default:0 (List.assoc_opt key (stats ())) in
     if v >= target then v
     else if Unix.gettimeofday () > deadline then
       Alcotest.failf "timeout waiting for %s >= %d (at %d)" key target v
@@ -236,36 +233,88 @@ let wait_stat ~port key target =
   in
   go ()
 
+(* ... via a fresh control connection per poll *)
+let wait_stat ~port key target =
+  poll_stat
+    (fun () ->
+      let c = Relay.Client.connect ~port () in
+      Fun.protect
+        ~finally:(fun () -> Relay.Client.close c)
+        (fun () -> Relay.Client.stats c))
+    key target
+
+(* ... on an open connection: no new connection is dealt out, so which
+   shard the acceptor hands the next one to stays predictable
+   (round-robin: consecutive connections land on different shards) *)
+let wait_stat_on client key target =
+  poll_stat (fun () -> Relay.Client.stats client) key target
+
+(* a multi-shard case must have migrated a connection between loops *)
+let check_handoffs r =
+  if Relay.shard_count r > 1 then
+    check bool "a connection migrated between shards" true
+      (Option.value ~default:0 (List.assoc_opt "shard_handoffs" (Relay.stats r))
+      > 0)
+
+let rec rm_rf path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* a fresh store root for one case, removed however the case ends *)
+let with_store_root f =
+  let root =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "omf-relay-test-%d-%d" (Unix.getpid ())
+         (Random.int 1000000))
+  in
+  Fun.protect ~finally:(fun () -> rm_rf root) (fun () -> f root)
+
 (* ------------------------------------------------------------------ *)
 (* Pub/sub over real TCP                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_pubsub_and_descriptor_replay () =
-  let h = Relay.start () in
-  let port = Relay.port (Relay.relay h) in
+let pubsub_and_descriptor_replay ?shards ~joiners () =
+  let h = Relay.start ?shards () in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
   (* publish before anyone subscribes: the descriptor frame is cached *)
   publish sender fmt 0;
-  ignore (wait_stat ~port "events_relayed" 1);
-  let late = Relay.attach_consumer ~port ~stream:"flights" Abi.sparc_32 in
+  ignore (wait_stat_on pub "events_relayed" 1);
+  let late =
+    List.init joiners (fun i ->
+        Relay.attach_consumer ~port ~stream:"flights"
+          (List.nth Abi.all (i mod List.length Abi.all)))
+  in
   publish sender fmt 1;
-  (* the late joiner missed event 0 but decodes event 1, because the
+  (* each late joiner missed event 0 but decodes event 1, because the
      relay replayed the cached format descriptor on subscribe *)
-  (match Relay.recv late with
-  | Some (f, v) ->
-    check Alcotest.string "format" "ASDOffEvent" f.Format.name;
-    check int "replayed descriptor decodes the live event" 1 (seq_of v)
-  | None -> Alcotest.fail "no event");
-  Relay.close_consumer late;
+  List.iter
+    (fun c ->
+      match Relay.recv c with
+      | Some (f, v) ->
+        check Alcotest.string "format" "ASDOffEvent" f.Format.name;
+        check int "replayed descriptor decodes the live event" 1 (seq_of v)
+      | None -> Alcotest.fail "no event")
+    late;
+  check_handoffs h;
+  List.iter Relay.close_consumer late;
   Relay.Client.close pub
 
-let test_scoped_credentials_over_tcp () =
-  let h = Relay.start () in
-  let port = Relay.port (Relay.relay h) in
+let test_pubsub_and_descriptor_replay () =
+  pubsub_and_descriptor_replay ~joiners:1 ()
+
+let scoped_credentials_over_tcp ?shards () =
+  let h = Relay.start ?shards () in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
-  Broker.set_scope (Relay.broker (Relay.relay h)) ~stream:"flights"
+  Relay.set_scope h ~stream:"flights"
     (fun creds ->
       match List.assoc_opt "role" creds with
       | Some "display" | None -> None
@@ -293,13 +342,16 @@ let test_scoped_credentials_over_tcp () =
   in
   check bool "scoped schema omits cntrID" false
     (contains handheld.Relay.schema "cntrID");
+  check_handoffs h;
   Relay.close_consumer display;
   Relay.close_consumer handheld;
   Relay.Client.close pub
 
+let test_scoped_credentials_over_tcp () = scoped_credentials_over_tcp ()
+
 let test_unknown_stream_and_role_errors () =
   let h = Relay.start () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   (try
      ignore (Relay.attach_consumer ~port ~stream:"nope" Abi.x86_64);
@@ -313,9 +365,40 @@ let test_unknown_stream_and_role_errors () =
    with Relay.Client.Error _ -> ());
   Relay.Client.close pub
 
+(* Only a stream some shard hosts is pinned: a DESCRIBE, SUBSCRIBE,
+   PUBLISH or PROMOTE of a stream nobody advertised, or an ADVERTISE
+   that is refused, fails without leaving a phantom in LIST (a mirror
+   scanning this relay would spawn a doomed link per phantom). *)
+let test_list_excludes_unknown_streams () =
+  let h = Relay.start ~shards:2 () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let pub, _sender, _fmt = make_publisher ~port ~stream:"flights" in
+  (* the second connection lands on the other shard *)
+  let c = Relay.Client.connect ~port () in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s of an unknown stream succeeded" what
+    | exception Relay.Client.Error _ -> ()
+  in
+  refused "DESCRIBE" (fun () ->
+      ignore (Relay.Client.describe c ~stream:"ghost"));
+  refused "SUBSCRIBE" (fun () ->
+      ignore (Relay.Client.subscribe c ~stream:"ghost2"));
+  refused "PROMOTE" (fun () ->
+      ignore (Relay.Client.promote c ~stream:"ghost3"));
+  refused "ADVERTISE" (fun () ->
+      Relay.Client.advertise c ~stream:"ghost4" ~schema:"<not-a-schema");
+  refused "PUBLISH" (fun () ->
+      ignore (Relay.Client.publish c ~stream:"ghost5"));
+  check (Alcotest.list Alcotest.string) "LIST names only the advertised stream"
+    [ "flights" ] (Relay.Client.list_streams c);
+  Relay.Client.close c;
+  Relay.Client.close pub
+
 let test_stats_protocol () =
   let h = Relay.start () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
   let consumer = Relay.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
@@ -333,16 +416,59 @@ let test_stats_protocol () =
   Relay.close_consumer consumer;
   Relay.Client.close pub
 
+(* STATS names every key once, and the answering shard reads its own
+   streams' store gauges live: right after an acked flush the tail is
+   exact, even once the periodic gauge tick has copied an older value
+   into the counters. *)
+let test_stats_keys_unique_and_live () =
+  with_store_root @@ fun root ->
+  let h = Relay.start ~store:(Omf_store.Store.default_config ~root) () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let pub =
+    Relay.Session.publisher ~acked:true (Relay.Session.config ~port ())
+      ~stream:"flights" ~schema:Fx.schema_a Abi.x86_64
+  in
+  Fun.protect ~finally:(fun () -> Relay.Session.close_publisher pub)
+  @@ fun () ->
+  let fmt = Option.get (Relay.Session.publisher_format pub "ASDOffEvent") in
+  let send lo hi =
+    for seq = lo to hi - 1 do
+      Relay.Session.publish_value pub fmt (event seq)
+    done;
+    Relay.Session.flush_acked pub
+  in
+  send 0 5;
+  let admin = Relay.Client.connect ~port () in
+  Fun.protect ~finally:(fun () -> Relay.Client.close admin) @@ fun () ->
+  (* wait for a gauge tick that saw the stream: its queue-depth gauge
+     (tick-only) appears, and the store gauges land beside it *)
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while
+    not (List.mem_assoc "stream.flights.queue_depth" (Relay.Client.stats admin))
+  do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "no gauge tick";
+    Thread.delay 0.02
+  done;
+  send 5 12;
+  let stats = Relay.Client.stats admin in
+  let keys = List.map fst stats in
+  let twice k = List.length (List.filter (String.equal k) keys) > 1 in
+  check (Alcotest.list Alcotest.string) "no STATS key appears twice" []
+    (List.sort_uniq compare (List.filter twice keys));
+  check int "store tail read live after the acked flush" 12
+    (List.assoc "store.flights.tail" stats)
+
 (* ------------------------------------------------------------------ *)
 (* Acceptance: 64 concurrent TCP subscribers, zero loss, in order       *)
 (* ------------------------------------------------------------------ *)
 
-let test_64_subscribers_zero_loss_in_order () =
-  let nsubs = 64 and nevents = 50 in
+let block_zero_loss_in_order ?shards ~nsubs () =
+  let nevents = 50 in
   (* a tight queue bound forces the Block policy to pause and resume
      the publisher repeatedly while subscribers drain *)
-  let h = Relay.start ~policy:Relay.Block ~max_queue:4 () in
-  let port = Relay.port (Relay.relay h) in
+  let h = Relay.start ?shards ~policy:Relay.Block ~max_queue:4 () in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
   let received = Array.make nsubs 0 in
@@ -377,6 +503,7 @@ let test_64_subscribers_zero_loss_in_order () =
     received;
   check bool "every subscriber saw 0..49 strictly in order" true
     (Array.for_all Fun.id ordered);
+  check_handoffs h;
   let c = Relay.Client.connect ~port () in
   let stats = Relay.Client.stats c in
   check int "no drops under block" 0
@@ -385,6 +512,9 @@ let test_64_subscribers_zero_loss_in_order () =
     (Option.value ~default:0 (List.assoc_opt "subscribers_evicted" stats));
   Relay.Client.close c;
   Relay.Client.close pub
+
+let test_64_subscribers_zero_loss_in_order () =
+  block_zero_loss_in_order ~nsubs:64 ()
 
 (* ------------------------------------------------------------------ *)
 (* Slow consumers: eviction and shedding                                *)
@@ -400,7 +530,7 @@ let test_evict_slow_consumer () =
     Relay.start ~policy:Relay.Evict_slow ~max_queue:8 ~evict_grace_s:0.75
       ~sndbuf:8192 ()
   in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
   let stalled = Relay.Client.connect ~port () in
@@ -445,7 +575,7 @@ let test_evict_slow_consumer () =
 
 let test_drop_oldest_keeps_stream_decodable () =
   let h = Relay.start ~policy:Relay.Drop_oldest ~max_queue:8 ~sndbuf:8192 () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
   let lagging = Relay.attach_consumer ~port ~stream:"flights" Abi.sparc_32 in
@@ -485,33 +615,19 @@ let test_drop_oldest_keeps_stream_decodable () =
    watermark: replay is paced in chunks from the writable callback, so
    the subscriber still receives every stored frame, in order, while
    the relay's queue never has to hold the whole backlog at once. *)
-let test_chunked_replay_backpressure () =
-  let root =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "omf-relay-replay-%d-%d" (Unix.getpid ())
-         (Random.int 1000000))
-  in
-  let rec rm path =
-    match (Unix.lstat path).Unix.st_kind with
-    | Unix.S_DIR ->
-      Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    | _ -> Sys.remove path
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-  in
-  Fun.protect ~finally:(fun () -> rm root) @@ fun () ->
+let chunked_replay_backpressure ?shards () =
+  with_store_root @@ fun root ->
   let store = Omf_store.Store.default_config ~root in
   let nevents = 400 in
   let max_queue = 16 in
-  let h = Relay.start ~max_queue ~store () in
-  let port = Relay.port (Relay.relay h) in
+  let h = Relay.start ?shards ~max_queue ~store () in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
   for seq = 0 to nevents - 1 do
     publish sender fmt seq
   done;
-  ignore (wait_stat ~port "store_appends" nevents);
+  ignore (wait_stat_on pub "store_appends" nevents);
   (* replay the whole backlog through a 16-frame watermark *)
   let sub = Relay.Client.connect ~port () in
   let start, _schema, link =
@@ -537,8 +653,11 @@ let test_chunked_replay_backpressure () =
   check int "every frame came from the store" nevents
     (stat "store_replay_frames");
   check bool "paced in multiple chunks" true (stat "store_replay_chunks" > 1);
+  check_handoffs h;
   Relay.Client.close sub;
   Relay.Client.close pub
+
+let test_chunked_replay_backpressure () = chunked_replay_backpressure ()
 
 (* ------------------------------------------------------------------ *)
 (* Graceful drain-and-shutdown                                          *)
@@ -546,7 +665,7 @@ let test_chunked_replay_backpressure () =
 
 let test_graceful_drain_on_shutdown () =
   let h = Relay.start ~sndbuf:8192 ~drain_s:10.0 () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
   let consumer = Relay.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
   let nevents = 100 in
@@ -662,7 +781,7 @@ let test_governor_overload_sheds_publish () =
       ()
   in
   Fun.protect ~finally:(fun () -> Relay.stop handle) @@ fun () ->
-  let port = Relay.port (Relay.relay handle) in
+  let port = Relay.port handle in
   let admin = Relay.Client.connect ~port () in
   Fun.protect ~finally:(fun () -> Relay.Client.close admin) @@ fun () ->
   Relay.Client.advertise admin ~stream:"storm" ~schema:Fx.schema_a;
@@ -725,29 +844,28 @@ let test_governor_overload_sheds_publish () =
    back on write, shed, eviction, and close; whatever mix of those a
    connection's life ends in, the books must balance: once every
    subscriber is gone, [used] is exactly 0 — not merely small *)
-let test_governor_accounting_symmetry () =
+let governor_accounting_symmetry ?shards () =
   let wait_used_zero h =
-    let r = Relay.relay h in
     let deadline = Unix.gettimeofday () +. 10.0 in
     let rec go () =
-      if Relay.governor_used r <> 0 && Unix.gettimeofday () < deadline then begin
+      if Relay.governor_used h <> 0 && Unix.gettimeofday () < deadline then begin
         Thread.delay 0.01;
         go ()
       end
     in
     go ();
-    Relay.governor_used r
+    Relay.governor_used h
   in
   let big_budget = Relay.Governor.config ~budget:(1 lsl 30) () in
   let nevents = 40 in
   (* phase 1: drop-oldest sheds + a draining consumer + closes *)
   (let h =
-     Relay.start ~policy:Relay.Drop_oldest ~max_queue:8 ~sndbuf:8192
+     Relay.start ?shards ~policy:Relay.Drop_oldest ~max_queue:8 ~sndbuf:8192
        ~governor:big_budget ()
    in
    Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
-   let pub, sender, fmt = make_publisher ~port:(Relay.port (Relay.relay h)) ~stream:"flights" in
-   let port = Relay.port (Relay.relay h) in
+   let port = Relay.port h in
+   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
    let stalled = Relay.Client.connect ~port () in
    ignore (Relay.Client.subscribe stalled ~stream:"flights");
    let healthy =
@@ -775,14 +893,15 @@ let test_governor_accounting_symmetry () =
    Relay.Client.close stalled;
    Relay.Client.close pub;
    check int "used returns to 0 after sheds+writes+closes" 0
-     (wait_used_zero h));
+     (wait_used_zero h);
+   check_handoffs h);
   (* phase 2: a slow-consumer eviction must also hand its bytes back *)
   let h =
-    Relay.start ~policy:Relay.Evict_slow ~max_queue:8 ~evict_grace_s:0.2
-      ~sndbuf:8192 ~governor:big_budget ()
+    Relay.start ?shards ~policy:Relay.Evict_slow ~max_queue:8
+      ~evict_grace_s:0.2 ~sndbuf:8192 ~governor:big_budget ()
   in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
   let stalled = Relay.Client.connect ~port () in
   ignore (Relay.Client.subscribe stalled ~stream:"flights");
@@ -793,7 +912,10 @@ let test_governor_accounting_symmetry () =
   ignore (wait_stat ~port "subscribers_evicted" 1);
   Relay.Client.close stalled;
   Relay.Client.close pub;
-  check int "used returns to 0 after an eviction" 0 (wait_used_zero h)
+  check int "used returns to 0 after an eviction" 0 (wait_used_zero h);
+  check_handoffs h
+
+let test_governor_accounting_symmetry () = governor_accounting_symmetry ()
 
 (* ------------------------------------------------------------------ *)
 (* Control protocol codec (Relay_proto)                                 *)
@@ -1015,7 +1137,7 @@ let prop_proto_decoders_total =
 let test_second_hello_refused () =
   let key = ("k", "a shared capture-point secret") in
   let h = Relay.start ~auth_keys:[ key ] () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let c = Relay.Client.connect ~port ~auth:key () in
   (match Relay.Client.rpc c (Proto.Hello [ ("auth", "hmac"); ("key-id", "k") ]) with
@@ -1044,7 +1166,11 @@ let () =
             test_scoped_credentials_over_tcp
         ; Alcotest.test_case "unknown stream / role errors" `Quick
             test_unknown_stream_and_role_errors
-        ; Alcotest.test_case "stats protocol" `Quick test_stats_protocol ] )
+        ; Alcotest.test_case "stats protocol" `Quick test_stats_protocol
+        ; Alcotest.test_case "LIST excludes unknown streams" `Quick
+            test_list_excludes_unknown_streams
+        ; Alcotest.test_case "STATS keys unique, store gauges live" `Quick
+            test_stats_keys_unique_and_live ] )
     ; ( "scale",
         [ Alcotest.test_case "64 TCP subscribers, zero loss, in order" `Quick
             test_64_subscribers_zero_loss_in_order ] )
@@ -1064,6 +1190,17 @@ let () =
             test_governor_overload_sheds_publish
         ; Alcotest.test_case "byte accounting symmetry" `Quick
             test_governor_accounting_symmetry ] )
+    ; ( "sharded",
+        [ Alcotest.test_case "fan-out + descriptor replay" `Quick (fun () ->
+              pubsub_and_descriptor_replay ~shards:2 ~joiners:3 ())
+        ; Alcotest.test_case "Block backpressure, zero loss" `Quick (fun () ->
+              block_zero_loss_in_order ~shards:2 ~nsubs:8 ())
+        ; Alcotest.test_case "stored from= replay" `Quick (fun () ->
+              chunked_replay_backpressure ~shards:2 ())
+        ; Alcotest.test_case "governor accounting symmetry" `Quick (fun () ->
+              governor_accounting_symmetry ~shards:2 ())
+        ; Alcotest.test_case "set_scope credential scoping" `Quick (fun () ->
+              scoped_credentials_over_tcp ~shards:2 ()) ] )
     ; ( "shutdown",
         [ Alcotest.test_case "graceful drain" `Quick
             test_graceful_drain_on_shutdown ] )

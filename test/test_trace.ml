@@ -253,7 +253,7 @@ let test_single_relay_stages () =
     Relay.start ~trace:(Trace.settings ~sample:0.0 ()) ~store:(store_cfg root)
       ()
   in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let ctx = Trace.make ~sampled:true () in
   let pub, sender, fmt =
@@ -278,8 +278,8 @@ let test_single_relay_stages () =
   in
   poll ~what:"all five stages recorded" (fun () ->
       has_stages ~trace_id:ctx.Trace.trace_id ~want
-        (Relay.trace_spans (Relay.relay h)));
-  let spans = Relay.trace_spans (Relay.relay h) in
+        (Relay.trace_spans h));
+  let spans = Relay.trace_spans h in
   (* every span hangs off the publisher's context *)
   List.iter
     (fun sp ->
@@ -308,7 +308,7 @@ let test_single_relay_stages () =
 (* an untraced relay mints nothing and serves no trace metadata *)
 let test_tracing_off_is_inert () =
   let h = Relay.start () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let ctx = Trace.make ~sampled:true () in
   let pub, sender, fmt =
@@ -320,7 +320,7 @@ let test_tracing_off_is_inert () =
   poll ~what:"frames relayed" (fun () ->
       relay_stat ~port "events_relayed" >= 5);
   check int "no spans without trace settings" 0
-    (List.length (Relay.trace_spans (Relay.relay h)));
+    (List.length (Relay.trace_spans h));
   let c = Relay.Client.connect ~port () in
   let meta, _schema = Relay.Client.describe c ~stream:"flights" in
   check bool "no trace= metadata either" true
@@ -332,15 +332,15 @@ let test_tracing_off_is_inert () =
    minted at the configured rate *)
 let test_relay_head_sampling () =
   let h = Relay.start ~trace:(Trace.settings ~sample:1.0 ()) () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" () in
   for seq = 0 to 4 do
     publish sender fmt seq
   done;
   poll ~what:"relay-minted spans" (fun () ->
-      Relay.trace_spans (Relay.relay h) <> []);
-  let spans = Relay.trace_spans (Relay.relay h) in
+      Relay.trace_spans h <> []);
+  let spans = Relay.trace_spans h in
   let ids =
     List.sort_uniq compare (List.map (fun sp -> sp.Trace.sp_trace) spans)
   in
@@ -353,7 +353,7 @@ let test_relay_head_sampling () =
 
 let test_session_trace_handoff () =
   let h = Relay.start ~trace:(Trace.settings ~sample:0.0 ()) () in
-  let port = Relay.port (Relay.relay h) in
+  let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let ctx = Trace.make ~sampled:true () in
   let cfg = Relay.Session.config ~port () in
@@ -393,12 +393,12 @@ let test_mirror_chain_trace () =
   with_root @@ fun root_b ->
   let tset = Trace.settings ~sample:0.0 () in
   let ha = Relay.start ~trace:tset ~store:(store_cfg root_a) () in
-  let port_a = Relay.port (Relay.relay ha) in
+  let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
   let hb = Relay.start ~trace:tset ~store:(store_cfg root_b) () in
-  let port_b = Relay.port (Relay.relay hb) in
+  let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
-  let id_b = Relay.relay_id (Relay.relay hb) in
+  let id_b = Relay.relay_id hb in
   let ctx = Trace.make ~sampled:true () in
   let pub, sender, fmt =
     make_publisher ~trace:ctx ~port:port_a ~stream:"flights" ()
@@ -441,8 +441,8 @@ let test_mirror_chain_trace () =
     | None -> Alcotest.fail "replica subscriber closed early"
   done;
   let all_spans () =
-    Relay.trace_spans (Relay.relay ha)
-    @ Relay.trace_spans (Relay.relay hb)
+    Relay.trace_spans ha
+    @ Relay.trace_spans hb
     @ Mirror.trace_spans m
   in
   let want =
@@ -453,7 +453,7 @@ let test_mirror_chain_trace () =
       has_stages ~trace_id:ctx.Trace.trace_id ~want (all_spans ())
       && has_stages ~trace_id:ctx.Trace.trace_id
            ~want:[ "publish_admit"; "store_append" ]
-           (Relay.trace_spans (Relay.relay hb)));
+           (Relay.trace_spans hb));
   (* the mirror's hop is tagged shard -1 *)
   List.iter
     (fun sp ->
