@@ -1,39 +1,18 @@
 (** Relay-to-relay stream replication (doc/MIRROR.md, PROTOCOLS.md §15).
 
-    A mirror runs next to a local relay and keeps it a live replica of
-    a source relay: it lists the source's streams, and for each one it
-    wants it re-advertises the stream locally with the source's
-    metadata verbatim (registry binding plus [origin]/[epoch] tag),
-    enters the local relay as a [mirror=1] publisher — the only writer
-    admitted past the read-only gate on a foreign-origin stream — and
-    pumps the source's descriptor/message frames into it, resuming
-    from the local store's tail so offsets stay aligned with the
-    source and a consumer can fail over by resubscribing at its next
-    expected offset.
-
-    Loop prevention is the origin tag: a stream whose origin is the
-    {e local} relay id is skipped client-side (its frames would only
-    come back around), and the relay's advertise/publish gates refuse
-    anything the tag arbitration loses (stale epochs after a promote,
-    a relay's own advert arriving around a cycle), so an A<->B
-    bidirectional pair replicates each stream exactly once in the
-    right direction.
-
-    Failure handling mirrors {!Omf_relay.Relay.Session}: a broken link
-    tears down both sides and re-handshakes under a bounded
-    exponential-backoff budget ([publish_mirror] returns the fresh
-    local tail, which is exactly the resume point). An exhausted
-    budget with [promote_on_loss] promotes the stream locally — the
-    replica becomes writable at a bumped epoch and consumers carry on
-    against it; without it the link parks until the next manager
-    rescan finds the source again. *)
+    Per replicated stream, one link: a {!Omf_relay.Relay.Session}
+    subscriber on the source feeding one acked [mirror=1] Session
+    publisher on the local relay. Recovery (reconnect, backoff, busy
+    waits, handshake replay) is the Sessions'; what lives here is
+    discovery, the DESCRIBE-time loop guard, promotion and accounting.
+    See mirror.mli for the full contract. *)
 
 module Relay = Omf_relay.Relay
 module Proto = Omf_relay.Relay_proto
 module Client = Relay.Client
+module Session = Relay.Session
 module Counters = Omf_util.Counters
 module Trace = Omf_trace.Trace
-open Omf_transport
 
 let log = Logs.Src.create "omf.mirror" ~doc:"relay-to-relay replication"
 
@@ -45,38 +24,17 @@ type config = {
   local_host : string;
   local_port : int;
   local_relay_id : string;
-      (** the local relay's replication identity
-          ({!Omf_relay.Relay.relay_id}) — the client-side loop guard:
-          source streams carrying this origin are our own and are
-          never replicated back *)
   globs : string list;
-      (** replicate only streams matching one of these patterns
-          (['*'] wildcards); [[]] = every stream *)
-  rescan_s : float;  (** manager period: stream discovery + lag gauges *)
+  rescan_s : float;
   max_attempts : int;
-      (** consecutive failed re-handshakes before a link declares the
-          source lost *)
-  base_delay_s : float;  (** first backoff step *)
-  max_delay_s : float;  (** backoff cap *)
+  base_delay_s : float;
+  max_delay_s : float;
   promote_on_loss : bool;
-      (** on a lost source, promote the stream locally (bumped epoch)
-          instead of parking the link *)
   source_auth : (string * string) option;
   local_auth : (string * string) option;
   compress : bool;
-      (** offer [comp=lz] on both legs of every replication link
-          (PROTOCOLS.md §18): the replay/live frame stream from the
-          source and the [mirror=1] re-publish into the local relay
-          both travel as LZ blocks when the peer grants it, and
-          negotiate down transparently when it doesn't *)
   io_timeout_s : float;
-      (** per-operation deadline on every connection; also how quickly
-          an idle pump notices a stop request *)
   trace : Trace.settings option;
-      (** record [mirror_replicate] spans (doc/TRACE.md, PROTOCOLS.md
-          §17): the mirror adopts the source stream's trace context
-          (served in DESCRIBE metadata) and re-attaches it to the
-          local [mirror=1] PUBLISH, so one trace crosses relays *)
 }
 
 let config ?(globs = []) ?(rescan_s = 1.0) ?(max_attempts = 8)
@@ -116,7 +74,9 @@ let wanted (cfg : config) (stream : string) : bool =
 type link_state = {
   l_stream : string;
   mutable l_thread : Thread.t option;
-  mutable l_stop : bool;
+  mutable l_pub : Session.publisher option;
+  mutable l_sub : Session.subscriber option;
+      (** the live sessions: {!stop} closes them to end the link *)
   mutable l_done : bool;  (** thread returned; manager may respawn *)
   mutable l_promoted : bool;  (** stream promoted locally: link retired *)
   mutable l_replicated : int;  (** message frames pumped by this link *)
@@ -148,162 +108,49 @@ let link_frames (t : t) : (string * int) list =
   Mutex.unlock t.mu;
   List.sort compare l
 
-(** Interruptible sleep: wakes within 50ms of a stop request. *)
-let nap (t : t) (ls : link_state option) (secs : float) =
-  let deadline = Unix.gettimeofday () +. secs in
-  let stop_asked () =
-    t.stopped || match ls with Some l -> l.l_stop | None -> false
-  in
-  let rec go () =
-    let left = deadline -. Unix.gettimeofday () in
-    if left > 0.0 && not (stop_asked ()) then begin
-      Thread.delay (Float.min 0.05 left);
-      go ()
-    end
-  in
-  go ()
-
 (* ------------------------------------------------------------------ *)
-(* One replication session                                              *)
+(* One replication link                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let connect_source (cfg : config) : Client.t =
-  Client.connect ~host:cfg.source_host ~port:cfg.source_port
-    ?auth:cfg.source_auth ~compress:cfg.compress
-    ~io_timeout_s:cfg.io_timeout_s ()
+(** What the source's DESCRIBE says a link replicates. *)
+type advert = {
+  meta : (string * string) list;  (** source metadata, [trace=] stripped *)
+  schema : string;
+  origin : string;
+  epoch : int;
+  trace : Trace.ctx option;  (** adopted for the local [mirror=1] PUBLISH *)
+}
 
-let connect_local (cfg : config) : Client.t =
-  Client.connect ~host:cfg.local_host ~port:cfg.local_port
-    ?auth:cfg.local_auth ~compress:cfg.compress
-    ~io_timeout_s:cfg.io_timeout_s ()
+(* Frames the local publisher may hold unacknowledged. Acks follow the
+   local store's fsync (relayd's default: every 0.1 s), so the window
+   caps a link at window / fsync-interval frames/s. *)
+let ack_window = 8192
 
-type session_end =
-  | Stopped  (** stop requested mid-pump *)
-  | Refused  (** gate refusal / vanished stream: park until rescan *)
-  | Busy of int
-      (** a relay shed the handshake with [busy retry_ms=N]
-          (PROTOCOLS.md §16): pause catch-up for the hinted delay and
-          retry — overload is neither an outage nor a refusal, so it
-          burns no reconnect budget and never parks the link *)
-  | Lost of bool  (** link broke; [true] = the session had established *)
+(* The source session gets no read deadline: an idle source is not a
+   broken one, and {!stop} wakes the pump by closing the session. *)
+let session_config ?io_timeout_s (cfg : config) ~host ~port ~auth =
+  Session.config ~host ?auth ~compress:cfg.compress
+    ~max_attempts:cfg.max_attempts ~base_delay_s:cfg.base_delay_s
+    ~max_delay_s:cfg.max_delay_s ~connect_timeout_s:cfg.io_timeout_s
+    ?io_timeout_s ~port ()
 
-(** Run one full replication session for [ls.l_stream]: handshake both
-    sides, then pump until something breaks. *)
-let replicate_once (t : t) (ls : link_state) : session_end =
-  let cfg = t.cfg in
-  let stream = ls.l_stream in
-  let established = ref false in
-  match
-    let src = connect_source cfg in
-    Fun.protect ~finally:(fun () -> Client.close src) @@ fun () ->
-    let meta, schema = Client.describe src ~stream in
-    let origin, epoch = Proto.tag meta ~relay_id:"" in
-    if origin = "" then begin
-      (* source predates origin tags: replicating without arbitration
-         could amplify cycles, so refuse *)
-      Counters.incr t.counters "untagged_skipped";
-      Refused
-    end
-    else if String.equal origin cfg.local_relay_id then begin
-      (* our own stream coming back around a cycle *)
-      Counters.incr t.counters "loops_skipped";
-      Refused
-    end
-    else begin
-      (* §17: the source relay serves the stream's trace context as a
-         [trace=] DESCRIBE metadata line. Adopt it for the local
-         [mirror=1] PUBLISH — downstream spans join the same trace —
-         and strip it before re-advertising: it is per-publisher state,
-         not stream metadata to persist. *)
-      let trace, meta = Proto.split_trace meta in
-      let trace = if t.trace_col = None then None else trace in
-      let lc = connect_local cfg in
-      Fun.protect ~finally:(fun () -> Client.close lc) @@ fun () ->
-      Client.advertise lc ~meta ~stream ~schema;
-      let wm, local_link =
-        Client.publish_mirror ?trace lc ~stream ~origin ~epoch
-      in
-      (* the local tail is the exact resume point: source offsets and
-         local offsets are aligned (both dense from 0, appended in the
-         same order), so failover consumers resume seamlessly *)
-      let from = match wm with Some (_, tail) -> tail | None -> -1 in
-      let off, _schema, src_link = Client.subscribe_from src ~stream ~from in
-      (match (off, wm) with
-      | Some start, Some _ when from >= 0 && start > from ->
-        (* source retention outran this replica: the gap is gone *)
-        Counters.incr t.counters "resume_gap_clamped"
-      | _ -> ());
-      established := true;
-      Counters.incr t.counters "links_established";
-      Log.info (fun m ->
-          m "stream %s: replicating %s@%d from offset %d" stream origin epoch
-            from);
-      (* forward one message frame, recording a [mirror_replicate]
-         span (time to hand the frame to the local relay) when the
-         stream's trace is sampled or the send was slow *)
-      let send_traced frame =
-        match (t.trace_col, trace) with
-        | Some col, Some ctx ->
-          let t0 = Trace.now_us () in
-          Link.send local_link frame;
-          let dur = Trace.now_us () - t0 in
-          if Trace.should_record col ~sampled:ctx.Trace.sampled ~dur_us:dur
-          then begin
-            Trace.record col ~trace:ctx.Trace.trace_id
-              ~parent:ctx.Trace.span_id ~stage:"mirror_replicate" ~stream
-              ~start_us:t0 ~dur_us:dur;
-            Counters.observe t.counters "stage_us.mirror_replicate" dur
-          end
-        | _ -> Link.send local_link frame
-      in
-      let rec pump () =
-        if ls.l_stop || t.stopped then Stopped
-        else
-          match Link.recv src_link with
-          | Some frame
-            when Bytes.length frame > 0
-                 && Char.equal (Bytes.get frame 0) Endpoint.frame_descriptor
-            ->
-            Link.send local_link frame;
-            Counters.incr t.counters "descriptors_replicated";
-            pump ()
-          | Some frame
-            when Bytes.length frame > 0
-                 && Char.equal (Bytes.get frame 0) Endpoint.frame_message ->
-            send_traced frame;
-            ls.l_replicated <- ls.l_replicated + 1;
-            Counters.incr t.counters "frames_replicated";
-            pump ()
-          | Some _ -> pump ()
-          | None -> Lost true
-          | exception Link.Timeout ->
-            (* idle source: just a chance to notice a stop request *)
-            pump ()
-      in
-      pump ()
-    end
-  with
-  | v -> v
-  | exception Client.Busy { retry_ms } ->
-    Counters.incr t.counters "busy_backoffs";
-    Log.info (fun m ->
-        m "stream %s: relay overloaded; pausing catch-up %dms" stream retry_ms);
-    Busy retry_ms
-  | exception Client.Error msg when Proto.is_refusal msg ->
-    Counters.incr t.counters "links_refused";
-    Log.info (fun m -> m "stream %s: refused: %s" stream msg);
-    Refused
-  | exception e when Client.transient e -> Lost !established
+(** One control exchange (LIST, DESCRIBE, STATS, PROMOTE) on a
+    short-lived connection to the source or the local relay. *)
+let with_client (t : t) ~local f =
+  let c = t.cfg in
+  let host, port, auth =
+    if local then (c.local_host, c.local_port, c.local_auth)
+    else (c.source_host, c.source_port, c.source_auth)
+  in
+  let client =
+    Client.connect ~host ~port ?auth ~io_timeout_s:c.io_timeout_s ()
+  in
+  Fun.protect ~finally:(fun () -> Client.close client) (fun () -> f client)
 
 (** The source is gone for good (budget exhausted): take ownership
     locally so consumers keep a writable stream. *)
 let promote_local (t : t) (ls : link_state) =
-  match
-    let lc = connect_local t.cfg in
-    Fun.protect
-      ~finally:(fun () -> Client.close lc)
-      (fun () -> Client.promote lc ~stream:ls.l_stream)
-  with
+  match with_client t ~local:true (Client.promote ~stream:ls.l_stream) with
   | epoch ->
     ls.l_promoted <- true;
     Counters.incr t.counters "promotes";
@@ -315,87 +162,195 @@ let promote_local (t : t) (ls : link_state) =
     Log.err (fun m ->
         m "stream %s: promote failed: %s" ls.l_stream (Printexc.to_string e))
 
-(** Per-stream link driver: session after session under the reconnect
-    budget. Consecutive failures count against [max_attempts]; any
-    established session resets the clock. *)
-let link_loop (t : t) (ls : link_state) =
-  let cfg = t.cfg in
-  let failures = ref 0 in
-  let running = ref true in
-  while (not ls.l_stop) && (not t.stopped) && !running do
-    (match replicate_once t ls with
-    | Stopped -> running := false
-    | Refused -> running := false  (* parked; the next rescan retries *)
-    | Busy retry_ms ->
-      (* graceful degradation, not failure: announce the lag (the
-         gauges keep refreshing from the manager) and retry after the
-         relay's own hint without touching the failure budget *)
-      nap t (Some ls) (float_of_int retry_ms /. 1000.)
-    | Lost established ->
-      if established then failures := 0;
-      incr failures;
-      Counters.incr t.counters "reconnects";
-      if !failures >= cfg.max_attempts then begin
-        Counters.incr t.counters "sources_lost";
-        if cfg.promote_on_loss && not (ls.l_stop || t.stopped) then
-          promote_local t ls;
-        running := false
-      end
-      else
-        nap t (Some ls)
-          (Float.min cfg.max_delay_s
-             (cfg.base_delay_s *. (2.0 ** float_of_int (!failures - 1)))));
-    ()
-  done;
-  ls.l_done <- true
+(** Fold the two sessions' own counts into the mirror's counters, so
+    [reconnects], [busy_backoffs] and [descriptors_replicated] (distinct
+    descriptors learned) move while the link is live. *)
+let tally (t : t) sub pub =
+  let last = Array.make 3 0 in
+  fun () ->
+    List.iteri
+      (fun i (key, now) ->
+        if now > last.(i) then begin
+          Counters.incr t.counters ~by:(now - last.(i)) key;
+          last.(i) <- now
+        end)
+      [ ( "reconnects"
+        , Session.subscriber_reconnects sub + Session.publisher_reconnects pub )
+      ; ( "busy_backoffs"
+        , Session.subscriber_busy_waits sub + Session.publisher_busy_waits pub )
+      ; ("descriptors_replicated", (Session.subscriber_stats sub).formats_learned)
+      ]
+
+(** Hand one message frame to the local relay, recording a
+    [mirror_replicate] span when the stream's trace is sampled or the
+    hand-off was slow. *)
+let forward (t : t) (ls : link_state) (ad : advert) pub (fmt, msg) =
+  ls.l_replicated <- ls.l_replicated + 1;
+  Counters.incr t.counters "frames_replicated";
+  match (t.trace_col, ad.trace) with
+  | Some col, Some ctx ->
+    let t0 = Trace.now_us () in
+    Session.publish_frame pub fmt msg;
+    let dur = Trace.now_us () - t0 in
+    if Trace.should_record col ~sampled:ctx.Trace.sampled ~dur_us:dur then begin
+      Trace.record col ~trace:ctx.Trace.trace_id ~parent:ctx.Trace.span_id
+        ~stage:"mirror_replicate" ~stream:ls.l_stream ~start_us:t0 ~dur_us:dur;
+      Counters.observe t.counters "stage_us.mirror_replicate" dur
+    end
+  | _ -> Session.publish_frame pub fmt msg
+
+(** One link: the local publisher's handshake fixes the resume point,
+    the source subscriber starts there, and frames are pumped until the
+    mirror stops or a session fails. Either way the publisher is
+    flushed (best-effort) before it closes, so nothing is in flight
+    when the link re-handshakes or the stream is promoted. *)
+let replicate (t : t) (ls : link_state) (ad : advert) =
+  let cfg = t.cfg and stream = ls.l_stream in
+  let pub =
+    Session.publisher ~window:ack_window ~acked:true ~meta:ad.meta
+      ~mirror:(ad.origin, ad.epoch) ?trace:ad.trace
+      (session_config cfg ~host:cfg.local_host ~port:cfg.local_port
+         ~auth:cfg.local_auth ~io_timeout_s:cfg.io_timeout_s)
+      ~stream ~schema:ad.schema Omf_machine.Abi.native
+  in
+  ls.l_pub <- Some pub;
+  Fun.protect ~finally:(fun () ->
+      if not t.stopped then (try Session.flush_acked pub with _ -> ());
+      Session.close_publisher pub)
+  @@ fun () ->
+  let from =
+    if Session.publisher_acked pub then Session.publisher_durable pub else -1
+  in
+  let sub =
+    Session.subscribe ~from
+      (session_config cfg ~host:cfg.source_host ~port:cfg.source_port
+         ~auth:cfg.source_auth)
+      ~stream Omf_machine.Abi.native
+  in
+  ls.l_sub <- Some sub;
+  Fun.protect ~finally:(fun () -> Session.close_subscriber sub) @@ fun () ->
+  if from >= 0 && Session.subscriber_offset sub > from then
+    (* source retention outran this replica: the gap is gone *)
+    Counters.incr t.counters "resume_gap_clamped";
+  Counters.incr t.counters "links_established";
+  Log.info (fun m ->
+      m "stream %s: replicating %s@%d from offset %d" stream ad.origin ad.epoch
+        from);
+  let tally = tally t sub pub in
+  let rec pump () =
+    if not t.stopped then
+      match Session.recv_subscriber_raw sub with
+      | None -> ()
+      | Some frame ->
+        forward t ls ad pub frame;
+        tally ();
+        pump ()
+  in
+  Fun.protect ~finally:tally pump
+
+(** Per-stream link thread: {!replicate}, and on the way out decide
+    between pausing (busy), promoting (source lost) and parking until
+    the next rescan (refusal or any other failure). *)
+let rec link_thread (t : t) (ls : link_state) (ad : advert) =
+  let stream = ls.l_stream in
+  match replicate t ls ad with
+  | () -> ls.l_done <- true
+  | exception Client.Busy { retry_ms } ->
+    (* overload is neither an outage nor a refusal *)
+    Counters.incr t.counters "busy_backoffs";
+    Log.info (fun m ->
+        m "stream %s: relay overloaded; pausing the link %dms" stream retry_ms);
+    Thread.delay (float_of_int retry_ms /. 1000.);
+    if t.stopped then ls.l_done <- true else link_thread t ls ad
+  | exception Session.Gave_up msg ->
+    Counters.incr t.counters "sources_lost";
+    Log.warn (fun m -> m "stream %s: %s" stream msg);
+    if t.cfg.promote_on_loss && not t.stopped then promote_local t ls;
+    ls.l_done <- true
+  | exception e ->
+    (match e with
+    | Client.Error msg when Proto.is_refusal msg ->
+      Counters.incr t.counters "links_refused"
+    | _ -> ());
+    Log.info (fun m ->
+        m "stream %s: link parked: %s" stream (Printexc.to_string e));
+    ls.l_done <- true
 
 (* ------------------------------------------------------------------ *)
 (* Manager: discovery + lag gauges                                      *)
 (* ------------------------------------------------------------------ *)
 
-let spawn_link (t : t) (stream : string) =
+(** DESCRIBE a stream and apply the loop guard: only a tagged stream
+    that did not originate here gets a link. *)
+let describe (t : t) src (stream : string) : advert option =
+  match Client.describe src ~stream with
+  | exception Client.Error msg when Proto.is_refusal msg ->
+    Counters.incr t.counters "links_refused";
+    Log.info (fun m -> m "stream %s: refused: %s" stream msg);
+    None
+  | meta, schema ->
+    let origin, epoch = Proto.tag meta ~relay_id:"" in
+    if origin = "" then begin
+      (* source predates origin tags: replicating without arbitration
+         could amplify cycles, so refuse *)
+      Counters.incr t.counters "untagged_skipped";
+      None
+    end
+    else if String.equal origin t.cfg.local_relay_id then begin
+      (* our own stream coming back around a cycle *)
+      Counters.incr t.counters "loops_skipped";
+      None
+    end
+    else
+      (* §17: the source relay serves the stream's trace context as a
+         [trace=] DESCRIBE metadata line. Adopt it for the local
+         [mirror=1] PUBLISH — downstream spans join the same trace —
+         and strip it before re-advertising: it is per-publisher state,
+         not stream metadata to persist. *)
+      let trace, meta = Proto.split_trace meta in
+      let trace = if t.trace_col = None then None else trace in
+      Some { meta; schema; origin; epoch; trace }
+
+let spawn_link (t : t) (stream : string) (ad : advert) =
   let ls =
-    { l_stream = stream; l_thread = None; l_stop = false; l_done = false
-    ; l_promoted = false; l_replicated = 0 }
+    { l_stream = stream; l_thread = None; l_pub = None; l_sub = None
+    ; l_done = false; l_promoted = false; l_replicated = 0 }
   in
   Hashtbl.replace t.links stream ls;
   Counters.incr t.counters "streams_linked";
-  ls.l_thread <- Some (Thread.create (fun () -> link_loop t ls) ())
+  ls.l_thread <- Some (Thread.create (fun () -> link_thread t ls ad) ())
 
-(** One manager pass: LIST the source, link every wanted stream that
-    has no live (or retired-by-promote) link, and refresh the
-    per-stream replication-lag gauges from both ends' STATS. *)
+(** One manager pass: LIST the source, DESCRIBE and link every wanted
+    stream that has no live (or retired-by-promote) link, and refresh
+    the per-stream replication-lag gauges from both ends' STATS. *)
 let scan (t : t) =
-  let src = connect_source t.cfg in
-  Fun.protect ~finally:(fun () -> Client.close src) @@ fun () ->
+  with_client t ~local:false @@ fun src ->
   let streams = Client.list_streams src |> List.filter (wanted t.cfg) in
-  Mutex.lock t.mu;
-  let to_spawn =
-    List.filter
-      (fun s ->
-        match Hashtbl.find_opt t.links s with
-        | None -> not t.stopped
-        | Some ls -> ls.l_done && (not ls.l_promoted) && not t.stopped)
-      streams
+  let needs_link s =
+    Mutex.lock t.mu;
+    let r =
+      match Hashtbl.find_opt t.links s with
+      | None -> not t.stopped
+      | Some ls -> ls.l_done && (not ls.l_promoted) && not t.stopped
+    in
+    Mutex.unlock t.mu;
+    r
   in
-  Mutex.unlock t.mu;
   List.iter
     (fun s ->
-      Mutex.lock t.mu;
-      spawn_link t s;
-      Mutex.unlock t.mu)
-    to_spawn;
+      if needs_link s then
+        Option.iter
+          (fun ad ->
+            Mutex.lock t.mu;
+            if not t.stopped then spawn_link t s ad;
+            Mutex.unlock t.mu)
+          (describe t src s))
+    streams;
   (* replication lag: source tail minus local tail, per linked stream.
      The gauge names follow the <group>.<subject>.<metric> convention,
      so /metrics renders them as
      omf_..._mirror_lag_frames{stream="..."}. *)
-  match
-    let src_stats = Client.stats src in
-    let lc = connect_local t.cfg in
-    Fun.protect
-      ~finally:(fun () -> Client.close lc)
-      (fun () -> (src_stats, Client.stats lc))
-  with
+  match (Client.stats src, with_client t ~local:true Client.stats) with
   | src_stats, local_stats ->
     List.iter
       (fun stream ->
@@ -412,11 +367,14 @@ let scan (t : t) =
   | exception _ -> ()
 
 let manager_loop (t : t) =
+  (* sleep rescan_s in steps of at most 50 ms, so {!stop} is noticed *)
+  let step = Float.min 0.05 t.cfg.rescan_s in
+  let rec nap n =
+    if n > 0 && not t.stopped then (Thread.delay step; nap (n - 1))
+  in
   while not t.stopped do
-    (match scan t with
-    | () -> ()
-    | exception _ -> Counters.incr t.counters "scan_failures");
-    nap t None t.cfg.rescan_s
+    (try scan t with _ -> Counters.incr t.counters "scan_failures");
+    nap (int_of_float (Float.round (t.cfg.rescan_s /. step)))
   done
 
 (* ------------------------------------------------------------------ *)
@@ -443,11 +401,17 @@ let start (cfg : config) : t =
 let stop (t : t) : unit =
   if not t.stopped then begin
     t.stopped <- true;
+    Option.iter Thread.join t.manager;
+    t.manager <- None;
     Mutex.lock t.mu;
     let links = Hashtbl.fold (fun _ ls acc -> ls :: acc) t.links [] in
     Mutex.unlock t.mu;
-    List.iter (fun ls -> ls.l_stop <- true) links;
-    Option.iter Thread.join t.manager;
-    t.manager <- None;
+    (* closing the sessions wakes a pump blocked on an idle source or in
+       either session's reconnect loop *)
+    List.iter
+      (fun ls ->
+        Option.iter Session.close_subscriber ls.l_sub;
+        Option.iter Session.close_publisher ls.l_pub)
+      links;
     List.iter (fun ls -> Option.iter Thread.join ls.l_thread) links
   end

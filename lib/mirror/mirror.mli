@@ -1,26 +1,34 @@
 (** Relay-to-relay stream replication with failover (doc/MIRROR.md,
     PROTOCOLS.md §15).
 
-    A mirror keeps a local relay a live replica of a source relay: per
-    replicated stream it re-advertises the source's metadata verbatim
-    (registry binding plus the [origin]/[epoch] replication tag),
-    enters the local relay as a [mirror=1] publisher — the only writer
-    a foreign-origin (read-only) stream admits — and pumps the
-    source's descriptor/message frames in, resuming from the local
-    store's tail so store offsets stay aligned end to end. Consumers
-    fail over with their ordinary {!Omf_relay.Relay.Session} resume
-    path: resubscribe against the mirror at the next expected offset.
+    A mirror keeps a local relay a live replica of a source relay. Its
+    manager lists the source's streams and DESCRIBEs each one it wants;
+    per stream it then runs one link made of two
+    {!Omf_relay.Relay.Session}s: a subscriber on the source feeding an
+    acked [mirror=1] publisher on the local relay. The publisher
+    re-advertises the source's metadata verbatim (registry binding plus
+    the [origin]/[epoch] replication tag) and is the only writer a
+    foreign-origin (read-only) stream admits. Its acked handshake syncs
+    the local store, so the durable watermark it returns is the local
+    tail: the source offset the subscriber starts from. Store offsets
+    thus stay aligned end to end, and consumers fail over with their
+    ordinary Session resume path: resubscribe against the mirror at the
+    next expected offset.
 
     Loop prevention is origin-tagged: streams whose origin is the
-    local relay are skipped client-side, and the relay's gates refuse
-    stale epochs and a relay's own adverts arriving around a cycle —
-    an A<->B pair replicates each stream exactly once, in one
+    local relay are skipped at DESCRIBE time, and the relay's gates
+    refuse stale epochs and a relay's own adverts arriving around a
+    cycle — an A<->B pair replicates each stream exactly once, in one
     direction, with no frame amplification.
 
-    A broken link re-handshakes under a bounded exponential-backoff
-    budget; when the budget is exhausted and [promote_on_loss] is set,
-    the stream is promoted locally (ownership transfers at a bumped
-    epoch) so publishers and consumers carry on against the replica. *)
+    Each side of a link reconnects on its own under Session's jittered
+    backoff budget and replays its handshake. When the source's budget
+    is exhausted ({!Omf_relay.Relay.Session.Gave_up}) and
+    [promote_on_loss] is set, the stream is promoted locally (ownership
+    transfers at a bumped epoch) so publishers and consumers carry on
+    against the replica; without it — and after a refusal — the link
+    parks until the next rescan. A [busy] reply from either relay
+    pauses the link for the relay's hint and spends no budget. *)
 
 type config = {
   source_host : string;
@@ -29,14 +37,16 @@ type config = {
   local_port : int;
   local_relay_id : string;
       (** the local relay's identity ({!Omf_relay.Relay.relay_id}) —
-          the client-side loop guard *)
+          the loop guard: source streams with this origin are our own *)
   globs : string list;
       (** replicate only matching streams (['*'] wildcards); [[]] =
           all *)
-  rescan_s : float;
+  rescan_s : float;  (** manager period: discovery + lag gauges *)
   max_attempts : int;
+      (** each Session's reconnect budget per outage: exhausted on the
+          source, the source is lost *)
   base_delay_s : float;
-  max_delay_s : float;
+  max_delay_s : float;  (** Session backoff: first step and cap *)
   promote_on_loss : bool;
   source_auth : (string * string) option;
   local_auth : (string * string) option;
@@ -46,6 +56,9 @@ type config = {
           that does not speak compression negotiates down to plain
           frames, so the flag is safe against old peers *)
   io_timeout_s : float;
+      (** connect deadline on every connection, and the per-operation
+          deadline on the local leg and the manager's; the source leg
+          has no read deadline, so an idle link stays up *)
   trace : Omf_trace.Trace.settings option;
       (** record [mirror_replicate] spans and carry the source
           stream's trace context across relays (doc/TRACE.md,
@@ -71,9 +84,9 @@ val config :
   local_relay_id:string ->
   unit ->
   config
-(** Defaults: every stream, rescan every 1s, 8 consecutive failed
-    re-handshakes before the source is declared lost (backoff
-    0.05s..1s), no promote-on-loss, 0.5s per-operation deadline. *)
+(** Defaults: every stream, rescan every 1s, 8 reconnect attempts per
+    outage before the source is declared lost (jittered backoff
+    0.05s..1s), no promote-on-loss, 0.5s deadline. *)
 
 type t
 
@@ -84,16 +97,20 @@ val start : config -> t
     gauges (source tail minus local tail). *)
 
 val stop : t -> unit
-(** Stop the manager and every link thread and join them. Links notice
-    within [io_timeout_s]; replicated streams stay advertised (and
+(** Stop the manager, close every link's sessions and return once every
+    link thread has exited. Replicated streams stay advertised (and
     read-only) on the local relay. *)
 
 val counters : t -> Omf_util.Counters.t
-(** Live counters — [frames_replicated], [descriptors_replicated],
-    [streams_linked], [links_established], [loops_skipped],
-    [reconnects], [sources_lost], [promotes], and the per-stream
-    [mirror.<stream>.lag_frames] gauges. The embedding daemon merges
-    these into its STATS / [/metrics] output. *)
+(** Live counters — [frames_replicated], [descriptors_replicated]
+    (distinct descriptors learned), [streams_linked],
+    [links_established], [loops_skipped], [untagged_skipped],
+    [links_refused], [reconnects] (both sessions'), [busy_backoffs],
+    [resume_gap_clamped], [sources_lost], [promotes],
+    [promote_failures], and the per-stream
+    [mirror.<stream>.lag_frames] gauges. relayd serves these on
+    [/metrics] (as [omf_mirror_*]) and prints them in its final stats;
+    the relay's own STATS reply does not carry them. *)
 
 val stats : t -> (string * int) list
 (** A sorted snapshot of {!counters}. *)

@@ -2143,18 +2143,6 @@ module Client = struct
   let promote (t : t) ~(stream : string) : int =
     decoded (Proto.decode_epoch (call t (Proto.Promote stream)))
 
-  (** [publish_mirror t ~stream ~origin ~epoch] enters publisher mode
-      as a replication link (PROTOCOLS.md §15): accepted only while
-      [(origin, epoch)] matches the relay's record for the stream.
-      [Some (durable, tail)] against a store-backed relay — the mirror
-      resumes pumping source offsets from [tail]; [None] against a
-      memory-only relay (live-only replication). *)
-  let publish_mirror ?trace (t : t) ~(stream : string) ~(origin : string)
-      ~(epoch : int) : (int * int) option * Link.t =
-    match publish_with ?trace ~mirror:(origin, epoch) ~acks:false t stream with
-    | Some { Proto.durable; tail = Some tail } -> (Some (durable, tail), t.link)
-    | Some _ | None -> (None, t.link)
-
   let close (t : t) = try Link.close t.link with _ -> ()
 end
 
@@ -2278,35 +2266,48 @@ module Session = struct
       ~compress:cfg.compress ?connect_timeout_s:cfg.connect_timeout_s
       ?io_timeout_s:cfg.io_timeout_s ()
 
+  exception Closed
+  (* raised out of the retry loops once the session is closed, so a
+     blocked call returns instead of reconnecting a session nobody owns *)
+
+  let refused = function Client.Error msg -> Proto.is_refusal msg | _ -> false
+
   (** Reconnect and replay session state: dial a fresh connection and
       run [f] (which re-issues SUBSCRIBE or ADVERTISE/PUBLISH) against
-      it, retrying transient failures under the budget. *)
-  let with_retries (cfg : config) rng ~(what : string) (f : Client.t -> 'a) :
-      'a =
+      it, retrying transient failures under the budget — except those
+      [final] says no fresh connection can cure. [closed] is checked
+      before each attempt and after each sleep; a connection won after
+      a close is closed at once. *)
+  let with_retries ?(final = fun _ -> false) (cfg : config) rng ~closed
+      ~(what : string) (f : Client.t -> 'a) : 'a =
     let rec go attempt =
+      if closed () then raise Closed;
       if attempt >= cfg.max_attempts then
         raise
           (Gave_up
              (Printf.sprintf "%s: gave up after %d reconnect attempts" what
                 cfg.max_attempts));
       Thread.delay (backoff_delay cfg rng attempt);
-      match
-        let client = connect_client ~reconnect:true cfg in
+      if closed () then raise Closed;
+      let retry e =
+        Log.debug (fun m ->
+            m "%s: reconnect attempt %d failed: %s" what (attempt + 1)
+              (Printexc.to_string e));
+        go (attempt + 1)
+      in
+      match connect_client ~reconnect:true cfg with
+      | exception e when Client.transient e -> retry e
+      | client -> (
         match f client with
-        | v -> Ok v
+        | v ->
+          if closed () then begin
+            Client.close client;
+            raise Closed
+          end;
+          v
         | exception e ->
           Client.close client;
-          Error e
-      with
-      | Ok v -> v
-      | Error e | exception e ->
-        if Client.transient e then begin
-          Log.debug (fun m ->
-              m "%s: reconnect attempt %d failed: %s" what (attempt + 1)
-                (Printexc.to_string e));
-          go (attempt + 1)
-        end
-        else raise e
+          if Client.transient e && not (final e) then retry e else raise e)
     in
     go 0
 
@@ -2315,20 +2316,17 @@ module Session = struct
       (full jitter, like {!backoff_delay}) and retry [f] on the {e
       same} connection — reconnecting would only add handshake load to
       an overloaded relay. [on_busy] is called once per wait (session
-      counters). The attempt budget is [max_attempts], after which
-      {!Gave_up} is raised. *)
-  let with_busy_backoff (cfg : config) rng ~(what : string)
-      ?(on_busy = fun () -> ()) (f : unit -> 'a) : 'a =
+      counters). After [max_attempts] busy replies the last
+      {!Client.Busy} is re-raised: overload stays overload, never an
+      exhausted reconnect budget. *)
+  let with_busy_backoff (cfg : config) rng ~closed ~(what : string) ~on_busy
+      (f : unit -> 'a) : 'a =
     let rec go attempt =
+      if closed () then raise Closed;
       match f () with
       | v -> v
-      | exception Client.Busy { retry_ms } ->
-        if attempt + 1 >= Stdlib.max 1 cfg.max_attempts then
-          raise
-            (Gave_up
-               (Printf.sprintf
-                  "%s: relay still overloaded after %d busy retries" what
-                  (attempt + 1)));
+      | exception (Client.Busy { retry_ms } as busy) ->
+        if attempt + 1 >= Stdlib.max 1 cfg.max_attempts then raise busy;
         on_busy ();
         let d =
           float_of_int retry_ms /. 1000. *. (0.5 +. (0.5 *. Prng.float rng))
@@ -2370,6 +2368,33 @@ module Session = struct
     mutable s_closed : bool;
   }
 
+  let drop_subscriber_link (s : subscriber) =
+    (match s.s_client with Some c -> Client.close c | None -> ());
+    s.s_client <- None;
+    s.s_link <- None
+
+  (** SUBSCRIBE on [client] from the next expected offset — the
+      handshake of the first connection and of every reconnect. An
+      overloaded relay refuses the [from=] replay with [busy]: hold
+      this connection and wait it out instead of burning reconnect
+      attempts. *)
+  let attach (s : subscriber) (client : Client.t) =
+    let offset, schema, link =
+      with_busy_backoff s.s_cfg s.s_rng
+        ~closed:(fun () -> s.s_closed)
+        ~what:(Printf.sprintf "subscriber %s" s.s_stream)
+        ~on_busy:(fun () -> s.s_busy_waits <- s.s_busy_waits + 1)
+        (fun () ->
+          Client.subscribe_from client ~stream:s.s_stream ~from:s.s_next)
+    in
+    s.s_client <- Some client;
+    s.s_link <- Some link;
+    s.s_schema <- schema;
+    (* a clamped offset (> the request) means retention outran this
+       subscriber during an outage: the gap is unrecoverable and
+       delivery resumes at the oldest retained event *)
+    s.s_next <- Option.value offset ~default:(-1)
+
   (** [subscribe cfg ~stream abi] connects and subscribes; failures on
       this {e first} attempt raise immediately (an unknown stream at
       session start is a configuration error, not an outage).
@@ -2384,90 +2409,61 @@ module Session = struct
       tail-only, as before. *)
   let subscribe ?(from = -1) ?(want_trace = false) (cfg : config)
       ~(stream : string) (abi : Omf_machine.Abi.t) : subscriber =
-    let busy_waits = ref 0 in
-    let client = connect_client cfg in
-    match
-      (* [want_trace]: learn the stream's trace context (PROTOCOLS.md
-         §17) with a DESCRIBE on the still-roleless connection, before
-         SUBSCRIBE pins it receive-only. Best-effort — a relay without
-         tracing simply serves no [trace=] line. *)
-      let trace =
-        if not want_trace then None
-        else
-          match Client.describe client ~stream with
-          | meta, _ -> fst (Proto.split_trace meta)
-          | exception _ -> None
-      in
-      ( trace,
-        with_busy_backoff cfg
-          (Prng.create ~seed:cfg.jitter_seed ())
-          ~what:(Printf.sprintf "subscriber %s" stream)
-          ~on_busy:(fun () -> incr busy_waits)
-          (fun () -> Client.subscribe_from client ~stream ~from) )
-    with
-    | trace, (offset, schema, link) ->
-      let catalog = Catalog.create abi in
-      ignore
-        (Omf_xml2wire.Xml2wire.register_schema ~source:("relay:" ^ stream)
-           catalog schema);
-      let pbio =
-        Pbio.Receiver.create
-          (Catalog.registry catalog)
-          (Omf_machine.Memory.create abi)
-      in
-      { s_cfg = cfg; s_stream = stream; s_catalog = catalog; s_pbio = pbio
+    let catalog = Catalog.create abi in
+    let s =
+      { s_cfg = cfg; s_stream = stream; s_catalog = catalog
+      ; s_pbio =
+          Pbio.Receiver.create
+            (Catalog.registry catalog)
+            (Omf_machine.Memory.create abi)
       ; s_seen = Hashtbl.create 8
       ; s_rng = Prng.create ~seed:cfg.jitter_seed ()
-      ; s_client = Some client; s_link = Some link; s_schema = schema
-      ; s_next = Option.value offset ~default:(-1)
-      ; s_reconnects = 0; s_busy_waits = !busy_waits; s_trace = trace
-      ; s_closed = false }
-    | exception e ->
-      Client.close client;
-      raise e
-
-  let drop_subscriber_link (s : subscriber) =
-    (match s.s_client with Some c -> Client.close c | None -> ());
-    s.s_client <- None;
-    s.s_link <- None
+      ; s_client = None; s_link = None; s_schema = ""; s_next = from
+      ; s_reconnects = 0; s_busy_waits = 0; s_trace = None; s_closed = false }
+    in
+    let client = connect_client cfg in
+    (try
+       (* [want_trace]: learn the stream's trace context (PROTOCOLS.md
+          §17) with a DESCRIBE on the still-roleless connection, before
+          SUBSCRIBE pins it receive-only. Best-effort — a relay without
+          tracing simply serves no [trace=] line. *)
+       if want_trace then
+         s.s_trace <-
+           (match Client.describe client ~stream with
+           | meta, _ -> fst (Proto.split_trace meta)
+           | exception _ -> None);
+       attach s client
+     with e ->
+       Client.close client;
+       raise e);
+    ignore
+      (Omf_xml2wire.Xml2wire.register_schema ~source:("relay:" ^ stream)
+         catalog s.s_schema);
+    s
 
   let resubscribe (s : subscriber) : unit =
     with_retries s.s_cfg s.s_rng
+      ~closed:(fun () -> s.s_closed)
       ~what:(Printf.sprintf "subscriber %s" s.s_stream)
       (fun client ->
-        let offset, schema, link =
-          (* an overloaded relay refuses the [from=] replay with [busy]:
-             hold this connection and wait it out instead of burning
-             reconnect attempts *)
-          with_busy_backoff s.s_cfg s.s_rng
-            ~what:(Printf.sprintf "subscriber %s" s.s_stream)
-            ~on_busy:(fun () -> s.s_busy_waits <- s.s_busy_waits + 1)
-            (fun () ->
-              Client.subscribe_from client ~stream:s.s_stream ~from:s.s_next)
-        in
-        s.s_client <- Some client;
-        s.s_link <- Some link;
-        s.s_schema <- schema;
-        (* a clamped offset (> the request) means retention outran this
-           subscriber during the outage: the gap is unrecoverable and
-           delivery resumes at the oldest retained event *)
-        s.s_next <- Option.value offset ~default:(-1);
+        attach s client;
         s.s_reconnects <- s.s_reconnects + 1;
         Log.info (fun m ->
             m "subscriber %s: resubscribed from offset %d (reconnect %d)"
               s.s_stream s.s_next s.s_reconnects))
 
-  (** Blocking receive of the next decoded event, reconnecting across
-      outages. [None] only after {!close_subscriber}; a hopeless outage
+  (** Blocking receive of the next message frame, undecoded, with its
+      sender's wire format, reconnecting across outages. [None] only
+      after {!close_subscriber} (also mid-outage); a hopeless outage
       raises {!Gave_up}. *)
-  let rec recv_subscriber (s : subscriber) :
-      (Format.t * Value.t) option =
+  let rec recv_subscriber_raw (s : subscriber) : (Format.t * Bytes.t) option =
     if s.s_closed then None
     else
       match s.s_link with
-      | None ->
-        resubscribe s;
-        recv_subscriber s
+      | None -> (
+        match resubscribe s with
+        | () -> recv_subscriber_raw s
+        | exception Closed -> None)
       | Some link -> (
         match Link.recv link with
         | Some frame
@@ -2479,28 +2475,39 @@ module Session = struct
             Hashtbl.replace s.s_seen digest ();
             ignore (Pbio.Receiver.learn s.s_pbio blob)
           end;
-          recv_subscriber s
+          recv_subscriber_raw s
         | Some frame
           when Bytes.length frame > 0
                && Char.equal (Bytes.get frame 0) Endpoint.frame_message ->
           if s.s_next >= 0 then s.s_next <- s.s_next + 1;
-          Some
-            (Pbio.Receiver.receive_value s.s_pbio
-               (Bytes.sub frame 1 (Bytes.length frame - 1)))
+          let msg = Bytes.sub frame 1 (Bytes.length frame - 1) in
+          let id = Omf_pbio.Wire.format_id msg in
+          (match Pbio.Receiver.wire_format s.s_pbio id with
+          | Some fmt -> Some (fmt, msg)
+          | None ->
+            raise
+              (Pbio.Unknown_format
+                 (Printf.sprintf "peer format id %d (no descriptor seen)" id)))
         | Some _ | None ->
           (* graceful close or garbage: either way, this link is done *)
           if s.s_closed then None
           else begin
             drop_subscriber_link s;
-            recv_subscriber s
+            recv_subscriber_raw s
           end
         | exception e ->
           if s.s_closed then None
           else if Client.transient e then begin
             drop_subscriber_link s;
-            recv_subscriber s
+            recv_subscriber_raw s
           end
           else raise e)
+
+  (** {!recv_subscriber_raw}, decoded into the subscriber's ABI. *)
+  let recv_subscriber (s : subscriber) : (Format.t * Value.t) option =
+    Option.map
+      (fun (_, msg) -> Pbio.Receiver.receive_value s.s_pbio msg)
+      (recv_subscriber_raw s)
 
   let subscriber_schema (s : subscriber) = s.s_schema
 
@@ -2540,6 +2547,9 @@ module Session = struct
     b_cfg : config;
     b_stream : string;
     b_schema : string;
+    b_meta : (string * string) list;  (** ADVERTISE metadata *)
+    b_mirror : (string * int) option;
+        (** [(origin, epoch)]: PUBLISH as a replication link (§15) *)
     b_trace : Trace.ctx option;
         (** trace context re-attached to every PUBLISH, including the
             replayed one after a reconnect (PROTOCOLS.md §17) *)
@@ -2548,32 +2558,88 @@ module Session = struct
     b_mem : Omf_machine.Memory.t;
     b_rng : Prng.t;
     b_buf : pending Queue.t;
-        (** plain mode: marshalled frames not yet written to a live
-            link. Ack mode: every frame not yet acknowledged durable —
-            sent frames stay queued until the relay's ['k'] ack covers
-            them, so a relay crash loses nothing. *)
-    b_announced : (int, unit) Hashtbl.t;
-        (** format ids announced on the {e current} connection *)
+        (** marshalled frames not yet written to the current link *)
+    b_inflight : pending Queue.t;
+        (** ack mode: frames written but not yet acknowledged durable —
+            they stay here until the relay's ['k'] ack covers them, so
+            a relay crash loses nothing *)
+    b_announced : (int, Format.t) Hashtbl.t;
+        (** the format announced under each id on the {e current}
+            connection: a different format reusing an id (a restarted
+            upstream publisher, forwarded by a mirror) is announced
+            again *)
     mutable b_ack_mode : bool;
         (** publishing with [acks=1] against a store-backed relay *)
     mutable b_durable : int;  (** relay's durable watermark (ack mode) *)
     mutable b_next_seq : int;  (** store offset of the next new frame *)
-    mutable b_sent : int;
-        (** ack mode: length of the queue prefix already written to the
-            current connection (those frames await acks, not resends) *)
     mutable b_client : Client.t option;
     mutable b_link : Link.t option;
     mutable b_reconnects : int;
     mutable b_busy_waits : int;
         (** [busy]-triggered backoff sleeps (overload, not outage) *)
     mutable b_closed : bool;
+    b_mu : Mutex.t;
+        (** held by every publish, flush and close, so a close from
+            another thread never writes concurrently with them *)
   }
 
-  let stream_frame kind (body : Bytes.t) : Bytes.t =
-    let b = Bytes.create (1 + Bytes.length body) in
-    Bytes.set b 0 kind;
-    Bytes.blit body 0 b 1 (Bytes.length body);
-    b
+  (** Align the session with the watermark a resume handshake returned:
+      frames the store already holds durably are retired, the surviving
+      suffix is renumbered consecutively from the watermark (identity
+      in the common case; a wiped store restarts numbering from its
+      fresh tail) and will be resent. [None] means the relay is not
+      store-backed — acks will never arrive, so the session degrades
+      to plain fire-and-forget. *)
+  let resync_acked (p : publisher) (durable : int option) =
+    (* every unacknowledged frame is resent on the fresh connection *)
+    Queue.transfer p.b_buf p.b_inflight;
+    Queue.transfer p.b_inflight p.b_buf;
+    match durable with
+    | None ->
+      p.b_ack_mode <- false;
+      Log.warn (fun m ->
+          m "publisher %s: relay not store-backed; acks disabled" p.b_stream)
+    | Some d ->
+      p.b_durable <- d;
+      let rec trim () =
+        match Queue.peek_opt p.b_buf with
+        | Some e when e.p_seq < d ->
+          ignore (Queue.pop p.b_buf);
+          trim ()
+        | _ -> ()
+      in
+      trim ();
+      let i = ref d in
+      Queue.iter
+        (fun e ->
+          e.p_seq <- !i;
+          incr i)
+        p.b_buf;
+      p.b_next_seq <- !i
+
+  (** The per-connection handshake, run on the first connection and
+      replayed on every reconnect: ADVERTISE (with [b_meta]), then
+      PUBLISH ([acks=1] in ack mode, the [b_mirror] tag and [b_trace]
+      context when set). ADVERTISE is control traffic and always
+      admitted; PUBLISH may be shed under overload — waited out on this
+      connection. Per-connection descriptor announcements are
+      forgotten. *)
+  let handshake (p : publisher) (client : Client.t) =
+    Client.advertise client ~meta:p.b_meta ~stream:p.b_stream
+      ~schema:p.b_schema;
+    let w =
+      with_busy_backoff p.b_cfg p.b_rng
+        ~closed:(fun () -> p.b_closed)
+        ~what:(Printf.sprintf "publisher %s" p.b_stream)
+        ~on_busy:(fun () -> p.b_busy_waits <- p.b_busy_waits + 1)
+        (fun () ->
+          Client.publish_with ?trace:p.b_trace ?mirror:p.b_mirror
+            ~acks:p.b_ack_mode client p.b_stream)
+    in
+    p.b_client <- Some client;
+    p.b_link <- Some client.Client.link;
+    Hashtbl.reset p.b_announced;
+    if p.b_ack_mode then resync_acked p (Option.map (fun w -> w.Proto.durable) w)
 
   (** [publisher cfg ~stream ~schema abi] connects, advertises and
       enters publisher mode. First-attempt failures raise immediately,
@@ -2587,39 +2653,31 @@ module Session = struct
       relay's resume handshake guarantees no duplicates. The window
       then bounds {e unacknowledged} frames, and a full window blocks
       on the ack channel instead of raising. Against a memory-only
-      relay the mode degrades to the plain fire-and-forget session. *)
-  let publisher ?(window = 1024) ?(acked = false) ?trace (cfg : config)
-      ~(stream : string) ~(schema : string) (abi : Omf_machine.Abi.t) :
-      publisher =
-    let busy_waits = ref 0 in
-    let client = connect_client cfg in
-    match
-      Client.advertise client ~stream ~schema;
-      (* ADVERTISE is control traffic and always admitted; PUBLISH may
-         be shed under overload — wait it out on this connection *)
-      with_busy_backoff cfg
-        (Prng.create ~seed:cfg.jitter_seed ())
-        ~what:(Printf.sprintf "publisher %s" stream)
-        ~on_busy:(fun () -> incr busy_waits)
-        (fun () ->
-          if acked then Client.publish_acked client ?trace ~stream
-          else (None, Client.publish client ?trace ~stream))
-    with
-    | durable, link ->
-      let catalog = Catalog.create abi in
-      ignore (Omf_xml2wire.Xml2wire.register_schema catalog schema);
-      let d = Option.value durable ~default:0 in
-      { b_cfg = cfg; b_stream = stream; b_schema = schema; b_trace = trace
-      ; b_window = window
-      ; b_catalog = catalog; b_mem = Omf_machine.Memory.create abi
+      relay the mode degrades to the plain fire-and-forget session.
+
+      [meta] rides on every ADVERTISE; [mirror] makes the session a
+      replication link ({!handshake}). *)
+  let publisher ?(window = 1024) ?(acked = false) ?trace ?(meta = []) ?mirror
+      (cfg : config) ~(stream : string) ~(schema : string)
+      (abi : Omf_machine.Abi.t) : publisher =
+    let p =
+      { b_cfg = cfg; b_stream = stream; b_schema = schema; b_meta = meta
+      ; b_mirror = mirror; b_trace = trace; b_window = window
+      ; b_catalog = Catalog.create abi; b_mem = Omf_machine.Memory.create abi
       ; b_rng = Prng.create ~seed:cfg.jitter_seed ()
-      ; b_buf = Queue.create (); b_announced = Hashtbl.create 4
-      ; b_ack_mode = durable <> None; b_durable = d; b_next_seq = d
-      ; b_sent = 0; b_client = Some client; b_link = Some link
-      ; b_reconnects = 0; b_busy_waits = !busy_waits; b_closed = false }
-    | exception e ->
-      Client.close client;
-      raise e
+      ; b_buf = Queue.create (); b_inflight = Queue.create ()
+      ; b_announced = Hashtbl.create 4
+      ; b_ack_mode = acked; b_durable = 0; b_next_seq = 0
+      ; b_client = None; b_link = None; b_reconnects = 0; b_busy_waits = 0
+      ; b_closed = false; b_mu = Mutex.create () }
+    in
+    let client = connect_client cfg in
+    (try handshake p client
+     with e ->
+       Client.close client;
+       raise e);
+    ignore (Omf_xml2wire.Xml2wire.register_schema p.b_catalog schema);
+    p
 
   let publisher_format (p : publisher) (name : string) : Format.t option =
     Catalog.find_format p.b_catalog name
@@ -2630,7 +2688,8 @@ module Session = struct
   (** Overload backoffs served ([busy] replies waited out on a live
       connection) — distinct from {!publisher_reconnects}. *)
 
-  let publisher_buffered (p : publisher) = Queue.length p.b_buf
+  let publisher_buffered (p : publisher) =
+    Queue.length p.b_buf + Queue.length p.b_inflight
   (** Plain mode: frames awaiting a live connection. Ack mode: frames
       not yet acknowledged durable. *)
 
@@ -2642,46 +2701,33 @@ module Session = struct
   let drop_publisher_link (p : publisher) =
     (match p.b_client with Some c -> Client.close c | None -> ());
     p.b_client <- None;
-    p.b_link <- None;
-    p.b_sent <- 0
+    p.b_link <- None
 
   let announce_format (p : publisher) link (fmt : Format.t) =
-    if not (Hashtbl.mem p.b_announced fmt.Format.id) then begin
+    match Hashtbl.find_opt p.b_announced fmt.Format.id with
+    | Some f when f == fmt -> ()
+    | _ ->
       Link.send link
-        (stream_frame Endpoint.frame_descriptor
+        (Endpoint.frame Endpoint.frame_descriptor
            (Bytes.of_string (Omf_pbio.Format_codec.encode fmt)));
-      Hashtbl.replace p.b_announced fmt.Format.id ()
-    end
+      Hashtbl.replace p.b_announced fmt.Format.id fmt
 
   (** Write buffered frames to the live link, announcing each format's
-      descriptor first if this connection has not seen it. Plain mode
-      pops each frame once written; ack mode only advances [b_sent] —
-      frames leave the queue when an ack covers them. [false] = the
-      link broke (the unwritten tail stays buffered). *)
+      descriptor first if this connection has not seen it. Ack mode
+      moves each written frame to [b_inflight] until an ack covers it.
+      [false] = the link broke (the unwritten tail stays buffered). *)
   let try_flush (p : publisher) : bool =
     match p.b_link with
     | None -> false
     | Some link -> (
       try
-        if p.b_ack_mode then begin
-          let i = ref 0 in
-          Queue.iter
-            (fun e ->
-              if !i >= p.b_sent then begin
-                announce_format p link e.p_fmt;
-                Link.send link e.p_frame;
-                p.b_sent <- p.b_sent + 1
-              end;
-              incr i)
-            p.b_buf
-        end
-        else
-          while not (Queue.is_empty p.b_buf) do
-            let e = Queue.peek p.b_buf in
-            announce_format p link e.p_fmt;
-            Link.send link e.p_frame;
-            ignore (Queue.pop p.b_buf)
-          done;
+        while not (Queue.is_empty p.b_buf) do
+          let e = Queue.peek p.b_buf in
+          announce_format p link e.p_fmt;
+          Link.send link e.p_frame;
+          ignore (Queue.pop p.b_buf);
+          if p.b_ack_mode then Queue.add e p.b_inflight
+        done;
         true
       with e ->
         if Client.transient e then begin
@@ -2690,15 +2736,14 @@ module Session = struct
         end
         else raise e)
 
-  (** An ack covering offsets below [n] retires the acked queue
-      prefix. *)
+  (** An ack covering offsets below [n] retires the in-flight frames
+      it covers. *)
   let process_ack (p : publisher) (n : int) =
     if n > p.b_durable then p.b_durable <- n;
     let rec pop () =
-      match Queue.peek_opt p.b_buf with
+      match Queue.peek_opt p.b_inflight with
       | Some e when e.p_seq < n ->
-        ignore (Queue.pop p.b_buf);
-        if p.b_sent > 0 then p.b_sent <- p.b_sent - 1;
+        ignore (Queue.pop p.b_inflight);
         pop ()
       | _ -> ()
     in
@@ -2729,118 +2774,62 @@ module Session = struct
         end
         else raise e)
 
-  (** Align the session with the watermark a resume handshake returned:
-      frames the store already holds durably are retired, the surviving
-      suffix is renumbered consecutively from the watermark (identity
-      in the common case; a wiped store restarts numbering from its
-      fresh tail) and will be resent. [None] means the relay came back
-      without a store — acks will never arrive, so the session degrades
-      to plain fire-and-forget. *)
-  let resync_acked (p : publisher) (durable : int option) =
-    match durable with
-    | None ->
-      p.b_ack_mode <- false;
-      Log.warn (fun m ->
-          m "publisher %s: relay no longer store-backed; acks disabled"
-            p.b_stream)
-    | Some d ->
-      p.b_durable <- d;
-      let rec trim () =
-        match Queue.peek_opt p.b_buf with
-        | Some e when e.p_seq < d ->
-          ignore (Queue.pop p.b_buf);
-          trim ()
-        | _ -> ()
-      in
-      trim ();
-      let i = ref d in
-      Queue.iter
-        (fun e ->
-          e.p_seq <- !i;
-          incr i)
-        p.b_buf;
-      p.b_next_seq <- !i
-
-  (** Bounded reconnect: replay ADVERTISE (the relay may have restarted
-      with no streams) and PUBLISH, and forget per-connection descriptor
-      announcements. [false] = budget exhausted; buffered frames are
-      kept for the next attempt. *)
+  (** Bounded reconnect replaying {!handshake} (the relay may have
+      restarted with no streams). [false] = budget exhausted or session
+      closed; buffered frames are kept for the next attempt. A refusal
+      ({!Relay_proto.is_refusal}: read-only, stale epoch, ...) is
+      final: no fresh connection cures it, so it is raised. *)
   let reconnect_publisher (p : publisher) : bool =
     p.b_cfg.max_attempts > 0
     && match
-         with_retries p.b_cfg p.b_rng
+         with_retries ~final:refused p.b_cfg p.b_rng
+           ~closed:(fun () -> p.b_closed)
            ~what:(Printf.sprintf "publisher %s" p.b_stream)
            (fun client ->
-             Client.advertise client ~stream:p.b_stream ~schema:p.b_schema;
-             let republish () =
-               with_busy_backoff p.b_cfg p.b_rng
-                 ~what:(Printf.sprintf "publisher %s" p.b_stream)
-                 ~on_busy:(fun () -> p.b_busy_waits <- p.b_busy_waits + 1)
-             in
-             if p.b_ack_mode then begin
-               let durable, link =
-                 republish () (fun () ->
-                     Client.publish_acked client ?trace:p.b_trace
-                       ~stream:p.b_stream)
-               in
-               p.b_client <- Some client;
-               p.b_link <- Some link;
-               p.b_sent <- 0;
-               resync_acked p durable
-             end
-             else begin
-               let link =
-                 republish () (fun () ->
-                     Client.publish client ?trace:p.b_trace
-                       ~stream:p.b_stream)
-               in
-               p.b_client <- Some client;
-               p.b_link <- Some link;
-               p.b_sent <- 0
-             end;
-             Hashtbl.reset p.b_announced;
+             handshake p client;
              p.b_reconnects <- p.b_reconnects + 1;
              Log.info (fun m ->
                  m "publisher %s: reconnected (reconnect %d, %d frames \
                     buffered)"
-                   p.b_stream p.b_reconnects (Queue.length p.b_buf)))
+                   p.b_stream p.b_reconnects (publisher_buffered p)))
        with
        | () -> true
-       | exception Gave_up _ -> false
+       | exception (Gave_up _ | Closed) -> false
 
-  (** Ack mode, window full: block on the ack channel until the relay
-      retires a slot, reconnecting (boundedly) when the link breaks.
-      {!Overflow} when the relay stays unreachable. *)
-  let wait_for_window (p : publisher) : unit =
-    let reconnect_rounds = ref 0 in
-    while p.b_ack_mode && Queue.length p.b_buf >= p.b_window do
-      match p.b_link with
-      | Some _ -> ignore (drain_ack p)
-      | None ->
-        if !reconnect_rounds >= 3 || not (reconnect_publisher p) then
-          raise
-            (Overflow
-               (Printf.sprintf
-                  "publisher %s: window full (%d unacknowledged frames) and \
-                   the relay is unreachable"
-                  p.b_stream p.b_window))
-        else begin
-          incr reconnect_rounds;
-          ignore (try_flush p)
-        end
+  (** Ack mode: drain acks until [until ()] holds, reconnecting (three
+      rounds at most) when the link breaks; [fail ()] is raised when
+      the relay stays unreachable. *)
+  let await_acks (p : publisher) ~until ~fail =
+    let rounds = ref 0 in
+    while p.b_ack_mode && not (until ()) do
+      if Option.is_none p.b_link then begin
+        if !rounds >= 3 || not (reconnect_publisher p) then raise (fail ());
+        incr rounds
+      end;
+      ignore (try_flush p);
+      if p.b_ack_mode && not (until ()) then ignore (drain_ack p)
     done
 
-  (** [publish_value p fmt v] marshals and ships one event. During an
-      outage the frame is buffered and reconnection attempted under the
-      budget; a full window raises {!Overflow} (the event is {e not}
-      enqueued) in plain mode and blocks for acks in ack mode; an
-      exhausted budget returns with the frame buffered for the next
+  (** [publish_frame p fmt msg] ships one already-marshalled message
+      ([msg] is a {!Omf_pbio.Wire} header plus NDR payload of [fmt]).
+      During an outage the frame is buffered and reconnection attempted
+      under the budget; a full window raises {!Overflow} (the frame is
+      {e not} enqueued) in plain mode and blocks for acks in ack mode;
+      an exhausted budget returns with the frame buffered for the next
       call. *)
-  let publish_value (p : publisher) (fmt : Format.t) (v : Value.t) : unit =
+  let publish_frame (p : publisher) (fmt : Format.t) (msg : Bytes.t) : unit =
+    Mutex.protect p.b_mu @@ fun () ->
     if p.b_closed then raise (Client.Error "publisher session closed");
-    if Queue.length p.b_buf >= p.b_window then begin
-      if p.b_ack_mode then wait_for_window p;
-      if Queue.length p.b_buf >= p.b_window then
+    if publisher_buffered p >= p.b_window then begin
+      await_acks p
+        ~until:(fun () -> publisher_buffered p < p.b_window)
+        ~fail:(fun () ->
+          Overflow
+            (Printf.sprintf
+               "publisher %s: window full (%d unacknowledged frames) and \
+                the relay is unreachable"
+               p.b_stream p.b_window));
+      if publisher_buffered p >= p.b_window then
         raise
           (Overflow
              (Printf.sprintf
@@ -2848,48 +2837,46 @@ module Session = struct
                  unreachable"
                 p.b_stream p.b_window))
     end;
-    (* marshal now: the value is captured even if the relay is down *)
-    Omf_machine.Memory.reset p.b_mem;
-    let addr = Omf_pbio.Native.store p.b_mem fmt v in
-    let frame =
-      stream_frame Endpoint.frame_message (Pbio.message p.b_mem fmt addr)
-    in
     let seq = p.b_next_seq in
     if p.b_ack_mode then p.b_next_seq <- seq + 1;
-    Queue.add { p_fmt = fmt; p_frame = frame; p_seq = seq } p.b_buf;
+    Queue.add
+      { p_fmt = fmt; p_frame = Endpoint.frame Endpoint.frame_message msg
+      ; p_seq = seq }
+      p.b_buf;
     if not (try_flush p) then
       if reconnect_publisher p then ignore (try_flush p)
+
+  (** [publish_value p fmt v] marshals one event — captured even if the
+      relay is down — and ships it with {!publish_frame}. *)
+  let publish_value (p : publisher) (fmt : Format.t) (v : Value.t) : unit =
+    Omf_machine.Memory.reset p.b_mem;
+    let addr = Omf_pbio.Native.store p.b_mem fmt v in
+    publish_frame p fmt (Pbio.message p.b_mem fmt addr)
 
   (** Block until every buffered frame is acknowledged durable (ack
       mode) or written (plain mode), reconnecting under the budget.
       {!Gave_up} when the relay stays unreachable. *)
   let flush_acked (p : publisher) : unit =
+    Mutex.protect p.b_mu @@ fun () ->
     if not p.b_ack_mode then ignore (try_flush p)
-    else begin
-      let reconnect_rounds = ref 0 in
-      while p.b_ack_mode && not (Queue.is_empty p.b_buf) do
-        match p.b_link with
-        | Some _ ->
-          ignore (try_flush p);
-          if p.b_ack_mode && not (Queue.is_empty p.b_buf) then
-            ignore (drain_ack p)
-        | None ->
-          if !reconnect_rounds >= 3 || not (reconnect_publisher p) then
-            raise
-              (Gave_up
-                 (Printf.sprintf
-                    "publisher %s: flush: relay unreachable with %d \
-                     unacknowledged frames"
-                    p.b_stream (Queue.length p.b_buf)))
-          else incr reconnect_rounds
-      done
-    end
+    else
+      await_acks p
+        ~until:(fun () -> publisher_buffered p = 0)
+        ~fail:(fun () ->
+          Gave_up
+            (Printf.sprintf
+               "publisher %s: flush: relay unreachable with %d \
+                unacknowledged frames"
+               p.b_stream (publisher_buffered p)))
 
   (** Close, flushing buffered frames best-effort (no reconnect; call
-      {!flush_acked} first for a durable handoff). *)
+      {!flush_acked} first for a durable handoff). The flag is set
+      before taking the lock, so a publish or flush stuck in the
+      reconnect loop on another thread gives up at its next check. *)
   let close_publisher (p : publisher) : unit =
     if not p.b_closed then begin
       p.b_closed <- true;
+      Mutex.protect p.b_mu @@ fun () ->
       ignore (try try_flush p with _ -> false);
       drop_publisher_link p
     end

@@ -189,8 +189,8 @@ module Client : sig
   val transient : exn -> bool
   (** Is this exception a broken or unusable connection — {!Error}, a
       closed or timed-out link, a framing, TCP, authentication or Unix
-      error — that a fresh connection may cure? The one predicate every
-      reconnecting caller ({!Session}, the mirror) retries on. *)
+      error — that a fresh connection may cure? The predicate
+      {!Session}'s reconnect loops retry on. *)
 
   type t
 
@@ -296,20 +296,6 @@ module Client : sig
       Idempotent on streams the relay already owns. Live mirror links
       into the stream are disconnected so their epoch check re-runs. *)
 
-  val publish_mirror :
-    ?trace:Trace.ctx ->
-    t ->
-    stream:string ->
-    origin:string ->
-    epoch:int ->
-    (int * int) option * Omf_transport.Link.t
-  (** Publisher mode as a replication link ([mirror=1], PROTOCOLS.md
-      §15): accepted only while [(origin, epoch)] matches the relay's
-      record for the stream — a promote invalidates the link. Returns
-      [Some (durable, tail)] against a store-backed relay (the mirror
-      resumes pumping source offsets from [tail]); [None] against a
-      memory-only relay (live-only replication). *)
-
   val stats : t -> (string * int) list
   val close : t -> unit
 end
@@ -349,7 +335,15 @@ val close_consumer : consumer -> unit
     dedupe the relay's descriptor replay by content digest; publishers
     replay ADVERTISE/PUBLISH, re-announce descriptors per connection,
     and buffer a bounded in-flight window of data frames during the
-    outage. *)
+    outage. A mirror link ({!Omf_mirror}) is one subscriber on the
+    source feeding one acked [mirror=1] publisher on the local relay.
+
+    A [busy] reply (PROTOCOLS.md §16) is retried on the same connection
+    after the relay's hint; after [max_attempts] of them the last
+    {!Client.Busy} is raised — overload is never reported as
+    {!Gave_up}. Closing a session stops its retry loops: the flag is
+    checked before each attempt and after each sleep, and a connection
+    won after the close is closed at once. *)
 module Session : sig
   exception Gave_up of string
   (** The reconnect budget for one outage was exhausted. *)
@@ -411,14 +405,21 @@ module Session : sig
       none duplicated. Against a memory-only relay [from] is ignored
       and resubscribes are tail-only. *)
 
+  val recv_subscriber_raw : subscriber -> (Omf_pbio.Format.t * Bytes.t) option
+  (** Blocking receive of the next message frame, undecoded — a
+      {!Omf_pbio.Wire} header plus NDR payload, as the sender
+      marshalled it — with the sender's wire format
+      ({!Omf_pbio.Pbio.Receiver.wire_format}), transparently
+      reconnecting and resubscribing across outages.
+      Replayed descriptor frames already learned are skipped, so a
+      relay restart delivers no duplicate registrations. [None] only
+      after {!close_subscriber} — also when closed from another thread
+      mid-outage; raises {!Gave_up} when an outage outlives the budget
+      and {!Client.Busy} when a resubscribe stays shed. *)
+
   val recv_subscriber :
     subscriber -> (Omf_pbio.Format.t * Omf_pbio.Value.t) option
-  (** Blocking receive of the next decoded event, transparently
-      reconnecting and resubscribing across outages — replayed
-      descriptor frames already learned are skipped, so a relay
-      restart delivers no duplicate registrations. [None] only after
-      {!close_subscriber}; raises {!Gave_up} when an outage outlives
-      the budget. *)
+  (** {!recv_subscriber_raw}, decoded into the subscriber's ABI. *)
 
   val subscriber_schema : subscriber -> string
   (** The (scoped) schema from the most recent successful SUBSCRIBE. *)
@@ -442,6 +443,8 @@ module Session : sig
   val subscriber_catalog : subscriber -> Omf_xml2wire.Catalog.t
   val subscriber_stats : subscriber -> Omf_pbio.Pbio.Receiver.stats
   val close_subscriber : subscriber -> unit
+  (** Close the session; safe from another thread: a receive blocked on
+      the link or in the reconnect loop returns [None]. *)
 
   (** {3 Publisher sessions} *)
 
@@ -451,6 +454,8 @@ module Session : sig
     ?window:int ->
     ?acked:bool ->
     ?trace:Trace.ctx ->
+    ?meta:(string * string) list ->
+    ?mirror:string * int ->
     config ->
     stream:string ->
     schema:string ->
@@ -470,19 +475,33 @@ module Session : sig
       resent with no duplicates. [window] then bounds
       {e unacknowledged} frames and a full window blocks on the ack
       channel rather than raising {!Overflow}. Against a memory-only
-      relay the mode degrades to the plain session. *)
+      relay the mode degrades to the plain session.
+
+      [meta] lines ride on the ADVERTISE ({!Client.advertise}).
+      [~mirror:(origin, epoch)] PUBLISHes as a replication link
+      ([mirror=1], PROTOCOLS.md §15) — the only writer a foreign-origin
+      stream admits; with [~acked:true] the handshake syncs the local
+      store, so {!publisher_durable} is its tail, the source offset to
+      resume from. The whole handshake is replayed on every reconnect;
+      a refusal there ({!Relay_proto.is_refusal}, e.g. a stale epoch
+      after a promote) is raised, not retried. *)
 
   val publisher_format : publisher -> string -> Omf_pbio.Format.t option
   (** Look up a format from the advertised schema by name. *)
 
-  val publish_value :
-    publisher -> Omf_pbio.Format.t -> Omf_pbio.Value.t -> unit
-  (** Marshal and ship one event. During an outage the frame is
-      buffered and reconnection attempted under the budget (descriptors
-      are re-announced on the fresh connection); a full window raises
+  val publish_frame : publisher -> Omf_pbio.Format.t -> Bytes.t -> unit
+  (** Ship one already-marshalled message of the format (as
+      {!recv_subscriber_raw} returns it), announcing the format's
+      descriptor first on each connection — again if a different
+      format reuses its id. During an outage the frame is buffered and
+      reconnection attempted under the budget; a full window raises
       {!Overflow}, an exhausted budget returns with the frame buffered
       for the next call. With [max_attempts = 0] the session never
       reconnects — frames accumulate until {!Overflow}. *)
+
+  val publish_value :
+    publisher -> Omf_pbio.Format.t -> Omf_pbio.Value.t -> unit
+  (** Marshal one event and {!publish_frame} it. *)
 
   val publisher_reconnects : publisher -> int
 
@@ -510,5 +529,7 @@ module Session : sig
 
   val close_publisher : publisher -> unit
   (** Flush buffered frames best-effort (no reconnect), then close —
-      call {!flush_acked} first for a durable handoff. *)
+      call {!flush_acked} first for a durable handoff. Safe from
+      another thread: a publish or flush in the reconnect loop returns
+      at its next check. *)
 end

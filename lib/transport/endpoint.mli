@@ -11,6 +11,9 @@ exception Protocol_error of string
 val frame_descriptor : char
 val frame_message : char
 
+val frame : char -> bytes -> bytes
+(** [frame kind body] is one link frame: the kind byte, then [body]. *)
+
 module Sender : sig
   type t
 

@@ -2,9 +2,10 @@
     doc/MIRROR.md): an A->B link replicating frames and advertisement
     metadata verbatim, read-only enforcement on the replica, exact
     frame counts across a bidirectional A<->B pair (origin-tagged loop
-    prevention — no amplification), explicit promotion, promote-on-loss
-    failover, and re-advertisement of persisted metadata after a
-    relayd restart.
+    prevention — no amplification), an idle link that stays up with a
+    byte-exact replica, busy sources pausing a link without spending
+    its budget, explicit promotion, promote-on-loss failover, and
+    re-advertisement of persisted metadata after a relayd restart.
 
     Timing-sensitive (live links, rescans, backoff budgets): runs
     under [dune build @mirror] and the smoke alias, not tier-1
@@ -73,14 +74,14 @@ let seq_of v =
 
 (* an advertised stream (with a registry binding) plus a publisher
    endpoint on it *)
-let make_publisher ?meta ~port ~stream () =
+let make_publisher ?meta ?(abi = Abi.x86_64) ~port ~stream () =
   let client = Relay.Client.connect ~port () in
   Relay.Client.advertise ?meta client ~stream ~schema:Fx.schema_a;
   let link = Relay.Client.publish client ~stream in
-  let catalog = Catalog.create Abi.x86_64 in
+  let catalog = Catalog.create abi in
   ignore (X2W.register_schema catalog Fx.schema_a);
   let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
-  let sender = Endpoint.Sender.create link (Memory.create Abi.x86_64) in
+  let sender = Endpoint.Sender.create link (Memory.create abi) in
   (client, sender, fmt)
 
 let publish sender fmt seq = Endpoint.Sender.send_value sender fmt (event seq)
@@ -493,6 +494,198 @@ let test_promote_on_loss_failover () =
       relay_stat ~port:port_b "store.flights.tail" >= n + 1)
 
 (* ------------------------------------------------------------------ *)
+(* Idle link: no churn, byte-exact replica                              *)
+(* ------------------------------------------------------------------ *)
+
+(* every frame a from=0 subscriber reads until [n] message frames,
+   descriptors included, as raw bytes *)
+let raw_frames ~port ~stream n =
+  let c = Relay.Client.connect ~port () in
+  Fun.protect ~finally:(fun () -> Relay.Client.close c) @@ fun () ->
+  let _start, _schema, link = Relay.Client.subscribe_from c ~stream ~from:0 in
+  let rec go acc msgs =
+    if msgs = n then List.rev acc
+    else
+      match Link.recv link with
+      | Some f ->
+        go (Bytes.to_string f :: acc)
+          (if Bytes.get f 0 = Endpoint.frame_message then msgs + 1 else msgs)
+      | None -> Alcotest.failf "stream closed after %d messages" msgs
+  in
+  go [] 0
+
+(* After catch-up an idle source must leave the link alone for several
+   [io_timeout_s] periods: no reconnect, no second handshake. The
+   replica then serves the source's descriptor and message frames byte
+   for byte. *)
+let test_idle_link_does_not_churn () =
+  with_root @@ fun root_a ->
+  with_root @@ fun root_b ->
+  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let port_a = Relay.port ha in
+  Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
+  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let port_b = Relay.port hb in
+  Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
+  let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
+  let n = 10 in
+  for seq = 0 to n - 1 do
+    publish sender fmt seq
+  done;
+  let cfg =
+    mcfg ~source_port:port_a ~local_port:port_b
+      ~local_relay_id:(Relay.relay_id hb) ()
+  in
+  let m = Mirror.start cfg in
+  Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
+  poll ~what:"replica caught up" (fun () ->
+      relay_stat ~port:port_b "store.flights.tail" >= n);
+  Thread.delay (3. *. cfg.Mirror.io_timeout_s);
+  check int "one link, established once" 1
+    (assoc "links_established" (Mirror.stats m));
+  check int "no reconnect while idle" 0 (assoc "reconnects" (Mirror.stats m));
+  check (Alcotest.list string) "replica frames are the source's, byte for byte"
+    (raw_frames ~port:port_a ~stream:"flights" n)
+    (raw_frames ~port:port_b ~stream:"flights" n);
+  Relay.Client.close pub
+
+(* A restarted publisher numbers its formats from 1 again, so a new
+   descriptor can reuse a format id the link already forwarded — here
+   the same struct from a big-endian 32-bit capture point. The replica
+   must forward that descriptor too: a live consumer on it decodes the
+   second publisher's events, not the first one's layout. *)
+let test_reused_format_id_replicated () =
+  with_root @@ fun root_a ->
+  with_root @@ fun root_b ->
+  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let port_a = Relay.port ha in
+  Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
+  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let port_b = Relay.port hb in
+  Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
+  let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
+  for seq = 0 to 4 do
+    publish sender fmt seq
+  done;
+  let m =
+    Mirror.start
+      (mcfg ~source_port:port_a ~local_port:port_b
+         ~local_relay_id:(Relay.relay_id hb) ())
+  in
+  Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
+  poll ~what:"replica caught up" (fun () ->
+      relay_stat ~port:port_b "store.flights.tail" >= 5);
+  Relay.Client.close pub;
+  let consumer =
+    Relay.attach_consumer ~port:port_b ~stream:"flights" Abi.arm_32
+  in
+  Fun.protect ~finally:(fun () -> Relay.close_consumer consumer) @@ fun () ->
+  let pub2, sender2, fmt2 =
+    make_publisher ~abi:Abi.sparc_32 ~port:port_a ~stream:"flights" ()
+  in
+  check int "the second publisher reuses the format id" fmt.Format.id
+    fmt2.Format.id;
+  for seq = 5 to 9 do
+    publish sender2 fmt2 seq
+  done;
+  let seqs =
+    List.init 5 (fun _ ->
+        match Relay.recv consumer with
+        | Some (_, v) -> seq_of v
+        | None -> Alcotest.fail "replica consumer closed early")
+  in
+  check (Alcotest.list int) "the replica decodes the new layout" [ 5; 6; 7; 8; 9 ]
+    seqs;
+  check int "both descriptors replicated" 2
+    (assoc "descriptors_replicated" (Mirror.stats m));
+  Relay.Client.close pub2
+
+(* ------------------------------------------------------------------ *)
+(* Overload: busy pauses the link and spends no budget                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A source in [Overloaded] answers the link's [from=] SUBSCRIBE with
+   [busy] (PROTOCOLS.md §16). That is overload, not loss: with a
+   reconnect budget of 2 and promote-on-loss armed, the link must wait
+   out the hints without reconnecting, declaring the source lost or
+   promoting; once the pressure goes the replica catches up, every
+   frame exactly once. *)
+let test_busy_pauses_link () =
+  with_root @@ fun root_a ->
+  with_root @@ fun root_b ->
+  let ha =
+    Relay.start ~store:(store_cfg root_a) ~sndbuf:4096 ~max_queue:100_000
+      ~governor:(Relay.Governor.config ~budget:32_768 ~busy_retry_ms:30 ())
+      ()
+  in
+  let port_a = Relay.port ha in
+  Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
+  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let port_b = Relay.port hb in
+  Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
+  let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
+  Fun.protect ~finally:(fun () -> Relay.Client.close pub) @@ fun () ->
+  let n = 20 in
+  for seq = 0 to n - 1 do
+    publish sender fmt seq
+  done;
+  poll ~what:"source stored the burst" (fun () ->
+      relay_stat ~port:port_a "store.flights.tail" >= n);
+  (* overload A: a storm of 1 KB frames at a subscriber that never
+     reads, until the shard's outbound backlog trips the governor *)
+  let adv = Relay.Client.connect ~port:port_a () in
+  Fun.protect ~finally:(fun () -> Relay.Client.close adv) @@ fun () ->
+  Relay.Client.advertise adv ~stream:"storm" ~schema:Fx.schema_a;
+  let hoarder = Relay.Client.connect ~port:port_a () in
+  let _schema, _link = Relay.Client.subscribe hoarder ~stream:"storm" in
+  let spub = Relay.Client.connect ~port:port_a () in
+  Fun.protect ~finally:(fun () -> Relay.Client.close spub) @@ fun () ->
+  let slink = Relay.Client.publish spub ~stream:"storm" in
+  let frame = Bytes.make 1024 'x' in
+  Bytes.set frame 0 Endpoint.frame_message;
+  let storming = ref true in
+  ignore
+    (Thread.create
+       (fun () ->
+         try
+           while !storming do
+             Link.send slink frame
+           done
+         with _ -> ())
+       ());
+  poll ~what:"source overloaded" (fun () ->
+      relay_stat ~port:port_a "governor_health" = 2);
+  let m =
+    Mirror.start
+      (mcfg ~globs:[ "flights" ] ~max_attempts:2 ~promote_on_loss:true
+         ~source_port:port_a ~local_port:port_b
+         ~local_relay_id:(Relay.relay_id hb) ())
+  in
+  Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
+  poll ~what:"link paused on busy" (fun () ->
+      assoc "busy_backoffs" (Mirror.stats m) >= 1);
+  Thread.delay 0.3 (* several hints: a budget spent on busy would show *);
+  check int "still overloaded" 2 (relay_stat ~port:port_a "governor_health");
+  let stats = Mirror.stats m in
+  check int "busy is no reconnect" 0 (assoc "reconnects" stats);
+  check int "busy is no source loss" 0 (assoc "sources_lost" stats);
+  check int "busy never promotes" 0 (assoc "promotes" stats);
+  (* relieve the pressure: the hoarder goes, the shard recovers *)
+  storming := false;
+  Relay.Client.close hoarder;
+  poll ~what:"source recovered" (fun () ->
+      relay_stat ~port:port_a "governor_health" = 0);
+  poll ~what:"replica caught up" (fun () ->
+      relay_stat ~port:port_b "store.flights.tail" >= n);
+  check
+    (Alcotest.list int)
+    "replica holds every frame exactly once" (List.init n Fun.id)
+    (read_from ~port:port_b ~stream:"flights" ~from:0 n);
+  check int "no duplicate appended" n
+    (relay_stat ~port:port_b "store.flights.tail");
+  check int "still no promote" 0 (assoc "promotes" (Mirror.stats m))
+
+(* ------------------------------------------------------------------ *)
 (* Restart: persisted advertisement metadata is re-advertised           *)
 (* ------------------------------------------------------------------ *)
 
@@ -551,7 +744,14 @@ let () =
         ; Alcotest.test_case "corrupt sealed frame re-links, exactly once"
             `Quick test_corrupt_sealed_frame_relinks
         ; Alcotest.test_case "A<->B loops terminate, no amplification"
-            `Quick test_bidirectional_no_amplification ] )
+            `Quick test_bidirectional_no_amplification
+        ; Alcotest.test_case "idle link does not churn, byte-exact replica"
+            `Quick test_idle_link_does_not_churn
+        ; Alcotest.test_case "reused format id replicated" `Quick
+            test_reused_format_id_replicated ] )
+    ; ( "overload",
+        [ Alcotest.test_case "busy pauses the link, spends no budget" `Quick
+            test_busy_pauses_link ] )
     ; ( "failover",
         [ Alcotest.test_case "explicit promote transfers ownership" `Quick
             test_promote_transfers_ownership

@@ -1151,6 +1151,59 @@ let test_second_hello_refused () =
   check int "one authenticated session" 1
     (Option.value ~default:0 (List.assoc_opt "auth_sessions" stats))
 
+(* ------------------------------------------------------------------ *)
+(* Sessions                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Closing a subscriber session while its relay is down must end the
+   reconnect loop: the blocked receive returns [None] within one
+   backoff step (not [Gave_up] once the budget runs out), and a relay
+   that comes back afterwards never sees the closed session subscribe
+   again. *)
+let test_session_close_during_outage () =
+  let h = Relay.start () in
+  let port = Relay.port h in
+  let pub, _, _ = make_publisher ~port ~stream:"flights" in
+  let max_delay_s = 0.2 in
+  let sub =
+    Relay.Session.subscribe
+      (Relay.Session.config ~max_attempts:40 ~base_delay_s:0.05 ~max_delay_s
+         ~port ())
+      ~stream:"flights" Abi.arm_32
+  in
+  Relay.Client.close pub;
+  Relay.stop h;
+  let result = ref None in
+  let receiver =
+    Thread.create
+      (fun () ->
+        result :=
+          Some
+            (match Relay.Session.recv_subscriber sub with
+            | None -> "None"
+            | Some _ -> "an event"
+            | exception e -> Printexc.to_string e))
+      ()
+  in
+  Thread.delay 0.3;
+  Relay.Session.close_subscriber sub;
+  let deadline = Unix.gettimeofday () +. max_delay_s +. 0.3 in
+  while Option.is_none !result && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  check
+    (Alcotest.option Alcotest.string)
+    "receive returns None within one backoff step" (Some "None") !result;
+  Thread.join receiver;
+  (* the relay comes back on the same port, stream advertised *)
+  let h2 = Relay.start ~port () in
+  Fun.protect ~finally:(fun () -> Relay.stop h2) @@ fun () ->
+  let pub2, _, _ = make_publisher ~port ~stream:"flights" in
+  Thread.delay (3. *. max_delay_s);
+  check int "the closed session never subscribed again" 0
+    (Option.value ~default:0 (List.assoc_opt "subscriptions" (Relay.stats h2)));
+  Relay.Client.close pub2
+
 let () =
   Alcotest.run "relay"
     [ ( "frames",
@@ -1210,4 +1263,7 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_proto_reply_roundtrip
         ; QCheck_alcotest.to_alcotest prop_proto_decoders_total
         ; Alcotest.test_case "second HELLO refused" `Quick
-            test_second_hello_refused ] ) ]
+            test_second_hello_refused ] )
+    ; ( "session",
+        [ Alcotest.test_case "close during an outage stops reconnecting"
+            `Quick test_session_close_during_outage ] ) ]
