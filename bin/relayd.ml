@@ -154,7 +154,9 @@ let store_fsync_arg =
         ~doc:
           "Durability policy: $(b,never) (page cache only), $(b,every=N) \
            (fsync once per N appends), or $(b,interval=SECS) (fsync on a \
-           timer; the default, interval=0.1).")
+           timer; the default, interval=0.1). Acks follow the fsync, so \
+           a mirror link into this relay carries at most 8192 frames per \
+           interval.")
 
 let store_segment_mb_arg =
   Arg.(

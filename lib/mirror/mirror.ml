@@ -4,8 +4,9 @@
     subscriber on the source feeding one acked [mirror=1] Session
     publisher on the local relay. Recovery (reconnect, backoff, busy
     waits, handshake replay) is the Sessions'; what lives here is
-    discovery, the DESCRIBE-time loop guard, promotion and accounting.
-    See mirror.mli for the full contract. *)
+    discovery, the DESCRIBE-time loop guard, retrying a link's failed
+    first handshake, the liveness probe before promotion, and
+    accounting. See mirror.mli for the full contract. *)
 
 module Relay = Omf_relay.Relay
 module Proto = Omf_relay.Relay_proto
@@ -77,6 +78,8 @@ type link_state = {
   mutable l_pub : Session.publisher option;
   mutable l_sub : Session.subscriber option;
       (** the live sessions: {!stop} closes them to end the link *)
+  mutable l_tally : unit -> unit;
+      (** folds the live sessions' own counts into the counters *)
   mutable l_done : bool;  (** thread returned; manager may respawn *)
   mutable l_promoted : bool;  (** stream promoted locally: link retired *)
   mutable l_replicated : int;  (** message frames pumped by this link *)
@@ -94,8 +97,16 @@ type t = {
   mutable stopped : bool;
 }
 
+(** Fold every live link's session counts ([reconnects],
+    [busy_backoffs], [descriptors_replicated]) into the counters. *)
+let refresh (t : t) =
+  Mutex.protect t.mu (fun () -> Hashtbl.iter (fun _ ls -> ls.l_tally ()) t.links)
+
 let counters (t : t) = t.counters
-let stats (t : t) : (string * int) list = Counters.dump t.counters
+
+let stats (t : t) : (string * int) list =
+  refresh t;
+  Counters.dump t.counters
 
 let trace_spans (t : t) : Trace.span list =
   match t.trace_col with None -> [] | Some col -> Trace.spans col
@@ -122,8 +133,9 @@ type advert = {
 }
 
 (* Frames the local publisher may hold unacknowledged. Acks follow the
-   local store's fsync (relayd's default: every 0.1 s), so the window
-   caps a link at window / fsync-interval frames/s. *)
+   local store's fsync, so the window caps a link at window /
+   fsync-interval frames/s: about 82k/s at relayd's default
+   [interval=0.1], 8k/s at [interval=1] (doc/MIRROR.md §4). *)
 let ack_window = 8192
 
 (* The source session gets no read deadline: an idle source is not a
@@ -162,24 +174,25 @@ let promote_local (t : t) (ls : link_state) =
     Log.err (fun m ->
         m "stream %s: promote failed: %s" ls.l_stream (Printexc.to_string e))
 
-(** Fold the two sessions' own counts into the mirror's counters, so
-    [reconnects], [busy_backoffs] and [descriptors_replicated] (distinct
-    descriptors learned) move while the link is live. *)
+(** A link's [l_tally]: adds what the two sessions counted since the
+    last call — [reconnects], [busy_backoffs] and
+    [descriptors_replicated] (distinct descriptors learned). Called
+    under [t.mu] by {!refresh} and once more when the link ends. *)
 let tally (t : t) sub pub =
   let last = Array.make 3 0 in
+  let fold i key now =
+    if now > last.(i) then begin
+      Counters.incr t.counters ~by:(now - last.(i)) key;
+      last.(i) <- now
+    end
+  in
   fun () ->
-    List.iteri
-      (fun i (key, now) ->
-        if now > last.(i) then begin
-          Counters.incr t.counters ~by:(now - last.(i)) key;
-          last.(i) <- now
-        end)
-      [ ( "reconnects"
-        , Session.subscriber_reconnects sub + Session.publisher_reconnects pub )
-      ; ( "busy_backoffs"
-        , Session.subscriber_busy_waits sub + Session.publisher_busy_waits pub )
-      ; ("descriptors_replicated", (Session.subscriber_stats sub).formats_learned)
-      ]
+    fold 0 "reconnects"
+      (Session.subscriber_reconnects sub + Session.publisher_reconnects pub);
+    fold 1 "busy_backoffs"
+      (Session.subscriber_busy_waits sub + Session.publisher_busy_waits pub);
+    fold 2 "descriptors_replicated"
+      (Session.subscriber_stats sub).formats_learned
 
 (** Hand one message frame to the local relay, recording a
     [mirror_replicate] span when the stream's trace is sampled or the
@@ -200,11 +213,12 @@ let forward (t : t) (ls : link_state) (ad : advert) pub (fmt, msg) =
   | _ -> Session.publish_frame pub fmt msg
 
 (** One link: the local publisher's handshake fixes the resume point,
-    the source subscriber starts there, and frames are pumped until the
-    mirror stops or a session fails. Either way the publisher is
-    flushed (best-effort) before it closes, so nothing is in flight
-    when the link re-handshakes or the stream is promoted. *)
-let replicate (t : t) (ls : link_state) (ad : advert) =
+    the source subscriber starts there ([on_link] once both are up),
+    and frames are pumped until the mirror stops or a session fails.
+    Either way the publisher is flushed (best-effort) before it
+    closes, so nothing is in flight when the link re-handshakes or the
+    stream is promoted. *)
+let replicate (t : t) (ls : link_state) (ad : advert) ~on_link =
   let cfg = t.cfg and stream = ls.l_stream in
   let pub =
     Session.publisher ~window:ack_window ~acked:true ~meta:ad.meta
@@ -233,48 +247,103 @@ let replicate (t : t) (ls : link_state) (ad : advert) =
     (* source retention outran this replica: the gap is gone *)
     Counters.incr t.counters "resume_gap_clamped";
   Counters.incr t.counters "links_established";
+  on_link ();
   Log.info (fun m ->
       m "stream %s: replicating %s@%d from offset %d" stream ad.origin ad.epoch
         from);
   let tally = tally t sub pub in
+  Mutex.protect t.mu (fun () -> ls.l_tally <- tally);
+  Fun.protect ~finally:(fun () ->
+      Mutex.protect t.mu (fun () ->
+          tally ();
+          ls.l_tally <- ignore))
+  @@ fun () ->
   let rec pump () =
     if not t.stopped then
       match Session.recv_subscriber_raw sub with
       | None -> ()
       | Some frame ->
         forward t ls ad pub frame;
-        tally ();
         pump ()
   in
-  Fun.protect ~finally:tally pump
+  pump ()
+
+let refused = function Client.Error msg -> Proto.is_refusal msg | _ -> false
+
+(** Does the source accept a TCP connection? Its process is up,
+    whatever it then answers. *)
+let listening (t : t) =
+  match
+    Omf_transport.Tcp.connect ~host:t.cfg.source_host ~port:t.cfg.source_port
+      ~connect_timeout_s:t.cfg.io_timeout_s ()
+  with
+  | link ->
+    Omf_transport.Link.close link;
+    true
+  | exception _ -> false
+
+(** A reconnect budget ran out ([why]). Before calling the source lost,
+    ask it once: a source that still answers is alive — serving the
+    stream, shedding, or refusing it because it restarted without the
+    stream or no longer knows this mirror's key. The link then parks
+    until the next rescan, a refusal counting [links_refused];
+    promoting would leave two writable owners. Only an unreachable
+    source counts [sources_lost] and, with [promote_on_loss], is
+    promoted away. *)
+let budget_spent (t : t) (ls : link_state) why =
+  let stream = ls.l_stream in
+  match with_client t ~local:false (Client.describe ~stream) with
+  | _ | (exception Client.Busy _) ->
+    Log.info (fun m -> m "stream %s: %s; source answers, link parked" stream why)
+  | exception e when refused e || listening t ->
+    Counters.incr t.counters "links_refused";
+    Log.info (fun m ->
+        m "stream %s: %s; source refuses: %s" stream why (Printexc.to_string e))
+  | exception _ ->
+    Counters.incr t.counters "sources_lost";
+    Log.warn (fun m -> m "stream %s: %s; source lost" stream why);
+    if t.cfg.promote_on_loss && not t.stopped then promote_local t ls
 
 (** Per-stream link thread: {!replicate}, and on the way out decide
-    between pausing (busy), promoting (source lost) and parking until
-    the next rescan (refusal or any other failure). *)
-let rec link_thread (t : t) (ls : link_state) (ad : advert) =
-  let stream = ls.l_stream in
-  match replicate t ls ad with
-  | () -> ls.l_done <- true
-  | exception Client.Busy { retry_ms } ->
-    (* overload is neither an outage nor a refusal *)
-    Counters.incr t.counters "busy_backoffs";
-    Log.info (fun m ->
-        m "stream %s: relay overloaded; pausing the link %dms" stream retry_ms);
-    Thread.delay (float_of_int retry_ms /. 1000.);
-    if t.stopped then ls.l_done <- true else link_thread t ls ad
-  | exception Session.Gave_up msg ->
-    Counters.incr t.counters "sources_lost";
-    Log.warn (fun m -> m "stream %s: %s" stream msg);
-    if t.cfg.promote_on_loss && not t.stopped then promote_local t ls;
-    ls.l_done <- true
-  | exception e ->
-    (match e with
-    | Client.Error msg when Proto.is_refusal msg ->
-      Counters.incr t.counters "links_refused"
-    | _ -> ());
-    Log.info (fun m ->
-        m "stream %s: link parked: %s" stream (Printexc.to_string e));
-    ls.l_done <- true
+    between pausing (busy), handshaking again, {!budget_spent} and
+    parking until the next rescan (a refusal or any other failure). A
+    session's first connection does not retry, so a failed handshake
+    (either relay unreachable or hanging up) is retried here, every
+    [max_delay_s], and [max_attempts] failures in a row spend the
+    budget like a session's reconnects do. *)
+let link_thread (t : t) (ls : link_state) (ad : advert) =
+  let stream = ls.l_stream and failed = ref 0 in
+  let rec go () =
+    match replicate t ls ad ~on_link:(fun () -> failed := 0) with
+    | () -> ()
+    | exception Client.Busy { retry_ms } ->
+      (* overload is neither an outage nor a refusal *)
+      Counters.incr t.counters "busy_backoffs";
+      Log.info (fun m ->
+          m "stream %s: relay overloaded; pausing the link %dms" stream
+            retry_ms);
+      failed := 0;
+      Thread.delay (float_of_int retry_ms /. 1000.);
+      if not t.stopped then go ()
+    | exception Session.Gave_up msg -> budget_spent t ls msg
+    | exception e when Client.transient e && not (refused e) ->
+      incr failed;
+      let why = Printexc.to_string e in
+      if !failed >= t.cfg.max_attempts then
+        budget_spent t ls
+          (Printf.sprintf "%d handshakes failed, last: %s" !failed why)
+      else begin
+        Log.info (fun m -> m "stream %s: handshake failed: %s" stream why);
+        Thread.delay t.cfg.max_delay_s;
+        if not t.stopped then go ()
+      end
+    | exception e ->
+      if refused e then Counters.incr t.counters "links_refused";
+      Log.info (fun m ->
+          m "stream %s: link parked: %s" stream (Printexc.to_string e))
+  in
+  go ();
+  ls.l_done <- true
 
 (* ------------------------------------------------------------------ *)
 (* Manager: discovery + lag gauges                                      *)
@@ -314,7 +383,7 @@ let describe (t : t) src (stream : string) : advert option =
 let spawn_link (t : t) (stream : string) (ad : advert) =
   let ls =
     { l_stream = stream; l_thread = None; l_pub = None; l_sub = None
-    ; l_done = false; l_promoted = false; l_replicated = 0 }
+    ; l_tally = ignore; l_done = false; l_promoted = false; l_replicated = 0 }
   in
   Hashtbl.replace t.links stream ls;
   Counters.incr t.counters "streams_linked";
@@ -324,6 +393,7 @@ let spawn_link (t : t) (stream : string) (ad : advert) =
     stream that has no live (or retired-by-promote) link, and refresh
     the per-stream replication-lag gauges from both ends' STATS. *)
 let scan (t : t) =
+  refresh t;
   with_client t ~local:false @@ fun src ->
   let streams = Client.list_streams src |> List.filter (wanted t.cfg) in
   let needs_link s =

@@ -22,13 +22,21 @@
     direction, with no frame amplification.
 
     Each side of a link reconnects on its own under Session's jittered
-    backoff budget and replays its handshake. When the source's budget
-    is exhausted ({!Omf_relay.Relay.Session.Gave_up}) and
-    [promote_on_loss] is set, the stream is promoted locally (ownership
-    transfers at a bumped epoch) so publishers and consumers carry on
-    against the replica; without it — and after a refusal — the link
-    parks until the next rescan. A [busy] reply from either relay
-    pauses the link for the relay's hint and spends no budget. *)
+    backoff budget and replays its handshake; a failed handshake is
+    retried every [max_delay_s], [max_attempts] times in a row. Once a
+    budget is spent ({!Omf_relay.Relay.Session.Gave_up}) the mirror
+    asks the source once more (DESCRIBE, then a bare TCP connect): if
+    it still answers, the link parks until the next rescan (an error
+    answer counts [links_refused]). Only an unreachable source — the
+    TCP connect fails — is lost; with [promote_on_loss] its stream is
+    then promoted locally (ownership transfers at a bumped epoch) so
+    publishers and consumers carry on against the replica. A refusal
+    also parks the link. A [busy] reply from either relay pauses the
+    link for the relay's hint and spends no budget.
+
+    A link holds at most 8192 frames unacknowledged by the local
+    relay, whose acks follow its store's fsync: a link carries at most
+    8192 frames per local fsync interval (doc/MIRROR.md §4). *)
 
 type config = {
   source_host : string;

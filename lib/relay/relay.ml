@@ -2200,31 +2200,12 @@ module Prng = Omf_util.Prng
 module Sha256 = Omf_util.Sha256
 
 (** Fault-tolerant relay sessions: {!Client} plus automatic
-    reconnect/replay, mirroring the metadata layer's fallback-chain
-    philosophy at the transport layer — a dropped TCP connection
-    degrades to a retry loop instead of killing the consumer.
-
-    A {e subscriber session} detects a broken link (close, reset, MAC
-    failure, deadline), reconnects under a retry budget with
-    exponential backoff + jitter, replays its HELLO/SUBSCRIBE state,
-    and relies on the relay's cached descriptor replay to stay
-    decodable; descriptor frames already learned are deduplicated by
-    content digest, so a relayd restart cannot corrupt or re-register
-    formats.
-
-    A {e publisher session} replays HELLO/ADVERTISE/PUBLISH on
-    reconnect, re-announces format descriptors on the fresh connection
-    (the relay restarts empty), and buffers data frames that could not
-    be written — up to a bounded in-flight window; past the window,
-    {!Overflow} is raised rather than silently dropping or blocking
-    forever. *)
+    reconnect/replay — a dropped TCP connection degrades to a retry
+    loop instead of killing the endpoint. The contract of every entry
+    point is in relay.mli. *)
 module Session = struct
   exception Gave_up of string
-  (** The reconnect budget for one outage was exhausted. *)
-
   exception Overflow of string
-  (** The publisher's bounded in-flight window is full while the relay
-      is unreachable. *)
 
   type config = {
     host : string;
@@ -2250,7 +2231,7 @@ module Session = struct
     ; max_delay_s; connect_timeout_s = Some connect_timeout_s; io_timeout_s
     ; jitter_seed }
 
-  (* attempt k (0-based) sleeps min(cap, base * 2^k) scaled into
+  (* backoff step k (0-based) is min(cap, base * 2^k) scaled into
      [0.5, 1.0) — full-jitter halves thundering-herd resubscription
      after a relayd restart while keeping tests deterministic via the
      seeded PRNG *)
@@ -2275,9 +2256,10 @@ module Session = struct
   (** Reconnect and replay session state: dial a fresh connection and
       run [f] (which re-issues SUBSCRIBE or ADVERTISE/PUBLISH) against
       it, retrying transient failures under the budget — except those
-      [final] says no fresh connection can cure. [closed] is checked
-      before each attempt and after each sleep; a connection won after
-      a close is closed at once. *)
+      [final] says no fresh connection can cure. The first attempt
+      dials at once; attempt [k] waits backoff step [k - 1] first.
+      [closed] is checked before each attempt and after each sleep; a
+      connection won after a close is closed at once. *)
   let with_retries ?(final = fun _ -> false) (cfg : config) rng ~closed
       ~(what : string) (f : Client.t -> 'a) : 'a =
     let rec go attempt =
@@ -2287,8 +2269,10 @@ module Session = struct
           (Gave_up
              (Printf.sprintf "%s: gave up after %d reconnect attempts" what
                 cfg.max_attempts));
-      Thread.delay (backoff_delay cfg rng attempt);
-      if closed () then raise Closed;
+      if attempt > 0 then begin
+        Thread.delay (backoff_delay cfg rng (attempt - 1));
+        if closed () then raise Closed
+      end;
       let retry e =
         Log.debug (fun m ->
             m "%s: reconnect attempt %d failed: %s" what (attempt + 1)
@@ -2395,18 +2379,8 @@ module Session = struct
        delivery resumes at the oldest retained event *)
     s.s_next <- Option.value offset ~default:(-1)
 
-  (** [subscribe cfg ~stream abi] connects and subscribes; failures on
-      this {e first} attempt raise immediately (an unknown stream at
-      session start is a configuration error, not an outage).
-
-      [from] is the store offset to start at against a store-backed
-      relay: [-1] (the default) for the live tail, [0] for the oldest
-      retained event. The session then counts delivered message frames
-      and resubscribes with [from = next-expected-offset], so a relay
-      restart replays exactly the missed suffix — no loss, and the
-      relay's [skip_until] filter guarantees no duplicates. Against a
-      memory-only relay [from] is ignored and resubscribes are
-      tail-only, as before. *)
+  (* the first connection raises at once; the relay's [skip_until]
+     filter makes a [from=] resubscribe duplicate-free *)
   let subscribe ?(from = -1) ?(want_trace = false) (cfg : config)
       ~(stream : string) (abi : Omf_machine.Abi.t) : subscriber =
     let catalog = Catalog.create abi in
@@ -2452,10 +2426,6 @@ module Session = struct
             m "subscriber %s: resubscribed from offset %d (reconnect %d)"
               s.s_stream s.s_next s.s_reconnects))
 
-  (** Blocking receive of the next message frame, undecoded, with its
-      sender's wire format, reconnecting across outages. [None] only
-      after {!close_subscriber} (also mid-outage); a hopeless outage
-      raises {!Gave_up}. *)
   let rec recv_subscriber_raw (s : subscriber) : (Format.t * Bytes.t) option =
     if s.s_closed then None
     else
@@ -2503,7 +2473,6 @@ module Session = struct
           end
           else raise e)
 
-  (** {!recv_subscriber_raw}, decoded into the subscriber's ABI. *)
   let recv_subscriber (s : subscriber) : (Format.t * Value.t) option =
     Option.map
       (fun (_, msg) -> Pbio.Receiver.receive_value s.s_pbio msg)
@@ -2512,20 +2481,9 @@ module Session = struct
   let subscriber_schema (s : subscriber) = s.s_schema
 
   let subscriber_offset (s : subscriber) = s.s_next
-  (** Store offset of the next message frame this session expects
-      ([-1] against a memory-only relay). *)
-
   let subscriber_reconnects (s : subscriber) = s.s_reconnects
-
   let subscriber_busy_waits (s : subscriber) = s.s_busy_waits
-  (** Overload backoffs served ([busy] replies waited out on a live
-      connection) — distinct from {!subscriber_reconnects}. *)
-
   let subscriber_trace (s : subscriber) = s.s_trace
-  (** The stream's trace context (PROTOCOLS.md §17) as learned at
-      subscribe time; [None] unless the session was opened with
-      [~want_trace:true] against a tracing relay. *)
-
   let subscriber_catalog (s : subscriber) = s.s_catalog
 
   let subscriber_stats (s : subscriber) : Pbio.Receiver.stats =
@@ -2641,22 +2599,6 @@ module Session = struct
     Hashtbl.reset p.b_announced;
     if p.b_ack_mode then resync_acked p (Option.map (fun w -> w.Proto.durable) w)
 
-  (** [publisher cfg ~stream ~schema abi] connects, advertises and
-      enters publisher mode. First-attempt failures raise immediately,
-      as for {!subscribe}. [window] bounds buffered data frames during
-      an outage (default 1024).
-
-      With [~acked:true] the session publishes with [acks=1]
-      (PROTOCOLS.md §13): frames stay buffered until the relay reports
-      them durable, so even a relay killed mid-publish loses nothing —
-      the reconnect resends exactly the store's missing suffix, and the
-      relay's resume handshake guarantees no duplicates. The window
-      then bounds {e unacknowledged} frames, and a full window blocks
-      on the ack channel instead of raising. Against a memory-only
-      relay the mode degrades to the plain fire-and-forget session.
-
-      [meta] rides on every ADVERTISE; [mirror] makes the session a
-      replication link ({!handshake}). *)
   let publisher ?(window = 1024) ?(acked = false) ?trace ?(meta = []) ?mirror
       (cfg : config) ~(stream : string) ~(schema : string)
       (abi : Omf_machine.Abi.t) : publisher =
@@ -2683,20 +2625,13 @@ module Session = struct
     Catalog.find_format p.b_catalog name
 
   let publisher_reconnects (p : publisher) = p.b_reconnects
-
   let publisher_busy_waits (p : publisher) = p.b_busy_waits
-  (** Overload backoffs served ([busy] replies waited out on a live
-      connection) — distinct from {!publisher_reconnects}. *)
 
   let publisher_buffered (p : publisher) =
     Queue.length p.b_buf + Queue.length p.b_inflight
-  (** Plain mode: frames awaiting a live connection. Ack mode: frames
-      not yet acknowledged durable. *)
 
   let publisher_acked (p : publisher) = p.b_ack_mode
-
   let publisher_durable (p : publisher) = p.b_durable
-  (** The relay's durable watermark as of the last ack (ack mode). *)
 
   let drop_publisher_link (p : publisher) =
     (match p.b_client with Some c -> Client.close c | None -> ());
@@ -2780,21 +2715,19 @@ module Session = struct
       ({!Relay_proto.is_refusal}: read-only, stale epoch, ...) is
       final: no fresh connection cures it, so it is raised. *)
   let reconnect_publisher (p : publisher) : bool =
-    p.b_cfg.max_attempts > 0
-    && match
-         with_retries ~final:refused p.b_cfg p.b_rng
-           ~closed:(fun () -> p.b_closed)
-           ~what:(Printf.sprintf "publisher %s" p.b_stream)
-           (fun client ->
-             handshake p client;
-             p.b_reconnects <- p.b_reconnects + 1;
-             Log.info (fun m ->
-                 m "publisher %s: reconnected (reconnect %d, %d frames \
-                    buffered)"
-                   p.b_stream p.b_reconnects (publisher_buffered p)))
-       with
-       | () -> true
-       | exception (Gave_up _ | Closed) -> false
+    match
+      with_retries ~final:refused p.b_cfg p.b_rng
+        ~closed:(fun () -> p.b_closed)
+        ~what:(Printf.sprintf "publisher %s" p.b_stream)
+        (fun client ->
+          handshake p client;
+          p.b_reconnects <- p.b_reconnects + 1;
+          Log.info (fun m ->
+              m "publisher %s: reconnected (reconnect %d, %d frames buffered)"
+                p.b_stream p.b_reconnects (publisher_buffered p)))
+    with
+    | () -> true
+    | exception (Gave_up _ | Closed) -> false
 
   (** Ack mode: drain acks until [until ()] holds, reconnecting (three
       rounds at most) when the link breaks; [fail ()] is raised when
@@ -2810,32 +2743,19 @@ module Session = struct
       if p.b_ack_mode && not (until ()) then ignore (drain_ack p)
     done
 
-  (** [publish_frame p fmt msg] ships one already-marshalled message
-      ([msg] is a {!Omf_pbio.Wire} header plus NDR payload of [fmt]).
-      During an outage the frame is buffered and reconnection attempted
-      under the budget; a full window raises {!Overflow} (the frame is
-      {e not} enqueued) in plain mode and blocks for acks in ack mode;
-      an exhausted budget returns with the frame buffered for the next
-      call. *)
   let publish_frame (p : publisher) (fmt : Format.t) (msg : Bytes.t) : unit =
     Mutex.protect p.b_mu @@ fun () ->
     if p.b_closed then raise (Client.Error "publisher session closed");
     if publisher_buffered p >= p.b_window then begin
-      await_acks p
-        ~until:(fun () -> publisher_buffered p < p.b_window)
-        ~fail:(fun () ->
-          Overflow
-            (Printf.sprintf
-               "publisher %s: window full (%d unacknowledged frames) and \
-                the relay is unreachable"
-               p.b_stream p.b_window));
-      if publisher_buffered p >= p.b_window then
-        raise
-          (Overflow
-             (Printf.sprintf
-                "publisher %s: in-flight window (%d frames) full while relay \
-                 unreachable"
-                p.b_stream p.b_window))
+      let full () =
+        Overflow
+          (Printf.sprintf
+             "publisher %s: window (%d frames) full while the relay is \
+              unreachable"
+             p.b_stream p.b_window)
+      in
+      await_acks p ~until:(fun () -> publisher_buffered p < p.b_window) ~fail:full;
+      if publisher_buffered p >= p.b_window then raise (full ())
     end;
     let seq = p.b_next_seq in
     if p.b_ack_mode then p.b_next_seq <- seq + 1;
@@ -2846,16 +2766,11 @@ module Session = struct
     if not (try_flush p) then
       if reconnect_publisher p then ignore (try_flush p)
 
-  (** [publish_value p fmt v] marshals one event — captured even if the
-      relay is down — and ships it with {!publish_frame}. *)
   let publish_value (p : publisher) (fmt : Format.t) (v : Value.t) : unit =
     Omf_machine.Memory.reset p.b_mem;
     let addr = Omf_pbio.Native.store p.b_mem fmt v in
     publish_frame p fmt (Pbio.message p.b_mem fmt addr)
 
-  (** Block until every buffered frame is acknowledged durable (ack
-      mode) or written (plain mode), reconnecting under the budget.
-      {!Gave_up} when the relay stays unreachable. *)
   let flush_acked (p : publisher) : unit =
     Mutex.protect p.b_mu @@ fun () ->
     if not p.b_ack_mode then ignore (try_flush p)
@@ -2869,10 +2784,8 @@ module Session = struct
                 unacknowledged frames"
                p.b_stream (publisher_buffered p)))
 
-  (** Close, flushing buffered frames best-effort (no reconnect; call
-      {!flush_acked} first for a durable handoff). The flag is set
-      before taking the lock, so a publish or flush stuck in the
-      reconnect loop on another thread gives up at its next check. *)
+  (* the flag is set before taking the lock, so a publish or flush in
+     the reconnect loop on another thread gives up at its next check *)
   let close_publisher (p : publisher) : unit =
     if not p.b_closed then begin
       p.b_closed <- true;

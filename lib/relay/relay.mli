@@ -369,9 +369,10 @@ module Session : sig
     unit ->
     config
   (** [max_attempts] (default 10) bounds reconnect attempts per outage;
-      attempt [k] sleeps [min(max_delay_s, base_delay_s * 2^k)] scaled
-      by full jitter into [[0.5, 1.0)] of itself (defaults 0.05s/2.0s,
-      deterministic under [jitter_seed]). [auth], [compress] (offered
+      the first dials at once, attempt [k >= 1] first sleeps
+      [min(max_delay_s, base_delay_s * 2^(k-1))] scaled by full jitter
+      into [[0.5, 1.0)] of itself (defaults 0.05s/2.0s, deterministic
+      under [jitter_seed]). [auth], [compress] (offered
       on every reconnect, renegotiated per connection),
       [connect_timeout_s] (default 5s) and [io_timeout_s] as for
       {!Client.connect}; reconnect HELLOs carry an extra

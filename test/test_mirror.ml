@@ -610,35 +610,34 @@ let test_reused_format_id_replicated () =
    out the hints without reconnecting, declaring the source lost or
    promoting; once the pressure goes the replica catches up, every
    frame exactly once. *)
-let test_busy_pauses_link () =
-  with_root @@ fun root_a ->
-  with_root @@ fun root_b ->
+(* A store-backed source with a small governor budget, holding [n]
+   stored "flights" frames. *)
+let busy_source root ~n =
   let ha =
-    Relay.start ~store:(store_cfg root_a) ~sndbuf:4096 ~max_queue:100_000
+    Relay.start ~store:(store_cfg root) ~sndbuf:4096 ~max_queue:100_000
       ~governor:(Relay.Governor.config ~budget:32_768 ~busy_retry_ms:30 ())
       ()
   in
-  let port_a = Relay.port ha in
-  Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
-  let hb = Relay.start ~store:(store_cfg root_b) () in
-  let port_b = Relay.port hb in
-  Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
-  let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
-  Fun.protect ~finally:(fun () -> Relay.Client.close pub) @@ fun () ->
-  let n = 20 in
+  let port = Relay.port ha in
+  let pub, sender, fmt = make_publisher ~port ~stream:"flights" () in
   for seq = 0 to n - 1 do
     publish sender fmt seq
   done;
   poll ~what:"source stored the burst" (fun () ->
-      relay_stat ~port:port_a "store.flights.tail" >= n);
-  (* overload A: a storm of 1 KB frames at a subscriber that never
-     reads, until the shard's outbound backlog trips the governor *)
-  let adv = Relay.Client.connect ~port:port_a () in
+      relay_stat ~port "store.flights.tail" >= n);
+  (ha, pub)
+
+(* Overload the relay on [port] for the duration of [f]: a storm of
+   1 KB frames at a subscriber that never reads, until the shard's
+   outbound backlog trips the governor. [f release] runs overloaded;
+   [release ()] stops the storm and drops the hoarder. *)
+let with_overload ~port f =
+  let adv = Relay.Client.connect ~port () in
   Fun.protect ~finally:(fun () -> Relay.Client.close adv) @@ fun () ->
   Relay.Client.advertise adv ~stream:"storm" ~schema:Fx.schema_a;
-  let hoarder = Relay.Client.connect ~port:port_a () in
+  let hoarder = Relay.Client.connect ~port () in
   let _schema, _link = Relay.Client.subscribe hoarder ~stream:"storm" in
-  let spub = Relay.Client.connect ~port:port_a () in
+  let spub = Relay.Client.connect ~port () in
   Fun.protect ~finally:(fun () -> Relay.Client.close spub) @@ fun () ->
   let slink = Relay.Client.publish spub ~stream:"storm" in
   let frame = Bytes.make 1024 'x' in
@@ -654,7 +653,33 @@ let test_busy_pauses_link () =
          with _ -> ())
        ());
   poll ~what:"source overloaded" (fun () ->
-      relay_stat ~port:port_a "governor_health" = 2);
+      relay_stat ~port "governor_health" = 2);
+  (* the hoarder's TCP receive window keeps growing for a moment, so the
+     shard drops out of Overloaded and back a few times (a [from=]
+     SUBSCRIBE would be admitted in between): wait until it holds *)
+  let entries = ref (-1) in
+  poll ~what:"overload steady" (fun () ->
+      Thread.delay 0.1;
+      let now = relay_stat ~port "governor_overloaded" in
+      let steady = now = !entries && relay_stat ~port "governor_health" = 2 in
+      entries := now;
+      steady);
+  f (fun () ->
+      storming := false;
+      Relay.Client.close hoarder)
+
+let test_busy_pauses_link () =
+  with_root @@ fun root_a ->
+  with_root @@ fun root_b ->
+  let n = 20 in
+  let ha, pub = busy_source root_a ~n in
+  let port_a = Relay.port ha in
+  Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Relay.Client.close pub) @@ fun () ->
+  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let port_b = Relay.port hb in
+  Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
+  with_overload ~port:port_a @@ fun release ->
   let m =
     Mirror.start
       (mcfg ~globs:[ "flights" ] ~max_attempts:2 ~promote_on_loss:true
@@ -671,8 +696,7 @@ let test_busy_pauses_link () =
   check int "busy is no source loss" 0 (assoc "sources_lost" stats);
   check int "busy never promotes" 0 (assoc "promotes" stats);
   (* relieve the pressure: the hoarder goes, the shard recovers *)
-  storming := false;
-  Relay.Client.close hoarder;
+  release ();
   poll ~what:"source recovered" (fun () ->
       relay_stat ~port:port_a "governor_health" = 0);
   poll ~what:"replica caught up" (fun () ->
@@ -684,6 +708,99 @@ let test_busy_pauses_link () =
   check int "no duplicate appended" n
     (relay_stat ~port:port_b "store.flights.tail");
   check int "still no promote" 0 (assoc "promotes" (Mirror.stats m))
+
+(* Busy is not loss, but a busy source that then dies is. The link is
+   waiting out A's hints, on a fresh handshake after each pause, when A
+   goes away: the failed handshakes spend the budget of 2 like failed
+   reconnects, the mirror finds A unreachable, counts the source lost
+   and promotes the replica. *)
+let test_busy_source_killed_is_lost () =
+  with_root @@ fun root_a ->
+  with_root @@ fun root_b ->
+  let ha, pub = busy_source root_a ~n:20 in
+  let port_a = Relay.port ha in
+  let stopped_a = ref false in
+  Fun.protect ~finally:(fun () -> if not !stopped_a then Relay.stop ha)
+  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Relay.Client.close pub) @@ fun () ->
+  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let port_b = Relay.port hb in
+  Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
+  with_overload ~port:port_a @@ fun release ->
+  Fun.protect ~finally:release @@ fun () ->
+  let m =
+    Mirror.start
+      (mcfg ~globs:[ "flights" ] ~max_attempts:2 ~promote_on_loss:true
+         ~source_port:port_a ~local_port:port_b
+         ~local_relay_id:(Relay.relay_id hb) ())
+  in
+  Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
+  poll ~what:"link paused on busy" (fun () ->
+      assoc "busy_backoffs" (Mirror.stats m) >= 1);
+  stopped_a := true;
+  Relay.stop ha;
+  poll ~deadline_s:20.0 ~what:"replica promoted" (fun () ->
+      assoc "promotes" (Mirror.stats m) >= 1);
+  let stats = Mirror.stats m in
+  check int "the source was lost once" 1 (assoc "sources_lost" stats);
+  check int "promoted once" 1 (assoc "promotes" stats)
+
+(* A source that still answers is not lost, even when it refuses every
+   resubscribe. A memory-only source restarts on the same port without
+   the stream (its publisher is gone) — with [revoke], also without the
+   mirror's key: the link's budget runs out on [unknown stream] (or
+   [unknown key-id]) answers, the mirror asks the source once more,
+   finds it alive, and parks the link. With promote-on-loss armed, the
+   replica must not become a second writable owner. *)
+let test_refusing_source_not_promoted ~revoke () =
+  with_root @@ fun root_b ->
+  let key = ("k1", "mirror-secret") in
+  let ha = Relay.start ~auth_keys:[ key ] () in
+  let port_a = Relay.port ha in
+  let stopped_a = ref false in
+  Fun.protect ~finally:(fun () -> if not !stopped_a then Relay.stop ha)
+  @@ fun () ->
+  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let port_b = Relay.port hb in
+  Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
+  let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
+  let m =
+    Mirror.start
+      { (mcfg ~max_attempts:8 ~promote_on_loss:true ~source_port:port_a
+           ~local_port:port_b ~local_relay_id:(Relay.relay_id hb) ())
+        with Mirror.source_auth = Some key }
+  in
+  Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
+  poll ~what:"link up" (fun () ->
+      assoc "links_established" (Mirror.stats m) >= 1);
+  let n = 10 in
+  for seq = 0 to n - 1 do
+    publish sender fmt seq
+  done;
+  poll ~what:"replica caught up" (fun () ->
+      relay_stat ~port:port_b "store.flights.tail" >= n);
+  Relay.Client.close pub;
+  stopped_a := true;
+  Relay.stop ha;
+  let ha2 =
+    Relay.start ~port:port_a
+      ~auth_keys:[ (if revoke then ("k2", "rotated-secret") else key) ]
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Relay.stop ha2) @@ fun () ->
+  poll ~what:"the refusing source parked the link" (fun () ->
+      assoc "links_refused" (Mirror.stats m) >= 1);
+  Thread.delay 0.3 (* several rescans: a late promote would show *);
+  let stats = Mirror.stats m in
+  check int "a source that answers is not lost" 0
+    (assoc "sources_lost" stats);
+  check int "never promoted" 0 (assoc "promotes" stats);
+  let c = Relay.Client.connect ~port:port_b () in
+  Fun.protect ~finally:(fun () -> Relay.Client.close c) @@ fun () ->
+  match Relay.Client.publish c ~stream:"flights" with
+  | _ -> Alcotest.fail "the replica accepted a plain publisher"
+  | exception Relay.Client.Error msg ->
+    check bool "the replica stays read-only" true (contains msg "read-only")
 
 (* ------------------------------------------------------------------ *)
 (* Restart: persisted advertisement metadata is re-advertised           *)
@@ -751,12 +868,18 @@ let () =
             test_reused_format_id_replicated ] )
     ; ( "overload",
         [ Alcotest.test_case "busy pauses the link, spends no budget" `Quick
-            test_busy_pauses_link ] )
+            test_busy_pauses_link
+        ; Alcotest.test_case "busy source killed: lost and promoted" `Quick
+            test_busy_source_killed_is_lost ] )
     ; ( "failover",
         [ Alcotest.test_case "explicit promote transfers ownership" `Quick
             test_promote_transfers_ownership
         ; Alcotest.test_case "promote-on-loss failover" `Quick
-            test_promote_on_loss_failover ] )
+            test_promote_on_loss_failover
+        ; Alcotest.test_case "refusing source parks, never promotes" `Quick
+            (test_refusing_source_not_promoted ~revoke:false)
+        ; Alcotest.test_case "source revoking the key is not lost" `Quick
+            (test_refusing_source_not_promoted ~revoke:true) ] )
     ; ( "restart",
         [ Alcotest.test_case "persisted metadata re-advertised" `Quick
             test_restart_readvertises_metadata ] ) ]
