@@ -114,14 +114,11 @@ let () =
   Printf.printf "\nall wire formats agree: %b\n"
     (Value.equal via_ndr via_xdr && Value.equal via_ndr via_xml);
 
-  (* and the consumer can hand the block to analysis code *)
+  (* and the consumer can hand the block to analysis code: a double[]
+     loads as one unboxed floatarray *)
   match Value.field_exn via_ndr "cells" with
-  | Value.Array cells ->
-    let sum =
-      Array.fold_left
-        (fun acc v -> acc +. Value.to_float_exn v)
-        0.0 cells
-    in
+  | Value.Floats cells ->
+    let sum = Float.Array.fold_left ( +. ) 0.0 cells in
     Printf.printf "mean ozone concentration this timestep: %.6f ppm\n"
-      (sum /. float_of_int (Array.length cells))
-  | _ -> assert false
+      (sum /. float_of_int (Float.Array.length cells))
+  | v -> Value.type_error "cells: expected floats, got %s" (Value.to_string v)

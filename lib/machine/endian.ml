@@ -87,7 +87,7 @@ let read_uint order buf ~off ~size =
 (** [read_int order buf ~off ~size] reads a two's-complement signed integer,
     sign-extended to 64 bits. *)
 let read_int order buf ~off ~size =
-  check "read_uint" buf ~off ~size;
+  check "read_int" buf ~off ~size;
   sign_extend (get_bits order buf off size) size
 
 (* Signed stores are identical to unsigned stores in two's complement. *)
@@ -96,20 +96,20 @@ let write_int = write_uint
 (** [read_offset] is [Int64.to_int (read_uint ...)] without the boxed
     intermediate: pointer slots, payload offsets and counts. *)
 let read_offset order buf ~off ~size =
-  check "read_uint" buf ~off ~size;
+  check "read_offset" buf ~off ~size;
   Int64.to_int (get_bits order buf off size)
 
 (** [write_offset] is [write_uint ... (Int64.of_int v)] without the boxed
     intermediate. *)
 let write_offset order buf ~off ~size v =
-  check "write_uint" buf ~off ~size;
+  check "write_offset" buf ~off ~size;
   set_bits order buf off size (Int64.of_int v)
 
 (** [read_count order buf ~off ~size] reads a signed integer that sizes
     an array, as an [int]: its value when that lies in [0, max_int], and
     -1 otherwise (negative, or too large to index anything). *)
 let read_count order buf ~off ~size =
-  check "read_uint" buf ~off ~size;
+  check "read_count" buf ~off ~size;
   let v = sign_extend (get_bits order buf off size) size in
   if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0
   then -1
@@ -120,20 +120,20 @@ let read_count order buf ~off ~size =
 let write_float order buf ~off ~size v =
   match size with
   | 8 ->
-    check "write_uint" buf ~off ~size;
+    check "write_float" buf ~off ~size;
     set_bits order buf off 8 (Int64.bits_of_float v)
   | 4 ->
-    check "write_uint" buf ~off ~size;
+    check "write_float" buf ~off ~size;
     set_bits order buf off 4 (Int64.of_int32 (Int32.bits_of_float v))
   | _ -> invalid_arg "Endian.write_float: size must be 4 or 8"
 
 let read_float order buf ~off ~size =
   match size with
   | 8 ->
-    check "read_uint" buf ~off ~size;
+    check "read_float" buf ~off ~size;
     Int64.float_of_bits (get_bits order buf off 8)
   | 4 ->
-    check "read_uint" buf ~off ~size;
+    check "read_float" buf ~off ~size;
     Int32.float_of_bits (Int64.to_int32 (get_bits order buf off 4))
   | _ -> invalid_arg "Endian.read_float: size must be 4 or 8"
 

@@ -111,6 +111,77 @@ let write_float t addr ~size v =
   let off = offset_of_addr t addr size in
   Endian.write_float t.abi.Abi.endianness t.arena ~off ~size v
 
+(* ---- bulk float arrays ---- *)
+
+(* [count] contiguous [size]-byte floats: the span's bounds are checked
+   once, then each element moves through the unboxed
+   [Bytes.get/set_int{32,64}_{le,be}] primitives, so the loops allocate
+   nothing beyond the returned array. *)
+
+let float_span name t addr ~size ~count =
+  if size <> 4 && size <> 8 then
+    invalid_arg (Printf.sprintf "Memory.%s: size must be 4 or 8" name);
+  offset_of_addr t addr (size * count)
+
+(** [read_floats t addr ~size ~count] reads [count] contiguous [size]-byte
+    IEEE floats at [addr] as one unboxed array; 4-byte floats widen
+    exactly. *)
+let read_floats t addr ~size ~count =
+  let off = float_span "read_floats" t addr ~size ~count in
+  let buf = t.arena in
+  let a = Float.Array.create count in
+  (match (size, t.abi.Abi.endianness) with
+  | 8, Endian.Little ->
+    for i = 0 to count - 1 do
+      Float.Array.unsafe_set a i
+        (Int64.float_of_bits (Bytes.get_int64_le buf (off + (8 * i))))
+    done
+  | 8, Endian.Big ->
+    for i = 0 to count - 1 do
+      Float.Array.unsafe_set a i
+        (Int64.float_of_bits (Bytes.get_int64_be buf (off + (8 * i))))
+    done
+  | _, Endian.Little ->
+    for i = 0 to count - 1 do
+      Float.Array.unsafe_set a i
+        (Int32.float_of_bits (Bytes.get_int32_le buf (off + (4 * i))))
+    done
+  | _, Endian.Big ->
+    for i = 0 to count - 1 do
+      Float.Array.unsafe_set a i
+        (Int32.float_of_bits (Bytes.get_int32_be buf (off + (4 * i))))
+    done);
+  a
+
+(** [write_floats t addr ~size a] stores every element of [a] as a
+    contiguous [size]-byte IEEE float at [addr]; 4-byte stores round to
+    single precision as a C [float] assignment does. *)
+let write_floats t addr ~size a =
+  let count = Float.Array.length a in
+  let off = float_span "write_floats" t addr ~size ~count in
+  let buf = t.arena in
+  match (size, t.abi.Abi.endianness) with
+  | 8, Endian.Little ->
+    for i = 0 to count - 1 do
+      Bytes.set_int64_le buf (off + (8 * i))
+        (Int64.bits_of_float (Float.Array.unsafe_get a i))
+    done
+  | 8, Endian.Big ->
+    for i = 0 to count - 1 do
+      Bytes.set_int64_be buf (off + (8 * i))
+        (Int64.bits_of_float (Float.Array.unsafe_get a i))
+    done
+  | _, Endian.Little ->
+    for i = 0 to count - 1 do
+      Bytes.set_int32_le buf (off + (4 * i))
+        (Int32.bits_of_float (Float.Array.unsafe_get a i))
+    done
+  | _, Endian.Big ->
+    for i = 0 to count - 1 do
+      Bytes.set_int32_be buf (off + (4 * i))
+        (Int32.bits_of_float (Float.Array.unsafe_get a i))
+    done
+
 (** [convert_from_buffer t kind order ~src ~src_off ~src_size ~size addr]
     stores the [src_size]-byte number at [src.[src_off]], held in
     [order], as a [size]-byte number in [t]'s byte order at [addr]

@@ -42,6 +42,23 @@ val write_int : t -> int -> size:int -> int64 -> unit
 val read_float : t -> int -> size:int -> float
 val write_float : t -> int -> size:int -> float -> unit
 
+(** {1 Float arrays}
+
+    A C [float[n]] or [double[n]] moves as one unboxed [floatarray]:
+    bounds are checked once for the whole span, so an array outside the
+    arena raises {!Fault} naming [[addr, +size*count)] before any element
+    moves. Neither allocates beyond the array [read_floats] returns.
+    [size] must be 4 or 8 ([Invalid_argument] otherwise). *)
+
+val read_floats : t -> int -> size:int -> count:int -> floatarray
+(** [count] contiguous [size]-byte floats at the address, in the owner's
+    byte order; 4-byte floats widen exactly. *)
+
+val write_floats : t -> int -> size:int -> floatarray -> unit
+(** Store the array as contiguous [size]-byte floats at the address;
+    4-byte stores round to single precision as a C [float] assignment
+    does. *)
+
 val convert_from_buffer :
   t -> Endian.kind -> Endian.order -> src:bytes -> src_off:int ->
   src_size:int -> size:int -> int -> unit

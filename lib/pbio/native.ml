@@ -15,11 +15,18 @@
     - [Value.String] fields always store as non-null pointers (an empty
       string is a 1-byte NUL block), matching what C senders do.
 
+    - Every array of C [float]/[double] (fixed or dynamic, 4- or 8-byte)
+      loads as one [Value.Floats], read by {!Memory.read_floats}; [store]
+      accepts it, or an [Array] of [Float]s, for such a field. The rule
+      depends only on the format's element type.
+
     Allocation contract: [store] writes straight into the memory's arena
     and allocates nothing per field or element on the OCaml heap (no
-    boxed intermediates, option boxes or closures; an omitted control
-    field costs one count value). [load] allocates the {!Value.t} it
-    returns; the one extra box is the integer behind each [char] it
+    boxed intermediates, option boxes or closures; a [Floats] array moves
+    through {!Memory.write_floats}; an omitted control field costs one
+    count value). [load] allocates the {!Value.t} it returns, and a float
+    array in it is one unboxed [floatarray] (8 B per element, no box per
+    element); the one extra box is the integer behind each [char] it
     reads. *)
 
 open Omf_machine
@@ -68,6 +75,12 @@ let rec check_known (fmt : Format.t) = function
       bind_error "format %s: value has unknown field %S" fmt.Format.name k;
     check_known fmt rest
 
+(* The element count of an array value, or -1 when it is not one. *)
+let array_length = function
+  | Value.Array a -> Array.length a
+  | Value.Floats a -> Float.Array.length a
+  | _ -> -1
+
 (* The value to store for field [f]: the record's own binding (checked
    against the array length when [f] is a control field), or, for an
    omitted control field, the length of the array it counts. *)
@@ -78,12 +91,11 @@ let field_value (fmt : Format.t) fields (f : Format.rfield) : Value.t =
     match array_counted_by name fmt.Format.fields with
     | exception Not_found -> v
     | arr_field -> (
-      match lookup arr_field.Format.rf_name fields with
-      | Value.Array a when Int64.to_int (Value.to_int64 v) <> Array.length a ->
+      match array_length (lookup arr_field.Format.rf_name fields) with
+      | n when n >= 0 && Int64.to_int (Value.to_int64 v) <> n ->
         bind_error
           "format %s: control field %S = %Ld disagrees with %S length %d"
-          fmt.Format.name name (Value.to_int64 v) arr_field.Format.rf_name
-          (Array.length a)
+          fmt.Format.name name (Value.to_int64 v) arr_field.Format.rf_name n
       | _ | (exception Not_found) -> v))
   | exception Not_found -> (
     match array_counted_by name fmt.Format.fields with
@@ -91,7 +103,7 @@ let field_value (fmt : Format.t) fields (f : Format.rfield) : Value.t =
       bind_error "format %s: missing field %S" fmt.Format.name name
     | arr_field -> (
       match lookup arr_field.Format.rf_name fields with
-      | Value.Array a -> Value.Int (Int64.of_int (Array.length a))
+      | v when array_length v >= 0 -> Value.Int (Int64.of_int (array_length v))
       | v ->
         bind_error "format %s: field %S must be an array, got %s"
           fmt.Format.name arr_field.Format.rf_name (Value.to_string v)
@@ -129,26 +141,38 @@ and store_field mem (fmt : Format.t) addr (f : Format.rfield) v =
           fmt.Format.name f.Format.rf_name s n;
       Memory.write_string mem slot s
       (* remaining bytes stay zero: Memory.alloc zero-fills *)
-    | _, Value.Array a ->
-      if Array.length a <> n then
-        bind_error "format %s, field %S: expected %d elements, got %d"
-          fmt.Format.name f.Format.rf_name n (Array.length a);
-      store_elements mem fmt f slot elem_size a
-    | _, v ->
-      bind_error "format %s, field %S: expected an array, got %s"
-        fmt.Format.name f.Format.rf_name (Value.to_string v))
+    | _, (Value.Array _ | Value.Floats _) when array_length v <> n ->
+      bind_error "format %s, field %S: expected %d elements, got %d"
+        fmt.Format.name f.Format.rf_name n (array_length v)
+    | _, Value.Array a -> store_elements mem fmt f slot elem_size a
+    | Format.Rfloat _, Value.Floats a ->
+      Memory.write_floats mem slot ~size:elem_size a
+    | _, v -> not_an_array fmt f v)
   | Format.Rvar _ -> (
-    match v with
-    | Value.Array a when Array.length a = 0 ->
+    match (f.Format.rf_elem, v) with
+    | _, (Value.Array _ | Value.Floats _) when array_length v = 0 ->
       Memory.write_pointer mem slot Memory.null
-    | Value.Array a ->
-      let align = elem_align (Memory.abi mem) f.Format.rf_elem in
-      let block = Memory.alloc mem ~align (Array.length a * elem_size) in
+    | _, Value.Array a ->
+      let block = alloc_elements mem f elem_size (Array.length a) in
       store_elements mem fmt f block elem_size a;
       Memory.write_pointer mem slot block
-    | v ->
-      bind_error "format %s, field %S: expected an array, got %s"
-        fmt.Format.name f.Format.rf_name (Value.to_string v))
+    | Format.Rfloat _, Value.Floats a ->
+      let block = alloc_elements mem f elem_size (Float.Array.length a) in
+      Memory.write_floats mem block ~size:elem_size a;
+      Memory.write_pointer mem slot block
+    | _, v -> not_an_array fmt f v)
+
+and not_an_array (fmt : Format.t) (f : Format.rfield) = function
+  | Value.Floats _ ->
+    bind_error "format %s, field %S: floats given for non-float elements"
+      fmt.Format.name f.Format.rf_name
+  | v ->
+    bind_error "format %s, field %S: expected an array, got %s"
+      fmt.Format.name f.Format.rf_name (Value.to_string v)
+
+and alloc_elements mem f elem_size n =
+  let align = elem_align (Memory.abi mem) f.Format.rf_elem in
+  Memory.alloc mem ~align (n * elem_size)
 
 and store_elements mem fmt f slot elem_size a =
   for i = 0 to Array.length a - 1 do
@@ -202,7 +226,7 @@ and load_field mem (fmt : Format.t) addr (f : Format.rfield) : Value.t =
     | Format.Rchar ->
       (* char[N]: C string-in-buffer semantics, stop at first NUL *)
       Value.String (Memory.read_chars mem slot n)
-    | _ -> Value.Array (load_elements mem f slot elem_size n))
+    | _ -> load_array mem f slot elem_size n)
   | Format.Rvar control ->
     (* registration validated the control field *)
     let cf = field_named control fmt.Format.fields in
@@ -211,10 +235,19 @@ and load_field mem (fmt : Format.t) addr (f : Format.rfield) : Value.t =
         (addr + cf.Format.rf_layout.Layout.offset)
         ~size:cf.Format.rf_layout.Layout.elem_size
     in
-    if count = 0 then Value.Array [||]
-    else
-      Value.Array
-        (load_elements mem f (Memory.read_pointer mem slot) elem_size count)
+    (* an empty array's pointer is never dereferenced *)
+    let block = if count = 0 then Memory.null else Memory.read_pointer mem slot in
+    load_array mem f block elem_size count
+
+(* [n] elements at [slot]: floats as one unboxed array, anything else
+   element by element *)
+and load_array mem f slot elem_size n =
+  match f.Format.rf_elem with
+  | Format.Rfloat _ when n = 0 -> Value.Floats (Float.Array.create 0)
+  | Format.Rfloat _ ->
+    Value.Floats (Memory.read_floats mem slot ~size:elem_size ~count:n)
+  | _ when n = 0 -> Value.Array [||]
+  | _ -> Value.Array (load_elements mem f slot elem_size n)
 
 and load_elements mem f slot elem_size n =
   let a = Array.make n (Value.Int 0L) in

@@ -10,14 +10,49 @@ type t =
   | Char of char
   | String of string
   | Array of t array
+  | Floats of floatarray
+      (** an array of floats, unboxed: what {!Native.load} returns for
+          every C [float]/[double] array; equal to, and printed as, the
+          [Array] of the same [Float]s *)
   | Record of (string * t) list
+
+(* NaN-safe bit equality: round-trips must preserve bit patterns. *)
+let[@inline] same_bits x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let floats_equal x y =
+  let n = Float.Array.length x in
+  n = Float.Array.length y
+  &&
+  let i = ref 0 in
+  while
+    !i < n
+    && same_bits (Float.Array.unsafe_get x !i) (Float.Array.unsafe_get y !i)
+  do
+    incr i
+  done;
+  !i = n
+
+(* a [Floats] against the boxed array it stands for *)
+let floats_equal_boxed x y =
+  let n = Float.Array.length x in
+  n = Array.length y
+  &&
+  let i = ref 0 in
+  while
+    !i < n
+    && (match Array.unsafe_get y !i with
+       | Float f -> same_bits (Float.Array.unsafe_get x !i) f
+       | _ -> false)
+  do
+    incr i
+  done;
+  !i = n
 
 let rec equal a b =
   match (a, b) with
   | Int x, Int y | Uint x, Uint y -> Int64.equal x y
-  | Float x, Float y ->
-    (* NaN-safe bit equality: round-trips must preserve bit patterns. *)
-    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Float x, Float y -> same_bits x y
   | Char x, Char y -> Char.equal x y
   | String x, String y -> String.equal x y
   | Array x, Array y ->
@@ -25,6 +60,8 @@ let rec equal a b =
     && (let ok = ref true in
         Array.iteri (fun i v -> if not (equal v y.(i)) then ok := false) x;
         !ok)
+  | Floats x, Floats y -> floats_equal x y
+  | Floats x, Array y | Array y, Floats x -> floats_equal_boxed x y
   | Record x, Record y ->
     List.length x = List.length y
     && List.for_all2
@@ -40,6 +77,9 @@ let rec pp ppf = function
   | String s -> Fmt.pf ppf "%S" s
   | Array a ->
     Fmt.pf ppf "[|%a|]" Fmt.(array ~sep:(any "; ") pp) a
+  | Floats a ->
+    let pp_float ppf v = Fmt.pf ppf "%h" v in
+    Fmt.pf ppf "[|%a|]" Fmt.(iter ~sep:(any "; ") Float.Array.iter pp_float) a
   | Record fields ->
     let pp_binding ppf (k, v) = Fmt.pf ppf "%s = %a" k pp v in
     Fmt.pf ppf "{ %a }" (Fmt.list ~sep:(Fmt.any "; ") pp_binding) fields
@@ -90,6 +130,8 @@ let to_string_exn = function
 
 let to_array_exn = function
   | Array a -> a
+  | Floats a ->
+    Array.init (Float.Array.length a) (fun i -> Float (Float.Array.get a i))
   | v -> type_error "expected an array, got %s" (to_string v)
 
 let to_record_exn = function

@@ -8,12 +8,27 @@ type t =
   | Char of char
   | String of string
   | Array of t array
+  | Floats of floatarray
+      (** An array of floats held unboxed. {!Native.load} returns every
+          C [float]/[double] array this way (8 B per element instead of
+          a boxed [Float]'s 40 B), and {!Native.store} accepts it for
+          any float-array field. It is one representation of the value
+          [Array [|Float x0; Float x1; ...|]], never a different value:
+          {!equal} and {!pp} cannot tell the two apart, and
+          {!to_array_exn} converts. *)
   | Record of (string * t) list
 
 val equal : t -> t -> bool
-(** Structural; floats compare by bit pattern (NaN-safe). *)
+(** Structural; floats compare by bit pattern (NaN-safe, so a NaN equals
+    the same NaN and [-0.0] differs from [0.0]). Representation-blind:
+    [Floats a] equals an [Array] of [Float]s whose bits match [a]'s,
+    element by element, and nothing else (an [Array] of [Int]s with the
+    same numbers differs). Comparing two [Floats] allocates nothing. *)
 
 val pp : Stdlib.Format.formatter -> t -> unit
+(** [Floats a] prints exactly as the [Array] of its [Float]s:
+    [[|0x1p+0; -0x1.8p+1|]]. *)
+
 val to_string : t -> string
 
 (** {1 Record helpers} *)
@@ -36,4 +51,8 @@ val to_int64 : t -> int64
 val to_float_exn : t -> float
 val to_string_exn : t -> string
 val to_array_exn : t -> t array
+(** The elements of an [Array], or of a [Floats] as a freshly allocated
+    array of boxed [Float]s (one 40 B box per element: generic code's
+    way in, not the hot path's). *)
+
 val to_record_exn : t -> (string * t) list

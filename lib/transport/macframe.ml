@@ -25,16 +25,25 @@ module Slice = Omf_util.Slice
 
 let overhead = 8 + 32
 
-let mac ~key ~(nonce : int64) (payload : Bytes.t) : string =
-  let msg = Bytes.create (12 + Bytes.length payload) in
-  Bytes.set_int64_be msg 0 nonce;
-  Bytes.set_int32_be msg 8 (Int32.of_int (Bytes.length payload));
-  Bytes.blit payload 0 msg 12 (Bytes.length payload);
-  Sha256.hmac ~key (Bytes.unsafe_to_string msg)
+(* The MAC is fed in place: the 12-byte [nonce || length] prefix, then
+   the payload's own bytes, never a copy of them. *)
+let mac_start ~key ~(nonce : int64) len =
+  let h = Sha256.hmac_init ~key in
+  let prefix = Bytes.create 12 in
+  Bytes.set_int64_be prefix 0 nonce;
+  Bytes.set_int32_be prefix 8 (Int32.of_int len);
+  Sha256.hmac_feed_bytes h prefix 0 12;
+  h
+
+(* the tag over [len] payload bytes of [buf] at [off] *)
+let mac ~key ~nonce buf off len : string =
+  let h = mac_start ~key ~nonce len in
+  Sha256.hmac_feed_bytes h buf off len;
+  Sha256.hmac_finish h
 
 (** [seal ~key ~nonce payload] is the sealed frame body. *)
 let seal ~(key : string) ~(nonce : int64) (payload : Bytes.t) : Bytes.t =
-  let tag = mac ~key ~nonce payload in
+  let tag = mac ~key ~nonce payload 0 (Bytes.length payload) in
   let b = Bytes.create (overhead + Bytes.length payload) in
   Bytes.set_int64_be b 0 nonce;
   Bytes.blit_string tag 0 b 8 32;
@@ -42,23 +51,18 @@ let seal ~(key : string) ~(nonce : int64) (payload : Bytes.t) : Bytes.t =
   b
 
 let mac_slices ~key ~(nonce : int64) (payload : Slice.t list) : string =
-  let len = Slice.total payload in
-  let msg = Bytes.create (12 + len) in
-  Bytes.set_int64_be msg 0 nonce;
-  Bytes.set_int32_be msg 8 (Int32.of_int len);
-  let pos = ref 12 in
+  let h = mac_start ~key ~nonce (Slice.total payload) in
   List.iter
-    (fun s ->
-      Slice.blit s msg !pos;
-      pos := !pos + Slice.length s)
+    (fun (s : Slice.t) ->
+      Sha256.hmac_feed_bytes h s.Slice.buf s.Slice.off s.Slice.len)
     payload;
-  Sha256.hmac ~key (Bytes.unsafe_to_string msg)
+  Sha256.hmac_finish h
 
 (** [seal_slices ~key ~nonce payload] seals an iovec payload —
     byte-identical to [seal ~key ~nonce (Slice.concat payload)]. This
-    is the zero-copy frame path's one copy-on-seal: the MAC needs the
-    contiguous payload, so sealing materialises it (only on
-    connections that negotiated auth). *)
+    is the zero-copy frame path's one copy-on-seal: the MAC reads the
+    slices in place, and the payload is copied once, into the sealed
+    body (only on connections that negotiated auth). *)
 let seal_slices ~(key : string) ~(nonce : int64) (payload : Slice.t list) :
     Bytes.t =
   let len = Slice.total payload in
@@ -84,13 +88,13 @@ let verify ~(key : string) ~(expected_nonce : int64) (frame : Bytes.t) :
     auth_error "sealed frame too short (%d bytes)" (Bytes.length frame);
   let nonce = Bytes.get_int64_be frame 0 in
   let tag = Bytes.sub_string frame 8 32 in
-  let payload = Bytes.sub frame overhead (Bytes.length frame - overhead) in
-  if not (Sha256.equal_constant_time tag (mac ~key ~nonce payload)) then
-    auth_error "MAC mismatch (nonce %Ld)" nonce;
+  let len = Bytes.length frame - overhead in
+  if not (Sha256.equal_constant_time tag (mac ~key ~nonce frame overhead len))
+  then auth_error "MAC mismatch (nonce %Ld)" nonce;
   if not (Int64.equal nonce expected_nonce) then
     auth_error "nonce %Ld, expected %Ld (replayed or dropped frame)" nonce
       expected_nonce;
-  payload
+  Bytes.sub frame overhead len
 
 (* ------------------------------------------------------------------ *)
 (* Per-connection state                                                 *)

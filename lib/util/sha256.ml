@@ -40,10 +40,12 @@ type ctx = {
   w : int array;  (** message schedule scratch, 64 words *)
 }
 
+let initial_state =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f
+   ; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
 let init () : ctx =
-  { h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f
-       ; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+  { h = Array.copy initial_state
   ; block = Bytes.create 64; fill = 0; total = 0; w = Array.make 64 0 }
 
 let compress (c : ctx) (blk : Bytes.t) (off : int) : unit =
@@ -147,22 +149,44 @@ let hex (s : string) : string =
 
 let block_size = 64
 
-let hmac ~(key : string) (msg : string) : string =
+type hmac = {
+  hctx : ctx;  (** the inner hash, then (in {!hmac_finish}) the outer *)
+  opad : string;  (** the key xor 0x5c, one block *)
+}
+
+(* the key, hashed first when longer than a block, zero-padded to one
+   block and xored with [fill] *)
+let pad key fill =
+  let b = Bytes.make block_size fill in
+  String.iteri
+    (fun i ch -> Bytes.set b i (Char.chr (Char.code ch lxor Char.code fill)))
+    key;
+  Bytes.unsafe_to_string b
+
+let hmac_init ~(key : string) : hmac =
   let key = if String.length key > block_size then digest key else key in
-  let pad fill =
-    let b = Bytes.make block_size fill in
-    String.iteri
-      (fun i ch -> Bytes.set b i (Char.chr (Char.code ch lxor Char.code fill)))
-      key;
-    Bytes.unsafe_to_string b
-  in
-  let inner = init () in
-  feed inner (pad '\x36');
-  feed inner msg;
-  let c = init () in
-  feed c (pad '\x5c');
-  feed c (finish inner);
+  let hctx = init () in
+  feed hctx (pad key '\x36');
+  { hctx; opad = pad key '\x5c' }
+
+let hmac_feed_bytes (h : hmac) (data : Bytes.t) (off : int) (len : int) : unit =
+  feed_bytes h.hctx data off len
+
+let hmac_finish (h : hmac) : string =
+  let inner = finish h.hctx in
+  (* the outer hash reuses the inner one's context *)
+  let c = h.hctx in
+  Array.blit initial_state 0 c.h 0 8;
+  c.fill <- 0;
+  c.total <- 0;
+  feed c h.opad;
+  feed c inner;
   finish c
+
+let hmac ~(key : string) (msg : string) : string =
+  let h = hmac_init ~key in
+  hmac_feed_bytes h (Bytes.unsafe_of_string msg) 0 (String.length msg);
+  hmac_finish h
 
 (** Timing-safe equality for MAC comparison. *)
 let equal_constant_time (a : string) (b : string) : bool =

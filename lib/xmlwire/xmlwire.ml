@@ -79,6 +79,9 @@ let rec element_of_record (fmt : Format.t) (v : Value.t) : Omf_xml.Doc.element
             [ mk (if String.equal s "" then [] else [ Omf_xml.Doc.Text s ]) ]
           | (Format.Rfixed _ | Format.Rvar _), _, Value.Array a ->
             Array.to_list (Array.map (fun e -> mk (scalar e)) a)
+          | (Format.Rfixed _ | Format.Rvar _), _, Value.Floats a ->
+            List.init (Float.Array.length a) (fun i ->
+                mk (scalar (Value.Float (Float.Array.get a i))))
           | _, _, other ->
             xw_error "format %s, field %S: expected an array, got %s"
               fmt.Format.name f.Format.rf_name (Value.to_string other))

@@ -53,7 +53,17 @@ let test_endian_bounds () =
   Alcotest.check_raises "write past end" (Invalid_argument "Endian.write_uint: bounds")
     (fun () -> Endian.write_uint Endian.Big b ~off:2 ~size:4 0L);
   Alcotest.check_raises "bad size" (Invalid_argument "Endian.read_uint: size")
-    (fun () -> ignore (Endian.read_uint Endian.Big b ~off:0 ~size:9))
+    (fun () -> ignore (Endian.read_uint Endian.Big b ~off:0 ~size:9));
+  (* each accessor names itself *)
+  Alcotest.check_raises "read_float past end"
+    (Invalid_argument "Endian.read_float: bounds") (fun () ->
+      ignore (Endian.read_float Endian.Little b ~off:1 ~size:4));
+  Alcotest.check_raises "write_float past end"
+    (Invalid_argument "Endian.write_float: bounds") (fun () ->
+      Endian.write_float Endian.Big b ~off:0 ~size:8 1.0);
+  Alcotest.check_raises "read_int past end"
+    (Invalid_argument "Endian.read_int: bounds") (fun () ->
+      ignore (Endian.read_int Endian.Big b ~off:3 ~size:2))
 
 (* [Endian.convert] against the boxed reference path it replaces: read
    the value whole, then store it (same-width floats move as bits) *)
@@ -415,6 +425,68 @@ let test_memory_faults () =
     Alcotest.fail "expected Fault"
   with Memory.Fault _ -> ()
 
+(* the bulk float accessors agree with the per-element ones in both byte
+   orders and both widths, check their span once, and allocate only the
+   array they return *)
+let test_memory_floats () =
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun (abi : Abi.t) ->
+      List.iter
+        (fun size ->
+          let n = 37 in
+          let a = Float.Array.init n (fun i -> (float_of_int i *. 1.1) -. 7.3) in
+          Float.Array.set a 3 Float.nan;
+          Float.Array.set a 4 (-0.0);
+          let m = Memory.create abi in
+          let bulk = Memory.alloc m (n * size) and each = Memory.alloc m (n * size) in
+          Memory.write_floats m bulk ~size a;
+          Float.Array.iteri
+            (fun i x -> Memory.write_float m (each + (i * size)) ~size x)
+            a;
+          let what = Printf.sprintf "%s, %d-byte" abi.Abi.name size in
+          check str (what ^ ": write_floats bytes = write_float bytes")
+            (Bytes.to_string (Memory.read_bytes m each (n * size)))
+            (Bytes.to_string (Memory.read_bytes m bulk (n * size)));
+          let back = Memory.read_floats m bulk ~size ~count:n in
+          check int (what ^ ": count") n (Float.Array.length back);
+          Float.Array.iteri
+            (fun i x ->
+              if bits x <> bits (Memory.read_float m (bulk + (i * size)) ~size) then
+                Alcotest.failf "%s: element %d differs from read_float" what i)
+            back;
+          let per_call =
+            Omf_testkit.Alloc.bytes_per_call (fun () ->
+                Memory.read_floats m bulk ~size ~count:n)
+          in
+          (* the array's words and header, plus the probe's own ~0.2 B *)
+          if per_call > float_of_int ((n + 1) * 8) +. 1.0 then
+            Alcotest.failf "%s: read_floats allocates %.0f B for %d floats" what
+              per_call n;
+          let per_call =
+            Omf_testkit.Alloc.bytes_per_call (fun () ->
+                Memory.write_floats m bulk ~size a)
+          in
+          if per_call >= 1.0 then
+            Alcotest.failf "%s: write_floats allocates %.1f B" what per_call)
+        [ 8; 4 ])
+    [ Abi.x86_64; Abi.sparc_64 ];
+  let m = Memory.create Abi.x86_64 in
+  let addr = Memory.alloc m 64 in
+  let names_span f =
+    match f () with
+    | _ -> Alcotest.fail "expected Fault"
+    | exception Memory.Fault msg ->
+      check bool ("names the whole span: " ^ msg) true
+        (Omf_testkit.Strings.replace ~sub:"+72)" ~by:"" msg <> msg)
+  in
+  names_span (fun () -> ignore (Memory.read_floats m addr ~size:8 ~count:9));
+  names_span (fun () ->
+      Memory.write_floats m (addr - 8) ~size:8 (Float.Array.make 9 0.0));
+  Alcotest.check_raises "bad size"
+    (Invalid_argument "Memory.read_floats: size must be 4 or 8") (fun () ->
+      ignore (Memory.read_floats m addr ~size:2 ~count:1))
+
 let test_memory_growth () =
   let m = Memory.create ~initial_size:32 Abi.x86_64 in
   let blocks = List.init 50 (fun i -> (Memory.alloc m 100, i)) in
@@ -481,6 +553,7 @@ let () =
         ; Alcotest.test_case "C strings" `Quick test_memory_cstring
         ; Alcotest.test_case "pointers" `Quick test_memory_pointers
         ; Alcotest.test_case "faults" `Quick test_memory_faults
+        ; Alcotest.test_case "bulk float arrays" `Quick test_memory_floats
         ; Alcotest.test_case "arena growth" `Quick test_memory_growth
         ; Alcotest.test_case "reset" `Quick test_memory_reset
         ; Alcotest.test_case "aligned alloc" `Quick test_memory_alignment ] ) ]

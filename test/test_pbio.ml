@@ -161,6 +161,58 @@ let test_control_field_disagreement_rejected () =
     Alcotest.fail "expected Bind_error"
   with Native.Bind_error _ -> ()
 
+(* every float array loads as one [Value.Floats], whichever way it was
+   bound; [Floats] binds, fills and checks control fields like an [Array] *)
+let test_float_arrays_load_unboxed () =
+  let decl =
+    Ftype.declare "fl"
+      [ ("n", "integer"); ("d", "double[n]"); ("f", "float[3]"); ("i", "integer[2]") ]
+  in
+  let floats l = Value.Floats (Float.Array.of_list l) in
+  let boxed l = Value.Array (Array.of_list (List.map (fun x -> Value.Float x) l)) in
+  let ints = Value.Array [| Value.Int 1L; Value.Int 2L |] in
+  let rec_ d f = Value.Record [ ("d", d); ("f", f); ("i", ints) ] in
+  List.iter
+    (fun abi ->
+      List.iter
+        (fun (what, v) ->
+          let back = normalize abi [ decl ] "fl" v in
+          let is_floats name =
+            match Value.field_exn back name with Value.Floats _ -> true | _ -> false
+          in
+          check bool (what ^ ": double[n] loads as Floats") true (is_floats "d");
+          check bool (what ^ ": float[3] loads as Floats") true (is_floats "f");
+          check bool (what ^ ": integer[2] stays boxed") false (is_floats "i");
+          check value_testable (what ^ ": values survive")
+            (Value.Record
+               [ ("n", Value.Int 2L); ("d", boxed [ 1.5; -0.0 ])
+               ; ("f", boxed [ 0.25; 2.0; -8.0 ]); ("i", ints) ])
+            back)
+        [ ("floats", rec_ (floats [ 1.5; -0.0 ]) (floats [ 0.25; 2.0; -8.0 ]))
+        ; ("boxed", rec_ (boxed [ 1.5; -0.0 ]) (boxed [ 0.25; 2.0; -8.0 ])) ];
+      let empty =
+        normalize abi [ decl ] "fl" (rec_ (floats []) (floats [ 0.; 0.; 0. ]))
+      in
+      check value_testable "empty dynamic Floats" (Value.Int 0L)
+        (Value.field_exn empty "n");
+      check bool "empty double[n] loads as Floats" true
+        (match Value.field_exn empty "d" with
+        | Value.Floats a -> Float.Array.length a = 0
+        | _ -> false))
+    [ Abi.x86_64; Abi.sparc_32 ];
+  let rejected what v =
+    match normalize Abi.x86_64 [ decl ] "fl" v with
+    | _ -> Alcotest.failf "%s: expected Bind_error" what
+    | exception Native.Bind_error _ -> ()
+  in
+  rejected "control disagrees with Floats length"
+    (Value.set_field (rec_ (floats [ 1.0 ]) (floats [ 0.; 0.; 0. ])) "n" (Value.Int 2L));
+  rejected "float[3] given 2 Floats" (rec_ (floats [ 1.0 ]) (floats [ 0.; 0. ]));
+  rejected "Floats for an integer array"
+    (Value.set_field
+       (rec_ (floats [ 1.0 ]) (floats [ 0.; 0.; 0. ]))
+       "i" (floats [ 1.; 2. ]))
+
 let test_missing_field_rejected () =
   let v = Value.Record [ ("cntrID", Value.String "x") ] in
   try
@@ -646,7 +698,8 @@ let prop_interpreted_equals_compiled =
    - [Pbio.message] returns the message: its own bytes + 256 B;
    - [Receiver.receive] converts in place and returns a pair: <= 512 B;
    - [Native.load] returns a [Value.t]: the bytes reachable from it (field
-     names included) + 128 B; a [Value.Float] array element is 40 B. *)
+     names included) + 128 B; a float array is one [Value.Floats], 8 B per
+     element (a boxed [Value.Float] would be 40 B). *)
 let test_alloc_budget (shape : Omf_testkit.Shapes.t) () =
   let m = Omf_testkit.Shapes.measure shape in
   let within what got budget =
@@ -658,6 +711,44 @@ let test_alloc_budget (shape : Omf_testkit.Shapes.t) () =
   within "Pbio.message" m.encode (float_of_int m.message_length +. 256.0);
   within "Receiver.receive" m.receive 512.0;
   within "Native.load" m.load (float_of_int m.value_bytes +. 128.0)
+
+(* Absolute budgets on science-16k's double[2048]. The budget above is
+   relative to the loaded value, so it would pass a regression back to
+   boxed floats (2 048 x 40 B); these would not.
+   - [Native.load] allocates the array's 8 B per element + 1 KiB;
+   - [Native.store] of the value with its data as [Value.Floats] moves
+     the array through [Memory.write_floats]: <= 256 B. *)
+let test_alloc_science_floats () =
+  let module Shapes = Omf_testkit.Shapes in
+  let shape = List.find (fun (s : Shapes.t) -> s.name = "science-16k") Shapes.bench in
+  let m = Shapes.measure shape in
+  let load_budget = float_of_int ((2048 * 8) + 1024) in
+  if m.load > load_budget then
+    Alcotest.failf "science-16k: Native.load allocates %.0f B per call (budget %.0f B)"
+      m.load load_budget;
+  let data =
+    Float.Array.map_from_array Value.to_float_exn
+      (Value.to_array_exn (Value.field_exn shape.value "data"))
+  in
+  let value = Value.set_field shape.value "data" (Value.Floats data) in
+  let fmt = Shapes.register shape.send_abi shape in
+  let mem = Memory.create shape.send_abi in
+  let bind =
+    Omf_testkit.Alloc.bytes_per_call (fun () ->
+        Memory.reset mem;
+        Native.store mem fmt value)
+  in
+  if bind > 256.0 then
+    Alcotest.failf
+      "science-16k: Native.store of Floats allocates %.0f B per call (budget 256 B)"
+      bind;
+  (* and it binds the same bytes as the boxed array *)
+  let image v =
+    Memory.reset mem;
+    let addr = Native.store mem fmt v in
+    Bytes.to_string (Memory.read_bytes mem addr fmt.Format.layout.Layout.size)
+  in
+  Alcotest.(check string) "same native image" (image shape.value) (image value)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -681,6 +772,8 @@ let () =
             test_control_field_autofill
         ; Alcotest.test_case "control disagreement rejected" `Quick
             test_control_field_disagreement_rejected
+        ; Alcotest.test_case "float arrays load unboxed" `Quick
+            test_float_arrays_load_unboxed
         ; Alcotest.test_case "missing field rejected" `Quick
             test_missing_field_rejected
         ; Alcotest.test_case "unknown field rejected" `Quick
@@ -733,4 +826,6 @@ let () =
         List.map
           (fun (shape : Omf_testkit.Shapes.t) ->
             Alcotest.test_case shape.name `Quick (test_alloc_budget shape))
-          (Omf_testkit.Shapes.bench @ [ Omf_testkit.Shapes.strvar ]) ) ]
+          (Omf_testkit.Shapes.bench @ [ Omf_testkit.Shapes.strvar ])
+        @ [ Alcotest.test_case "science-16k floats" `Quick
+              test_alloc_science_floats ] ) ]

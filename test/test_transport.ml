@@ -265,6 +265,70 @@ let test_tcp_connect_refused () =
   with Tcp.Tcp_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Macframe                                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Sha256 = Omf_util.Sha256
+module Slice = Omf_util.Slice
+
+(* The tag as the MAC once built it: HMAC-SHA256 over one fresh
+   [nonce_be8 || len_be4 || payload] buffer. Kept as the reference the
+   in-place MAC must match byte for byte. *)
+let reference_tag ~key ~nonce payload =
+  let prefix = Bytes.create 12 in
+  Bytes.set_int64_be prefix 0 nonce;
+  Bytes.set_int32_be prefix 8 (Int32.of_int (String.length payload));
+  Sha256.hmac ~key (Bytes.to_string prefix ^ payload)
+
+(* [payload] cut at [cuts] into slices, each a window of a larger buffer *)
+let slices_of payload cuts =
+  let n = String.length payload in
+  let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
+  let rec go from = function
+    | [] -> [ (from, n - from) ]
+    | c :: rest -> (from, c - from) :: go c rest
+  in
+  List.map
+    (fun (off, len) ->
+      let buf = Bytes.of_string ("<<" ^ String.sub payload off len ^ ">>") in
+      Slice.make buf 2 len)
+    (go 0 (List.filter (fun c -> c > 0) cuts))
+
+let prop_macframe_tag =
+  QCheck.Test.make ~name:"macframe tag = HMAC(nonce || len || payload)" ~count:300
+    QCheck.(
+      quad (string_of_size Gen.(0 -- 100)) int64 (string_of_size Gen.(0 -- 300))
+        (small_list small_nat))
+    (fun (key, nonce, payload, cuts) ->
+      let expected = reference_tag ~key ~nonce payload in
+      let sealed = Macframe.seal ~key ~nonce (Bytes.of_string payload) in
+      let sealed_slices = Macframe.seal_slices ~key ~nonce (slices_of payload cuts) in
+      String.equal (Bytes.sub_string sealed 8 32) expected
+      && Bytes.equal sealed sealed_slices
+      && String.equal
+           (Bytes.to_string (Macframe.verify ~key ~expected_nonce:nonce sealed))
+           payload)
+
+(* sealing feeds the payload to the MAC in place: [seal] allocates the
+   sealed body and the HMAC state, not a second copy of the payload;
+   [verify] allocates the payload it returns, and no copy to MAC *)
+let test_macframe_allocation () =
+  let key = "bench-key" and n = 16_384 in
+  let payload = Bytes.make n 'p' in
+  let budget = float_of_int (n + Macframe.overhead + 2048) in
+  let within what f =
+    let per_call = Omf_testkit.Alloc.bytes_per_call ~iters:50 f in
+    if per_call > budget then
+      Alcotest.failf "%s of %d B allocates %.0f B per call (budget %.0f B)" what n
+        per_call budget
+  in
+  within "seal" (fun () -> Macframe.seal ~key ~nonce:1L payload);
+  let slices = [ Slice.make payload 0 1000; Slice.make payload 1000 (n - 1000) ] in
+  within "seal_slices" (fun () -> Macframe.seal_slices ~key ~nonce:1L slices);
+  let sealed = Macframe.seal ~key ~nonce:1L payload in
+  within "verify" (fun () -> Macframe.verify ~key ~expected_nonce:1L sealed)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "transport"
@@ -291,4 +355,8 @@ let () =
     ; ( "tcp",
         [ Alcotest.test_case "cross-ABI over real sockets" `Quick test_tcp_roundtrip
         ; Alcotest.test_case "connection refused" `Quick test_tcp_connect_refused ] )
+    ; ( "macframe",
+        [ Alcotest.test_case "no payload copy to MAC" `Quick
+            test_macframe_allocation ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_macframe_tag ] )
     ]

@@ -148,6 +148,48 @@ let test_hmac_vectors () =
           ~key:(String.make 131 '\xaa')
           "Test Using Larger Than Block-Size Key - Hash Key First"))
 
+(* RFC 4231 test cases 1-4, 6 and 7 through the incremental API, each
+   message fed in ragged pieces, as windows of a larger buffer *)
+let test_hmac_incremental_vectors () =
+  let vectors =
+    [ ( "tc1", String.make 20 '\x0b', "Hi There"
+      , "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" )
+    ; ( "tc2", "Jefe", "what do ya want for nothing?"
+      , "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" )
+    ; ( "tc3", String.make 20 '\xaa', String.make 50 '\xdd'
+      , "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" )
+    ; ( "tc4", String.init 25 (fun i -> Char.chr (i + 1)), String.make 50 '\xcd'
+      , "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" )
+    ; ( "tc6", String.make 131 '\xaa'
+      , "Test Using Larger Than Block-Size Key - Hash Key First"
+      , "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" )
+    ; ( "tc7", String.make 131 '\xaa'
+      , "This is a test using a larger than block-size key and a larger than \
+         block-size data. The key needs to be hashed before being used by the \
+         HMAC algorithm."
+      , "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" ) ]
+  in
+  let r = Prng.create ~seed:4231L () in
+  List.iter
+    (fun (name, key, msg, tag) ->
+      check str (name ^ " one-shot") tag (Sha256.hex (Sha256.hmac ~key msg));
+      for _ = 1 to 5 do
+        let h = Sha256.hmac_init ~key in
+        (* the message sits inside a larger buffer, between junk bytes *)
+        let buf = Bytes.of_string ("junk" ^ msg ^ "junk") in
+        let off = ref 0 in
+        while !off < String.length msg do
+          let n = min (1 + Prng.int r 40) (String.length msg - !off) in
+          Sha256.hmac_feed_bytes h buf (4 + !off) n;
+          off := !off + n
+        done;
+        check str (name ^ " incremental") tag (Sha256.hex (Sha256.hmac_finish h))
+      done)
+    vectors;
+  Alcotest.check_raises "window outside the buffer"
+    (Invalid_argument "Sha256.feed") (fun () ->
+      Sha256.hmac_feed_bytes (Sha256.hmac_init ~key:"k") (Bytes.create 4) 2 3)
+
 let test_constant_time_equal () =
   check bool "equal" true (Sha256.equal_constant_time "abcd" "abcd");
   check bool "different content" false (Sha256.equal_constant_time "abcd" "abce");
@@ -387,6 +429,8 @@ let () =
         ; Alcotest.test_case "incremental feed" `Quick
             test_sha256_incremental_matches_oneshot
         ; Alcotest.test_case "hmac vectors" `Quick test_hmac_vectors
+        ; Alcotest.test_case "incremental hmac vectors" `Quick
+            test_hmac_incremental_vectors
         ; Alcotest.test_case "hmac allocation" `Quick test_hmac_allocation
         ; Alcotest.test_case "constant-time compare" `Quick
             test_constant_time_equal ] )

@@ -39,6 +39,72 @@ let test_equal_corner_cases () =
   check bool "array length mismatch" false
     (Value.equal (Value.Array [| Value.Int 1L |]) (Value.Array [||]))
 
+(* [Floats] is another representation of an [Array] of [Float]s, not
+   another value: equality and printing cannot tell the two apart *)
+let floats l = Value.Floats (Float.Array.of_list l)
+let boxed l = Value.Array (Array.of_list (List.map (fun f -> Value.Float f) l))
+
+let test_floats_equal_boxed () =
+  let nan_payload = Int64.float_of_bits 0x7FF0_0000_0000_0BADL in
+  let cases =
+    [ ("empty", []); ("one", [ 1.5 ]); ("nan", [ Float.nan; 2.0 ])
+    ; ("nan payload", [ nan_payload ]); ("signed zeros", [ -0.0; 0.0 ])
+    ; ("extremes", [ Float.max_float; Float.min_float; Float.infinity ]) ]
+  in
+  List.iter
+    (fun (name, l) ->
+      check bool (name ^ ": floats = floats") true (Value.equal (floats l) (floats l));
+      check bool (name ^ ": floats = boxed") true (Value.equal (floats l) (boxed l));
+      check bool (name ^ ": boxed = floats") true (Value.equal (boxed l) (floats l)))
+    cases;
+  check bool "-0.0 vs 0.0 differ" false (Value.equal (floats [ -0.0 ]) (boxed [ 0.0 ]));
+  check bool "floats: -0.0 vs 0.0 differ" false
+    (Value.equal (floats [ -0.0 ]) (floats [ 0.0 ]));
+  check bool "different NaN payloads differ" false
+    (Value.equal (floats [ nan_payload ]) (boxed [ Float.nan ]));
+  check bool "length mismatch" false (Value.equal (floats [ 1.0 ]) (boxed [ 1.0; 1.0 ]));
+  check bool "floats length mismatch" false
+    (Value.equal (floats [ 1.0 ]) (floats [ 1.0; 1.0 ]));
+  check bool "one element differs" false
+    (Value.equal (floats [ 1.0; 2.0 ]) (boxed [ 1.0; 3.0 ]));
+  check bool "nested in records" true
+    (Value.equal
+       (Value.Record [ ("d", floats [ 0.25; 1e300 ]) ])
+       (Value.Record [ ("d", boxed [ 0.25; 1e300 ]) ]));
+  let a = floats (List.init 2048 float_of_int)
+  and b = floats (List.init 2048 float_of_int) in
+  let per_call =
+    Omf_testkit.Alloc.bytes_per_call ~iters:100 (fun () -> Value.equal a b)
+  in
+  if per_call >= 1.0 then
+    Alcotest.failf "comparing two Floats allocates %.1f B per call" per_call
+
+let test_floats_unequal_ints () =
+  let ints c = Value.Array [| c 1L; c 2L |] in
+  check bool "Int array" false
+    (Value.equal (floats [ 1.0; 2.0 ]) (ints (fun i -> Value.Int i)));
+  check bool "Uint array" false
+    (Value.equal (ints (fun i -> Value.Uint i)) (floats [ 1.0; 2.0 ]));
+  check bool "not a scalar" false (Value.equal (floats [ 1.0 ]) (Value.Float 1.0))
+
+let test_floats_pp () =
+  List.iter
+    (fun l ->
+      check Alcotest.string "same text" (Value.to_string (boxed l))
+        (Value.to_string (floats l)))
+    [ []; [ 1.0 ]; [ 1.5; -0.0; Float.nan; Float.infinity; 1e-310 ] ];
+  check Alcotest.string "hex floats" "[|0x1p+0; -0x1.8p+1|]"
+    (Value.to_string (floats [ 1.0; -3.0 ]))
+
+let test_floats_to_array () =
+  let l = [ 1.5; Float.nan; -0.0 ] in
+  let a = Value.to_array_exn (floats l) in
+  check bool "boxed elements with the same bits" true
+    (Value.equal (Value.Array a) (boxed l));
+  check bool "every element a Float" true
+    (Array.for_all (function Value.Float _ -> true | _ -> false) a);
+  check Alcotest.int "empty" 0 (Array.length (Value.to_array_exn (floats [])))
+
 let test_set_field () =
   let r = Value.Record [ ("a", Value.Int 1L) ] in
   let r2 = Value.set_field r "a" (Value.Int 9L) in
@@ -122,6 +188,12 @@ let () =
     [ ( "value",
         [ Alcotest.test_case "pretty printing" `Quick test_pp_forms
         ; Alcotest.test_case "equality corners" `Quick test_equal_corner_cases
+        ; Alcotest.test_case "floats equal boxed floats" `Quick
+            test_floats_equal_boxed
+        ; Alcotest.test_case "floats differ from ints" `Quick
+            test_floats_unequal_ints
+        ; Alcotest.test_case "floats print as boxed" `Quick test_floats_pp
+        ; Alcotest.test_case "floats to_array_exn" `Quick test_floats_to_array
         ; Alcotest.test_case "set_field" `Quick test_set_field
         ; Alcotest.test_case "coercion errors" `Quick test_coercion_errors
         ; Alcotest.test_case "field_exn message" `Quick test_field_exn_message ] )

@@ -143,6 +143,18 @@ let rec value_for_format (fmt : Format.t) : Value.t G.t =
         | _ -> None)
       fmt.Format.fields
   in
+  (* a float array binds as [Floats] or as boxed [Float]s, half the time
+     each: the two representations of one value *)
+  let array_of (f : Format.rfield) elements =
+    let* l = elements in
+    match f.Format.rf_elem with
+    | Format.Rfloat _ ->
+      let+ unboxed = G.bool in
+      if unboxed then
+        Value.Floats (Float.Array.of_list (List.map Value.to_float_exn l))
+      else Value.Array (Array.of_list l)
+    | _ -> return (Value.Array (Array.of_list l))
+  in
   let rec fields_gen = function
     | [] -> return []
     | (f : Format.rfield) :: rest ->
@@ -161,13 +173,10 @@ let rec value_for_format (fmt : Format.t) : Value.t G.t =
                 G.string_size ~gen:(G.char_range 'a' 'z') (G.int_range 0 (n - 1))
               in
               Value.String s
-            | _ ->
-              let+ l = list_repeat n (scalar f) in
-              Value.Array (Array.of_list l))
+            | _ -> array_of f (list_repeat n (scalar f)))
           | Format.Rvar _ ->
             let* k = int_range 0 5 in
-            let+ l = list_repeat k (scalar f) in
-            Value.Array (Array.of_list l)
+            array_of f (list_repeat k (scalar f))
         in
         let+ rest = fields_gen rest in
         (f.Format.rf_name, v) :: rest

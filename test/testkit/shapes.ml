@@ -112,6 +112,7 @@ type layers = {
 let rec elements = function
   | Value.Record fs -> List.fold_left (fun n (_, v) -> n + elements v) 0 fs
   | Value.Array a -> Array.fold_left (fun n v -> n + elements v) 0 a
+  | Value.Floats a -> Float.Array.length a
   | _ -> 1
 
 (** Per-call allocation of the four per-event entry points on [shape],
