@@ -804,7 +804,9 @@ let e6_store () =
      cost by fsync policy; the full relay pipeline with and without a\n\
      store on the publish path; acked publishing (frames held until\n\
      durable); and a cold restart — recovery scan plus a late\n\
-     subscriber replaying the whole stream from offset 0.\n";
+     subscriber replaying the whole stream from offset 0, once on\n\
+     default (64 MiB) segments and once on small ones, so the replay\n\
+     crosses sealed segments that have no sparse index yet.\n";
   let stream = "bench-store" in
   let event seq =
     match Fx.value_a with
@@ -911,59 +913,67 @@ let e6_store () =
 
   (* (c) acked publishing on a store that then (d) survives a restart:
      recovery scan + a late subscriber replaying from offset 0 *)
-  with_store_root (fun root ->
-      let store =
-        { (Store.default_config ~root) with fsync = Store.Every_n 64 }
-      in
-      let h = Relay.start ~store () in
-      let port = Relay.port h in
-      let cfg = Relay.Session.config ~port () in
-      let pub =
-        Relay.Session.publisher ~acked:true cfg ~stream ~schema:Fx.schema_a
-          Abi.x86_64
-      in
-      let pfmt =
-        Option.get (Relay.Session.publisher_format pub "ASDOffEvent")
-      in
-      let t0 = Unix.gettimeofday () in
-      for seq = 0 to events - 1 do
-        Relay.Session.publish_value pub pfmt (event seq)
-      done;
-      Relay.Session.flush_acked pub;
-      let dt = Unix.gettimeofday () -. t0 in
-      note
-        "acked publisher: %d events published and acknowledged durable in\n\
-         %.3f s (%.0f events/s; window 1024, fsync every=64).\n"
-        events dt
-        (float_of_int events /. dt);
-      Relay.Session.close_publisher pub;
-      Relay.stop h;
-      let t0 = Unix.gettimeofday () in
-      let st = Store.open_stream store stream in
-      let recovery_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-      let frames = Store.tail st in
-      let nsegs = Store.segments st in
-      Store.close st;
-      let h = Relay.start ~store () in
-      let port = Relay.port h in
-      Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
-      let sub = Relay.Client.connect ~port () in
-      let t0 = Unix.gettimeofday () in
-      let start, _schema, link =
-        Relay.Client.subscribe_from sub ~stream ~from:0
-      in
-      count_messages link frames;
-      let dt = Unix.gettimeofday () -. t0 in
-      Relay.Client.close sub;
-      note
-        "cold restart: recovery scanned %d frames / %d segment(s) in %.2f ms\n\
-         (sealed segments are trusted structurally, only the tail is\n\
-         re-scanned). A late subscriber (from=%d) replayed all %d stored\n\
-         events in %.3f s (%.0f events/s).\n"
-        frames nsegs recovery_ms
-        (Option.value ~default:(-1) start)
-        frames dt
-        (float_of_int frames /. dt))
+  let cold_restart (label, segment_bytes) =
+    with_store_root (fun root ->
+        let store =
+          { (Store.default_config ~root) with
+            segment_bytes
+          ; fsync = Store.Every_n 64 }
+        in
+        let h = Relay.start ~store () in
+        let port = Relay.port h in
+        let cfg = Relay.Session.config ~port () in
+        let pub =
+          Relay.Session.publisher ~acked:true cfg ~stream ~schema:Fx.schema_a
+            Abi.x86_64
+        in
+        let pfmt =
+          Option.get (Relay.Session.publisher_format pub "ASDOffEvent")
+        in
+        let t0 = Unix.gettimeofday () in
+        for seq = 0 to events - 1 do
+          Relay.Session.publish_value pub pfmt (event seq)
+        done;
+        Relay.Session.flush_acked pub;
+        let dt = Unix.gettimeofday () -. t0 in
+        note
+          "acked publisher (%s segments): %d events published and\n\
+           acknowledged durable in %.3f s (%.0f events/s; window 1024,\n\
+           fsync every=64).\n"
+          label events dt
+          (float_of_int events /. dt);
+        Relay.Session.close_publisher pub;
+        Relay.stop h;
+        let t0 = Unix.gettimeofday () in
+        let st = Store.open_stream store stream in
+        let recovery_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+        let frames = Store.tail st in
+        let nsegs = Store.segments st in
+        Store.close st;
+        let h = Relay.start ~store () in
+        let port = Relay.port h in
+        Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+        let sub = Relay.Client.connect ~port () in
+        let t0 = Unix.gettimeofday () in
+        let start, _schema, link =
+          Relay.Client.subscribe_from sub ~stream ~from:0
+        in
+        count_messages link frames;
+        let dt = Unix.gettimeofday () -. t0 in
+        Relay.Client.close sub;
+        note
+          "cold restart (%s segments): recovery scanned %d frames / %d\n\
+           segment(s) in %.2f ms (sealed segments are trusted structurally,\n\
+           only the tail is re-scanned). A late subscriber (from=%d)\n\
+           replayed all %d stored events in %.3f s (%.0f events/s).\n"
+          label frames nsegs recovery_ms
+          (Option.value ~default:(-1) start)
+          frames dt
+          (float_of_int frames /. dt))
+  in
+  List.iter cold_restart
+    [ ("64 MiB", 64 * 1024 * 1024)
+    ; (if quick then ("8 KiB", 8 * 1024) else ("128 KiB", 128 * 1024)) ]
 
 (* ------------------------------------------------------------------ *)
 (* E7-registry: schema registry — resolve latency, async discovery      *)

@@ -31,7 +31,6 @@ let fsync_policy_to_string = function
 type config = {
   root : string;
   segment_bytes : int;
-  index_every : int;
   fsync : fsync_policy;
   retain_segments : int;
   retain_bytes : int;
@@ -47,7 +46,6 @@ let default_config ~root =
   {
     root;
     segment_bytes = 64 * 1024 * 1024;
-    index_every = 64;
     fsync = Interval 0.1;
     retain_segments = 0;
     retain_bytes = 0;
@@ -79,9 +77,23 @@ type seg = {
   s_path : string;
   mutable s_count : int;
   mutable s_size : int; (* file bytes incl. magic *)
-  mutable s_index : (int * int) list; (* sparse (offset, pos), descending *)
+  mutable s_index : int array;
+      (* [s_index.(i)] is the file position of record [s_base + 64 i];
+         the first [s_indexed] entries are filled, by {!walk} only *)
+  mutable s_indexed : int;
   mutable s_sealed_at : float; (* mtime proxy for age retention *)
 }
+
+let seg_record ~base ~path ~count ~size ~sealed_at =
+  {
+    s_base = base;
+    s_path = path;
+    s_count = count;
+    s_size = size;
+    s_index = [||];
+    s_indexed = 0;
+    s_sealed_at = sealed_at;
+  }
 
 type t = {
   cfg : config;
@@ -94,6 +106,7 @@ type t = {
   seen_desc : (string, unit) Hashtbl.t;
   mutable descs_rev : Bytes.t list;
   mutable segs : seg list; (* ascending base; last is the tail *)
+  mutable tail_seg : seg; (* the last of [segs] *)
   mutable tail_fd : Unix.file_descr;
   mutable tail_off : int; (* next offset *)
   mutable durable_ : int;
@@ -238,45 +251,104 @@ let write_record t fd (body : Slice.t) =
   write_all fd buf 0 (header_len + len);
   header_len + len
 
-(* Scan one record at [pos]. [`Record (body, next_pos)] on success;
-   [`Eof] when [pos] is exactly the end; [`Bad pos] when the bytes from
-   [pos] on are torn or corrupt (truncation point). *)
-let scan_record fd ~path ~size pos =
-  if pos = size then `Eof
-  else if pos + header_len > size then `Bad pos
-  else begin
-    ignore (Unix.lseek fd pos Unix.SEEK_SET);
-    let hdr = Bytes.create header_len in
-    if read_exact fd hdr 0 header_len < header_len then `Bad pos
-    else
-      let len = get_u32 hdr 0 and crc = get_u32 hdr 4 in
-      if len < 1 || len > max_record || pos + header_len + len > size then
-        `Bad pos
-      else
-        let body = Bytes.create len in
-        if read_exact fd body 0 len < len then `Bad pos
-        else if Omf_util.Crc32.digest body ~pos:0 ~len <> crc then `Bad pos
-        else begin
-          ignore path;
-          `Record (body, pos + header_len + len)
-        end
+let read_magic fd =
+  let m = Bytes.create magic_len in
+  ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+  Bytes.sub_string m 0 (read_exact fd m 0 magic_len)
+
+(* Sparse index: the position of every [index_stride]-th record of a
+   segment, filled lazily by the walker as it passes them. A walk
+   always starts at a filled entry (or the segment start), so entries
+   are met in order. *)
+let index_stride = 64
+
+let note_index seg off pos =
+  let rel = off - seg.s_base in
+  if rel mod index_stride = 0 && rel / index_stride = seg.s_indexed then begin
+    if seg.s_indexed = Array.length seg.s_index then begin
+      let grown = Array.make (max 8 (2 * seg.s_indexed)) 0 in
+      Array.blit seg.s_index 0 grown 0 seg.s_indexed;
+      seg.s_index <- grown
+    end;
+    seg.s_index.(seg.s_indexed) <- pos;
+    seg.s_indexed <- seg.s_indexed + 1
   end
 
-(* Skip over a record without reading its body (used when seeking to a
-   replay start inside a sealed segment). CRC is not checked here; it
-   is checked when the record is actually delivered. *)
-let skip_record fd ~size pos =
-  if pos + header_len > size then `Bad pos
-  else begin
-    ignore (Unix.lseek fd pos Unix.SEEK_SET);
-    let hdr = Bytes.create header_len in
-    if read_exact fd hdr 0 header_len < header_len then `Bad pos
+(* The nearest indexed (offset, position) at or below [from]. *)
+let index_floor seg from =
+  let i = min ((from - seg.s_base) / index_stride) (seg.s_indexed - 1) in
+  if i < 0 then (seg.s_base, magic_len)
+  else (seg.s_base + (i * index_stride), seg.s_index.(i))
+
+(* Where a walk reads: a file, or the inflated record region of a
+   compressed segment — the plaintext of the file bytes after the
+   magic, so positions (and index entries) mean the same in both. *)
+type source = File of Unix.file_descr | Region of Bytes.t
+
+let window = 256 * 1024
+
+(* The store's one record reader. Walks the records at file positions
+   [[pos, size)] of [src], the first being offset [off], until offset
+   [upto]. Records below [from] are stepped over on their header alone;
+   every other record is length- and CRC-checked and handed to [f] as a
+   slice. File bytes are read through fresh [window]-byte buffers (a
+   larger record gets one of its own) that are never reused, so slices
+   stay valid after the walk — the relay queues them as they are.
+   Returns [`End (off, pos)] just past the last record walked, or
+   [`Bad (off, pos)] at the first torn or corrupt one. With [seg], the
+   walk fills that segment's sparse index. *)
+let walk ?seg src ~size ~off ~pos ~from ~upto f =
+  let buf, base, got =
+    match src with
+    | Region r -> (ref r, ref magic_len, ref (Bytes.length r))
+    | File _ -> (ref Bytes.empty, ref pos, ref 0)
+  in
+  (* make file bytes [p, p + n) addressable in [!buf] *)
+  let have p n =
+    (p >= !base && p + n <= !base + !got)
+    ||
+    match src with
+    | Region _ -> false
+    | File fd ->
+      let b = Bytes.create (max n (min window (size - p))) in
+      ignore (Unix.lseek fd p Unix.SEEK_SET);
+      buf := b;
+      base := p;
+      got := read_exact fd b 0 (Bytes.length b);
+      n <= !got
+  in
+  let intact pos len =
+    have pos (header_len + len)
+    &&
+    let i = pos - !base in
+    Omf_util.Crc32.digest !buf ~pos:(i + header_len) ~len = get_u32 !buf (i + 4)
+  in
+  let rec go off pos =
+    if off >= upto || pos = size then `End (off, pos)
+    else if pos + header_len > size || not (have pos header_len) then
+      `Bad (off, pos)
     else
-      let len = get_u32 hdr 0 in
-      if len < 1 || len > max_record || pos + header_len + len > size then
-        `Bad pos
-      else `Next (pos + header_len + len)
-  end
+      let len = get_u32 !buf (pos - !base) in
+      let next = pos + header_len + len in
+      let deliver = off >= from in
+      if len < 1 || len > max_record || next > size then `Bad (off, pos)
+      else if deliver && not (intact pos len) then `Bad (off, pos)
+      else begin
+        (match seg with Some seg -> note_index seg off pos | None -> ());
+        if deliver then f off (Slice.make !buf (pos - !base + header_len) len);
+        go (off + 1) next
+      end
+  in
+  go off pos
+
+(* Cut a torn or corrupt suffix off a log file at [p]. *)
+let truncate_torn t fd ~size ~path p =
+  Unix.ftruncate fd p;
+  (try Unix.fsync fd with Unix.Unix_error _ -> ());
+  t.truncated <- t.truncated + (size - p);
+  Log.warn (fun m ->
+      m "stream %S: truncated torn record at %s byte %d (%d bytes)" t.name
+        (Filename.basename path) p (size - p))
 
 (* ------------------------------------------------------------------ *)
 (* meta log *)
@@ -299,79 +371,43 @@ let meta_kvs_of_text (s : string) : (string * string) list =
              , String.sub line (i + 1) (String.length line - i - 1) )
          | _ -> None)
 
+let load_meta_record t (body : Slice.t) =
+  let text () = Slice.to_string (Slice.sub body 1 (Slice.length body - 1)) in
+  match Slice.get body 0 with
+  | 'S' -> t.schema_ <- Some (text ())
+  | 'D' ->
+    let body = Slice.to_bytes body in
+    let digest = Omf_util.Sha256.digest_bytes body 0 (Bytes.length body) in
+    if not (Hashtbl.mem t.seen_desc digest) then begin
+      Hashtbl.replace t.seen_desc digest ();
+      t.descs_rev <- body :: t.descs_rev
+    end
+  | 'A' -> t.meta_kvs <- meta_kvs_of_text (text ())
+  | k ->
+    Log.warn (fun m ->
+        m "stream %S: unknown meta record kind %C ignored" t.name k)
+
 let load_meta t =
-  if not (Sys.file_exists t.meta_path) then begin
-    let fd =
-      Unix.openfile t.meta_path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644
-    in
+  let fd = Unix.openfile t.meta_path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let size = (Unix.fstat fd).Unix.st_size in
+  if size < magic_len then begin
+    (* new, or torn during creation: (re)write the magic *)
+    Unix.ftruncate fd 0;
     write_all fd (Bytes.of_string meta_magic) 0 magic_len;
     (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    Unix.close fd;
-    fsync_dir t.dir
-  end;
-  let fd = Unix.openfile t.meta_path [ Unix.O_RDONLY ] 0 in
-  let size = (Unix.fstat fd).Unix.st_size in
-  let bad_magic () =
-    let m = Bytes.create magic_len in
-    read_exact fd m 0 magic_len < magic_len
-    || Bytes.to_string m <> meta_magic
-  in
-  if size < magic_len || bad_magic () then begin
-    Unix.close fd;
-    if size < magic_len then begin
-      (* torn during creation: rewrite *)
-      let wfd =
-        Unix.openfile t.meta_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644
-      in
-      write_all wfd (Bytes.of_string meta_magic) 0 magic_len;
-      (try Unix.fsync wfd with Unix.Unix_error _ -> ());
-      Unix.close wfd;
-      t.truncated <- t.truncated + size
-    end
-    else
-      store_error "%s: bad magic (not a store meta log)" t.meta_path
+    fsync_dir t.dir;
+    t.truncated <- t.truncated + size
   end
-  else begin
-    let pos = ref magic_len in
-    let stop = ref false in
-    while not !stop do
-      match scan_record fd ~path:t.meta_path ~size !pos with
-      | `Eof -> stop := true
-      | `Bad p ->
-        Unix.close fd;
-        let wfd = Unix.openfile t.meta_path [ Unix.O_WRONLY ] 0o644 in
-        Unix.ftruncate wfd p;
-        (try Unix.fsync wfd with Unix.Unix_error _ -> ());
-        Unix.close wfd;
-        t.truncated <- t.truncated + (size - p);
-        Log.warn (fun m ->
-            m "stream %S: truncated torn meta record at byte %d (%d bytes)"
-              t.name p (size - p));
-        raise Exit
-      | `Record (body, next) ->
-        (match Bytes.get body 0 with
-        | 'S' ->
-          t.schema_ <-
-            Some (Bytes.sub_string body 1 (Bytes.length body - 1))
-        | 'D' ->
-          let digest =
-            Omf_util.Sha256.digest_bytes body 0 (Bytes.length body)
-          in
-          if not (Hashtbl.mem t.seen_desc digest) then begin
-            Hashtbl.replace t.seen_desc digest ();
-            t.descs_rev <- body :: t.descs_rev
-          end
-        | 'A' ->
-          t.meta_kvs <-
-            meta_kvs_of_text
-              (Bytes.sub_string body 1 (Bytes.length body - 1))
-        | k ->
-          Log.warn (fun m ->
-              m "stream %S: unknown meta record kind %C ignored" t.name k));
-        pos := next
-    done;
-    Unix.close fd
-  end
+  else if read_magic fd <> meta_magic then
+    store_error "%s: bad magic (not a store meta log)" t.meta_path
+  else
+    match
+      walk (File fd) ~size ~off:0 ~pos:magic_len ~from:0 ~upto:max_int
+        (fun _ body -> load_meta_record t body)
+    with
+    | `End _ -> ()
+    | `Bad (_, p) -> truncate_torn t fd ~size ~path:t.meta_path p
 
 let open_meta_append t =
   t.meta_fd <-
@@ -388,59 +424,30 @@ let create_segment t base =
   write_all fd (Bytes.of_string seg_magic) 0 magic_len;
   fsync_dir t.dir;
   let seg =
-    {
-      s_base = base;
-      s_path = path;
-      s_count = 0;
-      s_size = magic_len;
-      s_index = [];
-      s_sealed_at = Unix.gettimeofday ();
-    }
+    seg_record ~base ~path ~count:0 ~size:magic_len
+      ~sealed_at:(Unix.gettimeofday ())
   in
   (seg, fd)
 
-(* Scan the tail segment: count records, build the sparse index,
-   truncate at the first torn/corrupt record. Returns the record
-   count, or `Torn_header if even the magic is damaged. *)
+(* Walk the tail segment, CRC-checking every record: count them, fill
+   the sparse index, truncate at the first torn/corrupt record.
+   [`Torn_header] if even the magic is damaged. *)
 let recover_tail t (seg : seg) =
   let fd = Unix.openfile seg.s_path [ Unix.O_RDWR ] 0o644 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   let size = (Unix.fstat fd).Unix.st_size in
-  let magic_ok =
-    size >= magic_len
-    &&
-    let m = Bytes.create magic_len in
-    read_exact fd m 0 magic_len = magic_len && Bytes.to_string m = seg_magic
-  in
-  if not magic_ok then begin
-    Unix.close fd;
-    `Torn_header size
-  end
+  if read_magic fd <> seg_magic then `Torn_header size
   else begin
-    let pos = ref magic_len and count = ref 0 and stop = ref false in
-    let index = ref [] in
-    while not !stop do
-      match scan_record fd ~path:seg.s_path ~size !pos with
-      | `Eof -> stop := true
-      | `Bad p ->
-        Unix.ftruncate fd p;
-        (try Unix.fsync fd with Unix.Unix_error _ -> ());
-        t.truncated <- t.truncated + (size - p);
-        Log.warn (fun m ->
-            m "stream %S: truncated torn record at %s byte %d (%d bytes)"
-              t.name (Filename.basename seg.s_path) p (size - p));
-        seg.s_size <- p;
-        stop := true
-      | `Record (_, next) ->
-        if !count mod t.cfg.index_every = 0 then
-          index := (seg.s_base + !count, !pos) :: !index;
-        incr count;
-        pos := next;
-        seg.s_size <- next
-    done;
-    Unix.close fd;
-    seg.s_count <- !count;
-    seg.s_index <- !index;
-    `Recovered !count
+    let ((`End (off, pos) | `Bad (off, pos)) as r) =
+      walk ~seg (File fd) ~size ~off:seg.s_base ~pos:magic_len ~from:0
+        ~upto:max_int (fun _ _ -> ())
+    in
+    (match r with
+    | `Bad _ -> truncate_torn t fd ~size ~path:seg.s_path pos
+    | `End _ -> ());
+    seg.s_count <- off - seg.s_base;
+    seg.s_size <- pos;
+    `Recovered
   end
 
 let load_segments t =
@@ -457,65 +464,51 @@ let load_segments t =
            match seg_base_of_name n with Some b -> Some (b, n) | None -> None)
     |> List.sort compare
   in
-  match names with
-  | [] ->
-    let seg, fd = create_segment t 0 in
-    t.segs <- [ seg ];
+  let set_tail sealed seg fd =
+    t.segs <- sealed @ [ seg ];
+    t.tail_seg <- seg;
     t.tail_fd <- fd;
-    t.tail_off <- 0
-  | names ->
-    let arr = Array.of_list names in
-    let n = Array.length arr in
-    let segs = ref [] in
-    for i = n - 1 downto 0 do
-      let base, name = arr.(i) in
+    t.tail_off <- seg.s_base + seg.s_count
+  in
+  (* sealed: dense offsets make the count pure filename arithmetic; the
+     tail is walked by recover_tail *)
+  let rec load sealed_rev = function
+    | [] ->
+      let seg, fd = create_segment t 0 in
+      set_tail [] seg fd
+    | [ (base, name) ] -> (
       let path = Filename.concat t.dir name in
-      let st = Unix.stat path in
-      let count =
-        (* sealed: dense offsets make the count pure filename
-           arithmetic; the tail (-1) is scanned by recover_tail *)
-        if i + 1 < n then fst arr.(i + 1) - base else -1
+      let seg =
+        seg_record ~base ~path ~count:0 ~size:0
+          ~sealed_at:(Unix.stat path).Unix.st_mtime
       in
-      if i + 1 < n && count <= 0 then
-        store_error "%s: segment bases out of order" path;
-      segs :=
-        {
-          s_base = base;
-          s_path = path;
-          s_count = count;
-          s_size = st.Unix.st_size;
-          s_index = [];
-          s_sealed_at = st.Unix.st_mtime;
-        }
-        :: !segs
-    done;
-    let rec split_last = function
-      | [] -> assert false
-      | [ x ] -> ([], x)
-      | x :: rest ->
-        let sealed, last = split_last rest in
-        (x :: sealed, last)
-    in
-    let sealed, tail_seg = split_last !segs in
-    (match recover_tail t tail_seg with
-    | `Recovered count ->
-      t.segs <- sealed @ [ tail_seg ];
-      t.tail_off <- tail_seg.s_base + count;
-      t.tail_fd <-
-        Unix.openfile tail_seg.s_path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644
-    | `Torn_header sz ->
-      (* The newest segment's header itself is torn (crash during
-         creation): no record in it can be valid, so replace it with a
-         fresh empty segment at the same base. *)
-      Log.warn (fun m ->
-          m "stream %S: dropping segment %s with torn header (%d bytes)"
-            t.name (Filename.basename tail_seg.s_path) sz);
-      t.truncated <- t.truncated + sz;
-      Unix.unlink tail_seg.s_path;
-      let seg, fd = create_segment t tail_seg.s_base in
-      t.segs <- sealed @ [ seg ];
-      t.tail_off <- seg.s_base;
-      t.tail_fd <- fd)
+      let sealed = List.rev sealed_rev in
+      match recover_tail t seg with
+      | `Recovered ->
+        set_tail sealed seg
+          (Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644)
+      | `Torn_header sz ->
+        (* The newest segment's header itself is torn (crash during
+           creation): no record in it can be valid, so replace it with a
+           fresh empty segment at the same base. *)
+        Log.warn (fun m ->
+            m "stream %S: dropping segment %s with torn header (%d bytes)"
+              t.name name sz);
+        t.truncated <- t.truncated + sz;
+        Unix.unlink path;
+        let seg, fd = create_segment t base in
+        set_tail sealed seg fd)
+    | (base, name) :: ((next, _) :: _ as rest) ->
+      let path = Filename.concat t.dir name in
+      if next <= base then store_error "%s: segment bases out of order" path;
+      let st = Unix.stat path in
+      let seg =
+        seg_record ~base ~path ~count:(next - base) ~size:st.Unix.st_size
+          ~sealed_at:st.Unix.st_mtime
+      in
+      load (seg :: sealed_rev) rest
+  in
+  load [] names
 
 (* ------------------------------------------------------------------ *)
 
@@ -575,11 +568,6 @@ let apply_retention t =
   if !deleted > 0 then fsync_dir t.dir;
   !deleted
 
-let tail_seg t =
-  match List.rev t.segs with
-  | last :: _ -> last
-  | [] -> store_error "stream %S: no tail segment" t.name
-
 (* Rewrite a freshly sealed segment as one compressed block. Crash-safe
    by ordering: the caller has already created the new tail, so if this
    dies mid-rewrite the original plain segment survives (the tmp file
@@ -623,7 +611,6 @@ let compress_sealed t (seg : seg) =
     Unix.rename tmp seg.s_path;
     fsync_dir t.dir;
     seg.s_size <- magic_len + Bytes.length blk;
-    seg.s_index <- [];
     t.comp_raw <- t.comp_raw + (raw_size - magic_len);
     t.comp_stored <- t.comp_stored + seg.s_size;
     Log.debug (fun m ->
@@ -640,10 +627,11 @@ let roll t =
   t.dirty <- false;
   t.unsynced <- 0;
   t.durable_ <- t.tail_off;
-  let sealed = tail_seg t in
+  let sealed = t.tail_seg in
   sealed.s_sealed_at <- Unix.gettimeofday ();
   let seg, fd = create_segment t t.tail_off in
   t.segs <- t.segs @ [ seg ];
+  t.tail_seg <- seg;
   t.tail_fd <- fd;
   if t.cfg.compress then compress_sealed t sealed;
   ignore (apply_retention t)
@@ -654,11 +642,9 @@ let append_slice t (frame : Slice.t) =
   if Slice.length frame > max_record then
     store_error "stream %S: frame of %d bytes exceeds record limit" t.name
       (Slice.length frame);
-  if (tail_seg t).s_size >= t.cfg.segment_bytes && (tail_seg t).s_count > 0
-  then roll t;
-  let seg = tail_seg t in
-  if seg.s_count mod t.cfg.index_every = 0 then
-    seg.s_index <- (t.tail_off, seg.s_size) :: seg.s_index;
+  if t.tail_seg.s_size >= t.cfg.segment_bytes && t.tail_seg.s_count > 0 then
+    roll t;
+  let seg = t.tail_seg in
   let written = write_record t t.tail_fd frame in
   let off = t.tail_off in
   seg.s_count <- seg.s_count + 1;
@@ -715,237 +701,57 @@ let set_meta t kvs =
     append_meta t body
   end
 
-(* Reading: per call we open a fresh read-only fd per segment, seek to
-   the nearest sparse-index entry at or below the requested offset, and
-   skip forward. Records actually delivered are CRC-checked. Compressed
-   sealed segments (magic sniffed per open) are instead inflated whole —
-   they are bounded by [segment_bytes] — and iterated from memory. *)
+(* Reading: per call we open a fresh read-only fd per segment and walk
+   it from the nearest sparse-index entry at or below the requested
+   offset. Compressed sealed segments (magic sniffed per open) are
+   inflated whole — they are bounded by [segment_bytes] — and walked in
+   memory. *)
 
-let seg_kind t (seg : seg) fd =
-  let m = Bytes.create magic_len in
-  ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-  if seg.s_size < magic_len || read_exact fd m 0 magic_len < magic_len then
-    store_error "stream %S: truncated segment %s" t.name
-      (Filename.basename seg.s_path);
-  match Bytes.to_string m with
-  | s when s = seg_magic -> `Plain
-  | s when s = seg_magic_z -> `Compressed
-  | _ ->
-    store_error "stream %S: segment %s: bad magic" t.name
-      (Filename.basename seg.s_path)
-
-let inflate_seg t (seg : seg) fd : Bytes.t =
-  let zlen = seg.s_size - magic_len in
-  let blob = Bytes.create zlen in
-  ignore (Unix.lseek fd magic_len Unix.SEEK_SET);
-  if read_exact fd blob 0 zlen < zlen then
-    store_error "stream %S: truncated segment %s" t.name
-      (Filename.basename seg.s_path);
-  match Compress.decompress blob with
-  | region -> region
-  | exception Compress.Error msg ->
-    store_error "stream %S: segment %s: corrupt compressed region: %s" t.name
-      (Filename.basename seg.s_path) msg
-
-(* Walk an inflated record region (record [i] lives at stream offset
-   [seg.s_base + i]); the slices handed out view the freshly inflated
-   buffer, so they stay valid after this returns. *)
-let iter_region t (seg : seg) (region : Bytes.t) ~from ~upto
-    (f : int -> Slice.t -> unit) =
-  let size = Bytes.length region in
-  let seg_end = min upto (seg.s_base + seg.s_count) in
-  let corrupt p =
-    store_error "stream %S: corrupt record at %s byte %d" t.name
-      (Filename.basename seg.s_path) (p + magic_len)
+let seg_source t (seg : seg) fd =
+  let corrupt what =
+    store_error "stream %S: segment %s: %s" t.name
+      (Filename.basename seg.s_path) what
   in
-  let off = ref seg.s_base and pos = ref 0 in
-  while !off < seg_end do
-    if !pos + header_len > size then corrupt !pos;
-    let len = get_u32 region !pos and crc = get_u32 region (!pos + 4) in
-    if len < 1 || len > max_record || !pos + header_len + len > size then
-      corrupt !pos;
-    if !off >= from then begin
-      if Omf_util.Crc32.digest region ~pos:(!pos + header_len) ~len <> crc
-      then corrupt !pos;
-      f !off (Slice.make region (!pos + header_len) len)
-    end;
-    pos := !pos + header_len + len;
-    incr off
-  done
+  match read_magic fd with
+  | m when m = seg_magic -> File fd
+  | m when m = seg_magic_z -> (
+    let zlen = seg.s_size - magic_len in
+    let blob = Bytes.create zlen in
+    if read_exact fd blob 0 zlen < zlen then corrupt "truncated";
+    match Compress.decompress blob with
+    | region -> Region region
+    | exception Compress.Error msg ->
+      corrupt ("corrupt compressed region: " ^ msg))
+  | m when String.length m < magic_len -> corrupt "truncated"
+  | _ -> corrupt "bad magic"
 
-let iter_seg t (seg : seg) ~from f =
-  if from < seg.s_base + seg.s_count then begin
-    let fd = Unix.openfile seg.s_path [ Unix.O_RDONLY ] 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        match seg_kind t seg fd with
-        | `Compressed ->
-          let region = inflate_seg t seg fd in
-          iter_region t seg region ~from ~upto:max_int (fun off body ->
-              (* bytes-callback contract: each body is a private copy *)
-              f off (Slice.to_bytes body))
-        | `Plain ->
-        let size = seg.s_size in
-        let start_off, start_pos =
-          (* s_index is descending; find the first entry <= from *)
-          let rec find = function
-            | [] -> (seg.s_base, magic_len)
-            | (o, p) :: rest -> if o <= from then (o, p) else find rest
-          in
-          find seg.s_index
-        in
-        let off = ref start_off and pos = ref start_pos in
-        (* skip to [from] without reading bodies *)
-        while !off < from do
-          match skip_record fd ~size !pos with
-          | `Next p ->
-            pos := p;
-            incr off
-          | `Bad p ->
-            store_error "stream %S: corrupt record at %s byte %d" t.name
-              (Filename.basename seg.s_path) p
-        done;
-        let seg_end = seg.s_base + seg.s_count in
-        while !off < seg_end do
-          match scan_record fd ~path:seg.s_path ~size !pos with
-          | `Record (body, next) ->
-            f !off body;
-            pos := next;
-            incr off
-          | `Eof | `Bad _ ->
-            store_error "stream %S: corrupt record at %s byte %d" t.name
-              (Filename.basename seg.s_path) !pos
-        done)
-  end
-
-let iter_from t from f =
-  check_open t;
-  let from = max from (oldest t) in
-  if from < t.tail_off then
-    List.iter
-      (fun seg ->
-        if seg.s_base + seg.s_count > from then
-          iter_seg t seg ~from:(max from seg.s_base) f)
-      t.segs
-
-exception Range_done
-
-let iter_range t from upto f =
-  check_open t;
-  let from = max from (oldest t) in
-  let upto = min upto t.tail_off in
-  if from < upto then
-    try
-      List.iter
-        (fun seg ->
-          if seg.s_base >= upto then raise Range_done;
-          if seg.s_base + seg.s_count > from then
-            iter_seg t seg ~from:(max from seg.s_base) (fun off body ->
-                if off >= upto then raise Range_done;
-                f off body))
-        t.segs
-    with Range_done -> ()
-
-(* Slice replay: instead of one fresh body buffer per record, read a
-   span of the segment file into one buffer and hand out CRC-checked
-   sub-slices — a replay chunk costs one allocation per [fill_bytes]
-   window, not one per frame. Each window is a {e fresh} buffer (never
-   reused), because the slices handed to [f] are typically queued on
-   connection write queues and must stay valid after this returns. *)
-
-let fill_bytes = 256 * 1024
-
-let iter_seg_slices t (seg : seg) ~from ~upto
-    (f : int -> Slice.t -> unit) =
-  let seg_end = min upto (seg.s_base + seg.s_count) in
-  if from < seg_end then begin
-    let fd = Unix.openfile seg.s_path [ Unix.O_RDONLY ] 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        match seg_kind t seg fd with
-        | `Compressed ->
-          iter_region t seg (inflate_seg t seg fd) ~from ~upto f
-        | `Plain ->
-        let size = seg.s_size in
-        let corrupt p =
-          store_error "stream %S: corrupt record at %s byte %d" t.name
-            (Filename.basename seg.s_path) p
-        in
-        let start_off, start_pos =
-          let rec find = function
-            | [] -> (seg.s_base, magic_len)
-            | (o, p) :: rest -> if o <= from then (o, p) else find rest
-          in
-          find seg.s_index
-        in
-        let off = ref start_off and pos = ref start_pos in
-        while !off < from do
-          match skip_record fd ~size !pos with
-          | `Next p ->
-            pos := p;
-            incr off
-          | `Bad p -> corrupt p
-        done;
-        while !off < seg_end do
-          let want = min fill_bytes (size - !pos) in
-          if want < header_len then corrupt !pos;
-          let buf = Bytes.create want in
-          ignore (Unix.lseek fd !pos Unix.SEEK_SET);
-          let got = read_exact fd buf 0 want in
-          if got < header_len then corrupt !pos;
-          let p = ref 0 in
-          let progressed = ref false in
-          (try
-             while !off < seg_end && !p + header_len <= got do
-               let len = get_u32 buf !p and crc = get_u32 buf (!p + 4) in
-               if
-                 len < 1 || len > max_record
-                 || !pos + !p + header_len + len > size
-               then corrupt (!pos + !p);
-               if !p + header_len + len > got then
-                 (* crosses the window boundary: refill from here *)
-                 raise Exit;
-               if Omf_util.Crc32.digest buf ~pos:(!p + header_len) ~len <> crc
-               then corrupt (!pos + !p);
-               f !off (Slice.make buf (!p + header_len) len);
-               progressed := true;
-               p := !p + header_len + len;
-               incr off
-             done
-           with Exit -> ());
-          pos := !pos + !p;
-          if not !progressed then begin
-            (* a record larger than the fill window: read it exactly *)
-            let len = get_u32 buf 0 and crc = get_u32 buf 4 in
-            let big = Bytes.create len in
-            ignore (Unix.lseek fd (!pos + header_len) Unix.SEEK_SET);
-            if read_exact fd big 0 len < len then corrupt !pos;
-            if Omf_util.Crc32.digest big ~pos:0 ~len <> crc then corrupt !pos;
-            f !off (Slice.of_bytes big);
-            pos := !pos + header_len + len;
-            incr off
-          end
-        done)
-  end
-
-(** {!iter_range} delivering bodies as slices into shared read
-    buffers; the relay's chunked stored replay enqueues them without
-    copying (doc/STORE.md). *)
 let iter_range_slices t from upto (f : int -> Slice.t -> unit) =
   check_open t;
-  let from = max from (oldest t) in
   let upto = min upto t.tail_off in
-  if from < upto then
-    try
-      List.iter
-        (fun seg ->
-          if seg.s_base >= upto then raise Range_done;
-          if seg.s_base + seg.s_count > from then
-            iter_seg_slices t seg ~from:(max from seg.s_base) ~upto f)
-        t.segs
-    with Range_done -> ()
+  List.iter
+    (fun seg ->
+      let from = max from seg.s_base
+      and stop = min upto (seg.s_base + seg.s_count) in
+      if from < stop then begin
+        let fd = Unix.openfile seg.s_path [ Unix.O_RDONLY ] 0 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        let src = seg_source t seg fd in
+        let size =
+          match src with
+          | File _ -> seg.s_size
+          | Region r -> magic_len + Bytes.length r
+        in
+        let off, pos = index_floor seg from in
+        match walk ~seg src ~size ~off ~pos ~from ~upto:stop f with
+        | `End (off, _) when off = stop -> ()
+        | `End (_, p) | `Bad (_, p) ->
+          store_error "stream %S: corrupt record at %s byte %d" t.name
+            (Filename.basename seg.s_path) p
+      end)
+    t.segs
+
+let iter_from t from f =
+  iter_range_slices t from max_int (fun off body -> f off (Slice.to_bytes body))
 
 let close t =
   if not t.closed then begin
@@ -970,6 +776,7 @@ let open_stream cfg name =
       seen_desc = Hashtbl.create 8;
       descs_rev = [];
       segs = [];
+      tail_seg = seg_record ~base:0 ~path:"" ~count:0 ~size:0 ~sealed_at:0.;
       tail_fd = Unix.stdin;
       tail_off = 0;
       durable_ = 0;
@@ -982,7 +789,7 @@ let open_stream cfg name =
       wbuf = Bytes.create 4096;
     }
   in
-  (try load_meta t with Exit -> ());
+  load_meta t;
   open_meta_append t;
   load_segments t;
   (* Everything that survived recovery is on disk by definition. *)

@@ -13,7 +13,8 @@
     Both use the same record framing: [u32 len | u32 crc32 | body],
     big-endian, CRC-32 over the body. Appends go to the newest (tail)
     segment; when it reaches [segment_bytes] it is fsynced, sealed, and
-    a new tail is created. Recovery scans only the tail segment,
+    a new tail is created. One record reader serves recovery, the
+    [meta.log] load and replay. Recovery walks only the tail segment,
     truncates a torn final record, and resumes appending — sealed
     segments are trusted structurally and CRC-checked on read.
 
@@ -38,7 +39,6 @@ val fsync_policy_to_string : fsync_policy -> string
 type config = {
   root : string;  (** store root directory; created on demand *)
   segment_bytes : int;  (** roll threshold per segment file *)
-  index_every : int;  (** sparse-index granularity in records *)
   fsync : fsync_policy;
   retain_segments : int;  (** keep at most this many segments; 0 = all *)
   retain_bytes : int;  (** total bytes across segments; 0 = unlimited *)
@@ -52,8 +52,7 @@ type config = {
 }
 
 val default_config : root:string -> config
-(** 64 MiB segments, index every 64 records, [Interval 0.1], no
-    retention limits. *)
+(** 64 MiB segments, [Interval 0.1], no retention limits. *)
 
 type t
 
@@ -102,25 +101,25 @@ val sync : t -> int
 
 (** {2 Reading} *)
 
-val iter_from : t -> int -> (int -> Bytes.t -> unit) -> unit
-(** [iter_from t from f] calls [f offset frame] for every stored
-    message in [[max from (oldest t), tail t)], in order. Raises
-    {!Store_error} if a sealed record fails its CRC. *)
-
-val iter_range : t -> int -> int -> (int -> Bytes.t -> unit) -> unit
-(** [iter_range t from upto f] is {!iter_from} bounded above:
-    [f offset frame] for every stored message in
-    [[max from (oldest t), min upto (tail t))]. This is the chunked
-    replay primitive — a reader chasing the tail pulls a bounded slice
-    per reactor writable callback instead of the whole suffix. *)
-
 val iter_range_slices :
   t -> int -> int -> (int -> Omf_util.Slice.t -> unit) -> unit
-(** {!iter_range} delivering each body as a slice into a shared
-    segment read buffer: one ~256 KiB buffer allocation per window of
-    records instead of one buffer per record. Buffers are fresh per
-    window (never reused), so the slices stay valid after the call —
-    the relay enqueues them on subscriber write queues as-is. *)
+(** [iter_range_slices t from upto f] calls [f offset frame] for every
+    stored message in [[max from (oldest t), min upto (tail t))], in
+    order. This is the chunked replay primitive — a reader chasing the
+    tail pulls a bounded range per reactor writable callback instead of
+    the whole suffix. Each frame is a slice into a shared segment read
+    buffer: one ~256 KiB buffer allocation per window of records
+    instead of one buffer per record. Buffers are fresh per window
+    (never reused), so the slices stay valid after the call — the relay
+    enqueues them on subscriber write queues as-is. A segment's sparse
+    index (every 64th record's file position) is filled as ranges walk
+    it, so later ranges start near [from] instead of at the segment
+    start. Raises {!Store_error} if a record fails its length or CRC
+    check. *)
+
+val iter_from : t -> int -> (int -> Bytes.t -> unit) -> unit
+(** [iter_from t from f] is {!iter_range_slices} up to the tail, each
+    frame copied out into its own buffer. *)
 
 val schema : t -> string option
 
