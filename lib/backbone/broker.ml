@@ -117,16 +117,16 @@ let publisher_link (t : t) ~(stream : string) : Omf_transport.Link.t =
 (* Subscriber side                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** [metadata_for t ~stream creds] returns the stream's schema document,
-    scoped to what [creds] may see. This is the "dynamically generated
-    metadata based on … authentication credentials" of section 4.4.
-    Raises {!Access_denied} when scoping leaves a type empty. *)
-let metadata_for (t : t) ~(stream : string) (creds : credentials) : string =
-  let s = find_stream t stream in
-  match s.scope creds with
-  | None -> s.schema_text
+(** [scope_schema ~stream visible schema] is the schema document
+    reduced to the [visible] field names ([None] = unchanged): section
+    4.4's format-scoping rule. Raises {!Access_denied} when scoping
+    leaves a type empty. *)
+let scope_schema ~(stream : string) (visible : string list option)
+    (schema : string) : string =
+  match visible with
+  | None -> schema
   | Some visible ->
-    let schema = Omf_xschema.Schema.of_string s.schema_text in
+    let schema = Omf_xschema.Schema.of_string schema in
     let scoped_types =
       List.map
         (fun (ct : Omf_xschema.Schema.complex_type) ->
@@ -146,6 +146,14 @@ let metadata_for (t : t) ~(stream : string) (creds : credentials) : string =
     in
     Omf_xschema.Schema_write.to_string
       { schema with Omf_xschema.Schema.types = scoped_types }
+
+(** [metadata_for t ~stream creds] returns the stream's schema document,
+    scoped to what [creds] may see. This is the "dynamically generated
+    metadata based on … authentication credentials" of section 4.4.
+    Raises {!Access_denied} when scoping leaves a type empty. *)
+let metadata_for (t : t) ~(stream : string) (creds : credentials) : string =
+  let s = find_stream t stream in
+  scope_schema ~stream (s.scope creds) s.schema_text
 
 (** [subscribe t ~stream ~creds link] attaches the broker's sending end
     [link] (the subscriber holds the other end of the pair). Already-seen

@@ -35,6 +35,12 @@ val publisher_link : t -> stream:string -> Omf_transport.Link.t
 
 (** {1 Subscriber side} *)
 
+val scope_schema : stream:string -> string list option -> string -> string
+(** [scope_schema ~stream visible schema]: the schema document reduced
+    to the [visible] field names ([None] = unchanged). The one scoping
+    rule, shared by {!metadata_for} and the TCP relay. Raises
+    {!Access_denied} when scoping leaves a type empty. *)
+
 val metadata_for : t -> stream:string -> credentials -> string
 (** The stream's schema, scoped to what the credentials may see. Raises
     {!Access_denied} when scoping leaves a type empty. *)

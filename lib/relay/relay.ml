@@ -1,13 +1,13 @@
-(** The networked event relay: the {!Omf_backbone.Broker} served over
-    real TCP by {!Omf_reactor.Reactor} event loops.
+(** The networked event relay: the paper's event backbone (Figures 1
+    and 3) served over real TCP by {!Omf_reactor.Reactor} event loops.
 
-    This is the deployable form of the paper's event backbone (Figures 1
-    and 3): capture points and subscribers are separate processes on
-    separate machines; the relay hosts the broker — stream advertisement,
-    per-stream format-descriptor caching with replay for late joiners,
-    credential-scoped metadata — behind a small control protocol carried
-    on the same length-prefixed TCP framing as the {!Omf_transport.Endpoint}
-    descriptor/message frames it relays.
+    Capture points and subscribers are separate processes on separate
+    machines. Each shard keeps one record per hosted stream — schema and
+    scope policy, the format-descriptor frames replayed to late joiners,
+    the credential-scoped metadata it serves, its publishers and
+    subscribers, store handle and advertisement — behind a small control
+    protocol carried on the same length-prefixed TCP framing as the
+    {!Omf_transport.Endpoint} descriptor/message frames it relays.
 
     Design points:
 
@@ -82,11 +82,12 @@ module Token_bucket = Omf_util.Token_bucket
     stalls the loop thread. *)
 type replay = { r_store : Store.t; mutable r_next : int }
 
+type state = Running | Draining | Stopped
+
 type role =
   | Pending  (** control commands only, no stream attached yet *)
   | Publisher of {
-      stream : string;
-      link : Link.t;  (** the broker's fan-out entry for the stream *)
+      stream : stream;
       acks : bool;
           (** [acks=1] was requested at PUBLISH on a store-backed
               stream: send ['k' durable] frames as appends harden *)
@@ -107,8 +108,7 @@ type role =
               [None] iff tracing is disabled on the shard *)
     }
   | Subscriber of {
-      stream : string;
-      unsubscribe : unit -> unit;
+      stream : stream;
       mutable skip_until : int;
           (** store-backed [from=] subscription: drop live ['M'] frames
               whose store offset is below this (they are re-appends the
@@ -120,15 +120,13 @@ type role =
               store, preserving order) *)
     }
 
-type state = Running | Draining | Stopped
-
 (** Delivery-side tracing mark (doc/TRACE.md): stamped on a subscriber
     connection when a traced frame is enqueued, consumed by the [flush]
     span (first bytes written after the enqueue) and the [deliver] span
     (write queue fully drained). One mark per connection — sampling
     keeps traced frames rare, and a later traced enqueue simply
     restarts the clock — so the untraced path pays one [None] check. *)
-type tmark = {
+and tmark = {
   tm_trace : int64;
   tm_parent : int64;
   tm_sampled : bool;
@@ -137,7 +135,7 @@ type tmark = {
   mutable tm_flushed : bool;  (** the [flush] span was already recorded *)
 }
 
-type conn = {
+and conn = {
   cid : int;  (** unique across the relay: strided by shard count *)
   io : Rconn.t;  (** the reactor-side buffered connection driver *)
   mutable creds : (string * string) list;
@@ -174,6 +172,35 @@ type conn = {
       (** pending flush/deliver trace spans for the most recently
           enqueued traced frame (subscribers only) *)
   mutable home : shard;  (** the shard whose loop owns this connection *)
+}
+
+(** Everything a shard knows about one stream it hosts (the backbone's
+    per-stream state, Figures 1 and 3). Loop-thread only: a stream is
+    pinned to one shard. *)
+and stream = {
+  name : string;
+  mutable schema : string;  (** the advertised XML Schema document *)
+  mutable scope : Broker.scope_policy;
+      (** which fields a subscriber's credentials may see (§4.4) *)
+  mutable descriptors : Bytes.t list;
+      (** distinct descriptor frames in first-seen order, replayed to
+          every late joiner; deduped by content because a reconnecting
+          publisher (or store recovery) re-announces the same ones *)
+  mutable subscribers : conn list;  (** join order = fan-out order *)
+  mutable publishers : conn list;
+  mutable store : Store.t option;
+      (** the stream's log, opened on first touch; [None] on a
+          memory-only relay (or while opening it keeps failing) *)
+  mutable advert : (string * string) list;
+      (** advertisement metadata ([subject=] / [version=] /
+          [fingerprint=] registry bindings, PROTOCOLS.md §14, and the
+          §15 [origin=]/[epoch=] tag); [[]] until one is recorded *)
+  mutable trace_ctx : Trace.ctx option;
+      (** the latest publisher's trace context, served in DESCRIBE
+          metadata so downstream mirrors join the same trace *)
+  mutable published : int;  (** descriptor and message frames fanned out *)
+  mutable ack_pending : bool;
+      (** an [acks=1] publisher appended since the last ack flush *)
 }
 
 (** Relay-wide state: which shard hosts which stream, and every shard
@@ -213,17 +240,12 @@ and shard = {
   trace : Trace.collector option;
       (** sampled distributed tracing (doc/TRACE.md): the shard's span
           ring buffer; [None] = tracing disabled, zero cost *)
-  stream_trace : (string, Trace.ctx) Hashtbl.t;
-      (** last trace context per stream — served in DESCRIBE metadata
-          so downstream mirrors join the same trace; loop-thread only *)
-  mutable cur_trace : Trace.ctx option;
-      (** context of the message currently being fanned out, visible to
-          {!enqueue_relayed_frame} so subscriber marks inherit it *)
   ingress : (float * float) option;
       (** per-connection ingress token bucket [(rate, burst)] in
           frames/s; [None] = unlimited *)
   reactor : Reactor.t;
-  broker : Broker.t;
+  streams : (string, stream) Hashtbl.t;
+      (** the streams pinned to this shard; loop-thread only *)
   conns : (int, conn) Hashtbl.t;  (** loop-thread only *)
   counters : Counters.t;
   shard_id : int;
@@ -231,17 +253,6 @@ and shard = {
   shared : shared;
   store_cfg : Store.config option;
       (** durable stream store; [None] = memory-only relay *)
-  stores : (string, Store.t) Hashtbl.t;
-      (** per-shard store handles, loop-thread only — lock-free because
-          a stream is pinned to one shard *)
-  adverts : (string, (string * string) list) Hashtbl.t;
-      (** per-stream advertisement metadata ([subject=] / [version=] /
-          [fingerprint=] registry bindings, PROTOCOLS.md §14);
-          loop-thread only, safe because the stream is pinned here *)
-  mutable fanout_offset : int;
-      (** store offset of the ['M'] frame currently being fanned out
-          ([-1] outside store-backed fan-out); lets the subscriber-side
-          [skip_until] filter see the offset without reframing *)
   mutable wire_cache_body : Bytes.t;
       (** the body whose framed wire message is cached below, keyed by
           physical identity: fanning one publish out to N subscribers
@@ -259,8 +270,6 @@ and shard = {
       (** shard-owned match-finder workspace (the shard loop is
           single-threaded) — compression never allocates chain arrays
           per frame *)
-  pending_acks : (string, unit) Hashtbl.t;
-      (** streams with an appender awaiting a durability ack *)
   mutable ack_flush_scheduled : bool;
   mutable store_timer : Reactor.timer option;
   mutable gauge_timer : Reactor.timer option;
@@ -275,31 +284,40 @@ and shard = {
 let counter_snapshot (sh : shared) : (string * int) list =
   Counters.merged (Array.to_list (Array.map (fun s -> s.counters) sh.peers))
 
-(** The STATS reply body: relay-wide counters, with the answering
-    shard's own per-stream broker and store gauges read live. Each key
-    appears once — a live value replaces the counter copy the periodic
-    {!gauge_tick} left, which may be up to a second stale. *)
+(** A hosted stream's gauges: publish and subscriber counts, the
+    subscribers' queued data frames, and its store's size and
+    watermarks. *)
+let stream_gauges (s : stream) : (string * int) list =
+  let g prefix key v = (Printf.sprintf "%s.%s.%s" prefix s.name key, v) in
+  let depth =
+    List.fold_left
+      (fun acc c -> acc + Rconn.queued_droppable c.io)
+      0 s.subscribers
+  in
+  g "stream" "published" s.published
+  :: g "stream" "subscribers" (List.length s.subscribers)
+  :: g "stream" "queue_depth" depth
+  ::
+  (match s.store with
+  | None -> []
+  | Some st ->
+    g "store" "tail" (Store.tail st)
+    :: g "store" "durable" (Store.durable st)
+    :: g "store" "segments" (Store.segments st)
+    :: g "store" "bytes" (Store.bytes st)
+    ::
+    (if Store.comp_raw_bytes st > 0 then
+       [ g "store" "comp_raw" (Store.comp_raw_bytes st)
+       ; g "store" "comp_stored" (Store.comp_stored_bytes st) ]
+     else []))
+
+(** The STATS reply body: relay-wide counters — every shard's streams
+    as of its last {!gauge_tick} — with the answering shard's own
+    stream gauges read live. Each key appears once: a live value
+    replaces the counter copy, which may be up to a second stale. *)
 let stats (t : shard) : (string * int) list =
   let live =
-    List.concat_map
-      (fun s ->
-        [ (Printf.sprintf "stream.%s.published" s, Broker.published_count t.broker ~stream:s)
-        ; (Printf.sprintf "stream.%s.subscribers" s, Broker.subscriber_count t.broker ~stream:s) ])
-      (Broker.stream_names t.broker)
-    @ Hashtbl.fold
-        (fun s st acc ->
-          (Printf.sprintf "store.%s.tail" s, Store.tail st)
-          :: (Printf.sprintf "store.%s.durable" s, Store.durable st)
-          :: (Printf.sprintf "store.%s.segments" s, Store.segments st)
-          :: (Printf.sprintf "store.%s.bytes" s, Store.bytes st)
-          ::
-          (if Store.comp_raw_bytes st > 0 then
-             [ (Printf.sprintf "store.%s.comp_raw" s, Store.comp_raw_bytes st)
-             ; ( Printf.sprintf "store.%s.comp_stored" s
-               , Store.comp_stored_bytes st ) ]
-           else [])
-          @ acc)
-        t.stores []
+    Hashtbl.fold (fun _ s acc -> stream_gauges s @ acc) t.streams []
   in
   let is_live = Hashtbl.create 16 in
   List.iter (fun (k, _) -> Hashtbl.replace is_live k ()) live;
@@ -337,13 +355,7 @@ let finish_drain (t : shard) =
       Reactor.cancel t.reactor tm;
       t.gauge_timer <- None
     | None -> ());
-    Hashtbl.iter
-      (fun stream st ->
-        try Store.close st
-        with Store.Store_error msg ->
-          Log.err (fun m -> m "store %s: close: %s" stream msg))
-      t.stores;
-    Hashtbl.reset t.stores;
+    Hashtbl.iter (fun _ s -> Option.iter Store.close s.store) t.streams;
     Reactor.stop t.reactor;
     Log.info (fun m -> m "shard %d stopped" t.shard_id)
   end
@@ -388,8 +400,7 @@ let note_comp (c : conn) ~(raw : int) ~(wire : int) =
   let t = c.home in
   let subject =
     match c.role with
-    | Publisher p -> p.stream
-    | Subscriber s -> s.stream
+    | Publisher { stream; _ } | Subscriber { stream; _ } -> stream.name
     | Pending -> "control"
   in
   Counters.incr t.counters ~by:raw (Printf.sprintf "comp.%s.raw_bytes" subject);
@@ -428,8 +439,8 @@ let enqueue_entry (c : conn) ~droppable (frame : Bytes.t) =
            exactly — the frame path's one copy-on-seal *)
         Frame.wire [ Slice.of_bytes (Macframe.seal_next st frame) ]
       | None ->
-        (* encode the wire message once per published body: the broker
-           fans the same physical [frame] to every subscriber, so all N
+        (* encode the wire message once per published body: fan-out
+           hands the same physical [frame] to every subscriber, so all N
            queues share one header slice and one body buffer *)
         if frame == t.wire_cache_body then t.wire_cache
         else begin
@@ -516,52 +527,45 @@ let reply_busy (t : shard) c (what : string) =
 (* Durable store plumbing (loop-thread only)                            *)
 (* ------------------------------------------------------------------ *)
 
-(** The shard's store handle for [stream], opened (and recovered) on
-    first touch. [None] when the relay runs memory-only. Raises
-    {!Store.Store_error} if the on-disk log is damaged beyond the
-    torn-tail repair. *)
-let store_handle (t : shard) (stream : string) : Store.t option =
-  match t.store_cfg with
-  | None -> None
-  | Some cfg -> (
-    match Hashtbl.find_opt t.stores stream with
-    | Some st -> Some st
-    | None ->
-      let st = Store.open_stream cfg stream in
-      Hashtbl.replace t.stores stream st;
-      Some st)
+(** The stream's store handle, opened (and recovered) on first touch.
+    [None] when the relay runs memory-only. Raises {!Store.Store_error}
+    if the on-disk log is damaged beyond the torn-tail repair. *)
+let store_handle (t : shard) (s : stream) : Store.t option =
+  match (s.store, t.store_cfg) with
+  | Some st, _ -> Some st
+  | None, None -> None
+  | None, Some cfg ->
+    let st = Store.open_stream cfg s.name in
+    s.store <- Some st;
+    Some st
 
 (** Send ['k' durable] to every [acks=1] publisher of the streams
-    marked in [pending_acks] whose durable watermark advanced since the
+    marked [ack_pending] whose durable watermark advanced since the
     last ack. Coalesced: scheduled at most once per dispatch round. *)
 let flush_acks (t : shard) =
   t.ack_flush_scheduled <- false;
-  if Hashtbl.length t.pending_acks > 0 then begin
-    let streams = Hashtbl.fold (fun s () acc -> s :: acc) t.pending_acks [] in
-    Hashtbl.reset t.pending_acks;
-    List.iter
-      (fun stream ->
-        match Hashtbl.find_opt t.stores stream with
-        | None -> ()
-        | Some st ->
-          let durable = Store.durable st in
-          Hashtbl.iter
-            (fun _ c ->
-              match c.role with
-              | Publisher p
-                when p.acks
-                     && String.equal p.stream stream
-                     && durable > p.acked
-                     && Rconn.alive c.io ->
-                p.acked <- durable;
-                reply c (Proto.Ack durable)
-              | _ -> ())
-            t.conns)
-      streams
-  end
+  Hashtbl.iter
+    (fun _ s ->
+      if s.ack_pending then begin
+        s.ack_pending <- false;
+        Option.iter
+          (fun st ->
+            let durable = Store.durable st in
+            List.iter
+              (fun c ->
+                match c.role with
+                | Publisher p
+                  when p.acks && durable > p.acked && Rconn.alive c.io ->
+                  p.acked <- durable;
+                  reply c (Proto.Ack durable)
+                | _ -> ())
+              s.publishers)
+          s.store
+      end)
+    t.streams
 
-let schedule_ack_flush (t : shard) (stream : string) =
-  Hashtbl.replace t.pending_acks stream ();
+let schedule_ack_flush (t : shard) (s : stream) =
+  s.ack_pending <- true;
   if not t.ack_flush_scheduled then begin
     t.ack_flush_scheduled <- true;
     Reactor.defer t.reactor (fun () -> flush_acks t)
@@ -573,54 +577,32 @@ let schedule_ack_flush (t : shard) (stream : string) =
     Re-arms itself while the shard runs. *)
 let rec store_tick (t : shard) (period : float) =
   Hashtbl.iter
-    (fun stream st ->
-      let before = Store.durable st in
-      (match Store.sync st with
-      | d -> if d > before then schedule_ack_flush t stream
-      | exception Store.Store_error msg ->
-        Counters.incr t.counters "store_errors";
-        Log.err (fun m -> m "store %s: %s" stream msg));
-      ignore (Store.apply_retention st))
-    t.stores;
+    (fun _ s ->
+      Option.iter
+        (fun st ->
+          let before = Store.durable st in
+          (match Store.sync st with
+          | d -> if d > before then schedule_ack_flush t s
+          | exception Store.Store_error msg ->
+            Counters.incr t.counters "store_errors";
+            Log.err (fun m -> m "store %s: %s" s.name msg));
+          ignore (Store.apply_retention st))
+        s.store)
+    t.streams;
   if t.state = Running then
     t.store_timer <-
       Some (Reactor.after t.reactor period (fun () -> store_tick t period))
 
-(** Refresh the Prometheus-visible gauges: per-stream subscriber queue
-    depth and per-stream store segments/bytes/tail/durable. Runs every
-    second on the shard's own loop, so no locks are needed; the gauges
-    land in [t.counters] and flow through STATS, [Counters.merged] and
+(** Refresh the Prometheus-visible gauges: every hosted stream's
+    {!stream_gauges}, and the governor's. Runs every second on the
+    shard's own loop, so no locks are needed; the gauges land in
+    [t.counters] and flow through STATS, [Counters.merged] and
     [Http.serve_metrics] like any counter. *)
 let rec gauge_tick (t : shard) =
-  List.iter
-    (fun stream ->
-      let depth =
-        Hashtbl.fold
-          (fun _ c acc ->
-            match c.role with
-            | Subscriber s when String.equal s.stream stream ->
-              acc + Rconn.queued_droppable c.io
-            | _ -> acc)
-          t.conns 0
-      in
-      Counters.set t.counters
-        (Printf.sprintf "stream.%s.queue_depth" stream)
-        depth)
-    (Broker.stream_names t.broker);
   Hashtbl.iter
-    (fun stream st ->
-      let g name v =
-        Counters.set t.counters (Printf.sprintf "store.%s.%s" stream name) v
-      in
-      g "segments" (Store.segments st);
-      g "bytes" (Store.bytes st);
-      g "tail" (Store.tail st);
-      g "durable" (Store.durable st);
-      if Store.comp_raw_bytes st > 0 then begin
-        g "comp_raw" (Store.comp_raw_bytes st);
-        g "comp_stored" (Store.comp_stored_bytes st)
-      end)
-    t.stores;
+    (fun _ s ->
+      List.iter (fun (k, v) -> Counters.set t.counters k v) (stream_gauges s))
+    t.streams;
   Governor.note_tick t.governor ~now:(Unix.gettimeofday ());
   Counters.set t.counters "governor_used_bytes" (Governor.used t.governor);
   Counters.set t.counters "governor_health"
@@ -634,19 +616,13 @@ let rec gauge_tick (t : shard) =
   if t.state = Running then
     t.gauge_timer <- Some (Reactor.after t.reactor 1.0 (fun () -> gauge_tick t))
 
-(** Under [Block]: is some subscriber of [stream] over the watermark? *)
-let stream_congested (t : shard) (stream : string) : bool =
+(** Under [Block]: is some subscriber of [s] over the watermark? *)
+let stream_congested (t : shard) (s : stream) : bool =
   t.policy = Block
-  && Hashtbl.fold
-       (fun _ c acc ->
-         acc
-         || match c.role with
-            | Subscriber s ->
-              String.equal s.stream stream
-              && Rconn.alive c.io
-              && Rconn.queued_droppable c.io >= t.max_queue
-            | _ -> false)
-       t.conns false
+  && List.exists
+       (fun c ->
+         Rconn.alive c.io && Rconn.queued_droppable c.io >= t.max_queue)
+       s.subscribers
 
 (** May this publisher connection be read from at all? False while the
     shard is not running, the connection's ingress bucket is in debt,
@@ -658,18 +634,14 @@ let publisher_read_ok (t : shard) (c : conn) : bool =
   && (not c.throttled)
   && Governor.health t.governor <> Governor.Overloaded
 
-let set_publishers_reading (t : shard) (stream : string) (b : bool) =
-  Hashtbl.iter
-    (fun _ c ->
-      match c.role with
-      | Publisher p when String.equal p.stream stream ->
-        Rconn.set_read_intent c.io (b && publisher_read_ok t c)
-      | _ -> ())
-    t.conns
+let set_publishers_reading (t : shard) (s : stream) (b : bool) =
+  List.iter
+    (fun c -> Rconn.set_read_intent c.io (b && publisher_read_ok t c))
+    s.publishers
 
-let maybe_resume_stream (t : shard) (stream : string) =
-  if t.policy = Block && t.state = Running && not (stream_congested t stream)
-  then set_publishers_reading t stream true
+let maybe_resume_stream (t : shard) (s : stream) =
+  if t.policy = Block && t.state = Running && not (stream_congested t s) then
+    set_publishers_reading t s true
 
 let clear_grace (c : conn) =
   c.over_since <- None;
@@ -751,7 +723,7 @@ let pump_replay (t : shard) (c : conn) =
            failed := true;
            s.replay <- None;
            Counters.incr t.counters "store_errors";
-           Log.err (fun m -> m "store %s: replay: %s" s.stream msg);
+           Log.err (fun m -> m "store %s: replay: %s" s.stream.name msg);
            Rconn.doom c.io "store replay failed");
       if not !failed then
         if r.r_next >= Store.tail r.r_store then begin
@@ -763,85 +735,95 @@ let pump_replay (t : shard) (c : conn) =
     end
   | Subscriber _ | Publisher _ | Pending -> ()
 
-(** Enqueue a relayed stream frame onto a subscriber, applying the
-    backpressure policy. Raises {!Link.Closed} when the subscriber is
-    dead so the broker skips it. *)
-let rec enqueue_relayed (t : shard) (c : conn) (frame : Bytes.t) =
-  if not (Rconn.alive c.io) then raise Link.Closed;
-  (* Store-backed crash recovery: a resuming publisher re-appends
-     offsets a resubscribed consumer already received live before the
-     crash; the subscriber declared its high-water mark at SUBSCRIBE
-     ([skip_until]) and live frames below it are silently elided.
-     While a chunked replay is in flight {e every} store-offset frame
-     is withheld: it was appended before fan-out, so the pump will
-     deliver it from the store in order. *)
-  match c.role with
-  | Subscriber { replay = Some _; _ } when t.fanout_offset >= 0 ->
-    Counters.incr t.counters "store_fanout_deferred";
-    pump_replay t c
-  | Subscriber s
-    when t.fanout_offset >= 0 && s.skip_until >= 0
-         && t.fanout_offset < s.skip_until ->
-    Counters.incr t.counters "store_fanout_skipped"
-  | Subscriber _ | Publisher _ | Pending -> enqueue_relayed_frame t c frame
+let is_descriptor (frame : Bytes.t) =
+  Bytes.length frame > 0
+  && Char.equal (Bytes.get frame 0) Endpoint.frame_descriptor
 
-and enqueue_relayed_frame (t : shard) (c : conn) (frame : Bytes.t) =
-  let droppable =
-    not
-      (Bytes.length frame > 0
-      && Char.equal (Bytes.get frame 0) Endpoint.frame_descriptor)
-  in
-  if droppable && Rconn.queued_droppable c.io >= t.max_queue then begin
-    match t.policy with
-    | Block ->
-      (* over the high-watermark: pause the stream's publishers until
-         this queue drains ({!conn_progress} resumes them); nothing is
-         lost — TCP pushes back to the capture point *)
-      if not c.congesting then begin
-        c.congesting <- true;
-        match c.role with
-        | Subscriber s -> set_publishers_reading t s.stream false
-        | Publisher _ | Pending -> ()
-      end
-    | Drop_oldest ->
-      let shed = Rconn.drop_oldest_droppable c.io in
-      if shed > 0 then begin
-        credit_conn c shed;
-        Counters.incr t.counters "frames_dropped"
-      end
-    | Evict_slow -> (
-      if Governor.health t.governor <> Governor.Healthy then begin
-        (* Degraded: no grace for laggards — shed the slow consumer now
-           so its queue bytes come back before the shard overloads *)
-        Counters.incr t.counters "evictions_eager";
-        evict_slow t c
-      end
-      else
-        (* over the watermark: start the grace clock rather than evicting
-           outright.  The queue may grow past the watermark during the
-           grace window; it is bounded by grace x publish rate. *)
-        match c.over_since with
-        | None ->
-          c.over_since <- Some (Reactor.now ());
-          arm_grace t c
-        | Some _ -> ())
-  end;
-  (match t.cur_trace with
-  | Some ctx -> (
-    match c.role with
-    | Subscriber s ->
-      c.trace_mark <-
-        Some
-          { tm_trace = ctx.Trace.trace_id
-          ; tm_parent = ctx.Trace.span_id
-          ; tm_sampled = ctx.Trace.sampled
-          ; tm_stream = s.stream
-          ; tm_enq_us = Trace.now_us ()
-          ; tm_flushed = false }
-    | Publisher _ | Pending -> ())
-  | None -> ());
-  enqueue_entry c ~droppable frame;
-  Counters.incr t.counters "frames_out"
+(** Enqueue a relayed stream frame onto subscriber [c], applying the
+    backpressure policy. [offset] is the frame's store offset ([-1]
+    when it has none); [trace] the publisher's trace context for a
+    traced message, which the subscriber's delivery spans inherit. *)
+let enqueue_relayed (t : shard) (c : conn) (frame : Bytes.t) ~(offset : int)
+    ~(trace : Trace.ctx option) =
+  match c.role with
+  | Publisher _ | Pending -> ()
+  | Subscriber s -> (
+    (* Store-backed crash recovery: a resuming publisher re-appends
+       offsets a resubscribed consumer already received live before the
+       crash; the subscriber declared its high-water mark at SUBSCRIBE
+       ([skip_until]) and live frames below it are silently elided.
+       While a chunked replay is in flight {e every} store-offset frame
+       is withheld: it was appended before fan-out, so the pump will
+       deliver it from the store in order. *)
+    match s.replay with
+    | Some _ when offset >= 0 ->
+      Counters.incr t.counters "store_fanout_deferred";
+      pump_replay t c
+    | _ when offset >= 0 && s.skip_until >= 0 && offset < s.skip_until ->
+      Counters.incr t.counters "store_fanout_skipped"
+    | _ ->
+      let droppable = not (is_descriptor frame) in
+      if droppable && Rconn.queued_droppable c.io >= t.max_queue then begin
+        match t.policy with
+        | Block ->
+          (* over the high-watermark: pause the stream's publishers
+             until this queue drains ({!conn_progress} resumes them);
+             nothing is lost — TCP pushes back to the capture point *)
+          if not c.congesting then begin
+            c.congesting <- true;
+            set_publishers_reading t s.stream false
+          end
+        | Drop_oldest ->
+          let shed = Rconn.drop_oldest_droppable c.io in
+          if shed > 0 then begin
+            credit_conn c shed;
+            Counters.incr t.counters "frames_dropped"
+          end
+        | Evict_slow -> (
+          if Governor.health t.governor <> Governor.Healthy then begin
+            (* Degraded: no grace for laggards — shed the slow consumer
+               now so its queue bytes come back before the shard
+               overloads *)
+            Counters.incr t.counters "evictions_eager";
+            evict_slow t c
+          end
+          else
+            (* over the watermark: start the grace clock rather than
+               evicting outright. The queue may grow past the watermark
+               during the grace window; it is bounded by grace x publish
+               rate. *)
+            match c.over_since with
+            | None ->
+              c.over_since <- Some (Reactor.now ());
+              arm_grace t c
+            | Some _ -> ())
+      end;
+      (match trace with
+      | Some ctx ->
+        c.trace_mark <-
+          Some
+            { tm_trace = ctx.Trace.trace_id
+            ; tm_parent = ctx.Trace.span_id
+            ; tm_sampled = ctx.Trace.sampled
+            ; tm_stream = s.stream.name
+            ; tm_enq_us = Trace.now_us ()
+            ; tm_flushed = false }
+      | None -> ());
+      enqueue_entry c ~droppable frame;
+      Counters.incr t.counters "frames_out")
+
+(** Publish one descriptor or message frame on [s]: cache a new
+    descriptor for late joiners, count it, and enqueue it on every live
+    subscriber in join order. *)
+let fan_out (t : shard) (s : stream) (frame : Bytes.t) ~(offset : int)
+    ~(trace : Trace.ctx option) =
+  if is_descriptor frame && not (List.exists (Bytes.equal frame) s.descriptors)
+  then s.descriptors <- s.descriptors @ [ Bytes.copy frame ];
+  s.published <- s.published + 1;
+  List.iter
+    (fun c ->
+      if Rconn.alive c.io then enqueue_relayed t c frame ~offset ~trace)
+    s.subscribers
 
 (** Governor health changed (called synchronously from a debit or
     credit). Entering [Overloaded] pauses ingress from every publisher
@@ -866,23 +848,18 @@ let on_governor_transition (t : shard) (prev : Governor.health)
         (Governor.used t.governor) (Governor.budget t.governor));
   let was_over = prev = Governor.Overloaded in
   let is_over = next = Governor.Overloaded in
-  if is_over && not was_over then
+  if is_over <> was_over then
     Hashtbl.iter
-      (fun _ c ->
-        match c.role with
-        | Publisher _ -> Rconn.set_read_intent c.io false
-        | Subscriber _ | Pending -> ())
-      t.conns
-  else if was_over && not is_over then
-    Hashtbl.iter
-      (fun _ c ->
-        match c.role with
-        | Publisher p ->
-          if publisher_read_ok t c && not (stream_congested t p.stream) then
-            Rconn.set_read_intent c.io true
-        | Subscriber { replay = Some _; _ } -> pump_replay t c
-        | Subscriber _ | Pending -> ())
-      t.conns
+      (fun _ s ->
+        set_publishers_reading t s (not (is_over || stream_congested t s));
+        if not is_over then
+          List.iter
+            (fun c ->
+              match c.role with
+              | Subscriber { replay = Some _; _ } -> pump_replay t c
+              | Subscriber _ | Publisher _ | Pending -> ())
+            s.subscribers)
+      t.streams
 
 (* ------------------------------------------------------------------ *)
 (* Frame dispatch                                                       *)
@@ -966,13 +943,10 @@ let stream_owner ?(claim = false) (t : shard) (stream : string) : shard =
   Mutex.unlock sh.pins_mu;
   owner
 
-(** Give back the pin a failed ADVERTISE claimed: [t] neither hosts the
-    stream in its broker nor holds its store. *)
+(** Give back the pin a failed ADVERTISE claimed: [t] does not host
+    the stream. *)
 let release_pin (t : shard) (stream : string) =
-  if
-    (not (List.mem stream (Broker.stream_names t.broker)))
-    && not (Hashtbl.mem t.stores stream)
-  then begin
+  if not (Hashtbl.mem t.streams stream) then begin
     let sh = t.shared in
     Mutex.lock sh.pins_mu;
     if Hashtbl.find_opt sh.pins stream = Some t.shard_id then
@@ -980,233 +954,227 @@ let release_pin (t : shard) (stream : string) =
     Mutex.unlock sh.pins_mu
   end
 
+(** Host a newly advertised (or recovered) stream on [t]. *)
+let add_stream (t : shard) ?store (name : string) (schema : string) : stream =
+  let s =
+    { name; schema; scope = (fun _ -> None); descriptors = []
+    ; subscribers = []; publishers = []; store; advert = []
+    ; trace_ctx = None; published = 0; ack_pending = false }
+  in
+  Hashtbl.replace t.streams name s;
+  s
+
 (** The stream's advertisement metadata, defaulting streams advertised
     before origin tracking (or recovered from a pre-§15 store) to
     owned-here at epoch 0. *)
-let advert_info (t : shard) (stream : string) : (string * string) list =
-  Proto.tagged
-    (Option.value (Hashtbl.find_opt t.adverts stream) ~default:[])
-    ~origin:t.relay_id
+let advert_info (t : shard) (s : stream) : (string * string) list =
+  Proto.tagged s.advert ~origin:t.relay_id
 
 (** Record (and, when store-backed, persist) the stream's metadata so a
     restarted relay re-advertises it — registry binding and origin tag
     included — before any publisher returns. *)
-let persist_advert (t : shard) (stream : string)
-    (kvs : (string * string) list) =
-  Hashtbl.replace t.adverts stream kvs;
-  match store_handle t stream with
+let persist_advert (t : shard) (s : stream) (kvs : (string * string) list) =
+  s.advert <- kvs;
+  match store_handle t s with
   | None -> ()
   | Some st -> Store.set_meta st kvs
   | exception Store.Store_error msg ->
     Counters.incr t.counters "store_errors";
-    Log.err (fun m -> m "store %s: %s" stream msg)
+    Log.err (fun m -> m "store %s: %s" s.name msg)
+
+(** The stream's schema as [creds] may see it. Raises
+    {!Broker.Access_denied} when scoping leaves a type empty. *)
+let scoped_schema (s : stream) (creds : (string * string) list) : string =
+  Broker.scope_schema ~stream:s.name (s.scope creds) s.schema
 
 (** Serve one decoded control request. {!dispatch} has already refused
     role conflicts and moved a command naming another shard's stream
     to that shard. *)
 let handle_control (t : shard) (c : conn) (req : Proto.request) =
+  let hosted cmd stream k =
+    match Hashtbl.find_opt t.streams stream with
+    | Some s -> k s
+    | None -> reply_err t c (Proto.unknown_stream cmd stream)
+  in
   match req with
   | Proto.Hello _ when c.greeted ->
     protocol_reject t c "hello: repeated on this connection"
   | Proto.Hello creds -> handle_hello t c creds
   | Proto.Stats -> reply_ok c (Proto.encode_stats (stats t))
   | Proto.Advertise { stream; meta; schema } -> (
-    let current = Hashtbl.find_opt t.adverts stream in
+    let found = Hashtbl.find_opt t.streams stream in
+    let current =
+      match found with Some s when s.advert <> [] -> Some s.advert | _ -> None
+    in
     match Proto.gate_advert ~relay_id:t.relay_id ~current stream meta with
     | Error msg ->
       Counters.incr t.counters "advert_refused";
       reply_err t c msg
     | Ok kvs -> (
-      match Broker.advertise t.broker ~stream ~schema with
-      | () ->
+      (* validate the document before accepting it *)
+      match Omf_xschema.Schema.of_string schema with
+      | _ ->
+        let s =
+          match found with
+          | Some s ->
+            s.schema <- schema;
+            s
+          | None -> add_stream t stream schema
+        in
         Counters.incr t.counters "advertisements";
         if meta <> [] then Counters.incr t.counters "advert_meta";
         (* persist the schema so a restarted relay can re-advertise
            the stream before any publisher returns *)
-        (match store_handle t stream with
+        (match store_handle t s with
         | None -> ()
         | Some st -> Store.set_schema st schema
         | exception Store.Store_error msg ->
           Counters.incr t.counters "store_errors";
           Log.err (fun m -> m "store %s: %s" stream msg));
-        persist_advert t stream kvs;
+        persist_advert t s kvs;
         reply_ok c ""
       | exception Omf_xschema.Schema.Schema_error m ->
         reply_err t c (Printf.sprintf "advertise %s: %s" stream m)))
-  | Proto.Publish { stream; acks; mirror = tag; trace } -> (
+  | Proto.Publish { stream; acks; mirror = tag; trace } ->
     if Governor.health t.governor = Governor.Overloaded then
       (* shed by class: new ingress is refused retryably while
          descriptor/control traffic (ADVERTISE, DESCRIBE, STATS, live
          SUBSCRIBE) still flows, so streams stay decodable *)
       reply_busy t c "publish"
     else
-      match Broker.publisher_link t.broker ~stream with
-      | exception Broker.Unknown_stream s ->
-        reply_err t c (Proto.unknown_stream "publish" s)
-      | link -> (
-        let origin, epoch =
-          Proto.tag (advert_info t stream) ~relay_id:t.relay_id
+      hosted "publish" stream @@ fun s ->
+      let origin, epoch = Proto.tag (advert_info t s) ~relay_id:t.relay_id in
+      let owned = String.equal origin t.relay_id in
+      let mirror = tag <> None in
+      (* The replication write gate (PROTOCOLS.md §15): a mirrored
+         stream takes appends only from a mirror link whose (origin,
+         epoch) tag matches the local record — a plain publisher is
+         told the stream is read-only, a mirror link that outlived a
+         promote (or looped back to the origin) is told to
+         re-handshake. *)
+      (match tag with
+      | None when not owned ->
+        reply_err t c (Proto.read_only "publish" stream origin)
+      | Some tag when owned || tag <> (origin, epoch) ->
+        Counters.incr t.counters "mirror_publish_refused";
+        reply_err t c (Proto.stale_mirror stream origin epoch)
+      | None | Some _ -> (
+        let become ~acks ~skip_dup ~acked reply_body =
+          (* Trace head sampling happens here, once per publisher: a
+             supplied [trace=] context (a capture point or an upstream
+             relay already decided) is adopted verbatim; otherwise this
+             relay draws the sampling decision. The unsampled case still
+             mints ids so the slow-span always-record path has a trace
+             to attribute to. *)
+          let ptrace =
+            match t.trace with
+            | None -> None
+            | Some col ->
+              let ctx =
+                match trace with
+                | Some ctx -> ctx
+                | None -> Trace.make ~sampled:(Trace.sample col) ()
+              in
+              s.trace_ctx <- Some ctx;
+              Some ctx
+          in
+          c.role <-
+            Publisher { stream = s; acks; mirror; skip_dup; acked; ptrace };
+          s.publishers <- c :: s.publishers;
+          Counters.incr t.counters
+            (if mirror then "mirror_publishers" else "publishers");
+          (* joining a stream that is already congested: start paused *)
+          if stream_congested t s then Rconn.set_read_intent c.io false;
+          reply_ok c reply_body
         in
-        let owned = String.equal origin t.relay_id in
-        let mirror = tag <> None in
-        (* The replication write gate (PROTOCOLS.md §15): a mirrored
-           stream takes appends only from a mirror link whose (origin,
-           epoch) tag matches the local record — a plain publisher is
-           told the stream is read-only, a mirror link that outlived a
-           promote (or looped back to the origin) is told to
-           re-handshake. *)
-        match tag with
-        | None when not owned ->
-          reply_err t c (Proto.read_only "publish" stream origin)
-        | Some tag when owned || tag <> (origin, epoch) ->
-          Counters.incr t.counters "mirror_publish_refused";
-          reply_err t c (Proto.stale_mirror stream origin epoch)
-        | None | Some _ -> (
-            let become ~acks ~skip_dup ~acked reply_body =
-              (* Trace head sampling happens here, once per publisher:
-                 a supplied [trace=] context (a capture point or an
-                 upstream relay already decided) is adopted verbatim;
-                 otherwise this relay draws the sampling decision. The
-                 unsampled case still mints ids so the slow-span
-                 always-record path has a trace to attribute to. *)
-              let ptrace =
-                match t.trace with
-                | None -> None
-                | Some col ->
-                  let ctx =
-                    match trace with
-                    | Some ctx -> ctx
-                    | None -> Trace.make ~sampled:(Trace.sample col) ()
-                  in
-                  Hashtbl.replace t.stream_trace stream ctx;
-                  Some ctx
-              in
-              c.role <-
-                Publisher { stream; link; acks; mirror; skip_dup; acked; ptrace };
-              Counters.incr t.counters
-                (if mirror then "mirror_publishers" else "publishers");
-              (* joining a stream that is already congested: start paused *)
-              if stream_congested t stream then
-                Rconn.set_read_intent c.io false;
-              reply_ok c reply_body
-            in
-            match store_handle t stream with
-            | None ->
-              become ~acks:false ~skip_dup:0 ~acked:0
-                (Proto.encode_published None)
-            | Some st ->
-              (* Store-backed: report the durable watermark. An [acks=1]
-                 publisher resumes from it — it resends every buffered
-                 frame at or past [durable] and numbers new frames from
-                 it, so the watermark must be exact at the handshake:
-                 sync first, making [durable = tail]. (Without the sync a
-                 fresh publisher racing a dead one's unsynced appends
-                 would have its first [tail - durable] frames mistaken
-                 for resends.) [skip_dup] stays as a guard should the two
-                 ever diverge between the sync and the reply. A mirror
-                 link gets the same exact handshake plus the tail — the
-                 offset it resumes pumping source frames from. *)
-              if acks || mirror then ignore (Store.sync st);
-              let durable = Store.durable st in
-              let skip_dup =
-                if acks || mirror then Store.tail st - durable else 0
-              in
-              let tail = if mirror then Some (Store.tail st) else None in
-              become ~acks ~skip_dup ~acked:durable
-                (Proto.encode_published (Some { Proto.durable; tail }))
-            | exception Store.Store_error msg ->
-              Counters.incr t.counters "store_errors";
-              reply_err t c (Printf.sprintf "publish %s: store: %s" stream msg)
-            )))
-  | Proto.Subscribe { stream; from; meta } -> (
-      if
-        Governor.health t.governor = Governor.Overloaded
-        && Option.value from ~default:(-1) >= 0
-      then
-        (* a stored replay would queue an arbitrary backlog against an
-           exhausted budget; live (tail) subscriptions drain the shard
-           and are still admitted *)
-        reply_busy t c "subscribe"
-      else
-        match Broker.metadata_for t.broker ~stream c.creds with
-        | schema -> (
-          let link =
-            { Link.send = (fun frame -> enqueue_relayed t c frame)
-            ; recv = (fun () -> None)
-            ; close = (fun () -> ()) }
-          in
-          (* [meta=1]: prefix the stream's advertised registry binding
-             ([subject=] / [fingerprint=] ...) to the schema reply —
-             only on request, so pre-§14 clients parse the body as
-             before *)
-          let meta =
-            if meta then
-              Option.value (Hashtbl.find_opt t.adverts stream) ~default:[]
-            else []
-          in
-          let answer offset =
-            reply_ok c
-              (Proto.encode_schema_reply { Proto.offset; meta; schema })
-          in
-          let plain () =
-            (* reply first so the scoped schema precedes replayed frames *)
-            answer None;
-            let unsubscribe =
-              Broker.subscribe t.broker ~stream ~creds:c.creds link
-            in
-            c.role <-
-              Subscriber { stream; unsubscribe; skip_until = -1; replay = None };
-            Counters.incr t.counters "subscriptions"
-          in
-          match from with
-          | None -> plain ()
-          | Some from -> (
-            match store_handle t stream with
-            | None ->
-              (* [from=] against a memory-only relay degrades to a live
-                 subscription (the reply carries no offset line, which
-                 tells the session that offsets are not tracked) *)
-              plain ()
-            | Some st ->
-              (* [start] is where delivery begins: the tail for a
-                 live-only subscription (from=-1), otherwise the
-                 requested offset clamped up past retention. When the
-                 subscriber is {e ahead} of the store (it outlived a
-                 crash that lost unsynced appends), [start > tail]:
-                 nothing is replayed and the [skip_until] filter elides
-                 the re-appended offsets below [start]. *)
-              let tail = Store.tail st in
-              let oldest = Store.oldest st in
-              let start = if from < 0 then tail else max from oldest in
-              if from >= 0 && start > from then
-                Counters.incr t.counters "store_replay_clamped";
-              answer (Some start);
-              let unsubscribe =
-                Broker.subscribe t.broker ~stream ~creds:c.creds link
-              in
-              (* replay runs chunked off the writable callback
-                 ({!pump_replay}): the first pump goes out now, the
-                 rest are paced by the subscriber's own drain rate *)
-              let replay =
-                if start < tail then begin
-                  Counters.incr t.counters "store_replays";
-                  Some { r_store = st; r_next = start }
-                end
-                else None
-              in
-              let pump = Option.is_some replay in
-              c.role <-
-                Subscriber { stream; unsubscribe; skip_until = start; replay };
-              if pump then pump_replay t c;
-              Counters.incr t.counters "subscriptions"
-            | exception Store.Store_error msg ->
-              Counters.incr t.counters "store_errors";
-              reply_err t c
-                (Printf.sprintf "subscribe %s: store: %s" stream msg)))
-        | exception Broker.Unknown_stream s ->
-          reply_err t c (Proto.unknown_stream "subscribe" s)
-        | exception Broker.Access_denied m ->
-          reply_err t c (Proto.access_denied "subscribe" m))
+        match store_handle t s with
+        | None ->
+          become ~acks:false ~skip_dup:0 ~acked:0 (Proto.encode_published None)
+        | Some st ->
+          (* Store-backed: report the durable watermark. An [acks=1]
+             publisher resumes from it — it resends every buffered frame
+             at or past [durable] and numbers new frames from it, so the
+             watermark must be exact at the handshake: sync first,
+             making [durable = tail]. (Without the sync a fresh
+             publisher racing a dead one's unsynced appends would have
+             its first [tail - durable] frames mistaken for resends.)
+             [skip_dup] stays as a guard should the two ever diverge
+             between the sync and the reply. A mirror link gets the same
+             exact handshake plus the tail — the offset it resumes
+             pumping source frames from. *)
+          if acks || mirror then ignore (Store.sync st);
+          let durable = Store.durable st in
+          let skip_dup = if acks || mirror then Store.tail st - durable else 0 in
+          let tail = if mirror then Some (Store.tail st) else None in
+          become ~acks ~skip_dup ~acked:durable
+            (Proto.encode_published (Some { Proto.durable; tail }))
+        | exception Store.Store_error msg ->
+          Counters.incr t.counters "store_errors";
+          reply_err t c (Printf.sprintf "publish %s: store: %s" stream msg)))
+  | Proto.Subscribe { stream; from; meta } ->
+    if
+      Governor.health t.governor = Governor.Overloaded
+      && Option.value from ~default:(-1) >= 0
+    then
+      (* a stored replay would queue an arbitrary backlog against an
+         exhausted budget; live (tail) subscriptions drain the shard
+         and are still admitted *)
+      reply_busy t c "subscribe"
+    else
+      hosted "subscribe" stream @@ fun s ->
+      (match scoped_schema s c.creds with
+      | schema -> (
+        (* [meta=1]: prefix the stream's advertised registry binding
+           ([subject=] / [fingerprint=] ...) to the schema reply — only
+           on request, so pre-§14 clients parse the body as before *)
+        let meta = if meta then s.advert else [] in
+        (* the reply goes first so the scoped schema precedes the
+           replayed descriptors, then any stored replay *)
+        let join offset ~skip_until replay =
+          reply_ok c
+            (Proto.encode_schema_reply { Proto.offset; meta; schema });
+          c.role <- Subscriber { stream = s; skip_until; replay };
+          List.iter
+            (fun d ->
+              enqueue_entry c ~droppable:false d;
+              Counters.incr t.counters "frames_out")
+            s.descriptors;
+          s.subscribers <- s.subscribers @ [ c ];
+          Counters.incr t.counters "subscriptions"
+        in
+        match Option.map (fun from -> (from, store_handle t s)) from with
+        | None | Some (_, None) ->
+          (* [from=] against a memory-only relay degrades to a live
+             subscription (the reply carries no offset line, which
+             tells the session that offsets are not tracked) *)
+          join None ~skip_until:(-1) None
+        | Some (from, Some st) ->
+          (* [start] is where delivery begins: the tail for a live-only
+             subscription (from=-1), otherwise the requested offset
+             clamped up past retention. When the subscriber is {e ahead}
+             of the store (it outlived a crash that lost unsynced
+             appends), [start > tail]: nothing is replayed and the
+             [skip_until] filter elides the re-appended offsets below
+             [start]. *)
+          let tail = Store.tail st in
+          let start = if from < 0 then tail else max from (Store.oldest st) in
+          if from >= 0 && start > from then
+            Counters.incr t.counters "store_replay_clamped";
+          (* replay runs chunked off the writable callback
+             ({!pump_replay}): the first pump goes out now, the rest
+             are paced by the subscriber's own drain rate *)
+          if start < tail then begin
+            Counters.incr t.counters "store_replays";
+            join (Some start) ~skip_until:start
+              (Some { r_store = st; r_next = start });
+            pump_replay t c
+          end
+          else join (Some start) ~skip_until:start None
+        | exception Store.Store_error msg ->
+          Counters.incr t.counters "store_errors";
+          reply_err t c (Printf.sprintf "subscribe %s: store: %s" stream msg))
+      | exception Broker.Access_denied m ->
+        reply_err t c (Proto.access_denied "subscribe" m))
   | Proto.List ->
     (* relay-wide: the pins table names every stream any shard hosts,
        so a mirror scanning for streams needs no shard awareness *)
@@ -1217,7 +1185,8 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
     Counters.incr t.counters "lists";
     reply_ok c (Proto.encode_list (List.sort compare names))
   | Proto.Describe stream -> (
-    match Broker.metadata_for t.broker ~stream c.creds with
+    hosted "describe" stream @@ fun s ->
+    match scoped_schema s c.creds with
     | schema ->
       Counters.incr t.counters "describes";
       (* §17: when tracing is on and the stream's publisher carries a
@@ -1225,44 +1194,34 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
          DESCRIBEs before replicating and joins the same trace, so
          spans line up across relays. Never persisted (the mirror
          strips it before re-advertising). *)
-      let ctx =
-        if t.trace = None then None else Hashtbl.find_opt t.stream_trace stream
-      in
-      let meta = Proto.with_trace (advert_info t stream) ctx in
+      let meta = Proto.with_trace (advert_info t s) s.trace_ctx in
       reply_ok c
         (Proto.encode_schema_reply { Proto.offset = None; meta; schema })
-    | exception Broker.Unknown_stream s ->
-      reply_err t c (Proto.unknown_stream "describe" s)
     | exception Broker.Access_denied m ->
       reply_err t c (Proto.access_denied "describe" m))
   | Proto.Promote stream ->
-    if not (List.exists (String.equal stream) (Broker.stream_names t.broker))
-    then reply_err t c (Proto.unknown_stream "promote" stream)
+    hosted "promote" stream @@ fun s ->
+    let kvs = advert_info t s in
+    let origin, epoch = Proto.tag kvs ~relay_id:t.relay_id in
+    if String.equal origin t.relay_id then
+      (* already owned here: idempotent, no epoch burn *)
+      reply_ok c (Proto.encode_epoch epoch)
     else begin
-      let kvs = advert_info t stream in
-      let origin, epoch = Proto.tag kvs ~relay_id:t.relay_id in
-      if String.equal origin t.relay_id then
-        (* already owned here: idempotent, no epoch burn *)
-        reply_ok c (Proto.encode_epoch epoch)
-      else begin
-        let epoch = epoch + 1 in
-        persist_advert t stream
-          (Proto.with_origin kvs ~origin:t.relay_id ~epoch);
-        Counters.incr t.counters "promotes";
-        (* any live replication link into this stream predates the
-           ownership change: doom it so its epoch check re-runs *)
-        Hashtbl.iter
-          (fun _ pc ->
-            match pc.role with
-            | Publisher p when p.mirror && String.equal p.stream stream ->
-              Rconn.doom pc.io "stream promoted"
-            | _ -> ())
-          t.conns;
-        Log.info (fun m ->
-            m "stream %s promoted: now %s@%d (was %s)" stream t.relay_id epoch
-              origin);
-        reply_ok c (Proto.encode_epoch epoch)
-      end
+      let epoch = epoch + 1 in
+      persist_advert t s (Proto.with_origin kvs ~origin:t.relay_id ~epoch);
+      Counters.incr t.counters "promotes";
+      (* any live replication link into this stream predates the
+         ownership change: doom it so its epoch check re-runs *)
+      List.iter
+        (fun pc ->
+          match pc.role with
+          | Publisher p when p.mirror -> Rconn.doom pc.io "stream promoted"
+          | _ -> ())
+        s.publishers;
+      Log.info (fun m ->
+          m "stream %s promoted: now %s@%d (was %s)" stream t.relay_id epoch
+            origin);
+      reply_ok c (Proto.encode_epoch epoch)
     end
 
 (** The still-roleless connection [c] names a stream pinned to another
@@ -1292,7 +1251,7 @@ let rec route (src : shard) (target : shard) (c : conn) (req : Proto.request) =
       else Rconn.doom c.io "shard draining")
 
 (** Run one decoded control request on the shard that owns its stream.
-    A connection with a role is wedded to its shard's broker: it may not
+    A connection with a role is wedded to its shard: it may not
     PUBLISH or SUBSCRIBE again, nor name another shard's stream. *)
 and dispatch (t : shard) (c : conn) (req : Proto.request) =
   match (req, Proto.target req, c.role) with
@@ -1358,69 +1317,57 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
           Counters.incr t.counters "store_dup_skipped"
         end
         else begin
-          let admit_t0 = Unix.gettimeofday () in
+          let s = p.stream in
+          let admit_us = Trace.now_us () in
           (* the message's trace context, if any: stage spans below are
              recorded against it (sampled, or slow enough to force) *)
-          let tctx = if is_message then p.ptrace else None in
-          let admit_us =
-            match tctx with Some _ -> Trace.now_us () | None -> 0
-          in
-          let send_fanout frame =
-            match tctx with
-            | None -> Link.send p.link frame
+          let trace = if is_message then p.ptrace else None in
+          let relay_at offset =
+            match trace with
+            | None -> fan_out t s frame ~offset ~trace
             | Some ctx ->
               let f0 = Trace.now_us () in
-              t.cur_trace <- Some ctx;
-              Fun.protect
-                ~finally:(fun () -> t.cur_trace <- None)
-                (fun () -> Link.send p.link frame);
-              trace_span t ctx ~stage:"fanout_enqueue" ~stream:p.stream
+              fan_out t s frame ~offset ~trace;
+              trace_span t ctx ~stage:"fanout_enqueue" ~stream:s.name
                 ~t0_us:f0
           in
           if is_message then Counters.incr t.counters "events_relayed";
-          (match Hashtbl.find_opt t.stores p.stream with
+          (match s.store with
           | Some st when is_message -> (
-            let ap0 =
-              match tctx with Some _ -> Trace.now_us () | None -> 0
-            in
+            let ap0 = if trace = None then 0 else Trace.now_us () in
             match Store.append st frame with
             | off ->
               Counters.incr t.counters "store_appends";
-              (match tctx with
-              | Some ctx ->
-                trace_span t ctx ~stage:"store_append" ~stream:p.stream
-                  ~t0_us:ap0
-              | None -> ());
-              if p.acks then schedule_ack_flush t p.stream;
-              (* thread the fresh offset through fan-out so subscriber
-                 [skip_until] filters can see it without reframing *)
-              t.fanout_offset <- off;
-              Fun.protect
-                ~finally:(fun () -> t.fanout_offset <- -1)
-                (fun () -> send_fanout frame)
+              Option.iter
+                (fun ctx ->
+                  trace_span t ctx ~stage:"store_append" ~stream:s.name
+                    ~t0_us:ap0)
+                trace;
+              if p.acks then schedule_ack_flush t s;
+              relay_at off
             | exception Store.Store_error msg ->
               (* refuse loudly: fanning out an unstored frame would let
                  the publisher believe it is durable *)
               Counters.incr t.counters "store_errors";
               protocol_reject t c
-                (Printf.sprintf "store %s: append: %s" p.stream msg))
+                (Printf.sprintf "store %s: append: %s" s.name msg))
           | Some st ->
             (try ignore (Store.append_descriptor st frame)
              with Store.Store_error msg ->
                Counters.incr t.counters "store_errors";
-               Log.err (fun m -> m "store %s: descriptor: %s" p.stream msg));
-            send_fanout frame
-          | None -> send_fanout frame);
+               Log.err (fun m -> m "store %s: descriptor: %s" s.name msg));
+            relay_at (-1)
+          | None -> relay_at (-1));
           (* publish -> queue admission latency: the full cost of
              accepting this message (store append + fan-out enqueues) *)
           if is_message then begin
             Counters.observe t.counters "publish_admit_us"
-              (int_of_float ((Unix.gettimeofday () -. admit_t0) *. 1e6));
-            match tctx with
-            | Some ctx ->
-              trace_span t ctx ~stage:"publish_admit" ~stream:p.stream
-                ~t0_us:admit_us
-            | None -> ()
+              (Trace.now_us () - admit_us);
+            Option.iter
+              (fun ctx ->
+                trace_span t ctx ~stage:"publish_admit" ~stream:s.name
+                  ~t0_us:admit_us)
+              trace
           end
         end
       | Pending -> protocol_reject t c "stream frame before PUBLISH"
@@ -1483,12 +1430,9 @@ let conn_frame (c : conn) (frame : Bytes.t) =
   match Option.bind (unseal t c frame) (decompress_in t c) with
   | None -> ()
   | Some frame -> (
-    try handle_frame t c frame with
-    | Frame.Frame_error m | Broker.Unknown_stream m ->
+    try handle_frame t c frame with Frame.Frame_error m ->
       Counters.incr t.counters "frames_rejected";
-      Rconn.doom c.io m
-    | Link.Closed -> ()
-    (* subscriber died mid-fanout; its own doom is already set *))
+      Rconn.doom c.io m)
 
 let conn_closed (c : conn) (reason : string) =
   let t = c.home in
@@ -1500,10 +1444,12 @@ let conn_closed (c : conn) (reason : string) =
   end;
   Hashtbl.remove t.conns c.cid;
   (match c.role with
-  | Subscriber s ->
-    s.unsubscribe ();
-    maybe_resume_stream t s.stream
-  | Publisher _ | Pending -> ());
+  | Subscriber { stream = s; _ } ->
+    s.subscribers <- List.filter (fun o -> o != c) s.subscribers;
+    maybe_resume_stream t s
+  | Publisher { stream = s; _ } ->
+    s.publishers <- List.filter (fun o -> o != c) s.publishers
+  | Pending -> ());
   if t.state = Draining then check_drain_done t;
   Log.debug (fun m -> m "conn %d closed (%s)" c.cid reason)
 
@@ -1641,46 +1587,45 @@ let resolve_relay_id ?relay_id (store : Store.config option) : string =
 
 (** Reopen every stored stream assigned to this shard: recover the log
     (torn-tail truncation happens here), re-advertise the persisted
-    schema and replay the stored descriptor frames into the broker's
+    schema and replay the stored descriptor frames into the stream's
     cache, so late joiners can decode history without the original
-    publisher. Runs before the loop (single-threaded). *)
-let recover_streams (t : shard) (streams : string list) =
+    publisher. A log without a valid schema cannot be served and is
+    closed again. Runs before the loop (single-threaded). *)
+let recover_streams (t : shard) (cfg : Store.config) (streams : string list) =
   List.iter
-    (fun stream ->
-      match store_handle t stream with
-      | None -> ()
-      | Some st ->
-        (match Store.schema st with
-        | None -> ()
-        | Some schema -> (
-          match Broker.advertise t.broker ~stream ~schema with
-          | () ->
-            (* restore the advertisement metadata — registry binding
-               and origin/epoch tag — exactly as last persisted, so a
-               mirrored stream stays read-only across the restart and
-               registry-bound consumers resolve as before *)
-            (match Store.meta st with
-            | [] -> ()
-            | kvs ->
-              Hashtbl.replace t.adverts stream kvs;
-              Counters.incr t.counters "advert_meta_recovered");
-            (match Broker.publisher_link t.broker ~stream with
-            | link ->
-              List.iter (fun d -> Link.send link d) (Store.descriptors st)
-            | exception Broker.Unknown_stream _ -> ())
-          | exception Omf_xschema.Schema.Schema_error msg ->
-            Log.err (fun m ->
-                m "store %s: recovered schema rejected: %s" stream msg)));
+    (fun name ->
+      match Store.open_stream cfg name with
+      | st -> (
         Counters.incr t.counters "store_streams_recovered";
         Log.info (fun m ->
             m "store: recovered stream %s at offset %d (%d segment%s, \
                durable %d)"
-              stream (Store.tail st) (Store.segments st)
+              name (Store.tail st) (Store.segments st)
               (if Store.segments st = 1 then "" else "s")
-              (Store.durable st))
+              (Store.durable st));
+        match Store.schema st with
+        | None -> Store.close st
+        | Some schema -> (
+          match Omf_xschema.Schema.of_string schema with
+          | _ ->
+            let s = add_stream t ~store:st name schema in
+            (* restore the advertisement metadata — registry binding
+               and origin/epoch tag — exactly as last persisted, so a
+               mirrored stream stays read-only across the restart and
+               registry-bound consumers resolve as before *)
+            s.advert <- Store.meta st;
+            if s.advert <> [] then
+              Counters.incr t.counters "advert_meta_recovered";
+            List.iter
+              (fun d -> fan_out t s d ~offset:(-1) ~trace:None)
+              (Store.descriptors st)
+          | exception Omf_xschema.Schema.Schema_error msg ->
+            Log.err (fun m ->
+                m "store %s: recovered schema rejected: %s" name msg);
+            Store.close st))
       | exception Store.Store_error msg ->
         Counters.incr t.counters "store_errors";
-        Log.err (fun m -> m "store %s: recovery failed: %s" stream msg))
+        Log.err (fun m -> m "store %s: recovery failed: %s" name msg))
     streams
 
 (** Run the shard's loop on the calling domain until a requested
@@ -1771,19 +1716,15 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
       ; auth_keys; mac_reject_limit; drain_default_s = drain_s; governor = gov
       ; ingress
       ; trace = Option.map (fun s -> Trace.collector ~shard:shard_id s) trace
-      ; stream_trace = Hashtbl.create 8; cur_trace = None
-      ; reactor = Reactor.create (); broker = Broker.create ()
+      ; reactor = Reactor.create (); streams = Hashtbl.create 8
       ; conns = Hashtbl.create 64; counters = Counters.create (); shard_id
       ; cid_stride = shards; shared; store_cfg = store
-      ; stores = Hashtbl.create 8; adverts = Hashtbl.create 8
-      ; fanout_offset = -1
       ; wire_cache_body = Bytes.empty
       ; wire_cache = Frame.wire [ Slice.of_bytes Bytes.empty ]
       ; comp_cache_body = Bytes.empty
       ; comp_cache_blk = Bytes.empty
       ; comp_cache_wire = Frame.wire [ Slice.of_bytes Bytes.empty ]
       ; comp_scratch = Compress.scratch ()
-      ; pending_acks = Hashtbl.create 8
       ; ack_flush_scheduled = false; store_timer = None; gauge_timer = None
       ; next_cid = shard_id + 1; state = Running
       ; drain_timer = None; stop_flag = false }
@@ -1808,7 +1749,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
         Hashtbl.replace shared.pins stream sid;
         per_shard.(sid) <- stream :: per_shard.(sid))
       (Store.streams cfg);
-    Array.iteri (fun i streams -> recover_streams arr.(i) streams) per_shard
+    Array.iteri (fun i streams -> recover_streams arr.(i) cfg streams) per_shard
   | None -> ());
   let domains = Array.map (fun s -> Domain.spawn (fun () -> run_loop s)) arr in
   let acceptor = Thread.create (accept_loop lsock arr) () in
@@ -1829,9 +1770,8 @@ let port (r : t) = r.port
 let shard_count (r : t) = Array.length r.shared.peers
 let relay_id (r : t) = r.shared.peers.(0).relay_id
 
-(** Relay-wide counter totals (per-shard counters summed). Broker and
-    store gauges are per-shard state, read live only over the wire
-    (STATS is answered by the shard that owns the connection). *)
+(** Relay-wide counter totals (per-shard counters summed), every
+    stream's gauges as of its shard's last {!gauge_tick}. *)
 let stats (r : t) : (string * int) list = counter_snapshot r.shared
 
 (** Bytes debited against every shard's governor and not yet credited
@@ -1841,7 +1781,7 @@ let governor_used (r : t) : int =
   Array.fold_left (fun acc s -> acc + Governor.used s.governor) 0 r.shared.peers
 
 (** Install a scope policy on the shard hosting [stream], on that
-    shard's own loop (broker tables are loop-thread only), and wait
+    shard's own loop (stream records are loop-thread only), and wait
     until it is in place. *)
 let set_scope (r : t) ~(stream : string) (policy : Broker.scope_policy) : unit
     =
@@ -1851,9 +1791,9 @@ let set_scope (r : t) ~(stream : string) (policy : Broker.scope_policy) : unit
   let result = ref None in
   Reactor.inject owner.reactor (fun () ->
       let res =
-        match Broker.set_scope owner.broker ~stream policy with
-        | () -> Ok ()
-        | exception e -> Error e
+        match Hashtbl.find_opt owner.streams stream with
+        | Some s -> Ok (s.scope <- policy)
+        | None -> Error (Broker.Unknown_stream stream)
       in
       Mutex.lock mu;
       result := Some res;

@@ -1,12 +1,14 @@
-(** The networked event relay: the {!Omf_backbone.Broker} served over
-    real TCP by {!Omf_reactor.Reactor} event loops, one per shard.
+(** The networked event relay: the paper's event backbone (Figures
+    1/3) served over real TCP by {!Omf_reactor.Reactor} event loops, one
+    per shard.
 
-    The deployable form of the paper's event backbone (Figures 1/3):
-    capture points and subscribers are separate processes; the relay
-    hosts the broker — stream advertisement, per-stream descriptor
-    caching with replay for late joiners, credential-scoped metadata —
-    behind a small control protocol on the same length-prefixed framing
-    as the {!Omf_transport.Endpoint} frames it relays verbatim.
+    Capture points and subscribers are separate processes; each shard
+    keeps one record per stream it hosts — stream advertisement,
+    descriptor caching with replay for late joiners, credential-scoped
+    metadata (the scoping rule of {!Omf_backbone.Broker.scope_schema}),
+    publishers and subscribers — behind a small control protocol on the
+    same length-prefixed framing as the {!Omf_transport.Endpoint} frames
+    it relays verbatim.
 
     The control protocol — HELLO, ADVERTISE, PUBLISH, SUBSCRIBE, STATS,
     LIST, DESCRIBE, PROMOTE and their replies — is {!Relay_proto}
@@ -138,9 +140,11 @@ val relay_id : t -> string
 
 val stats : t -> (string * int) list
 (** Relay-wide counter totals (per-shard counters summed; includes
-    [shard_handoffs], the connections migrated between loops). The
-    per-stream broker and store gauges are per-shard state: the STATS
-    reply of the shard a connection lands on reads its own live. *)
+    [shard_handoffs], the connections migrated between loops), with
+    every stream's gauges — [stream.<s>.published], [.subscribers],
+    [.queue_depth] and [store.<s>.*] — as of its shard's last
+    once-a-second gauge tick. A STATS reply carries the same list, with
+    the answering shard's own streams read live. *)
 
 val governor_used : t -> int
 (** Bytes currently debited against the governors of every shard — by
@@ -150,8 +154,9 @@ val governor_used : t -> int
 
 val set_scope :
   t -> stream:string -> Omf_backbone.Broker.scope_policy -> unit
-(** Install a credential scope policy ({!Omf_backbone.Broker.set_scope})
-    on the shard hosting [stream], run on that shard's loop; returns
+(** Install a credential scope policy (as {!Omf_backbone.Broker.set_scope}
+    does in process) on the shard hosting [stream], run on that shard's
+    loop; returns
     once the policy is in place, so every later SUBSCRIBE sees it.
     Raises {!Omf_backbone.Broker.Unknown_stream} if no shard hosts the
     stream, [Invalid_argument] after {!request_shutdown}. *)
@@ -204,7 +209,7 @@ module Client : sig
     ?io_timeout_s:float ->
     unit ->
     t
-  (** Connect and HELLO with [creds] (the broker's scoping input).
+  (** Connect and HELLO with [creds] (the relay's scoping input).
       [?auth:(key_id, secret)] negotiates HMAC-authenticated framing
       (PROTOCOLS.md §12): the HELLO exchange is plaintext, every later
       frame in both directions is sealed; {!Error} if the relay refuses.

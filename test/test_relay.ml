@@ -1,8 +1,9 @@
 (** Tests for the networked event relay: frame reassembly from partial
-    reads (property-tested), subscribe/replay and credential scoping
-    over real TCP, zero-loss fan-out to 64 concurrent subscribers under
-    the [Block] policy, slow-consumer shedding and eviction, and
-    graceful drain-and-shutdown. *)
+    reads (property-tested), subscribe/replay, descriptor-cache dedupe
+    and credential scoping over real TCP, zero-loss fan-out to 64
+    concurrent subscribers under the [Block] policy and its per-stream
+    isolation, slow-consumer shedding and eviction, relay-wide stream
+    gauges across shards, and graceful drain-and-shutdown. *)
 
 open Omf_machine
 open Omf_pbio.Pbio
@@ -204,15 +205,28 @@ let seq_of v =
   | _ -> -1
 
 (* an advertised stream plus a ready publisher endpoint *)
-let make_publisher ~port ~stream =
+let make_publisher_abi ~abi ~port ~stream =
   let client = Relay.Client.connect ~port () in
   Relay.Client.advertise client ~stream ~schema:Fx.schema_a;
   let link = Relay.Client.publish client ~stream in
-  let catalog = Catalog.create Abi.x86_64 in
+  let catalog = Catalog.create abi in
   ignore (X2W.register_schema catalog Fx.schema_a);
   let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
-  let sender = Endpoint.Sender.create link (Memory.create Abi.x86_64) in
+  let sender = Endpoint.Sender.create link (Memory.create abi) in
   (client, sender, fmt)
+
+let make_publisher ~port ~stream = make_publisher_abi ~abi:Abi.x86_64 ~port ~stream
+
+(* a subscriber whose reads give up after ten seconds, so a stream the
+   relay wrongly stalls fails the case instead of hanging it *)
+let timed_consumer ~port ~stream abi =
+  let client = Relay.Client.connect ~port ~io_timeout_s:10.0 () in
+  let _schema, link = Relay.Client.subscribe client ~stream in
+  let catalog = Catalog.create abi in
+  ignore (X2W.register_schema catalog Fx.schema_a);
+  ( client,
+    Endpoint.Receiver.create link (Catalog.registry catalog) (Memory.create abi)
+  )
 
 let publish sender fmt ?pad seq =
   Endpoint.Sender.send_value sender fmt (event ?pad seq)
@@ -459,6 +473,99 @@ let test_stats_keys_unique_and_live () =
   check int "store tail read live after the acked flush" 12
     (List.assoc "store.flights.tail" stats)
 
+(* Per-stream gauges are relay-wide: with [alpha] hosted on shard 0 and
+   [beta] on shard 1, the STATS reply of either shard and [Relay.stats]
+   (what /metrics serves) show both streams' gauges, each key once. *)
+let test_stream_gauges_cross_shards () =
+  let h = Relay.start ~shards:2 () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  (* round-robin dealing: the first connection lands on shard 0, the
+     second on shard 1, and each pins the stream it advertises *)
+  let pa, sa, fa = make_publisher ~port ~stream:"alpha" in
+  let pb, sb, fb = make_publisher ~port ~stream:"beta" in
+  Fun.protect
+    ~finally:(fun () ->
+      Relay.Client.close pa;
+      Relay.Client.close pb)
+  @@ fun () ->
+  (* the third connection lands on shard 0 and migrates to beta's *)
+  let consumer = Relay.attach_consumer ~port ~stream:"beta" Abi.x86_64 in
+  Fun.protect ~finally:(fun () -> Relay.close_consumer consumer) @@ fun () ->
+  publish sa fa 0;
+  publish sb fb 0;
+  ignore (Relay.recv consumer);
+  let sources =
+    [ ("shard 0 STATS", fun () -> Relay.Client.stats pa)
+    ; ("shard 1 STATS", fun () -> Relay.Client.stats pb)
+    ; ("Relay.stats", fun () -> Relay.stats h) ]
+  in
+  List.iter
+    (fun (what, stats) ->
+      List.iter
+        (fun (key, v) ->
+          check int (what ^ ": " ^ key) v (poll_stat stats key v))
+        [ ("stream.alpha.published", 2)
+        ; ("stream.beta.published", 2)
+        ; ("stream.beta.subscribers", 1) ];
+      let keys = List.map fst (stats ()) in
+      let twice k = List.length (List.filter (String.equal k) keys) > 1 in
+      check (Alcotest.list Alcotest.string) (what ^ ": no key twice") []
+        (List.sort_uniq compare (List.filter twice keys)))
+    sources
+
+(* The descriptor cache dedupes by content: a publisher that reconnects
+   re-announces its descriptor, and (store-backed) a restart recovers
+   the cached ones before the publisher returns. A late raw subscriber
+   still receives each distinct descriptor exactly once, all before
+   its first message. *)
+let descriptor_cache_dedupes ~store () =
+  with_store_root @@ fun root ->
+  let store = if store then Some (Omf_store.Store.default_config ~root) else None in
+  let round h abi seq =
+    let pub, sender, fmt =
+      make_publisher_abi ~abi ~port:(Relay.port h) ~stream:"flights"
+    in
+    publish sender fmt seq;
+    ignore (wait_stat_on pub "stream.flights.published" 1);
+    Relay.Client.close pub
+  in
+  (* two distinct descriptors (one per sender ABI), each announced on
+     more than one connection *)
+  let h = Relay.start ?store () in
+  round h Abi.x86_64 0;
+  round h Abi.sparc_32 1;
+  round h Abi.x86_64 2;
+  let h =
+    if Option.is_some store then begin
+      Relay.stop h;
+      let h = Relay.start ?store () in
+      round h Abi.sparc_32 3;
+      h
+    end
+    else h
+  in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
+  Fun.protect ~finally:(fun () -> Relay.Client.close pub) @@ fun () ->
+  publish sender fmt 4;
+  let sub = Relay.Client.connect ~port ~io_timeout_s:10.0 () in
+  Fun.protect ~finally:(fun () -> Relay.Client.close sub) @@ fun () ->
+  let _schema, link = Relay.Client.subscribe sub ~stream:"flights" in
+  publish sender fmt 5;
+  let rec descriptors acc =
+    match Link.recv link with
+    | None -> Alcotest.fail "stream closed before its first message"
+    | Some f when Bytes.get f 0 = Endpoint.frame_descriptor ->
+      descriptors (f :: acc)
+    | Some _ -> List.rev acc
+  in
+  let ds = descriptors [] in
+  check int "one D frame per distinct descriptor" 2 (List.length ds);
+  check bool "the two are distinct" false
+    (Bytes.equal (List.nth ds 0) (List.nth ds 1))
+
 (* ------------------------------------------------------------------ *)
 (* Acceptance: 64 concurrent TCP subscribers, zero loss, in order       *)
 (* ------------------------------------------------------------------ *)
@@ -572,6 +679,91 @@ let test_evict_slow_consumer () =
     (wait_stat ~port "subscribers_evicted" 1);
   Relay.Client.close stalled;
   Relay.Client.close pub
+
+(* Block congestion is per stream: a never-reading subscriber pauses
+   only its own stream's publisher, and closing it (without draining
+   its queue) resumes that publisher, so the stream's other subscriber
+   still receives every frame in order. The publisher is paced so the
+   reading subscriber keeps up and is never the one holding the pause:
+   only the close can lift it. *)
+let test_block_isolation_and_resume_on_close () =
+  let h = Relay.start ~policy:Relay.Block ~max_queue:4 ~sndbuf:8192 () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let pa, sa, fa = make_publisher ~port ~stream:"alpha" in
+  let pb, sb, fb = make_publisher ~port ~stream:"beta" in
+  let stalled = Relay.Client.connect ~port () in
+  ignore (Relay.Client.subscribe stalled ~stream:"alpha");
+  let reader, ra = timed_consumer ~port ~stream:"alpha" Abi.sparc_32 in
+  let bc, rb = timed_consumer ~port ~stream:"beta" Abi.arm_32 in
+  (* STATS on its own connection: the publishers' ones get paused *)
+  let admin = Relay.Client.connect ~port ~io_timeout_s:10.0 () in
+  let stat key =
+    Option.value ~default:0 (List.assoc_opt key (Relay.Client.stats admin))
+  in
+  ignore (wait_stat_on admin "stream.alpha.subscribers" 2);
+  let nevents = 2000 in
+  let a_pub =
+    Thread.create
+      (fun () ->
+        for seq = 0 to nevents - 1 do
+          publish sa fa ~pad:1024 seq;
+          Thread.delay 0.0001
+        done)
+      ()
+  in
+  let seen = ref [] in
+  let a_read =
+    Thread.create
+      (fun () ->
+        try
+          for _ = 1 to nevents do
+            match Endpoint.Receiver.recv_value ra with
+            | Some (_, v) -> seen := seq_of v :: !seen
+            | None -> ()
+          done
+        with Link.Timeout | Link.Closed -> ())
+      ()
+  in
+  (* the stalled queue crosses the watermark, then alpha's published
+     count stops moving: the relay no longer reads its publisher *)
+  ignore (wait_stat_on admin "stream.alpha.queue_depth" 4);
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec frozen prev =
+    Thread.delay 0.05;
+    let now = stat "stream.alpha.published" in
+    if now = prev then now
+    else if Unix.gettimeofday () > deadline then
+      Alcotest.fail "alpha was never paused"
+    else frozen now
+  in
+  let paused_at = frozen (stat "stream.alpha.published") in
+  check bool "alpha paused before its publisher finished" true
+    (paused_at < nevents + 1);
+  for seq = 0 to 19 do
+    publish sb fb seq
+  done;
+  for expect = 0 to 19 do
+    match Endpoint.Receiver.recv_value rb with
+    | Some (_, v) ->
+      check int "beta flows while alpha is paused" expect (seq_of v)
+    | None -> Alcotest.fail "beta closed"
+  done;
+  check int "alpha stayed paused" paused_at (stat "stream.alpha.published");
+  (* the reader drains what was relayed before the pause (one of the
+     published frames is the descriptor) *)
+  while List.length !seen < paused_at - 1 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Relay.Client.close stalled;
+  ignore (wait_stat_on admin "stream.alpha.published" (nevents + 1));
+  Thread.join a_pub;
+  Thread.join a_read;
+  check (Alcotest.list int) "the reading subscriber got every frame in order"
+    (List.init nevents Fun.id) (List.rev !seen);
+  check int "the closed subscriber left the stream" 1
+    (stat "stream.alpha.subscribers");
+  List.iter Relay.Client.close [ admin; reader; bc; pa; pb ]
 
 let test_drop_oldest_keeps_stream_decodable () =
   let h = Relay.start ~policy:Relay.Drop_oldest ~max_queue:8 ~sndbuf:8192 () in
@@ -1223,7 +1415,12 @@ let () =
         ; Alcotest.test_case "LIST excludes unknown streams" `Quick
             test_list_excludes_unknown_streams
         ; Alcotest.test_case "STATS keys unique, store gauges live" `Quick
-            test_stats_keys_unique_and_live ] )
+            test_stats_keys_unique_and_live
+        ; Alcotest.test_case "descriptor cache dedupes reconnects" `Quick
+            (descriptor_cache_dedupes ~store:false)
+        ; Alcotest.test_case "descriptor cache dedupes across a restart"
+            `Quick
+            (descriptor_cache_dedupes ~store:true) ] )
     ; ( "scale",
         [ Alcotest.test_case "64 TCP subscribers, zero loss, in order" `Quick
             test_64_subscribers_zero_loss_in_order ] )
@@ -1233,7 +1430,9 @@ let () =
         ; Alcotest.test_case "drop-oldest keeps stream decodable" `Quick
             test_drop_oldest_keeps_stream_decodable
         ; Alcotest.test_case "chunked stored replay under backpressure" `Quick
-            test_chunked_replay_backpressure ] )
+            test_chunked_replay_backpressure
+        ; Alcotest.test_case "Block isolates streams, resumes on close" `Quick
+            test_block_isolation_and_resume_on_close ] )
     ; ( "governor",
         [ Alcotest.test_case "hysteresis state machine" `Quick
             test_governor_hysteresis
@@ -1253,7 +1452,9 @@ let () =
         ; Alcotest.test_case "governor accounting symmetry" `Quick (fun () ->
               governor_accounting_symmetry ~shards:2 ())
         ; Alcotest.test_case "set_scope credential scoping" `Quick (fun () ->
-              scoped_credentials_over_tcp ~shards:2 ()) ] )
+              scoped_credentials_over_tcp ~shards:2 ())
+        ; Alcotest.test_case "stream gauges cross shards" `Quick
+            test_stream_gauges_cross_shards ] )
     ; ( "shutdown",
         [ Alcotest.test_case "graceful drain" `Quick
             test_graceful_drain_on_shutdown ] )
