@@ -1,6 +1,7 @@
-(** relayd: the networked event-relay daemon — the {!Omf_backbone}
-    broker served over real TCP ({!Omf_relay}) with bounded
-    per-subscriber queues and a configurable backpressure policy.
+(** relayd: the networked event-relay daemon — the event backbone
+    ({!Omf_relay.Relay}, the one pub/sub broker) served over real TCP
+    with bounded per-subscriber queues and a configurable backpressure
+    policy.
 
     [relayd --port 9117 --policy block] runs until SIGINT/SIGTERM, then
     drains subscriber queues gracefully and prints final stats.

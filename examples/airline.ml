@@ -2,12 +2,15 @@
 
     - A metadata server (real HTTP on loopback) publishes stream schemas.
     - Capture points (FAA flight feed, NOAA weather feed) discover their
-      own formats from it and publish events onto the event backbone.
+      own formats from it and publish events onto the event backbone, an
+      in-process relay ({!Omf_relay.Relay}) on an ephemeral loopback
+      port: the same broker [relayd] runs.
     - Consumers on different simulated architectures subscribe: a display
       point sees full flight events; a handheld gate device gets a
       credential-scoped slice; a weather indicator follows the weather
       stream.
-    - Mid-run, the flight feed upgrades its format (adds a gate field):
+    - Mid-run, the flight feed upgrades its format (adds a gate field)
+      and re-advertises it while its publisher connection keeps sending:
       nobody recompiles, old subscribers keep decoding, refreshed ones see
       the new field.
 
@@ -18,7 +21,8 @@ open Omf_pbio.Pbio
 module X2W = Omf_xml2wire.Xml2wire
 module Catalog = Omf_xml2wire.Catalog
 module Discovery = Omf_xml2wire.Discovery
-module Broker = Omf_backbone.Broker
+module Relay = Omf_relay.Relay
+module Sender = Omf_transport.Endpoint.Sender
 module Http = Omf_httpd.Http
 module Prng = Omf_util.Prng
 
@@ -110,8 +114,10 @@ let weather_event rng =
 
 (* A capture point: discovers its own stream's metadata from the
    metaserver (with a compiled-in fallback), advertises the stream on the
-   backbone, and returns a publish function. *)
-let make_capture_point broker ~metaserver_port ~stream ~path ~fallback abi =
+   relay, and returns its catalog and a sender on a publisher
+   connection. *)
+let make_capture_point ~relay_port ~metaserver_port ~stream ~path ~fallback
+    abi =
   let catalog = Catalog.create abi in
   let outcome =
     Discovery.discover catalog
@@ -131,20 +137,23 @@ let make_capture_point broker ~metaserver_port ~stream ~path ~fallback abi =
            (fun e -> e.Catalog.decl.Ftype.name)
            (Catalog.entries catalog))
   in
-  Broker.advertise broker ~stream ~schema:schema_text;
-  let link = Broker.publisher_link broker ~stream in
-  let sender = Omf_transport.Endpoint.Sender.create link (Memory.create abi) in
-  let publish name v =
-    let fmt = Option.get (Catalog.find_format catalog name) in
-    Omf_transport.Endpoint.Sender.send_value sender fmt v
-  in
-  (catalog, publish)
+  let client = Relay.Client.connect ~port:relay_port () in
+  Relay.Client.advertise client ~stream ~schema:schema_text;
+  let link = Relay.Client.publish client ~stream in
+  (catalog, Sender.create link (Memory.create abi))
 
-let show role events =
-  List.iter
-    (fun (fmt, v) ->
-      Printf.printf "  [%s] %s %s\n" role fmt.Format.name (Value.to_string v))
-    events
+let publish (catalog, sender) name v =
+  Sender.send_value sender (Option.get (Catalog.find_format catalog name)) v
+
+(* the next [n] events of a subscription, in order; every [n] below is
+   what was published since the consumer's last read *)
+let show role consumer n =
+  for _ = 1 to n do
+    match Relay.recv consumer with
+    | Some (fmt, v) ->
+      Printf.printf "  [%s] %s %s\n" role fmt.Format.name (Value.to_string v)
+    | None -> failwith (role ^ ": relay closed the stream")
+  done
 
 let () =
   let rng = Prng.create ~seed:42L () in
@@ -158,73 +167,77 @@ let () =
         | Some body -> Http.ok body
         | None -> Http.not_found path)
   in
-  Printf.printf "metaserver listening on 127.0.0.1:%d\n\n" (Http.port server);
-
-  let broker = Broker.create () in
+  Printf.printf "metaserver listening on 127.0.0.1:%d\n" (Http.port server);
+  let relay = Relay.start () in
+  let relay_port = Relay.port relay in
+  Printf.printf "relay listening on 127.0.0.1:%d\n\n" relay_port;
 
   (* capture points *)
-  let _flight_catalog, publish_flight =
-    make_capture_point broker ~metaserver_port:(Http.port server)
+  let flights =
+    make_capture_point ~relay_port ~metaserver_port:(Http.port server)
       ~stream:"flights" ~path:"/flights.xsd" ~fallback:[] Abi.x86_64
   in
-  let _weather_catalog, publish_weather =
-    make_capture_point broker ~metaserver_port:(Http.port server)
+  let weather =
+    make_capture_point ~relay_port ~metaserver_port:(Http.port server)
       ~stream:"weather" ~path:"/weather.xsd" ~fallback:[] Abi.power_64
   in
 
   (* scope policy: handhelds only see routing-relevant fields *)
-  Broker.set_scope broker ~stream:"flights" (fun creds ->
+  Relay.set_scope relay ~stream:"flights" (fun creds ->
       match List.assoc_opt "role" creds with
       | Some "handheld" -> Some [ "fltNum"; "org"; "dest"; "eta"; "gate" ]
       | _ -> None);
 
   (* consumers on three different architectures *)
   let display =
-    Broker.attach_consumer broker ~stream:"flights"
+    Relay.attach_consumer ~port:relay_port ~stream:"flights"
       ~creds:[ ("role", "display") ] Abi.sparc_32
   in
   let handheld =
-    Broker.attach_consumer broker ~stream:"flights"
+    Relay.attach_consumer ~port:relay_port ~stream:"flights"
       ~creds:[ ("role", "handheld") ] Abi.arm_32
   in
   let weather_indicator =
-    Broker.attach_consumer broker ~stream:"weather" Abi.x86_32
+    Relay.attach_consumer ~port:relay_port ~stream:"weather" Abi.x86_32
   in
 
   Printf.printf "\n--- tick 1: normal operation ---\n";
-  publish_flight "ASDOffEvent" (flight_event rng ());
-  publish_flight "ASDOffEvent" (flight_event rng ());
-  publish_weather "WeatherObs" (weather_event rng);
-  show "display " (Broker.poll display);
-  show "handheld" (Broker.poll handheld);
-  show "weather " (Broker.poll weather_indicator);
+  publish flights "ASDOffEvent" (flight_event rng ());
+  publish flights "ASDOffEvent" (flight_event rng ());
+  publish weather "WeatherObs" (weather_event rng);
+  show "display " display 2;
+  show "handheld" handheld 2;
+  show "weather " weather_indicator 1;
 
   Printf.printf "\n--- tick 2: flight feed upgrades its format at run time ---\n";
   Hashtbl.replace docs "/flights.xsd" flight_schema_v2;
-  (* the capture point re-discovers and re-registers; nobody recompiles *)
-  let upgraded = Catalog.create Abi.x86_64 in
-  ignore (X2W.register_schema upgraded flight_schema_v2);
-  Broker.advertise broker ~stream:"flights" ~schema:flight_schema_v2;
-  let link = Broker.publisher_link broker ~stream:"flights" in
-  let sender2 =
-    Omf_transport.Endpoint.Sender.create link (Memory.create Abi.x86_64)
-  in
-  let fmt2 = Option.get (Catalog.find_format upgraded "ASDOffEvent") in
-  Omf_transport.Endpoint.Sender.send_value sender2 fmt2
-    (flight_event rng ~gate:"T7" ());
+  (* the capture point re-registers and re-advertises on a control
+     connection; its publisher connection keeps sending, announcing the
+     new format's descriptor before its first event. Nobody recompiles. *)
+  let flight_catalog, _ = flights in
+  ignore (X2W.register_schema flight_catalog flight_schema_v2);
+  let control = Relay.Client.connect ~port:relay_port () in
+  Relay.Client.advertise control ~stream:"flights" ~schema:flight_schema_v2;
+  publish flights "ASDOffEvent" (flight_event rng ~gate:"T7" ());
   Printf.printf "old display subscriber (format v1, gate field dropped):\n";
-  show "display " (Broker.poll display);
+  show "display " display 1;
   Printf.printf "freshly attached display (discovers v2, sees the gate):\n";
   let fresh =
-    Broker.attach_consumer broker ~stream:"flights"
+    Relay.attach_consumer ~port:relay_port ~stream:"flights"
       ~creds:[ ("role", "display") ] Abi.sparc_32
   in
-  Omf_transport.Endpoint.Sender.send_value sender2 fmt2
-    (flight_event rng ~gate:"B12" ());
-  show "display2" (Broker.poll fresh);
-  show "display " (Broker.poll display);
+  publish flights "ASDOffEvent" (flight_event rng ~gate:"B12" ());
+  show "display2" fresh 1;
+  show "display " display 1;
 
-  Http.shutdown server;
-  Printf.printf "\ndone: %d flight events published, %d subscribers served\n"
-    (Broker.published_count broker ~stream:"flights")
-    (Broker.subscriber_count broker ~stream:"flights")
+  (* a STATS reply reads the answering shard's streams live ([Relay.stats]
+     holds them as of the last once-a-second gauge tick) *)
+  let stats = Relay.Client.stats control in
+  let gauge key =
+    Option.value ~default:0 (List.assoc_opt ("stream.flights." ^ key) stats)
+  in
+  Printf.printf "\ndone: %d flight frames published, %d subscribers served\n"
+    (gauge "published") (gauge "subscribers");
+  Relay.Client.close control;
+  Relay.stop relay;
+  Http.shutdown server

@@ -126,7 +126,7 @@ let fetch_bounded ~(timeout_s : float option) (fetch : unit -> string) :
          (fun () ->
            put (try Ok (fetch ()) with e -> Error (Printexc.to_string e)))
          ());
-    let deadline = Unix.gettimeofday () +. dt in
+    let deadline = Omf_util.Clock.now_us () + Float.to_int (dt *. 1e6) in
     let rec wait () =
       Mutex.lock lock;
       let r = !result in
@@ -134,7 +134,7 @@ let fetch_bounded ~(timeout_s : float option) (fetch : unit -> string) :
       match r with
       | Some r -> r
       | None ->
-        if Unix.gettimeofday () >= deadline then begin
+        if Omf_util.Clock.now_us () >= deadline then begin
           let timeout = Error (Printf.sprintf "timeout after %.3gs" dt) in
           put timeout;
           timeout

@@ -281,16 +281,8 @@ let accept_connection (s : server) (handler : request_handler) fd =
     an ephemeral port; read it from the result. *)
 let serve_requests ?(host = "127.0.0.1") ~port (handler : request_handler) :
     server =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen sock 32;
+  let sock, bound_port = Reactor.listener ~host ~port () in
   Unix.set_nonblock sock;
-  let bound_port =
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
-  in
   let loop = Reactor.create () in
   let s =
     { socket = sock; port = bound_port; loop; loop_thread = Thread.self ()

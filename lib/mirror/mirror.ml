@@ -202,9 +202,9 @@ let forward (t : t) (ls : link_state) (ad : advert) pub (fmt, msg) =
   Counters.incr t.counters "frames_replicated";
   match (t.trace_col, ad.trace) with
   | Some col, Some ctx ->
-    let t0 = Trace.now_us () in
+    let t0 = Omf_util.Clock.now_us () in
     Session.publish_frame pub fmt msg;
-    let dur = Trace.now_us () - t0 in
+    let dur = Omf_util.Clock.now_us () - t0 in
     if Trace.should_record col ~sampled:ctx.Trace.sampled ~dur_us:dur then begin
       Trace.record col ~trace:ctx.Trace.trace_id ~parent:ctx.Trace.span_id
         ~stage:"mirror_replicate" ~stream:ls.l_stream ~start_us:t0 ~dur_us:dur;

@@ -1,6 +1,7 @@
 (** A single-threaded readiness engine shared by every server stack in
-    this repository (relay shards, the embedded httpd, the format
-    server, [Tcp.serve]).
+    this repository (relay shards, the embedded httpd, the schema
+    registry), and the one place they open their listening sockets
+    ({!listener}).
 
     One reactor owns one [Unix.select] loop. Everything else is built
     on three primitives:
@@ -23,11 +24,9 @@ let log = Logs.Src.create "omf.reactor" ~doc:"shared readiness engine"
 
 module Log = (val Logs.src_log log)
 
-(** Wall-clock seconds ([Unix.gettimeofday]). [Sys.time] measures CPU
-    time and stalls while the loop sleeps in select, so deadlines use
-    the wall clock; a clock step therefore shifts pending deadlines,
-    which is acceptable for the sub-minute timeouts used here. *)
-let now () = Unix.gettimeofday ()
+(** Seconds on the monotonic {!Omf_util.Clock}: deadlines, timers and
+    rate limits keep their spacing when the system clock steps. *)
+let now () = Float.of_int (Omf_util.Clock.now_us ()) *. 1e-6
 
 (* ------------------------------------------------------------------ *)
 (* Timer wheel                                                          *)
@@ -383,3 +382,21 @@ let run (t : t) =
 let dispose (t : t) =
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   try Unix.close t.wake_w with Unix.Unix_error _ -> ()
+
+(** [listener ~port ()] binds and listens on [host:port] (SO_REUSEADDR,
+    backlog 64) and returns the socket with the port actually bound
+    (useful with [~port:0]). The socket is closed if [bind] or [listen]
+    raises, so a start on a busy port leaks no descriptor. *)
+let listener ?(host = "127.0.0.1") ~port () : Unix.file_descr * int =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  match
+    Unix.setsockopt sock Unix.SO_REUSEADDR true;
+    Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+    Unix.listen sock 64;
+    Unix.getsockname sock
+  with
+  | Unix.ADDR_INET (_, p) -> (sock, p)
+  | _ -> (sock, port)
+  | exception e ->
+    Unix.close sock;
+    raise e

@@ -19,6 +19,7 @@ module Schema = Omf_xschema.Schema
 module Compat = Omf_xml2wire.Compat
 module Sha256 = Omf_util.Sha256
 module Counters = Omf_util.Counters
+module Clock = Omf_util.Clock
 module Store = Omf_store.Store
 module Format_codec = Omf_pbio.Format_codec
 
@@ -563,7 +564,7 @@ module Server = struct
 
   let start ?(host = "127.0.0.1") ~port ?http_port ?metrics_port (registry : t)
       : server =
-    let socket, bound_port = Omf_transport.Tcp.listener ~host ~port () in
+    let socket, bound_port = Reactor.listener ~host ~port () in
     Unix.set_nonblock socket;
     let s =
       { registry; socket; port = bound_port; loop = Reactor.create ()
@@ -784,7 +785,7 @@ module Resolver = struct
     pos : (string, version) Hashtbl.t;  (** "subject@spec" -> version *)
     by_fp : (string, version) Hashtbl.t;
     blobs : (int, string) Hashtbl.t;  (** descriptor id -> blob *)
-    neg : (string, float) Hashtbl.t;  (** key -> expiry *)
+    neg : (string, int) Hashtbl.t;  (** key -> expiry, {!Clock.now_us} *)
     neg_ttl_s : float;
     counters : Counters.t;
   }
@@ -818,7 +819,7 @@ module Resolver = struct
           | Some v -> `Hit v
           | None -> (
             match Hashtbl.find_opt t.neg neg_key with
-            | Some expiry when Unix.gettimeofday () < expiry -> `Neg
+            | Some expiry when Clock.now_us () < expiry -> `Neg
             | Some _ ->
               Hashtbl.remove t.neg neg_key;
               `Miss
@@ -838,7 +839,8 @@ module Resolver = struct
         Some v
       | None ->
         locked t (fun () ->
-            Hashtbl.replace t.neg neg_key (Unix.gettimeofday () +. t.neg_ttl_s));
+            Hashtbl.replace t.neg neg_key
+              (Clock.now_us () + Float.to_int (t.neg_ttl_s *. 1e6)));
         None
       | exception Client.Server_unavailable _ ->
         Counters.incr t.counters "errors";

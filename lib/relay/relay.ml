@@ -1,5 +1,6 @@
 (** The networked event relay: the paper's event backbone (Figures 1
-    and 3) served over real TCP by {!Omf_reactor.Reactor} event loops.
+    and 3) served over real TCP by {!Omf_reactor.Reactor} event loops —
+    the repository's only publish/subscribe broker.
 
     Capture points and subscribers are separate processes on separate
     machines. Each shard keeps one record per hosted stream — schema and
@@ -41,7 +42,7 @@
 open Omf_transport
 module Frame = Omf_reactor.Frame
 module Proto = Relay_proto
-module Broker = Omf_backbone.Broker
+module Clock = Omf_util.Clock
 module Counters = Omf_util.Counters
 module Slice = Omf_util.Slice
 module Store = Omf_store.Store
@@ -65,6 +66,10 @@ let policy_of_string = function
   | "drop-oldest" -> Some Drop_oldest
   | "evict-slow-consumer" | "evict-slow" | "evict" -> Some Evict_slow
   | _ -> None
+
+(** Which fields of the stream's types a subscriber with these
+    credentials may see; [None] = everything (§4.4's format scoping). *)
+type scope_policy = (string * string) list -> string list option
 
 (* ------------------------------------------------------------------ *)
 (* Connections and shards                                               *)
@@ -131,7 +136,7 @@ and tmark = {
   tm_parent : int64;
   tm_sampled : bool;
   tm_stream : string;
-  tm_enq_us : int;  (** monotonic enqueue timestamp ({!Trace.now_us}) *)
+  tm_enq_us : int;  (** monotonic enqueue timestamp ({!Clock.now_us}) *)
   mutable tm_flushed : bool;  (** the [flush] span was already recorded *)
 }
 
@@ -180,7 +185,7 @@ and conn = {
 and stream = {
   name : string;
   mutable schema : string;  (** the advertised XML Schema document *)
-  mutable scope : Broker.scope_policy;
+  mutable scope : scope_policy;
       (** which fields a subscriber's credentials may see (§4.4) *)
   mutable descriptors : Bytes.t list;
       (** distinct descriptor frames in first-seen order, replayed to
@@ -490,7 +495,7 @@ let trace_record (t : shard) ~(trace : int64) ~(parent : int64)
   match t.trace with
   | None -> ()
   | Some col ->
-    let dur = Trace.now_us () - t0_us in
+    let dur = Clock.now_us () - t0_us in
     if Trace.should_record col ~sampled ~dur_us:dur then begin
       Trace.record col ~trace ~parent ~stage ~stream ~start_us:t0_us
         ~dur_us:dur;
@@ -603,7 +608,7 @@ let rec gauge_tick (t : shard) =
     (fun _ s ->
       List.iter (fun (k, v) -> Counters.set t.counters k v) (stream_gauges s))
     t.streams;
-  Governor.note_tick t.governor ~now:(Unix.gettimeofday ());
+  Governor.note_tick t.governor ~now:(Reactor.now ());
   Counters.set t.counters "governor_used_bytes" (Governor.used t.governor);
   Counters.set t.counters "governor_health"
     (Governor.health_level (Governor.health t.governor));
@@ -806,7 +811,7 @@ let enqueue_relayed (t : shard) (c : conn) (frame : Bytes.t) ~(offset : int)
             ; tm_parent = ctx.Trace.span_id
             ; tm_sampled = ctx.Trace.sampled
             ; tm_stream = s.stream.name
-            ; tm_enq_us = Trace.now_us ()
+            ; tm_enq_us = Clock.now_us ()
             ; tm_flushed = false }
       | None -> ());
       enqueue_entry c ~droppable frame;
@@ -982,10 +987,35 @@ let persist_advert (t : shard) (s : stream) (kvs : (string * string) list) =
     Counters.incr t.counters "store_errors";
     Log.err (fun m -> m "store %s: %s" s.name msg)
 
-(** The stream's schema as [creds] may see it. Raises
-    {!Broker.Access_denied} when scoping leaves a type empty. *)
-let scoped_schema (s : stream) (creds : (string * string) list) : string =
-  Broker.scope_schema ~stream:s.name (s.scope creds) s.schema
+(** The stream's schema reduced to the field names [creds] may see
+    (§4.4's format scoping: a scoped subscriber registers the reduced
+    format, and NDR's match-by-name conversion drops the hidden fields
+    on receive). [Error] names the first type scoping leaves empty. *)
+let scoped_schema (s : stream) (creds : (string * string) list) :
+    (string, string) result =
+  match s.scope creds with
+  | None -> Ok s.schema
+  | Some visible -> (
+    let module S = Omf_xschema.Schema in
+    let schema = S.of_string s.schema in
+    let types =
+      List.map
+        (fun (ct : S.complex_type) ->
+          { ct with
+            S.ct_elements =
+              List.filter
+                (fun (e : S.element) -> List.mem e.S.el_name visible)
+                ct.S.ct_elements })
+        schema.S.types
+    in
+    match
+      List.find_opt (fun (ct : S.complex_type) -> ct.S.ct_elements = []) types
+    with
+    | Some ct ->
+      Error
+        (Printf.sprintf "stream %s: no visible fields in type %s" s.name
+           ct.S.ct_name)
+    | None -> Ok (Omf_xschema.Schema_write.to_string { schema with S.types }))
 
 (** Serve one decoded control request. {!dispatch} has already refused
     role conflicts and moved a command naming another shard's stream
@@ -1123,7 +1153,7 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
     else
       hosted "subscribe" stream @@ fun s ->
       (match scoped_schema s c.creds with
-      | schema -> (
+      | Ok schema -> (
         (* [meta=1]: prefix the stream's advertised registry binding
            ([subject=] / [fingerprint=] ...) to the schema reply — only
            on request, so pre-§14 clients parse the body as before *)
@@ -1173,8 +1203,7 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
         | exception Store.Store_error msg ->
           Counters.incr t.counters "store_errors";
           reply_err t c (Printf.sprintf "subscribe %s: store: %s" stream msg))
-      | exception Broker.Access_denied m ->
-        reply_err t c (Proto.access_denied "subscribe" m))
+      | Error m -> reply_err t c (Proto.access_denied "subscribe" m))
   | Proto.List ->
     (* relay-wide: the pins table names every stream any shard hosts,
        so a mirror scanning for streams needs no shard awareness *)
@@ -1187,7 +1216,7 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
   | Proto.Describe stream -> (
     hosted "describe" stream @@ fun s ->
     match scoped_schema s c.creds with
-    | schema ->
+    | Ok schema ->
       Counters.incr t.counters "describes";
       (* §17: when tracing is on and the stream's publisher carries a
          context, serve it as a [trace=] metadata line — a mirror
@@ -1197,8 +1226,7 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
       let meta = Proto.with_trace (advert_info t s) s.trace_ctx in
       reply_ok c
         (Proto.encode_schema_reply { Proto.offset = None; meta; schema })
-    | exception Broker.Access_denied m ->
-      reply_err t c (Proto.access_denied "describe" m))
+    | Error m -> reply_err t c (Proto.access_denied "describe" m))
   | Proto.Promote stream ->
     hosted "promote" stream @@ fun s ->
     let kvs = advert_info t s in
@@ -1318,7 +1346,7 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
         end
         else begin
           let s = p.stream in
-          let admit_us = Trace.now_us () in
+          let admit_us = Clock.now_us () in
           (* the message's trace context, if any: stage spans below are
              recorded against it (sampled, or slow enough to force) *)
           let trace = if is_message then p.ptrace else None in
@@ -1326,7 +1354,7 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
             match trace with
             | None -> fan_out t s frame ~offset ~trace
             | Some ctx ->
-              let f0 = Trace.now_us () in
+              let f0 = Clock.now_us () in
               fan_out t s frame ~offset ~trace;
               trace_span t ctx ~stage:"fanout_enqueue" ~stream:s.name
                 ~t0_us:f0
@@ -1334,7 +1362,7 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
           if is_message then Counters.incr t.counters "events_relayed";
           (match s.store with
           | Some st when is_message -> (
-            let ap0 = if trace = None then 0 else Trace.now_us () in
+            let ap0 = if trace = None then 0 else Clock.now_us () in
             match Store.append st frame with
             | off ->
               Counters.incr t.counters "store_appends";
@@ -1362,7 +1390,7 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
              accepting this message (store append + fan-out enqueues) *)
           if is_message then begin
             Counters.observe t.counters "publish_admit_us"
-              (Trace.now_us () - admit_us);
+              (Clock.now_us () - admit_us);
             Option.iter
               (fun ctx ->
                 trace_span t ctx ~stage:"publish_admit" ~stream:s.name
@@ -1704,7 +1732,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
     ?(auth_keys = []) ?(mac_reject_limit = 3) ?(drain_s = 2.0)
     ?(governor = Governor.config ~budget:0 ()) ?ingress ?trace ?store () : t =
   if shards < 1 then invalid_arg "Relay.start: shards must be >= 1";
-  let lsock, bound_port = Tcp.listener ~host ~port () in
+  let lsock, bound_port = Reactor.listener ~host ~port () in
   let relay_id = resolve_relay_id ?relay_id store in
   let shared =
     { pins_mu = Mutex.create (); pins = Hashtbl.create 32; peers = [||] }
@@ -1783,28 +1811,30 @@ let governor_used (r : t) : int =
 (** Install a scope policy on the shard hosting [stream], on that
     shard's own loop (stream records are loop-thread only), and wait
     until it is in place. *)
-let set_scope (r : t) ~(stream : string) (policy : Broker.scope_policy) : unit
-    =
+let set_scope (r : t) ~(stream : string) (policy : scope_policy) : unit =
   if r.stopped then invalid_arg "Relay.set_scope: relay is shutting down";
   let owner = stream_owner r.shared.peers.(0) stream in
   let mu = Mutex.create () and cv = Condition.create () in
-  let result = ref None in
+  let hosted = ref None in
   Reactor.inject owner.reactor (fun () ->
-      let res =
+      let found =
         match Hashtbl.find_opt owner.streams stream with
-        | Some s -> Ok (s.scope <- policy)
-        | None -> Error (Broker.Unknown_stream stream)
+        | Some s ->
+          s.scope <- policy;
+          true
+        | None -> false
       in
       Mutex.lock mu;
-      result := Some res;
+      hosted := Some found;
       Condition.signal cv;
       Mutex.unlock mu);
   Mutex.lock mu;
-  while Option.is_none !result do
+  while Option.is_none !hosted do
     Condition.wait cv mu
   done;
   Mutex.unlock mu;
-  match !result with Some (Error e) -> raise e | Some (Ok ()) | None -> ()
+  if !hosted = Some false then
+    invalid_arg ("Relay.set_scope: no shard hosts stream " ^ stream)
 
 (** Every shard's recorded trace spans, merged and time-ordered. Safe
     from any thread. *)
@@ -2087,7 +2117,7 @@ module Client = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* A fully wired remote consumer (mirror of Broker.attach_consumer)     *)
+(* A fully wired remote consumer                                       *)
 (* ------------------------------------------------------------------ *)
 
 module Catalog = Omf_xml2wire.Catalog

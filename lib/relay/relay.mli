@@ -2,10 +2,12 @@
     1/3) served over real TCP by {!Omf_reactor.Reactor} event loops, one
     per shard.
 
-    Capture points and subscribers are separate processes; each shard
-    keeps one record per stream it hosts — stream advertisement,
-    descriptor caching with replay for late joiners, credential-scoped
-    metadata (the scoping rule of {!Omf_backbone.Broker.scope_schema}),
+    This is the repository's only publish/subscribe broker: daemons,
+    benches, tests and in-process embeddings ({!start} on port 0) all
+    go through it. Capture points and subscribers are separate
+    processes; each shard keeps one record per stream it hosts — stream
+    advertisement, descriptor caching with replay for late joiners,
+    credential-scoped metadata (§4.4's format scoping, {!scope_policy}),
     publishers and subscribers — behind a small control protocol on the
     same length-prefixed framing as the {!Omf_transport.Endpoint} frames
     it relays verbatim.
@@ -33,6 +35,13 @@ type policy = Block | Drop_oldest | Evict_slow
 
 val policy_to_string : policy -> string
 val policy_of_string : string -> policy option
+
+type scope_policy = (string * string) list -> string list option
+(** Which fields of a stream's types a subscriber with these HELLO
+    credentials may see ([None] = everything). A scoped subscriber is
+    served the schema reduced to those fields, registers the reduced
+    format, and NDR's match-by-name conversion drops the hidden fields
+    on receive. *)
 
 module Store = Omf_store.Store
 (** Re-export of the durable stream store {!start}'s [?store]
@@ -152,14 +161,13 @@ val governor_used : t -> int
     write queue (slice-length accounting; 0 when fully drained). Test
     hook for the debit/credit symmetry guarantee (doc/OVERLOAD.md). *)
 
-val set_scope :
-  t -> stream:string -> Omf_backbone.Broker.scope_policy -> unit
-(** Install a credential scope policy (as {!Omf_backbone.Broker.set_scope}
-    does in process) on the shard hosting [stream], run on that shard's
-    loop; returns
-    once the policy is in place, so every later SUBSCRIBE sees it.
-    Raises {!Omf_backbone.Broker.Unknown_stream} if no shard hosts the
-    stream, [Invalid_argument] after {!request_shutdown}. *)
+val set_scope : t -> stream:string -> scope_policy -> unit
+(** Install a credential scope policy on the shard hosting [stream],
+    run on that shard's loop; returns once the policy is in place, so
+    every later SUBSCRIBE and DESCRIBE sees it. A policy that leaves a
+    type with no visible field makes those commands reply
+    {!Relay_proto.access_denied}. Raises [Invalid_argument] if no shard
+    hosts the stream, or after {!request_shutdown}. *)
 
 val trace_spans : t -> Trace.span list
 (** Every shard's recorded trace spans, merged and ordered by start
@@ -324,8 +332,7 @@ val attach_consumer :
   Omf_machine.Abi.t ->
   consumer
 (** Connect, subscribe, register the served (scoped) schema in a fresh
-    catalog for the ABI, and wrap the link in an endpoint receiver —
-    the remote mirror of [Broker.attach_consumer]. *)
+    catalog for the ABI, and wrap the link in an endpoint receiver. *)
 
 val recv : consumer -> (Omf_pbio.Format.t * Omf_pbio.Value.t) option
 (** Blocking receive of the next decoded event ([None] = stream end). *)

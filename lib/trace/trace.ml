@@ -1,5 +1,3 @@
-external now_us : unit -> int = "omf_trace_now_us" [@@noalloc]
-
 (* ------------------------------------------------------------------ *)
 (* Ids                                                                  *)
 (* ------------------------------------------------------------------ *)

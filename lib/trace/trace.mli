@@ -18,11 +18,6 @@
     slow-span threshold (always-record for outliers, whatever the
     sampling decision). *)
 
-val now_us : unit -> int
-(** Monotonic wall-rate clock in microseconds ([CLOCK_MONOTONIC]);
-    allocation-free. Only differences are meaningful, and only within
-    one process. *)
-
 (* ------------------------------------------------------------------ *)
 (* Trace context                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -77,7 +72,7 @@ type span = {
   sp_stage : string;  (** e.g. ["store_append"], ["deliver"] *)
   sp_stream : string;
   sp_shard : int;  (** recording collector's shard ([-1] = mirror) *)
-  sp_start_us : int;  (** {!now_us} at span start *)
+  sp_start_us : int;  (** {!Omf_util.Clock.now_us} at span start *)
   sp_dur_us : int;
 }
 

@@ -1,7 +1,7 @@
 (** Real TCP transport (loopback or LAN): length-prefixed byte messages
-    over Unix sockets, satisfying {!Link.t}. Used by the runnable example
-    binaries; simulations and benchmarks prefer {!Loopback} / {!Netsim}
-    for determinism. *)
+    over Unix sockets, satisfying {!Link.t}. Servers bind with
+    {!Omf_reactor.Reactor.listener}; simulations and benchmarks prefer
+    {!Loopback} / {!Netsim} for determinism. *)
 
 module Frame = Omf_reactor.Frame
 
@@ -91,93 +91,6 @@ let link_of_fd ?io_timeout_s (fd : Unix.file_descr) : Link.t =
     end
   in
   { Link.send; recv; close }
-
-(** [listener ~port ()] binds and listens without spawning any thread —
-    for callers running their own accept/event loop ({!Omf_relay}).
-    Returns the listening socket and the actually bound port (useful
-    with [~port:0]). *)
-let listener ?(host = "127.0.0.1") ?(backlog = 64) ~port () :
-    Unix.file_descr * int =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen sock backlog;
-  let bound_port =
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
-  in
-  (sock, bound_port)
-
-(** A running [serve] instance. The acceptor is a {!Omf_reactor.Reactor}
-    loop in one thread; each accepted connection runs its (blocking)
-    handler in its own thread, and — unlike the old [listen], which
-    leaked both — {!shutdown} joins all of them. *)
-type server = {
-  sock : Unix.file_descr;
-  srv_port : int;
-  loop : Omf_reactor.Reactor.t;
-  mutable loop_thread : Thread.t;
-  mu : Mutex.t;
-  mutable workers : Thread.t list;
-  mutable stopped : bool;
-}
-
-(** [serve ~port handler] accepts connections until {!shutdown},
-    running [handler] with a blocking {!Link.t} in a thread per
-    connection (the link is closed when the handler returns or
-    raises). *)
-let serve ?(host = "127.0.0.1") ?(backlog = 16) ~port
-    (handler : Link.t -> unit) : server =
-  let sock, bound_port = listener ~host ~backlog ~port () in
-  Unix.set_nonblock sock;
-  let loop = Omf_reactor.Reactor.create () in
-  let s =
-    { sock; srv_port = bound_port; loop
-    ; loop_thread = Thread.self () (* replaced below *)
-    ; mu = Mutex.create (); workers = []; stopped = false }
-  in
-  let worker fd =
-    let link = link_of_fd fd in
-    (try handler link with _ -> ());
-    Link.close link
-  in
-  let rec accept_all () =
-    match Unix.accept ~cloexec:true sock with
-    | fd, _ ->
-      let th = Thread.create worker fd in
-      Mutex.lock s.mu;
-      s.workers <- th :: s.workers;
-      Mutex.unlock s.mu;
-      accept_all ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  ignore
-    (Omf_reactor.Reactor.register loop sock ~on_readable:accept_all
-       ~on_writable:ignore);
-  s.loop_thread <- Thread.create Omf_reactor.Reactor.run loop;
-  s
-
-let server_port (s : server) = s.srv_port
-
-(** Stop accepting, join the acceptor loop and every in-flight handler
-    thread. Handlers see their link close once the peer hangs up; a
-    handler that never returns will block [shutdown]. Idempotent. *)
-let shutdown (s : server) =
-  if not s.stopped then begin
-    s.stopped <- true;
-    Omf_reactor.Reactor.stop s.loop;
-    Thread.join s.loop_thread;
-    (try Unix.shutdown s.sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (try Unix.close s.sock with Unix.Unix_error _ -> ());
-    Omf_reactor.Reactor.dispose s.loop;
-    Mutex.lock s.mu;
-    let workers = s.workers in
-    s.workers <- [];
-    Mutex.unlock s.mu;
-    List.iter Thread.join workers
-  end
 
 (** [connect ~host ~port] opens a client link. [connect_timeout_s]
     bounds connection establishment (non-blocking connect + select);

@@ -11,30 +11,6 @@ val link_of_fd : ?io_timeout_s:float -> Unix.file_descr -> Link.t
     that stalls past the deadline raises {!Link.Timeout} and the link
     should be treated as broken. *)
 
-val listener :
-  ?host:string -> ?backlog:int -> port:int -> unit -> Unix.file_descr * int
-(** Bind and listen without spawning any thread — for callers running
-    their own accept/event loop ({!Omf_relay}). Returns the listening
-    socket and the actually bound port (useful with [~port:0]). *)
-
-type server
-(** A running {!serve} instance with a proper stop handle (the old
-    [listen] leaked its acceptor and per-connection threads). *)
-
-val serve :
-  ?host:string -> ?backlog:int -> port:int -> (Link.t -> unit) -> server
-(** Accept connections until {!shutdown}, running the handler with a
-    blocking {!Link.t} in a thread per connection; the link is closed
-    when the handler returns. The acceptor is a reactor loop, not a
-    blocking thread. [~port:0] binds an ephemeral port — read it with
-    {!server_port}. *)
-
-val server_port : server -> int
-
-val shutdown : server -> unit
-(** Stop accepting, join the acceptor and every in-flight handler
-    thread (a handler that never returns will block this). Idempotent. *)
-
 val connect :
   ?host:string ->
   port:int ->

@@ -6,8 +6,8 @@
     balance may go negative, and {!delay} reports how long the caller
     should stop reading from that connection before the balance is
     non-negative again. All operations take an explicit [~now]
-    (seconds, any monotonic-enough base such as [Unix.gettimeofday])
-    so behaviour is deterministic under test. Not thread-safe: a
+    (seconds on a monotonic base; servers pass [Reactor.now], which
+    reads {!Clock}) so behaviour is deterministic under test. Not thread-safe: a
     bucket belongs to the loop that owns its connection. *)
 
 type t

@@ -1,5 +1,5 @@
 (** Integration tests: whole-system scenarios that cross every layer —
-    HTTP metadata discovery, the catalog, the backbone, NDR transfer with
+    HTTP metadata discovery, the catalog, the relay, NDR transfer with
     mixed ABIs, global format ids from the schema registry, and failure
     injection. These are the checked versions of the example programs. *)
 
@@ -8,7 +8,7 @@ open Omf_pbio.Pbio
 module X2W = Omf_xml2wire.Xml2wire
 module Catalog = Omf_xml2wire.Catalog
 module Discovery = Omf_xml2wire.Discovery
-module Broker = Omf_backbone.Broker
+module Relay = Omf_relay.Relay
 module Http = Omf_httpd.Http
 module Schema_registry = Omf_registry.Registry
 module Endpoint = Omf_transport.Endpoint
@@ -26,13 +26,38 @@ let value_testable =
 (* Scenario 1: the airline system, end to end                           *)
 (* ------------------------------------------------------------------ *)
 
+(* an in-process relay for one scenario, stopped however it ends *)
+let with_relay f =
+  let relay = Relay.start () in
+  Fun.protect ~finally:(fun () -> Relay.stop relay) (fun () -> f relay)
+
+(* advertise [schema] on [stream] and enter publisher mode: the client
+   and an endpoint sender on its link *)
+let relay_publisher ~port ~stream ~schema abi =
+  let client = Relay.Client.connect ~port () in
+  Relay.Client.advertise client ~stream ~schema;
+  let link = Relay.Client.publish client ~stream in
+  (client, Endpoint.Sender.create link (Memory.create abi))
+
+(* the next [n] events of a subscription, in order *)
+let recv_n consumer n =
+  let rec go acc k =
+    if k = 0 then List.rev acc
+    else
+      match Relay.recv consumer with
+      | Some ev -> go (ev :: acc) (k - 1)
+      | None -> Alcotest.fail "relay closed the stream"
+  in
+  go [] n
+
 let test_airline_system () =
   (* metaserver *)
   let server = Http.serve_table ~port:0 [ ("/flights.xsd", Fx.schema_a) ] in
   Fun.protect
     ~finally:(fun () -> Http.shutdown server)
     (fun () ->
-      let broker = Broker.create () in
+      with_relay @@ fun relay ->
+      let port = Relay.port relay in
       (* capture point discovers its metadata over HTTP *)
       let catalog = Catalog.create Abi.x86_64 in
       let outcome =
@@ -42,41 +67,42 @@ let test_airline_system () =
           ; Discovery.compiled [ Fx.decl_a ] ]
       in
       check str "metadata came from HTTP" "http" outcome.Discovery.source;
-      Broker.advertise broker ~stream:"flights"
-        ~schema:(Option.get outcome.Discovery.document);
-      Broker.set_scope broker ~stream:"flights" (fun creds ->
+      let pub, sender =
+        relay_publisher ~port ~stream:"flights"
+          ~schema:(Option.get outcome.Discovery.document) Abi.x86_64
+      in
+      Relay.set_scope relay ~stream:"flights" (fun creds ->
           if List.mem_assoc "restricted" creds then Some [ "fltNum"; "dest" ]
           else None);
-      let link = Broker.publisher_link broker ~stream:"flights" in
-      let sender = Endpoint.Sender.create link (Memory.create Abi.x86_64) in
       let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
       (* consumers on every ABI, one of them scoped *)
       let consumers =
         List.map
-          (fun abi -> Broker.attach_consumer broker ~stream:"flights" abi)
+          (fun abi -> Relay.attach_consumer ~port ~stream:"flights" abi)
           Abi.all
       in
       let scoped =
-        Broker.attach_consumer broker ~stream:"flights"
+        Relay.attach_consumer ~port ~stream:"flights"
           ~creds:[ ("restricted", "1") ] Abi.arm_32
       in
       for _ = 1 to 3 do
         Endpoint.Sender.send_value sender fmt Fx.value_a
       done;
-      List.iteri
-        (fun i c ->
-          let events = Broker.poll c in
-          check int (Printf.sprintf "consumer %d got all events" i) 3
-            (List.length events);
-          let _, v = List.hd events in
-          check value_testable "payload correct" (Value.String "KMCO")
-            (Value.field_exn v "dest"))
+      List.iter
+        (fun c ->
+          List.iter
+            (fun (_, v) ->
+              check value_testable "payload correct" (Value.String "KMCO")
+                (Value.field_exn v "dest"))
+            (recv_n c 3))
         consumers;
-      let scoped_events = Broker.poll scoped in
-      check int "scoped consumer got all events" 3 (List.length scoped_events);
-      let _, v = List.hd scoped_events in
-      check bool "scoped consumer sees only the slice" true
-        (Value.field v "cntrID" = None && Value.field v "fltNum" <> None))
+      List.iter
+        (fun (_, v) ->
+          check bool "scoped consumer sees only the slice" true
+            (Value.field v "cntrID" = None && Value.field v "fltNum" <> None))
+        (recv_n scoped 3);
+      List.iter Relay.close_consumer (scoped :: consumers);
+      Relay.Client.close pub)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 2: live upgrade while the system runs                       *)
@@ -95,28 +121,33 @@ let test_upgrade_mid_stream () =
   Fun.protect
     ~finally:(fun () -> Http.shutdown server)
     (fun () ->
-      let broker = Broker.create () in
+      with_relay @@ fun relay ->
+      let port = Relay.port relay in
       let catalog = Catalog.create Abi.x86_64 in
       let watch =
         Discovery.watch catalog
           [ Discovery.from_fetcher ~label:"http"
               (Http.fetcher ~port:(Http.port server) ~path:"/f.xsd" ()) ]
       in
-      Broker.advertise broker ~stream:"flights" ~schema:Fx.schema_a;
-      let link = Broker.publisher_link broker ~stream:"flights" in
-      let sender = Endpoint.Sender.create link (Memory.create Abi.x86_64) in
+      let pub, sender =
+        relay_publisher ~port ~stream:"flights" ~schema:Fx.schema_a
+          Abi.x86_64
+      in
       let old_consumer =
-        Broker.attach_consumer broker ~stream:"flights" Abi.sparc_32
+        Relay.attach_consumer ~port ~stream:"flights" Abi.sparc_32
       in
       let fmt_v1 = Option.get (Catalog.find_format catalog "ASDOffEvent") in
       Endpoint.Sender.send_value sender fmt_v1 Fx.value_a;
-      check int "v1 flows" 1 (List.length (Broker.poll old_consumer));
-      (* metadata changes at the server; publisher refreshes *)
+      check int "v1 flows" 1 (List.length (recv_n old_consumer 1));
+      (* metadata changes at the server; the publisher refreshes and
+         re-advertises on a control connection, its publisher
+         connection staying open *)
       docs := schema_v2;
       (match Discovery.refresh watch with
       | Some _ -> ()
       | None -> Alcotest.fail "refresh missed the upgrade");
-      Broker.advertise broker ~stream:"flights" ~schema:schema_v2;
+      let control = Relay.Client.connect ~port () in
+      Relay.Client.advertise control ~stream:"flights" ~schema:schema_v2;
       let fmt_v2 = Option.get (Catalog.find_format catalog "ASDOffEvent") in
       check bool "upgraded format differs" false
         (Format.same_wire_layout fmt_v1 fmt_v2);
@@ -125,7 +156,7 @@ let test_upgrade_mid_stream () =
       in
       Endpoint.Sender.send_value sender fmt_v2 v2_value;
       (* the running v1 consumer keeps decoding, dropping the new field *)
-      (match Broker.poll old_consumer with
+      (match recv_n old_consumer 1 with
       | [ (_, v) ] ->
         check bool "old consumer: no gate" true (Value.field v "gate" = None);
         check value_testable "old consumer: payload intact"
@@ -133,14 +164,17 @@ let test_upgrade_mid_stream () =
       | other -> Alcotest.failf "expected 1 event, got %d" (List.length other));
       (* a new consumer discovers v2 and sees everything *)
       let new_consumer =
-        Broker.attach_consumer broker ~stream:"flights" Abi.power_64
+        Relay.attach_consumer ~port ~stream:"flights" Abi.power_64
       in
       Endpoint.Sender.send_value sender fmt_v2 v2_value;
-      match Broker.poll new_consumer with
-      | (_, v) :: _ ->
+      (match recv_n new_consumer 1 with
+      | [ (_, v) ] ->
         check value_testable "new consumer sees the gate" (Value.String "T7")
           (Value.field_exn v "gate")
-      | [] -> Alcotest.fail "new consumer got nothing")
+      | _ -> Alcotest.fail "new consumer got nothing");
+      List.iter Relay.close_consumer [ old_consumer; new_consumer ];
+      Relay.Client.close control;
+      Relay.Client.close pub)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 3: registry-issued global ids instead of per-connection     *)
@@ -256,11 +290,16 @@ let test_total_infrastructure_failure () =
 (* ------------------------------------------------------------------ *)
 
 let test_duplex_tcp_exchange () =
-  let server_got = ref None and done_flag = ref false in
-  let mu = Mutex.create () and cond = Condition.create () in
+  let sock, port = Omf_reactor.Reactor.listener ~port:0 () in
+  Fun.protect ~finally:(fun () -> Unix.close sock) @@ fun () ->
+  (* server side: one accepted connection with its own catalog; it
+     receives, then replies on the same link *)
+  let server_got = ref None in
   let server =
-    Omf_transport.Tcp.serve ~port:0 (fun link ->
-        (* server side: its own catalog, receives then replies *)
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept ~cloexec:true sock in
+        let link = Omf_transport.Tcp.link_of_fd fd in
         let catalog = Catalog.create Abi.power_64 in
         ignore (X2W.register_schema catalog Fx.schema_a);
         let mem = Memory.create Abi.power_64 in
@@ -269,51 +308,37 @@ let test_duplex_tcp_exchange () =
         in
         (match Endpoint.Receiver.recv_value receiver with
         | Some (_, v) ->
-          Mutex.lock mu;
           server_got := Some v;
-          Mutex.unlock mu;
           (* reply with an ack on the same link, opposite direction *)
           let sender = Endpoint.Sender.create link mem in
           let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
           Endpoint.Sender.send_value sender fmt
             (Value.set_field v "dest" (Value.String "ACKD"))
         | None -> ());
-        Mutex.lock mu;
-        done_flag := true;
-        Condition.signal cond;
-        Mutex.unlock mu)
+        Omf_transport.Link.close link)
+      ()
   in
-  let port = Omf_transport.Tcp.server_port server in
-  Fun.protect
-    ~finally:(fun () -> Omf_transport.Tcp.shutdown server)
-    (fun () ->
-      let link = Omf_transport.Tcp.connect ~port () in
-      let catalog = Catalog.create Abi.x86_32 in
-      ignore (X2W.register_schema catalog Fx.schema_a);
-      let mem = Memory.create Abi.x86_32 in
-      let sender = Endpoint.Sender.create link mem in
-      let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
-      Endpoint.Sender.send_value sender fmt Fx.value_a;
-      let receiver =
-        Endpoint.Receiver.create link (Catalog.registry catalog) mem
-      in
-      let reply = Endpoint.Receiver.recv_value receiver in
-      Mutex.lock mu;
-      while not !done_flag do
-        Condition.wait cond mu
-      done;
-      Mutex.unlock mu;
-      Omf_transport.Link.close link;
-      (match !server_got with
-      | Some v ->
-        check value_testable "server decoded client's event"
-          (Value.String "KATL") (Value.field_exn v "org")
-      | None -> Alcotest.fail "server got nothing");
-      match reply with
-      | Some (_, v) ->
-        check value_testable "client decoded the ack" (Value.String "ACKD")
-          (Value.field_exn v "dest")
-      | None -> Alcotest.fail "no reply")
+  let link = Omf_transport.Tcp.connect ~port () in
+  let catalog = Catalog.create Abi.x86_32 in
+  ignore (X2W.register_schema catalog Fx.schema_a);
+  let mem = Memory.create Abi.x86_32 in
+  let sender = Endpoint.Sender.create link mem in
+  let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
+  Endpoint.Sender.send_value sender fmt Fx.value_a;
+  let receiver = Endpoint.Receiver.create link (Catalog.registry catalog) mem in
+  let reply = Endpoint.Receiver.recv_value receiver in
+  Thread.join server;
+  Omf_transport.Link.close link;
+  (match !server_got with
+  | Some v ->
+    check value_testable "server decoded client's event" (Value.String "KATL")
+      (Value.field_exn v "org")
+  | None -> Alcotest.fail "server got nothing");
+  match reply with
+  | Some (_, v) ->
+    check value_testable "client decoded the ack" (Value.String "ACKD")
+      (Value.field_exn v "dest")
+  | None -> Alcotest.fail "no reply"
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 

@@ -2,7 +2,8 @@
     order against a sorted model (property-tested under random
     insert/cancel), fd churn through the buffered connection driver
     without leaking registrations, cross-thread [inject] under load,
-    and per-connection deadlines. *)
+    per-connection deadlines, and listening sockets that a failed bind
+    does not leak. *)
 
 module Reactor = Omf_reactor.Reactor
 module Conn = Omf_reactor.Conn
@@ -291,6 +292,38 @@ let test_chunks_borrow_contract () =
         (Omf_util.Slice.to_string retained);
       Unix.close a)
 
+(* ------------------------------------------------------------------ *)
+(* Listening sockets                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* Every server binds through [Reactor.listener]; a start on a port
+   someone else listens on must fail with EADDRINUSE and close its
+   socket, however many times it is retried. *)
+let test_busy_port_leaks_no_fd () =
+  let busy, port = Reactor.listener ~port:0 () in
+  Fun.protect ~finally:(fun () -> Unix.close busy) @@ fun () ->
+  let starts =
+    [ ("relay", fun () -> ignore (Omf_relay.Relay.start ~port ()))
+    ; ("http", fun () -> ignore (Omf_httpd.Http.serve_table ~port []))
+    ; ( "registry",
+        fun () ->
+          ignore
+            (Omf_registry.Registry.Server.start ~port
+               (Omf_registry.Registry.create ())) ) ]
+  in
+  let before = open_fds () in
+  for _ = 1 to 50 do
+    List.iter
+      (fun (name, start) ->
+        match start () with
+        | () -> Alcotest.failf "%s started on a busy port" name
+        | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ())
+      starts
+  done;
+  check int "open descriptors unchanged" before (open_fds ())
+
 let () =
   Alcotest.run "reactor"
     [ ( "wheel"
@@ -307,4 +340,7 @@ let () =
     ; ( "wakeup"
       , [ Alcotest.test_case "inject under cross-thread load" `Quick
             test_inject_under_load ] )
+    ; ( "listener"
+      , [ Alcotest.test_case "busy port leaks no fd" `Quick
+            test_busy_port_leaks_no_fd ] )
     ]

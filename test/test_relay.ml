@@ -410,6 +410,124 @@ let test_list_excludes_unknown_streams () =
   Relay.Client.close c;
   Relay.Client.close pub
 
+(* A scope that leaves a type with no visible field is refused on
+   SUBSCRIBE and DESCRIBE with an access-denied error; the refusal
+   gives the connection no role, so it stays usable. *)
+let test_scoping_denies_empty_slice () =
+  let h = Relay.start () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let pub, _sender, _fmt = make_publisher ~port ~stream:"flights" in
+  Relay.set_scope h ~stream:"flights" (fun _ -> Some [ "nothing-real" ]);
+  let c = Relay.Client.connect ~port ~creds:[ ("role", "handheld") ] () in
+  let denied what f =
+    match f () with
+    | _ -> Alcotest.failf "%s of an empty slice succeeded" what
+    | exception Relay.Client.Error m ->
+      check bool (what ^ " replies access denied") true
+        (Omf_testkit.Strings.contains m "access denied")
+  in
+  denied "DESCRIBE" (fun () -> ignore (Relay.Client.describe c ~stream:"flights"));
+  denied "SUBSCRIBE" (fun () ->
+      ignore (Relay.Client.subscribe c ~stream:"flights"));
+  check (Alcotest.list Alcotest.string) "the connection still serves LIST"
+    [ "flights" ] (Relay.Client.list_streams c);
+  Relay.Client.close c;
+  Relay.Client.close pub
+
+(* ADVERTISE validates the schema document: a malformed one is refused
+   and creates no stream *)
+let test_advertise_validates_schema () =
+  let h = Relay.start () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let c = Relay.Client.connect ~port () in
+  (match Relay.Client.advertise c ~stream:"bad" ~schema:"<junk/>" with
+  | () -> Alcotest.fail "a malformed schema was advertised"
+  | exception Relay.Client.Error _ -> ());
+  check (Alcotest.list Alcotest.string) "no stream created" []
+    (Relay.Client.list_streams c);
+  Relay.Client.close c
+
+let test_stream_listing () =
+  let h = Relay.start () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let c = Relay.Client.connect ~port () in
+  Relay.Client.advertise c ~stream:"weather" ~schema:Fx.schema_a;
+  Relay.Client.advertise c ~stream:"flights" ~schema:Fx.schema_b;
+  check (Alcotest.list Alcotest.string) "streams listed sorted"
+    [ "flights"; "weather" ] (Relay.Client.list_streams c);
+  Relay.Client.close c
+
+(* set_scope names a stream some shard hosts *)
+let test_set_scope_unknown_stream () =
+  let h = Relay.start () in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  (match Relay.set_scope h ~stream:"nope" (fun _ -> None) with
+  | () -> Alcotest.fail "set_scope on an unhosted stream succeeded"
+  | exception Invalid_argument _ -> ());
+  let c = Relay.Client.connect ~port:(Relay.port h) () in
+  check (Alcotest.list Alcotest.string) "and pins nothing" []
+    (Relay.Client.list_streams c);
+  Relay.Client.close c
+
+(* The paper's run-time format upgrade: the stream's schema gains a
+   field and is re-advertised on a control connection while the
+   publisher connection keeps sending. The running subscriber keeps
+   decoding its own format (NDR match-by-name drops the new field); a
+   subscriber that joins afterwards is served the new schema. *)
+let test_runtime_format_upgrade () =
+  let h = Relay.start () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let pub = Relay.Client.connect ~port () in
+  Relay.Client.advertise pub ~stream:"flights" ~schema:Fx.schema_a;
+  let sender =
+    Endpoint.Sender.create
+      (Relay.Client.publish pub ~stream:"flights")
+      (Memory.create Abi.x86_64)
+  in
+  let catalog = Catalog.create Abi.x86_64 in
+  ignore (X2W.register_schema catalog Fx.schema_a);
+  let send v =
+    Endpoint.Sender.send_value sender
+      (Option.get (Catalog.find_format catalog "ASDOffEvent"))
+      v
+  in
+  let old = Relay.attach_consumer ~port ~stream:"flights" Abi.sparc_32 in
+  send Fx.value_a;
+  check bool "v1 event decoded" true (Relay.recv old <> None);
+  let schema_v2 =
+    Omf_testkit.Strings.replace
+      ~sub:{|<xsd:element name="eta" type="xsd:unsigned-long" />|}
+      ~by:{|<xsd:element name="eta" type="xsd:unsigned-long" />
+    <xsd:element name="gate" type="xsd:string" />|}
+      Fx.schema_a
+  in
+  let control = Relay.Client.connect ~port () in
+  Relay.Client.advertise control ~stream:"flights" ~schema:schema_v2;
+  ignore (X2W.register_schema catalog schema_v2);
+  let v2 = Value.set_field Fx.value_a "gate" (Value.String "T7") in
+  send v2;
+  (match Relay.recv old with
+  | Some (_, v) ->
+    check bool "old subscriber keeps decoding" true
+      (Value.field v "dest" = Some (Value.String "KMCO"));
+    check bool "old subscriber has no gate field" true
+      (Value.field v "gate" = None)
+  | None -> Alcotest.fail "old subscriber got nothing");
+  let fresh = Relay.attach_consumer ~port ~stream:"flights" Abi.sparc_32 in
+  send v2;
+  (match Relay.recv fresh with
+  | Some (_, v) ->
+    check bool "new subscriber sees the gate" true
+      (Value.field v "gate" = Some (Value.String "T7"))
+  | None -> Alcotest.fail "new subscriber got nothing");
+  List.iter Relay.close_consumer [ old; fresh ];
+  Relay.Client.close control;
+  Relay.Client.close pub
+
 let test_stats_protocol () =
   let h = Relay.start () in
   let port = Relay.port h in
@@ -1414,6 +1532,11 @@ let () =
         ; Alcotest.test_case "stats protocol" `Quick test_stats_protocol
         ; Alcotest.test_case "LIST excludes unknown streams" `Quick
             test_list_excludes_unknown_streams
+        ; Alcotest.test_case "advertise validates metadata" `Quick
+            test_advertise_validates_schema
+        ; Alcotest.test_case "stream listing" `Quick test_stream_listing
+        ; Alcotest.test_case "unknown stream" `Quick
+            test_set_scope_unknown_stream
         ; Alcotest.test_case "STATS keys unique, store gauges live" `Quick
             test_stats_keys_unique_and_live
         ; Alcotest.test_case "descriptor cache dedupes reconnects" `Quick
@@ -1433,6 +1556,12 @@ let () =
             test_chunked_replay_backpressure
         ; Alcotest.test_case "Block isolates streams, resumes on close" `Quick
             test_block_isolation_and_resume_on_close ] )
+    ; ( "scoping",
+        [ Alcotest.test_case "empty slice denied" `Quick
+            test_scoping_denies_empty_slice ] )
+    ; ( "evolution",
+        [ Alcotest.test_case "run-time format upgrade" `Quick
+            test_runtime_format_upgrade ] )
     ; ( "governor",
         [ Alcotest.test_case "hysteresis state machine" `Quick
             test_governor_hysteresis

@@ -219,44 +219,37 @@ let test_endpoint_over_netsim () =
 (* ------------------------------------------------------------------ *)
 
 let test_tcp_roundtrip () =
+  let sock, port = Omf_reactor.Reactor.listener ~port:0 () in
+  Fun.protect ~finally:(fun () -> Unix.close sock) @@ fun () ->
+  (* the server side: accept one connection and decode one event *)
   let received = ref None in
-  let done_flag = ref false in
-  let mu = Mutex.create () and cond = Condition.create () in
   let server =
-    Tcp.serve ~port:0 (fun link ->
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept ~cloexec:true sock in
+        let link = Tcp.link_of_fd fd in
         let rreg = Registry.create Abi.sparc_32 in
         ignore (Registry.register rreg Fx.decl_a);
         let receiver =
           Endpoint.Receiver.create link rreg (Memory.create Abi.sparc_32)
         in
-        let v = Endpoint.Receiver.recv_value receiver in
-        Mutex.lock mu;
-        received := v;
-        done_flag := true;
-        Condition.signal cond;
-        Mutex.unlock mu)
+        received := Endpoint.Receiver.recv_value receiver;
+        Link.close link)
+      ()
   in
-  let port = Tcp.server_port server in
-  Fun.protect
-    ~finally:(fun () -> Tcp.shutdown server)
-    (fun () ->
-      let link = Tcp.connect ~port () in
-      let sreg = Registry.create Abi.x86_64 in
-      let sfmt = Registry.register sreg Fx.decl_a in
-      let sender = Endpoint.Sender.create link (Memory.create Abi.x86_64) in
-      Endpoint.Sender.send_value sender sfmt Fx.value_a;
-      Mutex.lock mu;
-      while not !done_flag do
-        Condition.wait cond mu
-      done;
-      Mutex.unlock mu;
-      Link.close link;
-      match !received with
-      | Some (_, v) ->
-        check value_testable "value over real TCP, cross-ABI"
-          (Value.String "ZTL-ARTCC-0004")
-          (Value.field_exn v "cntrID")
-      | None -> Alcotest.fail "server saw nothing")
+  let link = Tcp.connect ~port () in
+  let sreg = Registry.create Abi.x86_64 in
+  let sfmt = Registry.register sreg Fx.decl_a in
+  let sender = Endpoint.Sender.create link (Memory.create Abi.x86_64) in
+  Endpoint.Sender.send_value sender sfmt Fx.value_a;
+  Thread.join server;
+  Link.close link;
+  match !received with
+  | Some (_, v) ->
+    check value_testable "value over real TCP, cross-ABI"
+      (Value.String "ZTL-ARTCC-0004")
+      (Value.field_exn v "cntrID")
+  | None -> Alcotest.fail "server saw nothing"
 
 let test_tcp_connect_refused () =
   try
