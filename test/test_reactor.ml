@@ -340,7 +340,7 @@ let () =
     ; ( "wakeup"
       , [ Alcotest.test_case "inject under cross-thread load" `Quick
             test_inject_under_load ] )
-    ; ( "listener"
+    ; ( "listen"
       , [ Alcotest.test_case "busy port leaks no fd" `Quick
             test_busy_port_leaks_no_fd ] )
     ]

@@ -323,6 +323,168 @@ let pubsub_and_descriptor_replay ?shards ~joiners () =
 let test_pubsub_and_descriptor_replay () =
   pubsub_and_descriptor_replay ~joiners:1 ()
 
+(* two events from an x86-64 publisher decode on a SPARC subscriber *)
+let test_basic_pubsub () =
+  let h = Relay.start () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
+  let c = Relay.attach_consumer ~port ~stream:"flights" Abi.sparc_32 in
+  publish sender fmt 0;
+  publish sender fmt 1;
+  List.iter
+    (fun expect ->
+      match Relay.recv c with
+      | Some (f, v) ->
+        check Alcotest.string "format" "ASDOffEvent" f.Format.name;
+        check int "sequence" expect (seq_of v);
+        check bool "payload" true (Value.field v "org" = Some (Value.String "KATL"))
+      | None -> Alcotest.fail "stream ended")
+    [ 0; 1 ];
+  Relay.close_consumer c;
+  Relay.Client.close pub
+
+(* one event reaches every subscriber, each on its own ABI *)
+let test_fanout_many_subscribers () =
+  let h = Relay.start () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
+  let consumers =
+    List.init 5 (fun i ->
+        Relay.attach_consumer ~port ~stream:"flights"
+          (List.nth Abi.all (i mod List.length Abi.all)))
+  in
+  check int "subscriber count" 5
+    (List.assoc "stream.flights.subscribers" (Relay.Client.stats pub));
+  publish sender fmt 3;
+  List.iter
+    (fun c ->
+      match Relay.recv c with
+      | Some (_, v) -> check int "every subscriber got it" 3 (seq_of v)
+      | None -> Alcotest.fail "stream ended")
+    consumers;
+  List.iter Relay.close_consumer consumers;
+  Relay.Client.close pub
+
+(* a late joiner on every ABI decodes from the replayed descriptor *)
+let test_late_joiner_descriptor_replay () =
+  pubsub_and_descriptor_replay ~joiners:(List.length Abi.all) ()
+
+(* a subscriber that closes leaves the stream; the one that stays keeps
+   receiving *)
+let test_unsubscribe () =
+  let h = Relay.start () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
+  let gone = Relay.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
+  let stays, rx = timed_consumer ~port ~stream:"flights" Abi.x86_64 in
+  ignore (wait_stat_on pub "stream.flights.subscribers" 2);
+  Relay.close_consumer gone;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec left () =
+    let n = List.assoc "stream.flights.subscribers" (Relay.Client.stats pub) in
+    if n > 1 then
+      if Unix.gettimeofday () > deadline then
+        Alcotest.fail "the closed subscriber never left the stream"
+      else begin
+        Thread.delay 0.01;
+        left ()
+      end
+  in
+  left ();
+  publish sender fmt 5;
+  (match Endpoint.Receiver.recv_value rx with
+  | Some (_, v) -> check int "the remaining subscriber receives" 5 (seq_of v)
+  | None -> Alcotest.fail "stream ended");
+  check int "one subscriber left" 1
+    (List.assoc "stream.flights.subscribers" (Relay.Client.stats pub));
+  Relay.Client.close stays;
+  Relay.Client.close pub
+
+(* 3 streams, 18 subscribers on rotating ABIs, 200 interleaved
+   publishes: every subscriber gets exactly its stream's events, intact
+   and in order *)
+let test_stress_streams_x_subscribers () =
+  let h = Relay.start () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let rng = Omf_util.Prng.create ~seed:99L () in
+  let streams =
+    List.map
+      (fun name -> (name, make_publisher ~port ~stream:name))
+      [ "alpha"; "beta"; "gamma" ]
+  in
+  let consumers =
+    List.concat_map
+      (fun (name, _) ->
+        List.init 6 (fun i ->
+            let abi = List.nth Abi.all (i * 2 mod List.length Abi.all) in
+            (name, timed_consumer ~port ~stream:name abi)))
+      streams
+  in
+  let sent = Hashtbl.create 3 in
+  for seq = 0 to 199 do
+    let name, (_, sender, fmt) = List.nth streams (Omf_util.Prng.int rng 3) in
+    publish sender fmt seq;
+    Hashtbl.replace sent name
+      (seq :: Option.value ~default:[] (Hashtbl.find_opt sent name))
+  done;
+  List.iter
+    (fun (name, (client, rx)) ->
+      let expected =
+        List.rev (Option.value ~default:[] (Hashtbl.find_opt sent name))
+      in
+      let got =
+        List.map
+          (fun _ ->
+            match Endpoint.Receiver.recv_value rx with
+            | Some (_, v) ->
+              check bool "payload intact" true
+                (Value.field v "arln" = Some (Value.String "DELTA"));
+              seq_of v
+            | None -> Alcotest.fail "stream ended")
+          expected
+      in
+      check (Alcotest.list int) (name ^ " events") expected got;
+      Relay.Client.close client)
+    consumers;
+  List.iter (fun (_, (pub, _, _)) -> Relay.Client.close pub) streams
+
+(* display clients see every field; handheld gate devices see only the
+   flight number and route *)
+let test_credential_field_scoping () =
+  let h = Relay.start () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
+  Relay.set_scope h ~stream:"flights" (fun creds ->
+      match List.assoc_opt "role" creds with
+      | Some "display" | None -> None
+      | Some _ -> Some [ "fltNum"; "org"; "dest" ]);
+  let display =
+    Relay.attach_consumer ~port ~creds:[ ("role", "display") ]
+      ~stream:"flights" Abi.sparc_32
+  in
+  let handheld =
+    Relay.attach_consumer ~port ~creds:[ ("role", "handheld") ]
+      ~stream:"flights" Abi.arm_32
+  in
+  publish sender fmt 1771;
+  let _, full = Option.get (Relay.recv display) in
+  let _, scoped = Option.get (Relay.recv handheld) in
+  check bool "display sees cntrID" true (Value.field full "cntrID" <> None);
+  check bool "handheld does not see cntrID" true
+    (Value.field scoped "cntrID" = None);
+  check int "handheld sees fltNum" 1771 (seq_of scoped);
+  check bool "handheld sees dest" true
+    (Value.field scoped "dest" = Some (Value.String "KMCO"));
+  check bool "handheld sees org" true
+    (Value.field scoped "org" = Some (Value.String "KATL"));
+  List.iter Relay.close_consumer [ display; handheld ];
+  Relay.Client.close pub
+
 let scoped_credentials_over_tcp ?shards () =
   let h = Relay.start ?shards () in
   let port = Relay.port h in
@@ -1525,6 +1687,14 @@ let () =
     ; ( "pubsub",
         [ Alcotest.test_case "publish/subscribe + descriptor replay" `Quick
             test_pubsub_and_descriptor_replay
+        ; Alcotest.test_case "basic publish/subscribe" `Quick test_basic_pubsub
+        ; Alcotest.test_case "fan-out to many subscribers" `Quick
+            test_fanout_many_subscribers
+        ; Alcotest.test_case "late joiner descriptor replay" `Quick
+            test_late_joiner_descriptor_replay
+        ; Alcotest.test_case "unsubscribe" `Quick test_unsubscribe
+        ; Alcotest.test_case "stress: streams x subscribers" `Quick
+            test_stress_streams_x_subscribers
         ; Alcotest.test_case "credential scoping over TCP" `Quick
             test_scoped_credentials_over_tcp
         ; Alcotest.test_case "unknown stream / role errors" `Quick
@@ -1557,7 +1727,9 @@ let () =
         ; Alcotest.test_case "Block isolates streams, resumes on close" `Quick
             test_block_isolation_and_resume_on_close ] )
     ; ( "scoping",
-        [ Alcotest.test_case "empty slice denied" `Quick
+        [ Alcotest.test_case "credential-based field scoping" `Quick
+            test_credential_field_scoping
+        ; Alcotest.test_case "empty slice denied" `Quick
             test_scoping_denies_empty_slice ] )
     ; ( "evolution",
         [ Alcotest.test_case "run-time format upgrade" `Quick
