@@ -155,9 +155,7 @@ let store_fsync_arg =
         ~doc:
           "Durability policy: $(b,never) (page cache only), $(b,every=N) \
            (fsync once per N appends), or $(b,interval=SECS) (fsync on a \
-           timer; the default, interval=0.1). Acks follow the fsync, so \
-           a mirror link into this relay carries at most 8192 frames per \
-           interval.")
+           timer; the default, interval=0.1).")
 
 let store_segment_mb_arg =
   Arg.(
@@ -257,10 +255,10 @@ let mirror_compress_arg =
     value & flag
     & info [ "mirror-compress" ]
         ~doc:
-          "Offer $(b,comp=lz) wire compression on both legs of every \
-           replication link (doc/COMPRESS.md, PROTOCOLS.md §18). A peer \
-           that does not speak compression negotiates down to plain \
-           frames, so the flag is safe against old relays.")
+          "Offer $(b,comp=lz) wire compression on every replication \
+           link to the source (doc/COMPRESS.md, PROTOCOLS.md §18). A \
+           source that does not speak compression negotiates down to \
+           plain frames, so the flag is safe against old relays.")
 
 let governor_budget_arg =
   Arg.(
@@ -395,15 +393,11 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
         Option.map
           (fun (src_host, src_port, globs) ->
             let m =
-              Omf_mirror.Mirror.start
+              Omf_mirror.Mirror.start relay
                 (Omf_mirror.Mirror.config ~globs ~rescan_s:mirror_rescan
                    ~promote_on_loss:mirror_promote
-                   ~compress:mirror_compress ?trace
-                   ~source_host:src_host ~source_port:src_port
-                   ~local_host:host
-                   ~local_port:(Omf_relay.Relay.port relay)
-                   ~local_relay_id:(Omf_relay.Relay.relay_id relay)
-                   ())
+                   ~compress:mirror_compress ~source_host:src_host
+                   ~source_port:src_port ())
             in
             Printf.printf "relayd: mirroring %s:%d%s%s%s\n%!" src_host
               src_port
@@ -421,12 +415,7 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
            | None -> []
            | Some m -> [ ("mirror", Omf_mirror.Mirror.stats m) ])
       in
-      let all_spans () =
-        Omf_relay.Relay.trace_spans relay
-        @ (match mir with
-          | None -> []
-          | Some m -> Omf_mirror.Mirror.trace_spans m)
-      in
+      let all_spans () = Omf_relay.Relay.trace_spans relay in
       let trace_routes =
         if trace = None then []
         else
@@ -457,12 +446,22 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
             srv)
           metrics_port
       in
-      let stop _ = Omf_relay.Relay.request_shutdown relay in
+      (* the handler only wakes the main thread, which stops the mirror
+         before the relay: a drain closing replication links must not
+         look like a source outage *)
+      let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+      let stop _ = ignore (Unix.write_substring wake_w "!" 0 1) in
       Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
       Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      Omf_relay.Relay.wait relay;
+      let rec await () =
+        match Unix.read wake_r (Bytes.create 1) 0 1 with
+        | _ -> ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
+      in
+      await ();
       Option.iter Omf_mirror.Mirror.stop mir;
+      Omf_relay.Relay.stop relay;
       Option.iter Omf_httpd.Http.shutdown metrics;
       Printf.printf "relayd: final stats\n";
       List.iter

@@ -89,6 +89,16 @@ type replay = { r_store : Store.t; mutable r_next : int }
 
 type state = Running | Draining | Stopped
 
+(** A replication link hosted in the relay (see relay.mli). *)
+type replica = {
+  stream : string;
+  meta : (string * string) list;
+  schema : string;
+  trace : Trace.ctx option;
+  on_frame : [ `Message | `Descriptor ] -> unit;
+  on_close : local:bool -> unit;
+}
+
 type role =
   | Pending  (** control commands only, no stream attached yet *)
   | Publisher of {
@@ -96,10 +106,9 @@ type role =
       acks : bool;
           (** [acks=1] was requested at PUBLISH on a store-backed
               stream: send ['k' durable] frames as appends harden *)
-      mirror : bool;
-          (** a replication link ([mirror=1], PROTOCOLS.md §15):
-              admitted past the read-only gate on mirrored streams and
-              doomed when the stream is promoted out from under it *)
+      replica : replica option;
+          (** a replication link ({!adopt_replica}): the only writer a
+              mirrored stream admits; PROMOTE dooms it *)
       mutable skip_dup : int;
           (** store-backed resume: this many leading ['M'] frames are
               re-sends of offsets the store already holds ([tail -
@@ -217,6 +226,8 @@ and shared = {
   pins_mu : Mutex.t;
   pins : (string, int) Hashtbl.t;  (** stream -> owning shard id *)
   mutable peers : shard array;  (** every shard, indexed by shard id *)
+  call_mu : Mutex.t;
+  call_cv : Condition.t;  (** {!on_loop}: a result or a loop exit *)
 }
 
 and shard = {
@@ -282,6 +293,7 @@ and shard = {
   mutable state : state;
   mutable drain_timer : Reactor.timer option;
   mutable stop_flag : bool;  (** set by {!request_shutdown} *)
+  mutable exited : bool;  (** the loop returned; under [call_mu] *)
 }
 
 (** Every shard's counters summed, so a STATS reply from any shard
@@ -1017,6 +1029,92 @@ let scoped_schema (s : stream) (creds : (string * string) list) :
            ct.S.ct_name)
     | None -> Ok (Omf_xschema.Schema_write.to_string { schema with S.types }))
 
+(** ADVERTISE: arbitrate [meta] against the recorded tag (§15), check
+    the schema, host the stream and persist both, so a restarted relay
+    re-advertises it before any publisher returns. *)
+let advertise (t : shard) (name : string) (meta : (string * string) list)
+    (schema : string) : (stream, string) result =
+  let found = Hashtbl.find_opt t.streams name in
+  let current =
+    match found with Some s when s.advert <> [] -> Some s.advert | _ -> None
+  in
+  match Proto.gate_advert ~relay_id:t.relay_id ~current name meta with
+  | Error msg ->
+    Counters.incr t.counters "advert_refused";
+    Error msg
+  | Ok kvs -> (
+    match Omf_xschema.Schema.of_string schema with
+    | _ ->
+      let s =
+        match found with
+        | Some s ->
+          s.schema <- schema;
+          s
+        | None -> add_stream t name schema
+      in
+      Counters.incr t.counters "advertisements";
+      if meta <> [] then Counters.incr t.counters "advert_meta";
+      (match store_handle t s with
+      | None -> ()
+      | Some st -> Store.set_schema st schema
+      | exception Store.Store_error msg ->
+        Counters.incr t.counters "store_errors";
+        Log.err (fun m -> m "store %s: %s" name msg));
+      persist_advert t s kvs;
+      Ok s
+    | exception Omf_xschema.Schema.Schema_error m ->
+      Error (Printf.sprintf "advertise %s: %s" name m))
+
+(** A new publisher's trace context (doc/TRACE.md, PROTOCOLS.md §17).
+    Head sampling happens here, once per publisher: a [supplied]
+    context (a capture point or an upstream relay already decided) is
+    adopted verbatim; otherwise this relay draws the sampling decision.
+    The unsampled case still mints ids so the slow-span always-record
+    path has a trace to attribute to. [None] iff tracing is off. *)
+let publisher_trace (t : shard) (s : stream) (supplied : Trace.ctx option) =
+  match t.trace with
+  | None -> None
+  | Some col ->
+    let ctx =
+      match supplied with
+      | Some ctx -> ctx
+      | None -> Trace.make ~sampled:(Trace.sample col) ()
+    in
+    s.trace_ctx <- Some ctx;
+    Some ctx
+
+(** Add publisher [c] to [s]. It starts paused when the stream is
+    already congested, or while it may not be read at all. *)
+let join_publishers (t : shard) (s : stream) (c : conn) =
+  s.publishers <- c :: s.publishers;
+  if stream_congested t s || not (publisher_read_ok t c) then
+    Rconn.set_read_intent c.io false
+
+(** PROMOTE: take write ownership of [s] at a bumped epoch; the epoch
+    held afterwards. Idempotent on a stream already owned here. *)
+let promote (t : shard) (s : stream) : int =
+  let kvs = advert_info t s in
+  let origin, epoch = Proto.tag kvs ~relay_id:t.relay_id in
+  if String.equal origin t.relay_id then epoch
+  else begin
+    let epoch = epoch + 1 in
+    persist_advert t s (Proto.with_origin kvs ~origin:t.relay_id ~epoch);
+    Counters.incr t.counters "promotes";
+    (* any live replication link into this stream predates the
+       ownership change: doom it so its epoch check re-runs *)
+    List.iter
+      (fun pc ->
+        match pc.role with
+        | Publisher { replica = Some _; _ } ->
+          Rconn.doom pc.io "stream promoted"
+        | _ -> ())
+      s.publishers;
+    Log.info (fun m ->
+        m "stream %s promoted: now %s@%d (was %s)" s.name t.relay_id epoch
+          origin);
+    epoch
+  end
+
 (** Serve one decoded control request. {!dispatch} has already refused
     role conflicts and moved a command naming another shard's stream
     to that shard. *)
@@ -1032,40 +1130,10 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
   | Proto.Hello creds -> handle_hello t c creds
   | Proto.Stats -> reply_ok c (Proto.encode_stats (stats t))
   | Proto.Advertise { stream; meta; schema } -> (
-    let found = Hashtbl.find_opt t.streams stream in
-    let current =
-      match found with Some s when s.advert <> [] -> Some s.advert | _ -> None
-    in
-    match Proto.gate_advert ~relay_id:t.relay_id ~current stream meta with
-    | Error msg ->
-      Counters.incr t.counters "advert_refused";
-      reply_err t c msg
-    | Ok kvs -> (
-      (* validate the document before accepting it *)
-      match Omf_xschema.Schema.of_string schema with
-      | _ ->
-        let s =
-          match found with
-          | Some s ->
-            s.schema <- schema;
-            s
-          | None -> add_stream t stream schema
-        in
-        Counters.incr t.counters "advertisements";
-        if meta <> [] then Counters.incr t.counters "advert_meta";
-        (* persist the schema so a restarted relay can re-advertise
-           the stream before any publisher returns *)
-        (match store_handle t s with
-        | None -> ()
-        | Some st -> Store.set_schema st schema
-        | exception Store.Store_error msg ->
-          Counters.incr t.counters "store_errors";
-          Log.err (fun m -> m "store %s: %s" stream msg));
-        persist_advert t s kvs;
-        reply_ok c ""
-      | exception Omf_xschema.Schema.Schema_error m ->
-        reply_err t c (Printf.sprintf "advertise %s: %s" stream m)))
-  | Proto.Publish { stream; acks; mirror = tag; trace } ->
+    match advertise t stream meta schema with
+    | Ok _ -> reply_ok c ""
+    | Error msg -> reply_err t c msg)
+  | Proto.Publish { stream; acks; trace } ->
     if Governor.health t.governor = Governor.Overloaded then
       (* shed by class: new ingress is refused retryably while
          descriptor/control traffic (ADVERTISE, DESCRIBE, STATS, live
@@ -1073,48 +1141,19 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
       reply_busy t c "publish"
     else
       hosted "publish" stream @@ fun s ->
-      let origin, epoch = Proto.tag (advert_info t s) ~relay_id:t.relay_id in
-      let owned = String.equal origin t.relay_id in
-      let mirror = tag <> None in
-      (* The replication write gate (PROTOCOLS.md §15): a mirrored
-         stream takes appends only from a mirror link whose (origin,
-         epoch) tag matches the local record — a plain publisher is
-         told the stream is read-only, a mirror link that outlived a
-         promote (or looped back to the origin) is told to
-         re-handshake. *)
-      (match tag with
-      | None when not owned ->
+      let origin, _ = Proto.tag (advert_info t s) ~relay_id:t.relay_id in
+      if not (String.equal origin t.relay_id) then
+        (* the replication write gate (PROTOCOLS.md §15): a mirrored
+           stream takes appends only from its replication link *)
         reply_err t c (Proto.read_only "publish" stream origin)
-      | Some tag when owned || tag <> (origin, epoch) ->
-        Counters.incr t.counters "mirror_publish_refused";
-        reply_err t c (Proto.stale_mirror stream origin epoch)
-      | None | Some _ -> (
+      else (
         let become ~acks ~skip_dup ~acked reply_body =
-          (* Trace head sampling happens here, once per publisher: a
-             supplied [trace=] context (a capture point or an upstream
-             relay already decided) is adopted verbatim; otherwise this
-             relay draws the sampling decision. The unsampled case still
-             mints ids so the slow-span always-record path has a trace
-             to attribute to. *)
-          let ptrace =
-            match t.trace with
-            | None -> None
-            | Some col ->
-              let ctx =
-                match trace with
-                | Some ctx -> ctx
-                | None -> Trace.make ~sampled:(Trace.sample col) ()
-              in
-              s.trace_ctx <- Some ctx;
-              Some ctx
-          in
           c.role <-
-            Publisher { stream = s; acks; mirror; skip_dup; acked; ptrace };
-          s.publishers <- c :: s.publishers;
-          Counters.incr t.counters
-            (if mirror then "mirror_publishers" else "publishers");
-          (* joining a stream that is already congested: start paused *)
-          if stream_congested t s then Rconn.set_read_intent c.io false;
+            Publisher
+              { stream = s; acks; replica = None; skip_dup; acked
+              ; ptrace = publisher_trace t s trace };
+          join_publishers t s c;
+          Counters.incr t.counters "publishers";
           reply_ok c reply_body
         in
         match store_handle t s with
@@ -1129,18 +1168,15 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
              publisher racing a dead one's unsynced appends would have
              its first [tail - durable] frames mistaken for resends.)
              [skip_dup] stays as a guard should the two ever diverge
-             between the sync and the reply. A mirror link gets the same
-             exact handshake plus the tail — the offset it resumes
-             pumping source frames from. *)
-          if acks || mirror then ignore (Store.sync st);
+             between the sync and the reply. *)
+          if acks then ignore (Store.sync st);
           let durable = Store.durable st in
-          let skip_dup = if acks || mirror then Store.tail st - durable else 0 in
-          let tail = if mirror then Some (Store.tail st) else None in
+          let skip_dup = if acks then Store.tail st - durable else 0 in
           become ~acks ~skip_dup ~acked:durable
-            (Proto.encode_published (Some { Proto.durable; tail }))
+            (Proto.encode_published (Some durable))
         | exception Store.Store_error msg ->
           Counters.incr t.counters "store_errors";
-          reply_err t c (Printf.sprintf "publish %s: store: %s" stream msg)))
+          reply_err t c (Printf.sprintf "publish %s: store: %s" stream msg))
   | Proto.Subscribe { stream; from; meta } ->
     if
       Governor.health t.governor = Governor.Overloaded
@@ -1229,28 +1265,7 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
     | Error m -> reply_err t c (Proto.access_denied "describe" m))
   | Proto.Promote stream ->
     hosted "promote" stream @@ fun s ->
-    let kvs = advert_info t s in
-    let origin, epoch = Proto.tag kvs ~relay_id:t.relay_id in
-    if String.equal origin t.relay_id then
-      (* already owned here: idempotent, no epoch burn *)
-      reply_ok c (Proto.encode_epoch epoch)
-    else begin
-      let epoch = epoch + 1 in
-      persist_advert t s (Proto.with_origin kvs ~origin:t.relay_id ~epoch);
-      Counters.incr t.counters "promotes";
-      (* any live replication link into this stream predates the
-         ownership change: doom it so its epoch check re-runs *)
-      List.iter
-        (fun pc ->
-          match pc.role with
-          | Publisher p when p.mirror -> Rconn.doom pc.io "stream promoted"
-          | _ -> ())
-        s.publishers;
-      Log.info (fun m ->
-          m "stream %s promoted: now %s@%d (was %s)" stream t.relay_id epoch
-            origin);
-      reply_ok c (Proto.encode_epoch epoch)
-    end
+    reply_ok c (Proto.encode_epoch (promote t s))
 
 (** The still-roleless connection [c] names a stream pinned to another
     shard: it migrates there (fd, decoder backlog, write queue and MAC
@@ -1346,6 +1361,10 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
         end
         else begin
           let s = p.stream in
+          let fresh_descriptor =
+            p.replica <> None && (not is_message)
+            && not (List.exists (Bytes.equal frame) s.descriptors)
+          in
           let admit_us = Clock.now_us () in
           (* the message's trace context, if any: stage spans below are
              recorded against it (sampled, or slow enough to force) *)
@@ -1396,13 +1415,23 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
                 trace_span t ctx ~stage:"publish_admit" ~stream:s.name
                   ~t0_us:admit_us)
               trace
-          end
+          end;
+          match p.replica with
+          | Some r when Rconn.alive c.io ->
+            if is_message then r.on_frame `Message
+            else if fresh_descriptor then r.on_frame `Descriptor
+          | Some _ | None -> ()
         end
       | Pending -> protocol_reject t c "stream frame before PUBLISH"
       | Subscriber _ ->
         protocol_reject t c "subscriber connections are receive-only"
     else
       match c.role with
+      | Publisher { replica = Some _; _ } ->
+        (* a replication link carries the source's stream frames only:
+           anything else means it lost sync with the source *)
+        Counters.incr t.counters "frames_rejected";
+        Rconn.doom c.io "replica: control frame from the source"
       | Publisher _ | Pending -> (
         match Proto.decode_request frame with
         | Ok req -> dispatch t c req
@@ -1414,7 +1443,8 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
 
 (** Unseal an inbound frame on an authenticated connection. A frame
     that fails authentication is counted and skipped; once the reject
-    limit is reached the connection is doomed. [None] = drop frame. *)
+    limit is reached the connection is doomed — a replication link's at
+    once, as a skipped frame would gap the replica. [None] = drop frame. *)
 let unseal (t : shard) (c : conn) (frame : Bytes.t) : Bytes.t option =
   match c.mac with
   | None -> Some frame
@@ -1427,8 +1457,12 @@ let unseal (t : shard) (c : conn) (frame : Bytes.t) : Bytes.t option =
       Log.warn (fun m ->
           m "conn %d: rejected frame (%d/%d): %s" c.cid c.mac_rejects
             t.mac_reject_limit msg);
-      if c.mac_rejects >= t.mac_reject_limit then
-        Rconn.doom c.io "authentication failures";
+      (match c.role with
+      | Publisher { replica = Some _; _ } ->
+        Rconn.doom c.io "authentication failure"
+      | _ ->
+        if c.mac_rejects >= t.mac_reject_limit then
+          Rconn.doom c.io "authentication failures");
       None)
 
 (** Inflate an inbound frame on a [comp=lz] connection — after
@@ -1475,8 +1509,10 @@ let conn_closed (c : conn) (reason : string) =
   | Subscriber { stream = s; _ } ->
     s.subscribers <- List.filter (fun o -> o != c) s.subscribers;
     maybe_resume_stream t s
-  | Publisher { stream = s; _ } ->
-    s.publishers <- List.filter (fun o -> o != c) s.publishers
+  | Publisher { stream = s; replica; _ } ->
+    s.publishers <- List.filter (fun o -> o != c) s.publishers;
+    Option.iter (fun (r : replica) -> r.on_close ~local:(t.state <> Running))
+      replica
   | Pending -> ());
   if t.state = Draining then check_drain_done t;
   Log.debug (fun m -> m "conn %d closed (%s)" c.cid reason)
@@ -1508,6 +1544,56 @@ let conn_progress (c : conn) =
   | Some _ | None -> ());
   if t.state = Draining && Rconn.queued c.io = 0 then check_drain_done t
 
+(** A new connection of shard [t] on [fd], whose frame modes [mac] and
+    [comp] may already be negotiated (loop-thread only). *)
+let new_conn (t : shard) (fd : Unix.file_descr) ~mac ~comp : conn =
+  let cid = t.next_cid in
+  t.next_cid <- cid + t.cid_stride;
+  let cell = ref None in
+  let the_conn () = Option.get !cell in
+  let io =
+    Rconn.attach t.reactor fd
+      ~on_frame:(fun _ frame -> conn_frame (the_conn ()) frame)
+      ~on_close:(fun _ reason -> conn_closed (the_conn ()) reason)
+      ~on_progress:(fun _ -> conn_progress (the_conn ()))
+      ~on_decode_error:(fun _ msg ->
+        (* length-framing corruption is unrecoverable: count the
+           malformed-frame disconnect alongside MAC rejects *)
+        let c = the_conn () in
+        Counters.incr c.home.counters "frames_rejected";
+        Log.warn (fun m -> m "conn %d: %s" c.cid msg))
+      ~on_bytes:(fun _ dir n ->
+        let c = the_conn () in
+        match dir with
+        | `In -> Counters.incr c.home.counters ~by:n "bytes_in"
+        | `Out ->
+          Counters.incr c.home.counters ~by:n "bytes_out";
+          credit_conn c n;
+          (* first write after a traced enqueue: the [flush] span —
+             time from fan-out to bytes reaching the socket *)
+          (match c.trace_mark with
+          | Some tm when not tm.tm_flushed ->
+            tm.tm_flushed <- true;
+            trace_mark_span c.home tm ~stage:"flush"
+          | Some _ | None -> ()))
+      ()
+  in
+  let bucket =
+    match t.ingress with
+    | Some (rate, burst) ->
+      Some (Token_bucket.create ~rate ~burst ~now:(Reactor.now ()))
+    | None -> None
+  in
+  let c =
+    { cid; io; creds = []; greeted = false; role = Pending; over_since = None
+    ; grace_timer = None; congesting = false; mac; mac_rejects = 0; comp
+    ; gov_debited = 0; throttled = false; bucket; trace_mark = None; home = t }
+  in
+  cell := Some c;
+  Hashtbl.replace t.conns cid c;
+  Counters.incr t.counters "connections";
+  c
+
 (** Wire an accepted socket into shard [t] (loop-thread only; the
     acceptor reaches this through {!Reactor.inject}). *)
 let adopt_fd (t : shard) (fd : Unix.file_descr) =
@@ -1521,53 +1607,8 @@ let adopt_fd (t : shard) (fd : Unix.file_descr) =
       try Unix.setsockopt_int fd Unix.SO_SNDBUF n
       with Unix.Unix_error _ -> ())
     | None -> ());
-    let cid = t.next_cid in
-    t.next_cid <- cid + t.cid_stride;
-    let cell = ref None in
-    let the_conn () = Option.get !cell in
-    let io =
-      Rconn.attach t.reactor fd
-        ~on_frame:(fun _ frame -> conn_frame (the_conn ()) frame)
-        ~on_close:(fun _ reason -> conn_closed (the_conn ()) reason)
-        ~on_progress:(fun _ -> conn_progress (the_conn ()))
-        ~on_decode_error:(fun _ msg ->
-          (* length-framing corruption is unrecoverable: count the
-             malformed-frame disconnect alongside MAC rejects *)
-          let c = the_conn () in
-          Counters.incr c.home.counters "frames_rejected";
-          Log.warn (fun m -> m "conn %d: %s" c.cid msg))
-        ~on_bytes:(fun _ dir n ->
-          let c = the_conn () in
-          match dir with
-          | `In -> Counters.incr c.home.counters ~by:n "bytes_in"
-          | `Out ->
-            Counters.incr c.home.counters ~by:n "bytes_out";
-            credit_conn c n;
-            (* first write after a traced enqueue: the [flush] span —
-               time from fan-out to bytes reaching the socket *)
-            (match c.trace_mark with
-            | Some tm when not tm.tm_flushed ->
-              tm.tm_flushed <- true;
-              trace_mark_span c.home tm ~stage:"flush"
-            | Some _ | None -> ()))
-        ()
-    in
-    let bucket =
-      match t.ingress with
-      | Some (rate, burst) ->
-        Some (Token_bucket.create ~rate ~burst ~now:(Reactor.now ()))
-      | None -> None
-    in
-    let c =
-      { cid; io; creds = []; greeted = false; role = Pending; over_since = None
-      ; grace_timer = None; congesting = false; mac = None; mac_rejects = 0
-      ; comp = false; gov_debited = 0; throttled = false; bucket
-      ; trace_mark = None; home = t }
-    in
-    cell := Some c;
-    Hashtbl.replace t.conns cid c;
-    Counters.incr t.counters "connections";
-    Log.debug (fun m -> m "conn %d accepted (shard %d)" cid t.shard_id)
+    let c = new_conn t fd ~mac:None ~comp:false in
+    Log.debug (fun m -> m "conn %d accepted (shard %d)" c.cid t.shard_id)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1670,6 +1711,9 @@ let run_loop (t : shard) : unit =
   Reactor.set_on_tick t.reactor (fun () ->
       if t.stop_flag && t.state = Running then begin_drain t);
   Reactor.run t.reactor;
+  Mutex.protect t.shared.call_mu (fun () ->
+      t.exited <- true;
+      Condition.broadcast t.shared.call_cv);
   Reactor.dispose t.reactor
 
 (** The acceptor: deal accepted sockets out to the shards round-robin,
@@ -1723,7 +1767,7 @@ type t = {
   shared : shared;  (** the pins table and every shard *)
   acceptor : Thread.t;
   domains : unit Domain.t array;
-  mutable stopped : bool;  (** {!request_shutdown} was called *)
+  stopped : bool Atomic.t;  (** {!request_shutdown} was called *)
   mutable joined : bool;
 }
 
@@ -1735,7 +1779,8 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
   let lsock, bound_port = Reactor.listener ~host ~port () in
   let relay_id = resolve_relay_id ?relay_id store in
   let shared =
-    { pins_mu = Mutex.create (); pins = Hashtbl.create 32; peers = [||] }
+    { pins_mu = Mutex.create (); pins = Hashtbl.create 32; peers = [||]
+    ; call_mu = Mutex.create (); call_cv = Condition.create () }
   in
   let make_shard shard_id =
     let gov = Governor.create governor in
@@ -1755,7 +1800,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
       ; comp_scratch = Compress.scratch ()
       ; ack_flush_scheduled = false; store_timer = None; gauge_timer = None
       ; next_cid = shard_id + 1; state = Running
-      ; drain_timer = None; stop_flag = false }
+      ; drain_timer = None; stop_flag = false; exited = false }
     in
     Governor.on_transition gov (fun prev next ->
         on_governor_transition t prev next);
@@ -1791,8 +1836,8 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
           Printf.sprintf ", store %s fsync %s" cfg.Store.root
             (Store.fsync_policy_to_string cfg.Store.fsync)
         | None -> ""));
-  { lsock; port = bound_port; shared; acceptor; domains; stopped = false
-  ; joined = false }
+  { lsock; port = bound_port; shared; acceptor; domains
+  ; stopped = Atomic.make false; joined = false }
 
 let port (r : t) = r.port
 let shard_count (r : t) = Array.length r.shared.peers
@@ -1808,33 +1853,48 @@ let stats (r : t) : (string * int) list = counter_snapshot r.shared
 let governor_used (r : t) : int =
   Array.fold_left (fun acc s -> acc + Governor.used s.governor) 0 r.shared.peers
 
-(** Install a scope policy on the shard hosting [stream], on that
-    shard's own loop (stream records are loop-thread only), and wait
-    until it is in place. *)
-let set_scope (r : t) ~(stream : string) (policy : scope_policy) : unit =
-  if r.stopped then invalid_arg "Relay.set_scope: relay is shutting down";
+(** Run [f] on [sh]'s loop (stream records are loop-thread only) and
+    wait for its result; [None] if the loop exited without running it. *)
+let on_loop (sh : shard) (f : unit -> 'a) : 'a option =
+  let x = sh.shared in
+  let result = ref None in
+  Mutex.protect x.call_mu (fun () ->
+      if not sh.exited then
+        (* injected under [call_mu]: the loop cannot exit and close its
+           wake pipe in between *)
+        Reactor.inject sh.reactor (fun () ->
+            (* an exception must not escape into the loop *)
+            let v = try Ok (f ()) with e -> Error e in
+            Mutex.protect x.call_mu (fun () ->
+                result := Some v;
+                Condition.broadcast x.call_cv));
+      while Option.is_none !result && not sh.exited do
+        Condition.wait x.call_cv x.call_mu
+      done);
+  Option.map (function Ok v -> v | Error e -> raise e) !result
+
+let stopping (r : t) = Atomic.get r.stopped
+
+(** [f] on the loop of the shard hosting [stream], with its record. *)
+let on_stream (r : t) (stream : string) (f : shard -> stream -> 'a) :
+    ('a, string) result =
   let owner = stream_owner r.shared.peers.(0) stream in
-  let mu = Mutex.create () and cv = Condition.create () in
-  let hosted = ref None in
-  Reactor.inject owner.reactor (fun () ->
-      let found =
-        match Hashtbl.find_opt owner.streams stream with
-        | Some s ->
-          s.scope <- policy;
-          true
-        | None -> false
-      in
-      Mutex.lock mu;
-      hosted := Some found;
-      Condition.signal cv;
-      Mutex.unlock mu);
-  Mutex.lock mu;
-  while Option.is_none !hosted do
-    Condition.wait cv mu
-  done;
-  Mutex.unlock mu;
-  if !hosted = Some false then
-    invalid_arg ("Relay.set_scope: no shard hosts stream " ^ stream)
+  if stopping r then Error "relay is shutting down"
+  else
+    match
+      on_loop owner (fun () ->
+          Option.map (f owner) (Hashtbl.find_opt owner.streams stream))
+    with
+    | Some (Some v) -> Ok v
+    | Some None -> Error ("no shard hosts stream " ^ stream)
+    | None -> Error "relay is shutting down"
+
+(** Install a scope policy on the shard hosting [stream], on that
+    shard's own loop, and wait until it is in place. *)
+let set_scope (r : t) ~(stream : string) (policy : scope_policy) : unit =
+  match on_stream r stream (fun _ s -> s.scope <- policy) with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Relay.set_scope: " ^ msg)
 
 (** Every shard's recorded trace spans, merged and time-ordered. Safe
     from any thread. *)
@@ -1848,7 +1908,7 @@ let trace_spans (r : t) : Trace.span list =
     drain. Each shard only gets a flag and a wake-pipe byte (its loop's
     per-iteration tick polls the flag — no mutex on this path). *)
 let request_shutdown (r : t) =
-  r.stopped <- true;
+  Atomic.set r.stopped true;
   (try Unix.shutdown r.lsock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   Array.iter
     (fun s ->
@@ -1891,7 +1951,14 @@ module Client = struct
   (** Bytes through the compression wrapper, both directions: frame
       bodies before compression vs blocks on the wire. *)
 
-  type t = { link : Link.t; comp : comp_totals option }
+  type t = {
+    link : Link.t;
+    comp : comp_totals option;
+    fd : Unix.file_descr;
+    mac : Macframe.state option;
+        (** the link's frame modes, kept so the relay can adopt the
+            socket mid-stream ({!adopt_replica}) *)
+  }
 
   (* The client-side twin of the relay's negotiated frame mode: blocks
      out, inflated frames in. Stacked OUTSIDE {!Macframe.wrap} so the
@@ -1978,10 +2045,11 @@ module Client = struct
       path. *)
   let connect ?(host = "127.0.0.1") ~port ?(creds = []) ?auth
       ?(compress = false) ?connect_timeout_s ?io_timeout_s () : t =
-    let link =
-      try Tcp.connect ~host ~port ?connect_timeout_s ?io_timeout_s ()
+    let fd =
+      try Tcp.dial ~host ~port ?connect_timeout_s ()
       with e -> reraise (Printf.sprintf "relay connect %s:%d" host port) e
     in
+    let link = Tcp.link_of_fd ?io_timeout_s fd in
     try
       let hello_creds =
         (if compress then [ ("comp", "lz") ] else [])
@@ -1993,21 +2061,20 @@ module Client = struct
       in
       let granted =
         Proto.decode_banner
-          (call { link; comp = None } (Proto.Hello hello_creds))
+          (call { link; comp = None; fd; mac = None } (Proto.Hello hello_creds))
       in
       (* the relay must have granted the auth mode we asked for *)
       if auth <> None && not granted.Proto.mac then
         raise (Error "relay did not negotiate authenticated framing");
+      let mac = Option.map (fun (_, key) -> Macframe.state ~key) auth in
       let link =
-        match auth with
-        | None -> link
-        | Some (_, key) -> Macframe.wrap (Macframe.state ~key) link
+        match mac with None -> link | Some st -> Macframe.wrap st link
       in
       if compress && granted.Proto.comp then begin
         let totals = { raw_bytes = 0; wire_bytes = 0 } in
-        { link = compress_wrap totals link; comp = Some totals }
+        { link = compress_wrap totals link; comp = Some totals; fd; mac }
       end
-      else { link; comp = None }
+      else { link; comp = None; fd; mac }
     with e ->
       (* no fd leak on handshake failure *)
       (try Link.close link with _ -> ());
@@ -2024,8 +2091,7 @@ module Client = struct
 
   (** [advertise t ~stream ~schema] declares the stream. [?meta] lines
       ride along: a registry binding (PROTOCOLS.md §14) that [meta=1]
-      subscribers get back, or — from a mirror — the source's metadata
-      verbatim, [origin]/[epoch] tag included (§15). *)
+      subscribers get back, or an [origin]/[epoch] tag (§15). *)
   let advertise ?(meta = []) (t : t) ~(stream : string) ~(schema : string) :
       unit =
     ignore (call t (Proto.Advertise { stream; meta; schema }))
@@ -2033,11 +2099,10 @@ module Client = struct
   let stats (t : t) : (string * int) list =
     Proto.decode_stats (call t Proto.Stats)
 
-  (* plain, acked and mirror PUBLISH: the typed watermark reply *)
-  let publish_with ?trace ?mirror ~acks (t : t) stream =
+  (* plain and acked PUBLISH: the typed watermark reply *)
+  let publish_with ?trace ~acks (t : t) stream =
     decoded
-      (Proto.decode_published
-         (call t (Proto.Publish { stream; acks; mirror; trace })))
+      (Proto.decode_published (call t (Proto.Publish { stream; acks; trace })))
 
   (** [publish t ~stream] switches the connection into publisher mode
       and returns the raw link: drive it with
@@ -2076,8 +2141,7 @@ module Client = struct
       this link whenever the watermark advances. [None] means the relay
       is memory-only and will never ack. *)
   let publish_acked ?trace (t : t) ~(stream : string) : int option * Link.t =
-    let w = publish_with ?trace ~acks:true t stream in
-    (Option.map (fun w -> w.Proto.durable) w, t.link)
+    (publish_with ?trace ~acks:true t stream, t.link)
 
   (** [subscribe_from t ~stream ~from] subscribes with stored replay
       (PROTOCOLS.md §13): delivery starts at offset [from] (clamped up
@@ -2115,6 +2179,87 @@ module Client = struct
 
   let close (t : t) = try Link.close t.link with _ -> ()
 end
+
+(* ------------------------------------------------------------------ *)
+(* Replication links, in process (doc/MIRROR.md)                        *)
+(* ------------------------------------------------------------------ *)
+
+(** The §15 write gate: [s] is not owned here, and its recorded tag is
+    the source's. *)
+let replica_gate (t : shard) (s : stream) (r : replica) :
+    (unit, string) result =
+  let origin, epoch = Proto.tag (advert_info t s) ~relay_id:t.relay_id in
+  if
+    String.equal origin t.relay_id
+    || (origin, epoch) <> Proto.tag r.meta ~relay_id:""
+  then begin
+    Counters.incr t.counters "mirror_publish_refused";
+    Error (Proto.stale_mirror s.name origin epoch)
+  end
+  else Ok ()
+
+let claim_replica (r : t) (rep : replica) : (int, string) result =
+  (* an unpinned stream goes where store recovery would pin it *)
+  let n = Array.length r.shared.peers in
+  let home = r.shared.peers.(Hashtbl.hash rep.stream mod n) in
+  let owner = stream_owner ~claim:true home rep.stream in
+  let claim () =
+    let result =
+      Result.bind (advertise owner rep.stream rep.meta rep.schema) (fun s ->
+          Result.map
+            (fun () ->
+              (* where the next replicated frame lands *)
+              Option.fold ~none:(-1) ~some:Store.tail (store_handle owner s))
+            (replica_gate owner s rep))
+    in
+    release_pin owner rep.stream;
+    result
+  in
+  Option.value (on_loop owner claim) ~default:(Error "relay is shutting down")
+
+let adopt_replica (r : t) (rep : replica) (client : Client.t) :
+    (unit, string) result =
+  let adopt (t : shard) (s : stream) =
+    (if t.state <> Running then Error "relay is shutting down"
+     else (* a PROMOTE may have run since the claim *)
+       replica_gate t s rep)
+    |> Result.map @@ fun () ->
+    let c =
+      new_conn t client.Client.fd ~mac:client.Client.mac
+        ~comp:(client.Client.comp <> None)
+    in
+    c.greeted <- true;
+    if c.mac <> None then Counters.incr t.counters "auth_sessions";
+    if c.comp then Counters.incr t.counters "comp_sessions";
+    c.role <-
+      Publisher
+        { stream = s; acks = false; replica = Some rep; skip_dup = 0; acked = 0
+        ; ptrace = publisher_trace t s rep.trace };
+    join_publishers t s c;
+    Counters.incr t.counters "mirror_publishers"
+  in
+  let adopted = Result.join (on_stream r rep.stream adopt) in
+  if Result.is_error adopted then Client.close client;
+  adopted
+
+let unlink_replica (r : t) (rep : replica) : unit =
+  ignore @@ on_stream r rep.stream
+  @@ fun _ s ->
+  List.iter
+    (fun c ->
+      match c.role with
+      | Publisher { replica = Some x; _ } when x == rep ->
+        Rconn.doom c.io "replication link stopped"
+      | _ -> ())
+    s.publishers
+
+let promote_stream (r : t) ~(stream : string) : (int, string) result =
+  on_stream r stream promote
+
+let store_tail (r : t) ~(stream : string) : int option =
+  match on_stream r stream (fun _ s -> Option.map Store.tail s.store) with
+  | Ok tail -> tail
+  | Error _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* A fully wired remote consumer                                       *)
@@ -2300,7 +2445,6 @@ module Session = struct
   type subscriber = {
     s_cfg : config;
     s_stream : string;
-    s_catalog : Catalog.t;
     s_pbio : Pbio.Receiver.t;
     s_seen : (string, unit) Hashtbl.t;
         (** digests of descriptor blobs already learned — replayed
@@ -2308,14 +2452,10 @@ module Session = struct
     s_rng : Prng.t;
     mutable s_client : Client.t option;
     mutable s_link : Link.t option;
-    mutable s_schema : string;
     mutable s_next : int;
         (** store offset of the next expected message frame; [-1] when
             the relay does not track offsets (memory-only) *)
     mutable s_reconnects : int;
-    mutable s_busy_waits : int;
-        (** [busy]-triggered backoff sleeps — overload slowdowns, not
-            outages; reconnect counters stay untouched *)
     mutable s_trace : Trace.ctx option;
         (** the stream's trace context as served by DESCRIBE at
             subscribe time ([want_trace] only) *)
@@ -2337,17 +2477,17 @@ module Session = struct
       with_busy_backoff s.s_cfg s.s_rng
         ~closed:(fun () -> s.s_closed)
         ~what:(Printf.sprintf "subscriber %s" s.s_stream)
-        ~on_busy:(fun () -> s.s_busy_waits <- s.s_busy_waits + 1)
+        ~on_busy:ignore
         (fun () ->
           Client.subscribe_from client ~stream:s.s_stream ~from:s.s_next)
     in
     s.s_client <- Some client;
     s.s_link <- Some link;
-    s.s_schema <- schema;
     (* a clamped offset (> the request) means retention outran this
        subscriber during an outage: the gap is unrecoverable and
        delivery resumes at the oldest retained event *)
-    s.s_next <- Option.value offset ~default:(-1)
+    s.s_next <- Option.value offset ~default:(-1);
+    schema
 
   (* the first connection raises at once; the relay's [skip_until]
      filter makes a [from=] resubscribe duplicate-free *)
@@ -2355,34 +2495,36 @@ module Session = struct
       ~(stream : string) (abi : Omf_machine.Abi.t) : subscriber =
     let catalog = Catalog.create abi in
     let s =
-      { s_cfg = cfg; s_stream = stream; s_catalog = catalog
+      { s_cfg = cfg; s_stream = stream
       ; s_pbio =
           Pbio.Receiver.create
             (Catalog.registry catalog)
             (Omf_machine.Memory.create abi)
       ; s_seen = Hashtbl.create 8
       ; s_rng = Prng.create ~seed:cfg.jitter_seed ()
-      ; s_client = None; s_link = None; s_schema = ""; s_next = from
-      ; s_reconnects = 0; s_busy_waits = 0; s_trace = None; s_closed = false }
+      ; s_client = None; s_link = None; s_next = from
+      ; s_reconnects = 0; s_trace = None; s_closed = false }
     in
     let client = connect_client cfg in
-    (try
-       (* [want_trace]: learn the stream's trace context (PROTOCOLS.md
-          §17) with a DESCRIBE on the still-roleless connection, before
-          SUBSCRIBE pins it receive-only. Best-effort — a relay without
-          tracing simply serves no [trace=] line. *)
-       if want_trace then
-         s.s_trace <-
-           (match Client.describe client ~stream with
-           | meta, _ -> fst (Proto.split_trace meta)
-           | exception _ -> None);
-       attach s client
-     with e ->
-       Client.close client;
-       raise e);
+    let schema =
+      try
+        (* [want_trace]: learn the stream's trace context (PROTOCOLS.md
+           §17) with a DESCRIBE on the still-roleless connection, before
+           SUBSCRIBE pins it receive-only. Best-effort — a relay without
+           tracing simply serves no [trace=] line. *)
+        if want_trace then
+          s.s_trace <-
+            (match Client.describe client ~stream with
+            | meta, _ -> fst (Proto.split_trace meta)
+            | exception _ -> None);
+        attach s client
+      with e ->
+        Client.close client;
+        raise e
+    in
     ignore
       (Omf_xml2wire.Xml2wire.register_schema ~source:("relay:" ^ stream)
-         catalog s.s_schema);
+         catalog schema);
     s
 
   let resubscribe (s : subscriber) : unit =
@@ -2390,19 +2532,19 @@ module Session = struct
       ~closed:(fun () -> s.s_closed)
       ~what:(Printf.sprintf "subscriber %s" s.s_stream)
       (fun client ->
-        attach s client;
+        ignore (attach s client);
         s.s_reconnects <- s.s_reconnects + 1;
         Log.info (fun m ->
             m "subscriber %s: resubscribed from offset %d (reconnect %d)"
               s.s_stream s.s_next s.s_reconnects))
 
-  let rec recv_subscriber_raw (s : subscriber) : (Format.t * Bytes.t) option =
+  let rec recv_subscriber (s : subscriber) : (Format.t * Value.t) option =
     if s.s_closed then None
     else
       match s.s_link with
       | None -> (
         match resubscribe s with
-        | () -> recv_subscriber_raw s
+        | () -> recv_subscriber s
         | exception Closed -> None)
       | Some link -> (
         match Link.recv link with
@@ -2415,46 +2557,32 @@ module Session = struct
             Hashtbl.replace s.s_seen digest ();
             ignore (Pbio.Receiver.learn s.s_pbio blob)
           end;
-          recv_subscriber_raw s
+          recv_subscriber s
         | Some frame
           when Bytes.length frame > 0
                && Char.equal (Bytes.get frame 0) Endpoint.frame_message ->
           if s.s_next >= 0 then s.s_next <- s.s_next + 1;
-          let msg = Bytes.sub frame 1 (Bytes.length frame - 1) in
-          let id = Omf_pbio.Wire.format_id msg in
-          (match Pbio.Receiver.wire_format s.s_pbio id with
-          | Some fmt -> Some (fmt, msg)
-          | None ->
-            raise
-              (Pbio.Unknown_format
-                 (Printf.sprintf "peer format id %d (no descriptor seen)" id)))
+          Some
+            (Pbio.Receiver.receive_value s.s_pbio
+               (Bytes.sub frame 1 (Bytes.length frame - 1)))
         | Some _ | None ->
           (* graceful close or garbage: either way, this link is done *)
           if s.s_closed then None
           else begin
             drop_subscriber_link s;
-            recv_subscriber_raw s
+            recv_subscriber s
           end
         | exception e ->
           if s.s_closed then None
           else if Client.transient e then begin
             drop_subscriber_link s;
-            recv_subscriber_raw s
+            recv_subscriber s
           end
           else raise e)
 
-  let recv_subscriber (s : subscriber) : (Format.t * Value.t) option =
-    Option.map
-      (fun (_, msg) -> Pbio.Receiver.receive_value s.s_pbio msg)
-      (recv_subscriber_raw s)
 
-  let subscriber_schema (s : subscriber) = s.s_schema
-
-  let subscriber_offset (s : subscriber) = s.s_next
   let subscriber_reconnects (s : subscriber) = s.s_reconnects
-  let subscriber_busy_waits (s : subscriber) = s.s_busy_waits
   let subscriber_trace (s : subscriber) = s.s_trace
-  let subscriber_catalog (s : subscriber) = s.s_catalog
 
   let subscriber_stats (s : subscriber) : Pbio.Receiver.stats =
     Pbio.Receiver.stats s.s_pbio
@@ -2475,9 +2603,6 @@ module Session = struct
     b_cfg : config;
     b_stream : string;
     b_schema : string;
-    b_meta : (string * string) list;  (** ADVERTISE metadata *)
-    b_mirror : (string * int) option;
-        (** [(origin, epoch)]: PUBLISH as a replication link (§15) *)
     b_trace : Trace.ctx option;
         (** trace context re-attached to every PUBLISH, including the
             replayed one after a reconnect (PROTOCOLS.md §17) *)
@@ -2491,11 +2616,8 @@ module Session = struct
         (** ack mode: frames written but not yet acknowledged durable —
             they stay here until the relay's ['k'] ack covers them, so
             a relay crash loses nothing *)
-    b_announced : (int, Format.t) Hashtbl.t;
-        (** the format announced under each id on the {e current}
-            connection: a different format reusing an id (a restarted
-            upstream publisher, forwarded by a mirror) is announced
-            again *)
+    b_announced : (int, unit) Hashtbl.t;
+        (** format ids announced on the {e current} connection *)
     mutable b_ack_mode : bool;
         (** publishing with [acks=1] against a store-backed relay *)
     mutable b_durable : int;  (** relay's durable watermark (ack mode) *)
@@ -2546,14 +2668,13 @@ module Session = struct
       p.b_next_seq <- !i
 
   (** The per-connection handshake, run on the first connection and
-      replayed on every reconnect: ADVERTISE (with [b_meta]), then
-      PUBLISH ([acks=1] in ack mode, the [b_mirror] tag and [b_trace]
-      context when set). ADVERTISE is control traffic and always
-      admitted; PUBLISH may be shed under overload — waited out on this
-      connection. Per-connection descriptor announcements are
-      forgotten. *)
+      replayed on every reconnect: ADVERTISE, then
+      PUBLISH ([acks=1] in ack mode, the [b_trace] context when set).
+      ADVERTISE is control traffic and always admitted; PUBLISH may be
+      shed under overload — waited out on this connection.
+      Per-connection descriptor announcements are forgotten. *)
   let handshake (p : publisher) (client : Client.t) =
-    Client.advertise client ~meta:p.b_meta ~stream:p.b_stream
+    Client.advertise client ~stream:p.b_stream
       ~schema:p.b_schema;
     let w =
       with_busy_backoff p.b_cfg p.b_rng
@@ -2561,20 +2682,20 @@ module Session = struct
         ~what:(Printf.sprintf "publisher %s" p.b_stream)
         ~on_busy:(fun () -> p.b_busy_waits <- p.b_busy_waits + 1)
         (fun () ->
-          Client.publish_with ?trace:p.b_trace ?mirror:p.b_mirror
-            ~acks:p.b_ack_mode client p.b_stream)
+          Client.publish_with ?trace:p.b_trace ~acks:p.b_ack_mode client
+            p.b_stream)
     in
     p.b_client <- Some client;
     p.b_link <- Some client.Client.link;
     Hashtbl.reset p.b_announced;
-    if p.b_ack_mode then resync_acked p (Option.map (fun w -> w.Proto.durable) w)
+    if p.b_ack_mode then resync_acked p w
 
-  let publisher ?(window = 1024) ?(acked = false) ?trace ?(meta = []) ?mirror
-      (cfg : config) ~(stream : string) ~(schema : string)
-      (abi : Omf_machine.Abi.t) : publisher =
+  let publisher ?(window = 1024) ?(acked = false) ?trace (cfg : config)
+      ~(stream : string) ~(schema : string) (abi : Omf_machine.Abi.t) :
+      publisher =
     let p =
-      { b_cfg = cfg; b_stream = stream; b_schema = schema; b_meta = meta
-      ; b_mirror = mirror; b_trace = trace; b_window = window
+      { b_cfg = cfg; b_stream = stream; b_schema = schema
+      ; b_trace = trace; b_window = window
       ; b_catalog = Catalog.create abi; b_mem = Omf_machine.Memory.create abi
       ; b_rng = Prng.create ~seed:cfg.jitter_seed ()
       ; b_buf = Queue.create (); b_inflight = Queue.create ()
@@ -2609,13 +2730,12 @@ module Session = struct
     p.b_link <- None
 
   let announce_format (p : publisher) link (fmt : Format.t) =
-    match Hashtbl.find_opt p.b_announced fmt.Format.id with
-    | Some f when f == fmt -> ()
-    | _ ->
+    if not (Hashtbl.mem p.b_announced fmt.Format.id) then begin
       Link.send link
         (Endpoint.frame Endpoint.frame_descriptor
            (Bytes.of_string (Omf_pbio.Format_codec.encode fmt)));
-      Hashtbl.replace p.b_announced fmt.Format.id fmt
+      Hashtbl.replace p.b_announced fmt.Format.id ()
+    end
 
   (** Write buffered frames to the live link, announcing each format's
       descriptor first if this connection has not seen it. Ack mode
@@ -2713,7 +2833,9 @@ module Session = struct
       if p.b_ack_mode && not (until ()) then ignore (drain_ack p)
     done
 
-  let publish_frame (p : publisher) (fmt : Format.t) (msg : Bytes.t) : unit =
+  let publish_value (p : publisher) (fmt : Format.t) (v : Value.t) : unit =
+    Omf_machine.Memory.reset p.b_mem;
+    let msg = Pbio.message p.b_mem fmt (Omf_pbio.Native.store p.b_mem fmt v) in
     Mutex.protect p.b_mu @@ fun () ->
     if p.b_closed then raise (Client.Error "publisher session closed");
     if publisher_buffered p >= p.b_window then begin
@@ -2735,11 +2857,6 @@ module Session = struct
       p.b_buf;
     if not (try_flush p) then
       if reconnect_publisher p then ignore (try_flush p)
-
-  let publish_value (p : publisher) (fmt : Format.t) (v : Value.t) : unit =
-    Omf_machine.Memory.reset p.b_mem;
-    let addr = Omf_pbio.Native.store p.b_mem fmt v in
-    publish_frame p fmt (Pbio.message p.b_mem fmt addr)
 
   let flush_acked (p : publisher) : unit =
     Mutex.protect p.b_mu @@ fun () ->

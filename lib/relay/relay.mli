@@ -20,9 +20,10 @@
 
     Replication (PROTOCOLS.md §15): every advertised stream carries an
     [origin=relay-id]/[epoch=N] metadata tag. A stream whose origin is
-    not the local relay is {e read-only} — only a mirror link
-    ([mirror=1] PUBLISH with the matching tag, see {!Omf_mirror}) may
-    append — until PROMOTE takes ownership with a bumped epoch. *)
+    not the local relay is {e read-only} — only a replication link
+    hosted in the relay with the matching tag ({!adopt_replica}, driven
+    by {!Omf_mirror}) may append — until PROMOTE takes ownership with a
+    bumped epoch. *)
 
 (** What happens to a subscriber whose bounded outbound queue is full:
 
@@ -160,6 +161,9 @@ val governor_used : t -> int
     invariant, exactly the unwritten bytes across every connection's
     write queue (slice-length accounting; 0 when fully drained). Test
     hook for the debit/credit symmetry guarantee (doc/OVERLOAD.md). *)
+
+val stopping : t -> bool
+(** Has {!request_shutdown} been called? *)
 
 val set_scope : t -> stream:string -> scope_policy -> unit
 (** Install a credential scope policy on the shard hosting [stream],
@@ -313,6 +317,47 @@ module Client : sig
   val close : t -> unit
 end
 
+(** {2 Replication links}
+
+    What {!Omf_mirror} drives (doc/MIRROR.md, PROTOCOLS.md §15). Each
+    call runs on the loop of the shard hosting the stream and waits for
+    it; each answers ["relay is shutting down"] after
+    {!request_shutdown}. *)
+
+type replica = {
+  stream : string;
+  meta : (string * string) list;
+      (** the source's DESCRIBE metadata, [trace=] stripped *)
+  schema : string;
+  trace : Trace.ctx option;  (** adopted when the shard traces *)
+  on_frame : [ `Message | `Descriptor ] -> unit;
+      (** a message frame replicated, or a descriptor new to the stream *)
+  on_close : local:bool -> unit;
+      (** the link closed; [~local:true] for the shard's own shutdown *)
+}
+
+val claim_replica : t -> replica -> (int, string) result
+(** Advertise the stream as the source serves it (ADVERTISE's own
+    arbitration) and run the write gate: not owned here, and the
+    recorded tag is the source's. [Ok] is the offset to subscribe the
+    source from: the local store tail, [-1] memory-only. *)
+
+val adopt_replica : t -> replica -> Client.t -> (unit, string) result
+(** Hand a claimed link's source connection, already subscribed, to
+    the hosting shard, which re-runs the write gate. [Ok]: the shard
+    owns the socket and its negotiated frame modes, takes its frames
+    down the publisher path, and calls [on_close] once; a frame failing
+    authentication or decompression, or any control frame, closes it.
+    [Error]: the client is closed. *)
+
+val unlink_replica : t -> replica -> unit
+(** Close the link {!adopt_replica} made for this record, if live. *)
+
+val promote_stream : t -> stream:string -> (int, string) result
+(** PROMOTE in process: the epoch after the call. *)
+
+val store_tail : t -> stream:string -> int option
+
 (** {2 A fully wired remote consumer} *)
 
 type consumer = {
@@ -347,8 +392,7 @@ val close_consumer : consumer -> unit
     dedupe the relay's descriptor replay by content digest; publishers
     replay ADVERTISE/PUBLISH, re-announce descriptors per connection,
     and buffer a bounded in-flight window of data frames during the
-    outage. A mirror link ({!Omf_mirror}) is one subscriber on the
-    source feeding one acked [mirror=1] publisher on the local relay.
+    outage.
 
     A [busy] reply (PROTOCOLS.md §16) is retried on the same connection
     after the relay's hint; after [max_attempts] of them the last
@@ -418,42 +462,23 @@ module Session : sig
       none duplicated. Against a memory-only relay [from] is ignored
       and resubscribes are tail-only. *)
 
-  val recv_subscriber_raw : subscriber -> (Omf_pbio.Format.t * Bytes.t) option
-  (** Blocking receive of the next message frame, undecoded — a
-      {!Omf_pbio.Wire} header plus NDR payload, as the sender
-      marshalled it — with the sender's wire format
-      ({!Omf_pbio.Pbio.Receiver.wire_format}), transparently
-      reconnecting and resubscribing across outages.
+  val recv_subscriber :
+    subscriber -> (Omf_pbio.Format.t * Omf_pbio.Value.t) option
+  (** Blocking receive of the next event, decoded into the subscriber's
+      ABI, transparently reconnecting and resubscribing across outages.
       Replayed descriptor frames already learned are skipped, so a
       relay restart delivers no duplicate registrations. [None] only
       after {!close_subscriber} — also when closed from another thread
       mid-outage; raises {!Gave_up} when an outage outlives the budget
       and {!Client.Busy} when a resubscribe stays shed. *)
 
-  val recv_subscriber :
-    subscriber -> (Omf_pbio.Format.t * Omf_pbio.Value.t) option
-  (** {!recv_subscriber_raw}, decoded into the subscriber's ABI. *)
-
-  val subscriber_schema : subscriber -> string
-  (** The (scoped) schema from the most recent successful SUBSCRIBE. *)
-
-  val subscriber_offset : subscriber -> int
-  (** Store offset of the next message frame this session expects;
-      [-1] against a memory-only relay. *)
-
   val subscriber_reconnects : subscriber -> int
-
-  val subscriber_busy_waits : subscriber -> int
-  (** Times a (re)subscribe was answered [busy] and retried after the
-      relay's backoff hint — on the same connection, never counted as
-      a reconnect. *)
 
   val subscriber_trace : subscriber -> Trace.ctx option
   (** The stream's trace context as served at subscribe time; [None]
       unless the session was opened with [~want_trace:true] against a
       tracing-enabled relay. *)
 
-  val subscriber_catalog : subscriber -> Omf_xml2wire.Catalog.t
   val subscriber_stats : subscriber -> Omf_pbio.Pbio.Receiver.stats
   val close_subscriber : subscriber -> unit
   (** Close the session; safe from another thread: a receive blocked on
@@ -467,8 +492,6 @@ module Session : sig
     ?window:int ->
     ?acked:bool ->
     ?trace:Trace.ctx ->
-    ?meta:(string * string) list ->
-    ?mirror:string * int ->
     config ->
     stream:string ->
     schema:string ->
@@ -490,31 +513,21 @@ module Session : sig
       channel rather than raising {!Overflow}. Against a memory-only
       relay the mode degrades to the plain session.
 
-      [meta] lines ride on the ADVERTISE ({!Client.advertise}).
-      [~mirror:(origin, epoch)] PUBLISHes as a replication link
-      ([mirror=1], PROTOCOLS.md §15) — the only writer a foreign-origin
-      stream admits; with [~acked:true] the handshake syncs the local
-      store, so {!publisher_durable} is its tail, the source offset to
-      resume from. The whole handshake is replayed on every reconnect;
-      a refusal there ({!Relay_proto.is_refusal}, e.g. a stale epoch
-      after a promote) is raised, not retried. *)
+      The whole handshake is replayed on every reconnect; a refusal
+      there ({!Relay_proto.is_refusal}, e.g. a read-only stream) is
+      raised, not retried. *)
 
   val publisher_format : publisher -> string -> Omf_pbio.Format.t option
   (** Look up a format from the advertised schema by name. *)
 
-  val publish_frame : publisher -> Omf_pbio.Format.t -> Bytes.t -> unit
-  (** Ship one already-marshalled message of the format (as
-      {!recv_subscriber_raw} returns it), announcing the format's
-      descriptor first on each connection — again if a different
-      format reuses its id. During an outage the frame is buffered and
-      reconnection attempted under the budget; a full window raises
+  val publish_value :
+    publisher -> Omf_pbio.Format.t -> Omf_pbio.Value.t -> unit
+  (** Marshal one event and ship it, announcing the format's descriptor
+      first on each connection. During an outage the frame is buffered
+      and reconnection attempted under the budget; a full window raises
       {!Overflow}, an exhausted budget returns with the frame buffered
       for the next call. With [max_attempts = 0] the session never
       reconnects — frames accumulate until {!Overflow}. *)
-
-  val publish_value :
-    publisher -> Omf_pbio.Format.t -> Omf_pbio.Value.t -> unit
-  (** Marshal one event and {!publish_frame} it. *)
 
   val publisher_reconnects : publisher -> int
 

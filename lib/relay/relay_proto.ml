@@ -9,12 +9,7 @@ type kvs = (string * string) list
 type request =
   | Hello of kvs
   | Advertise of { stream : string; meta : kvs; schema : string }
-  | Publish of {
-      stream : string;
-      acks : bool;
-      mirror : (string * int) option;
-      trace : Trace.ctx option;
-    }
+  | Publish of { stream : string; acks : bool; trace : Trace.ctx option }
   | Subscribe of { stream : string; from : int option; meta : bool }
   | Stats
   | List
@@ -90,14 +85,10 @@ let encode_request (r : request) : Bytes.t =
     frame 'h' (String.concat "\n" (List.map (fun (k, v) -> k ^ "=" ^ v) creds))
   | Advertise { stream; meta; schema } ->
     frame 'a' (stream ^ "\n" ^ meta_text meta ^ schema)
-  | Publish { stream; acks; mirror; trace } ->
+  | Publish { stream; acks; trace } ->
     frame 'p'
       (stream
       ^ (if acks then "\nacks=1" else "")
-      ^ (match mirror with
-        | Some (origin, epoch) ->
-          Printf.sprintf "\nmirror=1\norigin=%s\nepoch=%d" origin epoch
-        | None -> "")
       ^
       match trace with Some ctx -> "\ntrace=" ^ Trace.to_string ctx | None -> ""
       )
@@ -122,23 +113,13 @@ let decode_request (f : Bytes.t) : (request, error) result =
       let stream, rest = split_at body i in
       let meta, schema = split_meta rest in
       Ok (Advertise { stream; meta; schema }))
-  | Some ('p', body) -> (
+  | Some ('p', body) ->
     let stream, opts = first_line body in
     let o = kv_lines opts in
-    let publish mirror : (request, error) result =
-      Ok
-        (Publish
-           { stream; acks = flag o "acks"; mirror
-           ; trace = Option.bind (List.assoc_opt "trace" o) Trace.of_string })
-    in
-    match (flag o "mirror", List.assoc_opt "origin" o, int_opt o "epoch") with
-    | false, _, _ -> publish None
-    | true, Some origin, Some epoch -> publish (Some (origin, epoch))
-    | true, _, _ ->
-      Error
-        (Malformed
-           (Printf.sprintf "publish %s: stale mirror link (no origin/epoch tag)"
-              stream)))
+    Ok
+      (Publish
+         { stream; acks = flag o "acks"
+         ; trace = Option.bind (List.assoc_opt "trace" o) Trace.of_string })
   | Some ('s', body) ->
     let stream, opts = first_line body in
     let o = kv_lines opts in
@@ -192,22 +173,15 @@ let decode_banner body =
   let tokens = String.split_on_char ' ' body in
   { mac = List.mem "mac" tokens; comp = List.mem "comp=lz" tokens }
 
-type watermark = { durable : int; tail : int option }
-
 let encode_published = function
   | None -> ""
-  | Some { durable; tail = None } -> Printf.sprintf "durable=%d" durable
-  | Some { durable; tail = Some t } ->
-    Printf.sprintf "durable=%d\ntail=%d" durable t
+  | Some durable -> Printf.sprintf "durable=%d" durable
 
-let decode_published body : (watermark option, string) result =
-  let kvs = kv_lines body in
-  let tail = Option.map int_of_string_opt (List.assoc_opt "tail" kvs) in
-  match (body, int_opt kvs "durable", tail) with
-  | "", _, _ -> Ok None
-  | _, Some durable, None -> Ok (Some { durable; tail = None })
-  | _, Some durable, Some (Some t) -> Ok (Some { durable; tail = Some t })
-  | _ -> Error (Printf.sprintf "malformed publish reply %S" body)
+let decode_published body : (int option, string) result =
+  match (body, int_opt (kv_lines body) "durable") with
+  | "", _ -> Ok None
+  | _, Some durable -> Ok (Some durable)
+  | _, None -> Error (Printf.sprintf "malformed publish reply %S" body)
 
 type schema_reply = { offset : int option; meta : kvs; schema : string }
 
@@ -263,7 +237,7 @@ let stale_mirror stream origin epoch =
 let unknown_stream cmd stream = Printf.sprintf "%s: unknown stream %s" cmd stream
 let access_denied cmd msg = Printf.sprintf "%s: access denied: %s" cmd msg
 
-(* one mark per refusal text above (and the malformed mirror tag) *)
+(* one mark per refusal text above *)
 let refusal_marks =
   [ "read-only"; "originates here"; "stale epoch"; "stale mirror link"
   ; "unknown stream"; "access denied" ]

@@ -14,9 +14,7 @@
 kind request    body                                      OK reply body
 h    HELLO      credential lines, k=v per line            banner
 a    ADVERTISE  stream \n [metadata lines] schema         (empty)
-p    PUBLISH    stream [\n acks=1]                        (empty) | durable=D
-                       [\n mirror=1 \n origin=ID \n epoch=N]        [\n tail=T]
-                       [\n trace=CTX]
+p    PUBLISH    stream [\n acks=1] [\n trace=CTX]          (empty) | durable=D
 s    SUBSCRIBE  stream [\n from=N] [\n meta=1]            [offset=S \n]
                                                           [metadata lines] schema
 t    STATS      (empty)                                   "name value" lines
@@ -46,14 +44,11 @@ type request =
           relay reads itself — [auth=hmac] and [key-id] (§12), [comp=lz]
           (§18), [omf-reconnect]. *)
   | Advertise of { stream : string; meta : kvs; schema : string }
-      (** [meta]: the registry binding (§14) and, from a mirror, the
-          [origin]/[epoch] tag (§15). *)
+      (** [meta]: the registry binding (§14) and, with an
+          [origin]/[epoch] tag, a replicated stream's ownership (§15). *)
   | Publish of {
       stream : string;
       acks : bool;  (** [acks=1]: durability acks (§13) *)
-      mirror : (string * int) option;
-          (** [mirror=1] replication link with its (origin, epoch)
-              tag (§15) *)
       trace : Omf_trace.Trace.ctx option;  (** [trace=] context (§17) *)
     }
   | Subscribe of { stream : string; from : int option; meta : bool }
@@ -101,13 +96,11 @@ type banner = { mac : bool; comp : bool }
 val encode_banner : banner -> string
 val decode_banner : string -> banner
 
-type watermark = { durable : int; tail : int option }
-(** PUBLISH on a store-backed relay: the durable watermark, and for a
-    mirror link the store tail it resumes from. [None] (an empty body)
-    means the relay is memory-only. *)
+val encode_published : int option -> string
+(** PUBLISH: the stream's durable watermark on a store-backed relay;
+    [None] (an empty body) means the relay is memory-only. *)
 
-val encode_published : watermark option -> string
-val decode_published : string -> (watermark option, string) result
+val decode_published : string -> (int option, string) result
 
 type schema_reply = { offset : int option; meta : kvs; schema : string }
 (** SUBSCRIBE and DESCRIBE: the first offset delivered (a store-backed

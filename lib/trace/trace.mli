@@ -5,10 +5,10 @@
     fabric: the publisher mints a {!ctx} (64-bit trace id, span id,
     sampled flag) and carries it as [trace=] metadata on PUBLISH; every
     hop that touches a frame of that session — admission, store append,
-    fan-out enqueue, socket flush, mirror replication, delivery —
-    records a {!span} against the context into its local {!collector}.
-    A mirror re-injects the context on its own [mirror=1] PUBLISH, so
-    one trace crosses relays.
+    fan-out enqueue, socket flush, delivery — records a {!span} against
+    the context into its local {!collector}. A mirror carries the
+    source's context into the replica relay that hosts its link, so one
+    trace crosses relays.
 
     The cost model is the point: the {e untraced} path does no
     allocation and no locking — the per-frame check is one option match
@@ -71,7 +71,7 @@ type span = {
   sp_parent : int64;  (** the context's span id *)
   sp_stage : string;  (** e.g. ["store_append"], ["deliver"] *)
   sp_stream : string;
-  sp_shard : int;  (** recording collector's shard ([-1] = mirror) *)
+  sp_shard : int;  (** recording collector's shard *)
   sp_start_us : int;  (** {!Omf_util.Clock.now_us} at span start *)
   sp_dur_us : int;
 }
@@ -83,7 +83,7 @@ type collector
     owning loop thread, like the rest of the shard state. *)
 
 val collector : ?shard:int -> settings -> collector
-(** [shard] defaults to [0]; mirrors use [-1]. *)
+(** [shard] defaults to [0]. *)
 
 val shard : collector -> int
 val slow_us : collector -> int

@@ -92,12 +92,10 @@ let link_of_fd ?io_timeout_s (fd : Unix.file_descr) : Link.t =
   in
   { Link.send; recv; close }
 
-(** [connect ~host ~port] opens a client link. [connect_timeout_s]
-    bounds connection establishment (non-blocking connect + select);
-    [io_timeout_s] arms per-operation send/receive deadlines on the
-    resulting link ({!Link.Timeout}). *)
-let connect ?(host = "127.0.0.1") ~port ?connect_timeout_s ?io_timeout_s () :
-    Link.t =
+(** [dial ~host ~port] opens a connected blocking socket.
+    [connect_timeout_s] bounds connection establishment (non-blocking
+    connect + select). *)
+let dial ?(host = "127.0.0.1") ~port ?connect_timeout_s () : Unix.file_descr =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   let fail fmt =
     Printf.ksprintf
@@ -128,4 +126,10 @@ let connect ?(host = "127.0.0.1") ~port ?connect_timeout_s ?io_timeout_s () :
     | exception Unix.Unix_error (e, _, _) ->
       fail "connect %s:%d: %s" host port (Unix.error_message e));
     Unix.clear_nonblock sock));
-  link_of_fd ?io_timeout_s sock
+  sock
+
+(** [connect ~host ~port] opens a client link over {!dial};
+    [io_timeout_s] arms per-operation send/receive deadlines on it
+    ({!Link.Timeout}). *)
+let connect ?host ~port ?connect_timeout_s ?io_timeout_s () : Link.t =
+  link_of_fd ?io_timeout_s (dial ?host ~port ?connect_timeout_s ())

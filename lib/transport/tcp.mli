@@ -11,6 +11,14 @@ val link_of_fd : ?io_timeout_s:float -> Unix.file_descr -> Link.t
     that stalls past the deadline raises {!Link.Timeout} and the link
     should be treated as broken. *)
 
+val dial :
+  ?host:string ->
+  port:int ->
+  ?connect_timeout_s:float ->
+  unit ->
+  Unix.file_descr
+(** {!connect}'s socket, before it is wrapped in a link. *)
+
 val connect :
   ?host:string ->
   port:int ->

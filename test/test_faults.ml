@@ -553,12 +553,10 @@ let mirror_failover_sigkill ~compress () =
     let port_b = Relay.port hb in
     Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
     let m =
-      Mirror.start
+      Mirror.start hb
         (Mirror.config ~rescan_s:0.05 ~io_timeout_s:0.25 ~max_attempts:3
            ~base_delay_s:0.02 ~max_delay_s:0.1 ~promote_on_loss:true
-           ~compress ~source_host:"127.0.0.1" ~source_port:port_a
-           ~local_port:port_b
-           ~local_relay_id:(Relay.relay_id hb) ())
+           ~compress ~source_host:"127.0.0.1" ~source_port:port_a ())
     in
     Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
     let mstat k = Option.value ~default:0 (List.assoc_opt k (Mirror.stats m)) in

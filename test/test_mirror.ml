@@ -113,10 +113,10 @@ let assoc key stats = Option.value ~default:0 (List.assoc_opt key stats)
 
 (* a fast mirror config for tests *)
 let mcfg ?globs ?(max_attempts = 3) ?(promote_on_loss = false)
-    ?(compress = false) ~source_port ~local_port ~local_relay_id () =
+    ?(compress = false) ~source_port () =
   Mirror.config ?globs ~rescan_s:0.05 ~io_timeout_s:0.25 ~max_attempts
     ~base_delay_s:0.02 ~max_delay_s:0.1 ~promote_on_loss ~compress
-    ~source_host:"127.0.0.1" ~source_port ~local_port ~local_relay_id ()
+    ~source_host:"127.0.0.1" ~source_port ()
 
 (* read exactly [n] decoded events off a replica, starting at store
    offset [from] *)
@@ -165,8 +165,7 @@ let test_replicates_frames_and_metadata () =
   poll ~what:"source stored the burst" (fun () ->
       relay_stat ~port:port_a "store.flights.tail" >= n);
   let m =
-    Mirror.start
-      (mcfg ~source_port:port_a ~local_port:port_b ~local_relay_id:id_b ())
+    Mirror.start hb (mcfg ~source_port:port_a ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"replica caught up" (fun () ->
@@ -226,7 +225,6 @@ let test_compressed_link_fidelity () =
   let hb = Relay.start ~store:(store_cfg root_b) () in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
-  let id_b = Relay.relay_id hb in
   let pub, sender, fmt =
     make_publisher
       ~meta:[ ("subject", "flights"); ("version", "3"); ("fingerprint", "fp-z") ]
@@ -239,9 +237,7 @@ let test_compressed_link_fidelity () =
   poll ~what:"source stored the burst" (fun () ->
       relay_stat ~port:port_a "store.flights.tail" >= n);
   let m =
-    Mirror.start
-      (mcfg ~compress:true ~source_port:port_a ~local_port:port_b
-         ~local_relay_id:id_b ())
+    Mirror.start hb (mcfg ~compress:true ~source_port:port_a ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"replica caught up over the compressed link" (fun () ->
@@ -304,10 +300,9 @@ let test_corrupt_sealed_frame_relinks () =
      handshake and inside the sealed replay (~35 KB) *)
   Chaos.set_fault chaos ~dir:Chaos.Down (Chaos.Corrupt_at 8000);
   let m =
-    Mirror.start
-      { (mcfg ~source_port:(Chaos.port chaos) ~local_port:port_b
-           ~local_relay_id:(Relay.relay_id hb) ())
-        with Mirror.source_auth = Some key }
+    Mirror.start hb
+      { (mcfg ~source_port:(Chaos.port chaos) ()) with
+        Mirror.source_auth = Some key }
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"the corrupted link reconnected" (fun () ->
@@ -339,16 +334,12 @@ let test_bidirectional_no_amplification () =
   let hb = Relay.start ~store:(store_cfg root_b) () in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
-  let id_a = Relay.relay_id ha in
-  let id_b = Relay.relay_id hb in
   let m_ab =
-    Mirror.start
-      (mcfg ~source_port:port_a ~local_port:port_b ~local_relay_id:id_b ())
+    Mirror.start hb (mcfg ~source_port:port_a ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m_ab) @@ fun () ->
   let m_ba =
-    Mirror.start
-      (mcfg ~source_port:port_b ~local_port:port_a ~local_relay_id:id_a ())
+    Mirror.start ha (mcfg ~source_port:port_b ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m_ba) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
@@ -393,8 +384,7 @@ let test_promote_transfers_ownership () =
     publish sender fmt seq
   done;
   let m =
-    Mirror.start
-      (mcfg ~source_port:port_a ~local_port:port_b ~local_relay_id:id_b ())
+    Mirror.start hb (mcfg ~source_port:port_a ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"replica caught up" (fun () ->
@@ -458,9 +448,8 @@ let test_promote_on_loss_failover () =
     publish sender fmt seq
   done;
   let m =
-    Mirror.start
-      (mcfg ~max_attempts:2 ~promote_on_loss:true ~source_port:port_a
-         ~local_port:port_b ~local_relay_id:id_b ())
+    Mirror.start hb
+      (mcfg ~max_attempts:2 ~promote_on_loss:true ~source_port:port_a ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"replica caught up" (fun () ->
@@ -532,11 +521,8 @@ let test_idle_link_does_not_churn () =
   for seq = 0 to n - 1 do
     publish sender fmt seq
   done;
-  let cfg =
-    mcfg ~source_port:port_a ~local_port:port_b
-      ~local_relay_id:(Relay.relay_id hb) ()
-  in
-  let m = Mirror.start cfg in
+  let cfg = mcfg ~source_port:port_a () in
+  let m = Mirror.start hb cfg in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"replica caught up" (fun () ->
       relay_stat ~port:port_b "store.flights.tail" >= n);
@@ -568,9 +554,7 @@ let test_reused_format_id_replicated () =
     publish sender fmt seq
   done;
   let m =
-    Mirror.start
-      (mcfg ~source_port:port_a ~local_port:port_b
-         ~local_relay_id:(Relay.relay_id hb) ())
+    Mirror.start hb (mcfg ~source_port:port_a ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"replica caught up" (fun () ->
@@ -681,10 +665,9 @@ let test_busy_pauses_link () =
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   with_overload ~port:port_a @@ fun release ->
   let m =
-    Mirror.start
+    Mirror.start hb
       (mcfg ~globs:[ "flights" ] ~max_attempts:2 ~promote_on_loss:true
-         ~source_port:port_a ~local_port:port_b
-         ~local_relay_id:(Relay.relay_id hb) ())
+         ~source_port:port_a ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"link paused on busy" (fun () ->
@@ -724,15 +707,13 @@ let test_busy_source_killed_is_lost () =
   @@ fun () ->
   Fun.protect ~finally:(fun () -> Relay.Client.close pub) @@ fun () ->
   let hb = Relay.start ~store:(store_cfg root_b) () in
-  let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   with_overload ~port:port_a @@ fun release ->
   Fun.protect ~finally:release @@ fun () ->
   let m =
-    Mirror.start
+    Mirror.start hb
       (mcfg ~globs:[ "flights" ] ~max_attempts:2 ~promote_on_loss:true
-         ~source_port:port_a ~local_port:port_b
-         ~local_relay_id:(Relay.relay_id hb) ())
+         ~source_port:port_a ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"link paused on busy" (fun () ->
@@ -765,9 +746,8 @@ let test_refusing_source_not_promoted ~revoke () =
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
   let m =
-    Mirror.start
-      { (mcfg ~max_attempts:8 ~promote_on_loss:true ~source_port:port_a
-           ~local_port:port_b ~local_relay_id:(Relay.relay_id hb) ())
+    Mirror.start hb
+      { (mcfg ~max_attempts:8 ~promote_on_loss:true ~source_port:port_a ())
         with Mirror.source_auth = Some key }
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
@@ -801,6 +781,91 @@ let test_refusing_source_not_promoted ~revoke () =
   | _ -> Alcotest.fail "the replica accepted a plain publisher"
   | exception Relay.Client.Error msg ->
     check bool "the replica stays read-only" true (contains msg "read-only")
+
+(* ------------------------------------------------------------------ *)
+(* The link lives in the relay                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Catch-up does not wait for the replica's fsync. The replica store
+   syncs every 5 s, the source holds a backlog of three 8192-frame
+   windows plus one, and the link's deadline (10 s) outlasts the sync
+   interval, so a link that held replicated frames until the replica's
+   store acknowledged them durable would stall for the first sync. The
+   replica must hold the whole backlog within 3 s, and serve it exactly
+   once from offset 0. *)
+let test_catchup_ignores_replica_fsync () =
+  with_root @@ fun root_a ->
+  with_root @@ fun root_b ->
+  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let port_a = Relay.port ha in
+  Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
+  let hb =
+    Relay.start
+      ~store:
+        { (Relay.Store.default_config ~root:root_b) with
+          fsync = Relay.Store.Interval 5.0 }
+      ()
+  in
+  let port_b = Relay.port hb in
+  Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
+  let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
+  let n = (3 * 8192) + 1 in
+  for seq = 0 to n - 1 do
+    publish sender fmt seq
+  done;
+  poll ~what:"source stored the backlog" (fun () ->
+      relay_stat ~port:port_a "store.flights.tail" >= n);
+  let m =
+    Mirror.start hb
+      { (mcfg ~source_port:port_a ()) with Mirror.io_timeout_s = 10.0 }
+  in
+  Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
+  poll ~deadline_s:3.0 ~what:"replica caught up before its first fsync"
+    (fun () -> relay_stat ~port:port_b "store.flights.tail" >= n);
+  check
+    (Alcotest.list int)
+    "replica serves the backlog exactly once" (List.init n Fun.id)
+    (read_from ~port:port_b ~stream:"flights" ~from:0 n);
+  check int "no duplicate appended" n
+    (relay_stat ~port:port_b "store.flights.tail");
+  Relay.Client.close pub
+
+(* Stopping the local relay closes its replication links. That is no
+   source outage: the link must not relink, spend its budget, count the
+   source lost or promote — and the mirror still stops promptly. *)
+let test_local_shutdown_not_source_loss () =
+  with_root @@ fun root_a ->
+  with_root @@ fun root_b ->
+  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let port_a = Relay.port ha in
+  Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
+  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let port_b = Relay.port hb in
+  Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
+  let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
+  Fun.protect ~finally:(fun () -> Relay.Client.close pub) @@ fun () ->
+  let n = 10 in
+  for seq = 0 to n - 1 do
+    publish sender fmt seq
+  done;
+  let m =
+    Mirror.start hb
+      (mcfg ~max_attempts:2 ~promote_on_loss:true ~source_port:port_a ())
+  in
+  poll ~what:"replica caught up" (fun () ->
+      relay_stat ~port:port_b "store.flights.tail" >= n);
+  Relay.stop hb;
+  Thread.delay 0.3 (* several rescans: a relink or promote would show *);
+  let t0 = Unix.gettimeofday () in
+  Mirror.stop m;
+  let stop_s = Unix.gettimeofday () -. t0 in
+  check bool (Printf.sprintf "Mirror.stop returned in %.3f s" stop_s) true
+    (stop_s < 1.0);
+  let stats = Mirror.stats m in
+  check int "one link, established once" 1 (assoc "links_established" stats);
+  check int "no relink" 0 (assoc "reconnects" stats);
+  check int "the source was not lost" 0 (assoc "sources_lost" stats);
+  check int "never promoted" 0 (assoc "promotes" stats)
 
 (* ------------------------------------------------------------------ *)
 (* Restart: persisted advertisement metadata is re-advertised           *)
@@ -880,6 +945,11 @@ let () =
             (test_refusing_source_not_promoted ~revoke:false)
         ; Alcotest.test_case "source revoking the key is not lost" `Quick
             (test_refusing_source_not_promoted ~revoke:true) ] )
+    ; ( "in-relay",
+        [ Alcotest.test_case "catch-up does not wait for the replica fsync"
+            `Quick test_catchup_ignores_replica_fsync
+        ; Alcotest.test_case "local shutdown is not a source outage" `Quick
+            test_local_shutdown_not_source_loss ] )
     ; ( "restart",
         [ Alcotest.test_case "persisted metadata re-advertised" `Quick
             test_restart_readvertises_metadata ] ) ]

@@ -1396,8 +1396,8 @@ let test_governor_accounting_symmetry () = governor_accounting_symmetry ()
 let ctx =
   { Relay.Trace.trace_id = 0x0123456789abcdefL; span_id = 1L; sampled = true }
 
-let publish_req ?(acks = false) ?mirror ?trace stream =
-  Proto.Publish { stream; acks; mirror; trace }
+let publish_req ?(acks = false) ?trace stream =
+  Proto.Publish { stream; acks; trace }
 
 let subscribe_req ?from ?(meta = false) stream =
   Proto.Subscribe { stream; from; meta }
@@ -1420,9 +1420,6 @@ let test_proto_golden () =
     ; ( publish_req ~trace:ctx "flights"
       , "pflights\ntrace=0123456789abcdef-0000000000000001-01" )
     ; (publish_req ~acks:true "flights", "pflights\nacks=1")
-    ; ( publish_req ~mirror:("r1", 4) ~trace:ctx "flights"
-      , "pflights\nmirror=1\norigin=r1\nepoch=4\n\
-         trace=0123456789abcdef-0000000000000001-01" )
     ; (subscribe_req "flights", "sflights")
     ; (subscribe_req ~meta:true "flights", "sflights\nmeta=1")
     ; (subscribe_req ~from:(-1) "flights", "sflights\nfrom=-1")
@@ -1458,9 +1455,7 @@ let test_proto_golden () =
     [ (Proto.encode_banner { mac = false; comp = false }, "omf-relay 1")
     ; (Proto.encode_banner { mac = true; comp = true }, "omf-relay 1 mac comp=lz")
     ; (Proto.encode_published None, "")
-    ; (Proto.encode_published (Some { durable = 1; tail = None }), "durable=1")
-    ; ( Proto.encode_published (Some { durable = 0; tail = Some 0 })
-      , "durable=0\ntail=0" )
+    ; (Proto.encode_published (Some 1), "durable=1")
     ; ( Proto.encode_schema_reply
           { offset = Some 0; meta = [ ("subject", "s") ]; schema }
       , "offset=0\nsubject=s\n<s/>" )
@@ -1515,11 +1510,8 @@ let gen_request =
         (fun stream meta schema -> Proto.Advertise { stream; meta; schema })
         stream gen_meta gen_schema
     ; map3
-        (fun (stream, acks) mirror trace ->
-          Proto.Publish { stream; acks; mirror; trace })
-        (pair stream bool)
-        (opt (pair (gen_text 12) int))
-        (opt gen_ctx)
+        (fun stream acks trace -> Proto.Publish { stream; acks; trace })
+        stream bool (opt gen_ctx)
     ; map3
         (fun stream from meta -> Proto.Subscribe { stream; from; meta })
         stream (opt int) bool
@@ -1543,7 +1535,7 @@ let prop_proto_reply_roundtrip =
          ; map (fun s -> Proto.Err s) (string_size (0 -- 30))
          ; map (fun n -> Proto.Busy n) int
          ; map (fun n -> Proto.Ack n) int ])
-      (pair (pair bool bool) (opt (pair int (opt int))))
+      (pair (pair bool bool) (opt int))
       (triple (opt int) gen_meta gen_schema)
       (triple int
          (list_size (0 -- 5) (gen_text 10 |> map (fun s -> "s" ^ s)))
@@ -1552,9 +1544,6 @@ let prop_proto_reply_roundtrip =
   QCheck.Test.make ~name:"reply and typed bodies round-trip" ~count:1000
     (QCheck.make gen)
     (fun (r, ((mac, comp), published), (offset, meta, schema), (epoch, names, stats)) ->
-      let published =
-        Option.map (fun (durable, tail) -> { Proto.durable; tail }) published
-      in
       let sr = { Proto.offset; meta; schema } in
       Proto.decode_reply (Proto.encode_reply r) = Ok r
       && Proto.decode_banner (Proto.encode_banner { mac; comp }) = { mac; comp }

@@ -398,7 +398,6 @@ let test_mirror_chain_trace () =
   let hb = Relay.start ~trace:tset ~store:(store_cfg root_b) () in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
-  let id_b = Relay.relay_id hb in
   let ctx = Trace.make ~sampled:true () in
   let pub, sender, fmt =
     make_publisher ~trace:ctx ~port:port_a ~stream:"flights" ()
@@ -409,11 +408,10 @@ let test_mirror_chain_trace () =
   poll ~what:"source stored the burst" (fun () ->
       relay_stat ~port:port_a "store.flights.tail" >= 5);
   let m =
-    Mirror.start
+    Mirror.start hb
       (Mirror.config ~rescan_s:0.05 ~io_timeout_s:0.25 ~max_attempts:3
-         ~base_delay_s:0.02 ~max_delay_s:0.1 ~trace:tset
-         ~source_host:"127.0.0.1" ~source_port:port_a ~local_port:port_b
-         ~local_relay_id:id_b ())
+         ~base_delay_s:0.02 ~max_delay_s:0.1 ~source_host:"127.0.0.1"
+         ~source_port:port_a ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"replica caught up" (fun () ->
@@ -440,26 +438,15 @@ let test_mirror_chain_trace () =
     | Some _ -> ()
     | None -> Alcotest.fail "replica subscriber closed early"
   done;
-  let all_spans () =
-    Relay.trace_spans ha
-    @ Relay.trace_spans hb
-    @ Mirror.trace_spans m
-  in
+  let all_spans () = Relay.trace_spans ha @ Relay.trace_spans hb in
   let want =
-    [ "publish_admit"; "store_append"; "fanout_enqueue"; "flush"; "deliver"
-    ; "mirror_replicate" ]
+    [ "publish_admit"; "store_append"; "fanout_enqueue"; "flush"; "deliver" ]
   in
   poll ~what:"all stages across the chain" (fun () ->
       has_stages ~trace_id:ctx.Trace.trace_id ~want (all_spans ())
       && has_stages ~trace_id:ctx.Trace.trace_id
            ~want:[ "publish_admit"; "store_append" ]
            (Relay.trace_spans hb));
-  (* the mirror's hop is tagged shard -1 *)
-  List.iter
-    (fun sp ->
-      check int "mirror spans carry shard -1" (-1) sp.Trace.sp_shard;
-      check string "mirror stage" "mirror_replicate" sp.Trace.sp_stage)
-    (Mirror.trace_spans m);
   (* export the merged trace the way relayd does: /trace/spans and
      /trace/summary mounted beside /metrics *)
   let srv =
@@ -485,7 +472,6 @@ let test_mirror_chain_trace () =
       check bool (stage ^ " exported") true
         (contains body (Printf.sprintf "\"name\":\"%s\"" stage)))
     want;
-  check bool "mirror hop exported as pid -1" true (contains body "\"pid\":-1");
   let summary = Http.get ~port:(Http.port srv) ~path:"/trace/summary" () in
   check bool "summary keyed by stage" true (contains summary "store_append");
   (* /metrics still answers beside the trace routes *)
