@@ -177,27 +177,18 @@ let budget_spent (t : t) (ls : link_state) why =
       Log.warn (fun m -> m "stream %s: %s; source lost" stream why);
       if t.cfg.promote_on_loss && not (stopped t) then promote_local t ls
 
-(** DESCRIBE the stream and apply the loop guard: only a tagged stream
-    that did not originate here gets a link. *)
-let describe (t : t) src (stream : string) =
-  let meta, schema = Client.describe src ~stream in
+(** The loop guard: [Some counter] when the stream described by [meta]
+    gets no link here, [counter] naming why. *)
+let guarded (t : t) meta =
   let origin, _ = Proto.tag meta ~relay_id:"" in
-  if origin = "" then begin
+  if origin = "" then
     (* source predates origin tags: replicating without arbitration
        could amplify cycles, so refuse *)
-    Counters.incr t.counters "untagged_skipped";
-    None
-  end
-  else if String.equal origin (Relay.relay_id t.relay) then begin
+    Some "untagged_skipped"
+  else if String.equal origin (Relay.relay_id t.relay) then
     (* our own stream coming back around a cycle *)
-    Counters.incr t.counters "loops_skipped";
-    None
-  end
-  else
-    (* §17: the replica shard adopts the source's [trace=] context; it
-       is per-publisher state, not stream metadata to persist *)
-    let trace, meta = Proto.split_trace meta in
-    Some (trace, meta, schema)
+    Some "loops_skipped"
+  else None
 
 (** SUBSCRIBE from [from]; a [busy] source (overload, not an outage)
     is waited out on the same connection for its hint, spending no
@@ -216,14 +207,18 @@ let rec subscribe (t : t) client ~stream ~from =
 
 (** One link attempt: DESCRIBE the source, claim the stream on the
     local relay, subscribe from the offset the claim returned and hand
-    the connection to the relay. [false]: the loop guard skipped it. *)
+    the connection to the relay. [false]: the loop guard skipped the
+    stream (its tag changed since the scan, which counts it next). *)
 let handshake (t : t) (ls : link_state) : bool =
   let stream = ls.l_stream in
   let client = connect_source t ~compress:t.cfg.compress in
   match
-    match describe t client stream with
-    | None -> None
-    | Some (trace, meta, schema) ->
+    let meta, schema = Client.describe client ~stream in
+    if guarded t meta <> None then None
+    else
+      (* §17: the replica shard adopts the source's [trace=] context; it
+         is per-publisher state, not stream metadata to persist *)
+      let trace, meta = Proto.split_trace meta in
       let rep =
         { Relay.stream; meta; schema; trace
         ; on_frame =
@@ -248,7 +243,7 @@ let handshake (t : t) (ls : link_state) : bool =
         (* source retention outran this replica: the gap is gone *)
         Counters.incr t.counters "resume_gap_clamped"
       | _ -> ());
-      Some rep
+      Some (rep, from)
   with
   | exception e ->
     Client.close client;
@@ -256,11 +251,11 @@ let handshake (t : t) (ls : link_state) : bool =
   | None ->
     Client.close client;
     false
-  | Some rep -> (
+  | Some (rep, from) -> (
     Mutex.protect t.mu (fun () ->
         ls.l_replica <- Some rep;
         ls.l_closed <- None);
-    match Relay.adopt_replica t.relay rep client with
+    match Relay.adopt_replica t.relay rep ~from client with
     | Error msg -> raise (Parked msg)
     | Ok () ->
       (* a {!stop} racing the hand-over may have missed the link *)
@@ -323,31 +318,49 @@ let link_thread (t : t) (ls : link_state) =
 (* Manager: discovery + lag gauges                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** One manager pass: LIST the source, start a link for every wanted
-    stream that has no live (or retired-by-promote) one, and refresh
+(** DESCRIBE [stream] on the manager's connection and apply the loop
+    guard: only a stream that passes gets a link thread. *)
+let linkable (t : t) src (stream : string) : bool =
+  match Client.describe src ~stream with
+  | exception Client.Error msg when Proto.is_refusal msg ->
+    Counters.incr t.counters "links_refused";
+    Log.info (fun m -> m "stream %s: refused: %s" stream msg);
+    false
+  | meta, _ -> (
+    match guarded t meta with
+    | Some counter ->
+      Counters.incr t.counters counter;
+      false
+    | None -> true)
+
+(** One manager pass: LIST the source, DESCRIBE and link every wanted
+    stream that has no live (or retired-by-promote) link, and refresh
     the per-stream replication-lag gauges. *)
 let scan (t : t) =
   with_source t @@ fun src ->
   let streams = Client.list_streams src |> List.filter (wanted t.cfg) in
-  Mutex.protect t.mu (fun () ->
-      List.iter
-        (fun stream ->
-          let spawn =
-            match Hashtbl.find_opt t.links stream with
-            | None -> true
-            | Some ls -> ls.l_done && not ls.l_promoted
-          in
-          if spawn && not (stopped t) then begin
-            let ls =
-              { l_stream = stream; l_thread = None; l_replica = None
-              ; l_closed = None; l_done = false; l_promoted = false
-              ; l_frames = Atomic.make 0 }
-            in
-            Hashtbl.replace t.links stream ls;
-            Counters.incr t.counters "streams_linked";
-            ls.l_thread <- Some (Thread.create (fun () -> link_thread t ls) ())
-          end)
-        streams);
+  let needs_link stream =
+    Mutex.protect t.mu (fun () ->
+        match Hashtbl.find_opt t.links stream with
+        | None -> true
+        | Some ls -> ls.l_done && not ls.l_promoted)
+  in
+  List.iter
+    (fun stream ->
+      if needs_link stream && linkable t src stream then
+        Mutex.protect t.mu (fun () ->
+            if not (stopped t) then begin
+              let ls =
+                { l_stream = stream; l_thread = None; l_replica = None
+                ; l_closed = None; l_done = false; l_promoted = false
+                ; l_frames = Atomic.make 0 }
+              in
+              Hashtbl.replace t.links stream ls;
+              Counters.incr t.counters "streams_linked";
+              ls.l_thread <-
+                Some (Thread.create (fun () -> link_thread t ls) ())
+            end))
+    streams;
   (* replication lag: source tail minus local tail, per linked stream.
      The gauge names follow the <group>.<subject>.<metric> convention,
      so /metrics renders them as

@@ -2,9 +2,10 @@
     PROTOCOLS.md §15).
 
     A mirror keeps a local relay a live replica of a source relay, at
-    the same store offsets. Per wanted source stream it runs one link:
-    DESCRIBE the source (skipping streams that originate at the local
-    relay, so cycles terminate), claim the stream on the local relay
+    the same store offsets. Its manager DESCRIBEs every wanted source
+    stream and skips those that originate at the local relay, so cycles
+    terminate. Each other stream gets one link: DESCRIBE the source,
+    claim the stream on the local relay
     ({!Omf_relay.Relay.claim_replica}), subscribe to the source from the
     local store tail, and hand that connection to the shard hosting the
     stream ({!Omf_relay.Relay.adopt_replica}), which replicates every
@@ -17,7 +18,8 @@
     the mirror probe the source (DESCRIBE, then a bare TCP connect): a
     source that answers parks the link ([links_refused] for an error
     answer); only an unreachable one is lost and, with
-    [promote_on_loss], promoted locally at a bumped epoch. A refusal
+    [promote_on_loss], promoted locally at a bumped epoch once the
+    replicated frames are fsynced. A refusal
     parks the link; a [busy] source pauses it and spends no budget. *)
 
 type config = {

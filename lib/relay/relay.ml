@@ -588,6 +588,19 @@ let schedule_ack_flush (t : shard) (s : stream) =
     Reactor.defer t.reactor (fun () -> flush_acks t)
   end
 
+(** Fsync [s]'s pending appends and wake the acks whose durable
+    advanced. *)
+let sync_stream (t : shard) (s : stream) =
+  Option.iter
+    (fun st ->
+      let before = Store.durable st in
+      match Store.sync st with
+      | d -> if d > before then schedule_ack_flush t s
+      | exception Store.Store_error msg ->
+        Counters.incr t.counters "store_errors";
+        Log.err (fun m -> m "store %s: %s" s.name msg))
+    s.store
+
 (** Periodic store maintenance: fsync dirty logs (this is the whole of
     the [Interval] policy, and bounds straggler latency for [Every_n]),
     wake acks whose durable advanced, and enforce age-based retention.
@@ -595,16 +608,8 @@ let schedule_ack_flush (t : shard) (s : stream) =
 let rec store_tick (t : shard) (period : float) =
   Hashtbl.iter
     (fun _ s ->
-      Option.iter
-        (fun st ->
-          let before = Store.durable st in
-          (match Store.sync st with
-          | d -> if d > before then schedule_ack_flush t s
-          | exception Store.Store_error msg ->
-            Counters.incr t.counters "store_errors";
-            Log.err (fun m -> m "store %s: %s" s.name msg));
-          ignore (Store.apply_retention st))
-        s.store)
+      sync_stream t s;
+      Option.iter (fun st -> ignore (Store.apply_retention st)) s.store)
     t.streams;
   if t.state = Running then
     t.store_timer <-
@@ -1090,14 +1095,18 @@ let join_publishers (t : shard) (s : stream) (c : conn) =
   if stream_congested t s || not (publisher_read_ok t c) then
     Rconn.set_read_intent c.io false
 
-(** PROMOTE: take write ownership of [s] at a bumped epoch; the epoch
-    held afterwards. Idempotent on a stream already owned here. *)
+(** PROMOTE: fsync [s]'s store, then take write ownership at a bumped
+    epoch; the epoch held afterwards. Idempotent on a stream already
+    owned here. *)
 let promote (t : shard) (s : stream) : int =
   let kvs = advert_info t s in
   let origin, epoch = Proto.tag kvs ~relay_id:t.relay_id in
   if String.equal origin t.relay_id then epoch
   else begin
     let epoch = epoch + 1 in
+    (* the source may be gone for good: every replicated frame must be
+       on disk before this relay owns the stream *)
+    sync_stream t s;
     persist_advert t s (Proto.with_origin kvs ~origin:t.relay_id ~epoch);
     Counters.incr t.counters "promotes";
     (* any live replication link into this stream predates the
@@ -1904,9 +1913,9 @@ let trace_spans (r : t) : Trace.span list =
          match s.trace with None -> [] | Some col -> Trace.spans col)
   |> List.sort (fun a b -> compare a.Trace.sp_start_us b.Trace.sp_start_us)
 
-(** Signal-handler safe: unblock the acceptor and ask every shard to
-    drain. Each shard only gets a flag and a wake-pipe byte (its loop's
-    per-iteration tick polls the flag — no mutex on this path). *)
+(** Unblock the acceptor and ask every shard to drain. Each shard only
+    gets a flag and a wake-pipe byte (its loop's per-iteration tick
+    polls the flag — no mutex on this path). *)
 let request_shutdown (r : t) =
   Atomic.set r.stopped true;
   (try Unix.shutdown r.lsock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
@@ -2171,7 +2180,8 @@ module Client = struct
     (r.Proto.meta, r.Proto.schema)
 
   (** [promote t ~stream] transfers write ownership of a mirrored
-      stream to the relay (PROTOCOLS.md §15): its origin becomes the
+      stream to the relay (PROTOCOLS.md §15): it fsyncs the stream's
+      store, then its origin becomes the
       relay's id with a bumped epoch, returned here. Idempotent on
       streams the relay already owns. *)
   let promote (t : t) ~(stream : string) : int =
@@ -2198,6 +2208,11 @@ let replica_gate (t : shard) (s : stream) (r : replica) :
   end
   else Ok ()
 
+(** Where the next replicated frame lands: the store tail, [-1] on a
+    memory-only relay. *)
+let replica_offset (t : shard) (s : stream) : int =
+  Option.fold ~none:(-1) ~some:Store.tail (store_handle t s)
+
 let claim_replica (r : t) (rep : replica) : (int, string) result =
   (* an unpinned stream goes where store recovery would pin it *)
   let n = Array.length r.shared.peers in
@@ -2207,9 +2222,7 @@ let claim_replica (r : t) (rep : replica) : (int, string) result =
     let result =
       Result.bind (advertise owner rep.stream rep.meta rep.schema) (fun s ->
           Result.map
-            (fun () ->
-              (* where the next replicated frame lands *)
-              Option.fold ~none:(-1) ~some:Store.tail (store_handle owner s))
+            (fun () -> replica_offset owner s)
             (replica_gate owner s rep))
     in
     release_pin owner rep.stream;
@@ -2217,12 +2230,19 @@ let claim_replica (r : t) (rep : replica) : (int, string) result =
   in
   Option.value (on_loop owner claim) ~default:(Error "relay is shutting down")
 
-let adopt_replica (r : t) (rep : replica) (client : Client.t) :
-    (unit, string) result =
+let adopt_replica (r : t) (rep : replica) ~(from : int) (client : Client.t)
+    : (unit, string) result =
   let adopt (t : shard) (s : stream) =
     (if t.state <> Running then Error "relay is shutting down"
-     else (* a PROMOTE may have run since the claim *)
-       replica_gate t s rep)
+     else
+       (* a PROMOTE may have run since the claim *)
+       Result.bind (replica_gate t s rep) @@ fun () ->
+       let tail = replica_offset t s in
+       if tail = from then Ok ()
+       else
+         Error
+           (Printf.sprintf "stream %s: replica tail %d, claimed at %d" s.name
+              tail from))
     |> Result.map @@ fun () ->
     let c =
       new_conn t client.Client.fd ~mac:client.Client.mac

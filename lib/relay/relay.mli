@@ -163,7 +163,7 @@ val governor_used : t -> int
     hook for the debit/credit symmetry guarantee (doc/OVERLOAD.md). *)
 
 val stopping : t -> bool
-(** Has {!request_shutdown} been called? *)
+(** Has {!stop} begun? *)
 
 val set_scope : t -> stream:string -> scope_policy -> unit
 (** Install a credential scope policy on the shard hosting [stream],
@@ -171,21 +171,15 @@ val set_scope : t -> stream:string -> scope_policy -> unit
     every later SUBSCRIBE and DESCRIBE sees it. A policy that leaves a
     type with no visible field makes those commands reply
     {!Relay_proto.access_denied}. Raises [Invalid_argument] if no shard
-    hosts the stream, or after {!request_shutdown}. *)
+    hosts the stream, or once {!stop} has begun. *)
 
 val trace_spans : t -> Trace.span list
 (** Every shard's recorded trace spans, merged and ordered by start
     time; empty when tracing is disabled. Safe from any thread. *)
 
-val request_shutdown : t -> unit
-(** Unblock the acceptor and ask every shard to drain. Safe from
-    another thread or a signal handler. *)
-
-val wait : t -> unit
-(** Join the acceptor thread and every shard domain. *)
-
 val stop : t -> unit
-(** {!request_shutdown} then {!wait}: graceful drain, then join. *)
+(** Unblock the acceptor, ask every shard to drain, then join the
+    acceptor thread and every shard domain. *)
 
 (** {2 Client} *)
 
@@ -308,8 +302,9 @@ module Client : sig
       role, so one connection can describe many streams. *)
 
   val promote : t -> stream:string -> int
-  (** Transfer write ownership of a mirrored stream to the relay: its
-      origin becomes the relay's id with a bumped epoch (returned).
+  (** Transfer write ownership of a mirrored stream to the relay: it
+      fsyncs the stream's store, then its origin becomes the relay's
+      id with a bumped epoch (returned).
       Idempotent on streams the relay already owns. Live mirror links
       into the stream are disconnected so their epoch check re-runs. *)
 
@@ -321,8 +316,8 @@ end
 
     What {!Omf_mirror} drives (doc/MIRROR.md, PROTOCOLS.md §15). Each
     call runs on the loop of the shard hosting the stream and waits for
-    it; each answers ["relay is shutting down"] after
-    {!request_shutdown}. *)
+    it; each answers ["relay is shutting down"] once {!stop} has
+    begun. *)
 
 type replica = {
   stream : string;
@@ -342,9 +337,12 @@ val claim_replica : t -> replica -> (int, string) result
     recorded tag is the source's. [Ok] is the offset to subscribe the
     source from: the local store tail, [-1] memory-only. *)
 
-val adopt_replica : t -> replica -> Client.t -> (unit, string) result
-(** Hand a claimed link's source connection, already subscribed, to
-    the hosting shard, which re-runs the write gate. [Ok]: the shard
+val adopt_replica :
+  t -> replica -> from:int -> Client.t -> (unit, string) result
+(** Hand a claimed link's source connection, already subscribed [from]
+    the offset {!claim_replica} returned, to the hosting shard, which
+    re-runs the write gate and checks that the local tail is still
+    [from]. [Ok]: the shard
     owns the socket and its negotiated frame modes, takes its frames
     down the publisher path, and calls [on_close] once; a frame failing
     authentication or decompression, or any control frame, closes it.
@@ -354,7 +352,8 @@ val unlink_replica : t -> replica -> unit
 (** Close the link {!adopt_replica} made for this record, if live. *)
 
 val promote_stream : t -> stream:string -> (int, string) result
-(** PROMOTE in process: the epoch after the call. *)
+(** PROMOTE in process: fsync the stream's store, then take ownership;
+    the epoch after the call. *)
 
 val store_tail : t -> stream:string -> int option
 

@@ -362,6 +362,8 @@ let test_bidirectional_no_amplification () =
     (assoc "frames_replicated" (Mirror.stats m_ab));
   check int "reverse link replicated nothing" 0
     (assoc "frames_replicated" (Mirror.stats m_ba));
+  check int "reverse manager never started a link" 0
+    (assoc "streams_linked" (Mirror.stats m_ba));
   Relay.Client.close pub
 
 (* ------------------------------------------------------------------ *)
@@ -481,6 +483,51 @@ let test_promote_on_loss_failover () =
   publish sender2 fmt2 n;
   poll ~what:"post-failover append" (fun () ->
       relay_stat ~port:port_b "store.flights.tail" >= n + 1)
+
+(* Promotion makes the replica's history durable. The replica store
+   syncs only once a minute, so its replicated frames are not yet on
+   disk when the source dies; the promoted replica must have fsynced
+   them before it owns the stream. *)
+let test_promote_syncs_replica () =
+  with_root @@ fun root_a ->
+  with_root @@ fun root_b ->
+  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let port_a = Relay.port ha in
+  let stopped_a = ref false in
+  Fun.protect
+    ~finally:(fun () -> if not !stopped_a then Relay.stop ha)
+  @@ fun () ->
+  let hb =
+    Relay.start
+      ~store:
+        { (Relay.Store.default_config ~root:root_b) with
+          fsync = Relay.Store.Interval 60.0 }
+      ()
+  in
+  let port_b = Relay.port hb in
+  Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
+  let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
+  let n = 15 in
+  for seq = 0 to n - 1 do
+    publish sender fmt seq
+  done;
+  let m =
+    Mirror.start hb
+      (mcfg ~max_attempts:2 ~promote_on_loss:true ~source_port:port_a ())
+  in
+  Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
+  poll ~what:"replica caught up" (fun () ->
+      relay_stat ~port:port_b "store.flights.tail" >= n);
+  check bool "replicated frames not yet synced" true
+    (relay_stat ~port:port_b "store.flights.durable" < n);
+  (try Relay.Client.close pub with _ -> ());
+  stopped_a := true;
+  Relay.stop ha;
+  poll ~deadline_s:20.0 ~what:"promote on loss" (fun () ->
+      assoc "promotes" (Mirror.stats m) >= 1);
+  check int "durable = tail at promotion" n
+    (relay_stat ~port:port_b "store.flights.durable");
+  check int "tail unchanged" n (relay_stat ~port:port_b "store.flights.tail")
 
 (* ------------------------------------------------------------------ *)
 (* Idle link: no churn, byte-exact replica                              *)
@@ -941,6 +988,8 @@ let () =
             test_promote_transfers_ownership
         ; Alcotest.test_case "promote-on-loss failover" `Quick
             test_promote_on_loss_failover
+        ; Alcotest.test_case "promotion fsyncs the replica" `Quick
+            test_promote_syncs_replica
         ; Alcotest.test_case "refusing source parks, never promotes" `Quick
             (test_refusing_source_not_promoted ~revoke:false)
         ; Alcotest.test_case "source revoking the key is not lost" `Quick
