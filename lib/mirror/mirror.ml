@@ -243,7 +243,7 @@ let handshake (t : t) (ls : link_state) : bool =
         (* source retention outran this replica: the gap is gone *)
         Counters.incr t.counters "resume_gap_clamped"
       | _ -> ());
-      Some (rep, from)
+      Some rep
   with
   | exception e ->
     Client.close client;
@@ -251,11 +251,11 @@ let handshake (t : t) (ls : link_state) : bool =
   | None ->
     Client.close client;
     false
-  | Some (rep, from) -> (
+  | Some rep -> (
     Mutex.protect t.mu (fun () ->
         ls.l_replica <- Some rep;
         ls.l_closed <- None);
-    match Relay.adopt_replica t.relay rep ~from client with
+    match Relay.adopt_replica t.relay rep client with
     | Error msg -> raise (Parked msg)
     | Ok () ->
       (* a {!stop} racing the hand-over may have missed the link *)

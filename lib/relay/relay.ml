@@ -228,6 +228,7 @@ and shared = {
   mutable peers : shard array;  (** every shard, indexed by shard id *)
   call_mu : Mutex.t;
   call_cv : Condition.t;  (** {!on_loop}: a result or a loop exit *)
+  stopped : bool Atomic.t;  (** {!stop} has begun: every shard drains *)
 }
 
 and shard = {
@@ -292,7 +293,6 @@ and shard = {
   mutable next_cid : int;
   mutable state : state;
   mutable drain_timer : Reactor.timer option;
-  mutable stop_flag : bool;  (** set by {!request_shutdown} *)
   mutable exited : bool;  (** the loop returned; under [call_mu] *)
 }
 
@@ -1095,6 +1095,10 @@ let join_publishers (t : shard) (s : stream) (c : conn) =
   if stream_congested t s || not (publisher_read_ok t c) then
     Rconn.set_read_intent c.io false
 
+(** Is [c] a replication link ({!adopt_replica})? *)
+let is_replica (c : conn) =
+  match c.role with Publisher { replica = Some _; _ } -> true | _ -> false
+
 (** PROMOTE: fsync [s]'s store, then take write ownership at a bumped
     epoch; the epoch held afterwards. Idempotent on a stream already
     owned here. *)
@@ -1112,11 +1116,7 @@ let promote (t : shard) (s : stream) : int =
     (* any live replication link into this stream predates the
        ownership change: doom it so its epoch check re-runs *)
     List.iter
-      (fun pc ->
-        match pc.role with
-        | Publisher { replica = Some _; _ } ->
-          Rconn.doom pc.io "stream promoted"
-        | _ -> ())
+      (fun pc -> if is_replica pc then Rconn.doom pc.io "stream promoted")
       s.publishers;
     Log.info (fun m ->
         m "stream %s promoted: now %s@%d (was %s)" s.name t.relay_id epoch
@@ -1466,12 +1466,8 @@ let unseal (t : shard) (c : conn) (frame : Bytes.t) : Bytes.t option =
       Log.warn (fun m ->
           m "conn %d: rejected frame (%d/%d): %s" c.cid c.mac_rejects
             t.mac_reject_limit msg);
-      (match c.role with
-      | Publisher { replica = Some _; _ } ->
-        Rconn.doom c.io "authentication failure"
-      | _ ->
-        if c.mac_rejects >= t.mac_reject_limit then
-          Rconn.doom c.io "authentication failures");
+      if is_replica c || c.mac_rejects >= t.mac_reject_limit then
+        Rconn.doom c.io "authentication failures";
       None)
 
 (** Inflate an inbound frame on a [comp=lz] connection — after
@@ -1718,7 +1714,7 @@ let run_loop (t : shard) : unit =
   | None -> ());
   gauge_tick t;
   Reactor.set_on_tick t.reactor (fun () ->
-      if t.stop_flag && t.state = Running then begin_drain t);
+      if Atomic.get t.shared.stopped && t.state = Running then begin_drain t);
   Reactor.run t.reactor;
   Mutex.protect t.shared.call_mu (fun () ->
       t.exited <- true;
@@ -1776,8 +1772,6 @@ type t = {
   shared : shared;  (** the pins table and every shard *)
   acceptor : Thread.t;
   domains : unit Domain.t array;
-  stopped : bool Atomic.t;  (** {!request_shutdown} was called *)
-  mutable joined : bool;
 }
 
 let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
@@ -1789,7 +1783,8 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
   let relay_id = resolve_relay_id ?relay_id store in
   let shared =
     { pins_mu = Mutex.create (); pins = Hashtbl.create 32; peers = [||]
-    ; call_mu = Mutex.create (); call_cv = Condition.create () }
+    ; call_mu = Mutex.create (); call_cv = Condition.create ()
+    ; stopped = Atomic.make false }
   in
   let make_shard shard_id =
     let gov = Governor.create governor in
@@ -1809,7 +1804,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
       ; comp_scratch = Compress.scratch ()
       ; ack_flush_scheduled = false; store_timer = None; gauge_timer = None
       ; next_cid = shard_id + 1; state = Running
-      ; drain_timer = None; stop_flag = false; exited = false }
+      ; drain_timer = None; exited = false }
     in
     Governor.on_transition gov (fun prev next ->
         on_governor_transition t prev next);
@@ -1845,8 +1840,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
           Printf.sprintf ", store %s fsync %s" cfg.Store.root
             (Store.fsync_policy_to_string cfg.Store.fsync)
         | None -> ""));
-  { lsock; port = bound_port; shared; acceptor; domains
-  ; stopped = Atomic.make false; joined = false }
+  { lsock; port = bound_port; shared; acceptor; domains }
 
 let port (r : t) = r.port
 let shard_count (r : t) = Array.length r.shared.peers
@@ -1882,7 +1876,7 @@ let on_loop (sh : shard) (f : unit -> 'a) : 'a option =
       done);
   Option.map (function Ok v -> v | Error e -> raise e) !result
 
-let stopping (r : t) = Atomic.get r.stopped
+let stopping (r : t) = Atomic.get r.shared.stopped
 
 (** [f] on the loop of the shard hosting [stream], with its record. *)
 let on_stream (r : t) (stream : string) (f : shard -> stream -> 'a) :
@@ -1913,32 +1907,18 @@ let trace_spans (r : t) : Trace.span list =
          match s.trace with None -> [] | Some col -> Trace.spans col)
   |> List.sort (fun a b -> compare a.Trace.sp_start_us b.Trace.sp_start_us)
 
-(** Unblock the acceptor and ask every shard to drain. Each shard only
-    gets a flag and a wake-pipe byte (its loop's per-iteration tick
-    polls the flag — no mutex on this path). *)
-let request_shutdown (r : t) =
-  Atomic.set r.stopped true;
-  (try Unix.shutdown r.lsock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  Array.iter
-    (fun s ->
-      s.stop_flag <- true;
-      Reactor.wake s.reactor)
-    r.shared.peers
-
-(** Join the acceptor and every shard domain (call after
-    {!request_shutdown}). *)
-let wait (r : t) =
-  if not r.joined then begin
-    r.joined <- true;
+(** Unblock the acceptor and ask every shard to drain — each shard only
+    gets a wake-pipe byte (its loop's per-iteration tick polls the shared
+    flag — no mutex on this path) — then join the acceptor and every
+    shard domain. *)
+let stop (r : t) =
+  if Atomic.compare_and_set r.shared.stopped false true then begin
+    (try Unix.shutdown r.lsock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+    Array.iter (fun s -> Reactor.wake s.reactor) r.shared.peers;
     Thread.join r.acceptor;
     Array.iter Domain.join r.domains;
     try Unix.close r.lsock with Unix.Unix_error _ -> ()
   end
-
-let stop (r : t) =
-  request_shutdown r;
-  wait r
-
 
 (* ------------------------------------------------------------------ *)
 (* Client                                                               *)
@@ -2208,11 +2188,6 @@ let replica_gate (t : shard) (s : stream) (r : replica) :
   end
   else Ok ()
 
-(** Where the next replicated frame lands: the store tail, [-1] on a
-    memory-only relay. *)
-let replica_offset (t : shard) (s : stream) : int =
-  Option.fold ~none:(-1) ~some:Store.tail (store_handle t s)
-
 let claim_replica (r : t) (rep : replica) : (int, string) result =
   (* an unpinned stream goes where store recovery would pin it *)
   let n = Array.length r.shared.peers in
@@ -2222,7 +2197,9 @@ let claim_replica (r : t) (rep : replica) : (int, string) result =
     let result =
       Result.bind (advertise owner rep.stream rep.meta rep.schema) (fun s ->
           Result.map
-            (fun () -> replica_offset owner s)
+            (fun () ->
+              (* where the next replicated frame lands *)
+              Option.fold ~none:(-1) ~some:Store.tail (store_handle owner s))
             (replica_gate owner s rep))
     in
     release_pin owner rep.stream;
@@ -2230,19 +2207,12 @@ let claim_replica (r : t) (rep : replica) : (int, string) result =
   in
   Option.value (on_loop owner claim) ~default:(Error "relay is shutting down")
 
-let adopt_replica (r : t) (rep : replica) ~(from : int) (client : Client.t)
-    : (unit, string) result =
+let adopt_replica (r : t) (rep : replica) (client : Client.t) :
+    (unit, string) result =
   let adopt (t : shard) (s : stream) =
     (if t.state <> Running then Error "relay is shutting down"
-     else
-       (* a PROMOTE may have run since the claim *)
-       Result.bind (replica_gate t s rep) @@ fun () ->
-       let tail = replica_offset t s in
-       if tail = from then Ok ()
-       else
-         Error
-           (Printf.sprintf "stream %s: replica tail %d, claimed at %d" s.name
-              tail from))
+     else (* a PROMOTE may have run since the claim *)
+       replica_gate t s rep)
     |> Result.map @@ fun () ->
     let c =
       new_conn t client.Client.fd ~mac:client.Client.mac

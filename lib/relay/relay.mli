@@ -337,12 +337,9 @@ val claim_replica : t -> replica -> (int, string) result
     recorded tag is the source's. [Ok] is the offset to subscribe the
     source from: the local store tail, [-1] memory-only. *)
 
-val adopt_replica :
-  t -> replica -> from:int -> Client.t -> (unit, string) result
-(** Hand a claimed link's source connection, already subscribed [from]
-    the offset {!claim_replica} returned, to the hosting shard, which
-    re-runs the write gate and checks that the local tail is still
-    [from]. [Ok]: the shard
+val adopt_replica : t -> replica -> Client.t -> (unit, string) result
+(** Hand a claimed link's source connection, already subscribed, to
+    the hosting shard, which re-runs the write gate. [Ok]: the shard
     owns the socket and its negotiated frame modes, takes its frames
     down the publisher path, and calls [on_close] once; a frame failing
     authentication or decompression, or any control frame, closes it.
