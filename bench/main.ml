@@ -1661,7 +1661,7 @@ let e11_trace () =
   match Sys.getenv_opt "OMF_PUSH_URL" with
   | None -> ()
   | Some url -> (
-    match Omf_util.Counters.push ~url [ ("bench", stats_full) ] with
+    match Http.push ~url [ ("bench", stats_full) ] with
     | Ok () -> note "pushed final relay counters to %s\n" url
     | Error m -> note "metrics push to %s failed: %s\n" url m)
 

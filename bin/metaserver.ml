@@ -104,24 +104,30 @@ let run dir port host metrics_port verbose =
          else Omf_util.Counters.incr counters "not_found");
         resp
       in
-      let server = Omf_httpd.Http.serve ~host ~port handler in
-      Printf.printf "metaserver: serving %d document(s) from %s on http://%s:%d/\n%!"
-        (List.length xsds) dir host (Omf_httpd.Http.port server);
-      Option.iter
-        (fun p ->
-          let srv =
-            Omf_httpd.Http.serve_metrics ~host ~port:p
-              [ ("metaserver", fun () -> Omf_util.Counters.dump counters) ]
-          in
-          Printf.printf "metaserver: metrics on http://%s:%d/metrics\n%!" host
-            (Omf_httpd.Http.port srv))
-        metrics_port;
-      (* serve until interrupted *)
-      let rec forever () =
-        Thread.delay 3600.0;
+      match Omf_httpd.Http.serve ~host ~port handler with
+      | exception Unix.Unix_error (e, _, _) ->
+        `Error
+          (false, Printf.sprintf "bind %s:%d: %s" host port (Unix.error_message e))
+      | exception Omf_reactor.Reactor.Resolve_error m ->
+        `Error (false, Printf.sprintf "bind %s:%d: %s" host port m)
+      | server ->
+        Printf.printf "metaserver: serving %d document(s) from %s on http://%s:%d/\n%!"
+          (List.length xsds) dir host (Omf_httpd.Http.port server);
+        Option.iter
+          (fun p ->
+            let srv =
+              Omf_httpd.Http.serve_metrics ~host ~port:p
+                [ ("metaserver", fun () -> Omf_util.Counters.dump counters) ]
+            in
+            Printf.printf "metaserver: metrics on http://%s:%d/metrics\n%!" host
+              (Omf_httpd.Http.port srv))
+          metrics_port;
+        (* serve until interrupted *)
+        let rec forever () =
+          Thread.delay 3600.0;
+          forever ()
+        in
         forever ()
-      in
-      forever ()
   end
 
 let () =

@@ -88,6 +88,7 @@ let run port http_port metrics_port host store compat verbose =
     `Error (false, Printf.sprintf "store: %s" m)
   | exception Unix.Unix_error (e, fn, _) ->
     `Error (false, Printf.sprintf "%s: %s" fn (Unix.error_message e))
+  | exception Omf_reactor.Reactor.Resolve_error m -> `Error (false, m)
   | reg, srv ->
     Printf.printf "registryd: %d subject(s), mode %s, frames on %s:%d\n%!"
       (List.length (R.subjects reg))

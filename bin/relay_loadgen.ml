@@ -321,7 +321,7 @@ let run serve host port policy max_queue auth compress subscribers events pad
   (match push with
   | None -> ()
   | Some url -> (
-    match Omf_util.Counters.push ~url [ ("relay", stats) ] with
+    match Omf_httpd.Http.push ~url [ ("relay", stats) ] with
     | Ok () -> Printf.printf "  pushed metrics to %s\n" url
     | Error m -> Printf.printf "  metrics push to %s failed: %s\n" url m));
   Relay.Client.close admin;

@@ -474,6 +474,8 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
     | exception Unix.Unix_error (e, _, _) ->
       `Error
         (false, Printf.sprintf "bind %s:%d: %s" host port (Unix.error_message e))
+    | exception Omf_reactor.Reactor.Resolve_error m ->
+      `Error (false, Printf.sprintf "bind %s:%d: %s" host port m)
     | exception Omf_relay.Relay.Store.Store_error m ->
       `Error (false, Printf.sprintf "store: %s" m)
 

@@ -1,6 +1,8 @@
-(** Minimal HTTP/1.0 over TCP: enough protocol for metadata documents to
+(** Minimal HTTP over TCP: enough protocol for metadata documents to
     be "retrieved from remote locations in the same manner that web
-    browsers retrieve other XML documents" (section 7). GET only.
+    browsers retrieve other XML documents" (section 7). The server
+    answers GET and POST with HTTP/1.0 and closes; the client sends
+    HTTP/1.1 requests with [Connection: close].
 
     The server dispatches on a handler function; {!serve_table} and
     {!serve_directory} cover the metaserver use cases. The client's
@@ -69,45 +71,6 @@ let percent_decode (s : string) : string option =
     end
   in
   go 0
-
-(* ------------------------------------------------------------------ *)
-(* Wire reading helpers                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let read_line_crlf (ic : in_channel) : string =
-  let b = Buffer.create 64 in
-  let rec go () =
-    match input_char ic with
-    | '\n' -> ()
-    | '\r' -> (
-      match input_char ic with
-      | '\n' -> ()
-      | c ->
-        Buffer.add_char b '\r';
-        Buffer.add_char b c;
-        go ())
-    | c ->
-      Buffer.add_char b c;
-      go ()
-  in
-  go ();
-  Buffer.contents b
-
-let read_headers ic : (string * string) list =
-  let rec go acc =
-    let line = read_line_crlf ic in
-    if String.equal line "" then List.rev acc
-    else
-      match String.index_opt line ':' with
-      | None -> go acc (* tolerate junk header lines *)
-      | Some i ->
-        let k = String.lowercase_ascii (String.trim (String.sub line 0 i)) in
-        let v =
-          String.trim (String.sub line (i + 1) (String.length line - i - 1))
-        in
-        go ((k, v) :: acc)
-  in
-  go []
 
 (* ------------------------------------------------------------------ *)
 (* Server                                                               *)
@@ -386,122 +349,94 @@ let serve_directory ?host ~port (dir : string) : server =
     rejection) can inspect it without exception plumbing. Raises
     {!Http_error} only on transport problems (connect failure, timeout,
     truncated stream, malformed response). [timeout_s] bounds
-    connection establishment and each read/write. *)
-let request ?(host = "127.0.0.1") ~port ~meth ~path ?(body = "") ?timeout_s ()
-    : response =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        (try Unix.close sock with Unix.Unix_error _ -> ());
-        raise (Http_error s))
-      fmt
+    connection establishment and each read/write. The connection comes
+    from {!Omf_transport.Tcp.dial}; the response head is parsed with the
+    server's own head parser. *)
+let request ?(host = "127.0.0.1") ~port ~meth ~path ?content_type
+    ?(body = "") ?timeout_s () : response =
+  let fd =
+    try
+      Omf_transport.Tcp.dial ~host ~port ?connect_timeout_s:timeout_s
+        ?io_timeout_s:timeout_s ()
+    with Omf_transport.Tcp.Tcp_error m -> raise (Http_error m)
   in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-  (match timeout_s with
-  | None -> (
-    try Unix.connect sock addr
-    with Unix.Unix_error (e, _, _) ->
-      fail "connect %s:%d: %s" host port (Unix.error_message e))
-  | Some dt -> (
-    (try
-       Unix.setsockopt_float sock Unix.SO_RCVTIMEO dt;
-       Unix.setsockopt_float sock Unix.SO_SNDTIMEO dt
-     with Unix.Unix_error _ -> ());
-    Unix.set_nonblock sock;
-    (match Unix.connect sock addr with
-    | () -> ()
-    | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _)
-      -> (
-      match Unix.select [] [ sock ] [] dt with
-      | _, [ _ ], _ -> (
-        match Unix.getsockopt_error sock with
-        | None -> ()
-        | Some e -> fail "connect %s:%d: %s" host port (Unix.error_message e))
-      | _ -> fail "connect %s:%d: timeout after %.3gs" host port dt)
-    | exception Unix.Unix_error (e, _, _) ->
-      fail "connect %s:%d: %s" host port (Unix.error_message e));
-    Unix.clear_nonblock sock));
+  let fail fmt = http_error ("%s %s:%d%s: " ^^ fmt) meth host port path in
   Fun.protect
-    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-    (fun () ->
-      (* SO_RCVTIMEO expiry surfaces as EAGAIN (Sys_error/Sys_blocked_io
-         through the channel layer): translate to a readable Http_error *)
-      try
-        let ic = Unix.in_channel_of_descr sock in
-        let oc = Unix.out_channel_of_descr sock in
-        output_string oc
-          (Printf.sprintf
-             "%s %s HTTP/1.0\r\nHost: %s\r\nContent-Length: %d\r\n\r\n%s" meth
-             path host (String.length body) body);
-        flush oc;
-        let status_line = read_line_crlf ic in
-        let headers = read_headers ic in
-        let status, reason =
-          match String.split_on_char ' ' status_line with
-          | _ :: code :: rest -> (
-            match int_of_string_opt code with
-            | Some c -> (c, String.concat " " rest)
-            | None -> http_error "bad status line %S" status_line)
-          | _ -> http_error "bad status line %S" status_line
-        in
-        let resp_body =
-          match List.assoc_opt "content-length" headers with
-          | Some n -> (
-            match int_of_string_opt n with
-            | Some n when n >= 0 ->
-              (* fill by hand: a server that closes early must surface
-                 as a typed truncation error carrying the byte counts,
-                 not a bare [End_of_file] or a silent short body *)
-              let buf = Bytes.create n in
-              let rec fill got =
-                if got < n then begin
-                  let r = input ic buf got (n - got) in
-                  if r = 0 then
-                    http_error "%s %s:%d%s: truncated body: got %d of %d bytes"
-                      meth host port path got n;
-                  fill (got + r)
-                end
-              in
-              fill 0;
-              Bytes.unsafe_to_string buf
-            | _ -> http_error "bad content-length %S" n)
-          | None ->
-            (* HTTP/1.0: read to EOF *)
-            let b = Buffer.create 1024 in
-            (try
-               while true do
-                 Buffer.add_channel b ic 1
-               done
-             with End_of_file -> ());
-            Buffer.contents b
-        in
-        { status; reason
-        ; content_type =
-            Option.value ~default:"text/plain"
-              (List.assoc_opt "content-type" headers)
-        ; body = resp_body }
-      with
-      | End_of_file ->
-        http_error "%s %s:%d%s: unexpected end of stream" meth host port path
-      | (Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) | Sys_blocked_io)
-        when timeout_s <> None ->
-        http_error "%s %s:%d%s: timeout after %.3gs" meth host port path
-          (Option.value ~default:0.0 timeout_s)
-      | Sys_error m ->
-        (* channel layer turns the EAGAIN into Sys_error
-           "Resource temporarily unavailable" *)
-        if
-          timeout_s <> None
-          && String.length m >= 11
-          && String.sub m (String.length m - 11) 11 = "unavailable"
-        then
-          http_error "%s %s:%d%s: timeout after %.3gs" meth host port path
-            (Option.value ~default:0.0 timeout_s)
-        else
-          (* e.g. a connection reset mid-body: still a typed transport
-             error, never a raw Sys_error *)
-          http_error "%s %s:%d%s: %s" meth host port path m)
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let buf = Buffer.create 1024 in
+  let chunk = Bytes.create 4096 in
+  (* one read appended to [buf]; [false] at end of stream *)
+  let fill () =
+    let n = Omf_transport.Tcp.read fd chunk 0 (Bytes.length chunk) in
+    Buffer.add_subbytes buf chunk 0 n;
+    n > 0
+  in
+  try
+    let req =
+      Printf.sprintf
+        "%s %s HTTP/1.1\r\nHost: %s:%d\r\n%sContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+        meth path host port
+        (match content_type with
+        | Some ct -> "Content-Type: " ^ ct ^ "\r\n"
+        | None -> "")
+        (String.length body) body
+    in
+    Omf_transport.Tcp.really_write fd (Bytes.unsafe_of_string req) 0
+      (String.length req);
+    let rec head_end from =
+      match find_headers_end buf from with
+      | Some stop -> stop
+      | None ->
+        let scanned = Buffer.length buf - 3 in
+        if fill () then head_end scanned else raise End_of_file
+    in
+    let stop = head_end 0 in
+    let status_line, headers =
+      match split_crlf (Buffer.sub buf 0 (stop - 4)) with
+      | l :: rest -> (l, parse_header_lines rest)
+      | [] -> ("", [])
+    in
+    let status, reason =
+      match String.split_on_char ' ' status_line with
+      | _ :: code :: rest when int_of_string_opt code <> None ->
+        (int_of_string code, String.concat " " rest)
+      | _ -> http_error "bad status line %S" status_line
+    in
+    let got () = Buffer.length buf - stop in
+    let resp_body =
+      match List.assoc_opt "content-length" headers with
+      | Some n -> (
+        match int_of_string_opt n with
+        | Some n when n >= 0 ->
+          (* a server that closes early must surface as a typed
+             truncation error carrying the byte counts, not a silent
+             short body *)
+          while got () < n do
+            if not (fill ()) then
+              fail "truncated body: got %d of %d bytes" (got ()) n
+          done;
+          Buffer.sub buf stop n
+        | _ -> http_error "bad content-length %S" n)
+      | None ->
+        (* no length: the body runs to the end of the stream *)
+        while fill () do () done;
+        Buffer.sub buf stop (got ())
+    in
+    { status; reason
+    ; content_type =
+        Option.value ~default:"text/plain"
+          (List.assoc_opt "content-type" headers)
+    ; body = resp_body }
+  with
+  | End_of_file -> fail "unexpected end of stream"
+  | Omf_transport.Link.Timeout ->
+    fail "timeout after %.3gs" (Option.value ~default:0.0 timeout_s)
+  | e -> (
+    (* e.g. a connection reset mid-body: still a typed transport error *)
+    match Omf_transport.Tcp.failure_message e with
+    | Some m -> fail "%s" m
+    | None -> raise e)
 
 (** [get ~host ~port ~path] performs a blocking GET and returns the
     body. Raises {!Http_error} on connection failure or non-200 status
@@ -515,6 +450,58 @@ let get ?host ~port ~path ?timeout_s () : string =
 (** A {!Omf_xml2wire.Discovery}-compatible fetch closure for a URL. *)
 let fetcher ?(host = "127.0.0.1") ~port ~path ?timeout_s () : unit -> string =
   fun () -> get ~host ~port ~path ?timeout_s ()
+
+(* "http://host[:port]/path" -> (host, port, path) *)
+let split_url (url : string) : (string * int * string, string) result =
+  let prefix = "http://" in
+  let pl = String.length prefix in
+  if String.length url <= pl || String.sub url 0 pl <> prefix then
+    Error (Printf.sprintf "push: unsupported url %S (want http://...)" url)
+  else
+    let rest = String.sub url pl (String.length url - pl) in
+    let hostport, path =
+      match String.index_opt rest '/' with
+      | Some i ->
+        (String.sub rest 0 i, String.sub rest i (String.length rest - i))
+      | None -> (rest, "/metrics/job/omf")
+    in
+    match String.index_opt hostport ':' with
+    | Some i -> (
+      let host = String.sub hostport 0 i in
+      match
+        int_of_string_opt
+          (String.sub hostport (i + 1) (String.length hostport - i - 1))
+      with
+      | Some port when host <> "" && port > 0 -> Ok (host, port, path)
+      | _ -> Error (Printf.sprintf "push: malformed host:port in %S" url))
+    | None ->
+      if hostport = "" then Error (Printf.sprintf "push: no host in %S" url)
+      else Ok (hostport, 80, path)
+
+(** One-shot POST of Prometheus text to [url] — push-gateway mode for
+    short-lived tools (relay_loadgen, the bench harness) whose
+    counters would vanish before any scrape. Blocking, bounded by
+    [timeout_s] on connect and I/O; all failures come back as
+    [Error msg] (a metrics push must never kill the tool). *)
+let push ?(timeout_s = 2.0) ~url
+    (sources : (string * (string * int) list) list) : (unit, string) result =
+  match split_url url with
+  | Error _ as e -> e
+  | Ok (host, port, path) -> (
+    let body =
+      String.concat ""
+        (List.map
+           (fun (component, snapshot) ->
+             Omf_util.Counters.prometheus ~component snapshot)
+           sources)
+    in
+    match
+      request ~host ~port ~meth:"POST" ~path
+        ~content_type:"text/plain; version=0.0.4" ~body ~timeout_s ()
+    with
+    | r when r.status / 100 = 2 -> Ok ()
+    | r -> Error (Printf.sprintf "push: %s refused: %d %s" url r.status r.reason)
+    | exception Http_error m -> Error (Printf.sprintf "push %s: %s" url m))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                              *)

@@ -1,7 +1,9 @@
-(** Minimal HTTP/1.0 over TCP (GET and POST): enough protocol for
-    metadata documents to be retrieved "in the same manner that web
-    browsers retrieve other XML documents" (section 7), plus the POST
-    route the schema registry mounts for registration. *)
+(** Minimal HTTP over TCP (GET and POST): enough protocol for metadata
+    documents to be retrieved "in the same manner that web browsers
+    retrieve other XML documents" (section 7), plus the POST route the
+    schema registry mounts for registration and the push-gateway POST.
+    The server answers HTTP/1.0 and closes; the client sends HTTP/1.1
+    with [Connection: close] over {!Omf_transport.Tcp.dial}. *)
 
 exception Http_error of string
 
@@ -106,15 +108,18 @@ val request :
   port:int ->
   meth:string ->
   path:string ->
+  ?content_type:string ->
   ?body:string ->
   ?timeout_s:float ->
   unit ->
   response
 (** Blocking request returning the full parsed response — status
     included, so callers that care about 403-vs-404 or the registry's
-    409 can inspect it. Raises {!Http_error} only on transport problems
-    (connect failure, timeout, truncated or malformed response).
-    [timeout_s] bounds connection establishment and each read/write. *)
+    409 can inspect it. [host] may be a name ({!Omf_reactor.Reactor.resolve});
+    a [Content-Type] header is sent only when [content_type] is given.
+    Raises {!Http_error} only on transport problems (connect failure,
+    timeout, truncated or malformed response). [timeout_s] bounds
+    connection establishment and each read/write. *)
 
 val get :
   ?host:string -> port:int -> path:string -> ?timeout_s:float -> unit -> string
@@ -133,3 +138,17 @@ val fetcher :
   unit ->
   string
 (** A {!Omf_xml2wire.Discovery}-compatible fetch closure for a URL. *)
+
+val push :
+  ?timeout_s:float ->
+  url:string ->
+  (string * (string * int) list) list ->
+  (unit, string) result
+(** [push ~url sources] POSTs the {!Omf_util.Counters.prometheus}
+    rendering of each [(component, snapshot)] source to [url] in one
+    {!request} — push-gateway mode for short-lived tools (the load
+    generator, the bench harness) that exit before any scrape could
+    happen. [url] is [http://host[:port][/path]]; the path defaults to
+    [/metrics/job/omf]. Blocking, bounded by [timeout_s] (default 2 s)
+    per socket operation; every failure (resolution, refusal, non-2xx)
+    is returned as [Error message], never raised. *)

@@ -144,13 +144,13 @@ let promote_local (t : t) (ls : link_state) =
     whatever it then answers. *)
 let listening (t : t) =
   match
-    Omf_transport.Tcp.connect ~host:t.cfg.source_host ~port:t.cfg.source_port
+    Omf_transport.Tcp.dial ~host:t.cfg.source_host ~port:t.cfg.source_port
       ~connect_timeout_s:t.cfg.io_timeout_s ()
   with
-  | link ->
-    Omf_transport.Link.close link;
+  | fd ->
+    Unix.close fd;
     true
-  | exception _ -> false
+  | exception Omf_transport.Tcp.Tcp_error _ -> false
 
 (** A link's handshakes failed [max_attempts] times in a row ([why]).
     Before calling the source lost, ask it once: a source that still

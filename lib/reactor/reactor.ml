@@ -383,15 +383,35 @@ let dispose (t : t) =
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   try Unix.close t.wake_w with Unix.Unix_error _ -> ()
 
+exception Resolve_error of string
+
+(** [resolve host] is the IPv4 address every socket here binds or dials
+    for [host]. A dotted quad parses without a lookup; any other name
+    goes through [getaddrinfo], IPv4 stream addresses only, since every
+    socket is [PF_INET]. A name with no such address raises
+    {!Resolve_error}. *)
+let resolve (host : string) : Unix.inet_addr =
+  match Unix.inet_addr_of_string host with
+  | a when Unix.domain_of_sockaddr (Unix.ADDR_INET (a, 0)) = Unix.PF_INET -> a
+  | _ | (exception Failure _) -> (
+    match
+      Unix.getaddrinfo host ""
+        [ Unix.AI_FAMILY Unix.PF_INET; Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]
+    with
+    | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> a
+    | _ -> raise (Resolve_error (Printf.sprintf "unknown host %S" host)))
+
 (** [listener ~port ()] binds and listens on [host:port] (SO_REUSEADDR,
     backlog 64) and returns the socket with the port actually bound
-    (useful with [~port:0]). The socket is closed if [bind] or [listen]
+    (useful with [~port:0]). [host] goes through {!resolve} before the
+    socket exists, and the socket is closed if [bind] or [listen]
     raises, so a start on a busy port leaks no descriptor. *)
 let listener ?(host = "127.0.0.1") ~port () : Unix.file_descr * int =
+  let addr = Unix.ADDR_INET (resolve host, port) in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
     Unix.setsockopt sock Unix.SO_REUSEADDR true;
-    Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+    Unix.bind sock addr;
     Unix.listen sock 64;
     Unix.getsockname sock
   with

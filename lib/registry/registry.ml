@@ -658,17 +658,10 @@ module Client = struct
             raise
               (Server_unavailable (Printf.sprintf "unexpected reply kind %C" k)))
         | Some _ | None -> raise (Server_unavailable "connection closed")
-        | exception Omf_transport.Link.Timeout ->
-          raise (Server_unavailable "timeout")
-        | exception
-            ( Omf_transport.Tcp.Tcp_error m
-            | Omf_reactor.Frame.Frame_error m ) ->
-          raise (Server_unavailable m)
-        | exception (Omf_transport.Link.Closed | End_of_file) ->
-          raise (Server_unavailable "connection closed")
-        | exception Unix.Unix_error (e, fn, _) ->
-          raise
-            (Server_unavailable (fn ^ ": " ^ Unix.error_message e)))
+        | exception e -> (
+          match Omf_transport.Tcp.failure_message e with
+          | Some m -> raise (Server_unavailable m)
+          | None -> raise e))
 
   (* "k=v" line parsing for reply headers *)
   let header_int key line =

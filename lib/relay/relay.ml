@@ -1978,26 +1978,19 @@ module Client = struct
     ; close = (fun () -> Link.close link)
     }
 
-  (* every transport-level failure surfaces as Client.Error with a
-     readable message; raw Unix_error / Tcp_error never escape *)
+  (* every transport-level failure ({!Tcp.failure_message}) surfaces as
+     Client.Error with a readable message; raw Unix_error / Tcp_error
+     never escape *)
   let reraise (context : string) = function
     | Error m -> raise (Error m)
-    | Link.Closed -> raise (Error (context ^ ": connection closed"))
-    | Link.Timeout -> raise (Error (context ^ ": timeout"))
-    | Tcp.Tcp_error m | Frame.Frame_error m ->
-      raise (Error (context ^ ": " ^ m))
-    | Macframe.Auth_error m ->
-      raise (Error (context ^ ": authentication: " ^ m))
-    | End_of_file -> raise (Error (context ^ ": connection closed"))
-    | Unix.Unix_error (e, fn, _) ->
-      raise (Error (Printf.sprintf "%s: %s: %s" context fn (Unix.error_message e)))
-    | e -> raise e
+    | e -> (
+      match Tcp.failure_message e with
+      | Some m -> raise (Error (context ^ ": " ^ m))
+      | None -> raise e)
 
   let transient = function
-    | Error _ | Link.Closed | Link.Timeout | End_of_file | Tcp.Tcp_error _
-    | Frame.Frame_error _ | Macframe.Auth_error _ | Unix.Unix_error _ ->
-      true
-    | _ -> false
+    | Error _ -> true
+    | e -> Tcp.failure_message e <> None
 
   let rpc (t : t) (req : Proto.request) : Proto.reply =
     match
@@ -2035,10 +2028,10 @@ module Client = struct
   let connect ?(host = "127.0.0.1") ~port ?(creds = []) ?auth
       ?(compress = false) ?connect_timeout_s ?io_timeout_s () : t =
     let fd =
-      try Tcp.dial ~host ~port ?connect_timeout_s ()
+      try Tcp.dial ~host ~port ?connect_timeout_s ?io_timeout_s ()
       with e -> reraise (Printf.sprintf "relay connect %s:%d" host port) e
     in
-    let link = Tcp.link_of_fd ?io_timeout_s fd in
+    let link = Tcp.link_of_fd fd in
     try
       let hello_creds =
         (if compress then [ ("comp", "lz") ] else [])

@@ -198,10 +198,10 @@ module Client : sig
       confuse shed load with rejection or disconnection. *)
 
   val transient : exn -> bool
-  (** Is this exception a broken or unusable connection — {!Error}, a
-      closed or timed-out link, a framing, TCP, authentication or Unix
-      error — that a fresh connection may cure? The predicate
-      {!Session}'s reconnect loops retry on. *)
+  (** Is this exception a broken or unusable connection — {!Error} or
+      a transport failure ({!Omf_transport.Tcp.failure_message}) — that
+      a fresh connection may cure? The predicate {!Session}'s reconnect
+      loops retry on. *)
 
   type t
 
@@ -215,7 +215,8 @@ module Client : sig
     ?io_timeout_s:float ->
     unit ->
     t
-  (** Connect and HELLO with [creds] (the relay's scoping input).
+  (** Dial [host] ({!Omf_transport.Tcp.dial}: a dotted quad or a
+      name) and HELLO with [creds] (the relay's scoping input).
       [?auth:(key_id, secret)] negotiates HMAC-authenticated framing
       (PROTOCOLS.md §12): the HELLO exchange is plaintext, every later
       frame in both directions is sealed; {!Error} if the relay refuses.

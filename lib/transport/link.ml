@@ -15,9 +15,10 @@ type t = {
 exception Closed
 
 exception Timeout
-(** A deadline-carrying link ({!Tcp.connect} with [?io_timeout_s])
-    raises this when a send or receive exceeds its deadline. The link
-    may be in the middle of a frame: treat it as broken and close it. *)
+(** A deadline-carrying link (over a socket from {!Tcp.dial} with
+    [?io_timeout_s]) raises this when a send or receive exceeds its
+    deadline. The link may be in the middle of a frame: treat it as
+    broken and close it. *)
 
 let send t msg = t.send msg
 let recv t = t.recv ()

@@ -11,9 +11,9 @@ type t = {
 exception Closed
 
 exception Timeout
-(** Raised by deadline-carrying links ({!Tcp.connect} with
-    [?io_timeout_s]) when a send or receive exceeds its deadline. The
-    link may have consumed part of a frame: treat it as broken. *)
+(** Raised by deadline-carrying links (over a socket from {!Tcp.dial}
+    with [?io_timeout_s]) when a send or receive exceeds its deadline.
+    The link may have consumed part of a frame: treat it as broken. *)
 
 val send : t -> bytes -> unit
 val recv : t -> bytes option

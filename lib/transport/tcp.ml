@@ -18,14 +18,14 @@ let () =
 
 (* SO_RCVTIMEO/SO_SNDTIMEO expiry surfaces as EAGAIN/EWOULDBLOCK from a
    blocking read/write — translate it to Link.Timeout *)
+let read fd buf off len =
+  try Unix.read fd buf off len
+  with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> raise Link.Timeout
+
 let really_read fd buf off len =
   let rec go off len =
     if len > 0 then begin
-      let n =
-        try Unix.read fd buf off len
-        with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-          raise Link.Timeout
-      in
+      let n = read fd buf off len in
       if n = 0 then raise End_of_file;
       go (off + n) (len - n)
     end
@@ -45,21 +45,11 @@ let really_write fd buf off len =
   in
   go off len
 
-(** [link_of_fd fd] wraps a connected socket, with [TCP_NODELAY] set.
-    [io_timeout_s] arms
-    [SO_RCVTIMEO]/[SO_SNDTIMEO]: a receive or send that stalls past the
-    deadline raises {!Link.Timeout} instead of blocking forever. *)
-let link_of_fd ?io_timeout_s (fd : Unix.file_descr) : Link.t =
+(** [link_of_fd fd] wraps a connected socket, with [TCP_NODELAY] set. *)
+let link_of_fd (fd : Unix.file_descr) : Link.t =
   (* small frames (acks, control replies, events) must not wait for the
      peer's delayed ACK behind Nagle's algorithm *)
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  (match io_timeout_s with
-  | Some t when t > 0.0 -> (
-    try
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO t;
-      Unix.setsockopt_float fd Unix.SO_SNDTIMEO t
-    with Unix.Unix_error _ -> ())
-  | _ -> ());
   let closed = ref false in
   let send msg =
     if !closed then raise Link.Closed;
@@ -94,42 +84,63 @@ let link_of_fd ?io_timeout_s (fd : Unix.file_descr) : Link.t =
 
 (** [dial ~host ~port] opens a connected blocking socket.
     [connect_timeout_s] bounds connection establishment (non-blocking
-    connect + select). *)
-let dial ?(host = "127.0.0.1") ~port ?connect_timeout_s () : Unix.file_descr =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        (try Unix.close sock with Unix.Unix_error _ -> ());
-        raise (Tcp_error s))
-      fmt
+    connect + select); [io_timeout_s] arms [SO_RCVTIMEO]/[SO_SNDTIMEO]
+    on the connected socket, so a read or write that stalls past it
+    raises {!Link.Timeout}. Every failure closes the socket and raises
+    {!Tcp_error}. *)
+let dial ?(host = "127.0.0.1") ~port ?connect_timeout_s ?io_timeout_s () :
+    Unix.file_descr =
+  let fail msg = tcp_error "connect %s:%d: %s" host port msg in
+  let addr =
+    try Unix.ADDR_INET (Omf_reactor.Reactor.resolve host, port)
+    with Omf_reactor.Reactor.Resolve_error m -> fail m
   in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-  (match connect_timeout_s with
-  | None -> (
-    try Unix.connect sock addr
-    with Unix.Unix_error (e, _, _) ->
-      fail "connect %s:%d: %s" host port (Unix.error_message e))
-  | Some dt -> (
-    Unix.set_nonblock sock;
-    (match Unix.connect sock addr with
-    | () -> ()
-    | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _)
-      -> (
-      (* wait for writability up to the deadline, then check SO_ERROR *)
-      match Unix.select [] [ sock ] [] dt with
-      | _, [ _ ], _ -> (
-        match Unix.getsockopt_error sock with
-        | None -> ()
-        | Some e -> fail "connect %s:%d: %s" host port (Unix.error_message e))
-      | _ -> fail "connect %s:%d: timeout after %.3gs" host port dt)
-    | exception Unix.Unix_error (e, _, _) ->
-      fail "connect %s:%d: %s" host port (Unix.error_message e));
-    Unix.clear_nonblock sock));
-  sock
+  let sock =
+    try Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0
+    with Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+  in
+  let connect () =
+    match connect_timeout_s with
+    | None -> Unix.connect sock addr
+    | Some dt ->
+      Unix.set_nonblock sock;
+      (match Unix.connect sock addr with
+      | () -> ()
+      | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _)
+        -> (
+        (* wait for writability up to the deadline, then check SO_ERROR *)
+        match Unix.select [] [ sock ] [] dt with
+        | _, [ _ ], _ ->
+          Option.iter
+            (fun e -> fail (Unix.error_message e))
+            (Unix.getsockopt_error sock)
+        | _ -> fail (Printf.sprintf "timeout after %.3gs" dt)));
+      Unix.clear_nonblock sock
+  in
+  match
+    connect ();
+    match io_timeout_s with
+    | Some t when t > 0.0 ->
+      Unix.setsockopt_float sock Unix.SO_RCVTIMEO t;
+      Unix.setsockopt_float sock Unix.SO_SNDTIMEO t
+    | _ -> ()
+  with
+  | () -> sock
+  | exception e -> (
+    (try Unix.close sock with Unix.Unix_error _ -> ());
+    match e with
+    | Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+    | e -> raise e)
 
-(** [connect ~host ~port] opens a client link over {!dial};
-    [io_timeout_s] arms per-operation send/receive deadlines on it
-    ({!Link.Timeout}). *)
+(** [connect ~host ~port] opens a client link over {!dial}. *)
 let connect ?host ~port ?connect_timeout_s ?io_timeout_s () : Link.t =
-  link_of_fd ?io_timeout_s (dial ?host ~port ?connect_timeout_s ())
+  link_of_fd (dial ?host ~port ?connect_timeout_s ?io_timeout_s ())
+
+(** [Some message] for a transport failure, [None] for anything else. *)
+let failure_message : exn -> string option = function
+  | Link.Closed | End_of_file -> Some "connection closed"
+  | Link.Timeout -> Some "timeout"
+  | Tcp_error m | Frame.Frame_error m -> Some m
+  | Macframe.Auth_error m -> Some ("authentication: " ^ m)
+  | Unix.Unix_error (e, fn, _) -> Some (fn ^ ": " ^ Unix.error_message e)
+  | _ -> None

@@ -200,98 +200,3 @@ let prometheus ?staleness:(tracker : staleness option) ~component
       (Printf.sprintf "omf_%s_stale %d\n" (String.map metric_char component)
          !stale));
   Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Push-gateway mode                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* "http://host[:port]/path" -> (host, port, path). Hand-rolled on raw
-   sockets because omf_util sits below omf_httpd in the library stack —
-   the HTTP client lives up there and cannot be used from here. *)
-let parse_push_url (url : string) : (string * int * string, string) result =
-  let prefix = "http://" in
-  let pl = String.length prefix in
-  if String.length url <= pl || String.sub url 0 pl <> prefix then
-    Error (Printf.sprintf "push: unsupported url %S (want http://...)" url)
-  else
-    let rest = String.sub url pl (String.length url - pl) in
-    let hostport, path =
-      match String.index_opt rest '/' with
-      | Some i ->
-        (String.sub rest 0 i, String.sub rest i (String.length rest - i))
-      | None -> (rest, "/metrics/job/omf")
-    in
-    match String.index_opt hostport ':' with
-    | Some i -> (
-      let host = String.sub hostport 0 i in
-      match
-        int_of_string_opt
-          (String.sub hostport (i + 1) (String.length hostport - i - 1))
-      with
-      | Some port when host <> "" && port > 0 -> Ok (host, port, path)
-      | _ -> Error (Printf.sprintf "push: malformed host:port in %S" url))
-    | None ->
-      if hostport = "" then Error (Printf.sprintf "push: no host in %S" url)
-      else Ok (hostport, 80, path)
-
-(** One-shot POST of Prometheus text to [url] — push-gateway mode for
-    short-lived tools (relay_loadgen, the bench harness) whose
-    counters would vanish before any scrape. Blocking, bounded by
-    [timeout_s] on connect and I/O; all failures come back as
-    [Error msg] (a metrics push must never kill the tool). *)
-let push ?(timeout_s = 2.0) ~url
-    (sources : (string * (string * int) list) list) : (unit, string) result =
-  match parse_push_url url with
-  | Error _ as e -> e
-  | Ok (host, port, path) -> (
-    let body =
-      String.concat ""
-        (List.map
-           (fun (component, snapshot) -> prometheus ~component snapshot)
-           sources)
-    in
-    match
-      let addr =
-        match (Unix.getaddrinfo host (string_of_int port)
-                 [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ])
-        with
-        | { Unix.ai_addr; _ } :: _ -> ai_addr
-        | [] -> failwith (Printf.sprintf "push: cannot resolve %s" host)
-      in
-      let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-      Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
-      @@ fun () ->
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
-      Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout_s;
-      Unix.connect fd addr;
-      let req =
-        Printf.sprintf
-          "POST %s HTTP/1.1\r\nHost: %s:%d\r\nContent-Type: text/plain; \
-           version=0.0.4\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
-          path host port (String.length body) body
-      in
-      let rec write off =
-        if off < String.length req then
-          let n =
-            Unix.write_substring fd req off (String.length req - off)
-          in
-          write (off + n)
-      in
-      write 0;
-      let buf = Bytes.create 256 in
-      let n = Unix.read fd buf 0 (Bytes.length buf) in
-      let status = Bytes.sub_string buf 0 (max 0 n) in
-      (* "HTTP/1.x NNN ..." — accept any 2xx *)
-      if n >= 12 && String.length status >= 12 && status.[9] = '2' then ()
-      else
-        failwith
-          (Printf.sprintf "push: %s refused: %s" url
-             (match String.index_opt status '\r' with
-             | Some i -> String.sub status 0 i
-             | None -> status))
-    with
-    | () -> Ok ()
-    | exception Unix.Unix_error (e, fn, _) ->
-      Error (Printf.sprintf "push %s: %s: %s" url fn (Unix.error_message e))
-    | exception Failure m -> Error m
-    | exception e -> Error (Printexc.to_string e))

@@ -60,7 +60,8 @@ val staleness : unit -> staleness
 
 val prometheus :
   ?staleness:staleness -> component:string -> (string * int) list -> string
-(** Render a snapshot in Prometheus text exposition format, one
+(** Render a snapshot in Prometheus text exposition format (what
+    [Http.serve_metrics] serves and [Http.push] POSTs), one
     [omf_<component>_<name> <value>] line per counter; characters
     outside [[a-zA-Z0-9_]] in [component] or names become ['_'].
 
@@ -85,17 +86,3 @@ val prometheus :
     a scrape-time signal that a component has gone quiet (or that a
     gauge source is wedged) without any server-side timers. Series
     first seen this scrape count as fresh. *)
-
-val push :
-  ?timeout_s:float ->
-  url:string ->
-  (string * (string * int) list) list ->
-  (unit, string) result
-(** [push ~url sources] POSTs the {!prometheus} rendering of each
-    [(component, snapshot)] source to [url] in one shot — push-gateway
-    mode for short-lived tools (the load generator, the bench harness)
-    that exit before any scrape could happen. [url] is
-    [http://host[:port][/path]]; the path defaults to
-    [/metrics/job/omf]. Blocking, bounded by [timeout_s] (default 2 s)
-    per socket operation; every failure (resolution, refusal, non-2xx)
-    is returned as [Error message], never raised. *)

@@ -382,7 +382,7 @@ let mini_gateway () =
   (port, seen, th)
 
 let test_counters_push () =
-  let module C = Omf_util.Counters in
+  let module C = Omf_httpd.Http in
   let port, seen, th = mini_gateway () in
   let url = Printf.sprintf "http://127.0.0.1:%d/metrics/job/test" port in
   (match C.push ~url [ ("loadgen", [ ("frames", 42) ]) ] with
