@@ -113,10 +113,10 @@ let assoc key stats = Option.value ~default:0 (List.assoc_opt key stats)
 
 (* a fast mirror config for tests *)
 let mcfg ?globs ?(max_attempts = 3) ?(promote_on_loss = false)
-    ?(compress = false) ~source_port () =
+    ?(compress = false) ?(source_host = "127.0.0.1") ~source_port () =
   Mirror.config ?globs ~rescan_s:0.05 ~io_timeout_s:0.25 ~max_attempts
     ~base_delay_s:0.02 ~max_delay_s:0.1 ~promote_on_loss ~compress
-    ~source_host:"127.0.0.1" ~source_port ()
+    ~source_host ~source_port ()
 
 (* read exactly [n] decoded events off a replica, starting at store
    offset [from] *)
@@ -554,7 +554,7 @@ let raw_frames ~port ~stream n =
    [io_timeout_s] periods: no reconnect, no second handshake. The
    replica then serves the source's descriptor and message frames byte
    for byte. *)
-let test_idle_link_does_not_churn () =
+let test_idle_link_does_not_churn ?source_host () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
   let ha = Relay.start ~store:(store_cfg root_a) () in
@@ -568,7 +568,7 @@ let test_idle_link_does_not_churn () =
   for seq = 0 to n - 1 do
     publish sender fmt seq
   done;
-  let cfg = mcfg ~source_port:port_a () in
+  let cfg = mcfg ?source_host ~source_port:port_a () in
   let m = Mirror.start hb cfg in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"replica caught up" (fun () ->
@@ -976,6 +976,8 @@ let () =
             `Quick test_bidirectional_no_amplification
         ; Alcotest.test_case "idle link does not churn, byte-exact replica"
             `Quick test_idle_link_does_not_churn
+        ; Alcotest.test_case "idle link to a source named localhost" `Quick
+            (test_idle_link_does_not_churn ~source_host:"localhost")
         ; Alcotest.test_case "reused format id replicated" `Quick
             test_reused_format_id_replicated ] )
     ; ( "overload",

@@ -205,8 +205,8 @@ let seq_of v =
   | _ -> -1
 
 (* an advertised stream plus a ready publisher endpoint *)
-let make_publisher_abi ~abi ~port ~stream =
-  let client = Relay.Client.connect ~port () in
+let make_publisher_abi ~host ~abi ~port ~stream =
+  let client = Relay.Client.connect ~host ~port () in
   Relay.Client.advertise client ~stream ~schema:Fx.schema_a;
   let link = Relay.Client.publish client ~stream in
   let catalog = Catalog.create abi in
@@ -215,7 +215,8 @@ let make_publisher_abi ~abi ~port ~stream =
   let sender = Endpoint.Sender.create link (Memory.create abi) in
   (client, sender, fmt)
 
-let make_publisher ~port ~stream = make_publisher_abi ~abi:Abi.x86_64 ~port ~stream
+let make_publisher ~port ~stream =
+  make_publisher_abi ~host:"127.0.0.1" ~abi:Abi.x86_64 ~port ~stream
 
 (* a subscriber whose reads give up after ten seconds, so a stream the
    relay wrongly stalls fails the case instead of hanging it *)
@@ -323,13 +324,16 @@ let pubsub_and_descriptor_replay ?shards ~joiners () =
 let test_pubsub_and_descriptor_replay () =
   pubsub_and_descriptor_replay ~joiners:1 ()
 
-(* two events from an x86-64 publisher decode on a SPARC subscriber *)
-let test_basic_pubsub () =
-  let h = Relay.start () in
+(* two events from an x86-64 publisher decode on a SPARC subscriber;
+   [host] names the relay for the bind and for every client dial *)
+let test_basic_pubsub ?(host = "127.0.0.1") () =
+  let h = Relay.start ~host () in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
-  let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
-  let c = Relay.attach_consumer ~port ~stream:"flights" Abi.sparc_32 in
+  let pub, sender, fmt =
+    make_publisher_abi ~host ~abi:Abi.x86_64 ~port ~stream:"flights"
+  in
+  let c = Relay.attach_consumer ~host ~port ~stream:"flights" Abi.sparc_32 in
   publish sender fmt 0;
   publish sender fmt 1;
   List.iter
@@ -804,7 +808,8 @@ let descriptor_cache_dedupes ~store () =
   let store = if store then Some (Omf_store.Store.default_config ~root) else None in
   let round h abi seq =
     let pub, sender, fmt =
-      make_publisher_abi ~abi ~port:(Relay.port h) ~stream:"flights"
+      make_publisher_abi ~host:"127.0.0.1" ~abi ~port:(Relay.port h)
+        ~stream:"flights"
     in
     publish sender fmt seq;
     ignore (wait_stat_on pub "stream.flights.published" 1);
@@ -1677,6 +1682,8 @@ let () =
         [ Alcotest.test_case "publish/subscribe + descriptor replay" `Quick
             test_pubsub_and_descriptor_replay
         ; Alcotest.test_case "basic publish/subscribe" `Quick test_basic_pubsub
+        ; Alcotest.test_case "basic publish/subscribe via localhost" `Quick
+            (test_basic_pubsub ~host:"localhost")
         ; Alcotest.test_case "fan-out to many subscribers" `Quick
             test_fanout_many_subscribers
         ; Alcotest.test_case "late joiner descriptor replay" `Quick

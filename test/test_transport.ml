@@ -251,11 +251,40 @@ let test_tcp_roundtrip () =
       (Value.field_exn v "cntrID")
   | None -> Alcotest.fail "server saw nothing"
 
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
 let test_tcp_connect_refused () =
-  try
-    ignore (Tcp.connect ~port:1 ());
-    Alcotest.fail "expected Tcp_error"
-  with Tcp.Tcp_error _ -> ()
+  (try
+     ignore (Tcp.connect ~port:1 ());
+     Alcotest.fail "expected Tcp_error"
+   with Tcp.Tcp_error _ -> ());
+  (* a host name takes the same resolve-and-dial path: a typed error
+     and the socket closed, every time *)
+  let before = open_fds () in
+  for _ = 1 to 50 do
+    match Tcp.dial ~host:"localhost" ~port:1 () with
+    | fd ->
+      Unix.close fd;
+      Alcotest.fail "expected Tcp_error"
+    | exception Tcp.Tcp_error _ -> ()
+  done;
+  check int "no descriptor leaked" before (open_fds ())
+
+(* every client reaches a host through [Tcp.dial]: a refused host name
+   surfaces as each client's own typed error, with no descriptor left
+   behind *)
+let test_clients_refused_by_name () =
+  let before = open_fds () in
+  (match Omf_relay.Relay.Client.connect ~host:"localhost" ~port:1 () with
+  | _ -> Alcotest.fail "relay client connected to port 1"
+  | exception Omf_relay.Relay.Client.Error _ -> ());
+  (match Omf_httpd.Http.get ~host:"localhost" ~port:1 ~path:"/" () with
+  | _ -> Alcotest.fail "HTTP GET on port 1 succeeded"
+  | exception Omf_httpd.Http.Http_error _ -> ());
+  (match Omf_registry.Registry.Client.connect ~host:"localhost" ~port:1 () with
+  | _ -> Alcotest.fail "registry client connected to port 1"
+  | exception Omf_registry.Registry.Client.Server_unavailable _ -> ());
+  check int "no descriptor leaked" before (open_fds ())
 
 (* ------------------------------------------------------------------ *)
 (* Macframe                                                             *)
@@ -347,7 +376,9 @@ let () =
         ; Alcotest.test_case "works over netsim" `Quick test_endpoint_over_netsim ] )
     ; ( "tcp",
         [ Alcotest.test_case "cross-ABI over real sockets" `Quick test_tcp_roundtrip
-        ; Alcotest.test_case "connection refused" `Quick test_tcp_connect_refused ] )
+        ; Alcotest.test_case "connection refused" `Quick test_tcp_connect_refused
+        ; Alcotest.test_case "clients refused by host name" `Quick
+            test_clients_refused_by_name ] )
     ; ( "macframe",
         [ Alcotest.test_case "no payload copy to MAC" `Quick
             test_macframe_allocation ]
