@@ -109,11 +109,6 @@ type role =
       replica : replica option;
           (** a replication link ({!adopt_replica}): the only writer a
               mirrored stream admits; PROMOTE dooms it *)
-      mutable skip_dup : int;
-          (** store-backed resume: this many leading ['M'] frames are
-              re-sends of offsets the store already holds ([tail -
-              durable] at PUBLISH time) — swallow them instead of
-              appending and fanning out duplicates *)
       mutable acked : int;  (** last durable offset sent as an ack *)
       ptrace : Trace.ctx option;
           (** trace context for this publisher's frames (doc/TRACE.md,
@@ -1156,10 +1151,10 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
            stream takes appends only from its replication link *)
         reply_err t c (Proto.read_only "publish" stream origin)
       else (
-        let become ~acks ~skip_dup ~acked reply_body =
+        let become ~acks ~acked reply_body =
           c.role <-
             Publisher
-              { stream = s; acks; replica = None; skip_dup; acked
+              { stream = s; acks; replica = None; acked
               ; ptrace = publisher_trace t s trace };
           join_publishers t s c;
           Counters.incr t.counters "publishers";
@@ -1167,7 +1162,7 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
         in
         match store_handle t s with
         | None ->
-          become ~acks:false ~skip_dup:0 ~acked:0 (Proto.encode_published None)
+          become ~acks:false ~acked:0 (Proto.encode_published None)
         | Some st ->
           (* Store-backed: report the durable watermark. An [acks=1]
              publisher resumes from it — it resends every buffered frame
@@ -1175,13 +1170,10 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
              watermark must be exact at the handshake: sync first,
              making [durable = tail]. (Without the sync a fresh
              publisher racing a dead one's unsynced appends would have
-             its first [tail - durable] frames mistaken for resends.)
-             [skip_dup] stays as a guard should the two ever diverge
-             between the sync and the reply. *)
+             its first [tail - durable] frames mistaken for resends.) *)
           if acks then ignore (Store.sync st);
           let durable = Store.durable st in
-          let skip_dup = if acks then Store.tail st - durable else 0 in
-          become ~acks ~skip_dup ~acked:durable
+          become ~acks ~acked:durable
             (Proto.encode_published (Some durable))
         | exception Store.Store_error msg ->
           Counters.incr t.counters "store_errors";
@@ -1361,76 +1353,67 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
           end
         | Some _ | None -> ());
         let is_message = Char.equal kind Endpoint.frame_message in
-        if is_message && p.skip_dup > 0 then begin
-          (* a resuming publisher replaying offsets the store already
-             holds: swallow — they were fanned out before the outage
-             and stored replay serves late joiners *)
-          p.skip_dup <- p.skip_dup - 1;
-          Counters.incr t.counters "store_dup_skipped"
-        end
-        else begin
-          let s = p.stream in
-          let fresh_descriptor =
-            p.replica <> None && (not is_message)
-            && not (List.exists (Bytes.equal frame) s.descriptors)
-          in
-          let admit_us = Clock.now_us () in
-          (* the message's trace context, if any: stage spans below are
-             recorded against it (sampled, or slow enough to force) *)
-          let trace = if is_message then p.ptrace else None in
-          let relay_at offset =
-            match trace with
-            | None -> fan_out t s frame ~offset ~trace
-            | Some ctx ->
-              let f0 = Clock.now_us () in
-              fan_out t s frame ~offset ~trace;
-              trace_span t ctx ~stage:"fanout_enqueue" ~stream:s.name
-                ~t0_us:f0
-          in
-          if is_message then Counters.incr t.counters "events_relayed";
-          (match s.store with
-          | Some st when is_message -> (
-            let ap0 = if trace = None then 0 else Clock.now_us () in
-            match Store.append st frame with
-            | off ->
-              Counters.incr t.counters "store_appends";
-              Option.iter
-                (fun ctx ->
-                  trace_span t ctx ~stage:"store_append" ~stream:s.name
-                    ~t0_us:ap0)
-                trace;
-              if p.acks then schedule_ack_flush t s;
-              relay_at off
-            | exception Store.Store_error msg ->
-              (* refuse loudly: fanning out an unstored frame would let
-                 the publisher believe it is durable *)
-              Counters.incr t.counters "store_errors";
-              protocol_reject t c
-                (Printf.sprintf "store %s: append: %s" s.name msg))
-          | Some st ->
-            (try ignore (Store.append_descriptor st frame)
-             with Store.Store_error msg ->
-               Counters.incr t.counters "store_errors";
-               Log.err (fun m -> m "store %s: descriptor: %s" s.name msg));
-            relay_at (-1)
-          | None -> relay_at (-1));
-          (* publish -> queue admission latency: the full cost of
-             accepting this message (store append + fan-out enqueues) *)
-          if is_message then begin
-            Counters.observe t.counters "publish_admit_us"
-              (Clock.now_us () - admit_us);
+        let s = p.stream in
+        let fresh_descriptor =
+          p.replica <> None && (not is_message)
+          && not (List.exists (Bytes.equal frame) s.descriptors)
+        in
+        let admit_us = Clock.now_us () in
+        (* the message's trace context, if any: stage spans below are
+           recorded against it (sampled, or slow enough to force) *)
+        let trace = if is_message then p.ptrace else None in
+        let relay_at offset =
+          match trace with
+          | None -> fan_out t s frame ~offset ~trace
+          | Some ctx ->
+            let f0 = Clock.now_us () in
+            fan_out t s frame ~offset ~trace;
+            trace_span t ctx ~stage:"fanout_enqueue" ~stream:s.name
+              ~t0_us:f0
+        in
+        if is_message then Counters.incr t.counters "events_relayed";
+        (match s.store with
+        | Some st when is_message -> (
+          let ap0 = if trace = None then 0 else Clock.now_us () in
+          match Store.append st frame with
+          | off ->
+            Counters.incr t.counters "store_appends";
             Option.iter
               (fun ctx ->
-                trace_span t ctx ~stage:"publish_admit" ~stream:s.name
-                  ~t0_us:admit_us)
-              trace
-          end;
-          match p.replica with
-          | Some r when Rconn.alive c.io ->
-            if is_message then r.on_frame `Message
-            else if fresh_descriptor then r.on_frame `Descriptor
-          | Some _ | None -> ()
-        end
+                trace_span t ctx ~stage:"store_append" ~stream:s.name
+                  ~t0_us:ap0)
+              trace;
+            if p.acks then schedule_ack_flush t s;
+            relay_at off
+          | exception Store.Store_error msg ->
+            (* refuse loudly: fanning out an unstored frame would let
+               the publisher believe it is durable *)
+            Counters.incr t.counters "store_errors";
+            protocol_reject t c
+              (Printf.sprintf "store %s: append: %s" s.name msg))
+        | Some st ->
+          (try ignore (Store.append_descriptor st frame)
+           with Store.Store_error msg ->
+             Counters.incr t.counters "store_errors";
+             Log.err (fun m -> m "store %s: descriptor: %s" s.name msg));
+          relay_at (-1)
+        | None -> relay_at (-1));
+        (* publish -> queue admission latency: the full cost of
+           accepting this message (store append + fan-out enqueues) *)
+        if is_message then begin
+          Counters.observe t.counters "publish_admit_us"
+            (Clock.now_us () - admit_us);
+          Option.iter
+            (fun ctx ->
+              trace_span t ctx ~stage:"publish_admit" ~stream:s.name
+                ~t0_us:admit_us)
+            trace
+        end;
+        (match p.replica with
+        | Some r when Rconn.alive c.io ->
+          if is_message then r.on_frame `Message
+          else if fresh_descriptor then r.on_frame `Descriptor
+        | Some _ | None -> ())
       | Pending -> protocol_reject t c "stream frame before PUBLISH"
       | Subscriber _ ->
         protocol_reject t c "subscriber connections are receive-only"
@@ -2216,7 +2199,7 @@ let adopt_replica (r : t) (rep : replica) (client : Client.t) :
     if c.comp then Counters.incr t.counters "comp_sessions";
     c.role <-
       Publisher
-        { stream = s; acks = false; replica = Some rep; skip_dup = 0; acked = 0
+        { stream = s; acks = false; replica = Some rep; acked = 0
         ; ptrace = publisher_trace t s rep.trace };
     join_publishers t s c;
     Counters.incr t.counters "mirror_publishers"
