@@ -11,7 +11,6 @@
     - E3-tcp: relay fan-out over real TCP sockets (relayd pipeline)
     - E5-shards: sharded relay fan-out across N event loops
     - E6-store: durable streams (append cost, fsync policy, replay)
-    - E10-fanout: zero-copy fan-out (throughput + relay allocation)
     - E11-trace: sampled tracing overhead + stage-latency decomposition
     - E12-compress: negotiated wire compression (bytes on wire, ratio)
     - A1: discovery-method ablation (orthogonality, section 3.3)
@@ -1411,156 +1410,6 @@ let e9_overload () =
     !busy 25
 
 (* ------------------------------------------------------------------ *)
-(* E10-fanout: zero-copy fan-out — throughput and relay allocations     *)
-(* ------------------------------------------------------------------ *)
-
-let e10_fanout () =
-  section "E10-fanout. Zero-copy fan-out: throughput and relay allocation";
-  note
-    "One publisher streams padded structure-A events through the relay\n\
-     to N subscribers over real TCP (block policy, loss-free). The\n\
-     publisher and all subscribers run in their own domains; subscribers\n\
-     count raw data frames off the wire instead of decoding. That\n\
-     leaves [Gc.allocated_bytes] in the main domain measuring what the\n\
-     relay event loop itself allocates per delivered frame.\n";
-  let stream = "bench-fanout" in
-  let counts = if quick then [ 4; 16 ] else [ 16; 64; 128 ] in
-  let sizes = if quick then [ 64; 1024 ] else [ 64; 1024; 16384 ] in
-  let events_for pad =
-    if quick then 200
-    else if pad >= 16384 then 400
-    else if pad >= 1024 then 2_000
-    else 4_000
-  in
-  let event ~seq ~pad =
-    match Fx.value_a with
-    | Value.Record fields ->
-      Value.Record
-        (List.map
-           (fun (k, v) ->
-             match k with
-             | "fltNum" -> (k, Value.Int (Int64.of_int seq))
-             | "equip" when pad > 0 -> (k, Value.String (String.make pad 'x'))
-             | _ -> (k, v))
-           fields)
-    | _ -> assert false
-  in
-  let rows =
-    List.concat_map
-      (fun n ->
-        List.map
-          (fun pad ->
-            let events = events_for pad in
-            let h = Relay.start () in
-            let port = Relay.port h in
-            Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
-            let admin = Relay.Client.connect ~port () in
-            Relay.Client.advertise admin ~stream ~schema:Fx.schema_a;
-            (* subscribers are packed into a few domains so their
-               per-frame receive allocations stay off the main domain's
-               ledger; each just counts 'M' frames until done *)
-            let ndom = min n 4 in
-            let sub_domains =
-              List.init ndom (fun d ->
-                  let mine = (n / ndom) + if d < n mod ndom then 1 else 0 in
-                  Domain.spawn (fun () ->
-                      let threads =
-                        List.init mine (fun _ ->
-                            Thread.create
-                              (fun () ->
-                                let c = Relay.Client.connect ~port () in
-                                let _schema, link =
-                                  Relay.Client.subscribe c ~stream
-                                in
-                                let seen = ref 0 in
-                                while !seen < events do
-                                  match Omf_transport.Link.recv link with
-                                  | Some f
-                                    when Bytes.length f > 0
-                                         && Bytes.get f 0 = 'M' ->
-                                    incr seen
-                                  | Some _ -> ()
-                                  | None -> seen := events
-                                done;
-                                Relay.Client.close c)
-                              ())
-                      in
-                      List.iter Thread.join threads))
-            in
-            let rec wait_subs () =
-              let subs =
-                List.assoc_opt
-                  (Printf.sprintf "stream.%s.subscribers" stream)
-                  (Relay.Client.stats admin)
-              in
-              if Option.value ~default:0 subs < n then begin
-                Thread.delay 0.005;
-                wait_subs ()
-              end
-            in
-            wait_subs ();
-            (* the publisher sets up its connection before the measured
-               window opens, so the window covers fan-out, not session
-               establishment *)
-            let ready = Atomic.make false in
-            let go = Atomic.make false in
-            let publisher =
-              Domain.spawn (fun () ->
-                  let pc = Relay.Client.connect ~port () in
-                  Relay.Client.advertise pc ~stream ~schema:Fx.schema_a;
-                  let pub = Relay.Client.publish pc ~stream in
-                  let catalog = Catalog.create Abi.x86_64 in
-                  ignore (X2W.register_schema catalog Fx.schema_a);
-                  let fmt =
-                    Option.get (Catalog.find_format catalog "ASDOffEvent")
-                  in
-                  let sender =
-                    Omf_transport.Endpoint.Sender.create pub
-                      (Memory.create Abi.x86_64)
-                  in
-                  Atomic.set ready true;
-                  while not (Atomic.get go) do
-                    Thread.delay 0.0005
-                  done;
-                  for seq = 0 to events - 1 do
-                    Omf_transport.Endpoint.Sender.send_value sender fmt
-                      (event ~seq ~pad)
-                  done;
-                  Relay.Client.close pc)
-            in
-            while not (Atomic.get ready) do
-              Thread.delay 0.001
-            done;
-            let alloc0 = Gc.allocated_bytes () in
-            let t0 = Unix.gettimeofday () in
-            Atomic.set go true;
-            List.iter Domain.join sub_domains;
-            let dt = Unix.gettimeofday () -. t0 in
-            let alloc = Gc.allocated_bytes () -. alloc0 in
-            Domain.join publisher;
-            Relay.Client.close admin;
-            let deliveries = float_of_int (events * n) in
-            [ string_of_int n
-            ; string_of_int pad
-            ; Printf.sprintf "%.0f" (float_of_int events /. dt)
-            ; Printf.sprintf "%.0f" (deliveries /. dt)
-            ; Printf.sprintf "%.0f" (alloc /. deliveries) ])
-          sizes)
-      counts
-  in
-  table
-    [ "Subscribers"; "pad B"; "events/s"; "deliveries/s"; "alloc B/delivery" ]
-    rows;
-  note
-    "alloc B/delivery = main-domain Gc.allocated_bytes growth across\n\
-     the publish window / (events x subscribers). The slice fan-out\n\
-     encodes each frame body once and shares it by reference across\n\
-     every subscriber queue, so the per-delivery figure is a small\n\
-     constant (queue entry + slice handles) independent of payload\n\
-     size, where the copying path allocated the full frame per\n\
-     subscriber.\n"
-
-(* ------------------------------------------------------------------ *)
 (* E11-trace: sampled tracing overhead and stage decomposition          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1955,7 +1804,6 @@ let () =
   e7_registry ();
   e8_mirror ();
   e9_overload ();
-  e10_fanout ();
   e11_trace ();
   e12_compress ();
   a1 ();
