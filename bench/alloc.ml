@@ -7,13 +7,39 @@
       receiver's): the four PBIO entry points [Native.store],
       [Pbio.message], [Pbio.Receiver.receive] and [Native.load];
     - on the secure-compressed workload's message: [Compress.compress]
-      (with a reused scratch) and the HMAC behind [Macframe.seal].
+      (with a reused scratch) and the HMAC behind [Macframe.seal];
+    - per shape and negotiated frame mode (plain, mac, comp, mac+comp):
+      one [Link.send] and one [Link.recv] of the event frame (kind byte
+      plus message) on the framed client link, over a socketpair.
 
     Allocation is deterministic, so one run is enough; the numbers do not
     depend on the host's speed. *)
 
 module Shapes = Omf_testkit.Shapes
 module Alloc = Omf_testkit.Alloc
+module Linkpair = Omf_testkit.Linkpair
+
+(* the event frame bench/e2e sends: ['M'] then the message *)
+let event_frame (s : Shapes.t) =
+  let fmt = Shapes.register s.send_abi s in
+  let mem = Omf_machine.Memory.create s.send_abi in
+  let msg = Omf_pbio.Pbio.message mem fmt (Omf_pbio.Native.store mem fmt s.value) in
+  Bytes.cat (Bytes.make 1 'M') msg
+
+let link_row (s : Shapes.t) =
+  let fr = event_frame s in
+  let mode (m : Linkpair.mode) =
+    let t = Linkpair.create m in
+    let send = Linkpair.send_bytes ~iters:500 t fr in
+    let recv = Linkpair.recv_bytes ~iters:500 t fr in
+    let wire = Linkpair.frame_length t fr in
+    Linkpair.close t;
+    Printf.sprintf {|"%s": {"wire_B": %d, "send_B": %.1f, "recv_B": %.1f}|} m.name
+      wire send recv
+  in
+  Printf.sprintf {|    "%s": {"frame_B": %d,
+      %s}|} s.name (Bytes.length fr)
+    (String.concat ",\n      " (List.map mode Linkpair.modes))
 
 let () =
   let row (s : Shapes.t) =
@@ -41,7 +67,9 @@ let () =
   in
   Printf.printf
     "{\n  \"ocaml\": \"%s\",\n  \"word_size\": %d,\n  \"shapes\": {\n%s\n  },\n\
-    \  \"secure_frame\": {\"frame_B\": %d, \"compress_B\": %.1f, \"hmac_B\": %.1f}\n}\n"
+    \  \"secure_frame\": {\"frame_B\": %d, \"compress_B\": %.1f, \"hmac_B\": %.1f},\n\
+    \  \"link\": {\n%s\n  }\n}\n"
     Sys.ocaml_version Sys.word_size
     (String.concat ",\n" (List.map row (Shapes.bench @ [ Shapes.strvar ])))
     (Bytes.length msg) compress hmac
+    (String.concat ",\n" (List.map link_row Shapes.bench))

@@ -52,11 +52,11 @@ let match_len src base cand cur len =
 exception Bail
 (* Token stream reached the stored-form size: stop and fall back. *)
 
-let stored src pos len =
-  let out = Bytes.create (len + 1) in
-  Bytes.set out 0 tag_stored;
-  Bytes.blit src pos out 1 len;
-  out
+(* the stored form of [len] bytes of [src] at [pos], written at [off] *)
+let store_into src pos len dst off =
+  Bytes.set dst off tag_stored;
+  Bytes.blit src pos dst (off + 1) len;
+  len + 1
 
 (* Match-finder workspace, reusable across calls so the hot path never
    allocates or re-initializes the chain arrays. Entries are coded as
@@ -65,71 +65,92 @@ let stored src pos len =
    negative position and reads as empty — no clearing between blocks.
    [prev] is a ring over the 64 KiB match window; a slot reused by a
    position one window later decodes to an out-of-range distance and is
-   cut by the [max_dist] check. *)
+   cut by the [max_dist] check. The block being written is a cursor in
+   here too, so the encoder's helpers are plain functions and a call
+   allocates nothing. *)
 type scratch = {
   head : int array;  (* hash -> coded newest position *)
   prev : int array;  (* coded chain, indexed by position land window *)
   mutable base : int;  (* strictly positive, grows by [len] per call *)
+  mutable out : Bytes.t;
+      (* where {!compress_sub} builds a block before copying out exactly
+         its bytes; only grows *)
+  mutable dst : Bytes.t;  (* token bytes go to [dst] at [start + opos] *)
+  mutable start : int;
+  mutable opos : int;
+  mutable budget : int;  (* at most this many token bytes *)
 }
 
 let scratch () =
   { head = Array.make hash_size 0
   ; prev = Array.make (max_dist + 1) 0
-  ; base = 1 }
+  ; base = 1
+  ; out = Bytes.empty
+  ; dst = Bytes.empty
+  ; start = 0
+  ; opos = 0
+  ; budget = 0 }
 
-let compress_sub ?scratch:ws src ~pos ~len =
+let put s c =
+  if s.opos >= s.budget then raise Bail;
+  Bytes.unsafe_set s.dst (s.start + s.opos) c;
+  s.opos <- s.opos + 1
+
+let put_byte s v = put s (Char.unsafe_chr (v land 0xff))
+
+(* a 255-continuation extension *)
+let rec put_run s v =
+  if v >= 255 then begin
+    put s '\xff';
+    put_run s (v - 255)
+  end
+  else put_byte s v
+
+let put_literals s src from llen =
+  if s.opos + llen > s.budget then raise Bail;
+  Bytes.blit src from s.dst (s.start + s.opos) llen;
+  s.opos <- s.opos + llen
+
+(* one sequence: [llen] literals at [from], then a match of [mlen] bytes
+   [dist] back ([mlen] = 0: the block's closing literal run) *)
+let emit_seq s src from llen mlen dist =
+  let ln = if llen >= 15 then 15 else llen in
+  let mn = if mlen = 0 then 0 else min (mlen - min_match) 15 in
+  put_byte s ((ln lsl 4) lor mn);
+  if ln = 15 then put_run s (llen - 15);
+  put_literals s src from llen;
+  if mlen > 0 then begin
+    put_byte s (dist lsr 8);
+    put_byte s dist;
+    if mn = 15 then put_run s (mlen - min_match - 15)
+  end
+
+let insert s src pos base i =
+  let h = hash4 src (pos + i) in
+  Array.unsafe_set s.prev (i land max_dist) (Array.unsafe_get s.head h);
+  Array.unsafe_set s.head h (base + i)
+
+let compress_into ?scratch:ws src ~pos ~len dst ~off =
   if pos < 0 || len < 0 || pos + len > Bytes.length src then
     invalid_arg
-      (Printf.sprintf "Compress.compress_sub: window %d+%d of %d" pos len
+      (Printf.sprintf "Compress.compress_into: window %d+%d of %d" pos len
          (Bytes.length src));
-  if len < min_compress_len then stored src pos len
+  if off < 0 || off + bound len > Bytes.length dst then
+    invalid_arg
+      (Printf.sprintf "Compress.compress_into: %d bytes at %d of %d" (bound len)
+         off (Bytes.length dst));
+  if len < min_compress_len then store_into src pos len dst off
   else begin
-    (* token-stream budget: 5 header bytes + budget must undercut the
-       stored form's len + 1 *)
-    let budget = len - 5 in
-    let out = Bytes.create len in
-    let opos = ref 0 in
-    let put c =
-      if !opos >= budget then raise Bail;
-      Bytes.unsafe_set out !opos c;
-      incr opos
-    in
-    let put_byte v = put (Char.unsafe_chr (v land 0xff)) in
-    let put_run v =
-      (* 255-continuation extension bytes *)
-      let v = ref v in
-      while !v >= 255 do
-        put '\xff';
-        v := !v - 255
-      done;
-      put_byte !v
-    in
-    let put_literals lo llen =
-      if !opos + llen > budget then raise Bail;
-      Bytes.blit src (pos + lo) out !opos llen;
-      opos := !opos + llen
-    in
-    let emit_seq lo llen mlen dist =
-      let ln = if llen >= 15 then 15 else llen in
-      let mn = if mlen = 0 then 0 else min (mlen - min_match) 15 in
-      put_byte ((ln lsl 4) lor mn);
-      if ln = 15 then put_run (llen - 15);
-      put_literals lo llen;
-      if mlen > 0 then begin
-        put_byte (dist lsr 8);
-        put_byte dist;
-        if mn = 15 then put_run (mlen - min_match - 15)
-      end
-    in
     let s = match ws with Some s -> s | None -> scratch () in
+    (* the token stream goes straight after the 5-byte header; its
+       budget makes the block undercut the stored form's len + 1 *)
+    s.dst <- dst;
+    s.start <- off + 5;
+    s.opos <- 0;
+    s.budget <- len - 5;
     let base = s.base in
     s.base <- base + len;
     let head = s.head and prev = s.prev in
-    let insert i =
-      let h = hash4 src (pos + i) in
-      Array.unsafe_set prev (i land max_dist) (Array.unsafe_get head h);
-      Array.unsafe_set head h (base + i)
-    in
     try
       let i = ref 0 in
       let lit_start = ref 0 in
@@ -163,21 +184,20 @@ let compress_sub ?scratch:ws src ~pos ~len =
           end
         done;
         if !best_len >= min_match then begin
-          emit_seq !lit_start (cur - !lit_start) !best_len !best_dist;
+          emit_seq s src (pos + !lit_start) (cur - !lit_start) !best_len
+            !best_dist;
           (* index the covered positions so later matches can reach
              back into this run *)
           let stop = min (cur + !best_len) (hlimit + 1) in
-          let j = ref cur in
-          while !j < stop do
-            insert !j;
-            incr j
+          for j = cur to stop - 1 do
+            insert s src pos base j
           done;
           i := cur + !best_len;
           lit_start := !i;
           misses := 0
         end
         else begin
-          insert cur;
+          insert s src pos base cur;
           incr misses;
           (* skip acceleration: on long incompressible runs, stride
              grows so worst-case encode stays near memcpy speed *)
@@ -185,17 +205,28 @@ let compress_sub ?scratch:ws src ~pos ~len =
         end
       done;
       let tail = len - !lit_start in
-      if tail > 0 then emit_seq !lit_start tail 0 0;
-      let blk = Bytes.create (5 + !opos) in
-      Bytes.set blk 0 tag_lz;
-      Bytes.set blk 1 (Char.unsafe_chr ((len lsr 24) land 0xff));
-      Bytes.set blk 2 (Char.unsafe_chr ((len lsr 16) land 0xff));
-      Bytes.set blk 3 (Char.unsafe_chr ((len lsr 8) land 0xff));
-      Bytes.set blk 4 (Char.unsafe_chr (len land 0xff));
-      Bytes.blit out 0 blk 5 !opos;
-      blk
-    with Bail -> stored src pos len
+      if tail > 0 then emit_seq s src (pos + !lit_start) tail 0 0;
+      Bytes.set dst off tag_lz;
+      Bytes.set_int32_be dst (off + 1) (Int32.of_int len);
+      5 + s.opos
+    with Bail -> store_into src pos len dst off
   end
+
+let compress_sub ?scratch src ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length src then
+    invalid_arg
+      (Printf.sprintf "Compress.compress_sub: window %d+%d of %d" pos len
+         (Bytes.length src));
+  let out =
+    match scratch with
+    | None -> Bytes.create (bound len)
+    | Some s ->
+      if Bytes.length s.out < bound len then
+        s.out <- Bytes.create (max (bound len) (2 * Bytes.length s.out));
+      s.out
+  in
+  Bytes.sub out 0 (compress_into ?scratch src ~pos ~len out ~off:0)
+
 
 let compress ?scratch src =
   compress_sub ?scratch src ~pos:0 ~len:(Bytes.length src)
@@ -210,6 +241,16 @@ let compress_slices ?scratch = function
 
 (* -- decoder ------------------------------------------------------- *)
 
+(* one past the end of the 255-continuation run at [i]: its last byte is
+   the first one below 255 *)
+let rec run_end src i iend =
+  if i >= iend then err "truncated token stream"
+  else if Bytes.unsafe_get src i = '\xff' then run_end src (i + 1) iend
+  else i + 1
+
+(* 15 plus the bytes of the run from [i] to [e] *)
+let run_value src i e = 15 + (255 * (e - 1 - i)) + Char.code (Bytes.unsafe_get src (e - 1))
+
 let decompress_sub src ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length src then
     invalid_arg
@@ -220,34 +261,24 @@ let decompress_sub src ~pos ~len =
   | c when c = tag_stored -> Bytes.sub src (pos + 1) (len - 1)
   | c when c = tag_lz ->
     if len < 5 then err "truncated lz header (%d bytes)" len;
-    let b k = Char.code (Bytes.unsafe_get src (pos + k)) in
-    let raw_len = (b 1 lsl 24) lor (b 2 lsl 16) lor (b 3 lsl 8) lor b 4 in
+    let raw_len = Int32.to_int (Bytes.get_int32_be src (pos + 1)) land 0xFFFF_FFFF in
     if raw_len > max_block_len then err "block claims %d bytes" raw_len;
     let out = Bytes.create raw_len in
     let iend = pos + len in
     let ip = ref (pos + 5) in
     let op = ref 0 in
-    let byte () =
-      if !ip >= iend then err "truncated token stream";
-      let v = Char.code (Bytes.unsafe_get src !ip) in
-      incr ip;
-      v
-    in
-    let run base =
-      (* decode a 255-continuation extension *)
-      let v = ref base in
-      let k = ref 255 in
-      while !k = 255 do
-        k := byte ();
-        v := !v + !k
-      done;
-      !v
-    in
     while !ip < iend do
-      let token = byte () in
+      let token = Char.code (Bytes.unsafe_get src !ip) in
+      incr ip;
       let llen =
         let l = token lsr 4 in
-        if l = 15 then run 15 else l
+        if l < 15 then l
+        else begin
+          let e = run_end src !ip iend in
+          let v = run_value src !ip e in
+          ip := e;
+          v
+        end
       in
       if llen > 0 then begin
         if !ip + llen > iend then err "literal run past block end";
@@ -257,11 +288,20 @@ let decompress_sub src ~pos ~len =
         op := !op + llen
       end;
       if !ip < iend then begin
-        let dist = byte () in
-        let dist = (dist lsl 8) lor byte () in
+        if !ip + 2 > iend then err "truncated token stream";
+        let dist = Bytes.get_uint16_be src !ip in
+        ip := !ip + 2;
         let mlen =
           let m = token land 0xf in
-          (if m = 15 then run 15 else m) + min_match
+          min_match
+          +
+          if m < 15 then m
+          else begin
+            let e = run_end src !ip iend in
+            let v = run_value src !ip e in
+            ip := e;
+            v
+          end
         in
         if dist = 0 || dist > !op then err "match distance %d at offset %d" dist !op;
         if !op + mlen > raw_len then err "match run past output end";

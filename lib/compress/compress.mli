@@ -42,11 +42,21 @@ type scratch
 val scratch : unit -> scratch
 
 val compress : ?scratch:scratch -> Bytes.t -> Bytes.t
-(** Compress a whole buffer into one self-contained block. *)
+(** Compress a whole buffer into one self-contained block. With a
+    scratch, the block is built in a buffer the scratch keeps, so the
+    call allocates only the block it returns. *)
 
 val compress_sub : ?scratch:scratch -> Bytes.t -> pos:int -> len:int -> Bytes.t
 (** Compress a window of a buffer. Raises [Invalid_argument] when the
     window escapes the buffer. *)
+
+val compress_into :
+  ?scratch:scratch -> Bytes.t -> pos:int -> len:int -> Bytes.t -> off:int -> int
+(** [compress_into src ~pos ~len dst ~off] writes the block for the
+    window at [off] in [dst] and returns its length. [dst] needs
+    [bound len] bytes of room there; with a scratch, the call allocates
+    nothing. Raises [Invalid_argument] when either window escapes its
+    buffer. *)
 
 val compress_slice : ?scratch:scratch -> Omf_util.Slice.t -> Bytes.t
 (** Compress the viewed bytes without copying them first. *)

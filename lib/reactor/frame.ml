@@ -25,8 +25,7 @@ let write_header (buf : Bytes.t) (off : int) (len : int) : unit =
   Bytes.set buf (off + 3) (Char.chr (len land 0xFF))
 
 let read_header (buf : Bytes.t) (off : int) : int =
-  let b i = Char.code (Bytes.get buf (off + i)) in
-  (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+  Int32.to_int (Bytes.get_int32_be buf off) land 0xFFFF_FFFF
 
 (** [encode body] is the on-the-wire bytes: header + body, one buffer
     (so one [write] on the socket). Copies [body]; the zero-copy path

@@ -1919,47 +1919,14 @@ module Client = struct
       Retryable: wait about [retry_ms] and re-issue the same command on
       the {e same} connection — the relay kept it open on purpose. *)
 
-  type comp_totals = { mutable raw_bytes : int; mutable wire_bytes : int }
-  (** Bytes through the compression wrapper, both directions: frame
-      bodies before compression vs blocks on the wire. *)
-
   type t = {
     link : Link.t;
-    comp : comp_totals option;
+    comp : Tcp.comp_totals option;
     fd : Unix.file_descr;
     mac : Macframe.state option;
         (** the link's frame modes, kept so the relay can adopt the
             socket mid-stream ({!adopt_replica}) *)
   }
-
-  (* The client-side twin of the relay's negotiated frame mode: blocks
-     out, inflated frames in. Stacked OUTSIDE {!Macframe.wrap} so the
-     wire order matches the relay — seal (compress body). *)
-  let compress_wrap (totals : comp_totals) (link : Link.t) : Link.t =
-    (* owned by the sending side of this connection only; recv never
-       compresses, so one scratch is race-free even when send and recv
-       run on different threads *)
-    let ws = Compress.scratch () in
-    { Link.send =
-        (fun msg ->
-          let blk = Compress.compress ~scratch:ws msg in
-          totals.raw_bytes <- totals.raw_bytes + Bytes.length msg;
-          totals.wire_bytes <- totals.wire_bytes + Bytes.length blk;
-          Link.send link blk)
-    ; recv =
-        (fun () ->
-          match Link.recv link with
-          | None -> None
-          | Some blk -> (
-            match Compress.decompress blk with
-            | raw ->
-              totals.raw_bytes <- totals.raw_bytes + Bytes.length raw;
-              totals.wire_bytes <- totals.wire_bytes + Bytes.length blk;
-              Some raw
-            | exception Compress.Error msg ->
-              raise (Error ("compression: " ^ msg))))
-    ; close = (fun () -> Link.close link)
-    }
 
   (* every transport-level failure ({!Tcp.failure_message}) surfaces as
      Client.Error with a readable message; raw Unix_error / Tcp_error
@@ -2014,7 +1981,9 @@ module Client = struct
       try Tcp.dial ~host ~port ?connect_timeout_s ?io_timeout_s ()
       with e -> reraise (Printf.sprintf "relay connect %s:%d" host port) e
     in
-    let link = Tcp.link_of_fd fd in
+    (* HELLO runs on the plain link; the negotiated modes then frame
+       every later byte on the same socket *)
+    let plain = Tcp.link_of_fd fd in
     try
       let hello_creds =
         (if compress then [ ("comp", "lz") ] else [])
@@ -2026,33 +1995,32 @@ module Client = struct
       in
       let granted =
         Proto.decode_banner
-          (call { link; comp = None; fd; mac = None } (Proto.Hello hello_creds))
+          (call { link = plain; comp = None; fd; mac = None }
+             (Proto.Hello hello_creds))
       in
       (* the relay must have granted the auth mode we asked for *)
       if auth <> None && not granted.Proto.mac then
         raise (Error "relay did not negotiate authenticated framing");
       let mac = Option.map (fun (_, key) -> Macframe.state ~key) auth in
-      let link =
-        match mac with None -> link | Some st -> Macframe.wrap st link
+      let comp =
+        if compress && granted.Proto.comp then
+          Some { Tcp.raw_bytes = 0; wire_bytes = 0 }
+        else None
       in
-      if compress && granted.Proto.comp then begin
-        let totals = { raw_bytes = 0; wire_bytes = 0 } in
-        { link = compress_wrap totals link; comp = Some totals; fd; mac }
-      end
-      else { link; comp = None; fd; mac }
+      { link = Tcp.link_of_fd ?mac ?comp fd; comp; fd; mac }
     with e ->
       (* no fd leak on handshake failure *)
-      (try Link.close link with _ -> ());
+      (try Link.close plain with _ -> ());
       reraise "relay handshake" e
 
   let compressed (t : t) : bool = t.comp <> None
 
-  (** Raw/wire byte totals through the negotiated compression wrapper
+  (** Raw/wire byte totals through the negotiated compressed link
       (both directions); [None] when the connection is uncompressed. *)
   let comp_totals (t : t) : (int * int) option =
     match t.comp with
     | None -> None
-    | Some c -> Some (c.raw_bytes, c.wire_bytes)
+    | Some c -> Some (c.Tcp.raw_bytes, c.wire_bytes)
 
   (** [advertise t ~stream ~schema] declares the stream. [?meta] lines
       ride along: a registry binding (PROTOCOLS.md §14) that [meta=1]

@@ -237,7 +237,7 @@ module Client : sig
       [~compress:true]. *)
 
   val comp_totals : t -> (int * int) option
-  (** [(raw_bytes, wire_bytes)] through the compression wrapper in both
+  (** [(raw_bytes, wire_bytes)] through the compressed link in both
       directions — the achieved ratio is [raw / wire]. [None] when the
       connection is uncompressed. *)
 

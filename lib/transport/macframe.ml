@@ -25,51 +25,88 @@ module Slice = Omf_util.Slice
 
 let overhead = 8 + 32
 
-(* The MAC is fed in place: the 12-byte [nonce || length] prefix, then
-   the payload's own bytes, never a copy of them. *)
-let mac_start ~key ~(nonce : int64) len =
-  let h = Sha256.hmac_init ~key in
-  let prefix = Bytes.create 12 in
-  Bytes.set_int64_be prefix 0 nonce;
-  Bytes.set_int32_be prefix 8 (Int32.of_int len);
-  Sha256.hmac_feed_bytes h prefix 0 12;
-  h
+(* ------------------------------------------------------------------ *)
+(* Per-connection state                                                 *)
+(* ------------------------------------------------------------------ *)
 
-(* the tag over [len] payload bytes of [buf] at [off] *)
-let mac ~key ~nonce buf off len : string =
-  let h = mac_start ~key ~nonce len in
-  Sha256.hmac_feed_bytes h buf off len;
-  Sha256.hmac_finish h
+(* One direction of a connection: its nonce counter and the hash
+   context and scratch every MAC in that direction reuses, so a MAC
+   allocates nothing. Send and receive may run on different threads;
+   neither touches the other's half. *)
+type dir = {
+  ctx : Sha256.ctx;
+  len_be : Bytes.t;  (** the MAC'd u32 payload length, 4 bytes *)
+  tag : Bytes.t;  (** a computed tag, for comparison, 32 bytes *)
+  mutable nonce : int;  (** next nonce to seal, or expected on receive *)
+}
 
-(** [seal ~key ~nonce payload] is the sealed frame body. *)
-let seal ~(key : string) ~(nonce : int64) (payload : Bytes.t) : Bytes.t =
-  let tag = mac ~key ~nonce payload 0 (Bytes.length payload) in
-  let b = Bytes.create (overhead + Bytes.length payload) in
-  Bytes.set_int64_be b 0 nonce;
-  Bytes.blit_string tag 0 b 8 32;
-  Bytes.blit payload 0 b overhead (Bytes.length payload);
-  b
+type state = {
+  key : Sha256.hmac_key;  (** the key's midstates, computed once *)
+  tx : dir;
+  rx : dir;
+}
 
-let mac_slices ~key ~(nonce : int64) (payload : Slice.t list) : string =
-  let h = mac_start ~key ~nonce (Slice.total payload) in
-  List.iter
-    (fun (s : Slice.t) ->
-      Sha256.hmac_feed_bytes h s.Slice.buf s.Slice.off s.Slice.len)
-    payload;
-  Sha256.hmac_finish h
+let dir () =
+  { ctx = Sha256.init (); len_be = Bytes.create 4; tag = Bytes.create 32
+  ; nonce = 1 }
 
-(** [seal_slices ~key ~nonce payload] seals an iovec payload —
-    byte-identical to [seal ~key ~nonce (Slice.concat payload)]. This
-    is the zero-copy frame path's one copy-on-seal: the MAC reads the
-    slices in place, and the payload is copied once, into the sealed
-    body (only on connections that negotiated auth). *)
-let seal_slices ~(key : string) ~(nonce : int64) (payload : Slice.t list) :
-    Bytes.t =
-  let len = Slice.total payload in
-  let tag = mac_slices ~key ~nonce payload in
-  let b = Bytes.create (overhead + len) in
-  Bytes.set_int64_be b 0 nonce;
-  Bytes.blit_string tag 0 b 8 32;
+let state ~(key : string) : state =
+  { key = Sha256.hmac_key key; tx = dir (); rx = dir () }
+
+(* The tag of the sealed body at [off] in [buf], whose payload is [len]
+   bytes: the nonce bytes, the payload length and the payload are fed
+   in place, never copied. Written at [out_off] in [out]. *)
+let tag_into key (d : dir) buf off len out out_off =
+  let c = d.ctx in
+  Sha256.hmac_start key c;
+  Sha256.feed_bytes c buf off 8;
+  Bytes.set_int32_be d.len_be 0 (Int32.of_int len);
+  Sha256.feed_bytes c d.len_be 0 4;
+  Sha256.feed_bytes c buf (off + overhead) len;
+  Sha256.hmac_finish_into key c out out_off
+
+(** [seal_in_place st buf off len] seals the [len]-byte payload at
+    [off + overhead] in [buf]: writes the next send nonce and the tag
+    in front of it and advances the nonce. Allocates nothing. *)
+let seal_in_place (st : state) buf off len =
+  Bytes.set_int64_be buf off (Int64.of_int st.tx.nonce);
+  tag_into st.key st.tx buf off len buf (off + 8);
+  st.tx.nonce <- st.tx.nonce + 1
+
+(* the sealed body of [len] bytes at [off] carries a valid tag *)
+let check_tag key (d : dir) buf off len =
+  if len < overhead then auth_error "sealed frame too short (%d bytes)" len;
+  tag_into key d buf off (len - overhead) d.tag 0;
+  (* constant time: no early exit on the first differing byte *)
+  let acc = ref 0 in
+  for i = 0 to 31 do
+    acc :=
+      !acc
+      lor (Char.code (Bytes.unsafe_get d.tag i)
+          lxor Char.code (Bytes.get buf (off + 8 + i)))
+  done;
+  if !acc <> 0 then
+    auth_error "MAC mismatch (nonce %Ld)" (Bytes.get_int64_be buf off)
+
+(** [open_in_place st buf off len] authenticates the [len]-byte sealed
+    body at [off] in [buf] against the expected receive nonce and
+    advances it; the payload is then the [len - overhead] bytes at
+    [off + overhead]. Allocates nothing. A failed frame raises
+    {!Auth_error} and does {e not} advance the counter — after
+    in-flight tampering the chain stays broken by design and the peer's
+    reject threshold closes the connection. *)
+let open_in_place (st : state) buf off len =
+  check_tag st.key st.rx buf off len;
+  let nonce = Bytes.get_int64_be buf off in
+  let expected = Int64.of_int st.rx.nonce in
+  if nonce <> expected then
+    auth_error "nonce %Ld, expected %Ld (replayed or dropped frame)" nonce
+      expected;
+  st.rx.nonce <- st.rx.nonce + 1
+
+(* a fresh sealed body with the payload in place, not yet sealed *)
+let sealed_of_slices (payload : Slice.t list) =
+  let b = Bytes.create (overhead + Slice.total payload) in
   let pos = ref overhead in
   List.iter
     (fun s ->
@@ -78,64 +115,57 @@ let seal_slices ~(key : string) ~(nonce : int64) (payload : Slice.t list) :
     payload;
   b
 
+let seal_next (st : state) (payload : Bytes.t) : Bytes.t =
+  let len = Bytes.length payload in
+  let b = Bytes.create (overhead + len) in
+  Bytes.blit payload 0 b overhead len;
+  seal_in_place st b 0 len;
+  b
+
+(** [seal_next_slices st payload] seals an iovec payload —
+    byte-identical to [seal_next st (Slice.concat payload)]. This is
+    the zero-copy frame path's one copy-on-seal: the payload is copied
+    once, into the sealed body, and MAC'd there (only on connections
+    that negotiated auth). *)
+let seal_next_slices (st : state) (payload : Slice.t list) : Bytes.t =
+  let b = sealed_of_slices payload in
+  seal_in_place st b 0 (Bytes.length b - overhead);
+  b
+
+(** [open_next st frame] verifies against the expected receive nonce,
+    advances it, and returns a copy of the payload. *)
+let open_next (st : state) (frame : Bytes.t) : Bytes.t =
+  let len = Bytes.length frame in
+  open_in_place st frame 0 len;
+  Bytes.sub frame overhead (len - overhead)
+
+(* ------------------------------------------------------------------ *)
+(* One-off sealing under an explicit nonce                              *)
+(* ------------------------------------------------------------------ *)
+
+(** [seal_slices ~key ~nonce payload] seals an iovec payload under an
+    explicit nonce: byte-identical to [seal ~key ~nonce (Slice.concat
+    payload)]. *)
+let seal_slices ~(key : string) ~(nonce : int64) (payload : Slice.t list) :
+    Bytes.t =
+  let b = sealed_of_slices payload in
+  Bytes.set_int64_be b 0 nonce;
+  tag_into (Sha256.hmac_key key) (dir ()) b 0 (Bytes.length b - overhead) b 8;
+  b
+
+(** [seal ~key ~nonce payload] is the sealed frame body. *)
+let seal ~key ~nonce payload = seal_slices ~key ~nonce [ Slice.of_bytes payload ]
+
 (** [verify ~key ~expected_nonce frame] authenticates a sealed frame
     body and returns the payload. Raises {!Auth_error} on a short
     frame, a MAC mismatch, or a nonce that is not exactly the expected
     next value (replay / splice / deletion). *)
 let verify ~(key : string) ~(expected_nonce : int64) (frame : Bytes.t) :
     Bytes.t =
-  if Bytes.length frame < overhead then
-    auth_error "sealed frame too short (%d bytes)" (Bytes.length frame);
+  let len = Bytes.length frame in
+  check_tag (Sha256.hmac_key key) (dir ()) frame 0 len;
   let nonce = Bytes.get_int64_be frame 0 in
-  let tag = Bytes.sub_string frame 8 32 in
-  let len = Bytes.length frame - overhead in
-  if not (Sha256.equal_constant_time tag (mac ~key ~nonce frame overhead len))
-  then auth_error "MAC mismatch (nonce %Ld)" nonce;
-  if not (Int64.equal nonce expected_nonce) then
+  if nonce <> expected_nonce then
     auth_error "nonce %Ld, expected %Ld (replayed or dropped frame)" nonce
       expected_nonce;
-  Bytes.sub frame overhead len
-
-(* ------------------------------------------------------------------ *)
-(* Per-connection state                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type state = {
-  key : string;
-  mutable send_nonce : int64;  (** next nonce to use on send *)
-  mutable recv_nonce : int64;  (** next nonce expected on receive *)
-}
-
-let state ~(key : string) : state =
-  { key; send_nonce = 1L; recv_nonce = 1L }
-
-let seal_next (st : state) (payload : Bytes.t) : Bytes.t =
-  let b = seal ~key:st.key ~nonce:st.send_nonce payload in
-  st.send_nonce <- Int64.succ st.send_nonce;
-  b
-
-let seal_next_slices (st : state) (payload : Slice.t list) : Bytes.t =
-  let b = seal_slices ~key:st.key ~nonce:st.send_nonce payload in
-  st.send_nonce <- Int64.succ st.send_nonce;
-  b
-
-(** [open_next st frame] verifies against the expected receive nonce
-    and advances it. A failed frame does {e not} advance the counter —
-    after in-flight tampering the chain stays broken by design and the
-    peer's reject threshold closes the connection. *)
-let open_next (st : state) (frame : Bytes.t) : Bytes.t =
-  let payload = verify ~key:st.key ~expected_nonce:st.recv_nonce frame in
-  st.recv_nonce <- Int64.succ st.recv_nonce;
-  payload
-
-(** [wrap st link] seals every sent message and verifies every received
-    one. Receive raises {!Auth_error} on a forged, replayed, or spliced
-    frame — callers should close the link. *)
-let wrap (st : state) (link : Link.t) : Link.t =
-  { Link.send = (fun msg -> Link.send link (seal_next st msg))
-  ; recv =
-      (fun () ->
-        match Link.recv link with
-        | None -> None
-        | Some frame -> Some (open_next st frame))
-  ; close = (fun () -> Link.close link) }
+  Bytes.sub frame overhead (len - overhead)

@@ -27,18 +27,30 @@ val verify : key:string -> expected_nonce:int64 -> Bytes.t -> Bytes.t
 
 type state
 (** Independent send/receive nonce counters over one shared key; both
-    directions start at 1 when the mode is negotiated. *)
+    directions start at 1 when the mode is negotiated. The key's HMAC
+    midstates are computed once, and each direction keeps its own hash
+    context, so sealing and opening allocate no hash state, and a send
+    thread and a receive thread never share one. *)
 
 val state : key:string -> state
+
+val seal_in_place : state -> Bytes.t -> int -> int -> unit
+(** [seal_in_place st buf off len] seals the [len]-byte payload that
+    sits at [off + overhead] in [buf]: writes the next send nonce and
+    the tag at [off] and advances the nonce. Allocates nothing. *)
+
+val open_in_place : state -> Bytes.t -> int -> int -> unit
+(** [open_in_place st buf off len] authenticates the [len]-byte sealed
+    body at [off] against the expected receive nonce and advances it;
+    the payload is the [len - overhead] bytes at [off + overhead].
+    Allocates nothing. Raises {!Auth_error}, without advancing the
+    nonce, on a short frame, a MAC mismatch or a wrong nonce. *)
+
 val seal_next : state -> Bytes.t -> Bytes.t
+(** A fresh sealed body: {!seal_in_place} on a copy of the payload. *)
 
 val seal_next_slices : state -> Omf_util.Slice.t list -> Bytes.t
-(** {!seal_slices} with the state's next send nonce (advances it). *)
+(** {!seal_next} of an iovec payload, copied once into the sealed body. *)
 
 val open_next : state -> Bytes.t -> Bytes.t
-(** Verify against the expected receive nonce, then advance it. A
-    failed frame does not advance the counter. Raises {!Auth_error}. *)
-
-val wrap : state -> Link.t -> Link.t
-(** A link that seals on send and verifies on receive; receive raises
-    {!Auth_error} on forged traffic — close the link when it does. *)
+(** {!open_in_place} on a whole frame, then a copy of its payload. *)

@@ -4,6 +4,7 @@
     {!Loopback} / {!Netsim} for determinism. *)
 
 module Frame = Omf_reactor.Frame
+module Compress = Omf_compress.Compress
 
 exception Tcp_error of string
 
@@ -22,54 +23,104 @@ let read fd buf off len =
   try Unix.read fd buf off len
   with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> raise Link.Timeout
 
-let really_read fd buf off len =
-  let rec go off len =
-    if len > 0 then begin
-      let n = read fd buf off len in
-      if n = 0 then raise End_of_file;
-      go (off + n) (len - n)
-    end
-  in
-  go off len
+let rec really_read fd buf off len =
+  if len > 0 then begin
+    let n = read fd buf off len in
+    if n = 0 then raise End_of_file;
+    really_read fd buf (off + n) (len - n)
+  end
 
-let really_write fd buf off len =
-  let rec go off len =
-    if len > 0 then begin
-      let n =
-        try Unix.write fd buf off len
-        with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-          raise Link.Timeout
-      in
-      go (off + n) (len - n)
-    end
-  in
-  go off len
+let rec really_write fd buf off len =
+  if len > 0 then begin
+    let n =
+      try Unix.write fd buf off len
+      with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> raise Link.Timeout
+    in
+    really_write fd buf (off + n) (len - n)
+  end
 
-(** [link_of_fd fd] wraps a connected socket, with [TCP_NODELAY] set. *)
-let link_of_fd (fd : Unix.file_descr) : Link.t =
+type comp_totals = { mutable raw_bytes : int; mutable wire_bytes : int }
+
+(* a buffer of at least [n] bytes: [b] itself, or a fresh one at least
+   twice its size (grow-only, like {!Frame.Decoder}'s) *)
+let room (b : Bytes.t) n =
+  if Bytes.length b >= n then b
+  else begin
+    let cap = ref (max 4096 (2 * Bytes.length b)) in
+    while !cap < n do
+      cap := 2 * !cap
+    done;
+    Bytes.create !cap
+  end
+
+(** [link_of_fd ?mac ?comp fd] wraps a connected socket, with
+    [TCP_NODELAY] set, in the connection's negotiated frame modes. *)
+let link_of_fd ?mac ?comp (fd : Unix.file_descr) : Link.t =
   (* small frames (acks, control replies, events) must not wait for the
      peer's delayed ACK behind Nagle's algorithm *)
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   let closed = ref false in
+  let hdr = Frame.header_length in
+  (* where the payload starts in a frame body *)
+  let pay = match mac with None -> 0 | Some _ -> Macframe.overhead in
+  let plain = Option.is_none mac && Option.is_none comp in
+  (* one buffer per direction: send and recv may run on different
+     threads. Compression is send-only, so its scratch is the sender's. *)
+  let sbuf = ref Bytes.empty and rbuf = ref (Bytes.create hdr) in
+  let ws = Option.map (fun _ -> Compress.scratch ()) comp in
   let send msg =
     if !closed then raise Link.Closed;
-    (* header + body in one buffer, one write: no Nagle interaction *)
-    let b = Frame.encode msg in
-    really_write fd b 0 (Bytes.length b)
+    (* [len][nonce][tag][payload] in one buffer, one write *)
+    let n = Bytes.length msg in
+    sbuf := room !sbuf (hdr + pay + Compress.bound n);
+    let b = !sbuf in
+    let plen =
+      match comp with
+      | None ->
+        Bytes.blit msg 0 b (hdr + pay) n;
+        n
+      | Some tot ->
+        let k =
+          Compress.compress_into ?scratch:ws msg ~pos:0 ~len:n b ~off:(hdr + pay)
+        in
+        tot.raw_bytes <- tot.raw_bytes + n;
+        tot.wire_bytes <- tot.wire_bytes + k;
+        k
+    in
+    (match mac with Some st -> Macframe.seal_in_place st b hdr plen | None -> ());
+    Frame.write_header b 0 (pay + plen);
+    really_write fd b 0 (hdr + pay + plen)
+  in
+  (* Exactly one frame per call, never a byte past it: the relay may
+     adopt this socket between frames and go on reading it itself. *)
+  let read_frame () =
+    really_read fd !rbuf 0 hdr;
+    let len = Frame.read_header !rbuf 0 in
+    if len < 0 || len > Frame.default_max_frame then
+      tcp_error "bad frame length %d" len;
+    if plain then begin
+      let msg = Bytes.create len in
+      really_read fd msg 0 len;
+      msg
+    end
+    else begin
+      rbuf := room !rbuf len;
+      let b = !rbuf in
+      really_read fd b 0 len;
+      (match mac with Some st -> Macframe.open_in_place st b 0 len | None -> ());
+      match comp with
+      | None -> Bytes.sub b pay (len - pay)
+      | Some tot ->
+        let raw = Compress.decompress_sub b ~pos:pay ~len:(len - pay) in
+        tot.raw_bytes <- tot.raw_bytes + Bytes.length raw;
+        tot.wire_bytes <- tot.wire_bytes + (len - pay);
+        raw
+    end
   in
   let recv () =
     if !closed then None
     else
-      match
-        let hdr = Bytes.create Frame.header_length in
-        really_read fd hdr 0 Frame.header_length;
-        let len = Frame.read_header hdr 0 in
-        if len < 0 || len > Frame.default_max_frame then
-          tcp_error "bad frame length %d" len;
-        let msg = Bytes.create len in
-        really_read fd msg 0 len;
-        msg
-      with
+      match read_frame () with
       | msg -> Some msg
       | exception End_of_file -> None
   in
@@ -142,5 +193,6 @@ let failure_message : exn -> string option = function
   | Link.Timeout -> Some "timeout"
   | Tcp_error m | Frame.Frame_error m -> Some m
   | Macframe.Auth_error m -> Some ("authentication: " ^ m)
+  | Compress.Error m -> Some ("compression: " ^ m)
   | Unix.Unix_error (e, fn, _) -> Some (fn ^ ": " ^ Unix.error_message e)
   | _ -> None

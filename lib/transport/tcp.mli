@@ -9,14 +9,37 @@ val read : Unix.file_descr -> bytes -> int -> int -> int
 (** [Unix.read], with an expired [SO_RCVTIMEO] deadline raised as
     {!Link.Timeout}. *)
 
+val really_read : Unix.file_descr -> bytes -> int -> int -> unit
+(** Read exactly [len] bytes to [off]; [End_of_file] when the peer
+    closes first. Deadlines as {!read}. *)
+
 val really_write : Unix.file_descr -> bytes -> int -> int -> unit
 (** Write all [len] bytes from [off]; an expired [SO_SNDTIMEO] deadline
     raises {!Link.Timeout}. *)
 
-val link_of_fd : Unix.file_descr -> Link.t
-(** Wrap a connected socket and set [TCP_NODELAY] on it, so small frames
-    never wait out the peer's delayed ACK. On a socket from {!dial} with
-    [io_timeout_s], a stalled send or receive raises {!Link.Timeout}. *)
+type comp_totals = { mutable raw_bytes : int; mutable wire_bytes : int }
+(** Bytes through a compressed link, both directions: frame bodies
+    before compression vs blocks on the wire. *)
+
+val link_of_fd :
+  ?mac:Macframe.state -> ?comp:comp_totals -> Unix.file_descr -> Link.t
+(** Wrap a connected socket, the one client framing function, and set
+    [TCP_NODELAY] on it, so small frames never wait out the peer's
+    delayed ACK. The optional arguments are the connection's negotiated
+    modes (PROTOCOLS.md §12 and §18): with [mac] every frame is sealed
+    on send and verified on receive; with [comp] every frame travels as
+    one LZ block, counted into the totals; with both, the wire body is
+    seal (compress body). A send builds the whole frame in one
+    grow-only buffer (the block compressed and the MAC computed in
+    place) and issues one write; it allocates nothing. A receive reads
+    exactly one frame, never past it, into a second buffer, verifies it
+    in place and allocates only the body it returns. One thread may
+    send while another receives; two concurrent sends, or two
+    concurrent receives, are not supported. A forged frame
+    raises {!Macframe.Auth_error}, a corrupt block
+    {!Omf_compress.Compress.Error}; either way, close the link. On a
+    socket from {!dial} with [io_timeout_s], a stalled send or receive
+    raises {!Link.Timeout}. *)
 
 val dial :
   ?host:string ->

@@ -109,8 +109,10 @@ let feed_bytes (c : ctx) (data : Bytes.t) (off : int) (len : int) : unit =
 let feed (c : ctx) (s : string) : unit =
   feed_bytes c (Bytes.unsafe_of_string s) 0 (String.length s)
 
-let finish (c : ctx) : string =
-  let bitlen = Int64.mul (Int64.of_int c.total) 8L in
+(* the 32-byte digest of everything fed, written at [off]; allocates
+   nothing *)
+let finish_into (c : ctx) (out : Bytes.t) (off : int) : unit =
+  if off < 0 || off + 32 > Bytes.length out then invalid_arg "Sha256.finish_into";
   (* pad: 0x80, zeros to 56 mod 64, then the 64-bit bit length *)
   Bytes.set c.block c.fill '\x80';
   c.fill <- c.fill + 1;
@@ -120,12 +122,15 @@ let finish (c : ctx) : string =
     c.fill <- 0
   end;
   Bytes.fill c.block c.fill (56 - c.fill) '\x00';
-  Bytes.set_int64_be c.block 56 bitlen;
+  Bytes.set_int64_be c.block 56 (Int64.of_int (c.total * 8));
   compress c c.block 0;
-  let out = Bytes.create 32 in
   for i = 0 to 7 do
-    Bytes.set_int32_be out (4 * i) (Int32.of_int c.h.(i))
-  done;
+    Bytes.set_int32_be out (off + (4 * i)) (Int32.of_int c.h.(i))
+  done
+
+let finish (c : ctx) : string =
+  let out = Bytes.create 32 in
+  finish_into c out 0;
   Bytes.unsafe_to_string out
 
 let digest (s : string) : string =
@@ -149,44 +154,57 @@ let hex (s : string) : string =
 
 let block_size = 64
 
-type hmac = {
-  hctx : ctx;  (** the inner hash, then (in {!hmac_finish}) the outer *)
-  opad : string;  (** the key xor 0x5c, one block *)
-}
+(* The key's two padded blocks, [key xor ipad] and [key xor opad], each
+   hashed once: every HMAC under the key starts from these midstates
+   instead of hashing the pads again. *)
+type hmac_key = { inner : int array; outer : int array }
 
 (* the key, hashed first when longer than a block, zero-padded to one
-   block and xored with [fill] *)
-let pad key fill =
-  let b = Bytes.make block_size fill in
-  String.iteri
-    (fun i ch -> Bytes.set b i (Char.chr (Char.code ch lxor Char.code fill)))
-    key;
-  Bytes.unsafe_to_string b
-
-let hmac_init ~(key : string) : hmac =
+   block and xored with each pad byte, then compressed from the initial
+   state in [c] *)
+let midstates (c : ctx) (key : string) : hmac_key =
   let key = if String.length key > block_size then digest key else key in
-  let hctx = init () in
-  feed hctx (pad key '\x36');
-  { hctx; opad = pad key '\x5c' }
+  let mid fill =
+    Bytes.fill c.block 0 block_size fill;
+    String.iteri
+      (fun i ch ->
+        Bytes.set c.block i (Char.chr (Char.code ch lxor Char.code fill)))
+      key;
+    Array.blit initial_state 0 c.h 0 8;
+    compress c c.block 0;
+    Array.copy c.h
+  in
+  let inner = mid '\x36' in
+  { inner; outer = mid '\x5c' }
 
-let hmac_feed_bytes (h : hmac) (data : Bytes.t) (off : int) (len : int) : unit =
-  feed_bytes h.hctx data off len
+let hmac_key (key : string) : hmac_key = midstates (init ()) key
 
-let hmac_finish (h : hmac) : string =
-  let inner = finish h.hctx in
-  (* the outer hash reuses the inner one's context *)
-  let c = h.hctx in
-  Array.blit initial_state 0 c.h 0 8;
+(* [c] as if it had just hashed one pad block *)
+let resume (c : ctx) (mid : int array) : unit =
+  Array.blit mid 0 c.h 0 8;
   c.fill <- 0;
-  c.total <- 0;
-  feed c h.opad;
-  feed c inner;
-  finish c
+  c.total <- block_size
+
+let hmac_start (k : hmac_key) (c : ctx) : unit = resume c k.inner
+
+let hmac_finish_into (k : hmac_key) (c : ctx) (out : Bytes.t) (off : int) :
+    unit =
+  (* the inner digest lands in the block buffer, where it is the whole
+     outer message after the opad block *)
+  finish_into c c.block 0;
+  resume c k.outer;
+  c.fill <- 32;
+  c.total <- block_size + 32;
+  finish_into c out off
 
 let hmac ~(key : string) (msg : string) : string =
-  let h = hmac_init ~key in
-  hmac_feed_bytes h (Bytes.unsafe_of_string msg) 0 (String.length msg);
-  hmac_finish h
+  let c = init () in
+  let k = midstates c key in
+  hmac_start k c;
+  feed c msg;
+  let out = Bytes.create 32 in
+  hmac_finish_into k c out 0;
+  Bytes.unsafe_to_string out
 
 (** Timing-safe equality for MAC comparison. *)
 let equal_constant_time (a : string) (b : string) : bool =

@@ -10,6 +10,10 @@ val feed_bytes : ctx -> Bytes.t -> int -> int -> unit
 val finish : ctx -> string
 (** The 32-byte raw digest. The context must not be reused after. *)
 
+val finish_into : ctx -> Bytes.t -> int -> unit
+(** [finish_into c out off] writes the 32-byte digest at [off] and
+    allocates nothing. Raises [Invalid_argument] when it does not fit. *)
+
 val digest : string -> string
 (** One-shot 32-byte raw digest. *)
 
@@ -22,21 +26,25 @@ val hmac : key:string -> string -> string
 (** [hmac ~key msg] is the 32-byte raw HMAC-SHA256 tag. Keys longer
     than the 64-byte block are hashed first, per RFC 2104. *)
 
-(** {1 Incremental HMAC}
+(** {1 Incremental HMAC from precomputed midstates}
 
-    The same tag over a message fed in pieces, straight from the
-    caller's buffers: feeding [a] then [b] gives [hmac ~key (a ^ b)]. *)
+    A key's inner and outer pad blocks hashed once; each tag under it
+    then reuses one caller-owned {!ctx}, fed in pieces straight from the
+    caller's buffers, and allocates nothing: [hmac_start k c], then
+    [feed_bytes c ...], then [hmac_finish_into k c out off] writes the
+    same tag as {!hmac} over the concatenated pieces. *)
 
-type hmac
+type hmac_key
 
-val hmac_init : key:string -> hmac
+val hmac_key : string -> hmac_key
 
-val hmac_feed_bytes : hmac -> Bytes.t -> int -> int -> unit
-(** [hmac_feed_bytes h buf off len] feeds [len] bytes of [buf] at [off],
-    in place. Raises [Invalid_argument] when the window escapes [buf]. *)
+val hmac_start : hmac_key -> ctx -> unit
+(** Reset [c] to the key's inner midstate: what is fed next is the
+    message. *)
 
-val hmac_finish : hmac -> string
-(** The 32-byte raw tag. The state must not be reused after. *)
+val hmac_finish_into : hmac_key -> ctx -> Bytes.t -> int -> unit
+(** Write the 32-byte tag of the message fed since {!hmac_start} at
+    [off]. [c] may be started again after. *)
 
 val equal_constant_time : string -> string -> bool
 (** Length + content equality without early exit on mismatch — use for
