@@ -10,7 +10,9 @@
       (with a reused scratch) and the HMAC behind [Macframe.seal];
     - per shape and negotiated frame mode (plain, mac, comp, mac+comp):
       one [Link.send] and one [Link.recv] of the event frame (kind byte
-      plus message) on the framed client link, over a socketpair.
+      plus message) on the framed client link, over a socketpair;
+    - the words a [Compress.scratch] holds ([Obj.reachable_words]) when
+      fresh, and after compressing one event frame of each shape.
 
     Allocation is deterministic, so one run is enough; the numbers do not
     depend on the host's speed. *)
@@ -41,6 +43,20 @@ let link_row (s : Shapes.t) =
       %s}|} s.name (Bytes.length fr)
     (String.concat ",\n      " (List.map mode Linkpair.modes))
 
+let scratch_row () =
+  let words s = Obj.reachable_words (Obj.repr s) in
+  let shape (s : Shapes.t) =
+    let fr = event_frame s in
+    let scratch = Omf_compress.Compress.scratch () in
+    ignore (Omf_compress.Compress.compress ~scratch fr);
+    Printf.sprintf {|"%s": {"frame_B": %d, "words": %d}|} s.name
+      (Bytes.length fr) (words scratch)
+  in
+  Printf.sprintf {|{"fresh_words": %d,
+    %s}|}
+    (words (Omf_compress.Compress.scratch ()))
+    (String.concat ",\n    " (List.map shape Shapes.bench))
+
 let () =
   let row (s : Shapes.t) =
     let m = Shapes.measure ~iters:500 s in
@@ -68,8 +84,10 @@ let () =
   Printf.printf
     "{\n  \"ocaml\": \"%s\",\n  \"word_size\": %d,\n  \"shapes\": {\n%s\n  },\n\
     \  \"secure_frame\": {\"frame_B\": %d, \"compress_B\": %.1f, \"hmac_B\": %.1f},\n\
-    \  \"link\": {\n%s\n  }\n}\n"
+    \  \"link\": {\n%s\n  },\n\
+    \  \"scratch\": %s\n}\n"
     Sys.ocaml_version Sys.word_size
     (String.concat ",\n" (List.map row (Shapes.bench @ [ Shapes.strvar ])))
     (Bytes.length msg) compress hmac
     (String.concat ",\n" (List.map link_row Shapes.bench))
+    (scratch_row ())

@@ -22,6 +22,11 @@ let min_compress_len = 16
 (* Refuse to allocate absurd outputs for a corrupt header. *)
 let max_block_len = 1 lsl 30
 
+(* Output bytes one token-stream byte can yield at most: a run byte adds
+   255 to a length, and every other byte yields fewer. The header's
+   length is checked against it before the output is allocated. *)
+let max_expansion = 255
+
 let bound n = n + 1
 
 let is_lz b = Bytes.length b > 0 && Bytes.get b 0 = tag_lz
@@ -61,16 +66,22 @@ let store_into src pos len dst off =
 (* Match-finder workspace, reusable across calls so the hot path never
    allocates or re-initializes the chain arrays. Entries are coded as
    [base + position]: each call claims a fresh [base] past every value
-   any earlier call could have stored, so a stale entry decodes to a
-   negative position and reads as empty — no clearing between blocks.
-   [prev] is a ring over the 64 KiB match window; a slot reused by a
-   position one window later decodes to an out-of-range distance and is
-   cut by the [max_dist] check. The block being written is a cursor in
-   here too, so the encoder's helpers are plain functions and a call
-   allocates nothing. *)
+   any earlier call could have stored, so a stale entry — or a fresh
+   zero — decodes to a negative position and reads as empty, with no
+   clearing between blocks. Both tables start empty and are paid for by
+   the blocks compressed: [head] on the first LZ compress, and [prev]
+   as a ring of the next power of two that fits the largest block so
+   far (at least 64 slots, at most the 64 KiB match window). A block no
+   longer than the ring never reuses a slot; in a longer one, a slot
+   reused by a position one window later decodes to an out-of-range
+   distance and is cut by the [max_dist] check, so the blocks are the
+   same whatever the ring's size. The block being written is a cursor
+   in here too, so the encoder's helpers are plain functions and a call
+   allocates nothing once the tables fit. *)
 type scratch = {
-  head : int array;  (* hash -> coded newest position *)
-  prev : int array;  (* coded chain, indexed by position land window *)
+  mutable head : int array;  (* hash -> coded newest position *)
+  mutable prev : int array;
+      (* coded chain, indexed by position land (length - 1) *)
   mutable base : int;  (* strictly positive, grows by [len] per call *)
   mutable out : Bytes.t;
       (* where {!compress_sub} builds a block before copying out exactly
@@ -82,14 +93,28 @@ type scratch = {
 }
 
 let scratch () =
-  { head = Array.make hash_size 0
-  ; prev = Array.make (max_dist + 1) 0
+  { head = [||]
+  ; prev = [||]
   ; base = 1
   ; out = Bytes.empty
   ; dst = Bytes.empty
   ; start = 0
   ; opos = 0
   ; budget = 0 }
+
+let min_ring = 64
+
+(* the head table, and a ring that fits a block of [len] bytes *)
+let reserve s len =
+  if Array.length s.head = 0 then s.head <- Array.make hash_size 0;
+  let want = min len (max_dist + 1) in
+  if Array.length s.prev < want then begin
+    let n = ref min_ring in
+    while !n < want do
+      n := 2 * !n
+    done;
+    s.prev <- Array.make !n 0
+  end
 
 let put s c =
   if s.opos >= s.budget then raise Bail;
@@ -127,7 +152,9 @@ let emit_seq s src from llen mlen dist =
 
 let insert s src pos base i =
   let h = hash4 src (pos + i) in
-  Array.unsafe_set s.prev (i land max_dist) (Array.unsafe_get s.head h);
+  Array.unsafe_set s.prev
+    (i land (Array.length s.prev - 1))
+    (Array.unsafe_get s.head h);
   Array.unsafe_set s.head h (base + i)
 
 let compress_into ?scratch:ws src ~pos ~len dst ~off =
@@ -150,7 +177,9 @@ let compress_into ?scratch:ws src ~pos ~len dst ~off =
     s.budget <- len - 5;
     let base = s.base in
     s.base <- base + len;
+    reserve s len;
     let head = s.head and prev = s.prev in
+    let mask = Array.length prev - 1 in
     try
       let i = ref 0 in
       let lit_start = ref 0 in
@@ -179,7 +208,7 @@ let compress_into ?scratch:ws src ~pos ~len dst ~off =
                 best_dist := cur - !cand
               end
             end;
-            cand := Array.unsafe_get prev (!cand land max_dist) - base;
+            cand := Array.unsafe_get prev (!cand land mask) - base;
             decr tries
           end
         done;
@@ -263,6 +292,8 @@ let decompress_sub src ~pos ~len =
     if len < 5 then err "truncated lz header (%d bytes)" len;
     let raw_len = Int32.to_int (Bytes.get_int32_be src (pos + 1)) land 0xFFFF_FFFF in
     if raw_len > max_block_len then err "block claims %d bytes" raw_len;
+    if raw_len > max_expansion * (len - 5) then
+      err "block claims %d bytes from %d token bytes" raw_len (len - 5);
     let out = Bytes.create raw_len in
     let iend = pos + len in
     let ip = ref (pos + 5) in

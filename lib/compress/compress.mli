@@ -24,7 +24,9 @@
 
     The decoder bounds-checks every read and write and raises [Error]
     on any malformed block — truncated stream, bad tag, distance past
-    the output start, or a length that disagrees with the header. *)
+    the output start, or a length that disagrees with the header. A
+    header claiming more than 255 bytes per token-stream byte is refused
+    before the output is allocated. *)
 
 exception Error of string
 (** Malformed compressed block. *)
@@ -33,13 +35,18 @@ val bound : int -> int
 (** [bound n] is the worst-case block size for [n] input bytes: [n+1]. *)
 
 type scratch
-(** Reusable match-finder workspace (~640 KiB, allocated once). Without
-    one, every compress call allocates and initializes its own chain
-    arrays — fine for occasional blocks (segment sealing), ruinous at
-    frame rate. A scratch is single-owner state: never share one across
-    threads. Output is identical with or without. *)
+(** Reusable match-finder workspace. It allocates on first use and
+    grows with the blocks it compresses: the 128 KiB hash head on the
+    first LZ compress, and a chain ring of the next power of two that
+    fits the largest block so far (64 to 65 536 entries, 8 B each).
+    Without one, every compress call allocates and initializes its own
+    chain arrays — fine for occasional blocks (segment sealing),
+    ruinous at frame rate. A scratch is single-owner state: never share
+    one across threads. Output is identical with or without, whatever
+    the ring's size. *)
 
 val scratch : unit -> scratch
+(** A fresh, empty workspace; allocates a dozen words. *)
 
 val compress : ?scratch:scratch -> Bytes.t -> Bytes.t
 (** Compress a whole buffer into one self-contained block. With a

@@ -105,6 +105,27 @@ let test_malformed () =
   let short = Bytes.sub blk 0 (Bytes.length blk - 3) in
   expect_error "truncated stream" short
 
+(* A header claiming far more output than its token stream can expand
+   to is refused before the output is allocated: one run byte adds at
+   most 255 to a length, so [n] token bytes decode to at most 255n. *)
+let test_forged_length () =
+  let forged raw_len tokens =
+    let b = Bytes.make (5 + String.length tokens) '\x01' in
+    Bytes.set_int32_be b 1 (Int32.of_int raw_len);
+    Bytes.blit_string tokens 0 b 5 (String.length tokens);
+    b
+  in
+  let giant = forged 0x3FFF_FFFF "\x00" in
+  expect_error "1 GiB from one token byte" giant;
+  let b =
+    Omf_testkit.Alloc.bytes_per_call (fun () ->
+        match Compress.decompress giant with
+        | exception Compress.Error _ -> ()
+        | _ -> Alcotest.fail "forged block accepted")
+  in
+  if b > 1024.0 then
+    Alcotest.failf "rejecting a forged block allocates %.0f B (budget 1024)" b
+
 let gen_payload =
   (* mix of compressible and adversarial shapes *)
   QCheck.Gen.(
@@ -153,37 +174,49 @@ let prop_slice_roundtrip =
       let got = Compress.decompress_slice (Slice.of_bytes (Compress.compress_slice s)) in
       Bytes.equal (Bytes.sub raw off len) got)
 
-(* Encoded blocks of fixed inputs, captured before the match finder's
-   hash was rewritten: the wire format and the encoder's choices must not
-   move. [zeros] is checked in full, the rest by length and MD5. *)
-let golden_inputs () =
+let secure_message () =
   let shape = List.nth Omf_testkit.Shapes.bench 3 in
   let abi = shape.Omf_testkit.Shapes.send_abi in
   let fmt = Omf_testkit.Shapes.register abi shape in
   let mem = Omf_machine.Memory.create abi in
-  let msg =
-    Omf_pbio.Pbio.message mem fmt
-      (Omf_pbio.Native.store mem fmt shape.Omf_testkit.Shapes.value)
-  in
-  let mixed =
-    let rng = Random.State.make [| 42 |] in
-    let words = [| "flight"; "gate"; "runway"; "ATL"; "holding" |] in
-    let b = Buffer.create 8192 in
-    while Buffer.length b < 8192 do
-      if Random.State.int rng 4 = 0 then
-        for _ = 1 to 1 + Random.State.int rng 24 do
-          Buffer.add_char b (Char.chr (Random.State.int rng 256))
-        done
-      else Buffer.add_string b words.(Random.State.int rng 5)
-    done;
-    Bytes.of_string (Buffer.sub b 0 8192)
-  in
-  [ ("secure-compressed message", msg, 151, "487c2d5e1147b4cf47edf738add54145")
+  Omf_pbio.Pbio.message mem fmt
+    (Omf_pbio.Native.store mem fmt shape.Omf_testkit.Shapes.value)
+
+(* [n] bytes of a few repeated words broken by random runs *)
+let mixed ~seed n =
+  let rng = Random.State.make [| seed |] in
+  let words = [| "flight"; "gate"; "runway"; "ATL"; "holding" |] in
+  let b = Buffer.create n in
+  while Buffer.length b < n do
+    if Random.State.int rng 4 = 0 then
+      for _ = 1 to 1 + Random.State.int rng 24 do
+        Buffer.add_char b (Char.chr (Random.State.int rng 256))
+      done
+    else Buffer.add_string b words.(Random.State.int rng 5)
+  done;
+  Bytes.of_string (Buffer.sub b 0 n)
+
+(* 70 KiB, longer than the match window: 4 KiB of random bytes recur
+   64 000 bytes later, so a match reaches nearly the whole window back
+   while positions past 64 KiB reuse chain slots *)
+let wide () =
+  let st = Random.State.make [| 70 |] in
+  let r = Bytes.init 4096 (fun _ -> Char.chr (Random.State.int st 256)) in
+  Bytes.concat Bytes.empty [ r; mixed ~seed:1 59904; r; mixed ~seed:2 3584 ]
+
+(* Encoded blocks of fixed inputs, captured before the match finder's
+   hash was rewritten (and [wide] before the chain ring was sized to the
+   block): the wire format and the encoder's choices must not move.
+   [zeros] is checked in full, the rest by length and MD5. *)
+let golden_inputs () =
+  [ ("secure-compressed message", secure_message (), 151,
+     "487c2d5e1147b4cf47edf738add54145")
   ; ( "counting"
     , Bytes.init 4096 (fun i -> Char.chr (((i * 7) + (i / 13)) land 0xff))
     , 550, "713f6ec03305749c88f24a12cbfd2fe4" )
   ; ("zeros", Bytes.make 2000 '\000', 17, "a0374115e9f8336d183e3280ffe5050e")
-  ; ("mixed", mixed, 5002, "37b150ff69af459d5895d59fbbf1ebb1") ]
+  ; ("mixed", mixed ~seed:42 8192, 5002, "37b150ff69af459d5895d59fbbf1ebb1")
+  ; ("wide", wide (), 42346, "d06ba264e727f733ce73060e542fa24d") ]
 
 let test_golden () =
   List.iter
@@ -213,6 +246,86 @@ let test_allocation () =
     Alcotest.failf "compressing %d B allocates %.0f B per call (budget 256)"
       (Bytes.length raw) b
 
+(* One scratch reused across blocks whose sizes cross the ring's growth
+   points up and down gives the blocks a call without one gives, and the
+   goldens where there are some. *)
+let test_growth () =
+  let golden = golden_inputs () in
+  let find what = List.find (fun (w, _, _, _) -> w = what) golden in
+  let raw what = let _, r, _, _ = find what in r in
+  let gold what = let w, r, _, md5 = find what in (w, r, Some md5) in
+  let sized what raw = (what, raw, None) in
+  let scratch = Compress.scratch () in
+  List.iter
+    (fun (what, raw, md5) ->
+      let blk = Compress.compress ~scratch raw in
+      Alcotest.check bytes_testable
+        (Printf.sprintf "%s (%d B): same block as without a scratch" what
+           (Bytes.length raw))
+        (Compress.compress raw) blk;
+      Option.iter
+        (fun m ->
+          Alcotest.(check string) (what ^ ": golden MD5") m
+            (Digest.to_hex (Digest.bytes blk)))
+        md5)
+    [ sized "17 B" (Bytes.of_string "abcdabcdabcdabcda")
+    ; sized "100 B" (Bytes.sub (raw "counting") 0 100)
+    ; sized "secure frame"
+        (Bytes.cat (Bytes.make 1 'M') (raw "secure-compressed message"))
+    ; gold "secure-compressed message"
+    ; gold "mixed"
+    ; gold "wide"
+    ; sized "2 KiB" (Bytes.sub (raw "mixed") 0 2048)
+    ; gold "zeros"
+    ; gold "counting" ]
+
+let gen_size_run =
+  QCheck.Gen.(
+    list_size (int_range 1 6)
+      (frequency
+         [ (6, gen_payload)
+         ; ( 1,
+             map
+               (fun (seed, n) -> mixed ~seed n)
+               (pair int (int_range 60_000 80_000)) ) ]))
+
+let prop_reused_scratch =
+  QCheck.Test.make ~name:"reused scratch = fresh scratch (random size runs)"
+    ~count:60
+    (QCheck.make
+       ~print:(fun l ->
+         String.concat "," (List.map (fun b -> string_of_int (Bytes.length b)) l))
+       gen_size_run)
+    (fun raws ->
+      let scratch = Compress.scratch () in
+      List.for_all
+        (fun raw ->
+          Bytes.equal
+            (Compress.compress ~scratch raw)
+            (Compress.compress ~scratch:(Compress.scratch ()) raw))
+        raws)
+
+(* A scratch holds what the blocks it compressed need: nothing fresh,
+   and after the ~1.1 KiB secure frame the head table, a 2048-slot
+   ring and the out buffer. Lower these budgets, never raise them. *)
+let test_footprint () =
+  let words s = Obj.reachable_words (Obj.repr s) in
+  let scratch = Compress.scratch () in
+  let fresh = words scratch in
+  if fresh > 32 then
+    Alcotest.failf "a fresh scratch holds %d words (budget 32)" fresh;
+  let frame = Bytes.cat (Bytes.make 1 'M') (secure_message ()) in
+  ignore (Compress.compress ~scratch frame);
+  let budget =
+    (16_384 + 1) + (2048 + 1)
+    + (1 + ((Compress.bound (Bytes.length frame) + 8) / 8))
+    + 32
+  in
+  let used = words scratch in
+  if used > budget then
+    Alcotest.failf "after a %d B frame a scratch holds %d words (budget %d)"
+      (Bytes.length frame) used budget
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -226,6 +339,12 @@ let () =
         ; Alcotest.test_case "ragged slice offsets" `Quick test_ragged_slices
         ; Alcotest.test_case "gathered wire message" `Quick test_slices_gather
         ; Alcotest.test_case "malformed blocks rejected" `Quick test_malformed
+        ; Alcotest.test_case "forged length rejected unallocated" `Quick
+            test_forged_length
         ; Alcotest.test_case "golden blocks" `Quick test_golden
-        ; Alcotest.test_case "allocation per frame" `Quick test_allocation ]
-        @ qsuite [ prop_roundtrip; prop_slice_roundtrip ] ) ]
+        ; Alcotest.test_case "allocation per frame" `Quick test_allocation
+        ; Alcotest.test_case "reused scratch across ring growth" `Quick
+            test_growth
+        ; Alcotest.test_case "scratch footprint" `Quick test_footprint ]
+        @ qsuite [ prop_roundtrip; prop_slice_roundtrip; prop_reused_scratch ]
+      ) ]
