@@ -10,16 +10,19 @@ open Toolkit
     alias. Numbers are noisy; shape only. *)
 let quick = Sys.getenv_opt "OMF_BENCH_QUICK" <> None
 
-let quota_seconds =
-  match Sys.getenv_opt "OMF_BENCH_QUOTA" with
-  | Some s -> (try float_of_string s with Failure _ -> 0.3)
-  | None -> if quick then 0.02 else 0.3
+(** Bechamel's time quota per measurement, in seconds. *)
+let quota_seconds = if quick then 0.02 else 0.3
 
 let cfg =
   Benchmark.cfg ~limit:2000 ~quota:(Time.second quota_seconds) ~kde:None
     ~stabilize:true ()
 
 let instance = Instance.monotonic_clock
+
+(** [now_s ()] is the monotonic clock ([Omf_util.Clock]) in seconds, for
+    sections that time an interval by hand. Only differences mean
+    anything. *)
+let now_s () = float_of_int (Omf_util.Clock.now_us ()) /. 1e6
 
 (** [measure_ns ~name f] is the OLS-estimated wall time of [f ()] in ns. *)
 let measure_ns ~name (f : unit -> 'a) : float =

@@ -1,4 +1,5 @@
-(** Benchmark harness: regenerates every quantified result in the paper.
+(** Benchmark harness for the paper's quantified results, plus the two
+    relay-side sections that no [bench/e2e] workload covers yet.
 
     Sections map one-to-one onto the experiment index in DESIGN.md:
     - T1: Table 1 (format registration cost, PBIO vs xml2wire)
@@ -8,12 +9,14 @@
     - E1: end-to-end latency and discovery amortization (section 5)
     - E2: heterogeneous receive: compiled plans vs interpretation (DCG)
     - E3: server scalability with subscriber count (section 1)
-    - E3-tcp: relay fan-out over real TCP sockets (relayd pipeline)
-    - E5-shards: sharded relay fan-out across N event loops
-    - E6-store: durable streams (append cost, fsync policy, replay)
-    - E11-trace: sampled tracing overhead + stage-latency decomposition
-    - E12-compress: negotiated wire compression (bytes on wire, ratio)
+    - E6-store: durable streams (append cost per fsync policy, replay)
+    - E7-registry: schema registry (resolve cost, async discovery)
     - A1: discovery-method ablation (orthogonality, section 3.3)
+    - A2: plan-optimization ablation (blit coalescing, bulk arrays)
+
+    A3 is [bench/alloc.ml]. The relay end to end is measured by
+    [bench/e2e] through [relayd], and its failover, overload and
+    restart claims are asserted by the [@faults] drills.
 
     Absolute numbers reflect this simulator on today's hardware; the
     *shape* (who wins, by what factor, where overheads vanish) is the
@@ -389,391 +392,6 @@ let e3 () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* E3-tcp: relay fan-out over real TCP                                  *)
-(* ------------------------------------------------------------------ *)
-
-let e3_tcp () =
-  section "E3-tcp. Relay fan-out over real TCP (1 publisher -> N subscribers)";
-  note
-    "The relayd event loop on loopback TCP: one publisher streams\n\
-     structure-A events through the relay to N subscriber connections\n\
-     (mixed ABIs, block policy, loss-free). Wall-clock delivery rate of\n\
-     the full pipeline — encode, frame, select loop, fan-out, decode.\n";
-  let stream = "bench" in
-  let events = if quick then 500 else 5_000 in
-  let counts = if quick then [ 1; 4; 16 ] else [ 1; 4; 16; 64 ] in
-  let event seq =
-    match Fx.value_a with
-    | Value.Record fields ->
-      Value.Record
-        (List.map
-           (fun (k, v) ->
-             if String.equal k "fltNum" then (k, Value.Int (Int64.of_int seq))
-             else (k, v))
-           fields)
-    | _ -> assert false
-  in
-  let rows =
-    List.map
-      (fun n ->
-        let h = Relay.start () in
-        let port = Relay.port h in
-        Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
-        let admin = Relay.Client.connect ~port () in
-        Relay.Client.advertise admin ~stream ~schema:Fx.schema_a;
-        let pub = Relay.Client.publish admin ~stream in
-        let catalog = Catalog.create Abi.x86_64 in
-        ignore (X2W.register_schema catalog Fx.schema_a);
-        let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
-        let sender =
-          Omf_transport.Endpoint.Sender.create pub (Memory.create Abi.x86_64)
-        in
-        let abis = [ Abi.x86_64; Abi.sparc_32; Abi.arm_32; Abi.power_64 ] in
-        let threads =
-          List.init n (fun i ->
-              let abi = List.nth abis (i mod List.length abis) in
-              Thread.create
-                (fun () ->
-                  let c = Relay.attach_consumer ~port ~stream abi in
-                  let rec go () =
-                    match Relay.recv c with
-                    | None -> ()
-                    | Some (_, v) -> (
-                      match Value.field_exn v "fltNum" with
-                      | Value.Int i when Int64.to_int i = events - 1 -> ()
-                      | _ -> go ())
-                  in
-                  go ();
-                  Relay.close_consumer c)
-                ())
-        in
-        let rec wait_subs () =
-          let subs =
-            List.assoc_opt
-              (Printf.sprintf "stream.%s.subscribers" stream)
-              (Relay.Client.stats admin)
-          in
-          if Option.value ~default:0 subs < n then begin
-            Thread.delay 0.005;
-            wait_subs ()
-          end
-        in
-        wait_subs ();
-        let t0 = Unix.gettimeofday () in
-        for seq = 0 to events - 1 do
-          Omf_transport.Endpoint.Sender.send_value sender fmt (event seq)
-        done;
-        List.iter Thread.join threads;
-        let dt = Unix.gettimeofday () -. t0 in
-        let bytes_out =
-          Option.value ~default:0
-            (List.assoc_opt "bytes_out" (Relay.Client.stats admin))
-        in
-        Relay.Client.close admin;
-        let deliveries = float_of_int (events * n) in
-        [ string_of_int n
-        ; Printf.sprintf "%.3f" dt
-        ; Printf.sprintf "%.0f" (float_of_int events /. dt)
-        ; Printf.sprintf "%.0f" (deliveries /. dt)
-        ; Printf.sprintf "%.1f" (float_of_int bytes_out /. dt /. 1e6) ])
-      counts
-  in
-  table
-    [ "Subscribers"; "wall s"; "events/s"; "deliveries/s"; "relay MB/s" ]
-    rows;
-  note "%d events per run, block policy: zero loss, in-order delivery.\n"
-    events
-
-(* ------------------------------------------------------------------ *)
-(* E4-faults: session recovery across relayd restarts                   *)
-(* ------------------------------------------------------------------ *)
-
-let e4_faults () =
-  section "E4-faults. Session recovery across relayd kill/restart";
-  note
-    "A publisher and a subscriber session ride through repeated relayd\n\
-     restarts on the same port (all broker state — streams, descriptor\n\
-     caches, connections — lost each time). Recovery = wall time from\n\
-     the new relayd listening until the subscriber receives a\n\
-     post-restart event end-to-end: publisher reconnect + re-advertise\n\
-     + resubscribe + delivery.\n";
-  let stream = "bench-faults" in
-  let rounds = if quick then 3 else 5 in
-  let batch = if quick then 50 else 500 in
-  let event seq =
-    match Fx.value_a with
-    | Value.Record fields ->
-      Value.Record
-        (List.map
-           (fun (k, v) ->
-             if String.equal k "fltNum" then (k, Value.Int (Int64.of_int seq))
-             else (k, v))
-           fields)
-    | _ -> assert false
-  in
-  let h = ref (Relay.start ()) in
-  let port = Relay.port !h in
-  let cfg =
-    Relay.Session.config ~port ~max_attempts:200 ~base_delay_s:0.005
-      ~max_delay_s:0.05 ~connect_timeout_s:2.0 ()
-  in
-  let pub =
-    Relay.Session.publisher cfg ~stream ~schema:Fx.schema_a Abi.x86_64
-  in
-  let fmt = Option.get (Relay.Session.publisher_format pub "ASDOffEvent") in
-  let sub = Relay.Session.subscribe cfg ~stream Abi.sparc_32 in
-  let lock = Mutex.create () in
-  let seqs = ref [] in
-  let collector =
-    Thread.create
-      (fun () ->
-        let rec go () =
-          match Relay.Session.recv_subscriber sub with
-          | None -> ()
-          | Some (_, v) ->
-            (match Value.field_exn v "fltNum" with
-            | Value.Int i ->
-              Mutex.lock lock;
-              seqs := Int64.to_int i :: !seqs;
-              Mutex.unlock lock
-            | _ -> ());
-            go ()
-        in
-        go ())
-      ()
-  in
-  (* delivery is in-order, so the head of the (reversed) list is the
-     highest sequence seen *)
-  let latest () =
-    Mutex.lock lock;
-    let v = match !seqs with [] -> -1 | s :: _ -> s in
-    Mutex.unlock lock;
-    v
-  in
-  let next = ref 0 in
-  let probes = ref 0 in
-  let publish_batch n =
-    for _ = 1 to n do
-      Relay.Session.publish_value pub fmt (event !next);
-      incr next
-    done
-  in
-  let wait_for seq =
-    let deadline = Unix.gettimeofday () +. 30.0 in
-    while latest () < seq do
-      if Unix.gettimeofday () > deadline then
-        failwith "e4-faults: delivery stalled";
-      Thread.delay 0.002
-    done
-  in
-  let recoveries =
-    List.init rounds (fun _ ->
-        publish_batch batch;
-        wait_for (!next - 1);
-        Relay.stop !h;
-        h := Relay.start ~port ();
-        let t0 = Unix.gettimeofday () in
-        let probe_base = !next in
-        (* probe until the pipeline is back: probes published before
-           the subscriber resubscribes are dropped by the fresh relay,
-           so delivery of any probe marks full recovery *)
-        while latest () < probe_base do
-          Relay.Session.publish_value pub fmt (event !next);
-          incr next;
-          incr probes;
-          Thread.delay 0.005
-        done;
-        Unix.gettimeofday () -. t0)
-  in
-  publish_batch batch;
-  wait_for (!next - 1);
-  Relay.Session.close_subscriber sub;
-  Thread.join collector;
-  let delivered = List.rev !seqs in
-  let dups =
-    let rec go prev = function
-      | [] -> 0
-      | s :: tl -> (if s <= prev then 1 else 0) + go s tl
-    in
-    go (-1) delivered
-  in
-  Relay.Session.close_publisher pub;
-  Relay.stop !h;
-  table
-    [ "Outage"; "recovery (ms)" ]
-    (List.mapi
-       (fun i r -> [ string_of_int (i + 1); Printf.sprintf "%.1f" (r *. 1e3) ])
-       recoveries);
-  let n = float_of_int rounds in
-  let mean = List.fold_left ( +. ) 0.0 recoveries /. n in
-  note
-    "mean recovery %.1f ms over %d restarts. %d events published, %d\n\
-     delivered, %d duplicates; the %d missing are probe events published\n\
-     mid-outage (of %d probes sent), every event published outside an\n\
-     outage window arrived exactly once. Descriptor replay deduped: the\n\
-     format was learned %d time(s) across %d subscriber reconnects\n\
-     (%d publisher reconnects).\n"
-    (mean *. 1e3) rounds !next (List.length delivered) dups
-    (!next - List.length delivered)
-    !probes
-    (Relay.Session.subscriber_stats sub).formats_learned
-    (Relay.Session.subscriber_reconnects sub)
-    (Relay.Session.publisher_reconnects pub)
-
-(* ------------------------------------------------------------------ *)
-(* E5-shards: relay fan-out scaling across sharded event loops          *)
-(* ------------------------------------------------------------------ *)
-
-let e5_shards () =
-  section "E5-shards. Sharded relay: fan-out across N event loops";
-  note
-    "relayd --shards N: one acceptor deals connections round-robin over N\n\
-     reactor loops (one domain each); streams pin to shards, so mis-dealt\n\
-     connections migrate before taking a role. 4 streams, one publisher\n\
-     each, subscribers split evenly; block policy (zero loss, in-order).\n\
-     Latency = wall clock from just before the publisher's send to the\n\
-     subscriber's receive of that event's 'M' frame.\n";
-  let streams = [| "shard-a"; "shard-b"; "shard-c"; "shard-d" |] in
-  let nstreams = Array.length streams in
-  let events = if quick then 150 else 2_000 in
-  let sub_counts = if quick then [ 8; 16 ] else [ 64; 128; 256 ] in
-  let shard_counts = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let event seq =
-    match Fx.value_a with
-    | Value.Record fields ->
-      Value.Record
-        (List.map
-           (fun (k, v) ->
-             if String.equal k "fltNum" then (k, Value.Int (Int64.of_int seq))
-             else (k, v))
-           fields)
-    | _ -> assert false
-  in
-  let catalog = Catalog.create Abi.x86_64 in
-  ignore (X2W.register_schema catalog Fx.schema_a);
-  let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
-  let run_combo ~subs ~shards =
-    let relay = Relay.start ~shards ~policy:Relay.Block () in
-    Fun.protect ~finally:(fun () -> Relay.stop relay) @@ fun () ->
-    let port = Relay.port relay in
-    (* per-(stream, seq) pre-send timestamps; written by the publisher
-       thread just before the send, read by subscriber threads after the
-       relayed frame arrives (all systhreads on this domain) *)
-    let t_send = Array.init nstreams (fun _ -> Array.make events 0.0) in
-    (* publishers connect and advertise first so the streams exist (and
-       are pinned) before subscribers arrive *)
-    let pubs =
-      Array.map
-        (fun stream ->
-          let c = Relay.Client.connect ~port () in
-          Relay.Client.advertise c ~stream ~schema:Fx.schema_a;
-          c)
-        streams
-    in
-    let ready = ref 0 in
-    let ready_mu = Mutex.create () in
-    let results = Array.make subs [||] in
-    let sub_threads =
-      List.init subs (fun i ->
-          let si = i mod nstreams in
-          Thread.create
-            (fun () ->
-              let c = Relay.Client.connect ~port () in
-              let _schema, link =
-                Relay.Client.subscribe c ~stream:streams.(si)
-              in
-              Mutex.lock ready_mu;
-              incr ready;
-              Mutex.unlock ready_mu;
-              let lat = Array.make events 0.0 in
-              let got = ref 0 in
-              while !got < events do
-                match Omf_transport.Link.recv link with
-                | None -> failwith "e5-shards: subscriber link closed early"
-                | Some b ->
-                  if Bytes.length b > 0 && Char.equal (Bytes.get b 0) 'M'
-                  then begin
-                    lat.(!got) <-
-                      Unix.gettimeofday () -. t_send.(si).(!got);
-                    incr got
-                  end
-              done;
-              results.(i) <- lat;
-              Relay.Client.close c)
-            ())
-    in
-    let rec wait_ready () =
-      Mutex.lock ready_mu;
-      let r = !ready in
-      Mutex.unlock ready_mu;
-      if r < subs then begin
-        Thread.delay 0.002;
-        wait_ready ()
-      end
-    in
-    wait_ready ();
-    let t0 = Unix.gettimeofday () in
-    let pub_threads =
-      Array.to_list
-        (Array.mapi
-           (fun si c ->
-             Thread.create
-               (fun () ->
-                 let link = Relay.Client.publish c ~stream:streams.(si) in
-                 let sender =
-                   Omf_transport.Endpoint.Sender.create link
-                     (Memory.create Abi.x86_64)
-                 in
-                 for seq = 0 to events - 1 do
-                   t_send.(si).(seq) <- Unix.gettimeofday ();
-                   Omf_transport.Endpoint.Sender.send_value sender fmt
-                     (event seq)
-                 done)
-               ())
-           pubs)
-    in
-    List.iter Thread.join pub_threads;
-    List.iter Thread.join sub_threads;
-    let dt = Unix.gettimeofday () -. t0 in
-    Array.iter Relay.Client.close pubs;
-    let stats = Relay.stats relay in
-    let handoffs =
-      Option.value ~default:0 (List.assoc_opt "shard_handoffs" stats)
-    in
-    (* every subscriber received exactly [events] 'M' frames in order:
-       zero loss by construction of the loop above; make it explicit *)
-    Array.iter
-      (fun lat ->
-        if Array.length lat <> events then
-          failwith "e5-shards: delivery count mismatch")
-      results;
-    let all = Array.concat (Array.to_list results) in
-    Array.sort compare all;
-    let p99 = all.(max 0 (int_of_float (ceil (0.99 *. float_of_int (Array.length all))) - 1)) in
-    let deliveries = float_of_int (subs * events) in
-    [ string_of_int subs
-    ; string_of_int shards
-    ; Printf.sprintf "%.3f" dt
-    ; Printf.sprintf "%.0f" (deliveries /. dt)
-    ; Printf.sprintf "%.2f" (p99 *. 1e3)
-    ; string_of_int handoffs ]
-  in
-  let rows =
-    List.concat_map
-      (fun subs ->
-        List.map (fun shards -> run_combo ~subs ~shards) shard_counts)
-      sub_counts
-  in
-  table
-    [ "Subscribers"; "Shards"; "wall s"; "deliveries/s"; "p99 ms"; "handoffs" ]
-    rows;
-  note
-    "%d events per stream (4 streams), block policy: every subscriber\n\
-     received every event of its stream, in order. Handoffs = connections\n\
-     migrated to their stream's pinned shard by the round-robin acceptor.\n"
-    events
-
-(* ------------------------------------------------------------------ *)
 (* E6-store: durable streams — append cost, fsync policy, replay        *)
 (* ------------------------------------------------------------------ *)
 
@@ -831,12 +449,12 @@ let e6_store () =
         let st =
           Store.open_stream { (Store.default_config ~root) with fsync } stream
         in
-        let t0 = Unix.gettimeofday () in
+        let t0 = now_s () in
         for _ = 1 to n do
           ignore (Store.append st frame)
         done;
         ignore (Store.sync st);
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = now_s () -. t0 in
         Store.close st;
         [ label
         ; string_of_int n
@@ -880,12 +498,12 @@ let e6_store () =
       let sender =
         Omf_transport.Endpoint.Sender.create pub_link (Memory.create Abi.x86_64)
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_s () in
       for seq = 0 to events - 1 do
         Omf_transport.Endpoint.Sender.send_value sender fmt (event seq)
       done;
       count_messages sub_link events;
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = now_s () -. t0 in
       Relay.Client.close sub;
       Relay.Client.close admin;
       dt
@@ -929,12 +547,12 @@ let e6_store () =
         let pfmt =
           Option.get (Relay.Session.publisher_format pub "ASDOffEvent")
         in
-        let t0 = Unix.gettimeofday () in
+        let t0 = now_s () in
         for seq = 0 to events - 1 do
           Relay.Session.publish_value pub pfmt (event seq)
         done;
         Relay.Session.flush_acked pub;
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = now_s () -. t0 in
         note
           "acked publisher (%s segments): %d events published and\n\
            acknowledged durable in %.3f s (%.0f events/s; window 1024,\n\
@@ -943,9 +561,9 @@ let e6_store () =
           (float_of_int events /. dt);
         Relay.Session.close_publisher pub;
         Relay.stop h;
-        let t0 = Unix.gettimeofday () in
+        let t0 = now_s () in
         let st = Store.open_stream store stream in
-        let recovery_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+        let recovery_ms = (now_s () -. t0) *. 1e3 in
         let frames = Store.tail st in
         let nsegs = Store.segments st in
         Store.close st;
@@ -953,12 +571,12 @@ let e6_store () =
         let port = Relay.port h in
         Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
         let sub = Relay.Client.connect ~port () in
-        let t0 = Unix.gettimeofday () in
+        let t0 = now_s () in
         let start, _schema, link =
           Relay.Client.subscribe_from sub ~stream ~from:0
         in
         count_messages link frames;
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = now_s () -. t0 in
         Relay.Client.close sub;
         note
           "cold restart (%s segments): recovery scanned %d frames / %d\n\
@@ -1004,11 +622,11 @@ let e7_registry () =
   (* (a) resolve cost per path *)
   let n = if quick then 500 else 5_000 in
   let time_per_op f iters =
-    let t0 = Unix.gettimeofday () in
+    let t0 = now_s () in
     for i = 0 to iters - 1 do
       f i
     done;
-    (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e6
+    (now_s () -. t0) /. float_of_int iters *. 1e6
   in
   let rpc_us =
     time_per_op (fun i ->
@@ -1092,23 +710,23 @@ let e7_registry () =
   let sub = Relay.Client.connect ~port () in
   let _schema, link = Relay.Client.subscribe sub ~stream:"flights" in
   Omf_transport.Endpoint.Sender.send_value sender fmt Fx.value_a;
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_s () in
   let catalog = Catalog.create Abi.x86_64 in
   ignore (Discovery.discover catalog [ delayed_source "registry:sync" ]);
   ignore (first_message link);
-  let sync_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  let sync_ms = (now_s () -. t0) *. 1e3 in
   Relay.Client.close sub;
   (* async: buffer the first raw frame while the fetch is in flight *)
   let sub = Relay.Client.connect ~port () in
   let _schema, link = Relay.Client.subscribe sub ~stream:"flights" in
   Omf_transport.Endpoint.Sender.send_value sender fmt Fx.value_a;
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_s () in
   let catalog = Catalog.create Abi.x86_64 in
   let async = Discovery.discover_async catalog [ delayed_source "registry:async" ] in
   ignore (first_message link);
-  let first_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  let first_ms = (now_s () -. t0) *. 1e3 in
   ignore (Discovery.await async);
-  let decodable_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  let decodable_ms = (now_s () -. t0) *. 1e3 in
   Relay.Client.close sub;
   Relay.Client.close pub;
   subsection
@@ -1120,572 +738,6 @@ let e7_registry () =
       ; Printf.sprintf "%.1f" sync_ms ]
     ; [ "async (fetch overlaps delivery)"; Printf.sprintf "%.1f" first_ms
       ; Printf.sprintf "%.1f" decodable_ms ] ]
-
-(* ------------------------------------------------------------------ *)
-(* E8-mirror: relay-to-relay replication — lag and failover             *)
-(* ------------------------------------------------------------------ *)
-
-module Mirror = Omf_mirror.Mirror
-
-(* One A->B run with the replica store at [Interval replica_fsync]:
-   catch-up seconds, steady-state lags (ms), then source loss ->
-   promoted and -> writable (ms), and the frames held at promotion. *)
-let e8_run ~replica_fsync =
-  let stream = "bench-mirror" in
-  let event seq =
-    match Fx.value_a with
-    | Value.Record fields ->
-      Value.Record
-        (List.map
-           (fun (k, v) ->
-             if String.equal k "fltNum" then (k, Value.Int (Int64.of_int seq))
-             else (k, v))
-           fields)
-    | _ -> assert false
-  in
-  let catalog = Catalog.create Abi.x86_64 in
-  ignore (X2W.register_schema catalog Fx.schema_a);
-  let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
-  with_store_root @@ fun root_a ->
-  with_store_root @@ fun root_b ->
-  let store root fsync = { (Store.default_config ~root) with fsync } in
-  let ha = Relay.start ~store:(store root_a (Store.Interval 0.01)) () in
-  let port_a = Relay.port ha in
-  let stopped_a = ref false in
-  Fun.protect ~finally:(fun () -> if not !stopped_a then Relay.stop ha)
-  @@ fun () ->
-  let hb =
-    Relay.start ~store:(store root_b (Store.Interval replica_fsync)) ()
-  in
-  let port_b = Relay.port hb in
-  Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
-  (* a backlog on the source, then the link starts cold *)
-  let backlog = if quick then 2_000 else 20_000 in
-  let pub = Relay.Client.connect ~port:port_a () in
-  Relay.Client.advertise pub ~stream ~schema:Fx.schema_a;
-  let sender =
-    Omf_transport.Endpoint.Sender.create
-      (Relay.Client.publish pub ~stream)
-      (Memory.create Abi.x86_64)
-  in
-  for seq = 0 to backlog - 1 do
-    Omf_transport.Endpoint.Sender.send_value sender fmt (event seq)
-  done;
-  (* one long-lived stats connection per relay: polling tails must not
-     cost a TCP connect per sample *)
-  let stats_b = Relay.Client.connect ~port:port_b () in
-  let tail_b () =
-    Option.value ~default:0
-      (List.assoc_opt
-         (Printf.sprintf "store.%s.tail" stream)
-         (Relay.Client.stats stats_b))
-  in
-  let wait_tail target =
-    while tail_b () < target do
-      Thread.delay 0.0005
-    done
-  in
-  let m =
-    Mirror.start hb
-      (Mirror.config ~rescan_s:0.02 ~io_timeout_s:0.25 ~max_attempts:4
-         ~base_delay_s:0.02 ~max_delay_s:0.1 ~promote_on_loss:true
-         ~source_host:"127.0.0.1" ~source_port:port_a ())
-  in
-  Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
-  let t0 = Unix.gettimeofday () in
-  wait_tail backlog;
-  let catchup_s = Unix.gettimeofday () -. t0 in
-  (* steady state: one frame at a time, publish-to-replicated lag *)
-  let samples = if quick then 20 else 100 in
-  let lags =
-    List.init samples (fun i ->
-        let seq = backlog + i in
-        let t0 = Unix.gettimeofday () in
-        Omf_transport.Endpoint.Sender.send_value sender fmt (event seq);
-        wait_tail (seq + 1);
-        (Unix.gettimeofday () -. t0) *. 1e3)
-  in
-  (* failover: kill the source, wait for promote-on-loss, then for the
-     first accepted local write *)
-  let total = backlog + samples in
-  Relay.Client.close pub;
-  let mstat k = Option.value ~default:0 (List.assoc_opt k (Mirror.stats m)) in
-  let t0 = Unix.gettimeofday () in
-  stopped_a := true;
-  Relay.stop ha;
-  while mstat "promotes" < 1 do
-    Thread.delay 0.001
-  done;
-  let promote_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-  let pub2 = Relay.Client.connect ~port:port_b () in
-  Relay.Client.advertise pub2 ~stream ~schema:Fx.schema_a;
-  let sender2 =
-    Omf_transport.Endpoint.Sender.create
-      (Relay.Client.publish pub2 ~stream)
-      (Memory.create Abi.x86_64)
-  in
-  Omf_transport.Endpoint.Sender.send_value sender2 fmt (event total);
-  wait_tail (total + 1);
-  let writable_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-  Relay.Client.close pub2;
-  Relay.Client.close stats_b;
-  (backlog, catchup_s, lags, promote_ms, writable_ms, total)
-
-let e8_mirror () =
-  section "E8-mirror. Relay-to-relay replication: lag and failover";
-  note
-    "An A->B mirror link between two store-backed relays (doc/MIRROR.md):\n\
-     catch-up throughput over a pre-existing backlog, steady-state\n\
-     per-frame replication lag once the link is live, and — with\n\
-     promote-on-loss armed — the failover time from killing the source\n\
-     to the replica owning the stream and accepting writes again. Run\n\
-     twice: replica store fsync interval 0.01 s and 1 s (the source\n\
-     stays at 0.01 s), to show whether replication waits for it.\n";
-  let runs =
-    List.map (fun fsync -> (fsync, e8_run ~replica_fsync:fsync)) [ 0.01; 1.0 ]
-  in
-  let row fsync = Printf.sprintf "interval=%g" fsync in
-  subsection "replication lag (A -> B, loopback)";
-  table
-    [ "replica fsync"; "catch-up"; "lag mean"; "lag max" ]
-    (List.map
-       (fun (fsync, (backlog, catchup_s, lags, _, _, _)) ->
-         let n = List.length lags in
-         [ row fsync
-         ; Printf.sprintf "%d frames in %.3f s (%.0f frames/s)" backlog
-             catchup_s
-             (float_of_int backlog /. catchup_s)
-         ; Printf.sprintf "%.2f ms over %d frames"
-             (List.fold_left ( +. ) 0.0 lags /. float_of_int n)
-             n
-         ; Printf.sprintf "%.2f ms" (List.fold_left Float.max 0.0 lags) ])
-       runs);
-  subsection "failover (source killed, promote-on-loss, budget 4 x <=0.1 s)";
-  table
-    [ "replica fsync"; "loss -> promoted (ms)"; "loss -> accepts writes (ms)" ]
-    (List.map
-       (fun (fsync, (_, _, _, promote_ms, writable_ms, _)) ->
-         [ row fsync
-         ; Printf.sprintf "%.1f" promote_ms
-         ; Printf.sprintf "%.1f" writable_ms ])
-       runs);
-  let _, (_, _, _, _, _, total) = List.hd runs in
-  note
-    "Zero loss across the switch: the replica held all %d source frames\n\
-     at promotion, and consumers resume against it at their next\n\
-     expected offset (Session resume, E4).\n"
-    total
-
-(* ------------------------------------------------------------------ *)
-(* E9-overload: governor shed rate, accepted latency, recovery          *)
-(* ------------------------------------------------------------------ *)
-
-(* Approximate quantile from the exported publish_admit_us histogram
-   (doc/OVERLOAD.md): first bucket whose cumulative count covers q. *)
-let hist_quantile stats name q =
-  let prefix = Printf.sprintf "hist.%s.le_" name in
-  let buckets =
-    List.filter_map
-      (fun (k, v) ->
-        if String.starts_with ~prefix k then
-          let le = String.sub k (String.length prefix) (String.length k - String.length prefix) in
-          if String.equal le "inf" then Some (max_int, v)
-          else Some (int_of_string le, v)
-        else None)
-      stats
-    |> List.sort compare
-  in
-  (* buckets are already cumulative: le_inf is the total count *)
-  let total = List.fold_left (fun a (_, c) -> max a c) 0 buckets in
-  if total = 0 then None
-  else
-    let target = int_of_float (Float.of_int total *. q) in
-    let rec find = function
-      | [] -> None
-      | (le, c) :: rest -> if c >= max 1 target then Some le else find rest
-    in
-    find buckets
-
-let e9_overload () =
-  section "E9-overload. Governor: shed rate, accepted latency, recovery";
-  note
-    "A relay with a deliberately tiny governor budget (doc/OVERLOAD.md)\n\
-     takes an open-loop storm aimed at a subscriber that never reads.\n\
-     Measured: time for the shard to cross into Overloaded, the shed\n\
-     rate seen by publishers arriving mid-overload (retryable busy, not\n\
-     disconnects), the admission latency of the frames that WERE\n\
-     accepted, and the time back to Healthy once the hoarder is gone.\n";
-  let budget = 64 * 1024 in
-  let h =
-    Relay.start ~sndbuf:4096 ~max_queue:1_000_000
-      ~governor:(Relay.Governor.config ~budget ~busy_retry_ms:25 ())
-      ()
-  in
-  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
-  let port = Relay.port h in
-  let admin = Relay.Client.connect ~port () in
-  Fun.protect ~finally:(fun () -> Relay.Client.close admin) @@ fun () ->
-  let stats () = Relay.Client.stats admin in
-  let stat k = Option.value ~default:0 (List.assoc_opt k (stats ())) in
-  Relay.Client.advertise admin ~stream:"storm" ~schema:Fx.schema_a;
-  (* the hoarder: subscribed, never reads a byte *)
-  let ssub = Relay.Client.connect ~port () in
-  let ssub_closed = ref false in
-  Fun.protect
-    ~finally:(fun () -> if not !ssub_closed then Relay.Client.close ssub)
-  @@ fun () ->
-  ignore (Relay.Client.subscribe ssub ~stream:"storm");
-  let spub = Relay.Client.connect ~port () in
-  Fun.protect ~finally:(fun () -> Relay.Client.close spub) @@ fun () ->
-  let slink = Relay.Client.publish spub ~stream:"storm" in
-  let frame = Bytes.make 1024 'x' in
-  Bytes.set frame 0 'M';
-  let stop = ref false in
-  let _pusher =
-    Thread.create
-      (fun () ->
-        try
-          while not !stop do
-            Omf_transport.Link.send slink frame
-          done
-        with _ -> ())
-      ()
-  in
-  let t_storm = Unix.gettimeofday () in
-  while stat "governor_health" < 2 do
-    Thread.delay 0.001
-  done;
-  let overload_ms = (Unix.gettimeofday () -. t_storm) *. 1e3 in
-  (* shed rate: fresh publishers knocking mid-overload *)
-  let attempts = if quick then 20 else 100 in
-  let busy = ref 0 and admitted = ref 0 in
-  for _ = 1 to attempts do
-    let c = Relay.Client.connect ~port () in
-    (match Relay.Client.publish c ~stream:"storm" with
-    | _ -> incr admitted
-    | exception Relay.Client.Busy _ -> incr busy);
-    Relay.Client.close c
-  done;
-  (* recovery: the hoarder disconnects, its queue is credited back *)
-  let snap = stats () in
-  stop := true;
-  ssub_closed := true;
-  let t_rec = Unix.gettimeofday () in
-  Relay.Client.close ssub;
-  while stat "governor_health" <> 0 do
-    Thread.delay 0.001
-  done;
-  let recover_ms = (Unix.gettimeofday () -. t_rec) *. 1e3 in
-  let accepted =
-    Option.value ~default:0 (List.assoc_opt "hist.publish_admit_us.count" snap)
-  in
-  let sum_us =
-    Option.value ~default:0 (List.assoc_opt "hist.publish_admit_us.sum" snap)
-  in
-  let mean_us =
-    if accepted = 0 then 0.0 else float_of_int sum_us /. float_of_int accepted
-  in
-  let q s q' =
-    match hist_quantile s "publish_admit_us" q' with
-    | Some le when le <> max_int -> Printf.sprintf "<= %d us" le
-    | _ -> "n/a"
-  in
-  table
-    [ "measure"; "value" ]
-    [ [ "time to Overloaded (64 KiB budget)"
-      ; Printf.sprintf "%.1f ms" overload_ms ]
-    ; [ "shed rate mid-overload"
-      ; Printf.sprintf "%d/%d PUBLISH answered busy (retryable)" !busy
-          attempts ]
-    ; [ "accepted frames (pre-shed)"
-      ; Printf.sprintf "%d, admit mean %.1f us" accepted mean_us ]
-    ; [ "admit latency p50 / p99"
-      ; Printf.sprintf "%s / %s" (q snap 0.50) (q snap 0.99) ]
-    ; [ "time back to Healthy"; Printf.sprintf "%.1f ms" recover_ms ] ];
-  note
-    "Shed is by class: the %d busy replies above were served while the\n\
-     same connections' HELLOs and this harness's STATS polls all kept\n\
-     flowing. busy carries retry_ms=%d; Session publishers wait it out\n\
-     on the same connection (publisher_busy_waits), no reconnect churn.\n"
-    !busy 25
-
-(* ------------------------------------------------------------------ *)
-(* E11-trace: sampled tracing overhead and stage decomposition          *)
-(* ------------------------------------------------------------------ *)
-
-let e11_trace () =
-  section "E11-trace. Sampled end-to-end tracing: overhead and stage latency";
-  note
-    "The same fan-out workload with distributed tracing off, head-sampled\n\
-     at 1%%, and at 100%% (doc/TRACE.md). The untraced hot path only loads\n\
-     one field per frame, and a sampled-out frame costs one coin toss at\n\
-     PUBLISH, so <=1%% sampling must sit within run-to-run noise; 100%%\n\
-     bounds the worst case (a clock pair + ring write per stage).\n";
-  let stream = "bench-trace" in
-  let nsubs = if quick then 4 else 8 in
-  let events = if quick then 300 else 4_000 in
-  let run_once ?trace () =
-    let h = Relay.start ?trace () in
-    let port = Relay.port h in
-    Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
-    let admin = Relay.Client.connect ~port () in
-    Relay.Client.advertise admin ~stream ~schema:Fx.schema_a;
-    let subs =
-      List.init nsubs (fun _ ->
-          Thread.create
-            (fun () ->
-              let c = Relay.Client.connect ~port () in
-              let _schema, link = Relay.Client.subscribe c ~stream in
-              let seen = ref 0 in
-              while !seen < events do
-                match Omf_transport.Link.recv link with
-                | Some f when Bytes.length f > 0 && Bytes.get f 0 = 'M' ->
-                  incr seen
-                | Some _ -> ()
-                | None -> seen := events
-              done;
-              Relay.Client.close c)
-            ())
-    in
-    let rec wait_subs () =
-      let n =
-        List.assoc_opt
-          (Printf.sprintf "stream.%s.subscribers" stream)
-          (Relay.Client.stats admin)
-      in
-      if Option.value ~default:0 n < nsubs then begin
-        Thread.delay 0.005;
-        wait_subs ()
-      end
-    in
-    wait_subs ();
-    let pub = Relay.Client.publish admin ~stream in
-    let catalog = Catalog.create Abi.x86_64 in
-    ignore (X2W.register_schema catalog Fx.schema_a);
-    let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
-    let sender =
-      Omf_transport.Endpoint.Sender.create pub (Memory.create Abi.x86_64)
-    in
-    let t0 = Unix.gettimeofday () in
-    for _seq = 0 to events - 1 do
-      Omf_transport.Endpoint.Sender.send_value sender fmt Fx.value_a
-    done;
-    List.iter Thread.join subs;
-    let dt = Unix.gettimeofday () -. t0 in
-    let spans = Relay.trace_spans h in
-    let stats = Relay.Client.stats admin in
-    Relay.Client.close admin;
-    (float_of_int events /. dt, spans, stats)
-  in
-  let rate_off, _, _ = run_once () in
-  let rate_1pct, _, _ =
-    run_once ~trace:(Relay.Trace.settings ~sample:0.01 ()) ()
-  in
-  let rate_full, spans_full, stats_full =
-    run_once ~trace:(Relay.Trace.settings ~sample:1.0 ~buffer:65536 ()) ()
-  in
-  let row label rate =
-    [ label
-    ; Printf.sprintf "%.0f" rate
-    ; Printf.sprintf "%.0f" (rate *. float_of_int nsubs)
-    ; Printf.sprintf "%+.1f%%" ((rate_off -. rate) /. rate_off *. 100.0) ]
-  in
-  table
-    [ "sampling"; "events/s"; "deliveries/s"; "overhead" ]
-    [ row "off" rate_off; row "1%" rate_1pct; row "100%" rate_full ];
-  note
-    "Stage decomposition of the 100%% run (microseconds, nearest-rank\n\
-     percentiles over the relay's span ring):\n";
-  table
-    [ "stage"; "count"; "p50 us"; "p95 us"; "p99 us"; "max us" ]
-    (List.map
-       (fun (stage, (c, p50, p95, p99, mx)) ->
-         [ stage; string_of_int c; string_of_int p50; string_of_int p95
-         ; string_of_int p99; string_of_int mx ])
-       (Relay.Trace.summary spans_full));
-  note
-    "publish_admit covers the whole admission (parse + store + fan-out);\n\
-     flush is fan-out to first socket write; deliver is fan-out to the\n\
-     subscriber's queue fully drained, so it absorbs batching delay.\n";
-  match Sys.getenv_opt "OMF_PUSH_URL" with
-  | None -> ()
-  | Some url -> (
-    match Http.push ~url [ ("bench", stats_full) ] with
-    | Ok () -> note "pushed final relay counters to %s\n" url
-    | Error m -> note "metrics push to %s failed: %s\n" url m)
-
-(* ------------------------------------------------------------------ *)
-(* E12-compress: negotiated wire compression                            *)
-(* ------------------------------------------------------------------ *)
-
-let e12_compress () =
-  section
-    "E12-compress. Negotiated wire compression: bytes on wire, ratio, \
-     throughput";
-  note
-    "One publisher streams padded structure-A events through the relay\n\
-     to N subscribers, sweeping three payload shapes (zero-fill padding,\n\
-     the bare paper struct, random padding) against three modes: off,\n\
-     comp=lz on every client link (doc/COMPRESS.md), and link + sealed\n\
-     segments compressed on disk (--store-compress, small segments so\n\
-     they roll). bytes-on-wire is the relay's bytes_out counter over\n\
-     the whole run; the reduction column compares each mode against\n\
-     off for the same shape.\n";
-  let stream = "bench-compress" in
-  let nsubs = if quick then 2 else 4 in
-  let events = if quick then 300 else 3_000 in
-  let pad = if quick then 512 else 2048 in
-  let rng = Random.State.make [| 0x5eed; 0xc0de |] in
-  (* printable random padding: incompressible enough that the encoder's
-     stored-block fallback is what keeps the overhead bounded *)
-  let random_pad =
-    String.init pad (fun _ -> Char.chr (32 + Random.State.int rng 95))
-  in
-  let shapes =
-    [ ("zeros", Some (String.make pad 'x'))
-    ; ("paper-struct", None)
-    ; ("random", Some random_pad) ]
-  in
-  let event ~seq ~fill =
-    match Fx.value_a with
-    | Value.Record fields ->
-      Value.Record
-        (List.map
-           (fun (k, v) ->
-             match (k, fill) with
-             | "fltNum", _ -> (k, Value.Int (Int64.of_int seq))
-             | "equip", Some s -> (k, Value.String s)
-             | _ -> (k, v))
-           fields)
-    | _ -> assert false
-  in
-  let run ~compress ~store_root ~fill =
-    let store =
-      Option.map
-        (fun root ->
-          { (Store.default_config ~root) with
-            segment_bytes = 64 * 1024
-          ; fsync = Store.Interval 0.01
-          ; compress = true })
-        store_root
-    in
-    let h = Relay.start ?store () in
-    let port = Relay.port h in
-    Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
-    let admin = Relay.Client.connect ~port () in
-    Relay.Client.advertise admin ~stream ~schema:Fx.schema_a;
-    let subs =
-      List.init nsubs (fun _ ->
-          Thread.create
-            (fun () ->
-              let c = Relay.Client.connect ~port ~compress () in
-              let _schema, link = Relay.Client.subscribe c ~stream in
-              let seen = ref 0 in
-              while !seen < events do
-                match Omf_transport.Link.recv link with
-                | Some f when Bytes.length f > 0 && Bytes.get f 0 = 'M' ->
-                  incr seen
-                | Some _ -> ()
-                | None -> seen := events
-              done;
-              Relay.Client.close c)
-            ())
-    in
-    let rec wait_subs () =
-      let n =
-        List.assoc_opt
-          (Printf.sprintf "stream.%s.subscribers" stream)
-          (Relay.Client.stats admin)
-      in
-      if Option.value ~default:0 n < nsubs then begin
-        Thread.delay 0.005;
-        wait_subs ()
-      end
-    in
-    wait_subs ();
-    let pc = Relay.Client.connect ~port ~compress () in
-    Relay.Client.advertise pc ~stream ~schema:Fx.schema_a;
-    let pub = Relay.Client.publish pc ~stream in
-    let catalog = Catalog.create Abi.x86_64 in
-    ignore (X2W.register_schema catalog Fx.schema_a);
-    let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
-    let sender =
-      Omf_transport.Endpoint.Sender.create pub (Memory.create Abi.x86_64)
-    in
-    let t0 = Unix.gettimeofday () in
-    for seq = 0 to events - 1 do
-      Omf_transport.Endpoint.Sender.send_value sender fmt (event ~seq ~fill)
-    done;
-    List.iter Thread.join subs;
-    let dt = Unix.gettimeofday () -. t0 in
-    let stats = Relay.Client.stats admin in
-    let stat k = Option.value ~default:0 (List.assoc_opt k stats) in
-    let r =
-      ( float_of_int events /. dt
-      , stat "bytes_out"
-      , stat (Printf.sprintf "comp.%s.raw_bytes" stream)
-      , stat (Printf.sprintf "comp.%s.wire_bytes" stream)
-      , stat (Printf.sprintf "store.%s.comp_raw" stream)
-      , stat (Printf.sprintf "store.%s.comp_stored" stream) )
-    in
-    Relay.Client.close pc;
-    Relay.Client.close admin;
-    r
-  in
-  let rows = ref [] in
-  let store_rows = ref [] in
-  List.iter
-    (fun (shape, fill) ->
-      let rate_off, wire_off, _, _, _, _ =
-        run ~compress:false ~store_root:None ~fill
-      in
-      let mode label rate wire =
-        [ shape
-        ; label
-        ; Printf.sprintf "%.0f" rate
-        ; string_of_int wire
-        ; Printf.sprintf "%.2fx" (float_of_int wire_off /. float_of_int wire)
-        ; Printf.sprintf "%+.1f%%" ((rate -. rate_off) /. rate_off *. 100.0)
-        ]
-      in
-      rows := !rows @ [ mode "off" rate_off wire_off ];
-      let rate_l, wire_l, _, _, _, _ =
-        run ~compress:true ~store_root:None ~fill
-      in
-      rows := !rows @ [ mode "link" rate_l wire_l ];
-      with_store_root (fun root ->
-          let rate_ls, wire_ls, _, _, comp_raw, comp_stored =
-            run ~compress:true ~store_root:(Some root) ~fill
-          in
-          rows := !rows @ [ mode "link+store" rate_ls wire_ls ];
-          if comp_raw > 0 then
-            store_rows :=
-              !store_rows
-              @ [ [ shape
-                  ; string_of_int comp_raw
-                  ; string_of_int comp_stored
-                  ; Printf.sprintf "%.2fx"
-                      (float_of_int comp_raw /. float_of_int comp_stored) ]
-                ]))
-    shapes;
-  table
-    [ "payload"; "mode"; "events/s"; "bytes on wire"; "reduction"; "vs off" ]
-    !rows;
-  note
-    "Sealed segments rewritten by --store-compress during the link+store\n\
-     runs (record-region bytes before and after sealing):\n";
-  table [ "payload"; "raw B"; "stored B"; "ratio" ] !store_rows;
-  note
-    "Redundant payloads shrink severalfold on the wire; the random\n\
-     sweep shows the floor — incompressible blocks ride as stored\n\
-     blocks (1 byte of header per frame) and cost only the failed\n\
-     match search. Note the asymmetry: the random pad repeats across\n\
-     events, so the stateless per-frame wire blocks can't touch it\n\
-     (~1x) while the segment-level blocks compress it away — sealed\n\
-     segments see cross-frame redundancy the wire path deliberately\n\
-     gives up for drop/fan-out safety. Compression is negotiated per\n\
-     connection, so the off rows are byte-identical to a build without\n\
-     lib/compress.\n"
 
 (* ------------------------------------------------------------------ *)
 (* A1: discovery ablation                                               *)
@@ -1788,8 +840,10 @@ let a2 () =
 let () =
   Printf.printf
     "omf benchmarks — Open Metadata Formats reproduction\n\
-     quota=%.2fs per measurement (set OMF_BENCH_QUOTA to change)\n"
-    Harness.quota_seconds;
+     quota=%.2fs per measurement%s\n"
+    Harness.quota_seconds
+    (if quick then " (quick pass: OMF_BENCH_QUICK is set)"
+     else " (set OMF_BENCH_QUICK=1 for a quick pass)");
   t1 ();
   c1 ();
   c2 ();
@@ -1797,15 +851,8 @@ let () =
   e1 ();
   e2 ();
   e3 ();
-  e3_tcp ();
-  e4_faults ();
-  e5_shards ();
   e6_store ();
   e7_registry ();
-  e8_mirror ();
-  e9_overload ();
-  e11_trace ();
-  e12_compress ();
   a1 ();
   a2 ();
   Printf.printf "\nAll benchmark sections completed.\n"

@@ -511,10 +511,11 @@ let test_store_survives_sigkill () =
 (** The mirror acceptance drill (doc/MIRROR.md): a separate source
     relayd killed with SIGKILL mid-publish while an A->B replication
     link is live and [promote_on_loss] armed. The replica must promote
-    itself; every event the source durably accepted must be readable
-    from the replica exactly once — the pre-kill consumer's prefix and
-    the post-failover resume must interleave with zero loss and zero
-    duplication — and the promoted replica must accept new publishers.
+    itself, within the time the link's retry config bounds; every event
+    the source durably accepted must be readable from the replica
+    exactly once — the pre-kill consumer's prefix and the post-failover
+    resume must interleave with zero loss and zero duplication — and the
+    promoted replica must accept new publishers.
     With [~compress:true] the replication link carries LZ blocks
     ([relayd --mirror-compress], PROTOCOLS.md §18) — the kill lands
     mid-compressed-stream and the loss/dup accounting must hold
@@ -552,10 +553,12 @@ let mirror_failover_sigkill ~compress () =
     let hb = Relay.start ~store:(store_cfg root_b) () in
     let port_b = Relay.port hb in
     Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
+    let rescan_s = 0.05 and io_timeout_s = 0.25 and max_attempts = 3
+    and max_delay_s = 0.1 in
     let m =
       Mirror.start hb
-        (Mirror.config ~rescan_s:0.05 ~io_timeout_s:0.25 ~max_attempts:3
-           ~base_delay_s:0.02 ~max_delay_s:0.1 ~promote_on_loss:true
+        (Mirror.config ~rescan_s ~io_timeout_s ~max_attempts
+           ~base_delay_s:0.02 ~max_delay_s ~promote_on_loss:true
            ~compress ~source_host:"127.0.0.1" ~source_port:port_a ())
     in
     Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
@@ -603,13 +606,27 @@ let mirror_failover_sigkill ~compress () =
     in
     poll ~what:"second batch replicating" (fun () ->
         relay_stat ~port:port_b "store.flights.tail" >= first + 4);
+    let killed_at = Omf_util.Clock.now_us () in
     kill_hard ();
-    Thread.join pusher;
-    (try Session.close_publisher pub with _ -> ());
     (* the reconnect budget (3 x <=0.1s backoff) runs out and the
        replica promotes itself *)
     poll ~deadline_s:20.0 ~what:"replica promoted on loss" (fun () ->
         mstat "promotes" >= 1);
+    (* ... within what the link's config allows: one rescan, then
+       [max_attempts] handshakes, each a connect and a reply bounded by
+       [io_timeout_s], with a backoff of at most [max_delay_s] between *)
+    let failover_us = Omf_util.Clock.now_us () - killed_at in
+    let bound_s =
+      rescan_s
+      +. (float_of_int max_attempts *. ((2. *. io_timeout_s) +. max_delay_s))
+    in
+    Printf.printf "kill -> promoted: %.1f ms (bound %.0f ms)\n%!"
+      (float_of_int failover_us /. 1e3)
+      (bound_s *. 1e3);
+    check bool "promoted within the link's retry budget" true
+      (float_of_int failover_us <= bound_s *. 1e6);
+    Thread.join pusher;
+    (try Session.close_publisher pub with _ -> ());
     Session.close_subscriber sub;
     Thread.join col.thread;
     let seqs_a = collected col in
@@ -848,12 +865,12 @@ let test_cluster_survives_severed_link () =
     relay with a tiny governor budget takes an open-loop storm aimed at
     a subscriber that never reads. The shard must go
     [Healthy -> Overloaded] and shed retryably — PUBLISH answered
-    [busy] and counted — while control traffic (every STATS poll below)
-    keeps flowing; once the hoarder disconnects it must return to
-    [Healthy], the busy-shed publisher must be admitted on the {e same}
-    connection (no reconnect churn), and an acked VIP session that
-    straddled the whole episode must account for every accepted frame
-    exactly once. *)
+    [busy] and counted — while control traffic (every STATS poll below,
+    and HELLO on fresh connections) keeps flowing; once the hoarder
+    disconnects it must return to [Healthy], the busy-shed publisher
+    must be admitted on the {e same} connection (no reconnect churn),
+    and an acked VIP session that straddled the whole episode must
+    account for every accepted frame exactly once. *)
 let test_overload_governor_drill () =
   with_store_root @@ fun root ->
   let h =
@@ -921,6 +938,23 @@ let test_overload_governor_drill () =
   in
   poll ~what:"late publisher shed with busy" (fun () ->
       relay_stat ~port "publish_busy" >= 1);
+  (* shed by class: fresh connections arriving mid-storm still get
+     HELLO and STATS served, and their PUBLISH is refused retryably —
+     [Busy], never [Error] or a disconnect *)
+  for i = 1 to scale 8 do
+    let c = Relay.Client.connect ~port () in
+    Fun.protect ~finally:(fun () -> Relay.Client.close c) @@ fun () ->
+    check bool
+      (Printf.sprintf "fresh conn %d: STATS served mid-overload" i)
+      true
+      (List.assoc_opt "governor_health" (Relay.Client.stats c) = Some 2);
+    match Relay.Client.publish c ~stream:"storm" with
+    | _ -> Alcotest.failf "fresh conn %d: PUBLISH admitted mid-overload" i
+    | exception Relay.Client.Busy _ -> ()
+    | exception e ->
+      Alcotest.failf "fresh conn %d: PUBLISH failed with %s, not Busy" i
+        (Printexc.to_string e)
+  done;
   (* vip keeps publishing mid-overload: its data frames are paced by
      TCP (publisher reads paused), never refused, never disconnected *)
   for seq = batch to (2 * batch) - 1 do
