@@ -201,11 +201,11 @@ let accept_connection (s : server) (handler : request_handler) fd =
   in
   let conn =
     (* zero-copy chunk delivery: the slice borrows the reactor's
-       scratch buffer, valid only inside this callback — consumed
+       scratch buffer, valid only inside this dispatch — consumed
        immediately into the request accumulator, so no intermediate
        per-read [Bytes.t] copy is ever allocated *)
     Conn.attach s.loop fd ~mode:Chunks
-      ~on_chunk:(fun conn (chunk : Omf_util.Slice.t) ->
+      ~on_input:(fun conn (chunk : Omf_util.Slice.t) ->
         if not !done_ then begin
           let scan_from = Buffer.length buf - 3 in
           Buffer.add_subbytes buf chunk.Omf_util.Slice.buf

@@ -96,10 +96,12 @@ module Decoder = struct
     Bytes.blit chunk off t.buf t.stop len;
     t.stop <- t.stop + len
 
-  (** [pop t] is the next complete frame body, if one has fully
-      arrived. Raises {!Frame_error} on an over-long or negative length
-      header (protocol corruption — the connection is unrecoverable). *)
-  let pop (t : t) : Bytes.t option =
+  (** [pop t] is a view of the next complete frame body, if one has
+      fully arrived. The view borrows [t]'s buffer: it stays valid
+      until the next {!feed}, which may compact or reuse the buffer.
+      Raises {!Frame_error} on an over-long or negative length header
+      (protocol corruption — the connection is unrecoverable). *)
+  let pop (t : t) : Slice.t option =
     if pending_bytes t < header_length then None
     else begin
       let len = read_header t.buf t.start in
@@ -107,7 +109,7 @@ module Decoder = struct
         frame_error "bad frame length %d (max %d)" len t.max_frame;
       if pending_bytes t < header_length + len then None
       else begin
-        let body = Bytes.sub t.buf (t.start + header_length) len in
+        let body = Slice.make t.buf (t.start + header_length) len in
         t.start <- t.start + header_length + len;
         if t.start = t.stop then begin
           t.start <- 0;
@@ -116,4 +118,14 @@ module Decoder = struct
         Some body
       end
     end
+
+  (** [rehome t] moves the unconsumed backlog into a fresh buffer, so
+      no later {!feed} writes over a view {!pop} already returned. *)
+  let rehome (t : t) : unit =
+    let live = pending_bytes t in
+    let nb = Bytes.create (max 4096 live) in
+    Bytes.blit t.buf t.start nb 0 live;
+    t.buf <- nb;
+    t.start <- 0;
+    t.stop <- live
 end

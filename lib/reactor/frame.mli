@@ -40,10 +40,19 @@ module Decoder : sig
   val feed : t -> Bytes.t -> int -> int -> unit
   (** [feed t chunk off len] appends raw socket bytes. *)
 
-  val pop : t -> Bytes.t option
-  (** The next complete frame body, if one has fully arrived. Raises
-      {!Frame_error} on an over-long or negative length header
-      (protocol corruption — the connection is unrecoverable). *)
+  val pop : t -> Omf_util.Slice.t option
+  (** A view of the next complete frame body, if one has fully
+      arrived. The view borrows the decoder's buffer: it is valid until
+      the next {!feed} or {!rehome}, and whoever keeps it longer copies
+      it first. Several views popped between two feeds are all valid
+      together. Raises {!Frame_error} on an over-long or negative
+      length header (protocol corruption — the connection is
+      unrecoverable). *)
+
+  val rehome : t -> unit
+  (** Move the unconsumed backlog to a fresh buffer: views already
+      popped stay valid for as long as anyone holds them (a connection
+      leaving its loop while other connections still hold its views). *)
 
   val pending_bytes : t -> int
   (** Buffered bytes not yet returned as frames. *)

@@ -503,7 +503,8 @@ module Server = struct
     Counters.incr s.registry.counters "connections";
     let conn =
       Conn.attach s.loop fd
-        ~on_frame:(fun conn frame -> handle_frame s conn frame)
+        ~on_input:(fun conn frame ->
+          handle_frame s conn (Omf_util.Slice.to_bytes frame))
         ~on_close:(fun _ _ -> Hashtbl.remove s.conns id)
         ()
     in

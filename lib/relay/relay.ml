@@ -210,6 +210,9 @@ and stream = {
   mutable published : int;  (** descriptor and message frames fanned out *)
   mutable ack_pending : bool;
       (** an [acks=1] publisher appended since the last ack flush *)
+  comp_keys : string * string;
+      (** this stream's [comp.<name>.raw_bytes] / [.wire_bytes] counter
+          keys, built once *)
 }
 
 (** Relay-wide state: which shard hosts which stream, and every shard
@@ -265,17 +268,21 @@ and shard = {
   shared : shared;
   store_cfg : Store.config option;
       (** durable stream store; [None] = memory-only relay *)
-  mutable wire_cache_body : Bytes.t;
-      (** the body whose framed wire message is cached below, keyed by
-          physical identity: fanning one publish out to N subscribers
-          encodes the wire slices once and every queue shares them *)
+  mutable fanout_seq : int;
+      (** numbers each {!fan_out}: the caches below are keyed on it, not
+          on the body's buffer, which a publisher's decoder reuses from
+          frame to frame *)
+  mutable wire_cache_seq : int;
+      (** the fan-out whose framed wire message is cached below:
+          fanning one publish out to N subscribers encodes the wire
+          slices once and every queue shares them *)
   mutable wire_cache : Slice.t list;
-  mutable comp_cache_body : Bytes.t;
-      (** same sharing for [comp=lz] subscribers, keyed the same way:
-          the body is compressed once per fan-out and every compressed
-          queue shares the block (plain MAC-less ones also share the
-          framed wire message below; sealed ones re-seal the shared
-          block per connection, as nonces are per-connection) *)
+  mutable comp_cache_seq : int;
+      (** same sharing for [comp=lz] subscribers: the body is
+          compressed once per fan-out and every compressed queue shares
+          the block (plain MAC-less ones also share the framed wire
+          message below; sealed ones re-seal the shared block per
+          connection, as nonces are per-connection) *)
   mutable comp_cache_blk : Bytes.t;
   mutable comp_cache_wire : Slice.t list;
   comp_scratch : Compress.scratch;
@@ -395,13 +402,13 @@ let begin_drain (t : shard) =
    the 4-byte length prefix) before queueing; credited back as the
    bytes are written, dropped, or the connection closes. Dead
    connections silently discard the send, so they are not debited. *)
-let enqueue_wire (c : conn) ~droppable (wire : Slice.t list) =
+let enqueue_wire ?lender (c : conn) ~droppable (wire : Slice.t list) =
   if Rconn.alive c.io then begin
     let wire_bytes = Slice.total wire in
     c.gov_debited <- c.gov_debited + wire_bytes;
     Governor.debit c.home.governor wire_bytes
   end;
-  Rconn.send_wire c.io ~droppable wire
+  Rconn.send_wire c.io ~droppable ?lender wire
 
 (* Compression accounting (doc/COMPRESS.md): monotonic raw/wire byte
    totals per stream, plus the achieved ratio (x100) as a histogram —
@@ -410,79 +417,69 @@ let comp_ratio_bounds = [ 100; 110; 125; 150; 200; 300; 500; 800; 1600 ]
 
 let note_comp (c : conn) ~(raw : int) ~(wire : int) =
   let t = c.home in
-  let subject =
+  let raw_key, wire_key =
     match c.role with
-    | Publisher { stream; _ } | Subscriber { stream; _ } -> stream.name
-    | Pending -> "control"
+    | Publisher { stream; _ } | Subscriber { stream; _ } -> stream.comp_keys
+    | Pending -> ("comp.control.raw_bytes", "comp.control.wire_bytes")
   in
-  Counters.incr t.counters ~by:raw (Printf.sprintf "comp.%s.raw_bytes" subject);
-  Counters.incr t.counters ~by:wire
-    (Printf.sprintf "comp.%s.wire_bytes" subject);
+  Counters.incr t.counters ~by:raw raw_key;
+  Counters.incr t.counters ~by:wire wire_key;
   if wire > 0 then
     Counters.observe t.counters ~bounds:comp_ratio_bounds "compress_ratio"
       (raw * 100 / wire)
 
-let enqueue_entry (c : conn) ~droppable (frame : Bytes.t) =
+(** Queue one frame body on [c]: framed as-is on plain connections,
+    sealed (the copy-on-seal) and/or compressed on negotiated ones.
+    With [~fanout], [body] is the frame {!fan_out} is relaying now: its
+    framed and compressed forms are built once per fan-out and shared
+    by every queue. [lender] is the publisher whose input [body]
+    borrows; only a plain connection's queue keeps the borrowed view
+    (sealing and compressing copy), so only it takes the loan. *)
+let enqueue_entry ?(fanout = false) ?lender (c : conn) ~droppable
+    (body : Slice.t) =
   let t = c.home in
-  let wire =
-    if c.comp then begin
-      (* compress once per fan-out (same physical-identity key as the
-         plain wire cache below), then frame or seal the shared block *)
-      let blk =
-        if frame == t.comp_cache_body then t.comp_cache_blk
-        else begin
-          let b = Compress.compress ~scratch:t.comp_scratch frame in
-          t.comp_cache_body <- frame;
+  if c.comp then begin
+    let blk =
+      if fanout && t.comp_cache_seq = t.fanout_seq then t.comp_cache_blk
+      else begin
+        let b = Compress.compress_slice ~scratch:t.comp_scratch body in
+        if fanout then begin
+          t.comp_cache_seq <- t.fanout_seq;
           t.comp_cache_blk <- b;
-          t.comp_cache_wire <- Frame.wire [ Slice.of_bytes b ];
-          b
-        end
-      in
-      note_comp c ~raw:(Bytes.length frame) ~wire:(Bytes.length blk);
-      match c.mac with
+          t.comp_cache_wire <- Frame.wire [ Slice.of_bytes b ]
+        end;
+        b
+      end
+    in
+    note_comp c ~raw:(Slice.length body) ~wire:(Bytes.length blk);
+    enqueue_wire c ~droppable
+      (match c.mac with
       | Some st -> Frame.wire [ Slice.of_bytes (Macframe.seal_next st blk) ]
-      | None -> t.comp_cache_wire
-    end
-    else
-      match c.mac with
-      | Some st ->
-        (* under negotiated HMAC mode every outbound frame is sealed;
-           sealing happens at enqueue time so nonces follow queue order
-           exactly — the frame path's one copy-on-seal *)
-        Frame.wire [ Slice.of_bytes (Macframe.seal_next st frame) ]
-      | None ->
-        (* encode the wire message once per published body: fan-out
-           hands the same physical [frame] to every subscriber, so all N
-           queues share one header slice and one body buffer *)
-        if frame == t.wire_cache_body then t.wire_cache
+      | None when fanout -> t.comp_cache_wire
+      | None -> Frame.wire [ Slice.of_bytes blk ])
+  end
+  else
+    match c.mac with
+    | Some st ->
+      (* under negotiated HMAC mode every outbound frame is sealed;
+         sealing happens at enqueue time so nonces follow queue order
+         exactly *)
+      enqueue_wire c ~droppable
+        (Frame.wire [ Slice.of_bytes (Macframe.seal_next_slices st [ body ]) ])
+    | None ->
+      (* encode the wire message once per fan-out: every plain queue
+         shares one header slice and the body view *)
+      let wire =
+        if not fanout then Frame.wire [ body ]
+        else if t.wire_cache_seq = t.fanout_seq then t.wire_cache
         else begin
-          let w = Frame.wire [ Slice.of_bytes frame ] in
-          t.wire_cache_body <- frame;
+          let w = Frame.wire [ body ] in
+          t.wire_cache_seq <- t.fanout_seq;
           t.wire_cache <- w;
           w
         end
-  in
-  enqueue_wire c ~droppable wire
-
-(** Enqueue a body that is a view into a shared buffer (stored-replay
-    chunks): framed without copying on plain connections, sealed (the
-    copy-on-seal) and/or compressed on negotiated ones. *)
-let enqueue_entry_slice (c : conn) ~droppable (body : Slice.t) =
-  let wire =
-    if c.comp then begin
-      let blk = Compress.compress_slice ~scratch:c.home.comp_scratch body in
-      note_comp c ~raw:(Slice.length body) ~wire:(Bytes.length blk);
-      match c.mac with
-      | Some st -> Frame.wire [ Slice.of_bytes (Macframe.seal_next st blk) ]
-      | None -> Frame.wire [ Slice.of_bytes blk ]
-    end
-    else
-      match c.mac with
-      | Some st ->
-        Frame.wire [ Slice.of_bytes (Macframe.seal_next_slices st [ body ]) ]
-      | None -> Frame.wire [ body ]
-  in
-  enqueue_wire c ~droppable wire
+      in
+      enqueue_wire ?lender c ~droppable wire
 
 (** Return [n] freshly written-or-shed wire bytes to the governor. *)
 let credit_conn (c : conn) (n : int) =
@@ -519,7 +516,7 @@ let trace_mark_span (t : shard) (tm : tmark) ~(stage : string) =
     ~sampled:tm.tm_sampled ~stage ~stream:tm.tm_stream ~t0_us:tm.tm_enq_us
 
 let reply (c : conn) (r : Proto.reply) =
-  enqueue_entry c ~droppable:false (Proto.encode_reply r)
+  enqueue_entry c ~droppable:false (Slice.of_bytes (Proto.encode_reply r))
 
 let reply_ok c body = reply c (Proto.Ok body)
 
@@ -730,7 +727,7 @@ let pump_replay (t : shard) (c : conn) =
            Store.iter_range_slices r.r_store r.r_next upto (fun off body ->
                Counters.incr t.counters "store_replay_frames";
                Counters.incr t.counters "frames_out";
-               enqueue_entry_slice c ~droppable:true body;
+               enqueue_entry c ~droppable:true body;
                r.r_next <- off + 1)
          with
          | () -> ()
@@ -752,16 +749,17 @@ let pump_replay (t : shard) (c : conn) =
     end
   | Subscriber _ | Publisher _ | Pending -> ()
 
-let is_descriptor (frame : Bytes.t) =
-  Bytes.length frame > 0
-  && Char.equal (Bytes.get frame 0) Endpoint.frame_descriptor
+let is_descriptor (frame : Slice.t) =
+  Slice.length frame > 0
+  && Char.equal (Slice.get frame 0) Endpoint.frame_descriptor
 
-(** Enqueue a relayed stream frame onto subscriber [c], applying the
-    backpressure policy. [offset] is the frame's store offset ([-1]
-    when it has none); [trace] the publisher's trace context for a
-    traced message, which the subscriber's delivery spans inherit. *)
-let enqueue_relayed (t : shard) (c : conn) (frame : Bytes.t) ~(offset : int)
-    ~(trace : Trace.ctx option) =
+(** Enqueue the frame {!fan_out} is relaying onto subscriber [c],
+    applying the backpressure policy. [offset] is the frame's store
+    offset ([-1] when it has none); [trace] the publisher's trace
+    context for a traced message, which the subscriber's delivery spans
+    inherit; [lender] the publisher whose input [frame] borrows. *)
+let enqueue_relayed ?lender (t : shard) (c : conn) (frame : Slice.t)
+    ~(offset : int) ~(trace : Trace.ctx option) =
   match c.role with
   | Publisher _ | Pending -> ()
   | Subscriber s -> (
@@ -826,20 +824,25 @@ let enqueue_relayed (t : shard) (c : conn) (frame : Bytes.t) ~(offset : int)
             ; tm_enq_us = Clock.now_us ()
             ; tm_flushed = false }
       | None -> ());
-      enqueue_entry c ~droppable frame;
+      enqueue_entry ~fanout:true ?lender c ~droppable frame;
       Counters.incr t.counters "frames_out")
 
-(** Publish one descriptor or message frame on [s]: cache a new
+let known_descriptor (s : stream) (frame : Slice.t) =
+  List.exists (Slice.equal_bytes frame) s.descriptors
+
+(** Publish one descriptor or message frame on [s]: cache (copy) a new
     descriptor for late joiners, count it, and enqueue it on every live
-    subscriber in join order. *)
-let fan_out (t : shard) (s : stream) (frame : Bytes.t) ~(offset : int)
+    subscriber in join order. [lender] is the publisher whose input
+    [frame] borrows ([None]: an owned buffer). *)
+let fan_out ?lender (t : shard) (s : stream) (frame : Slice.t) ~(offset : int)
     ~(trace : Trace.ctx option) =
-  if is_descriptor frame && not (List.exists (Bytes.equal frame) s.descriptors)
-  then s.descriptors <- s.descriptors @ [ Bytes.copy frame ];
+  if is_descriptor frame && not (known_descriptor s frame) then
+    s.descriptors <- s.descriptors @ [ Slice.to_bytes frame ];
   s.published <- s.published + 1;
+  t.fanout_seq <- t.fanout_seq + 1;
   List.iter
     (fun c ->
-      if Rconn.alive c.io then enqueue_relayed t c frame ~offset ~trace)
+      if Rconn.alive c.io then enqueue_relayed ?lender t c frame ~offset ~trace)
     s.subscribers
 
 (** Governor health changed (called synchronously from a debit or
@@ -976,7 +979,10 @@ let add_stream (t : shard) ?store (name : string) (schema : string) : stream =
   let s =
     { name; schema; scope = (fun _ -> None); descriptors = []
     ; subscribers = []; publishers = []; store; advert = []
-    ; trace_ctx = None; published = 0; ack_pending = false }
+    ; trace_ctx = None; published = 0; ack_pending = false
+    ; comp_keys =
+        ( Printf.sprintf "comp.%s.raw_bytes" name
+        , Printf.sprintf "comp.%s.wire_bytes" name ) }
   in
   Hashtbl.replace t.streams name s;
   s
@@ -1203,7 +1209,7 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
           c.role <- Subscriber { stream = s; skip_until; replay };
           List.iter
             (fun d ->
-              enqueue_entry c ~droppable:false d;
+              enqueue_entry c ~droppable:false (Slice.of_bytes d);
               Counters.incr t.counters "frames_out")
             s.descriptors;
           s.subscribers <- s.subscribers @ [ c ];
@@ -1315,11 +1321,15 @@ and dispatch (t : shard) (c : conn) (req : Proto.request) =
         (Printf.sprintf "%s: stream %s is pinned to another shard" cmd stream))
   | _, None, _ -> handle_control t c req
 
-let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
+(** One inbound frame of [c]. [lender] is [c]'s connection when [frame]
+    borrows its input buffer (the frame arrived as sent, not
+    decompressed): stream frames fan out straight from it, and only a
+    cached descriptor or a control request is copied. *)
+let handle_frame ?lender (t : shard) (c : conn) (frame : Slice.t) =
   Counters.incr t.counters "frames_in";
-  if Bytes.length frame = 0 then protocol_reject t c "empty frame"
+  if Slice.length frame = 0 then protocol_reject t c "empty frame"
   else
-    let kind = Bytes.get frame 0 in
+    let kind = Slice.get frame 0 in
     let is_stream_frame =
       Char.equal kind Endpoint.frame_descriptor
       || Char.equal kind Endpoint.frame_message
@@ -1356,7 +1366,7 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
         let s = p.stream in
         let fresh_descriptor =
           p.replica <> None && (not is_message)
-          && not (List.exists (Bytes.equal frame) s.descriptors)
+          && not (known_descriptor s frame)
         in
         let admit_us = Clock.now_us () in
         (* the message's trace context, if any: stage spans below are
@@ -1364,10 +1374,10 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
         let trace = if is_message then p.ptrace else None in
         let relay_at offset =
           match trace with
-          | None -> fan_out t s frame ~offset ~trace
+          | None -> fan_out ?lender t s frame ~offset ~trace
           | Some ctx ->
             let f0 = Clock.now_us () in
-            fan_out t s frame ~offset ~trace;
+            fan_out ?lender t s frame ~offset ~trace;
             trace_span t ctx ~stage:"fanout_enqueue" ~stream:s.name
               ~t0_us:f0
         in
@@ -1375,7 +1385,7 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
         (match s.store with
         | Some st when is_message -> (
           let ap0 = if trace = None then 0 else Clock.now_us () in
-          match Store.append st frame with
+          match Store.append_slice st frame with
           | off ->
             Counters.incr t.counters "store_appends";
             Option.iter
@@ -1392,7 +1402,7 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
             protocol_reject t c
               (Printf.sprintf "store %s: append: %s" s.name msg))
         | Some st ->
-          (try ignore (Store.append_descriptor st frame)
+          (try ignore (Store.append_descriptor st (Slice.to_bytes frame))
            with Store.Store_error msg ->
              Counters.incr t.counters "store_errors";
              Log.err (fun m -> m "store %s: descriptor: %s" s.name msg));
@@ -1425,7 +1435,7 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
         Counters.incr t.counters "frames_rejected";
         Rconn.doom c.io "replica: control frame from the source"
       | Publisher _ | Pending -> (
-        match Proto.decode_request frame with
+        match Proto.decode_request (Slice.to_bytes frame) with
         | Ok req -> dispatch t c req
         | Error (Proto.Malformed msg) -> reply_err t c msg
         | Error (Proto.Unknown msg) -> protocol_reject t c msg)
@@ -1437,12 +1447,15 @@ let handle_frame (t : shard) (c : conn) (frame : Bytes.t) =
     that fails authentication is counted and skipped; once the reject
     limit is reached the connection is doomed — a replication link's at
     once, as a skipped frame would gap the replica. [None] = drop frame. *)
-let unseal (t : shard) (c : conn) (frame : Bytes.t) : Bytes.t option =
+let unseal (t : shard) (c : conn) (frame : Slice.t) : Slice.t option =
   match c.mac with
   | None -> Some frame
   | Some st -> (
-    match Macframe.open_next st frame with
-    | payload -> Some payload
+    match Macframe.open_in_place st frame.buf frame.off frame.len with
+    | () ->
+      Some
+        (Slice.sub frame Macframe.overhead
+           (Slice.length frame - Macframe.overhead))
     | exception Macframe.Auth_error msg ->
       Counters.incr t.counters "frames_rejected";
       c.mac_rejects <- c.mac_rejects + 1;
@@ -1457,11 +1470,11 @@ let unseal (t : shard) (c : conn) (frame : Bytes.t) : Bytes.t option =
     {!unseal}, mirroring the outbound [seal (compress _)] order. A
     malformed block means the peer lost framing sync entirely (there is
     no per-frame tolerance to build on, unlike MAC rejects): doom. *)
-let decompress_in (t : shard) (c : conn) (frame : Bytes.t) : Bytes.t option =
+let decompress_in (t : shard) (c : conn) (frame : Slice.t) : Slice.t option =
   if not c.comp then Some frame
   else
-    match Compress.decompress frame with
-    | raw -> Some raw
+    match Compress.decompress_slice frame with
+    | raw -> Some (Slice.of_bytes raw)
     | exception Compress.Error msg ->
       Counters.incr t.counters "frames_rejected";
       Log.warn (fun m -> m "conn %d: corrupt compressed frame: %s" c.cid msg);
@@ -1472,15 +1485,18 @@ let decompress_in (t : shard) (c : conn) (frame : Bytes.t) : Bytes.t option =
 (* Reactor callbacks                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** One complete inbound frame. The callbacks consult [c.home] rather
-    than a captured shard so a handed-off connection dispatches on its
-    adopting shard. *)
-let conn_frame (c : conn) (frame : Bytes.t) =
+(** One complete inbound frame, borrowing [c]'s decoder buffer until
+    the read's dispatch returns (MAC frames are verified in place). A
+    decompressed frame is an owned buffer and lends nothing. The
+    callbacks consult [c.home] rather than a captured shard so a
+    handed-off connection dispatches on its adopting shard. *)
+let conn_frame (c : conn) (frame : Slice.t) =
   let t = c.home in
   match Option.bind (unseal t c frame) (decompress_in t c) with
   | None -> ()
   | Some frame -> (
-    try handle_frame t c frame with Frame.Frame_error m ->
+    let lender = if c.comp then None else Some c.io in
+    try handle_frame ?lender t c frame with Frame.Frame_error m ->
       Counters.incr t.counters "frames_rejected";
       Rconn.doom c.io m)
 
@@ -1541,7 +1557,7 @@ let new_conn (t : shard) (fd : Unix.file_descr) ~mac ~comp : conn =
   let the_conn () = Option.get !cell in
   let io =
     Rconn.attach t.reactor fd
-      ~on_frame:(fun _ frame -> conn_frame (the_conn ()) frame)
+      ~on_input:(fun _ frame -> conn_frame (the_conn ()) frame)
       ~on_close:(fun _ reason -> conn_closed (the_conn ()) reason)
       ~on_progress:(fun _ -> conn_progress (the_conn ()))
       ~on_decode_error:(fun _ msg ->
@@ -1674,7 +1690,7 @@ let recover_streams (t : shard) (cfg : Store.config) (streams : string list) =
             if s.advert <> [] then
               Counters.incr t.counters "advert_meta_recovered";
             List.iter
-              (fun d -> fan_out t s d ~offset:(-1) ~trace:None)
+              (fun d -> fan_out t s (Slice.of_bytes d) ~offset:(-1) ~trace:None)
               (Store.descriptors st)
           | exception Omf_xschema.Schema.Schema_error msg ->
             Log.err (fun m ->
@@ -1779,11 +1795,9 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
       ; reactor = Reactor.create (); streams = Hashtbl.create 8
       ; conns = Hashtbl.create 64; counters = Counters.create (); shard_id
       ; cid_stride = shards; shared; store_cfg = store
-      ; wire_cache_body = Bytes.empty
-      ; wire_cache = Frame.wire [ Slice.of_bytes Bytes.empty ]
-      ; comp_cache_body = Bytes.empty
-      ; comp_cache_blk = Bytes.empty
-      ; comp_cache_wire = Frame.wire [ Slice.of_bytes Bytes.empty ]
+      ; fanout_seq = 0; wire_cache_seq = -1; wire_cache = []
+      ; comp_cache_seq = -1; comp_cache_blk = Bytes.empty
+      ; comp_cache_wire = []
       ; comp_scratch = Compress.scratch ()
       ; ack_flush_scheduled = false; store_timer = None; gauge_timer = None
       ; next_cid = shard_id + 1; state = Running

@@ -1,9 +1,23 @@
+(* A histogram's counter keys, built once per name: [observe] runs on
+   hot paths (once per published message) and must not format strings
+   per sample. [bounds] is the list the keys were built from. *)
+type hist_keys = {
+  bounds : int list;
+  limits : int array;  (** [bounds] *)
+  buckets : string array;  (** one per bound, in order *)
+  le_inf : string;
+  count : string;
+  sum : string;
+}
+
 type t = {
   mu : Mutex.t;
   tbl : (string, int ref) Hashtbl.t;
+  hists : (string, hist_keys) Hashtbl.t;
 }
 
-let create () : t = { mu = Mutex.create (); tbl = Hashtbl.create 16 }
+let create () : t =
+  { mu = Mutex.create (); tbl = Hashtbl.create 16; hists = Hashtbl.create 8 }
 
 let locked t f =
   Mutex.lock t.mu;
@@ -16,9 +30,9 @@ let locked t f =
     raise e
 
 let cell t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.tbl name with
+  | r -> r
+  | exception Not_found ->
     let r = ref 0 in
     Hashtbl.replace t.tbl name r;
     r
@@ -41,16 +55,33 @@ let default_bounds =
 
 let bucket_key name bound = Printf.sprintf "hist.%s.le_%09d" name bound
 
+let hist_keys t name bounds =
+  match Hashtbl.find t.hists name with
+  | k when k.bounds == bounds -> k
+  | _ | (exception Not_found) ->
+    let k =
+      { bounds
+      ; limits = Array.of_list bounds
+      ; buckets = Array.of_list (List.map (bucket_key name) bounds)
+      ; le_inf = Printf.sprintf "hist.%s.le_inf" name
+      ; count = Printf.sprintf "hist.%s.count" name
+      ; sum = Printf.sprintf "hist.%s.sum" name }
+    in
+    Hashtbl.replace t.hists name k;
+    k
+
 let observe t ?(bounds = default_bounds) name v =
-  locked t (fun () ->
-      List.iter
-        (fun bound ->
-          if v <= bound then Stdlib.incr (cell t (bucket_key name bound)))
-        bounds;
-      Stdlib.incr (cell t (Printf.sprintf "hist.%s.le_inf" name));
-      Stdlib.incr (cell t (Printf.sprintf "hist.%s.count" name));
-      let sum = cell t (Printf.sprintf "hist.%s.sum" name) in
-      sum := !sum + v)
+  Mutex.lock t.mu;
+  let k = hist_keys t name bounds in
+  for i = 0 to Array.length k.limits - 1 do
+    if v <= k.limits.(i) then Stdlib.incr (cell t k.buckets.(i))
+  done;
+  Stdlib.incr (cell t k.le_inf);
+  Stdlib.incr (cell t k.count);
+  let sum = cell t k.sum in
+  sum := !sum + v;
+  Mutex.unlock t.mu
+
 let remove t name = locked t (fun () -> Hashtbl.remove t.tbl name)
 
 let get t name =

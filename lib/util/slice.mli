@@ -10,8 +10,10 @@
     Immutability is by convention, not enforcement: once a buffer has
     been wrapped in a slice that escapes (queued on a connection,
     handed to a store), the producer must not mutate it again. Fresh
-    buffers per fill (decoder pops, segment read buffers) make this
-    easy to honour.
+    buffers per fill (segment read buffers) make this easy to honour.
+    The one exception is a borrowed view of a buffer its owner reuses
+    (a connection's input, {!Omf_reactor.Conn}): it is valid until the
+    owner's next fill, and whoever keeps it longer copies it first.
 
     A wire message is a [t list] — an iovec in miniature: for a framed
     message, a 4-byte length-header slice followed by the shared body
@@ -55,7 +57,7 @@ val blit : t -> Bytes.t -> int -> unit
 
 val to_bytes : t -> Bytes.t
 (** A fresh copy of the viewed bytes (use to escape a borrowed
-    buffer, e.g. a Chunks-mode read slice). *)
+    buffer, e.g. a connection's input slice). *)
 
 val to_string : t -> string
 

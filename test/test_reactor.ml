@@ -145,7 +145,8 @@ let test_fd_churn () =
         ignore
           (on_loop loop (fun () ->
                Conn.attach loop b
-                 ~on_frame:(fun c frame -> Conn.send c frame)
+                 ~on_input:(fun c frame ->
+                   Conn.send c (Omf_util.Slice.to_bytes frame))
                  ~on_close:(fun _ _ -> closed := true)
                  ()));
         let msg = Bytes.of_string (Printf.sprintf "ping %d" round) in
@@ -225,7 +226,7 @@ let test_conn_deadline () =
         (on_loop loop (fun () ->
              let c =
                Conn.attach loop b
-                 ~on_frame:(fun _ _ -> ())
+                 ~on_input:(fun _ _ -> ())
                  ~on_close:(fun _ r ->
                    Mutex.lock mu;
                    reason := Some r;
@@ -250,7 +251,7 @@ let test_conn_deadline () =
       Unix.close a)
 
 (* Chunks-mode reads borrow the reactor's scratch buffer: the slice
-   handed to [on_chunk] is valid only inside the callback. The next
+   handed to [on_input] is valid only inside the dispatch. The next
    read refills the same backing buffer, so a retained slice silently
    changes underneath — escaping the callback requires a copy
    ([Slice.to_bytes] / [to_string]), which is the documented
@@ -263,7 +264,7 @@ let test_chunks_borrow_contract () =
       ignore
         (on_loop loop (fun () ->
              Conn.attach loop b ~mode:Conn.Chunks
-               ~on_chunk:(fun _ chunk ->
+               ~on_input:(fun _ chunk ->
                  if !borrowed = None then borrowed := Some chunk;
                  copies := Omf_util.Slice.to_string chunk :: !copies)
                ~on_close:(fun _ _ -> ())

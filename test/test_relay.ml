@@ -48,12 +48,60 @@ let prop_frame_reassembly =
         off := !off + n;
         let rec drain () =
           match Frame.Decoder.pop dec with
-          | Some f -> out := Bytes.to_string f :: !out; drain ()
+          | Some f -> out := Omf_util.Slice.to_string f :: !out; drain ()
           | None -> ()
         in
         drain ()
       done;
       List.rev !out = frames && Frame.Decoder.pending_bytes dec = 0)
+
+(* the decoder hands out views into its buffer, not copies: every view
+   popped between two feeds shares one backing buffer and is still
+   intact when the last of them is popped, and all of them together
+   equal the encoded frames, however the wire is chunked *)
+let prop_decoder_views =
+  QCheck.Test.make
+    ~name:"decoder views equal the encoded frames (random chunkings)"
+    ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 24) (string_of_size Gen.(0 -- 3000)))
+        int)
+    (fun (frames, seed) ->
+      let wire = Buffer.create 4096 in
+      List.iter
+        (fun f -> Buffer.add_bytes wire (Frame.encode (Bytes.of_string f)))
+        frames;
+      let wire = Buffer.to_bytes wire in
+      let rng = Omf_util.Prng.create ~seed:(Int64.of_int seed) () in
+      let dec = Frame.Decoder.create () in
+      let out = ref [] and shared = ref true in
+      let off = ref 0 in
+      while !off < Bytes.length wire do
+        let n =
+          min (1 + Omf_util.Prng.int rng 9000) (Bytes.length wire - !off)
+        in
+        Frame.Decoder.feed dec wire !off n;
+        off := !off + n;
+        let rec drain acc =
+          match Frame.Decoder.pop dec with
+          | Some v -> drain (v :: acc)
+          | None -> acc
+        in
+        (* newest first; read only after the batch is fully popped *)
+        let views = drain [] in
+        (match views with
+        | v :: rest ->
+          if
+            not
+              (List.for_all
+                 (fun (w : Omf_util.Slice.t) -> w.buf == v.Omf_util.Slice.buf)
+                 rest)
+          then shared := false
+        | [] -> ());
+        out := List.map Omf_util.Slice.to_string views @ !out
+      done;
+      !shared && List.rev !out = frames && Frame.Decoder.pending_bytes dec = 0)
 
 let test_frame_max_length () =
   let dec = Frame.Decoder.create ~max_frame:100 () in
@@ -96,7 +144,10 @@ let prop_macframe_roundtrip_and_tamper =
         let rec drain () =
           match Frame.Decoder.pop dec with
           | Some f ->
-            out := Bytes.to_string (Macframe.open_next rx f) :: !out;
+            out :=
+              Bytes.to_string
+                (Macframe.open_next rx (Omf_util.Slice.to_bytes f))
+              :: !out;
             drain ()
           | None -> ()
         in
@@ -173,10 +224,12 @@ let prop_slice_codec_equivalence =
         Frame.Decoder.feed dec flat !off n;
         off := !off + n;
         match Frame.Decoder.pop dec with
-        | Some f -> out := Some f
+        | Some f -> out := Some (Omf_util.Slice.to_bytes f)
         | None -> ()
       done;
-      (match Frame.Decoder.pop dec with Some f -> out := Some f | None -> ());
+      (match Frame.Decoder.pop dec with
+      | Some f -> out := Some (Omf_util.Slice.to_bytes f)
+      | None -> ());
       let roundtrips =
         match !out with Some f -> Bytes.equal f body | None -> false
       in
@@ -1171,6 +1224,101 @@ let test_graceful_drain_on_shutdown () =
 (* Overload governor (pure state machine; doc/OVERLOAD.md)              *)
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Relaying from the read buffer                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* a distinct 16 KiB message frame per index: the relay treats ['M']
+   bodies as opaque, so any bytes do *)
+let bulk_frame i =
+  Bytes.init 16384 (fun j ->
+      if j = 0 then 'M' else Char.chr (((i * 131) + (j * 7) + (j / 256)) land 0xFF))
+
+let really_read fd buf off len =
+  let rec go off len =
+    if len > 0 then
+      match Unix.read fd buf off len with
+      | 0 -> Alcotest.fail "relay closed the subscriber"
+      | n -> go (off + n) (len - n)
+  in
+  go off len
+
+let read_raw_frame fd =
+  let hdr = Bytes.create 4 in
+  really_read fd hdr 0 4;
+  let body = Bytes.create (Frame.read_header hdr 0) in
+  really_read fd body 0 (Bytes.length body);
+  body
+
+(* a subscriber on a bare socket with a small receive buffer, so it can
+   stall without reading: HELLO and SUBSCRIBE, replies consumed *)
+let raw_subscriber ~port ~stream =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let send body =
+    let w = Frame.encode (Bytes.of_string body) in
+    ignore (Unix.write fd w 0 (Bytes.length w))
+  in
+  send "h";
+  check Alcotest.char "HELLO answered" 'o' (Bytes.get (read_raw_frame fd) 0);
+  send ("s" ^ stream);
+  check Alcotest.char "SUBSCRIBE answered" 'o' (Bytes.get (read_raw_frame fd) 0);
+  fd
+
+(* A subscriber that is not reading holds the frames the relay queued
+   for it while the publisher's later reads reuse the buffer those
+   frames arrived in: each must still arrive byte-identical and in
+   order once the subscriber resumes. Fails if a queued slice still
+   borrows the read buffer after its read. *)
+let test_stalled_subscriber_keeps_frames () =
+  let n = 48 in
+  let h = Relay.start ~sndbuf:4096 () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let pub = Relay.Client.connect ~port () in
+  Relay.Client.advertise pub ~stream:"bulk" ~schema:Fx.schema_a;
+  let link = Relay.Client.publish pub ~stream:"bulk" in
+  let sub = raw_subscriber ~port ~stream:"bulk" in
+  Fun.protect ~finally:(fun () -> Unix.close sub) @@ fun () ->
+  for i = 0 to n - 1 do
+    Link.send link (bulk_frame i)
+  done;
+  ignore (wait_stat_on pub "events_relayed" n);
+  for i = 0 to n - 1 do
+    if not (Bytes.equal (read_raw_frame sub) (bulk_frame i)) then
+      Alcotest.failf "frame %d arrived changed" i
+  done;
+  Relay.Client.close pub
+
+(* Two different frames that land at the same offset of the publisher's
+   read buffer (each read holds one whole frame, so both start at
+   offset 4): a comp=lz subscriber must get each its own block, not the
+   block compressed for the first. *)
+let test_compressed_same_offset () =
+  let h = Relay.start () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let pub = Relay.Client.connect ~port () in
+  Relay.Client.advertise pub ~stream:"lz" ~schema:Fx.schema_a;
+  let link = Relay.Client.publish pub ~stream:"lz" in
+  let client = Relay.Client.connect ~port ~compress:true ~io_timeout_s:10.0 () in
+  check bool "comp=lz negotiated" true (Relay.Client.compressed client);
+  let _schema, sub = Relay.Client.subscribe client ~stream:"lz" in
+  let frame i = Bytes.sub (bulk_frame i) 0 2048 in
+  List.iter
+    (fun i ->
+      Link.send link (frame i);
+      match Link.recv sub with
+      | Some got ->
+        check bool (Printf.sprintf "frame %d intact" i) true
+          (Bytes.equal got (frame i))
+      | None -> Alcotest.failf "frame %d never arrived" i)
+    [ 1; 2; 3 ];
+  Relay.Client.close client;
+  Relay.Client.close pub
+
 let test_governor_hysteresis () =
   let module G = Relay.Governor in
   (* budget 1000: degraded at 700 (recover < 500), overloaded at 900
@@ -1674,6 +1822,7 @@ let () =
   Alcotest.run "relay"
     [ ( "frames",
         [ QCheck_alcotest.to_alcotest prop_frame_reassembly
+        ; QCheck_alcotest.to_alcotest prop_decoder_views
         ; Alcotest.test_case "oversized frame rejected" `Quick
             test_frame_max_length
         ; QCheck_alcotest.to_alcotest prop_macframe_roundtrip_and_tamper
@@ -1730,6 +1879,11 @@ let () =
     ; ( "evolution",
         [ Alcotest.test_case "run-time format upgrade" `Quick
             test_runtime_format_upgrade ] )
+    ; ( "borrow",
+        [ Alcotest.test_case "stalled subscriber keeps every frame" `Quick
+            test_stalled_subscriber_keeps_frames
+        ; Alcotest.test_case "comp=lz blocks at one read offset" `Quick
+            test_compressed_same_offset ] )
     ; ( "governor",
         [ Alcotest.test_case "hysteresis state machine" `Quick
             test_governor_hysteresis

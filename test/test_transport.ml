@@ -433,6 +433,84 @@ let test_link_allocation () =
         link_bodies)
     Linkpair.modes
 
+(* Relaying through [Omf_reactor.Conn]: a publisher
+   connection's frame, queued on a subscriber connection straight from
+   the publisher's read buffer ([Conn.send_wire ~lender]), and written
+   by the end-of-read flush. When the subscriber's socket takes it
+   all, nothing is copied, so relaying a 16 KiB frame allocates only
+   the view, the 4-byte header and the queue entry. The loop runs on
+   this test's domain (allocation counters are per domain) and also
+   drives both socketpair ends the test holds; each frame is measured
+   from the publisher's read to the subscriber's write. *)
+let test_conn_relay_allocation () =
+  let module Reactor = Omf_reactor.Reactor in
+  let module Conn = Omf_reactor.Conn in
+  let module Frame = Omf_reactor.Frame in
+  let module Alloc = Omf_testkit.Alloc in
+  let frames = 40 and warmup = 8 in
+  let loop = Reactor.create () in
+  let pub_peer, pub_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let sub_fd, sub_peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let wire = Frame.encode (Bytes.make 16384 'x') in
+  let sent = ref 0 and received = ref 0 in
+  let measuring = ref false and t0 = ref 0.0 in
+  let total = ref 0.0 and windows = ref 0 in
+  let sub =
+    Conn.attach loop sub_fd
+      ~on_input:(fun _ _ -> ())
+      ~on_close:(fun _ _ -> ())
+      ~on_bytes:(fun _ dir _ ->
+        if dir = `Out && !measuring then begin
+          let w = Alloc.words () in
+          measuring := false;
+          if !sent > warmup then begin
+            total := !total +. (w -. !t0);
+            incr windows
+          end
+        end)
+      ()
+  in
+  let pub =
+    Conn.attach loop pub_fd
+      ~on_input:(fun c body ->
+        Conn.send_wire sub ~droppable:true ~lender:c (Frame.wire [ body ]))
+      ~on_close:(fun _ _ -> ())
+      ~on_bytes:(fun _ dir _ ->
+        if dir = `In && not !measuring then begin
+          measuring := true;
+          t0 := Alloc.words ()
+        end)
+      ()
+  in
+  let send_next () =
+    incr sent;
+    ignore (Unix.write pub_peer wire 0 (Bytes.length wire))
+  in
+  let sink = Bytes.create 65536 in
+  ignore
+    (Reactor.register loop sub_peer ~on_writable:ignore ~on_readable:(fun () ->
+         received := !received + Unix.read sub_peer sink 0 (Bytes.length sink);
+         if !received = !sent * Bytes.length wire then
+           if !sent < frames then send_next () else Reactor.stop loop));
+  send_next ();
+  Reactor.run loop;
+  Conn.doom pub "done";
+  Conn.doom sub "done";
+  List.iter Unix.close [ pub_peer; sub_peer ];
+  Reactor.dispose loop;
+  (* the probe's own allocation: one reading's result *)
+  let c0 = Alloc.words () in
+  let c1 = Alloc.words () in
+  check int "every measured frame relayed" (frames - warmup) !windows;
+  let per_frame =
+    ((!total /. float_of_int !windows) -. (c1 -. c0))
+    *. float_of_int (Sys.word_size / 8)
+  in
+  Printf.printf "relaying a 16 KiB frame: %.0f B allocated\n" per_frame;
+  if per_frame > 256.0 then
+    Alcotest.failf "relaying a 16 KiB frame allocates %.0f B (budget 256)"
+      per_frame
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -465,7 +543,9 @@ let () =
         ; Alcotest.test_case "framed link bytes, every mode" `Quick
             test_link_bytes
         ; Alcotest.test_case "framed link allocation" `Quick
-            test_link_allocation ] )
+            test_link_allocation
+        ; Alcotest.test_case "relay connection allocation" `Quick
+            test_conn_relay_allocation ] )
     ; ( "macframe",
         [ Alcotest.test_case "no payload copy to MAC" `Quick
             test_macframe_allocation ]

@@ -289,6 +289,52 @@ let test_histogram_prometheus () =
   check bool "sum" true (has "omf_relay_admit_us_sum 10000009");
   check bool "count" true (has "omf_relay_admit_us_count 2")
 
+(* STATS text and the Prometheus rendering of a fixed sequence of
+   counter updates, byte for byte. Lengths and digests captured from the
+   implementation that formatted every histogram key per sample
+   (1c20549), so building the keys once changes no output. *)
+let golden_counters () =
+  let module C = Omf_util.Counters in
+  let ratio_bounds = [ 100; 110; 125; 150; 200; 300; 500; 800; 1600 ] in
+  let t = C.create () in
+  C.incr t "frames_in";
+  C.incr t ~by:5 "bytes_out";
+  List.iter (C.observe t "publish_admit_us") [ 7; 50; 51; 120; 2_000_000; 999 ];
+  List.iter (C.observe t ~bounds:ratio_bounds "compress_ratio") [ 133; 100; 5000 ];
+  C.incr t ~by:1000 "comp.flights.raw_bytes";
+  C.incr t ~by:250 "comp.flights.wire_bytes";
+  C.set t "stream.flights.v2.queue_depth" 4;
+  C.set t "governor_health" 2;
+  C.incr t "frames_in";
+  C.observe t "publish_admit_us" 250;
+  t
+
+let test_counters_golden () =
+  let module C = Omf_util.Counters in
+  let t = golden_counters () in
+  let text = C.to_text t in
+  let prom = C.prometheus ~component:"relay" (C.dump t) in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  check int "STATS text length" 1107 (String.length text);
+  check Alcotest.string "STATS text digest" "adbf2a6fda0b6ef3c9955c281976ac27"
+    (md5 text);
+  check int "prometheus length" 1466 (String.length prom);
+  check Alcotest.string "prometheus digest" "cc88c0f374c79fad64804da170ce93bf"
+    (md5 prom);
+  check bool "a bucket line" true
+    (List.mem "omf_relay_publish_admit_us_bucket{le=\"250\"} 5"
+       (String.split_on_char '\n' prom))
+
+(* a sample on a histogram already seen formats no key *)
+let test_observe_allocation () =
+  let c = Omf_util.Counters.create () in
+  let per_call =
+    Omf_testkit.Alloc.bytes_per_call (fun () ->
+        Omf_util.Counters.observe c "publish_admit_us" 120)
+  in
+  if per_call > 16.0 then
+    Alcotest.failf "observe allocates %.0f B per sample (budget 16)" per_call
+
 let test_token_bucket () =
   let module Tb = Omf_util.Token_bucket in
   let b = Tb.create ~rate:10.0 ~burst:5.0 ~now:100.0 in
@@ -458,7 +504,11 @@ let () =
         ; Alcotest.test_case "histogram observe/merge" `Quick
             test_histogram_observe
         ; Alcotest.test_case "histogram prometheus rendering" `Quick
-            test_histogram_prometheus ] )
+            test_histogram_prometheus
+        ; Alcotest.test_case "golden STATS and prometheus text" `Quick
+            test_counters_golden
+        ; Alcotest.test_case "observe allocation" `Quick
+            test_observe_allocation ] )
     ; ( "token-bucket",
         [ Alcotest.test_case "refill, debt, monotonic clock" `Quick
             test_token_bucket ] )
