@@ -14,7 +14,10 @@
     capacity and the relay must shed ([busy] replies, dropped frames)
     rather than collapse. Loss is then expected and reported, not an
     error; delivery gaps are nudged closed with sentinel events so
-    lagging subscribers still terminate. *)
+    lagging subscribers still terminate.
+
+    Exit status: non-zero on any reordered event; a closed-loop run
+    also fails when an event is lost or a subscriber closes early. *)
 
 open Cmdliner
 open Omf_machine
@@ -23,6 +26,9 @@ module Relay = Omf_relay.Relay
 module Fx = Omf_fixtures.Paper_structs
 module Catalog = Omf_xml2wire.Catalog
 module X2W = Omf_xml2wire.Xml2wire
+
+(* intervals and schedules read the monotonic clock, in seconds *)
+let now_s () = float_of_int (Omf_util.Clock.now_us ()) /. 1e6
 
 let event ~seq ~pad =
   match Fx.value_a with
@@ -105,26 +111,26 @@ let measure ~host ~port ?auth ~compress ~stream ~admin ~sender ~fmt
   in
   wait_subs ();
   let behind = ref 0 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_s () in
   for seq = 0 to events - 1 do
     if rate > 0.0 then begin
       (* open-loop: launch on the absolute schedule, never waiting for
          the relay — if we're behind, send immediately and count it *)
       let target = t0 +. (float_of_int seq /. rate) in
-      let now = Unix.gettimeofday () in
+      let now = now_s () in
       if now < target then Thread.delay (target -. now)
       else if now -. target > 0.001 then incr behind
     end;
     Omf_transport.Endpoint.Sender.send_value sender fmt (event ~seq ~pad)
   done;
-  let publish_dt = Unix.gettimeofday () -. t0 in
+  let publish_dt = now_s () -. t0 in
   if rate > 0.0 then begin
     (* the storm may have shed the tail a subscriber was waiting for:
        nudge stragglers with sentinel (last-seq) events at a gentle
        pace until every thread terminates, bounded by a deadline *)
-    let deadline = Unix.gettimeofday () +. 10.0 in
+    let deadline = now_s () +. 10.0 in
     let all_done () = Array.for_all (fun r -> r.finished) reports in
-    while (not (all_done ())) && Unix.gettimeofday () < deadline do
+    while (not (all_done ())) && now_s () < deadline do
       (try
          Omf_transport.Endpoint.Sender.send_value sender fmt
            (event ~seq:(events - 1) ~pad)
@@ -136,7 +142,7 @@ let measure ~host ~port ?auth ~compress ~stream ~admin ~sender ~fmt
       threads
   end
   else Array.iter Thread.join threads;
-  let dt = if rate > 0.0 then publish_dt else Unix.gettimeofday () -. t0 in
+  let dt = if rate > 0.0 then publish_dt else now_s () -. t0 in
   let delivered = Array.fold_left (fun a r -> a + r.received) 0 reports in
   let ooo = Array.fold_left (fun a r -> a + r.out_of_order) 0 reports in
   let early =
@@ -239,7 +245,12 @@ let run serve host port policy max_queue auth compress subscribers events pad
   let measure = measure ~host ~port ?auth ~compress ~stream ~admin ~sender
       ~fmt ~subscribers ~events ~rate
   in
-  let total_ooo = ref 0 in
+  let total_ooo = ref 0 and total_lost = ref 0 and total_early = ref 0 in
+  let note_delivery ~delivered ~ooo ~early =
+    total_ooo := !total_ooo + ooo;
+    total_lost := !total_lost + max 0 ((events * subscribers) - delivered);
+    total_early := !total_early + early
+  in
   let comp_raw = ref 0 and comp_wire = ref 0 in
   let note_comp raw wire =
     comp_raw := !comp_raw + raw;
@@ -248,7 +259,7 @@ let run serve host port policy max_queue auth compress subscribers events pad
   (match sizes with
   | [] ->
     let dt, delivered, ooo, early, behind, raw, wire = measure ~pad () in
-    total_ooo := ooo;
+    note_delivery ~delivered ~ooo ~early;
     note_comp raw wire;
     Printf.printf
       "relay_loadgen: %d events -> %d subscribers in %.3f s (policy %s%s)\n"
@@ -284,7 +295,7 @@ let run serve host port policy max_queue auth compress subscribers events pad
         let dt, delivered, ooo, early, _behind, raw, wire =
           measure ~pad:size ()
         in
-        total_ooo := !total_ooo + ooo;
+        note_delivery ~delivered ~ooo ~early;
         note_comp raw wire;
         Printf.printf "  %10d %12d %14d %9d %6d %6d\n" size
           (int_of_float (float_of_int events /. dt))
@@ -327,6 +338,10 @@ let run serve host port policy max_queue auth compress subscribers events pad
   Relay.Client.close admin;
   (match handle with Some h -> Relay.stop h | None -> ());
   if !total_ooo > 0 then `Error (false, "events reordered")
+  else if rate <= 0.0 && !total_lost > 0 then
+    `Error (false, "events lost in a closed-loop run")
+  else if rate <= 0.0 && !total_early > 0 then
+    `Error (false, "a subscriber closed early in a closed-loop run")
   else `Ok ()
 
 let serve_arg =

@@ -87,11 +87,13 @@ let () =
   in
   let bench label f =
     let bytes = f () in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Omf_util.Clock.now_us () in
     for _ = 1 to blocks do
       ignore (Sys.opaque_identity (f ()))
     done;
-    let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int blocks in
+    let us =
+      float_of_int (Omf_util.Clock.now_us () - t0) /. float_of_int blocks
+    in
     Printf.printf "  %-10s %8d bytes/block  %10.1f us/block  %8.1f MB moved\n"
       label bytes us
       (float_of_int (bytes * blocks) /. 1e6)

@@ -255,8 +255,13 @@ let handshake (t : t) (ls : link_state) : bool =
     Mutex.protect t.mu (fun () ->
         ls.l_replica <- Some rep;
         ls.l_closed <- None);
-    match Relay.adopt_replica t.relay rep client with
-    | Error msg -> raise (Parked msg)
+    match
+      Relay.adopt_replica t.relay rep (Client.fd client)
+        ~mac:(Client.mac client) ~comp:(Client.compressed client)
+    with
+    | Error msg ->
+      Client.close client;
+      raise (Parked msg)
     | Ok () ->
       (* a {!stop} racing the hand-over may have missed the link *)
       if stopped t then Relay.unlink_replica t.relay rep;
@@ -300,10 +305,9 @@ let link_thread (t : t) (ls : link_state) =
             (Printf.sprintf "%d handshakes failed, last: %s" failed why)
         else begin
           Log.info (fun m -> m "stream %s: handshake failed: %s" stream why);
-          (* full jitter over min(cap, base * 2^k) *)
-          let d = t.cfg.base_delay_s *. (2.0 ** float_of_int (failed - 1)) in
           nap t
-            (Float.min t.cfg.max_delay_s d *. (0.5 +. (0.5 *. Prng.float rng)));
+            (Relay.Session.backoff_delay ~base_s:t.cfg.base_delay_s
+               ~max_s:t.cfg.max_delay_s rng (failed - 1));
           go failed
         end
       | exception e ->

@@ -70,7 +70,8 @@ module Receiver = struct
     resolve : (int -> string option) option;
         (** fetch a descriptor blob for an unknown wire id — typically a
             format-server lookup *)
-    wire_formats : (int, Format.t) Hashtbl.t;  (** peer format id -> format *)
+    wire_formats : (int, string * Format.t) Hashtbl.t;
+        (** peer format id -> (descriptor blob, format) *)
     plans : (int, Format.t * Convert.t) Hashtbl.t;
         (** peer format id -> (native format, compiled plan) *)
     stats : stats;
@@ -91,20 +92,25 @@ module Receiver = struct
 
   (** [learn ?id t blob] ingests a format descriptor, keyed by [?id] (a
       global format-server id) or the descriptor's own embedded id (the
-      negotiation case). Returns the reconstructed wire format. *)
+      negotiation case). Returns the reconstructed wire format. The
+      blob already known under that id is a no-op: a relay replaying
+      descriptors after a reconnect keeps the cached plans. *)
   let learn ?id (t : t) (blob : string) : Format.t =
     let fmt = Format_codec.decode blob in
     let fmt =
       match id with None -> fmt | Some id -> { fmt with Format.id }
     in
-    Hashtbl.replace t.wire_formats fmt.Format.id fmt;
-    t.stats.formats_learned <- t.stats.formats_learned + 1;
-    (* a cached plan for this id is stale *)
-    Hashtbl.remove t.plans fmt.Format.id;
-    fmt
+    match Hashtbl.find_opt t.wire_formats fmt.Format.id with
+    | Some (known, fmt) when String.equal known blob -> fmt
+    | _ ->
+      Hashtbl.replace t.wire_formats fmt.Format.id (blob, fmt);
+      t.stats.formats_learned <- t.stats.formats_learned + 1;
+      (* a cached plan for this id is stale *)
+      Hashtbl.remove t.plans fmt.Format.id;
+      fmt
 
   let wire_format (t : t) (id : int) : Format.t option =
-    Hashtbl.find_opt t.wire_formats id
+    Option.map snd (Hashtbl.find_opt t.wire_formats id)
 
   let native_format_for (t : t) (wire : Format.t) : Format.t =
     match Registry.find t.registry wire.Format.name with
@@ -124,7 +130,7 @@ module Receiver = struct
 
   let resolve_format (t : t) (id : int) : Format.t =
     match Hashtbl.find t.wire_formats id with
-    | f -> f
+    | _, f -> f
     | exception Not_found -> (
       (* last chance: ask the resolver (schema registry) for the blob *)
       match t.resolve with

@@ -59,7 +59,10 @@ module Receiver : sig
 
   val learn : ?id:int -> t -> string -> Format.t
   (** Ingest a format descriptor, keyed by [?id] (a format-server global
-      id) or the descriptor's embedded id (the negotiation case). *)
+      id) or the descriptor's embedded id (the negotiation case).
+      Learning the blob already known under that id does nothing —
+      [formats_learned] does not rise and the cached plan stays; a
+      different blob replaces the format and drops its plan. *)
 
   val wire_format : t -> int -> Format.t option
 

@@ -1,6 +1,11 @@
-(** The networked event relay: the paper's event backbone (Figures 1
-    and 3) served over real TCP by {!Omf_reactor.Reactor} event loops —
-    the repository's only publish/subscribe broker.
+(** The networked event relay's server: the paper's event backbone
+    (Figures 1 and 3) served over real TCP by {!Omf_reactor.Reactor}
+    event loops — the repository's only publish/subscribe broker.
+
+    This file holds the server alone: shards and their connections, the
+    per-stream records, and the replication links a mirror hands in
+    ({!adopt_replica} takes a socket and its negotiated modes, never a
+    client). The clients are relay_client.ml, re-exported at the end.
 
     Capture points and subscribers are separate processes on separate
     machines. Each shard keeps one record per hosted stream — schema and
@@ -1918,217 +1923,6 @@ let stop (r : t) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Client                                                               *)
-(* ------------------------------------------------------------------ *)
-
-(** Blocking client for the relay protocol. One connection carries one
-    role: after {!Client.publish} the link is an
-    {!Omf_transport.Endpoint.Sender} channel, after {!Client.subscribe}
-    it is receive-only. *)
-module Client = struct
-  exception Error of string
-
-  exception Busy of { retry_ms : int }
-  (** The relay shed the command under overload (PROTOCOLS.md §16).
-      Retryable: wait about [retry_ms] and re-issue the same command on
-      the {e same} connection — the relay kept it open on purpose. *)
-
-  type t = {
-    link : Link.t;
-    comp : Tcp.comp_totals option;
-    fd : Unix.file_descr;
-    mac : Macframe.state option;
-        (** the link's frame modes, kept so the relay can adopt the
-            socket mid-stream ({!adopt_replica}) *)
-  }
-
-  (* every transport-level failure ({!Tcp.failure_message}) surfaces as
-     Client.Error with a readable message; raw Unix_error / Tcp_error
-     never escape *)
-  let reraise (context : string) = function
-    | Error m -> raise (Error m)
-    | e -> (
-      match Tcp.failure_message e with
-      | Some m -> raise (Error (context ^ ": " ^ m))
-      | None -> raise e)
-
-  let transient = function
-    | Error _ -> true
-    | e -> Tcp.failure_message e <> None
-
-  let rpc (t : t) (req : Proto.request) : Proto.reply =
-    match
-      Link.send t.link (Proto.encode_request req);
-      Link.recv t.link
-    with
-    | None -> raise (Error "relay closed the connection")
-    | Some r -> (
-      match Proto.decode_reply r with
-      | Ok reply -> reply
-      | Error _ -> raise (Error "malformed reply"))
-    | exception e -> reraise "relay rpc" e
-
-  (* the OK body of [req]: error and busy replies raise *)
-  let call (t : t) (req : Proto.request) : string =
-    match rpc t req with
-    | Proto.Ok body -> body
-    | Proto.Err msg -> raise (Error msg)
-    | Proto.Busy ms -> raise (Busy { retry_ms = (if ms > 0 then ms else 250) })
-    | Proto.Ack _ -> raise (Error "malformed reply")
-
-  let decoded (r : ('a, string) result) : 'a =
-    match r with Ok v -> v | Error msg -> raise (Error ("relay reply: " ^ msg))
-
-  (** [connect ~port ()] dials and HELLOs. With [?auth:(key_id, key)]
-      the HELLO requests HMAC frame mode; the handshake itself is
-      plaintext and every later frame is sealed. With [~compress:true]
-      the HELLO offers [comp=lz] (PROTOCOLS.md §18); if the relay
-      echoes it in the banner every later frame in both directions is
-      an LZ block — an old relay simply doesn't echo, and the
-      connection proceeds uncompressed (check {!compressed}). Failures
-      — unreachable port, handshake timeout, an ['e'] reply — raise
-      {!Error} with the reason, and the socket is closed on every error
-      path. *)
-  let connect ?(host = "127.0.0.1") ~port ?(creds = []) ?auth
-      ?(compress = false) ?connect_timeout_s ?io_timeout_s () : t =
-    let fd =
-      try Tcp.dial ~host ~port ?connect_timeout_s ?io_timeout_s ()
-      with e -> reraise (Printf.sprintf "relay connect %s:%d" host port) e
-    in
-    (* HELLO runs on the plain link; the negotiated modes then frame
-       every later byte on the same socket *)
-    let plain = Tcp.link_of_fd fd in
-    try
-      let hello_creds =
-        (if compress then [ ("comp", "lz") ] else [])
-        @
-        match auth with
-        | None -> creds
-        | Some (key_id, _) ->
-          creds @ [ ("auth", "hmac"); ("key-id", key_id) ]
-      in
-      let granted =
-        Proto.decode_banner
-          (call { link = plain; comp = None; fd; mac = None }
-             (Proto.Hello hello_creds))
-      in
-      (* the relay must have granted the auth mode we asked for *)
-      if auth <> None && not granted.Proto.mac then
-        raise (Error "relay did not negotiate authenticated framing");
-      let mac = Option.map (fun (_, key) -> Macframe.state ~key) auth in
-      let comp =
-        if compress && granted.Proto.comp then
-          Some { Tcp.raw_bytes = 0; wire_bytes = 0 }
-        else None
-      in
-      { link = Tcp.link_of_fd ?mac ?comp fd; comp; fd; mac }
-    with e ->
-      (* no fd leak on handshake failure *)
-      (try Link.close plain with _ -> ());
-      reraise "relay handshake" e
-
-  let compressed (t : t) : bool = t.comp <> None
-
-  (** Raw/wire byte totals through the negotiated compressed link
-      (both directions); [None] when the connection is uncompressed. *)
-  let comp_totals (t : t) : (int * int) option =
-    match t.comp with
-    | None -> None
-    | Some c -> Some (c.Tcp.raw_bytes, c.wire_bytes)
-
-  (** [advertise t ~stream ~schema] declares the stream. [?meta] lines
-      ride along: a registry binding (PROTOCOLS.md §14) that [meta=1]
-      subscribers get back, or an [origin]/[epoch] tag (§15). *)
-  let advertise ?(meta = []) (t : t) ~(stream : string) ~(schema : string) :
-      unit =
-    ignore (call t (Proto.Advertise { stream; meta; schema }))
-
-  let stats (t : t) : (string * int) list =
-    Proto.decode_stats (call t Proto.Stats)
-
-  (* plain and acked PUBLISH: the typed watermark reply *)
-  let publish_with ?trace ~acks (t : t) stream =
-    decoded
-      (Proto.decode_published (call t (Proto.Publish { stream; acks; trace })))
-
-  (** [publish t ~stream] switches the connection into publisher mode
-      and returns the raw link: drive it with
-      {!Omf_transport.Endpoint.Sender}. [?trace] attaches a trace
-      context to the stream (PROTOCOLS.md §17): a tracing-enabled relay
-      adopts it instead of head-sampling its own. *)
-  let publish ?trace (t : t) ~(stream : string) : Link.t =
-    ignore (publish_with ?trace ~acks:false t stream);
-    t.link
-
-  (* SUBSCRIBE and DESCRIBE: the typed schema reply *)
-  let schema_reply ~offset ~meta (t : t) (req : Proto.request) =
-    decoded (Proto.decode_schema_reply ~offset ~meta (call t req))
-
-  (** [subscribe t ~stream] returns the (credential-scoped) stream
-      schema and the raw link now carrying descriptor/message frames. *)
-  let subscribe (t : t) ~(stream : string) : string * Link.t =
-    (call t (Proto.Subscribe { stream; from = None; meta = false }), t.link)
-
-  (** [subscribe_meta t ~stream] is {!subscribe} plus the stream's
-      advertised registry-binding metadata — [("subject", _)],
-      [("version", _)], [("fingerprint", _)] — when the advertiser
-      supplied any (empty list otherwise). *)
-  let subscribe_meta (t : t) ~(stream : string) :
-      (string * string) list * string * Link.t =
-    let r =
-      schema_reply ~offset:false ~meta:true t
-        (Proto.Subscribe { stream; from = None; meta = true })
-    in
-    (r.Proto.meta, r.Proto.schema, t.link)
-
-  (** [publish_acked t ~stream] enters publisher mode requesting
-      durability acks (PROTOCOLS.md §13). Against a store-backed relay
-      the reply carries the stream's durable watermark — returned as
-      [Some durable]; the relay then sends a ['k' durable] frame on
-      this link whenever the watermark advances. [None] means the relay
-      is memory-only and will never ack. *)
-  let publish_acked ?trace (t : t) ~(stream : string) : int option * Link.t =
-    (publish_with ?trace ~acks:true t stream, t.link)
-
-  (** [subscribe_from t ~stream ~from] subscribes with stored replay
-      (PROTOCOLS.md §13): delivery starts at offset [from] (clamped up
-      past retention), or at the live tail when [from] is negative.
-      Returns [(Some start, schema, link)] where [start] is the offset
-      of the first message frame the link will carry; [(None, …)] when
-      the relay is memory-only and offsets are not tracked. *)
-  let subscribe_from (t : t) ~(stream : string) ~(from : int) :
-      int option * string * Link.t =
-    let r =
-      schema_reply ~offset:true ~meta:false t
-        (Proto.Subscribe { stream; from = Some from; meta = false })
-    in
-    (r.Proto.offset, r.Proto.schema, t.link)
-
-  (** [list_streams t] names every stream the relay (all of its
-      shards) currently hosts, sorted. *)
-  let list_streams (t : t) : string list =
-    Proto.decode_list (call t Proto.List)
-
-  (** [describe t ~stream] returns the stream's advertisement metadata
-      — always including its [origin]/[epoch] replication tag
-      (PROTOCOLS.md §15) — and its (credential-scoped) schema, without
-      changing the connection's role. *)
-  let describe (t : t) ~(stream : string) : (string * string) list * string =
-    let r = schema_reply ~offset:false ~meta:true t (Proto.Describe stream) in
-    (r.Proto.meta, r.Proto.schema)
-
-  (** [promote t ~stream] transfers write ownership of a mirrored
-      stream to the relay (PROTOCOLS.md §15): it fsyncs the stream's
-      store, then its origin becomes the
-      relay's id with a bumped epoch, returned here. Idempotent on
-      streams the relay already owns. *)
-  let promote (t : t) ~(stream : string) : int =
-    decoded (Proto.decode_epoch (call t (Proto.Promote stream)))
-
-  let close (t : t) = try Link.close t.link with _ -> ()
-end
-
-(* ------------------------------------------------------------------ *)
 (* Replication links, in process (doc/MIRROR.md)                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -2165,17 +1959,14 @@ let claim_replica (r : t) (rep : replica) : (int, string) result =
   in
   Option.value (on_loop owner claim) ~default:(Error "relay is shutting down")
 
-let adopt_replica (r : t) (rep : replica) (client : Client.t) :
-    (unit, string) result =
+let adopt_replica (r : t) (rep : replica) (fd : Unix.file_descr)
+    ~(mac : Macframe.state option) ~(comp : bool) : (unit, string) result =
   let adopt (t : shard) (s : stream) =
     (if t.state <> Running then Error "relay is shutting down"
      else (* a PROMOTE may have run since the claim *)
        replica_gate t s rep)
     |> Result.map @@ fun () ->
-    let c =
-      new_conn t client.Client.fd ~mac:client.Client.mac
-        ~comp:(client.Client.comp <> None)
-    in
+    let c = new_conn t fd ~mac ~comp in
     c.greeted <- true;
     if c.mac <> None then Counters.incr t.counters "auth_sessions";
     if c.comp then Counters.incr t.counters "comp_sessions";
@@ -2186,9 +1977,7 @@ let adopt_replica (r : t) (rep : replica) (client : Client.t) :
     join_publishers t s c;
     Counters.incr t.counters "mirror_publishers"
   in
-  let adopted = Result.join (on_stream r rep.stream adopt) in
-  if Result.is_error adopted then Client.close client;
-  adopted
+  Result.join (on_stream r rep.stream adopt)
 
 let unlink_replica (r : t) (rep : replica) : unit =
   ignore @@ on_stream r rep.stream
@@ -2210,622 +1999,7 @@ let store_tail (r : t) ~(stream : string) : int option =
   | Error _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* A fully wired remote consumer                                       *)
+(* Clients (relay_client.ml), re-exported                              *)
 (* ------------------------------------------------------------------ *)
 
-module Catalog = Omf_xml2wire.Catalog
-
-type consumer = {
-  client : Client.t;
-  catalog : Catalog.t;
-  endpoint : Endpoint.Receiver.t;
-  schema : string;  (** the scoped schema the relay served *)
-}
-
-(** [attach_consumer ~port ~stream abi] connects, subscribes, registers
-    the served (scoped) schema in a fresh catalog for [abi] and wraps
-    the link in an endpoint receiver. *)
-let attach_consumer ?host ~port ?creds ?auth ?compress ~(stream : string)
-    (abi : Omf_machine.Abi.t) : consumer =
-  let client = Client.connect ?host ~port ?creds ?auth ?compress () in
-  let schema, link =
-    try Client.subscribe client ~stream
-    with e ->
-      Client.close client;
-      raise e
-  in
-  let catalog = Catalog.create abi in
-  ignore
-    (Omf_xml2wire.Xml2wire.register_schema ~source:("relay:" ^ stream) catalog
-       schema);
-  let endpoint =
-    Endpoint.Receiver.create link
-      (Catalog.registry catalog)
-      (Omf_machine.Memory.create abi)
-  in
-  { client; catalog; endpoint; schema }
-
-(** Blocking receive of the next decoded event ([None] = relay closed
-    the stream). *)
-let recv (c : consumer) : (Omf_pbio.Format.t * Omf_pbio.Value.t) option =
-  Endpoint.Receiver.recv_value c.endpoint
-
-let close_consumer (c : consumer) : unit = Client.close c.client
-
-(* ------------------------------------------------------------------ *)
-(* Fault-tolerant sessions                                              *)
-(* ------------------------------------------------------------------ *)
-
-module Pbio = Omf_pbio.Pbio
-module Format = Omf_pbio.Format
-module Value = Omf_pbio.Value
-module Prng = Omf_util.Prng
-module Sha256 = Omf_util.Sha256
-
-(** Fault-tolerant relay sessions: {!Client} plus automatic
-    reconnect/replay — a dropped TCP connection degrades to a retry
-    loop instead of killing the endpoint. The contract of every entry
-    point is in relay.mli. *)
-module Session = struct
-  exception Gave_up of string
-  exception Overflow of string
-
-  type config = {
-    host : string;
-    port : int;
-    creds : (string * string) list;
-    auth : (string * string) option;  (** [(key-id, secret)] *)
-    compress : bool;
-        (** offer [comp=lz] on every (re)connect; negotiated down
-            against a relay that doesn't speak it *)
-    max_attempts : int;  (** reconnect attempts per outage *)
-    base_delay_s : float;  (** first backoff step *)
-    max_delay_s : float;  (** backoff cap *)
-    connect_timeout_s : float option;
-    io_timeout_s : float option;
-    jitter_seed : int64;  (** deterministic jitter (tests) *)
-  }
-
-  let config ?(host = "127.0.0.1") ?(creds = []) ?auth ?(compress = false)
-      ?(max_attempts = 10) ?(base_delay_s = 0.05) ?(max_delay_s = 2.0)
-      ?(connect_timeout_s = 5.0) ?io_timeout_s ?(jitter_seed = 1L) ~port () :
-      config =
-    { host; port; creds; auth; compress; max_attempts; base_delay_s
-    ; max_delay_s; connect_timeout_s = Some connect_timeout_s; io_timeout_s
-    ; jitter_seed }
-
-  (* backoff step k (0-based) is min(cap, base * 2^k) scaled into
-     [0.5, 1.0) — full-jitter halves thundering-herd resubscription
-     after a relayd restart while keeping tests deterministic via the
-     seeded PRNG *)
-  let backoff_delay (cfg : config) rng attempt =
-    let d = cfg.base_delay_s *. (2.0 ** float_of_int attempt) in
-    Float.min cfg.max_delay_s d *. (0.5 +. (0.5 *. Prng.float rng))
-
-  let connect_client ?(reconnect = false) (cfg : config) : Client.t =
-    let creds =
-      if reconnect then cfg.creds @ [ ("omf-reconnect", "1") ] else cfg.creds
-    in
-    Client.connect ~host:cfg.host ~port:cfg.port ~creds ?auth:cfg.auth
-      ~compress:cfg.compress ?connect_timeout_s:cfg.connect_timeout_s
-      ?io_timeout_s:cfg.io_timeout_s ()
-
-  exception Closed
-  (* raised out of the retry loops once the session is closed, so a
-     blocked call returns instead of reconnecting a session nobody owns *)
-
-  let refused = function Client.Error msg -> Proto.is_refusal msg | _ -> false
-
-  (** Reconnect and replay session state: dial a fresh connection and
-      run [f] (which re-issues SUBSCRIBE or ADVERTISE/PUBLISH) against
-      it, retrying transient failures under the budget — except those
-      [final] says no fresh connection can cure. The first attempt
-      dials at once; attempt [k] waits backoff step [k - 1] first.
-      [closed] is checked before each attempt and after each sleep; a
-      connection won after a close is closed at once. *)
-  let with_retries ?(final = fun _ -> false) (cfg : config) rng ~closed
-      ~(what : string) (f : Client.t -> 'a) : 'a =
-    let rec go attempt =
-      if closed () then raise Closed;
-      if attempt >= cfg.max_attempts then
-        raise
-          (Gave_up
-             (Printf.sprintf "%s: gave up after %d reconnect attempts" what
-                cfg.max_attempts));
-      if attempt > 0 then begin
-        Thread.delay (backoff_delay cfg rng (attempt - 1));
-        if closed () then raise Closed
-      end;
-      let retry e =
-        Log.debug (fun m ->
-            m "%s: reconnect attempt %d failed: %s" what (attempt + 1)
-              (Printexc.to_string e));
-        go (attempt + 1)
-      in
-      match connect_client ~reconnect:true cfg with
-      | exception e when Client.transient e -> retry e
-      | client -> (
-        match f client with
-        | v ->
-          if closed () then begin
-            Client.close client;
-            raise Closed
-          end;
-          v
-        | exception e ->
-          Client.close client;
-          if Client.transient e && not (final e) then retry e else raise e)
-    in
-    go 0
-
-  (** A [busy] reply is not an outage: the relay is alive and asked us
-      to slow down (PROTOCOLS.md §16). Sleep the suggested [retry_ms]
-      (full jitter, like {!backoff_delay}) and retry [f] on the {e
-      same} connection — reconnecting would only add handshake load to
-      an overloaded relay. [on_busy] is called once per wait (session
-      counters). After [max_attempts] busy replies the last
-      {!Client.Busy} is re-raised: overload stays overload, never an
-      exhausted reconnect budget. *)
-  let with_busy_backoff (cfg : config) rng ~closed ~(what : string) ~on_busy
-      (f : unit -> 'a) : 'a =
-    let rec go attempt =
-      if closed () then raise Closed;
-      match f () with
-      | v -> v
-      | exception (Client.Busy { retry_ms } as busy) ->
-        if attempt + 1 >= Stdlib.max 1 cfg.max_attempts then raise busy;
-        on_busy ();
-        let d =
-          float_of_int retry_ms /. 1000. *. (0.5 +. (0.5 *. Prng.float rng))
-        in
-        Log.debug (fun m ->
-            m "%s: relay busy, retrying in %.0f ms (attempt %d)" what
-              (d *. 1000.) (attempt + 1));
-        Thread.delay d;
-        go (attempt + 1)
-    in
-    go 0
-
-  (* ---------------------------------------------------------------- *)
-  (* Subscriber sessions                                                *)
-  (* ---------------------------------------------------------------- *)
-
-  type subscriber = {
-    s_cfg : config;
-    s_stream : string;
-    s_pbio : Pbio.Receiver.t;
-    s_seen : (string, unit) Hashtbl.t;
-        (** digests of descriptor blobs already learned — replayed
-            descriptors after a reconnect are skipped, not re-registered *)
-    s_rng : Prng.t;
-    mutable s_client : Client.t option;
-    mutable s_link : Link.t option;
-    mutable s_next : int;
-        (** store offset of the next expected message frame; [-1] when
-            the relay does not track offsets (memory-only) *)
-    mutable s_reconnects : int;
-    mutable s_trace : Trace.ctx option;
-        (** the stream's trace context as served by DESCRIBE at
-            subscribe time ([want_trace] only) *)
-    mutable s_closed : bool;
-  }
-
-  let drop_subscriber_link (s : subscriber) =
-    (match s.s_client with Some c -> Client.close c | None -> ());
-    s.s_client <- None;
-    s.s_link <- None
-
-  (** SUBSCRIBE on [client] from the next expected offset — the
-      handshake of the first connection and of every reconnect. An
-      overloaded relay refuses the [from=] replay with [busy]: hold
-      this connection and wait it out instead of burning reconnect
-      attempts. *)
-  let attach (s : subscriber) (client : Client.t) =
-    let offset, schema, link =
-      with_busy_backoff s.s_cfg s.s_rng
-        ~closed:(fun () -> s.s_closed)
-        ~what:(Printf.sprintf "subscriber %s" s.s_stream)
-        ~on_busy:ignore
-        (fun () ->
-          Client.subscribe_from client ~stream:s.s_stream ~from:s.s_next)
-    in
-    s.s_client <- Some client;
-    s.s_link <- Some link;
-    (* a clamped offset (> the request) means retention outran this
-       subscriber during an outage: the gap is unrecoverable and
-       delivery resumes at the oldest retained event *)
-    s.s_next <- Option.value offset ~default:(-1);
-    schema
-
-  (* the first connection raises at once; the relay's [skip_until]
-     filter makes a [from=] resubscribe duplicate-free *)
-  let subscribe ?(from = -1) ?(want_trace = false) (cfg : config)
-      ~(stream : string) (abi : Omf_machine.Abi.t) : subscriber =
-    let catalog = Catalog.create abi in
-    let s =
-      { s_cfg = cfg; s_stream = stream
-      ; s_pbio =
-          Pbio.Receiver.create
-            (Catalog.registry catalog)
-            (Omf_machine.Memory.create abi)
-      ; s_seen = Hashtbl.create 8
-      ; s_rng = Prng.create ~seed:cfg.jitter_seed ()
-      ; s_client = None; s_link = None; s_next = from
-      ; s_reconnects = 0; s_trace = None; s_closed = false }
-    in
-    let client = connect_client cfg in
-    let schema =
-      try
-        (* [want_trace]: learn the stream's trace context (PROTOCOLS.md
-           §17) with a DESCRIBE on the still-roleless connection, before
-           SUBSCRIBE pins it receive-only. Best-effort — a relay without
-           tracing simply serves no [trace=] line. *)
-        if want_trace then
-          s.s_trace <-
-            (match Client.describe client ~stream with
-            | meta, _ -> fst (Proto.split_trace meta)
-            | exception _ -> None);
-        attach s client
-      with e ->
-        Client.close client;
-        raise e
-    in
-    ignore
-      (Omf_xml2wire.Xml2wire.register_schema ~source:("relay:" ^ stream)
-         catalog schema);
-    s
-
-  let resubscribe (s : subscriber) : unit =
-    with_retries s.s_cfg s.s_rng
-      ~closed:(fun () -> s.s_closed)
-      ~what:(Printf.sprintf "subscriber %s" s.s_stream)
-      (fun client ->
-        ignore (attach s client);
-        s.s_reconnects <- s.s_reconnects + 1;
-        Log.info (fun m ->
-            m "subscriber %s: resubscribed from offset %d (reconnect %d)"
-              s.s_stream s.s_next s.s_reconnects))
-
-  let rec recv_subscriber (s : subscriber) : (Format.t * Value.t) option =
-    if s.s_closed then None
-    else
-      match s.s_link with
-      | None -> (
-        match resubscribe s with
-        | () -> recv_subscriber s
-        | exception Closed -> None)
-      | Some link -> (
-        match Link.recv link with
-        | Some frame
-          when Bytes.length frame > 0
-               && Char.equal (Bytes.get frame 0) Endpoint.frame_descriptor ->
-          let blob = Bytes.sub_string frame 1 (Bytes.length frame - 1) in
-          let digest = Sha256.digest blob in
-          if not (Hashtbl.mem s.s_seen digest) then begin
-            Hashtbl.replace s.s_seen digest ();
-            ignore (Pbio.Receiver.learn s.s_pbio blob)
-          end;
-          recv_subscriber s
-        | Some frame
-          when Bytes.length frame > 0
-               && Char.equal (Bytes.get frame 0) Endpoint.frame_message ->
-          if s.s_next >= 0 then s.s_next <- s.s_next + 1;
-          Some
-            (Pbio.Receiver.receive_value s.s_pbio
-               (Bytes.sub frame 1 (Bytes.length frame - 1)))
-        | Some _ | None ->
-          (* graceful close or garbage: either way, this link is done *)
-          if s.s_closed then None
-          else begin
-            drop_subscriber_link s;
-            recv_subscriber s
-          end
-        | exception e ->
-          if s.s_closed then None
-          else if Client.transient e then begin
-            drop_subscriber_link s;
-            recv_subscriber s
-          end
-          else raise e)
-
-
-  let subscriber_reconnects (s : subscriber) = s.s_reconnects
-  let subscriber_trace (s : subscriber) = s.s_trace
-
-  let subscriber_stats (s : subscriber) : Pbio.Receiver.stats =
-    Pbio.Receiver.stats s.s_pbio
-
-  let close_subscriber (s : subscriber) : unit =
-    s.s_closed <- true;
-    drop_subscriber_link s
-
-  (* ---------------------------------------------------------------- *)
-  (* Publisher sessions                                                 *)
-  (* ---------------------------------------------------------------- *)
-
-  type pending = { p_fmt : Format.t; p_frame : Bytes.t; mutable p_seq : int }
-  (** [p_seq] is the store offset this frame occupies (ack mode only;
-      renumbered when a reconnect learns the store regressed). *)
-
-  type publisher = {
-    b_cfg : config;
-    b_stream : string;
-    b_schema : string;
-    b_trace : Trace.ctx option;
-        (** trace context re-attached to every PUBLISH, including the
-            replayed one after a reconnect (PROTOCOLS.md §17) *)
-    b_window : int;
-    b_catalog : Catalog.t;
-    b_mem : Omf_machine.Memory.t;
-    b_rng : Prng.t;
-    b_buf : pending Queue.t;
-        (** marshalled frames not yet written to the current link *)
-    b_inflight : pending Queue.t;
-        (** ack mode: frames written but not yet acknowledged durable —
-            they stay here until the relay's ['k'] ack covers them, so
-            a relay crash loses nothing *)
-    b_announced : (int, unit) Hashtbl.t;
-        (** format ids announced on the {e current} connection *)
-    mutable b_ack_mode : bool;
-        (** publishing with [acks=1] against a store-backed relay *)
-    mutable b_durable : int;  (** relay's durable watermark (ack mode) *)
-    mutable b_next_seq : int;  (** store offset of the next new frame *)
-    mutable b_client : Client.t option;
-    mutable b_link : Link.t option;
-    mutable b_reconnects : int;
-    mutable b_busy_waits : int;
-        (** [busy]-triggered backoff sleeps (overload, not outage) *)
-    mutable b_closed : bool;
-    b_mu : Mutex.t;
-        (** held by every publish, flush and close, so a close from
-            another thread never writes concurrently with them *)
-  }
-
-  (** Align the session with the watermark a resume handshake returned:
-      frames the store already holds durably are retired, the surviving
-      suffix is renumbered consecutively from the watermark (identity
-      in the common case; a wiped store restarts numbering from its
-      fresh tail) and will be resent. [None] means the relay is not
-      store-backed — acks will never arrive, so the session degrades
-      to plain fire-and-forget. *)
-  let resync_acked (p : publisher) (durable : int option) =
-    (* every unacknowledged frame is resent on the fresh connection *)
-    Queue.transfer p.b_buf p.b_inflight;
-    Queue.transfer p.b_inflight p.b_buf;
-    match durable with
-    | None ->
-      p.b_ack_mode <- false;
-      Log.warn (fun m ->
-          m "publisher %s: relay not store-backed; acks disabled" p.b_stream)
-    | Some d ->
-      p.b_durable <- d;
-      let rec trim () =
-        match Queue.peek_opt p.b_buf with
-        | Some e when e.p_seq < d ->
-          ignore (Queue.pop p.b_buf);
-          trim ()
-        | _ -> ()
-      in
-      trim ();
-      let i = ref d in
-      Queue.iter
-        (fun e ->
-          e.p_seq <- !i;
-          incr i)
-        p.b_buf;
-      p.b_next_seq <- !i
-
-  (** The per-connection handshake, run on the first connection and
-      replayed on every reconnect: ADVERTISE, then
-      PUBLISH ([acks=1] in ack mode, the [b_trace] context when set).
-      ADVERTISE is control traffic and always admitted; PUBLISH may be
-      shed under overload — waited out on this connection.
-      Per-connection descriptor announcements are forgotten. *)
-  let handshake (p : publisher) (client : Client.t) =
-    Client.advertise client ~stream:p.b_stream
-      ~schema:p.b_schema;
-    let w =
-      with_busy_backoff p.b_cfg p.b_rng
-        ~closed:(fun () -> p.b_closed)
-        ~what:(Printf.sprintf "publisher %s" p.b_stream)
-        ~on_busy:(fun () -> p.b_busy_waits <- p.b_busy_waits + 1)
-        (fun () ->
-          Client.publish_with ?trace:p.b_trace ~acks:p.b_ack_mode client
-            p.b_stream)
-    in
-    p.b_client <- Some client;
-    p.b_link <- Some client.Client.link;
-    Hashtbl.reset p.b_announced;
-    if p.b_ack_mode then resync_acked p w
-
-  let publisher ?(window = 1024) ?(acked = false) ?trace (cfg : config)
-      ~(stream : string) ~(schema : string) (abi : Omf_machine.Abi.t) :
-      publisher =
-    let p =
-      { b_cfg = cfg; b_stream = stream; b_schema = schema
-      ; b_trace = trace; b_window = window
-      ; b_catalog = Catalog.create abi; b_mem = Omf_machine.Memory.create abi
-      ; b_rng = Prng.create ~seed:cfg.jitter_seed ()
-      ; b_buf = Queue.create (); b_inflight = Queue.create ()
-      ; b_announced = Hashtbl.create 4
-      ; b_ack_mode = acked; b_durable = 0; b_next_seq = 0
-      ; b_client = None; b_link = None; b_reconnects = 0; b_busy_waits = 0
-      ; b_closed = false; b_mu = Mutex.create () }
-    in
-    let client = connect_client cfg in
-    (try handshake p client
-     with e ->
-       Client.close client;
-       raise e);
-    ignore (Omf_xml2wire.Xml2wire.register_schema p.b_catalog schema);
-    p
-
-  let publisher_format (p : publisher) (name : string) : Format.t option =
-    Catalog.find_format p.b_catalog name
-
-  let publisher_reconnects (p : publisher) = p.b_reconnects
-  let publisher_busy_waits (p : publisher) = p.b_busy_waits
-
-  let publisher_buffered (p : publisher) =
-    Queue.length p.b_buf + Queue.length p.b_inflight
-
-  let publisher_acked (p : publisher) = p.b_ack_mode
-  let publisher_durable (p : publisher) = p.b_durable
-
-  let drop_publisher_link (p : publisher) =
-    (match p.b_client with Some c -> Client.close c | None -> ());
-    p.b_client <- None;
-    p.b_link <- None
-
-  let announce_format (p : publisher) link (fmt : Format.t) =
-    if not (Hashtbl.mem p.b_announced fmt.Format.id) then begin
-      Link.send link
-        (Endpoint.frame Endpoint.frame_descriptor
-           (Bytes.of_string (Omf_pbio.Format_codec.encode fmt)));
-      Hashtbl.replace p.b_announced fmt.Format.id ()
-    end
-
-  (** Write buffered frames to the live link, announcing each format's
-      descriptor first if this connection has not seen it. Ack mode
-      moves each written frame to [b_inflight] until an ack covers it.
-      [false] = the link broke (the unwritten tail stays buffered). *)
-  let try_flush (p : publisher) : bool =
-    match p.b_link with
-    | None -> false
-    | Some link -> (
-      try
-        while not (Queue.is_empty p.b_buf) do
-          let e = Queue.peek p.b_buf in
-          announce_format p link e.p_fmt;
-          Link.send link e.p_frame;
-          ignore (Queue.pop p.b_buf);
-          if p.b_ack_mode then Queue.add e p.b_inflight
-        done;
-        true
-      with e ->
-        if Client.transient e then begin
-          drop_publisher_link p;
-          false
-        end
-        else raise e)
-
-  (** An ack covering offsets below [n] retires the in-flight frames
-      it covers. *)
-  let process_ack (p : publisher) (n : int) =
-    if n > p.b_durable then p.b_durable <- n;
-    let rec pop () =
-      match Queue.peek_opt p.b_inflight with
-      | Some e when e.p_seq < n ->
-        ignore (Queue.pop p.b_inflight);
-        pop ()
-      | _ -> ()
-    in
-    pop ()
-
-  (** Blocking read of one frame from the publisher link — ['k'] acks
-      retire buffered frames, ['e'] is a relay-reported error. [false]
-      = the link is gone (dropped here on any transient failure). *)
-  let drain_ack (p : publisher) : bool =
-    match p.b_link with
-    | None -> false
-    | Some link -> (
-      match Link.recv link with
-      | Some frame -> (
-        match Proto.decode_reply frame with
-        | Ok (Proto.Ack n) ->
-          process_ack p n;
-          true
-        | Ok (Proto.Err msg) -> raise (Client.Error msg)
-        | Ok (Proto.Ok _ | Proto.Busy _) | Error _ -> true)
-      | None ->
-        drop_publisher_link p;
-        false
-      | exception e ->
-        if Client.transient e then begin
-          drop_publisher_link p;
-          false
-        end
-        else raise e)
-
-  (** Bounded reconnect replaying {!handshake} (the relay may have
-      restarted with no streams). [false] = budget exhausted or session
-      closed; buffered frames are kept for the next attempt. A refusal
-      ({!Relay_proto.is_refusal}: read-only, stale epoch, ...) is
-      final: no fresh connection cures it, so it is raised. *)
-  let reconnect_publisher (p : publisher) : bool =
-    match
-      with_retries ~final:refused p.b_cfg p.b_rng
-        ~closed:(fun () -> p.b_closed)
-        ~what:(Printf.sprintf "publisher %s" p.b_stream)
-        (fun client ->
-          handshake p client;
-          p.b_reconnects <- p.b_reconnects + 1;
-          Log.info (fun m ->
-              m "publisher %s: reconnected (reconnect %d, %d frames buffered)"
-                p.b_stream p.b_reconnects (publisher_buffered p)))
-    with
-    | () -> true
-    | exception (Gave_up _ | Closed) -> false
-
-  (** Ack mode: drain acks until [until ()] holds, reconnecting (three
-      rounds at most) when the link breaks; [fail ()] is raised when
-      the relay stays unreachable. *)
-  let await_acks (p : publisher) ~until ~fail =
-    let rounds = ref 0 in
-    while p.b_ack_mode && not (until ()) do
-      if Option.is_none p.b_link then begin
-        if !rounds >= 3 || not (reconnect_publisher p) then raise (fail ());
-        incr rounds
-      end;
-      ignore (try_flush p);
-      if p.b_ack_mode && not (until ()) then ignore (drain_ack p)
-    done
-
-  let publish_value (p : publisher) (fmt : Format.t) (v : Value.t) : unit =
-    Omf_machine.Memory.reset p.b_mem;
-    let msg = Pbio.message p.b_mem fmt (Omf_pbio.Native.store p.b_mem fmt v) in
-    Mutex.protect p.b_mu @@ fun () ->
-    if p.b_closed then raise (Client.Error "publisher session closed");
-    if publisher_buffered p >= p.b_window then begin
-      let full () =
-        Overflow
-          (Printf.sprintf
-             "publisher %s: window (%d frames) full while the relay is \
-              unreachable"
-             p.b_stream p.b_window)
-      in
-      await_acks p ~until:(fun () -> publisher_buffered p < p.b_window) ~fail:full;
-      if publisher_buffered p >= p.b_window then raise (full ())
-    end;
-    let seq = p.b_next_seq in
-    if p.b_ack_mode then p.b_next_seq <- seq + 1;
-    Queue.add
-      { p_fmt = fmt; p_frame = Endpoint.frame Endpoint.frame_message msg
-      ; p_seq = seq }
-      p.b_buf;
-    if not (try_flush p) then
-      if reconnect_publisher p then ignore (try_flush p)
-
-  let flush_acked (p : publisher) : unit =
-    Mutex.protect p.b_mu @@ fun () ->
-    if not p.b_ack_mode then ignore (try_flush p)
-    else
-      await_acks p
-        ~until:(fun () -> publisher_buffered p = 0)
-        ~fail:(fun () ->
-          Gave_up
-            (Printf.sprintf
-               "publisher %s: flush: relay unreachable with %d \
-                unacknowledged frames"
-               p.b_stream (publisher_buffered p)))
-
-  (* the flag is set before taking the lock, so a publish or flush in
-     the reconnect loop on another thread gives up at its next check *)
-  let close_publisher (p : publisher) : unit =
-    if not p.b_closed then begin
-      p.b_closed <- true;
-      Mutex.protect p.b_mu @@ fun () ->
-      ignore (try try_flush p with _ -> false);
-      drop_publisher_link p
-    end
-end
+include Relay_client

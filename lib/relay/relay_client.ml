@@ -1,0 +1,748 @@
+(** Clients of the relay: the blocking {!Client}, a fully wired
+    consumer, and fault-tolerant {!Session}s with reconnect and replay.
+
+    Every client negotiates formats the one way the paper's endpoint
+    protocol describes ({!Omf_transport.Endpoint}): a sender announces
+    each format's descriptor once per connection, and a receiver learns
+    it once ({!Omf_pbio.Pbio.Receiver.learn}) and then converts every
+    message. Nothing here reaches into the server; the contract of
+    every entry point is in relay_client.mli. *)
+
+open Omf_transport
+module Proto = Relay_proto
+module Trace = Omf_trace.Trace
+module Catalog = Omf_xml2wire.Catalog
+module Pbio = Omf_pbio.Pbio
+module Format = Omf_pbio.Format
+module Value = Omf_pbio.Value
+module Prng = Omf_util.Prng
+
+let log = Logs.Src.create "omf.relay.client" ~doc:"relay clients and sessions"
+
+module Log = (val Logs.src_log log)
+
+(* ------------------------------------------------------------------ *)
+(* Client                                                               *)
+(* ------------------------------------------------------------------ *)
+
+module Client = struct
+  exception Error of string
+
+  exception Busy of { retry_ms : int }
+
+  type t = {
+    link : Link.t;
+    comp : Tcp.comp_totals option;
+    fd : Unix.file_descr;
+    mac : Macframe.state option;
+        (** the link's frame modes, kept so a relay can adopt the
+            socket mid-stream ({!Relay.adopt_replica}) *)
+  }
+
+  (* every transport-level failure ({!Tcp.failure_message}) surfaces as
+     Client.Error with a readable message; raw Unix_error / Tcp_error
+     never escape *)
+  let reraise (context : string) = function
+    | Error m -> raise (Error m)
+    | e -> (
+      match Tcp.failure_message e with
+      | Some m -> raise (Error (context ^ ": " ^ m))
+      | None -> raise e)
+
+  let transient = function
+    | Error _ -> true
+    | e -> Tcp.failure_message e <> None
+
+  let rpc (t : t) (req : Proto.request) : Proto.reply =
+    match
+      Link.send t.link (Proto.encode_request req);
+      Link.recv t.link
+    with
+    | None -> raise (Error "relay closed the connection")
+    | Some r -> (
+      match Proto.decode_reply r with
+      | Ok reply -> reply
+      | Error _ -> raise (Error "malformed reply"))
+    | exception e -> reraise "relay rpc" e
+
+  (* the OK body of [req]: error and busy replies raise *)
+  let call (t : t) (req : Proto.request) : string =
+    match rpc t req with
+    | Proto.Ok body -> body
+    | Proto.Err msg -> raise (Error msg)
+    | Proto.Busy ms -> raise (Busy { retry_ms = (if ms > 0 then ms else 250) })
+    | Proto.Ack _ -> raise (Error "malformed reply")
+
+  let decoded (r : ('a, string) result) : 'a =
+    match r with Ok v -> v | Error msg -> raise (Error ("relay reply: " ^ msg))
+
+  let connect ?(host = "127.0.0.1") ~port ?(creds = []) ?auth
+      ?(compress = false) ?connect_timeout_s ?io_timeout_s () : t =
+    let fd =
+      try Tcp.dial ~host ~port ?connect_timeout_s ?io_timeout_s ()
+      with e -> reraise (Printf.sprintf "relay connect %s:%d" host port) e
+    in
+    (* HELLO runs on the plain link; the negotiated modes then frame
+       every later byte on the same socket *)
+    let plain = Tcp.link_of_fd fd in
+    try
+      let hello_creds =
+        (if compress then [ ("comp", "lz") ] else [])
+        @
+        match auth with
+        | None -> creds
+        | Some (key_id, _) ->
+          creds @ [ ("auth", "hmac"); ("key-id", key_id) ]
+      in
+      let granted =
+        Proto.decode_banner
+          (call { link = plain; comp = None; fd; mac = None }
+             (Proto.Hello hello_creds))
+      in
+      (* the relay must have granted the auth mode we asked for *)
+      if auth <> None && not granted.Proto.mac then
+        raise (Error "relay did not negotiate authenticated framing");
+      let mac = Option.map (fun (_, key) -> Macframe.state ~key) auth in
+      let comp =
+        if compress && granted.Proto.comp then
+          Some { Tcp.raw_bytes = 0; wire_bytes = 0 }
+        else None
+      in
+      { link = Tcp.link_of_fd ?mac ?comp fd; comp; fd; mac }
+    with e ->
+      (* no fd leak on handshake failure *)
+      (try Link.close plain with _ -> ());
+      reraise "relay handshake" e
+
+  let compressed (t : t) : bool = t.comp <> None
+  let fd (t : t) = t.fd
+  let mac (t : t) = t.mac
+
+  let comp_totals (t : t) : (int * int) option =
+    match t.comp with
+    | None -> None
+    | Some c -> Some (c.Tcp.raw_bytes, c.wire_bytes)
+
+  let advertise ?(meta = []) (t : t) ~(stream : string) ~(schema : string) :
+      unit =
+    ignore (call t (Proto.Advertise { stream; meta; schema }))
+
+  let stats (t : t) : (string * int) list =
+    Proto.decode_stats (call t Proto.Stats)
+
+  (* plain and acked PUBLISH: the typed watermark reply *)
+  let publish_with ?trace ~acks (t : t) stream =
+    decoded
+      (Proto.decode_published (call t (Proto.Publish { stream; acks; trace })))
+
+  let publish ?trace (t : t) ~(stream : string) : Link.t =
+    ignore (publish_with ?trace ~acks:false t stream);
+    t.link
+
+  (* SUBSCRIBE and DESCRIBE: the typed schema reply *)
+  let schema_reply ~offset ~meta (t : t) (req : Proto.request) =
+    decoded (Proto.decode_schema_reply ~offset ~meta (call t req))
+
+  let subscribe (t : t) ~(stream : string) : string * Link.t =
+    (call t (Proto.Subscribe { stream; from = None; meta = false }), t.link)
+
+  let subscribe_meta (t : t) ~(stream : string) :
+      (string * string) list * string * Link.t =
+    let r =
+      schema_reply ~offset:false ~meta:true t
+        (Proto.Subscribe { stream; from = None; meta = true })
+    in
+    (r.Proto.meta, r.Proto.schema, t.link)
+
+  let publish_acked ?trace (t : t) ~(stream : string) : int option * Link.t =
+    (publish_with ?trace ~acks:true t stream, t.link)
+
+  let subscribe_from (t : t) ~(stream : string) ~(from : int) :
+      int option * string * Link.t =
+    let r =
+      schema_reply ~offset:true ~meta:false t
+        (Proto.Subscribe { stream; from = Some from; meta = false })
+    in
+    (r.Proto.offset, r.Proto.schema, t.link)
+
+  let list_streams (t : t) : string list =
+    Proto.decode_list (call t Proto.List)
+
+  let describe (t : t) ~(stream : string) : (string * string) list * string =
+    let r = schema_reply ~offset:false ~meta:true t (Proto.Describe stream) in
+    (r.Proto.meta, r.Proto.schema)
+
+  let promote (t : t) ~(stream : string) : int =
+    decoded (Proto.decode_epoch (call t (Proto.Promote stream)))
+
+  let close (t : t) = try Link.close t.link with _ -> ()
+end
+
+(* ------------------------------------------------------------------ *)
+(* A fully wired remote consumer                                       *)
+(* ------------------------------------------------------------------ *)
+
+type consumer = {
+  client : Client.t;
+  catalog : Catalog.t;
+  endpoint : Endpoint.Receiver.t;
+  schema : string;  (** the scoped schema the relay served *)
+}
+
+let attach_consumer ?host ~port ?creds ?auth ?compress ~(stream : string)
+    (abi : Omf_machine.Abi.t) : consumer =
+  let client = Client.connect ?host ~port ?creds ?auth ?compress () in
+  let schema, link =
+    try Client.subscribe client ~stream
+    with e ->
+      Client.close client;
+      raise e
+  in
+  let catalog = Catalog.create abi in
+  ignore
+    (Omf_xml2wire.Xml2wire.register_schema ~source:("relay:" ^ stream) catalog
+       schema);
+  let endpoint =
+    Endpoint.Receiver.create link
+      (Catalog.registry catalog)
+      (Omf_machine.Memory.create abi)
+  in
+  { client; catalog; endpoint; schema }
+
+let recv (c : consumer) : (Format.t * Value.t) option =
+  Endpoint.Receiver.recv_value c.endpoint
+
+let close_consumer (c : consumer) : unit = Client.close c.client
+
+(* ------------------------------------------------------------------ *)
+(* Fault-tolerant sessions                                              *)
+(* ------------------------------------------------------------------ *)
+
+module Session = struct
+  exception Gave_up of string
+  exception Overflow of string
+
+  type config = {
+    host : string;
+    port : int;
+    creds : (string * string) list;
+    auth : (string * string) option;  (** [(key-id, secret)] *)
+    compress : bool;
+        (** offer [comp=lz] on every (re)connect; negotiated down
+            against a relay that doesn't speak it *)
+    max_attempts : int;  (** reconnect attempts per outage *)
+    base_delay_s : float;  (** first backoff step *)
+    max_delay_s : float;  (** backoff cap *)
+    connect_timeout_s : float option;
+    io_timeout_s : float option;
+    jitter_seed : int64;  (** deterministic jitter (tests) *)
+  }
+
+  let config ?(host = "127.0.0.1") ?(creds = []) ?auth ?(compress = false)
+      ?(max_attempts = 10) ?(base_delay_s = 0.05) ?(max_delay_s = 2.0)
+      ?(connect_timeout_s = 5.0) ?io_timeout_s ?(jitter_seed = 1L) ~port () :
+      config =
+    { host; port; creds; auth; compress; max_attempts; base_delay_s
+    ; max_delay_s; connect_timeout_s = Some connect_timeout_s; io_timeout_s
+    ; jitter_seed }
+
+  (* backoff step k (0-based) is min(cap, base * 2^k) scaled into
+     [0.5, 1.0) — full-jitter halves thundering-herd resubscription
+     after a relayd restart while keeping tests deterministic via the
+     seeded PRNG *)
+  let backoff_delay ~base_s ~max_s rng attempt =
+    let d = base_s *. (2.0 ** float_of_int attempt) in
+    Float.min max_s d *. (0.5 +. (0.5 *. Prng.float rng))
+
+  let connect_client ?(reconnect = false) (cfg : config) : Client.t =
+    let creds =
+      if reconnect then cfg.creds @ [ ("omf-reconnect", "1") ] else cfg.creds
+    in
+    Client.connect ~host:cfg.host ~port:cfg.port ~creds ?auth:cfg.auth
+      ~compress:cfg.compress ?connect_timeout_s:cfg.connect_timeout_s
+      ?io_timeout_s:cfg.io_timeout_s ()
+
+  exception Closed
+  (* raised out of the retry loops once the session is closed, so a
+     blocked call returns instead of reconnecting a session nobody owns *)
+
+  let refused = function Client.Error msg -> Proto.is_refusal msg | _ -> false
+
+  (** Reconnect and replay session state: dial a fresh connection and
+      run [f] (which re-issues SUBSCRIBE or ADVERTISE/PUBLISH) against
+      it, retrying transient failures under the budget — except those
+      [final] says no fresh connection can cure. The first attempt
+      dials at once; attempt [k] waits backoff step [k - 1] first.
+      [closed] is checked before each attempt and after each sleep; a
+      connection won after a close is closed at once. *)
+  let with_retries ?(final = fun _ -> false) (cfg : config) rng ~closed
+      ~(what : string) (f : Client.t -> 'a) : 'a =
+    let rec go attempt =
+      if closed () then raise Closed;
+      if attempt >= cfg.max_attempts then
+        raise
+          (Gave_up
+             (Printf.sprintf "%s: gave up after %d reconnect attempts" what
+                cfg.max_attempts));
+      if attempt > 0 then begin
+        Thread.delay
+          (backoff_delay ~base_s:cfg.base_delay_s ~max_s:cfg.max_delay_s rng
+             (attempt - 1));
+        if closed () then raise Closed
+      end;
+      let retry e =
+        Log.debug (fun m ->
+            m "%s: reconnect attempt %d failed: %s" what (attempt + 1)
+              (Printexc.to_string e));
+        go (attempt + 1)
+      in
+      match connect_client ~reconnect:true cfg with
+      | exception e when Client.transient e -> retry e
+      | client -> (
+        match f client with
+        | v ->
+          if closed () then begin
+            Client.close client;
+            raise Closed
+          end;
+          v
+        | exception e ->
+          Client.close client;
+          if Client.transient e && not (final e) then retry e else raise e)
+    in
+    go 0
+
+  (** A [busy] reply is not an outage: the relay is alive and asked us
+      to slow down (PROTOCOLS.md §16). Sleep the suggested [retry_ms]
+      (full jitter, like {!backoff_delay}) and retry [f] on the {e
+      same} connection — reconnecting would only add handshake load to
+      an overloaded relay. [on_busy] is called once per wait (session
+      counters). After [max_attempts] busy replies the last
+      {!Client.Busy} is re-raised: overload stays overload, never an
+      exhausted reconnect budget. *)
+  let with_busy_backoff (cfg : config) rng ~closed ~(what : string) ~on_busy
+      (f : unit -> 'a) : 'a =
+    let rec go attempt =
+      if closed () then raise Closed;
+      match f () with
+      | v -> v
+      | exception (Client.Busy { retry_ms } as busy) ->
+        if attempt + 1 >= Stdlib.max 1 cfg.max_attempts then raise busy;
+        on_busy ();
+        let d =
+          backoff_delay ~base_s:(float_of_int retry_ms /. 1000.)
+            ~max_s:infinity rng 0
+        in
+        Log.debug (fun m ->
+            m "%s: relay busy, retrying in %.0f ms (attempt %d)" what
+              (d *. 1000.) (attempt + 1));
+        Thread.delay d;
+        go (attempt + 1)
+    in
+    go 0
+
+  (* ---------------------------------------------------------------- *)
+  (* Subscriber sessions                                                *)
+  (* ---------------------------------------------------------------- *)
+
+  type subscriber = {
+    s_cfg : config;
+    s_stream : string;
+    s_pbio : Pbio.Receiver.t;
+        (** one receiver for every connection: descriptors the relay
+            replays after a reconnect are already learned, so learning
+            them again is a no-op *)
+    s_rng : Prng.t;
+    mutable s_conn : (Client.t * Endpoint.Receiver.t) option;
+        (** the live connection and the endpoint reading its link *)
+    mutable s_next : int;
+        (** store offset of the next expected message frame; [-1] when
+            the relay does not track offsets (memory-only) *)
+    mutable s_reconnects : int;
+    mutable s_trace : Trace.ctx option;
+        (** the stream's trace context as served by DESCRIBE at
+            subscribe time ([want_trace] only) *)
+    mutable s_closed : bool;
+  }
+
+  let drop_subscriber_link (s : subscriber) =
+    Option.iter (fun (c, _) -> Client.close c) s.s_conn;
+    s.s_conn <- None
+
+  (** SUBSCRIBE on [client] from the next expected offset — the
+      handshake of the first connection and of every reconnect. An
+      overloaded relay refuses the [from=] replay with [busy]: hold
+      this connection and wait it out instead of burning reconnect
+      attempts. *)
+  let attach (s : subscriber) (client : Client.t) =
+    let offset, schema, link =
+      with_busy_backoff s.s_cfg s.s_rng
+        ~closed:(fun () -> s.s_closed)
+        ~what:(Printf.sprintf "subscriber %s" s.s_stream)
+        ~on_busy:ignore
+        (fun () ->
+          Client.subscribe_from client ~stream:s.s_stream ~from:s.s_next)
+    in
+    s.s_conn <- Some (client, Endpoint.Receiver.of_pbio s.s_pbio link);
+    (* a clamped offset (> the request) means retention outran this
+       subscriber during an outage: the gap is unrecoverable and
+       delivery resumes at the oldest retained event *)
+    s.s_next <- Option.value offset ~default:(-1);
+    schema
+
+  (* the first connection raises at once; the relay's [skip_until]
+     filter makes a [from=] resubscribe duplicate-free *)
+  let subscribe ?(from = -1) ?(want_trace = false) (cfg : config)
+      ~(stream : string) (abi : Omf_machine.Abi.t) : subscriber =
+    let catalog = Catalog.create abi in
+    let s =
+      { s_cfg = cfg; s_stream = stream
+      ; s_pbio =
+          Pbio.Receiver.create
+            (Catalog.registry catalog)
+            (Omf_machine.Memory.create abi)
+      ; s_rng = Prng.create ~seed:cfg.jitter_seed ()
+      ; s_conn = None; s_next = from
+      ; s_reconnects = 0; s_trace = None; s_closed = false }
+    in
+    let client = connect_client cfg in
+    let schema =
+      try
+        (* [want_trace]: learn the stream's trace context (PROTOCOLS.md
+           §17) with a DESCRIBE on the still-roleless connection, before
+           SUBSCRIBE pins it receive-only. Best-effort — a relay without
+           tracing simply serves no [trace=] line. *)
+        if want_trace then
+          s.s_trace <-
+            (match Client.describe client ~stream with
+            | meta, _ -> fst (Proto.split_trace meta)
+            | exception _ -> None);
+        attach s client
+      with e ->
+        Client.close client;
+        raise e
+    in
+    ignore
+      (Omf_xml2wire.Xml2wire.register_schema ~source:("relay:" ^ stream)
+         catalog schema);
+    s
+
+  let resubscribe (s : subscriber) : unit =
+    with_retries s.s_cfg s.s_rng
+      ~closed:(fun () -> s.s_closed)
+      ~what:(Printf.sprintf "subscriber %s" s.s_stream)
+      (fun client ->
+        ignore (attach s client);
+        s.s_reconnects <- s.s_reconnects + 1;
+        Log.info (fun m ->
+            m "subscriber %s: resubscribed from offset %d (reconnect %d)"
+              s.s_stream s.s_next s.s_reconnects))
+
+  let rec recv_subscriber (s : subscriber) : (Format.t * Value.t) option =
+    if s.s_closed then None
+    else
+      match s.s_conn with
+      | None -> (
+        match resubscribe s with
+        | () -> recv_subscriber s
+        | exception Closed -> None)
+      | Some (_, endpoint) -> (
+        match Endpoint.Receiver.recv_value endpoint with
+        | Some _ as event ->
+          if s.s_next >= 0 then s.s_next <- s.s_next + 1;
+          event
+        | None | exception Endpoint.Protocol_error _ ->
+          (* graceful close or garbage: either way, this link is done *)
+          drop_subscriber_link s;
+          recv_subscriber s
+        | exception e when s.s_closed || Client.transient e ->
+          drop_subscriber_link s;
+          recv_subscriber s)
+
+  let subscriber_reconnects (s : subscriber) = s.s_reconnects
+  let subscriber_trace (s : subscriber) = s.s_trace
+
+  let subscriber_stats (s : subscriber) : Pbio.Receiver.stats =
+    Pbio.Receiver.stats s.s_pbio
+
+  let close_subscriber (s : subscriber) : unit =
+    s.s_closed <- true;
+    drop_subscriber_link s
+
+  (* ---------------------------------------------------------------- *)
+  (* Publisher sessions                                                 *)
+  (* ---------------------------------------------------------------- *)
+
+  type pending = { p_fmt : Format.t; p_frame : Bytes.t; mutable p_seq : int }
+  (** [p_seq] is the store offset this frame occupies (ack mode only;
+      renumbered when a reconnect learns the store regressed). *)
+
+  type publisher = {
+    b_cfg : config;
+    b_stream : string;
+    b_schema : string;
+    b_trace : Trace.ctx option;
+        (** trace context re-attached to every PUBLISH, including the
+            replayed one after a reconnect (PROTOCOLS.md §17) *)
+    b_window : int;
+    b_catalog : Catalog.t;
+    b_mem : Omf_machine.Memory.t;
+    b_rng : Prng.t;
+    b_buf : pending Queue.t;
+        (** marshalled frames not yet written to the current link *)
+    b_inflight : pending Queue.t;
+        (** ack mode: frames written but not yet acknowledged durable —
+            they stay here until the relay's ['k'] ack covers them, so
+            a relay crash loses nothing *)
+    mutable b_ack_mode : bool;
+        (** publishing with [acks=1] against a store-backed relay *)
+    mutable b_durable : int;  (** relay's durable watermark (ack mode) *)
+    mutable b_next_seq : int;  (** store offset of the next new frame *)
+    mutable b_conn : (Client.t * Endpoint.Sender.t) option;
+        (** the live connection and the sender announcing each format
+            on it once *)
+    mutable b_reconnects : int;
+    mutable b_busy_waits : int;
+        (** [busy]-triggered backoff sleeps (overload, not outage) *)
+    mutable b_closed : bool;
+    b_mu : Mutex.t;
+        (** held by every publish, flush and close, so a close from
+            another thread never writes concurrently with them *)
+  }
+
+  (** Align the session with the watermark a resume handshake returned:
+      frames the store already holds durably are retired, the surviving
+      suffix is renumbered consecutively from the watermark (identity
+      in the common case; a wiped store restarts numbering from its
+      fresh tail) and will be resent. [None] means the relay is not
+      store-backed — acks will never arrive, so the session degrades
+      to plain fire-and-forget. *)
+  let resync_acked (p : publisher) (durable : int option) =
+    (* every unacknowledged frame is resent on the fresh connection *)
+    Queue.transfer p.b_buf p.b_inflight;
+    Queue.transfer p.b_inflight p.b_buf;
+    match durable with
+    | None ->
+      p.b_ack_mode <- false;
+      Log.warn (fun m ->
+          m "publisher %s: relay not store-backed; acks disabled" p.b_stream)
+    | Some d ->
+      p.b_durable <- d;
+      let rec trim () =
+        match Queue.peek_opt p.b_buf with
+        | Some e when e.p_seq < d ->
+          ignore (Queue.pop p.b_buf);
+          trim ()
+        | _ -> ()
+      in
+      trim ();
+      let i = ref d in
+      Queue.iter
+        (fun e ->
+          e.p_seq <- !i;
+          incr i)
+        p.b_buf;
+      p.b_next_seq <- !i
+
+  (** The per-connection handshake, run on the first connection and
+      replayed on every reconnect: ADVERTISE, then
+      PUBLISH ([acks=1] in ack mode, the [b_trace] context when set).
+      ADVERTISE is control traffic and always admitted; PUBLISH may be
+      shed under overload — waited out on this connection. A fresh
+      sender announces every format again on the new connection. *)
+  let handshake (p : publisher) (client : Client.t) =
+    Client.advertise client ~stream:p.b_stream
+      ~schema:p.b_schema;
+    let w =
+      with_busy_backoff p.b_cfg p.b_rng
+        ~closed:(fun () -> p.b_closed)
+        ~what:(Printf.sprintf "publisher %s" p.b_stream)
+        ~on_busy:(fun () -> p.b_busy_waits <- p.b_busy_waits + 1)
+        (fun () ->
+          Client.publish_with ?trace:p.b_trace ~acks:p.b_ack_mode client
+            p.b_stream)
+    in
+    p.b_conn <-
+      Some (client, Endpoint.Sender.create client.Client.link p.b_mem);
+    if p.b_ack_mode then resync_acked p w
+
+  let publisher ?(window = 1024) ?(acked = false) ?trace (cfg : config)
+      ~(stream : string) ~(schema : string) (abi : Omf_machine.Abi.t) :
+      publisher =
+    let p =
+      { b_cfg = cfg; b_stream = stream; b_schema = schema
+      ; b_trace = trace; b_window = window
+      ; b_catalog = Catalog.create abi; b_mem = Omf_machine.Memory.create abi
+      ; b_rng = Prng.create ~seed:cfg.jitter_seed ()
+      ; b_buf = Queue.create (); b_inflight = Queue.create ()
+      ; b_ack_mode = acked; b_durable = 0; b_next_seq = 0
+      ; b_conn = None; b_reconnects = 0; b_busy_waits = 0
+      ; b_closed = false; b_mu = Mutex.create () }
+    in
+    let client = connect_client cfg in
+    (try handshake p client
+     with e ->
+       Client.close client;
+       raise e);
+    ignore (Omf_xml2wire.Xml2wire.register_schema p.b_catalog schema);
+    p
+
+  let publisher_format (p : publisher) (name : string) : Format.t option =
+    Catalog.find_format p.b_catalog name
+
+  let publisher_reconnects (p : publisher) = p.b_reconnects
+  let publisher_busy_waits (p : publisher) = p.b_busy_waits
+
+  let publisher_buffered (p : publisher) =
+    Queue.length p.b_buf + Queue.length p.b_inflight
+
+  let publisher_acked (p : publisher) = p.b_ack_mode
+  let publisher_durable (p : publisher) = p.b_durable
+
+  let drop_publisher_link (p : publisher) =
+    Option.iter (fun (c, _) -> Client.close c) p.b_conn;
+    p.b_conn <- None
+
+  (** Write buffered frames to the live link, announcing each format's
+      descriptor first if this connection has not seen it. Ack mode
+      moves each written frame to [b_inflight] until an ack covers it.
+      [false] = the link broke (the unwritten tail stays buffered). *)
+  let try_flush (p : publisher) : bool =
+    match p.b_conn with
+    | None -> false
+    | Some (client, sender) -> (
+      try
+        while not (Queue.is_empty p.b_buf) do
+          let e = Queue.peek p.b_buf in
+          Endpoint.Sender.announce sender e.p_fmt;
+          Link.send client.Client.link e.p_frame;
+          ignore (Queue.pop p.b_buf);
+          if p.b_ack_mode then Queue.add e p.b_inflight
+        done;
+        true
+      with e when Client.transient e ->
+        drop_publisher_link p;
+        false)
+
+  (** An ack covering offsets below [n] retires the in-flight frames
+      it covers. *)
+  let process_ack (p : publisher) (n : int) =
+    if n > p.b_durable then p.b_durable <- n;
+    let rec pop () =
+      match Queue.peek_opt p.b_inflight with
+      | Some e when e.p_seq < n ->
+        ignore (Queue.pop p.b_inflight);
+        pop ()
+      | _ -> ()
+    in
+    pop ()
+
+  (** Blocking read of one frame from the publisher link — ['k'] acks
+      retire buffered frames, ['e'] is a relay-reported error. [false]
+      = the link is gone (dropped here on any transient failure). *)
+  let drain_ack (p : publisher) : bool =
+    match p.b_conn with
+    | None -> false
+    | Some (client, _) -> (
+      match Link.recv client.Client.link with
+      | Some frame -> (
+        match Proto.decode_reply frame with
+        | Ok (Proto.Ack n) ->
+          process_ack p n;
+          true
+        | Ok (Proto.Err msg) -> raise (Client.Error msg)
+        | Ok (Proto.Ok _ | Proto.Busy _) | Error _ -> true)
+      | None ->
+        drop_publisher_link p;
+        false
+      | exception e ->
+        if Client.transient e then begin
+          drop_publisher_link p;
+          false
+        end
+        else raise e)
+
+  (** Bounded reconnect replaying {!handshake} (the relay may have
+      restarted with no streams). [false] = budget exhausted or session
+      closed; buffered frames are kept for the next attempt. A refusal
+      ({!Relay_proto.is_refusal}: read-only, stale epoch, ...) is
+      final: no fresh connection cures it, so it is raised. *)
+  let reconnect_publisher (p : publisher) : bool =
+    match
+      with_retries ~final:refused p.b_cfg p.b_rng
+        ~closed:(fun () -> p.b_closed)
+        ~what:(Printf.sprintf "publisher %s" p.b_stream)
+        (fun client ->
+          handshake p client;
+          p.b_reconnects <- p.b_reconnects + 1;
+          Log.info (fun m ->
+              m "publisher %s: reconnected (reconnect %d, %d frames buffered)"
+                p.b_stream p.b_reconnects (publisher_buffered p)))
+    with
+    | () -> true
+    | exception (Gave_up _ | Closed) -> false
+
+  (** Ack mode: drain acks until [until ()] holds, reconnecting (three
+      rounds at most) when the link breaks; [fail ()] is raised when
+      the relay stays unreachable. *)
+  let await_acks (p : publisher) ~until ~fail =
+    let rounds = ref 0 in
+    while p.b_ack_mode && not (until ()) do
+      if Option.is_none p.b_conn then begin
+        if !rounds >= 3 || not (reconnect_publisher p) then raise (fail ());
+        incr rounds
+      end;
+      ignore (try_flush p);
+      if p.b_ack_mode && not (until ()) then ignore (drain_ack p)
+    done
+
+  let publish_value (p : publisher) (fmt : Format.t) (v : Value.t) : unit =
+    Mutex.protect p.b_mu @@ fun () ->
+    if p.b_closed then raise (Client.Error "publisher session closed");
+    if publisher_buffered p >= p.b_window then begin
+      let full () =
+        Overflow
+          (Printf.sprintf
+             "publisher %s: window (%d frames) full while the relay is \
+              unreachable"
+             p.b_stream p.b_window)
+      in
+      await_acks p ~until:(fun () -> publisher_buffered p < p.b_window) ~fail:full;
+      if publisher_buffered p >= p.b_window then raise (full ())
+    end;
+    (* marshal under the lock: [b_mem] is the session's one scratch
+       memory, shared by every publishing thread *)
+    Omf_machine.Memory.reset p.b_mem;
+    let msg = Pbio.message p.b_mem fmt (Omf_pbio.Native.store p.b_mem fmt v) in
+    let seq = p.b_next_seq in
+    if p.b_ack_mode then p.b_next_seq <- seq + 1;
+    Queue.add
+      { p_fmt = fmt; p_frame = Endpoint.frame Endpoint.frame_message msg
+      ; p_seq = seq }
+      p.b_buf;
+    if not (try_flush p) then
+      if reconnect_publisher p then ignore (try_flush p)
+
+  let flush_acked (p : publisher) : unit =
+    Mutex.protect p.b_mu @@ fun () ->
+    if not p.b_ack_mode then ignore (try_flush p)
+    else
+      await_acks p
+        ~until:(fun () -> publisher_buffered p = 0)
+        ~fail:(fun () ->
+          Gave_up
+            (Printf.sprintf
+               "publisher %s: flush: relay unreachable with %d \
+                unacknowledged frames"
+               p.b_stream (publisher_buffered p)))
+
+  (* the flag is set before taking the lock, so a publish or flush in
+     the reconnect loop on another thread gives up at its next check *)
+  let close_publisher (p : publisher) : unit =
+    if not p.b_closed then begin
+      p.b_closed <- true;
+      Mutex.protect p.b_mu @@ fun () ->
+      ignore (try try_flush p with _ -> false);
+      drop_publisher_link p
+    end
+end

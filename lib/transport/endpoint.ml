@@ -67,9 +67,11 @@ module Receiver = struct
     pbio : Pbio.Receiver.t;
   }
 
+  let of_pbio (pbio : Pbio.Receiver.t) (link : Link.t) : t = { link; pbio }
+
   let create ?mode (link : Link.t) (registry : Format.Registry.t)
       (mem : Memory.t) : t =
-    { link; pbio = Pbio.Receiver.create ?mode registry mem }
+    of_pbio (Pbio.Receiver.create ?mode registry mem) link
 
   let pbio_receiver t = t.pbio
 

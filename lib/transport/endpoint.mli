@@ -35,6 +35,11 @@ module Receiver : sig
   val create :
     ?mode:Pbio.Receiver.mode -> Link.t -> Format.Registry.t -> Memory.t -> t
 
+  val of_pbio : Pbio.Receiver.t -> Link.t -> t
+  (** An endpoint reading [link] into an existing receiver: formats it
+      learned on an earlier link stay learned, and a byte-identical
+      descriptor replayed on this one is a no-op. *)
+
   val pbio_receiver : t -> Pbio.Receiver.t
 
   val recv : t -> (Format.t * int) option

@@ -480,6 +480,62 @@ let test_receiver_stats () =
   check int "one plan compiled (cache works)" 1 s.Receiver.plans_compiled;
   check int "no resolver involved" 0 s.Receiver.resolver_lookups
 
+(* a relay replays every cached descriptor to a reconnecting
+   subscriber: the blob already known under its id changes nothing *)
+let test_learn_same_blob_once () =
+  let sreg = Registry.create Abi.x86_64 in
+  let rreg = Registry.create Abi.sparc_32 in
+  let sfmt = Registry.register sreg Fx.decl_a in
+  ignore (Registry.register rreg Fx.decl_a);
+  let receiver = Receiver.create rreg (Memory.create Abi.sparc_32) in
+  let blob = Format_codec.encode sfmt in
+  let smem = Memory.create Abi.x86_64 in
+  let send () =
+    (* a fresh message each time: the compiled plan converts in place *)
+    Memory.reset smem;
+    ignore
+      (Receiver.receive receiver
+         (message smem sfmt (Native.store smem sfmt Fx.value_a)))
+  in
+  ignore (Receiver.learn receiver blob);
+  send ();
+  ignore (Receiver.learn receiver blob);
+  send ();
+  let s = Receiver.stats receiver in
+  check int "the same blob is learned once" 1 s.Receiver.formats_learned;
+  check int "its plan stays cached" 1 s.Receiver.plans_compiled
+
+(* a different blob under a known id is a new format: learned again,
+   and messages after it convert through a fresh plan *)
+let test_learn_changed_blob () =
+  let v1 = Registry.register (Registry.create Abi.x86_64) decl_v1 in
+  let v2 = Registry.register (Registry.create Abi.x86_64) decl_v2 in
+  check int "both versions share one wire id" v1.Format.id v2.Format.id;
+  let rreg = Registry.create Abi.sparc_32 in
+  ignore (Registry.register rreg decl_v2);
+  let receiver = Receiver.create rreg (Memory.create Abi.sparc_32) in
+  let smem = Memory.create Abi.x86_64 in
+  let receive fmt v =
+    Memory.reset smem;
+    snd
+      (Receiver.receive_value receiver
+         (message smem fmt (Native.store smem fmt v)))
+  in
+  let lat_lon = [ ("lat", Value.Float 33.64); ("lon", Value.Float (-84.43)) ] in
+  ignore (Receiver.learn receiver (Format_codec.encode v1));
+  ignore (receive v1 (Value.Record lat_lon));
+  ignore (Receiver.learn receiver (Format_codec.encode v2));
+  let full =
+    Value.Record
+      (lat_lon
+      @ [ ("alt", Value.Float 10000.0); ("callsign", Value.String "DAL1771") ])
+  in
+  check value_testable "v2 fields arrive after the relearn" full
+    (receive v2 full);
+  let s = Receiver.stats receiver in
+  check int "the changed blob is learned again" 2 s.Receiver.formats_learned;
+  check int "its plan is recompiled" 2 s.Receiver.plans_compiled
+
 (* ------------------------------------------------------------------ *)
 (* Format negotiation descriptors                                       *)
 (* ------------------------------------------------------------------ *)
@@ -816,7 +872,11 @@ let () =
         ; Alcotest.test_case "corruption rejected" `Quick
             test_codec_rejects_corruption
         ; Alcotest.test_case "receive before negotiation fails" `Quick
-            test_receiver_requires_negotiation ] )
+            test_receiver_requires_negotiation
+        ; Alcotest.test_case "same descriptor learned once" `Quick
+            test_learn_same_blob_once
+        ; Alcotest.test_case "changed descriptor relearned" `Quick
+            test_learn_changed_blob ] )
     ; ( "framing",
         [ Alcotest.test_case "header round-trip" `Quick test_wire_header_roundtrip
         ; Alcotest.test_case "garbage rejected" `Quick test_wire_rejects_garbage

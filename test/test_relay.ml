@@ -1818,6 +1818,124 @@ let test_session_close_during_outage () =
     (Option.value ~default:0 (List.assoc_opt "subscriptions" (Relay.stats h2)));
   Relay.Client.close pub2
 
+(* two threads publishing on one session each marshal into the
+   session's scratch memory: every event must arrive intact, once *)
+let test_session_concurrent_publishers () =
+  let h = Relay.start () in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let cfg = Relay.Session.config ~port:(Relay.port h) () in
+  let pub =
+    Relay.Session.publisher cfg ~stream:"flights" ~schema:Fx.schema_a
+      Abi.x86_64
+  in
+  let sub = Relay.Session.subscribe cfg ~stream:"flights" Abi.x86_64 in
+  let fmt = Option.get (Relay.Session.publisher_format pub "ASDOffEvent") in
+  let n = 2000 in
+  (* the pad length varies with the sequence number, so an event
+     marshalled over another's would not match either *)
+  let ev seq = event ~pad:(1 + (seq mod 61 * 64)) seq in
+  let publisher w =
+    Thread.create
+      (fun () ->
+        for i = 0 to n - 1 do
+          Relay.Session.publish_value pub fmt (ev ((w * n) + i))
+        done)
+      ()
+  in
+  let seen = Array.make (2 * n) 0 and damaged = ref 0 in
+  let finished = ref false in
+  let receiver =
+    Thread.create
+      (fun () ->
+        let rec go k =
+          if k < 2 * n then
+            match Relay.Session.recv_subscriber sub with
+            | Some (_, v) ->
+              let seq = seq_of v in
+              if seq >= 0 && seq < 2 * n && Value.equal v (ev seq) then
+                seen.(seq) <- seen.(seq) + 1
+              else incr damaged;
+              go (k + 1)
+            | None -> ()
+        in
+        go 0;
+        finished := true)
+      ()
+  in
+  List.iter Thread.join [ publisher 0; publisher 1 ];
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not !finished) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Relay.Session.close_subscriber sub;
+  Thread.join receiver;
+  Relay.Session.close_publisher pub;
+  check int "no event damaged" 0 !damaged;
+  check int "every event received exactly once" (2 * n)
+    (Array.fold_left (fun acc c -> acc + if c = 1 then 1 else 0) 0 seen)
+
+(* ------------------------------------------------------------------ *)
+(* Replication links, in process                                        *)
+(* ------------------------------------------------------------------ *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* a link adopted from a socket pair: the far end plays the source *)
+let test_adopt_replica () =
+  let h = Relay.start () in
+  let frames = Atomic.make 0 and closed = ref None in
+  let rep =
+    { Relay.stream = "flights"
+    ; meta = [ ("origin", "source-relay"); ("epoch", "1") ]
+    ; schema = Fx.schema_a; trace = None
+    ; on_frame =
+        (function `Message -> Atomic.incr frames | `Descriptor -> ())
+    ; on_close = (fun ~local -> closed := Some local) }
+  in
+  (match Relay.claim_replica h rep with
+  | Ok from -> check int "a memory relay replicates from the tail" (-1) from
+  | Error msg -> Alcotest.fail msg);
+  let client, consumer =
+    timed_consumer ~port:(Relay.port h) ~stream:"flights" Abi.sparc_32
+  in
+  let near, far = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (match Relay.adopt_replica h rep near ~mac:None ~comp:false with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  let catalog = Catalog.create Abi.x86_64 in
+  ignore (X2W.register_schema catalog Fx.schema_a);
+  let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
+  let source = Tcp.link_of_fd far in
+  Endpoint.Sender.send_value
+    (Endpoint.Sender.create source (Memory.create Abi.x86_64))
+    fmt (event 1771);
+  (match Endpoint.Receiver.recv_value consumer with
+  | Some (_, v) ->
+    check int "a frame written at the far end reaches a subscriber" 1771
+      (seq_of v)
+  | None -> Alcotest.fail "the stream closed");
+  Relay.Client.close client;
+  Relay.stop h;
+  Link.close source;
+  check int "one message frame replicated" 1 (Atomic.get frames);
+  check (Alcotest.option bool) "the link closed with the relay" (Some true)
+    !closed;
+  (* once the relay is stopping, adoption takes nothing *)
+  let before = open_fds () in
+  let near, far = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (match Relay.adopt_replica h rep near ~mac:None ~comp:false with
+  | Ok () -> Alcotest.fail "adopted by a stopped relay"
+  | Error msg ->
+    check Alcotest.string "refused" "relay is shutting down" msg);
+  check bool "the caller's fd is still open" true
+    (match Unix.fstat near with
+    | _ -> true
+    | exception Unix.Unix_error _ -> false);
+  Unix.close near;
+  Unix.close far;
+  check int "closing it leaves the fd count where it started" before
+    (open_fds ())
+
 let () =
   Alcotest.run "relay"
     [ ( "frames",
@@ -1918,4 +2036,9 @@ let () =
             test_second_hello_refused ] )
     ; ( "session",
         [ Alcotest.test_case "close during an outage stops reconnecting"
-            `Quick test_session_close_during_outage ] ) ]
+            `Quick test_session_close_during_outage
+        ; Alcotest.test_case "two threads publish on one session" `Quick
+            test_session_concurrent_publishers ] )
+    ; ( "replica",
+        [ Alcotest.test_case "adopt_replica hosts a link" `Quick
+            test_adopt_replica ] ) ]
