@@ -280,21 +280,34 @@ let rec run_end src i iend =
 (* 15 plus the bytes of the run from [i] to [e] *)
 let run_value src i e = 15 + (255 * (e - 1 - i)) + Char.code (Bytes.unsafe_get src (e - 1))
 
-let decompress_sub src ~pos ~len =
+(* [into n] once the block's length [n] is known and checked: the
+   buffer the block decodes into *)
+let output into n =
+  let out = into n in
+  if Bytes.length out <> n then
+    invalid_arg
+      (Printf.sprintf "Compress.decompress_sub: into %d gave %d bytes" n
+         (Bytes.length out));
+  out
+
+let decompress_sub ?(into = Bytes.create) src ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length src then
     invalid_arg
       (Printf.sprintf "Compress.decompress_sub: window %d+%d of %d" pos len
          (Bytes.length src));
   if len < 1 then err "empty block";
   match Bytes.get src pos with
-  | c when c = tag_stored -> Bytes.sub src (pos + 1) (len - 1)
+  | c when c = tag_stored ->
+    let out = output into (len - 1) in
+    Bytes.blit src (pos + 1) out 0 (len - 1);
+    out
   | c when c = tag_lz ->
     if len < 5 then err "truncated lz header (%d bytes)" len;
     let raw_len = Int32.to_int (Bytes.get_int32_be src (pos + 1)) land 0xFFFF_FFFF in
     if raw_len > max_block_len then err "block claims %d bytes" raw_len;
     if raw_len > max_expansion * (len - 5) then
       err "block claims %d bytes from %d token bytes" raw_len (len - 5);
-    let out = Bytes.create raw_len in
+    let out = output into raw_len in
     let iend = pos + len in
     let ip = ref (pos + 5) in
     let op = ref 0 in

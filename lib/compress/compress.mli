@@ -75,9 +75,17 @@ val compress_slices : ?scratch:scratch -> Omf_util.Slice.t list -> Bytes.t
 val decompress : Bytes.t -> Bytes.t
 (** Decompress a whole block. Raises [Error] on malformed input. *)
 
-val decompress_sub : Bytes.t -> pos:int -> len:int -> Bytes.t
+val decompress_sub :
+  ?into:(int -> Bytes.t) -> Bytes.t -> pos:int -> len:int -> Bytes.t
 (** Decompress a block sitting in a window of a larger buffer. Raises
-    [Error] on malformed input, [Invalid_argument] on a bad window. *)
+    [Error] on malformed input, [Invalid_argument] on a bad window.
+    [into n] (default [Bytes.create]) supplies the buffer the block
+    decodes into and returns, of exactly the block's [n] decompressed
+    bytes ([Invalid_argument] otherwise) — a caller-owned buffer
+    reused across blocks of one length, say. It runs once the header
+    is checked, so a header claiming an impossible length raises
+    [Error] without calling it. A block that fails later may have
+    written into the buffer. *)
 
 val decompress_slice : Omf_util.Slice.t -> Bytes.t
 (** Decompress the block viewed by a slice. *)

@@ -168,29 +168,40 @@ let convert kind src_order src ~src_off ~src_size dst_order dst ~dst_off
     set_bits dst_order dst dst_off dst_size
       (sign_extend (get_bits src_order src src_off src_size) src_size)
 
+(* Native-order access without a bounds check, and the byte swaps, for
+   loops whose whole span is checked once before they start. *)
+external get16u : bytes -> int -> int = "%caml_bytes_get16u"
+external set16u : bytes -> int -> int -> unit = "%caml_bytes_set16u"
+external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
 (** [swap_blit ~src ~src_off ~dst ~dst_off ~size ~count] copies [count]
     contiguous [size]-byte values, reversing the bytes of each: a whole
     same-width array moved across byte orders in one pass. *)
 let swap_blit ~src ~src_off ~dst ~dst_off ~size ~count =
-  let len = size * count in
-  if size < 1 || count < 0 || src_off < 0 || dst_off < 0
-     || src_off > Bytes.length src - len || dst_off > Bytes.length dst - len
+  (* [count] is bounded first, so [size * count] cannot overflow *)
+  if size < 1 || count < 0 || count > Bytes.length src || src_off < 0
+     || dst_off < 0
+     || src_off > Bytes.length src - (size * count)
+     || dst_off > Bytes.length dst - (size * count)
   then invalid_arg "Endian.swap_blit";
   match size with
   | 8 ->
     for i = 0 to count - 1 do
-      Bytes.set_int64_be dst (dst_off + (8 * i))
-        (Bytes.get_int64_le src (src_off + (8 * i)))
+      set64u dst (dst_off + (8 * i)) (bswap64 (get64u src (src_off + (8 * i))))
     done
   | 4 ->
     for i = 0 to count - 1 do
-      Bytes.set_int32_be dst (dst_off + (4 * i))
-        (Bytes.get_int32_le src (src_off + (4 * i)))
+      set32u dst (dst_off + (4 * i)) (bswap32 (get32u src (src_off + (4 * i))))
     done
   | 2 ->
     for i = 0 to count - 1 do
-      Bytes.set_uint16_be dst (dst_off + (2 * i))
-        (Bytes.get_uint16_le src (src_off + (2 * i)))
+      set16u dst (dst_off + (2 * i)) (bswap16 (get16u src (src_off + (2 * i))))
     done
   | _ ->
     for i = 0 to count - 1 do

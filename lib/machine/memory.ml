@@ -15,12 +15,14 @@ type t = {
   mutable arena : bytes;
   mutable brk : int;  (** next free offset within the arena *)
   base : int;  (** simulated address of arena offset 0; keeps 0 = NULL *)
+  mutable out : bytes;  (** the buffer {!out_buffer} lends *)
 }
 
 let null = 0
 
 let create ?(initial_size = 4096) (abi : Abi.t) : t =
-  { abi; arena = Bytes.make initial_size '\000'; brk = 0; base = 0x1000 }
+  { abi; arena = Bytes.make initial_size '\000'; brk = 0; base = 0x1000
+  ; out = Bytes.empty }
 
 let abi t = t.abi
 
@@ -256,3 +258,10 @@ let allocated_bytes t = t.brk
     invalid. Long-running receivers reset their scratch memory between
     messages instead of leaking arena space. *)
 let reset t = t.brk <- 0
+
+(** [out_buffer t n] lends [t]'s one [n]-byte output buffer: the same
+    buffer while [n] repeats, a fresh one (then kept) when it changes.
+    It lives outside the arena, so {!reset} leaves it alone. *)
+let out_buffer t n =
+  if Bytes.length t.out <> n then t.out <- Bytes.create n;
+  t.out

@@ -100,3 +100,10 @@ val allocated_bytes : t -> int
 val reset : t -> unit
 (** Frees everything; previously returned addresses become invalid.
     Long-running receivers reset scratch memory between messages. *)
+
+val out_buffer : t -> int -> bytes
+(** [out_buffer t n] lends an [n]-byte buffer owned by [t], outside the
+    arena (so {!reset} keeps it): the same buffer on every call while
+    [n] repeats, a fresh one, then kept, when [n] changes. Its contents
+    are the caller's to overwrite, and valid only until the next call
+    on [t]: [Pbio.message] builds each message in it. *)

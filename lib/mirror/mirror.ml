@@ -190,26 +190,34 @@ let guarded (t : t) meta =
     Some "loops_skipped"
   else None
 
-(** SUBSCRIBE from [from]; a [busy] source (overload, not an outage)
-    is waited out on the same connection for its hint, spending no
-    budget. *)
-let rec subscribe (t : t) client ~stream ~from =
+(** SUBSCRIBE from [from]; a [busy] source is waited out on the same
+    connection, for its hint scaled by full jitter from the link's
+    [rng] ({!Relay.Session.backoff_delay} step 0), so links facing one
+    busy source do not retry in lockstep. The wait spends no budget on
+    purpose: overload is not an outage, and it must never make the
+    mirror call a live source lost. *)
+let rec subscribe (t : t) rng client ~stream ~from =
   match Client.subscribe_from client ~stream ~from with
   | start, _, _ -> start
   | exception Client.Busy { retry_ms } ->
     Counters.incr t.counters "busy_backoffs";
+    let d =
+      Relay.Session.backoff_delay ~base_s:(float_of_int retry_ms /. 1000.)
+        ~max_s:infinity rng 0
+    in
     Log.info (fun m ->
-        m "stream %s: source overloaded; pausing the link %dms" stream
-          retry_ms);
-    nap t (float_of_int retry_ms /. 1000.);
+        m "stream %s: source overloaded; pausing the link %.0fms" stream
+          (d *. 1000.));
+    nap t d;
     if stopped t then raise (Parked "mirror stopped");
-    subscribe t client ~stream ~from
+    subscribe t rng client ~stream ~from
 
 (** One link attempt: DESCRIBE the source, claim the stream on the
     local relay, subscribe from the offset the claim returned and hand
-    the connection to the relay. [false]: the loop guard skipped the
-    stream (its tag changed since the scan, which counts it next). *)
-let handshake (t : t) (ls : link_state) : bool =
+    the connection to the relay; [rng] jitters its waits on a busy
+    source. [false]: the loop guard skipped the stream (its tag changed
+    since the scan, which counts it next). *)
+let handshake (t : t) (ls : link_state) rng : bool =
   let stream = ls.l_stream in
   let client = connect_source t ~compress:t.cfg.compress in
   match
@@ -238,7 +246,7 @@ let handshake (t : t) (ls : link_state) : bool =
         | Ok from -> from
         | Error msg -> raise (Parked msg)
       in
-      (match subscribe t client ~stream ~from with
+      (match subscribe t rng client ~stream ~from with
       | Some start when from >= 0 && start > from ->
         (* source retention outran this replica: the gap is gone *)
         Counters.incr t.counters "resume_gap_clamped"
@@ -288,7 +296,7 @@ let link_thread (t : t) (ls : link_state) =
   let rng = Prng.create ~seed:(Int64.of_int (Hashtbl.hash stream)) () in
   let rec go failed =
     if not (stopped t) then
-      match handshake t ls with
+      match handshake t ls rng with
       | false -> ()
       | true ->
         Counters.incr t.counters "links_established";

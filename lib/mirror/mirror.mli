@@ -20,7 +20,11 @@
     answer); only an unreachable one is lost and, with
     [promote_on_loss], promoted locally at a bumped epoch once the
     replicated frames are fsynced. A refusal
-    parks the link; a [busy] source pauses it and spends no budget. *)
+    parks the link. A [busy] source pauses it for the source's hint,
+    scaled by full jitter into [[0.5, 1.0)] of itself from the link's
+    seeded generator, so links facing one busy source do not retry in
+    lockstep; the pause deliberately spends no budget, since overload
+    is not an outage and must never get a live source promoted away. *)
 
 type config = {
   source_host : string;

@@ -30,17 +30,21 @@ exception Unknown_format of string
 
 (** [message ?id mem fmt addr] marshals the struct at [addr]: NDR payload
     plus framing header. The sender performs no data conversion. [?id]
-    overrides the header's format id (global ids from the schema registry). *)
+    overrides the header's format id (global ids from the schema registry).
+    The message is lent: it is [mem]'s output buffer, valid until the
+    next [message] on [mem]. *)
 let message ?id (mem : Memory.t) (fmt : Format.t) (addr : int) : bytes =
-  (* one allocation: the header and the payload emitted straight after it *)
+  (* no allocation while the length repeats: the header and the payload
+     emitted straight after it, in the memory's own buffer *)
   let payload_length = Encode.length mem fmt addr in
-  let msg = Bytes.create (Wire.header_length + payload_length) in
+  let msg = Memory.out_buffer mem (Wire.header_length + payload_length) in
   Wire.put_header ?id fmt ~payload_length msg;
   Encode.emit mem fmt addr msg ~off:Wire.header_length;
   msg
 
 (** [message_of_value abi fmt v] is the one-shot convenience used by
-    examples and tests. *)
+    examples and tests; its message is the caller's, since the memory
+    that lent it is dropped. *)
 let message_of_value (abi : Abi.t) (fmt : Format.t) (v : Value.t) : bytes =
   let mem = Memory.create abi in
   message mem fmt (Native.store mem fmt v)
@@ -147,26 +151,26 @@ module Receiver = struct
           (Unknown_format
              (Printf.sprintf "peer format id %d (no negotiation seen)" id)))
 
-  (** [receive t msg] demarshals a framed message into [t]'s memory and
-      returns [(native_format, struct_address)]. The struct is laid out
-      for the receiver's ABI regardless of the sender's. The compiled
-      path converts the payload in place inside [msg]: beyond the native
+  (** [receive ?off t msg] demarshals the framed message at [msg.[off ..]]
+      (default 0, to the end of [msg]) into [t]'s memory and returns
+      [(native_format, struct_address)]. The struct is laid out for the
+      receiver's ABI regardless of the sender's. The compiled path
+      converts the payload in place inside [msg]: beyond the native
       blocks it builds in [t]'s memory, it allocates only the pair it
       returns. *)
-  let receive (t : t) (msg : bytes) : Format.t * int =
-    let id = Wire.format_id msg in
-    let len = Bytes.length msg - Wire.header_length in
+  let receive ?off (t : t) (msg : bytes) : Format.t * int =
+    (* [?off] passed on as is: a rebuilt [Some off] would cost a block *)
+    let id = Wire.format_id ?off msg in
+    let pay = Option.value off ~default:0 + Wire.header_length in
+    let len = Bytes.length msg - pay in
     let wire = resolve_format t id in
     let native = native_format_for t wire in
     let addr =
       match t.mode with
       | Compiled ->
-        Convert.run_sub (plan_for t wire native) msg ~off:Wire.header_length
-          ~len t.mem
+        Convert.run_sub (plan_for t wire native) msg ~off:pay ~len t.mem
       | Interpreted ->
-        Convert.interpret ~wire ~native
-          (Bytes.sub msg Wire.header_length len)
-          t.mem
+        Convert.interpret ~wire ~native (Bytes.sub msg pay len) t.mem
     in
     t.stats.messages <- t.stats.messages + 1;
     t.stats.bytes <- t.stats.bytes + len;

@@ -23,10 +23,18 @@ exception Unknown_format of string
 val message : ?id:int -> Memory.t -> Format.t -> int -> bytes
 (** Marshal the struct at the given address: NDR payload plus framing
     header. The sender performs no data conversion. [?id] overrides the
-    header's format id (global ids from the schema registry). *)
+    header's format id (global ids from the schema registry).
+
+    The message is lent, not given: it is the memory's output buffer
+    ({!Omf_machine.Memory.out_buffer}), valid until the next [message]
+    on the same memory, which overwrites it (or, for a different
+    length, replaces it). While lengths repeat — a stream of
+    fixed-size records — a call allocates nothing. A caller that keeps
+    a message past the next [message] on that memory copies it. *)
 
 val message_of_value : Abi.t -> Format.t -> Value.t -> bytes
-(** One-shot convenience (scratch memory). *)
+(** One-shot convenience (scratch memory). The message is the
+    caller's to keep: its memory is not reused. *)
 
 (** A receiver corresponds to one incoming connection (or journal): it
     learns peer formats from negotiation descriptors (or a resolver),
@@ -66,10 +74,13 @@ module Receiver : sig
 
   val wire_format : t -> int -> Format.t option
 
-  val receive : t -> bytes -> Format.t * int
-  (** Demarshal a framed message into the receiver's memory; returns the
-      native format and struct address. Raises {!Unknown_format} when the
-      format id is unknown and unresolvable. *)
+  val receive : ?off:int -> t -> bytes -> Format.t * int
+  (** Demarshal the framed message at [off] (default 0; it runs to the
+      end of the buffer) into the receiver's memory; returns the native
+      format and struct address. The payload is converted where it
+      lies, so a link frame carrying a kind byte before the message
+      needs no copy. Raises {!Unknown_format} when the format id is
+      unknown and unresolvable. *)
 
   val receive_value : t -> bytes -> Format.t * Value.t
 end

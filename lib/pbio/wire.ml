@@ -39,18 +39,18 @@ let write_header (h : header) : bytes =
 
 let u32 b off = Endian.read_offset Endian.Big b ~off ~size:4
 
-(* Validates magic and version in place. *)
-let check_prefix (b : bytes) =
-  if Bytes.length b < header_length then
-    frame_error "truncated header: %d bytes" (Bytes.length b);
-  if not (Bytes.get b 0 = magic.[0] && Bytes.get b 1 = magic.[1]
-          && Bytes.get b 2 = magic.[2] && Bytes.get b 3 = magic.[3])
-  then frame_error "bad magic %S" (Bytes.sub_string b 0 4);
-  let v = Char.code (Bytes.get b 4) in
+(* Validates magic and version in place, for the header at [off]. *)
+let check_prefix (b : bytes) ~off =
+  if Bytes.length b - off < header_length then
+    frame_error "truncated header: %d bytes" (Bytes.length b - off);
+  if not (Bytes.get b off = magic.[0] && Bytes.get b (off + 1) = magic.[1]
+          && Bytes.get b (off + 2) = magic.[2] && Bytes.get b (off + 3) = magic.[3])
+  then frame_error "bad magic %S" (Bytes.sub_string b off 4);
+  let v = Char.code (Bytes.get b (off + 4)) in
   if v <> version then frame_error "unsupported version %d" v
 
 let read_header (b : bytes) : header =
-  check_prefix b;
+  check_prefix b ~off:0;
   { abi_fingerprint = Bytes.sub_string b 6 Abi.fingerprint_length
   ; format_id = u32 b 12
   ; base_size = u32 b 16
@@ -66,13 +66,14 @@ let put_header ?id (fmt : Format.t) ~payload_length (b : bytes) : unit =
     ~base_size:fmt.Format.layout.Layout.size ~payload_length;
   Abi.blit_fingerprint fmt.Format.abi b ~off:6
 
-(** [format_id msg] checks a framed message's header and length in
-    place and returns its format id. The payload is
-    [msg.[header_length ..]]; nothing is copied. *)
-let format_id (msg : bytes) : int =
-  check_prefix msg;
-  let payload_length = u32 msg 20 in
-  if Bytes.length msg <> header_length + payload_length then
+(** [format_id ?off msg] checks the framed message at [msg.[off ..]]
+    (default 0, to the end of [msg]) in place and returns its format
+    id. The payload is [msg.[off + header_length ..]]; nothing is
+    copied. *)
+let format_id ?(off = 0) (msg : bytes) : int =
+  check_prefix msg ~off;
+  let payload_length = u32 msg (off + 20) in
+  if Bytes.length msg - off <> header_length + payload_length then
     frame_error "message length %d does not match header (%d + %d)"
-      (Bytes.length msg) header_length payload_length;
-  u32 msg 12
+      (Bytes.length msg - off) header_length payload_length;
+  u32 msg (off + 12)

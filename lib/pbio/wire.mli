@@ -26,7 +26,8 @@ val put_header : ?id:int -> Format.t -> payload_length:int -> bytes -> unit
     to the sender's registry id (per-connection negotiation); pass [?id]
     for a global id from the schema registry. *)
 
-val format_id : bytes -> int
-(** Check a framed message's header and length in place and return its
-    format id. The payload is the rest of the message after
-    {!header_length} bytes; nothing is copied. Raises {!Frame_error}. *)
+val format_id : ?off:int -> bytes -> int
+(** Check the framed message at [off] (default 0; it runs to the end of
+    the buffer) in place and return its format id. The payload is the
+    rest of the buffer after the {!header_length}-byte header; nothing
+    is copied. Raises {!Frame_error}. *)

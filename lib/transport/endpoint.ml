@@ -76,20 +76,22 @@ module Receiver = struct
   let pbio_receiver t = t.pbio
 
   (** [recv t] processes frames until a data message arrives (descriptor
-      frames are ingested transparently). [None] when the link closes. *)
+      frames are ingested transparently). [None] when the link closes.
+      The message is converted straight out of the frame the link
+      lent, past its kind byte. *)
   let rec recv (t : t) : (Format.t * int) option =
     match Link.recv t.link with
     | None -> None
     | Some b ->
       if Bytes.length b < 1 then proto_error "empty frame";
-      let body () = Bytes.sub b 1 (Bytes.length b - 1) in
       let kind = Bytes.get b 0 in
       if Char.equal kind frame_descriptor then begin
-        ignore (Pbio.Receiver.learn t.pbio (Bytes.to_string (body ())));
+        ignore
+          (Pbio.Receiver.learn t.pbio (Bytes.sub_string b 1 (Bytes.length b - 1)));
         recv t
       end
       else if Char.equal kind frame_message then
-        Some (Pbio.Receiver.receive t.pbio (body ()))
+        Some (Pbio.Receiver.receive ~off:1 t.pbio b)
       else proto_error "unknown frame kind %C" kind
 
   let recv_value (t : t) : (Format.t * Value.t) option =

@@ -68,6 +68,14 @@ let link_of_fd ?mac ?comp (fd : Unix.file_descr) : Link.t =
      threads. Compression is send-only, so its scratch is the sender's. *)
   let sbuf = ref Bytes.empty and rbuf = ref (Bytes.create hdr) in
   let ws = Option.map (fun _ -> Compress.scratch ()) comp in
+  (* the frame [recv] lends: exact-length, kept while lengths repeat *)
+  let lent = ref Bytes.empty in
+  let lend n =
+    if Bytes.length !lent <> n then lent := Bytes.create n;
+    !lent
+  in
+  (* boxed once: [~into:lend] would box it again on every frame *)
+  let into = Some lend in
   let send msg =
     if !closed then raise Link.Closed;
     (* [len][nonce][tag][payload] in one buffer, one write *)
@@ -99,7 +107,7 @@ let link_of_fd ?mac ?comp (fd : Unix.file_descr) : Link.t =
     if len < 0 || len > Frame.default_max_frame then
       tcp_error "bad frame length %d" len;
     if plain then begin
-      let msg = Bytes.create len in
+      let msg = lend len in
       really_read fd msg 0 len;
       msg
     end
@@ -109,9 +117,12 @@ let link_of_fd ?mac ?comp (fd : Unix.file_descr) : Link.t =
       really_read fd b 0 len;
       (match mac with Some st -> Macframe.open_in_place st b 0 len | None -> ());
       match comp with
-      | None -> Bytes.sub b pay (len - pay)
+      | None ->
+        let msg = lend (len - pay) in
+        Bytes.blit b pay msg 0 (len - pay);
+        msg
       | Some tot ->
-        let raw = Compress.decompress_sub b ~pos:pay ~len:(len - pay) in
+        let raw = Compress.decompress_sub ?into b ~pos:pay ~len:(len - pay) in
         tot.raw_bytes <- tot.raw_bytes + Bytes.length raw;
         tot.wire_bytes <- tot.wire_bytes + (len - pay);
         raw

@@ -32,8 +32,16 @@ val link_of_fd :
     seal (compress body). A send builds the whole frame in one
     grow-only buffer (the block compressed and the MAC computed in
     place) and issues one write; it allocates nothing. A receive reads
-    exactly one frame, never past it, into a second buffer, verifies it
-    in place and allocates only the body it returns. One thread may
+    exactly one frame, never past it, and lends the body it returns
+    ({!Link.t}): the link keeps one receive buffer of the last body's
+    exact length and reuses it while lengths repeat, so a stream of
+    fixed-size records allocates nothing per frame, and a body of a new
+    length allocates one buffer, then kept. The body is valid until the
+    next receive on the link; a caller that keeps it longer copies it.
+    A plain body is read straight into that buffer; a sealed one is
+    read into a second grow-only buffer, verified in place and copied
+    out; a compressed block is decoded into it once its header is
+    checked. One thread may
     send while another receives; two concurrent sends, or two
     concurrent receives, are not supported. A forged frame
     raises {!Macframe.Auth_error}, a corrupt block

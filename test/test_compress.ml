@@ -126,6 +126,39 @@ let test_forged_length () =
   if b > 1024.0 then
     Alcotest.failf "rejecting a forged block allocates %.0f B (budget 1024)" b
 
+(* [decompress_sub ~into] decodes into the caller's buffer and returns
+   it, for stored and lz blocks alike; a forged length is refused
+   before [into] is asked for a buffer *)
+let test_decode_into () =
+  let raw = Bytes.of_string (String.concat "" (List.init 64 (fun _ -> "abcd"))) in
+  List.iter
+    (fun (what, blk) ->
+      let mine = Bytes.create (Bytes.length raw) in
+      let out =
+        Compress.decompress_sub blk ~pos:0 ~len:(Bytes.length blk)
+          ~into:(fun n ->
+            Alcotest.(check int) (what ^ ": asked for the raw length")
+              (Bytes.length raw) n;
+            mine)
+      in
+      Alcotest.(check bool) (what ^ ": decoded into the caller's buffer") true
+        (out == mine);
+      Alcotest.check bytes_testable (what ^ ": contents") raw out)
+    [ ("lz", Compress.compress raw)
+    ; ("stored", Bytes.cat (Bytes.make 1 '\x00') raw) ];
+  let giant = Bytes.make 6 '\x00' in
+  Bytes.set giant 0 '\x01';
+  Bytes.set_int32_be giant 1 0x3FFF_FFFFl;
+  let asked = ref false in
+  (match
+     Compress.decompress_sub giant ~pos:0 ~len:6 ~into:(fun n ->
+         asked := true;
+         Bytes.create n)
+   with
+  | exception Compress.Error _ -> ()
+  | _ -> Alcotest.fail "forged block accepted");
+  Alcotest.(check bool) "forged length refused before into runs" false !asked
+
 let gen_payload =
   (* mix of compressible and adversarial shapes *)
   QCheck.Gen.(
@@ -341,6 +374,7 @@ let () =
         ; Alcotest.test_case "malformed blocks rejected" `Quick test_malformed
         ; Alcotest.test_case "forged length rejected unallocated" `Quick
             test_forged_length
+        ; Alcotest.test_case "decode into a caller buffer" `Quick test_decode_into
         ; Alcotest.test_case "golden blocks" `Quick test_golden
         ; Alcotest.test_case "allocation per frame" `Quick test_allocation
         ; Alcotest.test_case "reused scratch across ring growth" `Quick

@@ -107,8 +107,29 @@ let test_endian_swap_blit () =
         Endian.swap_in_place want ~off:(i * size) ~size
       done;
       check str (Printf.sprintf "%d-byte values" size)
-        (Omf_util.Hexdump.short want) (Omf_util.Hexdump.short got))
-    [ 1; 2; 3; 4; 8 ]
+        (Omf_util.Hexdump.short want) (Omf_util.Hexdump.short got);
+      (* at offsets, leaving the bytes around the span alone *)
+      let got = Bytes.make ((size * count) + 5) '\000' in
+      Endian.swap_blit ~src:(Bytes.cat (Bytes.make 3 'x') src) ~src_off:3
+        ~dst:got ~dst_off:2 ~size ~count;
+      check str (Printf.sprintf "%d-byte values at offsets" size)
+        ("0000" ^ Omf_util.Hexdump.short want ^ "000000")
+        (Omf_util.Hexdump.short got))
+    [ 1; 2; 3; 4; 8 ];
+  (* a span past either end, or a count whose span overflows, is refused
+     before a byte is written *)
+  let src = Bytes.make 16 '\001' in
+  List.iter
+    (fun (what, src_off, dst_off, size, count) ->
+      let dst = Bytes.make 16 '\000' in
+      Alcotest.check_raises what (Invalid_argument "Endian.swap_blit") (fun () ->
+          Endian.swap_blit ~src ~src_off ~dst ~dst_off ~size ~count);
+      check str (what ^ ": nothing written") (String.make 32 '0')
+        (Omf_util.Hexdump.short dst))
+    [ ("source end", 1, 0, 8, 2); ("destination end", 0, 9, 8, 1)
+    ; ("negative offset", -1, 0, 4, 1); ("negative count", 0, 0, 2, -1)
+    ; (* 8 * count wraps round to 8 *)
+      ("overflowing count", 0, 0, 8, (1 lsl 60) + 1) ]
 
 (* the conversion hot path's primitives keep every value unboxed *)
 let test_endian_no_allocation () =

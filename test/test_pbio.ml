@@ -480,6 +480,47 @@ let test_receiver_stats () =
   check int "one plan compiled (cache works)" 1 s.Receiver.plans_compiled;
   check int "no resolver involved" 0 s.Receiver.resolver_lookups
 
+(* [message] lends the memory's one output buffer: each message decodes
+   to its own value when read before the next [message] on that memory,
+   whatever the lengths do; a repeated length reuses the buffer *)
+let test_message_lent () =
+  let smem = Memory.create Abi.x86_64 in
+  let rreg = Registry.create Abi.sparc_32 in
+  ignore (Registry.register rreg Fx.decl_a);
+  let sfmt = Registry.register (Registry.create Abi.x86_64) Fx.decl_a in
+  let receiver = Receiver.create rreg (Memory.create Abi.sparc_32) in
+  ignore (Receiver.learn receiver (Format_codec.encode sfmt));
+  let send equip =
+    Memory.reset smem;
+    let v = Omf_testkit.Shapes.with_equip equip in
+    let msg = message smem sfmt (Native.store smem sfmt v) in
+    check value_testable ("decodes to its own value: " ^ equip) v
+      (snd (Receiver.receive_value receiver msg));
+    msg
+  in
+  let short = send "B" in
+  let long = send "heavy jet, long equipment string" in
+  check bool "a new length gets a new buffer" false (short == long);
+  let again = send "heavy jet, long equipment strinG" in
+  check bool "a repeated length reuses the buffer" true (long == again);
+  ignore (send "B")
+
+(* a message framed behind a kind byte converts where it lies *)
+let test_receive_at_offset () =
+  let sfmt = Registry.register (Registry.create Abi.x86_64) Fx.decl_a in
+  let rreg = Registry.create Abi.sparc_32 in
+  ignore (Registry.register rreg Fx.decl_a);
+  let receiver = Receiver.create rreg (Memory.create Abi.sparc_32) in
+  ignore (Receiver.learn receiver (Format_codec.encode sfmt));
+  let msg = message_of_value Abi.x86_64 sfmt Fx.value_a in
+  let framed = Bytes.cat (Bytes.make 1 'M') msg in
+  let fmt, addr = Receiver.receive ~off:1 receiver framed in
+  check value_testable "value at offset 1" Fx.value_a
+    (Native.load (Receiver.memory receiver) fmt addr);
+  match Receiver.receive ~off:2 receiver framed with
+  | _ -> Alcotest.fail "a misplaced header was accepted"
+  | exception Wire.Frame_error _ -> ()
+
 (* a relay replays every cached descriptor to a reconnecting
    subscriber: the blob already known under its id changes nothing *)
 let test_learn_same_blob_once () =
@@ -751,7 +792,8 @@ let prop_interpreted_equals_compiled =
    (almost) nothing else.
    - [Native.store] returns an address: only the odd boxed option or
      autofilled count (<= 256 B);
-   - [Pbio.message] returns the message: its own bytes + 256 B;
+   - [Pbio.message] lends the memory's buffer, so once warm it
+     allocates <= 256 B (a fresh message would cost its own bytes);
    - [Receiver.receive] converts in place and returns a pair: <= 512 B;
    - [Native.load] returns a [Value.t]: the bytes reachable from it (field
      names included) + 128 B; a float array is one [Value.Floats], 8 B per
@@ -764,7 +806,7 @@ let test_alloc_budget (shape : Omf_testkit.Shapes.t) () =
         shape.name what got budget
   in
   within "Native.store" m.bind 256.0;
-  within "Pbio.message" m.encode (float_of_int m.message_length +. 256.0);
+  within "Pbio.message" m.encode 256.0;
   within "Receiver.receive" m.receive 512.0;
   within "Native.load" m.load (float_of_int m.value_bytes +. 128.0)
 
@@ -844,7 +886,9 @@ let () =
         ; Alcotest.test_case "payload starts with native image" `Quick
             test_encode_starts_with_native_image
         ; Alcotest.test_case "ABI mismatch rejected" `Quick
-            test_encode_rejects_wrong_abi_memory ] )
+            test_encode_rejects_wrong_abi_memory
+        ; Alcotest.test_case "message lent by its memory" `Quick
+            test_message_lent ] )
     ; ( "transfer",
         [ Alcotest.test_case "homogeneous" `Quick test_homogeneous_transfer
         ; Alcotest.test_case "full cross-ABI matrix (A, B, D)" `Slow
@@ -881,7 +925,9 @@ let () =
         [ Alcotest.test_case "header round-trip" `Quick test_wire_header_roundtrip
         ; Alcotest.test_case "garbage rejected" `Quick test_wire_rejects_garbage
         ; Alcotest.test_case "malicious payload bounds-checked" `Quick
-            test_malicious_payload_bounds ] )
+            test_malicious_payload_bounds
+        ; Alcotest.test_case "receive at an offset" `Quick
+            test_receive_at_offset ] )
     ; ( "alloc",
         List.map
           (fun (shape : Omf_testkit.Shapes.t) ->

@@ -386,7 +386,8 @@ let test_async_discovery_zero_loss () =
     match Link.recv slink with
     | None -> Alcotest.fail "relay closed the stream"
     | Some frame ->
-      buffered := frame :: !buffered;
+      (* the link lends [frame] until the next recv *)
+      buffered := Bytes.copy frame :: !buffered;
       if
         Bytes.length frame > 0
         && Char.equal (Bytes.get frame 0) Endpoint.frame_message

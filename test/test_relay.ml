@@ -896,7 +896,8 @@ let descriptor_cache_dedupes ~store () =
     match Link.recv link with
     | None -> Alcotest.fail "stream closed before its first message"
     | Some f when Bytes.get f 0 = Endpoint.frame_descriptor ->
-      descriptors (f :: acc)
+      (* the link lends [f] until the next recv *)
+      descriptors (Bytes.copy f :: acc)
     | Some _ -> List.rev acc
   in
   let ds = descriptors [] in

@@ -411,7 +411,8 @@ let test_link_bytes () =
     Linkpair.modes
 
 (* after warm-up a send allocates nothing the caller keeps, and a
-   receive only the body it returns *)
+   receive nothing but its option: the body is lent from the link's
+   receive buffer, reused while lengths repeat *)
 let test_link_allocation () =
   List.iter
     (fun (m : Linkpair.mode) ->
@@ -426,12 +427,81 @@ let test_link_allocation () =
             Alcotest.failf "%s, %s: send allocates %.0f B per frame (budget 64)"
               m.name what send;
           let recv = Linkpair.recv_bytes t body in
-          if recv > float_of_int (n + 64) then
+          if recv > 64.0 then
             Alcotest.failf
-              "%s, %s: recv allocates %.0f B per frame (budget %d = body + 64)"
-              m.name what recv (n + 64))
+              "%s, %s: recv allocates %.0f B per frame of %d B (budget 64)"
+              m.name what recv n)
         link_bodies)
     Linkpair.modes
+
+(* A received body is lent until the next recv on the link. Over a
+   seeded run of bodies whose lengths repeat and alternate (0 and
+   64 KiB + 1 among them; compressible and not), each body received
+   equals the one sent, checked before the next recv, in every mode. *)
+let loan_lengths = [| 0; 1; 9; 900; 4096; 65537 |]
+
+let prop_link_loans =
+  QCheck.Test.make ~name:"framed link: each loan holds its own body" ~count:30
+    QCheck.(
+      pair small_nat
+        (list_of_size Gen.(int_range 1 16)
+           (int_bound (Array.length loan_lengths - 1))))
+    (fun (seed, picks) ->
+      let rng = Random.State.make [| seed |] in
+      let body n =
+        if Random.State.bool rng then
+          let k = Random.State.int rng 26 in
+          Bytes.init n (fun j -> Char.chr (97 + ((j / 7 + k) mod 26)))
+        else Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256))
+      in
+      let lengths =
+        [ 65537; 65537; 0; 0; 65537 ] @ List.map (Array.get loan_lengths) picks
+      in
+      List.for_all
+        (fun (m : Linkpair.mode) ->
+          let t = Linkpair.create m in
+          Fun.protect ~finally:(fun () -> Linkpair.close t) @@ fun () ->
+          List.for_all
+            (fun n ->
+              let b = body n in
+              Linkpair.write_raw t (Linkpair.peer_frame t b);
+              Bytes.equal b (Link.recv_exn t.link))
+            lengths)
+        Linkpair.modes)
+
+(* [Endpoint.Receiver.recv] converts each event straight out of the
+   frame the link lends: once warm, over a plain link, it allocates
+   only the link's option and the pair it returns (<= 512 B), on every
+   shape bench/e2e sends *)
+let test_endpoint_recv_allocation () =
+  let module Shapes = Omf_testkit.Shapes in
+  let plain =
+    List.find (fun (m : Linkpair.mode) -> m.name = "plain") Linkpair.modes
+  in
+  List.iter
+    (fun (s : Shapes.t) ->
+      let t = Linkpair.create plain in
+      Fun.protect ~finally:(fun () -> Linkpair.close t) @@ fun () ->
+      let sfmt = Shapes.register s.send_abi s in
+      let smem = Memory.create s.send_abi in
+      let msg = message smem sfmt (Native.store smem sfmt s.value) in
+      let rmem = Memory.create s.recv_abi in
+      let r = Endpoint.Receiver.create t.link (Shapes.registry s.recv_abi s) rmem in
+      let descriptor = Bytes.of_string (Format_codec.encode sfmt) in
+      Linkpair.write_raw t
+        (Linkpair.peer_frame t (Endpoint.frame Endpoint.frame_descriptor descriptor));
+      let frame = Linkpair.peer_frame t (Endpoint.frame Endpoint.frame_message msg) in
+      let b =
+        Omf_testkit.Alloc.bytes_per_call (fun () ->
+            Memory.reset rmem;
+            Linkpair.write_raw t frame;
+            Endpoint.Receiver.recv r)
+      in
+      if b > 512.0 then
+        Alcotest.failf
+          "%s: Endpoint.Receiver.recv allocates %.0f B per event (budget 512)"
+          s.name b)
+    Shapes.bench
 
 (* Relaying through [Omf_reactor.Conn]: a publisher
    connection's frame, queued on a subscriber connection straight from
@@ -544,8 +614,11 @@ let () =
             test_link_bytes
         ; Alcotest.test_case "framed link allocation" `Quick
             test_link_allocation
+        ; Alcotest.test_case "endpoint receive allocation" `Quick
+            test_endpoint_recv_allocation
         ; Alcotest.test_case "relay connection allocation" `Quick
-            test_conn_relay_allocation ] )
+            test_conn_relay_allocation ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_link_loans ] )
     ; ( "macframe",
         [ Alcotest.test_case "no payload copy to MAC" `Quick
             test_macframe_allocation ]
