@@ -38,10 +38,6 @@ let origin_of_label (label : string) : string =
     | _ -> "document")
   | None -> if String.equal label "inline" then "inline" else "document"
 
-let origin_of_source = function
-  | Compiled _ -> "compiled"
-  | Document { label; _ } -> origin_of_label label
-
 (** Process-wide discovery observability: which source kinds win, and
     how often a fallback had to ("fallback_wins") — so a system quietly
     running on degraded compiled-in metadata shows up on /metrics

@@ -17,9 +17,6 @@ val origin_of_label : string -> string
     we mint ourselves ([file] / [http] / [https] / [registry]),
     ["inline"] for inline text, ["document"] otherwise. *)
 
-val origin_of_source : source -> string
-(** As {!origin_of_label}; [Compiled] sources are ["compiled"]. *)
-
 val stats : unit -> (string * int) list
 (** Process-wide discovery counters: [source_<origin>] per win,
     [fallback_wins] when a non-primary source won, [source_failures]

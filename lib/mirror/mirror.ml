@@ -68,7 +68,6 @@ type link_state = {
       (** the relay closed the live link: [Some local] *)
   mutable l_done : bool;  (** thread returned; manager may respawn *)
   mutable l_promoted : bool;  (** stream promoted locally: link retired *)
-  l_frames : int Atomic.t;  (** message frames this link replicated *)
 }
 
 type t = {
@@ -85,13 +84,6 @@ type t = {
 (* neither the mirror's nor the local relay's stop is a source outage *)
 let stopped (t : t) = t.stopped || Relay.stopping t.relay
 let stats (t : t) : (string * int) list = Counters.dump t.counters
-
-let link_frames (t : t) : (string * int) list =
-  Mutex.protect t.mu (fun () ->
-      Hashtbl.fold
-        (fun s ls acc -> (s, Atomic.get ls.l_frames) :: acc)
-        t.links [])
-  |> List.sort compare
 
 (** Sleep [s] seconds in steps of at most 50 ms, so {!stop} is noticed. *)
 let nap (t : t) (s : float) =
@@ -231,9 +223,7 @@ let handshake (t : t) (ls : link_state) rng : bool =
         { Relay.stream; meta; schema; trace
         ; on_frame =
             (function
-            | `Message ->
-              Atomic.incr ls.l_frames;
-              Counters.incr t.counters "frames_replicated"
+            | `Message -> Counters.incr t.counters "frames_replicated"
             | `Descriptor -> Counters.incr t.counters "descriptors_replicated")
         ; on_close =
             (fun ~local ->
@@ -364,8 +354,7 @@ let scan (t : t) =
             if not (stopped t) then begin
               let ls =
                 { l_stream = stream; l_thread = None; l_replica = None
-                ; l_closed = None; l_done = false; l_promoted = false
-                ; l_frames = Atomic.make 0 }
+                ; l_closed = None; l_done = false; l_promoted = false }
               in
               Hashtbl.replace t.links stream ls;
               Counters.incr t.counters "streams_linked";

@@ -94,6 +94,3 @@ val stats : t -> (string * int) list
     [mirror.<stream>.lag_frames] gauges. relayd serves these on
     [/metrics] (as [omf_mirror_*]) and prints them in its final stats;
     the relay's own STATS reply does not carry them. *)
-
-val link_frames : t -> (string * int) list
-(** Per-stream message frames replicated so far, sorted by stream. *)

@@ -221,15 +221,13 @@ module Registry = struct
     abi : Abi.t;
     mutable next_id : int;
     by_name : (string, format) Hashtbl.t;
-    by_id : (int, format) Hashtbl.t;
   }
 
   let create (abi : Abi.t) : t =
-    { abi; next_id = 1; by_name = Hashtbl.create 16; by_id = Hashtbl.create 16 }
+    { abi; next_id = 1; by_name = Hashtbl.create 16 }
 
   let abi t = t.abi
   let find t name = Hashtbl.find_opt t.by_name name
-  let find_by_id t id = Hashtbl.find_opt t.by_id id
 
   (** [register t decl] resolves, lays out and registers a format. Nested
       format references are resolved against [t]'s current contents, as
@@ -240,7 +238,6 @@ module Registry = struct
     let fmt = resolve ~abi:t.abi ~id (find t) decl in
     t.next_id <- id + 1;
     Hashtbl.replace t.by_name fmt.name fmt;
-    Hashtbl.replace t.by_id id fmt;
     fmt
 
   let all t : format list =

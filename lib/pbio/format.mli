@@ -61,7 +61,6 @@ module Registry : sig
   val create : Abi.t -> t
   val abi : t -> Abi.t
   val find : t -> string -> format option
-  val find_by_id : t -> int -> format option
 
   val register : t -> Ftype.t -> format
   (** Resolves nested references against current contents (Catalog

@@ -113,9 +113,6 @@ module Receiver = struct
       Hashtbl.remove t.plans fmt.Format.id;
       fmt
 
-  let wire_format (t : t) (id : int) : Format.t option =
-    Option.map snd (Hashtbl.find_opt t.wire_formats id)
-
   let native_format_for (t : t) (wire : Format.t) : Format.t =
     match Registry.find t.registry wire.Format.name with
     | Some f -> f

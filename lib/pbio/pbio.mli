@@ -72,8 +72,6 @@ module Receiver : sig
       [formats_learned] does not rise and the cached plan stays; a
       different blob replaces the format and drops its plan. *)
 
-  val wire_format : t -> int -> Format.t option
-
   val receive : ?off:int -> t -> bytes -> Format.t * int
   (** Demarshal the framed message at [off] (default 0; it runs to the
       end of the buffer) into the receiver's memory; returns the native

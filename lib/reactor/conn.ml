@@ -33,7 +33,12 @@
     connections that fall behind.
 
     Protocol logic stays in callbacks; the driver never interprets
-    frame contents. *)
+    frame contents.
+
+    Every change to a queue's unwritten bytes moves its loop's sum with
+    it ({!Reactor.queued_bytes}): enqueue, write, shed and close change
+    both, {!detach} takes the connection's bytes off its old loop and
+    {!adopt} puts them on the new one. *)
 
 module Slice = Omf_util.Slice
 
@@ -72,7 +77,9 @@ type t = {
   mutable tail : entry;  (** newest queued entry, [nil] when empty *)
   mutable q_len : int;
   mutable q_droppable : int;
-  mutable q_bytes : int;  (** unwritten bytes across all queued entries *)
+  mutable q_bytes : int;
+      (** unwritten bytes across all queued entries; moved only by
+          {!account}, which keeps the loop's sum in step *)
   mutable loop : Reactor.t option;  (** [None] while detached *)
   mutable reg : Reactor.registration option;
   mutable on_input : t -> Slice.t -> unit;
@@ -119,6 +126,11 @@ let clear_deadline (c : t) =
     c.deadline <- None
   | _ -> c.deadline <- None
 
+(* move [c]'s unwritten bytes by [delta], and its loop's sum with them *)
+let account (c : t) (delta : int) =
+  c.q_bytes <- c.q_bytes + delta;
+  match c.loop with Some loop -> Reactor.add_queued loop delta | None -> ()
+
 let close_now (c : t) (reason : string) =
   match c.state with
   | Closed _ -> ()
@@ -130,6 +142,12 @@ let close_now (c : t) (reason : string) =
     | _ -> ());
     c.reg <- None;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    (* whatever is queued and unwritten dies with the connection *)
+    c.head <- nil;
+    c.tail <- nil;
+    c.q_len <- 0;
+    c.q_droppable <- 0;
+    account c (-c.q_bytes);
     c.on_close c reason
 
 let entry_done (e : entry) = e.rest = []
@@ -156,7 +174,6 @@ let pop_done (c : t) =
 (** Consume [n] freshly-written bytes from the queue head, advancing
     per-entry slice cursors and popping completed entries. *)
 let advance (c : t) (n : int) =
-  c.q_bytes <- c.q_bytes - n;
   let left = ref n in
   while !left > 0 do
     let e = c.head in
@@ -174,7 +191,8 @@ let advance (c : t) (n : int) =
         left := 0
       end
   done;
-  pop_done c
+  pop_done c;
+  account c (-n)
 
 (** Pieces at least this long are written straight from their backing
     buffers (zero copy) when they reach the queue head; shorter pieces
@@ -463,8 +481,8 @@ let enqueue (c : t) ~droppable (wire : Slice.t list) =
     let total = Slice.total rest in
     push c { rest; off = 0; droppable; total; next = nil };
     if droppable then c.q_droppable <- c.q_droppable + 1;
-    c.q_bytes <- c.q_bytes + total;
-    sync_interest c
+    sync_interest c;
+    account c total
   | Closing | Doomed _ | Closed _ -> ()
 
 (** Queue a framed wire message (Frames mode) as-is: the slices'
@@ -498,7 +516,7 @@ let send_raw (c : t) ?(droppable = false) (wire : Bytes.t) =
 
 (** Drop the oldest fully-unwritten droppable entry, if any
     ([Drop_oldest] backpressure). Returns the wire bytes shed (0 when
-    nothing was droppable) so callers can credit byte budgets. *)
+    nothing was droppable). *)
 let drop_oldest_droppable (c : t) : int =
   let untouched e = e.off = 0 && Slice.total e.rest = e.total in
   let rec find prev e =
@@ -509,7 +527,7 @@ let drop_oldest_droppable (c : t) : int =
       e.next <- nil;
       c.q_len <- c.q_len - 1;
       c.q_droppable <- c.q_droppable - 1;
-      c.q_bytes <- c.q_bytes - e.total;
+      account c (-e.total);
       e.total
     end
     else find e e.next
@@ -554,6 +572,7 @@ let detach (c : t) =
   | Some r, Some loop -> Reactor.deregister loop r
   | _ -> ());
   c.reg <- None;
+  Option.iter (fun loop -> Reactor.add_queued loop (-c.q_bytes)) c.loop;
   c.loop <- None
 
 (** Re-register a detached conn on [loop] (called on [loop]'s thread,
@@ -573,13 +592,5 @@ let adopt (loop : Reactor.t) (c : t) =
   in
   c.reg <- Some r;
   sync_interest c;
+  Reactor.add_queued loop c.q_bytes;
   Reactor.defer loop (fun () -> dispatch_input c drain_frames)
-
-(** Replace the protocol callbacks (a server adopting a foreign conn). *)
-let set_callbacks (c : t) ?on_input ?on_close ?on_progress ?on_decode_error
-    ?on_bytes () =
-  Option.iter (fun f -> c.on_input <- f) on_input;
-  Option.iter (fun f -> c.on_close <- f) on_close;
-  Option.iter (fun f -> c.on_progress <- f) on_progress;
-  Option.iter (fun f -> c.on_decode_error <- f) on_decode_error;
-  Option.iter (fun f -> c.on_bytes <- f) on_bytes

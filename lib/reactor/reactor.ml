@@ -187,6 +187,10 @@ type t = {
       (** runs once at the top of every loop iteration — for embeddings
           that must poll a plain flag set from a signal handler, where
           {!inject}'s mutex is off-limits *)
+  mutable queued : int;
+      (** unwritten bytes across the write queues of the {!Conn}s
+          attached to this loop; only [Conn] moves it ({!add_queued}) *)
+  mutable on_queued : int -> unit;  (** sees every new [queued] *)
   mutable stop_requested : bool;
   mutable running : bool;
 }
@@ -205,6 +209,8 @@ let create () : t =
   ; scratch = Bytes.create 65536
   ; gather = Bytes.create 65536
   ; on_tick = ignore
+  ; queued = 0
+  ; on_queued = ignore
   ; stop_requested = false
   ; running = false }
 
@@ -242,6 +248,22 @@ let fd_count (t : t) = Hashtbl.length t.regs
 (** Install a per-iteration hook (see the [on_tick] field). Set it
     before {!run}; only signal-handler-safe flag polling belongs here. *)
 let set_on_tick (t : t) (fn : unit -> unit) = t.on_tick <- fn
+
+(** Unwritten bytes queued on this loop's connections, summed over
+    every attached {!Conn} (a detached one counts on no loop). *)
+let queued_bytes (t : t) = t.queued
+
+(** Install the hook that sees each new {!queued_bytes} total, called
+    synchronously from the {!Conn} operation that moved it (enqueue,
+    write, shed, close, detach, adopt). Set it once, before {!run}. *)
+let set_on_queued (t : t) (fn : int -> unit) = t.on_queued <- fn
+
+(** [Conn]'s side of {!queued_bytes}: move the sum by [delta]. *)
+let add_queued (t : t) (delta : int) =
+  if delta <> 0 then begin
+    t.queued <- t.queued + delta;
+    t.on_queued t.queued
+  end
 
 let after (t : t) (delay_s : float) (action : unit -> unit) : timer =
   Wheel.schedule t.wheel ~at:(now () +. delay_s) action

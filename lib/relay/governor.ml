@@ -12,30 +12,10 @@ let health_name = function
 
 type config = {
   budget : int;
-  degraded_hi_pct : int;
-  degraded_lo_pct : int;
-  overloaded_hi_pct : int;
-  overloaded_lo_pct : int;
   busy_retry_ms : int;
 }
 
-let config ?(degraded_hi_pct = 70) ?(degraded_lo_pct = 50)
-    ?(overloaded_hi_pct = 90) ?(overloaded_lo_pct = 70) ?(busy_retry_ms = 250)
-    ~budget () =
-  if budget > 0 then begin
-    if not (0 < degraded_lo_pct && degraded_lo_pct < degraded_hi_pct) then
-      invalid_arg "Governor.config: need 0 < degraded_lo < degraded_hi";
-    if not (degraded_hi_pct <= overloaded_hi_pct) then
-      invalid_arg "Governor.config: need degraded_hi <= overloaded_hi";
-    if not (degraded_lo_pct <= overloaded_lo_pct && overloaded_lo_pct < overloaded_hi_pct)
-    then invalid_arg "Governor.config: need degraded_lo <= overloaded_lo < overloaded_hi"
-  end;
-  { budget;
-    degraded_hi_pct;
-    degraded_lo_pct;
-    overloaded_hi_pct;
-    overloaded_lo_pct;
-    busy_retry_ms }
+let config ?(busy_retry_ms = 250) ~budget () = { budget; busy_retry_ms }
 
 type t = {
   cfg : config;
@@ -46,25 +26,26 @@ type t = {
   mutable used : int;
   mutable health : health;
   mutable on_transition : health -> health -> unit;
-  mutable credited_since_tick : int;
-      (** bytes credited (written/shed) since the last {!note_tick} —
-          the raw material of the drain-rate estimate *)
-  mutable drain_rate : float;  (** EWMA of credits, bytes/second *)
+  mutable drained_since_tick : int;
+      (** bytes the total fell by (written, shed, closed) since the last
+          {!note_tick} — the raw material of the drain-rate estimate *)
+  mutable drain_rate : float;  (** EWMA of drained bytes, bytes/second *)
   mutable last_tick : float;  (** [nan] until the first tick *)
 }
 
-let pct budget p = budget * p / 100
-
+(* degraded at 70% of the budget (recover below 50%), overloaded at 90%
+   (recover below 70%) *)
 let create (cfg : config) : t =
+  let pct p = cfg.budget * p / 100 in
   { cfg;
-    deg_hi = pct cfg.budget cfg.degraded_hi_pct;
-    deg_lo = pct cfg.budget cfg.degraded_lo_pct;
-    over_hi = pct cfg.budget cfg.overloaded_hi_pct;
-    over_lo = pct cfg.budget cfg.overloaded_lo_pct;
+    deg_hi = pct 70;
+    deg_lo = pct 50;
+    over_hi = pct 90;
+    over_lo = pct 70;
     used = 0;
     health = Healthy;
     on_transition = (fun _ _ -> ());
-    credited_since_tick = 0;
+    drained_since_tick = 0;
     drain_rate = 0.0;
     last_tick = Float.nan }
 
@@ -76,7 +57,7 @@ let enabled t = t.cfg.budget > 0
 
 (* The busy retry hint adapts to the observed drain rate: a client told
    to come back should find room when it does, so the hint estimates
-   how long draining the current backlog will take at the recent credit
+   how long draining the current backlog will take at the recent drain
    rate. The configured [busy_retry_ms] stays meaningful as the floor
    (never retry sooner) and, at 10x, the ceiling (never park a client
    for long on a stale estimate). With no rate observed yet the static
@@ -94,16 +75,16 @@ let busy_retry_ms t =
 let note_tick t ~now =
   if Float.is_nan t.last_tick then begin
     t.last_tick <- now;
-    t.credited_since_tick <- 0
+    t.drained_since_tick <- 0
   end
   else begin
     let dt = now -. t.last_tick in
     if dt > 0.01 then begin
-      let rate = float_of_int t.credited_since_tick /. dt in
+      let rate = float_of_int t.drained_since_tick /. dt in
       t.drain_rate <-
         (if t.drain_rate <= 0.0 then rate
          else (0.5 *. t.drain_rate) +. (0.5 *. rate));
-      t.credited_since_tick <- 0;
+      t.drained_since_tick <- 0;
       t.last_tick <- now
     end
   end
@@ -138,15 +119,8 @@ let reeval t =
     end
   end
 
-let debit t n =
-  if n > 0 then begin
-    t.used <- t.used + n;
-    reeval t
-  end
-
-let credit t n =
-  if n > 0 then begin
-    t.credited_since_tick <- t.credited_since_tick + n;
-    t.used <- (if n >= t.used then 0 else t.used - n);
-    reeval t
-  end
+let update t used =
+  if used < t.used then
+    t.drained_since_tick <- t.drained_since_tick + (t.used - used);
+  t.used <- used;
+  reeval t

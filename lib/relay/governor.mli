@@ -2,17 +2,18 @@
     queued outbound frame on the shard (subscriber write queues,
     in-flight replay chunks, mirror-link buffers, control replies).
 
-    The relay debits the governor when a sealed frame is queued on a
-    connection and credits it when those bytes are written to the
-    socket, dropped by queue policy, or the connection closes. Crossing
-    watermarks drives a three-state health machine with hysteresis:
+    The governor keeps no count of its own: the relay installs {!update}
+    as its shard reactor's queued-bytes hook, so [used] is always the
+    loop's {!Omf_reactor.Reactor.queued_bytes}, which moves as frames
+    are queued, written, shed, or die with their connection. Crossing
+    watermarks — fixed fractions of the budget — drives a three-state
+    health machine with hysteresis:
 
     {v
-      Healthy    --used >= degraded_hi-->    Degraded
-      Degraded   --used >= overloaded_hi-->  Overloaded
-      Degraded   --used <  degraded_lo-->    Healthy
-      Overloaded --used <  overloaded_lo-->  Degraded (or Healthy
-                                             if already < degraded_lo)
+      Healthy    --used >= 70%-->  Degraded
+      Degraded   --used >= 90%-->  Overloaded
+      Degraded   --used <  50%-->  Healthy
+      Overloaded --used <  70%-->  Degraded (or Healthy if already < 50%)
     v}
 
     The budget is a control target, not a hard cap: admission control
@@ -32,25 +33,11 @@ val health_name : health -> string
 
 type config = private {
   budget : int;  (** total byte budget; [<= 0] disables the governor *)
-  degraded_hi_pct : int;
-  degraded_lo_pct : int;
-  overloaded_hi_pct : int;
-  overloaded_lo_pct : int;
   busy_retry_ms : int;  (** retry hint carried in [busy] replies *)
 }
 
-val config :
-  ?degraded_hi_pct:int ->
-  ?degraded_lo_pct:int ->
-  ?overloaded_hi_pct:int ->
-  ?overloaded_lo_pct:int ->
-  ?busy_retry_ms:int ->
-  budget:int ->
-  unit ->
-  config
-(** Defaults: degraded at 70% (recover < 50%), overloaded at 90%
-    (recover < 70%), [busy_retry_ms = 250]. Raises [Invalid_argument]
-    if the watermarks are not properly ordered (enabled budgets only). *)
+val config : ?busy_retry_ms:int -> budget:int -> unit -> config
+(** [busy_retry_ms] defaults to 250. *)
 
 type t
 
@@ -58,12 +45,12 @@ val create : config -> t
 
 val on_transition : t -> (health -> health -> unit) -> unit
 (** Install the transition callback [(fun old_health new_health -> …)];
-    called synchronously from {!debit}/{!credit}. *)
+    called synchronously from {!update}. *)
 
-val debit : t -> int -> unit
-val credit : t -> int -> unit
-(** Credits clamp at zero (a conservative floor if accounting ever
-    drifts); both re-evaluate health and may fire the callback. *)
+val update : t -> int -> unit
+(** [update t used] takes the shard's current queued-bytes total,
+    re-evaluates health (which may fire the callback), and counts a
+    fall in the total as drained bytes for {!note_tick}. *)
 
 val used : t -> int
 val budget : t -> int
@@ -82,7 +69,7 @@ val busy_retry_ms : t -> int
     [busy_retry_ms], unchanged. *)
 
 val note_tick : t -> now:float -> unit
-(** Fold the bytes credited since the previous tick into the drain-rate
+(** Fold the bytes drained since the previous tick into the drain-rate
     estimate (EWMA, half-weight per tick). Call periodically from the
     owning shard loop (the relay calls it from its 1 s gauge tick);
     ticks closer than 10 ms apart are ignored. *)

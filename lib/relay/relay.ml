@@ -157,10 +157,9 @@ and conn = {
       (** HELLO was answered; a second one would re-arm [mac]/[comp]
           mid-stream *)
   mutable role : role;
-  mutable over_since : float option;
-      (** when the queue first crossed the watermark (Evict_slow) *)
   mutable grace_timer : Reactor.timer option;
-      (** pending eviction deadline on the shard's timer wheel *)
+      (** pending eviction deadline on the shard's timer wheel, armed
+          while the queue is over the watermark (Evict_slow) *)
   mutable congesting : bool;
       (** this subscriber currently pauses its stream's publishers *)
   mutable mac : Macframe.state option;
@@ -172,10 +171,6 @@ and conn = {
           PROTOCOLS.md §18) and armed after the plaintext banner like
           [mac]; composed outside authentication — every wire frame is
           [seal (compress body)] out, [decompress (open frame)] in *)
-  mutable gov_debited : int;
-      (** wire bytes debited against the shard governor and not yet
-          credited back (written, dropped, or surrendered at close) —
-          always equals this connection's unwritten queued bytes *)
   mutable throttled : bool;
       (** reads paused by the ingress token bucket; a reactor timer
           clears this when the bucket refills *)
@@ -354,9 +349,6 @@ let stats (t : shard) : (string * int) list =
 (* Graceful drain                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let total_queued (t : shard) : int =
-  Hashtbl.fold (fun _ c acc -> acc + Rconn.queued c.io) t.conns 0
-
 (** Flush deadline reached (or everything flushed): doom what is left
     and stop the loop. *)
 let finish_drain (t : shard) =
@@ -385,7 +377,8 @@ let finish_drain (t : shard) =
   end
 
 let check_drain_done (t : shard) =
-  if t.state = Draining && total_queued t = 0 then finish_drain t
+  if t.state = Draining && Reactor.queued_bytes t.reactor = 0 then
+    finish_drain t
 
 (** Stop reading, keep flushing subscriber queues until they empty or
     the drain deadline fires. Loop-thread only. *)
@@ -402,18 +395,6 @@ let begin_drain (t : shard) =
 (* ------------------------------------------------------------------ *)
 (* Outbound queues and backpressure                                     *)
 (* ------------------------------------------------------------------ *)
-
-(* Debit the shard governor with the wire size (slice total = body +
-   the 4-byte length prefix) before queueing; credited back as the
-   bytes are written, dropped, or the connection closes. Dead
-   connections silently discard the send, so they are not debited. *)
-let enqueue_wire ?lender (c : conn) ~droppable (wire : Slice.t list) =
-  if Rconn.alive c.io then begin
-    let wire_bytes = Slice.total wire in
-    c.gov_debited <- c.gov_debited + wire_bytes;
-    Governor.debit c.home.governor wire_bytes
-  end;
-  Rconn.send_wire c.io ~droppable ?lender wire
 
 (* Compression accounting (doc/COMPRESS.md): monotonic raw/wire byte
    totals per stream, plus the achieved ratio (x100) as a histogram —
@@ -457,7 +438,7 @@ let enqueue_entry ?(fanout = false) ?lender (c : conn) ~droppable
       end
     in
     note_comp c ~raw:(Slice.length body) ~wire:(Bytes.length blk);
-    enqueue_wire c ~droppable
+    Rconn.send_wire c.io ~droppable
       (match c.mac with
       | Some st -> Frame.wire [ Slice.of_bytes (Macframe.seal_next st blk) ]
       | None when fanout -> t.comp_cache_wire
@@ -469,7 +450,7 @@ let enqueue_entry ?(fanout = false) ?lender (c : conn) ~droppable
       (* under negotiated HMAC mode every outbound frame is sealed;
          sealing happens at enqueue time so nonces follow queue order
          exactly *)
-      enqueue_wire c ~droppable
+      Rconn.send_wire c.io ~droppable
         (Frame.wire [ Slice.of_bytes (Macframe.seal_next_slices st [ body ]) ])
     | None ->
       (* encode the wire message once per fan-out: every plain queue
@@ -484,15 +465,7 @@ let enqueue_entry ?(fanout = false) ?lender (c : conn) ~droppable
           w
         end
       in
-      enqueue_wire ?lender c ~droppable wire
-
-(** Return [n] freshly written-or-shed wire bytes to the governor. *)
-let credit_conn (c : conn) (n : int) =
-  let n = min n c.gov_debited in
-  if n > 0 then begin
-    c.gov_debited <- c.gov_debited - n;
-    Governor.credit c.home.governor n
-  end
+      Rconn.send_wire c.io ~droppable ?lender wire
 
 (* --- tracing span recorders (doc/TRACE.md) ------------------------- *)
 
@@ -663,7 +636,6 @@ let maybe_resume_stream (t : shard) (s : stream) =
     set_publishers_reading t s true
 
 let clear_grace (c : conn) =
-  c.over_since <- None;
   match c.grace_timer with
   | Some tm ->
     Reactor.cancel c.home.reactor tm;
@@ -688,9 +660,7 @@ let arm_grace (t : shard) (c : conn) =
       Some
         (Reactor.after t.reactor t.evict_grace (fun () ->
              c.grace_timer <- None;
-             match c.over_since with
-             | Some _ when Rconn.alive c.io -> evict_slow t c
-             | _ -> ()))
+             if Rconn.alive c.io then evict_slow t c))
 
 let replay_chunk = 64
 (** frames delivered per pump of a chunked stored replay: small enough
@@ -794,11 +764,8 @@ let enqueue_relayed ?lender (t : shard) (c : conn) (frame : Slice.t)
             set_publishers_reading t s.stream false
           end
         | Drop_oldest ->
-          let shed = Rconn.drop_oldest_droppable c.io in
-          if shed > 0 then begin
-            credit_conn c shed;
+          if Rconn.drop_oldest_droppable c.io > 0 then
             Counters.incr t.counters "frames_dropped"
-          end
         | Evict_slow -> (
           if Governor.health t.governor <> Governor.Healthy then begin
             (* Degraded: no grace for laggards — shed the slow consumer
@@ -812,11 +779,7 @@ let enqueue_relayed ?lender (t : shard) (c : conn) (frame : Slice.t)
                evicting outright. The queue may grow past the watermark
                during the grace window; it is bounded by grace x publish
                rate. *)
-            match c.over_since with
-            | None ->
-              c.over_since <- Some (Reactor.now ());
-              arm_grace t c
-            | Some _ -> ())
+            arm_grace t c)
       end;
       (match trace with
       | Some ctx ->
@@ -850,13 +813,13 @@ let fan_out ?lender (t : shard) (s : stream) (frame : Slice.t) ~(offset : int)
       if Rconn.alive c.io then enqueue_relayed ?lender t c frame ~offset ~trace)
     s.subscribers
 
-(** Governor health changed (called synchronously from a debit or
-    credit). Entering [Overloaded] pauses ingress from every publisher
-    — control traffic, subscriber drains and descriptor replays keep
-    flowing, so the shard sheds load without going dark. Leaving it
-    resumes publishers (unless individually throttled or their stream
-    is Block-congested) and re-pumps stored replays stalled at the
-    zero-chunk budget. *)
+(** Governor health changed (called synchronously from the reactor's
+    queued-bytes hook). Entering [Overloaded] pauses ingress from every
+    publisher — control traffic, subscriber drains and descriptor
+    replays keep flowing, so the shard sheds load without going dark.
+    Leaving it resumes publishers (unless individually throttled or
+    their stream is Block-congested) and re-pumps stored replays stalled
+    at the zero-chunk budget. *)
 let on_governor_transition (t : shard) (prev : Governor.health)
     (next : Governor.health) =
   Counters.set t.counters "governor_health" (Governor.health_level next);
@@ -1286,20 +1249,13 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
 let rec route (src : shard) (target : shard) (c : conn) (req : Proto.request) =
   Counters.incr src.counters "shard_handoffs";
   Hashtbl.remove src.conns c.cid;
-  (* the write queue travels with the connection: surrender its byte
-     accounting to the source governor here (source loop thread) and
-     re-debit the target governor on its own loop after adoption *)
-  if c.gov_debited > 0 then begin
-    Governor.credit src.governor c.gov_debited;
-    c.gov_debited <- 0
-  end;
+  (* the write queue travels with the connection: detach takes its
+     bytes off the source loop's sum, adopt puts them on the target's *)
   Rconn.detach c.io;
   Reactor.inject target.reactor (fun () ->
       if target.state = Running && Rconn.alive c.io then begin
         c.home <- target;
         Hashtbl.replace target.conns c.cid c;
-        c.gov_debited <- Rconn.queued_bytes c.io;
-        Governor.debit target.governor c.gov_debited;
         Rconn.adopt target.reactor c.io;
         dispatch target c req
       end
@@ -1508,11 +1464,6 @@ let conn_frame (c : conn) (frame : Slice.t) =
 let conn_closed (c : conn) (reason : string) =
   let t = c.home in
   clear_grace c;
-  (* whatever was queued and unwritten dies with the connection *)
-  if c.gov_debited > 0 then begin
-    Governor.credit t.governor c.gov_debited;
-    c.gov_debited <- 0
-  end;
   Hashtbl.remove t.conns c.cid;
   (match c.role with
   | Subscriber { stream = s; _ } ->
@@ -1577,7 +1528,6 @@ let new_conn (t : shard) (fd : Unix.file_descr) ~mac ~comp : conn =
         | `In -> Counters.incr c.home.counters ~by:n "bytes_in"
         | `Out ->
           Counters.incr c.home.counters ~by:n "bytes_out";
-          credit_conn c n;
           (* first write after a traced enqueue: the [flush] span —
              time from fan-out to bytes reaching the socket *)
           (match c.trace_mark with
@@ -1594,9 +1544,9 @@ let new_conn (t : shard) (fd : Unix.file_descr) ~mac ~comp : conn =
     | None -> None
   in
   let c =
-    { cid; io; creds = []; greeted = false; role = Pending; over_since = None
-    ; grace_timer = None; congesting = false; mac; mac_rejects = 0; comp
-    ; gov_debited = 0; throttled = false; bucket; trace_mark = None; home = t }
+    { cid; io; creds = []; greeted = false; role = Pending; grace_timer = None
+    ; congesting = false; mac; mac_rejects = 0; comp; throttled = false
+    ; bucket; trace_mark = None; home = t }
   in
   cell := Some c;
   Hashtbl.replace t.conns cid c;
@@ -1810,6 +1760,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
     in
     Governor.on_transition gov (fun prev next ->
         on_governor_transition t prev next);
+    Reactor.set_on_queued t.reactor (Governor.update gov);
     Counters.set t.counters "governor_health" 0;
     t
   in
@@ -1852,11 +1803,12 @@ let relay_id (r : t) = r.shared.peers.(0).relay_id
     stream's gauges as of its shard's last {!gauge_tick}. *)
 let stats (r : t) : (string * int) list = counter_snapshot r.shared
 
-(** Bytes debited against every shard's governor and not yet credited
-    back — by invariant exactly the unwritten queued bytes (test hook
-    for the debit/credit symmetry guarantee). *)
+(** Unwritten bytes queued on every shard's loop: what the shards'
+    governors count. *)
 let governor_used (r : t) : int =
-  Array.fold_left (fun acc s -> acc + Governor.used s.governor) 0 r.shared.peers
+  Array.fold_left
+    (fun acc s -> acc + Reactor.queued_bytes s.reactor)
+    0 r.shared.peers
 
 (** Run [f] on [sh]'s loop (stream records are loop-thread only) and
     wait for its result; [None] if the loop exited without running it. *)

@@ -157,10 +157,9 @@ val stats : t -> (string * int) list
     the answering shard's own streams read live. *)
 
 val governor_used : t -> int
-(** Bytes currently debited against the governors of every shard — by
-    invariant, exactly the unwritten bytes across every connection's
-    write queue (slice-length accounting; 0 when fully drained). Test
-    hook for the debit/credit symmetry guarantee (doc/OVERLOAD.md). *)
+(** The unwritten bytes queued on every shard's loop
+    ({!Omf_reactor.Reactor.queued_bytes}), which is what the shards'
+    governors count (doc/OVERLOAD.md); 0 when fully drained. *)
 
 val stopping : t -> bool
 (** Has {!stop} begun? *)

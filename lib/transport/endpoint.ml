@@ -73,8 +73,6 @@ module Receiver = struct
       (mem : Memory.t) : t =
     of_pbio (Pbio.Receiver.create ?mode registry mem) link
 
-  let pbio_receiver t = t.pbio
-
   (** [recv t] processes frames until a data message arrives (descriptor
       frames are ingested transparently). [None] when the link closes.
       The message is converted straight out of the frame the link

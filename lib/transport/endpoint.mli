@@ -40,8 +40,6 @@ module Receiver : sig
       learned on an earlier link stay learned, and a byte-identical
       descriptor replayed on this one is a no-op. *)
 
-  val pbio_receiver : t -> Pbio.Receiver.t
-
   val recv : t -> (Format.t * int) option
   (** Process frames until a data message arrives (descriptor frames are
       ingested transparently); [None] when the link closes. *)

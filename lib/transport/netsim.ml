@@ -26,10 +26,6 @@ type profile = {
 let lan_1999 =
   { propagation_us = 100.0; per_message_us = 5.0; bytes_per_us = 12.5 }
 
-(** A wide-area path: 20 ms one-way, T3-ish bandwidth. *)
-let wan =
-  { propagation_us = 20_000.0; per_message_us = 20.0; bytes_per_us = 5.6 }
-
 type stats = {
   mutable messages : int;
   mutable bytes : int;

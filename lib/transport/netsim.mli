@@ -19,8 +19,6 @@ type profile = {
 val lan_1999 : profile
 (** 100 Mbit/s LAN, 100 us one-way — paper-era hardware. *)
 
-val wan : profile
-
 type stats = {
   mutable messages : int;
   mutable bytes : int;

@@ -82,8 +82,6 @@ let observe t ?(bounds = default_bounds) name v =
   sum := !sum + v;
   Mutex.unlock t.mu
 
-let remove t name = locked t (fun () -> Hashtbl.remove t.tbl name)
-
 let get t name =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl name with Some r -> !r | None -> 0)

@@ -31,10 +31,6 @@ val observe : t -> ?bounds:int list -> string -> int -> unit
 val default_bounds : int list
 (** 50 .. 1_000_000 — microsecond-scale latency buckets. *)
 
-val remove : t -> string -> unit
-(** Drop a gauge whose subject went away (e.g. a stream whose store
-    segments were all retired); no-op if absent. *)
-
 val get : t -> string -> int
 (** 0 for counters never touched. *)
 

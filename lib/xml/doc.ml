@@ -38,9 +38,6 @@ let attr_exn el name =
 let child_elements el =
   List.filter_map (function Element e -> Some e | _ -> None) el.children
 
-let find_child el tag =
-  List.find_opt (fun e -> String.equal e.tag tag) (child_elements el)
-
 let find_children el tag =
   List.filter (fun e -> String.equal e.tag tag) (child_elements el)
 

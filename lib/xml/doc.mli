@@ -29,7 +29,6 @@ val attr_exn : element -> string -> string
 val child_elements : element -> element list
 (** Child elements, in document order. *)
 
-val find_child : element -> string -> element option
 val find_children : element -> string -> element list
 
 val text : element -> string

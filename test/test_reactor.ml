@@ -2,7 +2,8 @@
     order against a sorted model (property-tested under random
     insert/cancel), fd churn through the buffered connection driver
     without leaking registrations, cross-thread [inject] under load,
-    per-connection deadlines, and listening sockets that a failed bind
+    per-connection deadlines, the loop's sum of queued bytes, and
+    listening sockets that a failed bind
     does not leak. *)
 
 module Reactor = Omf_reactor.Reactor
@@ -293,6 +294,69 @@ let test_chunks_borrow_contract () =
         (Omf_util.Slice.to_string retained);
       Unix.close a)
 
+(* The loop's queued-bytes sum is the one count of unwritten bytes:
+   after every kind of queue change it equals the sum over the loop's
+   attached conns, and the hook has seen the new total. Driven on this
+   thread without [run], so each step's writes are exactly the ones it
+   asks for: the peers never read, and a small [SO_SNDBUF] makes the
+   first write partial. *)
+let test_conn_queued_bytes () =
+  let loop = Reactor.create () and loop2 = Reactor.create () in
+  let seen = ref (-1) and seen2 = ref (-1) in
+  Reactor.set_on_queued loop (fun n -> seen := n);
+  Reactor.set_on_queued loop2 (fun n -> seen2 := n);
+  let pair () =
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.setsockopt_int b Unix.SO_SNDBUF 4096;
+    (a, b)
+  in
+  let a1, b1 = pair () and a2, b2 = pair () in
+  let closed = ref false in
+  let attach ?(on_close = fun _ _ -> ()) fd =
+    Conn.attach loop fd ~on_input:(fun _ _ -> ()) ~on_close ()
+  in
+  let c1 = attach b1 and c2 = attach ~on_close:(fun _ _ -> closed := true) b2 in
+  let agree step loop seen conns =
+    check int (step ^ ": loop sum = conns' bytes")
+      (List.fold_left (fun acc c -> acc + Conn.queued_bytes c) 0 conns)
+      (Reactor.queued_bytes loop);
+    check int (step ^ ": hook saw the total") (Reactor.queued_bytes loop) !seen
+  in
+  let body = Bytes.make 65536 'x' in
+  let frame = Bytes.length body + 4 in
+  Conn.send c1 ~droppable:true body;
+  Conn.send c1 ~droppable:true body;
+  Conn.send c2 ~droppable:true body;
+  agree "enqueue" loop seen [ c1; c2 ];
+  check int "enqueue counts whole frames" (3 * frame)
+    (Reactor.queued_bytes loop);
+  Conn.writable c1;
+  let left = Conn.queued_bytes c1 in
+  check bool "the write was partial" true (frame < left && left < 2 * frame);
+  agree "partial write" loop seen [ c1; c2 ];
+  check int "drop sheds the untouched frame" frame
+    (Conn.drop_oldest_droppable c1);
+  agree "drop_oldest_droppable" loop seen [ c1; c2 ];
+  Conn.doom c2 "test";
+  check bool "doom leaves bytes queued" true (Conn.queued_bytes c2 > 0);
+  agree "doom" loop seen [ c1; c2 ];
+  (* the deferred close runs in [run]'s final sweep *)
+  Reactor.stop loop;
+  Reactor.run loop;
+  check bool "closed" true !closed;
+  check int "close drops what is left" 0 (Conn.queued_bytes c2);
+  agree "close" loop seen [ c1; c2 ];
+  let moving = Conn.queued_bytes c1 in
+  Conn.detach c1;
+  check int "detach keeps the conn's bytes" moving (Conn.queued_bytes c1);
+  agree "detach" loop seen [];
+  Conn.adopt loop2 c1;
+  agree "adopt" loop2 seen2 [ c1 ];
+  check int "adopt moves the bytes" moving (Reactor.queued_bytes loop2);
+  List.iter Unix.close [ a1; b1; a2 ];
+  Reactor.dispose loop;
+  Reactor.dispose loop2
+
 (* ------------------------------------------------------------------ *)
 (* Listening sockets                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -337,7 +401,9 @@ let () =
         ; Alcotest.test_case "deadline dooms idle conn" `Quick
             test_conn_deadline
         ; Alcotest.test_case "chunk slices borrow the scratch buffer"
-            `Quick test_chunks_borrow_contract ] )
+            `Quick test_chunks_borrow_contract
+        ; Alcotest.test_case "loop sums the queued bytes" `Quick
+            test_conn_queued_bytes ] )
     ; ( "wakeup"
       , [ Alcotest.test_case "inject under cross-thread load" `Quick
             test_inject_under_load ] )

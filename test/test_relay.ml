@@ -1329,70 +1329,70 @@ let test_governor_hysteresis () =
   G.on_transition g (fun prev next ->
       transitions := (G.health_name prev, G.health_name next) :: !transitions);
   let health () = G.health_level (G.health g) in
-  G.debit g 699;
+  G.update g 699;
   check int "below degraded_hi stays healthy" 0 (health ());
-  G.debit g 1;
+  G.update g 700;
   check int "700 degrades" 1 (health ());
   (* hysteresis: dipping back under the high watermark is not recovery *)
-  G.credit g 150;
+  G.update g 550;
   check int "550 still degraded" 1 (health ());
-  G.credit g 51;
+  G.update g 499;
   check int "under 500 recovers" 0 (health ());
-  G.debit g 401;
+  G.update g 900;
   check int "900 jumps straight to overloaded" 2 (health ());
-  G.credit g 200;
+  G.update g 700;
   check int "700 still overloaded (recover < 700)" 2 (health ());
-  G.credit g 1;
+  G.update g 699;
   check int "699 steps down to degraded" 1 (health ());
-  G.credit g 300;
+  G.update g 399;
   check int "399 fully recovers" 0 (health ());
   check bool "every transition fired" true
     (List.rev !transitions
     = [ ("healthy", "degraded"); ("degraded", "healthy")
       ; ("healthy", "overloaded"); ("overloaded", "degraded")
       ; ("degraded", "healthy") ]);
-  (* credits clamp at zero instead of going negative *)
-  G.credit g 10_000;
-  check int "used clamps at 0" 0 (G.used g);
+  (* [used] is the total the last update reported *)
+  G.update g 0;
+  check int "used reads the update" 0 (G.used g);
   (* a disabled governor tracks usage but never changes health *)
   let off = G.create (G.config ~budget:0 ()) in
-  G.debit off 1_000_000;
+  G.update off 1_000_000;
   check int "disabled stays healthy" 0 (G.health_level (G.health off));
   check bool "disabled reports so" false (G.enabled off)
 
 (* the busy retry hint adapts to the observed drain rate: used bytes /
-   credited-bytes-per-second, clamped to [configured, 10x configured] *)
+   drained-bytes-per-second, clamped to [configured, 10x configured] *)
 let test_governor_adaptive_retry () =
   let module G = Relay.Governor in
   let g = G.create (G.config ~budget:10_000 ~busy_retry_ms:100 ()) in
   check int "no drain rate yet: the configured floor" 100 (G.busy_retry_ms g);
-  G.debit g 1000;
+  G.update g 1000;
   G.note_tick g ~now:10.0;
   (* first tick only arms the window; still the floor *)
   check int "first tick arms, floor holds" 100 (G.busy_retry_ms g);
-  G.credit g 500;
+  G.update g 500;
   G.note_tick g ~now:11.0;
   check bool "rate observed" true (abs_float (G.drain_rate g -. 500.0) < 1e-6);
   (* 500 bytes still queued at 500 B/s -> ~1000ms estimate *)
   check int "estimate = used / rate" 1000 (G.busy_retry_ms g);
   (* a much faster drain pulls the hint down toward the floor *)
-  G.credit g 450;
+  G.update g 50;
   G.note_tick g ~now:12.0;
   (* EWMA(0.5): (500 + 450) / 2 = 475 B/s; 50 B left -> ~105ms *)
   let hint = G.busy_retry_ms g in
   check bool "fast drain shrinks the hint" true (hint >= 100 && hint < 200);
-  G.credit g 50;
+  G.update g 0;
   check int "nothing queued: floor again" 100 (G.busy_retry_ms g);
   (* a stalled queue cannot push the hint past the 10x ceiling *)
-  G.debit g 10_000;
+  G.update g 10_000;
   G.note_tick g ~now:13.0;
-  G.credit g 1;
+  G.update g 9_999;
   G.note_tick g ~now:14.0;
   check int "stall clamps at 10x the floor" 1000 (G.busy_retry_ms g);
   (* sub-10ms ticks are ignored so a burst of gauge refreshes cannot
      produce a garbage rate *)
   let before = G.drain_rate g in
-  G.credit g 100;
+  G.update g 9_899;
   G.note_tick g ~now:14.001;
   check bool "too-close tick ignored" true
     (abs_float (G.drain_rate g -. before) < 1e-6)
