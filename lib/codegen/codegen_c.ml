@@ -72,9 +72,10 @@ let io_fields (decl : Ftype.t) : string =
   Buffer.add_string b "    { NULL, NULL, 0, 0 }\n};\n";
   Buffer.contents b
 
-(** [header ?guard decls] is a complete, self-contained C header for a set
-    of declarations (dependency order is the caller's, as in a Catalog). *)
-let header ?(guard = "OMF_GENERATED_H") (decls : Ftype.t list) : string =
+(** [header decls] is a complete, self-contained C header for a set of
+    declarations (dependency order is the caller's, as in a Catalog). *)
+let header (decls : Ftype.t list) : string =
+  let guard = "OMF_GENERATED_H" in
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf

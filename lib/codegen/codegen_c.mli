@@ -5,11 +5,6 @@
 
 open Omf_pbio
 
-val c_base_type : Ftype.elem -> string
-val member : Ftype.field -> string
-val struct_def : Ftype.t -> string
-val io_fields : Ftype.t -> string
-
-val header : ?guard:string -> Ftype.t list -> string
+val header : Ftype.t list -> string
 (** A complete self-contained header; declarations must be in dependency
     order (as a Catalog yields them). *)

@@ -9,10 +9,6 @@ open Omf_pbio
 val ident : string -> string
 (** Lowercase, keyword-safe OCaml identifier. *)
 
-val decl_expr : Ftype.t -> string
-val constructor : Ftype.t -> string
-val accessors : Ftype.t -> string
-
 val module_text : Ftype.t list -> string
 (** A complete module body for a set of declarations. *)
 

@@ -263,11 +263,6 @@ let compress ?scratch src =
 let compress_slice ?scratch (s : Slice.t) =
   compress_sub ?scratch s.buf ~pos:s.off ~len:s.len
 
-let compress_slices ?scratch = function
-  | [] -> compress ?scratch Bytes.empty
-  | [ s ] -> compress_slice ?scratch s
-  | parts -> compress ?scratch (Slice.concat parts)
-
 (* -- decoder ------------------------------------------------------- *)
 
 (* one past the end of the 255-continuation run at [i]: its last byte is

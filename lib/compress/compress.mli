@@ -53,10 +53,6 @@ val compress : ?scratch:scratch -> Bytes.t -> Bytes.t
     scratch, the block is built in a buffer the scratch keeps, so the
     call allocates only the block it returns. *)
 
-val compress_sub : ?scratch:scratch -> Bytes.t -> pos:int -> len:int -> Bytes.t
-(** Compress a window of a buffer. Raises [Invalid_argument] when the
-    window escapes the buffer. *)
-
 val compress_into :
   ?scratch:scratch -> Bytes.t -> pos:int -> len:int -> Bytes.t -> off:int -> int
 (** [compress_into src ~pos ~len dst ~off] writes the block for the
@@ -67,10 +63,6 @@ val compress_into :
 
 val compress_slice : ?scratch:scratch -> Omf_util.Slice.t -> Bytes.t
 (** Compress the viewed bytes without copying them first. *)
-
-val compress_slices : ?scratch:scratch -> Omf_util.Slice.t list -> Bytes.t
-(** Compress a wire message (iovec). Single-slice messages compress in
-    place; multi-slice messages are gathered once. *)
 
 val decompress : Bytes.t -> Bytes.t
 (** Decompress a whole block. Raises [Error] on malformed input. *)

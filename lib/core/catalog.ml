@@ -31,8 +31,6 @@ let find t name = Hashtbl.find_opt t.entries name
 
 let find_format t name = Option.map (fun e -> e.format) (find t name)
 
-let mem t name = Hashtbl.mem t.entries name
-
 (** [register t ~source decl] resolves [decl] against the catalog (nested
     types must already be present) and records it. Re-registration under
     the same name replaces the entry — that is how run-time format

@@ -13,12 +13,10 @@ type entry = {
 type t
 
 val create : Abi.t -> t
-val abi : t -> Abi.t
 val registry : t -> Format.Registry.t
 
 val find : t -> string -> entry option
 val find_format : t -> string -> Format.t option
-val mem : t -> string -> bool
 
 val register : t -> source:string -> Ftype.t -> Format.t
 (** Resolve against the catalog (nested types must already be present)
@@ -28,5 +26,4 @@ val register : t -> source:string -> Ftype.t -> Format.t
 val entries : t -> entry list
 (** In registration order. *)
 
-val size : t -> int
 val pp : Stdlib.Format.formatter -> t -> unit

@@ -157,6 +157,66 @@ let probe_document ~attempts ~timeout_s ~label (fetch : unit -> string) :
   in
   go 1 "no attempts"
 
+exception Cancelled
+(** The discovery was cancelled ({!cancel}) — typically superseded by
+    a newer {!discover_async} for the same key. *)
+
+type found = Text of string | Decls of Ftype.t list
+
+(** The fallback-chain walk shared by {!discover}, the async worker and
+    {!refresh}: [use ~fallback label found] turns the first working
+    source into the result ([fallback] when an earlier source failed).
+    Every failed probe, and every source whose [use] raises (a document
+    that fails schema parsing or registration), counts
+    [source_failures] and falls through to the next source.
+    [cancelled] is consulted before each source and — crucially — after
+    a successful fetch, {e before} [use]: a discovery superseded
+    mid-fetch neither mutates the catalog nor double-counts a win when
+    its fetch finally lands. *)
+let walk ~attempts ~timeout_s ~(cancelled : unit -> bool) ~use
+    (sources : source list) =
+  let rec go failures = function
+    | [] -> raise (Discovery_failed (List.rev failures))
+    | source :: rest -> (
+      if cancelled () then raise Cancelled;
+      let label = source_label source in
+      let fallback = failures <> [] in
+      match
+        match source with
+        | Document { fetch; _ } -> (
+          match probe_document ~attempts ~timeout_s ~label fetch with
+          | Ok text ->
+            if cancelled () then raise Cancelled;
+            Ok (use ~fallback label (Text text))
+          | Error reason -> Error reason)
+        | Compiled { decls; _ } -> Ok (use ~fallback label (Decls decls))
+      with
+      | Ok result -> result
+      | Error reason ->
+        Omf_util.Counters.incr counters "source_failures";
+        go ((label, reason) :: failures) rest
+      | exception Cancelled -> raise Cancelled
+      | exception e ->
+        let reason = Printexc.to_string e in
+        Omf_util.Counters.incr counters "source_failures";
+        Log.warn (fun m -> m "source %s failed: %s" label reason);
+        go ((label, reason) :: failures) rest)
+  in
+  go [] sources
+
+(* registers what a source found and counts the win *)
+let register catalog ~fallback label found =
+  let outcome =
+    match found with
+    | Text text -> register_document catalog ~label text
+    | Decls decls -> register_compiled catalog ~label decls
+  in
+  Omf_util.Counters.incr counters ("source_" ^ outcome.origin);
+  if fallback then Omf_util.Counters.incr counters "fallback_wins";
+  Log.info (fun m ->
+      m "discovered %d format(s) from %s" (List.length outcome.formats) label);
+  outcome
+
 (** [discover catalog sources] tries each source in order and registers
     every format the first working source defines. Raises
     {!Discovery_failed} when all sources fail.
@@ -168,61 +228,13 @@ let probe_document ~attempts ~timeout_s ~label (fetch : unit -> string) :
     primary source should not flip a system onto degraded metadata.
     The defaults (one attempt, no deadline) preserve plain blocking
     behaviour. *)
-exception Cancelled
-(** The discovery was cancelled ({!cancel}) — typically superseded by
-    a newer {!discover_async} for the same key. *)
-
-(** The fallback-chain walk shared by {!discover} and the async
-    worker. [cancelled] is consulted before each source and — crucially
-    — after a successful fetch, {e before} registration and the win
-    counters: a discovery superseded mid-fetch neither mutates the
-    catalog nor double-counts a win when its fetch finally lands. *)
-let discover_chain ~attempts ~timeout_s ~(cancelled : unit -> bool)
-    (catalog : Catalog.t) (sources : source list) : outcome =
-  let rec go failures = function
-    | [] -> raise (Discovery_failed (List.rev failures))
-    | source :: rest -> (
-      if cancelled () then raise Cancelled;
-      let label = source_label source in
-      match
-        match source with
-        | Document { fetch; _ } -> (
-          match probe_document ~attempts ~timeout_s ~label fetch with
-          | Ok text ->
-            if cancelled () then raise Cancelled;
-            Ok (register_document catalog ~label text)
-          | Error reason -> Error reason)
-        | Compiled { decls; _ } ->
-          Ok (register_compiled catalog ~label decls)
-      with
-      | Ok outcome ->
-        Omf_util.Counters.incr counters ("source_" ^ outcome.origin);
-        if failures <> [] then
-          Omf_util.Counters.incr counters "fallback_wins";
-        Log.info (fun m ->
-            m "discovered %d format(s) from %s"
-              (List.length outcome.formats) label);
-        outcome
-      | Error reason ->
-        Omf_util.Counters.incr counters "source_failures";
-        go ((label, reason) :: failures) rest
-      | exception Cancelled -> raise Cancelled
-      | exception e ->
-        (* a fetched document that fails schema parsing / registration *)
-        let reason = Printexc.to_string e in
-        Omf_util.Counters.incr counters "source_failures";
-        Log.warn (fun m -> m "source %s failed: %s" label reason);
-        go ((label, reason) :: failures) rest)
-  in
-  go [] sources
-
 let discover ?(attempts = 1) ?timeout_s (catalog : Catalog.t)
     (sources : source list) : outcome =
   if sources = [] then invalid_arg "Discovery.discover: no sources";
   if attempts < 1 then invalid_arg "Discovery.discover: attempts < 1";
-  discover_chain ~attempts ~timeout_s
+  walk ~attempts ~timeout_s
     ~cancelled:(fun () -> false)
-    catalog sources
+    ~use:(register catalog) sources
 
 (* ------------------------------------------------------------------ *)
 (* Async discovery                                                      *)
@@ -289,10 +301,9 @@ let discover_async ?attempts ?timeout_s ?key (catalog : Catalog.t)
          let r =
            try
              Ok
-               (discover_chain
-                  ~attempts ~timeout_s
+               (walk ~attempts ~timeout_s
                   ~cancelled:(fun () -> a.a_cancelled)
-                  catalog sources)
+                  ~use:(register catalog) sources)
            with e -> Error e
          in
          Mutex.lock a.a_mutex;
@@ -353,35 +364,19 @@ let current (w : watched) = w.last
     and deadline bounds); returns [Some outcome] if the metadata
     changed (and was re-registered), [None] if it is unchanged. A refresh
     whose sources all fail raises {!Discovery_failed} and leaves the
-    previous registration in force. *)
+    previous registration in force. Its failed probes count
+    [source_failures] as {!discover}'s do. *)
 let refresh (w : watched) : outcome option =
-  let rec probe failures = function
-    | [] -> raise (Discovery_failed (List.rev failures))
-    | source :: rest -> (
-      let label = source_label source in
-      match source with
-      | Document { fetch; _ } -> (
-        match
-          probe_document ~attempts:w.attempts ~timeout_s:w.timeout_s ~label
-            fetch
-        with
-        | Ok text -> `Document (label, text)
-        | Error reason -> probe ((label, reason) :: failures) rest)
-      | Compiled { decls; _ } -> `Compiled (label, decls))
-  in
-  match probe [] w.sources with
-  | `Document (label, text) ->
-    if w.last.document = Some text then None
-    else begin
-      let outcome = register_document w.catalog ~label text in
-      w.last <- outcome;
-      Some outcome
-    end
-  | `Compiled (label, decls) ->
+  let use ~fallback label found =
+    match found, w.last.document with
+    | Text text, Some last when String.equal text last -> None
     (* compiled metadata cannot change at run time *)
-    if w.last.document = None then None
-    else begin
-      let outcome = register_compiled w.catalog ~label decls in
+    | Decls _, None -> None
+    | _ ->
+      let outcome = register w.catalog ~fallback label found in
       w.last <- outcome;
       Some outcome
-    end
+  in
+  walk ~attempts:w.attempts ~timeout_s:w.timeout_s
+    ~cancelled:(fun () -> false)
+    ~use w.sources

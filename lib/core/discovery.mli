@@ -10,17 +10,11 @@ type source =
       (** must return XML Schema text; any exception = source down *)
   | Compiled of { label : string; decls : Ftype.t list }
 
-val source_label : source -> string
-
-val origin_of_label : string -> string
-(** Provenance kind of a label: the prefix before [':'] when it is one
-    we mint ourselves ([file] / [http] / [https] / [registry]),
-    ["inline"] for inline text, ["document"] otherwise. *)
-
 val stats : unit -> (string * int) list
-(** Process-wide discovery counters: [source_<origin>] per win,
-    [fallback_wins] when a non-primary source won, [source_failures]
-    per failed probe, [cancelled]/[superseded] for async discoveries
+(** Process-wide discovery counters: [source_<origin>] per win (a
+    discovery, or a {!refresh} that re-registers), [fallback_wins] when a
+    non-primary source won, [source_failures] per failed probe (of a
+    discovery or a refresh), [cancelled]/[superseded] for async discoveries
     aborted by {!cancel} or a newer keyed {!discover_async} — so
     degraded metadata is observable, not silent. *)
 
@@ -35,12 +29,15 @@ exception Discovery_failed of (string * string) list
 type outcome = {
   formats : Format.t list;  (** in registration order *)
   source : string;  (** which source won *)
-  origin : string;  (** its provenance kind, {!origin_of_label} *)
+  origin : string;
+      (** its provenance kind: the label's prefix before [':'] when it is
+          [file] / [http] / [https] / [registry], ["inline"] for inline
+          text, ["compiled"] for compiled-in declarations, ["document"]
+          otherwise *)
   document : string option;  (** the schema text, for [Document] wins *)
 }
 
 val register_document : Catalog.t -> label:string -> string -> outcome
-val register_compiled : Catalog.t -> label:string -> Ftype.t list -> outcome
 
 val discover :
   ?attempts:int -> ?timeout_s:float -> Catalog.t -> source list -> outcome

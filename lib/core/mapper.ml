@@ -179,9 +179,8 @@ let complex_type_of_decl (decl : Ftype.t) : Schema.complex_type =
   ; ct_documentation = None }
 
 (** Publish a set of declarations as a full schema document. *)
-let schema_of_decls ?(target_namespace = "http://omf.example.org/schemas")
-    (decls : Ftype.t list) : Schema.t =
-  { Schema.target_namespace = Some target_namespace
+let schema_of_decls (decls : Ftype.t list) : Schema.t =
+  { Schema.target_namespace = Some "http://omf.example.org/schemas"
   ; documentation = None
   ; types = List.map complex_type_of_decl decls
   ; simple_types = [] }

@@ -12,12 +12,6 @@ open Omf_xschema
 
 exception Mapping_error of string
 
-val elem_of_builtin : Schema.builtin -> Ftype.elem
-(** The XML Schema datatype → C type table. *)
-
-val synthesised_control : string -> string
-(** Control-field name generated for a [maxOccurs="*"] array. *)
-
 val decl_of_complex_type :
   ?simple:(string -> Schema.simple_type option) -> Schema.complex_type ->
   Ftype.t
@@ -27,9 +21,7 @@ val decl_of_complex_type :
     that cannot be realised as C structures (self-nesting,
     missing/non-integer control elements, control-name collisions). *)
 
-val complex_type_of_decl : Ftype.t -> Schema.complex_type
-(** Inverse: synthesised [*_count] controls fold back into
-    [maxOccurs="*"]; explicit controls become string-valued
-    [maxOccurs]. *)
-
-val schema_of_decls : ?target_namespace:string -> Ftype.t list -> Schema.t
+val schema_of_decls : Ftype.t list -> Schema.t
+(** The inverse, as a whole schema document: synthesised [*_count]
+    controls fold back into [maxOccurs="*"]; explicit controls become
+    string-valued [maxOccurs]. *)

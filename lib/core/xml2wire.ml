@@ -11,7 +11,6 @@
       "the introduction of XML metadata … doesn't add any additional
       overhead to data transport". *)
 
-open Omf_machine
 open Omf_pbio
 module Catalog = Catalog
 module Mapper = Mapper
@@ -46,28 +45,11 @@ let publish_schema (catalog : Catalog.t) (names : string list) : string =
 
 (** A binding: the "message format descriptor or token which the
     programmer can use during marshaling" (section 3.1). *)
-type binding = { format : Format.t; catalog : Catalog.t }
+type binding = Format.t
 
 let bind (catalog : Catalog.t) (name : string) : binding =
   match Catalog.find_format catalog name with
-  | Some format -> { format; catalog }
+  | Some format -> format
   | None -> raise (No_such_format name)
 
-let binding_format (b : binding) = b.format
-
-(** Marshal a value through a binding (bind-then-encode convenience). *)
-let to_message (b : binding) (v : Value.t) : bytes =
-  Pbio.message_of_value (Catalog.abi b.catalog) b.format v
-
-(** The negotiation descriptor a sender shares before first use. *)
-let negotiation (b : binding) : string = Format_codec.encode b.format
-
-(* ------------------------------------------------------------------ *)
-(* Receiving end                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** Build a PBIO receiver whose native formats come from this catalog. *)
-let receiver ?(mode = Pbio.Receiver.Compiled) (catalog : Catalog.t) :
-    Pbio.Receiver.t =
-  Pbio.Receiver.create ~mode (Catalog.registry catalog)
-    (Memory.create (Catalog.abi catalog))
+let binding_format (b : binding) : Format.t = b

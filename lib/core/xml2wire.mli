@@ -27,13 +27,3 @@ type binding
 val bind : Catalog.t -> string -> binding
 val binding_format : binding -> Format.t
 
-val to_message : binding -> Value.t -> bytes
-(** Bind-then-encode convenience. *)
-
-val negotiation : binding -> string
-(** The descriptor a sender shares before first use of the format. *)
-
-(** {1 Receiving} *)
-
-val receiver : ?mode:Pbio.Receiver.mode -> Catalog.t -> Pbio.Receiver.t
-(** A PBIO receiver whose native formats come from this catalog. *)

@@ -5,7 +5,7 @@
     HTTP/1.1 requests with [Connection: close].
 
     The server dispatches on a handler function; {!serve_table} and
-    {!serve_directory} cover the metaserver use cases. The client's
+    {!directory_handler} cover the metaserver use cases. The client's
     {!get} returns the body and doubles as the fetch closure for
     {!Omf_xml2wire.Discovery.from_fetcher}. *)
 
@@ -296,7 +296,7 @@ let serve_table ?host ~port (table : (string * string) list) : server =
       | Some body -> ok body
       | None -> not_found path)
 
-(** The [*.xsd]-from-a-directory handler behind {!serve_directory}:
+(** The [*.xsd]-from-a-directory handler:
     [/name.xsd -> dir/name.xsd]. Percent-escapes are decoded before any
     check, so [%2e%2e] cannot smuggle a dot-dot past the filter. A path
     that tries to escape the tree ([..] segments, absolute [//...]) is
@@ -335,9 +335,6 @@ let directory_handler (dir : string) : handler =
           ok body
         end
         else not_found path
-
-let serve_directory ?host ~port (dir : string) : server =
-  serve ?host ~port (directory_handler dir)
 
 (* ------------------------------------------------------------------ *)
 (* Client                                                               *)

@@ -17,9 +17,6 @@ type response = {
 val ok : ?content_type:string -> string -> response
 val not_found : string -> response
 val server_error : string -> response
-val forbidden : string -> response
-(** 403: the path tries to escape the served tree. *)
-
 val conflict : string -> response
 (** 409: the registry's compatibility-gate rejection. *)
 
@@ -64,22 +61,21 @@ val serve_table : ?host:string -> port:int -> (string * string) list -> server
 (** Serve a fixed [path -> document] table. *)
 
 val directory_handler : string -> handler
-(** The handler behind {!serve_directory}: [/name.xsd -> dir/name.xsd].
+(** Serve the [*.xsd] files of a directory: [/name.xsd -> dir/name.xsd].
     Percent-escapes are decoded before any check; a path that tries to
     escape the tree ([..] segments, absolute [//...]) is 403, one that
     merely names nothing served here (subdirectory, non-[.xsd],
     missing) is 404. Exposed so callers can wrap it (request counting,
     extra routes) before {!serve}. *)
 
-val serve_directory : ?host:string -> port:int -> string -> server
-(** Serve the [*.xsd] files of a directory; traversal-safe. *)
-
-val metrics_handler :
+val serve_metrics :
+  ?host:string ->
+  port:int ->
   ?staleness:bool ->
   ?routes:(string * (unit -> response)) list ->
   (string * (unit -> (string * int) list)) list ->
-  handler
-(** [metrics_handler sources] answers [GET /metrics] with each
+  server
+(** [serve_metrics ~port sources] answers [GET /metrics] with each
     [(component, snapshot)] rendered as Prometheus text
     ([omf_<component>_<name> <value>] lines); snapshots are taken per
     request. [~staleness:true] adds scrape-time staleness marks
@@ -89,17 +85,8 @@ val metrics_handler :
     see {!Omf_util.Counters.prometheus}. [routes] mounts extra
     [(path, thunk)] endpoints beside [/metrics] — relayd's
     [/trace/spans] and [/trace/summary] live here. Everything else is
-    404. *)
-
-val serve_metrics :
-  ?host:string ->
-  port:int ->
-  ?staleness:bool ->
-  ?routes:(string * (unit -> response)) list ->
-  (string * (unit -> (string * int) list)) list ->
-  server
-(** Mount {!metrics_handler} on its own port (relayd [--metrics-port],
-    registry [?metrics_port]). *)
+    404. It runs on its own port (relayd [--metrics-port], registry
+    [?metrics_port]). *)
 
 (** {1 Client} *)
 

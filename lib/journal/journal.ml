@@ -73,12 +73,6 @@ module Writer = struct
     end;
     record t kind_message (Pbio.message mem fmt addr)
 
-  let append_value (t : t) (abi : Abi.t) (fmt : Format.t) (v : Value.t) : unit
-      =
-    let mem = Memory.create abi in
-    append t mem fmt (Native.store mem fmt v)
-
-  let flush t = flush t.oc
   let record_count t = t.records
 end
 
@@ -92,19 +86,19 @@ module Reader = struct
     receiver : Pbio.Receiver.t;
   }
 
-  let create ?mode (ic : in_channel) (registry : Format.Registry.t)
+  let create (ic : in_channel) (registry : Format.Registry.t)
       (mem : Memory.t) : t =
     let m =
       try really_input_string ic (String.length magic)
       with End_of_file -> journal_error "not a journal: file too short"
     in
     if not (String.equal m magic) then journal_error "bad journal magic %S" m;
-    { ic; receiver = Pbio.Receiver.create ?mode registry mem }
+    { ic; receiver = Pbio.Receiver.create registry mem }
 
-  let of_file ?mode (path : string) (registry : Format.Registry.t)
+  let of_file (path : string) (registry : Format.Registry.t)
       (mem : Memory.t) : t * (unit -> unit) =
     let ic = open_in_bin path in
-    match create ?mode ic registry mem with
+    match create ic registry mem with
     | t -> (t, fun () -> close_in ic)
     | exception e ->
       close_in_noerr ic;

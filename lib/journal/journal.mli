@@ -8,43 +8,32 @@ open Omf_pbio
 
 exception Journal_error of string
 
-val magic : string
-
 module Writer : sig
   type t
 
-  val create : out_channel -> t
-  (** Writes the journal magic immediately. *)
-
   val to_file : string -> t * (unit -> unit)
-  (** Returns the writer and a close function. *)
+  (** Writes the journal magic immediately. Returns the writer and a
+      close function. *)
 
   val append : t -> Memory.t -> Format.t -> int -> unit
   (** Write the struct at the address, preceded by the format's
       descriptor if not yet journaled. *)
 
-  val append_value : t -> Abi.t -> Format.t -> Value.t -> unit
-  val flush : t -> unit
   val record_count : t -> int
 end
 
 module Reader : sig
   type t
 
-  val create :
-    ?mode:Pbio.Receiver.mode -> in_channel -> Format.Registry.t -> Memory.t -> t
+  val of_file :
+    string -> Format.Registry.t -> Memory.t -> t * (unit -> unit)
   (** Checks the magic. The registry supplies the reader's native
       formats (discovered or compiled-in, as usual). *)
 
-  val of_file :
-    ?mode:Pbio.Receiver.mode -> string -> Format.Registry.t -> Memory.t ->
-    t * (unit -> unit)
-
-  val next : t -> (Format.t * int) option
-  (** The next message as a native struct in the reader's memory;
-      descriptor records are ingested transparently. [None] at clean
-      EOF; {!Journal_error} on truncation or corruption. *)
-
   val next_value : t -> (Format.t * Value.t) option
+  (** The next message, lifted to a value; descriptor records are
+      ingested transparently. [None] at clean EOF; {!Journal_error} on
+      truncation or corruption. *)
+
   val fold : t -> ('a -> Format.t * Value.t -> 'a) -> 'a -> 'a
 end

@@ -198,8 +198,3 @@ let layout_equal a b =
   && List.for_all
        (fun p -> size_of a p = size_of b p && align_of a p = align_of b p)
        all_prims
-
-let pp ppf t =
-  Fmt.pf ppf "%s (%a, int=%d long=%d ptr=%d align<=%d)" t.name
-    Endian.pp_order t.endianness t.int_size t.long_size t.pointer_size
-    t.align_cap

@@ -19,7 +19,6 @@ type prim =
   | Double
   | Pointer
 
-val all_prims : prim list
 val prim_name : prim -> string
 (** The C spelling, e.g. ["unsigned long"]. *)
 
@@ -53,8 +52,6 @@ val sparc_64 : t
 val arm_32 : t
 val power_64 : t
 val alpha_64 : t
-val m68k_32 : t
-val mips_32 : t
 val all : t list
 
 val native : t
@@ -83,5 +80,3 @@ val layout_equal : t -> t -> bool
 (** Two ABIs are layout-equal when every primitive has the same size and
     alignment and byte order agrees: structures then have byte-identical
     images (e.g. x86-64 and alpha-64). *)
-
-val pp : Format.formatter -> t -> unit

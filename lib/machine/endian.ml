@@ -12,10 +12,6 @@
 
 type order = Little | Big
 
-let pp_order ppf = function
-  | Little -> Fmt.string ppf "little-endian"
-  | Big -> Fmt.string ppf "big-endian"
-
 let order_equal a b =
   match (a, b) with Little, Little | Big, Big -> true | _ -> false
 
@@ -89,9 +85,6 @@ let read_uint order buf ~off ~size =
 let read_int order buf ~off ~size =
   check "read_int" buf ~off ~size;
   sign_extend (get_bits order buf off size) size
-
-(* Signed stores are identical to unsigned stores in two's complement. *)
-let write_int = write_uint
 
 (** [read_offset] is [Int64.to_int (read_uint ...)] without the boxed
     intermediate: pointer slots, payload offsets and counts. *)

@@ -7,7 +7,6 @@
 
 type order = Little | Big
 
-val pp_order : Format.formatter -> order -> unit
 val order_equal : order -> order -> bool
 
 val write_uint : order -> bytes -> off:int -> size:int -> int64 -> unit
@@ -20,9 +19,6 @@ val read_uint : order -> bytes -> off:int -> size:int -> int64
 
 val read_int : order -> bytes -> off:int -> size:int -> int64
 (** Signed read: two's-complement, sign-extended to 64 bits. *)
-
-val write_int : order -> bytes -> off:int -> size:int -> int64 -> unit
-(** Identical to {!write_uint} (two's complement). *)
 
 val read_offset : order -> bytes -> off:int -> size:int -> int
 (** [Int64.to_int (read_uint ...)] without the boxed intermediate: for

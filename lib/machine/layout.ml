@@ -123,5 +123,3 @@ and dim_string f =
   | Scalar -> ""
   | Fixed_array n -> Printf.sprintf "[%d]" n
   | Pointer_to _ -> "*"
-
-let to_string t = Fmt.str "@[<v>%a@]" pp t

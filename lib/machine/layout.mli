@@ -40,10 +40,6 @@ and t = {
 type decl = { d_name : string; d_ctype : ctype; d_dim : dim }
 (** Declaration-side view of a field, before offsets are assigned. *)
 
-val ctype_size : Abi.t -> ctype -> int
-val ctype_align : Abi.t -> ctype -> int
-val round_up : int -> int -> int
-
 exception Layout_error of string
 
 val compute : abi:Abi.t -> name:string -> decl list -> t
@@ -54,5 +50,3 @@ val find_field : t -> string -> field option
 
 val pp : Format.formatter -> t -> unit
 (** Compiler-style record-layout dump. *)
-
-val to_string : t -> string

@@ -185,8 +185,6 @@ let rec layout_signature (t : t) : string =
     t.fields;
   Buffer.contents b
 
-let same_wire_layout a b = String.equal (layout_signature a) (layout_signature b)
-
 (** Render the format as PBIO IOField rows (compare Figures 5/8/11). *)
 let pp_io_fields ppf t =
   Fmt.pf ppf "@[<v2>IOField %sFields[] = {@," t.name;
@@ -239,8 +237,4 @@ module Registry = struct
     t.next_id <- id + 1;
     Hashtbl.replace t.by_name fmt.name fmt;
     fmt
-
-  let all t : format list =
-    Hashtbl.fold (fun _ f acc -> f :: acc) t.by_name []
-    |> List.sort (fun a b -> compare a.id b.id)
 end

@@ -48,8 +48,6 @@ val layout_signature : t -> string
     byte-identical native images for equal logical data (the
     zero-conversion fast path). *)
 
-val same_wire_layout : t -> t -> bool
-
 val pp_io_fields : Stdlib.Format.formatter -> t -> unit
 (** Render as PBIO IOField rows (compare the paper's Figures 5/8/11). *)
 
@@ -65,6 +63,4 @@ module Registry : sig
   val register : t -> Ftype.t -> format
   (** Resolves nested references against current contents (Catalog
       ordering); re-registering a name replaces it (run-time upgrade). *)
-
-  val all : t -> format list
 end

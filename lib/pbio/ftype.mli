@@ -40,5 +40,4 @@ val declare : string -> (string * string) list -> t
 (** A whole declaration from IOField-style rows — the compiled-in
     metadata style. *)
 
-val pp_field : Stdlib.Format.formatter -> field -> unit
 val pp : Stdlib.Format.formatter -> t -> unit

@@ -11,13 +11,9 @@ open Omf_machine
 
 exception Bind_error of string
 
-val store_into : Memory.t -> Format.t -> int -> Value.t -> unit
-(** Write a record into an existing struct block. *)
-
 val store : Memory.t -> Format.t -> Value.t -> int
 (** Allocate a struct block, write the record, return its address. *)
 
-val load_from : Memory.t -> Format.t -> int -> Value.t
 val load : Memory.t -> Format.t -> int -> Value.t
 (** Read the struct back as a record in declaration field order (control
     fields included). *)

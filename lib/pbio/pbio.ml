@@ -54,10 +54,6 @@ let message_of_value (abi : Abi.t) (fmt : Format.t) (v : Value.t) : bytes =
 (* ------------------------------------------------------------------ *)
 
 module Receiver = struct
-  type mode =
-    | Compiled  (** conversion plans compiled once per format pair *)
-    | Interpreted  (** per-record metadata interpretation (baseline) *)
-
   (** Operational counters, for monitoring and tests. *)
   type stats = {
     mutable messages : int;
@@ -70,7 +66,6 @@ module Receiver = struct
   type t = {
     registry : Registry.t;
     mem : Memory.t;
-    mode : mode;
     resolve : (int -> string option) option;
         (** fetch a descriptor blob for an unknown wire id — typically a
             format-server lookup *)
@@ -81,11 +76,11 @@ module Receiver = struct
     stats : stats;
   }
 
-  let create ?(mode = Compiled) ?resolve (registry : Registry.t)
+  let create ?resolve (registry : Registry.t)
       (mem : Memory.t) : t =
     if not (Abi.layout_equal (Registry.abi registry) (Memory.abi mem)) then
       invalid_arg "Receiver.create: registry and memory ABIs differ";
-    { registry; mem; mode; resolve; wire_formats = Hashtbl.create 8
+    { registry; mem; resolve; wire_formats = Hashtbl.create 8
     ; plans = Hashtbl.create 8
     ; stats =
         { messages = 0; bytes = 0; formats_learned = 0; plans_compiled = 0
@@ -151,7 +146,7 @@ module Receiver = struct
   (** [receive ?off t msg] demarshals the framed message at [msg.[off ..]]
       (default 0, to the end of [msg]) into [t]'s memory and returns
       [(native_format, struct_address)]. The struct is laid out for the
-      receiver's ABI regardless of the sender's. The compiled path
+      receiver's ABI regardless of the sender's. The compiled plan
       converts the payload in place inside [msg]: beyond the native
       blocks it builds in [t]'s memory, it allocates only the pair it
       returns. *)
@@ -163,11 +158,7 @@ module Receiver = struct
     let wire = resolve_format t id in
     let native = native_format_for t wire in
     let addr =
-      match t.mode with
-      | Compiled ->
-        Convert.run_sub (plan_for t wire native) msg ~off:pay ~len t.mem
-      | Interpreted ->
-        Convert.interpret ~wire ~native (Bytes.sub msg pay len) t.mem
+      Convert.run_sub (plan_for t wire native) msg ~off:pay ~len t.mem
     in
     t.stats.messages <- t.stats.messages + 1;
     t.stats.bytes <- t.stats.bytes + len;

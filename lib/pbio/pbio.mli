@@ -41,10 +41,6 @@ val message_of_value : Abi.t -> Format.t -> Value.t -> bytes
     caches conversion plans, and materialises incoming messages in its
     process memory. *)
 module Receiver : sig
-  type mode =
-    | Compiled  (** conversion plans compiled once per format pair *)
-    | Interpreted  (** per-record metadata interpretation (baseline) *)
-
   (** Operational counters, for monitoring and tests. *)
   type stats = {
     mutable messages : int;
@@ -57,8 +53,7 @@ module Receiver : sig
   type t
 
   val create :
-    ?mode:mode -> ?resolve:(int -> string option) -> Registry.t -> Memory.t ->
-    t
+    ?resolve:(int -> string option) -> Registry.t -> Memory.t -> t
   (** [resolve] fetches a descriptor blob for an unknown wire format id —
       typically [Omf_registry.Registry.Resolver.descriptor]. *)
 

@@ -25,11 +25,9 @@ val equal : t -> t -> bool
     element by element, and nothing else (an [Array] of [Int]s with the
     same numbers differs). Comparing two [Floats] allocates nothing. *)
 
-val pp : Stdlib.Format.formatter -> t -> unit
+val to_string : t -> string
 (** [Floats a] prints exactly as the [Array] of its [Float]s:
     [[|0x1p+0; -0x1.8p+1|]]. *)
-
-val to_string : t -> string
 
 (** {1 Record helpers} *)
 

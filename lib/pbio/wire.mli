@@ -5,8 +5,6 @@
 
 exception Frame_error of string
 
-val magic : string
-val version : int
 val header_length : int
 
 type header = {

@@ -24,9 +24,6 @@ val encode : Bytes.t -> Bytes.t
 (** [encode body] is header + body in one buffer (one socket write).
     Copies the body; the zero-copy path is {!wire}. *)
 
-val header : int -> Bytes.t
-(** [header len] is a fresh 4-byte length prefix. *)
-
 val wire : Omf_util.Slice.t list -> Omf_util.Slice.t list
 (** [wire body] frames [body] as slices: a fresh header slice followed
     by the body slices unchanged — the payload is never copied.

@@ -371,23 +371,7 @@ let register t ~subject text : version =
 (* JSON rendering (hand-rolled: no JSON library in the tree)            *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_string s = "\"" ^ json_escape s ^ "\""
+let json_string s = "\"" ^ Omf_util.Json.escape s ^ "\""
 
 let json_version (v : version) : string =
   Printf.sprintf
@@ -777,7 +761,6 @@ module Resolver = struct
     client : Client.t;
     mutex : Mutex.t;
     pos : (string, version) Hashtbl.t;  (** "subject@spec" -> version *)
-    by_fp : (string, version) Hashtbl.t;
     blobs : (int, string) Hashtbl.t;  (** descriptor id -> blob *)
     neg : (string, int) Hashtbl.t;  (** key -> expiry, {!Clock.now_us} *)
     neg_ttl_s : float;
@@ -786,7 +769,7 @@ module Resolver = struct
 
   let create ?(neg_ttl_s = 1.0) client : t =
     { client; mutex = Mutex.create (); pos = Hashtbl.create 16
-    ; by_fp = Hashtbl.create 16; blobs = Hashtbl.create 16
+    ; blobs = Hashtbl.create 16
     ; neg = Hashtbl.create 8; neg_ttl_s; counters = Counters.create () }
 
   let locked t f =
@@ -798,8 +781,7 @@ module Resolver = struct
   (* cache a fetched version under every key it answers *)
   let remember t ~key:k (v : version) =
     Hashtbl.replace t.pos k v;
-    Hashtbl.replace t.pos (key v.subject (`N v.version)) v;
-    Hashtbl.replace t.by_fp v.fingerprint v
+    Hashtbl.replace t.pos (key v.subject (`N v.version)) v
 
   (* One cached lookup: [hit] probes the positive cache, [fetch] asks
      the server and [keep] stores its answer (both caches are read and
@@ -847,35 +829,11 @@ module Resolver = struct
       ~fetch:(fun () -> Client.get t.client ~subject spec)
       ~keep:(remember t ~key:k)
 
-  let resolve_fingerprint t fp : version option =
-    lookup t ~neg_key:("fp:" ^ fp)
-      ~hit:(fun () -> Hashtbl.find_opt t.by_fp fp)
-      ~fetch:(fun () -> Client.by_fingerprint t.client fp)
-      ~keep:(fun v -> remember t ~key:(key v.subject (`N v.version)) v)
-
   let descriptor t id : string option =
     lookup t ~neg_key:("id:" ^ string_of_int id)
       ~hit:(fun () -> Hashtbl.find_opt t.blobs id)
       ~fetch:(fun () -> Client.descriptor t.client id)
       ~keep:(Hashtbl.replace t.blobs id)
 
-  let prefetch t ~subject spec =
-    Counters.incr t.counters "prefetches";
-    ignore
-      (Thread.create
-         (fun () -> try ignore (resolve t ~subject spec) with _ -> ())
-         ())
-
   let stats t = Counters.dump t.counters
 end
-
-let discovery_source (resolver : Resolver.t) ~subject ?(version = `Latest) () :
-    Omf_xml2wire.Discovery.source =
-  Omf_xml2wire.Discovery.from_fetcher ~label:("registry:" ^ subject)
-    (fun () ->
-      match Resolver.resolve resolver ~subject version with
-      | Some v -> v.schema
-      | None ->
-        failwith
-          (Printf.sprintf "registry: subject %s (%s) not found" subject
-             (Client.spec_string version)))

@@ -98,7 +98,6 @@ val subjects : t -> string list  (** sorted *)
 val versions : t -> string -> version list
 (** The subject's chain, oldest first; [] for unknown subjects. *)
 
-val find : t -> subject:string -> int -> version option
 val latest : t -> string -> version option
 val by_fingerprint : t -> string -> version option
 (** Content-addressed lookup across all subjects. *)
@@ -157,10 +156,7 @@ module Server : sig
   val http_port : server -> int option
   val metrics_port : server -> int option
   val shutdown : server -> unit
-
-  val http_handler : t -> Omf_httpd.Http.request_handler
-  (** The HTTP JSON surface, exposed for mounting elsewhere (the
-      metaserver):
+  (** The HTTP JSON surface ([?http_port]):
       - [GET /subjects] — subject names
       - [GET /subjects/<s>/versions] — version numbers
       - [GET /subjects/<s>/versions/<n>] — one version ([<n>] numeric
@@ -206,14 +202,11 @@ end
 
 module Resolver : sig
   (** Client-side cache over a registry connection: positive entries
-      are immutable (versions never change under a fingerprint or a
-      (subject, version) key, so they cache forever); misses are
+      are immutable (versions never change under a (subject, version)
+      key, so they cache forever); misses are
       negatively cached for [neg_ttl_s] so a hot path cannot hammer
       the server asking for a version that does not exist; an outage
-      (any transport failure) is counted as an error and never cached;
-      and
-      {!prefetch} warms the cache from a background thread so the
-      fetch overlaps first-message delivery (async discovery). *)
+      (any transport failure) is counted as an error and never cached. *)
 
   type t
 
@@ -225,28 +218,12 @@ module Resolver : sig
       cached yet (the chain can grow); [`N _] hits are cached forever.
       [None] while a negative entry is fresh. *)
 
-  val resolve_fingerprint : t -> string -> version option
-
   val descriptor : t -> int -> string option
   (** Resolve a global descriptor id. Hits cache forever (ids never
       change), misses like any other; [None] on an unknown id or an
       outage. This is the [~resolve] callback for
       {!Omf_pbio.Pbio.Receiver.create}. *)
 
-  val prefetch : t -> subject:string -> [ `Latest | `N of int ] -> unit
-  (** Start resolving on a background thread; a later {!resolve} hits
-      the warmed cache. Errors are swallowed (the foreground resolve
-      will surface them). *)
-
   val stats : t -> (string * int) list
-  (** hits / misses / negative hits / prefetches. *)
+  (** hits / misses / negative hits. *)
 end
-
-val discovery_source :
-  Resolver.t -> subject:string -> ?version:[ `Latest | `N of int ] -> unit ->
-  Omf_xml2wire.Discovery.source
-(** A {!Omf_xml2wire.Discovery} source labelled
-    ["registry:<subject>"] that resolves the subject through the
-    caching resolver — chain it before a compiled-in fallback and
-    after {!Resolver.prefetch} to overlap the fetch with first-message
-    delivery. *)

@@ -1580,12 +1580,6 @@ let gen_relay_id () : string =
   in
   String.sub (Omf_util.Sha256.hex (Omf_util.Sha256.digest seed)) 0 12
 
-let rec mkdir_p dir =
-  if dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (** A store-backed relay's identity must survive restarts — otherwise
     every stream it owns would look foreign (read-only) to its own
     successor — so an unconfigured id is minted once and kept in
@@ -1606,7 +1600,7 @@ let resolve_relay_id ?relay_id (store : Store.config option) : string =
     | _ | (exception _) ->
       let id = gen_relay_id () in
       (try
-         mkdir_p cfg.Store.root;
+         Store.mkdir_p cfg.Store.root;
          let oc = open_out path in
          output_string oc (id ^ "\n");
          close_out oc

@@ -235,16 +235,13 @@ module Session = struct
     max_delay_s : float;  (** backoff cap *)
     connect_timeout_s : float option;
     io_timeout_s : float option;
-    jitter_seed : int64;  (** deterministic jitter (tests) *)
   }
 
   let config ?(host = "127.0.0.1") ?(creds = []) ?auth ?(compress = false)
       ?(max_attempts = 10) ?(base_delay_s = 0.05) ?(max_delay_s = 2.0)
-      ?(connect_timeout_s = 5.0) ?io_timeout_s ?(jitter_seed = 1L) ~port () :
-      config =
+      ?(connect_timeout_s = 5.0) ?io_timeout_s ~port () : config =
     { host; port; creds; auth; compress; max_attempts; base_delay_s
-    ; max_delay_s; connect_timeout_s = Some connect_timeout_s; io_timeout_s
-    ; jitter_seed }
+    ; max_delay_s; connect_timeout_s = Some connect_timeout_s; io_timeout_s }
 
   (* backoff step k (0-based) is min(cap, base * 2^k) scaled into
      [0.5, 1.0) — full-jitter halves thundering-herd resubscription
@@ -401,7 +398,7 @@ module Session = struct
           Pbio.Receiver.create
             (Catalog.registry catalog)
             (Omf_machine.Memory.create abi)
-      ; s_rng = Prng.create ~seed:cfg.jitter_seed ()
+      ; s_rng = Prng.create ~seed:1L ()
       ; s_conn = None; s_next = from
       ; s_reconnects = 0; s_trace = None; s_closed = false }
     in
@@ -573,7 +570,7 @@ module Session = struct
       { b_cfg = cfg; b_stream = stream; b_schema = schema
       ; b_trace = trace; b_window = window
       ; b_catalog = Catalog.create abi; b_mem = Omf_machine.Memory.create abi
-      ; b_rng = Prng.create ~seed:cfg.jitter_seed ()
+      ; b_rng = Prng.create ~seed:1L ()
       ; b_buf = Queue.create (); b_inflight = Queue.create ()
       ; b_ack_mode = acked; b_durable = 0; b_next_seq = 0
       ; b_conn = None; b_reconnects = 0; b_busy_waits = 0

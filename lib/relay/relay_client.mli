@@ -207,15 +207,15 @@ module Session : sig
     ?max_delay_s:float ->
     ?connect_timeout_s:float ->
     ?io_timeout_s:float ->
-    ?jitter_seed:int64 ->
     port:int ->
     unit ->
     config
   (** [max_attempts] (default 10) bounds reconnect attempts per outage;
       the first dials at once, attempt [k >= 1] first sleeps
-      {!backoff_delay} step [k - 1] (defaults 0.05s/2.0s,
-      deterministic under [jitter_seed]). [auth], [compress] (offered
-      on every reconnect, renegotiated per connection),
+      {!backoff_delay} step [k - 1] (defaults 0.05s/2.0s; the jitter
+      comes from a fixed seed, so it is deterministic). [auth],
+      [compress] (offered on every reconnect, renegotiated per
+      connection),
       [connect_timeout_s] (default 5s) and [io_timeout_s] as for
       {!Client.connect}; reconnect HELLOs carry an extra
       [omf-reconnect] credential so relay STATS expose churn

@@ -169,14 +169,11 @@ let fsync_dir path =
     (try Unix.fsync fd with Unix.Unix_error _ -> ());
     Unix.close fd
 
-let mkdir_p path =
-  let rec mk p =
-    if p <> "/" && p <> "." && not (Sys.file_exists p) then begin
-      mk (Filename.dirname p);
-      try Unix.mkdir p 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  mk path
+let rec mkdir_p dir =
+  if dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
 
 (* Stream names become directory names; escape anything outside a safe
    alphabet so arbitrary stream names (slashes, dots) cannot traverse. *)

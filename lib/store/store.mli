@@ -56,6 +56,10 @@ val default_config : root:string -> config
 
 type t
 
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents, as [mkdir -p] (the
+    relay keeps its id file in the store root). *)
+
 val open_stream : config -> string -> t
 (** Open (or create) the stream's log and recover: replay [meta.log],
     scan the tail segment validating CRCs, truncate any torn final

@@ -122,9 +122,6 @@ let collector ?(shard = 0) (s : settings) : collector =
   ; next = 0
   ; total = 0 }
 
-let shard (c : collector) = c.col_shard
-let slow_us (c : collector) = c.col_slow_us
-
 let sample (c : collector) : bool =
   c.col_rate > 0.0
   && (c.col_rate >= 1.0
@@ -187,22 +184,6 @@ let clear (c : collector) : unit =
 (* Export                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let chrome_json (l : span list) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"traceEvents\":[";
@@ -214,10 +195,10 @@ let chrome_json (l : span list) : string =
            "{\"name\":\"%s\",\"cat\":\"relay\",\"ph\":\"X\",\"ts\":%d,\
             \"dur\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"trace\":\"%s\",\
             \"span\":\"%s\",\"parent\":\"%s\",\"stream\":\"%s\"}}"
-           (json_escape sp.sp_stage) sp.sp_start_us sp.sp_dur_us sp.sp_shard
+           (Omf_util.Json.escape sp.sp_stage) sp.sp_start_us sp.sp_dur_us sp.sp_shard
            sp.sp_shard (id_to_string sp.sp_trace) (id_to_string sp.sp_id)
            (id_to_string sp.sp_parent)
-           (json_escape sp.sp_stream)))
+           (Omf_util.Json.escape sp.sp_stream)))
     l;
   Buffer.add_string b "]}";
   Buffer.contents b
@@ -257,7 +238,7 @@ let summary_json (l : span list) : string =
         (Printf.sprintf
            "\"%s\":{\"count\":%d,\"p50_us\":%d,\"p95_us\":%d,\"p99_us\":%d,\
             \"max_us\":%d}"
-           (json_escape stage) n p50 p95 p99 mx))
+           (Omf_util.Json.escape stage) n p50 p95 p99 mx))
     (summary l);
   Buffer.add_char b '}';
   Buffer.contents b

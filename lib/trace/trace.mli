@@ -85,9 +85,6 @@ type collector
 val collector : ?shard:int -> settings -> collector
 (** [shard] defaults to [0]. *)
 
-val shard : collector -> int
-val slow_us : collector -> int
-
 val sample : collector -> bool
 (** One head-sampling draw at the configured rate (for publishers that
     supplied no context). Owning-thread only. *)

@@ -37,8 +37,6 @@ module Sender = struct
   let create (link : Link.t) (mem : Memory.t) : t =
     { link; mem; announced = Hashtbl.create 8 }
 
-  let memory t = t.mem
-
   let announce t (fmt : Format.t) =
     if not (Hashtbl.mem t.announced fmt.Format.id) then begin
       Link.send t.link
@@ -69,9 +67,9 @@ module Receiver = struct
 
   let of_pbio (pbio : Pbio.Receiver.t) (link : Link.t) : t = { link; pbio }
 
-  let create ?mode (link : Link.t) (registry : Format.Registry.t)
-      (mem : Memory.t) : t =
-    of_pbio (Pbio.Receiver.create ?mode registry mem) link
+  let create (link : Link.t) (registry : Format.Registry.t) (mem : Memory.t) :
+      t =
+    of_pbio (Pbio.Receiver.create registry mem) link
 
   (** [recv t] processes frames until a data message arrives (descriptor
       frames are ingested transparently). [None] when the link closes.

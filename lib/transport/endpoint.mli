@@ -18,13 +18,9 @@ module Sender : sig
   type t
 
   val create : Link.t -> Memory.t -> t
-  val memory : t -> Memory.t
 
   val announce : t -> Format.t -> unit
   (** Idempotent per connection. *)
-
-  val send : t -> Format.t -> int -> unit
-  (** Negotiate if needed, then ship the struct at the address in NDR. *)
 
   val send_value : t -> Format.t -> Value.t -> unit
 end
@@ -32,8 +28,7 @@ end
 module Receiver : sig
   type t
 
-  val create :
-    ?mode:Pbio.Receiver.mode -> Link.t -> Format.Registry.t -> Memory.t -> t
+  val create : Link.t -> Format.Registry.t -> Memory.t -> t
 
   val of_pbio : Pbio.Receiver.t -> Link.t -> t
   (** An endpoint reading [link] into an existing receiver: formats it

@@ -138,34 +138,3 @@ let open_next (st : state) (frame : Bytes.t) : Bytes.t =
   let len = Bytes.length frame in
   open_in_place st frame 0 len;
   Bytes.sub frame overhead (len - overhead)
-
-(* ------------------------------------------------------------------ *)
-(* One-off sealing under an explicit nonce                              *)
-(* ------------------------------------------------------------------ *)
-
-(** [seal_slices ~key ~nonce payload] seals an iovec payload under an
-    explicit nonce: byte-identical to [seal ~key ~nonce (Slice.concat
-    payload)]. *)
-let seal_slices ~(key : string) ~(nonce : int64) (payload : Slice.t list) :
-    Bytes.t =
-  let b = sealed_of_slices payload in
-  Bytes.set_int64_be b 0 nonce;
-  tag_into (Sha256.hmac_key key) (dir ()) b 0 (Bytes.length b - overhead) b 8;
-  b
-
-(** [seal ~key ~nonce payload] is the sealed frame body. *)
-let seal ~key ~nonce payload = seal_slices ~key ~nonce [ Slice.of_bytes payload ]
-
-(** [verify ~key ~expected_nonce frame] authenticates a sealed frame
-    body and returns the payload. Raises {!Auth_error} on a short
-    frame, a MAC mismatch, or a nonce that is not exactly the expected
-    next value (replay / splice / deletion). *)
-let verify ~(key : string) ~(expected_nonce : int64) (frame : Bytes.t) :
-    Bytes.t =
-  let len = Bytes.length frame in
-  check_tag (Sha256.hmac_key key) (dir ()) frame 0 len;
-  let nonce = Bytes.get_int64_be frame 0 in
-  if nonce <> expected_nonce then
-    auth_error "nonce %Ld, expected %Ld (replayed or dropped frame)" nonce
-      expected_nonce;
-  Bytes.sub frame overhead (len - overhead)

@@ -10,19 +10,6 @@ exception Auth_error of string
 val overhead : int
 (** Bytes a sealed frame adds: 8 (nonce) + 32 (tag) = 40. *)
 
-val seal : key:string -> nonce:int64 -> Bytes.t -> Bytes.t
-
-val seal_slices :
-  key:string -> nonce:int64 -> Omf_util.Slice.t list -> Bytes.t
-(** Seal an iovec payload; byte-identical to
-    [seal ~key ~nonce (Slice.concat payload)]. The zero-copy frame
-    path's one copy-on-seal (auth-negotiated connections only). *)
-
-val verify : key:string -> expected_nonce:int64 -> Bytes.t -> Bytes.t
-(** Authenticate a sealed frame and return its payload. Raises
-    {!Auth_error} on a short frame, a MAC mismatch, or a nonce other
-    than the expected next value. *)
-
 (** {1 Per-connection state} *)
 
 type state

@@ -8,7 +8,7 @@
       where the link is busy for per_message + bytes/bandwidth
 
     Virtual time is in microseconds. The clock is shared by both ends of
-    a link (and can be shared across links to model a whole system). *)
+    a link. *)
 
 type clock = { mutable now_us : float }
 
@@ -68,10 +68,10 @@ let link_of_side (s : side) : Link.t =
         end)
   ; close = (fun () -> ()) }
 
-(** [pair ?clock profile] creates a duplex link whose two ends share a
-    virtual [clock]. Returns [(end_a, end_b, clock, stats_a_to_b)]. *)
-let pair ?clock:(c = clock ()) (profile : profile) :
-    Link.t * Link.t * clock * stats =
+(** [pair profile] creates a duplex link whose two ends share a fresh
+    virtual clock. Returns [(end_a, end_b, clock, stats_a_to_b)]. *)
+let pair (profile : profile) : Link.t * Link.t * clock * stats =
+  let c = clock () in
   let q1 = Queue.create () and q2 = Queue.create () in
   let free_a = ref 0.0 and free_b = ref 0.0 in
   let stats_ab = { messages = 0; bytes = 0 } in

@@ -6,9 +6,7 @@
 
 type clock
 
-val clock : unit -> clock
 val now : clock -> float
-val advance_to : clock -> float -> unit
 
 type profile = {
   propagation_us : float;  (** one-way latency *)
@@ -27,6 +25,6 @@ type stats = {
 val transmit_time : profile -> int -> float
 (** Serialisation cost of one message of the given length. *)
 
-val pair : ?clock:clock -> profile -> Link.t * Link.t * clock * stats
-(** A duplex link whose ends share a virtual clock; the stats record
-    counts a→b traffic. *)
+val pair : profile -> Link.t * Link.t * clock * stats
+(** A duplex link whose ends share a fresh virtual clock; the stats
+    record counts a→b traffic. *)

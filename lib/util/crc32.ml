@@ -15,15 +15,13 @@ let table =
   done;
   t
 
-let digest ?(crc = 0) (b : Bytes.t) ~pos ~len =
+let digest (b : Bytes.t) ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32.digest";
-  let c = ref (crc lxor mask) in
+  let c = ref mask in
   for i = pos to pos + len - 1 do
     let byte = Char.code (Bytes.unsafe_get b i) in
     c := table.((!c lxor byte) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor mask land mask
 
-let string ?crc s =
-  digest ?crc (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

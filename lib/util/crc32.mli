@@ -4,11 +4,7 @@
     Values are returned in the low 32 bits of an [int] (the OCaml
     [int] is 63-bit on every platform we target). *)
 
-val digest : ?crc:int -> Bytes.t -> pos:int -> len:int -> int
+val digest : Bytes.t -> pos:int -> len:int -> int
 (** [digest b ~pos ~len] is the CRC-32 of [len] bytes of [b] starting
-    at [pos]. Pass [?crc] (a previous result) to continue a running
-    checksum across chunks. Raises [Invalid_argument] if the range is
-    out of bounds. *)
-
-val string : ?crc:int -> string -> int
-(** [string s] is [digest] over all of [s]. *)
+    at [pos]. Raises [Invalid_argument] if the range is out of
+    bounds. *)

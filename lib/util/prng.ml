@@ -22,23 +22,9 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   v mod bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let float t =
   (* 53 random bits scaled to [0, 1). *)
   let bits = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
   float_of_int bits /. 9007199254740992.0
 
-(** Random printable ASCII string of length [len]. *)
-let string t len =
-  String.init len (fun _ -> Char.chr (32 + int t 95))
 
-(** Random lowercase identifier of length [len] (first char alphabetic). *)
-let ident t len =
-  String.init (max 1 len) (fun i ->
-      if i = 0 then Char.chr (Char.code 'a' + int t 26)
-      else
-        let k = int t 37 in
-        if k < 26 then Char.chr (Char.code 'a' + k)
-        else if k < 36 then Char.chr (Char.code '0' + (k - 26))
-        else '_')

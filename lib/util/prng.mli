@@ -8,20 +8,8 @@ val create : ?seed:int64 -> unit -> t
 (** A zero seed is replaced by a fixed non-zero one (xorshift must not
     start at 0). *)
 
-val next_int64 : t -> int64
-(** The next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform-ish in [0, bound). Requires [bound > 0]. *)
 
-val bool : t -> bool
-
 val float : t -> float
 (** Uniform in [0, 1). *)
-
-val string : t -> int -> string
-(** Random printable-ASCII string of the given length. *)
-
-val ident : t -> int -> string
-(** Random lowercase identifier (first char alphabetic; then
-    alphanumerics and underscores). *)

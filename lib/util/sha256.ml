@@ -4,8 +4,8 @@
     frame mode needs a keyed MAC and the container ships no crypto
     library. The schedule and state are unboxed native ints, so hashing
     allocates nothing per block. Not constant-time in the digest itself
-    (inputs are not secret); MAC comparison should use
-    {!equal_constant_time}. *)
+    (inputs are not secret); {!Omf_transport.Macframe} compares MAC tags
+    in constant time itself. *)
 
 (* round constants: first 32 bits of the fractional parts of the cube
    roots of the first 64 primes *)
@@ -205,13 +205,3 @@ let hmac ~(key : string) (msg : string) : string =
   let out = Bytes.create 32 in
   hmac_finish_into k c out 0;
   Bytes.unsafe_to_string out
-
-(** Timing-safe equality for MAC comparison. *)
-let equal_constant_time (a : string) (b : string) : bool =
-  String.length a = String.length b
-  &&
-  let acc = ref 0 in
-  String.iteri
-    (fun i ch -> acc := !acc lor (Char.code ch lxor Char.code b.[i]))
-    a;
-  !acc = 0

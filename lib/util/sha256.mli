@@ -5,14 +5,9 @@ type ctx
 (** Incremental hashing context. *)
 
 val init : unit -> ctx
-val feed : ctx -> string -> unit
 val feed_bytes : ctx -> Bytes.t -> int -> int -> unit
 val finish : ctx -> string
 (** The 32-byte raw digest. The context must not be reused after. *)
-
-val finish_into : ctx -> Bytes.t -> int -> unit
-(** [finish_into c out off] writes the 32-byte digest at [off] and
-    allocates nothing. Raises [Invalid_argument] when it does not fit. *)
 
 val digest : string -> string
 (** One-shot 32-byte raw digest. *)
@@ -45,7 +40,3 @@ val hmac_start : hmac_key -> ctx -> unit
 val hmac_finish_into : hmac_key -> ctx -> Bytes.t -> int -> unit
 (** Write the 32-byte tag of the message fed since {!hmac_start} at
     [off]. [c] may be started again after. *)
-
-val equal_constant_time : string -> string -> bool
-(** Length + content equality without early exit on mismatch — use for
-    MAC tag comparison. *)

@@ -17,8 +17,7 @@ let of_bytes ?(off = 0) ?len (buf : Bytes.t) : t =
         (Printf.sprintf "Slice.of_bytes: window [%d,%d) escapes buffer of %d"
            off (off + len) (Bytes.length buf));
     { buf; off; len }
-let of_string (s : string) : t = of_bytes (Bytes.of_string s)
-let empty = { buf = Bytes.empty; off = 0; len = 0 }
+
 let length (s : t) = s.len
 let is_empty (s : t) = s.len = 0
 

@@ -34,12 +34,6 @@ val of_bytes : ?off:int -> ?len:int -> Bytes.t -> t
     copy. Raises [Invalid_argument] naming the offending window when it
     escapes the buffer. *)
 
-val of_string : string -> t
-(** Copies [s] once into a fresh buffer (strings are immutable, so the
-    copy is the price of a mutable backing store). *)
-
-val empty : t
-
 val length : t -> int
 val is_empty : t -> bool
 

@@ -28,12 +28,6 @@ let element ?(attrs = []) ?(children = []) tag = { tag; attrs; children }
 
 let attr el name = List.assoc_opt name el.attrs
 
-let attr_exn el name =
-  match attr el name with
-  | Some v -> v
-  | None ->
-    invalid_arg (Printf.sprintf "element <%s> has no attribute %S" el.tag name)
-
 (** Child elements, in document order. *)
 let child_elements el =
   List.filter_map (function Element e -> Some e | _ -> None) el.children

@@ -24,7 +24,6 @@ val element :
   ?attrs:(string * string) list -> ?children:node list -> string -> element
 
 val attr : element -> string -> string option
-val attr_exn : element -> string -> string
 
 val child_elements : element -> element list
 (** Child elements, in document order. *)

@@ -31,29 +31,3 @@ let resolve (env : env) (qname : string) : (string * string) option =
   match List.assoc_opt prefix env with
   | Some uri -> Some (uri, local)
   | None -> if String.equal prefix "" then Some ("", local) else None
-
-(** Resolve an attribute name: per the spec, unqualified attribute names
-    are in no namespace (they do NOT pick up the default namespace). *)
-let resolve_attr (env : env) (qname : string) : (string * string) option =
-  let prefix, local = Doc.split_qname qname in
-  if String.equal prefix "" then Some ("", local)
-  else
-    match List.assoc_opt prefix env with
-    | Some uri -> Some (uri, local)
-    | None -> None
-
-(** [prefix_for env uri] finds a prefix currently bound to [uri]. *)
-let prefix_for (env : env) (uri : string) : string option =
-  let rec go = function
-    | [] -> None
-    | (p, u) :: rest -> if String.equal u uri then Some p else go rest
-  in
-  go env
-
-(** [matches env el ~uri ~local] tests whether element [el]'s tag expands
-    to [{uri}local] under [env] (already extended with [el]'s own
-    declarations by the caller or via [extend]). *)
-let matches (env : env) (el : Doc.element) ~uri ~local =
-  match resolve env el.Doc.tag with
-  | Some (u, l) -> String.equal u uri && String.equal l local
-  | None -> false

@@ -5,8 +5,6 @@
 type env = (string * string) list
 (** prefix → URI; [""] is the default-namespace prefix *)
 
-val xml_uri : string
-
 val empty : env
 (** Contains only the built-in [xml] prefix. *)
 
@@ -17,10 +15,3 @@ val resolve : env -> string -> (string * string) option
 (** Expand a qualified element name to [(uri, local)]. Unbound prefixes
     yield [None]; unqualified names pick up the default namespace. *)
 
-val resolve_attr : env -> string -> (string * string) option
-(** Attribute names: unqualified attributes are in {e no} namespace. *)
-
-val prefix_for : env -> string -> string option
-
-val matches : env -> Doc.element -> uri:string -> local:string -> bool
-(** Does the element's tag expand to [{uri}local] under [env]? *)

@@ -78,65 +78,12 @@ let element_to_string (e : Doc.element) : string =
   add_element_compact b e;
   Buffer.contents b
 
-let document_to_string ?(decl = true) (d : Doc.t) : string =
+let document_to_string (d : Doc.t) : string =
   let b = Buffer.create 256 in
-  if decl then begin
-    Buffer.add_string b "<?xml";
-    let attrs = if d.Doc.decl = [] then [ ("version", "1.0") ] else d.Doc.decl in
-    add_attrs b attrs;
-    Buffer.add_string b "?>\n"
-  end;
+  Buffer.add_string b "<?xml";
+  let attrs = if d.Doc.decl = [] then [ ("version", "1.0") ] else d.Doc.decl in
+  add_attrs b attrs;
+  Buffer.add_string b "?>\n";
   add_element_compact b d.Doc.root;
   Buffer.add_char b '\n';
-  Buffer.contents b
-
-(* ---- pretty printing ---- *)
-
-let is_ws s = String.for_all (function ' ' | '\t' | '\r' | '\n' -> true | _ -> false) s
-
-let rec add_element_pretty b indent (e : Doc.element) =
-  let pad = String.make (indent * 2) ' ' in
-  Buffer.add_string b pad;
-  Buffer.add_char b '<';
-  Buffer.add_string b e.tag;
-  add_attrs b e.attrs;
-  let significant =
-    List.filter
-      (function Doc.Text s -> not (is_ws s) | _ -> true)
-      e.children
-  in
-  match significant with
-  | [] -> Buffer.add_string b "/>\n"
-  | [ Doc.Text s ] ->
-    Buffer.add_char b '>';
-    Buffer.add_string b (escape_text s);
-    Buffer.add_string b "</";
-    Buffer.add_string b e.tag;
-    Buffer.add_string b ">\n"
-  | children ->
-    Buffer.add_string b ">\n";
-    List.iter
-      (function
-        | Doc.Element child -> add_element_pretty b (indent + 1) child
-        | Doc.Text s ->
-          Buffer.add_string b (String.make ((indent + 1) * 2) ' ');
-          Buffer.add_string b (escape_text (String.trim s));
-          Buffer.add_char b '\n'
-        | other ->
-          Buffer.add_string b (String.make ((indent + 1) * 2) ' ');
-          add_node_compact b other;
-          Buffer.add_char b '\n')
-      children;
-    Buffer.add_string b pad;
-    Buffer.add_string b "</";
-    Buffer.add_string b e.tag;
-    Buffer.add_string b ">\n"
-
-(** Indented rendering for display. Not whitespace-round-trip safe (it
-    introduces formatting whitespace); use {!element_to_string} when the
-    output must parse back to an equal tree. *)
-let pretty ?(decl = false) (e : Doc.element) : string =
-  let b = Buffer.create 512 in
-  if decl then Buffer.add_string b "<?xml version=\"1.0\"?>\n";
-  add_element_pretty b 0 e;
   Buffer.contents b

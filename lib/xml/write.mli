@@ -1,16 +1,8 @@
 (** XML serialisation. *)
 
-val escape_text : string -> string
-val escape_attr : string -> string
-
 val element_to_string : Doc.element -> string
 (** Compact single-line rendering with no inserted whitespace: parsing
     the result yields a tree equal (modulo comments) to the input. *)
 
-val document_to_string : ?decl:bool -> Doc.t -> string
-
-val is_ws : string -> bool
-(** True when the string is entirely XML whitespace. *)
-
-val pretty : ?decl:bool -> Doc.element -> string
-(** Indented rendering for display. Not whitespace-round-trip safe. *)
+val document_to_string : Doc.t -> string
+(** The XML declaration, then the root as {!element_to_string}. *)

@@ -6,7 +6,6 @@
     communication layers; {!Omf_xml2wire.Mapper} maps it onto PBIO. *)
 
 val schema_namespaces : string list
-val is_schema_uri : string -> bool
 
 type max_occurs =
   | Bounded of int  (** numeric: a static array bound *)
@@ -66,8 +65,6 @@ type t = {
 val find_type : t -> string -> complex_type option
 val find_simple_type : t -> string -> simple_type option
 val builtin_name : builtin -> string
-val builtin_of_name : string -> builtin option
-(** Accepts both draft and final spellings. *)
 
 exception Schema_error of string
 
@@ -79,6 +76,5 @@ val canonical : t -> string
     documents that differ only in whitespace or annotations
     canonicalize identically. *)
 
-val of_document : Omf_xml.Doc.t -> t
 val of_string : string -> t
 (** Raises {!Schema_error} (wrapping XML parse errors). *)

@@ -117,7 +117,3 @@ let to_document (t : Schema.t) : Doc.t =
 
 let to_string (t : Schema.t) : string =
   Write.document_to_string (to_document t)
-
-(** Indented rendering for human consumption (CLI tool, metaserver UI). *)
-let to_pretty_string (t : Schema.t) : string =
-  "<?xml version=\"1.0\"?>\n" ^ Write.pretty (to_document t).Doc.root

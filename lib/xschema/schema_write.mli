@@ -2,10 +2,5 @@
     direction ("wire2xml"): publish formats a process already holds as
     open metadata for others to discover. *)
 
-val to_document : Schema.t -> Omf_xml.Doc.t
-
 val to_string : Schema.t -> string
 (** Compact, round-trip-safe rendering. *)
-
-val to_pretty_string : Schema.t -> string
-(** Indented rendering for human consumption. *)

@@ -27,7 +27,7 @@ let contains hay needle =
 (* ------------------------------------------------------------------ *)
 
 let test_c_struct_matches_figure_4 () =
-  let text = C.struct_def Fx.decl_a in
+  let text = C.header [ Fx.decl_a ] in
   List.iter
     (fun line -> check bool ("contains: " ^ line) true (contains text line))
     [ "typedef struct ASDOffEvent_s"
@@ -37,7 +37,7 @@ let test_c_struct_matches_figure_4 () =
     ; "} ASDOffEvent;" ]
 
 let test_c_struct_arrays_match_figure_7 () =
-  let text = C.struct_def Fx.decl_b in
+  let text = C.header [ Fx.decl_b ] in
   List.iter
     (fun line -> check bool ("contains: " ^ line) true (contains text line))
     [ "unsigned long off[5];"
@@ -45,7 +45,7 @@ let test_c_struct_arrays_match_figure_7 () =
     ; "int eta_count;" ]
 
 let test_c_iofields_match_figure_5 () =
-  let text = C.io_fields Fx.decl_b in
+  let text = C.header [ Fx.decl_b ] in
   List.iter
     (fun line -> check bool ("contains: " ^ line) true (contains text line))
     [ {|{ "cntrID", "string", sizeof (char*), IOOffset (ASDOffEventBPtr, cntrID) },|}

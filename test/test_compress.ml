@@ -76,15 +76,6 @@ let test_ragged_slices () =
         (Bytes.sub backing off len) got)
     [ (0, 1000); (1, 999); (13, 100); (999, 1); (500, 0); (3, 997) ]
 
-let test_slices_gather () =
-  let a = Slice.of_string "header|" in
-  let b = Slice.of_string (String.concat "," (List.init 200 string_of_int)) in
-  let c = Slice.of_string "|footer" in
-  let blk = Compress.compress_slices [ a; b; c ] in
-  let want = Slice.concat [ a; b; c ] in
-  Alcotest.check bytes_testable "gathered round-trip" want
-    (Compress.decompress blk)
-
 let expect_error what blk =
   match Compress.decompress blk with
   | exception Compress.Error _ -> ()
@@ -370,7 +361,6 @@ let () =
         ; Alcotest.test_case "incompressible passthrough" `Quick
             test_incompressible
         ; Alcotest.test_case "ragged slice offsets" `Quick test_ragged_slices
-        ; Alcotest.test_case "gathered wire message" `Quick test_slices_gather
         ; Alcotest.test_case "malformed blocks rejected" `Quick test_malformed
         ; Alcotest.test_case "forged length rejected unallocated" `Quick
             test_forged_length

@@ -237,11 +237,11 @@ let test_m68k_repacking () =
     Ftype.declare "m" [ ("c", "char"); ("i", "integer"); ("d", "double") ]
   in
   let sent, received =
-    let sfmt = fmt_for Abi.m68k_32 d in
+    let sfmt = fmt_for (Option.get (Abi.find_by_name "m68k-32")) d in
     let nfmt = fmt_for Abi.x86_64 d in
     check bool "layouts genuinely differ" false
       (Format.struct_size sfmt = Format.struct_size nfmt);
-    let smem = Memory.create Abi.m68k_32 in
+    let smem = Memory.create (Option.get (Abi.find_by_name "m68k-32")) in
     let v =
       Value.Record
         [ ("c", Value.Char 'q'); ("i", Value.Int 7L); ("d", Value.Float 2.5) ]

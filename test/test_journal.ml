@@ -17,6 +17,11 @@ let with_tmp f =
   let path = Filename.temp_file "omf-journal" ".bin" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
+(* journal [v] through a scratch memory of [abi] *)
+let append_value writer abi fmt v =
+  let mem = Memory.create abi in
+  Journal.Writer.append writer mem fmt (Native.store mem fmt v)
+
 let write_events path abi events =
   let reg = Registry.create abi in
   List.iter (fun d -> ignore (Registry.register reg d)) [ Fx.decl_a; Fx.decl_b ]
@@ -25,7 +30,7 @@ let write_events path abi events =
   List.iter
     (fun (name, v) ->
       let fmt = Option.get (Registry.find reg name) in
-      Journal.Writer.append_value writer abi fmt v)
+      append_value writer abi fmt v)
     events;
   close ()
 
@@ -64,7 +69,7 @@ let test_descriptors_written_once () =
       let fmt = Registry.register reg Fx.decl_a in
       let writer, close = Journal.Writer.to_file path in
       for _ = 1 to 10 do
-        Journal.Writer.append_value writer abi fmt Fx.value_a
+        append_value writer abi fmt Fx.value_a
       done;
       close ();
       (* 1 descriptor + 10 messages *)
@@ -82,7 +87,7 @@ let test_format_upgrade_mid_file () =
       (* v1 events *)
       let reg1 = Registry.create abi in
       let fmt1 = Registry.register reg1 Fx.decl_a in
-      Journal.Writer.append_value writer abi fmt1 Fx.value_a;
+      append_value writer abi fmt1 Fx.value_a;
       (* upgraded format from a fresh registry: different descriptor *)
       let reg2 = Registry.create abi in
       let decl_v2 =
@@ -90,7 +95,7 @@ let test_format_upgrade_mid_file () =
           Ftype.fields = Fx.decl_a.Ftype.fields @ [ Ftype.io_field "gate" "string" ] }
       in
       let fmt2 = Registry.register reg2 decl_v2 in
-      Journal.Writer.append_value writer abi fmt2
+      append_value writer abi fmt2
         (Value.set_field Fx.value_a "gate" (Value.String "T7"));
       close ();
       (* a v2-aware reader sees both, the old event with a zero gate *)

@@ -14,11 +14,11 @@ let str = Alcotest.string
 let value_testable =
   Alcotest.testable (fun ppf v -> Fmt.string ppf (Value.to_string v)) Value.equal
 
-(* [transfer ?mode sender_abi receiver_abi fmt_decls name v] registers the
+(* [transfer sender_abi receiver_abi fmt_decls name v] registers the
    declarations on both sides, binds [v] on the sender, ships it through
    NDR framing + format negotiation, and returns (sent_normalised,
    received) values. *)
-let transfer ?mode sender_abi receiver_abi (decls : Ftype.t list) name v =
+let transfer sender_abi receiver_abi (decls : Ftype.t list) name v =
   let sreg = Registry.create sender_abi in
   let rreg = Registry.create receiver_abi in
   List.iter (fun d -> ignore (Registry.register sreg d)) decls;
@@ -29,10 +29,33 @@ let transfer ?mode sender_abi receiver_abi (decls : Ftype.t list) name v =
   let sent = Native.load smem sfmt addr in
   let msg = message smem sfmt addr in
   let rmem = Memory.create receiver_abi in
-  let receiver = Receiver.create ?mode rreg rmem in
+  let receiver = Receiver.create rreg rmem in
   ignore (Receiver.learn receiver (Format_codec.encode sfmt));
   let _, received = Receiver.receive_value receiver msg in
   (sent, received)
+
+(* [convert_both smem sfmt rreg v] ships [v] as an NDR message and
+   converts it for [rreg]'s format of the same name twice: by the
+   interpreter ([Convert.interpret], the baseline, on a copy of the
+   payload) and by the compiled plan, in place in the message
+   ([Convert.run_sub], the receiver's path). Returns (compiled,
+   interpreted) as values. *)
+let convert_both smem sfmt rreg v =
+  let msg = message smem sfmt (Native.store smem sfmt v) in
+  let wire = Format_codec.decode (Format_codec.encode sfmt) in
+  let native = Option.get (Registry.find rreg sfmt.Format.name) in
+  let mem = Memory.create (Registry.abi rreg) in
+  let off = Wire.header_length in
+  let len = Bytes.length msg - off in
+  let interpreted =
+    Native.load mem native
+      (Convert.interpret ~wire ~native (Bytes.sub msg off len) mem)
+  in
+  let compiled =
+    Native.load mem native
+      (Convert.run_sub (Convert.compile ~wire ~native) msg ~off ~len mem)
+  in
+  (compiled, interpreted)
 
 (* ------------------------------------------------------------------ *)
 (* Ftype declarations                                                   *)
@@ -323,19 +346,21 @@ let test_cross_abi_matrix () =
     Abi.all
 
 let test_interpreted_matches_compiled () =
+  let sreg = Registry.create Abi.sparc_32 in
+  List.iter (fun d -> ignore (Registry.register sreg d)) [ Fx.decl_c; Fx.decl_d ];
+  let sfmt = Option.get (Registry.find sreg "threeASDOffs") in
   List.iter
     (fun receiver_abi ->
-      let compiled =
-        transfer Abi.sparc_32 receiver_abi [ Fx.decl_c; Fx.decl_d ]
-          "threeASDOffs" Fx.value_d
-      in
-      let interpreted =
-        transfer ~mode:Receiver.Interpreted Abi.sparc_32 receiver_abi
-          [ Fx.decl_c; Fx.decl_d ] "threeASDOffs" Fx.value_d
+      let rreg = Registry.create receiver_abi in
+      List.iter
+        (fun d -> ignore (Registry.register rreg d))
+        [ Fx.decl_c; Fx.decl_d ];
+      let compiled, interpreted =
+        convert_both (Memory.create Abi.sparc_32) sfmt rreg Fx.value_d
       in
       check value_testable
         ("interpreted = compiled on " ^ receiver_abi.Abi.name)
-        (snd compiled) (snd interpreted))
+        compiled interpreted)
     [ Abi.x86_64; Abi.sparc_32; Abi.x86_32 ]
 
 let test_homogeneous_plan_collapses () =
@@ -770,17 +795,12 @@ let prop_interpreted_equals_compiled =
        (QCheck.Gen.pair (Omf_testkit.Gen.format_and_value ())
           Omf_testkit.Gen.abi))
     (fun ((sender_abi, sfmt, v), receiver_abi) ->
-      let smem = Memory.create sender_abi in
-      let addr = Native.store smem sfmt v in
-      let msg = message smem sfmt addr in
-      let receive mode =
-        let rreg = Registry.create receiver_abi in
-        ignore (Registry.register rreg sfmt.Format.decl);
-        let r = Receiver.create ~mode rreg (Memory.create receiver_abi) in
-        ignore (Receiver.learn r (Format_codec.encode sfmt));
-        snd (Receiver.receive_value r msg)
+      let rreg = Registry.create receiver_abi in
+      ignore (Registry.register rreg sfmt.Format.decl);
+      let compiled, interpreted =
+        convert_both (Memory.create sender_abi) sfmt rreg v
       in
-      Value.equal (receive Receiver.Compiled) (receive Receiver.Interpreted))
+      Value.equal compiled interpreted)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation budgets                                                   *)

@@ -288,21 +288,7 @@ let test_resolver_caching () =
   ignore (Registry.Resolver.resolve r ~subject:"flights" (`N 1));
   ignore (Registry.Resolver.resolve r ~subject:"flights" (`N 1));
   check bool "pinned-version resolves hit the cache" true
-    (assoc "hits" (Registry.Resolver.stats r) >= hits0 + 2);
-  check bool "fingerprint resolves from the cache" true
-    (Registry.Resolver.resolve_fingerprint r v.Registry.fingerprint <> None);
-  (* prefetch warms the cache from a background thread *)
-  Registry.Resolver.prefetch r ~subject:"flights" (`N 1);
-  check bool "prefetch counted" true
-    (assoc "prefetches" (Registry.Resolver.stats r) >= 1);
-  (* the discovery source plugs the resolver into a fallback chain *)
-  let catalog = Catalog.create Abi.x86_64 in
-  let outcome =
-    Discovery.discover catalog
-      [ Registry.discovery_source r ~subject:"flights" () ]
-  in
-  check string "discovery origin is the registry" "registry" outcome.Discovery.origin;
-  check bool "formats registered" true (outcome.Discovery.formats <> [])
+    (assoc "hits" (Registry.Resolver.stats r) >= hits0 + 2)
 
 (* ------------------------------------------------------------------ *)
 (* Async discovery overlapping first-message delivery                   *)
@@ -492,12 +478,12 @@ let test_async_discovery_supersede_cancels () =
   check string "live discovery won from the registry source" "registry"
     outcome.Discovery.origin;
   check bool "live catalog registered the format" true
-    (Catalog.mem c2 "ASDOffEvent");
+    (Option.is_some (Catalog.find c2 "ASDOffEvent"));
   (* both workers have returned from their fetches; give the cancelled
      one a beat to take its (non-)registration path *)
   wait ~what:"both fetches returned" (fun () -> !exited >= 2);
   Thread.delay 0.1;
-  check bool "superseded catalog untouched" false (Catalog.mem c1 "ASDOffEvent");
+  check bool "superseded catalog untouched" false (Option.is_some (Catalog.find c1 "ASDOffEvent"));
   check int "exactly one win counted (no double-count)" 1
     (delta "source_registry");
   check int "cancellation counted" 1 (delta "cancelled");

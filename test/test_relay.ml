@@ -200,7 +200,7 @@ let prop_slice_codec_equivalence =
     (fun (pieces, seed) ->
       let rng = Omf_util.Prng.create ~seed:(Int64.of_int seed) () in
       let body = Bytes.of_string (String.concat "" pieces) in
-      let slices = List.map Slice.of_string pieces in
+      let slices = List.map (fun p -> Slice.of_bytes (Bytes.of_string p)) pieces in
       let wire = Frame.wire slices in
       let flat = Slice.concat wire in
       let encoded_identical = Bytes.equal flat (Frame.encode body) in
@@ -1466,10 +1466,11 @@ let test_governor_overload_sheds_publish () =
   check bool "governor budget gauge exported" true
     (List.assoc_opt "governor_budget_bytes" stats = Some 16_384)
 
-(* governor debits are taken from slice lengths at enqueue and credited
-   back on write, shed, eviction, and close; whatever mix of those a
-   connection's life ends in, the books must balance: once every
-   subscriber is gone, [used] is exactly 0 — not merely small *)
+(* the governor's [used] is each reactor's sum of its connections'
+   unwritten queue bytes ([Reactor.queued_bytes]), which enqueue, write,
+   shed, eviction, close and the shard handoff all move; whatever mix of
+   those a connection's life ends in, once every subscriber is gone the
+   sum is exactly 0 — not merely small *)
 let governor_accounting_symmetry ?shards () =
   let wait_used_zero h =
     let deadline = Unix.gettimeofday () +. 10.0 in

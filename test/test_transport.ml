@@ -316,24 +316,41 @@ let slices_of payload cuts =
       Slice.make buf 2 len)
     (go 0 (List.filter (fun c -> c > 0) cuts))
 
+(* a sender's and a receiver's state after [before] frames: the next
+   frame's nonce is [before + 1] *)
+let after_frames key before =
+  let tx = Macframe.state ~key and rx = Macframe.state ~key in
+  for _ = 1 to before do
+    ignore (Macframe.open_next rx (Macframe.seal_next tx Bytes.empty))
+  done;
+  (tx, rx)
+
 let prop_macframe_tag =
   QCheck.Test.make ~name:"macframe tag = HMAC(nonce || len || payload)" ~count:300
     QCheck.(
-      quad (string_of_size Gen.(0 -- 100)) int64 (string_of_size Gen.(0 -- 300))
+      quad (string_of_size Gen.(0 -- 100)) (int_bound 4)
+        (string_of_size Gen.(0 -- 300))
         (small_list small_nat))
-    (fun (key, nonce, payload, cuts) ->
+    (fun (key, before, payload, cuts) ->
+      let nonce = Int64.of_int (before + 1) in
       let expected = reference_tag ~key ~nonce payload in
-      let sealed = Macframe.seal ~key ~nonce (Bytes.of_string payload) in
-      let sealed_slices = Macframe.seal_slices ~key ~nonce (slices_of payload cuts) in
-      String.equal (Bytes.sub_string sealed 8 32) expected
+      let sealed =
+        Macframe.seal_next (fst (after_frames key before)) (Bytes.of_string payload)
+      in
+      let sealed_slices =
+        Macframe.seal_next_slices (fst (after_frames key before))
+          (slices_of payload cuts)
+      in
+      Bytes.get_int64_be sealed 0 = nonce
+      && String.equal (Bytes.sub_string sealed 8 32) expected
       && Bytes.equal sealed sealed_slices
       && String.equal
-           (Bytes.to_string (Macframe.verify ~key ~expected_nonce:nonce sealed))
+           (Bytes.to_string (Macframe.open_next (snd (after_frames key before)) sealed))
            payload)
 
-(* sealing feeds the payload to the MAC in place: [seal] allocates the
-   sealed body and the HMAC state, not a second copy of the payload;
-   [verify] allocates the payload it returns, and no copy to MAC *)
+(* sealing feeds the payload to the MAC in place: [seal_next] allocates
+   the sealed body, not a second copy of the payload; [open_next]
+   allocates the payload it returns, and no copy to MAC *)
 let test_macframe_allocation () =
   let key = "bench-key" and n = 16_384 in
   let payload = Bytes.make n 'p' in
@@ -344,11 +361,19 @@ let test_macframe_allocation () =
       Alcotest.failf "%s of %d B allocates %.0f B per call (budget %.0f B)" what n
         per_call budget
   in
-  within "seal" (fun () -> Macframe.seal ~key ~nonce:1L payload);
+  let st = Macframe.state ~key in
+  within "seal" (fun () -> Macframe.seal_next st payload);
   let slices = [ Slice.make payload 0 1000; Slice.make payload 1000 (n - 1000) ] in
-  within "seal_slices" (fun () -> Macframe.seal_slices ~key ~nonce:1L slices);
-  let sealed = Macframe.seal ~key ~nonce:1L payload in
-  within "verify" (fun () -> Macframe.verify ~key ~expected_nonce:1L sealed)
+  within "seal_slices" (fun () -> Macframe.seal_next_slices st slices);
+  (* the probe makes one warm-up call and 50 measured ones, each opening
+     the next frame of a sequence *)
+  let tx = Macframe.state ~key and rx = Macframe.state ~key in
+  let frames = Array.init 51 (fun _ -> Macframe.seal_next tx payload) in
+  let next = ref 0 in
+  within "verify" (fun () ->
+      let frame = frames.(!next) in
+      incr next;
+      Macframe.open_next rx frame)
 
 (* ------------------------------------------------------------------ *)
 (* The framed client link, in each negotiated mode                     *)

@@ -171,9 +171,14 @@ let test_registered_formats_interoperate () =
   let receiver_catalog = Catalog.create Abi.sparc_32 in
   ignore (Catalog.register receiver_catalog ~source:"compiled" Fx.decl_b);
   let binding = Xml2wire.bind sender "ASDOffEventB" in
-  let msg = Xml2wire.to_message binding Fx.value_b in
-  let receiver = Xml2wire.receiver receiver_catalog in
-  ignore (Receiver.learn receiver (Xml2wire.negotiation binding));
+  let format = Xml2wire.binding_format binding in
+  let msg = Omf_pbio.Pbio.message_of_value Abi.x86_64 format Fx.value_b in
+  let receiver =
+    Receiver.create
+      (Catalog.registry receiver_catalog)
+      (Omf_machine.Memory.create Abi.sparc_32)
+  in
+  ignore (Receiver.learn receiver (Omf_pbio.Format_codec.encode format));
   let _, received = Receiver.receive_value receiver msg in
   check value_testable "xml2wire sender -> compiled receiver"
     (Value.field_exn received "cntrID")
@@ -194,8 +199,8 @@ let test_catalog_bookkeeping () =
   let c = Catalog.create Abi.x86_64 in
   ignore (Catalog.register c ~source:"s1" Fx.decl_a);
   ignore (Catalog.register c ~source:"s2" Fx.decl_b);
-  check int "two entries" 2 (Catalog.size c);
-  check bool "mem" true (Catalog.mem c "ASDOffEvent");
+  check int "two entries" 2 (List.length (Catalog.entries c));
+  check bool "mem" true (Option.is_some (Catalog.find c "ASDOffEvent"));
   let names = List.map (fun e -> e.Catalog.decl.Ftype.name) (Catalog.entries c) in
   check bool "registration order preserved" true
     (names = [ "ASDOffEvent"; "ASDOffEventB" ]);
@@ -206,7 +211,7 @@ let test_catalog_bookkeeping () =
         Fx.decl_a.Ftype.fields @ [ Ftype.io_field "gate" "string" ] }
   in
   let f2 = Catalog.register c ~source:"s3" decl_a2 in
-  check int "still two entries" 2 (Catalog.size c);
+  check int "still two entries" 2 (List.length (Catalog.entries c));
   check bool "replaced format has the new field" true
     (Option.is_some (Format.find_field f2 "gate"));
   check str "provenance updated" "s3"
@@ -240,7 +245,7 @@ let test_discovery_fallback_chain () =
       ; Discovery.compiled ~label:"compiled-in" [ Fx.decl_a ] ]
   in
   check str "fallback wins" "compiled-in" outcome.Discovery.source;
-  check bool "format usable" true (Catalog.mem c "ASDOffEvent")
+  check bool "format usable" true (Option.is_some (Catalog.find c "ASDOffEvent"))
 
 let test_discovery_all_fail () =
   let c = Catalog.create Abi.x86_64 in
@@ -271,7 +276,7 @@ let test_discovery_from_file () =
     (fun () ->
       let c = Catalog.create Abi.x86_64 in
       let outcome = Discovery.discover c [ Discovery.from_file path ] in
-      check bool "registered from file" true (Catalog.mem c "ASDOffEvent");
+      check bool "registered from file" true (Option.is_some (Catalog.find c "ASDOffEvent"));
       check bool "label carries path" true
         (String.length outcome.Discovery.source > 5))
 
@@ -282,7 +287,7 @@ let test_rediscovery_detects_change () =
   in
   let c = Catalog.create Abi.x86_64 in
   let w = Discovery.watch c [ source ] in
-  check bool "initially registered" true (Catalog.mem c "ASDOffEvent");
+  check bool "initially registered" true (Option.is_some (Catalog.find c "ASDOffEvent"));
   check bool "no change -> None" true (Discovery.refresh w = None);
   (* upgrade the metadata document: add a field *)
   current :=
@@ -311,7 +316,28 @@ let test_refresh_survives_outage () =
   | _ -> Alcotest.fail "expected Discovery_failed"
   | exception Discovery.Discovery_failed _ -> ());
   check bool "previous registration still in force" true
-    (Catalog.mem c "ASDOffEvent")
+    (Option.is_some (Catalog.find c "ASDOffEvent"))
+
+(* a refresh walks the chain as a discovery does: the primary's failed
+   probe is counted even though the compiled-in fallback answers *)
+let test_refresh_counts_failures () =
+  let up = ref true in
+  let primary =
+    Discovery.from_fetcher ~label:"primary" (fun () ->
+        if !up then Fx.schema_a else failwith "down")
+  in
+  let c = Catalog.create Abi.x86_64 in
+  let w = Discovery.watch c [ primary; Discovery.compiled [ Fx.decl_a ] ] in
+  let failures () =
+    Option.value ~default:0
+      (List.assoc_opt "source_failures" (Discovery.stats ()))
+  in
+  let before = failures () in
+  up := false;
+  (match Discovery.refresh w with
+  | Some outcome -> check str "fallback answers" "compiled" outcome.Discovery.origin
+  | None -> Alcotest.fail "the fallback's decls replace the document");
+  check int "the down primary counts one failure" (before + 1) (failures ())
 
 (* ------------------------------------------------------------------ *)
 (* Publication (wire2xml)                                               *)
@@ -391,7 +417,9 @@ let () =
         ; Alcotest.test_case "re-discovery detects changes" `Quick
             test_rediscovery_detects_change
         ; Alcotest.test_case "refresh survives outage" `Quick
-            test_refresh_survives_outage ] )
+            test_refresh_survives_outage
+        ; Alcotest.test_case "refresh counts failed probes" `Quick
+            test_refresh_counts_failures ] )
     ; ( "publish",
         [ Alcotest.test_case "publish/discover round-trip" `Quick
             test_publish_roundtrip

@@ -146,11 +146,6 @@ let test_write_roundtrip () =
       check bool "schema write/parse round-trip" true (schema_equal s s'))
     [ Fx.schema_a; Fx.schema_b; Fx.schema_cd ]
 
-let test_pretty_write_roundtrip () =
-  let s = Schema.of_string Fx.schema_cd in
-  let s' = Schema.of_string (Schema_write.to_pretty_string s) in
-  check bool "pretty rendering parses back" true (schema_equal s s')
-
 (* ------------------------------------------------------------------ *)
 (* Validation and classification                                        *)
 (* ------------------------------------------------------------------ *)
@@ -367,8 +362,7 @@ let () =
         ; Alcotest.test_case "namespace checked" `Quick
             test_wrong_namespace_not_schema ] )
     ; ( "write",
-        [ Alcotest.test_case "round-trip" `Quick test_write_roundtrip
-        ; Alcotest.test_case "pretty round-trip" `Quick test_pretty_write_roundtrip ] )
+        [ Alcotest.test_case "round-trip" `Quick test_write_roundtrip ] )
     ; ( "simple-types",
         [ Alcotest.test_case "parsing" `Quick test_simple_type_parsing
         ; Alcotest.test_case "validation with facets" `Quick

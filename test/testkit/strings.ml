@@ -27,3 +27,18 @@ let contains s sub =
     i + n <= String.length s && (String.equal (String.sub s i n) sub || go (i + 1))
   in
   n = 0 || go 0
+
+(** Random printable ASCII string of length [len], drawn from [r]. *)
+let printable r len =
+  String.init len (fun _ -> Char.chr (32 + Omf_util.Prng.int r 95))
+
+(** Random lowercase identifier of length [len] (first char alphabetic;
+    then alphanumerics and underscores), drawn from [r]. *)
+let ident r len =
+  String.init (max 1 len) (fun i ->
+      if i = 0 then Char.chr (Char.code 'a' + Omf_util.Prng.int r 26)
+      else
+        let k = Omf_util.Prng.int r 37 in
+        if k < 26 then Char.chr (Char.code 'a' + k)
+        else if k < 36 then Char.chr (Char.code '0' + (k - 26))
+        else '_')
