@@ -104,24 +104,31 @@ let run dir port host metrics_port verbose =
          else Omf_util.Counters.incr counters "not_found");
         resp
       in
-      match Omf_httpd.Http.serve ~host ~port handler with
-      | exception Unix.Unix_error (e, _, _) ->
-        `Error
-          (false, Printf.sprintf "bind %s:%d: %s" host port (Unix.error_message e))
+      (* the documents and the metrics share one loop; a busy port of
+         either stops the start before anything is served *)
+      let page p handler =
+        (host, p, Omf_httpd.Http.connection (Omf_httpd.Http.get_only handler))
+      in
+      let metrics =
+        Omf_httpd.Http.metrics_handler
+          [ ("metaserver", fun () -> Omf_util.Counters.dump counters) ]
+      in
+      match
+        Omf_reactor.Server.start
+          (page port handler
+          :: Option.to_list (Option.map (fun p -> page p metrics) metrics_port))
+      with
+      | exception Unix.Unix_error (e, _, where) ->
+        `Error (false, Printf.sprintf "bind %s: %s" where (Unix.error_message e))
       | exception Omf_reactor.Reactor.Resolve_error m ->
         `Error (false, Printf.sprintf "bind %s:%d: %s" host port m)
       | server ->
+        let ports = Omf_reactor.Server.ports server in
         Printf.printf "metaserver: serving %d document(s) from %s on http://%s:%d/\n%!"
-          (List.length xsds) dir host (Omf_httpd.Http.port server);
-        Option.iter
-          (fun p ->
-            let srv =
-              Omf_httpd.Http.serve_metrics ~host ~port:p
-                [ ("metaserver", fun () -> Omf_util.Counters.dump counters) ]
-            in
-            Printf.printf "metaserver: metrics on http://%s:%d/metrics\n%!" host
-              (Omf_httpd.Http.port srv))
-          metrics_port;
+          (List.length xsds) dir host (List.hd ports);
+        List.iter
+          (Printf.printf "metaserver: metrics on http://%s:%d/metrics\n%!" host)
+          (List.tl ports);
         (* serve until interrupted *)
         let rec forever () =
           Thread.delay 3600.0;

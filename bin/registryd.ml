@@ -86,8 +86,11 @@ let run port http_port metrics_port host store compat verbose =
   with
   | exception Omf_store.Store.Store_error m ->
     `Error (false, Printf.sprintf "store: %s" m)
-  | exception Unix.Unix_error (e, fn, _) ->
+  | exception Unix.Unix_error (e, fn, "") ->
     `Error (false, Printf.sprintf "%s: %s" fn (Unix.error_message e))
+  | exception Unix.Unix_error (e, fn, where) ->
+    (* a busy port: "bind HOST:PORT" *)
+    `Error (false, Printf.sprintf "%s %s: %s" fn where (Unix.error_message e))
   | exception Omf_reactor.Reactor.Resolve_error m -> `Error (false, m)
   | reg, srv ->
     Printf.printf "registryd: %d subject(s), mode %s, frames on %s:%d\n%!"

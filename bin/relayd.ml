@@ -429,48 +429,56 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
                   (Omf_relay.Relay.Trace.summary_json (all_spans ())) )
           ]
       in
-      let metrics =
-        Option.map
-          (fun p ->
-            let srv =
-              Omf_httpd.Http.serve_metrics ~host ~port:p ~staleness:true
-                ~routes:trace_routes
-                (List.map
-                   (fun (name, _) ->
-                     ( name
-                     , fun () -> List.assoc name (stats_components ()) ))
-                   (stats_components ()))
-            in
-            Printf.printf "relayd: metrics on http://%s:%d/metrics\n%!" host
-              (Omf_httpd.Http.port srv);
-            srv)
-          metrics_port
+      let serve_metrics p =
+        let srv =
+          Omf_httpd.Http.serve ~host ~port:p
+            (Omf_httpd.Http.metrics_handler ~staleness:true
+               ~routes:trace_routes
+               (List.map
+                  (fun (name, _) ->
+                    (name, fun () -> List.assoc name (stats_components ())))
+                  (stats_components ())))
+        in
+        Printf.printf "relayd: metrics on http://%s:%d/metrics\n%!" host
+          (Omf_httpd.Http.port srv);
+        srv
       in
-      (* the handler only wakes the main thread, which stops the mirror
-         before the relay: a drain closing replication links must not
-         look like a source outage *)
-      let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-      let stop _ = ignore (Unix.write_substring wake_w "!" 0 1) in
-      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      let rec await () =
-        match Unix.read wake_r (Bytes.create 1) 0 1 with
-        | _ -> ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
-      in
-      await ();
-      Option.iter Omf_mirror.Mirror.stop mir;
-      Omf_relay.Relay.stop relay;
-      Option.iter Omf_httpd.Http.shutdown metrics;
-      Printf.printf "relayd: final stats\n";
-      List.iter
-        (fun (component, stats) ->
-          List.iter
-            (fun (k, v) -> Printf.printf "  %-32s %d\n" (component ^ "." ^ k) v)
-            stats)
-        (stats_components ());
-      `Ok ()
+      (match Option.map serve_metrics metrics_port with
+      | exception Unix.Unix_error (e, _, _) ->
+        (* the relay and the mirror are already up: stop them as a
+           signal would, then report the port like a busy --port *)
+        Option.iter Omf_mirror.Mirror.stop mir;
+        Omf_relay.Relay.stop relay;
+        `Error
+          ( false
+          , Printf.sprintf "bind %s:%d: %s" host (Option.get metrics_port)
+              (Unix.error_message e) )
+      | metrics ->
+        (* the handler only wakes the main thread, which stops the mirror
+           before the relay: a drain closing replication links must not
+           look like a source outage *)
+        let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+        let stop _ = ignore (Unix.write_substring wake_w "!" 0 1) in
+        Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+        Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+        let rec await () =
+          match Unix.read wake_r (Bytes.create 1) 0 1 with
+          | _ -> ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
+        in
+        await ();
+        Option.iter Omf_mirror.Mirror.stop mir;
+        Omf_relay.Relay.stop relay;
+        Option.iter Omf_httpd.Http.shutdown metrics;
+        Printf.printf "relayd: final stats\n";
+        List.iter
+          (fun (component, stats) ->
+            List.iter
+              (fun (k, v) -> Printf.printf "  %-32s %d\n" (component ^ "." ^ k) v)
+              stats)
+          (stats_components ());
+        `Ok ())
     | exception Unix.Unix_error (e, _, _) ->
       `Error
         (false, Printf.sprintf "bind %s:%d: %s" host port (Unix.error_message e))

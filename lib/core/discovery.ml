@@ -274,11 +274,9 @@ let cancel (a : async) : unit =
 let keyed_mu = Mutex.create ()
 let keyed : (string, async) Hashtbl.t = Hashtbl.create 8
 
-let discover_async ?attempts ?timeout_s ?key (catalog : Catalog.t)
-    (sources : source list) : async =
+let discover_async ?key (catalog : Catalog.t) (sources : source list) : async
+    =
   if sources = [] then invalid_arg "Discovery.discover_async: no sources";
-  let attempts = Option.value attempts ~default:1 in
-  if attempts < 1 then invalid_arg "Discovery.discover_async: attempts < 1";
   let a =
     { a_mutex = Mutex.create (); a_cond = Condition.create ()
     ; a_result = None; a_cancelled = false }
@@ -301,7 +299,7 @@ let discover_async ?attempts ?timeout_s ?key (catalog : Catalog.t)
          let r =
            try
              Ok
-               (walk ~attempts ~timeout_s
+               (walk ~attempts:1 ~timeout_s:None
                   ~cancelled:(fun () -> a.a_cancelled)
                   ~use:(register catalog) sources)
            with e -> Error e
@@ -348,20 +346,15 @@ let await (a : async) : outcome =
 type watched = {
   catalog : Catalog.t;
   sources : source list;
-  attempts : int;
-  timeout_s : float option;
   mutable last : outcome;
 }
 
-let watch ?(attempts = 1) ?timeout_s (catalog : Catalog.t)
-    (sources : source list) : watched =
-  { catalog; sources; attempts; timeout_s
-  ; last = discover ~attempts ?timeout_s catalog sources }
+let watch (catalog : Catalog.t) (sources : source list) : watched =
+  { catalog; sources; last = discover catalog sources }
 
 let current (w : watched) = w.last
 
-(** [refresh w] re-runs discovery (under the watch's per-source attempt
-    and deadline bounds); returns [Some outcome] if the metadata
+(** [refresh w] re-runs discovery; returns [Some outcome] if the metadata
     changed (and was re-registered), [None] if it is unchanged. A refresh
     whose sources all fail raises {!Discovery_failed} and leaves the
     previous registration in force. Its failed probes count
@@ -377,6 +370,6 @@ let refresh (w : watched) : outcome option =
       w.last <- outcome;
       Some outcome
   in
-  walk ~attempts:w.attempts ~timeout_s:w.timeout_s
+  walk ~attempts:1 ~timeout_s:None
     ~cancelled:(fun () -> false)
     ~use w.sources

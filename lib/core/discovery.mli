@@ -62,14 +62,9 @@ exception Cancelled
 (** The discovery was aborted by {!cancel} (directly, or superseded by
     a newer keyed {!discover_async}). *)
 
-val discover_async :
-  ?attempts:int ->
-  ?timeout_s:float ->
-  ?key:string ->
-  Catalog.t ->
-  source list ->
-  async
-(** Start {!discover} on a worker thread and return immediately.
+val discover_async : ?key:string -> Catalog.t -> source list -> async
+(** Start {!discover} (one attempt per source, no deadline) on a worker
+    thread and return immediately.
 
     With [?key], a new discovery supersedes any still-in-flight one
     for the same key: the prior async is {!cancel}led — its {!poll} /
@@ -97,10 +92,9 @@ type watched
 (** A discovery whose winning document is remembered so that metadata
     changes can be detected and re-registered at run time. *)
 
-val watch :
-  ?attempts:int -> ?timeout_s:float -> Catalog.t -> source list -> watched
-(** As {!discover}; the attempt/deadline bounds also govern every later
-    {!refresh}. *)
+val watch : Catalog.t -> source list -> watched
+(** As {!discover} (one attempt per source, no deadline), remembering
+    the winning document for {!refresh}. *)
 
 val current : watched -> outcome
 

@@ -87,8 +87,8 @@ type request = {
 
 type request_handler = request -> response
 
-module Reactor = Omf_reactor.Reactor
 module Conn = Omf_reactor.Conn
+module Server = Omf_reactor.Server
 
 (** Every request must complete (headers in, response flushed) within
     this window or the connection is dropped — a client that connects
@@ -143,15 +143,7 @@ let find_headers_end (b : Buffer.t) (from : int) : int option =
   in
   go (max 0 from)
 
-type server = {
-  socket : Unix.file_descr;
-  port : int;
-  loop : Reactor.t;
-  mutable loop_thread : Thread.t;
-  conns : (int, Conn.t) Hashtbl.t;  (** loop-thread only *)
-  mutable next_id : int;
-  mutable stopped : bool;
-}
+type server = Server.t
 
 let respond (conn : Conn.t) (r : response) =
   Conn.send_raw conn (render r);
@@ -183,9 +175,12 @@ let parse_head (head : string) : (string * string * (string * string) list * int
         | _ -> Error (bad_request (Printf.sprintf "bad content-length %S" n))))
     | _ -> Error (bad_request "only GET and POST are supported"))
 
-let accept_connection (s : server) (handler : request_handler) fd =
-  let id = s.next_id in
-  s.next_id <- s.next_id + 1;
+(** [connection handler] hosts one accepted socket: it reads one
+    request, answers it with [handler] and closes. The request must
+    complete within {!request_deadline_s} or the connection is
+    dropped. *)
+let connection (handler : request_handler) : Server.accept =
+ fun loop fd ~on_close ->
   let buf = Buffer.create 256 in
   let done_ = ref false in
   (* set once the head is parsed; the request then waits for its body *)
@@ -204,7 +199,7 @@ let accept_connection (s : server) (handler : request_handler) fd =
        scratch buffer, valid only inside this dispatch — consumed
        immediately into the request accumulator, so no intermediate
        per-read [Bytes.t] copy is ever allocated *)
-    Conn.attach s.loop fd ~mode:Chunks
+    Conn.attach loop fd ~mode:Chunks
       ~on_input:(fun conn (chunk : Omf_util.Slice.t) ->
         if not !done_ then begin
           let scan_from = Buffer.length buf - 3 in
@@ -231,67 +226,27 @@ let accept_connection (s : server) (handler : request_handler) fd =
                 pending := Some (meth, path, headers, stop, need);
                 finish conn)
         end)
-      ~on_close:(fun _ _ -> Hashtbl.remove s.conns id)
-      ()
+      ~on_close ()
   in
   Conn.set_deadline conn ~reason:"request timeout" (Some request_deadline_s);
-  Hashtbl.replace s.conns id conn
+  conn
 
-(** [serve_requests ?host ~port handler] hosts the accept loop and
-    every connection on one reactor thread — no thread per connection.
-    The handler sees the full request (method, path, headers, body), so
-    POST routes (registry registration) can be mounted. [~port:0] binds
-    an ephemeral port; read it from the result. *)
-let serve_requests ?(host = "127.0.0.1") ~port (handler : request_handler) :
-    server =
-  let sock, bound_port = Reactor.listener ~host ~port () in
-  Unix.set_nonblock sock;
-  let loop = Reactor.create () in
-  let s =
-    { socket = sock; port = bound_port; loop; loop_thread = Thread.self ()
-    ; conns = Hashtbl.create 16; next_id = 0; stopped = false }
-  in
-  let rec accept_all () =
-    match Unix.accept ~cloexec:true sock with
-    | fd, _ ->
-      accept_connection s handler fd;
-      accept_all ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  ignore (Reactor.register loop sock ~on_readable:accept_all ~on_writable:ignore);
-  s.loop_thread <- Thread.create Reactor.run loop;
-  s
+(** Answer GET with [handler]; other methods get a 400. *)
+let get_only (handler : handler) : request_handler =
+ fun (r : request) ->
+  if String.equal r.meth "GET" then handler ~path:r.path ~headers:r.headers
+  else bad_request "only GET is supported"
 
-(** GET-only view: the historical entry point. Non-GET methods get the
-    same 400 they always did. *)
-let serve ?host ~port (handler : handler) : server =
-  serve_requests ?host ~port (fun (r : request) ->
-      if String.equal r.meth "GET" then
-        handler ~path:r.path ~headers:r.headers
-      else bad_request "only GET is supported")
+(** [~port:0] binds an ephemeral port; read it with {!port}. *)
+let serve ?(host = "127.0.0.1") ~port (handler : handler) : server =
+  Server.start [ (host, port, connection (get_only handler)) ]
 
-let port (s : server) = s.port
-
-(** Stop accepting, close in-flight connections, and join the loop
-    thread. Idempotent. *)
-let shutdown (s : server) =
-  if not s.stopped then begin
-    s.stopped <- true;
-    Reactor.inject s.loop (fun () ->
-        (try Unix.shutdown s.socket Unix.SHUTDOWN_ALL
-         with Unix.Unix_error _ -> ());
-        let live = Hashtbl.fold (fun _ c acc -> c :: acc) s.conns [] in
-        List.iter (fun c -> Conn.doom c "server shutdown") live;
-        Reactor.stop s.loop);
-    Thread.join s.loop_thread;
-    (try Unix.close s.socket with Unix.Unix_error _ -> ());
-    Reactor.dispose s.loop
-  end
+let port (s : server) = List.hd (Server.ports s)
+let shutdown = Server.shutdown
 
 (** Serve a fixed table of [path -> document]. *)
-let serve_table ?host ~port (table : (string * string) list) : server =
-  serve ?host ~port (fun ~path ~headers:_ ->
+let serve_table ~port (table : (string * string) list) : server =
+  serve ~port (fun ~path ~headers:_ ->
       match List.assoc_opt path table with
       | Some body -> ok body
       | None -> not_found path)
@@ -534,7 +489,3 @@ let metrics_handler ?(staleness = false)
       match List.assoc_opt path routes with
       | Some thunk -> thunk ()
       | None -> not_found path
-
-(** Mount [metrics_handler] on its own ephemeral-or-fixed port. *)
-let serve_metrics ?host ~port ?staleness ?routes sources : server =
-  serve ?host ~port (metrics_handler ?staleness ?routes sources)

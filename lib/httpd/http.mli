@@ -36,28 +36,32 @@ type request = {
 
 type request_handler = request -> response
 
+val connection : request_handler -> Omf_reactor.Server.accept
+(** The per-connection half of the server, for a listener of an
+    {!Omf_reactor.Server} that hosts other listeners too (the
+    registry's): read one request, answer it with the handler (which
+    sees method, path, headers and body, so POST routes can be
+    mounted), close. Each request must complete within a 10 s deadline
+    or its connection is dropped. *)
+
+val get_only : handler -> request_handler
+(** Answer GET with the handler; any other method gets a 400. *)
+
 type server
 
 val port : server -> int
 (** The actually bound port (useful with [~port:0]). *)
 
-val serve_requests : ?host:string -> port:int -> request_handler -> server
-(** Host the accept loop and every connection on one reactor thread —
-    no thread per connection. The handler sees the full request
-    (method, path, headers, body) so POST routes can be mounted. Each
-    request must complete within a 10 s deadline or its connection is
-    dropped. [~port:0] binds an ephemeral port (read it from the
-    result). *)
-
 val serve : ?host:string -> port:int -> handler -> server
-(** GET-only view of {!serve_requests}: the historical entry point;
-    non-GET methods get a 400. *)
+(** Serve GET on one {!Omf_reactor.Server} listener: the accept loop
+    and every connection on one reactor thread. Non-GET methods get a
+    400. [~port:0] binds an ephemeral port (read it with {!port}). *)
 
 val shutdown : server -> unit
 (** Stop accepting, close in-flight connections, join the loop thread.
     Idempotent. *)
 
-val serve_table : ?host:string -> port:int -> (string * string) list -> server
+val serve_table : port:int -> (string * string) list -> server
 (** Serve a fixed [path -> document] table. *)
 
 val directory_handler : string -> handler
@@ -68,14 +72,12 @@ val directory_handler : string -> handler
     missing) is 404. Exposed so callers can wrap it (request counting,
     extra routes) before {!serve}. *)
 
-val serve_metrics :
-  ?host:string ->
-  port:int ->
+val metrics_handler :
   ?staleness:bool ->
   ?routes:(string * (unit -> response)) list ->
   (string * (unit -> (string * int) list)) list ->
-  server
-(** [serve_metrics ~port sources] answers [GET /metrics] with each
+  handler
+(** [metrics_handler sources] answers [GET /metrics] with each
     [(component, snapshot)] rendered as Prometheus text
     ([omf_<component>_<name> <value>] lines); snapshots are taken per
     request. [~staleness:true] adds scrape-time staleness marks
@@ -85,7 +87,8 @@ val serve_metrics :
     see {!Omf_util.Counters.prometheus}. [routes] mounts extra
     [(path, thunk)] endpoints beside [/metrics] — relayd's
     [/trace/spans] and [/trace/summary] live here. Everything else is
-    404. It runs on its own port (relayd [--metrics-port], registry
+    404. It runs on a port of its own ([serve ~port (metrics_handler
+    sources)]: relayd and metaserver [--metrics-port], the registry's
     [?metrics_port]). *)
 
 (** {1 Client} *)

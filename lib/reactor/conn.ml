@@ -101,12 +101,10 @@ type t = {
 
 exception Write_failed of string
 
-let fd (c : t) = c.fd
 let alive (c : t) = c.state = Alive
 let queued (c : t) = c.q_len
 let queued_droppable (c : t) = c.q_droppable
 let queued_bytes (c : t) = c.q_bytes
-let pending_input (c : t) = Frame.Decoder.pending_bytes c.decoder
 
 (* the connection will still write its queue: a doomed one never will *)
 let writes_later (c : t) =
@@ -448,13 +446,13 @@ let default_on_decode_error _ _ = ()
     ({!Slice.to_bytes}), or queues it on another connection with
     {!send_wire}[ ~lender], which ends the loan for it. *)
 let attach (loop : Reactor.t) (fd : Unix.file_descr) ?(mode = Frames)
-    ?max_frame ~(on_input : t -> Slice.t -> unit)
+    ~(on_input : t -> Slice.t -> unit)
     ~(on_close : t -> string -> unit) ?(on_progress = default_on_progress)
     ?(on_decode_error = default_on_decode_error)
     ?(on_bytes = default_on_bytes) () : t =
   Unix.set_nonblock fd;
   let c =
-    { fd; mode; decoder = Frame.Decoder.create ?max_frame ()
+    { fd; mode; decoder = Frame.Decoder.create ()
     ; head = nil; tail = nil; q_len = 0; q_droppable = 0; q_bytes = 0
     ; loop = Some loop
     ; reg = None; on_input; on_close; on_progress; on_decode_error; on_bytes
@@ -506,13 +504,13 @@ let send_wire (c : t) ?(droppable = false) ?lender (wire : Slice.t list) =
 (** Queue a length-prefixed frame (Frames mode). Allocates only the
     4-byte header; [body]'s buffer is shared with the queue (ownership
     transfers — don't mutate it after sending). *)
-let send (c : t) ?(droppable = false) (body : Bytes.t) =
-  enqueue c ~droppable (Frame.wire [ Slice.of_bytes body ])
+let send (c : t) (body : Bytes.t) =
+  enqueue c ~droppable:false (Frame.wire [ Slice.of_bytes body ])
 
 (** Queue raw bytes verbatim (Chunks mode / HTTP responses). Takes
     ownership of [wire]. *)
-let send_raw (c : t) ?(droppable = false) (wire : Bytes.t) =
-  enqueue c ~droppable [ Slice.of_bytes wire ]
+let send_raw (c : t) (wire : Bytes.t) =
+  enqueue c ~droppable:false [ Slice.of_bytes wire ]
 
 (** Drop the oldest fully-unwritten droppable entry, if any
     ([Drop_oldest] backpressure). Returns the wire bytes shed (0 when
@@ -543,7 +541,7 @@ let set_read_intent (c : t) (b : bool) =
 (** Arm (or clear) an inactivity deadline: the connection is doomed with
     [reason] if the timer fires. Re-arming cancels the previous timer.
     Deadlines do not survive {!detach}. *)
-let set_deadline (c : t) ?(reason = "deadline exceeded") = function
+let set_deadline (c : t) ~reason = function
   | None -> clear_deadline c
   | Some delay_s -> (
     clear_deadline c;

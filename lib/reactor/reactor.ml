@@ -14,8 +14,8 @@
       driving per-connection deadlines and drain timeouts;
     - {b a self-pipe}: {!inject} enqueues a thunk from any thread (or
       any domain) and wakes the loop, which is how accepted sockets are
-      handed to relay shards and how shutdown is requested from signal
-      handlers and foreign threads.
+      handed to relay shards and how other threads ask a loop to shut
+      down.
 
     The loop itself never spawns threads; blocking work belongs to the
     caller's threads, which communicate with the loop via {!inject}. *)
@@ -51,14 +51,12 @@ module Wheel = struct
     mutable heap : timer array;  (** [heap.(0)] is the minimum *)
     mutable size : int;
     mutable next_seq : int;
-    mutable live_count : int;
   }
 
   let dummy =
     { deadline = 0.0; seq = -1; action = ignore; live = false }
 
-  let create () = { heap = Array.make 16 dummy; size = 0; next_seq = 0
-                  ; live_count = 0 }
+  let create () = { heap = Array.make 16 dummy; size = 0; next_seq = 0 }
 
   let before a b =
     a.deadline < b.deadline || (a.deadline = b.deadline && a.seq < b.seq)
@@ -98,11 +96,9 @@ module Wheel = struct
     h.heap.(h.size) <- t;
     h.size <- h.size + 1;
     sift_up h (h.size - 1);
-    h.live_count <- h.live_count + 1;
     t
 
   let cancel (t : timer) : unit = t.live <- false
-  (* live_count is corrected lazily when the dead entry surfaces *)
 
   let pop_min h =
     let min = h.heap.(0) in
@@ -123,15 +119,6 @@ module Wheel = struct
   let next_deadline (h : t) : float option =
     prune h;
     if h.size = 0 then None else Some h.heap.(0).deadline
-
-  (** Live (scheduled, not yet fired or cancelled) timer count. *)
-  let pending (h : t) : int =
-    prune h;
-    let n = ref 0 in
-    for i = 0 to h.size - 1 do
-      if h.heap.(i).live then incr n
-    done;
-    !n
 
   (** [fire h ~now] runs every live timer with [deadline <= now], in
       (deadline, seq) order, and returns how many fired. Actions run
@@ -163,8 +150,8 @@ type registration = {
   r_fd : Unix.file_descr;
   mutable r_read : bool;
   mutable r_write : bool;
-  mutable r_on_readable : unit -> unit;
-  mutable r_on_writable : unit -> unit;
+  r_on_readable : unit -> unit;
+  r_on_writable : unit -> unit;
   mutable r_active : bool;
 }
 
@@ -183,10 +170,6 @@ type t = {
           them. Distinct from [scratch] because a Chunks-mode read
           callback may be borrowing [scratch] while a doom-triggered
           opportunistic flush runs. *)
-  mutable on_tick : unit -> unit;
-      (** runs once at the top of every loop iteration — for embeddings
-          that must poll a plain flag set from a signal handler, where
-          {!inject}'s mutex is off-limits *)
   mutable queued : int;
       (** unwritten bytes across the write queues of the {!Conn}s
           attached to this loop; only [Conn] moves it ({!add_queued}) *)
@@ -208,7 +191,6 @@ let create () : t =
   ; deferred = Queue.create ()
   ; scratch = Bytes.create 65536
   ; gather = Bytes.create 65536
-  ; on_tick = ignore
   ; queued = 0
   ; on_queued = ignore
   ; stop_requested = false
@@ -232,11 +214,6 @@ let register (t : t) (fd : Unix.file_descr) ~(on_readable : unit -> unit)
 let set_read (r : registration) (b : bool) = r.r_read <- b
 let set_write (r : registration) (b : bool) = r.r_write <- b
 
-let set_handlers (r : registration) ~(on_readable : unit -> unit)
-    ~(on_writable : unit -> unit) =
-  r.r_on_readable <- on_readable;
-  r.r_on_writable <- on_writable
-
 let deregister (t : t) (r : registration) =
   if r.r_active then begin
     r.r_active <- false;
@@ -244,10 +221,6 @@ let deregister (t : t) (r : registration) =
   end
 
 let fd_count (t : t) = Hashtbl.length t.regs
-
-(** Install a per-iteration hook (see the [on_tick] field). Set it
-    before {!run}; only signal-handler-safe flag polling belongs here. *)
-let set_on_tick (t : t) (fn : unit -> unit) = t.on_tick <- fn
 
 (** Unwritten bytes queued on this loop's connections, summed over
     every attached {!Conn} (a detached one counts on no loop). *)
@@ -269,8 +242,6 @@ let after (t : t) (delay_s : float) (action : unit -> unit) : timer =
   Wheel.schedule t.wheel ~at:(now () +. delay_s) action
 
 let cancel (_t : t) (tm : timer) = Wheel.cancel tm
-
-let pending_timers (t : t) = Wheel.pending t.wheel
 
 (** Run [fn] on the loop thread after the current dispatch round —
     loop-thread callers only (used for close sweeps that must not
@@ -356,7 +327,6 @@ let run (t : t) =
       while not t.stop_requested do
         ignore (Wheel.fire t.wheel ~now:(now ()));
         run_injected t;
-        t.on_tick ();
         run_deferred t;
         if not t.stop_requested then begin
           let timeout = select_timeout t in

@@ -384,21 +384,15 @@ let json_version (v : version) : string =
 (* ------------------------------------------------------------------ *)
 
 module Server = struct
-  module Reactor = Omf_reactor.Reactor
   module Conn = Omf_reactor.Conn
+  module Shell = Omf_reactor.Server
   module Http = Omf_httpd.Http
 
   type server = {
-    registry : t;
-    socket : Unix.file_descr;
+    shell : Shell.t;
     port : int;
-    loop : Reactor.t;
-    mutable loop_thread : Thread.t;
-    conns : (int, Conn.t) Hashtbl.t;  (** loop-thread only *)
-    mutable next_conn : int;
-    mutable http : Http.server option;
-    mutable metrics : Http.server option;
-    mutable stopped : bool;
+    http_port : int option;
+    metrics_port : int option;
   }
 
   let reply_ok conn body =
@@ -414,8 +408,8 @@ module Server = struct
     | `Latest -> latest registry subject
     | `N n -> find registry ~subject n
 
-  let handle_frame (s : server) (conn : Conn.t) (frame : Bytes.t) =
-    Counters.incr s.registry.counters "frames_in";
+  let handle_frame (registry : t) (conn : Conn.t) (frame : Bytes.t) =
+    Counters.incr registry.counters "frames_in";
     if Bytes.length frame < 1 then Conn.doom conn "empty frame"
     else
       let body = Bytes.sub_string frame 1 (Bytes.length frame - 1) in
@@ -425,7 +419,7 @@ module Server = struct
         | None -> reply_err conn "register: missing subject line"
         | Some (subject, p) -> (
           let text = String.sub body p (String.length body - p) in
-          match register s.registry ~subject text with
+          match register registry ~subject text with
           | v ->
             reply_ok conn
               (Printf.sprintf "version=%d\nfingerprint=%s" v.version
@@ -446,14 +440,14 @@ module Server = struct
           match spec_of_string (String.sub body p (String.length body - p)) with
           | None -> reply_err conn "get: bad version spec"
           | Some spec -> (
-            match get_spec s.registry ~subject spec with
+            match get_spec registry ~subject spec with
             | Some v ->
               reply_ok conn
                 (Printf.sprintf "version=%d\nfingerprint=%s\n%s" v.version
                    v.fingerprint v.schema)
             | None -> reply_err conn "not found")))
       | 'F' -> (
-        match by_fingerprint s.registry body with
+        match by_fingerprint registry body with
         | Some v ->
           reply_ok conn
             (Printf.sprintf "subject=%s\nversion=%d\n%s" v.subject v.version
@@ -464,35 +458,30 @@ module Server = struct
           List.map
             (fun subject ->
               Printf.sprintf "%s %d %s" subject
-                (List.length (versions s.registry subject))
-                (compat_mode_to_string (mode s.registry ~subject)))
-            (subjects s.registry)
+                (List.length (versions registry subject))
+                (compat_mode_to_string (mode registry ~subject)))
+            (subjects registry)
         in
         reply_ok conn (String.concat "\n" lines)
       | 'D' -> (
-        match register_descriptor s.registry body with
+        match register_descriptor registry body with
         | id -> reply_ok conn (Printf.sprintf "id=%d" id)
         | exception Format_codec.Codec_error m ->
           reply_err conn ("invalid descriptor: " ^ m))
       | 'G' -> (
-        match Option.bind (int_of_string_opt body) (descriptor s.registry) with
+        match Option.bind (int_of_string_opt body) (descriptor registry) with
         | Some blob -> reply_ok conn blob
         | None -> reply_err conn "not found")
-      | 't' -> reply_ok conn (Counters.to_text s.registry.counters)
+      | 't' -> reply_ok conn (Counters.to_text registry.counters)
       | k -> Conn.doom conn (Printf.sprintf "unknown request kind %C" k)
 
-  let accept_connection s fd =
-    let id = s.next_conn in
-    s.next_conn <- id + 1;
-    Counters.incr s.registry.counters "connections";
-    let conn =
-      Conn.attach s.loop fd
-        ~on_input:(fun conn frame ->
-          handle_frame s conn (Omf_util.Slice.to_bytes frame))
-        ~on_close:(fun _ _ -> Hashtbl.remove s.conns id)
-        ()
-    in
-    Hashtbl.replace s.conns id conn
+  let frame_connection (registry : t) : Shell.accept =
+   fun loop fd ~on_close ->
+    Counters.incr registry.counters "connections";
+    Conn.attach loop fd
+      ~on_input:(fun conn frame ->
+        handle_frame registry conn (Omf_util.Slice.to_bytes frame))
+      ~on_close ()
 
   (* HTTP JSON surface *)
 
@@ -547,58 +536,35 @@ module Server = struct
         | None -> Http.not_found r.Http.path)
       | _ -> Http.not_found r.Http.path)
 
+  (* the frame, HTTP JSON and metrics listeners share one loop *)
   let start ?(host = "127.0.0.1") ~port ?http_port ?metrics_port (registry : t)
       : server =
-    let socket, bound_port = Reactor.listener ~host ~port () in
-    Unix.set_nonblock socket;
-    let s =
-      { registry; socket; port = bound_port; loop = Reactor.create ()
-      ; loop_thread = Thread.self (); conns = Hashtbl.create 16
-      ; next_conn = 0; http = None; metrics = None; stopped = false }
+    let optional port handler =
+      Option.map (fun p -> (host, p, Http.connection handler)) port
     in
-    let rec accept_all () =
-      match Unix.accept ~cloexec:true socket with
-      | fd, _ ->
-        accept_connection s fd;
-        accept_all ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-      | exception Unix.Unix_error _ -> ()
+    let http = optional http_port (http_handler registry)
+    and metrics =
+      optional metrics_port
+        (Http.get_only
+           (Http.metrics_handler
+              [ ("registry", fun () -> Counters.dump registry.counters) ]))
     in
-    ignore
-      (Reactor.register s.loop socket ~on_readable:accept_all
-         ~on_writable:ignore);
-    s.loop_thread <- Thread.create Reactor.run s.loop;
-    (match http_port with
-    | None -> ()
-    | Some p -> s.http <- Some (Http.serve_requests ~host ~port:p (http_handler registry)));
-    (match metrics_port with
-    | None -> ()
-    | Some p ->
-      s.metrics <-
-        Some
-          (Http.serve_metrics ~host ~port:p
-             [ ("registry", fun () -> Counters.dump registry.counters) ]));
-    s
+    let shell =
+      Shell.start
+        ((host, port, frame_connection registry)
+        :: List.filter_map Fun.id [ http; metrics ])
+    in
+    (* the ports follow the listeners: frame, then HTTP, then metrics *)
+    let ports = Array.of_list (Shell.ports shell) in
+    { shell; port = ports.(0)
+    ; http_port = Option.map (fun _ -> ports.(1)) http
+    ; metrics_port = Option.map (fun _ -> ports.(Array.length ports - 1)) metrics
+    }
 
   let port s = s.port
-  let http_port s = Option.map Http.port s.http
-  let metrics_port s = Option.map Http.port s.metrics
-
-  let shutdown s =
-    if not s.stopped then begin
-      s.stopped <- true;
-      Reactor.inject s.loop (fun () ->
-          (try Unix.shutdown s.socket Unix.SHUTDOWN_ALL
-           with Unix.Unix_error _ -> ());
-          let live = Hashtbl.fold (fun _ c acc -> c :: acc) s.conns [] in
-          List.iter (fun c -> Conn.doom c "server shutdown") live;
-          Reactor.stop s.loop);
-      Thread.join s.loop_thread;
-      (try Unix.close s.socket with Unix.Unix_error _ -> ());
-      Reactor.dispose s.loop;
-      Option.iter Http.shutdown s.http;
-      Option.iter Http.shutdown s.metrics
-    end
+  let http_port s = s.http_port
+  let metrics_port s = s.metrics_port
+  let shutdown s = Shell.shutdown s.shell
 end
 
 (* ------------------------------------------------------------------ *)

@@ -121,8 +121,9 @@ val descriptor : t -> int -> string option
 (** {1 Server} *)
 
 module Server : sig
-  (** Serves a registry over the binary frame protocol (one reactor
-      thread) and optionally HTTP JSON.
+  (** Serves a registry over the binary frame protocol and optionally
+      HTTP JSON and Prometheus metrics, all on one
+      {!Omf_reactor.Server} loop thread.
 
       Binary requests (length-prefixed frames over {!Omf_transport.Tcp}):
       - ['R' "subject\n" schema] — register; reply
@@ -150,7 +151,9 @@ module Server : sig
     t ->
     server
   (** [~port:0] (and the optional HTTP/metrics ports) bind ephemeral
-      ports; read them back from the accessors. *)
+      ports; read them back from the accessors. A port that does not
+      bind raises its [Unix_error], leaving no port bound and no
+      thread running. *)
 
   val port : server -> int
   val http_port : server -> int option

@@ -589,7 +589,7 @@ let rec store_tick (t : shard) (period : float) =
     {!stream_gauges}, and the governor's. Runs every second on the
     shard's own loop, so no locks are needed; the gauges land in
     [t.counters] and flow through STATS, [Counters.merged] and
-    [Http.serve_metrics] like any counter. *)
+    [Http.metrics_handler] like any counter. *)
 let rec gauge_tick (t : shard) =
   Hashtbl.iter
     (fun _ s ->
@@ -1661,8 +1661,6 @@ let run_loop (t : shard) : unit =
     store_tick t period
   | None -> ());
   gauge_tick t;
-  Reactor.set_on_tick t.reactor (fun () ->
-      if Atomic.get t.shared.stopped && t.state = Running then begin_drain t);
   Reactor.run t.reactor;
   Mutex.protect t.shared.call_mu (fun () ->
       t.exited <- true;
@@ -1855,14 +1853,19 @@ let trace_spans (r : t) : Trace.span list =
          match s.trace with None -> [] | Some col -> Trace.spans col)
   |> List.sort (fun a b -> compare a.Trace.sp_start_us b.Trace.sp_start_us)
 
-(** Unblock the acceptor and ask every shard to drain — each shard only
-    gets a wake-pipe byte (its loop's per-iteration tick polls the shared
-    flag — no mutex on this path) — then join the acceptor and every
-    shard domain. *)
+(** Unblock the acceptor, ask every shard to drain on its own loop,
+    then join the acceptor and every shard domain. *)
 let stop (r : t) =
   if Atomic.compare_and_set r.shared.stopped false true then begin
     (try Unix.shutdown r.lsock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    Array.iter (fun s -> Reactor.wake s.reactor) r.shared.peers;
+    Array.iter
+      (fun s ->
+        (* under [call_mu], as in {!on_loop}: a loop that has exited
+           has disposed its wake pipe *)
+        Mutex.protect r.shared.call_mu (fun () ->
+            if not s.exited then
+              Reactor.inject s.reactor (fun () -> begin_drain s)))
+      r.shared.peers;
     Thread.join r.acceptor;
     Array.iter Domain.join r.domains;
     try Unix.close r.lsock with Unix.Unix_error _ -> ()

@@ -154,8 +154,8 @@ module Client = struct
     in
     (r.Proto.meta, r.Proto.schema, t.link)
 
-  let publish_acked ?trace (t : t) ~(stream : string) : int option * Link.t =
-    (publish_with ?trace ~acks:true t stream, t.link)
+  let publish_acked (t : t) ~(stream : string) : int option * Link.t =
+    (publish_with ~acks:true t stream, t.link)
 
   let subscribe_from (t : t) ~(stream : string) ~(from : int) :
       int option * string * Link.t =

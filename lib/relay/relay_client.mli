@@ -107,8 +107,7 @@ module Client : sig
       registry-binding metadata ([subject] / [version] /
       [fingerprint]); empty when the advertiser supplied none. *)
 
-  val publish_acked :
-    ?trace:Omf_trace.Trace.ctx -> t -> stream:string -> int option * Omf_transport.Link.t
+  val publish_acked : t -> stream:string -> int option * Omf_transport.Link.t
   (** Publisher mode with durability acks (PROTOCOLS.md §13): against
       a store-backed relay returns [Some durable] — the stream's
       durable watermark, which is also the store offset the next

@@ -57,7 +57,7 @@ val staleness : unit -> staleness
 val prometheus :
   ?staleness:staleness -> component:string -> (string * int) list -> string
 (** Render a snapshot in Prometheus text exposition format (what
-    [Http.serve_metrics] serves and [Http.push] POSTs), one
+    [Http.metrics_handler] serves and [Http.push] POSTs), one
     [omf_<component>_<name> <value>] line per counter; characters
     outside [[a-zA-Z0-9_]] in [component] or names become ['_'].
 

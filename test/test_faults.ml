@@ -1077,6 +1077,55 @@ let test_discovery_retries_before_falling_through () =
     outcome.Discovery.source;
   check int "exactly two fetch attempts" 2 !calls
 
+(** relayd started with a busy [--metrics-port]: the relay is already
+    listening when the metrics bind fails, so relayd must stop it and
+    exit with the bind error a busy [--port] gets, not an uncaught
+    exception. Its stdout keeps the "listening on" line first.
+    Requires the relayd binary via [OMF_RELAYD]; skipped when absent. *)
+let test_relayd_busy_metrics_port () =
+  match Sys.getenv_opt "OMF_RELAYD" with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    Omf_testkit.Listen.with_busy_port @@ fun busy ->
+    let out_r, out_w = Unix.pipe ~cloexec:true ()
+    and err_r, err_w = Unix.pipe ~cloexec:true () in
+    let pid =
+      Unix.create_process exe
+        [| exe; "--port"; "0"; "--metrics-port"; string_of_int busy |]
+        Unix.stdin out_w err_w
+    in
+    List.iter Unix.close [ out_w; err_w ];
+    let status = ref None in
+    Fun.protect ~finally:(fun () ->
+        if !status = None then begin
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid)
+        end)
+    @@ fun () ->
+    poll ~what:"relayd exit" (fun () ->
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ -> false
+        | _, st ->
+          status := Some st;
+          true);
+    let read_all fd =
+      let ic = Unix.in_channel_of_descr fd in
+      Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+          In_channel.input_all ic)
+    in
+    let out = read_all out_r and err = read_all err_r in
+    let contains = Omf_testkit.Strings.contains in
+    check bool "exit 124, as for a busy --port" true
+      (!status = Some (Unix.WEXITED 124));
+    check bool "bind error names the metrics port" true
+      (contains err (Printf.sprintf "bind 127.0.0.1:%d: " busy));
+    check bool "no uncaught exception" false
+      (contains err "uncaught exception");
+    check bool "relay stopped before exit" true
+      (contains err "shard 0 stopped");
+    check bool "stdout starts with the listening line" true
+      (String.starts_with ~prefix:"relayd: listening on " out)
+
 let () =
   Alcotest.run "faults"
     [ ( "client-errors",
@@ -1121,6 +1170,9 @@ let () =
             `Quick test_overload_governor_drill
         ; Alcotest.test_case "ingress token bucket paces, never drops"
             `Quick test_ingress_rate_limit_paces_publisher ] )
+    ; ( "relayd",
+        [ Alcotest.test_case "busy --metrics-port: clean bind error" `Quick
+            test_relayd_busy_metrics_port ] )
     ; ( "discovery",
         [ Alcotest.test_case "falls back within deadline (blackhole)" `Quick
             test_discovery_falls_back_within_deadline

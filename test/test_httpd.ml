@@ -66,8 +66,9 @@ let test_metrics_endpoint () =
   Omf_util.Counters.incr counters ~by:42 "frames_in";
   Omf_util.Counters.incr counters "weird.name-x";
   let server =
-    Http.serve_metrics ~port:0
-      [ ("relay", fun () -> Omf_util.Counters.dump counters) ]
+    Http.serve ~port:0
+      (Http.metrics_handler
+         [ ("relay", fun () -> Omf_util.Counters.dump counters) ])
   in
   Fun.protect
     ~finally:(fun () -> Http.shutdown server)

@@ -2,13 +2,16 @@
     order against a sorted model (property-tested under random
     insert/cancel), fd churn through the buffered connection driver
     without leaking registrations, cross-thread [inject] under load,
-    per-connection deadlines, the loop's sum of queued bytes, and
-    listening sockets that a failed bind
-    does not leak. *)
+    per-connection deadlines, the loop's sum of queued bytes, listening
+    sockets that a failed bind does not leak, and the server shell
+    hosting a frame and an HTTP listener on one loop. *)
 
 module Reactor = Omf_reactor.Reactor
 module Conn = Omf_reactor.Conn
+module Server = Omf_reactor.Server
 module Wheel = Omf_reactor.Reactor.Wheel
+module Http = Omf_httpd.Http
+module Listen = Omf_testkit.Listen
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -87,17 +90,16 @@ let test_wheel_reschedule () =
   ignore (Wheel.fire h ~now:10.0);
   (* the re-armed timers are due within the same cut and fire too *)
   check int "chained re-arms all fired" 3 !hits;
-  check int "wheel drained" 0 (Wheel.pending h)
+  check int "wheel drained" 0 (Wheel.fire h ~now:infinity)
 
 let test_wheel_cancel_counts () =
   let h = Wheel.create () in
   let t1 = Wheel.schedule h ~at:1.0 ignore in
   let _t2 = Wheel.schedule h ~at:2.0 ignore in
-  check int "two pending" 2 (Wheel.pending h);
   Wheel.cancel t1;
-  check int "one live after cancel" 1 (Wheel.pending h);
   check bool "next deadline skips the cancelled head" true
     (Wheel.next_deadline h = Some 2.0);
+  check int "the cancelled head does not fire" 0 (Wheel.fire h ~now:1.5);
   check int "only the live timer fires" 1 (Wheel.fire h ~now:5.0)
 
 (* ------------------------------------------------------------------ *)
@@ -131,6 +133,29 @@ let on_loop loop fn =
   Mutex.unlock mu;
   Option.get !result
 
+let rec really_read fd buf off len =
+  if len > 0 then begin
+    let n = Unix.read fd buf off len in
+    if n = 0 then Alcotest.fail "echo peer closed early";
+    really_read fd buf (off + n) (len - n)
+  end
+
+(* write [msg] as one frame on [fd] and read the echoed frame back *)
+let echo_roundtrip fd msg =
+  let wire = Omf_reactor.Frame.encode msg in
+  let n = Unix.write fd wire 0 (Bytes.length wire) in
+  check int "request written" (Bytes.length wire) n;
+  let hdr = Bytes.create 4 in
+  really_read fd hdr 0 4;
+  let body = Bytes.create (Omf_reactor.Frame.read_header hdr 0) in
+  really_read fd body 0 (Bytes.length body);
+  check bool "echoed intact" true (Bytes.equal body msg)
+
+let echo loop fd ~on_close =
+  Conn.attach loop fd
+    ~on_input:(fun c frame -> Conn.send c (Omf_util.Slice.to_bytes frame))
+    ~on_close ()
+
 (* ------------------------------------------------------------------ *)
 (* Conn: fd churn without leaks                                         *)
 (* ------------------------------------------------------------------ *)
@@ -145,29 +170,8 @@ let test_fd_churn () =
         let closed = ref false in
         ignore
           (on_loop loop (fun () ->
-               Conn.attach loop b
-                 ~on_input:(fun c frame ->
-                   Conn.send c (Omf_util.Slice.to_bytes frame))
-                 ~on_close:(fun _ _ -> closed := true)
-                 ()));
-        let msg = Bytes.of_string (Printf.sprintf "ping %d" round) in
-        let wire = Omf_reactor.Frame.encode msg in
-        let n = Unix.write a wire 0 (Bytes.length wire) in
-        check int "request written" (Bytes.length wire) n;
-        (* blocking read of the echoed frame *)
-        let hdr = Bytes.create 4 in
-        let rec really_read buf off len =
-          if len > 0 then begin
-            let n = Unix.read a buf off len in
-            if n = 0 then Alcotest.fail "echo peer closed early";
-            really_read buf (off + n) (len - n)
-          end
-        in
-        really_read hdr 0 4;
-        let body_len = Omf_reactor.Frame.read_header hdr 0 in
-        let body = Bytes.create body_len in
-        really_read body 0 body_len;
-        check bool "echoed intact" true (Bytes.equal body msg);
+               echo loop b ~on_close:(fun _ _ -> closed := true)));
+        echo_roundtrip a (Bytes.of_string (Printf.sprintf "ping %d" round));
         Unix.close a;
         (* wait for the loop to notice the close and deregister *)
         let rec settle tries =
@@ -324,9 +328,13 @@ let test_conn_queued_bytes () =
   in
   let body = Bytes.make 65536 'x' in
   let frame = Bytes.length body + 4 in
-  Conn.send c1 ~droppable:true body;
-  Conn.send c1 ~droppable:true body;
-  Conn.send c2 ~droppable:true body;
+  let send c =
+    Conn.send_wire c ~droppable:true
+      (Omf_reactor.Frame.wire [ Omf_util.Slice.of_bytes body ])
+  in
+  send c1;
+  send c1;
+  send c2;
   agree "enqueue" loop seen [ c1; c2 ];
   check int "enqueue counts whole frames" (3 * frame)
     (Reactor.queued_bytes loop);
@@ -361,33 +369,80 @@ let test_conn_queued_bytes () =
 (* Listening sockets                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
-
 (* Every server binds through [Reactor.listener]; a start on a port
    someone else listens on must fail with EADDRINUSE and close its
-   socket, however many times it is retried. *)
+   socket, however many times it is retried. A server shell whose
+   second listener is the busy one closes the first. *)
 let test_busy_port_leaks_no_fd () =
-  let busy, port = Reactor.listener ~port:0 () in
-  Fun.protect ~finally:(fun () -> Unix.close busy) @@ fun () ->
-  let starts =
+  Listen.with_busy_port @@ fun port ->
+  Listen.refused_without_leak ~rounds:50
     [ ("relay", fun () -> ignore (Omf_relay.Relay.start ~port ()))
-    ; ("http", fun () -> ignore (Omf_httpd.Http.serve_table ~port []))
+    ; ("http", fun () -> ignore (Http.serve_table ~port []))
     ; ( "registry",
         fun () ->
           ignore
             (Omf_registry.Registry.Server.start ~port
-               (Omf_registry.Registry.create ())) ) ]
+               (Omf_registry.Registry.create ())) )
+    ; ( "server shell",
+        fun () ->
+          ignore
+            (Server.start
+               [ ("127.0.0.1", 0, echo); ("127.0.0.1", port, echo) ]) ) ]
+
+(* One shell, two listeners: frames are echoed and HTTP is answered on
+   the same loop; shutdown closes a connection still open, frees both
+   ports and leaves no descriptor behind. *)
+let test_server_shell () =
+  let before = Listen.open_fds () in
+  let srv =
+    Server.start
+      [ ("127.0.0.1", 0, echo)
+      ; ( "127.0.0.1"
+        , 0
+        , Http.connection (fun r ->
+              Http.ok ~content_type:"text/plain" r.Http.path) ) ]
   in
-  let before = open_fds () in
-  for _ = 1 to 50 do
-    List.iter
-      (fun (name, start) ->
-        match start () with
-        | () -> Alcotest.failf "%s started on a busy port" name
-        | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ())
-      starts
+  let frame_port, http_port =
+    match Server.ports srv with
+    | [ f; h ] -> (f, h)
+    | _ -> Alcotest.fail "one port per listener"
+  in
+  let client = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (* a read that would hang raises EAGAIN after 5 s instead *)
+  Unix.setsockopt_float client Unix.SO_RCVTIMEO 5.0;
+  Unix.connect client (Unix.ADDR_INET (Unix.inet_addr_loopback, frame_port));
+  echo_roundtrip client (Bytes.of_string "frame listener");
+  check Alcotest.string "HTTP listener" "/hello"
+    (Http.get ~port:http_port ~path:"/hello" ());
+  Server.shutdown srv;
+  check int "shutdown closed the open connection" 0
+    (Unix.read client (Bytes.create 1) 0 1);
+  Unix.close client;
+  Listen.rebind frame_port;
+  Listen.rebind http_port;
+  check int "open descriptors unchanged" before (Listen.open_fds ())
+
+(* A client that connects just before shutdown may still sit in the
+   listener's backlog while the loop dooms its connections: it must see
+   end of stream or a reset, never a connection left open. Each read
+   has a 5 s receive timeout so a leak fails instead of hanging. *)
+let test_server_shell_shutdown_race () =
+  let before = Listen.open_fds () in
+  for _ = 1 to 200 do
+    let srv = Server.start [ ("127.0.0.1", 0, echo) ] in
+    let client = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.setsockopt_float client Unix.SO_RCVTIMEO 5.0;
+    Unix.connect client
+      (Unix.ADDR_INET (Unix.inet_addr_loopback, List.hd (Server.ports srv)));
+    Server.shutdown srv;
+    (match Unix.read client (Bytes.create 1) 0 1 with
+    | n -> check int "end of stream after shutdown" 0 n
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.fail "connection left open by shutdown");
+    Unix.close client
   done;
-  check int "open descriptors unchanged" before (open_fds ())
+  check int "open descriptors unchanged" before (Listen.open_fds ())
 
 let () =
   Alcotest.run "reactor"
@@ -409,5 +464,9 @@ let () =
             test_inject_under_load ] )
     ; ( "listen"
       , [ Alcotest.test_case "busy port leaks no fd" `Quick
-            test_busy_port_leaks_no_fd ] )
+            test_busy_port_leaks_no_fd
+        ; Alcotest.test_case "server shell: frames and HTTP on one loop"
+            `Quick test_server_shell
+        ; Alcotest.test_case "server shell: shutdown closes a just-accepted \
+                              client" `Quick test_server_shell_shutdown_race ] )
     ]

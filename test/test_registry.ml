@@ -190,10 +190,11 @@ let test_recovery_across_restart () =
 
 let test_server_roundtrip () =
   let reg = Registry.create () in
-  let srv = Registry.Server.start ~port:0 ~http_port:0 reg in
+  let srv = Registry.Server.start ~port:0 ~http_port:0 ~metrics_port:0 reg in
   Fun.protect ~finally:(fun () -> Registry.Server.shutdown srv) @@ fun () ->
   let port = Registry.Server.port srv in
   let hport = Option.get (Registry.Server.http_port srv) in
+  let mport = Option.get (Registry.Server.metrics_port srv) in
   let c = Registry.Client.connect ~port () in
   Fun.protect ~finally:(fun () -> Registry.Client.close c) @@ fun () ->
   let v, fp = Registry.Client.register c ~subject:"flights" Fx.schema_a in
@@ -255,7 +256,32 @@ let test_server_roundtrip () =
     Http.request ~port:hport ~meth:"GET" ~path:"/subjects/none/versions/latest"
       ()
   in
-  check int "unknown subject is 404" 404 r.Http.status
+  check int "unknown subject is 404" 404 r.Http.status;
+  (* the metrics listener, on the same loop: GET only *)
+  let r = Http.request ~port:mport ~meth:"GET" ~path:"/metrics" () in
+  check int "GET /metrics" 200 r.Http.status;
+  check bool "registry counters as Prometheus text" true
+    (contains r.Http.body "omf_registry_");
+  let r = Http.request ~port:mport ~meth:"POST" ~path:"/metrics" ~body:"" () in
+  check int "POST /metrics is 400" 400 r.Http.status
+
+(* A start whose HTTP port is taken raises, and leaves nothing behind:
+   the frame port it had bound is free again, no descriptor stays open
+   and no loop thread keeps running. *)
+let test_server_busy_http_port () =
+  let module Listen = Omf_testkit.Listen in
+  let threads () = Array.length (Sys.readdir "/proc/self/task") in
+  Listen.with_busy_port @@ fun http_port ->
+  let sock, port = Omf_reactor.Reactor.listener ~port:0 () in
+  Unix.close sock;
+  let before = threads () in
+  Listen.refused_without_leak ~rounds:1
+    [ ( "registry with a busy HTTP port",
+        fun () ->
+          ignore (Registry.Server.start ~port ~http_port (Registry.create ()))
+      ) ];
+  check int "no thread left running" before (threads ());
+  Listen.rebind port
 
 (* ------------------------------------------------------------------ *)
 (* Caching resolver                                                     *)
@@ -507,7 +533,9 @@ let () =
             test_recovery_across_restart ] )
     ; ( "server"
       , [ Alcotest.test_case "binary + HTTP JSON round-trip" `Quick
-            test_server_roundtrip ] )
+            test_server_roundtrip
+        ; Alcotest.test_case "busy HTTP port leaks nothing" `Quick
+            test_server_busy_http_port ] )
     ; ( "resolver"
       , [ Alcotest.test_case "caching resolver" `Quick test_resolver_caching ]
       )

@@ -450,18 +450,19 @@ let test_mirror_chain_trace () =
   (* export the merged trace the way relayd does: /trace/spans and
      /trace/summary mounted beside /metrics *)
   let srv =
-    Http.serve_metrics ~port:0
-      ~routes:
-        [ ( "/trace/spans"
-          , fun () ->
-              Http.ok ~content_type:"application/json"
-                (Trace.chrome_json (all_spans ())) )
-        ; ( "/trace/summary"
-          , fun () ->
-              Http.ok ~content_type:"application/json"
-                (Trace.summary_json (all_spans ())) )
-        ]
-      []
+    Http.serve ~port:0
+      (Http.metrics_handler
+         ~routes:
+           [ ( "/trace/spans"
+             , fun () ->
+                 Http.ok ~content_type:"application/json"
+                   (Trace.chrome_json (all_spans ())) )
+           ; ( "/trace/summary"
+             , fun () ->
+                 Http.ok ~content_type:"application/json"
+                   (Trace.summary_json (all_spans ())) )
+           ]
+         [])
   in
   Fun.protect ~finally:(fun () -> Http.shutdown srv) @@ fun () ->
   let body = Http.get ~port:(Http.port srv) ~path:"/trace/spans" () in
