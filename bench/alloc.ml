@@ -8,25 +8,27 @@
       [Pbio.message], [Pbio.Receiver.receive] and [Native.load];
     - on the secure-compressed workload's message: [Compress.compress]
       (with a reused scratch) and the HMAC behind [Macframe.seal];
+    - per shape: one [Endpoint.Sender.send], which builds the event
+      frame (kind byte plus message) in the memory's lent buffer;
     - per shape and negotiated frame mode (plain, mac, comp, mac+comp):
-      one [Link.send] and one [Link.recv] of the event frame (kind byte
-      plus message) on the framed client link, over a socketpair;
+      one [Link.send] and one [Link.recv] of the event frame on the
+      framed client link, over a socketpair;
     - the words a [Compress.scratch] holds ([Obj.reachable_words]) when
-      fresh, and after compressing one event frame of each shape.
+      fresh, and after compressing one event frame of each shape;
+    - per frame mode: the words a relay shard allocates per event it
+      relays from one publisher to one subscriber, paper-a's event
+      frames sent back to back ({!Omf_testkit.Relaypair}).
 
-    Allocation is deterministic, so one run is enough; the numbers do not
-    depend on the host's speed. *)
+    Client allocation is deterministic, so one run is enough; the numbers
+    do not depend on the host's speed. The relay's words include each
+    event's share of the loop rounds that read it, which a loaded host,
+    reading smaller batches, can raise by a few words. *)
 
 module Shapes = Omf_testkit.Shapes
 module Alloc = Omf_testkit.Alloc
 module Linkpair = Omf_testkit.Linkpair
 
-(* the event frame bench/e2e sends: ['M'] then the message *)
-let event_frame (s : Shapes.t) =
-  let fmt = Shapes.register s.send_abi s in
-  let mem = Omf_machine.Memory.create s.send_abi in
-  let msg = Omf_pbio.Pbio.message mem fmt (Omf_pbio.Native.store mem fmt s.value) in
-  Bytes.cat (Bytes.make 1 'M') msg
+let event_frame = Shapes.event_frame
 
 let link_row (s : Shapes.t) =
   let fr = event_frame s in
@@ -42,6 +44,30 @@ let link_row (s : Shapes.t) =
   Printf.sprintf {|    "%s": {"frame_B": %d,
       %s}|} s.name (Bytes.length fr)
     (String.concat ",\n      " (List.map mode Linkpair.modes))
+
+(* [Endpoint.Sender.send] of the shape's record on a link that drops
+   every frame: the cost of framing the message *)
+let endpoint_row (s : Shapes.t) =
+  let fmt = Shapes.register s.send_abi s in
+  let mem = Omf_machine.Memory.create s.send_abi in
+  let null =
+    { Omf_transport.Link.send = ignore; recv = (fun () -> None); close = ignore }
+  in
+  let sender = Omf_transport.Endpoint.Sender.create null mem in
+  let addr = Omf_pbio.Native.store mem fmt s.value in
+  Printf.sprintf {|"%s": %.1f|} s.name
+    (Alloc.bytes_per_call ~iters:500 (fun () ->
+         Omf_transport.Endpoint.Sender.send sender fmt addr))
+
+let relay_row () =
+  let frame = event_frame (List.hd Shapes.bench) in
+  let mode (m : Linkpair.mode) =
+    Printf.sprintf {|"%s": %.1f|} m.name
+      (Omf_testkit.Relaypair.words_per_event ~events:5_000 m frame)
+  in
+  Printf.sprintf {|{"frame_B": %d, "words_per_event": {%s}}|}
+    (Bytes.length frame)
+    (String.concat ", " (List.map mode Linkpair.modes))
 
 let scratch_row () =
   let words s = Obj.reachable_words (Obj.repr s) in
@@ -84,10 +110,13 @@ let () =
   Printf.printf
     "{\n  \"ocaml\": \"%s\",\n  \"word_size\": %d,\n  \"shapes\": {\n%s\n  },\n\
     \  \"secure_frame\": {\"frame_B\": %d, \"compress_B\": %.1f, \"hmac_B\": %.1f},\n\
+    \  \"endpoint_send_B\": {%s},\n\
     \  \"link\": {\n%s\n  },\n\
-    \  \"scratch\": %s\n}\n"
+    \  \"scratch\": %s,\n\
+    \  \"relay\": %s\n}\n"
     Sys.ocaml_version Sys.word_size
     (String.concat ",\n" (List.map row (Shapes.bench @ [ Shapes.strvar ])))
     (Bytes.length msg) compress hmac
+    (String.concat ", " (List.map endpoint_row Shapes.bench))
     (String.concat ",\n" (List.map link_row Shapes.bench))
-    (scratch_row ())
+    (scratch_row ()) (relay_row ())

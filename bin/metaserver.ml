@@ -88,9 +88,8 @@ let run dir port host metrics_port verbose =
       let handler ~path ~headers =
         Omf_util.Counters.incr counters "requests";
         let resp = dir_handler ~path ~headers in
-        Omf_util.Counters.incr counters
-          ~by:(String.length resp.Omf_httpd.Http.body)
-          "bytes_out";
+        Omf_util.Counters.add counters "bytes_out"
+          (String.length resp.Omf_httpd.Http.body);
         (if resp.Omf_httpd.Http.status = 200 then begin
            Omf_util.Counters.incr counters "documents_served";
            let name =

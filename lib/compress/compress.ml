@@ -359,4 +359,3 @@ let decompress_sub ?(into = Bytes.create) src ~pos ~len =
 
 let decompress src = decompress_sub src ~pos:0 ~len:(Bytes.length src)
 
-let decompress_slice (s : Slice.t) = decompress_sub s.buf ~pos:s.off ~len:s.len

@@ -79,8 +79,6 @@ val decompress_sub :
     [Error] without calling it. A block that fails later may have
     written into the buffer. *)
 
-val decompress_slice : Omf_util.Slice.t -> Bytes.t
-(** Decompress the block viewed by a slice. *)
 
 val is_lz : Bytes.t -> bool
 (** Whether the block carries an [lz] payload (false for stored —

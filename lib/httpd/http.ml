@@ -300,16 +300,16 @@ let directory_handler (dir : string) : handler =
     that care about 403-vs-404 (tests) or 409 (registry compat
     rejection) can inspect it without exception plumbing. Raises
     {!Http_error} only on transport problems (connect failure, timeout,
-    truncated stream, malformed response). [timeout_s] bounds
-    connection establishment and each read/write. The connection comes
+    truncated stream, malformed response). [timeout_s] (default 5 s)
+    bounds connection establishment and each read/write. The connection comes
     from {!Omf_transport.Tcp.dial}; the response head is parsed with the
     server's own head parser. *)
 let request ?(host = "127.0.0.1") ~port ~meth ~path ?content_type
-    ?(body = "") ?timeout_s () : response =
+    ?(body = "") ?(timeout_s = 5.0) () : response =
   let fd =
     try
-      Omf_transport.Tcp.dial ~host ~port ?connect_timeout_s:timeout_s
-        ?io_timeout_s:timeout_s ()
+      Omf_transport.Tcp.dial ~host ~port ~connect_timeout_s:timeout_s
+        ~io_timeout_s:timeout_s ()
     with Omf_transport.Tcp.Tcp_error m -> raise (Http_error m)
   in
   let fail fmt = http_error ("%s %s:%d%s: " ^^ fmt) meth host port path in
@@ -383,7 +383,7 @@ let request ?(host = "127.0.0.1") ~port ~meth ~path ?content_type
   with
   | End_of_file -> fail "unexpected end of stream"
   | Omf_transport.Link.Timeout ->
-    fail "timeout after %.3gs" (Option.value ~default:0.0 timeout_s)
+    fail "timeout after %.3gs" timeout_s
   | e -> (
     (* e.g. a connection reset mid-body: still a typed transport error *)
     match Omf_transport.Tcp.failure_message e with

@@ -108,16 +108,17 @@ val request :
     409 can inspect it. [host] may be a name ({!Omf_reactor.Reactor.resolve});
     a [Content-Type] header is sent only when [content_type] is given.
     Raises {!Http_error} only on transport problems (connect failure,
-    timeout, truncated or malformed response). [timeout_s] bounds
-    connection establishment and each read/write. *)
+    timeout, truncated or malformed response). [timeout_s] (default
+    5 s) bounds connection establishment and each read/write. *)
 
 val get :
   ?host:string -> port:int -> path:string -> ?timeout_s:float -> unit -> string
 (** Blocking GET; returns the body. Raises {!Http_error} on connection
     failure or non-200 — exactly what a discovery source should do so
-    the fallback chain can take over. [timeout_s] bounds connection
-    establishment and each read/write, so a server that accepts but
-    never answers becomes an {!Http_error} instead of a hang. *)
+    the fallback chain can take over. [timeout_s] (default 5 s) bounds
+    connection establishment and each read/write, so a server that
+    accepts but never answers becomes an {!Http_error} instead of a
+    hang. *)
 
 val fetcher :
   ?host:string ->

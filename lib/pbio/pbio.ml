@@ -28,18 +28,22 @@ exception Unknown_format of string
 (* Sending                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** [message ?id mem fmt addr] marshals the struct at [addr]: NDR payload
-    plus framing header. The sender performs no data conversion. [?id]
-    overrides the header's format id (global ids from the schema registry).
-    The message is lent: it is [mem]'s output buffer, valid until the
-    next [message] on [mem]. *)
-let message ?id (mem : Memory.t) (fmt : Format.t) (addr : int) : bytes =
-  (* no allocation while the length repeats: the header and the payload
-     emitted straight after it, in the memory's own buffer *)
+(** [message ?id ?kind mem fmt addr] marshals the struct at [addr]: NDR
+    payload plus framing header, after the byte [kind] if given. The
+    sender performs no data conversion. [?id] overrides the header's
+    format id (global ids from the schema registry). The message is
+    lent: it is [mem]'s output buffer, valid until the next [message]
+    on [mem]. *)
+let message ?id ?kind (mem : Memory.t) (fmt : Format.t) (addr : int) : bytes =
+  (* no allocation while the length repeats: the kind byte, the header
+     and the payload emitted straight after it, in the memory's own
+     buffer *)
   let payload_length = Encode.length mem fmt addr in
-  let msg = Memory.out_buffer mem (Wire.header_length + payload_length) in
-  Wire.put_header ?id fmt ~payload_length msg;
-  Encode.emit mem fmt addr msg ~off:Wire.header_length;
+  let off = match kind with Some _ -> 1 | None -> 0 in
+  let msg = Memory.out_buffer mem (off + Wire.header_length + payload_length) in
+  (match kind with Some k -> Bytes.set msg 0 k | None -> ());
+  Wire.put_header ?id fmt ~payload_length msg ~off;
+  Encode.emit mem fmt addr msg ~off:(off + Wire.header_length);
   msg
 
 (** [message_of_value abi fmt v] is the one-shot convenience used by

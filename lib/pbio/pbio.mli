@@ -20,10 +20,12 @@ module Format_codec = Format_codec
 
 exception Unknown_format of string
 
-val message : ?id:int -> Memory.t -> Format.t -> int -> bytes
+val message : ?id:int -> ?kind:char -> Memory.t -> Format.t -> int -> bytes
 (** Marshal the struct at the given address: NDR payload plus framing
     header. The sender performs no data conversion. [?id] overrides the
-    header's format id (global ids from the schema registry).
+    header's format id (global ids from the schema registry). [?kind]
+    puts one byte in front of the message, in the same buffer: an
+    endpoint's frame kind, so framing needs no copy.
 
     The message is lent, not given: it is the memory's output buffer
     ({!Omf_machine.Memory.out_buffer}), valid until the next [message]

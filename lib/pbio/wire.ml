@@ -21,14 +21,15 @@ type header = {
   payload_length : int;
 }
 
-(* Everything but the ABI fingerprint (bytes 6..11). *)
-let put_fields b ~format_id ~base_size ~payload_length =
-  Bytes.blit_string magic 0 b 0 4;
-  Bytes.set b 4 (Char.chr version);
-  Bytes.set b 5 '\000';
-  Endian.write_offset Endian.Big b ~off:12 ~size:4 format_id;
-  Endian.write_offset Endian.Big b ~off:16 ~size:4 base_size;
-  Endian.write_offset Endian.Big b ~off:20 ~size:4 payload_length
+(* Everything but the ABI fingerprint (bytes 6..11), for the header
+   at [off]. *)
+let put_fields ?(off = 0) b ~format_id ~base_size ~payload_length =
+  Bytes.blit_string magic 0 b off 4;
+  Bytes.set b (off + 4) (Char.chr version);
+  Bytes.set b (off + 5) '\000';
+  Endian.write_offset Endian.Big b ~off:(off + 12) ~size:4 format_id;
+  Endian.write_offset Endian.Big b ~off:(off + 16) ~size:4 base_size;
+  Endian.write_offset Endian.Big b ~off:(off + 20) ~size:4 payload_length
 
 let write_header (h : header) : bytes =
   let b = Bytes.create header_length in
@@ -56,15 +57,15 @@ let read_header (b : bytes) : header =
   ; base_size = u32 b 16
   ; payload_length = u32 b 20 }
 
-(** [put_header ?id fmt ~payload_length b] writes the header for a
-    [payload_length]-byte NDR payload of [fmt] into the first
-    {!header_length} bytes of [b]: the one-allocation framing path, where
-    the payload is encoded straight into [b] after it. *)
-let put_header ?id (fmt : Format.t) ~payload_length (b : bytes) : unit =
-  put_fields b
+(** [put_header ?id fmt ~payload_length b ~off] writes the header for a
+    [payload_length]-byte NDR payload of [fmt] into the {!header_length}
+    bytes of [b] at [off]: the one-allocation framing path, where the
+    payload is encoded straight into [b] after it. *)
+let put_header ?id (fmt : Format.t) ~payload_length (b : bytes) ~off : unit =
+  put_fields ~off b
     ~format_id:(match id with Some id -> id | None -> fmt.Format.id)
     ~base_size:fmt.Format.layout.Layout.size ~payload_length;
-  Abi.blit_fingerprint fmt.Format.abi b ~off:6
+  Abi.blit_fingerprint fmt.Format.abi b ~off:(off + 6)
 
 (** [format_id ?off msg] checks the framed message at [msg.[off ..]]
     (default 0, to the end of [msg]) in place and returns its format

@@ -17,9 +17,10 @@ type header = {
 val write_header : header -> bytes
 val read_header : bytes -> header
 
-val put_header : ?id:int -> Format.t -> payload_length:int -> bytes -> unit
+val put_header :
+  ?id:int -> Format.t -> payload_length:int -> bytes -> off:int -> unit
 (** Write the header for a [payload_length]-byte NDR payload of the
-    format into the first {!header_length} bytes of the buffer; the
+    format into the {!header_length} bytes of the buffer at [off]; the
     caller encodes the payload straight after it. The format id defaults
     to the sender's registry id (per-connection negotiation); pass [?id]
     for a global id from the schema registry. *)

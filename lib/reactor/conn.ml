@@ -52,16 +52,28 @@ type mode =
 
 (* The write queue is a singly linked list threaded through its
    entries and ended by [nil], so queueing, flushing and walking it
-   allocate nothing beyond the entry itself. *)
+   allocate nothing. An entry holds the piece being written unboxed
+   ([buf], [pos], [stop]) and the pieces after it as slices, so a wire
+   message of one view needs no slice and no list; written entries go
+   back to their connection's [spare] list and are queued again. *)
 type entry = {
-  mutable rest : Slice.t list;  (** wire slices not yet fully written *)
-  mutable off : int;  (** bytes already written of the head of [rest] *)
-  droppable : bool;  (** sheddable data frame *)
-  total : int;  (** summed slice lengths at enqueue *)
+  mutable buf : Bytes.t;  (** backing buffer of the piece being written *)
+  mutable pos : int;  (** its first unwritten byte *)
+  mutable stop : int;  (** one past its last byte; [pos = stop]: done *)
+  mutable rest : Slice.t list;  (** the non-empty pieces after it *)
+  mutable droppable : bool;  (** sheddable data frame *)
+  mutable total : int;  (** summed piece lengths at enqueue *)
   mutable next : entry;  (** the entry queued after this one, or [nil] *)
 }
 
-let rec nil = { rest = []; off = 0; droppable = false; total = 0; next = nil }
+let rec nil =
+  { buf = Bytes.empty; pos = 0; stop = 0; rest = []; droppable = false
+  ; total = 0; next = nil }
+
+(* written entries a connection keeps for reuse, at most: about what
+   one 64 KiB read of small relayed frames (500 of paper-a's) queues on
+   a subscriber before the read's loans settle, 32 KiB of records *)
+let spare_limit = 512
 
 type state =
   | Alive
@@ -80,6 +92,8 @@ type t = {
   mutable q_bytes : int;
       (** unwritten bytes across all queued entries; moved only by
           {!account}, which keeps the loop's sum in step *)
+  mutable spare : entry;  (** written entries kept for reuse, via [next] *)
+  mutable spares : int;
   mutable loop : Reactor.t option;  (** [None] while detached *)
   mutable reg : Reactor.registration option;
   mutable on_input : t -> Slice.t -> unit;
@@ -93,9 +107,12 @@ type t = {
   mutable inbuf : Bytes.t;
       (** the buffer the slices of the running input dispatch borrow *)
   mutable dispatching : bool;  (** an input dispatch is running *)
-  mutable borrowers : t list;
-      (** connections that queued slices of [inbuf] during the running
-          dispatch; {!settle_loans} ends their loans *)
+  mutable borrowers : t array;
+      (** its first [n_borrowers]: the connections that queued slices
+          of [inbuf] during the running dispatch; {!settle_loans} ends
+          their loans. An array the connection keeps, so lending
+          allocates nothing per read *)
+  mutable n_borrowers : int;
   mutable borrowing : bool;  (** this connection is in a lender's [borrowers] *)
 }
 
@@ -148,7 +165,38 @@ let close_now (c : t) (reason : string) =
     account c (-c.q_bytes);
     c.on_close c reason
 
-let entry_done (e : entry) = e.rest = []
+(* pieces are never empty, so an entry whose piece is written has
+   nothing left *)
+let entry_done (e : entry) = e.pos >= e.stop
+
+(* an entry for [buf]'s [pos, stop) window followed by [rest]: a spare
+   one when the connection keeps any *)
+let take_entry (c : t) ~droppable buf pos stop rest total =
+  let e = c.spare in
+  if e == nil then { buf; pos; stop; rest; droppable; total; next = nil }
+  else begin
+    c.spare <- e.next;
+    c.spares <- c.spares - 1;
+    e.buf <- buf;
+    e.pos <- pos;
+    e.stop <- stop;
+    e.rest <- rest;
+    e.droppable <- droppable;
+    e.total <- total;
+    e.next <- nil;
+    e
+  end
+
+(* a dequeued entry: keep it for reuse, holding on to no buffer *)
+let release (c : t) (e : entry) =
+  e.buf <- Bytes.empty;
+  e.rest <- [];
+  if c.spares < spare_limit then begin
+    e.next <- c.spare;
+    c.spare <- e;
+    c.spares <- c.spares + 1
+  end
+  else e.next <- nil
 
 let push (c : t) (e : entry) =
   if c.q_len = 0 then c.head <- e else c.tail.next <- e;
@@ -158,10 +206,20 @@ let push (c : t) (e : entry) =
 let pop (c : t) =
   let e = c.head in
   c.head <- e.next;
-  e.next <- nil;
   c.q_len <- c.q_len - 1;
   if c.q_len = 0 then c.tail <- nil;
-  if e.droppable then c.q_droppable <- c.q_droppable - 1
+  if e.droppable then c.q_droppable <- c.q_droppable - 1;
+  release c e
+
+(* the piece after [e]'s written one becomes the one being written *)
+let next_piece (e : entry) =
+  match e.rest with
+  | [] -> ()
+  | (s : Slice.t) :: tl ->
+    e.buf <- s.buf;
+    e.pos <- s.off;
+    e.stop <- s.off + s.len;
+    e.rest <- tl
 
 (** Pop fully-written (or empty) entries off the queue head. *)
 let pop_done (c : t) =
@@ -175,19 +233,17 @@ let advance (c : t) (n : int) =
   let left = ref n in
   while !left > 0 do
     let e = c.head in
-    match e.rest with
-    | [] -> pop c
-    | s :: tl ->
-      let rem = Slice.length s - e.off in
-      if !left >= rem then begin
-        left := !left - rem;
-        e.off <- 0;
-        e.rest <- tl
-      end
-      else begin
-        e.off <- e.off + !left;
-        left := 0
-      end
+    let rem = e.stop - e.pos in
+    if !left >= rem then begin
+      left := !left - rem;
+      e.pos <- e.stop;
+      next_piece e;
+      if entry_done e then pop c
+    end
+    else begin
+      e.pos <- e.pos + !left;
+      left := 0
+    end
   done;
   pop_done c;
   account c (-n)
@@ -209,24 +265,27 @@ let advance (c : t) (n : int) =
     pump that keeps the peer's TCP stack in immediate-ACK mode. *)
 let gather_threshold = 2048
 
-(* stage one entry's pieces, the first [o] bytes in, at [filled]: the
-   new fill, or [-1 - fill] when staging stops inside this entry *)
-let rec stage_slices gbuf filled o = function
+(* stage the [rem] bytes of [buf] at [pos] at [filled]: the new fill,
+   or [-1 - fill] when staging stops here *)
+let stage_piece gbuf filled buf pos rem =
+  let cap = Bytes.length gbuf in
+  if rem >= gather_threshold && rem > cap - filled then -1 - filled
+  else
+    let copy = min rem (cap - filled) in
+    Bytes.blit buf pos gbuf filled copy;
+    if filled + copy = cap then -1 - cap else filled + copy
+
+let rec stage_rest gbuf filled = function
   | [] -> filled
   | (s : Slice.t) :: tl ->
-    let cap = Bytes.length gbuf in
-    let rem = s.len - o in
-    if rem >= gather_threshold && rem > cap - filled then -1 - filled
-    else
-      let copy = min rem (cap - filled) in
-      Bytes.blit s.buf (s.off + o) gbuf filled copy;
-      if filled + copy = cap then -1 - cap
-      else stage_slices gbuf (filled + copy) 0 tl
+    let f = stage_piece gbuf filled s.buf s.off s.len in
+    if f < 0 then f else stage_rest gbuf f tl
 
 let rec stage_entries gbuf filled e =
   if e == nil then filled
   else
-    let f = stage_slices gbuf filled e.off e.rest in
+    let f = stage_piece gbuf filled e.buf e.pos (e.stop - e.pos) in
+    let f = if f < 0 then f else stage_rest gbuf f e.rest in
     if f < 0 then -1 - f else stage_entries gbuf f e.next
 
 (** Copy queued pieces into [gbuf], starting at the queue head's
@@ -260,8 +319,7 @@ let flush_step (c : t) : bool =
      c.q_len > 0)
   do
     let e = c.head in
-    let s = List.hd e.rest in
-    let rem = Slice.length s - e.off in
+    let rem = e.stop - e.pos in
     (* the gather buffer lives on the reactor; while detached (shard
        handoff) fall back to per-slice writes *)
     match
@@ -269,7 +327,7 @@ let flush_step (c : t) : bool =
       | Some loop when rem < gather_threshold ->
         let g = Reactor.gather loop in
         write_some c g 0 (stage_gather c g)
-      | _ -> write_some c s.buf (s.off + e.off) rem
+      | _ -> write_some c e.buf e.pos rem
     with
     | whole ->
       progressed := true;
@@ -328,49 +386,64 @@ let writable (c : t) =
     every borrower — and point their queued slices at the copy. After
     this, [p]'s buffer may be reused. *)
 let settle_loans (p : t) =
-  match p.borrowers with
-  | [] -> ()
-  | bs ->
-    p.borrowers <- [];
-    List.iter
-      (fun b ->
-        b.borrowing <- false;
-        if writes_later b && b.reg <> None then writable b)
-      bs;
-    let unwritten b = writes_later b && b.q_len > 0 in
-    if List.exists unwritten bs then begin
+  let n = p.n_borrowers in
+  if n > 0 then begin
+    p.n_borrowers <- 0;
+    let bs = p.borrowers in
+    let unwritten = ref false in
+    for i = 0 to n - 1 do
+      let b = bs.(i) in
+      b.borrowing <- false;
+      if writes_later b && b.reg <> None then writable b;
+      if writes_later b && b.q_len > 0 then unwritten := true
+    done;
+    if !unwritten then begin
       let buf = p.inbuf in
-      (* [f e i start s] for every queued slice [s] (the [i]th of entry
-         [e]) viewing [buf], [start] being its first unwritten byte *)
-      let each_loan f =
-        List.iter
-          (fun b ->
-            if writes_later b then begin
-              let e = ref b.head in
-              while !e != nil do
-                let e' = !e in
-                List.iteri
-                  (fun i (s : Slice.t) ->
-                    if s.buf == buf then
-                      f e' i (if i = 0 then s.off + e'.off else s.off) s)
-                  e'.rest;
-                e := e'.next
-              done
-            end)
-          bs
+      (* [f e] for every entry [e] queued on a borrower *)
+      let each_entry f =
+        for i = 0 to n - 1 do
+          let b = bs.(i) in
+          if writes_later b then begin
+            let e = ref b.head in
+            while !e != nil do
+              f !e;
+              e := !e.next
+            done
+          end
+        done
       in
+      (* the unwritten span of [buf] the queued pieces view *)
       let lo = ref max_int and hi = ref 0 in
-      each_loan (fun _ _ start s ->
-          lo := min !lo start;
-          hi := max !hi (s.off + s.len));
+      let span pos stop =
+        lo := min !lo pos;
+        hi := max !hi stop
+      in
+      each_entry (fun e ->
+          if e.buf == buf then span e.pos e.stop;
+          List.iter
+            (fun (s : Slice.t) -> if s.buf == buf then span s.off (s.off + s.len))
+            e.rest);
       if !lo < !hi then begin
         let copy = Bytes.sub buf !lo (!hi - !lo) in
-        each_loan (fun e i start s ->
-            let owned = Slice.make copy (start - !lo) (s.off + s.len - start) in
-            e.rest <- List.mapi (fun j x -> if j = i then owned else x) e.rest;
-            if i = 0 then e.off <- 0)
+        let lo = !lo in
+        each_entry (fun e ->
+            if e.buf == buf then begin
+              e.buf <- copy;
+              e.pos <- e.pos - lo;
+              e.stop <- e.stop - lo
+            end;
+            if List.exists (fun (s : Slice.t) -> s.buf == buf) e.rest then
+              e.rest <-
+                List.map
+                  (fun (s : Slice.t) ->
+                    if s.buf == buf then Slice.make copy (s.off - lo) s.len
+                    else s)
+                  e.rest)
       end
-    end
+    end;
+    (* hold on to no connection until the next loan *)
+    Array.fill bs 0 n p
+  end
 
 let deliver (c : t) (input : Slice.t) =
   try c.on_input c input
@@ -387,9 +460,10 @@ let deliver (c : t) (input : Slice.t) =
     so this loop reads nothing of it again but its own [loop] write. *)
 let rec drain_frames home (c : t) =
   if c.loop == home && c.state = Alive then
-    match Frame.Decoder.pop c.decoder with
-    | None -> ()
-    | Some frame ->
+    match Frame.Decoder.has_frame c.decoder with
+    | false -> ()
+    | true ->
+      let frame = Frame.Decoder.pop c.decoder in
       c.inbuf <- frame.Slice.buf;
       deliver c frame;
       drain_frames home c
@@ -454,10 +528,12 @@ let attach (loop : Reactor.t) (fd : Unix.file_descr) ?(mode = Frames)
   let c =
     { fd; mode; decoder = Frame.Decoder.create ()
     ; head = nil; tail = nil; q_len = 0; q_droppable = 0; q_bytes = 0
+    ; spare = nil; spares = 0
     ; loop = Some loop
     ; reg = None; on_input; on_close; on_progress; on_decode_error; on_bytes
     ; deadline = None; state = Alive; reading = true; inbuf = Bytes.empty
-    ; dispatching = false; borrowers = []; borrowing = false }
+    ; dispatching = false; borrowers = [||]; n_borrowers = 0
+    ; borrowing = false }
   in
   let r =
     Reactor.register loop fd
@@ -468,20 +544,43 @@ let attach (loop : Reactor.t) (fd : Unix.file_descr) ?(mode = Frames)
   sync_interest c;
   c
 
-let enqueue (c : t) ~droppable (wire : Slice.t list) =
+(* queue [buf]'s [pos, stop) window, then the non-empty [rest] *)
+let enqueue_pieces (c : t) ~droppable buf pos stop rest =
   match c.state with
   | Alive ->
-    let rest =
-      if List.exists Slice.is_empty wire then
-        List.filter (fun s -> not (Slice.is_empty s)) wire
-      else wire
-    in
-    let total = Slice.total rest in
-    push c { rest; off = 0; droppable; total; next = nil };
+    let total = stop - pos + Slice.total rest in
+    push c (take_entry c ~droppable buf pos stop rest total);
     if droppable then c.q_droppable <- c.q_droppable + 1;
     sync_interest c;
     account c total
   | Closing | Doomed _ | Closed _ -> ()
+
+let enqueue (c : t) ~droppable (wire : Slice.t list) =
+  match
+    if List.exists Slice.is_empty wire then
+      List.filter (fun s -> not (Slice.is_empty s)) wire
+    else wire
+  with
+  | [] -> ()
+  | (s : Slice.t) :: rest ->
+    enqueue_pieces c ~droppable s.buf s.off (s.off + s.len) rest
+
+(* [c] borrows [lender]'s running input until its dispatch settles *)
+let borrow (c : t) (lender : t option) =
+  match lender with
+  | Some p when c.state = Alive && not c.borrowing ->
+    if not p.dispatching then
+      invalid_arg "Conn: lender is not dispatching input";
+    c.borrowing <- true;
+    let n = p.n_borrowers in
+    if n = Array.length p.borrowers then begin
+      let grown = Array.make (max 4 (2 * n)) p in
+      Array.blit p.borrowers 0 grown 0 n;
+      p.borrowers <- grown
+    end;
+    p.borrowers.(n) <- c;
+    p.n_borrowers <- n + 1
+  | Some _ | None -> ()
 
 (** Queue a framed wire message (Frames mode) as-is: the slices'
     backing buffers are shared with the queue, never copied. Callers
@@ -491,15 +590,18 @@ let enqueue (c : t) ~droppable (wire : Slice.t list) =
     running [on_input] was handed): at the end of that dispatch, [c] is
     flushed and whatever of the borrowed bytes its socket did not take
     is copied into an owned buffer. *)
-let send_wire (c : t) ?(droppable = false) ?lender (wire : Slice.t list) =
+let send_wire (c : t) ~droppable ?lender (wire : Slice.t list) =
   enqueue c ~droppable wire;
-  match lender with
-  | Some p when c.state = Alive && not c.borrowing ->
-    if not p.dispatching then
-      invalid_arg "Conn.send_wire: lender is not dispatching input";
-    c.borrowing <- true;
-    p.borrowers <- c :: p.borrowers
-  | Some _ | None -> ()
+  borrow c lender
+
+(** Queue the [len] bytes of [buf] at [off], a whole framed wire
+    message, as one piece: a relayed frame together with the length
+    header it arrived behind. Allocates nothing when the connection
+    has a spare entry; lending works as in {!send_wire}. *)
+let send_view (c : t) ~droppable ?lender (buf : Bytes.t) (off : int)
+    (len : int) =
+  if len > 0 then enqueue_pieces c ~droppable buf off (off + len) [];
+  borrow c lender
 
 (** Queue a length-prefixed frame (Frames mode). Allocates only the
     4-byte header; [body]'s buffer is shared with the queue (ownership
@@ -516,17 +618,18 @@ let send_raw (c : t) (wire : Bytes.t) =
     ([Drop_oldest] backpressure). Returns the wire bytes shed (0 when
     nothing was droppable). *)
 let drop_oldest_droppable (c : t) : int =
-  let untouched e = e.off = 0 && Slice.total e.rest = e.total in
+  let untouched e = e.stop - e.pos + Slice.total e.rest = e.total in
   let rec find prev e =
     if e == nil then 0
     else if e.droppable && untouched e then begin
       if prev == nil then c.head <- e.next else prev.next <- e.next;
       if c.tail == e then c.tail <- prev;
-      e.next <- nil;
       c.q_len <- c.q_len - 1;
       c.q_droppable <- c.q_droppable - 1;
-      account c (-e.total);
-      e.total
+      let shed = e.total in
+      account c (-shed);
+      release c e;
+      shed
     end
     else find e e.next
   in

@@ -54,14 +54,22 @@ val send : t -> Bytes.t -> unit
     mutated afterwards. *)
 
 val send_wire :
-  t -> ?droppable:bool -> ?lender:t -> Omf_util.Slice.t list -> unit
+  t -> droppable:bool -> ?lender:t -> Omf_util.Slice.t list -> unit
 (** Queue a framed wire message as-is; its buffers are shared, never
-    copied. [droppable] (default [false]) lets {!drop_oldest_droppable}
-    shed it. With [~lender], the wire may borrow [lender]'s input (a
-    slice its running [on_input] was handed): at the end of that
-    dispatch this connection is flushed, and what its socket did not
-    take is copied into a buffer the queue owns. Raises
-    [Invalid_argument] if [lender] is not dispatching input. *)
+    copied. [droppable] lets {!drop_oldest_droppable} shed it. With
+    [~lender], the wire may borrow [lender]'s input (a slice its
+    running [on_input] was handed): at the end of that dispatch this
+    connection is flushed, and what its socket did not take is copied
+    into a buffer the queue owns. Raises [Invalid_argument] if [lender]
+    is not dispatching input. *)
+
+val send_view :
+  t -> droppable:bool -> ?lender:t -> Bytes.t -> int -> int -> unit
+(** [send_view c ~droppable buf off len] is {!send_wire} of the one
+    slice [buf, off, len]: a whole framed message, such as a relayed
+    frame viewed together with the length header it arrived behind.
+    It allocates nothing once the connection has written as many
+    entries as it queues. *)
 
 val send_raw : t -> Bytes.t -> unit
 (** Queue raw bytes verbatim ([Chunks] mode: HTTP responses). Takes

@@ -96,28 +96,30 @@ module Decoder = struct
     Bytes.blit chunk off t.buf t.stop len;
     t.stop <- t.stop + len
 
-  (** [pop t] is a view of the next complete frame body, if one has
-      fully arrived. The view borrows [t]'s buffer: it stays valid
-      until the next {!feed}, which may compact or reuse the buffer.
-      Raises {!Frame_error} on an over-long or negative length header
+  (** [has_frame t]: a complete frame body has arrived. Raises
+      {!Frame_error} on an over-long or negative length header
       (protocol corruption — the connection is unrecoverable). *)
-  let pop (t : t) : Slice.t option =
-    if pending_bytes t < header_length then None
-    else begin
-      let len = read_header t.buf t.start in
-      if len < 0 || len > t.max_frame then
-        frame_error "bad frame length %d (max %d)" len t.max_frame;
-      if pending_bytes t < header_length + len then None
-      else begin
-        let body = Slice.make t.buf (t.start + header_length) len in
-        t.start <- t.start + header_length + len;
-        if t.start = t.stop then begin
-          t.start <- 0;
-          t.stop <- 0
-        end;
-        Some body
-      end
-    end
+  let has_frame (t : t) : bool =
+    pending_bytes t >= header_length
+    &&
+    let len = read_header t.buf t.start in
+    if len < 0 || len > t.max_frame then
+      frame_error "bad frame length %d (max %d)" len t.max_frame;
+    pending_bytes t >= header_length + len
+
+  (** [pop t] is a view of the next complete frame body, which
+      {!has_frame} found. The view borrows [t]'s buffer: it stays valid
+      until the next {!feed}, which may compact or reuse the buffer. *)
+  let pop (t : t) : Slice.t =
+    if not (has_frame t) then invalid_arg "Frame.Decoder.pop: no frame";
+    let len = read_header t.buf t.start in
+    let body = Slice.make t.buf (t.start + header_length) len in
+    t.start <- t.start + header_length + len;
+    if t.start = t.stop then begin
+      t.start <- 0;
+      t.stop <- 0
+    end;
+    body
 
   (** [rehome t] moves the unconsumed backlog into a fresh buffer, so
       no later {!feed} writes over a view {!pop} already returned. *)

@@ -37,14 +37,18 @@ module Decoder : sig
   val feed : t -> Bytes.t -> int -> int -> unit
   (** [feed t chunk off len] appends raw socket bytes. *)
 
-  val pop : t -> Omf_util.Slice.t option
-  (** A view of the next complete frame body, if one has fully
-      arrived. The view borrows the decoder's buffer: it is valid until
-      the next {!feed} or {!rehome}, and whoever keeps it longer copies
-      it first. Several views popped between two feeds are all valid
-      together. Raises {!Frame_error} on an over-long or negative
-      length header (protocol corruption — the connection is
-      unrecoverable). *)
+  val has_frame : t -> bool
+  (** Whether a complete frame body has arrived. Raises {!Frame_error}
+      on an over-long or negative length header (protocol corruption —
+      the connection is unrecoverable). *)
+
+  val pop : t -> Omf_util.Slice.t
+  (** A view of the next complete frame body, which {!has_frame} found
+      ([Invalid_argument] if there is none). The view borrows the
+      decoder's buffer: it is valid until the next {!feed} or
+      {!rehome}, and whoever keeps it longer copies it first. Several
+      views popped between two feeds are all valid together. Nothing
+      but the view is allocated. *)
 
   val rehome : t -> unit
   (** Move the unconsumed backlog to a fresh buffer: views already

@@ -27,6 +27,9 @@ module Log = (val Logs.src_log log)
 (** Seconds on the monotonic {!Omf_util.Clock}: deadlines, timers and
     rate limits keep their spacing when the system clock steps. *)
 let now () = Float.of_int (Omf_util.Clock.now_us ()) *. 1e-6
+[@@inline]
+(* inlined, the loop's clock reads stay unboxed: a boxed result cost
+   each loop round two words *)
 
 (* ------------------------------------------------------------------ *)
 (* Timer wheel                                                          *)
@@ -126,17 +129,14 @@ module Wheel = struct
       fine. *)
   let fire (h : t) ~(now : float) : int =
     let fired = ref 0 in
-    let rec go () =
-      prune h;
-      if h.size > 0 && h.heap.(0).deadline <= now then begin
-        let t = pop_min h in
-        t.live <- false;
-        incr fired;
-        t.action ();
-        go ()
-      end
-    in
-    go ();
+    prune h;
+    while h.size > 0 && h.heap.(0).deadline <= now do
+      let t = pop_min h in
+      t.live <- false;
+      incr fired;
+      t.action ();
+      prune h
+    done;
     !fired
 end
 
@@ -153,15 +153,25 @@ type registration = {
   r_on_readable : unit -> unit;
   r_on_writable : unit -> unit;
   mutable r_active : bool;
+  mutable r_listed : bool;
+      (** [r_read] and [r_write] match the interest sets [select] was
+          last given ([r_in_reads], [r_in_writes]); a registration that
+          does not is counted in [r_loop.unlisted] *)
+  mutable r_in_reads : bool;  (** in [r_loop.reads] *)
+  mutable r_in_writes : bool;  (** in [r_loop.writes] *)
+  r_loop : t;
 }
 
-type t = {
+and t = {
   wheel : Wheel.t;
   regs : (Unix.file_descr, registration) Hashtbl.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   mu : Mutex.t;  (** guards [injected] and [stop_requested] writes *)
-  injected : (unit -> unit) Queue.t;
+  mutable injected : (unit -> unit) Queue.t;
+  mutable running_injected : (unit -> unit) Queue.t;
+      (** the batch {!run_injected} is running; swapped with
+          [injected] under [mu], so a round allocates no queue *)
   deferred : (unit -> unit) Queue.t;  (** loop-thread only *)
   scratch : Bytes.t;  (** shared read buffer for this loop's conns *)
   gather : Bytes.t;
@@ -176,6 +186,15 @@ type t = {
   mutable on_queued : int -> unit;  (** sees every new [queued] *)
   mutable stop_requested : bool;
   mutable running : bool;
+  mutable reads : Unix.file_descr list;
+      (** the read interest set [select] gets, [wake_r] last *)
+  mutable writes : Unix.file_descr list;  (** the write interest set *)
+  mutable unlisted : int;
+      (** registrations whose interest differs from [reads] and
+          [writes], plus any deregistered one still in them: when
+          nonzero, the sets are rebuilt before the next [select]. A
+          flag set and cleared again within one round (a write queue
+          filled and flushed at once) leaves them as they are. *)
 }
 
 let create () : t =
@@ -188,13 +207,17 @@ let create () : t =
   ; wake_w
   ; mu = Mutex.create ()
   ; injected = Queue.create ()
+  ; running_injected = Queue.create ()
   ; deferred = Queue.create ()
   ; scratch = Bytes.create 65536
   ; gather = Bytes.create 65536
   ; queued = 0
   ; on_queued = ignore
   ; stop_requested = false
-  ; running = false }
+  ; running = false
+  ; reads = [ wake_r ]
+  ; writes = []
+  ; unlisted = 0 }
 
 let scratch t = t.scratch
 let gather t = t.gather
@@ -206,18 +229,41 @@ let register (t : t) (fd : Unix.file_descr) ~(on_readable : unit -> unit)
   let r =
     { r_fd = fd; r_read = true; r_write = false
     ; r_on_readable = on_readable; r_on_writable = on_writable
-    ; r_active = true }
+    ; r_active = true; r_listed = false; r_in_reads = false
+    ; r_in_writes = false; r_loop = t }
   in
   Hashtbl.replace t.regs fd r;
+  t.unlisted <- t.unlisted + 1;
   r
 
-let set_read (r : registration) (b : bool) = r.r_read <- b
-let set_write (r : registration) (b : bool) = r.r_write <- b
+(* recount [r] after its interest changed *)
+let relist (r : registration) =
+  let listed = r.r_read = r.r_in_reads && r.r_write = r.r_in_writes in
+  if listed <> r.r_listed then begin
+    r.r_listed <- listed;
+    r.r_loop.unlisted <- (r.r_loop.unlisted + if listed then -1 else 1)
+  end
+
+let set_read (r : registration) (b : bool) =
+  if r.r_read <> b then begin
+    r.r_read <- b;
+    if r.r_active then relist r
+  end
+
+let set_write (r : registration) (b : bool) =
+  if r.r_write <> b then begin
+    r.r_write <- b;
+    if r.r_active then relist r
+  end
 
 let deregister (t : t) (r : registration) =
   if r.r_active then begin
     r.r_active <- false;
-    Hashtbl.remove t.regs r.r_fd
+    Hashtbl.remove t.regs r.r_fd;
+    (* an unlisted one stays counted; a listed one in the sets is
+       counted now, as its fd must leave them *)
+    if r.r_listed && (r.r_in_reads || r.r_in_writes) then
+      t.unlisted <- t.unlisted + 1
   end
 
 let fd_count (t : t) = Hashtbl.length t.regs
@@ -280,11 +326,14 @@ let drain_wake_pipe (t : t) =
   go ()
 
 let run_injected (t : t) =
-  let pending = Queue.create () in
   Mutex.lock t.mu;
-  Queue.transfer t.injected pending;
+  let pending = t.injected in
+  t.injected <- t.running_injected;
+  t.running_injected <- pending;
   Mutex.unlock t.mu;
-  Queue.iter (fun fn -> fn ()) pending
+  while not (Queue.is_empty pending) do
+    (Queue.take pending) ()
+  done
 
 let run_deferred (t : t) =
   while not (Queue.is_empty t.deferred) do
@@ -309,10 +358,64 @@ let prune_bad_fds (t : t) =
       deregister t r)
     bad
 
+let max_wait = 0.5
+
+(* The loop's clock reads and timer checks below keep every float
+   unboxed: a round boxes none unless a timer fires or one is due
+   within [max_wait] (the [select] timeout is boxed then). *)
+let timer_due (t : t) (now : float) =
+  let h = t.wheel in
+  h.Wheel.size > 0 && h.Wheel.heap.(0).Wheel.deadline <= now
+[@@inline]
+
 let select_timeout (t : t) =
-  match Wheel.next_deadline t.wheel with
-  | None -> 0.5
-  | Some d -> Float.max 0.0 (Float.min (d -. now ()) 0.5)
+  let h = t.wheel in
+  Wheel.prune h;
+  if h.Wheel.size = 0 then max_wait
+  else
+    let wait = h.Wheel.heap.(0).Wheel.deadline -. now () in
+    if wait >= max_wait then max_wait else Float.max 0.0 wait
+
+(* the interest sets, rebuilt only when some registration's interest
+   differs from them: a steady loop hands [select] the same two lists *)
+let refresh_interest (t : t) =
+  if t.unlisted > 0 then begin
+    t.unlisted <- 0;
+    Hashtbl.iter
+      (fun _ r ->
+        r.r_in_reads <- r.r_read;
+        r.r_in_writes <- r.r_write;
+        r.r_listed <- true)
+      t.regs;
+    t.reads <-
+      Hashtbl.fold
+        (fun fd r acc -> if r.r_read then fd :: acc else acc)
+        t.regs [ t.wake_r ];
+    t.writes <-
+      Hashtbl.fold
+        (fun fd r acc -> if r.r_write then fd :: acc else acc)
+        t.regs []
+  end
+
+(* dispatch one ready list: a write callback for each writable fd, a
+   read callback for each readable one, skipping an fd an earlier
+   callback of this round deregistered or lost interest in *)
+let rec on_writable (t : t) = function
+  | [] -> ()
+  | fd :: rest ->
+    (match Hashtbl.find t.regs fd with
+    | r -> if r.r_active && r.r_write then r.r_on_writable ()
+    | exception Not_found -> ());
+    on_writable t rest
+
+let rec on_readable (t : t) = function
+  | [] -> ()
+  | fd :: rest ->
+    (if fd != t.wake_r then
+       match Hashtbl.find t.regs fd with
+       | r -> if r.r_active && r.r_read then r.r_on_readable ()
+       | exception Not_found -> ());
+    on_readable t rest
 
 (** The loop: fire due timers, run injected thunks, select on the
     interest sets, dispatch writes then reads, then run deferred
@@ -325,23 +428,14 @@ let run (t : t) =
     ~finally:(fun () -> t.running <- false)
     (fun () ->
       while not t.stop_requested do
-        ignore (Wheel.fire t.wheel ~now:(now ()));
+        let now = now () in
+        if timer_due t now then ignore (Wheel.fire t.wheel ~now);
         run_injected t;
         run_deferred t;
         if not t.stop_requested then begin
           let timeout = select_timeout t in
-          let reads =
-            Hashtbl.fold
-              (fun fd r acc -> if r.r_active && r.r_read then fd :: acc else acc)
-              t.regs [ t.wake_r ]
-          in
-          let writes =
-            Hashtbl.fold
-              (fun fd r acc ->
-                if r.r_active && r.r_write then fd :: acc else acc)
-              t.regs []
-          in
-          match Unix.select reads writes [] timeout with
+          refresh_interest t;
+          match Unix.select t.reads t.writes [] timeout with
           | exception Unix.Unix_error (EINTR, _, _) -> ()
           | exception Unix.Unix_error (EBADF, _, _) -> prune_bad_fds t
           | readable, writable, _ ->
@@ -349,19 +443,8 @@ let run (t : t) =
               drain_wake_pipe t;
               run_injected t
             end;
-            List.iter
-              (fun fd ->
-                match Hashtbl.find_opt t.regs fd with
-                | Some r when r.r_active && r.r_write -> r.r_on_writable ()
-                | _ -> ())
-              writable;
-            List.iter
-              (fun fd ->
-                if fd != t.wake_r then
-                  match Hashtbl.find_opt t.regs fd with
-                  | Some r when r.r_active && r.r_read -> r.r_on_readable ()
-                  | _ -> ())
-              readable;
+            on_writable t writable;
+            on_readable t readable;
             run_deferred t
         end
       done;

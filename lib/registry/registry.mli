@@ -181,6 +181,11 @@ module Client : sig
       lines. *)
 
   val connect : ?host:string -> port:int -> ?timeout_s:float -> unit -> t
+  (** [timeout_s] (default 5 s) bounds connection establishment and
+      each later send or receive: a server that accepts but never
+      answers makes the call raise {!Server_unavailable} instead of
+      hanging. *)
+
   val close : t -> unit
 
   val register : t -> subject:string -> string -> int * string

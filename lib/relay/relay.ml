@@ -181,6 +181,17 @@ and conn = {
       (** pending flush/deliver trace spans for the most recently
           enqueued traced frame (subscribers only) *)
   mutable home : shard;  (** the shard whose loop owns this connection *)
+  lend : Rconn.t option;
+      (** [Some io], boxed once: what {!conn_frame} names as the lender
+          of this connection's input, so relaying a frame boxes
+          nothing *)
+  mutable inflated : Slice.t;
+      (** the last inbound [comp=lz] frame, inflated into a buffer
+          lent per connection: reused while lengths repeat, so a
+          queue that keeps the body copies it *)
+  inflate_into : (int -> Bytes.t) option;
+      (** [Some f], boxed once, where [f n] lends [inflated]'s buffer
+          at length [n] to {!Compress.decompress_sub} *)
 }
 
 (** Everything a shard knows about one stream it hosts (the backbone's
@@ -272,19 +283,35 @@ and shard = {
       (** numbers each {!fan_out}: the caches below are keyed on it, not
           on the body's buffer, which a publisher's decoder reuses from
           frame to frame *)
+  mutable src_lender : Rconn.t option;
+      (** while {!conn_frame} relays a frame: the publisher whose input
+          the body (and [comp_cache_blk]) borrow; [None] otherwise *)
+  mutable src_framed : bool;
+      (** the body sits right behind its length header in the lender's
+          input, so a plain queue sends the frame as it arrived *)
+  mutable src_inflated : bool;
+      (** the body is the publisher's inflated frame ([inflated]), which
+          the next frame overwrites: a plain queue copies it *)
   mutable wire_cache_seq : int;
       (** the fan-out whose framed wire message is cached below:
           fanning one publish out to N subscribers encodes the wire
           slices once and every queue shares them *)
   mutable wire_cache : Slice.t list;
   mutable comp_cache_seq : int;
-      (** same sharing for [comp=lz] subscribers: the body is
-          compressed once per fan-out and every compressed queue shares
-          the block (plain MAC-less ones also share the framed wire
-          message below; sealed ones re-seal the shared block per
-          connection, as nonces are per-connection) *)
-  mutable comp_cache_blk : Bytes.t;
+      (** same sharing for [comp=lz] subscribers: the fan-out whose
+          block is [comp_cache_blk], shared by every compressed queue
+          (sealed ones re-seal it per connection, as nonces are
+          per-connection). {!conn_frame} seeds it with a compressing
+          publisher's own block, so the relay compresses only what it
+          re-encodes: stored replay, replies *)
+  mutable comp_cache_blk : Slice.t;
+  mutable comp_cache_framed : bool;
+      (** [comp_cache_blk] sits right behind its length header *)
+  mutable comp_cache_lender : Rconn.t option;
+      (** the publisher whose input [comp_cache_blk] borrows *)
   mutable comp_cache_wire : Slice.t list;
+      (** the framed block, for a plain compressed queue when the block
+          has no header in front of it; [[]] until one needs it *)
   comp_scratch : Compress.scratch;
       (** shard-owned match-finder workspace (the shard loop is
           single-threaded) — compression never allocates chain arrays
@@ -296,6 +323,7 @@ and shard = {
   mutable state : state;
   mutable drain_timer : Reactor.timer option;
   mutable exited : bool;  (** the loop returned; under [call_mu] *)
+  mutable nursery_sized : bool;  (** {!size_nursery} ran *)
 }
 
 (** Every shard's counters summed, so a STATS reply from any shard
@@ -330,11 +358,30 @@ let stream_gauges (s : stream) : (string * int) list =
        ; g "store" "comp_stored" (Store.comp_stored_bytes st) ]
      else []))
 
+(** The GC work of the calling domain, which must be [t]'s own: on
+    OCaml 5 [Gc.minor_words] and [Gc.counters] count per domain, so
+    these are the shard's words alone, summed across shards by
+    {!Counters.merged}. [Gc.counters]' promoted and major words are as
+    of the domain's last minor collection. The minor collection count
+    is the process's — each minor collection stops every domain — so
+    only shard 0 reports it. *)
+let gc_gauges (t : shard) : (string * int) list =
+  let _, promoted, major = Gc.counters () in
+  ("gc.minor_words", Float.to_int (Gc.minor_words ()))
+  :: ("gc.promoted_words", Float.to_int promoted)
+  :: ("gc.major_words", Float.to_int major)
+  ::
+  (if t.shard_id = 0 then
+     [ ("gc.minor_collections", (Gc.quick_stat ()).Gc.minor_collections) ]
+   else [])
+
 (** The STATS reply body: relay-wide counters — every shard's streams
-    as of its last {!gauge_tick} — with the answering shard's own
-    stream gauges read live. Each key appears once: a live value
-    replaces the counter copy, which may be up to a second stale. *)
+    and GC work as of its last {!gauge_tick} — with the answering
+    shard's own stream gauges read live, and its GC counters refreshed
+    first. Each key appears once: a live value replaces the counter
+    copy, which may be up to a second stale. *)
 let stats (t : shard) : (string * int) list =
+  List.iter (fun (k, v) -> Counters.set t.counters k v) (gc_gauges t);
   let live =
     Hashtbl.fold (fun _ s acc -> stream_gauges s @ acc) t.streams []
   in
@@ -399,7 +446,9 @@ let begin_drain (t : shard) =
 (* Compression accounting (doc/COMPRESS.md): monotonic raw/wire byte
    totals per stream, plus the achieved ratio (x100) as a histogram —
    [comp.control.*] covers pre-role and control-only connections. *)
-let comp_ratio_bounds = [ 100; 110; 125; 150; 200; 300; 500; 800; 1600 ]
+let comp_ratio_bounds =
+  (* boxed once: [~bounds:] would box it on every compressed frame *)
+  Some [ 100; 110; 125; 150; 200; 300; 500; 800; 1600 ]
 
 let note_comp (c : conn) ~(raw : int) ~(wire : int) =
   let t = c.home in
@@ -408,41 +457,50 @@ let note_comp (c : conn) ~(raw : int) ~(wire : int) =
     | Publisher { stream; _ } | Subscriber { stream; _ } -> stream.comp_keys
     | Pending -> ("comp.control.raw_bytes", "comp.control.wire_bytes")
   in
-  Counters.incr t.counters ~by:raw raw_key;
-  Counters.incr t.counters ~by:wire wire_key;
+  Counters.add t.counters raw_key raw;
+  Counters.add t.counters wire_key wire;
   if wire > 0 then
-    Counters.observe t.counters ~bounds:comp_ratio_bounds "compress_ratio"
+    Counters.observe t.counters ?bounds:comp_ratio_bounds "compress_ratio"
       (raw * 100 / wire)
 
 (** Queue one frame body on [c]: framed as-is on plain connections,
     sealed (the copy-on-seal) and/or compressed on negotiated ones.
     With [~fanout], [body] is the frame {!fan_out} is relaying now: its
     framed and compressed forms are built once per fan-out and shared
-    by every queue. [lender] is the publisher whose input [body]
-    borrows; only a plain connection's queue keeps the borrowed view
-    (sealing and compressing copy), so only it takes the loan. *)
-let enqueue_entry ?(fanout = false) ?lender (c : conn) ~droppable
-    (body : Slice.t) =
+    by every queue, and a queue borrows them from the publisher's input
+    ([src_lender], [comp_cache_lender]) when they arrived as sent. *)
+let enqueue_entry ?(fanout = false) (c : conn) ~droppable (body : Slice.t) =
   let t = c.home in
+  let h = Frame.header_length in
   if c.comp then begin
+    if fanout && t.comp_cache_seq <> t.fanout_seq then begin
+      t.comp_cache_seq <- t.fanout_seq;
+      t.comp_cache_blk <-
+        Slice.of_bytes (Compress.compress_slice ~scratch:t.comp_scratch body);
+      t.comp_cache_framed <- false;
+      t.comp_cache_lender <- None;
+      t.comp_cache_wire <- []
+    end;
     let blk =
-      if fanout && t.comp_cache_seq = t.fanout_seq then t.comp_cache_blk
-      else begin
-        let b = Compress.compress_slice ~scratch:t.comp_scratch body in
-        if fanout then begin
-          t.comp_cache_seq <- t.fanout_seq;
-          t.comp_cache_blk <- b;
-          t.comp_cache_wire <- Frame.wire [ Slice.of_bytes b ]
-        end;
-        b
-      end
+      if fanout then t.comp_cache_blk
+      else Slice.of_bytes (Compress.compress_slice ~scratch:t.comp_scratch body)
     in
-    note_comp c ~raw:(Slice.length body) ~wire:(Bytes.length blk);
-    Rconn.send_wire c.io ~droppable
-      (match c.mac with
-      | Some st -> Frame.wire [ Slice.of_bytes (Macframe.seal_next st blk) ]
-      | None when fanout -> t.comp_cache_wire
-      | None -> Frame.wire [ Slice.of_bytes blk ])
+    note_comp c ~raw:(Slice.length body) ~wire:(Slice.length blk);
+    match c.mac with
+    | Some st ->
+      let b = Macframe.seal_frame st blk in
+      Rconn.send_view c.io ~droppable b 0 (Bytes.length b)
+    | None when not fanout -> Rconn.send_wire c.io ~droppable (Frame.wire [ blk ])
+    | None when t.comp_cache_framed ->
+      (* the publisher's frame as it arrived: header and block *)
+      Rconn.send_view c.io ~droppable ?lender:t.comp_cache_lender blk.buf
+        (blk.off - h) (Slice.length blk + h)
+    | None ->
+      (match t.comp_cache_wire with
+      | [] -> t.comp_cache_wire <- Frame.wire [ blk ]
+      | _ :: _ -> ());
+      Rconn.send_wire c.io ~droppable ?lender:t.comp_cache_lender
+        t.comp_cache_wire
   end
   else
     match c.mac with
@@ -450,22 +508,26 @@ let enqueue_entry ?(fanout = false) ?lender (c : conn) ~droppable
       (* under negotiated HMAC mode every outbound frame is sealed;
          sealing happens at enqueue time so nonces follow queue order
          exactly *)
-      Rconn.send_wire c.io ~droppable
-        (Frame.wire [ Slice.of_bytes (Macframe.seal_next_slices st [ body ]) ])
+      let b = Macframe.seal_frame st body in
+      Rconn.send_view c.io ~droppable b 0 (Bytes.length b)
+    | None when not fanout -> Rconn.send_wire c.io ~droppable (Frame.wire [ body ])
+    | None when t.src_framed ->
+      (* the frame as it arrived: its header and body, one view of the
+         publisher's input *)
+      Rconn.send_view c.io ~droppable ?lender:t.src_lender body.buf
+        (body.off - h) (Slice.length body + h)
     | None ->
       (* encode the wire message once per fan-out: every plain queue
-         shares one header slice and the body view *)
-      let wire =
-        if not fanout then Frame.wire [ body ]
-        else if t.wire_cache_seq = t.fanout_seq then t.wire_cache
-        else begin
-          let w = Frame.wire [ body ] in
-          t.wire_cache_seq <- t.fanout_seq;
-          t.wire_cache <- w;
-          w
-        end
-      in
-      Rconn.send_wire c.io ~droppable ?lender wire
+         shares one header slice and the body (a copy of it when the
+         publisher's next frame inflates over it) *)
+      if t.wire_cache_seq <> t.fanout_seq then begin
+        t.wire_cache_seq <- t.fanout_seq;
+        t.wire_cache <-
+          Frame.wire
+            [ (if t.src_inflated then Slice.of_bytes (Slice.to_bytes body)
+               else body) ]
+      end;
+      Rconn.send_wire c.io ~droppable ?lender:t.src_lender t.wire_cache
 
 (* --- tracing span recorders (doc/TRACE.md) ------------------------- *)
 
@@ -586,15 +648,15 @@ let rec store_tick (t : shard) (period : float) =
       Some (Reactor.after t.reactor period (fun () -> store_tick t period))
 
 (** Refresh the Prometheus-visible gauges: every hosted stream's
-    {!stream_gauges}, and the governor's. Runs every second on the
-    shard's own loop, so no locks are needed; the gauges land in
-    [t.counters] and flow through STATS, [Counters.merged] and
-    [Http.metrics_handler] like any counter. *)
+    {!stream_gauges}, the shard's {!gc_gauges} and the governor's.
+    Runs every second on the shard's own loop (so on its own domain),
+    and no locks are needed; the gauges land in [t.counters] and flow
+    through STATS, [Counters.merged] and [Http.metrics_handler] like
+    any counter. *)
 let rec gauge_tick (t : shard) =
-  Hashtbl.iter
-    (fun _ s ->
-      List.iter (fun (k, v) -> Counters.set t.counters k v) (stream_gauges s))
-    t.streams;
+  let set (k, v) = Counters.set t.counters k v in
+  Hashtbl.iter (fun _ s -> List.iter set (stream_gauges s)) t.streams;
+  List.iter set (gc_gauges t);
   Governor.note_tick t.governor ~now:(Reactor.now ());
   Counters.set t.counters "governor_used_bytes" (Governor.used t.governor);
   Counters.set t.counters "governor_health"
@@ -732,8 +794,8 @@ let is_descriptor (frame : Slice.t) =
     applying the backpressure policy. [offset] is the frame's store
     offset ([-1] when it has none); [trace] the publisher's trace
     context for a traced message, which the subscriber's delivery spans
-    inherit; [lender] the publisher whose input [frame] borrows. *)
-let enqueue_relayed ?lender (t : shard) (c : conn) (frame : Slice.t)
+    inherit. *)
+let enqueue_relayed (t : shard) (c : conn) (frame : Slice.t)
     ~(offset : int) ~(trace : Trace.ctx option) =
   match c.role with
   | Publisher _ | Pending -> ()
@@ -792,26 +854,29 @@ let enqueue_relayed ?lender (t : shard) (c : conn) (frame : Slice.t)
             ; tm_enq_us = Clock.now_us ()
             ; tm_flushed = false }
       | None -> ());
-      enqueue_entry ~fanout:true ?lender c ~droppable frame;
+      enqueue_entry ~fanout:true c ~droppable frame;
       Counters.incr t.counters "frames_out")
 
 let known_descriptor (s : stream) (frame : Slice.t) =
   List.exists (Slice.equal_bytes frame) s.descriptors
 
+let rec enqueue_all (t : shard) (frame : Slice.t) ~offset ~trace = function
+  | [] -> ()
+  | c :: rest ->
+    if Rconn.alive c.io then enqueue_relayed t c frame ~offset ~trace;
+    enqueue_all t frame ~offset ~trace rest
+
 (** Publish one descriptor or message frame on [s]: cache (copy) a new
     descriptor for late joiners, count it, and enqueue it on every live
-    subscriber in join order. [lender] is the publisher whose input
-    [frame] borrows ([None]: an owned buffer). *)
-let fan_out ?lender (t : shard) (s : stream) (frame : Slice.t) ~(offset : int)
+    subscriber in join order. The frame borrows the input of
+    [t.src_lender], if any. *)
+let fan_out (t : shard) (s : stream) (frame : Slice.t) ~(offset : int)
     ~(trace : Trace.ctx option) =
   if is_descriptor frame && not (known_descriptor s frame) then
     s.descriptors <- s.descriptors @ [ Slice.to_bytes frame ];
   s.published <- s.published + 1;
   t.fanout_seq <- t.fanout_seq + 1;
-  List.iter
-    (fun c ->
-      if Rconn.alive c.io then enqueue_relayed ?lender t c frame ~offset ~trace)
-    s.subscribers
+  enqueue_all t frame ~offset ~trace s.subscribers
 
 (** Governor health changed (called synchronously from the reactor's
     queued-bytes hook). Entering [Overloaded] pauses ingress from every
@@ -1282,11 +1347,46 @@ and dispatch (t : shard) (c : conn) (req : Proto.request) =
         (Printf.sprintf "%s: stream %s is pinned to another shard" cmd stream))
   | _, None, _ -> handle_control t c req
 
-(** One inbound frame of [c]. [lender] is [c]'s connection when [frame]
-    borrows its input buffer (the frame arrived as sent, not
-    decompressed): stream frames fan out straight from it, and only a
+(** The minor heap of a shard's domain, in words: 48k words, 384 KiB,
+    where the runtime's default is 256k words (2 MiB, all of it
+    resident once the loop has cycled through it). A relayed event
+    allocates 5 to 19 words on the shard through bench/e2e's plain
+    workloads (a plain one: the view of its body and its share of the
+    loop rounds), so this nursery holds thousands of events between
+    minor collections. Not smaller: direct major allocations (large
+    copies, store reads) ask for a major slice, and with it a minor
+    collection, each nursery's worth of words, and at 32k words
+    science-16k and paper-a-live ran more minor collections per event
+    than the default nursery did (doc/REACTOR.md §7). *)
+let shard_minor_heap_words = 49_152
+
+(** Give the calling shard domain its {!shard_minor_heap_words}
+    nursery, once, at the first message it relays. On OCaml 5 the
+    resize is a minor collection of every domain, about half a
+    millisecond; at loop start it held up relayd's start-up (and every
+    embedder's [Relay.start]) by as much, while the few words a shard
+    allocates before its first message touch little of the default
+    nursery, and the resize gives those pages back. [Gc.set] sizes the
+    calling domain only: the acceptor's and the embedder's domains keep
+    theirs ([OCAMLRUNPARAM]'s [s]). *)
+let size_nursery (t : shard) =
+  t.nursery_sized <- true;
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = shard_minor_heap_words }
+
+(** Fan [frame] out at store [offset], timing the fan-out as a
+    [fanout_enqueue] span when it is traced. *)
+let relay_at (t : shard) (s : stream) (frame : Slice.t) ~offset ~trace =
+  match trace with
+  | None -> fan_out t s frame ~offset ~trace
+  | Some ctx ->
+    let f0 = Clock.now_us () in
+    fan_out t s frame ~offset ~trace;
+    trace_span t ctx ~stage:"fanout_enqueue" ~stream:s.name ~t0_us:f0
+
+(** One inbound frame of [c], which may borrow [c]'s input buffer (see
+    {!conn_frame}): stream frames fan out straight from it, and only a
     cached descriptor or a control request is copied. *)
-let handle_frame ?lender (t : shard) (c : conn) (frame : Slice.t) =
+let handle_frame (t : shard) (c : conn) (frame : Slice.t) =
   Counters.incr t.counters "frames_in";
   if Slice.length frame = 0 then protocol_reject t c "empty frame"
   else
@@ -1333,29 +1433,22 @@ let handle_frame ?lender (t : shard) (c : conn) (frame : Slice.t) =
         (* the message's trace context, if any: stage spans below are
            recorded against it (sampled, or slow enough to force) *)
         let trace = if is_message then p.ptrace else None in
-        let relay_at offset =
-          match trace with
-          | None -> fan_out ?lender t s frame ~offset ~trace
-          | Some ctx ->
-            let f0 = Clock.now_us () in
-            fan_out ?lender t s frame ~offset ~trace;
-            trace_span t ctx ~stage:"fanout_enqueue" ~stream:s.name
-              ~t0_us:f0
-        in
-        if is_message then Counters.incr t.counters "events_relayed";
+        if is_message then begin
+          Counters.incr t.counters "events_relayed";
+          if not t.nursery_sized then size_nursery t
+        end;
         (match s.store with
         | Some st when is_message -> (
           let ap0 = if trace = None then 0 else Clock.now_us () in
           match Store.append_slice st frame with
           | off ->
             Counters.incr t.counters "store_appends";
-            Option.iter
-              (fun ctx ->
-                trace_span t ctx ~stage:"store_append" ~stream:s.name
-                  ~t0_us:ap0)
-              trace;
+            (match trace with
+            | Some ctx ->
+              trace_span t ctx ~stage:"store_append" ~stream:s.name ~t0_us:ap0
+            | None -> ());
             if p.acks then schedule_ack_flush t s;
-            relay_at off
+            relay_at t s frame ~offset:off ~trace
           | exception Store.Store_error msg ->
             (* refuse loudly: fanning out an unstored frame would let
                the publisher believe it is durable *)
@@ -1367,18 +1460,18 @@ let handle_frame ?lender (t : shard) (c : conn) (frame : Slice.t) =
            with Store.Store_error msg ->
              Counters.incr t.counters "store_errors";
              Log.err (fun m -> m "store %s: descriptor: %s" s.name msg));
-          relay_at (-1)
-        | None -> relay_at (-1));
+          relay_at t s frame ~offset:(-1) ~trace
+        | None -> relay_at t s frame ~offset:(-1) ~trace);
         (* publish -> queue admission latency: the full cost of
            accepting this message (store append + fan-out enqueues) *)
         if is_message then begin
           Counters.observe t.counters "publish_admit_us"
             (Clock.now_us () - admit_us);
-          Option.iter
-            (fun ctx ->
-              trace_span t ctx ~stage:"publish_admit" ~stream:s.name
-                ~t0_us:admit_us)
-            trace
+          match trace with
+          | Some ctx ->
+            trace_span t ctx ~stage:"publish_admit" ~stream:s.name
+              ~t0_us:admit_us
+          | None -> ()
         end;
         (match p.replica with
         | Some r when Rconn.alive c.io ->
@@ -1404,62 +1497,93 @@ let handle_frame ?lender (t : shard) (c : conn) (frame : Slice.t) =
         (* replies would interleave with relayed frames: refuse *)
         protocol_reject t c "subscriber connections are receive-only"
 
-(** Unseal an inbound frame on an authenticated connection. A frame
-    that fails authentication is counted and skipped; once the reject
-    limit is reached the connection is doomed — a replication link's at
-    once, as a skipped frame would gap the replica. [None] = drop frame. *)
-let unseal (t : shard) (c : conn) (frame : Slice.t) : Slice.t option =
-  match c.mac with
-  | None -> Some frame
-  | Some st -> (
-    match Macframe.open_in_place st frame.buf frame.off frame.len with
-    | () ->
-      Some
-        (Slice.sub frame Macframe.overhead
-           (Slice.length frame - Macframe.overhead))
-    | exception Macframe.Auth_error msg ->
-      Counters.incr t.counters "frames_rejected";
-      c.mac_rejects <- c.mac_rejects + 1;
-      Log.warn (fun m ->
-          m "conn %d: rejected frame (%d/%d): %s" c.cid c.mac_rejects
-            t.mac_reject_limit msg);
-      if is_replica c || c.mac_rejects >= t.mac_reject_limit then
-        Rconn.doom c.io "authentication failures";
-      None)
-
-(** Inflate an inbound frame on a [comp=lz] connection — after
-    {!unseal}, mirroring the outbound [seal (compress _)] order. A
-    malformed block means the peer lost framing sync entirely (there is
-    no per-frame tolerance to build on, unlike MAC rejects): doom. *)
-let decompress_in (t : shard) (c : conn) (frame : Slice.t) : Slice.t option =
-  if not c.comp then Some frame
-  else
-    match Compress.decompress_slice frame with
-    | raw -> Some (Slice.of_bytes raw)
-    | exception Compress.Error msg ->
-      Counters.incr t.counters "frames_rejected";
-      Log.warn (fun m -> m "conn %d: corrupt compressed frame: %s" c.cid msg);
-      Rconn.doom c.io "compression error";
-      None
+(** A frame that failed authentication on [c]: counted and skipped;
+    once the reject limit is reached the connection is doomed — a
+    replication link's at once, as a skipped frame would gap the
+    replica. *)
+let auth_reject (t : shard) (c : conn) (msg : string) =
+  Counters.incr t.counters "frames_rejected";
+  c.mac_rejects <- c.mac_rejects + 1;
+  Log.warn (fun m ->
+      m "conn %d: rejected frame (%d/%d): %s" c.cid c.mac_rejects
+        t.mac_reject_limit msg);
+  if is_replica c || c.mac_rejects >= t.mac_reject_limit then
+    Rconn.doom c.io "authentication failures"
 
 (* ------------------------------------------------------------------ *)
 (* Reactor callbacks                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* the frame {!relay_input} relayed is done with *)
+let end_input (t : shard) =
+  t.src_lender <- None;
+  t.src_framed <- false;
+  t.src_inflated <- false;
+  (* a seeded block no fan-out took (a control frame) must not be
+     found by the next one *)
+  if t.comp_cache_seq > t.fanout_seq then t.comp_cache_seq <- -1
+
+(** Relay [frame], an inbound body of [c], with the shard's fan-out
+    source set to it: it borrows [c]'s input ([framed]: right behind
+    its length header), or is [c]'s inflated frame. *)
+let relay_input (t : shard) (c : conn) (frame : Slice.t) ~framed ~inflated =
+  t.src_lender <- c.lend;
+  t.src_framed <- framed;
+  t.src_inflated <- inflated;
+  (try handle_frame t c frame with
+  | Frame.Frame_error m ->
+    Counters.incr t.counters "frames_rejected";
+    Rconn.doom c.io m
+  | e ->
+    end_input t;
+    raise e);
+  end_input t
+
+(** A [comp=lz] body of [c]: inflate it into [c]'s lent buffer — after
+    the MAC check, mirroring the outbound [seal (compress _)] order —
+    and seed the fan-out's block cache with the publisher's own block
+    ([framed]: its length header is right in front of it), so no
+    compressed queue pays for a second LZ pass. A malformed block means
+    the peer lost framing sync entirely (there is no per-frame
+    tolerance to build on, unlike MAC rejects): doom. *)
+let inflate_input (t : shard) (c : conn) (blk : Slice.t) ~framed =
+  match
+    Compress.decompress_sub ?into:c.inflate_into blk.buf ~pos:blk.off
+      ~len:(Slice.length blk)
+  with
+  | raw ->
+    if c.inflated.buf != raw then c.inflated <- Slice.of_bytes raw;
+    t.comp_cache_seq <- t.fanout_seq + 1;
+    t.comp_cache_blk <- blk;
+    t.comp_cache_framed <- framed;
+    t.comp_cache_lender <- c.lend;
+    t.comp_cache_wire <- [];
+    relay_input t c c.inflated ~framed:false ~inflated:true
+  | exception Compress.Error msg ->
+    Counters.incr t.counters "frames_rejected";
+    Log.warn (fun m -> m "conn %d: corrupt compressed frame: %s" c.cid msg);
+    Rconn.doom c.io "compression error"
+
 (** One complete inbound frame, borrowing [c]'s decoder buffer until
-    the read's dispatch returns (MAC frames are verified in place). A
-    decompressed frame is an owned buffer and lends nothing. The
-    callbacks consult [c.home] rather than a captured shard so a
-    handed-off connection dispatches on its adopting shard. *)
+    the read's dispatch returns (MAC frames are verified in place, and
+    compressed ones inflate into a buffer of [c]'s). The callbacks
+    consult [c.home] rather than a captured shard so a handed-off
+    connection dispatches on its adopting shard. *)
 let conn_frame (c : conn) (frame : Slice.t) =
   let t = c.home in
-  match Option.bind (unseal t c frame) (decompress_in t c) with
-  | None -> ()
-  | Some frame -> (
-    let lender = if c.comp then None else Some c.io in
-    try handle_frame ?lender t c frame with Frame.Frame_error m ->
-      Counters.incr t.counters "frames_rejected";
-      Rconn.doom c.io m)
+  match c.mac with
+  | None ->
+    if c.comp then inflate_input t c frame ~framed:true
+    else relay_input t c frame ~framed:true ~inflated:false
+  | Some st -> (
+    match Macframe.open_in_place st frame.buf frame.off (Slice.length frame) with
+    | () ->
+      let body =
+        Slice.sub frame Macframe.overhead (Slice.length frame - Macframe.overhead)
+      in
+      if c.comp then inflate_input t c body ~framed:false
+      else relay_input t c body ~framed:false ~inflated:false
+    | exception Macframe.Auth_error msg -> auth_reject t c msg)
 
 let conn_closed (c : conn) (reason : string) =
   let t = c.home in
@@ -1525,9 +1649,9 @@ let new_conn (t : shard) (fd : Unix.file_descr) ~mac ~comp : conn =
       ~on_bytes:(fun _ dir n ->
         let c = the_conn () in
         match dir with
-        | `In -> Counters.incr c.home.counters ~by:n "bytes_in"
+        | `In -> Counters.add c.home.counters "bytes_in" n
         | `Out ->
-          Counters.incr c.home.counters ~by:n "bytes_out";
+          Counters.add c.home.counters "bytes_out" n;
           (* first write after a traced enqueue: the [flush] span —
              time from fan-out to bytes reaching the socket *)
           (match c.trace_mark with
@@ -1546,7 +1670,13 @@ let new_conn (t : shard) (fd : Unix.file_descr) ~mac ~comp : conn =
   let c =
     { cid; io; creds = []; greeted = false; role = Pending; grace_timer = None
     ; congesting = false; mac; mac_rejects = 0; comp; throttled = false
-    ; bucket; trace_mark = None; home = t }
+    ; bucket; trace_mark = None; home = t; lend = Some io
+    ; inflated = Slice.of_bytes Bytes.empty
+    ; inflate_into =
+        Some
+          (fun n ->
+            let b = (the_conn ()).inflated.buf in
+            if Bytes.length b = n then b else Bytes.create n) }
   in
   cell := Some c;
   Hashtbl.replace t.conns cid c;
@@ -1689,7 +1819,7 @@ let accept_loop (lsock : Unix.file_descr) (shards : shard array) () =
       else
         let cand = shards.((first + k) mod n) in
         if Governor.health cand.governor <> Governor.Overloaded then begin
-          if k > 0 then Counters.incr cand.counters ~by:k "accept_deferred";
+          if k > 0 then Counters.add cand.counters "accept_deferred" k;
           cand
         end
         else scan (k + 1)
@@ -1742,13 +1872,15 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
       ; reactor = Reactor.create (); streams = Hashtbl.create 8
       ; conns = Hashtbl.create 64; counters = Counters.create (); shard_id
       ; cid_stride = shards; shared; store_cfg = store
-      ; fanout_seq = 0; wire_cache_seq = -1; wire_cache = []
-      ; comp_cache_seq = -1; comp_cache_blk = Bytes.empty
+      ; fanout_seq = 0; src_lender = None; src_framed = false
+      ; src_inflated = false; wire_cache_seq = -1; wire_cache = []
+      ; comp_cache_seq = -1; comp_cache_blk = Slice.of_bytes Bytes.empty
+      ; comp_cache_framed = false; comp_cache_lender = None
       ; comp_cache_wire = []
       ; comp_scratch = Compress.scratch ()
       ; ack_flush_scheduled = false; store_timer = None; gauge_timer = None
       ; next_cid = shard_id + 1; state = Running
-      ; drain_timer = None; exited = false }
+      ; drain_timer = None; exited = false; nursery_sized = false }
     in
     Governor.on_transition gov (fun prev next ->
         on_governor_transition t prev next);

@@ -710,13 +710,14 @@ module Session = struct
     (* marshal under the lock: [b_mem] is the session's one scratch
        memory, shared by every publishing thread *)
     Omf_machine.Memory.reset p.b_mem;
-    let msg = Pbio.message p.b_mem fmt (Omf_pbio.Native.store p.b_mem fmt v) in
+    let msg =
+      Pbio.message ~kind:Endpoint.frame_message p.b_mem fmt
+        (Omf_pbio.Native.store p.b_mem fmt v)
+    in
     let seq = p.b_next_seq in
     if p.b_ack_mode then p.b_next_seq <- seq + 1;
-    Queue.add
-      { p_fmt = fmt; p_frame = Endpoint.frame Endpoint.frame_message msg
-      ; p_seq = seq }
-      p.b_buf;
+    (* the window keeps its frame: a copy of the lent message *)
+    Queue.add { p_fmt = fmt; p_frame = Bytes.copy msg; p_seq = seq } p.b_buf;
     if not (try_flush p) then
       if reconnect_publisher p then ignore (try_flush p)
 

@@ -290,11 +290,12 @@ let window = 256 * 1024
    every other record is length- and CRC-checked and handed to [f] as a
    slice. File bytes are read through fresh [window]-byte buffers (a
    larger record gets one of its own) that are never reused, so slices
-   stay valid after the walk — the relay queues them as they are.
+   stay valid after the walk — the relay queues them as they are. A
+   caller that knows how much it will read passes a smaller [window].
    Returns [`End (off, pos)] just past the last record walked, or
    [`Bad (off, pos)] at the first torn or corrupt one. With [seg], the
    walk fills that segment's sparse index. *)
-let walk ?seg src ~size ~off ~pos ~from ~upto f =
+let walk ?seg ?(window = window) src ~size ~off ~pos ~from ~upto f =
   let buf, base, got =
     match src with
     | Region r -> (ref r, ref magic_len, ref (Bytes.length r))
@@ -739,7 +740,13 @@ let iter_range_slices t from upto (f : int -> Slice.t -> unit) =
           | Region r -> magic_len + Bytes.length r
         in
         let off, pos = index_floor seg from in
-        match walk ~seg src ~size ~off ~pos ~from ~upto:stop f with
+        (* read about what the range holds, at the segment's mean record
+           size plus one record, not a whole window: a paced replay
+           asks for a chunk of records at a time, and every read is a
+           fresh buffer *)
+        let mean = (seg.s_size - magic_len) / max 1 seg.s_count in
+        let window = min window (mean * (stop - off + 1)) in
+        match walk ~seg ~window src ~size ~off ~pos ~from ~upto:stop f with
         | `End (off, _) when off = stop -> ()
         | `End (_, p) | `Bad (_, p) ->
           store_error "stream %S: corrupt record at %s byte %d" t.name

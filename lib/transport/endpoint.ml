@@ -45,10 +45,11 @@ module Sender = struct
     end
 
   (** [send t fmt addr] negotiates [fmt] if needed and ships the struct at
-      [addr] in NDR. *)
+      [addr] in NDR. The frame is the message lent by the memory, built
+      behind its kind byte: nothing is copied. *)
   let send (t : t) (fmt : Format.t) (addr : int) : unit =
     announce t fmt;
-    Link.send t.link (frame frame_message (Pbio.message t.mem fmt addr))
+    Link.send t.link (Pbio.message ~kind:frame_message t.mem fmt addr)
 
   (** [send_value t fmt v] binds [v] into the endpoint's memory first. *)
   let send_value (t : t) (fmt : Format.t) (v : Value.t) : unit =

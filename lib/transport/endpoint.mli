@@ -11,9 +11,6 @@ exception Protocol_error of string
 val frame_descriptor : char
 val frame_message : char
 
-val frame : char -> bytes -> bytes
-(** [frame kind body] is one link frame: the kind byte, then [body]. *)
-
 module Sender : sig
   type t
 
@@ -21,6 +18,13 @@ module Sender : sig
 
   val announce : t -> Format.t -> unit
   (** Idempotent per connection. *)
+
+  val send : t -> Format.t -> int -> unit
+  (** [send t fmt addr] announces [fmt] if needed, then sends the
+      struct at [addr] of the sender's memory as one message frame. The
+      frame is built behind its kind byte in the memory's lent buffer
+      ({!Omf_pbio.Pbio.message}[ ~kind]), so nothing is copied and,
+      while lengths repeat, nothing is allocated. *)
 
   val send_value : t -> Format.t -> Value.t -> unit
 end

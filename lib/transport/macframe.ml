@@ -104,17 +104,6 @@ let open_in_place (st : state) buf off len =
       expected;
   st.rx.nonce <- st.rx.nonce + 1
 
-(* a fresh sealed body with the payload in place, not yet sealed *)
-let sealed_of_slices (payload : Slice.t list) =
-  let b = Bytes.create (overhead + Slice.total payload) in
-  let pos = ref overhead in
-  List.iter
-    (fun s ->
-      Slice.blit s b !pos;
-      pos := !pos + Slice.length s)
-    payload;
-  b
-
 let seal_next (st : state) (payload : Bytes.t) : Bytes.t =
   let len = Bytes.length payload in
   let b = Bytes.create (overhead + len) in
@@ -122,14 +111,18 @@ let seal_next (st : state) (payload : Bytes.t) : Bytes.t =
   seal_in_place st b 0 len;
   b
 
-(** [seal_next_slices st payload] seals an iovec payload —
-    byte-identical to [seal_next st (Slice.concat payload)]. This is
-    the zero-copy frame path's one copy-on-seal: the payload is copied
-    once, into the sealed body, and MAC'd there (only on connections
-    that negotiated auth). *)
-let seal_next_slices (st : state) (payload : Slice.t list) : Bytes.t =
-  let b = sealed_of_slices payload in
-  seal_in_place st b 0 (Bytes.length b - overhead);
+(** [seal_frame st payload] is one whole wire frame in a fresh buffer:
+    the 4-byte big-endian length of the sealed body, then the body —
+    byte-identical to the length-prefixed [seal_next st payload]. This
+    is the relay's one copy-on-seal: the viewed payload is copied once,
+    into the frame, and MAC'd there (only on connections that
+    negotiated auth). *)
+let seal_frame (st : state) (payload : Slice.t) : Bytes.t =
+  let len = Slice.length payload in
+  let b = Bytes.create (4 + overhead + len) in
+  Bytes.set_int32_be b 0 (Int32.of_int (overhead + len));
+  Slice.blit payload b (4 + overhead);
+  seal_in_place st b 4 len;
   b
 
 (** [open_next st frame] verifies against the expected receive nonce,

@@ -36,8 +36,10 @@ val open_in_place : state -> Bytes.t -> int -> int -> unit
 val seal_next : state -> Bytes.t -> Bytes.t
 (** A fresh sealed body: {!seal_in_place} on a copy of the payload. *)
 
-val seal_next_slices : state -> Omf_util.Slice.t list -> Bytes.t
-(** {!seal_next} of an iovec payload, copied once into the sealed body. *)
+val seal_frame : state -> Omf_util.Slice.t -> Bytes.t
+(** A whole wire frame in one fresh buffer: the 4-byte big-endian
+    length of the sealed body, then {!seal_next} of the viewed payload,
+    which is copied once. *)
 
 val open_next : state -> Bytes.t -> Bytes.t
 (** {!open_in_place} on a whole frame, then a copy of its payload. *)

@@ -37,12 +37,22 @@ let cell t name =
     Hashtbl.replace t.tbl name r;
     r
 
-let incr t ?(by = 1) name =
-  locked t (fun () ->
-      let r = cell t name in
-      r := !r + by)
+(* [add], [incr] and [set] run once or more per relayed frame: they
+   lock by hand rather than through [locked], whose closure would be
+   allocated on every call, and nothing between lock and unlock can
+   raise once the cell exists *)
+let add t name by =
+  Mutex.lock t.mu;
+  let r = cell t name in
+  r := !r + by;
+  Mutex.unlock t.mu
 
-let set t name v = locked t (fun () -> cell t name := v)
+let incr t name = add t name 1
+
+let set t name v =
+  Mutex.lock t.mu;
+  cell t name := v;
+  Mutex.unlock t.mu
 
 (* Histograms are encoded as plain counters under the reserved "hist."
    group so they ride every existing transport for free (STATS text,

@@ -9,8 +9,12 @@ type t
 
 val create : unit -> t
 
-val incr : t -> ?by:int -> string -> unit
-(** [incr t name] adds [by] (default 1) to [name], creating it at 0. *)
+val incr : t -> string -> unit
+(** [incr t name] adds 1 to [name], creating it at 0. Allocates nothing
+    once [name] exists, like {!add}, {!set} and {!observe}. *)
+
+val add : t -> string -> int -> unit
+(** [add t name n] adds [n] to [name], creating it at 0. *)
 
 val set : t -> string -> int -> unit
 (** [set t name v] overwrites [name] with [v] — the gauge primitive

@@ -63,7 +63,7 @@ let test_concurrent_requests () =
 
 let test_metrics_endpoint () =
   let counters = Omf_util.Counters.create () in
-  Omf_util.Counters.incr counters ~by:42 "frames_in";
+  Omf_util.Counters.add counters "frames_in" 42;
   Omf_util.Counters.incr counters "weird.name-x";
   let server =
     Http.serve ~port:0

@@ -519,6 +519,44 @@ let test_async_discovery_supersede_cancels () =
     (Discovery.await a2 == outcome
      || (Discovery.await a2).Discovery.source = outcome.Discovery.source)
 
+(* A server that accepts and never answers: the registry client and an
+   HTTP GET, given no [?timeout_s], each raise their transport error
+   within the default 5 s deadline (plus slack) instead of hanging. The
+   listener never calls accept; the kernel completes the handshake. *)
+let test_clients_time_out_on_silent_server () =
+  Omf_testkit.Listen.with_busy_port @@ fun port ->
+  let timed name call =
+    let t0 = Unix.gettimeofday () in
+    let outcome = try Ok (call ()) with e -> Error e in
+    (name, outcome, Unix.gettimeofday () -. t0)
+  in
+  let registry () =
+    let c = Registry.Client.connect ~port () in
+    Fun.protect ~finally:(fun () -> Registry.Client.close c) @@ fun () ->
+    ignore (Registry.Client.subjects c)
+  in
+  let http () = ignore (Http.get ~port ~path:"/subjects" ()) in
+  let results = ref [] in
+  let m = Mutex.create () in
+  let run name call =
+    Thread.create
+      (fun () ->
+        let r = timed name call in
+        Mutex.protect m (fun () -> results := r :: !results))
+      ()
+  in
+  List.iter Thread.join [ run "registry" registry; run "http" http ];
+  List.iter
+    (fun (name, outcome, took) ->
+      (match (name, outcome) with
+      | "registry", Error (Registry.Client.Server_unavailable _)
+      | "http", Error (Http.Http_error _) -> ()
+      | _, Error e -> Alcotest.failf "%s raised %s" name (Printexc.to_string e)
+      | _, Ok () -> Alcotest.failf "%s answered a silent server" name);
+      if took > 8.0 then Alcotest.failf "%s gave up after %.1f s" name took)
+    !results;
+  check int "both clients returned" 2 (List.length !results)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -535,7 +573,9 @@ let () =
       , [ Alcotest.test_case "binary + HTTP JSON round-trip" `Quick
             test_server_roundtrip
         ; Alcotest.test_case "busy HTTP port leaks nothing" `Quick
-            test_server_busy_http_port ] )
+            test_server_busy_http_port
+        ; Alcotest.test_case "clients time out on a silent server" `Quick
+            test_clients_time_out_on_silent_server ] )
     ; ( "resolver"
       , [ Alcotest.test_case "caching resolver" `Quick test_resolver_caching ]
       )

@@ -47,9 +47,10 @@ let prop_frame_reassembly =
         Frame.Decoder.feed dec wire !off n;
         off := !off + n;
         let rec drain () =
-          match Frame.Decoder.pop dec with
-          | Some f -> out := Omf_util.Slice.to_string f :: !out; drain ()
-          | None -> ()
+          if Frame.Decoder.has_frame dec then begin
+            let f = Frame.Decoder.pop dec in
+            out := Omf_util.Slice.to_string f :: !out; drain ()
+          end
         in
         drain ()
       done;
@@ -84,9 +85,9 @@ let prop_decoder_views =
         Frame.Decoder.feed dec wire !off n;
         off := !off + n;
         let rec drain acc =
-          match Frame.Decoder.pop dec with
-          | Some v -> drain (v :: acc)
-          | None -> acc
+          if Frame.Decoder.has_frame dec then
+            drain (Frame.Decoder.pop dec :: acc)
+          else acc
         in
         (* newest first; read only after the batch is fully popped *)
         let views = drain [] in
@@ -109,7 +110,7 @@ let test_frame_max_length () =
   Frame.write_header b 0 1000;
   Frame.Decoder.feed dec b 0 4;
   try
-    ignore (Frame.Decoder.pop dec);
+    ignore (Frame.Decoder.has_frame dec);
     Alcotest.fail "expected Frame_error"
   with Frame.Frame_error _ -> ()
 
@@ -142,14 +143,14 @@ let prop_macframe_roundtrip_and_tamper =
         Frame.Decoder.feed dec wire !off n;
         off := !off + n;
         let rec drain () =
-          match Frame.Decoder.pop dec with
-          | Some f ->
+          if Frame.Decoder.has_frame dec then begin
+            let f = Frame.Decoder.pop dec in
             out :=
               Bytes.to_string
                 (Macframe.open_next rx (Omf_util.Slice.to_bytes f))
               :: !out;
             drain ()
-          | None -> ()
+          end
         in
         drain ()
       done;
@@ -208,11 +209,13 @@ let prop_slice_codec_equivalence =
       let key = "a shared capture-point secret" in
       let tx_ref = Macframe.state ~key and tx_io = Macframe.state ~key in
       let sealed_identical =
-        Bytes.equal (Macframe.seal_next tx_ref body)
-          (Macframe.seal_next_slices tx_io slices)
+        Bytes.equal
+          (Frame.encode (Macframe.seal_next tx_ref body))
+          (Macframe.seal_frame tx_io (Slice.of_bytes flat ~off:4))
         (* a second frame: the send nonce advanced in lockstep *)
-        && Bytes.equal (Macframe.seal_next tx_ref body)
-             (Macframe.seal_next_slices tx_io slices)
+        && Bytes.equal
+             (Frame.encode (Macframe.seal_next tx_ref body))
+             (Macframe.seal_frame tx_io (Slice.of_bytes flat ~off:4))
       in
       (* the slice-built wire reassembles to the body across arbitrary
          read boundaries, with max_frame set exactly to the body size *)
@@ -223,13 +226,11 @@ let prop_slice_codec_equivalence =
         let n = min (1 + Omf_util.Prng.int rng 7) (Bytes.length flat - !off) in
         Frame.Decoder.feed dec flat !off n;
         off := !off + n;
-        match Frame.Decoder.pop dec with
-        | Some f -> out := Some (Omf_util.Slice.to_bytes f)
-        | None -> ()
+        if Frame.Decoder.has_frame dec then
+          out := Some (Omf_util.Slice.to_bytes (Frame.Decoder.pop dec))
       done;
-      (match Frame.Decoder.pop dec with
-      | Some f -> out := Some (Omf_util.Slice.to_bytes f)
-      | None -> ());
+      if Frame.Decoder.has_frame dec then
+        out := Some (Omf_util.Slice.to_bytes (Frame.Decoder.pop dec));
       let roundtrips =
         match !out with Some f -> Bytes.equal f body | None -> false
       in
@@ -1320,6 +1321,96 @@ let test_compressed_same_offset () =
   Relay.Client.close client;
   Relay.Client.close pub
 
+(* A compressing subscriber of a compressing publisher gets the
+   publisher's own block, byte for byte. The publisher sends bodies as
+   stored blocks (tag 0, the body verbatim), which the relay's own
+   compressor never makes of these compressible bodies, and as lz
+   blocks. What the relay re-encodes it compresses afresh: a stored
+   [from=0] replay comes back as the relay's blocks, and a scoped
+   subscriber's schema reply, which decodes to the schema a plain
+   connection with the same credentials is served. *)
+let test_forwarded_block () =
+  with_store_root @@ fun root ->
+  let store = Omf_store.Store.default_config ~root in
+  let h = Relay.start ~store () in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let connect ?creds () =
+    Relay.Client.connect ~port ?creds ~compress:true ~io_timeout_s:10.0 ()
+  in
+  let pub = connect () in
+  Relay.Client.advertise pub ~stream:"lz" ~schema:Fx.schema_a;
+  ignore (Relay.Client.publish pub ~stream:"lz");
+  let live = connect () in
+  ignore (Relay.Client.subscribe live ~stream:"lz");
+  let body i = Bytes.of_string ("M" ^ String.make 700 (Char.chr (97 + i))) in
+  let stored i = Bytes.cat (Bytes.make 1 '\000') (body i) in
+  let blocks =
+    [ stored 0; Omf_compress.Compress.compress (body 1); stored 2 ]
+  in
+  List.iteri
+    (fun i blk ->
+      let w = Frame.encode blk in
+      ignore (Unix.write (Relay.Client.fd pub) w 0 (Bytes.length w));
+      check bool
+        (Printf.sprintf "block %d forwarded as sent" i)
+        true
+        (Bytes.equal (read_raw_frame (Relay.Client.fd live)) blk))
+    blocks;
+  check bool "the relay's block of a body is not the stored one" false
+    (Bytes.equal (Omf_compress.Compress.compress (body 0)) (stored 0));
+  ignore (wait_stat ~port "store_appends" 3);
+  let replay = connect () in
+  let start, _, _ = Relay.Client.subscribe_from replay ~stream:"lz" ~from:0 in
+  check bool "replay starts at 0" true (start = Some 0);
+  for i = 0 to 2 do
+    let blk = read_raw_frame (Relay.Client.fd replay) in
+    check bool
+      (Printf.sprintf "replayed block %d is the relay's" i)
+      true
+      (Bytes.equal blk (Omf_compress.Compress.compress (body i)));
+    check bool
+      (Printf.sprintf "replayed block %d inflates to the body" i)
+      true
+      (Bytes.equal (Omf_compress.Compress.decompress blk) (body i))
+  done;
+  Relay.set_scope h ~stream:"lz" (fun creds ->
+      match List.assoc_opt "role" creds with
+      | Some "handheld" -> Some [ "fltNum"; "org"; "dest" ]
+      | _ -> None);
+  let creds = [ ("role", "handheld") ] in
+  let scoped = connect ~creds () in
+  let plain = Relay.Client.connect ~port ~creds () in
+  let lz_schema, _ = Relay.Client.subscribe scoped ~stream:"lz" in
+  let plain_schema, _ = Relay.Client.subscribe plain ~stream:"lz" in
+  check Alcotest.string "scoped schema, compressed = plain" plain_schema
+    lz_schema;
+  check bool "the scoped schema is reduced" false
+    (String.equal lz_schema Fx.schema_a);
+  List.iter Relay.Client.close [ plain; scoped; replay; live; pub ]
+
+(* The shard's words allocated per relayed event, from its own
+   [gc.minor_words] in STATS ({!Omf_testkit.Relaypair}): paper-a's event
+   frame on plain links, and secure-a1k's (1 KiB compressible pad) on
+   HMAC and comp=lz links, as bench/e2e's secure-compressed workload
+   sends it. Seen on one 2-core machine: plain 4-6 words (71 when every
+   frame boxed options and closures), mac+comp 32-46 (307 when the
+   relay inflated into fresh buffers and compressed every body again);
+   the budgets leave room for a loaded machine, whose smaller batches
+   pay more loop rounds per event. *)
+let check_relay_alloc ~secure ~budget () =
+  let module Shapes = Omf_testkit.Shapes in
+  let mode = List.nth Omf_testkit.Linkpair.modes (if secure then 3 else 0) in
+  let shape = List.nth Shapes.bench (if secure then 3 else 0) in
+  let words =
+    Omf_testkit.Relaypair.words_per_event mode (Shapes.event_frame shape)
+  in
+  Printf.printf "%s links: %.1f words allocated per relayed event (budget %d)\n"
+    mode.name words budget;
+  if words > Float.of_int budget then
+    Alcotest.failf "%.1f words per relayed event, over the budget of %d" words
+      budget
+
 let test_governor_hysteresis () =
   let module G = Relay.Governor in
   (* budget 1000: degraded at 700 (recover < 500), overloaded at 900
@@ -2003,7 +2094,14 @@ let () =
         [ Alcotest.test_case "stalled subscriber keeps every frame" `Quick
             test_stalled_subscriber_keeps_frames
         ; Alcotest.test_case "comp=lz blocks at one read offset" `Quick
-            test_compressed_same_offset ] )
+            test_compressed_same_offset
+        ; Alcotest.test_case "comp=lz subscriber gets the publisher's block"
+            `Quick test_forwarded_block ] )
+    ; ( "alloc",
+        [ Alcotest.test_case "shard words per event, plain links" `Quick
+            (check_relay_alloc ~secure:false ~budget:16)
+        ; Alcotest.test_case "shard words per event, mac+comp links" `Quick
+            (check_relay_alloc ~secure:true ~budget:96) ] )
     ; ( "governor",
         [ Alcotest.test_case "hysteresis state machine" `Quick
             test_governor_hysteresis

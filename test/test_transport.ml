@@ -337,13 +337,13 @@ let prop_macframe_tag =
       let sealed =
         Macframe.seal_next (fst (after_frames key before)) (Bytes.of_string payload)
       in
-      let sealed_slices =
-        Macframe.seal_next_slices (fst (after_frames key before))
-          (slices_of payload cuts)
+      let sealed_frame =
+        Macframe.seal_frame (fst (after_frames key before))
+          (Slice.of_bytes (Slice.concat (slices_of payload cuts)))
       in
       Bytes.get_int64_be sealed 0 = nonce
       && String.equal (Bytes.sub_string sealed 8 32) expected
-      && Bytes.equal sealed sealed_slices
+      && Bytes.equal (Omf_reactor.Frame.encode sealed) sealed_frame
       && String.equal
            (Bytes.to_string (Macframe.open_next (snd (after_frames key before)) sealed))
            payload)
@@ -363,8 +363,8 @@ let test_macframe_allocation () =
   in
   let st = Macframe.state ~key in
   within "seal" (fun () -> Macframe.seal_next st payload);
-  let slices = [ Slice.make payload 0 1000; Slice.make payload 1000 (n - 1000) ] in
-  within "seal_slices" (fun () -> Macframe.seal_next_slices st slices);
+  let view = Slice.make payload 1000 (n - 1000) in
+  within "seal_frame" (fun () -> Macframe.seal_frame st view);
   (* the probe makes one warm-up call and 50 measured ones, each opening
      the next frame of a sequence *)
   let tx = Macframe.state ~key and rx = Macframe.state ~key in
@@ -514,8 +514,8 @@ let test_endpoint_recv_allocation () =
       let r = Endpoint.Receiver.create t.link (Shapes.registry s.recv_abi s) rmem in
       let descriptor = Bytes.of_string (Format_codec.encode sfmt) in
       Linkpair.write_raw t
-        (Linkpair.peer_frame t (Endpoint.frame Endpoint.frame_descriptor descriptor));
-      let frame = Linkpair.peer_frame t (Endpoint.frame Endpoint.frame_message msg) in
+        (Linkpair.peer_frame t (Bytes.cat (Bytes.make 1 'D') descriptor));
+      let frame = Linkpair.peer_frame t (Bytes.cat (Bytes.make 1 'M') msg) in
       let b =
         Omf_testkit.Alloc.bytes_per_call (fun () ->
             Memory.reset rmem;

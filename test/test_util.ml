@@ -293,11 +293,11 @@ let golden_counters () =
   let ratio_bounds = [ 100; 110; 125; 150; 200; 300; 500; 800; 1600 ] in
   let t = C.create () in
   C.incr t "frames_in";
-  C.incr t ~by:5 "bytes_out";
+  C.add t "bytes_out" 5;
   List.iter (C.observe t "publish_admit_us") [ 7; 50; 51; 120; 2_000_000; 999 ];
   List.iter (C.observe t ~bounds:ratio_bounds "compress_ratio") [ 133; 100; 5000 ];
-  C.incr t ~by:1000 "comp.flights.raw_bytes";
-  C.incr t ~by:250 "comp.flights.wire_bytes";
+  C.add t "comp.flights.raw_bytes" 1000;
+  C.add t "comp.flights.wire_bytes" 250;
   C.set t "stream.flights.v2.queue_depth" 4;
   C.set t "governor_health" 2;
   C.incr t "frames_in";

@@ -95,6 +95,13 @@ let register abi (s : t) : Format.t =
   let record = List.nth s.decls (List.length s.decls - 1) in
   Option.get (Format.Registry.find (registry abi s) record.Ftype.name)
 
+(** The event frame bench/e2e sends of [shape]: ['M'], then the
+    message, a copy of its own. *)
+let event_frame (s : t) =
+  let fmt = register s.send_abi s in
+  let mem = Memory.create s.send_abi in
+  Bytes.copy (Pbio.message ~kind:'M' mem fmt (Native.store mem fmt s.value))
+
 (* ------------------------------------------------------------------ *)
 (* Per-layer allocation                                                 *)
 (* ------------------------------------------------------------------ *)
