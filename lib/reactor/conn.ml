@@ -17,20 +17,28 @@
     valid until the read's dispatch returns; nothing is copied on the
     way in.
 
-    Write queues hold {!Omf_util.Slice} lists (iovec-style wire
-    messages), not copies: {!send} frames a body as a fresh 4-byte
-    header slice plus the body buffer shared as-is, so fanning one
-    payload out to N connections queues N views of a single buffer.
-    The flush loop writes large slices straight from their backing
-    buffers and coalesces each run of small adjacent slices through
-    the reactor's gather buffer into a single [Unix.write]. Callers
-    must not mutate a buffer after queueing it. A queued slice may
-    also borrow another connection's input ({!send_wire}[ ~lender]): a
-    relayed frame goes out straight from the publisher's read buffer.
-    When the lender's dispatch returns, each borrower is flushed once
-    and whatever its socket did not take is copied into a buffer the
-    queue owns ({!settle_loans}), so the copy is paid only by
-    connections that fall behind.
+    Write queues hold views, not copies: {!send_body} queues a frame
+    body behind a header written into a small buffer the queue entry
+    owns, and shares the body's buffer as-is, so fanning one payload
+    out to N connections queues N views of a single buffer. The flush
+    loop writes large pieces straight from their backing buffers and
+    coalesces each run of small adjacent pieces through the reactor's
+    gather buffer into a single [Unix.write]. Callers must not mutate a
+    buffer after queueing it. A queued view may also borrow another
+    connection's input ({!send_view}[ ~lender]): a relayed frame goes
+    out straight from the publisher's read buffer. When the lender's
+    dispatch returns, each borrower is flushed once and whatever its
+    socket did not take is copied into a buffer the queue owns
+    ({!settle_loans}), so the copy is paid only by connections that
+    fall behind.
+
+    A connection with a sealer ({!set_sealer}: the relay's HMAC links)
+    seals each body {!send_body} queues when the flush first reaches
+    it — staging it into a gather or writing it — not when it is
+    queued: the sealer writes the entry's header (length prefix, nonce,
+    tag) in front of the shared body, so sealing copies nothing, runs
+    in queue order exactly once per entry, and an entry shed before the
+    flush reached it never took a nonce.
 
     Protocol logic stays in callbacks; the driver never interprets
     frame contents.
@@ -50,25 +58,40 @@ type mode =
   | Frames  (** 4-byte big-endian length prefix, reassembled frames *)
   | Chunks  (** raw reads delivered as-is (HTTP and friends) *)
 
+(* An entry's sealing: whether a nonce is spent on it yet *)
+type seal =
+  | Plain  (** its bytes go out as queued *)
+  | Unsealed  (** the flush seals its header when it first reaches it *)
+  | Sealed  (** sealed: it must go out, so it is never shed *)
+
 (* The write queue is a singly linked list threaded through its
    entries and ended by [nil], so queueing, flushing and walking it
-   allocate nothing. An entry holds the piece being written unboxed
-   ([buf], [pos], [stop]) and the pieces after it as slices, so a wire
-   message of one view needs no slice and no list; written entries go
-   back to their connection's [spare] list and are queued again. *)
+   allocate nothing. An entry is at most two pieces, both unboxed: the
+   first [hstop] bytes of its own header buffer [hdr], then [buf]'s
+   [pos, stop) window. Written entries go back to their connection's
+   [spare] list, header buffer and all, and are queued again. *)
 type entry = {
-  mutable buf : Bytes.t;  (** backing buffer of the piece being written *)
+  mutable hdr : Bytes.t;  (** the entry's header buffer, kept for reuse *)
+  mutable hpos : int;  (** its first unwritten byte *)
+  mutable hstop : int;  (** header bytes to write; 0: no header piece *)
+  mutable seal : seal;
+  mutable buf : Bytes.t;  (** backing buffer of the body piece *)
   mutable pos : int;  (** its first unwritten byte *)
-  mutable stop : int;  (** one past its last byte; [pos = stop]: done *)
-  mutable rest : Slice.t list;  (** the non-empty pieces after it *)
+  mutable stop : int;  (** one past its last byte *)
   mutable droppable : bool;  (** sheddable data frame *)
-  mutable total : int;  (** summed piece lengths at enqueue *)
+  mutable total : int;  (** both pieces' lengths at enqueue *)
   mutable next : entry;  (** the entry queued after this one, or [nil] *)
 }
 
 let rec nil =
-  { buf = Bytes.empty; pos = 0; stop = 0; rest = []; droppable = false
-  ; total = 0; next = nil }
+  { hdr = Bytes.empty; hpos = 0; hstop = 0; seal = Plain; buf = Bytes.empty
+  ; pos = 0; stop = 0; droppable = false; total = 0; next = nil }
+
+(* writes the [header]-byte wire header of a body into [hdr] *)
+type sealer = {
+  header : int;
+  seal_header : Bytes.t -> Bytes.t -> int -> int -> unit;
+}
 
 (* written entries a connection keeps for reuse, at most: about what
    one 64 KiB read of small relayed frames (500 of paper-a's) queues on
@@ -94,6 +117,7 @@ type t = {
           {!account}, which keeps the loop's sum in step *)
   mutable spare : entry;  (** written entries kept for reuse, via [next] *)
   mutable spares : int;
+  mutable sealer : sealer option;  (** set once: {!set_sealer} *)
   mutable loop : Reactor.t option;  (** [None] while detached *)
   mutable reg : Reactor.registration option;
   mutable on_input : t -> Slice.t -> unit;
@@ -165,32 +189,42 @@ let close_now (c : t) (reason : string) =
     account c (-c.q_bytes);
     c.on_close c reason
 
-(* pieces are never empty, so an entry whose piece is written has
-   nothing left *)
-let entry_done (e : entry) = e.pos >= e.stop
+let in_header (e : entry) = e.hpos < e.hstop
+let entry_done (e : entry) = e.hpos >= e.hstop && e.pos >= e.stop
 
-(* an entry for [buf]'s [pos, stop) window followed by [rest]: a spare
-   one when the connection keeps any *)
-let take_entry (c : t) ~droppable buf pos stop rest total =
+(* the bytes of the piece being written *)
+let piece_left (e : entry) =
+  if in_header e then e.hstop - e.hpos else e.stop - e.pos
+
+(* an entry for a [header]-byte header piece (0: none) and [buf]'s
+   [pos, stop) window: a spare one when the connection keeps any *)
+let take_entry (c : t) ~droppable ~header ~seal buf pos stop =
   let e = c.spare in
-  if e == nil then { buf; pos; stop; rest; droppable; total; next = nil }
-  else begin
-    c.spare <- e.next;
-    c.spares <- c.spares - 1;
-    e.buf <- buf;
-    e.pos <- pos;
-    e.stop <- stop;
-    e.rest <- rest;
-    e.droppable <- droppable;
-    e.total <- total;
-    e.next <- nil;
-    e
-  end
+  let e =
+    if e == nil then
+      { hdr = Bytes.empty; hpos = 0; hstop = 0; seal; buf; pos; stop
+      ; droppable; total = 0; next = nil }
+    else begin
+      c.spare <- e.next;
+      c.spares <- c.spares - 1;
+      e.next <- nil;
+      e
+    end
+  in
+  if Bytes.length e.hdr < header then e.hdr <- Bytes.create header;
+  e.hpos <- 0;
+  e.hstop <- header;
+  e.seal <- seal;
+  e.buf <- buf;
+  e.pos <- pos;
+  e.stop <- stop;
+  e.droppable <- droppable;
+  e.total <- header + stop - pos;
+  e
 
-(* a dequeued entry: keep it for reuse, holding on to no buffer *)
+(* a dequeued entry: keep it for reuse, holding on to no body *)
 let release (c : t) (e : entry) =
   e.buf <- Bytes.empty;
-  e.rest <- [];
   if c.spares < spare_limit then begin
     e.next <- c.spare;
     c.spare <- e;
@@ -211,15 +245,14 @@ let pop (c : t) =
   if e.droppable then c.q_droppable <- c.q_droppable - 1;
   release c e
 
-(* the piece after [e]'s written one becomes the one being written *)
-let next_piece (e : entry) =
-  match e.rest with
-  | [] -> ()
-  | (s : Slice.t) :: tl ->
-    e.buf <- s.buf;
-    e.pos <- s.off;
-    e.stop <- s.off + s.len;
-    e.rest <- tl
+(* [e]'s header, sealed now if it is due: the flush has reached it *)
+let seal_reached (c : t) (e : entry) =
+  if e.seal = Unsealed then begin
+    (match c.sealer with
+    | Some s -> s.seal_header e.hdr e.buf e.pos (e.stop - e.pos)
+    | None -> assert false);
+    e.seal <- Sealed
+  end
 
 (** Pop fully-written (or empty) entries off the queue head. *)
 let pop_done (c : t) =
@@ -228,22 +261,15 @@ let pop_done (c : t) =
   done
 
 (** Consume [n] freshly-written bytes from the queue head, advancing
-    per-entry slice cursors and popping completed entries. *)
+    per-entry piece cursors and popping completed entries. *)
 let advance (c : t) (n : int) =
   let left = ref n in
   while !left > 0 do
     let e = c.head in
-    let rem = e.stop - e.pos in
-    if !left >= rem then begin
-      left := !left - rem;
-      e.pos <- e.stop;
-      next_piece e;
-      if entry_done e then pop c
-    end
-    else begin
-      e.pos <- e.pos + !left;
-      left := 0
-    end
+    let k = min !left (piece_left e) in
+    if in_header e then e.hpos <- e.hpos + k else e.pos <- e.pos + k;
+    left := !left - k;
+    if entry_done e then pop c
   done;
   pop_done c;
   account c (-n)
@@ -275,28 +301,33 @@ let stage_piece gbuf filled buf pos rem =
     Bytes.blit buf pos gbuf filled copy;
     if filled + copy = cap then -1 - cap else filled + copy
 
-let rec stage_rest gbuf filled = function
-  | [] -> filled
-  | (s : Slice.t) :: tl ->
-    let f = stage_piece gbuf filled s.buf s.off s.len in
-    if f < 0 then f else stage_rest gbuf f tl
-
-let rec stage_entries gbuf filled e =
+let rec stage_entries (c : t) gbuf filled e =
   if e == nil then filled
-  else
-    let f = stage_piece gbuf filled e.buf e.pos (e.stop - e.pos) in
-    let f = if f < 0 then f else stage_rest gbuf f e.rest in
-    if f < 0 then -1 - f else stage_entries gbuf f e.next
+  else begin
+    seal_reached c e;
+    let f =
+      if in_header e then
+        stage_piece gbuf filled e.hdr e.hpos (e.hstop - e.hpos)
+      else filled
+    in
+    let f =
+      if f < 0 || e.pos >= e.stop then f
+      else stage_piece gbuf f e.buf e.pos (e.stop - e.pos)
+    in
+    if f < 0 then -1 - f else stage_entries c gbuf f e.next
+  end
 
 (** Copy queued pieces into [gbuf], starting at the queue head's
     cursor: small pieces (< {!gather_threshold}) always, large pieces
     only when their whole remainder fits in the unfilled capacity —
     stopping at the first large piece that does not fit (written
     zero-copy by the caller's next iteration), at the end of the
-    queue, or when [gbuf] is full. Staging into the preallocated
-    gather buffer allocates nothing, and one write per run beats a
-    syscall per piece. Returns the bytes staged. *)
-let stage_gather (c : t) (gbuf : Bytes.t) : int = stage_entries gbuf 0 c.head
+    queue, or when [gbuf] is full. Each entry it reaches is sealed
+    first, if due. Staging into the preallocated gather buffer
+    allocates nothing, and one write per run beats a syscall per
+    piece. Returns the bytes staged. *)
+let stage_gather (c : t) (gbuf : Bytes.t) : int =
+  stage_entries c gbuf 0 c.head
 
 (* one write: whether the socket took all [len] bytes *)
 let write_some (c : t) buf off len =
@@ -319,14 +350,16 @@ let flush_step (c : t) : bool =
      c.q_len > 0)
   do
     let e = c.head in
-    let rem = e.stop - e.pos in
+    seal_reached c e;
+    let rem = piece_left e in
     (* the gather buffer lives on the reactor; while detached (shard
-       handoff) fall back to per-slice writes *)
+       handoff) fall back to per-piece writes *)
     match
       match c.loop with
       | Some loop when rem < gather_threshold ->
         let g = Reactor.gather loop in
         write_some c g 0 (stage_gather c g)
+      | _ when in_header e -> write_some c e.hdr e.hpos rem
       | _ -> write_some c e.buf e.pos rem
     with
     | whole ->
@@ -418,11 +451,7 @@ let settle_loans (p : t) =
         lo := min !lo pos;
         hi := max !hi stop
       in
-      each_entry (fun e ->
-          if e.buf == buf then span e.pos e.stop;
-          List.iter
-            (fun (s : Slice.t) -> if s.buf == buf then span s.off (s.off + s.len))
-            e.rest);
+      each_entry (fun e -> if e.buf == buf then span e.pos e.stop);
       if !lo < !hi then begin
         let copy = Bytes.sub buf !lo (!hi - !lo) in
         let lo = !lo in
@@ -431,14 +460,7 @@ let settle_loans (p : t) =
               e.buf <- copy;
               e.pos <- e.pos - lo;
               e.stop <- e.stop - lo
-            end;
-            if List.exists (fun (s : Slice.t) -> s.buf == buf) e.rest then
-              e.rest <-
-                List.map
-                  (fun (s : Slice.t) ->
-                    if s.buf == buf then Slice.make copy (s.off - lo) s.len
-                    else s)
-                  e.rest)
+            end)
       end
     end;
     (* hold on to no connection until the next loan *)
@@ -518,7 +540,8 @@ let default_on_decode_error _ _ = ()
     scratch buffer. The borrow is valid until the read's dispatch
     returns. A callback copies what it keeps longer
     ({!Slice.to_bytes}), or queues it on another connection with
-    {!send_wire}[ ~lender], which ends the loan for it. *)
+    {!send_view} or {!send_body}[ ~lender], which ends the loan for
+    it. *)
 let attach (loop : Reactor.t) (fd : Unix.file_descr) ?(mode = Frames)
     ~(on_input : t -> Slice.t -> unit)
     ~(on_close : t -> string -> unit) ?(on_progress = default_on_progress)
@@ -528,7 +551,7 @@ let attach (loop : Reactor.t) (fd : Unix.file_descr) ?(mode = Frames)
   let c =
     { fd; mode; decoder = Frame.Decoder.create ()
     ; head = nil; tail = nil; q_len = 0; q_droppable = 0; q_bytes = 0
-    ; spare = nil; spares = 0
+    ; spare = nil; spares = 0; sealer = None
     ; loop = Some loop
     ; reg = None; on_input; on_close; on_progress; on_decode_error; on_bytes
     ; deadline = None; state = Alive; reading = true; inbuf = Bytes.empty
@@ -544,26 +567,18 @@ let attach (loop : Reactor.t) (fd : Unix.file_descr) ?(mode = Frames)
   sync_interest c;
   c
 
-(* queue [buf]'s [pos, stop) window, then the non-empty [rest] *)
-let enqueue_pieces (c : t) ~droppable buf pos stop rest =
+(* queue an entry of a [header]-byte header piece and [buf]'s [pos,
+   stop) window; a plain header is the window's length prefix *)
+let enqueue (c : t) ~droppable ~header ~seal buf pos stop =
   match c.state with
   | Alive ->
-    let total = stop - pos + Slice.total rest in
-    push c (take_entry c ~droppable buf pos stop rest total);
+    let e = take_entry c ~droppable ~header ~seal buf pos stop in
+    if header > 0 && seal = Plain then Frame.write_header e.hdr 0 (stop - pos);
+    push c e;
     if droppable then c.q_droppable <- c.q_droppable + 1;
     sync_interest c;
-    account c total
+    account c e.total
   | Closing | Doomed _ | Closed _ -> ()
-
-let enqueue (c : t) ~droppable (wire : Slice.t list) =
-  match
-    if List.exists Slice.is_empty wire then
-      List.filter (fun s -> not (Slice.is_empty s)) wire
-    else wire
-  with
-  | [] -> ()
-  | (s : Slice.t) :: rest ->
-    enqueue_pieces c ~droppable s.buf s.off (s.off + s.len) rest
 
 (* [c] borrows [lender]'s running input until its dispatch settles *)
 let borrow (c : t) (lender : t option) =
@@ -582,43 +597,58 @@ let borrow (c : t) (lender : t option) =
     p.n_borrowers <- n + 1
   | Some _ | None -> ()
 
-(** Queue a framed wire message (Frames mode) as-is: the slices'
-    backing buffers are shared with the queue, never copied. Callers
-    must not mutate them afterwards.
-
-    With [~lender], the wire may borrow [lender]'s input (a slice its
-    running [on_input] was handed): at the end of that dispatch, [c] is
-    flushed and whatever of the borrowed bytes its socket did not take
-    is copied into an owned buffer. *)
-let send_wire (c : t) ~droppable ?lender (wire : Slice.t list) =
-  enqueue c ~droppable wire;
-  borrow c lender
-
 (** Queue the [len] bytes of [buf] at [off], a whole framed wire
     message, as one piece: a relayed frame together with the length
     header it arrived behind. Allocates nothing when the connection
-    has a spare entry; lending works as in {!send_wire}. *)
+    has a spare entry. With [~lender], the view may borrow [lender]'s
+    input (a slice its running [on_input] was handed): at the end of
+    that dispatch, [c] is flushed and whatever of the borrowed bytes
+    its socket did not take is copied into an owned buffer. *)
 let send_view (c : t) ~droppable ?lender (buf : Bytes.t) (off : int)
     (len : int) =
-  if len > 0 then enqueue_pieces c ~droppable buf off (off + len) [];
+  if len > 0 then
+    enqueue c ~droppable ~header:0 ~seal:Plain buf off (off + len);
   borrow c lender
 
-(** Queue a length-prefixed frame (Frames mode). Allocates only the
-    4-byte header; [body]'s buffer is shared with the queue (ownership
-    transfers — don't mutate it after sending). *)
+(** Queue the frame body [buf, off, len] (Frames mode) behind a header
+    the entry owns: its 4-byte length prefix, or, once {!set_sealer}
+    has run, the sealer's header, written when the flush first reaches
+    the entry. Allocates nothing when the connection has a spare entry;
+    lending works as in {!send_view}. *)
+let send_body (c : t) ~droppable ?lender (buf : Bytes.t) (off : int)
+    (len : int) =
+  (match c.sealer with
+  | Some s ->
+    enqueue c ~droppable ~header:s.header ~seal:Unsealed buf off (off + len)
+  | None ->
+    enqueue c ~droppable ~header:Frame.header_length ~seal:Plain buf off
+      (off + len));
+  borrow c lender
+
+(** Seal every body {!send_body} queues from now on with [seal]: see
+    the module comment. Set once. *)
+let set_sealer (c : t) ~header seal_header =
+  if c.sealer <> None then invalid_arg "Conn.set_sealer: already set";
+  c.sealer <- Some { header; seal_header }
+
+(** Queue a length-prefixed frame (Frames mode); [body]'s buffer is
+    shared with the queue (ownership transfers — don't mutate it after
+    sending). *)
 let send (c : t) (body : Bytes.t) =
-  enqueue c ~droppable:false (Frame.wire [ Slice.of_bytes body ])
+  send_body c ~droppable:false body 0 (Bytes.length body)
 
 (** Queue raw bytes verbatim (Chunks mode / HTTP responses). Takes
     ownership of [wire]. *)
 let send_raw (c : t) (wire : Bytes.t) =
-  enqueue c ~droppable:false [ Slice.of_bytes wire ]
+  send_view c ~droppable:false wire 0 (Bytes.length wire)
 
 (** Drop the oldest fully-unwritten droppable entry, if any
     ([Drop_oldest] backpressure). Returns the wire bytes shed (0 when
     nothing was droppable). *)
 let drop_oldest_droppable (c : t) : int =
-  let untouched e = e.stop - e.pos + Slice.total e.rest = e.total in
+  let untouched e =
+    e.seal <> Sealed && e.hstop - e.hpos + e.stop - e.pos = e.total
+  in
   let rec find prev e =
     if e == nil then 0
     else if e.droppable && untouched e then begin

@@ -1,9 +1,10 @@
 (** Buffered connection driver for reactor-hosted servers: one
     non-blocking socket on one {!Reactor.t}, with read reassembly, a
-    bounded write queue of slices, graceful close, per-connection
-    deadlines and {!detach}/{!adopt} to move a live connection between
-    loops (relay shard handoff). Protocol logic stays in callbacks; the
-    driver never interprets frame contents (doc/REACTOR.md §4). *)
+    bounded write queue of views, sealing at write ({!set_sealer}),
+    graceful close, per-connection deadlines and {!detach}/{!adopt} to
+    move a live connection between loops (relay shard handoff).
+    Protocol logic stays in callbacks; the driver never interprets
+    frame contents (doc/REACTOR.md §4). *)
 
 type t
 
@@ -29,10 +30,11 @@ val attach :
     in [Chunks] mode each read viewed in the reactor's scratch buffer —
     valid until the read's dispatch returns. A callback copies what it
     keeps ({!Omf_util.Slice.to_bytes}) or lends it on with
-    {!send_wire}[ ~lender]. [on_close] fires exactly once, with the
-    first close reason. [on_progress] runs after a write made progress,
-    [on_decode_error] on a corrupt length header (the connection is
-    then doomed), [on_bytes] on every read and write. *)
+    {!send_view} or {!send_body}[ ~lender]. [on_close] fires exactly
+    once, with the first close reason. [on_progress] runs after a
+    write made progress, [on_decode_error] on a corrupt length header
+    (the connection is then doomed), [on_bytes] on every read and
+    write. *)
 
 val alive : t -> bool
 (** [true] until the connection starts closing ({!doom},
@@ -49,27 +51,45 @@ val queued_bytes : t -> int
     connections is {!Reactor.queued_bytes}. *)
 
 val send : t -> Bytes.t -> unit
-(** Queue a length-prefixed frame ([Frames] mode). Allocates only the
-    4-byte header; [body] is shared with the queue and must not be
-    mutated afterwards. *)
-
-val send_wire :
-  t -> droppable:bool -> ?lender:t -> Omf_util.Slice.t list -> unit
-(** Queue a framed wire message as-is; its buffers are shared, never
-    copied. [droppable] lets {!drop_oldest_droppable} shed it. With
-    [~lender], the wire may borrow [lender]'s input (a slice its
-    running [on_input] was handed): at the end of that dispatch this
-    connection is flushed, and what its socket did not take is copied
-    into a buffer the queue owns. Raises [Invalid_argument] if [lender]
-    is not dispatching input. *)
+(** [send c body] is {!send_body} of the whole of [body], not
+    droppable; [body] is shared with the queue and must not be mutated
+    afterwards. *)
 
 val send_view :
   t -> droppable:bool -> ?lender:t -> Bytes.t -> int -> int -> unit
-(** [send_view c ~droppable buf off len] is {!send_wire} of the one
-    slice [buf, off, len]: a whole framed message, such as a relayed
-    frame viewed together with the length header it arrived behind.
-    It allocates nothing once the connection has written as many
-    entries as it queues. *)
+(** [send_view c ~droppable buf off len] queues the [len] bytes of
+    [buf] at [off] as-is, never sealed: a whole framed message, such as
+    a relayed frame viewed together with the length header it arrived
+    behind. The buffer is shared, never copied. [droppable] lets
+    {!drop_oldest_droppable} shed it. With [~lender], the view may
+    borrow [lender]'s input (a slice its running [on_input] was
+    handed): at the end of that dispatch this connection is flushed,
+    and what its socket did not take is copied into a buffer the queue
+    owns. Raises [Invalid_argument] if [lender] is not dispatching
+    input. It allocates nothing once the connection has written as
+    many entries as it queues. *)
+
+val send_body :
+  t -> droppable:bool -> ?lender:t -> Bytes.t -> int -> int -> unit
+(** [send_body c ~droppable buf off len] queues the frame body [buf,
+    off, len] behind a header the queue entry owns and reuses: the
+    4-byte length prefix, or, on a connection with a sealer, the
+    sealer's header. The body is shared as in {!send_view}, and so is
+    lending; it allocates nothing once the connection has spare
+    entries. *)
+
+val set_sealer :
+  t -> header:int -> (Bytes.t -> Bytes.t -> int -> int -> unit) -> unit
+(** [set_sealer c ~header seal] seals every body {!send_body} queues
+    from now on (what is already queued stays plain: a plaintext
+    handshake reply). The flush seals such an entry when it first
+    reaches it, staging it into a gather or writing it: [seal hdr buf
+    off len] writes the [header]-byte wire header of the body [buf,
+    off, len], its length prefix included, into the entry's buffer
+    [hdr]. Sealing runs in queue order, exactly once per entry, on the
+    loop that owns the connection; {!drop_oldest_droppable} sheds no
+    entry already sealed, so a shed body never takes a nonce. Raises
+    [Invalid_argument] if a sealer is already set. *)
 
 val send_raw : t -> Bytes.t -> unit
 (** Queue raw bytes verbatim ([Chunks] mode: HTTP responses). Takes
@@ -80,8 +100,9 @@ val writable : t -> unit
     runs when the socket is writable. *)
 
 val drop_oldest_droppable : t -> int
-(** Drop the oldest droppable entry not yet partly written (the relay's
-    [Drop_oldest] policy); the wire bytes shed, 0 when none. *)
+(** Drop the oldest droppable entry neither sealed nor partly written
+    (the relay's [Drop_oldest] policy); the wire bytes shed, 0 when
+    none. *)
 
 val doom : t -> string -> unit
 (** Stop reading, try one flush of what is queued, close after the

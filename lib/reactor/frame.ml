@@ -37,19 +37,6 @@ let encode (body : Bytes.t) : Bytes.t =
   Bytes.blit body 0 b header_length len;
   b
 
-(** [header len] is a fresh 4-byte length prefix. *)
-let header (len : int) : Bytes.t =
-  let b = Bytes.create header_length in
-  write_header b 0 len;
-  b
-
-(** [wire body] is the framed wire message as slices: a fresh header
-    slice followed by the body slices, which stay shared (no copy of
-    the payload). [Slice.concat (wire body) = encode (Slice.concat
-    body)] — the qcheck equivalence property in test_relay. *)
-let wire (body : Slice.t list) : Slice.t list =
-  Slice.of_bytes (header (Slice.total body)) :: body
-
 (* ------------------------------------------------------------------ *)
 (* Incremental decoder                                                  *)
 (* ------------------------------------------------------------------ *)

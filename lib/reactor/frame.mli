@@ -22,12 +22,8 @@ val read_header : Bytes.t -> int -> int
 
 val encode : Bytes.t -> Bytes.t
 (** [encode body] is header + body in one buffer (one socket write).
-    Copies the body; the zero-copy path is {!wire}. *)
-
-val wire : Omf_util.Slice.t list -> Omf_util.Slice.t list
-(** [wire body] frames [body] as slices: a fresh header slice followed
-    by the body slices unchanged — the payload is never copied.
-    [Slice.concat (wire body)] equals [encode (Slice.concat body)]. *)
+    Copies the body; the zero-copy path is [Conn.send_body], which
+    writes the header into a buffer its queue entry owns. *)
 
 module Decoder : sig
   type t

@@ -291,27 +291,23 @@ and shard = {
           input, so a plain queue sends the frame as it arrived *)
   mutable src_inflated : bool;
       (** the body is the publisher's inflated frame ([inflated]), which
-          the next frame overwrites: a plain queue copies it *)
-  mutable wire_cache_seq : int;
-      (** the fan-out whose framed wire message is cached below:
-          fanning one publish out to N subscribers encodes the wire
-          slices once and every queue shares them *)
-  mutable wire_cache : Slice.t list;
+          the next frame overwrites: a queue keeps a copy of it *)
+  mutable body_copy_seq : int;
+      (** the fan-out whose inflated body [body_copy] copies: fanning
+          one publish out to N subscribers copies it once *)
+  mutable body_copy : Slice.t;
   mutable comp_cache_seq : int;
-      (** same sharing for [comp=lz] subscribers: the fan-out whose
-          block is [comp_cache_blk], shared by every compressed queue
-          (sealed ones re-seal it per connection, as nonces are
-          per-connection). {!conn_frame} seeds it with a compressing
-          publisher's own block, so the relay compresses only what it
-          re-encodes: stored replay, replies *)
+      (** the fan-out whose block is [comp_cache_blk], shared by every
+          compressed queue (a sealed queue writes its own header in
+          front of it, as nonces are per connection). {!conn_frame}
+          seeds it with a compressing publisher's own block, so the
+          relay compresses only what it re-encodes: stored replay,
+          replies *)
   mutable comp_cache_blk : Slice.t;
   mutable comp_cache_framed : bool;
       (** [comp_cache_blk] sits right behind its length header *)
   mutable comp_cache_lender : Rconn.t option;
       (** the publisher whose input [comp_cache_blk] borrows *)
-  mutable comp_cache_wire : Slice.t list;
-      (** the framed block, for a plain compressed queue when the block
-          has no header in front of it; [[]] until one needs it *)
   comp_scratch : Compress.scratch;
       (** shard-owned match-finder workspace (the shard loop is
           single-threaded) — compression never allocates chain arrays
@@ -463,71 +459,63 @@ let note_comp (c : conn) ~(raw : int) ~(wire : int) =
     Counters.observe t.counters ?bounds:comp_ratio_bounds "compress_ratio"
       (raw * 100 / wire)
 
-(** Queue one frame body on [c]: framed as-is on plain connections,
-    sealed (the copy-on-seal) and/or compressed on negotiated ones.
-    With [~fanout], [body] is the frame {!fan_out} is relaying now: its
-    framed and compressed forms are built once per fan-out and shared
-    by every queue, and a queue borrows them from the publisher's input
-    ([src_lender], [comp_cache_lender]) when they arrived as sent. *)
+(* the fan-out's body as a queue may keep it: the publisher's inflated
+   frame, which its next frame inflates over, is copied once per
+   fan-out and every queue shares the copy *)
+let fanout_body (t : shard) (body : Slice.t) =
+  if not t.src_inflated then body
+  else begin
+    if t.body_copy_seq <> t.fanout_seq then begin
+      t.body_copy_seq <- t.fanout_seq;
+      t.body_copy <- Slice.of_bytes (Slice.to_bytes body)
+    end;
+    t.body_copy
+  end
+
+(** Queue one frame body on [c], compressed on a [comp=lz] connection;
+    a sealed connection's queue seals it when it first writes it
+    ({!Rconn.set_sealer}). With [~fanout], [body] is the frame
+    {!fan_out} is relaying now: its compressed form is built once per
+    fan-out and shared by every queue, and a queue borrows the body or
+    block from the publisher's input ([src_lender],
+    [comp_cache_lender]) — on a plain connection together with the
+    length header it arrived behind, if it has one. *)
 let enqueue_entry ?(fanout = false) (c : conn) ~droppable (body : Slice.t) =
   let t = c.home in
   let h = Frame.header_length in
+  let plain = Option.is_none c.mac in
   if c.comp then begin
     if fanout && t.comp_cache_seq <> t.fanout_seq then begin
       t.comp_cache_seq <- t.fanout_seq;
       t.comp_cache_blk <-
         Slice.of_bytes (Compress.compress_slice ~scratch:t.comp_scratch body);
       t.comp_cache_framed <- false;
-      t.comp_cache_lender <- None;
-      t.comp_cache_wire <- []
+      t.comp_cache_lender <- None
     end;
     let blk =
       if fanout then t.comp_cache_blk
       else Slice.of_bytes (Compress.compress_slice ~scratch:t.comp_scratch body)
     in
     note_comp c ~raw:(Slice.length body) ~wire:(Slice.length blk);
-    match c.mac with
-    | Some st ->
-      let b = Macframe.seal_frame st blk in
-      Rconn.send_view c.io ~droppable b 0 (Bytes.length b)
-    | None when not fanout -> Rconn.send_wire c.io ~droppable (Frame.wire [ blk ])
-    | None when t.comp_cache_framed ->
+    if fanout && plain && t.comp_cache_framed then
       (* the publisher's frame as it arrived: header and block *)
       Rconn.send_view c.io ~droppable ?lender:t.comp_cache_lender blk.buf
         (blk.off - h) (Slice.length blk + h)
-    | None ->
-      (match t.comp_cache_wire with
-      | [] -> t.comp_cache_wire <- Frame.wire [ blk ]
-      | _ :: _ -> ());
-      Rconn.send_wire c.io ~droppable ?lender:t.comp_cache_lender
-        t.comp_cache_wire
+    else
+      Rconn.send_body c.io ~droppable
+        ?lender:(if fanout then t.comp_cache_lender else None)
+        blk.buf blk.off (Slice.length blk)
   end
+  else if fanout && plain && t.src_framed then
+    (* the frame as it arrived: its header and body, one view of the
+       publisher's input *)
+    Rconn.send_view c.io ~droppable ?lender:t.src_lender body.buf
+      (body.off - h) (Slice.length body + h)
   else
-    match c.mac with
-    | Some st ->
-      (* under negotiated HMAC mode every outbound frame is sealed;
-         sealing happens at enqueue time so nonces follow queue order
-         exactly *)
-      let b = Macframe.seal_frame st body in
-      Rconn.send_view c.io ~droppable b 0 (Bytes.length b)
-    | None when not fanout -> Rconn.send_wire c.io ~droppable (Frame.wire [ body ])
-    | None when t.src_framed ->
-      (* the frame as it arrived: its header and body, one view of the
-         publisher's input *)
-      Rconn.send_view c.io ~droppable ?lender:t.src_lender body.buf
-        (body.off - h) (Slice.length body + h)
-    | None ->
-      (* encode the wire message once per fan-out: every plain queue
-         shares one header slice and the body (a copy of it when the
-         publisher's next frame inflates over it) *)
-      if t.wire_cache_seq <> t.fanout_seq then begin
-        t.wire_cache_seq <- t.fanout_seq;
-        t.wire_cache <-
-          Frame.wire
-            [ (if t.src_inflated then Slice.of_bytes (Slice.to_bytes body)
-               else body) ]
-      end;
-      Rconn.send_wire c.io ~droppable ?lender:t.src_lender t.wire_cache
+    let body = if fanout then fanout_body t body else body in
+    Rconn.send_body c.io ~droppable
+      ?lender:(if fanout then t.src_lender else None)
+      body.buf body.off (Slice.length body)
 
 (* --- tracing span recorders (doc/TRACE.md) ------------------------- *)
 
@@ -926,6 +914,14 @@ let protocol_reject (t : shard) (c : conn) (msg : string) =
   reply_err t c msg;
   Rconn.doom c.io "protocol error"
 
+(** HMAC frame mode on [c]: inbound frames are opened with [st], and
+    every body queued from now on is sealed with it as the connection
+    first writes it *)
+let arm_mac (c : conn) (st : Macframe.state) =
+  c.mac <- Some st;
+  Rconn.set_sealer c.io ~header:Macframe.header_length
+    (Macframe.seal_header st)
+
 (** HELLO: record credentials and negotiate the frame mode. With
     [auth=hmac] + a known [key-id], the ['o'] reply is sent in the
     clear and every subsequent frame in both directions is sealed
@@ -972,7 +968,7 @@ let handle_hello (t : shard) (c : conn) (creds : (string * string) list) =
         (* armed after the reply: the reply itself is plaintext, the
            next outbound frame is the first sealed (and compressed)
            one *)
-        c.mac <- Some (Macframe.state ~key);
+        arm_mac c (Macframe.state ~key);
         arm_comp ()))
   | Some other ->
     Counters.incr t.counters "auth_denied";
@@ -1557,7 +1553,6 @@ let inflate_input (t : shard) (c : conn) (blk : Slice.t) ~framed =
     t.comp_cache_blk <- blk;
     t.comp_cache_framed <- framed;
     t.comp_cache_lender <- c.lend;
-    t.comp_cache_wire <- [];
     relay_input t c c.inflated ~framed:false ~inflated:true
   | exception Compress.Error msg ->
     Counters.incr t.counters "frames_rejected";
@@ -1669,7 +1664,7 @@ let new_conn (t : shard) (fd : Unix.file_descr) ~mac ~comp : conn =
   in
   let c =
     { cid; io; creds = []; greeted = false; role = Pending; grace_timer = None
-    ; congesting = false; mac; mac_rejects = 0; comp; throttled = false
+    ; congesting = false; mac = None; mac_rejects = 0; comp; throttled = false
     ; bucket; trace_mark = None; home = t; lend = Some io
     ; inflated = Slice.of_bytes Bytes.empty
     ; inflate_into =
@@ -1679,6 +1674,7 @@ let new_conn (t : shard) (fd : Unix.file_descr) ~mac ~comp : conn =
             if Bytes.length b = n then b else Bytes.create n) }
   in
   cell := Some c;
+  Option.iter (arm_mac c) mac;
   Hashtbl.replace t.conns cid c;
   Counters.incr t.counters "connections";
   c
@@ -1873,10 +1869,10 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
       ; conns = Hashtbl.create 64; counters = Counters.create (); shard_id
       ; cid_stride = shards; shared; store_cfg = store
       ; fanout_seq = 0; src_lender = None; src_framed = false
-      ; src_inflated = false; wire_cache_seq = -1; wire_cache = []
+      ; src_inflated = false; body_copy_seq = -1
+      ; body_copy = Slice.of_bytes Bytes.empty
       ; comp_cache_seq = -1; comp_cache_blk = Slice.of_bytes Bytes.empty
       ; comp_cache_framed = false; comp_cache_lender = None
-      ; comp_cache_wire = []
       ; comp_scratch = Compress.scratch ()
       ; ack_flush_scheduled = false; store_timer = None; gauge_timer = None
       ; next_cid = shard_id + 1; state = Running

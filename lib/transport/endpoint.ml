@@ -31,11 +31,14 @@ module Sender = struct
   type t = {
     link : Link.t;
     mem : Memory.t;
+    scratch : Memory.t;
+        (** where {!send_value} binds each value; reset on every call *)
     announced : (int, unit) Hashtbl.t;  (** format ids already negotiated *)
   }
 
   let create (link : Link.t) (mem : Memory.t) : t =
-    { link; mem; announced = Hashtbl.create 8 }
+    { link; mem; scratch = Memory.create (Memory.abi mem)
+    ; announced = Hashtbl.create 8 }
 
   let announce t (fmt : Format.t) =
     if not (Hashtbl.mem t.announced fmt.Format.id) then begin
@@ -47,13 +50,19 @@ module Sender = struct
   (** [send t fmt addr] negotiates [fmt] if needed and ships the struct at
       [addr] in NDR. The frame is the message lent by the memory, built
       behind its kind byte: nothing is copied. *)
-  let send (t : t) (fmt : Format.t) (addr : int) : unit =
+  let send_from (t : t) mem (fmt : Format.t) (addr : int) : unit =
     announce t fmt;
-    Link.send t.link (Pbio.message ~kind:frame_message t.mem fmt addr)
+    Link.send t.link (Pbio.message ~kind:frame_message mem fmt addr)
 
-  (** [send_value t fmt v] binds [v] into the endpoint's memory first. *)
+  let send (t : t) (fmt : Format.t) (addr : int) : unit =
+    send_from t t.mem fmt addr
+
+  (** [send_value t fmt v] binds [v] into the sender's scratch memory
+      first, reset on each call, so the sender's memory does not grow
+      by a record per event. *)
   let send_value (t : t) (fmt : Format.t) (v : Value.t) : unit =
-    send t fmt (Native.store t.mem fmt v)
+    Memory.reset t.scratch;
+    send_from t t.scratch fmt (Native.store t.scratch fmt v)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -91,9 +100,15 @@ module Receiver = struct
         Some (Pbio.Receiver.receive ~off:1 t.pbio b)
       else proto_error "unknown frame kind %C" kind
 
+  (** [recv_value t] is {!recv} lifted to a value, after which the
+      receiver's memory is reset: it stays one message large however
+      long the receiver lives. *)
   let recv_value (t : t) : (Format.t * Value.t) option =
     match recv t with
     | None -> None
     | Some (fmt, addr) ->
-      Some (fmt, Native.load (Pbio.Receiver.memory t.pbio) fmt addr)
+      let mem = Pbio.Receiver.memory t.pbio in
+      let v = Native.load mem fmt addr in
+      Memory.reset mem;
+      Some (fmt, v)
 end

@@ -27,6 +27,9 @@ module Sender : sig
       while lengths repeat, nothing is allocated. *)
 
   val send_value : t -> Format.t -> Value.t -> unit
+  (** [send_value t fmt v] binds [v] into a scratch memory the sender
+      owns and resets on every call, then sends it as {!send} does; the
+      memory given to {!create} is not touched. *)
 end
 
 module Receiver : sig
@@ -44,4 +47,7 @@ module Receiver : sig
       ingested transparently); [None] when the link closes. *)
 
   val recv_value : t -> (Format.t * Value.t) option
+  (** {!recv}, then the message loaded as a value, after which the
+      receiver's memory is reset (it stays one message large): the
+      addresses an earlier {!recv} returned are invalid from then on. *)
 end

@@ -21,7 +21,7 @@ exception Auth_error of string
 let auth_error fmt = Printf.ksprintf (fun s -> raise (Auth_error s)) fmt
 
 module Sha256 = Omf_util.Sha256
-module Slice = Omf_util.Slice
+module Frame = Omf_reactor.Frame
 
 let overhead = 8 + 32
 
@@ -53,16 +53,17 @@ let dir () =
 let state ~(key : string) : state =
   { key = Sha256.hmac_key key; tx = dir (); rx = dir () }
 
-(* The tag of the sealed body at [off] in [buf], whose payload is [len]
-   bytes: the nonce bytes, the payload length and the payload are fed
-   in place, never copied. Written at [out_off] in [out]. *)
-let tag_into key (d : dir) buf off len out out_off =
+(* The tag over the 8 nonce bytes at [noff] in [nbuf] and the [len]
+   payload bytes at [poff] in [pbuf]: the nonce, the payload length and
+   the payload are fed in place, never copied. Written at [out_off] in
+   [out]. *)
+let tag_into key (d : dir) nbuf noff pbuf poff len out out_off =
   let c = d.ctx in
   Sha256.hmac_start key c;
-  Sha256.feed_bytes c buf off 8;
+  Sha256.feed_bytes c nbuf noff 8;
   Bytes.set_int32_be d.len_be 0 (Int32.of_int len);
   Sha256.feed_bytes c d.len_be 0 4;
-  Sha256.feed_bytes c buf (off + overhead) len;
+  Sha256.feed_bytes c pbuf poff len;
   Sha256.hmac_finish_into key c out out_off
 
 (** [seal_in_place st buf off len] seals the [len]-byte payload at
@@ -70,13 +71,13 @@ let tag_into key (d : dir) buf off len out out_off =
     in front of it and advances the nonce. Allocates nothing. *)
 let seal_in_place (st : state) buf off len =
   Bytes.set_int64_be buf off (Int64.of_int st.tx.nonce);
-  tag_into st.key st.tx buf off len buf (off + 8);
+  tag_into st.key st.tx buf off buf (off + overhead) len buf (off + 8);
   st.tx.nonce <- st.tx.nonce + 1
 
 (* the sealed body of [len] bytes at [off] carries a valid tag *)
 let check_tag key (d : dir) buf off len =
   if len < overhead then auth_error "sealed frame too short (%d bytes)" len;
-  tag_into key d buf off (len - overhead) d.tag 0;
+  tag_into key d buf off buf (off + overhead) (len - overhead) d.tag 0;
   (* constant time: no early exit on the first differing byte *)
   let acc = ref 0 in
   for i = 0 to 31 do
@@ -111,19 +112,23 @@ let seal_next (st : state) (payload : Bytes.t) : Bytes.t =
   seal_in_place st b 0 len;
   b
 
-(** [seal_frame st payload] is one whole wire frame in a fresh buffer:
-    the 4-byte big-endian length of the sealed body, then the body —
+let header_length = Frame.header_length + overhead
+
+(** [seal_header st hdr buf off len] writes the wire header of the
+    sealed frame whose payload is the [len] bytes at [off] in [buf]
+    into [hdr]'s first {!header_length} bytes: the 4-byte big-endian
+    length of the sealed body, the next send nonce and the tag, MAC'd
+    over the payload where it lies. [hdr] followed by the payload is
     byte-identical to the length-prefixed [seal_next st payload]. This
-    is the relay's one copy-on-seal: the viewed payload is copied once,
-    into the frame, and MAC'd there (only on connections that
-    negotiated auth). *)
-let seal_frame (st : state) (payload : Slice.t) : Bytes.t =
-  let len = Slice.length payload in
-  let b = Bytes.create (4 + overhead + len) in
-  Bytes.set_int32_be b 0 (Int32.of_int (overhead + len));
-  Slice.blit payload b (4 + overhead);
-  seal_in_place st b 4 len;
-  b
+    is how the relay seals: each connection writes its own header in
+    front of a payload it shares with every other queue, so sealing
+    copies nothing. Advances the nonce; allocates nothing. *)
+let seal_header (st : state) hdr buf off len =
+  let h = Frame.header_length in
+  Frame.write_header hdr 0 (overhead + len);
+  Bytes.set_int64_be hdr h (Int64.of_int st.tx.nonce);
+  tag_into st.key st.tx hdr h buf off len hdr (h + 8);
+  st.tx.nonce <- st.tx.nonce + 1
 
 (** [open_next st frame] verifies against the expected receive nonce,
     advances it, and returns a copy of the payload. *)

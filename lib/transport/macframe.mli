@@ -36,10 +36,18 @@ val open_in_place : state -> Bytes.t -> int -> int -> unit
 val seal_next : state -> Bytes.t -> Bytes.t
 (** A fresh sealed body: {!seal_in_place} on a copy of the payload. *)
 
-val seal_frame : state -> Omf_util.Slice.t -> Bytes.t
-(** A whole wire frame in one fresh buffer: the 4-byte big-endian
-    length of the sealed body, then {!seal_next} of the viewed payload,
-    which is copied once. *)
+val header_length : int
+(** Bytes {!seal_header} writes: the 4-byte length prefix, then the
+    nonce and the tag — 44. *)
+
+val seal_header : state -> Bytes.t -> Bytes.t -> int -> int -> unit
+(** [seal_header st hdr buf off len] writes the wire header of the
+    sealed frame whose payload is the [len] bytes at [off] in [buf]
+    into [hdr]'s first {!header_length} bytes — the big-endian length
+    of the sealed body, the next send nonce and the tag, MAC'd over the
+    payload in place — and advances the nonce. [hdr] followed by the
+    payload is [Frame.encode (seal_next st payload)]. Allocates
+    nothing. *)
 
 val open_next : state -> Bytes.t -> Bytes.t
 (** {!open_in_place} on a whole frame, then a copy of its payload. *)

@@ -19,7 +19,6 @@ let of_bytes ?(off = 0) ?len (buf : Bytes.t) : t =
     { buf; off; len }
 
 let length (s : t) = s.len
-let is_empty (s : t) = s.len = 0
 
 let get (s : t) (i : int) : char =
   if i < 0 || i >= s.len then invalid_arg "Slice.get: out of bounds";
@@ -37,17 +36,6 @@ let blit (s : t) (dst : Bytes.t) (dpos : int) : unit =
 
 let to_bytes (s : t) : Bytes.t = Bytes.sub s.buf s.off s.len
 let to_string (s : t) : string = Bytes.sub_string s.buf s.off s.len
-let total (l : t list) : int = List.fold_left (fun a s -> a + s.len) 0 l
-
-let concat (l : t list) : Bytes.t =
-  let b = Bytes.create (total l) in
-  let pos = ref 0 in
-  List.iter
-    (fun s ->
-      blit s b !pos;
-      pos := !pos + s.len)
-    l;
-  b
 
 let equal_bytes (s : t) (b : Bytes.t) : bool =
   s.len = Bytes.length b

@@ -13,11 +13,7 @@
     buffers per fill (segment read buffers) make this easy to honour.
     The one exception is a borrowed view of a buffer its owner reuses
     (a connection's input, {!Omf_reactor.Conn}): it is valid until the
-    owner's next fill, and whoever keeps it longer copies it first.
-
-    A wire message is a [t list] — an iovec in miniature: for a framed
-    message, a 4-byte length-header slice followed by the shared body
-    slice. *)
+    owner's next fill, and whoever keeps it longer copies it first. *)
 
 type t = private {
   buf : Bytes.t;  (** backing buffer, shared *)
@@ -35,7 +31,6 @@ val of_bytes : ?off:int -> ?len:int -> Bytes.t -> t
     escapes the buffer. *)
 
 val length : t -> int
-val is_empty : t -> bool
 
 val get : t -> int -> char
 (** [get s i] is byte [i] of the view. Raises [Invalid_argument] out of
@@ -54,12 +49,6 @@ val to_bytes : t -> Bytes.t
     buffer, e.g. a connection's input slice). *)
 
 val to_string : t -> string
-
-val total : t list -> int
-(** Summed length of a wire message. *)
-
-val concat : t list -> Bytes.t
-(** One fresh buffer holding the message's bytes in order. *)
 
 val equal_bytes : t -> Bytes.t -> bool
 (** Byte equality against a plain buffer (tests). *)

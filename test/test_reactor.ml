@@ -2,7 +2,8 @@
     order against a sorted model (property-tested under random
     insert/cancel), fd churn through the buffered connection driver
     without leaking registrations, cross-thread [inject] under load,
-    per-connection deadlines, the loop's sum of queued bytes, listening
+    per-connection deadlines, the loop's sum of queued bytes, sealing
+    at write, listening
     sockets that a failed bind does not leak, and the server shell
     hosting a frame and an HTTP listener on one loop. *)
 
@@ -329,8 +330,7 @@ let test_conn_queued_bytes () =
   let body = Bytes.make 65536 'x' in
   let frame = Bytes.length body + 4 in
   let send c =
-    Conn.send_wire c ~droppable:true
-      (Omf_reactor.Frame.wire [ Omf_util.Slice.of_bytes body ])
+    Conn.send_body c ~droppable:true body 0 (Bytes.length body)
   in
   send c1;
   send c1;
@@ -362,6 +362,88 @@ let test_conn_queued_bytes () =
   agree "adopt" loop2 seen2 [ c1 ];
   check int "adopt moves the bytes" moving (Reactor.queued_bytes loop2);
   List.iter Unix.close [ a1; b1; a2 ];
+  Reactor.dispose loop;
+  Reactor.dispose loop2
+
+(* Sealing at write: a fake sealer stamps each body's header with a
+   running count, and records which body it sealed. Eight 64 KiB bodies
+   queue behind a plain frame sent before the sealer was set; the peer
+   reads nothing at first, so the first write is partial, and the
+   oldest droppable entry is shed. The rest is written in rounds, part
+   of them while the connection is detached and part after another
+   loop adopts it. Driven on this thread without [run]. *)
+let test_conn_sealed_entries () =
+  let loop = Reactor.create () and loop2 = Reactor.create () in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int b Unix.SO_SNDBUF 4096;
+  Unix.set_nonblock a;
+  let c =
+    Conn.attach loop b ~on_input:(fun _ _ -> ()) ~on_close:(fun _ _ -> ()) ()
+  in
+  Conn.send c (Bytes.of_string "hello");
+  let sealed = ref [] and calls = ref 0 in
+  Conn.set_sealer c ~header:12 (fun hdr buf off len ->
+      incr calls;
+      sealed := Bytes.get_int64_be buf off :: !sealed;
+      Bytes.set_int32_be hdr 0 (Int32.of_int (8 + len));
+      Bytes.set_int64_be hdr 4 (Int64.of_int !calls));
+  let n = 8 and size = 65536 in
+  for i = 0 to n - 1 do
+    let body = Bytes.make size 'x' in
+    Bytes.set_int64_be body 0 (Int64.of_int i);
+    Conn.send_body c ~droppable:true body 0 size
+  done;
+  Conn.writable c;
+  check (Alcotest.list int) "the first write sealed only the body it reached"
+    [ 0 ] (List.rev_map Int64.to_int !sealed);
+  check int "the oldest unsealed body is shed" (12 + size)
+    (Conn.drop_oldest_droppable c);
+  let got = Buffer.create (n * size) in
+  let chunk = Bytes.create 65536 in
+  let rec drain () =
+    match Unix.read a chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | k ->
+      Buffer.add_subbytes got chunk 0 k;
+      drain ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  (* write and read in rounds until the queue is empty *)
+  let rounds ~until =
+    let left = ref 1000 in
+    while Conn.queued c > until && !left > 0 do
+      drain ();
+      Conn.writable c;
+      decr left
+    done
+  in
+  Conn.detach c;
+  rounds ~until:(n - 4);
+  check bool "sealed while detached" true (!calls > 1);
+  Conn.adopt loop2 c;
+  rounds ~until:0;
+  drain ();
+  check int "queue written" 0 (Conn.queued c);
+  let expected = 0 :: List.init (n - 2) (fun i -> i + 2) in
+  check (Alcotest.list int)
+    "sealed in queue order, once each, never the shed one" expected (List.rev_map Int64.to_int !sealed);
+  (* the wire: the plain frame, then each sealed frame's header and body *)
+  let wire = Buffer.to_bytes got in
+  check int "plain frame first" 5 (Omf_reactor.Frame.read_header wire 0);
+  check Alcotest.string "sent as queued" "hello" (Bytes.sub_string wire 4 5);
+  let pos = ref 9 in
+  List.iteri
+    (fun k body ->
+      check int "sealed frame length" (8 + size)
+        (Omf_reactor.Frame.read_header wire !pos);
+      check int "header stamped in write order" (k + 1)
+        (Int64.to_int (Bytes.get_int64_be wire (!pos + 4)));
+      check int "the body behind it" body
+        (Int64.to_int (Bytes.get_int64_be wire (!pos + 12)));
+      pos := !pos + 12 + size)
+    expected;
+  check int "nothing else on the wire" (Bytes.length wire) !pos;
+  List.iter Unix.close [ a; b ];
   Reactor.dispose loop;
   Reactor.dispose loop2
 
@@ -458,7 +540,9 @@ let () =
         ; Alcotest.test_case "chunk slices borrow the scratch buffer"
             `Quick test_chunks_borrow_contract
         ; Alcotest.test_case "loop sums the queued bytes" `Quick
-            test_conn_queued_bytes ] )
+            test_conn_queued_bytes
+        ; Alcotest.test_case "sealed entries: queue order, once, never shed"
+            `Quick test_conn_sealed_entries ] )
     ; ( "wakeup"
       , [ Alcotest.test_case "inject under cross-thread load" `Quick
             test_inject_under_load ] )

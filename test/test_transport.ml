@@ -179,6 +179,34 @@ let test_endpoint_descriptor_sent_once () =
    with Loopback.Would_block -> ());
   check int "ten data messages decoded" 10 !count
 
+(* value-level endpoints keep their memories one message large: the
+   sender binds each value into a scratch memory it resets, and the
+   receiver resets its memory once the value is loaded *)
+let test_endpoint_memory_flat () =
+  let smem = Memory.create Abi.x86_64 and rmem = Memory.create Abi.sparc_32 in
+  let sreg = Registry.create Abi.x86_64 in
+  let sfmt = Registry.register sreg Fx.decl_a in
+  let rreg = Registry.create Abi.sparc_32 in
+  ignore (Registry.register rreg Fx.decl_a);
+  let a, b = Loopback.pair () in
+  let sender = Endpoint.Sender.create a smem in
+  let receiver = Endpoint.Receiver.create b rreg rmem in
+  let exchange () =
+    Endpoint.Sender.send_value sender sfmt Fx.value_a;
+    match Endpoint.Receiver.recv_value receiver with
+    | Some (_, v) ->
+      check value_testable "field survives" (Value.String "DELTA")
+        (Value.field_exn v "arln")
+    | None -> Alcotest.fail "no message"
+  in
+  exchange ();
+  let s0 = Memory.allocated_bytes smem and r0 = Memory.allocated_bytes rmem in
+  for _ = 1 to 10_000 do
+    exchange ()
+  done;
+  check int "sender memory flat" s0 (Memory.allocated_bytes smem);
+  check int "receiver memory flat" r0 (Memory.allocated_bytes rmem)
+
 let test_endpoint_rejects_garbage_frame () =
   let reg = Registry.create Abi.x86_64 in
   let a, b = Loopback.pair () in
@@ -302,20 +330,6 @@ let reference_tag ~key ~nonce payload =
   Bytes.set_int32_be prefix 8 (Int32.of_int (String.length payload));
   Sha256.hmac ~key (Bytes.to_string prefix ^ payload)
 
-(* [payload] cut at [cuts] into slices, each a window of a larger buffer *)
-let slices_of payload cuts =
-  let n = String.length payload in
-  let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
-  let rec go from = function
-    | [] -> [ (from, n - from) ]
-    | c :: rest -> (from, c - from) :: go c rest
-  in
-  List.map
-    (fun (off, len) ->
-      let buf = Bytes.of_string ("<<" ^ String.sub payload off len ^ ">>") in
-      Slice.make buf 2 len)
-    (go 0 (List.filter (fun c -> c > 0) cuts))
-
 (* a sender's and a receiver's state after [before] frames: the next
    frame's nonce is [before + 1] *)
 let after_frames key before =
@@ -330,17 +344,19 @@ let prop_macframe_tag =
     QCheck.(
       quad (string_of_size Gen.(0 -- 100)) (int_bound 4)
         (string_of_size Gen.(0 -- 300))
-        (small_list small_nat))
-    (fun (key, before, payload, cuts) ->
+        small_nat)
+    (fun (key, before, payload, lead) ->
       let nonce = Int64.of_int (before + 1) in
       let expected = reference_tag ~key ~nonce payload in
       let sealed =
         Macframe.seal_next (fst (after_frames key before)) (Bytes.of_string payload)
       in
-      let sealed_frame =
-        Macframe.seal_frame (fst (after_frames key before))
-          (Slice.of_bytes (Slice.concat (slices_of payload cuts)))
-      in
+      (* the payload viewed at an offset of a larger buffer *)
+      let buf = Bytes.of_string (String.make lead '<' ^ payload ^ ">>") in
+      let hdr = Bytes.create Macframe.header_length in
+      Macframe.seal_header (fst (after_frames key before)) hdr buf lead
+        (String.length payload);
+      let sealed_frame = Bytes.cat hdr (Bytes.of_string payload) in
       Bytes.get_int64_be sealed 0 = nonce
       && String.equal (Bytes.sub_string sealed 8 32) expected
       && Bytes.equal (Omf_reactor.Frame.encode sealed) sealed_frame
@@ -349,7 +365,8 @@ let prop_macframe_tag =
            payload)
 
 (* sealing feeds the payload to the MAC in place: [seal_next] allocates
-   the sealed body, not a second copy of the payload; [open_next]
+   the sealed body, not a second copy of the payload, and
+   [seal_header] of a viewed payload allocates nothing; [open_next]
    allocates the payload it returns, and no copy to MAC *)
 let test_macframe_allocation () =
   let key = "bench-key" and n = 16_384 in
@@ -363,8 +380,14 @@ let test_macframe_allocation () =
   in
   let st = Macframe.state ~key in
   within "seal" (fun () -> Macframe.seal_next st payload);
-  let view = Slice.make payload 1000 (n - 1000) in
-  within "seal_frame" (fun () -> Macframe.seal_frame st view);
+  let hdr = Bytes.create Macframe.header_length in
+  let header_B =
+    Omf_testkit.Alloc.bytes_per_call ~iters:50 (fun () ->
+        Macframe.seal_header st hdr payload 1000 (n - 1000))
+  in
+  if header_B > 16.0 then
+    Alcotest.failf "seal_header of %d B allocates %.0f B per call (budget 16 B)"
+      (n - 1000) header_B;
   (* the probe makes one warm-up call and 50 measured ones, each opening
      the next frame of a sequence *)
   let tx = Macframe.state ~key and rx = Macframe.state ~key in
@@ -530,10 +553,11 @@ let test_endpoint_recv_allocation () =
 
 (* Relaying through [Omf_reactor.Conn]: a publisher
    connection's frame, queued on a subscriber connection straight from
-   the publisher's read buffer ([Conn.send_wire ~lender]), and written
+   the publisher's read buffer ([Conn.send_body ~lender]), and written
    by the end-of-read flush. When the subscriber's socket takes it
    all, nothing is copied, so relaying a 16 KiB frame allocates only
-   the view, the 4-byte header and the queue entry. The loop runs on
+   the decoder's view: the queue entry and the header buffer it owns
+   are reused. The loop runs on
    this test's domain (allocation counters are per domain) and also
    drives both socketpair ends the test holds; each frame is measured
    from the publisher's read to the subscriber's write. *)
@@ -568,7 +592,8 @@ let test_conn_relay_allocation () =
   let pub =
     Conn.attach loop pub_fd
       ~on_input:(fun c body ->
-        Conn.send_wire sub ~droppable:true ~lender:c (Frame.wire [ body ]))
+        Conn.send_body sub ~droppable:true ~lender:c body.buf body.off
+          body.len)
       ~on_close:(fun _ _ -> ())
       ~on_bytes:(fun _ dir _ ->
         if dir = `In && not !measuring then begin
@@ -629,7 +654,9 @@ let () =
             test_endpoint_descriptor_sent_once
         ; Alcotest.test_case "garbage frames rejected" `Quick
             test_endpoint_rejects_garbage_frame
-        ; Alcotest.test_case "works over netsim" `Quick test_endpoint_over_netsim ] )
+        ; Alcotest.test_case "works over netsim" `Quick test_endpoint_over_netsim
+        ; Alcotest.test_case "value endpoints keep memory flat" `Quick
+            test_endpoint_memory_flat ] )
     ; ( "tcp",
         [ Alcotest.test_case "cross-ABI over real sockets" `Quick test_tcp_roundtrip
         ; Alcotest.test_case "connection refused" `Quick test_tcp_connect_refused
