@@ -5,8 +5,9 @@
 
     [relayd --port 9117 --policy block] runs until SIGINT/SIGTERM, then
     drains subscriber queues gracefully and prints final stats.
-    [--shards N] spreads connections over N event loops (one domain
-    each, streams pinned to shards); [--metrics-port P] serves
+    [--shards N] spreads connections over N event loops (the first on
+    the main thread, which also accepts; one domain each for the rest;
+    streams pinned to shards); [--metrics-port P] serves
     Prometheus counters on [GET /metrics].
 
     [--mirror HOST:PORT] runs this relayd as a follower of another
@@ -113,9 +114,9 @@ let shards_arg =
     value & opt int 1
     & info [ "shards" ] ~docv:"N"
         ~doc:
-          "Run $(docv) event loops (one domain each) behind one acceptor. \
-           Streams are pinned to shards, preserving per-stream delivery \
-           order.")
+          "Run $(docv) event loops: the first on the main thread, which \
+           also accepts, the others on a domain each. Streams are pinned \
+           to shards, preserving per-stream delivery order.")
 
 let metrics_port_arg =
   Arg.(
@@ -359,7 +360,7 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
   if shards < 1 then `Error (false, "--shards must be >= 1")
   else
     match
-      Omf_relay.Relay.start ~host ~port ~shards ~policy ~max_queue
+      Omf_relay.Relay.listen ~host ~port ~shards ~policy ~max_queue
         ~evict_grace_s:evict_grace ~auth_keys ~mac_reject_limit
         ~drain_s:drain ~governor ?ingress ?trace ?store ?relay_id ()
     with
@@ -389,27 +390,22 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
                Printf.sprintf ", governor budget %dB" governor_budget
              else "")
             trace_sample trace_slow_us);
-      let mir =
-        Option.map
-          (fun (src_host, src_port, globs) ->
-            let m =
-              Omf_mirror.Mirror.start relay
-                (Omf_mirror.Mirror.config ~globs ~rescan_s:mirror_rescan
-                   ~promote_on_loss:mirror_promote
-                   ~compress:mirror_compress ~source_host:src_host
-                   ~source_port:src_port ())
-            in
-            Printf.printf "relayd: mirroring %s:%d%s%s%s\n%!" src_host
-              src_port
-              (match globs with
-              | [] -> ""
-              | gs -> Printf.sprintf " (streams %s)" (String.concat ", " gs))
-              (if mirror_promote then ", promote on loss" else "")
-              (if mirror_compress then ", compress" else "");
-            m)
-          mirror
+      let start_mirror (src_host, src_port, globs) =
+        let m =
+          Omf_mirror.Mirror.start relay
+            (Omf_mirror.Mirror.config ~globs ~rescan_s:mirror_rescan
+               ~promote_on_loss:mirror_promote ~compress:mirror_compress
+               ~source_host:src_host ~source_port:src_port ())
+        in
+        Printf.printf "relayd: mirroring %s:%d%s%s%s\n%!" src_host src_port
+          (match globs with
+          | [] -> ""
+          | gs -> Printf.sprintf " (streams %s)" (String.concat ", " gs))
+          (if mirror_promote then ", promote on loss" else "")
+          (if mirror_compress then ", compress" else "");
+        m
       in
-      let stats_components () =
+      let stats_components mir =
         ("relay", Omf_relay.Relay.stats relay)
         :: (match mir with
            | None -> []
@@ -429,56 +425,80 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
                   (Omf_relay.Relay.Trace.summary_json (all_spans ())) )
           ]
       in
-      let serve_metrics p =
+      let serve_metrics mir p =
         let srv =
           Omf_httpd.Http.serve ~host ~port:p
             (Omf_httpd.Http.metrics_handler ~staleness:true
                ~routes:trace_routes
                (List.map
                   (fun (name, _) ->
-                    (name, fun () -> List.assoc name (stats_components ())))
-                  (stats_components ())))
+                    (name, fun () -> List.assoc name (stats_components mir)))
+                  (stats_components mir)))
         in
         Printf.printf "relayd: metrics on http://%s:%d/metrics\n%!" host
           (Omf_httpd.Http.port srv);
         srv
       in
-      (match Option.map serve_metrics metrics_port with
-      | exception Unix.Unix_error (e, _, _) ->
-        (* the relay and the mirror are already up: stop them as a
-           signal would, then report the port like a busy --port *)
-        Option.iter Omf_mirror.Mirror.stop mir;
-        Omf_relay.Relay.stop relay;
-        `Error
-          ( false
-          , Printf.sprintf "bind %s:%d: %s" host (Option.get metrics_port)
-              (Unix.error_message e) )
-      | metrics ->
-        (* the handler only wakes the main thread, which stops the mirror
-           before the relay: a drain closing replication links must not
-           look like a source outage *)
-        let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-        let stop _ = ignore (Unix.write_substring wake_w "!" 0 1) in
-        Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-        let rec await () =
-          match Unix.read wake_r (Bytes.create 1) 0 1 with
-          | _ -> ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
-        in
-        await ();
-        Option.iter Omf_mirror.Mirror.stop mir;
-        Omf_relay.Relay.stop relay;
-        Option.iter Omf_httpd.Http.shutdown metrics;
-        Printf.printf "relayd: final stats\n";
-        List.iter
-          (fun (component, stats) ->
-            List.iter
-              (fun (k, v) -> Printf.printf "  %-32s %d\n" (component ^ "." ^ k) v)
-              stats)
-          (stats_components ());
-        `Ok ())
+      (* the signal handlers only wake the control thread, which stops
+         the mirror before the relay: a drain closing replication links
+         must not look like a source outage *)
+      let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+      let stop _ = ignore (Unix.write_substring wake_w "!" 0 1) in
+      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      let rec await () =
+        match Unix.read wake_r (Bytes.create 1) 0 1 with
+        | _ -> ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
+      in
+      (* The control thread starts the mirror and the metrics server,
+         waits for a signal, then stops them and the relay, while the
+         main thread runs shard 0's loop until that stop has drained
+         it. *)
+      let control () =
+        let mir = Option.map start_mirror mirror in
+        match Option.map (serve_metrics mir) metrics_port with
+        | exception Unix.Unix_error (e, _, _) ->
+          (* the relay and the mirror are already up: stop them as a
+             signal would, then report the port like a busy --port *)
+          Option.iter Omf_mirror.Mirror.stop mir;
+          Omf_relay.Relay.stop relay;
+          `Error
+            ( false
+            , Printf.sprintf "bind %s:%d: %s" host (Option.get metrics_port)
+                (Unix.error_message e) )
+        | metrics ->
+          await ();
+          Option.iter Omf_mirror.Mirror.stop mir;
+          Omf_relay.Relay.stop relay;
+          Option.iter Omf_httpd.Http.shutdown metrics;
+          Printf.printf "relayd: final stats\n";
+          List.iter
+            (fun (component, stats) ->
+              List.iter
+                (fun (k, v) ->
+                  Printf.printf "  %-32s %d\n" (component ^ "." ^ k) v)
+                stats)
+            (stats_components mir);
+          `Ok ()
+      in
+      let outcome = ref (Error Exit) in
+      let th =
+        Thread.create
+          (fun () ->
+            outcome :=
+              match control () with
+              | v -> Ok v
+              | exception e ->
+                (* never leave the main thread's loop running *)
+                Omf_relay.Relay.stop relay;
+                Error e)
+          ()
+      in
+      Omf_relay.Relay.run relay;
+      Thread.join th;
+      (match !outcome with Ok v -> v | Error e -> raise e)
     | exception Unix.Unix_error (e, _, _) ->
       `Error
         (false, Printf.sprintf "bind %s:%d: %s" host port (Unix.error_message e))

@@ -458,6 +458,44 @@ let dispose (t : t) =
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   try Unix.close t.wake_w with Unix.Unix_error _ -> ()
 
+(** How long a listener goes unread after [accept] failed for want of
+    descriptors or memory. The loop serves its open connections
+    meanwhile, and one of them closing frees what the next accept
+    needs; a listener read again at once would spin [select] on a
+    backlog it cannot take. *)
+let accept_pause_s = 0.1
+
+(** Register the listening socket [sock] (made non-blocking): each time
+    it is readable, accept until it would block and hand each socket to
+    [on_accept]. [EINTR] and [ECONNABORTED] (a client gone before its
+    accept) retry. Any other error ([EMFILE], [ENFILE], [ENOBUFS],
+    [ENOMEM]) is logged and passed to [on_error], and the listener is
+    left unread for {!accept_pause_s}. *)
+let accept_on (t : t) (sock : Unix.file_descr)
+    ~(on_error : Unix.error -> unit) (on_accept : Unix.file_descr -> unit) :
+    registration =
+  Unix.set_nonblock sock;
+  let cell = ref None in
+  let rec accept_all () =
+    match Unix.accept ~cloexec:true sock with
+    | fd, _ ->
+      on_accept fd;
+      accept_all ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> accept_all ()
+    | exception Unix.Unix_error (err, _, _) ->
+      Log.warn (fun m ->
+          m "accept: %s; listener paused %.0f ms" (Unix.error_message err)
+            (accept_pause_s *. 1000.));
+      on_error err;
+      let reg = Option.get !cell in
+      set_read reg false;
+      ignore (after t accept_pause_s (fun () -> set_read reg true))
+  in
+  let reg = register t sock ~on_readable:accept_all ~on_writable:ignore in
+  cell := Some reg;
+  reg
+
 exception Resolve_error of string
 
 (** [resolve host] is the IPv4 address every socket here binds or dials

@@ -95,6 +95,22 @@ val set_on_queued : t -> (int -> unit) -> unit
     from the {!Conn} operation that moved it. Set it once, before
     {!run}. *)
 
+val accept_on :
+  t ->
+  Unix.file_descr ->
+  on_error:(Unix.error -> unit) ->
+  (Unix.file_descr -> unit) ->
+  registration
+(** [accept_on t sock ~on_error on_accept] makes the listening socket
+    [sock] non-blocking and registers it: each time it is readable, the
+    loop accepts until [EAGAIN] and hands each accepted socket
+    (close-on-exec) to [on_accept]. [EINTR] and [ECONNABORTED] retry.
+    Any other error (descriptors or memory ran out: [EMFILE], [ENFILE],
+    [ENOBUFS], [ENOMEM]) is logged and passed to [on_error], and the
+    listener goes unread for a fixed 100 ms, so the loop neither spins
+    on a backlog it cannot take nor stops accepting for good. Deregister
+    the listener before closing it. *)
+
 exception Resolve_error of string
 
 val resolve : string -> Unix.inet_addr

@@ -33,23 +33,16 @@ let start (listeners : (string * int * accept) list) : t =
   let bound = bind_all listeners in
   let loop = Reactor.create () in
   let conns = Hashtbl.create 16 and next_id = ref 0 in
-  let rec accept_all sock (accept : accept) () =
-    match Unix.accept ~cloexec:true sock with
-    | fd, _ ->
-      let id = !next_id in
-      incr next_id;
-      Hashtbl.replace conns id
-        (accept loop fd ~on_close:(fun _ _ -> Hashtbl.remove conns id));
-      accept_all sock accept ()
-    | exception Unix.Unix_error _ -> ()
-  in
   let registered =
     List.map2
-      (fun (sock, _) (_, _, accept) ->
-        Unix.set_nonblock sock;
+      (fun (sock, _) (_, _, (accept : accept)) ->
         ( sock
-        , Reactor.register loop sock ~on_readable:(accept_all sock accept)
-            ~on_writable:ignore ))
+        , Reactor.accept_on loop sock ~on_error:ignore (fun fd ->
+              let id = !next_id in
+              incr next_id;
+              Hashtbl.replace conns id
+                (accept loop fd ~on_close:(fun _ _ -> Hashtbl.remove conns id)))
+        ))
       bound listeners
   in
   { loop; listeners = registered; ports = List.map snd bound; conns

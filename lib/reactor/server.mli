@@ -1,8 +1,9 @@
 (** The listener lifecycle the registry and the HTTP server share: bind
     a list of listening sockets, accept on all of them on one reactor
     loop running on its own thread, track the accepted connections, and
-    shut everything down. (The relay deals accepted sockets across
-    domains from an acceptor thread of its own.) *)
+    shut everything down. (The relay accepts on its first shard's loop
+    and deals the sockets across its shards.) Both accept with
+    {!Reactor.accept_on}. *)
 
 type accept =
   Reactor.t -> Unix.file_descr -> on_close:(Conn.t -> string -> unit) -> Conn.t

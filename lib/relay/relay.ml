@@ -18,8 +18,9 @@
     Design points:
 
     - {b Single-threaded per shard.} A relay is N shards (one by
-      default), each a reactor loop on its own domain, behind one
-      acceptor thread. A loop owns every socket of its shard;
+      default), each a reactor loop on its own domain; shard 0's loop
+      also accepts, and deals sockets out to the others (relayd runs
+      shard 0 on its main thread). A loop owns every socket of its shard;
       non-blocking reads are reassembled into frames by
       {!Omf_reactor.Conn}, writes are queued per connection and flushed
       on writability. No locks on the hot path, deterministic fan-out
@@ -1363,8 +1364,10 @@ let shard_minor_heap_words = 49_152
     embedder's [Relay.start]) by as much, while the few words a shard
     allocates before its first message touch little of the default
     nursery, and the resize gives those pages back. [Gc.set] sizes the
-    calling domain only: the acceptor's and the embedder's domains keep
-    theirs ([OCAMLRUNPARAM]'s [s]). *)
+    calling domain only: an embedder's own domains keep theirs
+    ([OCAMLRUNPARAM]'s [s]). relayd runs shard 0 on its main domain, so
+    there shard 0's resize sizes the main domain, which the metrics
+    loop and the mirror's threads share. *)
 let size_nursery (t : shard) =
   t.nursery_sized <- true;
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = shard_minor_heap_words }
@@ -1679,8 +1682,9 @@ let new_conn (t : shard) (fd : Unix.file_descr) ~mac ~comp : conn =
   Counters.incr t.counters "connections";
   c
 
-(** Wire an accepted socket into shard [t] (loop-thread only; the
-    acceptor reaches this through {!Reactor.inject}). *)
+(** Wire an accepted socket into shard [t] (loop-thread only; shard 0's
+    accept handler, {!deal}, reaches another shard through
+    {!Reactor.inject}). *)
 let adopt_fd (t : shard) (fd : Unix.file_descr) =
   if t.state <> Running then (
     try Unix.close fd with Unix.Unix_error _ -> ())
@@ -1793,8 +1797,9 @@ let run_loop (t : shard) : unit =
       Condition.broadcast t.shared.call_cv);
   Reactor.dispose t.reactor
 
-(** The acceptor: deal accepted sockets out to the shards round-robin,
-    until the listener is shut down.
+(** Shard 0's accept handler: deal each accepted socket out to the
+    shards round-robin, shard 0 adopting its own share at once and the
+    others through {!Reactor.inject}.
 
     Governor-aware dealing (doc/OVERLOAD.md): scan the round-robin
     order but skip shards currently Overloaded, so a drowning loop is
@@ -1804,7 +1809,7 @@ let run_loop (t : shard) : unit =
     that was recovering anyway. When every shard is overloaded the
     plain round-robin pick stands (the governor's admission control
     sheds work from there). *)
-let accept_loop (lsock : Unix.file_descr) (shards : shard array) () =
+let deal (shards : shard array) : Unix.file_descr -> unit =
   let n = Array.length shards in
   let next = ref 0 in
   let pick () =
@@ -1822,31 +1827,24 @@ let accept_loop (lsock : Unix.file_descr) (shards : shard array) () =
     in
     scan 0
   in
-  let continue = ref true in
-  while !continue do
-    match Unix.accept ~cloexec:true lsock with
-    | fd, _ ->
-      let shard = pick () in
-      Reactor.inject shard.reactor (fun () -> adopt_fd shard fd)
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ ->
-      (* listener shut down (or died): stop dealing *)
-      continue := false
-  done
+  fun fd ->
+    let shard = pick () in
+    if shard == shards.(0) then adopt_fd shard fd
+    else Reactor.inject shard.reactor (fun () -> adopt_fd shard fd)
 
 (* ------------------------------------------------------------------ *)
-(* The relay: shards behind one acceptor                                *)
+(* The relay: shard 0 accepts                                           *)
 (* ------------------------------------------------------------------ *)
 
 type t = {
   lsock : Unix.file_descr;
+  lreg : Reactor.registration;  (** the listener, on shard 0's loop *)
   port : int;
   shared : shared;  (** the pins table and every shard *)
-  acceptor : Thread.t;
-  domains : unit Domain.t array;
+  domains : unit Domain.t list;  (** the loops {!stop} joins *)
 }
 
-let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
+let listen ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
     ?(policy = Block) ?(max_queue = 256) ?(evict_grace_s = 1.0) ?sndbuf
     ?(auth_keys = []) ?(mac_reject_limit = 3) ?(drain_s = 2.0)
     ?(governor = Governor.config ~budget:0 ()) ?ingress ?trace ?store () : t =
@@ -1901,8 +1899,15 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
       (Store.streams cfg);
     Array.iteri (fun i streams -> recover_streams arr.(i) cfg streams) per_shard
   | None -> ());
-  let domains = Array.map (fun s -> Domain.spawn (fun () -> run_loop s)) arr in
-  let acceptor = Thread.create (accept_loop lsock arr) () in
+  let lreg =
+    Reactor.accept_on arr.(0).reactor lsock
+      ~on_error:(fun _ -> Counters.incr arr.(0).counters "accept_errors")
+      (deal arr)
+  in
+  let domains =
+    List.init (shards - 1) (fun i ->
+        Domain.spawn (fun () -> run_loop arr.(i + 1)))
+  in
   Log.info (fun m ->
       m "relay listening on %s:%d (%d shard%s, policy %s, max queue %d%s)"
         host bound_port shards
@@ -1913,7 +1918,20 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
           Printf.sprintf ", store %s fsync %s" cfg.Store.root
             (Store.fsync_policy_to_string cfg.Store.fsync)
         | None -> ""));
-  { lsock; port = bound_port; shared; acceptor; domains }
+  { lsock; lreg; port = bound_port; shared; domains }
+
+(** Shard 0's loop on the calling thread, until {!stop} has drained it. *)
+let run (r : t) = run_loop r.shared.peers.(0)
+
+let start ?host ?port ?relay_id ?shards ?policy ?max_queue ?evict_grace_s
+    ?sndbuf ?auth_keys ?mac_reject_limit ?drain_s ?governor ?ingress ?trace
+    ?store () : t =
+  let r =
+    listen ?host ?port ?relay_id ?shards ?policy ?max_queue ?evict_grace_s
+      ?sndbuf ?auth_keys ?mac_reject_limit ?drain_s ?governor ?ingress ?trace
+      ?store ()
+  in
+  { r with domains = Domain.spawn (fun () -> run r) :: r.domains }
 
 let port (r : t) = r.port
 let shard_count (r : t) = Array.length r.shared.peers
@@ -1981,22 +1999,31 @@ let trace_spans (r : t) : Trace.span list =
          match s.trace with None -> [] | Some col -> Trace.spans col)
   |> List.sort (fun a b -> compare a.Trace.sp_start_us b.Trace.sp_start_us)
 
-(** Unblock the acceptor, ask every shard to drain on its own loop,
-    then join the acceptor and every shard domain. *)
+(** Close the listener on shard 0's loop, ask every shard to drain on
+    its own loop, wait until every loop has exited, then join the loops'
+    domains. *)
 let stop (r : t) =
-  if Atomic.compare_and_set r.shared.stopped false true then begin
-    (try Unix.shutdown r.lsock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  let x = r.shared in
+  if Atomic.compare_and_set x.stopped false true then begin
+    (* accept nothing more before any loop drains: a socket dealt to a
+       shard whose loop has exited would meet a closed wake pipe *)
+    ignore
+      (on_loop x.peers.(0) (fun () ->
+           Reactor.deregister x.peers.(0).reactor r.lreg;
+           try Unix.close r.lsock with Unix.Unix_error _ -> ()));
     Array.iter
       (fun s ->
         (* under [call_mu], as in {!on_loop}: a loop that has exited
            has disposed its wake pipe *)
-        Mutex.protect r.shared.call_mu (fun () ->
+        Mutex.protect x.call_mu (fun () ->
             if not s.exited then
               Reactor.inject s.reactor (fun () -> begin_drain s)))
-      r.shared.peers;
-    Thread.join r.acceptor;
-    Array.iter Domain.join r.domains;
-    try Unix.close r.lsock with Unix.Unix_error _ -> ()
+      x.peers;
+    Mutex.protect x.call_mu (fun () ->
+        while not (Array.for_all (fun s -> s.exited) x.peers) do
+          Condition.wait x.call_cv x.call_mu
+        done);
+    List.iter Domain.join r.domains
   end
 
 (* ------------------------------------------------------------------ *)

@@ -59,9 +59,9 @@ module Trace = Omf_trace.Trace
 
 (** {2 The relay}
 
-    N shards (one by default) — one {!Omf_reactor.Reactor} loop per
-    domain — behind a single acceptor thread that deals accepted sockets
-    out round-robin. A stream is pinned to the shard that first
+    N shards (one by default), one {!Omf_reactor.Reactor} loop each.
+    Shard 0's loop accepts on the listener and deals the accepted
+    sockets out round-robin. A stream is pinned to the shard that first
     ADVERTISEs it (or, with a store, the one its name hashes to at
     recovery); a connection landing on the wrong shard migrates there
     before taking a role, so every frame of a stream flows through
@@ -89,8 +89,9 @@ val start :
   t
 (** Bind one listening socket (ephemeral port when [?port] is 0, the
     default) and run [?shards] (default 1) relay loops, each on its own
-    domain; every argument below applies to every shard. Pair each
-    [start] with {!stop}: live domains are a capped resource.
+    domain: {!listen}, then {!run} on a new domain. Every argument
+    below applies to every shard. Pair each [start] with {!stop}: live
+    domains are a capped resource.
 
     [max_queue] bounds each subscriber's queued data frames
     (default 256); [evict_grace_s] (default 1.0) is how long a
@@ -141,6 +142,37 @@ val start :
     (so a restart keeps owning its streams); a memory-only relay gets
     a fresh random id. *)
 
+val listen :
+  ?host:string ->
+  ?port:int ->
+  ?relay_id:string ->
+  ?shards:int ->
+  ?policy:policy ->
+  ?max_queue:int ->
+  ?evict_grace_s:float ->
+  ?sndbuf:int ->
+  ?auth_keys:(string * string) list ->
+  ?mac_reject_limit:int ->
+  ?drain_s:float ->
+  ?governor:Governor.config ->
+  ?ingress:float * float ->
+  ?trace:Trace.settings ->
+  ?store:Omf_store.Store.config ->
+  unit ->
+  t
+(** {!start} without shard 0's domain: bind the listener, recover the
+    stored streams and run shards 1..N-1, each on its own domain.
+    Nothing is accepted until {!run} runs shard 0. Takes {!start}'s
+    arguments. *)
+
+val run : t -> unit
+(** Run shard 0's loop, which accepts for every shard, on the calling
+    thread until {!stop} has drained it. Call it once, on a relay from
+    {!listen}; {!stop}, called from another thread, waits for it. A
+    thread that shares its domain with others competes with them for
+    the runtime lock, so give the loop a domain of its own (relayd runs
+    it on its main thread, which does nothing else). *)
+
 val port : t -> int
 val shard_count : t -> int
 
@@ -177,8 +209,9 @@ val trace_spans : t -> Trace.span list
     time; empty when tracing is disabled. Safe from any thread. *)
 
 val stop : t -> unit
-(** Unblock the acceptor, ask every shard to drain, then join the
-    acceptor thread and every shard domain. *)
+(** Close the listener (on shard 0's loop), ask every shard to drain,
+    wait until every loop has exited, then join the shards' domains.
+    Idempotent. *)
 
 (** {2 Replication links}
 

@@ -757,8 +757,8 @@ let test_publisher_overflow_is_explicit () =
 (* Sharded relay: pinned streams, handoffs, zero loss                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Three streams on a two-shard cluster: the round-robin acceptor is
-   guaranteed to land some connections on the shard that does not own
+(* Three streams on a two-shard cluster: shard 0's round-robin dealing
+   is guaranteed to land some connections on the shard that does not own
    their stream, so this exercises the detach/adopt handoff path —
    under HMAC framing, whose per-direction nonces must survive the
    migration. *)
@@ -1126,6 +1126,163 @@ let test_relayd_busy_metrics_port () =
     check bool "stdout starts with the listening line" true
       (String.starts_with ~prefix:"relayd: listening on " out)
 
+(* ------------------------------------------------------------------ *)
+(* relayd as a process: accept errors, signal drain, footprint          *)
+(* ------------------------------------------------------------------ *)
+
+type relayd = {
+  pid : int;
+  mutable port : int;  (** read from its listening line *)
+  out : in_channel;  (** relayd's stdout, after its listening line *)
+  mutable status : Unix.process_status option;  (** once reaped *)
+}
+
+(** Run [f] on a relayd started as [relayd --port 0 ARGS] ([OMF_RELAYD];
+    the case is skipped without it), under [ulimit -n fd_limit] when
+    given. Its port is read from its listening line; it is SIGKILLed
+    afterwards if [f] did not reap it. *)
+let with_relayd ?fd_limit (args : string list) (f : relayd -> unit) =
+  match Sys.getenv_opt "OMF_RELAYD" with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    let argv = Array.of_list (exe :: "--port" :: "0" :: args) in
+    let prog, argv =
+      match fd_limit with
+      | None -> (exe, argv)
+      | Some n ->
+        ( "/bin/sh"
+        , Array.append
+            [| "sh"; "-c"; Printf.sprintf "ulimit -n %d; exec \"$0\" \"$@\"" n |]
+            argv )
+    in
+    let out_r, out_w = Unix.pipe ~cloexec:true () in
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let pid = Unix.create_process prog argv null out_w null in
+    List.iter Unix.close [ out_w; null ];
+    let out = Unix.in_channel_of_descr out_r in
+    let r = { pid; port = 0; out; status = None } in
+    Fun.protect
+      ~finally:(fun () ->
+        if r.status = None then (
+          try
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid)
+          with Unix.Unix_error _ -> ());
+        close_in_noerr out)
+    @@ fun () ->
+    r.port <-
+      Scanf.sscanf (input_line out) "relayd: listening on %_s@:%d" Fun.id;
+    f r
+
+(** Reap [r] within [within_s] seconds, or fail. *)
+let wait_exit (r : relayd) ~within_s =
+  poll ~deadline_s:within_s ~what:"relayd exit" (fun () ->
+      match Unix.waitpid [ Unix.WNOHANG ] r.pid with
+      | 0, _ -> false
+      | _, st ->
+        r.status <- Some st;
+        true)
+
+let hello_served ~port =
+  match
+    Relay.Client.connect ~port ~connect_timeout_s:0.5 ~io_timeout_s:0.5 ()
+  with
+  | c ->
+    Relay.Client.close c;
+    true
+  | exception Relay.Client.Error _ -> false
+
+(** relayd under [ulimit -n 16] with 20 clients in its backlog: accept
+    runs out of descriptors (EMFILE). The clients then close; once
+    relayd has read their EOFs it has descriptors again, and a new
+    client must be served, with the failed accepts counted. A relay
+    that gave up accepting at the first error stays deaf here. *)
+let test_relayd_accept_survives_emfile () =
+  with_relayd ~fd_limit:16 [] @@ fun r ->
+  let clients =
+    List.init 20 (fun _ ->
+        let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, r.port));
+        s)
+  in
+  Thread.delay 0.3;
+  List.iter Unix.close clients;
+  poll ~what:"HELLO served after the descriptors came back" (fun () ->
+      hello_served ~port:r.port);
+  check bool "accept_errors counted" true
+    (relay_stat ~port:r.port "accept_errors" >= 1)
+
+(** doc/REACTOR.md §6: on [signal], relayd stops accepting and reading,
+    flushes what it holds to the subscriber, prints its final stats and
+    exits 0 within its drain deadline. The signal goes out as soon as
+    the relay has taken in the last of [n] events, while the subscriber
+    is still reading them. *)
+let relayd_drains ~signal ~shards () =
+  let drain_s = 2.0 in
+  with_relayd
+    [ "--shards"; string_of_int shards; "--drain"; string_of_float drain_s ]
+  @@ fun r ->
+  let pub =
+    Session.publisher (cfg ~port:r.port ()) ~stream:"flights"
+      ~schema:Fx.schema_a Abi.x86_64
+  in
+  let fmt = Option.get (Session.publisher_format pub "ASDOffEvent") in
+  let sub = Relay.attach_consumer ~port:r.port ~stream:"flights" Abi.sparc_32 in
+  let seqs = ref [] in
+  let reader =
+    Thread.create
+      (fun () ->
+        let rec go () =
+          match Relay.recv sub with
+          | Some (_, v) ->
+            seqs := seq_of v :: !seqs;
+            go ()
+          | None | (exception _) -> ()
+        in
+        go ())
+      ()
+  in
+  let n = scale 2000 in
+  for seq = 0 to n - 1 do
+    Session.publish_value pub fmt (event seq)
+  done;
+  poll ~what:"every event taken in" (fun () ->
+      relay_stat ~port:r.port "events_relayed" >= n);
+  Unix.kill r.pid signal;
+  wait_exit r ~within_s:(drain_s +. 1.0);
+  Thread.join reader;
+  Session.close_publisher pub;
+  Relay.close_consumer sub;
+  check bool "exit 0" true (r.status = Some (Unix.WEXITED 0));
+  check bool "final stats printed" true
+    (Omf_testkit.Strings.contains (In_channel.input_all r.out)
+       "relayd: final stats");
+  check int "subscriber got every event" n (List.length !seqs);
+  check bool "in order" true (List.rev !seqs = List.init n Fun.id)
+
+(** relayd runs shard 0 on its main thread, which also accepts: with
+    one shard it spawns no domain and no acceptor thread, so it runs
+    at most three threads (main, the signal wait, the runtime's tick
+    thread). Read from /proc, so Linux only. *)
+let test_relayd_footprint () =
+  if not (Sys.file_exists "/proc/self/status") then Alcotest.skip ();
+  with_relayd [] @@ fun r ->
+  poll ~what:"HELLO served" (fun () -> hello_served ~port:r.port);
+  let threads =
+    In_channel.with_open_text (Printf.sprintf "/proc/%d/status" r.pid)
+    @@ fun ic ->
+    let rec find () =
+      match In_channel.input_line ic with
+      | Some l when String.starts_with ~prefix:"Threads:" l ->
+        Scanf.sscanf l "Threads: %d" Fun.id
+      | Some _ -> find ()
+      | None -> Alcotest.fail "no Threads: line"
+    in
+    find ()
+  in
+  check bool (Printf.sprintf "at most 3 threads (%d)" threads) true
+    (threads <= 3)
+
 let () =
   Alcotest.run "faults"
     [ ( "client-errors",
@@ -1172,7 +1329,17 @@ let () =
             `Quick test_ingress_rate_limit_paces_publisher ] )
     ; ( "relayd",
         [ Alcotest.test_case "busy --metrics-port: clean bind error" `Quick
-            test_relayd_busy_metrics_port ] )
+            test_relayd_busy_metrics_port
+        ; Alcotest.test_case "accept survives EMFILE (ulimit -n 16)" `Quick
+            test_relayd_accept_survives_emfile
+        ; Alcotest.test_case "SIGINT drains every event" `Quick
+            (relayd_drains ~signal:Sys.sigint ~shards:1)
+        ; Alcotest.test_case "SIGTERM drains every event" `Quick
+            (relayd_drains ~signal:Sys.sigterm ~shards:1)
+        ; Alcotest.test_case "SIGINT drains 2 shards" `Quick
+            (relayd_drains ~signal:Sys.sigint ~shards:2)
+        ; Alcotest.test_case "one shard: at most 3 threads" `Quick
+            test_relayd_footprint ] )
     ; ( "discovery",
         [ Alcotest.test_case "falls back within deadline (blackhole)" `Quick
             test_discovery_falls_back_within_deadline

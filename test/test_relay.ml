@@ -322,7 +322,7 @@ let wait_stat ~port key target =
     key target
 
 (* ... on an open connection: no new connection is dealt out, so which
-   shard the acceptor hands the next one to stays predictable
+   shard 0 deals the next one to stays predictable
    (round-robin: consecutive connections land on different shards) *)
 let wait_stat_on client key target =
   poll_stat (fun () -> Relay.Client.stats client) key target
