@@ -33,6 +33,7 @@ module Discovery = Omf_xml2wire.Discovery
 module Netsim = Omf_transport.Netsim
 module Http = Omf_httpd.Http
 module Relay = Omf_relay.Relay
+module Session = Omf_relay.Relay_session
 open Harness
 open Workloads
 
@@ -539,19 +540,19 @@ let e6_store () =
         in
         let h = Relay.start ~store () in
         let port = Relay.port h in
-        let cfg = Relay.Session.config ~port () in
+        let cfg = Session.config ~port () in
         let pub =
-          Relay.Session.publisher ~acked:true cfg ~stream ~schema:Fx.schema_a
+          Session.publisher ~acked:true cfg ~stream ~schema:Fx.schema_a
             Abi.x86_64
         in
         let pfmt =
-          Option.get (Relay.Session.publisher_format pub "ASDOffEvent")
+          Option.get (Session.publisher_format pub "ASDOffEvent")
         in
         let t0 = now_s () in
         for seq = 0 to events - 1 do
-          Relay.Session.publish_value pub pfmt (event seq)
+          Session.publish_value pub pfmt (event seq)
         done;
-        Relay.Session.flush_acked pub;
+        Session.flush_acked pub;
         let dt = now_s () -. t0 in
         note
           "acked publisher (%s segments): %d events published and\n\
@@ -559,7 +560,7 @@ let e6_store () =
            fsync every=64).\n"
           label events dt
           (float_of_int events /. dt);
-        Relay.Session.close_publisher pub;
+        Session.close_publisher pub;
         Relay.stop h;
         let t0 = now_s () in
         let st = Store.open_stream store stream in

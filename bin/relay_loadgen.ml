@@ -23,6 +23,7 @@ open Cmdliner
 open Omf_machine
 open Omf_pbio.Pbio
 module Relay = Omf_relay.Relay
+module Session = Omf_relay.Relay_session
 module Fx = Omf_fixtures.Paper_structs
 module Catalog = Omf_xml2wire.Catalog
 module X2W = Omf_xml2wire.Xml2wire
@@ -54,9 +55,9 @@ type sub_report = {
 
 let subscriber_thread ~host ~port ?auth ~compress ~stream ~last_seq
     (abi : Abi.t) (report : sub_report) () =
-  let consumer = Relay.attach_consumer ~host ~port ?auth ~compress ~stream abi in
+  let consumer = Session.attach_consumer ~host ~port ?auth ~compress ~stream abi in
   let rec go prev =
-    match Relay.recv consumer with
+    match Session.recv consumer with
     | None -> report.closed_early <- true
     | Some (_, v) ->
       let seq = match Value.field_exn v "fltNum" with
@@ -68,12 +69,12 @@ let subscriber_thread ~host ~port ?auth ~compress ~stream ~last_seq
       if seq < last_seq then go seq
   in
   (try go (-1) with _ -> report.closed_early <- true);
-  (match Relay.Client.comp_totals consumer.Relay.client with
+  (match Relay.Client.comp_totals consumer.Session.client with
   | Some (raw, wire) ->
     report.raw_bytes <- raw;
     report.wire_bytes <- wire
   | None -> ());
-  Relay.close_consumer consumer;
+  Session.close_consumer consumer;
   report.finished <- true
 
 (** One measured publish/fan-out cycle at payload padding [pad]:

@@ -22,6 +22,7 @@ module X2W = Omf_xml2wire.Xml2wire
 module Catalog = Omf_xml2wire.Catalog
 module Discovery = Omf_xml2wire.Discovery
 module Relay = Omf_relay.Relay
+module Session = Omf_relay.Relay_session
 module Sender = Omf_transport.Endpoint.Sender
 module Http = Omf_httpd.Http
 module Prng = Omf_util.Prng
@@ -149,7 +150,7 @@ let publish (catalog, sender) name v =
    what was published since the consumer's last read *)
 let show role consumer n =
   for _ = 1 to n do
-    match Relay.recv consumer with
+    match Session.recv consumer with
     | Some (fmt, v) ->
       Printf.printf "  [%s] %s %s\n" role fmt.Format.name (Value.to_string v)
     | None -> failwith (role ^ ": relay closed the stream")
@@ -190,15 +191,15 @@ let () =
 
   (* consumers on three different architectures *)
   let display =
-    Relay.attach_consumer ~port:relay_port ~stream:"flights"
+    Session.attach_consumer ~port:relay_port ~stream:"flights"
       ~creds:[ ("role", "display") ] Abi.sparc_32
   in
   let handheld =
-    Relay.attach_consumer ~port:relay_port ~stream:"flights"
+    Session.attach_consumer ~port:relay_port ~stream:"flights"
       ~creds:[ ("role", "handheld") ] Abi.arm_32
   in
   let weather_indicator =
-    Relay.attach_consumer ~port:relay_port ~stream:"weather" Abi.x86_32
+    Session.attach_consumer ~port:relay_port ~stream:"weather" Abi.x86_32
   in
 
   Printf.printf "\n--- tick 1: normal operation ---\n";
@@ -223,7 +224,7 @@ let () =
   show "display " display 1;
   Printf.printf "freshly attached display (discovers v2, sees the gate):\n";
   let fresh =
-    Relay.attach_consumer ~port:relay_port ~stream:"flights"
+    Session.attach_consumer ~port:relay_port ~stream:"flights"
       ~creds:[ ("role", "display") ] Abi.sparc_32
   in
   publish flights "ASDOffEvent" (flight_event rng ~gate:"B12" ());

@@ -5,7 +5,9 @@
     This file holds the server alone: shards and their connections, the
     per-stream records, and the replication links a mirror hands in
     ({!adopt_replica} takes a socket and its negotiated modes, never a
-    client). The clients are relay_client.ml, re-exported at the end.
+    client). It links no client: the raw {!Client} is relay_client.ml,
+    re-exported as [Relay.Client] for the mirror and for programs that
+    move frames, and the Pbio-typed clients are relay_session.ml.
 
     Capture points and subscribers are separate processes on separate
     machines. Each shard keeps one record per hosted stream — schema and
@@ -777,7 +779,7 @@ let pump_replay (t : shard) (c : conn) =
 
 let is_descriptor (frame : Slice.t) =
   Slice.length frame > 0
-  && Char.equal (Slice.get frame 0) Endpoint.frame_descriptor
+  && Char.equal (Slice.get frame 0) Proto.frame_descriptor
 
 (** Enqueue the frame {!fan_out} is relaying onto subscriber [c],
     applying the backpressure policy. [offset] is the frame's store
@@ -1391,8 +1393,8 @@ let handle_frame (t : shard) (c : conn) (frame : Slice.t) =
   else
     let kind = Slice.get frame 0 in
     let is_stream_frame =
-      Char.equal kind Endpoint.frame_descriptor
-      || Char.equal kind Endpoint.frame_message
+      Char.equal kind Proto.frame_descriptor
+      || Char.equal kind Proto.frame_message
     in
     if is_stream_frame then
       match c.role with
@@ -1422,7 +1424,7 @@ let handle_frame (t : shard) (c : conn) (frame : Slice.t) =
                      | _ -> ()))
           end
         | Some _ | None -> ());
-        let is_message = Char.equal kind Endpoint.frame_message in
+        let is_message = Char.equal kind Proto.frame_message in
         let s = p.stream in
         let fresh_descriptor =
           p.replica <> None && (not is_message)
@@ -2102,8 +2104,4 @@ let store_tail (r : t) ~(stream : string) : int option =
   | Ok tail -> tail
   | Error _ -> None
 
-(* ------------------------------------------------------------------ *)
-(* Clients (relay_client.ml), re-exported                              *)
-(* ------------------------------------------------------------------ *)
-
-include Relay_client
+module Client = Relay_client.Client

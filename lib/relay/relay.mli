@@ -262,12 +262,9 @@ val promote_stream : t -> stream:string -> (int, string) result
 
 val store_tail : t -> stream:string -> int option
 
-(** {2 Clients}
+(** {2 Clients} *)
 
-    The blocking client, the wired consumer and the fault-tolerant
-    sessions are {!Relay_client}, re-exported here: [Relay.Client],
-    [Relay.Session] and [Relay.attach_consumer] are its values. *)
-
-include module type of struct
-  include Relay_client
-end
+module Client = Relay_client.Client
+(** The raw client ({!Relay_client.Client}), which the mirror runs in
+    process. The Pbio-typed consumer and sessions are {!Relay_session},
+    which a relay never links (doc/REACTOR.md §8). *)

@@ -1,12 +1,10 @@
-(** Clients of the relay ({!Relay}, PROTOCOLS.md §11–18): the blocking
-    {!Client}, a fully wired consumer, and fault-tolerant {!Session}s.
-
-    Every client negotiates formats the one way the paper's endpoint
-    protocol describes ({!Omf_transport.Endpoint}): a sender announces
-    each format's descriptor once per connection, and a receiver learns
-    it once and converts every message after. {!Relay} re-exports this
-    module, so [Relay.Client], [Relay.Session] and
-    [Relay.attach_consumer] name the same values. *)
+(** The raw client of the relay ({!Relay}, PROTOCOLS.md §11–18): one
+    connection, its HELLO, and a typed reading of each command's
+    reply. It carries endpoint frames without decoding them, so a
+    program that only moves frames (relayd's mirror) links none of the
+    paper's binding stack. {!Relay} re-exports {!Client}, so
+    [Relay.Client] names the same module. The Pbio-typed consumer and
+    sessions are {!Relay_session}. *)
 
 (** {2 Client} *)
 
@@ -144,211 +142,18 @@ module Client : sig
   val close : t -> unit
 end
 
-(** {2 A fully wired remote consumer} *)
-
-type consumer = {
-  client : Client.t;
-  catalog : Omf_xml2wire.Catalog.t;
-  endpoint : Omf_transport.Endpoint.Receiver.t;
-  schema : string;  (** the scoped schema the relay served *)
-}
-
-val attach_consumer :
-  ?host:string ->
-  port:int ->
-  ?creds:(string * string) list ->
-  ?auth:string * string ->
-  ?compress:bool ->
+val publish_link :
+  ?trace:Omf_trace.Trace.ctx ->
+  acks:bool ->
+  Client.t ->
   stream:string ->
-  Omf_machine.Abi.t ->
-  consumer
-(** Connect, subscribe, register the served (scoped) schema in a fresh
-    catalog for the ABI, and wrap the link in an endpoint receiver. *)
+  int option * Omf_transport.Link.t
+(** PUBLISH with or without durability acks, and with a trace context:
+    {!Client.publish} and {!Client.publish_acked} in one, for the
+    publisher sessions of {!Relay_session}. *)
 
-val recv : consumer -> (Omf_pbio.Format.t * Omf_pbio.Value.t) option
-(** Blocking receive of the next decoded event ([None] = stream end). *)
-
-val close_consumer : consumer -> unit
-
-(** {2 Fault-tolerant sessions} *)
-
-(** {!Client} plus automatic reconnect/replay: a dropped TCP connection
-    degrades to a bounded retry loop (exponential backoff + jitter)
-    instead of killing the endpoint. Subscribers replay SUBSCRIBE into
-    one receiver, which ignores the relay's replay of descriptors it
-    already learned; publishers replay ADVERTISE/PUBLISH, re-announce
-    descriptors per connection, and buffer a bounded in-flight window
-    of data frames during the outage.
-
-    A [busy] reply (PROTOCOLS.md §16) is retried on the same connection
-    after the relay's hint; after [max_attempts] of them the last
-    {!Client.Busy} is raised — overload is never reported as
-    {!Gave_up}. Closing a session stops its retry loops: the flag is
-    checked before each attempt and after each sleep, and a connection
-    won after the close is closed at once. *)
-module Session : sig
-  exception Gave_up of string
-  (** The reconnect budget for one outage was exhausted. *)
-
-  exception Overflow of string
-  (** The publisher's bounded in-flight window is full while the relay
-      is unreachable (the offending event is {e not} enqueued). *)
-
-  type config
-
-  val config :
-    ?host:string ->
-    ?creds:(string * string) list ->
-    ?auth:string * string ->
-    ?compress:bool ->
-    ?max_attempts:int ->
-    ?base_delay_s:float ->
-    ?max_delay_s:float ->
-    ?connect_timeout_s:float ->
-    ?io_timeout_s:float ->
-    port:int ->
-    unit ->
-    config
-  (** [max_attempts] (default 10) bounds reconnect attempts per outage;
-      the first dials at once, attempt [k >= 1] first sleeps
-      {!backoff_delay} step [k - 1] (defaults 0.05s/2.0s; the jitter
-      comes from a fixed seed, so it is deterministic). [auth],
-      [compress] (offered on every reconnect, renegotiated per
-      connection),
-      [connect_timeout_s] (default 5s) and [io_timeout_s] as for
-      {!Client.connect}; reconnect HELLOs carry an extra
-      [omf-reconnect] credential so relay STATS expose churn
-      ([reconnects_accepted]). *)
-
-  val backoff_delay :
-    base_s:float -> max_s:float -> Omf_util.Prng.t -> int -> float
-  (** Backoff step [k] (0-based) of every reconnect loop, the mirror's
-      links included: [min(max_s, base_s * 2^k)] scaled by full jitter
-      into [[0.5, 1.0)] of itself, drawn from the generator. *)
-
-  (** {3 Subscriber sessions} *)
-
-  type subscriber
-
-  val subscribe :
-    ?from:int ->
-    ?want_trace:bool ->
-    config ->
-    stream:string ->
-    Omf_machine.Abi.t ->
-    subscriber
-  (** Connect and subscribe. Failures on this first attempt raise
-      immediately (an unknown stream at session start is a
-      configuration error, not an outage).
-
-      With [~want_trace:true] the session first DESCRIBEs the stream
-      and remembers its [trace=] context, if the relay serves one
-      (PROTOCOLS.md §17) — see {!subscriber_trace}.
-
-      Against a store-backed relay, [from] is the store offset to
-      start at: [-1] (the default) for the live tail, [0] for the
-      oldest retained event. The session counts delivered message
-      frames and resubscribes with the next expected offset, so a
-      relay restart replays exactly the missed suffix — no event lost,
-      none duplicated. Against a memory-only relay [from] is ignored
-      and resubscribes are tail-only. *)
-
-  val recv_subscriber :
-    subscriber -> (Omf_pbio.Format.t * Omf_pbio.Value.t) option
-  (** Blocking receive of the next event, decoded into the subscriber's
-      ABI, transparently reconnecting and resubscribing across outages.
-      A replayed descriptor the session already learned changes
-      nothing ([formats_learned] stays). A garbage frame ends the
-      link like an outage does: the session resubscribes. [None] only
-      after {!close_subscriber} — also when closed from another thread
-      mid-outage; raises {!Gave_up} when an outage outlives the budget
-      and {!Client.Busy} when a resubscribe stays shed. *)
-
-  val subscriber_reconnects : subscriber -> int
-
-  val subscriber_trace : subscriber -> Omf_trace.Trace.ctx option
-  (** The stream's trace context as served at subscribe time; [None]
-      unless the session was opened with [~want_trace:true] against a
-      tracing-enabled relay. *)
-
-  val subscriber_stats : subscriber -> Omf_pbio.Pbio.Receiver.stats
-  val close_subscriber : subscriber -> unit
-  (** Close the session; safe from another thread: a receive blocked on
-      the link or in the reconnect loop returns [None]. *)
-
-  (** {3 Publisher sessions} *)
-
-  type publisher
-
-  val publisher :
-    ?window:int ->
-    ?acked:bool ->
-    ?trace:Omf_trace.Trace.ctx ->
-    config ->
-    stream:string ->
-    schema:string ->
-    Omf_machine.Abi.t ->
-    publisher
-  (** Connect, ADVERTISE and enter publisher mode; first-attempt
-      failures raise immediately. [window] (default 1024) bounds data
-      frames buffered while the relay is unreachable. [trace] is
-      attached to every PUBLISH — including the replayed one after a
-      reconnect — so the stream keeps one trace context across
-      outages (PROTOCOLS.md §17).
-
-      With [~acked:true] (and a store-backed relay) frames stay
-      buffered until the relay acknowledges them durable: a relay
-      killed mid-publish loses nothing — the resume handshake tells
-      the session exactly which suffix the store is missing, and it is
-      resent with no duplicates. [window] then bounds
-      {e unacknowledged} frames and a full window blocks on the ack
-      channel rather than raising {!Overflow}. Against a memory-only
-      relay the mode degrades to the plain session.
-
-      The whole handshake is replayed on every reconnect; a refusal
-      there ({!Relay_proto.is_refusal}, e.g. a read-only stream) is
-      raised, not retried. *)
-
-  val publisher_format : publisher -> string -> Omf_pbio.Format.t option
-  (** Look up a format from the advertised schema by name. *)
-
-  val publish_value :
-    publisher -> Omf_pbio.Format.t -> Omf_pbio.Value.t -> unit
-  (** Marshal one event and ship it, announcing the format's descriptor
-      first on each connection. Threads may share a publisher: the
-      event is marshalled under the session's lock. During an outage the frame is buffered
-      and reconnection attempted under the budget; a full window raises
-      {!Overflow}, an exhausted budget returns with the frame buffered
-      for the next call. With [max_attempts = 0] the session never
-      reconnects — frames accumulate until {!Overflow}. *)
-
-  val publisher_reconnects : publisher -> int
-
-  val publisher_busy_waits : publisher -> int
-  (** Times a PUBLISH was answered [busy] and retried after the
-      relay's backoff hint (jittered), on the same connection — the
-      graceful-degradation path: an overloaded relay slows this
-      session down instead of disconnecting it. *)
-
-  val publisher_buffered : publisher -> int
-  (** Frames currently buffered: awaiting a live connection (plain
-      mode) or awaiting a durability ack (ack mode). *)
-
-  val publisher_acked : publisher -> bool
-  (** Is the session publishing with durability acks? ([false] after
-      degrading against a memory-only relay.) *)
-
-  val publisher_durable : publisher -> int
-  (** The relay's durable watermark as of the last ack (ack mode). *)
-
-  val flush_acked : publisher -> unit
-  (** Block until every buffered frame is acknowledged durable (ack
-      mode) or written (plain mode), reconnecting under the budget;
-      {!Gave_up} when the relay stays unreachable. *)
-
-  val close_publisher : publisher -> unit
-  (** Flush buffered frames best-effort (no reconnect), then close —
-      call {!flush_acked} first for a durable handoff. Safe from
-      another thread: a publish or flush in the reconnect loop returns
-      at its next check. *)
-end
+val backoff_delay :
+  base_s:float -> max_s:float -> Omf_util.Prng.t -> int -> float
+(** Backoff step [k] (0-based) of every reconnect loop, the sessions'
+    and the mirror's links: [min(max_s, base_s * 2^k)] scaled by full
+    jitter into [[0.5, 1.0)] of itself, drawn from the generator. *)

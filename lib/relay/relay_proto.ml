@@ -4,6 +4,9 @@
 
 module Trace = Omf_trace.Trace
 
+let frame_descriptor = 'D'
+let frame_message = 'M'
+
 type kvs = (string * string) list
 
 type request =

@@ -33,6 +33,12 @@ v}
     ([[A-Za-z0-9_-]+]) and no ['<'] anywhere; the schema starts at the
     first line that is not one. *)
 
+val frame_descriptor : char
+val frame_message : char
+(** The two stream-frame kinds, ['D'] (a format descriptor) and ['M']
+    (an NDR message): the frames {!Omf_transport.Endpoint} writes and
+    the relay forwards without decoding them. *)
+
 type kvs = (string * string) list
 (** [key=value] lines: credentials, command options, stream metadata. *)
 

@@ -8,9 +8,6 @@ open Omf_pbio
 
 exception Protocol_error of string
 
-val frame_descriptor : char
-val frame_message : char
-
 module Sender : sig
   type t
 

@@ -12,7 +12,7 @@
 open Omf_machine
 open Omf_transport
 module Relay = Omf_relay.Relay
-module Session = Relay.Session
+module Session = Omf_relay.Relay_session
 module Chaos = Omf_testkit.Chaos
 module Http = Omf_httpd.Http
 module Catalog = Omf_xml2wire.Catalog
@@ -181,7 +181,7 @@ let test_auth_pubsub_end_to_end () =
   in
   let fmt = Option.get (Session.publisher_format pub "ASDOffEvent") in
   let consumer =
-    Relay.attach_consumer ~port ~auth ~stream:"flights" Abi.sparc_32
+    Session.attach_consumer ~port ~auth ~stream:"flights" Abi.sparc_32
   in
   let n = scale 16 in
   for seq = 0 to n - 1 do
@@ -189,7 +189,7 @@ let test_auth_pubsub_end_to_end () =
   done;
   let got = ref [] in
   for _ = 1 to n do
-    match Relay.recv consumer with
+    match Session.recv consumer with
     | Some (_, v) -> got := seq_of v :: !got
     | None -> Alcotest.fail "stream closed early"
   done;
@@ -198,7 +198,7 @@ let test_auth_pubsub_end_to_end () =
   check bool "two authenticated sessions" true
     (relay_stat ~port "auth_sessions" >= 2);
   check int "nothing rejected" 0 (relay_stat ~port "frames_rejected");
-  Relay.close_consumer consumer;
+  Session.close_consumer consumer;
   Session.close_publisher pub
 
 let test_forged_frames_counted_then_closed () =
@@ -1227,13 +1227,13 @@ let relayd_drains ~signal ~shards () =
       ~schema:Fx.schema_a Abi.x86_64
   in
   let fmt = Option.get (Session.publisher_format pub "ASDOffEvent") in
-  let sub = Relay.attach_consumer ~port:r.port ~stream:"flights" Abi.sparc_32 in
+  let sub = Session.attach_consumer ~port:r.port ~stream:"flights" Abi.sparc_32 in
   let seqs = ref [] in
   let reader =
     Thread.create
       (fun () ->
         let rec go () =
-          match Relay.recv sub with
+          match Session.recv sub with
           | Some (_, v) ->
             seqs := seq_of v :: !seqs;
             go ()
@@ -1252,7 +1252,7 @@ let relayd_drains ~signal ~shards () =
   wait_exit r ~within_s:(drain_s +. 1.0);
   Thread.join reader;
   Session.close_publisher pub;
-  Relay.close_consumer sub;
+  Session.close_consumer sub;
   check bool "exit 0" true (r.status = Some (Unix.WEXITED 0));
   check bool "final stats printed" true
     (Omf_testkit.Strings.contains (In_channel.input_all r.out)

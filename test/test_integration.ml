@@ -9,6 +9,7 @@ module X2W = Omf_xml2wire.Xml2wire
 module Catalog = Omf_xml2wire.Catalog
 module Discovery = Omf_xml2wire.Discovery
 module Relay = Omf_relay.Relay
+module Session = Omf_relay.Relay_session
 module Http = Omf_httpd.Http
 module Schema_registry = Omf_registry.Registry
 module Endpoint = Omf_transport.Endpoint
@@ -44,7 +45,7 @@ let recv_n consumer n =
   let rec go acc k =
     if k = 0 then List.rev acc
     else
-      match Relay.recv consumer with
+      match Session.recv consumer with
       | Some ev -> go (ev :: acc) (k - 1)
       | None -> Alcotest.fail "relay closed the stream"
   in
@@ -78,11 +79,11 @@ let test_airline_system () =
       (* consumers on every ABI, one of them scoped *)
       let consumers =
         List.map
-          (fun abi -> Relay.attach_consumer ~port ~stream:"flights" abi)
+          (fun abi -> Session.attach_consumer ~port ~stream:"flights" abi)
           Abi.all
       in
       let scoped =
-        Relay.attach_consumer ~port ~stream:"flights"
+        Session.attach_consumer ~port ~stream:"flights"
           ~creds:[ ("restricted", "1") ] Abi.arm_32
       in
       for _ = 1 to 3 do
@@ -101,7 +102,7 @@ let test_airline_system () =
           check bool "scoped consumer sees only the slice" true
             (Value.field v "cntrID" = None && Value.field v "fltNum" <> None))
         (recv_n scoped 3);
-      List.iter Relay.close_consumer (scoped :: consumers);
+      List.iter Session.close_consumer (scoped :: consumers);
       Relay.Client.close pub)
 
 (* ------------------------------------------------------------------ *)
@@ -134,7 +135,7 @@ let test_upgrade_mid_stream () =
           Abi.x86_64
       in
       let old_consumer =
-        Relay.attach_consumer ~port ~stream:"flights" Abi.sparc_32
+        Session.attach_consumer ~port ~stream:"flights" Abi.sparc_32
       in
       let fmt_v1 = Option.get (Catalog.find_format catalog "ASDOffEvent") in
       Endpoint.Sender.send_value sender fmt_v1 Fx.value_a;
@@ -164,7 +165,7 @@ let test_upgrade_mid_stream () =
       | other -> Alcotest.failf "expected 1 event, got %d" (List.length other));
       (* a new consumer discovers v2 and sees everything *)
       let new_consumer =
-        Relay.attach_consumer ~port ~stream:"flights" Abi.power_64
+        Session.attach_consumer ~port ~stream:"flights" Abi.power_64
       in
       Endpoint.Sender.send_value sender fmt_v2 v2_value;
       (match recv_n new_consumer 1 with
@@ -172,7 +173,7 @@ let test_upgrade_mid_stream () =
         check value_testable "new consumer sees the gate" (Value.String "T7")
           (Value.field_exn v "gate")
       | _ -> Alcotest.fail "new consumer got nothing");
-      List.iter Relay.close_consumer [ old_consumer; new_consumer ];
+      List.iter Session.close_consumer [ old_consumer; new_consumer ];
       Relay.Client.close control;
       Relay.Client.close pub)
 

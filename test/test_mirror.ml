@@ -15,6 +15,8 @@ open Omf_machine
 open Omf_pbio.Pbio
 open Omf_transport
 module Relay = Omf_relay.Relay
+module Session = Omf_relay.Relay_session
+module Proto = Omf_relay.Relay_proto
 module Chaos = Omf_testkit.Chaos
 module Mirror = Omf_mirror.Mirror
 module Fx = Omf_fixtures.Paper_structs
@@ -545,7 +547,7 @@ let raw_frames ~port ~stream n =
       match Link.recv link with
       | Some f ->
         go (Bytes.to_string f :: acc)
-          (if Bytes.get f 0 = Endpoint.frame_message then msgs + 1 else msgs)
+          (if Bytes.get f 0 = Proto.frame_message then msgs + 1 else msgs)
       | None -> Alcotest.failf "stream closed after %d messages" msgs
   in
   go [] 0
@@ -608,9 +610,9 @@ let test_reused_format_id_replicated () =
       relay_stat ~port:port_b "store.flights.tail" >= 5);
   Relay.Client.close pub;
   let consumer =
-    Relay.attach_consumer ~port:port_b ~stream:"flights" Abi.arm_32
+    Session.attach_consumer ~port:port_b ~stream:"flights" Abi.arm_32
   in
-  Fun.protect ~finally:(fun () -> Relay.close_consumer consumer) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Session.close_consumer consumer) @@ fun () ->
   let pub2, sender2, fmt2 =
     make_publisher ~abi:Abi.sparc_32 ~port:port_a ~stream:"flights" ()
   in
@@ -621,7 +623,7 @@ let test_reused_format_id_replicated () =
   done;
   let seqs =
     List.init 5 (fun _ ->
-        match Relay.recv consumer with
+        match Session.recv consumer with
         | Some (_, v) -> seq_of v
         | None -> Alcotest.fail "replica consumer closed early")
   in
@@ -672,7 +674,7 @@ let with_overload ~port f =
   Fun.protect ~finally:(fun () -> Relay.Client.close spub) @@ fun () ->
   let slink = Relay.Client.publish spub ~stream:"storm" in
   let frame = Bytes.make 1024 'x' in
-  Bytes.set frame 0 Endpoint.frame_message;
+  Bytes.set frame 0 Proto.frame_message;
   let storming = ref true in
   ignore
     (Thread.create

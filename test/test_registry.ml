@@ -13,6 +13,7 @@ module Registry = Omf_registry.Registry
 module Store = Omf_store.Store
 module Http = Omf_httpd.Http
 module Relay = Omf_relay.Relay
+module Proto = Omf_relay.Relay_proto
 module Discovery = Omf_xml2wire.Discovery
 module Catalog = Omf_xml2wire.Catalog
 module Fx = Omf_fixtures.Paper_structs
@@ -402,7 +403,7 @@ let test_async_discovery_zero_loss () =
       buffered := Bytes.copy frame :: !buffered;
       if
         Bytes.length frame > 0
-        && Char.equal (Bytes.get frame 0) Endpoint.frame_message
+        && Char.equal (Bytes.get frame 0) Proto.frame_message
       then incr messages
   done;
   let buffered = List.rev !buffered in

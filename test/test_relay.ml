@@ -10,6 +10,7 @@ open Omf_pbio.Pbio
 open Omf_transport
 module Frame = Omf_reactor.Frame
 module Relay = Omf_relay.Relay
+module Session = Omf_relay.Relay_session
 module Proto = Omf_relay.Relay_proto
 module Fx = Omf_fixtures.Paper_structs
 module Catalog = Omf_xml2wire.Catalog
@@ -366,7 +367,7 @@ let pubsub_and_descriptor_replay ?shards ~joiners () =
   ignore (wait_stat_on pub "events_relayed" 1);
   let late =
     List.init joiners (fun i ->
-        Relay.attach_consumer ~port ~stream:"flights"
+        Session.attach_consumer ~port ~stream:"flights"
           (List.nth Abi.all (i mod List.length Abi.all)))
   in
   publish sender fmt 1;
@@ -374,14 +375,14 @@ let pubsub_and_descriptor_replay ?shards ~joiners () =
      relay replayed the cached format descriptor on subscribe *)
   List.iter
     (fun c ->
-      match Relay.recv c with
+      match Session.recv c with
       | Some (f, v) ->
         check Alcotest.string "format" "ASDOffEvent" f.Format.name;
         check int "replayed descriptor decodes the live event" 1 (seq_of v)
       | None -> Alcotest.fail "no event")
     late;
   check_handoffs h;
-  List.iter Relay.close_consumer late;
+  List.iter Session.close_consumer late;
   Relay.Client.close pub
 
 let test_pubsub_and_descriptor_replay () =
@@ -396,19 +397,19 @@ let test_basic_pubsub ?(host = "127.0.0.1") () =
   let pub, sender, fmt =
     make_publisher_abi ~host ~abi:Abi.x86_64 ~port ~stream:"flights" ()
   in
-  let c = Relay.attach_consumer ~host ~port ~stream:"flights" Abi.sparc_32 in
+  let c = Session.attach_consumer ~host ~port ~stream:"flights" Abi.sparc_32 in
   publish sender fmt 0;
   publish sender fmt 1;
   List.iter
     (fun expect ->
-      match Relay.recv c with
+      match Session.recv c with
       | Some (f, v) ->
         check Alcotest.string "format" "ASDOffEvent" f.Format.name;
         check int "sequence" expect (seq_of v);
         check bool "payload" true (Value.field v "org" = Some (Value.String "KATL"))
       | None -> Alcotest.fail "stream ended")
     [ 0; 1 ];
-  Relay.close_consumer c;
+  Session.close_consumer c;
   Relay.Client.close pub
 
 (* one event reaches every subscriber, each on its own ABI *)
@@ -419,7 +420,7 @@ let test_fanout_many_subscribers () =
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
   let consumers =
     List.init 5 (fun i ->
-        Relay.attach_consumer ~port ~stream:"flights"
+        Session.attach_consumer ~port ~stream:"flights"
           (List.nth Abi.all (i mod List.length Abi.all)))
   in
   check int "subscriber count" 5
@@ -427,11 +428,11 @@ let test_fanout_many_subscribers () =
   publish sender fmt 3;
   List.iter
     (fun c ->
-      match Relay.recv c with
+      match Session.recv c with
       | Some (_, v) -> check int "every subscriber got it" 3 (seq_of v)
       | None -> Alcotest.fail "stream ended")
     consumers;
-  List.iter Relay.close_consumer consumers;
+  List.iter Session.close_consumer consumers;
   Relay.Client.close pub
 
 (* a late joiner on every ABI decodes from the replayed descriptor *)
@@ -445,10 +446,10 @@ let test_unsubscribe () =
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
-  let gone = Relay.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
+  let gone = Session.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
   let stays, rx = timed_consumer ~port ~stream:"flights" Abi.x86_64 in
   ignore (wait_stat_on pub "stream.flights.subscribers" 2);
-  Relay.close_consumer gone;
+  Session.close_consumer gone;
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec left () =
     let n = List.assoc "stream.flights.subscribers" (Relay.Client.stats pub) in
@@ -531,16 +532,16 @@ let test_credential_field_scoping () =
       | Some "display" | None -> None
       | Some _ -> Some [ "fltNum"; "org"; "dest" ]);
   let display =
-    Relay.attach_consumer ~port ~creds:[ ("role", "display") ]
+    Session.attach_consumer ~port ~creds:[ ("role", "display") ]
       ~stream:"flights" Abi.sparc_32
   in
   let handheld =
-    Relay.attach_consumer ~port ~creds:[ ("role", "handheld") ]
+    Session.attach_consumer ~port ~creds:[ ("role", "handheld") ]
       ~stream:"flights" Abi.arm_32
   in
   publish sender fmt 1771;
-  let _, full = Option.get (Relay.recv display) in
-  let _, scoped = Option.get (Relay.recv handheld) in
+  let _, full = Option.get (Session.recv display) in
+  let _, scoped = Option.get (Session.recv handheld) in
   check bool "display sees cntrID" true (Value.field full "cntrID" <> None);
   check bool "handheld does not see cntrID" true
     (Value.field scoped "cntrID" = None);
@@ -549,7 +550,7 @@ let test_credential_field_scoping () =
     (Value.field scoped "dest" = Some (Value.String "KMCO"));
   check bool "handheld sees org" true
     (Value.field scoped "org" = Some (Value.String "KATL"));
-  List.iter Relay.close_consumer [ display; handheld ];
+  List.iter Session.close_consumer [ display; handheld ];
   Relay.Client.close pub
 
 let scoped_credentials_over_tcp ?shards () =
@@ -563,16 +564,16 @@ let scoped_credentials_over_tcp ?shards () =
       | Some "display" | None -> None
       | Some _ -> Some [ "fltNum"; "org"; "dest" ]);
   let display =
-    Relay.attach_consumer ~port ~creds:[ ("role", "display") ]
+    Session.attach_consumer ~port ~creds:[ ("role", "display") ]
       ~stream:"flights" Abi.sparc_32
   in
   let handheld =
-    Relay.attach_consumer ~port ~creds:[ ("role", "handheld") ]
+    Session.attach_consumer ~port ~creds:[ ("role", "handheld") ]
       ~stream:"flights" Abi.arm_32
   in
   publish sender fmt 7;
-  let _, full = Option.get (Relay.recv display) in
-  let _, scoped = Option.get (Relay.recv handheld) in
+  let _, full = Option.get (Session.recv display) in
+  let _, scoped = Option.get (Session.recv handheld) in
   check bool "display sees cntrID" true (Value.field full "cntrID" <> None);
   check bool "handheld does not see cntrID" true
     (Value.field scoped "cntrID" = None);
@@ -584,10 +585,10 @@ let scoped_credentials_over_tcp ?shards () =
     go 0
   in
   check bool "scoped schema omits cntrID" false
-    (contains handheld.Relay.schema "cntrID");
+    (contains handheld.Session.schema "cntrID");
   check_handoffs h;
-  Relay.close_consumer display;
-  Relay.close_consumer handheld;
+  Session.close_consumer display;
+  Session.close_consumer handheld;
   Relay.Client.close pub
 
 let test_scoped_credentials_over_tcp () = scoped_credentials_over_tcp ()
@@ -597,7 +598,7 @@ let test_unknown_stream_and_role_errors () =
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   (try
-     ignore (Relay.attach_consumer ~port ~stream:"nope" Abi.x86_64);
+     ignore (Session.attach_consumer ~port ~stream:"nope" Abi.x86_64);
      Alcotest.fail "expected Client.Error"
    with Relay.Client.Error _ -> ());
   let pub, _sender, _fmt = make_publisher ~port ~stream:"flights" in
@@ -724,9 +725,9 @@ let test_runtime_format_upgrade () =
       (Option.get (Catalog.find_format catalog "ASDOffEvent"))
       v
   in
-  let old = Relay.attach_consumer ~port ~stream:"flights" Abi.sparc_32 in
+  let old = Session.attach_consumer ~port ~stream:"flights" Abi.sparc_32 in
   send Fx.value_a;
-  check bool "v1 event decoded" true (Relay.recv old <> None);
+  check bool "v1 event decoded" true (Session.recv old <> None);
   let schema_v2 =
     Omf_testkit.Strings.replace
       ~sub:{|<xsd:element name="eta" type="xsd:unsigned-long" />|}
@@ -739,21 +740,21 @@ let test_runtime_format_upgrade () =
   ignore (X2W.register_schema catalog schema_v2);
   let v2 = Value.set_field Fx.value_a "gate" (Value.String "T7") in
   send v2;
-  (match Relay.recv old with
+  (match Session.recv old with
   | Some (_, v) ->
     check bool "old subscriber keeps decoding" true
       (Value.field v "dest" = Some (Value.String "KMCO"));
     check bool "old subscriber has no gate field" true
       (Value.field v "gate" = None)
   | None -> Alcotest.fail "old subscriber got nothing");
-  let fresh = Relay.attach_consumer ~port ~stream:"flights" Abi.sparc_32 in
+  let fresh = Session.attach_consumer ~port ~stream:"flights" Abi.sparc_32 in
   send v2;
-  (match Relay.recv fresh with
+  (match Session.recv fresh with
   | Some (_, v) ->
     check bool "new subscriber sees the gate" true
       (Value.field v "gate" = Some (Value.String "T7"))
   | None -> Alcotest.fail "new subscriber got nothing");
-  List.iter Relay.close_consumer [ old; fresh ];
+  List.iter Session.close_consumer [ old; fresh ];
   Relay.Client.close control;
   Relay.Client.close pub
 
@@ -762,9 +763,9 @@ let test_stats_protocol () =
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
-  let consumer = Relay.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
+  let consumer = Session.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
   publish sender fmt 0;
-  ignore (Relay.recv consumer);
+  ignore (Session.recv consumer);
   let c = Relay.Client.connect ~port () in
   let stats = Relay.Client.stats c in
   let get k = Option.value ~default:0 (List.assoc_opt k stats) in
@@ -774,7 +775,7 @@ let test_stats_protocol () =
     (get "stream.flights.published");
   check int "stream gauge: subscribers" 1 (get "stream.flights.subscribers");
   Relay.Client.close c;
-  Relay.close_consumer consumer;
+  Session.close_consumer consumer;
   Relay.Client.close pub
 
 (* STATS names every key once, and the answering shard reads its own
@@ -787,17 +788,17 @@ let test_stats_keys_unique_and_live () =
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub =
-    Relay.Session.publisher ~acked:true (Relay.Session.config ~port ())
+    Session.publisher ~acked:true (Session.config ~port ())
       ~stream:"flights" ~schema:Fx.schema_a Abi.x86_64
   in
-  Fun.protect ~finally:(fun () -> Relay.Session.close_publisher pub)
+  Fun.protect ~finally:(fun () -> Session.close_publisher pub)
   @@ fun () ->
-  let fmt = Option.get (Relay.Session.publisher_format pub "ASDOffEvent") in
+  let fmt = Option.get (Session.publisher_format pub "ASDOffEvent") in
   let send lo hi =
     for seq = lo to hi - 1 do
-      Relay.Session.publish_value pub fmt (event seq)
+      Session.publish_value pub fmt (event seq)
     done;
-    Relay.Session.flush_acked pub
+    Session.flush_acked pub
   in
   send 0 5;
   let admin = Relay.Client.connect ~port () in
@@ -837,11 +838,11 @@ let test_stream_gauges_cross_shards () =
       Relay.Client.close pb)
   @@ fun () ->
   (* the third connection lands on shard 0 and migrates to beta's *)
-  let consumer = Relay.attach_consumer ~port ~stream:"beta" Abi.x86_64 in
-  Fun.protect ~finally:(fun () -> Relay.close_consumer consumer) @@ fun () ->
+  let consumer = Session.attach_consumer ~port ~stream:"beta" Abi.x86_64 in
+  Fun.protect ~finally:(fun () -> Session.close_consumer consumer) @@ fun () ->
   publish sa fa 0;
   publish sb fb 0;
-  ignore (Relay.recv consumer);
+  ignore (Session.recv consumer);
   let sources =
     [ ("shard 0 STATS", fun () -> Relay.Client.stats pa)
     ; ("shard 1 STATS", fun () -> Relay.Client.stats pb)
@@ -905,7 +906,7 @@ let descriptor_cache_dedupes ~store () =
   let rec descriptors acc =
     match Link.recv link with
     | None -> Alcotest.fail "stream closed before its first message"
-    | Some f when Bytes.get f 0 = Endpoint.frame_descriptor ->
+    | Some f when Bytes.get f 0 = Proto.frame_descriptor ->
       (* the link lends [f] until the next recv *)
       descriptors (Bytes.copy f :: acc)
     | Some _ -> List.rev acc
@@ -934,10 +935,10 @@ let block_zero_loss_in_order ?shards ~nsubs () =
         Thread.create
           (fun () ->
             let abi = List.nth Abi.all (i mod List.length Abi.all) in
-            let consumer = Relay.attach_consumer ~port ~stream:"flights" abi in
+            let consumer = Session.attach_consumer ~port ~stream:"flights" abi in
             let rec go prev =
               if prev < nevents - 1 then
-                match Relay.recv consumer with
+                match Session.recv consumer with
                 | None -> ()
                 | Some (_, v) ->
                   let seq = seq_of v in
@@ -946,7 +947,7 @@ let block_zero_loss_in_order ?shards ~nsubs () =
                   go seq
             in
             go (-1);
-            Relay.close_consumer consumer)
+            Session.close_consumer consumer)
           ())
   in
   ignore (wait_stat ~port "stream.flights.subscribers" nsubs);
@@ -997,10 +998,10 @@ let test_evict_slow_consumer () =
   let healthy =
     Thread.create
       (fun () ->
-        let consumer = Relay.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
+        let consumer = Session.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
         let rec go prev =
           if prev < nevents - 1 then
-            match Relay.recv consumer with
+            match Session.recv consumer with
             | None -> ()
             | Some (_, v) ->
               incr healthy_count;
@@ -1008,7 +1009,7 @@ let test_evict_slow_consumer () =
         in
         go (-1);
         healthy_done := true;
-        Relay.close_consumer consumer)
+        Session.close_consumer consumer)
       ()
   in
   ignore (wait_stat ~port "stream.flights.subscribers" 2);
@@ -1130,7 +1131,7 @@ let drop_oldest_keeps_stream_decodable ?auth () =
       ~stream:"flights" ()
   in
   let lagging =
-    Relay.attach_consumer ?auth ~port ~stream:"flights" Abi.sparc_32
+    Session.attach_consumer ?auth ~port ~stream:"flights" Abi.sparc_32
   in
   ignore (wait_stat ~port "stream.flights.subscribers" 1);
   let nevents = 80 in
@@ -1144,7 +1145,7 @@ let drop_oldest_keeps_stream_decodable ?auth () =
      order, and the newest event is among them *)
   let seen = ref [] in
   let rec go () =
-    match Relay.recv lagging with
+    match Session.recv lagging with
     | None -> ()
     | Some (_, v) ->
       seen := seq_of v :: !seen;
@@ -1160,7 +1161,7 @@ let drop_oldest_keeps_stream_decodable ?auth () =
     (List.sort compare seen = seen);
   check bool "newest event survived" true
     (List.mem (nevents - 1) seen);
-  Relay.close_consumer lagging;
+  Session.close_consumer lagging;
   Relay.Client.close pub
 
 (* ------------------------------------------------------------------ *)
@@ -1223,7 +1224,7 @@ let test_graceful_drain_on_shutdown () =
   let h = Relay.start ~sndbuf:8192 ~drain_s:10.0 () in
   let port = Relay.port h in
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
-  let consumer = Relay.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
+  let consumer = Session.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
   let nevents = 100 in
   for seq = 0 to nevents - 1 do
     publish sender fmt ~pad:4096 seq
@@ -1234,7 +1235,7 @@ let test_graceful_drain_on_shutdown () =
   let stopper = Thread.create (fun () -> Relay.stop h) () in
   let count = ref 0 in
   let rec go () =
-    match Relay.recv consumer with
+    match Session.recv consumer with
     | Some _ ->
       incr count;
       go ()
@@ -1243,7 +1244,7 @@ let test_graceful_drain_on_shutdown () =
   go ();
   Thread.join stopper;
   check int "drain delivered every queued event before closing" nevents !count;
-  Relay.close_consumer consumer;
+  Session.close_consumer consumer;
   (try Relay.Client.close pub with _ -> ())
 
 (* ------------------------------------------------------------------ *)
@@ -1615,16 +1616,16 @@ let governor_accounting_symmetry ?shards () =
      Thread.create
        (fun () ->
          let consumer =
-           Relay.attach_consumer ~port ~stream:"flights" Abi.x86_64
+           Session.attach_consumer ~port ~stream:"flights" Abi.x86_64
          in
          let rec go prev =
            if prev < nevents - 1 then
-             match Relay.recv consumer with
+             match Session.recv consumer with
              | None -> ()
              | Some (_, v) -> go (seq_of v)
          in
          go (-1);
-         Relay.close_consumer consumer)
+         Session.close_consumer consumer)
        ()
    in
    ignore (wait_stat ~port "stream.flights.subscribers" 2);
@@ -1898,8 +1899,8 @@ let test_session_close_during_outage () =
   let pub, _, _ = make_publisher ~port ~stream:"flights" in
   let max_delay_s = 0.2 in
   let sub =
-    Relay.Session.subscribe
-      (Relay.Session.config ~max_attempts:40 ~base_delay_s:0.05 ~max_delay_s
+    Session.subscribe
+      (Session.config ~max_attempts:40 ~base_delay_s:0.05 ~max_delay_s
          ~port ())
       ~stream:"flights" Abi.arm_32
   in
@@ -1911,14 +1912,14 @@ let test_session_close_during_outage () =
       (fun () ->
         result :=
           Some
-            (match Relay.Session.recv_subscriber sub with
+            (match Session.recv_subscriber sub with
             | None -> "None"
             | Some _ -> "an event"
             | exception e -> Printexc.to_string e))
       ()
   in
   Thread.delay 0.3;
-  Relay.Session.close_subscriber sub;
+  Session.close_subscriber sub;
   let deadline = Unix.gettimeofday () +. max_delay_s +. 0.3 in
   while Option.is_none !result && Unix.gettimeofday () < deadline do
     Thread.delay 0.01
@@ -1941,13 +1942,13 @@ let test_session_close_during_outage () =
 let test_session_concurrent_publishers () =
   let h = Relay.start () in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
-  let cfg = Relay.Session.config ~port:(Relay.port h) () in
+  let cfg = Session.config ~port:(Relay.port h) () in
   let pub =
-    Relay.Session.publisher cfg ~stream:"flights" ~schema:Fx.schema_a
+    Session.publisher cfg ~stream:"flights" ~schema:Fx.schema_a
       Abi.x86_64
   in
-  let sub = Relay.Session.subscribe cfg ~stream:"flights" Abi.x86_64 in
-  let fmt = Option.get (Relay.Session.publisher_format pub "ASDOffEvent") in
+  let sub = Session.subscribe cfg ~stream:"flights" Abi.x86_64 in
+  let fmt = Option.get (Session.publisher_format pub "ASDOffEvent") in
   let n = 2000 in
   (* the pad length varies with the sequence number, so an event
      marshalled over another's would not match either *)
@@ -1956,7 +1957,7 @@ let test_session_concurrent_publishers () =
     Thread.create
       (fun () ->
         for i = 0 to n - 1 do
-          Relay.Session.publish_value pub fmt (ev ((w * n) + i))
+          Session.publish_value pub fmt (ev ((w * n) + i))
         done)
       ()
   in
@@ -1967,7 +1968,7 @@ let test_session_concurrent_publishers () =
       (fun () ->
         let rec go k =
           if k < 2 * n then
-            match Relay.Session.recv_subscriber sub with
+            match Session.recv_subscriber sub with
             | Some (_, v) ->
               let seq = seq_of v in
               if seq >= 0 && seq < 2 * n && Value.equal v (ev seq) then
@@ -1985,9 +1986,9 @@ let test_session_concurrent_publishers () =
   while (not !finished) && Unix.gettimeofday () < deadline do
     Thread.delay 0.01
   done;
-  Relay.Session.close_subscriber sub;
+  Session.close_subscriber sub;
   Thread.join receiver;
-  Relay.Session.close_publisher pub;
+  Session.close_publisher pub;
   check int "no event damaged" 0 !damaged;
   check int "every event received exactly once" (2 * n)
     (Array.fold_left (fun acc c -> acc + if c = 1 then 1 else 0) 0 seen)

@@ -14,6 +14,7 @@ open Omf_machine
 open Omf_pbio.Pbio
 open Omf_transport
 module Relay = Omf_relay.Relay
+module Session = Omf_relay.Relay_session
 module Trace = Omf_trace.Trace
 module Mirror = Omf_mirror.Mirror
 module Http = Omf_httpd.Http
@@ -356,27 +357,27 @@ let test_session_trace_handoff () =
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let ctx = Trace.make ~sampled:true () in
-  let cfg = Relay.Session.config ~port () in
+  let cfg = Session.config ~port () in
   let p =
-    Relay.Session.publisher ~trace:ctx cfg ~stream:"flights"
+    Session.publisher ~trace:ctx cfg ~stream:"flights"
       ~schema:Fx.schema_a Abi.x86_64
   in
-  Fun.protect ~finally:(fun () -> Relay.Session.close_publisher p)
+  Fun.protect ~finally:(fun () -> Session.close_publisher p)
   @@ fun () ->
-  let s = Relay.Session.subscribe ~want_trace:true cfg ~stream:"flights"
+  let s = Session.subscribe ~want_trace:true cfg ~stream:"flights"
       Abi.arm_32
   in
-  Fun.protect ~finally:(fun () -> Relay.Session.close_subscriber s)
+  Fun.protect ~finally:(fun () -> Session.close_subscriber s)
   @@ fun () ->
-  (match Relay.Session.subscriber_trace s with
+  (match Session.subscriber_trace s with
   | Some served ->
     check bool "subscriber sees the publisher's context" true
       (Int64.equal served.Trace.trace_id ctx.Trace.trace_id);
     check bool "sampled flag travels" true served.Trace.sampled
   | None -> Alcotest.fail "want_trace surfaced nothing");
-  let fmt = Option.get (Relay.Session.publisher_format p "ASDOffEvent") in
-  Relay.Session.publish_value p fmt (event 0);
-  match Relay.Session.recv_subscriber s with
+  let fmt = Option.get (Session.publisher_format p "ASDOffEvent") in
+  Session.publish_value p fmt (event 0);
+  match Session.recv_subscriber s with
   | Some (_, v) ->
     check bool "event delivered on the traced stream" true
       (match Value.field_exn v "fltNum" with
