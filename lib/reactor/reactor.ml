@@ -3,8 +3,9 @@
     registry), and the one place they open their listening sockets
     ({!listener}).
 
-    One reactor owns one [Unix.select] loop. Everything else is built
-    on three primitives:
+    One reactor owns one [poll(2)] loop ({!Omf_util.Poll}, which takes
+    descriptors of any number, where [select] stops at 1023).
+    Everything else is built on three primitives:
 
     - {b interest sets}: file descriptors register read/write callbacks
       and toggle interest without re-registering ({!register},
@@ -23,6 +24,7 @@
 let log = Logs.Src.create "omf.reactor" ~doc:"shared readiness engine"
 
 module Log = (val Logs.src_log log)
+module Poll = Omf_util.Poll
 
 (** Seconds on the monotonic {!Omf_util.Clock}: deadlines, timers and
     rate limits keep their spacing when the system clock steps. *)
@@ -154,11 +156,11 @@ type registration = {
   r_on_writable : unit -> unit;
   mutable r_active : bool;
   mutable r_listed : bool;
-      (** [r_read] and [r_write] match the interest sets [select] was
-          last given ([r_in_reads], [r_in_writes]); a registration that
-          does not is counted in [r_loop.unlisted] *)
-  mutable r_in_reads : bool;  (** in [r_loop.reads] *)
-  mutable r_in_writes : bool;  (** in [r_loop.writes] *)
+      (** [r_read] and [r_write] match the interest [poll] was last
+          given ([r_in_reads], [r_in_writes]); a registration that does
+          not is counted in [r_loop.unlisted] *)
+  mutable r_in_reads : bool;  (** polled for reading *)
+  mutable r_in_writes : bool;  (** polled for writing *)
   r_loop : t;
 }
 
@@ -186,38 +188,55 @@ and t = {
   mutable on_queued : int -> unit;  (** sees every new [queued] *)
   mutable stop_requested : bool;
   mutable running : bool;
-  mutable reads : Unix.file_descr list;
-      (** the read interest set [select] gets, [wake_r] last *)
-  mutable writes : Unix.file_descr list;  (** the write interest set *)
+  mutable pollfds : Poll.t;
+      (** the interest [poll] gets: [wake_r] at entry 0, then each
+          registration with any interest *)
+  mutable polled : registration array;
+      (** [polled.(i)] owns entry [i] of [pollfds], for [0 < i < npolled];
+          the other slots hold [polled.(0)], which is never dispatched *)
+  mutable npolled : int;
   mutable unlisted : int;
-      (** registrations whose interest differs from [reads] and
-          [writes], plus any deregistered one still in them: when
-          nonzero, the sets are rebuilt before the next [select]. A
-          flag set and cleared again within one round (a write queue
-          filled and flushed at once) leaves them as they are. *)
+      (** registrations whose interest differs from [pollfds], plus
+          any deregistered one still in it: when nonzero, the array is
+          refilled before the next [poll]. A flag set and cleared again
+          within one round (a write queue filled and flushed at once)
+          leaves it as it is. *)
 }
 
 let create () : t =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
-  { wheel = Wheel.create ()
-  ; regs = Hashtbl.create 64
-  ; wake_r
-  ; wake_w
-  ; mu = Mutex.create ()
-  ; injected = Queue.create ()
-  ; running_injected = Queue.create ()
-  ; deferred = Queue.create ()
-  ; scratch = Bytes.create 65536
-  ; gather = Bytes.create 65536
-  ; queued = 0
-  ; on_queued = ignore
-  ; stop_requested = false
-  ; running = false
-  ; reads = [ wake_r ]
-  ; writes = []
-  ; unlisted = 0 }
+  let pollfds = Poll.create 64 in
+  Poll.set pollfds 0 wake_r Poll.readable;
+  let t =
+    { wheel = Wheel.create ()
+    ; regs = Hashtbl.create 64
+    ; wake_r
+    ; wake_w
+    ; mu = Mutex.create ()
+    ; injected = Queue.create ()
+    ; running_injected = Queue.create ()
+    ; deferred = Queue.create ()
+    ; scratch = Bytes.create 65536
+    ; gather = Bytes.create 65536
+    ; queued = 0
+    ; on_queued = ignore
+    ; stop_requested = false
+    ; running = false
+    ; pollfds
+    ; polled = [||]
+    ; npolled = 1
+    ; unlisted = 0 }
+  in
+  (* the filler of [polled]: the wake pipe, never registered *)
+  let wake =
+    { r_fd = wake_r; r_read = true; r_write = false; r_on_readable = ignore
+    ; r_on_writable = ignore; r_active = false; r_listed = true
+    ; r_in_reads = true; r_in_writes = false; r_loop = t }
+  in
+  t.polled <- Array.make 64 wake;
+  t
 
 let scratch t = t.scratch
 let gather t = t.gather
@@ -340,9 +359,9 @@ let run_deferred (t : t) =
     (Queue.pop t.deferred) ()
   done
 
-(** A closed fd slipped into the interest set (a bug in the caller, or
-    a race with an external close): deactivate it so select can make
-    progress, rather than spinning on EBADF. *)
+(** A closed fd slipped into the interest array (a bug in the caller,
+    or a race with an external close): deactivate it so poll can make
+    progress, rather than spinning on [POLLNVAL]. *)
 let prune_bad_fds (t : t) =
   let bad =
     Hashtbl.fold
@@ -361,64 +380,79 @@ let prune_bad_fds (t : t) =
 let max_wait = 0.5
 
 (* The loop's clock reads and timer checks below keep every float
-   unboxed: a round boxes none unless a timer fires or one is due
-   within [max_wait] (the [select] timeout is boxed then). *)
+   unboxed: a round boxes none unless a timer fires. *)
 let timer_due (t : t) (now : float) =
   let h = t.wheel in
   h.Wheel.size > 0 && h.Wheel.heap.(0).Wheel.deadline <= now
 [@@inline]
 
-let select_timeout (t : t) =
+(* how long [poll] may wait: until the next timer, rounded up to a
+   whole millisecond so the loop never wakes before it is due, and at
+   most [max_wait] *)
+let poll_timeout_ms (t : t) =
   let h = t.wheel in
   Wheel.prune h;
-  if h.Wheel.size = 0 then max_wait
-  else
-    let wait = h.Wheel.heap.(0).Wheel.deadline -. now () in
-    if wait >= max_wait then max_wait else Float.max 0.0 wait
+  let wait =
+    if h.Wheel.size = 0 then max_wait
+    else h.Wheel.heap.(0).Wheel.deadline -. now ()
+  in
+  if wait >= max_wait then int_of_float (max_wait *. 1000.)
+  else if wait <= 0.0 then 0
+  else int_of_float (Float.ceil (wait *. 1000.))
 
-(* the interest sets, rebuilt only when some registration's interest
-   differs from them: a steady loop hands [select] the same two lists *)
+(* the poll array, refilled only when some registration's interest
+   differs from it: a steady loop hands [poll] the same entries *)
 let refresh_interest (t : t) =
   if t.unlisted > 0 then begin
     t.unlisted <- 0;
+    let need = 1 + Hashtbl.length t.regs in
+    if need > Array.length t.polled then begin
+      let size = Int.max need (2 * Array.length t.polled) in
+      t.pollfds <- Poll.create size;
+      Poll.set t.pollfds 0 t.wake_r Poll.readable;
+      t.polled <- Array.make size t.polled.(0)
+    end;
+    let n = ref 1 in
     Hashtbl.iter
-      (fun _ r ->
+      (fun fd r ->
         r.r_in_reads <- r.r_read;
         r.r_in_writes <- r.r_write;
-        r.r_listed <- true)
+        r.r_listed <- true;
+        if r.r_read || r.r_write then begin
+          Poll.set t.pollfds !n fd
+            ((if r.r_read then Poll.readable else 0)
+            lor if r.r_write then Poll.writable else 0);
+          t.polled.(!n) <- r;
+          incr n
+        end)
       t.regs;
-    t.reads <-
-      Hashtbl.fold
-        (fun fd r acc -> if r.r_read then fd :: acc else acc)
-        t.regs [ t.wake_r ];
-    t.writes <-
-      Hashtbl.fold
-        (fun fd r acc -> if r.r_write then fd :: acc else acc)
-        t.regs []
+    (* drop the registrations that left, so none is kept alive *)
+    Array.fill t.polled !n (Int.max 0 (t.npolled - !n)) t.polled.(0);
+    t.npolled <- !n
   end
 
-(* dispatch one ready list: a write callback for each writable fd, a
-   read callback for each readable one, skipping an fd an earlier
-   callback of this round deregistered or lost interest in *)
-let rec on_writable (t : t) = function
-  | [] -> ()
-  | fd :: rest ->
-    (match Hashtbl.find t.regs fd with
-    | r -> if r.r_active && r.r_write then r.r_on_writable ()
-    | exception Not_found -> ());
-    on_writable t rest
+(* dispatch what [poll] found: a write callback for each writable entry,
+   then a read callback for each readable one, skipping a registration
+   an earlier callback of this round deregistered or took the interest
+   from; [true] if an entry's descriptor was not open *)
+let dispatch (t : t) =
+  let n = t.npolled and p = t.pollfds in
+  let bad = ref false in
+  for i = 1 to n - 1 do
+    let r = t.polled.(i) in
+    if Poll.ready p i land Poll.writable <> 0 && r.r_active && r.r_write then
+      r.r_on_writable ()
+  done;
+  for i = 1 to n - 1 do
+    let r = t.polled.(i) and ready = Poll.ready p i in
+    if ready land Poll.invalid <> 0 then bad := true
+    else if ready land Poll.readable <> 0 && r.r_active && r.r_read then
+      r.r_on_readable ()
+  done;
+  !bad
 
-let rec on_readable (t : t) = function
-  | [] -> ()
-  | fd :: rest ->
-    (if fd != t.wake_r then
-       match Hashtbl.find t.regs fd with
-       | r -> if r.r_active && r.r_read then r.r_on_readable ()
-       | exception Not_found -> ());
-    on_readable t rest
-
-(** The loop: fire due timers, run injected thunks, select on the
-    interest sets, dispatch writes then reads, then run deferred
+(** The loop: fire due timers, run injected thunks, poll the
+    interest array, dispatch writes then reads, then run deferred
     cleanups — until {!stop}. Returns with all injected/deferred work
     drained; registered fds are {e not} closed (owners do that). *)
 let run (t : t) =
@@ -433,18 +467,17 @@ let run (t : t) =
         run_injected t;
         run_deferred t;
         if not t.stop_requested then begin
-          let timeout = select_timeout t in
+          let timeout_ms = poll_timeout_ms t in
           refresh_interest t;
-          match Unix.select t.reads t.writes [] timeout with
+          match Poll.wait t.pollfds t.npolled ~timeout_ms with
           | exception Unix.Unix_error (EINTR, _, _) -> ()
-          | exception Unix.Unix_error (EBADF, _, _) -> prune_bad_fds t
-          | readable, writable, _ ->
-            if List.memq t.wake_r readable then begin
+          | 0 -> run_deferred t
+          | _ ->
+            if Poll.ready t.pollfds 0 <> 0 then begin
               drain_wake_pipe t;
               run_injected t
             end;
-            on_writable t writable;
-            on_readable t readable;
+            if dispatch t then prune_bad_fds t;
             run_deferred t
         end
       done;
@@ -461,7 +494,7 @@ let dispose (t : t) =
 (** How long a listener goes unread after [accept] failed for want of
     descriptors or memory. The loop serves its open connections
     meanwhile, and one of them closing frees what the next accept
-    needs; a listener read again at once would spin [select] on a
+    needs; a listener read again at once would spin [poll] on a
     backlog it cannot take. *)
 let accept_pause_s = 0.1
 

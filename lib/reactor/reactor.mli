@@ -1,7 +1,7 @@
 (** A single-threaded readiness engine shared by every server stack in
     this repository (relay shards, the embedded httpd, the schema
     registry), and the one place they open their listening sockets
-    ({!listener}). One reactor owns one [Unix.select] loop, built on
+    ({!listener}). One reactor owns one [poll(2)] loop, built on
     interest sets, a timer wheel and a self-pipe for cross-thread
     injection; the loop never spawns threads (doc/REACTOR.md §1–3). *)
 
@@ -37,7 +37,7 @@ type t
 val create : unit -> t
 
 val run : t -> unit
-(** Loop until {!stop}: fire due timers, run injected thunks, select,
+(** Loop until {!stop}: fire due timers, run injected thunks, poll,
     dispatch writes then reads, run deferred thunks. Returns with the
     injected and deferred work drained; registered fds are not closed
     (their owners do that). *)

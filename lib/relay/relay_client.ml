@@ -64,10 +64,18 @@ module Client = struct
   let decoded (r : ('a, string) result) : 'a =
     match r with Ok v -> v | Error msg -> raise (Error ("relay reply: " ^ msg))
 
+  (* how long HELLO may take when the caller sets no [io_timeout_s]: a
+     relay that accepts no more still completes TCP handshakes from its
+     backlog, and would never answer *)
+  let hello_timeout_s = 5.0
+
   let connect ?(host = "127.0.0.1") ~port ?(creds = []) ?auth
       ?(compress = false) ?connect_timeout_s ?io_timeout_s () : t =
     let fd =
-      try Tcp.dial ~host ~port ?connect_timeout_s ?io_timeout_s ()
+      try
+        Tcp.dial ~host ~port ?connect_timeout_s
+          ~io_timeout_s:(Option.value io_timeout_s ~default:hello_timeout_s)
+          ()
       with e -> reraise (Printf.sprintf "relay connect %s:%d" host port) e
     in
     (* HELLO runs on the plain link; the negotiated modes then frame
@@ -90,6 +98,8 @@ module Client = struct
       (* the relay must have granted the auth mode we asked for *)
       if auth <> None && not granted.Proto.mac then
         raise (Error "relay did not negotiate authenticated framing");
+      (* the caller's deadlines, none by default, from here on *)
+      if io_timeout_s = None then Tcp.set_io_timeout fd 0.0;
       let mac = Option.map (fun (_, key) -> Macframe.state ~key) auth in
       let comp =
         if compress && granted.Proto.comp then

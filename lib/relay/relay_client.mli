@@ -52,7 +52,9 @@ module Client : sig
       relay that doesn't speak it simply leaves the connection
       uncompressed — check {!compressed}. [connect_timeout_s] bounds
       connection establishment and [io_timeout_s] arms per-operation
-      send/receive deadlines. Every failure — unreachable port,
+      send/receive deadlines. Without [io_timeout_s] the HELLO exchange
+      still gives up after 5 s, and later operations have no
+      deadline. Every failure — unreachable port,
       handshake timeout, an ['e'] reply — raises {!Error} with a
       readable reason (never a raw [Unix.Unix_error]) and closes the
       socket. *)

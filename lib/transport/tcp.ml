@@ -5,6 +5,7 @@
 
 module Frame = Omf_reactor.Frame
 module Compress = Omf_compress.Compress
+module Poll = Omf_util.Poll
 
 exception Tcp_error of string
 
@@ -144,9 +145,13 @@ let link_of_fd ?mac ?comp (fd : Unix.file_descr) : Link.t =
   in
   { Link.send; recv; close }
 
+let set_io_timeout fd t =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO t;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO t
+
 (** [dial ~host ~port] opens a connected blocking socket.
     [connect_timeout_s] bounds connection establishment (non-blocking
-    connect + select); [io_timeout_s] arms [SO_RCVTIMEO]/[SO_SNDTIMEO]
+    connect + poll); [io_timeout_s] arms [SO_RCVTIMEO]/[SO_SNDTIMEO]
     on the connected socket, so a read or write that stalls past it
     raises {!Link.Timeout}. Every failure closes the socket and raises
     {!Tcp_error}. *)
@@ -170,22 +175,23 @@ let dial ?(host = "127.0.0.1") ~port ?connect_timeout_s ?io_timeout_s () :
       | () -> ()
       | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _)
         -> (
-        (* wait for writability up to the deadline, then check SO_ERROR *)
-        match Unix.select [] [ sock ] [] dt with
-        | _, [ _ ], _ ->
+        (* wait for writability up to the deadline, then check
+           SO_ERROR; poll, as the socket's number may be past select's
+           1023 *)
+        let p = Poll.create 1 in
+        Poll.set p 0 sock Poll.writable;
+        let timeout_ms = int_of_float (Float.ceil (dt *. 1000.)) in
+        match Poll.wait p 1 ~timeout_ms with
+        | 0 -> fail (Printf.sprintf "timeout after %.3gs" dt)
+        | _ ->
           Option.iter
             (fun e -> fail (Unix.error_message e))
-            (Unix.getsockopt_error sock)
-        | _ -> fail (Printf.sprintf "timeout after %.3gs" dt)));
+            (Unix.getsockopt_error sock)));
       Unix.clear_nonblock sock
   in
   match
     connect ();
-    match io_timeout_s with
-    | Some t when t > 0.0 ->
-      Unix.setsockopt_float sock Unix.SO_RCVTIMEO t;
-      Unix.setsockopt_float sock Unix.SO_SNDTIMEO t
-    | _ -> ()
+    match io_timeout_s with Some t when t > 0.0 -> set_io_timeout sock t | _ -> ()
   with
   | () -> sock
   | exception e -> (

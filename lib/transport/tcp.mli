@@ -62,6 +62,10 @@ val dial :
     arms per-operation send/receive deadlines. Raises only {!Tcp_error}
     (["connect H:P: reason"]) and closes the socket on every failure. *)
 
+val set_io_timeout : Unix.file_descr -> float -> unit
+(** Re-arm [fd]'s send/receive deadlines as {!dial}'s [io_timeout_s]
+    does; [0.0] clears them. *)
+
 val connect :
   ?host:string ->
   port:int ->

@@ -166,6 +166,54 @@ let test_handshake_failure_closes_socket () =
   done;
   check bool "relay still healthy" true (relay_stat ~port "connections" > 0)
 
+(** A listener that completes TCP handshakes from its backlog but
+    never accepts or reads: the HELLO reply never comes, and
+    [Client.connect] (no [io_timeout_s]) must give up by its 5 s
+    default. A watchdog closes the listener after 8 s, which resets the
+    connection, so a connect without the deadline fails this case
+    rather than hanging the suite. *)
+let test_hello_deadline () =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 8;
+  let port =
+    match Unix.getsockname sock with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let finished = Atomic.make false and cut = Atomic.make false in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        let t0 = Unix.gettimeofday () in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < 8.0
+        do
+          Thread.delay 0.05
+        done;
+        if not (Atomic.get finished) then begin
+          Atomic.set cut true;
+          Unix.close sock
+        end)
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let outcome =
+    match Relay.Client.connect ~port ~connect_timeout_s:2.0 () with
+    | c ->
+      Relay.Client.close c;
+      "connected"
+    | exception Relay.Client.Error _ -> "Client.Error"
+    | exception e -> Printexc.to_string e
+  in
+  let took = Unix.gettimeofday () -. t0 in
+  Atomic.set finished true;
+  Thread.join watchdog;
+  if not (Atomic.get cut) then Unix.close sock;
+  check Alcotest.string "HELLO gives up" "Client.Error" outcome;
+  check bool
+    (Printf.sprintf "by the deadline, not the watchdog (%.1f s)" took)
+    false (Atomic.get cut)
+
 (* ------------------------------------------------------------------ *)
 (* HMAC-authenticated framing                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1192,6 +1240,38 @@ let hello_served ~port =
     true
   | exception Relay.Client.Error _ -> false
 
+(* a limit of this shell's, [ulimit FLAG]; [max_int] for "unlimited" *)
+let ulimit flag =
+  let ic = Unix.open_process_args_in "/bin/sh" [| "sh"; "-c"; "ulimit " ^ flag |] in
+  let line = In_channel.input_all ic in
+  ignore (Unix.close_process_in ic);
+  Option.value ~default:max_int (int_of_string_opt (String.trim line))
+
+(** relayd past descriptor 1023: under [ulimit -n 4096], 1 100 idle
+    connections number relayd's descriptors past [select]'s
+    [FD_SETSIZE] (1024), and HELLO and STATS must still be served. This
+    process holds as many descriptors, so its own dial ([Tcp.dial]'s
+    connect wait) goes past 1023 too. Skipped where the hard limit, or
+    this process's own limit, is below what the case opens. *)
+let test_relayd_past_fd_1023 () =
+  let n = 1100 in
+  let hard = ulimit "-Hn" in
+  if hard < n || ulimit "-n" < n + 64 then Alcotest.skip ();
+  with_relayd ~fd_limit:(Int.min 4096 hard) [] @@ fun r ->
+  let clients = ref [] in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close !clients) @@ fun () ->
+  for _ = 1 to n do
+    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    clients := s :: !clients;
+    Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, r.port))
+  done;
+  poll ~what:"HELLO served past fd 1023" (fun () ->
+      hello_served ~port:r.port);
+  check bool "every connection accepted" true
+    (relay_stat ~port:r.port "connections" > n);
+  check bool "relayd still running" true
+    (Unix.waitpid [ Unix.WNOHANG ] r.pid |> fst = 0)
+
 (** relayd under [ulimit -n 16] with 20 clients in its backlog: accept
     runs out of descriptors (EMFILE). The clients then close; once
     relayd has read their EOFs it has descriptors again, and a new
@@ -1288,6 +1368,8 @@ let () =
     [ ( "client-errors",
         [ Alcotest.test_case "connect refused -> Client.Error" `Quick
             test_connect_refused_is_client_error
+        ; Alcotest.test_case "HELLO to a deaf listener times out" `Quick
+            test_hello_deadline
         ; Alcotest.test_case "handshake failure closes socket" `Quick
             test_handshake_failure_closes_socket ] )
     ; ( "hmac",
@@ -1332,6 +1414,8 @@ let () =
             test_relayd_busy_metrics_port
         ; Alcotest.test_case "accept survives EMFILE (ulimit -n 16)" `Quick
             test_relayd_accept_survives_emfile
+        ; Alcotest.test_case "serves past fd 1023 (ulimit -n 4096)" `Quick
+            test_relayd_past_fd_1023
         ; Alcotest.test_case "SIGINT drains every event" `Quick
             (relayd_drains ~signal:Sys.sigint ~shards:1)
         ; Alcotest.test_case "SIGTERM drains every event" `Quick
