@@ -55,7 +55,9 @@ type sub_report = {
 
 let subscriber_thread ~host ~port ?auth ~compress ~stream ~last_seq
     (abi : Abi.t) (report : sub_report) () =
-  let consumer = Session.attach_consumer ~host ~port ?auth ~compress ~stream abi in
+  let consumer =
+    Session.attach_consumer ~host ~port ?auth ~compress ~stream abi
+  in
   let rec go prev =
     match Session.recv consumer with
     | None -> report.closed_early <- true

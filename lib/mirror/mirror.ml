@@ -6,6 +6,7 @@
 module Relay = Omf_relay.Relay
 module Proto = Omf_relay.Relay_proto
 module Client = Relay.Client
+module Relay_client = Omf_relay.Relay_client
 module Counters = Omf_util.Counters
 module Prng = Omf_util.Prng
 
@@ -184,7 +185,7 @@ let guarded (t : t) meta =
 
 (** SUBSCRIBE from [from]; a [busy] source is waited out on the same
     connection, for its hint scaled by full jitter from the link's
-    [rng] ({!Omf_relay.Relay_client.backoff_delay} step 0), so links facing one
+    [rng] ({!Relay_client.backoff_delay} step 0), so links facing one
     busy source do not retry in lockstep. The wait spends no budget on
     purpose: overload is not an outage, and it must never make the
     mirror call a live source lost. *)
@@ -194,7 +195,7 @@ let rec subscribe (t : t) rng client ~stream ~from =
   | exception Client.Busy { retry_ms } ->
     Counters.incr t.counters "busy_backoffs";
     let d =
-      Omf_relay.Relay_client.backoff_delay ~base_s:(float_of_int retry_ms /. 1000.)
+      Relay_client.backoff_delay ~base_s:(float_of_int retry_ms /. 1000.)
         ~max_s:infinity rng 0
     in
     Log.info (fun m ->
@@ -304,7 +305,7 @@ let link_thread (t : t) (ls : link_state) =
         else begin
           Log.info (fun m -> m "stream %s: handshake failed: %s" stream why);
           nap t
-            (Omf_relay.Relay_client.backoff_delay ~base_s:t.cfg.base_delay_s
+            (Relay_client.backoff_delay ~base_s:t.cfg.base_delay_s
                ~max_s:t.cfg.max_delay_s rng (failed - 1));
           go failed
         end

@@ -539,7 +539,9 @@ let publish_value (p : publisher) (fmt : Format.t) (v : Value.t) : unit =
             unreachable"
            p.b_stream p.b_window)
     in
-    await_acks p ~until:(fun () -> publisher_buffered p < p.b_window) ~fail:full;
+    await_acks p
+      ~until:(fun () -> publisher_buffered p < p.b_window)
+      ~fail:full;
     if publisher_buffered p >= p.b_window then raise (full ())
   end;
   (* marshal under the lock: [b_mem] is the session's one scratch

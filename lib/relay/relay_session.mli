@@ -38,11 +38,12 @@ val close_consumer : consumer -> unit
 
 (** {!Relay_client.Client} plus automatic reconnect/replay: a dropped
     TCP connection degrades to a bounded retry loop (exponential
-    backoff + jitter) instead of killing the endpoint. Subscribers replay SUBSCRIBE into
-    one receiver, which ignores the relay's replay of descriptors it
-    already learned; publishers replay ADVERTISE/PUBLISH, re-announce
-    descriptors per connection, and buffer a bounded in-flight window
-    of data frames during the outage.
+    backoff + jitter) instead of killing the endpoint. Subscribers
+    replay SUBSCRIBE into one receiver, which ignores the relay's replay
+    of descriptors it already learned; publishers replay
+    ADVERTISE/PUBLISH, re-announce descriptors per connection, and
+    buffer a bounded in-flight window of data frames during the
+    outage.
 
     A [busy] reply (PROTOCOLS.md §16) is retried on the same connection
     after the relay's hint; after [max_attempts] of them the last
@@ -79,8 +80,7 @@ val config :
     the jitter comes from a fixed seed, so it is deterministic).
     [auth], [compress] (offered on every reconnect, renegotiated per
     connection), [connect_timeout_s] (default 5s) and [io_timeout_s] as
-    for
-    {!Relay_client.Client.connect}; reconnect HELLOs carry an extra
+    for {!Relay_client.Client.connect}; reconnect HELLOs carry an extra
     [omf-reconnect] credential so relay STATS expose churn
     ([reconnects_accepted]). *)
 
@@ -174,10 +174,10 @@ val publish_value :
   publisher -> Omf_pbio.Format.t -> Omf_pbio.Value.t -> unit
 (** Marshal one event and ship it, announcing the format's descriptor
     first on each connection. Threads may share a publisher: the
-    event is marshalled under the session's lock. During an outage the frame is buffered
-    and reconnection attempted under the budget; a full window raises
-    {!Overflow}, an exhausted budget returns with the frame buffered
-    for the next call. With [max_attempts = 0] the session never
+    event is marshalled under the session's lock. During an outage the
+    frame is buffered and reconnection attempted under the budget; a
+    full window raises {!Overflow}, an exhausted budget returns with
+    the frame buffered for the next call. With [max_attempts = 0] the session never
     reconnects — frames accumulate until {!Overflow}. *)
 
 val publisher_reconnects : publisher -> int

@@ -191,7 +191,9 @@ let dial ?(host = "127.0.0.1") ~port ?connect_timeout_s ?io_timeout_s () :
   in
   match
     connect ();
-    match io_timeout_s with Some t when t > 0.0 -> set_io_timeout sock t | _ -> ()
+    match io_timeout_s with
+    | Some t when t > 0.0 -> set_io_timeout sock t
+    | _ -> ()
   with
   | () -> sock
   | exception e -> (

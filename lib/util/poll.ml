@@ -1,7 +1,8 @@
 (* poll(2) for the reactor and Tcp.dial: see poll.mli and
    poll_stubs.c *)
 
-type buf = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+type buf =
+  (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 type t = { buf : buf; length : int }
 
 let readable = 1

@@ -1242,7 +1242,9 @@ let hello_served ~port =
 
 (* a limit of this shell's, [ulimit FLAG]; [max_int] for "unlimited" *)
 let ulimit flag =
-  let ic = Unix.open_process_args_in "/bin/sh" [| "sh"; "-c"; "ulimit " ^ flag |] in
+  let ic =
+    Unix.open_process_args_in "/bin/sh" [| "sh"; "-c"; "ulimit " ^ flag |]
+  in
   let line = In_channel.input_all ic in
   ignore (Unix.close_process_in ic);
   Option.value ~default:max_int (int_of_string_opt (String.trim line))
@@ -1307,7 +1309,9 @@ let relayd_drains ~signal ~shards () =
       ~schema:Fx.schema_a Abi.x86_64
   in
   let fmt = Option.get (Session.publisher_format pub "ASDOffEvent") in
-  let sub = Session.attach_consumer ~port:r.port ~stream:"flights" Abi.sparc_32 in
+  let sub =
+    Session.attach_consumer ~port:r.port ~stream:"flights" Abi.sparc_32
+  in
   let seqs = ref [] in
   let reader =
     Thread.create

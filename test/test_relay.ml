@@ -935,7 +935,9 @@ let block_zero_loss_in_order ?shards ~nsubs () =
         Thread.create
           (fun () ->
             let abi = List.nth Abi.all (i mod List.length Abi.all) in
-            let consumer = Session.attach_consumer ~port ~stream:"flights" abi in
+            let consumer =
+              Session.attach_consumer ~port ~stream:"flights" abi
+            in
             let rec go prev =
               if prev < nevents - 1 then
                 match Session.recv consumer with
@@ -998,7 +1000,9 @@ let test_evict_slow_consumer () =
   let healthy =
     Thread.create
       (fun () ->
-        let consumer = Session.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
+        let consumer =
+          Session.attach_consumer ~port ~stream:"flights" Abi.x86_64
+        in
         let rec go prev =
           if prev < nevents - 1 then
             match Session.recv consumer with
