@@ -5,9 +5,10 @@
     This file holds the server alone: shards and their connections, the
     per-stream records, and the replication links a mirror hands in
     ({!adopt_replica} takes a socket and its negotiated modes, never a
-    client). It links no client: the raw {!Client} is relay_client.ml,
-    re-exported as [Relay.Client] for the mirror and for programs that
-    move frames, and the Pbio-typed clients are relay_session.ml.
+    client). The raw {!Client} (relay_client.ml) is re-exported as
+    [Relay.Client]; the Pbio-typed consumer and sessions are
+    relay_session.ml, which nothing here names, so a relay links none
+    of the binding stack (doc/REACTOR.md §8).
 
     Capture points and subscribers are separate processes on separate
     machines. Each shard keeps one record per hosted stream — schema and

@@ -174,9 +174,9 @@ let with_busy_backoff (cfg : config) rng ~closed ~(what : string) ~on_busy
   in
   go 0
 
-(* ---------------------------------------------------------------- *)
+(* ------------------------------------------------------------------ *)
 (* Subscriber sessions                                                *)
-(* ---------------------------------------------------------------- *)
+(* ------------------------------------------------------------------ *)
 
 type subscriber = {
   s_cfg : config;
@@ -302,9 +302,9 @@ let close_subscriber (s : subscriber) : unit =
   s.s_closed <- true;
   drop_subscriber_link s
 
-(* ---------------------------------------------------------------- *)
+(* ------------------------------------------------------------------ *)
 (* Publisher sessions                                                 *)
-(* ---------------------------------------------------------------- *)
+(* ------------------------------------------------------------------ *)
 
 type pending = { p_fmt : Format.t; p_frame : Bytes.t; mutable p_seq : int }
 (** [p_seq] is the store offset this frame occupies (ack mode only;

@@ -1,5 +1,5 @@
 (** Fault-injection suite: what the relay stack does when the network
-    misbehaves. Exercises {!Omf_relay.Relay.Session} reconnect/replay
+    misbehaves. Exercises {!Omf_relay.Relay_session} reconnect/replay
     across a relayd kill+restart and across severed links (via the
     {!Omf_testkit.Chaos} proxy), HMAC frame authentication under forged
     and corrupted traffic, the publisher's bounded in-flight window,
