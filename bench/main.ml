@@ -488,7 +488,7 @@ let e6_store () =
   in
   let pipeline_row (label, fsync) =
     let run store =
-      let h = Relay.start ?store () in
+      let h = Relay.start (Relay.listen ?store ()) in
       let port = Relay.port h in
       Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
       let admin = Relay.Client.connect ~port () in
@@ -538,7 +538,7 @@ let e6_store () =
             segment_bytes
           ; fsync = Store.Every_n 64 }
         in
-        let h = Relay.start ~store () in
+        let h = Relay.start (Relay.listen ~store ()) in
         let port = Relay.port h in
         let cfg = Session.config ~port () in
         let pub =
@@ -568,7 +568,7 @@ let e6_store () =
         let frames = Store.tail st in
         let nsegs = Store.segments st in
         Store.close st;
-        let h = Relay.start ~store () in
+        let h = Relay.start (Relay.listen ~store ()) in
         let port = Relay.port h in
         Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
         let sub = Relay.Client.connect ~port () in
@@ -611,7 +611,7 @@ let e7_registry () =
   let reg = Registry.create () in
   let srv = Registry.Server.start ~port:0 reg in
   Fun.protect ~finally:(fun () -> Registry.Server.shutdown srv) @@ fun () ->
-  let rc = Registry.Client.connect ~port:(Registry.Server.port srv) () in
+  let rc = Registry.Client.connect ~port:(Registry.Server.port srv) in
   Fun.protect ~finally:(fun () -> Registry.Client.close rc) @@ fun () ->
   let nsubjects = if quick then 10 else 50 in
   for i = 0 to nsubjects - 1 do
@@ -686,7 +686,7 @@ let e7_registry () =
         | Some v -> v.Registry.schema
         | None -> failwith "subject not registered")
   in
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub = Relay.Client.connect ~port () in

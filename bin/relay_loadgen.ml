@@ -71,7 +71,7 @@ let subscriber_thread ~host ~port ?auth ~compress ~stream ~last_seq
       if seq < last_seq then go seq
   in
   (try go (-1) with _ -> report.closed_early <- true);
-  (match Relay.Client.comp_totals consumer.Session.client with
+  (match Relay.Client.comp_totals (Session.consumer_client consumer) with
   | Some (raw, wire) ->
     report.raw_bytes <- raw;
     report.wire_bytes <- wire
@@ -217,12 +217,13 @@ let run serve host port policy max_queue auth compress subscribers events pad
   let handle =
     if serve then
       Some
-        (Relay.start ~host ~policy ~max_queue
-           ?auth_keys:(Option.map (fun kp -> [ kp ]) auth)
-           ?trace:
-             (if trace then Some (Relay.Trace.settings ~sample:0.0 ())
-              else None)
-           ())
+        (Relay.start
+           (Relay.listen ~host ~policy ~max_queue
+              ?auth_keys:(Option.map (fun kp -> [ kp ]) auth)
+              ?trace:
+                (if trace then Some (Relay.Trace.settings ~sample:0.0 ())
+                 else None)
+              ()))
     else None
   in
   let port =

@@ -169,7 +169,7 @@ let () =
         | None -> Http.not_found path)
   in
   Printf.printf "metaserver listening on 127.0.0.1:%d\n" (Http.port server);
-  let relay = Relay.start () in
+  let relay = Relay.start (Relay.listen ()) in
   let relay_port = Relay.port relay in
   Printf.printf "relay listening on 127.0.0.1:%d\n\n" relay_port;
 

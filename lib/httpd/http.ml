@@ -295,17 +295,14 @@ let directory_handler (dir : string) : handler =
 (* Client                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(** [request ~meth ~port ~path ?body ()] performs a blocking request
-    and returns the full parsed response — status included, so callers
-    that care about 403-vs-404 (tests) or 409 (registry compat
-    rejection) can inspect it without exception plumbing. Raises
+(** One blocking exchange, returning the full parsed response. Raises
     {!Http_error} only on transport problems (connect failure, timeout,
-    truncated stream, malformed response). [timeout_s] (default 5 s)
-    bounds connection establishment and each read/write. The connection comes
-    from {!Omf_transport.Tcp.dial}; the response head is parsed with the
+    truncated stream, malformed response). [timeout_s] bounds connection
+    establishment and each read/write. The connection comes from
+    {!Omf_transport.Tcp.dial}; the response head is parsed with the
     server's own head parser. *)
-let request ?(host = "127.0.0.1") ~port ~meth ~path ?content_type
-    ?(body = "") ?(timeout_s = 5.0) () : response =
+let exchange ~host ~port ~meth ~path ~content_type ~body ~timeout_s :
+    response =
   let fd =
     try
       Omf_transport.Tcp.dial ~host ~port ~connect_timeout_s:timeout_s
@@ -390,18 +387,24 @@ let request ?(host = "127.0.0.1") ~port ~meth ~path ?content_type
     | Some m -> fail "%s" m
     | None -> raise e)
 
-(** [get ~host ~port ~path] performs a blocking GET and returns the
-    body. Raises {!Http_error} on connection failure or non-200 status
-    — which is exactly what a {!Omf_xml2wire.Discovery} source should
-    do so the fallback chain can take over. *)
-let get ?host ~port ~path ?timeout_s () : string =
-  let r = request ?host ~port ~meth:"GET" ~path ?timeout_s () in
+let request ~port ~meth ~path ?(body = "") () : response =
+  exchange ~host:"127.0.0.1" ~port ~meth ~path ~content_type:None ~body
+    ~timeout_s:5.0
+
+(** [get ~port ~path] performs a blocking GET and returns the body.
+    Raises {!Http_error} on connection failure or non-200 status — which
+    is exactly what a {!Omf_xml2wire.Discovery} source should do so the
+    fallback chain can take over. *)
+let get ~port ~path ?(timeout_s = 5.0) () : string =
+  let r =
+    exchange ~host:"127.0.0.1" ~port ~meth:"GET" ~path ~content_type:None
+      ~body:"" ~timeout_s
+  in
   if r.status <> 200 then http_error "GET %s: HTTP %d" path r.status;
   r.body
 
 (** A {!Omf_xml2wire.Discovery}-compatible fetch closure for a URL. *)
-let fetcher ?(host = "127.0.0.1") ~port ~path ?timeout_s () : unit -> string =
-  fun () -> get ~host ~port ~path ?timeout_s ()
+let fetcher ~port ~path () : unit -> string = fun () -> get ~port ~path ()
 
 (* "http://host[:port]/path" -> (host, port, path) *)
 let split_url (url : string) : (string * int * string, string) result =
@@ -432,10 +435,10 @@ let split_url (url : string) : (string * int * string, string) result =
 
 (** One-shot POST of Prometheus text to [url] — push-gateway mode for
     short-lived tools (relay_loadgen, the bench harness) whose
-    counters would vanish before any scrape. Blocking, bounded by
-    [timeout_s] on connect and I/O; all failures come back as
+    counters would vanish before any scrape. Blocking, bounded by 2 s
+    on connect and on each read/write; all failures come back as
     [Error msg] (a metrics push must never kill the tool). *)
-let push ?(timeout_s = 2.0) ~url
+let push ~url
     (sources : (string * (string * int) list) list) : (unit, string) result =
   match split_url url with
   | Error _ as e -> e
@@ -448,8 +451,8 @@ let push ?(timeout_s = 2.0) ~url
            sources)
     in
     match
-      request ~host ~port ~meth:"POST" ~path
-        ~content_type:"text/plain; version=0.0.4" ~body ~timeout_s ()
+      exchange ~host ~port ~meth:"POST" ~path
+        ~content_type:(Some "text/plain; version=0.0.4") ~body ~timeout_s:2.0
     with
     | r when r.status / 100 = 2 -> Ok ()
     | r -> Error (Printf.sprintf "push: %s refused: %d %s" url r.status r.reason)

@@ -94,44 +94,27 @@ val metrics_handler :
 (** {1 Client} *)
 
 val request :
-  ?host:string ->
-  port:int ->
-  meth:string ->
-  path:string ->
-  ?content_type:string ->
-  ?body:string ->
-  ?timeout_s:float ->
-  unit ->
-  response
-(** Blocking request returning the full parsed response — status
-    included, so callers that care about 403-vs-404 or the registry's
-    409 can inspect it. [host] may be a name ({!Omf_reactor.Reactor.resolve});
-    a [Content-Type] header is sent only when [content_type] is given.
-    Raises {!Http_error} only on transport problems (connect failure,
-    timeout, truncated or malformed response). [timeout_s] (default
-    5 s) bounds connection establishment and each read/write. *)
+  port:int -> meth:string -> path:string -> ?body:string -> unit -> response
+(** Blocking request to [127.0.0.1:port] returning the full parsed
+    response — status included, so callers that care about 403-vs-404
+    or the registry's 409 can inspect it. Raises {!Http_error} only on
+    transport problems (connect failure, timeout, truncated or
+    malformed response). Connection establishment and each read/write
+    are bounded by 5 s. *)
 
-val get :
-  ?host:string -> port:int -> path:string -> ?timeout_s:float -> unit -> string
-(** Blocking GET; returns the body. Raises {!Http_error} on connection
-    failure or non-200 — exactly what a discovery source should do so
-    the fallback chain can take over. [timeout_s] (default 5 s) bounds
-    connection establishment and each read/write, so a server that
-    accepts but never answers becomes an {!Http_error} instead of a
-    hang. *)
+val get : port:int -> path:string -> ?timeout_s:float -> unit -> string
+(** Blocking GET to [127.0.0.1:port]; returns the body. Raises
+    {!Http_error} on connection failure or non-200 — exactly what a
+    discovery source should do so the fallback chain can take over.
+    [timeout_s] (default 5 s) bounds connection establishment and each
+    read/write, so a server that accepts but never answers becomes an
+    {!Http_error} instead of a hang. *)
 
-val fetcher :
-  ?host:string ->
-  port:int ->
-  path:string ->
-  ?timeout_s:float ->
-  unit ->
-  unit ->
-  string
-(** A {!Omf_xml2wire.Discovery}-compatible fetch closure for a URL. *)
+val fetcher : port:int -> path:string -> unit -> unit -> string
+(** A {!Omf_xml2wire.Discovery}-compatible fetch closure for a URL: a
+    {!get} with its default deadline. *)
 
 val push :
-  ?timeout_s:float ->
   url:string ->
   (string * (string * int) list) list ->
   (unit, string) result
@@ -140,6 +123,5 @@ val push :
     {!request} — push-gateway mode for short-lived tools (the load
     generator, the bench harness) that exit before any scrape could
     happen. [url] is [http://host[:port][/path]]; the path defaults to
-    [/metrics/job/omf]. Blocking, bounded by [timeout_s] (default 2 s)
-    per socket operation; every failure (resolution, refusal, non-2xx)
+    [/metrics/job/omf]. Blocking, bounded by 2 s per socket operation; every failure (resolution, refusal, non-2xx)
     is returned as [Error message], never raised. *)

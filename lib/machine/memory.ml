@@ -20,8 +20,8 @@ type t = {
 
 let null = 0
 
-let create ?(initial_size = 4096) (abi : Abi.t) : t =
-  { abi; arena = Bytes.make initial_size '\000'; brk = 0; base = 0x1000
+let create (abi : Abi.t) : t =
+  { abi; arena = Bytes.make 4096 '\000'; brk = 0; base = 0x1000
   ; out = Bytes.empty }
 
 let abi t = t.abi

@@ -7,7 +7,9 @@ type t
 
 val null : int
 
-val create : ?initial_size:int -> Abi.t -> t
+val create : Abi.t -> t
+(** An empty heap; its arena starts at 4 KiB and doubles as it fills. *)
+
 val abi : t -> Abi.t
 
 exception Fault of string

@@ -26,31 +26,7 @@
     lockstep; the pause deliberately spends no budget, since overload
     is not an outage and must never get a live source promoted away. *)
 
-type config = {
-  source_host : string;
-  source_port : int;
-  globs : string list;
-      (** replicate only matching streams (['*'] wildcards); [[]] =
-          all *)
-  rescan_s : float;  (** manager period: discovery + lag gauges *)
-  max_attempts : int;
-      (** failed handshakes in a row before the source is probed and,
-          unreachable, declared lost *)
-  base_delay_s : float;
-  max_delay_s : float;  (** handshake backoff: first step and cap *)
-  promote_on_loss : bool;
-  source_auth : (string * string) option;
-  compress : bool;
-      (** offer [comp=lz] on every link to the source (doc/COMPRESS.md,
-          PROTOCOLS.md §18); a source that does not speak compression
-          negotiates down to plain frames, so the flag is safe against
-          old peers *)
-  io_timeout_s : float;
-      (** connect deadline on every connection to the source, and the
-          per-operation deadline of every exchange before a link goes
-          live; a live link has no read deadline, so an idle link stays
-          up *)
-}
+type config
 
 val config :
   ?globs:string list ->
@@ -66,9 +42,28 @@ val config :
   source_port:int ->
   unit ->
   config
-(** Defaults: every stream, rescan every 1s, 8 failed handshakes in a
-    row before the source is probed (jittered backoff 0.05s..1s), no
-    promote-on-loss, 0.5s deadline. *)
+(** A mirror of the relay at [source_host:source_port].
+
+    - [globs]: replicate only matching streams (['*'] wildcards); [[]],
+      the default, replicates all.
+    - [rescan_s] (default 1 s): the manager period, for discovery and
+      the lag gauges.
+    - [max_attempts] (default 8): failed handshakes in a row before the
+      source is probed and, unreachable, declared lost.
+    - [base_delay_s] and [max_delay_s] (defaults 0.05 s and 1 s): the
+      jittered handshake backoff's first step and cap.
+    - [promote_on_loss] (default off): promote a lost source's streams
+      locally.
+    - [source_auth]: the [(key-id, secret)] the links authenticate to
+      the source with (PROTOCOLS.md §12).
+    - [compress] (default off): offer [comp=lz] on every link to the
+      source (doc/COMPRESS.md, PROTOCOLS.md §18); a source that does not
+      speak compression negotiates down to plain frames, so the flag is
+      safe against old peers.
+    - [io_timeout_s] (default 0.5 s): the connect deadline on every
+      connection to the source, and the per-operation deadline of every
+      exchange before a link goes live; a live link has no read
+      deadline, so an idle link stays up. *)
 
 type t
 

@@ -93,16 +93,11 @@ module Receiver = struct
   let memory t = t.mem
   let stats t = t.stats
 
-  (** [learn ?id t blob] ingests a format descriptor, keyed by [?id] (a
-      global format-server id) or the descriptor's own embedded id (the
-      negotiation case). Returns the reconstructed wire format. The
-      blob already known under that id is a no-op: a relay replaying
-      descriptors after a reconnect keeps the cached plans. *)
-  let learn ?id (t : t) (blob : string) : Format.t =
-    let fmt = Format_codec.decode blob in
-    let fmt =
-      match id with None -> fmt | Some id -> { fmt with Format.id }
-    in
+  (** [remember t fmt blob] ingests [fmt], decoded from [blob], under
+      [fmt]'s id. Returns the wire format. The blob already known under
+      that id is a no-op: a relay replaying descriptors after a
+      reconnect keeps the cached plans. *)
+  let remember (t : t) (fmt : Format.t) (blob : string) : Format.t =
     match Hashtbl.find_opt t.wire_formats fmt.Format.id with
     | Some (known, fmt) when String.equal known blob -> fmt
     | _ ->
@@ -111,6 +106,11 @@ module Receiver = struct
       (* a cached plan for this id is stale *)
       Hashtbl.remove t.plans fmt.Format.id;
       fmt
+
+  (** [learn t blob] ingests a format descriptor under its own embedded
+      id (the negotiation case). *)
+  let learn (t : t) (blob : string) : Format.t =
+    remember t (Format_codec.decode blob) blob
 
   let native_format_for (t : t) (wire : Format.t) : Format.t =
     match Registry.find t.registry wire.Format.name with
@@ -137,7 +137,9 @@ module Receiver = struct
       | Some fetch -> (
         t.stats.resolver_lookups <- t.stats.resolver_lookups + 1;
         match fetch id with
-        | Some blob -> learn ~id t blob
+        | Some blob ->
+          (* keyed by the global id the registry issued *)
+          remember t { (Format_codec.decode blob) with Format.id = id } blob
         | None ->
           raise
             (Unknown_format

@@ -62,10 +62,10 @@ module Receiver : sig
   val memory : t -> Memory.t
   val stats : t -> stats
 
-  val learn : ?id:int -> t -> string -> Format.t
-  (** Ingest a format descriptor, keyed by [?id] (a format-server global
-      id) or the descriptor's embedded id (the negotiation case).
-      Learning the blob already known under that id does nothing —
+  val learn : t -> string -> Format.t
+  (** Ingest a format descriptor, keyed by its embedded id (the
+      negotiation case; the [resolve] case keys it by the global id it
+      was asked for). Learning the blob already known under that id does nothing —
       [formats_learned] does not rise and the cached plan stays; a
       different blob replaces the format and drops its plan. *)
 

@@ -580,10 +580,10 @@ module Client = struct
   exception Server_unavailable of string
   exception Rejected of string
 
-  let connect ?(host = "127.0.0.1") ~port ?(timeout_s = 5.0) () : t =
+  let connect ~port : t =
     match
-      Omf_transport.Tcp.connect ~host ~port ~connect_timeout_s:timeout_s
-        ~io_timeout_s:timeout_s ()
+      Omf_transport.Tcp.connect ~host:"127.0.0.1" ~port ~connect_timeout_s:5.0
+        ~io_timeout_s:5.0 ()
     with
     | link -> { link; mutex = Mutex.create () }
     | exception Omf_transport.Tcp.Tcp_error m -> raise (Server_unavailable m)

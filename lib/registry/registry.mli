@@ -180,11 +180,11 @@ module Client : sig
   (** Registration refused; the message carries the server's diff
       lines. *)
 
-  val connect : ?host:string -> port:int -> ?timeout_s:float -> unit -> t
-  (** [timeout_s] (default 5 s) bounds connection establishment and
-      each later send or receive: a server that accepts but never
-      answers makes the call raise {!Server_unavailable} instead of
-      hanging. *)
+  val connect : port:int -> t
+  (** Connect to the registry on [127.0.0.1:port]. A 5 s deadline
+      bounds connection establishment and each later send or receive:
+      a server that accepts but never answers makes the call raise
+      {!Server_unavailable} instead of hanging. *)
 
   val close : t -> unit
 

@@ -1851,7 +1851,7 @@ let listen ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
     ?(policy = Block) ?(max_queue = 256) ?(evict_grace_s = 1.0) ?sndbuf
     ?(auth_keys = []) ?(mac_reject_limit = 3) ?(drain_s = 2.0)
     ?(governor = Governor.config ~budget:0 ()) ?ingress ?trace ?store () : t =
-  if shards < 1 then invalid_arg "Relay.start: shards must be >= 1";
+  if shards < 1 then invalid_arg "Relay.listen: shards must be >= 1";
   let lsock, bound_port = Reactor.listener ~host ~port () in
   let relay_id = resolve_relay_id ?relay_id store in
   let shared =
@@ -1926,14 +1926,7 @@ let listen ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
 (** Shard 0's loop on the calling thread, until {!stop} has drained it. *)
 let run (r : t) = run_loop r.shared.peers.(0)
 
-let start ?host ?port ?relay_id ?shards ?policy ?max_queue ?evict_grace_s
-    ?sndbuf ?auth_keys ?mac_reject_limit ?drain_s ?governor ?ingress ?trace
-    ?store () : t =
-  let r =
-    listen ?host ?port ?relay_id ?shards ?policy ?max_queue ?evict_grace_s
-      ?sndbuf ?auth_keys ?mac_reject_limit ?drain_s ?governor ?ingress ?trace
-      ?store ()
-  in
+let start (r : t) : t =
   { r with domains = Domain.spawn (fun () -> run r) :: r.domains }
 
 let port (r : t) = r.port

@@ -45,16 +45,16 @@ type scope_policy = (string * string) list -> string list option
     on receive. *)
 
 module Store = Omf_store.Store
-(** Re-export of the durable stream store {!start}'s [?store]
+(** Re-export of the durable stream store {!listen}'s [?store]
     configures (see {!Omf_store.Store} and doc/STORE.md). *)
 
 module Governor = Governor
-(** Re-export of the per-shard resource governor {!start}'s
+(** Re-export of the per-shard resource governor {!listen}'s
     [?governor] configures (see {!Governor} and doc/OVERLOAD.md). *)
 
 module Trace = Omf_trace.Trace
 (** Re-export of the sampled distributed-tracing substrate
-    {!start}'s [?trace] configures (see {!Omf_trace.Trace}, doc/TRACE.md
+    {!listen}'s [?trace] configures (see {!Omf_trace.Trace}, doc/TRACE.md
     and PROTOCOLS.md §17). *)
 
 (** {2 The relay}
@@ -69,7 +69,7 @@ module Trace = Omf_trace.Trace
 
 type t
 
-val start :
+val listen :
   ?host:string ->
   ?port:int ->
   ?relay_id:string ->
@@ -88,9 +88,11 @@ val start :
   unit ->
   t
 (** Bind one listening socket (ephemeral port when [?port] is 0, the
-    default) and run [?shards] (default 1) relay loops, each on its own
-    domain: {!listen}, then {!run} on a new domain. Every argument
-    below applies to every shard. Pair each [start] with {!stop}: live
+    default), recover the stored streams and run shards 1..[shards]-1
+    ([shards] defaults to 1; below 1 raises [Invalid_argument]), each on
+    its own domain. Nothing is accepted until shard 0 runs: {!run} runs
+    it on the calling thread, {!start} on a new domain. Every argument
+    below applies to every shard. Pair each relay with {!stop}: live
     domains are a capped resource.
 
     [max_queue] bounds each subscriber's queued data frames
@@ -142,28 +144,10 @@ val start :
     (so a restart keeps owning its streams); a memory-only relay gets
     a fresh random id. *)
 
-val listen :
-  ?host:string ->
-  ?port:int ->
-  ?relay_id:string ->
-  ?shards:int ->
-  ?policy:policy ->
-  ?max_queue:int ->
-  ?evict_grace_s:float ->
-  ?sndbuf:int ->
-  ?auth_keys:(string * string) list ->
-  ?mac_reject_limit:int ->
-  ?drain_s:float ->
-  ?governor:Governor.config ->
-  ?ingress:float * float ->
-  ?trace:Trace.settings ->
-  ?store:Omf_store.Store.config ->
-  unit ->
-  t
-(** {!start} without shard 0's domain: bind the listener, recover the
-    stored streams and run shards 1..N-1, each on its own domain.
-    Nothing is accepted until {!run} runs shard 0. Takes {!start}'s
-    arguments. *)
+val start : t -> t
+(** Run shard 0 of a relay from {!listen} on a new domain, and return
+    the relay: [start (listen ())] is an in-process relay on an
+    ephemeral port. {!stop} joins that domain too. *)
 
 val run : t -> unit
 (** Run shard 0's loop, which accepts for every shard, on the calling

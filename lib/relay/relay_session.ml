@@ -29,7 +29,6 @@ module Log = (val Logs.src_log log)
 
 type consumer = {
   client : Client.t;
-  catalog : Catalog.t;
   endpoint : Endpoint.Receiver.t;
   schema : string;  (** the scoped schema the relay served *)
 }
@@ -52,7 +51,10 @@ let attach_consumer ?host ~port ?creds ?auth ?compress ~(stream : string)
       (Catalog.registry catalog)
       (Omf_machine.Memory.create abi)
   in
-  { client; catalog; endpoint; schema }
+  { client; endpoint; schema }
+
+let consumer_client (c : consumer) = c.client
+let consumer_schema (c : consumer) = c.schema
 
 let recv (c : consumer) : (Format.t * Value.t) option =
   Endpoint.Receiver.recv_value c.endpoint
@@ -67,33 +69,22 @@ exception Gave_up of string
 exception Overflow of string
 
 type config = {
-  host : string;
   port : int;
-  creds : (string * string) list;
   auth : (string * string) option;  (** [(key-id, secret)] *)
-  compress : bool;
-      (** offer [comp=lz] on every (re)connect; negotiated down
-          against a relay that doesn't speak it *)
   max_attempts : int;  (** reconnect attempts per outage *)
   base_delay_s : float;  (** first backoff step *)
   max_delay_s : float;  (** backoff cap *)
-  connect_timeout_s : float option;
-  io_timeout_s : float option;
+  connect_timeout_s : float;
 }
 
-let config ?(host = "127.0.0.1") ?(creds = []) ?auth ?(compress = false)
-    ?(max_attempts = 10) ?(base_delay_s = 0.05) ?(max_delay_s = 2.0)
-    ?(connect_timeout_s = 5.0) ?io_timeout_s ~port () : config =
-  { host; port; creds; auth; compress; max_attempts; base_delay_s
-  ; max_delay_s; connect_timeout_s = Some connect_timeout_s; io_timeout_s }
+let config ?auth ?(max_attempts = 10) ?(base_delay_s = 0.05)
+    ?(max_delay_s = 2.0) ?(connect_timeout_s = 5.0) ~port () : config =
+  { port; auth; max_attempts; base_delay_s; max_delay_s; connect_timeout_s }
 
 let connect_client ?(reconnect = false) (cfg : config) : Client.t =
-  let creds =
-    if reconnect then cfg.creds @ [ ("omf-reconnect", "1") ] else cfg.creds
-  in
-  Client.connect ~host:cfg.host ~port:cfg.port ~creds ?auth:cfg.auth
-    ~compress:cfg.compress ?connect_timeout_s:cfg.connect_timeout_s
-    ?io_timeout_s:cfg.io_timeout_s ()
+  let creds = if reconnect then [ ("omf-reconnect", "1") ] else [] in
+  Client.connect ~port:cfg.port ~creds ?auth:cfg.auth
+    ~connect_timeout_s:cfg.connect_timeout_s ()
 
 exception Closed
 (* raised out of the retry loops once the session is closed, so a

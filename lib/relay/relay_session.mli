@@ -10,12 +10,7 @@
 
 (** {2 A fully wired remote consumer} *)
 
-type consumer = {
-  client : Relay_client.Client.t;
-  catalog : Omf_xml2wire.Catalog.t;
-  endpoint : Omf_transport.Endpoint.Receiver.t;
-  schema : string;  (** the scoped schema the relay served *)
-}
+type consumer
 
 val attach_consumer :
   ?host:string ->
@@ -28,6 +23,12 @@ val attach_consumer :
   consumer
 (** Connect, subscribe, register the served (scoped) schema in a fresh
     catalog for the ABI, and wrap the link in an endpoint receiver. *)
+
+val consumer_client : consumer -> Relay_client.Client.t
+(** The consumer's connection ({!Relay_client.Client.comp_totals}...). *)
+
+val consumer_schema : consumer -> string
+(** The scoped schema the relay served. *)
 
 val recv : consumer -> (Omf_pbio.Format.t * Omf_pbio.Value.t) option
 (** Blocking receive of the next decoded event ([None] = stream end). *)
@@ -62,25 +63,23 @@ exception Overflow of string
 type config
 
 val config :
-  ?host:string ->
-  ?creds:(string * string) list ->
   ?auth:string * string ->
-  ?compress:bool ->
   ?max_attempts:int ->
   ?base_delay_s:float ->
   ?max_delay_s:float ->
   ?connect_timeout_s:float ->
-  ?io_timeout_s:float ->
   port:int ->
   unit ->
   config
-(** [max_attempts] (default 10) bounds reconnect attempts per outage;
-    the first dials at once, attempt [k >= 1] first sleeps
-    {!Relay_client.backoff_delay} step [k - 1] (defaults 0.05s/2.0s;
-    the jitter comes from a fixed seed, so it is deterministic).
-    [auth], [compress] (offered on every reconnect, renegotiated per
-    connection), [connect_timeout_s] (default 5s) and [io_timeout_s] as
-    for {!Relay_client.Client.connect}; reconnect HELLOs carry an extra
+(** Sessions with the relay on [127.0.0.1:port]. [max_attempts]
+    (default 10) bounds reconnect attempts per outage; the first dials
+    at once, attempt [k >= 1] first sleeps {!Relay_client.backoff_delay}
+    step [k - 1] (defaults 0.05s/2.0s; the jitter comes from a fixed
+    seed, so it is deterministic). [auth] and [connect_timeout_s]
+    (default 5s) as for {!Relay_client.Client.connect}. Every
+    connection is plain (no [comp=lz]), and after the HELLO its
+    operations have no deadline: a quiet stream is not an outage. The
+    first HELLO carries no credentials; a reconnect HELLO carries an
     [omf-reconnect] credential so relay STATS expose churn
     ([reconnects_accepted]). *)
 

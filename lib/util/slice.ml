@@ -7,16 +7,7 @@ let make (buf : Bytes.t) (off : int) (len : int) : t =
          (off + len) (Bytes.length buf));
   { buf; off; len }
 
-let of_bytes ?(off = 0) ?len (buf : Bytes.t) : t =
-  match (off, len) with
-  | 0, None -> { buf; off = 0; len = Bytes.length buf }
-  | off, len ->
-    let len = match len with Some l -> l | None -> Bytes.length buf - off in
-    if off < 0 || len < 0 || off + len > Bytes.length buf then
-      invalid_arg
-        (Printf.sprintf "Slice.of_bytes: window [%d,%d) escapes buffer of %d"
-           off (off + len) (Bytes.length buf));
-    { buf; off; len }
+let of_bytes (buf : Bytes.t) : t = { buf; off = 0; len = Bytes.length buf }
 
 let length (s : t) = s.len
 

@@ -25,10 +25,8 @@ val make : Bytes.t -> int -> int -> t
 (** [make buf off len] views [len] bytes of [buf] at [off]. Raises
     [Invalid_argument] when the window is out of bounds. *)
 
-val of_bytes : ?off:int -> ?len:int -> Bytes.t -> t
-(** The whole buffer (or the [off]/[len] window of it) as a slice, no
-    copy. Raises [Invalid_argument] naming the offending window when it
-    escapes the buffer. *)
+val of_bytes : Bytes.t -> t
+(** The whole buffer as a slice, no copy. *)
 
 val length : t -> int
 

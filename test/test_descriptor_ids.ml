@@ -50,7 +50,7 @@ let with_server ?store f =
     (fun () -> f reg srv (Registry.Server.port srv))
 
 let with_client port f =
-  let c = Registry.Client.connect ~port () in
+  let c = Registry.Client.connect ~port in
   Fun.protect ~finally:(fun () -> Registry.Client.close c) (fun () -> f c)
 
 let test_descriptor_register_and_fetch () =

@@ -3,8 +3,8 @@
     across a relayd kill+restart and across severed links (via the
     {!Omf_testkit.Chaos} proxy), HMAC frame authentication under forged
     and corrupted traffic, the publisher's bounded in-flight window,
-    and {!Discovery.discover}'s deadline-bounded fallback when a
-    metadata server accepts connections but never answers.
+    and {!Discovery.discover}'s fallback when a metadata server accepts
+    connections but never answers.
 
     Run via [dune build @faults]; the smoke alias runs it with
     [OMF_FAULTS_QUICK=1] (reduced event counts). *)
@@ -156,7 +156,7 @@ let test_handshake_failure_closes_socket () =
   (* an 'e' HELLO reply (auth refused) must not leak the socket: open
      many failing connections; if fds leaked, this would exhaust the
      default soft limit quickly under the faults alias's repetitions *)
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   for _ = 1 to 100 do
@@ -219,7 +219,7 @@ let test_hello_deadline () =
 (* ------------------------------------------------------------------ *)
 
 let test_auth_pubsub_end_to_end () =
-  let h = Relay.start ~auth_keys:keys () in
+  let h = Relay.start (Relay.listen ~auth_keys:keys ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let auth = List.hd keys in
@@ -250,7 +250,7 @@ let test_auth_pubsub_end_to_end () =
   Session.close_publisher pub
 
 let test_forged_frames_counted_then_closed () =
-  let h = Relay.start ~auth_keys:keys ~mac_reject_limit:3 () in
+  let h = Relay.start (Relay.listen ~auth_keys:keys ~mac_reject_limit:3 ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   (* speak the handshake honestly, then send frames sealed with the
@@ -286,7 +286,7 @@ let test_corrupted_handshake_counted_via_chaos () =
   (* chaos flips a bit in the first length header: the relay sees a
      nonsense frame length, counts the malformed-frame disconnect, and
      the client gets a clear error, not a hang *)
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let chaos = Chaos.start ~upstream_port:port () in
@@ -309,7 +309,7 @@ let test_corrupted_handshake_counted_via_chaos () =
 (* ------------------------------------------------------------------ *)
 
 let test_session_survives_relayd_restart () =
-  let h1 = Relay.start ~auth_keys:keys () in
+  let h1 = Relay.start (Relay.listen ~auth_keys:keys ()) in
   let port = Relay.port h1 in
   let auth = List.hd keys in
   let pub =
@@ -327,7 +327,7 @@ let test_session_survives_relayd_restart () =
   (* kill and restart relayd on the same port: all streams, descriptor
      caches and connections are gone *)
   Relay.stop h1;
-  let h2 = Relay.start ~port ~auth_keys:keys () in
+  let h2 = Relay.start (Relay.listen ~port ~auth_keys:keys ()) in
   Fun.protect
     ~finally:(fun () -> Relay.stop h2)
     (fun () ->
@@ -370,7 +370,7 @@ let test_session_survives_relayd_restart () =
 (* ------------------------------------------------------------------ *)
 
 let test_session_survives_severed_link () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let chaos = Chaos.start ~upstream_port:port () in
@@ -442,7 +442,7 @@ let store_cfg root =
 let test_store_relay_restart_zero_loss () =
   with_store_root @@ fun root ->
   let store = store_cfg root in
-  let h1 = Relay.start ~store () in
+  let h1 = Relay.start (Relay.listen ~store ()) in
   let port = Relay.port h1 in
   let pub =
     Session.publisher ~acked:true (cfg ~port ()) ~stream:"flights"
@@ -462,7 +462,7 @@ let test_store_relay_restart_zero_loss () =
   check int "everything acked durable" first (Session.publisher_durable pub);
   poll ~what:"first half delivered" (fun () -> count col >= first);
   Relay.stop h1;
-  let h2 = Relay.start ~port ~store () in
+  let h2 = Relay.start (Relay.listen ~port ~store ()) in
   Fun.protect
     ~finally:(fun () -> Relay.stop h2)
     (fun () ->
@@ -598,7 +598,7 @@ let mirror_failover_sigkill ~compress () =
           Relay.Client.close c;
           true
         | exception Relay.Client.Error _ -> false);
-    let hb = Relay.start ~store:(store_cfg root_b) () in
+    let hb = Relay.start (Relay.listen ~store:(store_cfg root_b) ()) in
     let port_b = Relay.port hb in
     Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
     let rescan_s = 0.05 and io_timeout_s = 0.25 and max_attempts = 3
@@ -734,7 +734,7 @@ let test_acked_resume_watermark_ahead () =
     { (Relay.Store.default_config ~root) with
       fsync = Relay.Store.Every_n 1 }
   in
-  let h1 = Relay.start ~store () in
+  let h1 = Relay.start (Relay.listen ~store ()) in
   let port = Relay.port h1 in
   let pub =
     Session.publisher ~window:64 ~acked:true (cfg ~port ()) ~stream:"flights"
@@ -752,7 +752,7 @@ let test_acked_resume_watermark_ahead () =
   poll ~what:"burst durable at the relay" (fun () ->
       relay_stat ~port "store.flights.tail" >= first);
   Relay.stop h1;
-  let h2 = Relay.start ~port ~store () in
+  let h2 = Relay.start (Relay.listen ~port ~store ()) in
   Fun.protect ~finally:(fun () -> Relay.stop h2) @@ fun () ->
   let last = (2 * first) - 1 in
   for seq = first to last do
@@ -777,7 +777,7 @@ let test_acked_resume_watermark_ahead () =
 (* ------------------------------------------------------------------ *)
 
 let test_publisher_overflow_is_explicit () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   (* max_attempts = 0: never reconnect, so frames accumulate *)
   let pub =
@@ -811,7 +811,7 @@ let test_publisher_overflow_is_explicit () =
    under HMAC framing, whose per-direction nonces must survive the
    migration. *)
 let test_cluster_pubsub_across_shards () =
-  let cl = Relay.start ~shards:2 ~auth_keys:keys () in
+  let cl = Relay.start (Relay.listen ~shards:2 ~auth_keys:keys ()) in
   Fun.protect ~finally:(fun () -> Relay.stop cl) @@ fun () ->
   let port = Relay.port cl in
   let auth = List.hd keys in
@@ -869,7 +869,7 @@ let test_cluster_pubsub_across_shards () =
    descriptor replay — a relay restartless version of severed-link
    recovery. *)
 let test_cluster_survives_severed_link () =
-  let cl = Relay.start ~shards:2 () in
+  let cl = Relay.start (Relay.listen ~shards:2 ()) in
   Fun.protect ~finally:(fun () -> Relay.stop cl) @@ fun () ->
   let port = Relay.port cl in
   let chaos = Chaos.start ~upstream_port:port () in
@@ -922,9 +922,10 @@ let test_cluster_survives_severed_link () =
 let test_overload_governor_drill () =
   with_store_root @@ fun root ->
   let h =
-    Relay.start ~store:(store_cfg root) ~sndbuf:4096 ~max_queue:100_000
-      ~governor:(Relay.Governor.config ~budget:32_768 ~busy_retry_ms:30 ())
-      ()
+    Relay.start
+      (Relay.listen ~store:(store_cfg root) ~sndbuf:4096 ~max_queue:100_000
+         ~governor:(Relay.Governor.config ~budget:32_768 ~busy_retry_ms:30 ())
+         ())
   in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let port = Relay.port h in
@@ -1049,7 +1050,7 @@ let test_overload_governor_drill () =
 let test_ingress_rate_limit_paces_publisher () =
   (* a publisher bursting past the per-connection token bucket has its
      reads paused — pacing through TCP pushback, never loss *)
-  let h = Relay.start ~ingress:(100.0, 8.0) () in
+  let h = Relay.start (Relay.listen ~ingress:(100.0, 8.0) ()) in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let port = Relay.port h in
   let pub =
@@ -1077,8 +1078,8 @@ let test_ingress_rate_limit_paces_publisher () =
 let test_discovery_falls_back_within_deadline () =
   (* a server that accepts and never answers — the failure mode a
      connection-refused test never exercises. Without a deadline the
-     fetch would hang forever; with one, the chain must reach the
-     compiled-in fallback promptly. *)
+     fetch would hang forever; with the fetcher's own socket deadline,
+     the chain must reach the compiled-in fallback promptly. *)
   let server = Http.serve_table ~port:0 [ ("/flight.xsd", Fx.schema_a) ] in
   Fun.protect ~finally:(fun () -> Http.shutdown server) @@ fun () ->
   let chaos = Chaos.start ~upstream_port:(Http.port server) () in
@@ -1094,36 +1095,19 @@ let test_discovery_falls_back_within_deadline () =
   let catalog = Catalog.create Abi.x86_64 in
   let t0 = Unix.gettimeofday () in
   let outcome =
-    Discovery.discover ~attempts:2 ~timeout_s:0.3 catalog
+    Discovery.discover catalog
       [ Discovery.from_fetcher ~label:"http://hung-metaserver/flight.xsd"
-          (Http.fetcher ~port:(Chaos.port chaos) ~path:"/flight.xsd" ())
+          (fun () ->
+            Http.get ~port:(Chaos.port chaos) ~path:"/flight.xsd"
+              ~timeout_s:0.3 ())
       ; Discovery.compiled ~label:"compiled-in" [ Fx.decl_a ] ]
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   check Alcotest.string "fell back to compiled metadata" "compiled-in"
     outcome.Discovery.source;
   check bool "still functional" true (Option.is_some (Catalog.find catalog "ASDOffEvent"));
-  check bool "within the deadline budget (2 attempts x 0.3s + slack)" true
+  check bool "within the deadline budget (0.3s + slack)" true
     (elapsed < 5.0)
-
-let test_discovery_retries_before_falling_through () =
-  (* the primary source fails once then recovers: attempts=2 keeps the
-     system on its primary metadata instead of flipping to degraded *)
-  let calls = ref 0 in
-  let flaky () =
-    incr calls;
-    if !calls = 1 then failwith "transient"
-    else Fx.schema_a
-  in
-  let catalog = Catalog.create Abi.x86_64 in
-  let outcome =
-    Discovery.discover ~attempts:2 catalog
-      [ Discovery.from_fetcher ~label:"flaky-primary" flaky
-      ; Discovery.compiled ~label:"compiled-in" [ Fx.decl_a ] ]
-  in
-  check Alcotest.string "primary retained after retry" "flaky-primary"
-    outcome.Discovery.source;
-  check int "exactly two fetch attempts" 2 !calls
 
 (** relayd started with a busy [--metrics-port]: the relay is already
     listening when the metrics bind fails, so relayd must stop it and
@@ -1430,6 +1414,4 @@ let () =
             test_relayd_footprint ] )
     ; ( "discovery",
         [ Alcotest.test_case "falls back within deadline (blackhole)" `Quick
-            test_discovery_falls_back_within_deadline
-        ; Alcotest.test_case "retries before falling through" `Quick
-            test_discovery_retries_before_falling_through ] ) ]
+            test_discovery_falls_back_within_deadline ] ) ]

@@ -29,7 +29,7 @@ let value_testable =
 
 (* an in-process relay for one scenario, stopped however it ends *)
 let with_relay f =
-  let relay = Relay.start () in
+  let relay = Relay.start (Relay.listen ()) in
   Fun.protect ~finally:(fun () -> Relay.stop relay) (fun () -> f relay)
 
 (* advertise [schema] on [stream] and enter publisher mode: the client
@@ -193,7 +193,7 @@ let test_registry_global_ids () =
       let catalog = Catalog.create Abi.x86_64 in
       ignore (X2W.register_schema catalog Fx.schema_b);
       let fmt = Option.get (Catalog.find_format catalog "ASDOffEventB") in
-      let sc = Schema_registry.Client.connect ~port () in
+      let sc = Schema_registry.Client.connect ~port in
       let gid = Schema_registry.Client.register_descriptor sc fmt in
       let mem = Memory.create Abi.x86_64 in
       let addr = Native.store mem fmt Fx.value_b in
@@ -201,7 +201,7 @@ let test_registry_global_ids () =
       (* two receivers on different ABIs resolve via the server *)
       List.iter
         (fun abi ->
-          let rc = Schema_registry.Client.connect ~port () in
+          let rc = Schema_registry.Client.connect ~port in
           let rcat = Catalog.create abi in
           ignore (X2W.register_schema rcat Fx.schema_b);
           let receiver =

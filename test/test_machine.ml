@@ -509,8 +509,9 @@ let test_memory_floats () =
       ignore (Memory.read_floats m addr ~size:2 ~count:1))
 
 let test_memory_growth () =
-  let m = Memory.create ~initial_size:32 Abi.x86_64 in
-  let blocks = List.init 50 (fun i -> (Memory.alloc m 100, i)) in
+  let m = Memory.create Abi.x86_64 in
+  (* 500 blocks of 100 B: the 4 KiB arena grows several times *)
+  let blocks = List.init 500 (fun i -> (Memory.alloc m 100, i)) in
   List.iter (fun (a, i) -> Memory.write_int m a ~size:4 (Int64.of_int i)) blocks;
   List.iter
     (fun (a, i) ->

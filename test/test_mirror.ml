@@ -115,10 +115,11 @@ let assoc key stats = Option.value ~default:0 (List.assoc_opt key stats)
 
 (* a fast mirror config for tests *)
 let mcfg ?globs ?(max_attempts = 3) ?(promote_on_loss = false)
-    ?(compress = false) ?(source_host = "127.0.0.1") ~source_port () =
-  Mirror.config ?globs ~rescan_s:0.05 ~io_timeout_s:0.25 ~max_attempts
+    ?(compress = false) ?source_auth ?(io_timeout_s = 0.25)
+    ?(source_host = "127.0.0.1") ~source_port () =
+  Mirror.config ?globs ~rescan_s:0.05 ~io_timeout_s ~max_attempts
     ~base_delay_s:0.02 ~max_delay_s:0.1 ~promote_on_loss ~compress
-    ~source_host ~source_port ()
+    ?source_auth ~source_host ~source_port ()
 
 (* read exactly [n] decoded events off a replica, starting at store
    offset [from] *)
@@ -146,10 +147,10 @@ let read_from ~port ~stream ~from n =
 let test_replicates_frames_and_metadata () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
-  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let ha = Relay.start (Relay.listen ~store:(store_cfg root_a) ()) in
   let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
-  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let hb = Relay.start (Relay.listen ~store:(store_cfg root_b) ()) in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let id_a = Relay.relay_id ha in
@@ -221,10 +222,10 @@ let test_replicates_frames_and_metadata () =
 let test_compressed_link_fidelity () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
-  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let ha = Relay.start (Relay.listen ~store:(store_cfg root_a) ()) in
   let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
-  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let hb = Relay.start (Relay.listen ~store:(store_cfg root_b) ()) in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let pub, sender, fmt =
@@ -283,10 +284,12 @@ let test_corrupt_sealed_frame_relinks () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
   let key = ("k1", "mirror-secret") in
-  let ha = Relay.start ~store:(store_cfg root_a) ~auth_keys:[ key ] () in
+  let ha =
+    Relay.start (Relay.listen ~store:(store_cfg root_a) ~auth_keys:[ key ] ())
+  in
   let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
-  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let hb = Relay.start (Relay.listen ~store:(store_cfg root_b) ()) in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
@@ -302,9 +305,7 @@ let test_corrupt_sealed_frame_relinks () =
      handshake and inside the sealed replay (~35 KB) *)
   Chaos.set_fault chaos ~dir:Chaos.Down (Chaos.Corrupt_at 8000);
   let m =
-    Mirror.start hb
-      { (mcfg ~source_port:(Chaos.port chaos) ()) with
-        Mirror.source_auth = Some key }
+    Mirror.start hb (mcfg ~source_auth:key ~source_port:(Chaos.port chaos) ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"the corrupted link reconnected" (fun () ->
@@ -330,10 +331,10 @@ let test_corrupt_sealed_frame_relinks () =
 let test_bidirectional_no_amplification () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
-  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let ha = Relay.start (Relay.listen ~store:(store_cfg root_a) ()) in
   let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
-  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let hb = Relay.start (Relay.listen ~store:(store_cfg root_b) ()) in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let m_ab =
@@ -375,10 +376,10 @@ let test_bidirectional_no_amplification () =
 let test_promote_transfers_ownership () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
-  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let ha = Relay.start (Relay.listen ~store:(store_cfg root_a) ()) in
   let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
-  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let hb = Relay.start (Relay.listen ~store:(store_cfg root_b) ()) in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let id_b = Relay.relay_id hb in
@@ -436,13 +437,13 @@ let test_promote_transfers_ownership () =
 let test_promote_on_loss_failover () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
-  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let ha = Relay.start (Relay.listen ~store:(store_cfg root_a) ()) in
   let port_a = Relay.port ha in
   let stopped_a = ref false in
   Fun.protect
     ~finally:(fun () -> if not !stopped_a then Relay.stop ha)
   @@ fun () ->
-  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let hb = Relay.start (Relay.listen ~store:(store_cfg root_b) ()) in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let id_b = Relay.relay_id hb in
@@ -493,7 +494,7 @@ let test_promote_on_loss_failover () =
 let test_promote_syncs_replica () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
-  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let ha = Relay.start (Relay.listen ~store:(store_cfg root_a) ()) in
   let port_a = Relay.port ha in
   let stopped_a = ref false in
   Fun.protect
@@ -501,10 +502,11 @@ let test_promote_syncs_replica () =
   @@ fun () ->
   let hb =
     Relay.start
-      ~store:
-        { (Relay.Store.default_config ~root:root_b) with
-          fsync = Relay.Store.Interval 60.0 }
-      ()
+      (Relay.listen
+         ~store:
+           { (Relay.Store.default_config ~root:root_b) with
+             fsync = Relay.Store.Interval 60.0 }
+         ())
   in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
@@ -559,10 +561,10 @@ let raw_frames ~port ~stream n =
 let test_idle_link_does_not_churn ?source_host () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
-  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let ha = Relay.start (Relay.listen ~store:(store_cfg root_a) ()) in
   let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
-  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let hb = Relay.start (Relay.listen ~store:(store_cfg root_b) ()) in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
@@ -570,12 +572,12 @@ let test_idle_link_does_not_churn ?source_host () =
   for seq = 0 to n - 1 do
     publish sender fmt seq
   done;
-  let cfg = mcfg ?source_host ~source_port:port_a () in
-  let m = Mirror.start hb cfg in
+  let io_timeout_s = 0.25 in
+  let m = Mirror.start hb (mcfg ?source_host ~io_timeout_s ~source_port:port_a ()) in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"replica caught up" (fun () ->
       relay_stat ~port:port_b "store.flights.tail" >= n);
-  Thread.delay (3. *. cfg.Mirror.io_timeout_s);
+  Thread.delay (3. *. io_timeout_s);
   check int "one link, established once" 1
     (assoc "links_established" (Mirror.stats m));
   check int "no reconnect while idle" 0 (assoc "reconnects" (Mirror.stats m));
@@ -592,10 +594,10 @@ let test_idle_link_does_not_churn ?source_host () =
 let test_reused_format_id_replicated () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
-  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let ha = Relay.start (Relay.listen ~store:(store_cfg root_a) ()) in
   let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
-  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let hb = Relay.start (Relay.listen ~store:(store_cfg root_b) ()) in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
@@ -647,9 +649,10 @@ let test_reused_format_id_replicated () =
    stored "flights" frames. *)
 let busy_source root ~n =
   let ha =
-    Relay.start ~store:(store_cfg root) ~sndbuf:4096 ~max_queue:100_000
-      ~governor:(Relay.Governor.config ~budget:32_768 ~busy_retry_ms:30 ())
-      ()
+    Relay.start
+      (Relay.listen ~store:(store_cfg root) ~sndbuf:4096 ~max_queue:100_000
+         ~governor:(Relay.Governor.config ~budget:32_768 ~busy_retry_ms:30 ())
+         ())
   in
   let port = Relay.port ha in
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" () in
@@ -709,7 +712,7 @@ let test_busy_pauses_link () =
   let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
   Fun.protect ~finally:(fun () -> Relay.Client.close pub) @@ fun () ->
-  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let hb = Relay.start (Relay.listen ~store:(store_cfg root_b) ()) in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   with_overload ~port:port_a @@ fun release ->
@@ -755,7 +758,7 @@ let test_busy_source_killed_is_lost () =
   Fun.protect ~finally:(fun () -> if not !stopped_a then Relay.stop ha)
   @@ fun () ->
   Fun.protect ~finally:(fun () -> Relay.Client.close pub) @@ fun () ->
-  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let hb = Relay.start (Relay.listen ~store:(store_cfg root_b) ()) in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   with_overload ~port:port_a @@ fun release ->
   Fun.protect ~finally:release @@ fun () ->
@@ -785,19 +788,19 @@ let test_busy_source_killed_is_lost () =
 let test_refusing_source_not_promoted ~revoke () =
   with_root @@ fun root_b ->
   let key = ("k1", "mirror-secret") in
-  let ha = Relay.start ~auth_keys:[ key ] () in
+  let ha = Relay.start (Relay.listen ~auth_keys:[ key ] ()) in
   let port_a = Relay.port ha in
   let stopped_a = ref false in
   Fun.protect ~finally:(fun () -> if not !stopped_a then Relay.stop ha)
   @@ fun () ->
-  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let hb = Relay.start (Relay.listen ~store:(store_cfg root_b) ()) in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
   let m =
     Mirror.start hb
-      { (mcfg ~max_attempts:8 ~promote_on_loss:true ~source_port:port_a ())
-        with Mirror.source_auth = Some key }
+      (mcfg ~max_attempts:8 ~promote_on_loss:true ~source_auth:key
+         ~source_port:port_a ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~what:"link up" (fun () ->
@@ -812,9 +815,9 @@ let test_refusing_source_not_promoted ~revoke () =
   stopped_a := true;
   Relay.stop ha;
   let ha2 =
-    Relay.start ~port:port_a
-      ~auth_keys:[ (if revoke then ("k2", "rotated-secret") else key) ]
-      ()
+    Relay.start
+      (Relay.listen ~port:port_a
+         ~auth_keys:[ (if revoke then ("k2", "rotated-secret") else key) ] ())
   in
   Fun.protect ~finally:(fun () -> Relay.stop ha2) @@ fun () ->
   poll ~what:"the refusing source parked the link" (fun () ->
@@ -845,15 +848,16 @@ let test_refusing_source_not_promoted ~revoke () =
 let test_catchup_ignores_replica_fsync () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
-  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let ha = Relay.start (Relay.listen ~store:(store_cfg root_a) ()) in
   let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
   let hb =
     Relay.start
-      ~store:
-        { (Relay.Store.default_config ~root:root_b) with
-          fsync = Relay.Store.Interval 5.0 }
-      ()
+      (Relay.listen
+         ~store:
+           { (Relay.Store.default_config ~root:root_b) with
+             fsync = Relay.Store.Interval 5.0 }
+         ())
   in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
@@ -865,8 +869,7 @@ let test_catchup_ignores_replica_fsync () =
   poll ~what:"source stored the backlog" (fun () ->
       relay_stat ~port:port_a "store.flights.tail" >= n);
   let m =
-    Mirror.start hb
-      { (mcfg ~source_port:port_a ()) with Mirror.io_timeout_s = 10.0 }
+    Mirror.start hb (mcfg ~io_timeout_s:10.0 ~source_port:port_a ())
   in
   Fun.protect ~finally:(fun () -> Mirror.stop m) @@ fun () ->
   poll ~deadline_s:3.0 ~what:"replica caught up before its first fsync"
@@ -885,10 +888,10 @@ let test_catchup_ignores_replica_fsync () =
 let test_local_shutdown_not_source_loss () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
-  let ha = Relay.start ~store:(store_cfg root_a) () in
+  let ha = Relay.start (Relay.listen ~store:(store_cfg root_a) ()) in
   let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
-  let hb = Relay.start ~store:(store_cfg root_b) () in
+  let hb = Relay.start (Relay.listen ~store:(store_cfg root_b) ()) in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port:port_a ~stream:"flights" () in
@@ -922,7 +925,7 @@ let test_local_shutdown_not_source_loss () =
 
 let test_restart_readvertises_metadata () =
   with_root @@ fun root ->
-  let h1 = Relay.start ~store:(store_cfg root) () in
+  let h1 = Relay.start (Relay.listen ~store:(store_cfg root) ()) in
   let port1 = Relay.port h1 in
   let id1 = Relay.relay_id h1 in
   let pub, sender, fmt =
@@ -938,7 +941,7 @@ let test_restart_readvertises_metadata () =
   Relay.stop h1;
   (* a fresh process over the same store: the stream comes back with
      its registry binding and its replication identity *)
-  let h2 = Relay.start ~store:(store_cfg root) () in
+  let h2 = Relay.start (Relay.listen ~store:(store_cfg root) ()) in
   let port2 = Relay.port h2 in
   Fun.protect ~finally:(fun () -> Relay.stop h2) @@ fun () ->
   check string "relay id persisted across restart" id1

@@ -458,7 +458,7 @@ let test_conn_sealed_entries () =
 let test_busy_port_leaks_no_fd () =
   Listen.with_busy_port @@ fun port ->
   Listen.refused_without_leak ~rounds:50
-    [ ("relay", fun () -> ignore (Omf_relay.Relay.start ~port ()))
+    [ ("relay", fun () -> ignore (Omf_relay.Relay.listen ~port ()))
     ; ("http", fun () -> ignore (Http.serve_table ~port []))
     ; ( "registry",
         fun () ->

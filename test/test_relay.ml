@@ -358,7 +358,7 @@ let with_store_root f =
 (* ------------------------------------------------------------------ *)
 
 let pubsub_and_descriptor_replay ?shards ~joiners () =
-  let h = Relay.start ?shards () in
+  let h = Relay.start (Relay.listen ?shards ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
@@ -391,7 +391,7 @@ let test_pubsub_and_descriptor_replay () =
 (* two events from an x86-64 publisher decode on a SPARC subscriber;
    [host] names the relay for the bind and for every client dial *)
 let test_basic_pubsub ?(host = "127.0.0.1") () =
-  let h = Relay.start ~host () in
+  let h = Relay.start (Relay.listen ~host ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt =
@@ -414,7 +414,7 @@ let test_basic_pubsub ?(host = "127.0.0.1") () =
 
 (* one event reaches every subscriber, each on its own ABI *)
 let test_fanout_many_subscribers () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
@@ -442,7 +442,7 @@ let test_late_joiner_descriptor_replay () =
 (* a subscriber that closes leaves the stream; the one that stays keeps
    receiving *)
 let test_unsubscribe () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
@@ -475,7 +475,7 @@ let test_unsubscribe () =
    publishes: every subscriber gets exactly its stream's events, intact
    and in order *)
 let test_stress_streams_x_subscribers () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let rng = Omf_util.Prng.create ~seed:99L () in
@@ -523,7 +523,7 @@ let test_stress_streams_x_subscribers () =
 (* display clients see every field; handheld gate devices see only the
    flight number and route *)
 let test_credential_field_scoping () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
@@ -554,7 +554,7 @@ let test_credential_field_scoping () =
   Relay.Client.close pub
 
 let scoped_credentials_over_tcp ?shards () =
-  let h = Relay.start ?shards () in
+  let h = Relay.start (Relay.listen ?shards ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
@@ -585,7 +585,7 @@ let scoped_credentials_over_tcp ?shards () =
     go 0
   in
   check bool "scoped schema omits cntrID" false
-    (contains handheld.Session.schema "cntrID");
+    (contains (Session.consumer_schema handheld) "cntrID");
   check_handoffs h;
   Session.close_consumer display;
   Session.close_consumer handheld;
@@ -594,7 +594,7 @@ let scoped_credentials_over_tcp ?shards () =
 let test_scoped_credentials_over_tcp () = scoped_credentials_over_tcp ()
 
 let test_unknown_stream_and_role_errors () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   (try
@@ -614,7 +614,7 @@ let test_unknown_stream_and_role_errors () =
    that is refused, fails without leaving a phantom in LIST (a mirror
    scanning this relay would spawn a doomed link per phantom). *)
 let test_list_excludes_unknown_streams () =
-  let h = Relay.start ~shards:2 () in
+  let h = Relay.start (Relay.listen ~shards:2 ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, _sender, _fmt = make_publisher ~port ~stream:"flights" in
@@ -644,7 +644,7 @@ let test_list_excludes_unknown_streams () =
    SUBSCRIBE and DESCRIBE with an access-denied error; the refusal
    gives the connection no role, so it stays usable. *)
 let test_scoping_denies_empty_slice () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, _sender, _fmt = make_publisher ~port ~stream:"flights" in
@@ -668,7 +668,7 @@ let test_scoping_denies_empty_slice () =
 (* ADVERTISE validates the schema document: a malformed one is refused
    and creates no stream *)
 let test_advertise_validates_schema () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let c = Relay.Client.connect ~port () in
@@ -680,7 +680,7 @@ let test_advertise_validates_schema () =
   Relay.Client.close c
 
 let test_stream_listing () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let c = Relay.Client.connect ~port () in
@@ -692,7 +692,7 @@ let test_stream_listing () =
 
 (* set_scope names a stream some shard hosts *)
 let test_set_scope_unknown_stream () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   (match Relay.set_scope h ~stream:"nope" (fun _ -> None) with
   | () -> Alcotest.fail "set_scope on an unhosted stream succeeded"
@@ -708,7 +708,7 @@ let test_set_scope_unknown_stream () =
    decoding its own format (NDR match-by-name drops the new field); a
    subscriber that joins afterwards is served the new schema. *)
 let test_runtime_format_upgrade () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub = Relay.Client.connect ~port () in
@@ -759,7 +759,7 @@ let test_runtime_format_upgrade () =
   Relay.Client.close pub
 
 let test_stats_protocol () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
@@ -784,7 +784,9 @@ let test_stats_protocol () =
    into the counters. *)
 let test_stats_keys_unique_and_live () =
   with_store_root @@ fun root ->
-  let h = Relay.start ~store:(Omf_store.Store.default_config ~root) () in
+  let h =
+    Relay.start (Relay.listen ~store:(Omf_store.Store.default_config ~root) ())
+  in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub =
@@ -825,7 +827,7 @@ let test_stats_keys_unique_and_live () =
    [beta] on shard 1, the STATS reply of either shard and [Relay.stats]
    (what /metrics serves) show both streams' gauges, each key once. *)
 let test_stream_gauges_cross_shards () =
-  let h = Relay.start ~shards:2 () in
+  let h = Relay.start (Relay.listen ~shards:2 ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   (* round-robin dealing: the first connection lands on shard 0, the
@@ -881,14 +883,14 @@ let descriptor_cache_dedupes ~store () =
   in
   (* two distinct descriptors (one per sender ABI), each announced on
      more than one connection *)
-  let h = Relay.start ?store () in
+  let h = Relay.start (Relay.listen ?store ()) in
   round h Abi.x86_64 0;
   round h Abi.sparc_32 1;
   round h Abi.x86_64 2;
   let h =
     if Option.is_some store then begin
       Relay.stop h;
-      let h = Relay.start ?store () in
+      let h = Relay.start (Relay.listen ?store ()) in
       round h Abi.sparc_32 3;
       h
     end
@@ -924,7 +926,9 @@ let block_zero_loss_in_order ?shards ~nsubs () =
   let nevents = 50 in
   (* a tight queue bound forces the Block policy to pause and resume
      the publisher repeatedly while subscribers drain *)
-  let h = Relay.start ?shards ~policy:Relay.Block ~max_queue:4 () in
+  let h =
+    Relay.start (Relay.listen ?shards ~policy:Relay.Block ~max_queue:4 ())
+  in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
@@ -986,8 +990,9 @@ let test_evict_slow_consumer () =
     (* the grace window needs slack over the publish pacing below: under
        a loaded test host the reading consumer's backlog can take a few
        hundred ms to drain, and it must never be the one evicted *)
-    Relay.start ~policy:Relay.Evict_slow ~max_queue:8 ~evict_grace_s:0.75
-      ~sndbuf:8192 ()
+    Relay.start
+      (Relay.listen ~policy:Relay.Evict_slow ~max_queue:8 ~evict_grace_s:0.75
+         ~sndbuf:8192 ())
   in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
@@ -1041,7 +1046,9 @@ let test_evict_slow_consumer () =
    reading subscriber keeps up and is never the one holding the pause:
    only the close can lift it. *)
 let test_block_isolation_and_resume_on_close () =
-  let h = Relay.start ~policy:Relay.Block ~max_queue:4 ~sndbuf:8192 () in
+  let h =
+    Relay.start (Relay.listen ~policy:Relay.Block ~max_queue:4 ~sndbuf:8192 ())
+  in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pa, sa, fa = make_publisher ~port ~stream:"alpha" in
@@ -1124,9 +1131,9 @@ let test_block_isolation_and_resume_on_close () =
    and the survivors open in sequence. *)
 let drop_oldest_keeps_stream_decodable ?auth () =
   let h =
-    Relay.start ~policy:Relay.Drop_oldest ~max_queue:8 ~sndbuf:8192
-      ?auth_keys:(Option.map (fun a -> [ a ]) auth)
-      ()
+    Relay.start
+      (Relay.listen ~policy:Relay.Drop_oldest ~max_queue:8 ~sndbuf:8192
+         ?auth_keys:(Option.map (fun a -> [ a ]) auth) ())
   in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
@@ -1181,7 +1188,7 @@ let chunked_replay_backpressure ?shards () =
   let store = Omf_store.Store.default_config ~root in
   let nevents = 400 in
   let max_queue = 16 in
-  let h = Relay.start ?shards ~max_queue ~store () in
+  let h = Relay.start (Relay.listen ?shards ~max_queue ~store ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
@@ -1225,7 +1232,7 @@ let test_chunked_replay_backpressure () = chunked_replay_backpressure ()
 (* ------------------------------------------------------------------ *)
 
 let test_graceful_drain_on_shutdown () =
-  let h = Relay.start ~sndbuf:8192 ~drain_s:10.0 () in
+  let h = Relay.start (Relay.listen ~sndbuf:8192 ~drain_s:10.0 ()) in
   let port = Relay.port h in
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
   let consumer = Session.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
@@ -1305,7 +1312,7 @@ let raw_subscriber ~port ~stream =
    borrows the read buffer after its read. *)
 let test_stalled_subscriber_keeps_frames () =
   let n = 48 in
-  let h = Relay.start ~sndbuf:4096 () in
+  let h = Relay.start (Relay.listen ~sndbuf:4096 ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub = Relay.Client.connect ~port () in
@@ -1328,7 +1335,7 @@ let test_stalled_subscriber_keeps_frames () =
    offset 4): a comp=lz subscriber must get each its own block, not the
    block compressed for the first. *)
 let test_compressed_same_offset () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub = Relay.Client.connect ~port () in
@@ -1361,7 +1368,7 @@ let test_compressed_same_offset () =
 let test_forwarded_block () =
   with_store_root @@ fun root ->
   let store = Omf_store.Store.default_config ~root in
-  let h = Relay.start ~store () in
+  let h = Relay.start (Relay.listen ~store ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let connect ?creds () =
@@ -1523,9 +1530,10 @@ let test_governor_overload_sheds_publish () =
      backlog must flip the shard to overloaded and shed PUBLISH with a
      retryable busy reply, while control traffic (STATS) still flows *)
   let handle =
-    Relay.start ~policy:Relay.Block ~max_queue:100_000 ~sndbuf:4096
-      ~governor:(Relay.Governor.config ~budget:16_384 ~busy_retry_ms:50 ())
-      ()
+    Relay.start
+      (Relay.listen ~policy:Relay.Block ~max_queue:100_000 ~sndbuf:4096
+         ~governor:(Relay.Governor.config ~budget:16_384 ~busy_retry_ms:50 ())
+         ())
   in
   Fun.protect ~finally:(fun () -> Relay.stop handle) @@ fun () ->
   let port = Relay.port handle in
@@ -1608,8 +1616,9 @@ let governor_accounting_symmetry ?shards () =
   let nevents = 40 in
   (* phase 1: drop-oldest sheds + a draining consumer + closes *)
   (let h =
-     Relay.start ?shards ~policy:Relay.Drop_oldest ~max_queue:8 ~sndbuf:8192
-       ~governor:big_budget ()
+     Relay.start
+       (Relay.listen ?shards ~policy:Relay.Drop_oldest ~max_queue:8
+          ~sndbuf:8192 ~governor:big_budget ())
    in
    Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
    let port = Relay.port h in
@@ -1645,8 +1654,9 @@ let governor_accounting_symmetry ?shards () =
    check_handoffs h);
   (* phase 2: a slow-consumer eviction must also hand its bytes back *)
   let h =
-    Relay.start ?shards ~policy:Relay.Evict_slow ~max_queue:8
-      ~evict_grace_s:0.2 ~sndbuf:8192 ~governor:big_budget ()
+    Relay.start
+      (Relay.listen ?shards ~policy:Relay.Evict_slow ~max_queue:8
+         ~evict_grace_s:0.2 ~sndbuf:8192 ~governor:big_budget ())
   in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let port = Relay.port h in
@@ -1873,7 +1883,7 @@ let prop_proto_decoders_total =
    count): the relay refuses it and the first session stands. *)
 let test_second_hello_refused () =
   let key = ("k", "a shared capture-point secret") in
-  let h = Relay.start ~auth_keys:[ key ] () in
+  let h = Relay.start (Relay.listen ~auth_keys:[ key ] ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let c = Relay.Client.connect ~port ~auth:key () in
@@ -1898,7 +1908,7 @@ let test_second_hello_refused () =
    that comes back afterwards never sees the closed session subscribe
    again. *)
 let test_session_close_during_outage () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   let pub, _, _ = make_publisher ~port ~stream:"flights" in
   let max_delay_s = 0.2 in
@@ -1933,7 +1943,7 @@ let test_session_close_during_outage () =
     "receive returns None within one backoff step" (Some "None") !result;
   Thread.join receiver;
   (* the relay comes back on the same port, stream advertised *)
-  let h2 = Relay.start ~port () in
+  let h2 = Relay.start (Relay.listen ~port ()) in
   Fun.protect ~finally:(fun () -> Relay.stop h2) @@ fun () ->
   let pub2, _, _ = make_publisher ~port ~stream:"flights" in
   Thread.delay (3. *. max_delay_s);
@@ -1944,7 +1954,7 @@ let test_session_close_during_outage () =
 (* two threads publishing on one session each marshal into the
    session's scratch memory: every event must arrive intact, once *)
 let test_session_concurrent_publishers () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let cfg = Session.config ~port:(Relay.port h) () in
   let pub =
@@ -2005,7 +2015,7 @@ let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 (* a link adopted from a socket pair: the far end plays the source *)
 let test_adopt_replica () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let frames = Atomic.make 0 and closed = ref None in
   let rep =
     { Relay.stream = "flights"

@@ -251,8 +251,9 @@ let has_stages ~trace_id ~want spans =
 let test_single_relay_stages () =
   with_root @@ fun root ->
   let h =
-    Relay.start ~trace:(Trace.settings ~sample:0.0 ()) ~store:(store_cfg root)
-      ()
+    Relay.start
+      (Relay.listen ~trace:(Trace.settings ~sample:0.0 ())
+         ~store:(store_cfg root) ())
   in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
@@ -308,7 +309,7 @@ let test_single_relay_stages () =
 
 (* an untraced relay mints nothing and serves no trace metadata *)
 let test_tracing_off_is_inert () =
-  let h = Relay.start () in
+  let h = Relay.start (Relay.listen ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let ctx = Trace.make ~sampled:true () in
@@ -332,7 +333,9 @@ let test_tracing_off_is_inert () =
 (* relay-side head sampling: a publisher without a context gets one
    minted at the configured rate *)
 let test_relay_head_sampling () =
-  let h = Relay.start ~trace:(Trace.settings ~sample:1.0 ()) () in
+  let h =
+    Relay.start (Relay.listen ~trace:(Trace.settings ~sample:1.0 ()) ())
+  in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" () in
@@ -353,7 +356,9 @@ let test_relay_head_sampling () =
 (* ------------------------------------------------------------------ *)
 
 let test_session_trace_handoff () =
-  let h = Relay.start ~trace:(Trace.settings ~sample:0.0 ()) () in
+  let h =
+    Relay.start (Relay.listen ~trace:(Trace.settings ~sample:0.0 ()) ())
+  in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let ctx = Trace.make ~sampled:true () in
@@ -393,10 +398,14 @@ let test_mirror_chain_trace () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
   let tset = Trace.settings ~sample:0.0 () in
-  let ha = Relay.start ~trace:tset ~store:(store_cfg root_a) () in
+  let ha =
+    Relay.start (Relay.listen ~trace:tset ~store:(store_cfg root_a) ())
+  in
   let port_a = Relay.port ha in
   Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
-  let hb = Relay.start ~trace:tset ~store:(store_cfg root_b) () in
+  let hb =
+    Relay.start (Relay.listen ~trace:tset ~store:(store_cfg root_b) ())
+  in
   let port_b = Relay.port hb in
   Fun.protect ~finally:(fun () -> Relay.stop hb) @@ fun () ->
   let ctx = Trace.make ~sampled:true () in

@@ -298,20 +298,14 @@ let test_tcp_connect_refused () =
   done;
   check int "no descriptor leaked" before (open_fds ())
 
-(* every client reaches a host through [Tcp.dial]: a refused host name
-   surfaces as each client's own typed error, with no descriptor left
-   behind *)
+(* a client reaches a host through [Tcp.dial]: a refused host name
+   surfaces as the relay client's own typed error, with no descriptor
+   left behind (the HTTP and registry clients dial 127.0.0.1 only) *)
 let test_clients_refused_by_name () =
   let before = open_fds () in
   (match Omf_relay.Relay.Client.connect ~host:"localhost" ~port:1 () with
   | _ -> Alcotest.fail "relay client connected to port 1"
   | exception Omf_relay.Relay.Client.Error _ -> ());
-  (match Omf_httpd.Http.get ~host:"localhost" ~port:1 ~path:"/" () with
-  | _ -> Alcotest.fail "HTTP GET on port 1 succeeded"
-  | exception Omf_httpd.Http.Http_error _ -> ());
-  (match Omf_registry.Registry.Client.connect ~host:"localhost" ~port:1 () with
-  | _ -> Alcotest.fail "registry client connected to port 1"
-  | exception Omf_registry.Registry.Client.Server_unavailable _ -> ());
   check int "no descriptor leaked" before (open_fds ())
 
 (* ------------------------------------------------------------------ *)

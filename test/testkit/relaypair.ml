@@ -20,7 +20,7 @@ let key = ("relaypair", "relaypair-secret")
     missing. *)
 let words_per_event ?(events = 20_000) (mode : Linkpair.mode) (frame : Bytes.t)
     =
-  let r = Relay.start ~auth_keys:[ key ] () in
+  let r = Relay.start (Relay.listen ~auth_keys:[ key ] ()) in
   let port = Relay.port r in
   Fun.protect ~finally:(fun () -> Relay.stop r) @@ fun () ->
   let connect () =

@@ -1,34 +1,56 @@
-(** Export check: lists every [val] of a library interface ([lib/**/*.mli])
-    that no program calls from outside its own compilation unit.
+(** Export check: lists what a library interface ([lib/**/*.mli]) exports
+    and no program uses. Four kinds of finding:
+    - a [val] that no program calls from outside its own unit;
+    - an optional argument of such a [val] that no program passes from
+      outside the unit;
+    - a constructor that nothing builds, its own unit included;
+    - a record field that nothing reads, its own unit included.
 
     It reads the typed trees a build leaves behind ([.cmti] for the
     interfaces, [.cmt] for the implementations; [dune build @check] makes
-    them all) and matches each use of a value ([Texp_ident]) to the
-    declaration it names through the declaration's unique id ([val_uid]).
-    A use inside the declaring unit itself carries the implementation's id,
-    not the interface's, so it never counts.
+    them all) and matches each use to the declaration it names through the
+    declaration's unique id ([Shape.Uid.t]): a value use is a [Texp_ident],
+    a passed argument an [Optional] label of a [Texp_apply] of that value,
+    a build a [Texp_construct], a read a [Texp_field] or a [Tpat_record]. A
+    use inside the declaring unit itself carries the implementation's id,
+    not the interface's, so it never counts for a value or an argument.
+    For a constructor or a field it does: the implementation's type is
+    matched to the interface's by name.
 
     Programs are everything under lib, bin, bench, examples and tools, and
     the test kit ([test/testkit], which [bench/alloc] links). The test
-    suites ([test/test_*.ml]) are not: an export only a test calls is a
+    suites ([test/test_*.ml]) are not: an export only a test uses is a
     finding too, and is either deleted or listed with a reason.
 
     Usage: [exports.exe [--allow FILE] BUILD_ROOT]. Without [--allow] it
-    prints every finding. With it, each finding must be listed in FILE,
-    one per line as [Unit.path.name  kind: reason] ([Unit.*] covers a
-    whole unit), where kind is one of [paper], [cli], [oracle] or
-    [generated]; [#] starts a comment. The
-    check fails on an unlisted finding, on an entry without a valid
-    reason, and on an entry that no longer names a finding. *)
+    prints every finding, and exits 1 if there is one. With it, each
+    finding must be listed in FILE, one per line as [Name  kind: reason]
+    ([Unit.*] covers a whole unit), where Name is [Unit.path.value],
+    [Unit.path.value?label], [Unit.path.type.Constructor] or
+    [Unit.path.type.field], and kind is one of [paper], [cli], [oracle] or
+    [generated]; [#] starts a comment. The check fails on an unlisted
+    finding, on an entry without a valid reason, and on an entry that no
+    longer names a finding. *)
 
 open Typedtree
 
+type kind = Value | Argument of string | Constructor | Field
+
 type decl = {
-  name : string;  (** [Unit.path.name], the unit without its library prefix *)
+  kind : kind;
+  name : string;  (** the unit without its library prefix, as above *)
   unit_ : string;  (** the compilation unit, e.g. [Omf_pbio__Convert] *)
   loc : string;
-  uid : Shape.Uid.t;
+  uid : Shape.Uid.t;  (** an argument's is its value's *)
 }
+
+(* what a program does with an export: calls a value, passes a value's
+   optional argument, builds a constructor, reads a field *)
+type use =
+  | Call of Shape.Uid.t
+  | Pass of Shape.Uid.t * string
+  | Build of Shape.Uid.t
+  | Read of Shape.Uid.t
 
 let unit_of_file f =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename f))
@@ -60,20 +82,58 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+let line src (loc : Location.t) =
+  Printf.sprintf "%s:%d" src loc.loc_start.pos_lnum
+
+(* the constructors and fields a type declares, as (kind, name, loc, uid) *)
+let members prefix (td : type_declaration) =
+  let t = prefix ^ "." ^ td.typ_name.txt in
+  let fields t =
+    List.map (fun (ld : Types.label_declaration) ->
+        Field, t ^ "." ^ Ident.name ld.ld_id, ld.ld_loc, ld.ld_uid)
+  in
+  match td.typ_type.type_kind with
+  | Type_variant (cds, _) ->
+    List.concat_map
+      (fun (cd : Types.constructor_declaration) ->
+        let c = t ^ "." ^ Ident.name cd.cd_id in
+        (Constructor, c, cd.cd_loc, cd.cd_uid)
+        :: (match cd.cd_args with
+            | Cstr_record lds -> fields c lds
+            | Cstr_tuple _ -> []))
+      cds
+  | Type_record (lds, _) -> fields t lds
+  | _ -> []
+
+let exn_member prefix (te : type_exception) =
+  let ext = te.tyexn_constructor in
+  Constructor, prefix ^ "." ^ ext.ext_name.txt, ext.ext_loc, ext.ext_type.ext_uid
+
+(* the optional labels of a value's declared type *)
+let rec optionals (ct : core_type) =
+  match ct.ctyp_desc with
+  | Ttyp_arrow (Optional l, _, ret) -> (l, ct.ctyp_loc) :: optionals ret
+  | Ttyp_arrow (_, _, ret) | Ttyp_poly (_, ret) -> optionals ret
+  | _ -> []
+
 let declarations ~unit_ ~src sg =
   let out = ref [] in
+  let add (kind, name, loc, uid) =
+    out := { kind; name; unit_; loc = line src loc; uid } :: !out
+  in
   let rec items prefix sg =
     List.iter
       (fun item ->
         match item.sig_desc with
         | Tsig_value vd ->
-          let pos = vd.val_loc.Location.loc_start in
-          out :=
-            { name = prefix ^ "." ^ vd.val_name.txt;
-              unit_;
-              loc = Printf.sprintf "%s:%d" src pos.Lexing.pos_lnum;
-              uid = vd.val_val.Types.val_uid }
-            :: !out
+          let name = prefix ^ "." ^ vd.val_name.txt
+          and uid = vd.val_val.val_uid in
+          add (Value, name, vd.val_loc, uid);
+          List.iter (fun (l, loc) -> add (Argument l, name ^ "?" ^ l, loc, uid))
+            (optionals vd.val_desc)
+        | Tsig_type (_, tds) ->
+          List.iter (fun td -> List.iter add (members prefix td)) tds
+        | Tsig_exception te -> add (exn_member prefix te)
         | Tsig_module { md_name = { txt = Some m; _ }; md_type; _ } -> (
           match md_type.mty_desc with
           | Tmty_signature sg -> items (prefix ^ "." ^ m) sg
@@ -84,16 +144,67 @@ let declarations ~unit_ ~src sg =
   items (short_unit unit_) sg;
   !out
 
-(* every value id [str] names, with the unit that names it *)
+(* the constructors and fields an implementation declares, by name, so
+   that a use in the declaring unit finds the interface's declaration *)
+let impl_members ~unit_ str =
+  let out = ref [] in
+  let add (_, name, _, uid) = out := (name, uid) :: !out in
+  let rec items prefix str =
+    List.iter
+      (fun item ->
+        match item.str_desc with
+        | Tstr_type (_, tds) ->
+          List.iter (fun td -> List.iter add (members prefix td)) tds
+        | Tstr_exception te -> add (exn_member prefix te)
+        | Tstr_module { mb_name = { txt = Some m; _ }; mb_expr; _ } -> (
+          match mb_expr.mod_desc with
+          | Tmod_structure str
+          | Tmod_constraint ({ mod_desc = Tmod_structure str; _ }, _, _, _) ->
+            items (prefix ^ "." ^ m) str
+          | _ -> ())
+        | _ -> ())
+      str.str_items
+  in
+  items (short_unit unit_) str;
+  !out
+
+(* The optional labels an application passes. The type checker fills an
+   omitted optional argument in with a [None] at a ghost location; only a
+   real argument counts. Typedtree's shape for application arguments
+   changes between compiler releases: this is the one place that reads it. *)
+let passed_optionals (args : (Asttypes.arg_label * expression option) list) =
+  List.filter_map
+    (function
+      | ( Asttypes.Optional _,
+          Some { exp_desc = Texp_construct (_, { cstr_name = "None"; _ }, []);
+                 exp_loc = { loc_ghost = true; _ }; _ } ) -> None
+      | Optional l, Some _ -> Some l
+      | _ -> None)
+    args
+
 let uses str =
   let acc = ref [] in
+  let add u = acc := u :: !acc in
   let expr sub e =
     (match e.exp_desc with
-     | Texp_ident (_, _, vd) -> acc := vd.Types.val_uid :: !acc
+     | Texp_ident (_, _, vd) -> add (Call vd.val_uid)
+     | Texp_apply ({ exp_desc = Texp_ident (_, _, vd); _ }, args) ->
+       List.iter (fun l -> add (Pass (vd.val_uid, l))) (passed_optionals args)
+     | Texp_construct (_, cd, _) -> add (Build cd.cstr_uid)
+     | Texp_field (_, _, ld) -> add (Read ld.lbl_uid)
      | _ -> ());
     Tast_iterator.default_iterator.expr sub e
   in
-  let it = { Tast_iterator.default_iterator with expr } in
+  let pat (type k) sub (p : k general_pattern) =
+    (match p.pat_desc with
+     | Tpat_record (fields, _) ->
+       List.iter
+         (fun (_, (ld : Types.label_description), _) -> add (Read ld.lbl_uid))
+         fields
+     | _ -> ());
+    Tast_iterator.default_iterator.pat sub p
+  in
+  let it = { Tast_iterator.default_iterator with expr; pat } in
   it.structure it str;
   !acc
 
@@ -139,49 +250,82 @@ let () =
     [ "--allow", Arg.String (fun f -> allow := Some f), "FILE allowlist" ]
     (fun r -> root := r)
     "exports.exe [--allow FILE] BUILD_ROOT";
-  let files =
-    List.concat_map
-      (fun d -> walk (Filename.concat !root d) [])
-      [ "lib"; "bin"; "bench"; "examples"; "tools"; "test" ]
+  let in_dir d =
+    List.map (fun f -> d, f) (walk (Filename.concat !root d) [])
   in
-  let decls = ref [] in
-  (* uid -> the units that use it from program code / from tests *)
-  let program_uses = Hashtbl.create 4096 and test_uses = Hashtbl.create 4096 in
+  let files =
+    List.concat_map in_dir [ "lib"; "bin"; "bench"; "examples"; "tools"; "test" ]
+  in
+  let testkit = Filename.concat (Filename.concat !root "test") "testkit" in
+  let decls = ref [] and found = ref [] and impl = ref [] in
   List.iter
-    (fun file ->
+    (fun (dir, file) ->
       let cmt = Cmt_format.read_cmt file in
       let src = Option.value cmt.Cmt_format.cmt_sourcefile ~default:file in
       let unit_ = unit_of_file file in
       match cmt.Cmt_format.cmt_annots with
-      | Cmt_format.Interface sg
-        when starts_with ~prefix:"lib/" src && Filename.check_suffix src ".mli" ->
+      | Cmt_format.Interface sg when dir = "lib" ->
         decls := declarations ~unit_ ~src sg @ !decls
       | Cmt_format.Implementation str ->
-        let tbl =
-          if starts_with ~prefix:"test/" src
-             && not (starts_with ~prefix:"test/testkit/" src)
-          then test_uses
-          else program_uses
-        in
-        List.iter (fun uid -> Hashtbl.add tbl uid unit_) (uses str)
+        if dir = "lib" then impl := impl_members ~unit_ str @ !impl;
+        let test = dir = "test" && not (starts_with ~prefix:testkit file) in
+        List.iter (fun u -> found := (u, unit_, test) :: !found) (uses str)
       | _ -> ())
     files;
-  let called_from tbl d =
-    List.exists (fun u -> u <> d.unit_) (Hashtbl.find_all tbl d.uid)
+  (* a use in the declaring unit names the implementation's constructor or
+     field: count it for the interface's of the same name *)
+  let by_name = Hashtbl.create 1024 and canon = Hashtbl.create 1024 in
+  List.iter (fun d -> Hashtbl.replace by_name d.name d.uid) !decls;
+  List.iter
+    (fun (name, uid) ->
+      Option.iter (Hashtbl.replace canon uid) (Hashtbl.find_opt by_name name))
+    !impl;
+  let canon uid = Option.value (Hashtbl.find_opt canon uid) ~default:uid in
+  (* use -> the units that make it, from program code / from tests *)
+  let program_uses = Hashtbl.create 4096 and test_uses = Hashtbl.create 4096 in
+  List.iter
+    (fun (u, unit_, test) ->
+      let u =
+        match u with Build c -> Build (canon c) | Read f -> Read (canon f) | u -> u
+      in
+      Hashtbl.add (if test then test_uses else program_uses) u unit_)
+    !found;
+  let used tbl d =
+    let from_outside u =
+      List.exists (fun n -> n <> d.unit_) (Hashtbl.find_all tbl u)
+    in
+    match d.kind with
+    | Value -> from_outside (Call d.uid)
+    | Argument l -> from_outside (Pass (d.uid, l))
+    | Constructor -> Hashtbl.mem tbl (Build d.uid)
+    | Field -> Hashtbl.mem tbl (Read d.uid)
   in
   let findings =
-    List.filter (fun d -> not (called_from program_uses d)) !decls
+    List.filter (fun d -> not (used program_uses d)) !decls
     |> List.sort (fun a b -> compare a.name b.name)
   in
   let describe d =
-    Printf.sprintf "%s (%s)%s" d.name d.loc
-      (if called_from test_uses d then "" else " [no caller at all]")
+    Printf.sprintf "%s (%s) %s%s" d.name d.loc
+      (match d.kind with
+       | Value -> "uncalled"
+       | Argument _ -> "never passed"
+       | Constructor -> "never built"
+       | Field -> "never read")
+      (if used test_uses d then "" else " [no caller at all]")
+  in
+  let count k = List.length (List.filter k !decls) in
+  let totals =
+    Printf.sprintf "%d values, %d optional arguments, %d constructors, %d fields"
+      (count (fun d -> d.kind = Value))
+      (count (fun d -> match d.kind with Argument _ -> true | _ -> false))
+      (count (fun d -> d.kind = Constructor))
+      (count (fun d -> d.kind = Field))
   in
   match !allow with
   | None ->
     List.iter (fun d -> print_endline (describe d)) findings;
-    Printf.printf "%d of %d exports have no caller outside their unit\n"
-      (List.length findings) (List.length !decls)
+    Printf.printf "%d findings among %s\n" (List.length findings) totals;
+    if findings <> [] then exit 1
   | Some file ->
     let entries = read_allow file in
     let errors = ref 0 in
@@ -208,9 +352,9 @@ let () =
           error "%s:%d: %s needs a reason \"<%s>: ...\"" file line n
             (String.concat "|" kinds);
         if not (List.exists (covers n) findings) then
-          error "%s:%d: %s is not an uncalled export (called now, or gone); \
+          error "%s:%d: %s is not an unused export (used now, or gone); \
                  drop the entry" file line n)
       entries;
     if !errors > 0 then exit 1;
-    Printf.printf "exports: %d exports, %d allowlisted, no other export uncalled\n"
-      (List.length !decls) (List.length entries)
+    Printf.printf "exports: %s; %d allowlisted, no other export unused\n"
+      totals (List.length entries)
