@@ -34,16 +34,6 @@
 
 open Typedtree
 
-type kind = Value | Argument of string | Constructor | Field
-
-type decl = {
-  kind : kind;
-  name : string;  (** the unit without its library prefix, as above *)
-  unit_ : string;  (** the compilation unit, e.g. [Omf_pbio__Convert] *)
-  loc : string;
-  uid : Shape.Uid.t;  (** an argument's is its value's *)
-}
-
 (* what a program does with an export: calls a value, passes a value's
    optional argument, builds a constructor, reads a field *)
 type use =
@@ -51,6 +41,13 @@ type use =
   | Pass of Shape.Uid.t * string
   | Build of Shape.Uid.t
   | Read of Shape.Uid.t
+
+type decl = {
+  use : use;  (** the use that counts for it *)
+  name : string;  (** the unit without its library prefix, as above *)
+  unit_ : string;  (** the compilation unit, e.g. [Omf_pbio__Convert] *)
+  loc : string;
+}
 
 let unit_of_file f =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename f))
@@ -85,19 +82,19 @@ let starts_with ~prefix s =
 let line src (loc : Location.t) =
   Printf.sprintf "%s:%d" src loc.loc_start.pos_lnum
 
-(* the constructors and fields a type declares, as (kind, name, loc, uid) *)
+(* the constructors and fields a type declares, as (use, name, loc) *)
 let members prefix (td : type_declaration) =
   let t = prefix ^ "." ^ td.typ_name.txt in
   let fields t =
     List.map (fun (ld : Types.label_declaration) ->
-        Field, t ^ "." ^ Ident.name ld.ld_id, ld.ld_loc, ld.ld_uid)
+        Read ld.ld_uid, t ^ "." ^ Ident.name ld.ld_id, ld.ld_loc)
   in
   match td.typ_type.type_kind with
   | Type_variant (cds, _) ->
     List.concat_map
       (fun (cd : Types.constructor_declaration) ->
         let c = t ^ "." ^ Ident.name cd.cd_id in
-        (Constructor, c, cd.cd_loc, cd.cd_uid)
+        (Build cd.cd_uid, c, cd.cd_loc)
         :: (match cd.cd_args with
             | Cstr_record lds -> fields c lds
             | Cstr_tuple _ -> []))
@@ -107,7 +104,7 @@ let members prefix (td : type_declaration) =
 
 let exn_member prefix (te : type_exception) =
   let ext = te.tyexn_constructor in
-  Constructor, prefix ^ "." ^ ext.ext_name.txt, ext.ext_loc, ext.ext_type.ext_uid
+  Build ext.ext_type.ext_uid, prefix ^ "." ^ ext.ext_name.txt, ext.ext_loc
 
 (* the optional labels of a value's declared type *)
 let rec optionals (ct : core_type) =
@@ -118,8 +115,8 @@ let rec optionals (ct : core_type) =
 
 let declarations ~unit_ ~src sg =
   let out = ref [] in
-  let add (kind, name, loc, uid) =
-    out := { kind; name; unit_; loc = line src loc; uid } :: !out
+  let add (use, name, loc) =
+    out := { use; name; unit_; loc = line src loc } :: !out
   in
   let rec items prefix sg =
     List.iter
@@ -128,8 +125,8 @@ let declarations ~unit_ ~src sg =
         | Tsig_value vd ->
           let name = prefix ^ "." ^ vd.val_name.txt
           and uid = vd.val_val.val_uid in
-          add (Value, name, vd.val_loc, uid);
-          List.iter (fun (l, loc) -> add (Argument l, name ^ "?" ^ l, loc, uid))
+          add (Call uid, name, vd.val_loc);
+          List.iter (fun (l, loc) -> add (Pass (uid, l), name ^ "?" ^ l, loc))
             (optionals vd.val_desc)
         | Tsig_type (_, tds) ->
           List.iter (fun td -> List.iter add (members prefix td)) tds
@@ -148,7 +145,7 @@ let declarations ~unit_ ~src sg =
    that a use in the declaring unit finds the interface's declaration *)
 let impl_members ~unit_ str =
   let out = ref [] in
-  let add (_, name, _, uid) = out := (name, uid) :: !out in
+  let add (use, name, _) = out := (name, use) :: !out in
   let rec items prefix str =
     List.iter
       (fun item ->
@@ -272,33 +269,39 @@ let () =
         List.iter (fun u -> found := (u, unit_, test) :: !found) (uses str)
       | _ -> ())
     files;
-  (* a use in the declaring unit names the implementation's constructor or
-     field: count it for the interface's of the same name *)
+  (* A unit's implementation never sees its own interface: a uid of its
+     own unit names an implementation item, whose id may equal an
+     unrelated interface item's (both are numbered from 0). A constructor
+     or field the declaring unit uses counts for the interface's of the
+     same name, and only for that. *)
   let by_name = Hashtbl.create 1024 and canon = Hashtbl.create 1024 in
-  List.iter (fun d -> Hashtbl.replace by_name d.name d.uid) !decls;
+  List.iter (fun d -> Hashtbl.replace by_name d.name d.use) !decls;
   List.iter
-    (fun (name, uid) ->
-      Option.iter (Hashtbl.replace canon uid) (Hashtbl.find_opt by_name name))
+    (fun (name, u) ->
+      Option.iter (Hashtbl.replace canon u) (Hashtbl.find_opt by_name name))
     !impl;
-  let canon uid = Option.value (Hashtbl.find_opt canon uid) ~default:uid in
+  let own unit_ = function
+    | Shape.Uid.Item { comp_unit; _ } -> comp_unit = unit_
+    | _ -> false
+  in
   (* use -> the units that make it, from program code / from tests *)
   let program_uses = Hashtbl.create 4096 and test_uses = Hashtbl.create 4096 in
   List.iter
     (fun (u, unit_, test) ->
       let u =
-        match u with Build c -> Build (canon c) | Read f -> Read (canon f) | u -> u
+        match u with
+        | (Build uid | Read uid) when own unit_ uid -> Hashtbl.find_opt canon u
+        | u -> Some u
       in
-      Hashtbl.add (if test then test_uses else program_uses) u unit_)
+      Option.iter
+        (fun u -> Hashtbl.add (if test then test_uses else program_uses) u unit_)
+        u)
     !found;
   let used tbl d =
-    let from_outside u =
-      List.exists (fun n -> n <> d.unit_) (Hashtbl.find_all tbl u)
-    in
-    match d.kind with
-    | Value -> from_outside (Call d.uid)
-    | Argument l -> from_outside (Pass (d.uid, l))
-    | Constructor -> Hashtbl.mem tbl (Build d.uid)
-    | Field -> Hashtbl.mem tbl (Read d.uid)
+    match d.use with
+    | Call _ | Pass _ ->
+      List.exists (fun n -> n <> d.unit_) (Hashtbl.find_all tbl d.use)
+    | Build _ | Read _ -> Hashtbl.mem tbl d.use
   in
   let findings =
     List.filter (fun d -> not (used program_uses d)) !decls
@@ -306,20 +309,24 @@ let () =
   in
   let describe d =
     Printf.sprintf "%s (%s) %s%s" d.name d.loc
-      (match d.kind with
-       | Value -> "uncalled"
-       | Argument _ -> "never passed"
-       | Constructor -> "never built"
-       | Field -> "never read")
+      (match d.use with
+       | Call _ -> "uncalled"
+       | Pass _ -> "never passed"
+       | Build _ -> "never built"
+       | Read _ -> "never read")
       (if used test_uses d then "" else " [no caller at all]")
   in
-  let count k = List.length (List.filter k !decls) in
+  let count = Array.make 4 0 in
+  List.iter
+    (fun d ->
+      let k =
+        match d.use with Call _ -> 0 | Pass _ -> 1 | Build _ -> 2 | Read _ -> 3
+      in
+      count.(k) <- count.(k) + 1)
+    !decls;
   let totals =
     Printf.sprintf "%d values, %d optional arguments, %d constructors, %d fields"
-      (count (fun d -> d.kind = Value))
-      (count (fun d -> match d.kind with Argument _ -> true | _ -> false))
-      (count (fun d -> d.kind = Constructor))
-      (count (fun d -> d.kind = Field))
+      count.(0) count.(1) count.(2) count.(3)
   in
   match !allow with
   | None ->

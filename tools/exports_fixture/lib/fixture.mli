@@ -1,13 +1,6 @@
 (** The export check's self-test: one finding of each kind, each beside
-    a used counterpart (tools/exports_fixture/bin uses them). *)
-
-val used : unit -> unit
-
-val uncalled : unit -> unit
-(** no program calls it *)
-
-val f : ?passed:int -> ?unpassed:int -> unit -> int
-(** no program passes [?unpassed] *)
+    a used counterpart. tools/exports_fixture/bin uses them from outside
+    this unit; [Built] is built only here, which counts too. *)
 
 type shape =
   | Built
@@ -17,3 +10,11 @@ type point = {
   read : int;
   never_read : int;  (** set, never read *)
 }
+
+val used : unit -> shape
+
+val uncalled : unit -> unit
+(** no program calls it *)
+
+val f : ?passed:int -> ?unpassed:int -> unit -> int
+(** no program passes [?unpassed] *)
