@@ -8,8 +8,9 @@
       receiver-side conversion compiled per format pair.
 
     A {!Receiver} corresponds to one incoming connection: it learns the
-    peer's formats from negotiation descriptors, caches conversion plans,
-    and materialises incoming messages in its process {!Memory}. *)
+    peer's formats from the descriptors negotiated on that connection
+    (the only way it learns one), caches conversion plans, and
+    materialises incoming messages in its process {!Memory}. *)
 
 open Omf_machine
 module Value = Value
@@ -28,13 +29,11 @@ exception Unknown_format of string
 (* Sending                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** [message ?id ?kind mem fmt addr] marshals the struct at [addr]: NDR
+(** [message ?kind mem fmt addr] marshals the struct at [addr]: NDR
     payload plus framing header, after the byte [kind] if given. The
-    sender performs no data conversion. [?id] overrides the header's
-    format id (global ids from the schema registry). The message is
-    lent: it is [mem]'s output buffer, valid until the next [message]
-    on [mem]. *)
-let message ?id ?kind (mem : Memory.t) (fmt : Format.t) (addr : int) : bytes =
+    sender performs no data conversion. The message is lent: it is
+    [mem]'s output buffer, valid until the next [message] on [mem]. *)
+let message ?kind (mem : Memory.t) (fmt : Format.t) (addr : int) : bytes =
   (* no allocation while the length repeats: the kind byte, the header
      and the payload emitted straight after it, in the memory's own
      buffer *)
@@ -42,7 +41,7 @@ let message ?id ?kind (mem : Memory.t) (fmt : Format.t) (addr : int) : bytes =
   let off = match kind with Some _ -> 1 | None -> 0 in
   let msg = Memory.out_buffer mem (off + Wire.header_length + payload_length) in
   (match kind with Some k -> Bytes.set msg 0 k | None -> ());
-  Wire.put_header ?id fmt ~payload_length msg ~off;
+  Wire.put_header fmt ~payload_length msg ~off;
   Encode.emit mem fmt addr msg ~off:(off + Wire.header_length);
   msg
 
@@ -64,15 +63,11 @@ module Receiver = struct
     mutable bytes : int;  (** payload bytes received *)
     mutable formats_learned : int;
     mutable plans_compiled : int;
-    mutable resolver_lookups : int;
   }
 
   type t = {
     registry : Registry.t;
     mem : Memory.t;
-    resolve : (int -> string option) option;
-        (** fetch a descriptor blob for an unknown wire id — typically a
-            format-server lookup *)
     wire_formats : (int, string * Format.t) Hashtbl.t;
         (** peer format id -> (descriptor blob, format) *)
     plans : (int, Format.t * Convert.t) Hashtbl.t;
@@ -80,24 +75,23 @@ module Receiver = struct
     stats : stats;
   }
 
-  let create ?resolve (registry : Registry.t)
-      (mem : Memory.t) : t =
+  let create (registry : Registry.t) (mem : Memory.t) : t =
     if not (Abi.layout_equal (Registry.abi registry) (Memory.abi mem)) then
       invalid_arg "Receiver.create: registry and memory ABIs differ";
-    { registry; mem; resolve; wire_formats = Hashtbl.create 8
+    { registry; mem; wire_formats = Hashtbl.create 8
     ; plans = Hashtbl.create 8
     ; stats =
-        { messages = 0; bytes = 0; formats_learned = 0; plans_compiled = 0
-        ; resolver_lookups = 0 } }
+        { messages = 0; bytes = 0; formats_learned = 0; plans_compiled = 0 } }
 
   let memory t = t.mem
   let stats t = t.stats
 
-  (** [remember t fmt blob] ingests [fmt], decoded from [blob], under
-      [fmt]'s id. Returns the wire format. The blob already known under
-      that id is a no-op: a relay replaying descriptors after a
-      reconnect keeps the cached plans. *)
-  let remember (t : t) (fmt : Format.t) (blob : string) : Format.t =
+  (** [learn t blob] ingests a format descriptor under its own embedded
+      id and returns the wire format. The blob already known under that
+      id is a no-op: a relay replaying descriptors after a reconnect
+      keeps the cached plans. *)
+  let learn (t : t) (blob : string) : Format.t =
+    let fmt = Format_codec.decode blob in
     match Hashtbl.find_opt t.wire_formats fmt.Format.id with
     | Some (known, fmt) when String.equal known blob -> fmt
     | _ ->
@@ -106,11 +100,6 @@ module Receiver = struct
       (* a cached plan for this id is stale *)
       Hashtbl.remove t.plans fmt.Format.id;
       fmt
-
-  (** [learn t blob] ingests a format descriptor under its own embedded
-      id (the negotiation case). *)
-  let learn (t : t) (blob : string) : Format.t =
-    remember t (Format_codec.decode blob) blob
 
   let native_format_for (t : t) (wire : Format.t) : Format.t =
     match Registry.find t.registry wire.Format.name with
@@ -131,23 +120,10 @@ module Receiver = struct
   let resolve_format (t : t) (id : int) : Format.t =
     match Hashtbl.find t.wire_formats id with
     | _, f -> f
-    | exception Not_found -> (
-      (* last chance: ask the resolver (schema registry) for the blob *)
-      match t.resolve with
-      | Some fetch -> (
-        t.stats.resolver_lookups <- t.stats.resolver_lookups + 1;
-        match fetch id with
-        | Some blob ->
-          (* keyed by the global id the registry issued *)
-          remember t { (Format_codec.decode blob) with Format.id = id } blob
-        | None ->
-          raise
-            (Unknown_format
-               (Printf.sprintf "format id %d (unknown to the resolver)" id)))
-      | None ->
-        raise
-          (Unknown_format
-             (Printf.sprintf "peer format id %d (no negotiation seen)" id)))
+    | exception Not_found ->
+      raise
+        (Unknown_format
+           (Printf.sprintf "peer format id %d (no negotiation seen)" id))
 
   (** [receive ?off t msg] demarshals the framed message at [msg.[off ..]]
       (default 0, to the end of [msg]) into [t]'s memory and returns

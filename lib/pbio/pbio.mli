@@ -20,10 +20,9 @@ module Format_codec = Format_codec
 
 exception Unknown_format of string
 
-val message : ?id:int -> ?kind:char -> Memory.t -> Format.t -> int -> bytes
+val message : ?kind:char -> Memory.t -> Format.t -> int -> bytes
 (** Marshal the struct at the given address: NDR payload plus framing
-    header. The sender performs no data conversion. [?id] overrides the
-    header's format id (global ids from the schema registry). [?kind]
+    header. The sender performs no data conversion. [?kind]
     puts one byte in front of the message, in the same buffer: an
     endpoint's frame kind, so framing needs no copy.
 
@@ -39,9 +38,8 @@ val message_of_value : Abi.t -> Format.t -> Value.t -> bytes
     caller's to keep: its memory is not reused. *)
 
 (** A receiver corresponds to one incoming connection (or journal): it
-    learns peer formats from negotiation descriptors (or a resolver),
-    caches conversion plans, and materialises incoming messages in its
-    process memory. *)
+    learns peer formats from negotiation descriptors, caches conversion
+    plans, and materialises incoming messages in its process memory. *)
 module Receiver : sig
   (** Operational counters, for monitoring and tests. *)
   type stats = {
@@ -49,33 +47,29 @@ module Receiver : sig
     mutable bytes : int;  (** payload bytes received *)
     mutable formats_learned : int;
     mutable plans_compiled : int;
-    mutable resolver_lookups : int;
   }
 
   type t
 
-  val create :
-    ?resolve:(int -> string option) -> Registry.t -> Memory.t -> t
-  (** [resolve] fetches a descriptor blob for an unknown wire format id —
-      typically [Omf_registry.Registry.Resolver.descriptor]. *)
+  val create : Registry.t -> Memory.t -> t
 
   val memory : t -> Memory.t
   val stats : t -> stats
 
   val learn : t -> string -> Format.t
   (** Ingest a format descriptor, keyed by its embedded id (the
-      negotiation case; the [resolve] case keys it by the global id it
-      was asked for). Learning the blob already known under that id does nothing —
-      [formats_learned] does not rise and the cached plan stays; a
-      different blob replaces the format and drops its plan. *)
+      per-connection negotiation). Learning the blob already known under
+      that id does nothing — [formats_learned] does not rise and the
+      cached plan stays; a different blob replaces the format and drops
+      its plan. *)
 
   val receive : ?off:int -> t -> bytes -> Format.t * int
   (** Demarshal the framed message at [off] (default 0; it runs to the
       end of the buffer) into the receiver's memory; returns the native
       format and struct address. The payload is converted where it
       lies, so a link frame carrying a kind byte before the message
-      needs no copy. Raises {!Unknown_format} when the format id is
-      unknown and unresolvable. *)
+      needs no copy. Raises {!Unknown_format} when no descriptor for
+      the format id has been learned. *)
 
   val receive_value : t -> bytes -> Format.t * Value.t
 end

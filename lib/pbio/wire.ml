@@ -57,13 +57,12 @@ let read_header (b : bytes) : header =
   ; base_size = u32 b 16
   ; payload_length = u32 b 20 }
 
-(** [put_header ?id fmt ~payload_length b ~off] writes the header for a
+(** [put_header fmt ~payload_length b ~off] writes the header for a
     [payload_length]-byte NDR payload of [fmt] into the {!header_length}
     bytes of [b] at [off]: the one-allocation framing path, where the
     payload is encoded straight into [b] after it. *)
-let put_header ?id (fmt : Format.t) ~payload_length (b : bytes) ~off : unit =
-  put_fields ~off b
-    ~format_id:(match id with Some id -> id | None -> fmt.Format.id)
+let put_header (fmt : Format.t) ~payload_length (b : bytes) ~off : unit =
+  put_fields ~off b ~format_id:fmt.Format.id
     ~base_size:fmt.Format.layout.Layout.size ~payload_length;
   Abi.blit_fingerprint fmt.Format.abi b ~off:(off + 6)
 

@@ -1,7 +1,9 @@
 (** Message framing: the compact per-message meta-information
     accompanying every NDR payload (magic, version, ABI fingerprint,
-    format id, sizes). Header integers are big-endian regardless of
-    either party's byte order. *)
+    format id, sizes). The format id is the sender's own registry id:
+    the receiver learns what it names from the descriptor negotiated
+    once per connection ({!Format_codec}). Header integers are
+    big-endian regardless of either party's byte order. *)
 
 exception Frame_error of string
 
@@ -17,13 +19,12 @@ type header = {
 val write_header : header -> bytes
 val read_header : bytes -> header
 
-val put_header :
-  ?id:int -> Format.t -> payload_length:int -> bytes -> off:int -> unit
+val put_header : Format.t -> payload_length:int -> bytes -> off:int -> unit
 (** Write the header for a [payload_length]-byte NDR payload of the
     format into the {!header_length} bytes of the buffer at [off]; the
-    caller encodes the payload straight after it. The format id defaults
-    to the sender's registry id (per-connection negotiation); pass [?id]
-    for a global id from the schema registry. *)
+    caller encodes the payload straight after it. The format id is the
+    sender's registry id, which the receiver learned from the
+    descriptor negotiated on the connection. *)
 
 val format_id : ?off:int -> bytes -> int
 (** Check the framed message at [off] (default 0; it runs to the end of

@@ -5,11 +5,8 @@
     registration idempotent by content and letting receivers bind
     conversion plans by fingerprint. Registration is gated by a
     structural diff ({!Omf_xml2wire.Compat}) against the subject's
-    latest version, per compatibility mode. The registry also hands out
-    global ids for binary format descriptors (the PBIO "configuration
-    server" role): message headers carry the id and receivers resolve
-    it. State persists on the durable {!Omf_store} log and is recovered
-    at open. *)
+    latest version, per compatibility mode. State persists on the
+    durable {!Omf_store} log and is recovered at open. *)
 
 let log = Logs.Src.create "omf.registry" ~doc:"schema registry"
 
@@ -21,7 +18,6 @@ module Sha256 = Omf_util.Sha256
 module Counters = Omf_util.Counters
 module Clock = Omf_util.Clock
 module Store = Omf_store.Store
-module Format_codec = Omf_pbio.Format_codec
 
 (* ------------------------------------------------------------------ *)
 (* Compatibility modes                                                  *)
@@ -106,8 +102,6 @@ type t = {
   chains : (string, version list) Hashtbl.t;  (** newest first *)
   by_fp : (string, version) Hashtbl.t;  (** first registration wins *)
   modes : (string, compat_mode) Hashtbl.t;
-  descriptors : (int, string) Hashtbl.t;  (** global id -> blob; dense from 1 *)
-  descriptor_ids : (string, int) Hashtbl.t;  (** blob -> global id *)
   counters : Counters.t;
   store : Store.t option;
   mutable closed : bool;
@@ -115,8 +109,8 @@ type t = {
 
 (** Persistence record formats (kind byte + text body on the CRC-framed
     store): ['V' "subject\nversion\nfingerprint\n" schema] appends a
-    version, ['C' "subject\nmode"] records a mode override, and
-    ['D' "id\n" blob] assigns a descriptor its global id. *)
+    version and ['C' "subject\nmode"] records a mode override. Any other
+    kind, such as the ['D'] records of older logs, recovers as junk. *)
 
 let encode_version (v : version) : Bytes.t =
   Bytes.of_string
@@ -126,9 +120,6 @@ let encode_version (v : version) : Bytes.t =
 let encode_mode subject mode : Bytes.t =
   Bytes.of_string (Printf.sprintf "C%s\n%s" subject (compat_mode_to_string mode))
 
-let encode_descriptor id blob : Bytes.t =
-  Bytes.of_string (Printf.sprintf "D%d\n%s" id blob)
-
 let split_line (s : string) (from : int) : (string * int) option =
   match String.index_from_opt s from '\n' with
   | None -> None
@@ -137,7 +128,6 @@ let split_line (s : string) (from : int) : (string * int) option =
 let decode_record (frame : Bytes.t) :
     [ `Version of version
     | `Mode of string * compat_mode
-    | `Descriptor of int * string
     | `Junk of string ] =
   if Bytes.length frame < 1 then `Junk "empty record"
   else
@@ -165,14 +155,6 @@ let decode_record (frame : Bytes.t) :
         with
         | Ok m -> `Mode (subject, m)
         | Error e -> `Junk e))
-    | 'D' -> (
-      match split_line body 0 with
-      | None -> `Junk "descriptor record: missing id line"
-      | Some (id, p) -> (
-        match int_of_string_opt id with
-        | Some id ->
-          `Descriptor (id, String.sub body p (String.length body - p))
-        | None -> `Junk "descriptor record: malformed id"))
     | k -> `Junk (Printf.sprintf "unknown record kind %C" k)
 
 (* table updates shared by registration and recovery; caller holds the
@@ -183,10 +165,6 @@ let admit t (v : version) =
   if not (Hashtbl.mem t.by_fp v.fingerprint) then
     Hashtbl.replace t.by_fp v.fingerprint v
 
-let admit_descriptor t id blob =
-  Hashtbl.replace t.descriptors id blob;
-  Hashtbl.replace t.descriptor_ids blob id
-
 let recover t (st : Store.t) =
   Store.iter_from st 0 (fun _off frame ->
       match decode_record frame with
@@ -196,9 +174,6 @@ let recover t (st : Store.t) =
       | `Mode (subject, m) ->
         Hashtbl.replace t.modes subject m;
         Counters.incr t.counters "recovered_modes"
-      | `Descriptor (id, blob) ->
-        admit_descriptor t id blob;
-        Counters.incr t.counters "recovered_descriptors"
       | `Junk reason ->
         (* CRC passed but the body is not ours: skip, loudly *)
         Counters.incr t.counters "recovered_junk";
@@ -208,8 +183,7 @@ let create ?store ?(mode = Backward) () : t =
   let t =
     { mutex = Mutex.create (); default_mode = mode
     ; chains = Hashtbl.create 16; by_fp = Hashtbl.create 32
-    ; modes = Hashtbl.create 8; descriptors = Hashtbl.create 16
-    ; descriptor_ids = Hashtbl.create 16; counters = Counters.create ()
+    ; modes = Hashtbl.create 8; counters = Counters.create ()
     ; store = Option.map (fun cfg -> Store.open_stream cfg "registry") store
     ; closed = false }
   in
@@ -217,10 +191,7 @@ let create ?store ?(mode = Backward) () : t =
   t
 
 let close t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
+  Mutex.protect t.mutex (fun () ->
       if not t.closed then begin
         t.closed <- true;
         Option.iter Store.close t.store
@@ -235,9 +206,7 @@ let persist t (frame : Bytes.t) =
        before acknowledging *)
     ignore (Store.sync st)
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let locked t f = Mutex.protect t.mutex f
 
 let mode t ~subject =
   locked t (fun () ->
@@ -275,31 +244,6 @@ let by_fingerprint t fp =
   r
 
 let stats t = Counters.dump t.counters
-
-let register_descriptor t blob : int =
-  match locked t (fun () -> Hashtbl.find_opt t.descriptor_ids blob) with
-  | Some id ->
-    Counters.incr t.counters "descriptor_idempotent";
-    id
-  | None ->
-    (* never serve junk: the blob must decode (checked outside the lock) *)
-    (try ignore (Format_codec.decode blob)
-     with Format_codec.Codec_error _ as e ->
-       Counters.incr t.counters "descriptor_rejected";
-       raise e);
-    locked t (fun () ->
-        match Hashtbl.find_opt t.descriptor_ids blob with
-        | Some id -> id
-        | None ->
-          let id = Hashtbl.length t.descriptors + 1 in
-          persist t (encode_descriptor id blob);
-          admit_descriptor t id blob;
-          Counters.incr t.counters "descriptor_registrations";
-          Log.info (fun f ->
-              f "descriptor id %d registered (%d bytes)" id (String.length blob));
-          id)
-
-let descriptor t id = locked t (fun () -> Hashtbl.find_opt t.descriptors id)
 
 let register t ~subject text : version =
   (* parse and fingerprint outside the lock: pure work *)
@@ -463,15 +407,6 @@ module Server = struct
             (subjects registry)
         in
         reply_ok conn (String.concat "\n" lines)
-      | 'D' -> (
-        match register_descriptor registry body with
-        | id -> reply_ok conn (Printf.sprintf "id=%d" id)
-        | exception Format_codec.Codec_error m ->
-          reply_err conn ("invalid descriptor: " ^ m))
-      | 'G' -> (
-        match Option.bind (int_of_string_opt body) (descriptor registry) with
-        | Some blob -> reply_ok conn blob
-        | None -> reply_err conn "not found")
       | 't' -> reply_ok conn (Counters.to_text registry.counters)
       | k -> Conn.doom conn (Printf.sprintf "unknown request kind %C" k)
 
@@ -592,10 +527,7 @@ module Client = struct
 
   (* one request, one reply: ['o' body] -> Ok body, ['e' msg] -> Error *)
   let rpc t (frame : string) : (string, string) result =
-    Mutex.lock t.mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mutex)
-      (fun () ->
+    Mutex.protect t.mutex (fun () ->
         match
           Omf_transport.Link.send t.link (Bytes.of_string frame);
           Omf_transport.Link.recv t.link
@@ -703,19 +635,6 @@ module Client = struct
     match rpc t "t" with
     | Error _ -> []
     | Ok body -> Counters.of_text body
-
-  let register_descriptor t (fmt : Omf_pbio.Format.t) : int =
-    match rpc t ("D" ^ Format_codec.encode fmt) with
-    | Error msg -> raise (Rejected msg)
-    | Ok body -> (
-      match header_int "id" body with
-      | Some id -> id
-      | None -> raise (Server_unavailable "register_descriptor: malformed reply"))
-
-  let descriptor t id : string option =
-    match rpc t ("G" ^ string_of_int id) with
-    | Ok blob -> Some blob
-    | Error _ -> None
 end
 
 (* ------------------------------------------------------------------ *)
@@ -727,7 +646,6 @@ module Resolver = struct
     client : Client.t;
     mutex : Mutex.t;
     pos : (string, version) Hashtbl.t;  (** "subject@spec" -> version *)
-    blobs : (int, string) Hashtbl.t;  (** descriptor id -> blob *)
     neg : (string, int) Hashtbl.t;  (** key -> expiry, {!Clock.now_us} *)
     neg_ttl_s : float;
     counters : Counters.t;
@@ -735,35 +653,25 @@ module Resolver = struct
 
   let create ?(neg_ttl_s = 1.0) client : t =
     { client; mutex = Mutex.create (); pos = Hashtbl.create 16
-    ; blobs = Hashtbl.create 16
     ; neg = Hashtbl.create 8; neg_ttl_s; counters = Counters.create () }
-
-  let locked t f =
-    Mutex.lock t.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
   let key subject spec = subject ^ "@" ^ Client.spec_string spec
 
-  (* cache a fetched version under every key it answers *)
-  let remember t ~key:k (v : version) =
-    Hashtbl.replace t.pos k v;
-    Hashtbl.replace t.pos (key v.subject (`N v.version)) v
-
-  (* One cached lookup: [hit] probes the positive cache, [fetch] asks
-     the server and [keep] stores its answer (both caches are read and
-     written under the lock). A miss is negatively cached under [neg_key]
-     for [neg_ttl_s]; an outage is counted but not cached, so the next
-     call tries the server again once it returns. *)
-  let lookup t ~neg_key ~hit ~fetch ~keep =
+  (* Both caches are read and written under the lock. A miss is
+     negatively cached for [neg_ttl_s]; an outage is counted but not
+     cached, so the next call tries the server again once it returns.
+     A fetched version is cached under every key it answers. *)
+  let resolve t ~subject spec : version option =
+    let k = key subject spec in
     match
-      locked t (fun () ->
-          match hit () with
+      Mutex.protect t.mutex (fun () ->
+          match Hashtbl.find_opt t.pos k with
           | Some v -> `Hit v
           | None -> (
-            match Hashtbl.find_opt t.neg neg_key with
+            match Hashtbl.find_opt t.neg k with
             | Some expiry when Clock.now_us () < expiry -> `Neg
             | Some _ ->
-              Hashtbl.remove t.neg neg_key;
+              Hashtbl.remove t.neg k;
               `Miss
             | None -> `Miss))
     with
@@ -775,31 +683,20 @@ module Resolver = struct
       None
     | `Miss -> (
       Counters.incr t.counters "misses";
-      match fetch () with
+      match Client.get t.client ~subject spec with
       | Some v ->
-        locked t (fun () -> keep v);
+        Mutex.protect t.mutex (fun () ->
+            Hashtbl.replace t.pos k v;
+            Hashtbl.replace t.pos (key v.subject (`N v.version)) v);
         Some v
       | None ->
-        locked t (fun () ->
-            Hashtbl.replace t.neg neg_key
+        Mutex.protect t.mutex (fun () ->
+            Hashtbl.replace t.neg k
               (Clock.now_us () + Float.to_int (t.neg_ttl_s *. 1e6)));
         None
       | exception Client.Server_unavailable _ ->
         Counters.incr t.counters "errors";
         None)
-
-  let resolve t ~subject spec : version option =
-    let k = key subject spec in
-    lookup t ~neg_key:k
-      ~hit:(fun () -> Hashtbl.find_opt t.pos k)
-      ~fetch:(fun () -> Client.get t.client ~subject spec)
-      ~keep:(remember t ~key:k)
-
-  let descriptor t id : string option =
-    lookup t ~neg_key:("id:" ^ string_of_int id)
-      ~hit:(fun () -> Hashtbl.find_opt t.blobs id)
-      ~fetch:(fun () -> Client.descriptor t.client id)
-      ~keep:(Hashtbl.replace t.blobs id)
 
   let stats t = Counters.dump t.counters
 end

@@ -11,12 +11,6 @@
     ({!Omf_xml2wire.Compat}): a field added with a defaultable value is
     fine, a field removed or retyped is rejected per mode.
 
-    It is also the system-wide source of global format-descriptor ids
-    (the "configuration server" role PBIO deployments gave a format
-    server): a sender registers a binary descriptor once, message
-    headers carry its id, and receivers resolve the id through a
-    {!Resolver} cache.
-
     The registry persists on the durable {!Omf_store} machinery
     (append-only, CRC-framed, recovered at startup) and is served over
     both the binary frame protocol and HTTP JSON (doc/REGISTRY.md,
@@ -106,18 +100,6 @@ val stats : t -> (string * int) list
 (** Counter snapshot (registrations, idempotent hits, gate rejections,
     lookups, recovered records...). *)
 
-(** {1 Global descriptor ids} *)
-
-val register_descriptor : t -> string -> int
-(** [register_descriptor t blob] assigns a {!Omf_pbio.Format_codec}
-    descriptor blob its global id: dense from 1, idempotent by blob
-    content, persisted (and recovered by {!create}) like a version.
-    Raises {!Omf_pbio.Format_codec.Codec_error}, registering nothing,
-    on a blob that does not decode. *)
-
-val descriptor : t -> int -> string option
-(** The blob registered under a global id. *)
-
 (** {1 Server} *)
 
 module Server : sig
@@ -135,11 +117,9 @@ module Server : sig
         ['o' "subject=S\nversion=N\n" schema] or ['e']
       - ['L'] — list; reply ['o'] with one "subject versions mode" line
         per subject
-      - ['D' blob] — register a format descriptor; reply ['o' "id=N"]
-        or ['e' reason]
-      - ['G' "N"] — fetch descriptor [N]; reply ['o' blob] or
-        ['e' "not found"]
-      - ['t'] — counter snapshot, {!Omf_util.Counters.to_text} body *)
+      - ['t'] — counter snapshot, {!Omf_util.Counters.to_text} body
+
+      Any other request kind closes the connection. *)
 
   type server
 
@@ -197,13 +177,6 @@ module Client : sig
   (** [(subject, versions, mode)] per subject. *)
 
   val stats : t -> (string * int) list
-
-  val register_descriptor : t -> Omf_pbio.Format.t -> int
-  (** The global id of [fmt]'s descriptor, registering it if new;
-      raises {!Rejected} when the server refuses the blob. *)
-
-  val descriptor : t -> int -> string option
-  (** The descriptor blob behind a global id; [None] if unknown. *)
 end
 
 (** {1 Caching resolver} *)
@@ -225,12 +198,6 @@ module Resolver : sig
   (** [`Latest] consults the server each time it is not positively
       cached yet (the chain can grow); [`N _] hits are cached forever.
       [None] while a negative entry is fresh. *)
-
-  val descriptor : t -> int -> string option
-  (** Resolve a global descriptor id. Hits cache forever (ids never
-      change), misses like any other; [None] on an unknown id or an
-      outage. This is the [~resolve] callback for
-      {!Omf_pbio.Pbio.Receiver.create}. *)
 
   val stats : t -> (string * int) list
   (** hits / misses / negative hits. *)

@@ -1,7 +1,7 @@
 (** Integration tests: whole-system scenarios that cross every layer —
     HTTP metadata discovery, the catalog, the relay, NDR transfer with
-    mixed ABIs, global format ids from the schema registry, and failure
-    injection. These are the checked versions of the example programs. *)
+    mixed ABIs, and failure injection. These are the checked versions of
+    the example programs. *)
 
 open Omf_machine
 open Omf_pbio.Pbio
@@ -11,7 +11,6 @@ module Discovery = Omf_xml2wire.Discovery
 module Relay = Omf_relay.Relay
 module Session = Omf_relay.Relay_session
 module Http = Omf_httpd.Http
-module Schema_registry = Omf_registry.Registry
 module Endpoint = Omf_transport.Endpoint
 module Fx = Omf_fixtures.Paper_structs
 
@@ -178,52 +177,7 @@ let test_upgrade_mid_stream () =
       Relay.Client.close pub)
 
 (* ------------------------------------------------------------------ *)
-(* Scenario 3: registry-issued global ids instead of per-connection     *)
-(* negotiation                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_registry_global_ids () =
-  let srv = Schema_registry.Server.start ~port:0 (Schema_registry.create ()) in
-  let port = Schema_registry.Server.port srv in
-  Fun.protect
-    ~finally:(fun () -> Schema_registry.Server.shutdown srv)
-    (fun () ->
-      (* the sender discovers metadata from XML and registers the physical
-         format's descriptor with the registry *)
-      let catalog = Catalog.create Abi.x86_64 in
-      ignore (X2W.register_schema catalog Fx.schema_b);
-      let fmt = Option.get (Catalog.find_format catalog "ASDOffEventB") in
-      let sc = Schema_registry.Client.connect ~port in
-      let gid = Schema_registry.Client.register_descriptor sc fmt in
-      let mem = Memory.create Abi.x86_64 in
-      let addr = Native.store mem fmt Fx.value_b in
-      let msgs = List.init 5 (fun _ -> message ~id:gid mem fmt addr) in
-      (* two receivers on different ABIs resolve via the server *)
-      List.iter
-        (fun abi ->
-          let rc = Schema_registry.Client.connect ~port in
-          let rcat = Catalog.create abi in
-          ignore (X2W.register_schema rcat Fx.schema_b);
-          let receiver =
-            Receiver.create
-              ~resolve:
-                (Schema_registry.Resolver.descriptor
-                   (Schema_registry.Resolver.create rc))
-              (Catalog.registry rcat) (Memory.create abi)
-          in
-          List.iter
-            (fun msg ->
-              let _, v = Receiver.receive_value receiver msg in
-              check value_testable (abi.Abi.name ^ " via a global id")
-                (Value.String "ZTL-ARTCC-0004")
-                (Value.field_exn v "cntrID"))
-            msgs;
-          Schema_registry.Client.close rc)
-        [ Abi.sparc_32; Abi.alpha_64 ];
-      Schema_registry.Client.close sc)
-
-(* ------------------------------------------------------------------ *)
-(* Scenario 4: all three wire formats agree, full stack, random data    *)
+(* Scenario 3: all three wire formats agree, full stack, random data    *)
 (* ------------------------------------------------------------------ *)
 
 let prop_stack_wire_format_agreement =
@@ -259,7 +213,7 @@ let prop_stack_wire_format_agreement =
       Value.equal ndr xdr && Value.equal ndr xml)
 
 (* ------------------------------------------------------------------ *)
-(* Scenario 5: graceful degradation under infrastructure failure        *)
+(* Scenario 4: graceful degradation under infrastructure failure        *)
 (* ------------------------------------------------------------------ *)
 
 let test_total_infrastructure_failure () =
@@ -287,7 +241,7 @@ let test_total_infrastructure_failure () =
     (Value.String "DELTA") (Value.field_exn v "arln")
 
 (* ------------------------------------------------------------------ *)
-(* Scenario 6: duplex TCP exchange between two full endpoints           *)
+(* Scenario 5: duplex TCP exchange between two full endpoints           *)
 (* ------------------------------------------------------------------ *)
 
 let test_duplex_tcp_exchange () =
@@ -350,8 +304,6 @@ let () =
             test_airline_system
         ; Alcotest.test_case "live upgrade mid-stream" `Quick
             test_upgrade_mid_stream
-        ; Alcotest.test_case "format-server-based system" `Quick
-            test_registry_global_ids
         ; Alcotest.test_case "total infrastructure failure" `Quick
             test_total_infrastructure_failure
         ; Alcotest.test_case "duplex TCP exchange" `Quick

@@ -3,8 +3,7 @@
     structured diffs, journal-backed recovery across restarts, the
     binary and HTTP JSON surfaces, the caching resolver, and async
     discovery overlapping first-message delivery with the registry
-    fetch (zero loss). Global format-descriptor ids have their own
-    suite, test_descriptor_ids.ml. *)
+    fetch (zero loss). *)
 
 open Omf_machine
 open Omf_pbio.Pbio
@@ -23,6 +22,7 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 let string = Alcotest.string
 let replace = Omf_testkit.Strings.replace
+let assoc key stats = Option.value ~default:0 (List.assoc_opt key stats)
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
@@ -185,6 +185,36 @@ let test_recovery_across_restart () =
       | exception Registry.Incompatible _ -> ());
       Registry.close reg)
 
+(* Older registries also logged ['D' "id\n" blob] records, one per
+   global descriptor id. A log written by one must still open: each such
+   record is skipped as junk and everything around it recovers. *)
+let test_recovery_skips_descriptor_records () =
+  with_root (fun root ->
+      let cfg = Store.default_config ~root in
+      let reg = Registry.create ~store:cfg () in
+      let v1 = Registry.register reg ~subject:"flights" Fx.schema_a in
+      Registry.set_mode reg ~subject:"flights" Registry.Full;
+      Registry.close reg;
+      let fmt =
+        Format.Registry.register (Format.Registry.create Abi.x86_64) Fx.decl_a
+      in
+      let st = Store.open_stream cfg "registry" in
+      ignore
+        (Store.append st (Bytes.of_string ("D1\n" ^ Format_codec.encode fmt)));
+      ignore (Store.sync st);
+      Store.close st;
+      let reg = Registry.create ~store:cfg () in
+      Fun.protect ~finally:(fun () -> Registry.close reg) @@ fun () ->
+      check (Alcotest.option string) "version recovered"
+        (Some v1.Registry.fingerprint)
+        (Option.map
+           (fun v -> v.Registry.fingerprint)
+           (Registry.latest reg "flights"));
+      check bool "mode override recovered" true
+        (Registry.mode reg ~subject:"flights" = Registry.Full);
+      check int "the D record is junk" 1
+        (assoc "recovered_junk" (Registry.stats reg)))
+
 (* ------------------------------------------------------------------ *)
 (* Binary protocol + HTTP JSON surfaces                                 *)
 (* ------------------------------------------------------------------ *)
@@ -288,8 +318,6 @@ let test_server_busy_http_port () =
 (* Caching resolver                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let assoc key stats = Option.value ~default:0 (List.assoc_opt key stats)
-
 let test_resolver_caching () =
   let reg = Registry.create () in
   let srv = Registry.Server.start ~port:0 reg in
@@ -316,6 +344,25 @@ let test_resolver_caching () =
   ignore (Registry.Resolver.resolve r ~subject:"flights" (`N 1));
   check bool "pinned-version resolves hit the cache" true
     (assoc "hits" (Registry.Resolver.stats r) >= hits0 + 2)
+
+(* After the server dies the first request on a client link sees EOF;
+   the next write meets EPIPE/ECONNRESET. Every such failure must reach
+   the resolver as an outage (None, counted), never as a raw
+   [Unix_error] escaping to its caller. *)
+let test_resolver_survives_transport_failures () =
+  let reg = Registry.create () in
+  let srv = Registry.Server.start ~port:0 reg in
+  Fun.protect ~finally:(fun () -> Registry.Server.shutdown srv) @@ fun () ->
+  let c = Registry.Client.connect ~port:(Registry.Server.port srv) in
+  Fun.protect ~finally:(fun () -> Registry.Client.close c) @@ fun () ->
+  let r = Registry.Resolver.create c in
+  Registry.Server.shutdown srv;
+  Thread.delay 0.05;
+  check bool "first uncached resolve is None" true
+    (Registry.Resolver.resolve r ~subject:"flights" `Latest = None);
+  check bool "second uncached resolve is None" true
+    (Registry.Resolver.resolve r ~subject:"weather" `Latest = None);
+  check int "every outage counted" 2 (assoc "errors" (Registry.Resolver.stats r))
 
 (* ------------------------------------------------------------------ *)
 (* Async discovery overlapping first-message delivery                   *)
@@ -502,7 +549,9 @@ let () =
         ; Alcotest.test_case "backward gate rejects removal" `Quick
             test_backward_gate_rejects_removal
         ; Alcotest.test_case "journal-backed recovery" `Quick
-            test_recovery_across_restart ] )
+            test_recovery_across_restart
+        ; Alcotest.test_case "old D records recover as junk" `Quick
+            test_recovery_skips_descriptor_records ] )
     ; ( "server"
       , [ Alcotest.test_case "binary + HTTP JSON round-trip" `Quick
             test_server_roundtrip
@@ -511,8 +560,9 @@ let () =
         ; Alcotest.test_case "clients time out on a silent server" `Quick
             test_clients_time_out_on_silent_server ] )
     ; ( "resolver"
-      , [ Alcotest.test_case "caching resolver" `Quick test_resolver_caching ]
-      )
+      , [ Alcotest.test_case "caching resolver" `Quick test_resolver_caching
+        ; Alcotest.test_case "resolver survives transport failures" `Quick
+            test_resolver_survives_transport_failures ] )
     ; ( "async"
       , [ Alcotest.test_case "async discovery: zero loss" `Quick
             test_async_discovery_zero_loss ] ) ]
