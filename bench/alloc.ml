@@ -57,7 +57,7 @@ let endpoint_row (s : Shapes.t) =
   let addr = Omf_pbio.Native.store mem fmt s.value in
   Printf.sprintf {|"%s": %.1f|} s.name
     (Alloc.bytes_per_call ~iters:500 (fun () ->
-         Omf_transport.Endpoint.Sender.send sender fmt addr))
+         Omf_transport.Endpoint.Sender.send sender mem fmt addr))
 
 let relay_row () =
   let frame = event_frame (List.hd Shapes.bench) in

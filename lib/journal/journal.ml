@@ -2,24 +2,20 @@
     heterogeneous computing environment" (the second use PBIO was built
     for, section 4.1.2).
 
-    A journal is a sequence of length-prefixed records, each either a
-    format descriptor (written once per format, before its first use) or
-    a framed NDR message. Because descriptors are embedded, a journal is
-    self-describing: it can be replayed years later, on a machine with a
-    different ABI, by a process that never talked to the writer — the
-    reader converts exactly as a live receiver would.
-
-    File layout:
-    {v
-    "OMFJRNL1"                                magic (8 bytes)
-    repeat:
-      u32 big-endian record length
-      kind byte: 'D' descriptor | 'M' message
-      body
-    v} *)
+    A journal is an {!Omf_transport.Endpoint} over a file: the magic
+    "OMFJRNL1", then exactly the frames a sender writes to a socket (a
+    format's descriptor before its first message, then NDR messages),
+    each behind a {!Omf_reactor.Frame} length prefix (doc/PROTOCOLS.md
+    section 7). Because descriptors are embedded, a journal is
+    self-describing: it can be replayed years later, on a machine with
+    a different ABI, by a process that never talked to the writer — the
+    reader converts exactly as a live receiver would. *)
 
 open Omf_machine
 open Omf_pbio
+module Endpoint = Omf_transport.Endpoint
+module Frame = Omf_reactor.Frame
+module Link = Omf_transport.Link
 
 exception Journal_error of string
 
@@ -27,149 +23,99 @@ let journal_error fmt = Printf.ksprintf (fun s -> raise (Journal_error s)) fmt
 
 let magic = "OMFJRNL1"
 
-let kind_descriptor = 'D'
-let kind_message = 'M'
-
-(* ------------------------------------------------------------------ *)
-(* Writer                                                               *)
-(* ------------------------------------------------------------------ *)
-
 module Writer = struct
   type t = {
-    oc : out_channel;
-    announced : (string, unit) Hashtbl.t;
-        (** keyed by descriptor blob, not registry id: ids collide across
-            registries and across format upgrades *)
-    mutable records : int;
+    sender : Endpoint.Sender.t;
+    records : int ref;  (** frames the file link wrote *)
   }
-
-  let u32 oc v =
-    output_char oc (Char.chr ((v lsr 24) land 0xFF));
-    output_char oc (Char.chr ((v lsr 16) land 0xFF));
-    output_char oc (Char.chr ((v lsr 8) land 0xFF));
-    output_char oc (Char.chr (v land 0xFF))
-
-  let record t kind (body : bytes) =
-    u32 t.oc (1 + Bytes.length body);
-    output_char t.oc kind;
-    output_bytes t.oc body;
-    t.records <- t.records + 1
-
-  let create (oc : out_channel) : t =
-    output_string oc magic;
-    { oc; announced = Hashtbl.create 8; records = 0 }
 
   let to_file (path : string) : t * (unit -> unit) =
     let oc = open_out_bin path in
-    (create oc, fun () -> close_out oc)
+    output_string oc magic;
+    let hdr = Bytes.create Frame.header_length and records = ref 0 in
+    let send body =
+      Frame.write_header hdr 0 (Bytes.length body);
+      output_bytes oc hdr;
+      output_bytes oc body;
+      incr records
+    in
+    let close () = close_out oc in
+    let link = { Link.send; recv = (fun () -> None); close } in
+    (* the sender's own memory stays empty: [append] sends each struct
+       from its caller's memory *)
+    ( { sender = Endpoint.Sender.create link (Memory.create Abi.native)
+      ; records }
+    , close )
 
   (** [append t mem fmt addr] writes the struct at [addr], preceded by
-      [fmt]'s descriptor if this journal has not seen it yet. *)
+      [fmt]'s descriptor unless this journal already holds it. *)
   let append (t : t) (mem : Memory.t) (fmt : Format.t) (addr : int) : unit =
-    let blob = Format_codec.encode fmt in
-    if not (Hashtbl.mem t.announced blob) then begin
-      record t kind_descriptor (Bytes.of_string blob);
-      Hashtbl.replace t.announced blob ()
-    end;
-    record t kind_message (Pbio.message mem fmt addr)
+    Endpoint.Sender.send t.sender mem fmt addr
 
-  let record_count t = t.records
+  let record_count t = !(t.records)
 end
-
-(* ------------------------------------------------------------------ *)
-(* Reader                                                               *)
-(* ------------------------------------------------------------------ *)
 
 module Reader = struct
   type t = {
-    ic : in_channel;
-    receiver : Pbio.Receiver.t;
+    endpoint : Endpoint.Receiver.t;
+    at : int ref;  (** byte offset of the frame the file link read last *)
   }
 
-  let create (ic : in_channel) (registry : Format.Registry.t)
-      (mem : Memory.t) : t =
-    let m =
-      try really_input_string ic (String.length magic)
-      with End_of_file -> journal_error "not a journal: file too short"
+  (* One frame per [recv], lent as a TCP link lends it (exact length,
+     reused while lengths repeat). Only EOF at a frame boundary ends the
+     journal; a torn or corrupt frame is an error naming its offset. *)
+  let link ic at : Link.t =
+    let hdr = Bytes.create Frame.header_length and lent = ref Bytes.empty in
+    let recv () =
+      at := pos_in ic;
+      match input ic hdr 0 Frame.header_length with
+      | 0 -> None
+      | n ->
+        (try really_input ic hdr n (Frame.header_length - n)
+         with End_of_file ->
+           journal_error
+             "journal truncated in record length prefix at byte %d" !at);
+        let len = Frame.read_header hdr 0 in
+        if len < 1 || len > Frame.default_max_frame then
+          journal_error "bad record length %d at byte %d" len !at;
+        if Bytes.length !lent <> len then lent := Bytes.create len;
+        (try really_input ic !lent 0 len
+         with End_of_file ->
+           journal_error
+             "journal truncated mid-record at byte %d (need %d body bytes, \
+              have %d)"
+             !at len
+             (pos_in ic - !at - Frame.header_length));
+        Some !lent
     in
-    if not (String.equal m magic) then journal_error "bad journal magic %S" m;
-    { ic; receiver = Pbio.Receiver.create registry mem }
+    { Link.send = ignore; recv; close = (fun () -> close_in ic) }
 
   let of_file (path : string) (registry : Format.Registry.t)
       (mem : Memory.t) : t * (unit -> unit) =
     let ic = open_in_bin path in
-    match create ic registry mem with
-    | t -> (t, fun () -> close_in ic)
-    | exception e ->
+    match really_input_string ic (String.length magic) with
+    | m when String.equal m magic ->
+      let at = ref 0 in
+      ( { endpoint = Endpoint.Receiver.create (link ic at) registry mem; at }
+      , fun () -> close_in ic )
+    | m ->
       close_in_noerr ic;
-      raise e
+      journal_error "bad journal magic %S" m
+    | exception End_of_file ->
+      close_in_noerr ic;
+      journal_error "not a journal: file too short"
 
-  (* A length prefix that stops short is a torn tail, not a clean end:
-     only 0 bytes before EOF counts as end-of-journal. Every failure
-     reports the byte offset of the record it was parsing so a torn or
-     corrupt file points at its own damage. *)
-  let read_u32_opt ic ~at =
-    match input_char ic with
-    | exception End_of_file -> None
-    | c0 ->
-      let rest =
-        try really_input_string ic 3
-        with End_of_file ->
-          journal_error
-            "journal truncated in record length prefix at byte %d" at
-      in
-      Some
-        ((Char.code c0 lsl 24)
-        lor (Char.code rest.[0] lsl 16)
-        lor (Char.code rest.[1] lsl 8)
-        lor Char.code rest.[2])
-
-  (** [next t] returns the next message as [(format, address)] in the
-      reader's memory, ingesting descriptor records transparently.
-      [None] at a clean end of file; raises {!Journal_error} (naming
-      the byte offset of the offending record) on a truncated or
-      corrupt journal. *)
-  let rec next (t : t) : (Format.t * int) option =
-    let at = pos_in t.ic in
-    match read_u32_opt t.ic ~at with
-    | None -> None
-    | Some len ->
-      if len < 1 || len > 1 lsl 30 then
-        journal_error "bad record length %d at byte %d" len at;
-      let body =
-        try really_input_string t.ic len
-        with End_of_file ->
-          journal_error
-            "journal truncated mid-record at byte %d (need %d body bytes, \
-             have %d)"
-            at len
-            (pos_in t.ic - at - 4)
-      in
-      let kind = body.[0] in
-      let payload = String.sub body 1 (len - 1) in
-      if Char.equal kind kind_descriptor then begin
-        (try ignore (Pbio.Receiver.learn t.receiver payload)
-         with
-        | Journal_error _ as e -> raise e
-        | e ->
-          journal_error "corrupt descriptor record at byte %d: %s" at
-            (Printexc.to_string e));
-        next t
-      end
-      else if Char.equal kind kind_message then
-        try Some (Pbio.Receiver.receive t.receiver (Bytes.of_string payload))
-        with
-        | Journal_error _ as e -> raise e
-        | e ->
-          journal_error "corrupt message record at byte %d: %s" at
-            (Printexc.to_string e)
-      else journal_error "unknown record kind %C at byte %d" kind at
-
+  (** [next_value t] is the endpoint's next message as a value; the
+      reader's memory is reset after each one. A format the reader's
+      registry lacks raises {!Omf_pbio.Pbio.Unknown_format}; any other
+      failure is a {!Journal_error} naming the frame's byte offset. *)
   let next_value (t : t) : (Format.t * Value.t) option =
-    match next t with
-    | None -> None
-    | Some (fmt, addr) ->
-      Some (fmt, Native.load (Pbio.Receiver.memory t.receiver) fmt addr)
+    try Endpoint.Receiver.recv_value t.endpoint with
+    | (Journal_error _ | Pbio.Unknown_format _) as e -> raise e
+    | Endpoint.Protocol_error m -> journal_error "%s at byte %d" m !(t.at)
+    | e ->
+      journal_error "corrupt record at byte %d: %s" !(t.at)
+        (Printexc.to_string e)
 
   (** [fold t f acc] replays the whole journal. *)
   let fold (t : t) (f : 'a -> Format.t * Value.t -> 'a) (acc : 'a) : 'a =

@@ -1,7 +1,7 @@
 (** Binary journals: NDR messages "written to data files in a
-    heterogeneous computing environment" (section 4.1.2). Journals embed
-    format descriptors before first use, so they are self-describing and
-    replayable on any ABI by any process. *)
+    heterogeneous computing environment" (section 4.1.2). A journal is
+    an {!Omf_transport.Endpoint} over a file, so it embeds each format's
+    descriptor and is replayable on any ABI by any process. *)
 
 open Omf_machine
 open Omf_pbio
@@ -16,10 +16,12 @@ module Writer : sig
       close function. *)
 
   val append : t -> Memory.t -> Format.t -> int -> unit
-  (** Write the struct at the address, preceded by the format's
-      descriptor if not yet journaled. *)
+  (** Write the struct at the address of the memory, preceded by the
+      format's descriptor if the journal has not announced it (or has
+      announced a different format under its id). *)
 
   val record_count : t -> int
+  (** Frames written: descriptors and messages. *)
 end
 
 module Reader : sig
@@ -31,9 +33,10 @@ module Reader : sig
       formats (discovered or compiled-in, as usual). *)
 
   val next_value : t -> (Format.t * Value.t) option
-  (** The next message, lifted to a value; descriptor records are
-      ingested transparently. [None] at clean EOF; {!Journal_error} on
-      truncation or corruption. *)
+  (** The next message, lifted to a value, after which the reader's
+      memory is reset. [None] at clean EOF; {!Journal_error} (naming the
+      byte offset) on truncation or corruption;
+      {!Omf_pbio.Pbio.Unknown_format} for a format the registry lacks. *)
 
   val fold : t -> ('a -> Format.t * Value.t -> 'a) -> 'a -> 'a
 end

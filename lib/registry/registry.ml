@@ -547,16 +547,6 @@ module Client = struct
           | None -> raise e))
 
   (* "k=v" line parsing for reply headers *)
-  let header_int key line =
-    let prefix = key ^ "=" in
-    if String.length line > String.length prefix
-       && String.equal (String.sub line 0 (String.length prefix)) prefix
-    then
-      int_of_string_opt
-        (String.sub line (String.length prefix)
-           (String.length line - String.length prefix))
-    else None
-
   let header_str key line =
     let prefix = key ^ "=" in
     if String.length line > String.length prefix
@@ -566,6 +556,8 @@ module Client = struct
         (String.sub line (String.length prefix)
            (String.length line - String.length prefix))
     else None
+
+  let header_int key line = Option.bind (header_str key line) int_of_string_opt
 
   let register t ~subject text : int * string =
     match rpc t (Printf.sprintf "R%s\n%s" subject text) with

@@ -2,8 +2,9 @@
 
     The wire protocol has two frame kinds. A sender announces each format
     once per connection before its first use (frame [D] carrying the
-    {!Omf_pbio.Format_codec} descriptor); data messages (frame [M]) then
-    carry only the compact NDR framing. This is the "efficiently
+    {!Omf_pbio.Format_codec} descriptor), and again if a different
+    format arrives under an id it announced; data messages (frame [M])
+    then carry only the compact NDR framing. This is the "efficiently
     represented meta-information" of the paper: per-message metadata cost
     is a 4-byte format id, not a re-transmitted description. *)
 
@@ -17,12 +18,6 @@ let proto_error fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
 let frame_descriptor = 'D'
 let frame_message = 'M'
 
-let frame kind body =
-  let b = Bytes.create (1 + Bytes.length body) in
-  Bytes.set b 0 kind;
-  Bytes.blit body 0 b 1 (Bytes.length body);
-  b
-
 (* ------------------------------------------------------------------ *)
 (* Sending endpoint                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -30,39 +25,38 @@ let frame kind body =
 module Sender = struct
   type t = {
     link : Link.t;
-    mem : Memory.t;
-    scratch : Memory.t;
-        (** where {!send_value} binds each value; reset on every call *)
-    announced : (int, unit) Hashtbl.t;  (** format ids already negotiated *)
+    mem : Memory.t;  (** where {!send_value} binds each value *)
+    announced : (int, Format.t) Hashtbl.t;
+        (** format id -> the format last announced under it *)
   }
 
   let create (link : Link.t) (mem : Memory.t) : t =
-    { link; mem; scratch = Memory.create (Memory.abi mem)
-    ; announced = Hashtbl.create 8 }
+    { link; mem; announced = Hashtbl.create 8 }
 
+  (* Ids restart at 1 in every registry, so an id alone does not name a
+     format: a different format under an announced id is announced
+     again. The hit path is a lookup and a physical compare. *)
   let announce t (fmt : Format.t) =
-    if not (Hashtbl.mem t.announced fmt.Format.id) then begin
+    match Hashtbl.find t.announced fmt.Format.id with
+    | known when known == fmt -> ()
+    | _ | (exception Not_found) ->
       Link.send t.link
-        (frame frame_descriptor (Bytes.of_string (Format_codec.encode fmt)));
-      Hashtbl.replace t.announced fmt.Format.id ()
-    end
+        (Bytes.of_string
+           (String.make 1 frame_descriptor ^ Format_codec.encode fmt));
+      Hashtbl.replace t.announced fmt.Format.id fmt
 
-  (** [send t fmt addr] negotiates [fmt] if needed and ships the struct at
-      [addr] in NDR. The frame is the message lent by the memory, built
-      behind its kind byte: nothing is copied. *)
-  let send_from (t : t) mem (fmt : Format.t) (addr : int) : unit =
+  (** [send t mem fmt addr] negotiates [fmt] if needed and ships the
+      struct at [addr] of [mem] in NDR. The frame is the message lent by
+      the memory, built behind its kind byte: nothing is copied. *)
+  let send (t : t) mem (fmt : Format.t) (addr : int) : unit =
     announce t fmt;
     Link.send t.link (Pbio.message ~kind:frame_message mem fmt addr)
 
-  let send (t : t) (fmt : Format.t) (addr : int) : unit =
-    send_from t t.mem fmt addr
-
-  (** [send_value t fmt v] binds [v] into the sender's scratch memory
-      first, reset on each call, so the sender's memory does not grow
-      by a record per event. *)
+  (** [send_value t fmt v] binds [v] into the sender's memory first,
+      reset on each call, so it does not grow by a record per event. *)
   let send_value (t : t) (fmt : Format.t) (v : Value.t) : unit =
-    Memory.reset t.scratch;
-    send_from t t.scratch fmt (Native.store t.scratch fmt v)
+    Memory.reset t.mem;
+    send t t.mem fmt (Native.store t.mem fmt v)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -1,7 +1,8 @@
 (** Endpoints: PBIO format negotiation over any {!Link.t}. A sender
     announces each format once per connection (descriptor frame) before
-    its first data message; per-message metadata is then just the 4-byte
-    format id in the NDR header. *)
+    its first data message, and again if a different format takes its
+    id; per-message metadata is then just the 4-byte format id in the
+    NDR header. *)
 
 open Omf_machine
 open Omf_pbio
@@ -12,21 +13,22 @@ module Sender : sig
   type t
 
   val create : Link.t -> Memory.t -> t
+  (** {!send_value} binds each value into the memory, reset per call. *)
 
   val announce : t -> Format.t -> unit
-  (** Idempotent per connection. *)
+  (** Sends the descriptor once per format per connection, and again
+      when a different format arrives under an announced id. *)
 
-  val send : t -> Format.t -> int -> unit
-  (** [send t fmt addr] announces [fmt] if needed, then sends the
-      struct at [addr] of the sender's memory as one message frame. The
-      frame is built behind its kind byte in the memory's lent buffer
+  val send : t -> Memory.t -> Format.t -> int -> unit
+  (** [send t mem fmt addr] announces [fmt] if needed, then sends the
+      struct at [addr] of [mem] as one message frame. The frame is
+      built behind its kind byte in the memory's lent buffer
       ({!Omf_pbio.Pbio.message}[ ~kind]), so nothing is copied and,
       while lengths repeat, nothing is allocated. *)
 
   val send_value : t -> Format.t -> Value.t -> unit
-  (** [send_value t fmt v] binds [v] into a scratch memory the sender
-      owns and resets on every call, then sends it as {!send} does; the
-      memory given to {!create} is not touched. *)
+  (** Binds the value into the sender's memory and sends it as {!send}
+      does. *)
 end
 
 module Receiver : sig

@@ -1,5 +1,6 @@
 (** Tests for binary journals: cross-ABI replay, descriptor embedding,
-    mixed formats, format upgrades mid-file, corruption detection. *)
+    mixed formats, format upgrades mid-file, corruption detection, the
+    file's exact bytes. *)
 
 open Omf_machine
 open Omf_pbio.Pbio
@@ -243,6 +244,69 @@ let test_large_journal () =
       let events = read_all path Abi.power_64 in
       check int "all events replayed" n (List.length events))
 
+(* a reader whose registry lacks the journal's format gets Pbio's
+   Unknown_format, not a corruption error: the file is sound *)
+let test_unknown_format_propagates () =
+  with_tmp (fun path ->
+      write_events path Abi.x86_64 [ ("ASDOffEvent", Fx.value_a) ];
+      let reg = Registry.create Abi.x86_64 in
+      ignore (Registry.register reg Fx.decl_b);
+      let reader, close =
+        Journal.Reader.of_file path reg (Memory.create Abi.x86_64)
+      in
+      Fun.protect ~finally:close (fun () ->
+          match Journal.Reader.next_value reader with
+          | _ -> Alcotest.fail "expected Unknown_format"
+          | exception Omf_pbio.Pbio.Unknown_format name ->
+            check Alcotest.string "names the format" "ASDOffEvent" name))
+
+(* replay resets the reader's memory after each record *)
+let test_replay_memory_flat () =
+  with_tmp (fun path ->
+      let abi = Abi.x86_64 in
+      let fmt = Registry.register (Registry.create abi) Fx.decl_a in
+      let mem = Memory.create abi in
+      let addr = Omf_pbio.Native.store mem fmt Fx.value_a in
+      let writer, close = Journal.Writer.to_file path in
+      let n = 10_000 in
+      for _ = 1 to n do
+        Journal.Writer.append writer mem fmt addr
+      done;
+      close ();
+      let reg = Registry.create abi in
+      ignore (Registry.register reg Fx.decl_a);
+      let rmem = Memory.create abi in
+      let reader, rclose = Journal.Reader.of_file path reg rmem in
+      Fun.protect ~finally:rclose (fun () ->
+          ignore (Journal.Reader.next_value reader);
+          let first = Memory.allocated_bytes rmem in
+          let rest = Journal.Reader.fold reader (fun k _ -> k + 1) 0 in
+          check int "all records replayed" (n - 1) rest;
+          check int "reader memory flat" first (Memory.allocated_bytes rmem)))
+
+(* the file format, byte for byte: magic, then length-prefixed 'D'
+   descriptor and 'M' message frames *)
+let test_golden_bytes () =
+  with_tmp (fun path ->
+      let abi = Abi.x86_64 in
+      let fmt = Registry.register (Registry.create abi) Fx.decl_a in
+      let mem = Memory.create abi in
+      let addr = Omf_pbio.Native.store mem fmt Fx.value_a in
+      let writer, close = Journal.Writer.to_file path in
+      Journal.Writer.append writer mem fmt addr;
+      close ();
+      let u32 n =
+        String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF))
+      in
+      let frame kind body = u32 (1 + String.length body) ^ kind ^ body in
+      let expected =
+        "OMFJRNL1"
+        ^ frame "D" (Omf_pbio.Format_codec.encode fmt)
+        ^ frame "M" (Bytes.to_string (message mem fmt addr))
+      in
+      let got = In_channel.with_open_bin path In_channel.input_all in
+      check Alcotest.string "journal bytes" expected got)
+
 let prop_journal_roundtrip =
   QCheck.Test.make ~name:"journal replay preserves values (random formats)"
     ~count:100
@@ -290,5 +354,10 @@ let () =
             test_garbage_descriptor_payload
         ; Alcotest.test_case "bad magic detected" `Quick test_bad_magic_detected
         ; Alcotest.test_case "empty journal" `Quick test_empty_journal
-        ; Alcotest.test_case "large journal" `Quick test_large_journal ]
+        ; Alcotest.test_case "large journal" `Quick test_large_journal
+        ; Alcotest.test_case "unknown format is not corruption" `Quick
+            test_unknown_format_propagates
+        ; Alcotest.test_case "replay keeps memory flat" `Quick
+            test_replay_memory_flat
+        ; Alcotest.test_case "golden file bytes" `Quick test_golden_bytes ]
         @ [ QCheck_alcotest.to_alcotest prop_journal_roundtrip ] ) ]

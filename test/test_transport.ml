@@ -207,6 +207,34 @@ let test_endpoint_memory_flat () =
   check int "sender memory flat" s0 (Memory.allocated_bytes smem);
   check int "receiver memory flat" r0 (Memory.allocated_bytes rmem)
 
+(* format ids restart at 1 in every registry: a sender that sends v1
+   from one registry and then v2 from another must announce v2 too, or
+   the receiver decodes v2 events as v1 *)
+let test_endpoint_reannounces_reused_id () =
+  let decl_v2 =
+    { Fx.decl_a with
+      Ftype.fields = Fx.decl_a.Ftype.fields @ [ Ftype.io_field "gate" "string" ]
+    }
+  in
+  let fmt1 = Registry.register (Registry.create Abi.x86_64) Fx.decl_a in
+  let fmt2 = Registry.register (Registry.create Abi.x86_64) decl_v2 in
+  check int "both formats take id 1" fmt1.Format.id fmt2.Format.id;
+  let rreg = Registry.create Abi.sparc_32 in
+  ignore (Registry.register rreg decl_v2);
+  let a, b = Loopback.pair () in
+  let sender = Endpoint.Sender.create a (Memory.create Abi.x86_64) in
+  let receiver = Endpoint.Receiver.create b rreg (Memory.create Abi.sparc_32) in
+  let gate () =
+    match Endpoint.Receiver.recv_value receiver with
+    | Some (_, v) -> Value.field_exn v "gate"
+    | None -> Alcotest.fail "no message"
+  in
+  Endpoint.Sender.send_value sender fmt1 Fx.value_a;
+  check value_testable "v1 event: empty gate" (Value.String "") (gate ());
+  Endpoint.Sender.send_value sender fmt2
+    (Value.set_field Fx.value_a "gate" (Value.String "T7"));
+  check value_testable "v2 event: gate present" (Value.String "T7") (gate ())
+
 let test_endpoint_rejects_garbage_frame () =
   let reg = Registry.create Abi.x86_64 in
   let a, b = Loopback.pair () in
@@ -650,7 +678,9 @@ let () =
             test_endpoint_rejects_garbage_frame
         ; Alcotest.test_case "works over netsim" `Quick test_endpoint_over_netsim
         ; Alcotest.test_case "value endpoints keep memory flat" `Quick
-            test_endpoint_memory_flat ] )
+            test_endpoint_memory_flat
+        ; Alcotest.test_case "a reused format id is announced again" `Quick
+            test_endpoint_reannounces_reused_id ] )
     ; ( "tcp",
         [ Alcotest.test_case "cross-ABI over real sockets" `Quick test_tcp_roundtrip
         ; Alcotest.test_case "connection refused" `Quick test_tcp_connect_refused
