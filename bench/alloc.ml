@@ -8,6 +8,9 @@
       [Pbio.message], [Pbio.Receiver.receive] and [Native.load];
     - on the secure-compressed workload's message: [Compress.compress]
       (with a reused scratch) and the HMAC behind [Macframe.seal];
+    - per shape: the sequence stamp bench/e2e's [Spec.set_seq] puts on
+      each event ([Value.set_field], nested for durable-cd) and the
+      read-back [Spec.get_seq] does on delivery ([Value.field_exn]);
     - per shape: one [Endpoint.Sender.send], which builds the event
       frame (kind byte plus message) in the memory's lent buffer;
     - per shape and negotiated frame mode (plain, mac, comp, mac+comp):
@@ -44,6 +47,35 @@ let link_row (s : Shapes.t) =
   Printf.sprintf {|    "%s": {"frame_B": %d,
       %s}|} s.name (Bytes.length fr)
     (String.concat ",\n      " (List.map mode Linkpair.modes))
+
+(* the field path bench/e2e's [Spec] stamps each event's sequence
+   number at, for the workload that sends the shape *)
+let seq_path (s : Shapes.t) =
+  match s.name with
+  | "paper-a" | "secure-a1k" -> [ "fltNum" ]
+  | "science-16k" -> [ "seq" ]
+  | "durable-cd" -> [ "one"; "fltNum" ]
+  | name -> invalid_arg ("seq_path: " ^ name)
+
+let rec set_seq v path seq =
+  match path with
+  | [] -> invalid_arg "set_seq: empty path"
+  | [ f ] -> Omf_pbio.Value.(set_field v f (Int (Int64.of_int seq)))
+  | f :: rest ->
+    Omf_pbio.Value.(set_field v f (set_seq (field_exn v f) rest seq))
+
+let rec get_seq v = function
+  | [] -> Int64.to_int (Omf_pbio.Value.to_int64 v)
+  | f :: rest -> get_seq (Omf_pbio.Value.field_exn v f) rest
+
+(* per shape: [f shape]'s bytes per call *)
+let shape_row f =
+  String.concat ", "
+    (List.map
+       (fun (s : Shapes.t) ->
+         Printf.sprintf {|"%s": %.1f|} s.name
+           (Alloc.bytes_per_call ~iters:500 (fun () -> f s)))
+       Shapes.bench)
 
 (* [Endpoint.Sender.send] of the shape's record on a link that drops
    every frame: the cost of framing the message *)
@@ -110,6 +142,8 @@ let () =
   Printf.printf
     "{\n  \"ocaml\": \"%s\",\n  \"word_size\": %d,\n  \"shapes\": {\n%s\n  },\n\
     \  \"secure_frame\": {\"frame_B\": %d, \"compress_B\": %.1f, \"hmac_B\": %.1f},\n\
+    \  \"set_field_B\": {%s},\n\
+    \  \"field_B\": {%s},\n\
     \  \"endpoint_send_B\": {%s},\n\
     \  \"link\": {\n%s\n  },\n\
     \  \"scratch\": %s,\n\
@@ -117,6 +151,11 @@ let () =
     Sys.ocaml_version Sys.word_size
     (String.concat ",\n" (List.map row (Shapes.bench @ [ Shapes.strvar ])))
     (Bytes.length msg) compress hmac
+    (let seq = ref 0 in
+     shape_row (fun s ->
+         incr seq;
+         set_seq s.value (seq_path s) !seq))
+    (shape_row (fun s -> get_seq s.value (seq_path s)))
     (String.concat ", " (List.map endpoint_row Shapes.bench))
     (String.concat ",\n" (List.map link_row Shapes.bench))
     (scratch_row ()) (relay_row ())

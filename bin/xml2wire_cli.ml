@@ -294,6 +294,8 @@ let journal path jpath abi limit =
   | exception Omf_journal.Journal.Journal_error m -> `Error (false, m)
   | exception Omf_pbio.Pbio.Unknown_format m ->
     `Error (false, "journal uses a format the schema does not define: " ^ m)
+  | exception Omf_pbio.Convert.Field_mismatch m ->
+    `Error (false, "journal is incompatible with the schema: " ^ m)
 
 let journal_cmd =
   let doc = "replay a binary NDR journal against schema metadata" in

@@ -106,12 +106,16 @@ module Reader = struct
       journal_error "not a journal: file too short"
 
   (** [next_value t] is the endpoint's next message as a value; the
-      reader's memory is reset after each one. A format the reader's
-      registry lacks raises {!Omf_pbio.Pbio.Unknown_format}; any other
+      reader's memory is reset after each one. A sound file the reader's
+      schema cannot read is not corrupt: a format the registry lacks
+      raises {!Omf_pbio.Pbio.Unknown_format}, and one it defines
+      incompatibly {!Omf_pbio.Convert.Field_mismatch}. Any other
       failure is a {!Journal_error} naming the frame's byte offset. *)
   let next_value (t : t) : (Format.t * Value.t) option =
     try Endpoint.Receiver.recv_value t.endpoint with
-    | (Journal_error _ | Pbio.Unknown_format _) as e -> raise e
+    | (Journal_error _ | Pbio.Unknown_format _ | Convert.Field_mismatch _) as e
+      ->
+      raise e
     | Endpoint.Protocol_error m -> journal_error "%s at byte %d" m !(t.at)
     | e ->
       journal_error "corrupt record at byte %d: %s" !(t.at)

@@ -35,8 +35,11 @@ module Reader : sig
   val next_value : t -> (Format.t * Value.t) option
   (** The next message, lifted to a value, after which the reader's
       memory is reset. [None] at clean EOF; {!Journal_error} (naming the
-      byte offset) on truncation or corruption;
-      {!Omf_pbio.Pbio.Unknown_format} for a format the registry lacks. *)
+      byte offset) on truncation or corruption, a message before its
+      format's descriptor included; {!Omf_pbio.Pbio.Unknown_format} for
+      a format the registry lacks, and {!Omf_pbio.Convert.Field_mismatch}
+      (naming the format and the field) for one it defines
+      incompatibly. *)
 
   val fold : t -> ('a -> Format.t * Value.t -> 'a) -> 'a -> 'a
 end

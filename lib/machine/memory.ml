@@ -49,8 +49,9 @@ let ensure_capacity t needed =
 
 (** [alloc t ~align size] returns the simulated address of a fresh
     zero-initialised block. [size = 0] is allowed (returns a unique,
-    valid-for-zero-length address). *)
-let alloc t ?(align = 8) size =
+    valid-for-zero-length address). [~align] is required: an optional
+    one would box a [Some] on every call with a computed alignment. *)
+let alloc t ~align size =
   if size < 0 then invalid_arg "Memory.alloc: negative size";
   let align = max 1 align in
   let start = (t.brk + align - 1) / align * align in
@@ -104,6 +105,13 @@ let write_uint t addr ~size v =
   Endian.write_uint t.abi.Abi.endianness t.arena ~off ~size v
 
 let write_int = write_uint
+
+let write_count t addr ~size n =
+  let off = offset_of_addr t addr size in
+  Endian.write_offset t.abi.Abi.endianness t.arena ~off ~size n
+
+let read_char t addr = Bytes.get t.arena (offset_of_addr t addr 1)
+let write_char t addr c = Bytes.set t.arena (offset_of_addr t addr 1) c
 
 let read_float t addr ~size =
   let off = offset_of_addr t addr size in

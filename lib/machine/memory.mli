@@ -16,9 +16,11 @@ exception Fault of string
 (** Raised on null dereference, out-of-bounds access, or an unterminated
     string — never silent corruption. *)
 
-val alloc : t -> ?align:int -> int -> int
-(** Fresh zero-initialised block; returns its simulated address. A size
-    of 0 is allowed. *)
+val alloc : t -> align:int -> int -> int
+(** [alloc t ~align size]: a fresh zero-initialised block of [size]
+    bytes at a multiple of [align] (values below 1 count as 1); returns
+    its simulated address. A size of 0 is allowed. Allocates nothing on
+    the OCaml heap. *)
 
 (** {1 Raw byte access} *)
 
@@ -41,6 +43,16 @@ val read_count : t -> int -> size:int -> int
 
 val write_uint : t -> int -> size:int -> int64 -> unit
 val write_int : t -> int -> size:int -> int64 -> unit
+
+val write_count : t -> int -> size:int -> int -> unit
+(** Store a non-negative [int] (an array's element count) as a
+    [size]-byte integer: {!write_int} of [Int64.of_int n] without the
+    boxed intermediate. *)
+
+val read_char : t -> int -> char
+val write_char : t -> int -> char -> unit
+(** One byte, as a C [char]. *)
+
 val read_float : t -> int -> size:int -> float
 val write_float : t -> int -> size:int -> float -> unit
 

@@ -282,16 +282,20 @@ and compile_field ~optimize ~wire ~native ~same_order ~(wf : Format.rfield)
       nf.Format.rf_name
 
 let compile_with ~optimize ~(wire : Format.t) ~(native : Format.t) : t =
+  let ops =
+    try compile_record ~optimize ~wire ~native
+    with Field_mismatch m -> mismatch "format %s: %s" native.Format.name m
+  in
   { wire_name = wire.Format.name
   ; wire_endian = wire.Format.abi.Abi.endianness
   ; wire_ptr_size = Abi.size_of wire.Format.abi Abi.Pointer
   ; dst_size = native.Format.layout.Layout.size
   ; dst_align = native.Format.layout.Layout.struct_align
-  ; ops = compile_record ~optimize ~wire ~native }
+  ; ops }
 
 (** [compile ~wire ~native] builds the conversion plan. Raises
-    {!Field_mismatch} when a same-named field is structurally
-    irreconcilable. *)
+    {!Field_mismatch}, naming the native format and the field, when a
+    same-named field is structurally irreconcilable. *)
 let compile ~wire ~native : t = compile_with ~optimize:true ~wire ~native
 
 (** [compile_unoptimized] skips blit coalescing and bulk array copies —

@@ -13,7 +13,8 @@ open Omf_machine
 
 exception Field_mismatch of string
 (** Same-named fields that are structurally irreconcilable
-    (string vs number, scalar vs array). *)
+    (string vs number, scalar vs array). {!compile}'s message names the
+    native format and the field: [format F: field "x": ...]. *)
 
 exception Decode_error of string
 (** Malformed or malicious payload: offsets or counts escaping the

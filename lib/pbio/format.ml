@@ -226,6 +226,7 @@ module Registry = struct
 
   let abi t = t.abi
   let find t name = Hashtbl.find_opt t.by_name name
+  let find_exn t name = Hashtbl.find t.by_name name
 
   (** [register t decl] resolves, lays out and registers a format. Nested
       format references are resolved against [t]'s current contents, as

@@ -60,6 +60,9 @@ module Registry : sig
   val abi : t -> Abi.t
   val find : t -> string -> format option
 
+  val find_exn : t -> string -> format
+  (** {!find} without the option: raises [Not_found]. *)
+
   val register : t -> Ftype.t -> format
   (** Resolves nested references against current contents (Catalog
       ordering); re-registering a name replaces it (run-time upgrade). *)

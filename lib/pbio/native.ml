@@ -20,14 +20,13 @@
       accepts it, or an [Array] of [Float]s, for such a field. The rule
       depends only on the format's element type.
 
-    Allocation contract: [store] writes straight into the memory's arena
-    and allocates nothing per field or element on the OCaml heap (no
-    boxed intermediates, option boxes or closures; a [Floats] array moves
-    through {!Memory.write_floats}; an omitted control field costs one
-    count value). [load] allocates the {!Value.t} it returns, and a float
-    array in it is one unboxed [floatarray] (8 B per element, no box per
-    element); the one extra box is the integer behind each [char] it
-    reads. *)
+    Allocation contract: [store] allocates nothing on the OCaml heap. It
+    writes straight into the memory's arena: no boxed intermediates,
+    option boxes or closures; a [Floats] array moves through
+    {!Memory.write_floats}, and an omitted control field's count is
+    written from the array's length. [load] allocates exactly the
+    {!Value.t} it returns, and a float array in it is one unboxed
+    [floatarray] (8 B per element, no box per element). *)
 
 open Omf_machine
 
@@ -43,11 +42,8 @@ let elem_align (abi : Abi.t) (elem : Format.relem) : int =
   | Format.Rnested nested -> nested.Format.layout.Layout.struct_align
 
 (* Binding walks the format's fields and looks each one up in the record
-   with these allocation-free scans (no option boxes, no closures). *)
-
-let rec lookup name = function
-  | [] -> raise Not_found
-  | (k, v) :: rest -> if String.equal k name then v else lookup name rest
+   with allocation-free scans (no option boxes, no closures):
+   {!Value.lookup} and these. *)
 
 let rec field_named name = function
   | [] -> raise Not_found
@@ -81,35 +77,38 @@ let array_length = function
   | Value.Floats a -> Float.Array.length a
   | _ -> -1
 
-(* The value to store for field [f]: the record's own binding (checked
-   against the array length when [f] is a control field), or, for an
-   omitted control field, the length of the array it counts. *)
-let field_value (fmt : Format.t) fields (f : Format.rfield) : Value.t =
+(* The record's binding for field [f], checked against the length of
+   the array it counts when [f] is a control field. *)
+let check_control (fmt : Format.t) fields (f : Format.rfield) (v : Value.t) =
   let name = f.Format.rf_name in
-  match lookup name fields with
-  | v -> (
-    match array_counted_by name fmt.Format.fields with
-    | exception Not_found -> v
-    | arr_field -> (
-      match array_length (lookup arr_field.Format.rf_name fields) with
-      | n when n >= 0 && Int64.to_int (Value.to_int64 v) <> n ->
-        bind_error
-          "format %s: control field %S = %Ld disagrees with %S length %d"
-          fmt.Format.name name (Value.to_int64 v) arr_field.Format.rf_name n
-      | _ | (exception Not_found) -> v))
-  | exception Not_found -> (
-    match array_counted_by name fmt.Format.fields with
+  match array_counted_by name fmt.Format.fields with
+  | exception Not_found -> ()
+  | arr_field -> (
+    match array_length (Value.lookup arr_field.Format.rf_name fields) with
+    | n when n >= 0 && Int64.to_int (Value.to_int64 v) <> n ->
+      bind_error
+        "format %s: control field %S = %Ld disagrees with %S length %d"
+        fmt.Format.name name (Value.to_int64 v) arr_field.Format.rf_name n
+    | _ | (exception Not_found) -> ())
+
+(* An omitted field must be a control field: its slot gets the length
+   of the array it counts, written as it is, with no [Value.Int] box. *)
+let store_count mem (fmt : Format.t) addr fields (f : Format.rfield) =
+  match array_counted_by f.Format.rf_name fmt.Format.fields with
+  | exception Not_found ->
+    bind_error "format %s: missing field %S" fmt.Format.name f.Format.rf_name
+  | arr_field -> (
+    match Value.lookup arr_field.Format.rf_name fields with
+    | v when array_length v >= 0 ->
+      Memory.write_count mem
+        (addr + f.Format.rf_layout.Layout.offset)
+        ~size:f.Format.rf_layout.Layout.elem_size (array_length v)
+    | v ->
+      bind_error "format %s: field %S must be an array, got %s"
+        fmt.Format.name arr_field.Format.rf_name (Value.to_string v)
     | exception Not_found ->
-      bind_error "format %s: missing field %S" fmt.Format.name name
-    | arr_field -> (
-      match lookup arr_field.Format.rf_name fields with
-      | v when array_length v >= 0 -> Value.Int (Int64.of_int (array_length v))
-      | v ->
-        bind_error "format %s: field %S must be an array, got %s"
-          fmt.Format.name arr_field.Format.rf_name (Value.to_string v)
-      | exception Not_found ->
-        bind_error "format %s: missing field %S" fmt.Format.name
-          arr_field.Format.rf_name))
+      bind_error "format %s: missing field %S" fmt.Format.name
+        arr_field.Format.rf_name)
 
 let rec store_into (mem : Memory.t) (fmt : Format.t) (addr : int)
     (record : Value.t) : unit =
@@ -125,7 +124,11 @@ let rec store_into (mem : Memory.t) (fmt : Format.t) (addr : int)
 and store_fields mem fmt addr fields = function
   | [] -> ()
   | f :: rest ->
-    store_field mem fmt addr f (field_value fmt fields f);
+    (match Value.lookup f.Format.rf_name fields with
+    | v ->
+      check_control fmt fields f v;
+      store_field mem fmt addr f v
+    | exception Not_found -> store_count mem fmt addr fields f);
     store_fields mem fmt addr fields rest
 
 and store_field mem (fmt : Format.t) addr (f : Format.rfield) v =
@@ -186,8 +189,7 @@ and store_scalar mem (fmt : Format.t) (f : Format.rfield) slot v =
   | Format.Rfloat _ -> Memory.write_float mem slot ~size (Value.to_float_exn v)
   | Format.Rchar -> (
     match v with
-    | Value.Char c ->
-      Memory.write_uint mem slot ~size:1 (Int64.of_int (Char.code c))
+    | Value.Char c -> Memory.write_char mem slot c
     | Value.Int n | Value.Uint n -> Memory.write_uint mem slot ~size:1 n
     | v ->
       bind_error "format %s, field %S: expected a char, got %s"
@@ -264,8 +266,7 @@ and load_scalar mem (f : Format.rfield) slot : Value.t =
   | Format.Rint { signed = false; _ } ->
     Value.Uint (Memory.read_uint mem slot ~size)
   | Format.Rfloat _ -> Value.Float (Memory.read_float mem slot ~size)
-  | Format.Rchar ->
-    Value.Char (Char.chr (Int64.to_int (Memory.read_uint mem slot ~size:1)))
+  | Format.Rchar -> Value.Char (Memory.read_char mem slot)
   | Format.Rstring ->
     let ptr = Memory.read_pointer mem slot in
     Value.String (if ptr = Memory.null then "" else Memory.read_cstring mem ptr)

@@ -102,9 +102,9 @@ module Receiver = struct
       fmt
 
   let native_format_for (t : t) (wire : Format.t) : Format.t =
-    match Registry.find t.registry wire.Format.name with
-    | Some f -> f
-    | None -> raise (Unknown_format wire.Format.name)
+    match Registry.find_exn t.registry wire.Format.name with
+    | f -> f
+    | exception Not_found -> raise (Unknown_format wire.Format.name)
 
   (* Plans are cached per wire format id, for the native format they were
      compiled against: re-registering the native name compiles afresh. *)
@@ -117,13 +117,16 @@ module Receiver = struct
       t.stats.plans_compiled <- t.stats.plans_compiled + 1;
       plan
 
+  (* A message under an id no descriptor announced breaks the protocol
+     (the sender announces each format before its first message): a
+     framing error, not a format this receiver lacks. *)
   let resolve_format (t : t) (id : int) : Format.t =
     match Hashtbl.find t.wire_formats id with
     | _, f -> f
     | exception Not_found ->
       raise
-        (Unknown_format
-           (Printf.sprintf "peer format id %d (no negotiation seen)" id))
+        (Wire.Frame_error
+           (Printf.sprintf "message of format id %d before its descriptor" id))
 
   (** [receive ?off t msg] demarshals the framed message at [msg.[off ..]]
       (default 0, to the end of [msg]) into [t]'s memory and returns
@@ -131,7 +134,8 @@ module Receiver = struct
       receiver's ABI regardless of the sender's. The compiled plan
       converts the payload in place inside [msg]: beyond the native
       blocks it builds in [t]'s memory, it allocates only the pair it
-      returns. *)
+      returns (the native format is looked up, and each block
+      allocated, without an option box). *)
   let receive ?off (t : t) (msg : bytes) : Format.t * int =
     (* [?off] passed on as is: a rebuilt [Some off] would cost a block *)
     let id = Wire.format_id ?off msg in

@@ -68,8 +68,13 @@ module Receiver : sig
       end of the buffer) into the receiver's memory; returns the native
       format and struct address. The payload is converted where it
       lies, so a link frame carrying a kind byte before the message
-      needs no copy. Raises {!Unknown_format} when no descriptor for
-      the format id has been learned. *)
+      needs no copy. Allocates only the pair it returns.
+
+      Raises {!Wire.Frame_error} when no descriptor announced the
+      message's format id (the peer broke the protocol),
+      {!Unknown_format} when the receiver's registry has no format of
+      the announced name, and {!Convert.Field_mismatch} when it has one
+      that cannot be converted to. *)
 
   val receive_value : t -> bytes -> Format.t * Value.t
 end

@@ -55,18 +55,23 @@ let rec equal a b =
   | Float x, Float y -> same_bits x y
   | Char x, Char y -> Char.equal x y
   | String x, String y -> String.equal x y
-  | Array x, Array y ->
-    Array.length x = Array.length y
-    && (let ok = ref true in
-        Array.iteri (fun i v -> if not (equal v y.(i)) then ok := false) x;
-        !ok)
+  | Array x, Array y -> Array.length x = Array.length y && arrays_equal x y 0
   | Floats x, Floats y -> floats_equal x y
   | Floats x, Array y | Array y, Floats x -> floats_equal_boxed x y
-  | Record x, Record y ->
-    List.length x = List.length y
-    && List.for_all2
-         (fun (ka, va) (kb, vb) -> String.equal ka kb && equal va vb)
-         x y
+  | Record x, Record y -> records_equal x y
+  | _ -> false
+
+(* element by element from [i], without a closure *)
+and arrays_equal x y i =
+  i = Array.length x
+  || (equal (Array.unsafe_get x i) (Array.unsafe_get y i)
+     && arrays_equal x y (i + 1))
+
+and records_equal x y =
+  match (x, y) with
+  | [], [] -> true
+  | (ka, va) :: x, (kb, vb) :: y ->
+    String.equal ka kb && equal va vb && records_equal x y
   | _ -> false
 
 let rec pp ppf = function
@@ -88,24 +93,43 @@ let to_string v = Fmt.str "%a" pp v
 
 (* ---- record helpers ---- *)
 
+let rec lookup name = function
+  | [] -> raise Not_found
+  | (k, v) :: rest -> if String.equal k name then v else lookup name rest
+
 let field record name =
   match record with
-  | Record fields -> List.assoc_opt name fields
+  | Record fields -> (
+    match lookup name fields with v -> Some v | exception Not_found -> None)
   | _ -> None
 
 let field_exn record name =
-  match field record name with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Value.field_exn: no field %S" name)
+  match record with
+  | Record fields -> (
+    match lookup name fields with
+    | v -> v
+    | exception Not_found ->
+      invalid_arg (Printf.sprintf "Value.field_exn: no field %S" name))
+  | _ -> invalid_arg (Printf.sprintf "Value.field_exn: no field %S" name)
 
-(** [set_field record name v] replaces or appends the binding. *)
+(* [fields] with every binding of [name] bound to [v]: only the list
+   cells up to the last replaced binding are rebuilt. Raises [Not_found]
+   when no binding is named [name]. *)
+let rec replace name v = function
+  | [] -> raise Not_found
+  | ((k, _) as b) :: rest ->
+    if String.equal k name then
+      (k, v) :: (match replace name v rest with r -> r | exception Not_found -> rest)
+    else b :: replace name v rest
+
+(** [set_field record name v] replaces every binding of [name], or
+    appends one when there is none. *)
 let set_field record name v =
   match record with
-  | Record fields ->
-    if List.mem_assoc name fields then
-      Record
-        (List.map (fun (k, old) -> if String.equal k name then (k, v) else (k, old)) fields)
-    else Record (fields @ [ (name, v) ])
+  | Record fields -> (
+    match replace name v fields with
+    | fields -> Record fields
+    | exception Not_found -> Record (fields @ [ (name, v) ]))
   | _ -> invalid_arg "Value.set_field: not a record"
 
 (* ---- coercion helpers used by codecs ---- *)

@@ -23,7 +23,8 @@ val equal : t -> t -> bool
     the same NaN and [-0.0] differs from [0.0]). Representation-blind:
     [Floats a] equals an [Array] of [Float]s whose bits match [a]'s,
     element by element, and nothing else (an [Array] of [Int]s with the
-    same numbers differs). Comparing two [Floats] allocates nothing. *)
+    same numbers differs). Allocates nothing: no closure per array or
+    record compared. *)
 
 val to_string : t -> string
 (** [Floats a] prints exactly as the [Array] of its [Float]s:
@@ -31,11 +32,25 @@ val to_string : t -> string
 
 (** {1 Record helpers} *)
 
+val lookup : string -> (string * t) list -> t
+(** The first binding of the name among a record's bindings, with no
+    option box. Raises [Not_found]. *)
+
 val field : t -> string -> t option
+(** The first binding of the name in a record; [None] for an absent name
+    or a non-record. Allocates only the [Some] it returns. *)
+
 val field_exn : t -> string -> t
+(** {!field} without the option: allocates nothing. Raises
+    [Invalid_argument] naming the field when there is none. *)
 
 val set_field : t -> string -> t -> t
-(** Replaces or appends the binding. *)
+(** [set_field r name v] binds [name] to [v] in record [r]: every binding
+    of [name] is replaced, in place in the binding order; a record with
+    none gets one appended. The result shares [r]'s unchanged bindings
+    and the tail after the last replaced one, so stamping one field
+    rebuilds only the list cells up to it. Raises [Invalid_argument]
+    on a non-record. *)
 
 (** {1 Coercions} (used by codecs) *)
 

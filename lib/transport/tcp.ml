@@ -129,11 +129,20 @@ let link_of_fd ?mac ?comp (fd : Unix.file_descr) : Link.t =
         raw
     end
   in
+  (* the option [recv] returns, kept with the buffer it lends: a frame
+     in the same buffer gets the same [Some] *)
+  let last = ref None in
   let recv () =
     if !closed then None
     else
       match read_frame () with
-      | msg -> Some msg
+      | msg -> (
+        match !last with
+        | Some lent as s when lent == msg -> s
+        | _ ->
+          let s = Some msg in
+          last := s;
+          s)
       | exception End_of_file -> None
   in
   let close () =

@@ -35,8 +35,9 @@ val link_of_fd :
     exactly one frame, never past it, and lends the body it returns
     ({!Link.t}): the link keeps one receive buffer of the last body's
     exact length and reuses it while lengths repeat, so a stream of
-    fixed-size records allocates nothing per frame, and a body of a new
-    length allocates one buffer, then kept. The body is valid until the
+    fixed-size records allocates nothing per frame (the [Some] around
+    the buffer is kept with it), and a body of a new length allocates
+    one buffer, then kept. The body is valid until the
     next receive on the link; a caller that keeps it longer copies it.
     A plain body is read straight into that buffer; a sealed one is
     read into a second grow-only buffer, verified in place and copied

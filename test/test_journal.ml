@@ -260,6 +260,48 @@ let test_unknown_format_propagates () =
           | exception Omf_pbio.Pbio.Unknown_format name ->
             check Alcotest.string "names the format" "ASDOffEvent" name))
 
+let contains hay needle =
+  Omf_testkit.Strings.replace ~sub:needle ~by:"" hay <> hay
+
+(* a reader whose registry defines the journal's format incompatibly (one
+   field's dimension differs) gets Convert's Field_mismatch, naming the
+   format and the field: the file is sound, the schema is not its own *)
+let test_incompatible_schema () =
+  with_tmp (fun path ->
+      write_events path Abi.x86_64 [ ("ASDOffEvent", Fx.value_a) ];
+      let reg = Registry.create Abi.x86_64 in
+      ignore
+        (Registry.register reg
+           (Ftype.declare "ASDOffEvent"
+              [ ("cntrID", "string"); ("fltNum", "integer")
+              ; ("off", "unsigned long[5]") ]));
+      let reader, close =
+        Journal.Reader.of_file path reg (Memory.create Abi.x86_64)
+      in
+      Fun.protect ~finally:close (fun () ->
+          match Journal.Reader.next_value reader with
+          | _ -> Alcotest.fail "expected Field_mismatch"
+          | exception Omf_pbio.Convert.Field_mismatch m ->
+            check bool (Printf.sprintf "%S names the format" m) true
+              (contains m "ASDOffEvent");
+            check bool (Printf.sprintf "%S names the field" m) true
+              (contains m "\"off\"")))
+
+(* a message frame whose descriptor never came is a corrupt file, at
+   the message's offset (the magic's 8 bytes) *)
+let test_message_before_descriptor () =
+  with_tmp (fun path ->
+      let abi = Abi.x86_64 in
+      let fmt = Registry.register (Registry.create abi) Fx.decl_a in
+      let mem = Memory.create abi in
+      let msg = message ~kind:'M' mem fmt (Omf_pbio.Native.store mem fmt Fx.value_a) in
+      let oc = open_out_bin path in
+      output_string oc "OMFJRNL1";
+      output_bytes oc (Omf_reactor.Frame.encode msg);
+      close_out oc;
+      expect_journal_error ~substring:"corrupt record at byte 8" (fun () ->
+          read_with_decl path))
+
 (* replay resets the reader's memory after each record *)
 let test_replay_memory_flat () =
   with_tmp (fun path ->
@@ -357,6 +399,10 @@ let () =
         ; Alcotest.test_case "large journal" `Quick test_large_journal
         ; Alcotest.test_case "unknown format is not corruption" `Quick
             test_unknown_format_propagates
+        ; Alcotest.test_case "incompatible schema is not corruption" `Quick
+            test_incompatible_schema
+        ; Alcotest.test_case "message before its descriptor is corrupt" `Quick
+            test_message_before_descriptor
         ; Alcotest.test_case "replay keeps memory flat" `Quick
             test_replay_memory_flat
         ; Alcotest.test_case "golden file bytes" `Quick test_golden_bytes ]

@@ -400,7 +400,7 @@ let prop_layout_invariants =
 
 let test_memory_alloc_and_rw () =
   let m = Memory.create Abi.x86_64 in
-  let a = Memory.alloc m 16 in
+  let a = Memory.alloc m ~align:8 16 in
   check bool "non-null" true (a <> Memory.null);
   Memory.write_int m a ~size:4 (-7L);
   check bool "readback" true (Int64.equal (-7L) (Memory.read_int m a ~size:4));
@@ -410,7 +410,7 @@ let test_memory_alloc_and_rw () =
 
 let test_memory_zero_initialised () =
   let m = Memory.create Abi.x86_64 in
-  let a = Memory.alloc m 64 in
+  let a = Memory.alloc m ~align:8 64 in
   check bool "fresh blocks are zero" true
     (Bytes.for_all (fun c -> c = '\000') (Memory.read_bytes m a 64))
 
@@ -425,14 +425,14 @@ let test_memory_cstring () =
 
 let test_memory_pointers () =
   let m = Memory.create Abi.x86_32 in
-  let target = Memory.alloc m 4 in
-  let slot = Memory.alloc m 4 in
+  let target = Memory.alloc m ~align:8 4 in
+  let slot = Memory.alloc m ~align:8 4 in
   Memory.write_pointer m slot target;
   check int "pointer round-trip" target (Memory.read_pointer m slot)
 
 let test_memory_faults () =
   let m = Memory.create Abi.x86_64 in
-  let a = Memory.alloc m 8 in
+  let a = Memory.alloc m ~align:8 8 in
   (try
      ignore (Memory.read_bytes m (a + 8) 8);
      Alcotest.fail "expected Fault"
@@ -460,7 +460,8 @@ let test_memory_floats () =
           Float.Array.set a 3 Float.nan;
           Float.Array.set a 4 (-0.0);
           let m = Memory.create abi in
-          let bulk = Memory.alloc m (n * size) and each = Memory.alloc m (n * size) in
+          let bulk = Memory.alloc m ~align:8 (n * size)
+          and each = Memory.alloc m ~align:8 (n * size) in
           Memory.write_floats m bulk ~size a;
           Float.Array.iteri
             (fun i x -> Memory.write_float m (each + (i * size)) ~size x)
@@ -493,7 +494,7 @@ let test_memory_floats () =
         [ 8; 4 ])
     [ Abi.x86_64; Abi.sparc_64 ];
   let m = Memory.create Abi.x86_64 in
-  let addr = Memory.alloc m 64 in
+  let addr = Memory.alloc m ~align:8 64 in
   let names_span f =
     match f () with
     | _ -> Alcotest.fail "expected Fault"
@@ -511,7 +512,7 @@ let test_memory_floats () =
 let test_memory_growth () =
   let m = Memory.create Abi.x86_64 in
   (* 500 blocks of 100 B: the 4 KiB arena grows several times *)
-  let blocks = List.init 500 (fun i -> (Memory.alloc m 100, i)) in
+  let blocks = List.init 500 (fun i -> (Memory.alloc m ~align:8 100, i)) in
   List.iter (fun (a, i) -> Memory.write_int m a ~size:4 (Int64.of_int i)) blocks;
   List.iter
     (fun (a, i) ->
@@ -521,7 +522,7 @@ let test_memory_growth () =
 
 let test_memory_reset () =
   let m = Memory.create Abi.x86_64 in
-  let _ = Memory.alloc m 128 in
+  let _ = Memory.alloc m ~align:8 128 in
   let before = Memory.allocated_bytes m in
   check bool "allocated something" true (before > 0);
   Memory.reset m;

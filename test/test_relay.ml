@@ -1001,7 +1001,7 @@ let test_evict_slow_consumer () =
   ignore (Relay.Client.subscribe stalled ~stream:"flights");
   let nevents = 80 in
   let healthy_done = ref false in
-  let healthy_count = ref 0 in
+  let healthy_count = Atomic.make 0 in
   let healthy =
     Thread.create
       (fun () ->
@@ -1013,7 +1013,7 @@ let test_evict_slow_consumer () =
             match Session.recv consumer with
             | None -> ()
             | Some (_, v) ->
-              incr healthy_count;
+              Atomic.incr healthy_count;
               go (seq_of v)
         in
         go (-1);
@@ -1024,16 +1024,24 @@ let test_evict_slow_consumer () =
   ignore (wait_stat ~port "stream.flights.subscribers" 2);
   for seq = 0 to nevents - 1 do
     publish sender fmt ~pad:65536 seq;
-    (* pace the burst so the reading consumer's transient backlog
-       stays well inside the eviction grace window; the stalled one
-       (whose socket buffers fill no matter what) stays over the
-       watermark for the whole window and is evicted *)
-    Thread.delay 0.002
+    (* pace the burst on the reading consumer: the next event goes out
+       once it has this one, so its backlog never exceeds one event
+       however loaded the host; the stalled one (whose socket buffers
+       fill no matter what) stays over the watermark for the whole
+       grace window and is evicted *)
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while Atomic.get healthy_count <= seq do
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "healthy subscriber stuck at %d of %d events"
+          (Atomic.get healthy_count) (seq + 1);
+      Thread.delay 0.0005
+    done
   done;
   Thread.join healthy;
   ignore (wait_stat ~port "subscribers_evicted" 1);
   check bool "healthy subscriber unaffected" true !healthy_done;
-  check int "healthy subscriber got every event" nevents !healthy_count;
+  check int "healthy subscriber got every event" nevents
+    (Atomic.get healthy_count);
   check int "stalled subscriber evicted" 1
     (wait_stat ~port "subscribers_evicted" 1);
   Relay.Client.close stalled;

@@ -481,8 +481,9 @@ let test_link_bytes () =
     Linkpair.modes
 
 (* after warm-up a send allocates nothing the caller keeps, and a
-   receive nothing but its option: the body is lent from the link's
-   receive buffer, reused while lengths repeat *)
+   receive of a repeated-length frame nothing at all: the body is lent
+   from the link's receive buffer, reused while lengths repeat, in the
+   same option *)
 let test_link_allocation () =
   List.iter
     (fun (m : Linkpair.mode) ->
@@ -497,9 +498,9 @@ let test_link_allocation () =
             Alcotest.failf "%s, %s: send allocates %.0f B per frame (budget 64)"
               m.name what send;
           let recv = Linkpair.recv_bytes t body in
-          if recv > 64.0 then
+          if recv >= 1.0 then
             Alcotest.failf
-              "%s, %s: recv allocates %.0f B per frame of %d B (budget 64)"
+              "%s, %s: recv allocates %.1f B per frame of %d B (budget < 1)"
               m.name what recv n)
         link_bodies)
     Linkpair.modes

@@ -117,6 +117,69 @@ let test_set_field () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* The update shares what it does not change: the bindings it keeps,
+   and the list after the last binding it replaces. *)
+let test_set_field_shares () =
+  let r =
+    [ ("a", Value.Int 1L); ("b", Value.Int 2L); ("a", Value.Int 3L)
+    ; ("c", Value.Int 4L); ("d", Value.Int 5L) ]
+  in
+  (match Value.set_field (Value.Record r) "a" (Value.Int 9L) with
+  | Value.Record ([ _; b; _; _; _ ] as r') ->
+    check bool "kept binding shared" true (b == List.nth r 1);
+    check bool "tail after the last replaced one shared" true
+      (List.tl (List.tl (List.tl r')) == List.tl (List.tl (List.tl r)))
+  | _ -> Alcotest.fail "expected five bindings");
+  match Value.set_field (Value.Record r) "d" (Value.Int 9L) with
+  | Value.Record r' ->
+    check bool "binding before the replaced one shared" true
+      (List.nth r' 3 == List.nth r 3)
+  | _ -> Alcotest.fail "expected a record"
+
+(* the old implementation, kept as the oracle: map every binding of the
+   name, or append one *)
+let set_field_oracle record name v =
+  match record with
+  | Value.Record fields ->
+    if List.mem_assoc name fields then
+      Value.Record
+        (List.map
+           (fun (k, old) -> if String.equal k name then (k, v) else (k, old))
+           fields)
+    else Value.Record (fields @ [ (name, v) ])
+  | _ -> invalid_arg "Value.set_field: not a record"
+
+(* records over a four-name alphabet, so names repeat; the updated
+   name is drawn from five, so it is often absent *)
+let prop_set_field_oracle =
+  let open QCheck in
+  let name = Gen.oneofl [ "a"; "b"; "c"; "d"; "e" ] in
+  let binding =
+    Gen.pair (Gen.oneofl [ "a"; "b"; "c"; "d" ]) (Gen.map Int64.of_int Gen.small_int)
+  in
+  Test.make ~name:"set_field equals map-or-append" ~count:500
+    (make
+       ~print:(fun (fs, n, v) ->
+         Printf.sprintf "%s <- %s = %Ld"
+           (Value.to_string (Value.Record (List.map (fun (k, x) -> (k, Value.Int x)) fs)))
+           n v)
+       Gen.(triple (list_size (int_bound 8) binding) name (map Int64.of_int small_int)))
+    (fun (fs, name, v) ->
+      let r = Value.Record (List.map (fun (k, x) -> (k, Value.Int x)) fs) in
+      let got = Value.set_field r name (Value.Int v) in
+      let want = set_field_oracle r name (Value.Int v) in
+      (* same bindings in the same order, names included *)
+      Value.equal got want && got = want)
+
+let test_field_exn_allocates_nothing () =
+  let r = Omf_fixtures.Paper_structs.value_a in
+  let bytes =
+    Omf_testkit.Alloc.bytes_per_call ~iters:1000 (fun () ->
+        Value.field_exn r "eta")
+  in
+  if bytes >= 1.0 then
+    Alcotest.failf "Value.field_exn allocates %.1f B per call (budget 0)" bytes
+
 let test_coercion_errors () =
   let expect_type_error f =
     try
@@ -195,8 +258,13 @@ let () =
         ; Alcotest.test_case "floats print as boxed" `Quick test_floats_pp
         ; Alcotest.test_case "floats to_array_exn" `Quick test_floats_to_array
         ; Alcotest.test_case "set_field" `Quick test_set_field
+        ; Alcotest.test_case "set_field shares its spine" `Quick
+            test_set_field_shares
+        ; Alcotest.test_case "field_exn allocates nothing" `Quick
+            test_field_exn_allocates_nothing
         ; Alcotest.test_case "coercion errors" `Quick test_coercion_errors
-        ; Alcotest.test_case "field_exn message" `Quick test_field_exn_message ] )
+        ; Alcotest.test_case "field_exn message" `Quick test_field_exn_message ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_set_field_oracle ] )
     ; ( "ftype",
         [ Alcotest.test_case "declaration printing" `Quick test_ftype_pp
         ; Alcotest.test_case "spellings parse back" `Quick
