@@ -16,6 +16,13 @@
     error; delivery gaps are nudged closed with sentinel events so
     lagging subscribers still terminate.
 
+    Each subscriber is a {!Omf_relay.Relay_session} subscriber session,
+    the one Pbio consumer. In an open-loop run it reconnects and
+    resubscribes after an outage (an eviction under [--policy
+    evict-slow], say), and the run reports how often
+    ([subscriber_reconnects]). In a closed-loop run it has no reconnect
+    budget: the end of its link ends it, and it counts as closed early.
+
     Exit status: non-zero on any reordered event; a closed-loop run
     also fails when an event is lost or a subscriber closes early. *)
 
@@ -48,18 +55,21 @@ type sub_report = {
   mutable received : int;
   mutable out_of_order : int;
   mutable closed_early : bool;
+  mutable reconnects : int;  (** the session's resubscribes after an outage *)
   mutable finished : bool;  (** thread returned (joinable without blocking) *)
   mutable raw_bytes : int;  (** through the compression wrapper, if any *)
   mutable wire_bytes : int;
 }
 
-let subscriber_thread ~host ~port ?auth ~compress ~stream ~last_seq
-    (abi : Abi.t) (report : sub_report) () =
-  let consumer =
-    Session.attach_consumer ~host ~port ?auth ~compress ~stream abi
+let subscriber_thread ~host ~port ?auth ~compress ?max_attempts ~stream
+    ~last_seq (abi : Abi.t) (report : sub_report) () =
+  let sub =
+    Session.subscribe
+      (Session.config ~host ~port ?auth ~compress ?max_attempts ())
+      ~stream abi
   in
   let rec go prev =
-    match Session.recv consumer with
+    match Session.recv_subscriber sub with
     | None -> report.closed_early <- true
     | Some (_, v) ->
       let seq = match Value.field_exn v "fltNum" with
@@ -71,31 +81,36 @@ let subscriber_thread ~host ~port ?auth ~compress ~stream ~last_seq
       if seq < last_seq then go seq
   in
   (try go (-1) with _ -> report.closed_early <- true);
-  (match Relay.Client.comp_totals (Session.consumer_client consumer) with
+  (match Session.subscriber_comp_totals sub with
   | Some (raw, wire) ->
     report.raw_bytes <- raw;
     report.wire_bytes <- wire
   | None -> ());
-  Session.close_consumer consumer;
+  report.reconnects <- Session.subscriber_reconnects sub;
+  Session.close_subscriber sub;
   report.finished <- true
 
 (** One measured publish/fan-out cycle at payload padding [pad]:
     spawn the subscriber fleet, wait for the relay to see it, publish
     [events] events, join the fleet. Returns
-    [(dt, delivered, ooo, early, behind)]. *)
+    [(dt, delivered, ooo, early, reconnects, behind, raw, wire)]. *)
 let measure ~host ~port ?auth ~compress ~stream ~admin ~sender ~fmt
     ~subscribers ~events ~rate ~pad () =
   let reports =
     Array.init subscribers (fun _ ->
         { received = 0; out_of_order = 0; closed_early = false
-        ; finished = false; raw_bytes = 0; wire_bytes = 0 })
+        ; reconnects = 0; finished = false; raw_bytes = 0; wire_bytes = 0 })
   in
+  (* closed loop: no reconnect budget, so a subscriber whose link ends
+     fails the run at once instead of resubscribing live past the
+     events it missed and waiting forever for the last one *)
+  let max_attempts = if rate > 0.0 then None else Some 0 in
   let threads =
     Array.mapi
       (fun i report ->
         let abi = List.nth Abi.all (i mod List.length Abi.all) in
         Thread.create
-          (subscriber_thread ~host ~port ?auth ~compress ~stream
+          (subscriber_thread ~host ~port ?auth ~compress ?max_attempts ~stream
              ~last_seq:(events - 1) abi report)
           ())
       reports
@@ -151,9 +166,10 @@ let measure ~host ~port ?auth ~compress ~stream ~admin ~sender ~fmt
   let early =
     Array.fold_left (fun a r -> a + if r.closed_early then 1 else 0) 0 reports
   in
+  let reconnects = Array.fold_left (fun a r -> a + r.reconnects) 0 reports in
   let raw = Array.fold_left (fun a r -> a + r.raw_bytes) 0 reports in
   let wire = Array.fold_left (fun a r -> a + r.wire_bytes) 0 reports in
-  (dt, delivered, ooo, early, !behind, raw, wire)
+  (dt, delivered, ooo, early, reconnects, !behind, raw, wire)
 
 (** Per-stage latency percentiles from the relay's merged
     [hist.stage_us.*] histogram counters: each percentile is the
@@ -262,7 +278,9 @@ let run serve host port policy max_queue auth compress subscribers events pad
   in
   (match sizes with
   | [] ->
-    let dt, delivered, ooo, early, behind, raw, wire = measure ~pad () in
+    let dt, delivered, ooo, early, reconnects, behind, raw, wire =
+      measure ~pad ()
+    in
     note_delivery ~delivered ~ooo ~early;
     note_comp raw wire;
     Printf.printf
@@ -282,7 +300,8 @@ let run serve host port policy max_queue auth compress subscribers events pad
       (if rate > 0.0 then "; loss is expected under open-loop overload"
        else "");
     Printf.printf "  out of order     %9d\n" ooo;
-    Printf.printf "  closed early     %9d subscriber(s)\n" early
+    Printf.printf "  closed early     %9d subscriber(s)\n" early;
+    Printf.printf "  reconnects       %9d (subscriber_reconnects)\n" reconnects
   | sizes ->
     (* payload sweep: one full publish/fan-out cycle per size, sharing
        the relay and publisher link, with per-size throughput *)
@@ -292,20 +311,20 @@ let run serve host port policy max_queue auth compress subscribers events pad
       events subscribers
       (Relay.policy_to_string policy)
       (if rate > 0.0 then Printf.sprintf ", open-loop %.0f/s" rate else "");
-    Printf.printf "  %10s %12s %14s %9s %6s %6s\n" "pad bytes" "events/s"
-      "deliveries/s" "lost" "ooo" "early";
+    Printf.printf "  %10s %12s %14s %9s %6s %6s %10s\n" "pad bytes"
+      "events/s" "deliveries/s" "lost" "ooo" "early" "reconnects";
     List.iter
       (fun size ->
-        let dt, delivered, ooo, early, _behind, raw, wire =
+        let dt, delivered, ooo, early, reconnects, _behind, raw, wire =
           measure ~pad:size ()
         in
         note_delivery ~delivered ~ooo ~early;
         note_comp raw wire;
-        Printf.printf "  %10d %12d %14d %9d %6d %6d\n" size
+        Printf.printf "  %10d %12d %14d %9d %6d %6d %10d\n" size
           (int_of_float (float_of_int events /. dt))
           (int_of_float (float_of_int delivered /. dt))
           (max 0 ((events * subscribers) - delivered))
-          ooo early)
+          ooo early reconnects)
       sizes);
   let stats = Relay.Client.stats admin in
   List.iter
@@ -319,7 +338,7 @@ let run serve host port policy max_queue auth compress subscribers events pad
     ; "governor_recovered" ];
   if Relay.Client.compressed admin then begin
     (* publisher-side totals from the admin connection plus the
-       subscriber fleet's, gathered before each consumer closed *)
+       subscriber fleet's, gathered before each subscriber session closed *)
     (match Relay.Client.comp_totals admin with
     | Some (raw, wire) -> note_comp raw wire
     | None -> ());

@@ -150,10 +150,10 @@ let publish (catalog, sender) name v =
    what was published since the consumer's last read *)
 let show role consumer n =
   for _ = 1 to n do
-    match Session.recv consumer with
+    match Session.recv_subscriber consumer with
     | Some (fmt, v) ->
       Printf.printf "  [%s] %s %s\n" role fmt.Format.name (Value.to_string v)
-    | None -> failwith (role ^ ": relay closed the stream")
+    | None -> failwith (role ^ ": subscription closed")
   done
 
 let () =
@@ -191,15 +191,18 @@ let () =
 
   (* consumers on three different architectures *)
   let display =
-    Session.attach_consumer ~port:relay_port ~stream:"flights"
-      ~creds:[ ("role", "display") ] Abi.sparc_32
+    Session.subscribe
+      (Session.config ~port:relay_port ~creds:[ ("role", "display") ] ())
+      ~stream:"flights" Abi.sparc_32
   in
   let handheld =
-    Session.attach_consumer ~port:relay_port ~stream:"flights"
-      ~creds:[ ("role", "handheld") ] Abi.arm_32
+    Session.subscribe
+      (Session.config ~port:relay_port ~creds:[ ("role", "handheld") ] ())
+      ~stream:"flights" Abi.arm_32
   in
   let weather_indicator =
-    Session.attach_consumer ~port:relay_port ~stream:"weather" Abi.x86_32
+    Session.subscribe (Session.config ~port:relay_port ()) ~stream:"weather"
+      Abi.x86_32
   in
 
   Printf.printf "\n--- tick 1: normal operation ---\n";
@@ -224,8 +227,9 @@ let () =
   show "display " display 1;
   Printf.printf "freshly attached display (discovers v2, sees the gate):\n";
   let fresh =
-    Session.attach_consumer ~port:relay_port ~stream:"flights"
-      ~creds:[ ("role", "display") ] Abi.sparc_32
+    Session.subscribe
+      (Session.config ~port:relay_port ~creds:[ ("role", "display") ] ())
+      ~stream:"flights" Abi.sparc_32
   in
   publish flights "ASDOffEvent" (flight_event rng ~gate:"B12" ());
   show "display2" fresh 1;

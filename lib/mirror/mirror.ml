@@ -8,7 +8,6 @@ module Proto = Omf_relay.Relay_proto
 module Client = Relay.Client
 module Relay_client = Omf_relay.Relay_client
 module Counters = Omf_util.Counters
-module Prng = Omf_util.Prng
 
 let log = Logs.Src.create "omf.mirror" ~doc:"relay-to-relay replication"
 
@@ -86,17 +85,6 @@ type t = {
 let stopped (t : t) = t.stopped || Relay.stopping t.relay
 let stats (t : t) : (string * int) list = Counters.dump t.counters
 
-(** Sleep [s] seconds in steps of at most 50 ms, so {!stop} is noticed. *)
-let nap (t : t) (s : float) =
-  let step = Float.min 0.05 s in
-  let rec go n =
-    if n > 0 && not (stopped t) then begin
-      Thread.delay step;
-      go (n - 1)
-    end
-  in
-  if s > 0.0 then go (int_of_float (Float.round (s /. step)))
-
 (* ------------------------------------------------------------------ *)
 (* One replication link                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -145,7 +133,8 @@ let listening (t : t) =
     true
   | exception Omf_transport.Tcp.Tcp_error _ -> false
 
-(** A link's handshakes failed [max_attempts] times in a row ([why]).
+(** A link's handshakes failed [max_attempts] times in a row ([why],
+    the driver's {!Relay_client.Gave_up}).
     Before calling the source lost, ask it once: a source that still
     answers is alive — serving the stream, shedding, or refusing it
     because it restarted without the stream or no longer knows this
@@ -183,34 +172,14 @@ let guarded (t : t) meta =
     Some "loops_skipped"
   else None
 
-(** SUBSCRIBE from [from]; a [busy] source is waited out on the same
-    connection, for its hint scaled by full jitter from the link's
-    [rng] ({!Relay_client.backoff_delay} step 0), so links facing one
-    busy source do not retry in lockstep. The wait spends no budget on
-    purpose: overload is not an outage, and it must never make the
-    mirror call a live source lost. *)
-let rec subscribe (t : t) rng client ~stream ~from =
-  match Client.subscribe_from client ~stream ~from with
-  | start, _, _ -> start
-  | exception Client.Busy { retry_ms } ->
-    Counters.incr t.counters "busy_backoffs";
-    let d =
-      Relay_client.backoff_delay ~base_s:(float_of_int retry_ms /. 1000.)
-        ~max_s:infinity rng 0
-    in
-    Log.info (fun m ->
-        m "stream %s: source overloaded; pausing the link %.0fms" stream
-          (d *. 1000.));
-    nap t d;
-    if stopped t then raise (Parked "mirror stopped");
-    subscribe t rng client ~stream ~from
-
 (** One link attempt: DESCRIBE the source, claim the stream on the
     local relay, subscribe from the offset the claim returned and hand
-    the connection to the relay; [rng] jitters its waits on a busy
-    source. [false]: the loop guard skipped the stream (its tag changed
-    since the scan, which counts it next). *)
-let handshake (t : t) (ls : link_state) rng : bool =
+    the connection to the relay. A [busy] source is waited out on this
+    connection ({!Relay_client.busy_wait}): the wait spends no budget,
+    since overload is not an outage and must never make the mirror
+    call a live source lost. [false]: the loop guard skipped the stream
+    (its tag changed since the scan, which counts it next). *)
+let handshake (t : t) (ls : link_state) retry : bool =
   let stream = ls.l_stream in
   let client = connect_source t ~compress:t.cfg.compress in
   match
@@ -237,8 +206,12 @@ let handshake (t : t) (ls : link_state) rng : bool =
         | Ok from -> from
         | Error msg -> raise (Parked msg)
       in
-      (match subscribe t rng client ~stream ~from with
-      | Some start when from >= 0 && start > from ->
+      (match
+         Relay_client.busy_wait retry ~what:("stream " ^ stream)
+           ~on_busy:(fun () -> Counters.incr t.counters "busy_backoffs")
+           (fun () -> Client.subscribe_from client ~stream ~from)
+       with
+      | Some start, _, _ when from >= 0 && start > from ->
         (* source retention outran this replica: the gap is gone *)
         Counters.incr t.counters "resume_gap_clamped"
       | _ -> ());
@@ -276,45 +249,42 @@ let await_close (t : t) (ls : link_state) : bool =
   ls.l_replica <- None;
   ls.l_closed = Some true
 
-(** Per-stream link thread: the one retry loop. A link the relay closed
-    relinks from the local tail, unless the mirror or the relay is
-    stopping. Failed handshakes back off with jitter; [max_attempts] in
-    a row go to {!budget_spent}, and an established link resets the
-    count. A refusal or a local failure parks the link until the next
-    rescan. *)
+(** Per-stream link thread, driven by {!Relay_client.reconnect}: a
+    link the relay closed relinks from the local tail, unless the
+    mirror or the relay is stopping. Failed handshakes back off with
+    jitter; a spent budget goes to {!budget_spent}, and an established
+    link starts the next outage with a fresh one. A refusal or a local
+    failure parks the link until the next rescan. *)
 let link_thread (t : t) (ls : link_state) =
   let stream = ls.l_stream in
-  let rng = Prng.create ~seed:(Int64.of_int (Hashtbl.hash stream)) () in
-  let rec go failed =
-    if not (stopped t) then
-      match handshake t ls rng with
-      | false -> ()
-      | true ->
-        Counters.incr t.counters "links_established";
-        Log.info (fun m -> m "stream %s: replicating" stream);
-        if not (await_close t ls || stopped t) then begin
-          Counters.incr t.counters "reconnects";
-          Log.info (fun m -> m "stream %s: link closed; relinking" stream);
-          go 0
-        end
-      | exception e when Client.transient e && not (refused e) ->
-        let failed = failed + 1 and why = Printexc.to_string e in
-        if failed >= t.cfg.max_attempts then
-          budget_spent t ls
-            (Printf.sprintf "%d handshakes failed, last: %s" failed why)
-        else begin
-          Log.info (fun m -> m "stream %s: handshake failed: %s" stream why);
-          nap t
-            (Relay_client.backoff_delay ~base_s:t.cfg.base_delay_s
-               ~max_s:t.cfg.max_delay_s rng (failed - 1));
-          go failed
-        end
-      | exception e ->
-        if refused e then Counters.incr t.counters "links_refused";
-        Log.info (fun m ->
-            m "stream %s: link parked: %s" stream (Printexc.to_string e))
+  let stopped () = stopped t in
+  let retry =
+    Relay_client.retry ~attempts:t.cfg.max_attempts ~base_s:t.cfg.base_delay_s
+      ~max_s:t.cfg.max_delay_s ~seed:(Int64.of_int (Hashtbl.hash stream))
+      ~stopped ~sleep:(Relay_client.nap ~stopped)
   in
-  go 0;
+  let rec go () =
+    match
+      Relay_client.reconnect ~final:refused retry ~what:"link handshake"
+        (fun () -> handshake t ls retry)
+    with
+    | false -> ()
+    | true ->
+      Counters.incr t.counters "links_established";
+      Log.info (fun m -> m "stream %s: replicating" stream);
+      if not (await_close t ls || stopped ()) then begin
+        Counters.incr t.counters "reconnects";
+        Log.info (fun m -> m "stream %s: link closed; relinking" stream);
+        go ()
+      end
+    | exception Relay_client.Gave_up why -> budget_spent t ls why
+    | exception Relay_client.Stopped -> ()
+    | exception e ->
+      if refused e then Counters.incr t.counters "links_refused";
+      Log.info (fun m ->
+          m "stream %s: link parked: %s" stream (Printexc.to_string e))
+  in
+  go ();
   ls.l_done <- true
 
 (* ------------------------------------------------------------------ *)
@@ -386,7 +356,7 @@ let scan (t : t) =
 let manager_loop (t : t) =
   while not (stopped t) do
     (try scan t with _ -> Counters.incr t.counters "scan_failures");
-    nap t t.cfg.rescan_s
+    Relay_client.nap ~stopped:(fun () -> stopped t) t.cfg.rescan_s
   done
 
 (* ------------------------------------------------------------------ *)

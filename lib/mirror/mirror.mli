@@ -9,9 +9,10 @@
     ({!Omf_relay.Relay.claim_replica}), subscribe to the source from the
     local store tail, and hand that connection to the shard hosting the
     stream ({!Omf_relay.Relay.adopt_replica}), which replicates every
-    frame down its ordinary publisher path. Consumers fail over with
-    their Session resume path: resubscribe against the replica at the
-    next expected offset.
+    frame down its ordinary publisher path. A consumer fails over by
+    opening a subscriber session on the replica with [~from] set to
+    the next offset it expects ({!Omf_relay.Relay_session.subscribe}):
+    offsets are the same on both relays.
 
     A link the relay closes relinks; a close for the local relay's own
     shutdown does not. [max_attempts] failed handshakes in a row make
@@ -20,11 +21,12 @@
     answer); only an unreachable one is lost and, with
     [promote_on_loss], promoted locally at a bumped epoch once the
     replicated frames are fsynced. A refusal
-    parks the link. A [busy] source pauses it for the source's hint,
-    scaled by full jitter into [[0.5, 1.0)] of itself from the link's
-    seeded generator, so links facing one busy source do not retry in
-    lockstep; the pause deliberately spends no budget, since overload
-    is not an outage and must never get a live source promoted away. *)
+    parks the link. Handshakes retry, and a [busy] source is waited
+    out, through the client sessions' own driver
+    ({!Omf_relay.Relay_client.reconnect},
+    {!Omf_relay.Relay_client.busy_wait}); the busy wait spends no
+    budget, since overload is not an outage and must never get a live
+    source promoted away. *)
 
 type config
 

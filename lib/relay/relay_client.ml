@@ -2,8 +2,9 @@
     control exchanges of PROTOCOLS.md §11–18. It carries frames and
     knows nothing of their formats, so the relay's own mirror links
     with it and nothing of the paper's binding stack. The Pbio-typed
-    consumer and sessions built on it are {!Relay_session}. The
-    contract of every entry point is in relay_client.mli. *)
+    sessions built on it are {!Relay_session}; they and the mirror's
+    links share the retry driver at the end of this file. The contract
+    of every entry point is in relay_client.mli. *)
 
 open Omf_transport
 module Proto = Relay_proto
@@ -181,10 +182,83 @@ end
 let publish_link ?trace ~acks (c : Client.t) ~stream =
   (Client.publish_with ?trace ~acks c stream, c.Client.link)
 
-(* backoff step k (0-based) is min(cap, base * 2^k) scaled into
-   [0.5, 1.0) — full-jitter halves thundering-herd resubscription
-   after a relayd restart while keeping tests deterministic via the
-   seeded PRNG *)
-let backoff_delay ~base_s ~max_s rng attempt =
-  let d = base_s *. (2.0 ** float_of_int attempt) in
-  Float.min max_s d *. (0.5 +. (0.5 *. Prng.float rng))
+(* ------------------------------------------------------------------ *)
+(* Retry driver                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let log = Logs.Src.create "omf.relay.retry" ~doc:"relay reconnects and busy waits"
+
+module Log = (val Logs.src_log log)
+
+exception Gave_up of string
+exception Stopped
+
+let nap ~stopped s =
+  let until = Omf_util.Clock.now_us () + int_of_float (s *. 1e6) in
+  let rec go () =
+    let left = until - Omf_util.Clock.now_us () in
+    if left > 0 && not (stopped ()) then begin
+      Thread.delay (Float.min 0.05 (float_of_int left /. 1e6));
+      go ()
+    end
+  in
+  go ()
+
+type retry = {
+  attempts : int;  (** dials per outage *)
+  base_s : float;  (** first backoff step *)
+  max_s : float;  (** backoff cap *)
+  rng : Prng.t;  (** the jitter of every wait, backoff and busy alike *)
+  stopped : unit -> bool;
+  sleep : float -> unit;
+}
+
+let retry ~attempts ~base_s ~max_s ~seed ~stopped ~sleep =
+  { attempts; base_s; max_s; rng = Prng.create ~seed (); stopped; sleep }
+
+(* step k (0-based) is min(cap, base * 2^k) scaled into [0.5, 1.0):
+   full jitter halves thundering-herd resubscription after a relay
+   restart, and the seeded generator keeps runs deterministic *)
+let backoff_delay ~base_s ~max_s rng k =
+  Float.min max_s (base_s *. (2.0 ** float_of_int k))
+  *. (0.5 +. (0.5 *. Prng.float rng))
+
+let check_stop r = if r.stopped () then raise Stopped
+
+let reconnect ?(final = fun _ -> false) r ~what dial =
+  let rec go attempt last =
+    check_stop r;
+    if attempt >= r.attempts then
+      raise
+        (Gave_up
+           (Printf.sprintf "%s: gave up after %d attempts%s" what r.attempts
+              last));
+    if attempt > 0 then begin
+      r.sleep (backoff_delay ~base_s:r.base_s ~max_s:r.max_s r.rng (attempt - 1));
+      check_stop r
+    end;
+    match dial () with
+    | v -> v
+    | exception e when Client.transient e && not (final e) ->
+      let why = Printexc.to_string e in
+      Log.info (fun m -> m "%s: attempt %d failed: %s" what (attempt + 1) why);
+      go (attempt + 1) (", last: " ^ why)
+  in
+  go 0 ""
+
+let busy_wait r ~what ~on_busy f =
+  let rec go () =
+    check_stop r;
+    match f () with
+    | v -> v
+    | exception Client.Busy { retry_ms } ->
+      on_busy ();
+      let d =
+        backoff_delay ~base_s:(float_of_int retry_ms /. 1000.) ~max_s:infinity
+          r.rng 0
+      in
+      Log.info (fun m -> m "%s: relay busy, waiting %.0f ms" what (d *. 1000.));
+      r.sleep d;
+      go ()
+  in
+  go ()

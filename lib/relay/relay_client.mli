@@ -3,8 +3,10 @@
     reply. It carries endpoint frames without decoding them, so a
     program that only moves frames (relayd's mirror) links none of the
     paper's binding stack. {!Relay} re-exports {!Client}, so
-    [Relay.Client] names the same module. The Pbio-typed consumer and
-    sessions are {!Relay_session}. *)
+    [Relay.Client] names the same module. The one retry driver, which
+    reconnects and waits out [busy] replies for the relay's sessions
+    and the mirror's links alike, is here too. The Pbio-typed sessions
+    are {!Relay_session}. *)
 
 (** {2 Client} *)
 
@@ -25,8 +27,8 @@ module Client : sig
   val transient : exn -> bool
   (** Is this exception a broken or unusable connection — {!Error} or
       a transport failure ({!Omf_transport.Tcp.failure_message}) — that
-      a fresh connection may cure? The predicate {!Session}'s reconnect
-      loops retry on. *)
+      a fresh connection may cure? The predicate {!reconnect} retries
+      on. *)
 
   type t
 
@@ -154,8 +156,49 @@ val publish_link :
     {!Client.publish} and {!Client.publish_acked} in one, for the
     publisher sessions of {!Relay_session}. *)
 
-val backoff_delay :
-  base_s:float -> max_s:float -> Omf_util.Prng.t -> int -> float
-(** Backoff step [k] (0-based) of every reconnect loop, the sessions'
-    and the mirror's links: [min(max_s, base_s * 2^k)] scaled by full
-    jitter into [[0.5, 1.0)] of itself, drawn from the generator. *)
+(** {2 Retry driver}
+
+    The one reconnect and [busy] policy, run by the sessions of
+    {!Relay_session} and by the mirror's links. *)
+
+exception Gave_up of string
+(** Every attempt of one outage failed. *)
+
+exception Stopped
+(** The caller's stop flag held before a dial or after a wait. *)
+
+val nap : stopped:(unit -> bool) -> float -> unit
+(** Sleep that many seconds in steps of at most 50 ms, returning once
+    [stopped ()] holds. *)
+
+type retry
+
+val retry :
+  attempts:int ->
+  base_s:float ->
+  max_s:float ->
+  seed:int64 ->
+  stopped:(unit -> bool) ->
+  sleep:(float -> unit) ->
+  retry
+(** A budget of [attempts] dials per outage. Backoff step [k]
+    (0-based) is [min(max_s, base_s * 2^k)] scaled by full jitter into
+    [[0.5, 1.0)] of itself, from a generator seeded with [seed]. Every
+    wait calls [sleep]: {!nap} over [stopped] in every program. *)
+
+val reconnect :
+  ?final:(exn -> bool) -> retry -> what:string -> (unit -> 'a) -> 'a
+(** [reconnect r ~what dial] runs [dial] (a fresh connection and the
+    caller's handshake on it, closed by [dial] if it fails) until it
+    returns: attempt 0 at once, attempt [k] after backoff step [k - 1].
+    A {!Client.transient} failure is retried unless [final] holds for
+    it; any other is raised. After [attempts] failed dials it raises
+    {!Gave_up}, naming [what] and the last failure. *)
+
+val busy_wait :
+  retry -> what:string -> on_busy:(unit -> unit) -> (unit -> 'a) -> 'a
+(** Run [f] on the same connection until it does not raise
+    {!Client.Busy} (PROTOCOLS.md §16), waiting out each reply's
+    [retry_ms] hint scaled by full jitter and counting it with
+    [on_busy]. Overload is not an outage: the wait spends no budget and
+    never becomes {!Gave_up}; only {!Stopped} ends it. *)

@@ -1,6 +1,7 @@
 (** The Pbio-typed clients of the relay, built on the raw
-    {!Relay_client.Client}: a fully wired consumer, and fault-tolerant
-    sessions with reconnect and replay.
+    {!Relay_client.Client}: fault-tolerant publisher and subscriber
+    sessions with reconnect and replay, both driven by
+    {!Relay_client.reconnect} and {!Relay_client.busy_wait}.
 
     Every one negotiates formats the one way the paper's endpoint
     protocol describes ({!Omf_transport.Endpoint}): a sender announces
@@ -17,153 +18,69 @@ module Catalog = Omf_xml2wire.Catalog
 module Pbio = Omf_pbio.Pbio
 module Format = Omf_pbio.Format
 module Value = Omf_pbio.Value
-module Prng = Omf_util.Prng
 
-let log = Logs.Src.create "omf.relay.client" ~doc:"relay clients and sessions"
+let log = Logs.Src.create "omf.relay.session" ~doc:"relay sessions"
 
 module Log = (val Logs.src_log log)
 
-(* ------------------------------------------------------------------ *)
-(* A fully wired remote consumer                                       *)
-(* ------------------------------------------------------------------ *)
-
-type consumer = {
-  client : Client.t;
-  endpoint : Endpoint.Receiver.t;
-  schema : string;  (** the scoped schema the relay served *)
-}
-
-let attach_consumer ?host ~port ?creds ?auth ?compress ~(stream : string)
-    (abi : Omf_machine.Abi.t) : consumer =
-  let client = Client.connect ?host ~port ?creds ?auth ?compress () in
-  let schema, link =
-    try Client.subscribe client ~stream
-    with e ->
-      Client.close client;
-      raise e
-  in
-  let catalog = Catalog.create abi in
-  ignore
-    (Omf_xml2wire.Xml2wire.register_schema ~source:("relay:" ^ stream) catalog
-       schema);
-  let endpoint =
-    Endpoint.Receiver.create link
-      (Catalog.registry catalog)
-      (Omf_machine.Memory.create abi)
-  in
-  { client; endpoint; schema }
-
-let consumer_client (c : consumer) = c.client
-let consumer_schema (c : consumer) = c.schema
-
-let recv (c : consumer) : (Format.t * Value.t) option =
-  Endpoint.Receiver.recv_value c.endpoint
-
-let close_consumer (c : consumer) : unit = Client.close c.client
-
-(* ------------------------------------------------------------------ *)
-(* Fault-tolerant sessions                                              *)
-(* ------------------------------------------------------------------ *)
-
-exception Gave_up of string
+exception Gave_up = Relay_client.Gave_up
 exception Overflow of string
 
 type config = {
+  host : string;
   port : int;
+  creds : (string * string) list;  (** sent in every HELLO *)
   auth : (string * string) option;  (** [(key-id, secret)] *)
+  compress : bool;
   max_attempts : int;  (** reconnect attempts per outage *)
   base_delay_s : float;  (** first backoff step *)
   max_delay_s : float;  (** backoff cap *)
   connect_timeout_s : float;
 }
 
-let config ?auth ?(max_attempts = 10) ?(base_delay_s = 0.05)
-    ?(max_delay_s = 2.0) ?(connect_timeout_s = 5.0) ~port () : config =
-  { port; auth; max_attempts; base_delay_s; max_delay_s; connect_timeout_s }
+let config ?(host = "127.0.0.1") ?(creds = []) ?auth ?(compress = false)
+    ?(max_attempts = 10) ?(base_delay_s = 0.05) ?(max_delay_s = 2.0)
+    ?(connect_timeout_s = 5.0) ~port () : config =
+  { host; port; creds; auth; compress; max_attempts; base_delay_s
+  ; max_delay_s; connect_timeout_s }
 
-let connect_client ?(reconnect = false) (cfg : config) : Client.t =
-  let creds = if reconnect then [ ("omf-reconnect", "1") ] else [] in
-  Client.connect ~port:cfg.port ~creds ?auth:cfg.auth
-    ~connect_timeout_s:cfg.connect_timeout_s ()
+let sessions = Atomic.make 0
 
-exception Closed
-(* raised out of the retry loops once the session is closed, so a
-   blocked call returns instead of reconnecting a session nobody owns *)
+(* a session's driver: its budget and backoff, and its close flag. Each
+   session seeds its own jitter, so sessions that lose one relay
+   together do not retry in lockstep. *)
+let retry (cfg : config) ~stream (closed : bool Atomic.t) =
+  let stopped () = Atomic.get closed in
+  let seed = Hashtbl.hash (stream, Atomic.fetch_and_add sessions 1) in
+  Relay_client.retry ~attempts:cfg.max_attempts ~base_s:cfg.base_delay_s
+    ~max_s:cfg.max_delay_s ~seed:(Int64.of_int seed) ~stopped
+    ~sleep:(Relay_client.nap ~stopped)
+
+(** Open a connection and run the session's handshake [f] on it. A
+    reconnect HELLO adds an [omf-reconnect] credential, so relay STATS
+    expose churn ([reconnects_accepted]). The connection is closed if
+    [f] fails, and if the session was closed meanwhile: nobody owns it
+    any more ({!Relay_client.Stopped}). *)
+let dial ?(reconnect = false) (cfg : config) closed (f : Client.t -> 'a) : 'a =
+  let creds =
+    if reconnect then cfg.creds @ [ ("omf-reconnect", "1") ] else cfg.creds
+  in
+  let client =
+    Client.connect ~host:cfg.host ~port:cfg.port ~creds ?auth:cfg.auth
+      ~compress:cfg.compress ~connect_timeout_s:cfg.connect_timeout_s ()
+  in
+  match f client with
+  | v ->
+    if Atomic.get closed then begin
+      Client.close client;
+      raise Relay_client.Stopped
+    end;
+    v
+  | exception e ->
+    Client.close client;
+    raise e
 
 let refused = function Client.Error msg -> Proto.is_refusal msg | _ -> false
-
-(** Reconnect and replay session state: dial a fresh connection and
-    run [f] (which re-issues SUBSCRIBE or ADVERTISE/PUBLISH) against
-    it, retrying transient failures under the budget — except those
-    [final] says no fresh connection can cure. The first attempt
-    dials at once; attempt [k] waits backoff step [k - 1] first.
-    [closed] is checked before each attempt and after each sleep; a
-    connection won after a close is closed at once. *)
-let with_retries ?(final = fun _ -> false) (cfg : config) rng ~closed
-    ~(what : string) (f : Client.t -> 'a) : 'a =
-  let rec go attempt =
-    if closed () then raise Closed;
-    if attempt >= cfg.max_attempts then
-      raise
-        (Gave_up
-           (Printf.sprintf "%s: gave up after %d reconnect attempts" what
-              cfg.max_attempts));
-    if attempt > 0 then begin
-      Thread.delay
-        (Relay_client.backoff_delay ~base_s:cfg.base_delay_s
-           ~max_s:cfg.max_delay_s rng (attempt - 1));
-      if closed () then raise Closed
-    end;
-    let retry e =
-      Log.debug (fun m ->
-          m "%s: reconnect attempt %d failed: %s" what (attempt + 1)
-            (Printexc.to_string e));
-      go (attempt + 1)
-    in
-    match connect_client ~reconnect:true cfg with
-    | exception e when Client.transient e -> retry e
-    | client -> (
-      match f client with
-      | v ->
-        if closed () then begin
-          Client.close client;
-          raise Closed
-        end;
-        v
-      | exception e ->
-        Client.close client;
-        if Client.transient e && not (final e) then retry e else raise e)
-  in
-  go 0
-
-(** A [busy] reply is not an outage: the relay is alive and asked us
-    to slow down (PROTOCOLS.md §16). Sleep the suggested [retry_ms]
-    (full jitter, like {!Relay_client.backoff_delay}) and retry [f] on the {e
-    same} connection — reconnecting would only add handshake load to
-    an overloaded relay. [on_busy] is called once per wait (session
-    counters). After [max_attempts] busy replies the last
-    {!Client.Busy} is re-raised: overload stays overload, never an
-    exhausted reconnect budget. *)
-let with_busy_backoff (cfg : config) rng ~closed ~(what : string) ~on_busy
-    (f : unit -> 'a) : 'a =
-  let rec go attempt =
-    if closed () then raise Closed;
-    match f () with
-    | v -> v
-    | exception (Client.Busy { retry_ms } as busy) ->
-      if attempt + 1 >= Stdlib.max 1 cfg.max_attempts then raise busy;
-      on_busy ();
-      let d =
-        Relay_client.backoff_delay ~base_s:(float_of_int retry_ms /. 1000.)
-          ~max_s:infinity rng 0
-      in
-      Log.debug (fun m ->
-          m "%s: relay busy, retrying in %.0f ms (attempt %d)" what
-            (d *. 1000.) (attempt + 1));
-      Thread.delay d;
-      go (attempt + 1)
-  in
-  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Subscriber sessions                                                *)
@@ -176,17 +93,18 @@ type subscriber = {
       (** one receiver for every connection: descriptors the relay
           replays after a reconnect are already learned, so learning
           them again is a no-op *)
-  s_rng : Prng.t;
+  s_closed : bool Atomic.t;
+  s_retry : Relay_client.retry;
   mutable s_conn : (Client.t * Endpoint.Receiver.t) option;
       (** the live connection and the endpoint reading its link *)
   mutable s_next : int;
       (** store offset of the next expected message frame; [-1] when
           the relay does not track offsets (memory-only) *)
+  mutable s_schema : string;  (** the scoped schema served at subscribe *)
   mutable s_reconnects : int;
   mutable s_trace : Trace.ctx option;
       (** the stream's trace context as served by DESCRIBE at
           subscribe time ([want_trace] only) *)
-  mutable s_closed : bool;
 }
 
 let drop_subscriber_link (s : subscriber) =
@@ -195,13 +113,11 @@ let drop_subscriber_link (s : subscriber) =
 
 (** SUBSCRIBE on [client] from the next expected offset — the
     handshake of the first connection and of every reconnect. An
-    overloaded relay refuses the [from=] replay with [busy]: hold
-    this connection and wait it out instead of burning reconnect
-    attempts. *)
+    overloaded relay refuses the [from=] replay with [busy]: wait it
+    out on this connection. *)
 let attach (s : subscriber) (client : Client.t) =
   let offset, schema, link =
-    with_busy_backoff s.s_cfg s.s_rng
-      ~closed:(fun () -> s.s_closed)
+    Relay_client.busy_wait s.s_retry
       ~what:(Printf.sprintf "subscriber %s" s.s_stream)
       ~on_busy:ignore
       (fun () ->
@@ -219,57 +135,52 @@ let attach (s : subscriber) (client : Client.t) =
 let subscribe ?(from = -1) ?(want_trace = false) (cfg : config)
     ~(stream : string) (abi : Omf_machine.Abi.t) : subscriber =
   let catalog = Catalog.create abi in
+  let closed = Atomic.make false in
   let s =
     { s_cfg = cfg; s_stream = stream
     ; s_pbio =
         Pbio.Receiver.create
           (Catalog.registry catalog)
           (Omf_machine.Memory.create abi)
-    ; s_rng = Prng.create ~seed:1L ()
-    ; s_conn = None; s_next = from
-    ; s_reconnects = 0; s_trace = None; s_closed = false }
+    ; s_closed = closed; s_retry = retry cfg ~stream closed
+    ; s_conn = None; s_next = from; s_schema = ""
+    ; s_reconnects = 0; s_trace = None }
   in
-  let client = connect_client cfg in
-  let schema =
-    try
-      (* [want_trace]: learn the stream's trace context (PROTOCOLS.md
-         §17) with a DESCRIBE on the still-roleless connection, before
-         SUBSCRIBE pins it receive-only. Best-effort — a relay without
-         tracing simply serves no [trace=] line. *)
-      if want_trace then
-        s.s_trace <-
-          (match Client.describe client ~stream with
-          | meta, _ -> fst (Proto.split_trace meta)
-          | exception _ -> None);
-      attach s client
-    with e ->
-      Client.close client;
-      raise e
-  in
+  s.s_schema <-
+    dial cfg closed (fun client ->
+        (* [want_trace]: learn the stream's trace context (PROTOCOLS.md
+           §17) with a DESCRIBE on the still-roleless connection, before
+           SUBSCRIBE pins it receive-only. Best-effort — a relay without
+           tracing simply serves no [trace=] line. *)
+        if want_trace then
+          s.s_trace <-
+            (match Client.describe client ~stream with
+            | meta, _ -> fst (Proto.split_trace meta)
+            | exception _ -> None);
+        attach s client);
   ignore
     (Omf_xml2wire.Xml2wire.register_schema ~source:("relay:" ^ stream)
-       catalog schema);
+       catalog s.s_schema);
   s
 
 let resubscribe (s : subscriber) : unit =
-  with_retries s.s_cfg s.s_rng
-    ~closed:(fun () -> s.s_closed)
+  Relay_client.reconnect s.s_retry
     ~what:(Printf.sprintf "subscriber %s" s.s_stream)
-    (fun client ->
-      ignore (attach s client);
-      s.s_reconnects <- s.s_reconnects + 1;
-      Log.info (fun m ->
-          m "subscriber %s: resubscribed from offset %d (reconnect %d)"
-            s.s_stream s.s_next s.s_reconnects))
+    (fun () ->
+      dial ~reconnect:true s.s_cfg s.s_closed (fun c -> ignore (attach s c)));
+  s.s_reconnects <- s.s_reconnects + 1;
+  Log.info (fun m ->
+      m "subscriber %s: resubscribed from offset %d (reconnect %d)"
+        s.s_stream s.s_next s.s_reconnects)
 
 let rec recv_subscriber (s : subscriber) : (Format.t * Value.t) option =
-  if s.s_closed then None
+  if Atomic.get s.s_closed then None
   else
     match s.s_conn with
     | None -> (
       match resubscribe s with
       | () -> recv_subscriber s
-      | exception Closed -> None)
+      | exception Relay_client.Stopped -> None)
     | Some (_, endpoint) -> (
       match Endpoint.Receiver.recv_value endpoint with
       | Some _ as event ->
@@ -279,18 +190,22 @@ let rec recv_subscriber (s : subscriber) : (Format.t * Value.t) option =
         (* graceful close or garbage: either way, this link is done *)
         drop_subscriber_link s;
         recv_subscriber s
-      | exception e when s.s_closed || Client.transient e ->
+      | exception e when Atomic.get s.s_closed || Client.transient e ->
         drop_subscriber_link s;
         recv_subscriber s)
 
 let subscriber_reconnects (s : subscriber) = s.s_reconnects
+let subscriber_schema (s : subscriber) = s.s_schema
 let subscriber_trace (s : subscriber) = s.s_trace
+
+let subscriber_comp_totals (s : subscriber) =
+  Option.bind s.s_conn (fun (c, _) -> Client.comp_totals c)
 
 let subscriber_stats (s : subscriber) : Pbio.Receiver.stats =
   Pbio.Receiver.stats s.s_pbio
 
 let close_subscriber (s : subscriber) : unit =
-  s.s_closed <- true;
+  Atomic.set s.s_closed true;
   drop_subscriber_link s
 
 (* ------------------------------------------------------------------ *)
@@ -311,7 +226,8 @@ type publisher = {
   b_window : int;
   b_catalog : Catalog.t;
   b_mem : Omf_machine.Memory.t;
-  b_rng : Prng.t;
+  b_closed : bool Atomic.t;
+  b_retry : Relay_client.retry;
   b_buf : pending Queue.t;
       (** marshalled frames not yet written to the current link *)
   b_inflight : pending Queue.t;
@@ -328,7 +244,6 @@ type publisher = {
   mutable b_reconnects : int;
   mutable b_busy_waits : int;
       (** [busy]-triggered backoff sleeps (overload, not outage) *)
-  mutable b_closed : bool;
   b_mu : Mutex.t;
       (** held by every publish, flush and close, so a close from
           another thread never writes concurrently with them *)
@@ -378,8 +293,7 @@ let handshake (p : publisher) (client : Client.t) =
   Client.advertise client ~stream:p.b_stream
     ~schema:p.b_schema;
   let w, link =
-    with_busy_backoff p.b_cfg p.b_rng
-      ~closed:(fun () -> p.b_closed)
+    Relay_client.busy_wait p.b_retry
       ~what:(Printf.sprintf "publisher %s" p.b_stream)
       ~on_busy:(fun () -> p.b_busy_waits <- p.b_busy_waits + 1)
       (fun () ->
@@ -392,21 +306,18 @@ let handshake (p : publisher) (client : Client.t) =
 let publisher ?(window = 1024) ?(acked = false) ?trace (cfg : config)
     ~(stream : string) ~(schema : string) (abi : Omf_machine.Abi.t) :
     publisher =
+  let closed = Atomic.make false in
   let p =
     { b_cfg = cfg; b_stream = stream; b_schema = schema
     ; b_trace = trace; b_window = window
     ; b_catalog = Catalog.create abi; b_mem = Omf_machine.Memory.create abi
-    ; b_rng = Prng.create ~seed:1L ()
+    ; b_closed = closed; b_retry = retry cfg ~stream closed
     ; b_buf = Queue.create (); b_inflight = Queue.create ()
     ; b_ack_mode = acked; b_durable = 0; b_next_seq = 0
     ; b_conn = None; b_reconnects = 0; b_busy_waits = 0
-    ; b_closed = false; b_mu = Mutex.create () }
+    ; b_mu = Mutex.create () }
   in
-  let client = connect_client cfg in
-  (try handshake p client
-   with e ->
-     Client.close client;
-     raise e);
+  dial cfg closed (handshake p);
   ignore (Omf_xml2wire.Xml2wire.register_schema p.b_catalog schema);
   p
 
@@ -492,18 +403,17 @@ let drain_ack (p : publisher) : bool =
     final: no fresh connection cures it, so it is raised. *)
 let reconnect_publisher (p : publisher) : bool =
   match
-    with_retries ~final:refused p.b_cfg p.b_rng
-      ~closed:(fun () -> p.b_closed)
+    Relay_client.reconnect ~final:refused p.b_retry
       ~what:(Printf.sprintf "publisher %s" p.b_stream)
-      (fun client ->
-        handshake p client;
-        p.b_reconnects <- p.b_reconnects + 1;
-        Log.info (fun m ->
-            m "publisher %s: reconnected (reconnect %d, %d frames buffered)"
-              p.b_stream p.b_reconnects (publisher_buffered p)))
+      (fun () -> dial ~reconnect:true p.b_cfg p.b_closed (handshake p))
   with
-  | () -> true
-  | exception (Gave_up _ | Closed) -> false
+  | () ->
+    p.b_reconnects <- p.b_reconnects + 1;
+    Log.info (fun m ->
+        m "publisher %s: reconnected (reconnect %d, %d frames buffered)"
+          p.b_stream p.b_reconnects (publisher_buffered p));
+    true
+  | exception (Gave_up _ | Relay_client.Stopped) -> false
 
 (** Ack mode: drain acks until [until ()] holds, reconnecting (three
     rounds at most) when the link breaks; [fail ()] is raised when
@@ -521,7 +431,8 @@ let await_acks (p : publisher) ~until ~fail =
 
 let publish_value (p : publisher) (fmt : Format.t) (v : Value.t) : unit =
   Mutex.protect p.b_mu @@ fun () ->
-  if p.b_closed then raise (Client.Error "publisher session closed");
+  if Atomic.get p.b_closed then
+    raise (Client.Error "publisher session closed");
   if publisher_buffered p >= p.b_window then begin
     let full () =
       Overflow
@@ -565,8 +476,7 @@ let flush_acked (p : publisher) : unit =
 (* the flag is set before taking the lock, so a publish or flush in
    the reconnect loop on another thread gives up at its next check *)
 let close_publisher (p : publisher) : unit =
-  if not p.b_closed then begin
-    p.b_closed <- true;
+  if not (Atomic.exchange p.b_closed true) then begin
     Mutex.protect p.b_mu @@ fun () ->
     ignore (try try_flush p with _ -> false);
     drop_publisher_link p

@@ -1,60 +1,37 @@
 (** The Pbio-typed clients of the relay ({!Relay}), built on the raw
-    {!Relay_client.Client}: a fully wired consumer, and fault-tolerant
-    sessions.
+    {!Relay_client.Client}: fault-tolerant publisher and subscriber
+    sessions. A subscriber session is the one Pbio consumer of a relay
+    stream.
 
     Every one negotiates formats the one way the paper's endpoint
     protocol describes ({!Omf_transport.Endpoint}): a sender announces
     each format's descriptor once per connection, and a receiver learns
     it once and converts every message after. A program that only
-    relays frames links none of this (doc/REACTOR.md §8). *)
+    relays frames links none of this (doc/REACTOR.md §8).
 
-(** {2 A fully wired remote consumer} *)
-
-type consumer
-
-val attach_consumer :
-  ?host:string ->
-  port:int ->
-  ?creds:(string * string) list ->
-  ?auth:string * string ->
-  ?compress:bool ->
-  stream:string ->
-  Omf_machine.Abi.t ->
-  consumer
-(** Connect, subscribe, register the served (scoped) schema in a fresh
-    catalog for the ABI, and wrap the link in an endpoint receiver. *)
-
-val consumer_client : consumer -> Relay_client.Client.t
-(** The consumer's connection ({!Relay_client.Client.comp_totals}...). *)
-
-val consumer_schema : consumer -> string
-(** The scoped schema the relay served. *)
-
-val recv : consumer -> (Omf_pbio.Format.t * Omf_pbio.Value.t) option
-(** Blocking receive of the next decoded event ([None] = stream end). *)
-
-val close_consumer : consumer -> unit
-
-(** {2 Fault-tolerant sessions} *)
-
-(** {!Relay_client.Client} plus automatic reconnect/replay: a dropped
-    TCP connection degrades to a bounded retry loop (exponential
-    backoff + jitter) instead of killing the endpoint. Subscribers
-    replay SUBSCRIBE into one receiver, which ignores the relay's replay
-    of descriptors it already learned; publishers replay
+    A dropped TCP connection degrades to a bounded retry loop
+    (exponential backoff + jitter) instead of killing the endpoint.
+    Subscribers replay SUBSCRIBE into one receiver, which ignores the
+    relay's replay of descriptors it already learned; publishers replay
     ADVERTISE/PUBLISH, re-announce descriptors per connection, and
     buffer a bounded in-flight window of data frames during the
-    outage.
+    outage. The loop is the one retry driver the mirror's links run
+    too ({!Relay_client.reconnect}).
 
-    A [busy] reply (PROTOCOLS.md §16) is retried on the same connection
-    after the relay's hint; after [max_attempts] of them the last
-    {!Relay_client.Client.Busy} is raised — overload is never reported
-    as {!Gave_up}. Closing a session stops its retry loops: the flag is
-    checked before each attempt and after each sleep, and a connection
-    won after the close is closed at once. *)
+    A [busy] reply (PROTOCOLS.md §16) is waited out on the same
+    connection after the relay's hint ({!Relay_client.busy_wait}), for
+    as long as the relay sends it: overload spends no reconnect budget
+    and is never reported as {!Gave_up}. Closing a session stops its
+    retry loops and waits: the flag is checked before each attempt and
+    at least every 50 ms of a wait, and a connection won after the
+    close is closed at once. The first handshake waits [busy] out too,
+    inside {!publisher} or {!subscribe}, before the caller holds a
+    session to close: against a relay that sheds for good they do not
+    return until it closes the connection. *)
 
 exception Gave_up of string
-(** The reconnect budget for one outage was exhausted. *)
+(** The reconnect budget for one outage was exhausted
+    ({!Relay_client.Gave_up}). *)
 
 exception Overflow of string
 (** The publisher's bounded in-flight window is full while the relay
@@ -63,7 +40,10 @@ exception Overflow of string
 type config
 
 val config :
+  ?host:string ->
+  ?creds:(string * string) list ->
   ?auth:string * string ->
+  ?compress:bool ->
   ?max_attempts:int ->
   ?base_delay_s:float ->
   ?max_delay_s:float ->
@@ -71,19 +51,22 @@ val config :
   port:int ->
   unit ->
   config
-(** Sessions with the relay on [127.0.0.1:port]. [max_attempts]
-    (default 10) bounds reconnect attempts per outage; the first dials
-    at once, attempt [k >= 1] first sleeps {!Relay_client.backoff_delay}
-    step [k - 1] (defaults 0.05s/2.0s; the jitter comes from a fixed
-    seed, so it is deterministic). [auth] and [connect_timeout_s]
-    (default 5s) as for {!Relay_client.Client.connect}. Every
-    connection is plain (no [comp=lz]), and after the HELLO its
-    operations have no deadline: a quiet stream is not an outage. The
-    first HELLO carries no credentials; a reconnect HELLO carries an
-    [omf-reconnect] credential so relay STATS expose churn
-    ([reconnects_accepted]). *)
+(** Sessions with the relay on [host:port] ([host] defaults to
+    [127.0.0.1]). [max_attempts] (default 10) bounds reconnect attempts
+    per outage; the first dials at once, attempt [k >= 1] first sleeps
+    backoff step [k - 1] (defaults 0.05s/2.0s; {!Relay_client.retry}).
+    Each session seeds its own jitter from its stream and a count of
+    the process's sessions, so sessions that lose one relay together
+    do not retry in lockstep.
+    [max_attempts = 0] never reconnects: the first outage raises
+    {!Gave_up}. [creds], [auth], [compress] and [connect_timeout_s]
+    (default 5s) as for {!Relay_client.Client.connect}: every HELLO
+    carries [creds] (the relay's scoping input), and a reconnect HELLO
+    adds an [omf-reconnect] credential so relay STATS expose churn
+    ([reconnects_accepted]). After the HELLO a connection's operations
+    have no deadline: a quiet stream is not an outage. *)
 
-(** {3 Subscriber sessions} *)
+(** {2 Subscriber sessions} *)
 
 type subscriber
 
@@ -96,7 +79,9 @@ val subscribe :
   subscriber
 (** Connect and subscribe. Failures on this first attempt raise
     immediately (an unknown stream at session start is a
-    configuration error, not an outage).
+    configuration error, not an outage); a [busy] reply to a [from=]
+    replay is waited out on the connection, for as long as the relay
+    sheds.
 
     With [~want_trace:true] the session first DESCRIBEs the stream
     and remembers its [trace=] context, if the relay serves one
@@ -118,10 +103,17 @@ val recv_subscriber :
     nothing ([formats_learned] stays). A garbage frame ends the
     link like an outage does: the session resubscribes. [None] only
     after {!close_subscriber} — also when closed from another thread
-    mid-outage; raises {!Gave_up} when an outage outlives the budget
-    and {!Relay_client.Client.Busy} when a resubscribe stays shed. *)
+    mid-outage; raises {!Gave_up} when an outage outlives the budget. *)
 
 val subscriber_reconnects : subscriber -> int
+(** Times the session resubscribed after an outage. *)
+
+val subscriber_schema : subscriber -> string
+(** The (credential-scoped) schema the relay served at subscribe time. *)
+
+val subscriber_comp_totals : subscriber -> (int * int) option
+(** {!Relay_client.Client.comp_totals} of the live connection: [None]
+    when it is uncompressed, or between an outage and its reconnect. *)
 
 val subscriber_trace : subscriber -> Omf_trace.Trace.ctx option
 (** The stream's trace context as served at subscribe time; [None]
@@ -133,7 +125,7 @@ val close_subscriber : subscriber -> unit
 (** Close the session; safe from another thread: a receive blocked on
     the link or in the reconnect loop returns [None]. *)
 
-(** {3 Publisher sessions} *)
+(** {2 Publisher sessions} *)
 
 type publisher
 
@@ -147,7 +139,8 @@ val publisher :
   Omf_machine.Abi.t ->
   publisher
 (** Connect, ADVERTISE and enter publisher mode; first-attempt
-    failures raise immediately. [window] (default 1024) bounds data
+    failures raise immediately, and a [busy] PUBLISH reply is waited
+    out on the connection for as long as the relay sheds. [window] (default 1024) bounds data
     frames buffered while the relay is unreachable. [trace] is
     attached to every PUBLISH — including the replayed one after a
     reconnect — so the stream keeps one trace context across

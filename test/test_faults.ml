@@ -229,7 +229,9 @@ let test_auth_pubsub_end_to_end () =
   in
   let fmt = Option.get (Session.publisher_format pub "ASDOffEvent") in
   let consumer =
-    Session.attach_consumer ~port ~auth ~stream:"flights" Abi.sparc_32
+    Session.subscribe
+      (Session.config ~port ~auth ~max_attempts:0 ())
+      ~stream:"flights" Abi.sparc_32
   in
   let n = scale 16 in
   for seq = 0 to n - 1 do
@@ -237,7 +239,7 @@ let test_auth_pubsub_end_to_end () =
   done;
   let got = ref [] in
   for _ = 1 to n do
-    match Session.recv consumer with
+    match Session.recv_subscriber consumer with
     | Some (_, v) -> got := seq_of v :: !got
     | None -> Alcotest.fail "stream closed early"
   done;
@@ -246,7 +248,7 @@ let test_auth_pubsub_end_to_end () =
   check bool "two authenticated sessions" true
     (relay_stat ~port "auth_sessions" >= 2);
   check int "nothing rejected" 0 (relay_stat ~port "frames_rejected");
-  Session.close_consumer consumer;
+  Session.close_subscriber consumer;
   Session.close_publisher pub
 
 let test_forged_frames_counted_then_closed () =
@@ -1294,14 +1296,16 @@ let relayd_drains ~signal ~shards () =
   in
   let fmt = Option.get (Session.publisher_format pub "ASDOffEvent") in
   let sub =
-    Session.attach_consumer ~port:r.port ~stream:"flights" Abi.sparc_32
+    Session.subscribe
+      (Session.config ~port:r.port ~max_attempts:0 ())
+      ~stream:"flights" Abi.sparc_32
   in
   let seqs = ref [] in
   let reader =
     Thread.create
       (fun () ->
         let rec go () =
-          match Session.recv sub with
+          match Session.recv_subscriber sub with
           | Some (_, v) ->
             seqs := seq_of v :: !seqs;
             go ()
@@ -1320,7 +1324,7 @@ let relayd_drains ~signal ~shards () =
   wait_exit r ~within_s:(drain_s +. 1.0);
   Thread.join reader;
   Session.close_publisher pub;
-  Session.close_consumer sub;
+  Session.close_subscriber sub;
   check bool "exit 0" true (r.status = Some (Unix.WEXITED 0));
   check bool "final stats printed" true
     (Omf_testkit.Strings.contains (In_channel.input_all r.out)

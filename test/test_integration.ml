@@ -39,12 +39,19 @@ let relay_publisher ~port ~stream ~schema abi =
   let link = Relay.Client.publish client ~stream in
   (client, Endpoint.Sender.create link (Memory.create abi))
 
+(* a subscriber session with no reconnect budget: the end of its link
+   ends it *)
+let subscribe ?creds ~port ~stream abi =
+  Session.subscribe
+    (Session.config ?creds ~max_attempts:0 ~port ())
+    ~stream abi
+
 (* the next [n] events of a subscription, in order *)
 let recv_n consumer n =
   let rec go acc k =
     if k = 0 then List.rev acc
     else
-      match Session.recv consumer with
+      match Session.recv_subscriber consumer with
       | Some ev -> go (ev :: acc) (k - 1)
       | None -> Alcotest.fail "relay closed the stream"
   in
@@ -78,11 +85,11 @@ let test_airline_system () =
       (* consumers on every ABI, one of them scoped *)
       let consumers =
         List.map
-          (fun abi -> Session.attach_consumer ~port ~stream:"flights" abi)
+          (fun abi -> subscribe ~port ~stream:"flights" abi)
           Abi.all
       in
       let scoped =
-        Session.attach_consumer ~port ~stream:"flights"
+        subscribe ~port ~stream:"flights"
           ~creds:[ ("restricted", "1") ] Abi.arm_32
       in
       for _ = 1 to 3 do
@@ -101,7 +108,7 @@ let test_airline_system () =
           check bool "scoped consumer sees only the slice" true
             (Value.field v "cntrID" = None && Value.field v "fltNum" <> None))
         (recv_n scoped 3);
-      List.iter Session.close_consumer (scoped :: consumers);
+      List.iter Session.close_subscriber (scoped :: consumers);
       Relay.Client.close pub)
 
 (* ------------------------------------------------------------------ *)
@@ -134,7 +141,7 @@ let test_upgrade_mid_stream () =
           Abi.x86_64
       in
       let old_consumer =
-        Session.attach_consumer ~port ~stream:"flights" Abi.sparc_32
+        subscribe ~port ~stream:"flights" Abi.sparc_32
       in
       let fmt_v1 = Option.get (Catalog.find_format catalog "ASDOffEvent") in
       Endpoint.Sender.send_value sender fmt_v1 Fx.value_a;
@@ -164,7 +171,7 @@ let test_upgrade_mid_stream () =
       | other -> Alcotest.failf "expected 1 event, got %d" (List.length other));
       (* a new consumer discovers v2 and sees everything *)
       let new_consumer =
-        Session.attach_consumer ~port ~stream:"flights" Abi.power_64
+        subscribe ~port ~stream:"flights" Abi.power_64
       in
       Endpoint.Sender.send_value sender fmt_v2 v2_value;
       (match recv_n new_consumer 1 with
@@ -172,7 +179,7 @@ let test_upgrade_mid_stream () =
         check value_testable "new consumer sees the gate" (Value.String "T7")
           (Value.field_exn v "gate")
       | _ -> Alcotest.fail "new consumer got nothing");
-      List.iter Session.close_consumer [ old_consumer; new_consumer ];
+      List.iter Session.close_subscriber [ old_consumer; new_consumer ];
       Relay.Client.close control;
       Relay.Client.close pub)
 

@@ -612,9 +612,11 @@ let test_reused_format_id_replicated () =
       relay_stat ~port:port_b "store.flights.tail" >= 5);
   Relay.Client.close pub;
   let consumer =
-    Session.attach_consumer ~port:port_b ~stream:"flights" Abi.arm_32
+    Session.subscribe
+      (Session.config ~max_attempts:0 ~port:port_b ())
+      ~stream:"flights" Abi.arm_32
   in
-  Fun.protect ~finally:(fun () -> Session.close_consumer consumer) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Session.close_subscriber consumer) @@ fun () ->
   let pub2, sender2, fmt2 =
     make_publisher ~abi:Abi.sparc_32 ~port:port_a ~stream:"flights" ()
   in
@@ -625,7 +627,7 @@ let test_reused_format_id_replicated () =
   done;
   let seqs =
     List.init 5 (fun _ ->
-        match Session.recv consumer with
+        match Session.recv_subscriber consumer with
         | Some (_, v) -> seq_of v
         | None -> Alcotest.fail "replica consumer closed early")
   in
@@ -745,10 +747,10 @@ let test_busy_pauses_link () =
   check int "still no promote" 0 (assoc "promotes" (Mirror.stats m))
 
 (* Busy is not loss, but a busy source that then dies is. The link is
-   waiting out A's hints, on a fresh handshake after each pause, when A
-   goes away: the failed handshakes spend the budget of 2 like failed
-   reconnects, the mirror finds A unreachable, counts the source lost
-   and promotes the replica. *)
+   waiting out A's hints, on the same connection, when A goes away:
+   the failed handshakes spend the budget of 2 like failed reconnects,
+   the mirror finds A unreachable, counts the source lost and promotes
+   the replica. *)
 let test_busy_source_killed_is_lost () =
   with_root @@ fun root_a ->
   with_root @@ fun root_b ->
@@ -777,6 +779,55 @@ let test_busy_source_killed_is_lost () =
   let stats = Mirror.stats m in
   check int "the source was lost once" 1 (assoc "sources_lost" stats);
   check int "promoted once" 1 (assoc "promotes" stats)
+
+(* The sessions wait busy out by the same policy, also on their first
+   handshake: a subscriber session opened with [~from:0] on a source
+   held in Overloaded stays inside [subscribe] on its one connection,
+   with no reconnect budget at all, and returns once the source
+   recovers, replaying every stored frame from the offset it asked
+   for. *)
+let test_busy_session_subscribe_waits () =
+  with_root @@ fun root_a ->
+  let n = 20 in
+  let ha, pub = busy_source root_a ~n in
+  let port = Relay.port ha in
+  Fun.protect ~finally:(fun () -> Relay.stop ha) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Relay.Client.close pub) @@ fun () ->
+  with_overload ~port @@ fun release ->
+  let opened = ref None in
+  let opener =
+    Thread.create
+      (fun () ->
+        opened :=
+          Some
+            (try
+               Ok
+                 (Session.subscribe ~from:0
+                    (Session.config ~max_attempts:0 ~port ())
+                    ~stream:"flights" Abi.arm_32)
+             with e -> Error e))
+      ()
+  in
+  poll ~what:"subscribe shed with busy" (fun () ->
+      relay_stat ~port "subscribe_busy" >= 3);
+  check bool "still inside subscribe" true (Option.is_none !opened);
+  release ();
+  Thread.join opener;
+  match !opened with
+  | None -> Alcotest.fail "subscribe returned nothing"
+  | Some (Error e) ->
+    Alcotest.failf "subscribe failed: %s" (Printexc.to_string e)
+  | Some (Ok sub) ->
+    Fun.protect ~finally:(fun () -> Session.close_subscriber sub) @@ fun () ->
+    let seqs =
+      List.init n (fun _ ->
+          match Session.recv_subscriber sub with
+          | Some (_, v) -> seq_of v
+          | None -> Alcotest.fail "session closed early")
+    in
+    check (Alcotest.list int) "every stored frame, from offset 0"
+      (List.init n Fun.id) seqs;
+    check int "busy is no reconnect" 0 (Session.subscriber_reconnects sub)
 
 (* A source that still answers is not lost, even when it refuses every
    resubscribe. A memory-only source restarts on the same port without
@@ -989,7 +1040,9 @@ let () =
         [ Alcotest.test_case "busy pauses the link, spends no budget" `Quick
             test_busy_pauses_link
         ; Alcotest.test_case "busy source killed: lost and promoted" `Quick
-            test_busy_source_killed_is_lost ] )
+            test_busy_source_killed_is_lost
+        ; Alcotest.test_case "busy first subscribe waits, then replays" `Quick
+            test_busy_session_subscribe_waits ] )
     ; ( "failover",
         [ Alcotest.test_case "explicit promote transfers ownership" `Quick
             test_promote_transfers_ownership

@@ -282,6 +282,13 @@ let make_publisher_abi ?auth ~host ~abi ~port ~stream () =
 let make_publisher ~port ~stream =
   make_publisher_abi ~host:"127.0.0.1" ~abi:Abi.x86_64 ~port ~stream ()
 
+(* a subscriber session with no reconnect budget: the end of its link
+   ends it, raising [Session.Gave_up] *)
+let subscribe ?host ?creds ?auth ~port ~stream abi =
+  Session.subscribe
+    (Session.config ?host ?creds ?auth ~max_attempts:0 ~port ())
+    ~stream abi
+
 (* a subscriber whose reads give up after ten seconds, so a stream the
    relay wrongly stalls fails the case instead of hanging it *)
 let timed_consumer ~port ~stream abi =
@@ -367,7 +374,7 @@ let pubsub_and_descriptor_replay ?shards ~joiners () =
   ignore (wait_stat_on pub "events_relayed" 1);
   let late =
     List.init joiners (fun i ->
-        Session.attach_consumer ~port ~stream:"flights"
+        subscribe ~port ~stream:"flights"
           (List.nth Abi.all (i mod List.length Abi.all)))
   in
   publish sender fmt 1;
@@ -375,14 +382,14 @@ let pubsub_and_descriptor_replay ?shards ~joiners () =
      relay replayed the cached format descriptor on subscribe *)
   List.iter
     (fun c ->
-      match Session.recv c with
+      match Session.recv_subscriber c with
       | Some (f, v) ->
         check Alcotest.string "format" "ASDOffEvent" f.Format.name;
         check int "replayed descriptor decodes the live event" 1 (seq_of v)
       | None -> Alcotest.fail "no event")
     late;
   check_handoffs h;
-  List.iter Session.close_consumer late;
+  List.iter Session.close_subscriber late;
   Relay.Client.close pub
 
 let test_pubsub_and_descriptor_replay () =
@@ -397,19 +404,19 @@ let test_basic_pubsub ?(host = "127.0.0.1") () =
   let pub, sender, fmt =
     make_publisher_abi ~host ~abi:Abi.x86_64 ~port ~stream:"flights" ()
   in
-  let c = Session.attach_consumer ~host ~port ~stream:"flights" Abi.sparc_32 in
+  let c = subscribe ~host ~port ~stream:"flights" Abi.sparc_32 in
   publish sender fmt 0;
   publish sender fmt 1;
   List.iter
     (fun expect ->
-      match Session.recv c with
+      match Session.recv_subscriber c with
       | Some (f, v) ->
         check Alcotest.string "format" "ASDOffEvent" f.Format.name;
         check int "sequence" expect (seq_of v);
         check bool "payload" true (Value.field v "org" = Some (Value.String "KATL"))
       | None -> Alcotest.fail "stream ended")
     [ 0; 1 ];
-  Session.close_consumer c;
+  Session.close_subscriber c;
   Relay.Client.close pub
 
 (* one event reaches every subscriber, each on its own ABI *)
@@ -420,7 +427,7 @@ let test_fanout_many_subscribers () =
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
   let consumers =
     List.init 5 (fun i ->
-        Session.attach_consumer ~port ~stream:"flights"
+        subscribe ~port ~stream:"flights"
           (List.nth Abi.all (i mod List.length Abi.all)))
   in
   check int "subscriber count" 5
@@ -428,11 +435,11 @@ let test_fanout_many_subscribers () =
   publish sender fmt 3;
   List.iter
     (fun c ->
-      match Session.recv c with
+      match Session.recv_subscriber c with
       | Some (_, v) -> check int "every subscriber got it" 3 (seq_of v)
       | None -> Alcotest.fail "stream ended")
     consumers;
-  List.iter Session.close_consumer consumers;
+  List.iter Session.close_subscriber consumers;
   Relay.Client.close pub
 
 (* a late joiner on every ABI decodes from the replayed descriptor *)
@@ -446,10 +453,10 @@ let test_unsubscribe () =
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
-  let gone = Session.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
+  let gone = subscribe ~port ~stream:"flights" Abi.x86_64 in
   let stays, rx = timed_consumer ~port ~stream:"flights" Abi.x86_64 in
   ignore (wait_stat_on pub "stream.flights.subscribers" 2);
-  Session.close_consumer gone;
+  Session.close_subscriber gone;
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec left () =
     let n = List.assoc "stream.flights.subscribers" (Relay.Client.stats pub) in
@@ -532,16 +539,16 @@ let test_credential_field_scoping () =
       | Some "display" | None -> None
       | Some _ -> Some [ "fltNum"; "org"; "dest" ]);
   let display =
-    Session.attach_consumer ~port ~creds:[ ("role", "display") ]
+    subscribe ~port ~creds:[ ("role", "display") ]
       ~stream:"flights" Abi.sparc_32
   in
   let handheld =
-    Session.attach_consumer ~port ~creds:[ ("role", "handheld") ]
+    subscribe ~port ~creds:[ ("role", "handheld") ]
       ~stream:"flights" Abi.arm_32
   in
   publish sender fmt 1771;
-  let _, full = Option.get (Session.recv display) in
-  let _, scoped = Option.get (Session.recv handheld) in
+  let _, full = Option.get (Session.recv_subscriber display) in
+  let _, scoped = Option.get (Session.recv_subscriber handheld) in
   check bool "display sees cntrID" true (Value.field full "cntrID" <> None);
   check bool "handheld does not see cntrID" true
     (Value.field scoped "cntrID" = None);
@@ -550,7 +557,7 @@ let test_credential_field_scoping () =
     (Value.field scoped "dest" = Some (Value.String "KMCO"));
   check bool "handheld sees org" true
     (Value.field scoped "org" = Some (Value.String "KATL"));
-  List.iter Session.close_consumer [ display; handheld ];
+  List.iter Session.close_subscriber [ display; handheld ];
   Relay.Client.close pub
 
 let scoped_credentials_over_tcp ?shards () =
@@ -564,16 +571,16 @@ let scoped_credentials_over_tcp ?shards () =
       | Some "display" | None -> None
       | Some _ -> Some [ "fltNum"; "org"; "dest" ]);
   let display =
-    Session.attach_consumer ~port ~creds:[ ("role", "display") ]
+    subscribe ~port ~creds:[ ("role", "display") ]
       ~stream:"flights" Abi.sparc_32
   in
   let handheld =
-    Session.attach_consumer ~port ~creds:[ ("role", "handheld") ]
+    subscribe ~port ~creds:[ ("role", "handheld") ]
       ~stream:"flights" Abi.arm_32
   in
   publish sender fmt 7;
-  let _, full = Option.get (Session.recv display) in
-  let _, scoped = Option.get (Session.recv handheld) in
+  let _, full = Option.get (Session.recv_subscriber display) in
+  let _, scoped = Option.get (Session.recv_subscriber handheld) in
   check bool "display sees cntrID" true (Value.field full "cntrID" <> None);
   check bool "handheld does not see cntrID" true
     (Value.field scoped "cntrID" = None);
@@ -585,10 +592,10 @@ let scoped_credentials_over_tcp ?shards () =
     go 0
   in
   check bool "scoped schema omits cntrID" false
-    (contains (Session.consumer_schema handheld) "cntrID");
+    (contains (Session.subscriber_schema handheld) "cntrID");
   check_handoffs h;
-  Session.close_consumer display;
-  Session.close_consumer handheld;
+  Session.close_subscriber display;
+  Session.close_subscriber handheld;
   Relay.Client.close pub
 
 let test_scoped_credentials_over_tcp () = scoped_credentials_over_tcp ()
@@ -598,7 +605,7 @@ let test_unknown_stream_and_role_errors () =
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   (try
-     ignore (Session.attach_consumer ~port ~stream:"nope" Abi.x86_64);
+     ignore (subscribe ~port ~stream:"nope" Abi.x86_64);
      Alcotest.fail "expected Client.Error"
    with Relay.Client.Error _ -> ());
   let pub, _sender, _fmt = make_publisher ~port ~stream:"flights" in
@@ -725,9 +732,9 @@ let test_runtime_format_upgrade () =
       (Option.get (Catalog.find_format catalog "ASDOffEvent"))
       v
   in
-  let old = Session.attach_consumer ~port ~stream:"flights" Abi.sparc_32 in
+  let old = subscribe ~port ~stream:"flights" Abi.sparc_32 in
   send Fx.value_a;
-  check bool "v1 event decoded" true (Session.recv old <> None);
+  check bool "v1 event decoded" true (Session.recv_subscriber old <> None);
   let schema_v2 =
     Omf_testkit.Strings.replace
       ~sub:{|<xsd:element name="eta" type="xsd:unsigned-long" />|}
@@ -740,21 +747,21 @@ let test_runtime_format_upgrade () =
   ignore (X2W.register_schema catalog schema_v2);
   let v2 = Value.set_field Fx.value_a "gate" (Value.String "T7") in
   send v2;
-  (match Session.recv old with
+  (match Session.recv_subscriber old with
   | Some (_, v) ->
     check bool "old subscriber keeps decoding" true
       (Value.field v "dest" = Some (Value.String "KMCO"));
     check bool "old subscriber has no gate field" true
       (Value.field v "gate" = None)
   | None -> Alcotest.fail "old subscriber got nothing");
-  let fresh = Session.attach_consumer ~port ~stream:"flights" Abi.sparc_32 in
+  let fresh = subscribe ~port ~stream:"flights" Abi.sparc_32 in
   send v2;
-  (match Session.recv fresh with
+  (match Session.recv_subscriber fresh with
   | Some (_, v) ->
     check bool "new subscriber sees the gate" true
       (Value.field v "gate" = Some (Value.String "T7"))
   | None -> Alcotest.fail "new subscriber got nothing");
-  List.iter Session.close_consumer [ old; fresh ];
+  List.iter Session.close_subscriber [ old; fresh ];
   Relay.Client.close control;
   Relay.Client.close pub
 
@@ -763,9 +770,9 @@ let test_stats_protocol () =
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
-  let consumer = Session.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
+  let consumer = subscribe ~port ~stream:"flights" Abi.x86_64 in
   publish sender fmt 0;
-  ignore (Session.recv consumer);
+  ignore (Session.recv_subscriber consumer);
   let c = Relay.Client.connect ~port () in
   let stats = Relay.Client.stats c in
   let get k = Option.value ~default:0 (List.assoc_opt k stats) in
@@ -775,7 +782,7 @@ let test_stats_protocol () =
     (get "stream.flights.published");
   check int "stream gauge: subscribers" 1 (get "stream.flights.subscribers");
   Relay.Client.close c;
-  Session.close_consumer consumer;
+  Session.close_subscriber consumer;
   Relay.Client.close pub
 
 (* STATS names every key once, and the answering shard reads its own
@@ -840,11 +847,11 @@ let test_stream_gauges_cross_shards () =
       Relay.Client.close pb)
   @@ fun () ->
   (* the third connection lands on shard 0 and migrates to beta's *)
-  let consumer = Session.attach_consumer ~port ~stream:"beta" Abi.x86_64 in
-  Fun.protect ~finally:(fun () -> Session.close_consumer consumer) @@ fun () ->
+  let consumer = subscribe ~port ~stream:"beta" Abi.x86_64 in
+  Fun.protect ~finally:(fun () -> Session.close_subscriber consumer) @@ fun () ->
   publish sa fa 0;
   publish sb fb 0;
-  ignore (Session.recv consumer);
+  ignore (Session.recv_subscriber consumer);
   let sources =
     [ ("shard 0 STATS", fun () -> Relay.Client.stats pa)
     ; ("shard 1 STATS", fun () -> Relay.Client.stats pb)
@@ -940,11 +947,11 @@ let block_zero_loss_in_order ?shards ~nsubs () =
           (fun () ->
             let abi = List.nth Abi.all (i mod List.length Abi.all) in
             let consumer =
-              Session.attach_consumer ~port ~stream:"flights" abi
+              subscribe ~port ~stream:"flights" abi
             in
             let rec go prev =
               if prev < nevents - 1 then
-                match Session.recv consumer with
+                match Session.recv_subscriber consumer with
                 | None -> ()
                 | Some (_, v) ->
                   let seq = seq_of v in
@@ -953,7 +960,7 @@ let block_zero_loss_in_order ?shards ~nsubs () =
                   go seq
             in
             go (-1);
-            Session.close_consumer consumer)
+            Session.close_subscriber consumer)
           ())
   in
   ignore (wait_stat ~port "stream.flights.subscribers" nsubs);
@@ -1006,11 +1013,11 @@ let test_evict_slow_consumer () =
     Thread.create
       (fun () ->
         let consumer =
-          Session.attach_consumer ~port ~stream:"flights" Abi.x86_64
+          subscribe ~port ~stream:"flights" Abi.x86_64
         in
         let rec go prev =
           if prev < nevents - 1 then
-            match Session.recv consumer with
+            match Session.recv_subscriber consumer with
             | None -> ()
             | Some (_, v) ->
               Atomic.incr healthy_count;
@@ -1018,7 +1025,7 @@ let test_evict_slow_consumer () =
         in
         go (-1);
         healthy_done := true;
-        Session.close_consumer consumer)
+        Session.close_subscriber consumer)
       ()
   in
   ignore (wait_stat ~port "stream.flights.subscribers" 2);
@@ -1150,7 +1157,7 @@ let drop_oldest_keeps_stream_decodable ?auth () =
       ~stream:"flights" ()
   in
   let lagging =
-    Session.attach_consumer ?auth ~port ~stream:"flights" Abi.sparc_32
+    subscribe ?auth ~port ~stream:"flights" Abi.sparc_32
   in
   ignore (wait_stat ~port "stream.flights.subscribers" 1);
   let nevents = 80 in
@@ -1164,7 +1171,7 @@ let drop_oldest_keeps_stream_decodable ?auth () =
      order, and the newest event is among them *)
   let seen = ref [] in
   let rec go () =
-    match Session.recv lagging with
+    match Session.recv_subscriber lagging with
     | None -> ()
     | Some (_, v) ->
       seen := seq_of v :: !seen;
@@ -1180,7 +1187,7 @@ let drop_oldest_keeps_stream_decodable ?auth () =
     (List.sort compare seen = seen);
   check bool "newest event survived" true
     (List.mem (nevents - 1) seen);
-  Session.close_consumer lagging;
+  Session.close_subscriber lagging;
   Relay.Client.close pub
 
 (* ------------------------------------------------------------------ *)
@@ -1243,7 +1250,7 @@ let test_graceful_drain_on_shutdown () =
   let h = Relay.start (Relay.listen ~sndbuf:8192 ~drain_s:10.0 ()) in
   let port = Relay.port h in
   let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
-  let consumer = Session.attach_consumer ~port ~stream:"flights" Abi.x86_64 in
+  let consumer = subscribe ~port ~stream:"flights" Abi.x86_64 in
   let nevents = 100 in
   for seq = 0 to nevents - 1 do
     publish sender fmt ~pad:4096 seq
@@ -1254,16 +1261,16 @@ let test_graceful_drain_on_shutdown () =
   let stopper = Thread.create (fun () -> Relay.stop h) () in
   let count = ref 0 in
   let rec go () =
-    match Session.recv consumer with
+    match Session.recv_subscriber consumer with
     | Some _ ->
       incr count;
       go ()
-    | None -> ()
+    | None | (exception Session.Gave_up _) -> ()
   in
   go ();
   Thread.join stopper;
   check int "drain delivered every queued event before closing" nevents !count;
-  Session.close_consumer consumer;
+  Session.close_subscriber consumer;
   (try Relay.Client.close pub with _ -> ())
 
 (* ------------------------------------------------------------------ *)
@@ -1637,16 +1644,16 @@ let governor_accounting_symmetry ?shards () =
      Thread.create
        (fun () ->
          let consumer =
-           Session.attach_consumer ~port ~stream:"flights" Abi.x86_64
+           subscribe ~port ~stream:"flights" Abi.x86_64
          in
          let rec go prev =
            if prev < nevents - 1 then
-             match Session.recv consumer with
+             match Session.recv_subscriber consumer with
              | None -> ()
              | Some (_, v) -> go (seq_of v)
          in
          go (-1);
-         Session.close_consumer consumer)
+         Session.close_subscriber consumer)
        ()
    in
    ignore (wait_stat ~port "stream.flights.subscribers" 2);
@@ -1959,6 +1966,86 @@ let test_session_close_during_outage () =
     (Option.value ~default:0 (List.assoc_opt "subscriptions" (Relay.stats h2)));
   Relay.Client.close pub2
 
+(* The one retry driver, with no socket and no sleep: scripted dials,
+   and a [sleep] that only records the delay it was asked to wait. *)
+let test_retry_driver () =
+  let module Rc = Omf_relay.Relay_client in
+  let module Prng = Omf_util.Prng in
+  let base_s = 0.05 and max_s = 0.3 and seed = 11L in
+  let slept = ref [] and stop = ref false and dials = ref 0 in
+  let driver ?(on_sleep = ignore) attempts =
+    slept := [];
+    stop := false;
+    dials := 0;
+    Rc.retry ~attempts ~base_s ~max_s ~seed
+      ~stopped:(fun () -> !stop)
+      ~sleep:(fun d ->
+        slept := d :: !slept;
+        on_sleep ())
+  in
+  let waits () = List.rev !slept in
+  let delays = Alcotest.(list (float 0.0)) in
+  (* backoff step k is min(max_s, base_s * 2^k) scaled into [0.5, 1.0)
+     of itself by the next draw of the generator [seed] starts *)
+  let steps k =
+    let rng = Prng.create ~seed () in
+    List.init k (fun i ->
+        Float.min max_s (base_s *. (2.0 ** float_of_int i))
+        *. (0.5 +. (0.5 *. Prng.float rng)))
+  in
+  (* a dial that fails its first [fails] calls, then returns its count *)
+  let script fails () =
+    incr dials;
+    if !dials <= fails then raise (Relay.Client.Error "relay connect: refused")
+    else !dials
+  in
+  let r = driver 10 in
+  check int "the fourth dial connects" 4 (Rc.reconnect r ~what:"t" (script 3));
+  check delays "waits are backoff steps 0..2" (steps 3) (waits ());
+  (* busy replies are waited out on the same dial: three of them fit a
+     budget of one attempt *)
+  let r = driver 1 and busy = ref 0 and replies = ref 0 in
+  let reply () =
+    incr replies;
+    if !replies <= 3 then raise (Relay.Client.Busy { retry_ms = 40 })
+    else "admitted"
+  in
+  check Alcotest.string "admitted after the busy replies" "admitted"
+    (Rc.reconnect r ~what:"t" (fun () ->
+         incr dials;
+         Rc.busy_wait r ~what:"t" ~on_busy:(fun () -> incr busy) reply));
+  check int "every busy reply counted" 3 !busy;
+  check int "no attempt spent on busy" 1 !dials;
+  let rng = Prng.create ~seed () in
+  check delays "each wait is the hint, jittered"
+    (List.init 3 (fun _ -> 0.04 *. (0.5 +. (0.5 *. Prng.float rng))))
+    (waits ());
+  (* a stop during the first backoff: no second dial *)
+  let r = driver ~on_sleep:(fun () -> stop := true) 10 in
+  (match Rc.reconnect r ~what:"t" (script max_int) with
+  | _ -> Alcotest.fail "a stopped driver connected"
+  | exception Rc.Stopped -> ());
+  check int "no dial after the stop" 1 !dials;
+  (* a final failure is raised after one dial *)
+  let r = driver 10 in
+  let refusal = Relay.Client.Error "stream is read-only" in
+  (match
+     Rc.reconnect ~final:(fun e -> e == refusal) r ~what:"t" (fun () ->
+         incr dials;
+         raise refusal)
+   with
+  | () -> Alcotest.fail "a refused dial connected"
+  | exception e when e == refusal -> ());
+  check int "a final failure is not retried" 1 !dials;
+  check delays "nor waited on" [] (waits ());
+  (* the budget: exactly [attempts] dials, then Gave_up *)
+  let r = driver 4 in
+  (match Rc.reconnect r ~what:"t" (script max_int) with
+  | _ -> Alcotest.fail "a dead relay connected"
+  | exception Session.Gave_up _ -> ());
+  check int "the budget is its dials" 4 !dials;
+  check delays "with backoff steps 0..2 between them" (steps 3) (waits ())
+
 (* two threads publishing on one session each marshal into the
    session's scratch memory: every event must arrive intact, once *)
 let test_session_concurrent_publishers () =
@@ -2190,7 +2277,8 @@ let () =
         [ Alcotest.test_case "close during an outage stops reconnecting"
             `Quick test_session_close_during_outage
         ; Alcotest.test_case "two threads publish on one session" `Quick
-            test_session_concurrent_publishers ] )
+            test_session_concurrent_publishers
+        ; Alcotest.test_case "retry driver" `Quick test_retry_driver ] )
     ; ( "replica",
         [ Alcotest.test_case "adopt_replica hosts a link" `Quick
             test_adopt_replica ] ) ]
