@@ -427,15 +427,7 @@ let e6_store () =
      crosses sealed segments that have no sparse index yet.\n";
   let stream = "bench-store" in
   let event seq =
-    match Fx.value_a with
-    | Value.Record fields ->
-      Value.Record
-        (List.map
-           (fun (k, v) ->
-             if String.equal k "fltNum" then (k, Value.Int (Int64.of_int seq))
-             else (k, v))
-           fields)
-    | _ -> assert false
+    Value.set_field Fx.value_a "fltNum" (Value.Int (Int64.of_int seq))
   in
   let catalog = Catalog.create Abi.x86_64 in
   ignore (X2W.register_schema catalog Fx.schema_a);

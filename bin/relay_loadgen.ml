@@ -39,17 +39,9 @@ module X2W = Omf_xml2wire.Xml2wire
 let now_s () = float_of_int (Omf_util.Clock.now_us ()) /. 1e6
 
 let event ~seq ~pad =
-  match Fx.value_a with
-  | Value.Record fields ->
-    Value.Record
-      (List.map
-         (fun (k, v) ->
-           match k with
-           | "fltNum" -> (k, Value.Int (Int64.of_int seq))
-           | "equip" when pad > 0 -> (k, Value.String (String.make pad 'x'))
-           | _ -> (k, v))
-         fields)
-  | _ -> assert false
+  let v = Value.set_field Fx.value_a "fltNum" (Value.Int (Int64.of_int seq)) in
+  if pad > 0 then Value.set_field v "equip" (Value.String (String.make pad 'x'))
+  else v
 
 type sub_report = {
   mutable received : int;

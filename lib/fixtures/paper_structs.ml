@@ -93,16 +93,8 @@ let value_c = value_b
 
 let value_d : Value.t =
   let nested k =
-    match value_b with
-    | Value.Record fields ->
-      Value.Record
-        (List.map
-           (fun (name, v) ->
-             match (name, v) with
-             | "fltNum", Value.Int n -> (name, Value.Int (Int64.add n k))
-             | _ -> (name, v))
-           fields)
-    | _ -> assert false
+    Value.set_field value_b "fltNum"
+      (Value.Int (Int64.add (Value.to_int64 (Value.field_exn value_b "fltNum")) k))
   in
   Value.Record
     [ ("one", nested 0L)

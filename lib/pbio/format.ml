@@ -36,6 +36,9 @@ and t = {
   id : int;  (** registry-assigned; 0 for unregistered wire formats *)
   abi : Abi.t;
   fields : rfield list;
+  names : string array;
+      (** the fields' names in declaration order: the [names] of every
+          {!Value.Struct} decoded in this format, this very array *)
   layout : Layout.t;
   decl : Ftype.t;  (** the logical declaration this was resolved from *)
 }
@@ -144,7 +147,8 @@ let resolve ~(abi : Abi.t) ~(id : int) (lookup : string -> t option)
             decl.Ftype.name f.rf_name control)
       | Rscalar | Rfixed _ -> ())
     fields;
-  { name = decl.Ftype.name; id; abi; fields; layout; decl }
+  let names = Array.of_list (List.map (fun f -> f.rf_name) fields) in
+  { name = decl.Ftype.name; id; abi; fields; names; layout; decl }
 
 let find_field t name =
   List.find_opt (fun f -> String.equal f.rf_name name) t.fields

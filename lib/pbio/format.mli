@@ -31,6 +31,9 @@ and t = {
   id : int;  (** registry-assigned; wire-side formats carry the peer's *)
   abi : Abi.t;
   fields : rfield list;
+  names : string array;
+      (** the fields' names in declaration order: the [names] of every
+          {!Value.Struct} decoded in this format, this very array *)
   layout : Layout.t;
   decl : Ftype.t;  (** the logical declaration this was resolved from *)
 }

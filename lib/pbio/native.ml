@@ -20,13 +20,20 @@
       accepts it, or an [Array] of [Float]s, for such a field. The rule
       depends only on the format's element type.
 
+    - [load] returns every record as a [Value.Struct] whose [names] is
+      the format's own array; [store] binds such a value by position
+      (no name is looked up or checked), and any other record, a
+      [Value.Record] or a [Struct] under other names, by name.
+
     Allocation contract: [store] allocates nothing on the OCaml heap. It
     writes straight into the memory's arena: no boxed intermediates,
     option boxes or closures; a [Floats] array moves through
     {!Memory.write_floats}, and an omitted control field's count is
     written from the array's length. [load] allocates exactly the
-    {!Value.t} it returns, and a float array in it is one unboxed
-    [floatarray] (8 B per element, no box per element). *)
+    {!Value.t} it returns: per record one [values] array (8 B per field
+    plus its 8 B header) and the 24 B [Struct] block, the names being
+    the format's; a float array in it is one unboxed [floatarray] (8 B
+    per element, no box per element). *)
 
 open Omf_machine
 
@@ -41,8 +48,10 @@ let elem_align (abi : Abi.t) (elem : Format.relem) : int =
   | Format.Rstring -> Abi.align_of abi Abi.Pointer
   | Format.Rnested nested -> nested.Format.layout.Layout.struct_align
 
-(* Binding walks the format's fields and looks each one up in the record
-   with allocation-free scans (no option boxes, no closures):
+(* Binding walks the format's fields. A [Value.Struct] whose names are
+   the format's (a value decoded in it) binds by position: field [i]'s
+   value is [values.(i)]. Any other record binds by name, looking each
+   field up with allocation-free scans (no option boxes, no closures):
    {!Value.lookup} and these. *)
 
 let rec field_named name = function
@@ -50,10 +59,36 @@ let rec field_named name = function
   | (f : Format.rfield) :: rest ->
     if String.equal f.Format.rf_name name then f else field_named name rest
 
-let has_field name fields =
-  match field_named name fields with
-  | _ -> true
-  | exception Not_found -> false
+let check_name (fmt : Format.t) k =
+  match field_named k fmt.Format.fields with
+  | _ -> ()
+  | exception Not_found ->
+    bind_error "format %s: value has unknown field %S" fmt.Format.name k
+
+let rec check_bindings fmt = function
+  | [] -> ()
+  | (k, _) :: rest ->
+    check_name fmt k;
+    check_bindings fmt rest
+
+let rec check_names fmt names i =
+  if i < Array.length names then begin
+    check_name fmt (Array.unsafe_get names i);
+    check_names fmt names (i + 1)
+  end
+
+let rec same_names x y i =
+  i = Array.length x
+  || (String.equal (Array.unsafe_get x i) (Array.unsafe_get y i)
+     && same_names x y (i + 1))
+
+(* [values] binds by position: one value per field, under the format's
+   own names ([==] when it was decoded in this very format) *)
+let positional (fmt : Format.t) names values =
+  let own = fmt.Format.names in
+  Array.length values = Array.length own
+  && (names == own
+     || (Array.length names = Array.length own && same_names names own 0))
 
 (* The dynamic-array field whose count lives in [name], if any. *)
 let rec array_counted_by name = function
@@ -64,13 +99,6 @@ let rec array_counted_by name = function
     | Format.Rvar _ | Format.Rscalar | Format.Rfixed _ ->
       array_counted_by name rest)
 
-let rec check_known (fmt : Format.t) = function
-  | [] -> ()
-  | (k, _) :: rest ->
-    if not (has_field k fmt.Format.fields) then
-      bind_error "format %s: value has unknown field %S" fmt.Format.name k;
-    check_known fmt rest
-
 (* The element count of an array value, or -1 when it is not one. *)
 let array_length = function
   | Value.Array a -> Array.length a
@@ -79,12 +107,12 @@ let array_length = function
 
 (* The record's binding for field [f], checked against the length of
    the array it counts when [f] is a control field. *)
-let check_control (fmt : Format.t) fields (f : Format.rfield) (v : Value.t) =
+let check_control (fmt : Format.t) record (f : Format.rfield) (v : Value.t) =
   let name = f.Format.rf_name in
   match array_counted_by name fmt.Format.fields with
   | exception Not_found -> ()
   | arr_field -> (
-    match array_length (Value.lookup arr_field.Format.rf_name fields) with
+    match array_length (Value.lookup arr_field.Format.rf_name record) with
     | n when n >= 0 && Int64.to_int (Value.to_int64 v) <> n ->
       bind_error
         "format %s: control field %S = %Ld disagrees with %S length %d"
@@ -93,12 +121,12 @@ let check_control (fmt : Format.t) fields (f : Format.rfield) (v : Value.t) =
 
 (* An omitted field must be a control field: its slot gets the length
    of the array it counts, written as it is, with no [Value.Int] box. *)
-let store_count mem (fmt : Format.t) addr fields (f : Format.rfield) =
+let store_count mem (fmt : Format.t) addr record (f : Format.rfield) =
   match array_counted_by f.Format.rf_name fmt.Format.fields with
   | exception Not_found ->
     bind_error "format %s: missing field %S" fmt.Format.name f.Format.rf_name
   | arr_field -> (
-    match Value.lookup arr_field.Format.rf_name fields with
+    match Value.lookup arr_field.Format.rf_name record with
     | v when array_length v >= 0 ->
       Memory.write_count mem
         (addr + f.Format.rf_layout.Layout.offset)
@@ -112,24 +140,38 @@ let store_count mem (fmt : Format.t) addr fields (f : Format.rfield) =
 
 let rec store_into (mem : Memory.t) (fmt : Format.t) (addr : int)
     (record : Value.t) : unit =
-  let fields =
-    match record with
-    | Value.Record fields -> fields
-    | v -> bind_error "format %s: expected a record, got %s" fmt.Format.name
-             (Value.to_string v)
-  in
-  check_known fmt fields;
-  store_fields mem fmt addr fields fmt.Format.fields
+  match record with
+  | Value.Struct { names; values } when positional fmt names values ->
+    store_values mem fmt addr record values 0 fmt.Format.fields
+  | Value.Struct { names; _ } ->
+    check_names fmt names 0;
+    store_fields mem fmt addr record fmt.Format.fields
+  | Value.Record fields ->
+    check_bindings fmt fields;
+    store_fields mem fmt addr record fmt.Format.fields
+  | v ->
+    bind_error "format %s: expected a record, got %s" fmt.Format.name
+      (Value.to_string v)
 
-and store_fields mem fmt addr fields = function
+(* by name: each field's first binding in [record] *)
+and store_fields mem fmt addr record = function
   | [] -> ()
   | f :: rest ->
-    (match Value.lookup f.Format.rf_name fields with
+    (match Value.lookup f.Format.rf_name record with
     | v ->
-      check_control fmt fields f v;
+      check_control fmt record f v;
       store_field mem fmt addr f v
-    | exception Not_found -> store_count mem fmt addr fields f);
-    store_fields mem fmt addr fields rest
+    | exception Not_found -> store_count mem fmt addr record f);
+    store_fields mem fmt addr record rest
+
+(* by position: field [i] of the format is [values.(i)] *)
+and store_values mem fmt addr record values i = function
+  | [] -> ()
+  | f :: rest ->
+    let v = Array.unsafe_get values i in
+    check_control fmt record f v;
+    store_field mem fmt addr f v;
+    store_values mem fmt addr record values (i + 1) rest
 
 and store_field mem (fmt : Format.t) addr (f : Format.rfield) v =
   let slot = addr + f.Format.rf_layout.Layout.offset in
@@ -210,13 +252,16 @@ let store (mem : Memory.t) (fmt : Format.t) (record : Value.t) : int =
   addr
 
 let rec load_from (mem : Memory.t) (fmt : Format.t) (addr : int) : Value.t =
-  Value.Record (load_fields mem fmt addr fmt.Format.fields)
+  let names = fmt.Format.names in
+  let values = Array.make (Array.length names) (Value.Int 0L) in
+  load_fields mem fmt addr values 0 fmt.Format.fields;
+  Value.Struct { names; values }
 
-and load_fields mem fmt addr = function
-  | [] -> []
+and load_fields mem fmt addr values i = function
+  | [] -> ()
   | (f : Format.rfield) :: rest ->
-    let v = load_field mem fmt addr f in
-    (f.Format.rf_name, v) :: load_fields mem fmt addr rest
+    Array.unsafe_set values i (load_field mem fmt addr f);
+    load_fields mem fmt addr values (i + 1) rest
 
 and load_field mem (fmt : Format.t) addr (f : Format.rfield) : Value.t =
   let slot = addr + f.Format.rf_layout.Layout.offset in
@@ -272,6 +317,7 @@ and load_scalar mem (f : Format.rfield) slot : Value.t =
     Value.String (if ptr = Memory.null then "" else Memory.read_cstring mem ptr)
   | Format.Rnested nested -> load_from mem nested slot
 
-(** [load mem fmt addr] reads the struct at [addr] back into a record, in
-    declaration field order (control fields included). *)
+(** [load mem fmt addr] reads the struct at [addr] back into a
+    positional record, in declaration field order (control fields
+    included). *)
 let load = load_from

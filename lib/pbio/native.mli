@@ -12,8 +12,12 @@ open Omf_machine
 exception Bind_error of string
 
 val store : Memory.t -> Format.t -> Value.t -> int
-(** Allocate a struct block, write the record, return its address. *)
+(** Allocate a struct block, write the record, return its address. A
+    {!Value.Struct} under the format's own names binds by position, any
+    other record by name. Allocates nothing. *)
 
 val load : Memory.t -> Format.t -> int -> Value.t
-(** Read the struct back as a record in declaration field order (control
-    fields included). *)
+(** Read the struct back as a {!Value.Struct} in declaration field order
+    (control fields included) whose [names] is the format's
+    {!Format.t.names}: one [values] array per record, nested ones
+    included. *)

@@ -15,6 +15,10 @@ type t =
           every C [float]/[double] array; equal to, and printed as, the
           [Array] of the same [Float]s *)
   | Record of (string * t) list
+  | Struct of { names : string array; values : t array }
+      (** a record held positionally: what the decoders return, with
+          [names] shared by every value of one format; equal to, and
+          printed as, the [Record] of the same bindings *)
 
 (* NaN-safe bit equality: round-trips must preserve bit patterns. *)
 let[@inline] same_bits x y =
@@ -49,6 +53,8 @@ let floats_equal_boxed x y =
   done;
   !i = n
 
+let[@inline] same_name x y = x == y || String.equal x y
+
 let rec equal a b =
   match (a, b) with
   | Int x, Int y | Uint x, Uint y -> Int64.equal x y
@@ -59,6 +65,11 @@ let rec equal a b =
   | Floats x, Floats y -> floats_equal x y
   | Floats x, Array y | Array y, Floats x -> floats_equal_boxed x y
   | Record x, Record y -> records_equal x y
+  | Struct x, Struct y -> structs_equal x.names x.values y.names y.values
+  | Record l, Struct s | Struct s, Record l ->
+    let n = List.length l in
+    Array.length s.names = n && Array.length s.values = n
+    && bindings_equal s.names s.values 0 l
   | _ -> false
 
 (* element by element from [i], without a closure *)
@@ -74,6 +85,24 @@ and records_equal x y =
     String.equal ka kb && equal va vb && records_equal x y
   | _ -> false
 
+and structs_equal xn xv yn yv =
+  Array.length xv = Array.length yv
+  && (xn == yn || (Array.length xn = Array.length yn && names_equal xn yn 0))
+  && arrays_equal xv yv 0
+
+and names_equal x y i =
+  i = Array.length x
+  || (same_name (Array.unsafe_get x i) (Array.unsafe_get y i)
+     && names_equal x y (i + 1))
+
+(* the bindings of a [Struct] from [i] against a binding list *)
+and bindings_equal names values i = function
+  | [] -> true
+  | (k, v) :: rest ->
+    same_name (Array.unsafe_get names i) k
+    && equal (Array.unsafe_get values i) v
+    && bindings_equal names values (i + 1) rest
+
 let rec pp ppf = function
   | Int v -> Fmt.pf ppf "%Ld" v
   | Uint v -> Fmt.pf ppf "%Lu" v
@@ -86,31 +115,47 @@ let rec pp ppf = function
     let pp_float ppf v = Fmt.pf ppf "%h" v in
     Fmt.pf ppf "[|%a|]" Fmt.(iter ~sep:(any "; ") Float.Array.iter pp_float) a
   | Record fields ->
-    let pp_binding ppf (k, v) = Fmt.pf ppf "%s = %a" k pp v in
-    Fmt.pf ppf "{ %a }" (Fmt.list ~sep:(Fmt.any "; ") pp_binding) fields
+    Fmt.string ppf "{ ";
+    List.iteri (fun i (k, v) -> pp_binding ppf i k v) fields;
+    Fmt.string ppf " }"
+  | Struct { names; values } ->
+    Fmt.string ppf "{ ";
+    Array.iteri (fun i k -> pp_binding ppf i k values.(i)) names;
+    Fmt.string ppf " }"
+
+and pp_binding ppf i k v =
+  if i > 0 then Fmt.string ppf "; ";
+  Fmt.pf ppf "%s = %a" k pp v
 
 let to_string v = Fmt.str "%a" pp v
 
 (* ---- record helpers ---- *)
 
-let rec lookup name = function
+let rec assoc name = function
   | [] -> raise Not_found
-  | (k, v) :: rest -> if String.equal k name then v else lookup name rest
+  | (k, v) :: rest -> if String.equal k name then v else assoc name rest
+
+(* the position of [name] in [names] from [i], or -1 *)
+let rec index names name i =
+  if i = Array.length names then -1
+  else if String.equal (Array.unsafe_get names i) name then i
+  else index names name (i + 1)
+
+let lookup name = function
+  | Record fields -> assoc name fields
+  | Struct { names; values } ->
+    let i = index names name 0 in
+    if i < 0 then raise Not_found else values.(i)
+  | _ -> raise Not_found
 
 let field record name =
-  match record with
-  | Record fields -> (
-    match lookup name fields with v -> Some v | exception Not_found -> None)
-  | _ -> None
+  match lookup name record with v -> Some v | exception Not_found -> None
 
 let field_exn record name =
-  match record with
-  | Record fields -> (
-    match lookup name fields with
-    | v -> v
-    | exception Not_found ->
-      invalid_arg (Printf.sprintf "Value.field_exn: no field %S" name))
-  | _ -> invalid_arg (Printf.sprintf "Value.field_exn: no field %S" name)
+  match lookup name record with
+  | v -> v
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Value.field_exn: no field %S" name)
 
 (* [fields] with every binding of [name] bound to [v]: only the list
    cells up to the last replaced binding are rebuilt. Raises [Not_found]
@@ -130,6 +175,17 @@ let set_field record name v =
     match replace name v fields with
     | fields -> Record fields
     | exception Not_found -> Record (fields @ [ (name, v) ]))
+  | Struct { names; values } ->
+    let i = index names name 0 in
+    if i >= 0 then begin
+      let values = Array.copy values in
+      values.(i) <- v;
+      Struct { names; values }
+    end
+    else
+      Record
+        (List.init (Array.length names) (fun i -> (names.(i), values.(i)))
+        @ [ (name, v) ])
   | _ -> invalid_arg "Value.set_field: not a record"
 
 (* ---- coercion helpers used by codecs ---- *)
@@ -158,6 +214,3 @@ let to_array_exn = function
     Array.init (Float.Array.length a) (fun i -> Float (Float.Array.get a i))
   | v -> type_error "expected an array, got %s" (to_string v)
 
-let to_record_exn = function
-  | Record r -> r
-  | v -> type_error "expected a record, got %s" (to_string v)

@@ -38,7 +38,9 @@ let float_text ~size v =
 
 let rec element_of_record (fmt : Format.t) (v : Value.t) : Omf_xml.Doc.element
     =
-  let fields = Value.to_record_exn v in
+  (match v with
+  | Value.Record _ | Value.Struct _ -> ()
+  | v -> Value.type_error "expected a record, got %s" (Value.to_string v));
   let controls = controls_of fmt in
   let children =
     List.concat_map
@@ -46,9 +48,9 @@ let rec element_of_record (fmt : Format.t) (v : Value.t) : Omf_xml.Doc.element
         if List.mem f.Format.rf_name controls then []
         else
           let fv =
-            match List.assoc_opt f.Format.rf_name fields with
-            | Some fv -> fv
-            | None ->
+            match Value.lookup f.Format.rf_name v with
+            | fv -> fv
+            | exception Not_found ->
               xw_error "format %s: value lacks field %S" fmt.Format.name
                 f.Format.rf_name
           in
@@ -112,13 +114,15 @@ let float_of_text name s =
   | Some v -> v
   | None -> xw_error "field %S: %S is not a number" name s
 
+(* the record in [fmt]'s positional form, as {!Native.load} returns it:
+   float arrays as [Floats], each control field holding its array's
+   repetition count *)
 let rec record_of_element (fmt : Format.t) (el : Omf_xml.Doc.element) :
     Value.t =
-  let controls = controls_of fmt in
+  let names = fmt.Format.names in
+  let values = Array.make (Array.length names) (Value.Int 0L) in
   let scalar (f : Format.rfield) (child : Omf_xml.Doc.element) : Value.t =
     let text = Omf_xml.Doc.text child in
-    let size = f.Format.rf_layout.Layout.elem_size in
-    ignore size;
     match f.Format.rf_elem with
     | Format.Rint { signed; _ } ->
       let v = int_of_text f.Format.rf_name text in
@@ -132,55 +136,60 @@ let rec record_of_element (fmt : Format.t) (el : Omf_xml.Doc.element) :
     | Format.Rstring -> Value.String text
     | Format.Rnested nested -> record_of_element nested child
   in
-  let fields =
-    List.concat_map
-      (fun (f : Format.rfield) ->
-        if List.mem f.Format.rf_name controls then
-          (* reconstructed below from the repetition count *)
-          []
-        else
-          let children = Omf_xml.Doc.find_children el f.Format.rf_name in
-          match f.Format.rf_dim with
-          | Format.Rscalar -> (
+  let array (f : Format.rfield) children =
+    match f.Format.rf_elem with
+    | Format.Rfloat _ ->
+      Value.Floats
+        (Float.Array.of_list
+           (List.map
+              (fun c -> float_of_text f.Format.rf_name (Omf_xml.Doc.text c))
+              children))
+    | _ -> Value.Array (Array.of_list (List.map (scalar f) children))
+  in
+  (* a control field is not sent: it is its array's repetition count *)
+  let set_count control n =
+    let i = Option.get (Array.find_index (String.equal control) names) in
+    let n = Int64.of_int n in
+    values.(i) <-
+      (match (List.nth fmt.Format.fields i).Format.rf_elem with
+      | Format.Rint { signed = false; _ } -> Value.Uint n
+      | _ -> Value.Int n)
+  in
+  let controls = controls_of fmt in
+  List.iteri
+    (fun i (f : Format.rfield) ->
+      if not (List.mem f.Format.rf_name controls) then
+        let children = Omf_xml.Doc.find_children el f.Format.rf_name in
+        match f.Format.rf_dim with
+        | Format.Rscalar -> (
+          match children with
+          | [ child ] -> values.(i) <- scalar f child
+          | [] ->
+            xw_error "format %s: message lacks element <%s>" fmt.Format.name
+              f.Format.rf_name
+          | _ ->
+            xw_error "format %s: repeated scalar element <%s>" fmt.Format.name
+              f.Format.rf_name)
+        | Format.Rfixed n -> (
+          match f.Format.rf_elem with
+          | Format.Rchar -> (
             match children with
-            | [ child ] -> [ (f.Format.rf_name, scalar f child) ]
-            | [] ->
-              xw_error "format %s: message lacks element <%s>" fmt.Format.name
-                f.Format.rf_name
-            | _ ->
-              xw_error "format %s: repeated scalar element <%s>"
-                fmt.Format.name f.Format.rf_name)
-          | Format.Rfixed n -> (
-            match f.Format.rf_elem with
-            | Format.Rchar -> (
-              match children with
-              | [ child ] ->
-                let s = Omf_xml.Doc.text child in
-                if String.length s > n then
-                  xw_error "field %S: %S exceeds char[%d]" f.Format.rf_name s n;
-                [ (f.Format.rf_name, Value.String s) ]
-              | _ -> xw_error "field %S: expected one element" f.Format.rf_name)
-            | _ ->
-              if List.length children <> n then
-                xw_error "field %S: expected %d elements, found %d"
-                  f.Format.rf_name n (List.length children);
-              [ ( f.Format.rf_name
-                , Value.Array (Array.of_list (List.map (scalar f) children)) )
-              ])
-          | Format.Rvar control ->
-            let arr = Array.of_list (List.map (scalar f) children) in
-            [ (f.Format.rf_name, Value.Array arr)
-            ; (control, Value.Int (Int64.of_int (Array.length arr))) ])
-      fmt.Format.fields
-  in
-  (* order the control fields as declared *)
-  let ordered =
-    List.filter_map
-      (fun (f : Format.rfield) -> List.assoc_opt f.Format.rf_name fields
-        |> Option.map (fun v -> (f.Format.rf_name, v)))
-      fmt.Format.fields
-  in
-  Value.Record ordered
+            | [ child ] ->
+              let s = Omf_xml.Doc.text child in
+              if String.length s > n then
+                xw_error "field %S: %S exceeds char[%d]" f.Format.rf_name s n;
+              values.(i) <- Value.String s
+            | _ -> xw_error "field %S: expected one element" f.Format.rf_name)
+          | _ ->
+            if List.length children <> n then
+              xw_error "field %S: expected %d elements, found %d"
+                f.Format.rf_name n (List.length children);
+            values.(i) <- array f children)
+        | Format.Rvar control ->
+          values.(i) <- array f children;
+          set_count control (List.length children))
+    fmt.Format.fields;
+  Value.Struct { names; values }
 
 (** [decode_value fmt text] parses an XML message back into a record. *)
 let decode_value (fmt : Format.t) (text : string) : Value.t =

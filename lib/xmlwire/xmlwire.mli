@@ -11,7 +11,10 @@ exception Xmlwire_error of string
 
 val encode_value : Format.t -> Value.t -> string
 val decode_value : Format.t -> string -> Value.t
-(** Raises {!Xmlwire_error} on unparsable or schema-mismatched text. *)
+(** The record as {!Native.load} returns it: a {!Value.Struct} under the
+    format's names, every float array one [Floats], each control field
+    its array's repetition count. Raises {!Xmlwire_error} on unparsable
+    or schema-mismatched text. *)
 
 val encode : Memory.t -> Format.t -> int -> string
 (** Full sender-side cost: read native binary data, convert to markup. *)

@@ -196,6 +196,39 @@ let test_xmlwire_escapes_content () =
   check value_testable "markup-significant content survives" v
     (Xmlwire.decode_value fmt text)
 
+(* decoded straight from the text, a record comes back as [Native.load]
+   returns it: positional, under the format's own names, with every
+   float array one [Floats] and each control field its array's count *)
+let test_xmlwire_float_arrays () =
+  let decl =
+    Ftype.declare "probe"
+      [ ("n", "integer"); ("d", "double[n]"); ("f", "float[3]")
+      ; ("k", "unsigned long"); ("i", "integer[k]") ]
+  in
+  let v =
+    Value.Record
+      [ ("d", Value.Floats (Float.Array.of_list [ 1.5; -0.0; 1e300 ]))
+      ; ("f", Value.Array [| Value.Float 0.25; Value.Float 2.0; Value.Float (-8.0) |])
+      ; ("i", Value.Array [| Value.Int 7L |]) ]
+  in
+  List.iter
+    (fun abi ->
+      let fmt = formats_for abi [ decl ] "probe" in
+      let ndr = normalize abi [ decl ] "probe" v in
+      let xml = Xmlwire.decode_value fmt (Xmlwire.encode_value fmt ndr) in
+      check value_testable (abi.Abi.name ^ ": equals the NDR round-trip") ndr xml;
+      match xml with
+      | Value.Struct { names; values } ->
+        check bool "the format's names" true (names == fmt.Format.names);
+        List.iter
+          (fun i ->
+            check bool (names.(i) ^ " decodes to Floats") true
+              (match values.(i) with Value.Floats _ -> true | _ -> false))
+          [ 1; 2 ];
+        check value_testable "unsigned control" (Value.Uint 1L) values.(3)
+      | v -> Alcotest.failf "decoded %s" (Value.to_string v))
+    [ Abi.x86_64; Abi.sparc_32 ]
+
 let prop_xmlwire_roundtrip =
   QCheck.Test.make ~name:"XML wire round-trip (random formats)" ~count:150
     (QCheck.make (Omf_testkit.Gen.format_and_value ()))
@@ -254,7 +287,9 @@ let () =
         ; Alcotest.test_case "expansion factor" `Quick test_xmlwire_expansion_factor
         ; Alcotest.test_case "self-describing" `Quick test_xmlwire_self_describing
         ; Alcotest.test_case "garbage rejected" `Quick test_xmlwire_rejects_garbage
-        ; Alcotest.test_case "content escaping" `Quick test_xmlwire_escapes_content ]
+        ; Alcotest.test_case "content escaping" `Quick test_xmlwire_escapes_content
+        ; Alcotest.test_case "float arrays decode to Floats" `Quick
+            test_xmlwire_float_arrays ]
         @ qsuite [ prop_xmlwire_roundtrip ] )
     ; ( "agreement",
         [ Alcotest.test_case "NDR / XDR / XML produce equal values" `Quick

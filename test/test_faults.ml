@@ -32,16 +32,7 @@ let scale n = if quick then max 4 (n / 4) else n
 (* Helpers                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let event seq =
-  match Fx.value_a with
-  | Value.Record fields ->
-    Value.Record
-      (List.map
-         (fun (k, v) ->
-           if String.equal k "fltNum" then (k, Value.Int (Int64.of_int seq))
-           else (k, v))
-         fields)
-  | _ -> assert false
+let event seq = Value.set_field Fx.value_a "fltNum" (Value.Int (Int64.of_int seq))
 
 let seq_of v =
   match Value.field_exn v "fltNum" with
@@ -1217,6 +1208,19 @@ let wait_exit (r : relayd) ~within_s =
         r.status <- Some st;
         true)
 
+let signal_name s =
+  List.assoc_opt s
+    [ (Sys.sigint, "SIGINT"); (Sys.sigterm, "SIGTERM"); (Sys.sigkill, "SIGKILL")
+    ; (Sys.sigsegv, "SIGSEGV"); (Sys.sigabrt, "SIGABRT"); (Sys.sigpipe, "SIGPIPE") ]
+  |> Option.value ~default:(Printf.sprintf "signal %d" s)
+
+(* what became of a reaped relayd, for failure messages *)
+let status_text = function
+  | None -> "not reaped"
+  | Some (Unix.WEXITED n) -> Printf.sprintf "exited %d" n
+  | Some (Unix.WSIGNALED s) -> "killed by " ^ signal_name s
+  | Some (Unix.WSTOPPED s) -> "stopped by " ^ signal_name s
+
 let hello_served ~port =
   match
     Relay.Client.connect ~port ~connect_timeout_s:0.5 ~io_timeout_s:0.5 ()
@@ -1325,7 +1329,10 @@ let relayd_drains ~signal ~shards () =
   Thread.join reader;
   Session.close_publisher pub;
   Session.close_subscriber sub;
-  check bool "exit 0" true (r.status = Some (Unix.WEXITED 0));
+  check bool
+    ("exit 0, relayd " ^ status_text r.status)
+    true
+    (r.status = Some (Unix.WEXITED 0));
   check bool "final stats printed" true
     (Omf_testkit.Strings.contains (In_channel.input_all r.out)
        "relayd: final stats");

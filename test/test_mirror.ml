@@ -58,16 +58,7 @@ let with_root f =
 let store_cfg root =
   { (Relay.Store.default_config ~root) with fsync = Relay.Store.Interval 0.02 }
 
-let event seq =
-  match Fx.value_a with
-  | Value.Record fields ->
-    Value.Record
-      (List.map
-         (fun (k, v) ->
-           if String.equal k "fltNum" then (k, Value.Int (Int64.of_int seq))
-           else (k, v))
-         fields)
-  | _ -> assert false
+let event seq = Value.set_field Fx.value_a "fltNum" (Value.Int (Int64.of_int seq))
 
 let seq_of v =
   match Value.field_exn v "fltNum" with

@@ -244,15 +244,25 @@ let test_missing_field_rejected () =
   with Native.Bind_error _ -> ()
 
 let test_unknown_field_rejected () =
-  let v =
-    match Fx.value_a with
-    | Value.Record fields -> Value.Record (("bogus", Value.Int 1L) :: fields)
-    | _ -> assert false
+  let rejected what v =
+    match normalize Abi.x86_64 [ Fx.decl_a ] "ASDOffEvent" v with
+    | _ -> Alcotest.failf "%s: expected Bind_error" what
+    | exception Native.Bind_error _ -> ()
   in
-  try
-    ignore (normalize Abi.x86_64 [ Fx.decl_a ] "ASDOffEvent" v);
-    Alcotest.fail "expected Bind_error"
-  with Native.Bind_error _ -> ()
+  rejected "record"
+    (match Fx.value_a with
+    | Value.Record fields -> Value.Record (("bogus", Value.Int 1L) :: fields)
+    | _ -> assert false);
+  (* a decoded value under other names binds by name, and is refused *)
+  let loaded = normalize Abi.x86_64 [ Fx.decl_a ] "ASDOffEvent" Fx.value_a in
+  rejected "struct with a field appended"
+    (Value.set_field loaded "bogus" (Value.Int 1L));
+  match loaded with
+  | Value.Struct { names; values } ->
+    let names = Array.copy names in
+    names.(0) <- "bogus";
+    rejected "struct with a field renamed" (Value.Struct { names; values })
+  | v -> Alcotest.failf "Native.load returned %s" (Value.to_string v)
 
 let test_char_array_semantics () =
   let d =
@@ -872,6 +882,62 @@ let test_alloc_science_floats () =
   in
   Alcotest.(check string) "same native image" (image shape.value) (image value)
 
+(* Absolute budgets on [Native.load] of the shapes with many fields.
+   The budget above is relative to the loaded value, so it would pass a
+   return to a by-name spine (a cons cell and a pair per field, 48 B);
+   these would not: paper-a's eight fields loaded 696 B that way,
+   durable-cd's 44 values in four records 3 728 B. *)
+let test_alloc_positional_load () =
+  let module Shapes = Omf_testkit.Shapes in
+  List.iter
+    (fun (name, budget) ->
+      let shape = List.find (fun (s : Shapes.t) -> s.name = name) Shapes.bench in
+      let m = Shapes.measure shape in
+      if m.load > budget then
+        Alcotest.failf "%s: Native.load allocates %.0f B per call (budget %.0f B)"
+          name m.load budget)
+    [ ("paper-a", 400.0); ("durable-cd", 2700.0) ]
+
+(* A loaded value stores back by position: no allocation, and the same
+   native image as the by-name record it was loaded from, whether it was
+   loaded in the very format it is stored in (its names physically
+   shared) or under another ABI (equal names, another array). *)
+let test_alloc_store_loaded () =
+  let module Shapes = Omf_testkit.Shapes in
+  let image mem fmt v =
+    Memory.reset mem;
+    let addr = Native.store mem fmt v in
+    Bytes.to_string (Memory.read_bytes mem addr (Memory.allocated_bytes mem))
+  in
+  List.iter
+    (fun (shape : Shapes.t) ->
+      List.iter
+        (fun (load_abi : Abi.t) ->
+          let lfmt = Shapes.register load_abi shape in
+          let lmem = Memory.create load_abi in
+          let loaded = Native.load lmem lfmt (Native.store lmem lfmt shape.value) in
+          List.iter
+            (fun (abi : Abi.t) ->
+              let fmt =
+                if abi == load_abi then lfmt else Shapes.register abi shape
+              in
+              let mem = Memory.create abi in
+              let what = Printf.sprintf "%s loaded on %s, stored on %s"
+                  shape.name load_abi.Abi.name abi.Abi.name in
+              check str (what ^ ": same image") (image mem fmt shape.value)
+                (image mem fmt loaded);
+              let bytes =
+                Omf_testkit.Alloc.bytes_per_call (fun () ->
+                    Memory.reset mem;
+                    Native.store mem fmt loaded)
+              in
+              if bytes > 1.0 then
+                Alcotest.failf "%s: Native.store allocates %.1f B per call" what
+                  bytes)
+            Abi.all)
+        Abi.all)
+    Shapes.bench
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -958,4 +1024,8 @@ let () =
             Alcotest.test_case shape.name `Quick (test_alloc_budget shape))
           (Omf_testkit.Shapes.bench @ [ Omf_testkit.Shapes.strvar ])
         @ [ Alcotest.test_case "science-16k floats" `Quick
-              test_alloc_science_floats ] ) ]
+              test_alloc_science_floats
+          ; Alcotest.test_case "positional load" `Quick
+              test_alloc_positional_load
+          ; Alcotest.test_case "store of a loaded value" `Quick
+              test_alloc_store_loaded ] ) ]

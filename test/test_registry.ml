@@ -427,15 +427,7 @@ let test_async_discovery_zero_loss () =
   (* publish while the fetch is parked; buffer the raw frames *)
   let n = 5 in
   let event seq =
-    match Fx.value_a with
-    | Value.Record fields ->
-      Value.Record
-        (List.map
-           (fun (k, v) ->
-             if String.equal k "fltNum" then (k, Value.Int (Int64.of_int seq))
-             else (k, v))
-           fields)
-    | _ -> assert false
+    Value.set_field Fx.value_a "fltNum" (Value.Int (Int64.of_int seq))
   in
   for seq = 0 to n - 1 do
     Endpoint.Sender.send_value sender fmt (event seq)

@@ -251,17 +251,9 @@ let prop_slice_codec_equivalence =
 (* ------------------------------------------------------------------ *)
 
 let event ?(pad = 0) seq =
-  match Fx.value_a with
-  | Value.Record fields ->
-    Value.Record
-      (List.map
-         (fun (k, v) ->
-           match k with
-           | "fltNum" -> (k, Value.Int (Int64.of_int seq))
-           | "equip" when pad > 0 -> (k, Value.String (String.make pad 'x'))
-           | _ -> (k, v))
-         fields)
-  | _ -> assert false
+  let v = Value.set_field Fx.value_a "fltNum" (Value.Int (Int64.of_int seq)) in
+  if pad > 0 then Value.set_field v "equip" (Value.String (String.make pad 'x'))
+  else v
 
 let seq_of v =
   match Value.field_exn v "fltNum" with

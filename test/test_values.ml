@@ -171,14 +171,124 @@ let prop_set_field_oracle =
       (* same bindings in the same order, names included *)
       Value.equal got want && got = want)
 
-let test_field_exn_allocates_nothing () =
-  let r = Omf_fixtures.Paper_structs.value_a in
-  let bytes =
-    Omf_testkit.Alloc.bytes_per_call ~iters:1000 (fun () ->
-        Value.field_exn r "eta")
+(* [Struct] is another representation of a [Record] with unique names,
+   not another value: equality and printing cannot tell the two apart *)
+
+(* bindings under distinct names, in a random order *)
+let unique_bindings =
+  let open QCheck.Gen in
+  let* names = shuffle_l [ "a"; "b"; "c"; "d"; "e"; "f" ] in
+  let* n = int_bound 6 in
+  let names = List.filteri (fun i _ -> i < n) names in
+  let+ xs = list_repeat n (map Int64.of_int small_int) in
+  List.combine names (List.map (fun x -> Value.Int x) xs)
+
+let struct_of bindings =
+  Value.Struct
+    { names = Array.of_list (List.map fst bindings)
+    ; values = Array.of_list (List.map snd bindings) }
+
+let print_bindings b = Value.to_string (Value.Record b)
+
+let prop_struct_is_its_record =
+  QCheck.Test.make ~name:"struct equals and prints as its record" ~count:300
+    (QCheck.make ~print:print_bindings unique_bindings)
+    (fun b ->
+      let s = struct_of b and r = Value.Record b in
+      Value.equal s r && Value.equal r s
+      && Value.equal s (struct_of b)
+      && String.equal (Value.to_string s) (Value.to_string r))
+
+(* one change to the bindings at [i]: its value, its name, or its place *)
+let prop_struct_differs =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* b = unique_bindings in
+      let* i = int_bound (max 0 (List.length b - 1)) in
+      let+ change = oneofl [ `Value; `Name; `Reorder ] in
+      (b, i, change))
   in
-  if bytes >= 1.0 then
-    Alcotest.failf "Value.field_exn allocates %.1f B per call (budget 0)" bytes
+  Test.make ~name:"struct differs after a change" ~count:300
+    (make ~print:(fun (b, i, _) -> Printf.sprintf "%s at %d" (print_bindings b) i) gen)
+    (fun (b, i, change) ->
+      assume (b <> [] && (change <> `Reorder || List.length b >= 2));
+      let changed =
+        match change with
+        | `Value ->
+          List.mapi
+            (fun j (k, v) ->
+              if j = i then (k, Value.Int (Int64.succ (Value.to_int64 v))) else (k, v))
+            b
+        | `Name -> List.mapi (fun j (k, v) -> if j = i then ("z", v) else (k, v)) b
+        | `Reorder ->
+          (* move the binding at [i] to the other end *)
+          let x = List.nth b i and rest = List.filteri (fun j _ -> j <> i) b in
+          if i = 0 then rest @ [ x ] else x :: rest
+      in
+      let s = struct_of changed in
+      (not (Value.equal s (Value.Record b)))
+      && (not (Value.equal (Value.Record b) s))
+      && not (Value.equal s (struct_of b)))
+
+(* on a struct, [set_field] agrees with the list oracle, and a present
+   name keeps the struct positional and its names shared *)
+let prop_set_field_struct =
+  let open QCheck in
+  let gen =
+    Gen.(
+      triple unique_bindings
+        (oneofl [ "a"; "b"; "c"; "d"; "e"; "f"; "g" ])
+        (map Int64.of_int small_int))
+  in
+  Test.make ~name:"set_field on a struct equals the oracle" ~count:500
+    (make
+       ~print:(fun (b, n, v) -> Printf.sprintf "%s <- %s = %Ld" (print_bindings b) n v)
+       gen)
+    (fun (b, name, v) ->
+      let s = struct_of b in
+      let got = Value.set_field s name (Value.Int v) in
+      let want = set_field_oracle (Value.Record b) name (Value.Int v) in
+      Value.equal got want
+      && Value.equal s (Value.Record b)
+      &&
+      match (s, got) with
+      | Value.Struct s, Value.Struct g -> List.mem_assoc name b && g.names == s.names
+      | _, Value.Record _ -> not (List.mem_assoc name b)
+      | _ -> false)
+
+(* paper-a's record in both forms *)
+let both_forms () =
+  let r = Omf_fixtures.Paper_structs.value_a in
+  let b = Value.(match r with Record b -> b | v -> invalid_arg (to_string v)) in
+  [ ("record", r); ("struct", struct_of b) ]
+
+let test_field_exn_allocates_nothing () =
+  List.iter
+    (fun (what, r) ->
+      let bytes =
+        Omf_testkit.Alloc.bytes_per_call ~iters:1000 (fun () ->
+            Value.field_exn r "eta")
+      in
+      if bytes >= 1.0 then
+        Alcotest.failf "Value.field_exn on a %s allocates %.1f B per call (budget 0)"
+          what bytes)
+    (both_forms ())
+
+let test_struct_equal_allocates_nothing () =
+  let forms = both_forms () in
+  List.iter
+    (fun (a, x) ->
+      List.iter
+        (fun (b, y) ->
+          let bytes =
+            Omf_testkit.Alloc.bytes_per_call ~iters:1000 (fun () -> Value.equal x y)
+          in
+          if bytes >= 1.0 then
+            Alcotest.failf "Value.equal of a %s and a %s allocates %.1f B per call"
+              a b bytes)
+        forms)
+    forms
 
 let test_coercion_errors () =
   let expect_type_error f =
@@ -191,7 +301,6 @@ let test_coercion_errors () =
   expect_type_error (fun () -> Value.to_float_exn (Value.String "no"));
   expect_type_error (fun () -> Value.to_string_exn (Value.Int 1L));
   expect_type_error (fun () -> Value.to_array_exn (Value.Int 1L));
-  expect_type_error (fun () -> Value.to_record_exn (Value.Int 1L));
   (* chars coerce to their codes; ints coerce to floats *)
   check bool "char to int64" true (Value.to_int64 (Value.Char 'A') = 65L);
   check bool "int to float" true (Value.to_float_exn (Value.Int 2L) = 2.0)
@@ -262,9 +371,13 @@ let () =
             test_set_field_shares
         ; Alcotest.test_case "field_exn allocates nothing" `Quick
             test_field_exn_allocates_nothing
+        ; Alcotest.test_case "struct equality allocates nothing" `Quick
+            test_struct_equal_allocates_nothing
         ; Alcotest.test_case "coercion errors" `Quick test_coercion_errors
         ; Alcotest.test_case "field_exn message" `Quick test_field_exn_message ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_set_field_oracle ] )
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_set_field_oracle; prop_struct_is_its_record; prop_struct_differs
+            ; prop_set_field_struct ] )
     ; ( "ftype",
         [ Alcotest.test_case "declaration printing" `Quick test_ftype_pp
         ; Alcotest.test_case "spellings parse back" `Quick

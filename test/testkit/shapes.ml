@@ -32,14 +32,7 @@ let decl_strvar =
     ; ("code", "char[6]")
     ; ("flag", "char") ]
 
-let with_equip equip =
-  match Fx.value_a with
-  | Value.Record fields ->
-    Value.Record
-      (List.map
-         (fun (k, v) -> if k = "equip" then (k, Value.String equip) else (k, v))
-         fields)
-  | _ -> assert false
+let with_equip equip = Value.set_field Fx.value_a "equip" (Value.String equip)
 
 (* a 1 KiB run of words: the secure-compressed workload's text pad *)
 let pad =
@@ -118,6 +111,7 @@ type layers = {
 
 let rec elements = function
   | Value.Record fs -> List.fold_left (fun n (_, v) -> n + elements v) 0 fs
+  | Value.Struct { values; _ } -> Array.fold_left (fun n v -> n + elements v) 0 values
   | Value.Array a -> Array.fold_left (fun n v -> n + elements v) 0 a
   | Value.Floats a -> Float.Array.length a
   | _ -> 1
