@@ -8,40 +8,8 @@
     [--metrics-port P] additionally serves request counters in
     Prometheus text format on [GET /metrics]. *)
 
-open Cmdliner
-
 let setup_logs verbose =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info))
-
-let dir_arg =
-  Arg.(
-    required
-    & pos 0 (some dir) None
-    & info [] ~docv:"DIR" ~doc:"Directory of .xsd metadata documents.")
-
-let port_arg =
-  Arg.(
-    value & opt int 8080
-    & info [ "port"; "p" ] ~docv:"PORT" ~doc:"TCP port (0 = ephemeral).")
-
-let host_arg =
-  Arg.(
-    value
-    & opt string "127.0.0.1"
-    & info [ "host" ] ~docv:"HOST" ~doc:"Address to bind.")
-
-let metrics_port_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "metrics-port" ] ~docv:"PORT"
-        ~doc:
-          "Also serve request counters in Prometheus text format on \
-           $(b,GET /metrics) at this port.")
-
-let verbose_arg =
-  Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Log every request.")
+  Omf_util.Log.set_level (if verbose then Omf_util.Log.Debug else Info)
 
 let run dir port host metrics_port verbose =
   setup_logs verbose;
@@ -137,12 +105,31 @@ let run dir port host metrics_port verbose =
   end
 
 let () =
-  let doc = "HTTP metadata server for xml2wire discovery" in
-  let info = Cmd.info "metaserver" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.v info
-          Term.(
-            ret
-              (const run $ dir_arg $ port_arg $ host_arg $ metrics_port_arg
-             $ verbose_arg))))
+  let port = ref 8080
+  and host = ref "127.0.0.1"
+  and metrics_port = ref None
+  and verbose = ref false in
+  let specs =
+    [ ("--port", Arg.Set_int port, "PORT TCP port (0 = ephemeral; default 8080).")
+    ; ("-p", Arg.Set_int port, "PORT Same as --port.")
+    ; ("--host", Arg.Set_string host, "HOST Address to bind (default 127.0.0.1).")
+    ; ( "--metrics-port"
+      , Arg.Int (fun p -> metrics_port := Some p)
+      , "PORT Also serve request counters in Prometheus text format on GET \
+         /metrics at this port." )
+    ; ("--verbose", Arg.Set verbose, " Log every request.")
+    ; ("-v", Arg.Set verbose, " Same as --verbose.") ]
+  in
+  let name = "metaserver" in
+  let args =
+    Omf_util.Cli.parse ~name
+      ~doc:
+        "metaserver: HTTP metadata server for xml2wire discovery; DIR is a \
+         directory of .xsd metadata documents."
+      ~args:[ "DIR" ] specs Sys.argv
+  in
+  let dir = args.(0) in
+  Omf_util.Cli.exit_with ~name
+    (if Sys.file_exists dir && Sys.is_directory dir then
+       run dir !port !host !metrics_port !verbose
+     else `Error (false, Printf.sprintf "DIR argument: no '%s' directory" dir))

@@ -7,71 +7,8 @@
     store machinery and recovered at startup; without it the registry
     is memory-only. [--compat] sets the registry-wide gate mode. *)
 
-open Cmdliner
-
 let setup_logs verbose =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info))
-
-let port_arg =
-  Arg.(
-    value & opt int 8091
-    & info [ "port"; "p" ] ~docv:"PORT"
-        ~doc:"Binary frame protocol port (0 = ephemeral).")
-
-let http_port_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "http-port" ] ~docv:"PORT"
-        ~doc:"Also serve the HTTP JSON surface on this port.")
-
-let metrics_port_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "metrics-port" ] ~docv:"PORT"
-        ~doc:
-          "Also serve registry counters in Prometheus text format on \
-           $(b,GET /metrics) at this port.")
-
-let host_arg =
-  Arg.(
-    value
-    & opt string "127.0.0.1"
-    & info [ "host" ] ~docv:"HOST" ~doc:"Address to bind.")
-
-let store_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "store" ] ~docv:"DIR"
-        ~doc:
-          "Persist registrations under this store root (recovered at \
-           startup). Omit for a memory-only registry.")
-
-let compat_conv =
-  let parse s =
-    match Omf_registry.Registry.compat_mode_of_string s with
-    | Ok m -> Ok m
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv
-    (parse, fun fmt m ->
-       Format.pp_print_string fmt
-         (Omf_registry.Registry.compat_mode_to_string m))
-
-let compat_arg =
-  Arg.(
-    value
-    & opt compat_conv Omf_registry.Registry.Backward
-    & info [ "compat" ] ~docv:"MODE"
-        ~doc:
-          "Registry-wide compatibility gate: $(b,none), $(b,backward), \
-           $(b,forward) or $(b,full).")
-
-let verbose_arg =
-  Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Debug logging.")
+  Omf_util.Log.set_level (if verbose then Omf_util.Log.Debug else Info)
 
 let run port http_port metrics_port host store compat verbose =
   setup_logs verbose;
@@ -112,12 +49,40 @@ let run port http_port metrics_port host store compat verbose =
     forever ()
 
 let () =
-  let doc = "versioned schema registry daemon" in
-  let info = Cmd.info "registryd" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.v info
-          Term.(
-            ret
-              (const run $ port_arg $ http_port_arg $ metrics_port_arg
-             $ host_arg $ store_arg $ compat_arg $ verbose_arg))))
+  let port = ref 8091
+  and http_port = ref None
+  and metrics_port = ref None
+  and host = ref "127.0.0.1"
+  and store = ref None
+  and compat = ref Omf_registry.Registry.Backward
+  and verbose = ref false in
+  let specs =
+    [ ( "--port"
+      , Arg.Set_int port
+      , "PORT Binary frame protocol port (0 = ephemeral; default 8091)." )
+    ; ("-p", Arg.Set_int port, "PORT Same as --port.")
+    ; ( "--http-port"
+      , Arg.Int (fun p -> http_port := Some p)
+      , "PORT Also serve the HTTP JSON surface on this port." )
+    ; ( "--metrics-port"
+      , Arg.Int (fun p -> metrics_port := Some p)
+      , "PORT Also serve registry counters in Prometheus text format on GET \
+         /metrics at this port." )
+    ; ("--host", Arg.Set_string host, "HOST Address to bind (default 127.0.0.1).")
+    ; ( "--store"
+      , Arg.String (fun d -> store := Some d)
+      , "DIR Persist registrations under this store root (recovered at \
+         startup). Omit for a memory-only registry." )
+    ; ( "--compat"
+      , Omf_util.Cli.conv Omf_registry.Registry.compat_mode_of_string
+          (( := ) compat)
+      , "MODE Registry-wide compatibility gate: none, backward (the \
+         default), forward or full." )
+    ; ("--verbose", Arg.Set verbose, " Debug logging.")
+    ; ("-v", Arg.Set verbose, " Same as --verbose.") ]
+  in
+  ignore
+    (Omf_util.Cli.parse ~name:"registryd"
+       ~doc:"registryd: versioned schema registry daemon" specs Sys.argv);
+  Omf_util.Cli.exit_with ~name:"registryd"
+    (run !port !http_port !metrics_port !host !store !compat !verbose)

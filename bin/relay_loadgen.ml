@@ -26,7 +26,6 @@
     Exit status: non-zero on any reordered event; a closed-loop run
     also fails when an event is lost or a subscriber closes early. *)
 
-open Cmdliner
 open Omf_machine
 open Omf_pbio.Pbio
 module Relay = Omf_relay.Relay
@@ -359,137 +358,105 @@ let run serve host port policy max_queue auth compress subscribers events pad
     `Error (false, "a subscriber closed early in a closed-loop run")
   else `Ok ()
 
-let serve_arg =
-  Arg.(
-    value & flag
-    & info [ "serve" ]
-        ~doc:"Self-host a relay on an ephemeral port instead of targeting \
-              a running relayd.")
+let parse_policy s =
+  match Relay.policy_of_string s with
+  | Some p -> Ok p
+  | None -> Error (Printf.sprintf "unknown policy %s" s)
 
-let host_arg =
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc:"Relay host.")
+let parse_keypair s =
+  match String.index_opt s '=' with
+  | Some i when i > 0 ->
+    Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+  | _ -> Error (Printf.sprintf "want KEYID=SECRET, got %s" s)
 
-let port_arg =
-  Arg.(
-    value & opt int 9117
-    & info [ "port"; "p" ] ~docv:"PORT" ~doc:"Relay port (ignored with $(b,--serve)).")
-
-let policy_conv =
-  let parse s =
-    match Relay.policy_of_string s with
-    | Some p -> Ok p
-    | None -> Error (`Msg (Printf.sprintf "unknown policy %s" s))
-  in
-  Arg.conv (parse, fun ppf p -> Fmt.string ppf (Relay.policy_to_string p))
-
-let policy_arg =
-  Arg.(
-    value & opt policy_conv Relay.Block
-    & info [ "policy" ] ~docv:"POLICY"
-        ~doc:"Backpressure policy for the self-hosted relay.")
-
-let max_queue_arg =
-  Arg.(
-    value & opt int 256
-    & info [ "max-queue" ] ~docv:"FRAMES" ~doc:"Self-hosted relay queue bound.")
-
-let keypair_conv =
-  let parse s =
-    match String.index_opt s '=' with
-    | Some i when i > 0 ->
-      Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-    | _ -> Error (`Msg (Printf.sprintf "want KEYID=SECRET, got %s" s))
-  in
-  Arg.conv (parse, fun ppf (id, _) -> Fmt.pf ppf "%s=..." id)
-
-let auth_arg =
-  Arg.(
-    value
-    & opt (some keypair_conv) None
-    & info [ "auth" ] ~docv:"KEYID=SECRET"
-        ~doc:
-          "Negotiate HMAC-authenticated framing on every connection (and \
-           accept that key on the self-hosted relay with $(b,--serve)).")
-
-let compress_arg =
-  Arg.(
-    value & flag
-    & info [ "compress" ]
-        ~doc:
-          "Offer $(b,comp=lz) wire compression on every connection \
-           (doc/COMPRESS.md) and report the achieved raw/wire ratio. A \
-           relay that does not speak compression negotiates down to \
-           plain frames.")
-
-let subscribers_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "subscribers"; "n" ] ~docv:"N" ~doc:"Concurrent TCP subscribers.")
-
-let events_arg =
-  Arg.(
-    value & opt int 10_000
-    & info [ "events"; "k" ] ~docv:"K" ~doc:"Events to publish.")
-
-let rate_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "rate" ] ~docv:"FRAMES/S"
-        ~doc:
-          "Open-loop publish rate: launch events on the absolute schedule \
-           $(i,t0 + seq/RATE) instead of as fast as the relay accepts — \
-           drive offered load past capacity to exercise overload shedding \
-           (doc/OVERLOAD.md). 0 (the default) = closed-loop.")
-
-let pad_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "pad" ] ~docv:"BYTES"
-        ~doc:"Extra string payload per event (0 = the bare 72-byte event).")
-
-let sizes_arg =
-  Arg.(
-    value & opt (list int) []
-    & info [ "size" ] ~docv:"N[,N...]"
-        ~doc:
-          "Payload-size sweep: run the full publish/fan-out cycle once per \
-           padding size (bytes) and report per-size throughput. Overrides \
-           $(b,--pad).")
-
-let trace_flag_arg =
-  Arg.(
-    value & flag
-    & info [ "trace" ]
-        ~doc:
-          "Publish with an end-to-end trace context and print the relay's \
-           per-stage latency breakdown afterwards (doc/TRACE.md). With \
-           $(b,--serve) tracing is enabled on the self-hosted relay; \
-           against a running relayd start it with $(b,--trace-sample).")
-
-let push_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "push" ] ~docv:"URL"
-        ~doc:
-          "POST the relay's final counters to this push-gateway URL as \
-           Prometheus text on exit (the path defaults to \
-           $(i,/metrics/job/omf)).")
-
-let stream_arg =
-  Arg.(
-    value & opt string "loadgen"
-    & info [ "stream" ] ~docv:"NAME" ~doc:"Stream name.")
+let parse_sizes s =
+  match List.map int_of_string (String.split_on_char ',' s) with
+  | sizes -> Ok sizes
+  | exception Failure _ -> Error (Printf.sprintf "want N[,N...], got %s" s)
 
 let () =
-  let doc = "load generator for the event relay (1 publisher, N TCP subscribers)" in
-  let info = Cmd.info "relay_loadgen" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.v info
-          Term.(
-            ret
-              (const run $ serve_arg $ host_arg $ port_arg $ policy_arg
-             $ max_queue_arg $ auth_arg $ compress_arg $ subscribers_arg
-             $ events_arg $ pad_arg $ sizes_arg $ rate_arg $ trace_flag_arg
-             $ push_arg $ stream_arg))))
+  let conv = Omf_util.Cli.conv in
+  let serve = ref false
+  and host = ref "127.0.0.1"
+  and port = ref 9117
+  and policy = ref Relay.Block
+  and max_queue = ref 256
+  and auth = ref None
+  and compress = ref false
+  and subscribers = ref 8
+  and events = ref 10_000
+  and pad = ref 0
+  and sizes = ref []
+  and rate = ref 0.0
+  and trace = ref false
+  and push = ref None
+  and stream = ref "loadgen" in
+  let specs =
+    [ ( "--serve"
+      , Arg.Set serve
+      , " Self-host a relay on an ephemeral port instead of targeting a \
+         running relayd." )
+    ; ("--host", Arg.Set_string host, "HOST Relay host (default 127.0.0.1).")
+    ; ( "--port"
+      , Arg.Set_int port
+      , "PORT Relay port (ignored with --serve; default 9117)." )
+    ; ("-p", Arg.Set_int port, "PORT Same as --port.")
+    ; ( "--policy"
+      , conv parse_policy (( := ) policy)
+      , "POLICY Backpressure policy for the self-hosted relay (default \
+         block)." )
+    ; ( "--max-queue"
+      , Arg.Set_int max_queue
+      , "FRAMES Self-hosted relay queue bound (default 256)." )
+    ; ( "--auth"
+      , conv parse_keypair (fun k -> auth := Some k)
+      , "KEYID=SECRET Negotiate HMAC-authenticated framing on every \
+         connection (and accept that key on the self-hosted relay with \
+         --serve)." )
+    ; ( "--compress"
+      , Arg.Set compress
+      , " Offer comp=lz wire compression on every connection \
+         (doc/COMPRESS.md) and report the achieved raw/wire ratio. A relay \
+         that does not speak compression negotiates down to plain frames." )
+    ; ( "--subscribers"
+      , Arg.Set_int subscribers
+      , "N Concurrent TCP subscribers (default 8)." )
+    ; ("-n", Arg.Set_int subscribers, "N Same as --subscribers.")
+    ; ("--events", Arg.Set_int events, "K Events to publish (default 10000).")
+    ; ("-k", Arg.Set_int events, "K Same as --events.")
+    ; ( "--rate"
+      , Arg.Set_float rate
+      , "FRAMES/S Open-loop publish rate: launch events on the absolute \
+         schedule t0 + seq/RATE instead of as fast as the relay accepts \
+         — drive offered load past capacity to exercise overload \
+         shedding (doc/OVERLOAD.md). 0 (the default) = closed-loop." )
+    ; ( "--pad"
+      , Arg.Set_int pad
+      , "BYTES Extra string payload per event (0 = the bare 72-byte event)." )
+    ; ( "--size"
+      , conv parse_sizes (( := ) sizes)
+      , "N[,N...] Payload-size sweep: run the full publish/fan-out cycle \
+         once per padding size (bytes) and report per-size throughput. \
+         Overrides --pad." )
+    ; ( "--trace"
+      , Arg.Set trace
+      , " Publish with an end-to-end trace context and print the relay's \
+         per-stage latency breakdown afterwards (doc/TRACE.md). With \
+         --serve tracing is enabled on the self-hosted relay; against a \
+         running relayd start it with --trace-sample." )
+    ; ( "--push"
+      , Arg.String (fun url -> push := Some url)
+      , "URL POST the relay's final counters to this push-gateway URL as \
+         Prometheus text on exit (the path defaults to /metrics/job/omf)." )
+    ; ("--stream", Arg.Set_string stream, "NAME Stream name (default loadgen).") ]
+  in
+  let name = "relay_loadgen" in
+  ignore
+    (Omf_util.Cli.parse ~name
+       ~doc:
+         "relay_loadgen: load generator for the event relay (1 publisher, N \
+          TCP subscribers)"
+       specs Sys.argv);
+  Omf_util.Cli.exit_with ~name
+    (run !serve !host !port !policy !max_queue !auth !compress !subscribers
+       !events !pad !sizes !rate !trace !push !stream)

@@ -17,312 +17,35 @@
     replicated streams to local ownership once the source is declared
     lost, so publishers and consumers can fail over. *)
 
-open Cmdliner
-
 let setup_logs verbose =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info))
+  Omf_util.Log.set_level (if verbose then Omf_util.Log.Debug else Info)
 
-let port_arg =
-  Arg.(
-    value & opt int 9117
-    & info [ "port"; "p" ] ~docv:"PORT" ~doc:"TCP port (0 = ephemeral).")
+let parse_policy s =
+  match Omf_relay.Relay.policy_of_string s with
+  | Some p -> Ok p
+  | None ->
+    Error
+      (Printf.sprintf
+         "unknown policy %s (want block | drop-oldest | evict-slow-consumer)" s)
 
-let host_arg =
-  Arg.(
-    value
-    & opt string "127.0.0.1"
-    & info [ "host" ] ~docv:"HOST" ~doc:"Address to bind.")
+let parse_keypair s =
+  match String.index_opt s '=' with
+  | Some i when i > 0 ->
+    Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+  | _ -> Error (Printf.sprintf "want KEYID=SECRET, got %s" s)
 
-let policy_conv =
-  let parse s =
-    match Omf_relay.Relay.policy_of_string s with
-    | Some p -> Ok p
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf
-             "unknown policy %s (want block | drop-oldest | \
-              evict-slow-consumer)"
-             s))
-  in
-  Arg.conv (parse, fun ppf p -> Fmt.string ppf (Omf_relay.Relay.policy_to_string p))
-
-let policy_arg =
-  Arg.(
-    value
-    & opt policy_conv Omf_relay.Relay.Block
-    & info [ "policy" ] ~docv:"POLICY"
-        ~doc:
-          "Backpressure policy for slow subscribers: $(b,block) (stop \
-           reading publishers, loss-free), $(b,drop-oldest) (shed oldest \
-           queued data frame), or $(b,evict-slow-consumer) (disconnect \
-           the laggard).")
-
-let max_queue_arg =
-  Arg.(
-    value & opt int 256
-    & info [ "max-queue" ] ~docv:"FRAMES"
-        ~doc:"Queued data frames per subscriber before the policy applies.")
-
-let evict_grace_arg =
-  Arg.(
-    value & opt float 1.0
-    & info [ "evict-grace" ] ~docv:"SECONDS"
-        ~doc:
-          "How long a subscriber may stay over the queue watermark before \
-           $(b,evict-slow-consumer) disconnects it.")
-
-let drain_arg =
-  Arg.(
-    value & opt float 2.0
-    & info [ "drain" ] ~docv:"SECONDS"
-        ~doc:"Graceful-shutdown flush deadline.")
-
-let keypair_conv =
-  let parse s =
-    match String.index_opt s '=' with
-    | Some i when i > 0 ->
-      Ok
-        ( String.sub s 0 i
-        , String.sub s (i + 1) (String.length s - i - 1) )
-    | _ -> Error (`Msg (Printf.sprintf "want KEYID=SECRET, got %s" s))
-  in
-  Arg.conv (parse, fun ppf (id, _) -> Fmt.pf ppf "%s=..." id)
-
-let auth_keys_arg =
-  Arg.(
-    value
-    & opt_all keypair_conv []
-    & info [ "auth-key" ] ~docv:"KEYID=SECRET"
-        ~doc:
-          "Accept HMAC-authenticated framing under this key (repeatable). \
-           Clients opting in at HELLO get every subsequent frame sealed \
-           and verified in both directions; with no $(b,--auth-key) the \
-           mode is refused.")
-
-let mac_reject_limit_arg =
-  Arg.(
-    value & opt int 3
-    & info [ "mac-reject-limit" ] ~docv:"N"
-        ~doc:
-          "Disconnect an authenticated client after $(docv) frames fail \
-           verification.")
-
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Run $(docv) event loops: the first on the main thread, which \
-           also accepts, the others on a domain each. Streams are pinned \
-           to shards, preserving per-stream delivery order.")
-
-let metrics_port_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "metrics-port" ] ~docv:"PORT"
-        ~doc:
-          "Also serve relay counters in Prometheus text format on \
-           $(b,GET /metrics) at this port.")
-
-let store_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "store" ] ~docv:"DIR"
-        ~doc:
-          "Persist every stream to a segmented append-only log under \
-           $(docv) (doc/STORE.md): publishers can request durability \
-           acks, subscribers can replay stored offsets, and a restarted \
-           relayd recovers all streams from disk.")
-
-let fsync_conv =
-  let parse s =
-    match Omf_relay.Relay.Store.fsync_policy_of_string s with
-    | Ok p -> Ok p
-    | Error m -> Error (`Msg m)
-  in
-  Arg.conv
-    (parse, fun ppf p ->
-      Fmt.string ppf (Omf_relay.Relay.Store.fsync_policy_to_string p))
-
-let store_fsync_arg =
-  Arg.(
-    value
-    & opt fsync_conv (Omf_relay.Relay.Store.Interval 0.1)
-    & info [ "store-fsync" ] ~docv:"POLICY"
-        ~doc:
-          "Durability policy: $(b,never) (page cache only), $(b,every=N) \
-           (fsync once per N appends), or $(b,interval=SECS) (fsync on a \
-           timer; the default, interval=0.1).")
-
-let store_segment_mb_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "store-segment-mb" ] ~docv:"MB"
-        ~doc:"Roll to a new segment file past $(docv) MiB.")
-
-let store_retain_segments_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "store-retain-segments" ] ~docv:"N"
-        ~doc:"Keep at most $(docv) segment files per stream (0 = all).")
-
-let store_retain_mb_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "store-retain-mb" ] ~docv:"MB"
-        ~doc:"Cap each stream's segments at $(docv) MiB (0 = unlimited).")
-
-let store_retain_age_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "store-retain-age-s" ] ~docv:"SECONDS"
-        ~doc:"Drop sealed segments older than $(docv) seconds (0 = never).")
-
-let store_compress_arg =
-  Arg.(
-    value & flag
-    & info [ "store-compress" ]
-        ~doc:
-          "Rewrite each segment as one LZ block when it is sealed \
-           (doc/COMPRESS.md): the tail stays plain so appends and \
-           torn-tail recovery are untouched, replay inflates \
-           transparently, and the retention budgets count the \
-           compressed on-disk size.")
-
-let relay_id_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "relay-id" ] ~docv:"ID"
-        ~doc:
-          "Replication identity for origin-tagged streams \
-           (PROTOCOLS.md §15). Defaults to the id persisted in \
-           $(b,--store)/relay-id, or a fresh random id without a store.")
-
-let mirror_conv =
-  let parse s =
-    match String.split_on_char ',' s with
-    | hostport :: globs -> (
-      match String.rindex_opt hostport ':' with
-      | Some i when i > 0 -> (
-        let host = String.sub hostport 0 i in
-        let p = String.sub hostport (i + 1) (String.length hostport - i - 1) in
-        match int_of_string_opt p with
-        | Some port when port > 0 -> Ok (host, port, globs)
-        | _ -> Error (`Msg (Printf.sprintf "bad mirror port %s" p)))
-      | _ -> Error (`Msg (Printf.sprintf "want HOST:PORT[,GLOB...], got %s" s)))
-    | [] -> Error (`Msg "empty --mirror")
-  in
-  Arg.conv
-    ( parse
-    , fun ppf (h, p, globs) ->
-        Fmt.pf ppf "%s:%d%s" h p
-          (String.concat "" (List.map (fun g -> "," ^ g) globs)) )
-
-let mirror_arg =
-  Arg.(
-    value
-    & opt (some mirror_conv) None
-    & info [ "mirror" ] ~docv:"HOST:PORT[,GLOB...]"
-        ~doc:
-          "Follow the relayd at $(docv): replicate its streams (all, or \
-           only those matching the comma-separated globs) into the local \
-           store and re-advertise them read-only with their origin tags \
-           (doc/MIRROR.md).")
-
-let mirror_promote_arg =
-  Arg.(
-    value & flag
-    & info [ "mirror-promote-on-loss" ]
-        ~doc:
-          "When a mirrored source stays unreachable past the reconnect \
-           budget, promote its streams to local ownership (epoch bump) so \
-           clients can fail over to this relay for writes too.")
-
-let mirror_rescan_arg =
-  Arg.(
-    value & opt float 1.0
-    & info [ "mirror-rescan" ] ~docv:"SECONDS"
-        ~doc:
-          "How often the mirror manager re-LISTs the source for new \
-           streams and refreshes replication-lag gauges.")
-
-let mirror_compress_arg =
-  Arg.(
-    value & flag
-    & info [ "mirror-compress" ]
-        ~doc:
-          "Offer $(b,comp=lz) wire compression on every replication \
-           link to the source (doc/COMPRESS.md, PROTOCOLS.md §18). A \
-           source that does not speak compression negotiates down to \
-           plain frames, so the flag is safe against old relays.")
-
-let governor_budget_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "governor-budget" ] ~docv:"BYTES"
-        ~doc:
-          "Per-shard outbound byte budget for the overload governor \
-           (doc/OVERLOAD.md): crossing 70%/90% of $(docv) degrades and \
-           then overloads the shard — stored replay is throttled, slow \
-           consumers evicted eagerly, and PUBLISH / replay SUBSCRIBE \
-           refused with a retryable $(b,busy) reply until the backlog \
-           drains. 0 (the default) disables the governor.")
-
-let governor_retry_ms_arg =
-  Arg.(
-    value & opt int 250
-    & info [ "governor-retry-ms" ] ~docv:"MS"
-        ~doc:"Retry hint carried in $(b,busy) replies while overloaded.")
-
-let trace_sample_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "trace-sample" ] ~docv:"RATE"
-        ~doc:
-          "Head-sample this fraction of published frames for end-to-end \
-           stage tracing (doc/TRACE.md): 0.01 records one frame in a \
-           hundred through admit, store, fanout, flush and delivery. 0 \
-           (the default) disables tracing unless $(b,--trace-slow-us) is \
-           set.")
-
-let trace_buffer_arg =
-  Arg.(
-    value & opt int 4096
-    & info [ "trace-buffer" ] ~docv:"SPANS"
-        ~doc:
-          "Per-shard span ring-buffer capacity; the oldest spans are \
-           overwritten once full.")
-
-let trace_slow_us_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "trace-slow-us" ] ~docv:"MICROS"
-        ~doc:
-          "Always record stage spans at least this slow, even when the \
-           frame lost the sampling coin toss. 0 = off.")
-
-let ingress_rate_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "ingress-rate" ] ~docv:"FRAMES/S"
-        ~doc:
-          "Per-connection publisher rate limit: a publisher sending data \
-           frames faster than $(docv) has its reads paused until its \
-           token bucket refills (TCP pushes back). 0 = unlimited.")
-
-let ingress_burst_arg =
-  Arg.(
-    value & opt float 64.0
-    & info [ "ingress-burst" ] ~docv:"FRAMES"
-        ~doc:"Burst allowance for $(b,--ingress-rate).")
-
-let verbose_arg =
-  Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Debug logging.")
+let parse_mirror s =
+  match String.split_on_char ',' s with
+  | hostport :: globs -> (
+    match String.rindex_opt hostport ':' with
+    | Some i when i > 0 -> (
+      let host = String.sub hostport 0 i in
+      let p = String.sub hostport (i + 1) (String.length hostport - i - 1) in
+      match int_of_string_opt p with
+      | Some port when port > 0 -> Ok (host, port, globs)
+      | _ -> Error (Printf.sprintf "bad mirror port %s" p))
+    | _ -> Error (Printf.sprintf "want HOST:PORT[,GLOB...], got %s" s))
+  | [] -> Error "empty --mirror"
 
 let run port host policy max_queue evict_grace auth_keys mac_reject_limit
     drain shards metrics_port store_dir store_fsync store_segment_mb
@@ -508,21 +231,180 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
       `Error (false, Printf.sprintf "store: %s" m)
 
 let () =
-  let doc = "networked event-relay daemon (NDR pub/sub over TCP)" in
-  let info = Cmd.info "relayd" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.v info
-          Term.(
-            ret
-              (const run $ port_arg $ host_arg $ policy_arg $ max_queue_arg
-             $ evict_grace_arg $ auth_keys_arg $ mac_reject_limit_arg
-             $ drain_arg $ shards_arg $ metrics_port_arg $ store_arg
-             $ store_fsync_arg $ store_segment_mb_arg
-             $ store_retain_segments_arg $ store_retain_mb_arg
-             $ store_retain_age_arg $ store_compress_arg $ relay_id_arg
-             $ mirror_arg $ mirror_promote_arg $ mirror_rescan_arg
-             $ mirror_compress_arg $ governor_budget_arg
-             $ governor_retry_ms_arg $ trace_sample_arg $ trace_buffer_arg
-             $ trace_slow_us_arg $ ingress_rate_arg $ ingress_burst_arg
-             $ verbose_arg))))
+  let module Relay = Omf_relay.Relay in
+  let conv = Omf_util.Cli.conv in
+  let port = ref 9117
+  and host = ref "127.0.0.1"
+  and policy = ref Relay.Block
+  and max_queue = ref 256
+  and evict_grace = ref 1.0
+  and drain = ref 2.0
+  and auth_keys = ref []
+  and mac_reject_limit = ref 3
+  and shards = ref 1
+  and metrics_port = ref None
+  and store = ref None
+  and store_fsync = ref (Relay.Store.Interval 0.1)
+  and store_segment_mb = ref 64
+  and store_retain_segments = ref 0
+  and store_retain_mb = ref 0
+  and store_retain_age = ref 0.0
+  and store_compress = ref false
+  and relay_id = ref None
+  and mirror = ref None
+  and mirror_promote = ref false
+  and mirror_rescan = ref 1.0
+  and mirror_compress = ref false
+  and governor_budget = ref 0
+  and governor_retry_ms = ref 250
+  and trace_sample = ref 0.0
+  and trace_buffer = ref 4096
+  and trace_slow_us = ref 0
+  and ingress_rate = ref 0.0
+  and ingress_burst = ref 64.0
+  and verbose = ref false in
+  let specs =
+    [ ("--port", Arg.Set_int port, "PORT TCP port (0 = ephemeral; default 9117).")
+    ; ("-p", Arg.Set_int port, "PORT Same as --port.")
+    ; ("--host", Arg.Set_string host, "HOST Address to bind (default 127.0.0.1).")
+    ; ( "--policy"
+      , conv parse_policy (( := ) policy)
+      , "POLICY Backpressure policy for slow subscribers: block (stop \
+         reading publishers, loss-free; the default), drop-oldest (shed \
+         oldest queued data frame), or evict-slow-consumer (disconnect the \
+         laggard)." )
+    ; ( "--max-queue"
+      , Arg.Set_int max_queue
+      , "FRAMES Queued data frames per subscriber before the policy applies \
+         (default 256)." )
+    ; ( "--evict-grace"
+      , Arg.Set_float evict_grace
+      , "SECONDS How long a subscriber may stay over the queue watermark \
+         before evict-slow-consumer disconnects it (default 1)." )
+    ; ( "--drain"
+      , Arg.Set_float drain
+      , "SECONDS Graceful-shutdown flush deadline (default 2)." )
+    ; ( "--auth-key"
+      , conv parse_keypair (fun k -> auth_keys := k :: !auth_keys)
+      , "KEYID=SECRET Accept HMAC-authenticated framing under this key \
+         (repeatable). Clients opting in at HELLO get every subsequent \
+         frame sealed and verified in both directions; with no --auth-key \
+         the mode is refused." )
+    ; ( "--mac-reject-limit"
+      , Arg.Set_int mac_reject_limit
+      , "N Disconnect an authenticated client after N frames fail \
+         verification (default 3)." )
+    ; ( "--shards"
+      , Arg.Set_int shards
+      , "N Run N event loops: the first on the main thread, which also \
+         accepts, the others on a domain each. Streams are pinned to \
+         shards, preserving per-stream delivery order (default 1)." )
+    ; ( "--metrics-port"
+      , Arg.Int (fun p -> metrics_port := Some p)
+      , "PORT Also serve relay counters in Prometheus text format on GET \
+         /metrics at this port." )
+    ; ( "--store"
+      , Arg.String (fun d -> store := Some d)
+      , "DIR Persist every stream to a segmented append-only log under DIR \
+         (doc/STORE.md): publishers can request durability acks, \
+         subscribers can replay stored offsets, and a restarted relayd \
+         recovers all streams from disk." )
+    ; ( "--store-fsync"
+      , conv Relay.Store.fsync_policy_of_string (( := ) store_fsync)
+      , "POLICY Durability policy: never (page cache only), every=N (fsync \
+         once per N appends), or interval=SECS (fsync on a timer; the \
+         default, interval=0.1)." )
+    ; ( "--store-segment-mb"
+      , Arg.Set_int store_segment_mb
+      , "MB Roll to a new segment file past MB MiB (default 64)." )
+    ; ( "--store-retain-segments"
+      , Arg.Set_int store_retain_segments
+      , "N Keep at most N segment files per stream (0 = all)." )
+    ; ( "--store-retain-mb"
+      , Arg.Set_int store_retain_mb
+      , "MB Cap each stream's segments at MB MiB (0 = unlimited)." )
+    ; ( "--store-retain-age-s"
+      , Arg.Set_float store_retain_age
+      , "SECONDS Drop sealed segments older than SECONDS seconds (0 = \
+         never)." )
+    ; ( "--store-compress"
+      , Arg.Set store_compress
+      , " Rewrite each segment as one LZ block when it is sealed \
+         (doc/COMPRESS.md): the tail stays plain so appends and torn-tail \
+         recovery are untouched, replay inflates transparently, and the \
+         retention budgets count the compressed on-disk size." )
+    ; ( "--relay-id"
+      , Arg.String (fun id -> relay_id := Some id)
+      , "ID Replication identity for origin-tagged streams (PROTOCOLS.md \
+         §15). Defaults to the id persisted in --store/relay-id, or a \
+         fresh random id without a store." )
+    ; ( "--mirror"
+      , conv parse_mirror (fun m -> mirror := Some m)
+      , "HOST:PORT[,GLOB...] Follow the relayd at HOST:PORT: replicate its \
+         streams (all, or only those matching the comma-separated globs) \
+         into the local store and re-advertise them read-only with their \
+         origin tags (doc/MIRROR.md)." )
+    ; ( "--mirror-promote-on-loss"
+      , Arg.Set mirror_promote
+      , " When a mirrored source stays unreachable past the reconnect \
+         budget, promote its streams to local ownership (epoch bump) so \
+         clients can fail over to this relay for writes too." )
+    ; ( "--mirror-rescan"
+      , Arg.Set_float mirror_rescan
+      , "SECONDS How often the mirror manager re-LISTs the source for new \
+         streams and refreshes replication-lag gauges (default 1)." )
+    ; ( "--mirror-compress"
+      , Arg.Set mirror_compress
+      , " Offer comp=lz wire compression on every replication link to the \
+         source (doc/COMPRESS.md, PROTOCOLS.md §18). A source that does \
+         not speak compression negotiates down to plain frames, so the flag \
+         is safe against old relays." )
+    ; ( "--governor-budget"
+      , Arg.Set_int governor_budget
+      , "BYTES Per-shard outbound byte budget for the overload governor \
+         (doc/OVERLOAD.md): crossing 70%/90% of BYTES degrades and then \
+         overloads the shard — stored replay is throttled, slow \
+         consumers evicted eagerly, and PUBLISH / replay SUBSCRIBE refused \
+         with a retryable busy reply until the backlog drains. 0 (the \
+         default) disables the governor." )
+    ; ( "--governor-retry-ms"
+      , Arg.Set_int governor_retry_ms
+      , "MS Retry hint carried in busy replies while overloaded (default \
+         250)." )
+    ; ( "--trace-sample"
+      , Arg.Set_float trace_sample
+      , "RATE Head-sample this fraction of published frames for end-to-end \
+         stage tracing (doc/TRACE.md): 0.01 records one frame in a hundred \
+         through admit, store, fanout, flush and delivery. 0 (the default) \
+         disables tracing unless --trace-slow-us is set." )
+    ; ( "--trace-buffer"
+      , Arg.Set_int trace_buffer
+      , "SPANS Per-shard span ring-buffer capacity; the oldest spans are \
+         overwritten once full (default 4096)." )
+    ; ( "--trace-slow-us"
+      , Arg.Set_int trace_slow_us
+      , "MICROS Always record stage spans at least this slow, even when the \
+         frame lost the sampling coin toss. 0 = off." )
+    ; ( "--ingress-rate"
+      , Arg.Set_float ingress_rate
+      , "FRAMES/S Per-connection publisher rate limit: a publisher sending \
+         data frames faster than FRAMES/S has its reads paused until its \
+         token bucket refills (TCP pushes back). 0 = unlimited." )
+    ; ( "--ingress-burst"
+      , Arg.Set_float ingress_burst
+      , "FRAMES Burst allowance for --ingress-rate (default 64)." )
+    ; ("--verbose", Arg.Set verbose, " Debug logging.")
+    ; ("-v", Arg.Set verbose, " Same as --verbose.") ]
+  in
+  ignore
+    (Omf_util.Cli.parse ~name:"relayd"
+       ~doc:"relayd: networked event-relay daemon (NDR pub/sub over TCP)"
+       specs Sys.argv);
+  Omf_util.Cli.exit_with ~name:"relayd"
+    (run !port !host !policy !max_queue !evict_grace (List.rev !auth_keys)
+       !mac_reject_limit !drain !shards !metrics_port !store !store_fsync
+       !store_segment_mb !store_retain_segments !store_retain_mb
+       !store_retain_age !store_compress !relay_id !mirror !mirror_promote
+       !mirror_rescan !mirror_compress !governor_budget !governor_retry_ms
+       !trace_sample !trace_buffer !trace_slow_us !ingress_rate
+       !ingress_burst !verbose)

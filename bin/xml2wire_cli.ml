@@ -14,7 +14,6 @@
     - [xml2wire journal flight.xsd trace.omfj] replays a binary NDR
       journal. *)
 
-open Cmdliner
 open Omf_machine
 module X2W = Omf_xml2wire.Xml2wire
 module Catalog = Omf_xml2wire.Catalog
@@ -28,32 +27,13 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let abi_conv : Abi.t Arg.conv =
-  let parse s =
-    match Abi.find_by_name s with
-    | Some a -> Ok a
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown ABI %S (known: %s)" s
-             (String.concat ", " (List.map (fun a -> a.Abi.name) Abi.all))))
-  in
-  Arg.conv (parse, fun ppf a -> Fmt.string ppf a.Abi.name)
-
-let schema_file =
-  Arg.(
-    required
-    & pos 0 (some file) None
-    & info [] ~docv:"SCHEMA.xsd" ~doc:"XML Schema metadata document.")
-
-let abi_arg =
-  Arg.(
-    value
-    & opt abi_conv Abi.native
-    & info [ "abi" ] ~docv:"ABI"
-        ~doc:
-          (Printf.sprintf "Target machine ABI (%s)."
-             (String.concat ", " (List.map (fun a -> a.Abi.name) Abi.all))))
+let abi_of_string s =
+  match Abi.find_by_name s with
+  | Some a -> Ok a
+  | None ->
+    Error
+      (Printf.sprintf "unknown ABI %S (known: %s)" s
+         (String.concat ", " (List.map (fun a -> a.Abi.name) Abi.all)))
 
 let load_catalog abi path =
   let catalog = Catalog.create abi in
@@ -71,12 +51,6 @@ let inspect path abi =
       Fmt.pr "@[<v>%a@]@." Omf_machine.Layout.pp fmt.Format.layout)
     formats;
   `Ok ()
-
-let inspect_cmd =
-  let doc = "parse a metadata document; dump Catalog, IOFields and layouts" in
-  Cmd.v
-    (Cmd.info "inspect" ~doc)
-    Term.(ret (const inspect $ schema_file $ abi_arg))
 
 (* ---- sizes ---- *)
 
@@ -100,23 +74,7 @@ let sizes path =
     names;
   `Ok ()
 
-let sizes_cmd =
-  let doc = "sizeof() of every format on every known ABI" in
-  Cmd.v (Cmd.info "sizes" ~doc) Term.(ret (const sizes $ schema_file))
-
 (* ---- validate ---- *)
-
-let instance_file =
-  Arg.(
-    required
-    & pos 1 (some file) None
-    & info [] ~docv:"MESSAGE.xml" ~doc:"Instance document to check.")
-
-let type_arg =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "type"; "t" ] ~docv:"NAME" ~doc:"complexType to validate against.")
 
 let validate path instance type_name =
   let schema = Schema.of_string (read_file path) in
@@ -128,12 +86,6 @@ let validate path instance type_name =
   | problems ->
     List.iter (fun p -> Fmt.pr "%a@." Validate.pp_problem p) problems;
     `Error (false, Printf.sprintf "%d problem(s)" (List.length problems))
-
-let validate_cmd =
-  let doc = "schema-check a live message against a named type" in
-  Cmd.v
-    (Cmd.info "validate" ~doc)
-    Term.(ret (const validate $ schema_file $ instance_file $ type_arg))
 
 (* ---- classify ---- *)
 
@@ -148,40 +100,12 @@ let classify path instance =
     (Validate.classify schema el);
   `Ok ()
 
-let classify_cmd =
-  let doc = "rank which structure definition a message most closely fits" in
-  Cmd.v
-    (Cmd.info "classify" ~doc)
-    Term.(ret (const classify $ schema_file $ instance_file))
-
 (* ---- codegen ---- *)
 
-let lang_conv : [ `C | `Ocaml ] Arg.conv =
-  let parse = function
-    | "c" -> Ok `C
-    | "ocaml" -> Ok `Ocaml
-    | s -> Error (`Msg (Printf.sprintf "unknown language %S (c, ocaml)" s))
-  in
-  Arg.conv
-    (parse, fun ppf l -> Fmt.string ppf (match l with `C -> "c" | `Ocaml -> "ocaml"))
-
-let lang_arg =
-  Arg.(
-    value & opt lang_conv `C
-    & info [ "lang"; "l" ] ~docv:"LANG" ~doc:"Target language: c or ocaml.")
-
-let out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Write to FILE (default stdout).")
-
-let mli_arg =
-  Arg.(
-    value & flag
-    & info [ "mli" ]
-        ~doc:"With --lang ocaml: emit the interface (.mli) instead of the \
-              implementation.")
+let lang_of_string = function
+  | "c" -> Ok `C
+  | "ocaml" -> Ok `Ocaml
+  | s -> Error (Printf.sprintf "unknown language %S (c, ocaml)" s)
 
 let codegen path lang mli out =
   let schema = Omf_xschema.Schema.of_string (read_file path) in
@@ -205,22 +129,7 @@ let codegen path lang mli out =
     close_out oc);
   `Ok ()
 
-let codegen_cmd =
-  let doc =
-    "generate language-level message representations (structs + compiled-in \
-     metadata) from a schema"
-  in
-  Cmd.v
-    (Cmd.info "codegen" ~doc)
-    Term.(ret (const codegen $ schema_file $ lang_arg $ mli_arg $ out_arg))
-
 (* ---- diff ---- *)
-
-let new_schema_file =
-  Arg.(
-    required
-    & pos 1 (some file) None
-    & info [] ~docv:"NEW.xsd" ~doc:"Upgraded metadata document.")
 
 let diff old_path new_path =
   let old_schema = Schema.of_string (read_file old_path) in
@@ -244,27 +153,7 @@ let diff old_path new_path =
     `Error (false, "breaking changes: running receivers would stop decoding")
   | _ -> `Ok ()
 
-let diff_cmd =
-  let doc =
-    "analyse a metadata upgrade: what old receivers will see (exits      non-zero on breaking changes)"
-  in
-  Cmd.v
-    (Cmd.info "diff" ~doc)
-    Term.(ret (const diff $ schema_file $ new_schema_file))
-
 (* ---- journal ---- *)
-
-let journal_file =
-  Arg.(
-    required
-    & pos 1 (some file) None
-    & info [] ~docv:"JOURNAL.omfj" ~doc:"Binary journal file to replay.")
-
-let limit_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "limit"; "n" ] ~docv:"N" ~doc:"Print at most N records.")
 
 let journal path jpath abi limit =
   match
@@ -297,19 +186,116 @@ let journal path jpath abi limit =
   | exception Omf_pbio.Convert.Field_mismatch m ->
     `Error (false, "journal is incompatible with the schema: " ^ m)
 
-let journal_cmd =
-  let doc = "replay a binary NDR journal against schema metadata" in
-  Cmd.v
-    (Cmd.info "journal" ~doc)
-    Term.(ret (const journal $ schema_file $ journal_file $ abi_arg $ limit_arg))
-
 (* ---- main ---- *)
 
 let () =
-  let doc = "run-time XML metadata for high-performance binary communication" in
-  let info = Cmd.info "xml2wire" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [ inspect_cmd; sizes_cmd; validate_cmd; classify_cmd; codegen_cmd
-          ; diff_cmd; journal_cmd ]))
+  let name = "xml2wire" and conv = Omf_util.Cli.conv in
+  let abi = ref Abi.native
+  and type_name = ref None
+  and lang = ref `C
+  and mli = ref false
+  and out = ref None
+  and limit = ref None in
+  let abi_spec =
+    ( "--abi"
+    , conv abi_of_string (( := ) abi)
+    , Printf.sprintf "ABI Target machine ABI (%s; default the host's)."
+        (String.concat ", " (List.map (fun a -> a.Abi.name) Abi.all)) )
+  in
+  let commands =
+    [ ( "inspect"
+      , "parse a metadata document; dump Catalog, IOFields and layouts"
+      , [ "SCHEMA.xsd" ]
+      , [ abi_spec ]
+      , fun a -> inspect a.(0) !abi )
+    ; ( "sizes"
+      , "sizeof() of every format on every known ABI"
+      , [ "SCHEMA.xsd" ]
+      , []
+      , fun a -> sizes a.(0) )
+    ; ( "validate"
+      , "schema-check a live message against a named type"
+      , [ "SCHEMA.xsd"; "MESSAGE.xml" ]
+      , [ ( "--type"
+          , Arg.String (fun t -> type_name := Some t)
+          , "NAME complexType to validate against (required)." )
+        ; ("-t", Arg.String (fun t -> type_name := Some t), "NAME Same as --type.")
+        ]
+      , fun a ->
+          match !type_name with
+          | Some t -> validate a.(0) a.(1) t
+          | None -> `Error (false, "required option --type is missing") )
+    ; ( "classify"
+      , "rank which structure definition a message most closely fits"
+      , [ "SCHEMA.xsd"; "MESSAGE.xml" ]
+      , []
+      , fun a -> classify a.(0) a.(1) )
+    ; ( "codegen"
+      , "generate language-level message representations (structs + \
+         compiled-in metadata) from a schema"
+      , [ "SCHEMA.xsd" ]
+      , [ ( "--lang"
+          , conv lang_of_string (( := ) lang)
+          , "LANG Target language: c (the default) or ocaml." )
+        ; ("-l", conv lang_of_string (( := ) lang), "LANG Same as --lang.")
+        ; ( "--mli"
+          , Arg.Set mli
+          , " With --lang ocaml: emit the interface (.mli) instead of the \
+             implementation." )
+        ; ( "--output"
+          , Arg.String (fun f -> out := Some f)
+          , "FILE Write to FILE (default stdout)." )
+        ; ("-o", Arg.String (fun f -> out := Some f), "FILE Same as --output.")
+        ]
+      , fun a -> codegen a.(0) !lang !mli !out )
+    ; ( "diff"
+      , "analyse a metadata upgrade: what old receivers will see (exits \
+         non-zero on breaking changes)"
+      , [ "SCHEMA.xsd"; "NEW.xsd" ]
+      , []
+      , fun a -> diff a.(0) a.(1) )
+    ; ( "journal"
+      , "replay a binary NDR journal against schema metadata"
+      , [ "SCHEMA.xsd"; "JOURNAL.omfj" ]
+      , [ abi_spec
+        ; ( "--limit"
+          , Arg.Int (fun n -> limit := Some n)
+          , "N Print at most N records." )
+        ; ("-n", Arg.Int (fun n -> limit := Some n), "N Same as --limit.") ]
+      , fun a -> journal a.(0) a.(1) !abi !limit ) ]
+  in
+  let argv = Sys.argv in
+  let command = if Array.length argv > 1 then argv.(1) else "" in
+  match List.find_opt (fun (c, _, _, _, _) -> c = command) commands with
+  | Some (c, doc, args, specs, run) ->
+    let a =
+      Omf_util.Cli.parse ~name:(name ^ " " ^ c) ~doc:(name ^ " " ^ c ^ ": " ^ doc)
+        ~args specs
+        (Array.sub argv 1 (Array.length argv - 1))
+    in
+    Omf_util.Cli.exit_with ~name
+      (match run a with
+      | r -> r
+      | exception Sys_error m -> `Error (false, m))
+  | None ->
+    (* no command: --help, --version or a usage error *)
+    let names = List.map (fun (c, _, _, _, _) -> c) commands in
+    let a =
+      Omf_util.Cli.parse ~name
+        ~doc:
+          (String.concat "\n"
+             ((name
+              ^ ": run-time XML metadata for high-performance binary \
+                 communication\n\n\
+                 Commands (COMMAND --help for each):")
+             :: List.map
+                  (fun (c, doc, _, _, _) -> Printf.sprintf "  %-10s %s" c doc)
+                  commands))
+        ~args:[ "COMMAND" ] []
+        (Array.sub argv 0 (min 2 (Array.length argv)))
+    in
+    Omf_util.Cli.exit_with ~name
+      (`Error
+        ( false
+        , Printf.sprintf "unknown command '%s', must be one of %s" a.(0)
+            (String.concat ", " names) ))

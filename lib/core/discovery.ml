@@ -13,9 +13,7 @@
 
 open Omf_pbio
 
-let log = Logs.Src.create "omf.discovery" ~doc:"xml2wire metadata discovery"
-
-module Log = (val Logs.src_log log)
+module Log = Omf_util.Log
 
 type source =
   | Document of { label : string; fetch : unit -> string }

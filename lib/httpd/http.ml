@@ -9,9 +9,7 @@
     {!get} returns the body and doubles as the fetch closure for
     {!Omf_xml2wire.Discovery.from_fetcher}. *)
 
-let log = Logs.Src.create "omf.http" ~doc:"mini HTTP server/client"
-
-module Log = (val Logs.src_log log)
+module Log = Omf_util.Log
 
 exception Http_error of string
 

@@ -9,9 +9,7 @@ module Client = Relay.Client
 module Relay_client = Omf_relay.Relay_client
 module Counters = Omf_util.Counters
 
-let log = Logs.Src.create "omf.mirror" ~doc:"relay-to-relay replication"
-
-module Log = (val Logs.src_log log)
+module Log = Omf_util.Log
 
 type config = {
   source_host : string;

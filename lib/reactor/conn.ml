@@ -50,9 +50,7 @@
 
 module Slice = Omf_util.Slice
 
-let log = Logs.Src.create "omf.reactor.conn" ~doc:"buffered connection driver"
-
-module Log = (val Logs.src_log log)
+module Log = Omf_util.Log
 
 type mode =
   | Frames  (** 4-byte big-endian length prefix, reassembled frames *)

@@ -21,9 +21,7 @@
     The loop itself never spawns threads; blocking work belongs to the
     caller's threads, which communicate with the loop via {!inject}. *)
 
-let log = Logs.Src.create "omf.reactor" ~doc:"shared readiness engine"
-
-module Log = (val Logs.src_log log)
+module Log = Omf_util.Log
 module Poll = Omf_util.Poll
 
 (** Seconds on the monotonic {!Omf_util.Clock}: deadlines, timers and

@@ -8,9 +8,7 @@
     latest version, per compatibility mode. State persists on the
     durable {!Omf_store} log and is recovered at open. *)
 
-let log = Logs.Src.create "omf.registry" ~doc:"schema registry"
-
-module Log = (val Logs.src_log log)
+module Log = Omf_util.Log
 
 module Schema = Omf_xschema.Schema
 module Compat = Omf_xml2wire.Compat

@@ -59,9 +59,7 @@ module Compress = Omf_compress.Compress
 module Governor = Governor
 module Trace = Omf_trace.Trace
 
-let log = Logs.Src.create "omf.relay" ~doc:"TCP event relay"
-
-module Log = (val Logs.src_log log)
+module Log = Omf_util.Log
 
 type policy = Block | Drop_oldest | Evict_slow
 

@@ -186,9 +186,7 @@ let publish_link ?trace ~acks (c : Client.t) ~stream =
 (* Retry driver                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let log = Logs.Src.create "omf.relay.retry" ~doc:"relay reconnects and busy waits"
-
-module Log = (val Logs.src_log log)
+module Log = Omf_util.Log
 
 exception Gave_up of string
 exception Stopped

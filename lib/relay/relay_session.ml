@@ -19,9 +19,7 @@ module Pbio = Omf_pbio.Pbio
 module Format = Omf_pbio.Format
 module Value = Omf_pbio.Value
 
-let log = Logs.Src.create "omf.relay.session" ~doc:"relay sessions"
-
-module Log = (val Logs.src_log log)
+module Log = Omf_util.Log
 
 exception Gave_up = Relay_client.Gave_up
 exception Overflow of string

@@ -1,12 +1,10 @@
-let src = Logs.Src.create "omf.store" ~doc:"Durable stream store"
-
-module Log = (val Logs.src_log src : Logs.LOG)
+module Log = Omf_util.Log
 module Slice = Omf_util.Slice
 module Compress = Omf_compress.Compress
 
 exception Store_error of string
 
-let store_error fmt = Fmt.kstr (fun s -> raise (Store_error s)) fmt
+let store_error fmt = Printf.ksprintf (fun s -> raise (Store_error s)) fmt
 
 type fsync_policy = Never | Every_n of int | Interval of float
 

@@ -1151,6 +1151,80 @@ let test_relayd_busy_metrics_port () =
     check bool "stdout starts with the listening line" true
       (String.starts_with ~prefix:"relayd: listening on " out)
 
+(** relayd's command line: [--help] names every option, a value is
+    read from [--opt V] and from [--opt=V], [--auth-key] repeats, a bad
+    option or value is a usage error (exit 124, naming it), and
+    [--version] prints the version. Requires the relayd binary via
+    [OMF_RELAYD]; skipped when absent. *)
+let test_relayd_command_line () =
+  match Sys.getenv_opt "OMF_RELAYD" with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    let contains = Omf_testkit.Strings.contains in
+    let spawn args =
+      let out_r, out_w = Unix.pipe ~cloexec:true ()
+      and err_r, err_w = Unix.pipe ~cloexec:true () in
+      let pid =
+        Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin
+          out_w err_w
+      in
+      List.iter Unix.close [ out_w; err_w ];
+      (pid, Unix.in_channel_of_descr out_r, Unix.in_channel_of_descr err_r)
+    in
+    (* a run that ends by itself: its status, stdout and stderr *)
+    let finished args =
+      let pid, out, err = spawn args in
+      let o = In_channel.input_all out and e = In_channel.input_all err in
+      List.iter close_in [ out; err ];
+      (snd (Unix.waitpid [] pid), o, e)
+    in
+    (* a relay that starts: its first stdout line, then it is killed *)
+    let listening args =
+      let pid, out, err = spawn args in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid);
+          List.iter close_in [ out; err ])
+        (fun () -> input_line out)
+    in
+    let status, help, _ = finished [ "--help" ] in
+    check bool "--help exits 0" true (status = Unix.WEXITED 0);
+    List.iter
+      (fun o ->
+        check bool ("--help names " ^ o) true (contains help ("  " ^ o ^ " ")))
+      [ "--port"; "-p"; "--host"; "--policy"; "--max-queue"; "--evict-grace"
+      ; "--drain"; "--auth-key"; "--mac-reject-limit"; "--shards"
+      ; "--metrics-port"; "--store"; "--store-fsync"; "--store-segment-mb"
+      ; "--store-retain-segments"; "--store-retain-mb"; "--store-retain-age-s"
+      ; "--store-compress"; "--relay-id"; "--mirror"; "--mirror-promote-on-loss"
+      ; "--mirror-rescan"; "--mirror-compress"; "--governor-budget"
+      ; "--governor-retry-ms"; "--trace-sample"; "--trace-buffer"
+      ; "--trace-slow-us"; "--ingress-rate"; "--ingress-burst"; "--verbose"
+      ; "-v"; "--version"; "--help" ];
+    List.iter
+      (fun args ->
+        check bool
+          (String.concat " " args ^ " listens")
+          true
+          (String.starts_with ~prefix:"relayd: listening on 127.0.0.1:"
+             (listening args)))
+      [ [ "--port=0" ]; [ "--port"; "0" ] ];
+    check bool "two --auth-key flags" true
+      (contains
+         (listening
+            [ "--port"; "0"; "--auth-key"; "a=one"; "--auth-key=b=two" ])
+         "auth keys 2");
+    List.iter
+      (fun (args, bad) ->
+        let status, _, err = finished args in
+        check bool (bad ^ ": exit 124") true (status = Unix.WEXITED 124);
+        check bool (bad ^ " named") true (contains err bad))
+      [ ([ "--bogus" ], "--bogus"); ([ "--policy"; "nope" ], "nope") ];
+    let status, out, _ = finished [ "--version" ] in
+    check bool "--version exits 0" true (status = Unix.WEXITED 0);
+    check Alcotest.string "--version" "1.0.0\n" out
+
 (* ------------------------------------------------------------------ *)
 (* relayd as a process: accept errors, signal drain, footprint          *)
 (* ------------------------------------------------------------------ *)
@@ -1411,6 +1485,8 @@ let () =
     ; ( "relayd",
         [ Alcotest.test_case "busy --metrics-port: clean bind error" `Quick
             test_relayd_busy_metrics_port
+        ; Alcotest.test_case "command line: options, errors, --version"
+            `Quick test_relayd_command_line
         ; Alcotest.test_case "accept survives EMFILE (ulimit -n 16)" `Quick
             test_relayd_accept_survives_emfile
         ; Alcotest.test_case "serves past fd 1023 (ulimit -n 4096)" `Quick
