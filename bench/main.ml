@@ -603,7 +603,7 @@ let e7_registry () =
   let reg = Registry.create () in
   let srv = Registry.Server.start ~port:0 reg in
   Fun.protect ~finally:(fun () -> Registry.Server.shutdown srv) @@ fun () ->
-  let rc = Registry.Client.connect ~port:(Registry.Server.port srv) in
+  let rc = Registry.Client.connect ~port:(Registry.Server.port srv) () in
   Fun.protect ~finally:(fun () -> Registry.Client.close rc) @@ fun () ->
   let nsubjects = if quick then 10 else 50 in
   for i = 0 to nsubjects - 1 do

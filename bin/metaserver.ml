@@ -74,7 +74,7 @@ let run dir port host metrics_port verbose =
       (* the documents and the metrics share one loop; a busy port of
          either stops the start before anything is served *)
       let page p handler =
-        (host, p, Omf_httpd.Http.connection (Omf_httpd.Http.get_only handler))
+        (host, p, Omf_httpd.Http.connection handler)
       in
       let metrics =
         Omf_httpd.Http.metrics_handler

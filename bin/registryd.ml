@@ -1,8 +1,9 @@
 (** registryd: the versioned schema registry as a standalone daemon
     (doc/REGISTRY.md).
 
-    Serves the binary frame protocol on [--port], the HTTP JSON surface
-    on [--http-port], and Prometheus counters on [--metrics-port].
+    Serves the binary frame protocol on [--port] (from a shell,
+    [xml2wire register] and [xml2wire fetch] speak it) and Prometheus
+    counters on [--metrics-port].
     With [--store DIR] every registration is persisted on the durable
     store machinery and recovered at startup; without it the registry
     is memory-only. [--compat] sets the registry-wide gate mode. *)
@@ -10,7 +11,7 @@
 let setup_logs verbose =
   Omf_util.Log.set_level (if verbose then Omf_util.Log.Debug else Info)
 
-let run port http_port metrics_port host store compat verbose =
+let run port metrics_port host store compat verbose =
   setup_logs verbose;
   let module R = Omf_registry.Registry in
   match
@@ -18,7 +19,7 @@ let run port http_port metrics_port host store compat verbose =
       Option.map (fun root -> Omf_store.Store.default_config ~root) store
     in
     let reg = R.create ?store ~mode:compat () in
-    let srv = R.Server.start ~host ~port ?http_port ?metrics_port reg in
+    let srv = R.Server.start ~host ~port ?metrics_port reg in
     (reg, srv)
   with
   | exception Omf_store.Store.Store_error m ->
@@ -35,9 +36,6 @@ let run port http_port metrics_port host store compat verbose =
       (R.compat_mode_to_string compat)
       host (R.Server.port srv);
     Option.iter
-      (fun p -> Printf.printf "registryd: HTTP JSON on http://%s:%d/\n%!" host p)
-      (R.Server.http_port srv);
-    Option.iter
       (fun p ->
         Printf.printf "registryd: metrics on http://%s:%d/metrics\n%!" host p)
       (R.Server.metrics_port srv);
@@ -50,7 +48,6 @@ let run port http_port metrics_port host store compat verbose =
 
 let () =
   let port = ref 8091
-  and http_port = ref None
   and metrics_port = ref None
   and host = ref "127.0.0.1"
   and store = ref None
@@ -61,9 +58,6 @@ let () =
       , Arg.Set_int port
       , "PORT Binary frame protocol port (0 = ephemeral; default 8091)." )
     ; ("-p", Arg.Set_int port, "PORT Same as --port.")
-    ; ( "--http-port"
-      , Arg.Int (fun p -> http_port := Some p)
-      , "PORT Also serve the HTTP JSON surface on this port." )
     ; ( "--metrics-port"
       , Arg.Int (fun p -> metrics_port := Some p)
       , "PORT Also serve registry counters in Prometheus text format on GET \
@@ -85,4 +79,4 @@ let () =
     (Omf_util.Cli.parse ~name:"registryd"
        ~doc:"registryd: versioned schema registry daemon" specs Sys.argv);
   Omf_util.Cli.exit_with ~name:"registryd"
-    (run !port !http_port !metrics_port !host !store !compat !verbose)
+    (run !port !metrics_port !host !store !compat !verbose)

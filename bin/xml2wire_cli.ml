@@ -12,7 +12,10 @@
     - [xml2wire codegen flight.xsd --lang c] emits language-level message
       representations (structs + compiled-in IOField metadata).
     - [xml2wire journal flight.xsd trace.omfj] replays a binary NDR
-      journal. *)
+      journal.
+    - [xml2wire register flights flight.xsd] registers a schema with a
+      registryd, and [xml2wire fetch flights latest] prints a
+      registered one, over the registry's frame protocol. *)
 
 open Omf_machine
 module X2W = Omf_xml2wire.Xml2wire
@@ -186,6 +189,44 @@ let journal path jpath abi limit =
   | exception Omf_pbio.Convert.Field_mismatch m ->
     `Error (false, "journal is incompatible with the schema: " ^ m)
 
+(* ---- register / fetch: a registryd, over its frames ---- *)
+
+module Registry = Omf_registry.Registry
+
+(* one call on a fresh connection to the registry at [host:port] *)
+let call host port f =
+  let c = Registry.Client.connect ~host ~port () in
+  Fun.protect ~finally:(fun () -> Registry.Client.close c) (fun () -> f c)
+
+let register host port subject path =
+  let text = read_file path in
+  match call host port (fun c -> Registry.Client.register c ~subject text) with
+  | version, fingerprint ->
+    Fmt.pr "version %d fingerprint %s@." version fingerprint;
+    `Ok ()
+  | exception Registry.Client.Rejected msg -> (
+    match String.split_on_char '\n' msg with
+    | gate :: diff when String.starts_with ~prefix:"incompatible with " gate ->
+      (* the diff on stdout and status 1, as [diff] reports a breaking
+         change *)
+      List.iter print_endline diff;
+      prerr_endline ("xml2wire register: " ^ gate);
+      exit 1
+    | _ -> `Error (false, msg))
+
+let fetch host port subject spec =
+  match
+    if spec = "latest" then Some `Latest
+    else Option.map (fun n -> `N n) (int_of_string_opt spec)
+  with
+  | None -> `Error (false, Printf.sprintf "bad version %S (N or latest)" spec)
+  | Some version -> (
+    match call host port (fun c -> Registry.Client.get c ~subject version) with
+    | Some v ->
+      print_string v.Registry.schema;
+      `Ok ()
+    | None -> `Error (false, Printf.sprintf "no version %s of %s" spec subject))
+
 (* ---- main ---- *)
 
 let () =
@@ -195,12 +236,22 @@ let () =
   and lang = ref `C
   and mli = ref false
   and out = ref None
-  and limit = ref None in
+  and limit = ref None
+  and host = ref "127.0.0.1"
+  and port = ref 8091 in
   let abi_spec =
     ( "--abi"
     , conv abi_of_string (( := ) abi)
     , Printf.sprintf "ABI Target machine ABI (%s; default the host's)."
         (String.concat ", " (List.map (fun a -> a.Abi.name) Abi.all)) )
+  in
+  let registry_specs =
+    [ ( "--host"
+      , Arg.Set_string host
+      , "HOST The registryd's address (default 127.0.0.1)." )
+    ; ( "--port"
+      , Arg.Set_int port
+      , "PORT The registryd's frame port (default 8091)." ) ]
   in
   let commands =
     [ ( "inspect"
@@ -262,7 +313,21 @@ let () =
           , Arg.Int (fun n -> limit := Some n)
           , "N Print at most N records." )
         ; ("-n", Arg.Int (fun n -> limit := Some n), "N Same as --limit.") ]
-      , fun a -> journal a.(0) a.(1) !abi !limit ) ]
+      , fun a -> journal a.(0) a.(1) !abi !limit )
+    ; ( "register"
+      , "register a schema with a registryd under a subject; prints its \
+         version and fingerprint (exits 1 with the diff on a gate refusal)"
+      , [ "SUBJECT"; "SCHEMA.xsd" ]
+      , registry_specs
+      , fun a -> register !host !port a.(0) a.(1) )
+    ; ( "fetch"
+      , "print a schema registered with a registryd (default: the latest \
+         version)"
+      , [ "SUBJECT"; "[N|latest]" ]
+      , registry_specs
+      , fun a ->
+          fetch !host !port a.(0)
+            (if Array.length a > 1 then a.(1) else "latest") ) ]
   in
   let argv = Sys.argv in
   let command = if Array.length argv > 1 then argv.(1) else "" in
@@ -276,7 +341,8 @@ let () =
     Omf_util.Cli.exit_with ~name
       (match run a with
       | r -> r
-      | exception Sys_error m -> `Error (false, m))
+      | exception (Sys_error m | Registry.Client.Server_unavailable m) ->
+        `Error (false, m))
   | None ->
     (* no command: --help, --version or a usage error *)
     let names = List.map (fun (c, _, _, _, _) -> c) commands in

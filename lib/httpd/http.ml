@@ -1,7 +1,7 @@
 (** Minimal HTTP over TCP: enough protocol for metadata documents to
     be "retrieved from remote locations in the same manner that web
     browsers retrieve other XML documents" (section 7). The server
-    answers GET and POST with HTTP/1.0 and closes; the client sends
+    answers GET only, with HTTP/1.0, and closes; the client sends
     HTTP/1.1 requests with [Connection: close].
 
     The server dispatches on a handler function; {!serve_table} and
@@ -37,10 +37,6 @@ let forbidden path =
   { status = 403; reason = "Forbidden"; content_type = "text/plain"
   ; body = Printf.sprintf "%s escapes the served tree\n" path }
 
-let conflict msg =
-  { status = 409; reason = "Conflict"; content_type = "text/plain"
-  ; body = msg ^ "\n" }
-
 (** Decode [%XX] escapes; [None] on a malformed escape. ['+'] is left
     alone — these are paths, not form bodies. *)
 let percent_decode (s : string) : string option =
@@ -75,15 +71,6 @@ let percent_decode (s : string) : string option =
 (* ------------------------------------------------------------------ *)
 
 type handler = path:string -> headers:(string * string) list -> response
-
-type request = {
-  meth : string;  (** "GET" or "POST" *)
-  path : string;
-  headers : (string * string) list;  (** lowercased names *)
-  body : string;  (** "" when absent *)
-}
-
-type request_handler = request -> response
 
 module Conn = Omf_reactor.Conn
 module Server = Omf_reactor.Server
@@ -147,50 +134,38 @@ let respond (conn : Conn.t) (r : response) =
   Conn.send_raw conn (render r);
   Conn.flush_close conn
 
-let dispatch (handler : request_handler) (conn : Conn.t) (req : request) =
+let dispatch (handler : handler) ~path ~headers : response =
   let resp =
-    try handler req with e -> server_error (Printexc.to_string e)
+    try handler ~path ~headers with e -> server_error (Printexc.to_string e)
   in
-  Log.info (fun m -> m "%s %s -> %d" req.meth req.path resp.status);
-  respond conn resp
+  Log.info (fun m -> m "GET %s -> %d" path resp.status);
+  resp
 
 (** Parse head (request line + header lines, CRLF-separated, without
-    the blank line); [Ok (meth, path, headers, body_len)] or a ready
-    error response. *)
-let parse_head (head : string) : (string * string * (string * string) list * int, response) result =
+    the blank line); [Ok (path, headers)] or a ready error response.
+    Only GET is served, so any other method is refused here, before a
+    body could be waited for. *)
+let parse_head (head : string) :
+    (string * (string * string) list, response) result =
   match split_crlf head with
   | [] -> Error (bad_request "empty request")
   | request_line :: header_lines -> (
-    let headers = parse_header_lines header_lines in
     match String.split_on_char ' ' request_line with
-    | ([ meth; path; _ ] | [ meth; path ])
-      when String.equal meth "GET" || String.equal meth "POST" -> (
-      match List.assoc_opt "content-length" headers with
-      | None -> Ok (meth, path, headers, 0)
-      | Some n -> (
-        match int_of_string_opt n with
-        | Some n when n >= 0 -> Ok (meth, path, headers, n)
-        | _ -> Error (bad_request (Printf.sprintf "bad content-length %S" n))))
-    | _ -> Error (bad_request "only GET and POST are supported"))
+    | [ "GET"; path; _ ] | [ "GET"; path ] ->
+      Ok (path, parse_header_lines header_lines)
+    | _ -> Error (bad_request "only GET is supported"))
 
 (** [connection handler] hosts one accepted socket: it reads one
-    request, answers it with [handler] and closes. The request must
-    complete within {!request_deadline_s} or the connection is
+    request head, answers it with [handler] and closes. The request
+    must complete within {!request_deadline_s} or the connection is
     dropped. *)
-let connection (handler : request_handler) : Server.accept =
+let connection (handler : handler) : Server.accept =
  fun loop fd ~on_close ->
   let buf = Buffer.create 256 in
   let done_ = ref false in
-  (* set once the head is parsed; the request then waits for its body *)
-  let pending = ref None in
-  let finish conn =
-    match !pending with
-    | Some (meth, path, headers, stop, need)
-      when Buffer.length buf >= stop + need ->
-      done_ := true;
-      let body = Buffer.sub buf stop need in
-      dispatch handler conn { meth; path; headers; body }
-    | _ -> ()
+  let answer conn resp =
+    done_ := true;
+    respond conn resp
   in
   let conn =
     (* zero-copy chunk delivery: the slice borrows the reactor's
@@ -203,41 +178,26 @@ let connection (handler : request_handler) : Server.accept =
           let scan_from = Buffer.length buf - 3 in
           Buffer.add_subbytes buf chunk.Omf_util.Slice.buf
             chunk.Omf_util.Slice.off chunk.Omf_util.Slice.len;
-          if Buffer.length buf > max_request_bytes then begin
-            done_ := true;
-            respond conn (bad_request "request too large")
-          end
-          else if !pending <> None then finish conn
+          if Buffer.length buf > max_request_bytes then
+            answer conn (bad_request "request too large")
           else
             match find_headers_end buf scan_from with
             | None -> ()
-            | Some stop -> (
+            | Some stop ->
               (* head excludes the blank line *)
-              match parse_head (Buffer.sub buf 0 (stop - 4)) with
-              | Error resp ->
-                done_ := true;
-                respond conn resp
-              | Ok (_, _, _, need) when need > max_request_bytes ->
-                done_ := true;
-                respond conn (bad_request "request too large")
-              | Ok (meth, path, headers, need) ->
-                pending := Some (meth, path, headers, stop, need);
-                finish conn)
+              answer conn
+                (match parse_head (Buffer.sub buf 0 (stop - 4)) with
+                | Error resp -> resp
+                | Ok (path, headers) -> dispatch handler ~path ~headers)
         end)
       ~on_close ()
   in
   Conn.set_deadline conn ~reason:"request timeout" (Some request_deadline_s);
   conn
 
-(** Answer GET with [handler]; other methods get a 400. *)
-let get_only (handler : handler) : request_handler =
- fun (r : request) ->
-  if String.equal r.meth "GET" then handler ~path:r.path ~headers:r.headers
-  else bad_request "only GET is supported"
-
 (** [~port:0] binds an ephemeral port; read it with {!port}. *)
 let serve ?(host = "127.0.0.1") ~port (handler : handler) : server =
-  Server.start [ (host, port, connection (get_only handler)) ]
+  Server.start [ (host, port, connection handler) ]
 
 let port (s : server) = List.hd (Server.ports s)
 let shutdown = Server.shutdown
@@ -385,8 +345,8 @@ let exchange ~host ~port ~meth ~path ~content_type ~body ~timeout_s :
     | Some m -> fail "%s" m
     | None -> raise e)
 
-let request ~port ~meth ~path ?(body = "") () : response =
-  exchange ~host:"127.0.0.1" ~port ~meth ~path ~content_type:None ~body
+let request ~port ~meth ~path () : response =
+  exchange ~host:"127.0.0.1" ~port ~meth ~path ~content_type:None ~body:""
     ~timeout_s:5.0
 
 (** [get ~port ~path] performs a blocking GET and returns the body.

@@ -1,9 +1,9 @@
-(** Minimal HTTP over TCP (GET and POST): enough protocol for metadata
-    documents to be retrieved "in the same manner that web browsers
-    retrieve other XML documents" (section 7), plus the POST route the
-    schema registry mounts for registration and the push-gateway POST.
-    The server answers HTTP/1.0 and closes; the client sends HTTP/1.1
-    with [Connection: close] over {!Omf_transport.Tcp.dial}. *)
+(** Minimal HTTP over TCP: enough protocol for metadata documents to be
+    retrieved "in the same manner that web browsers retrieve other XML
+    documents" (section 7). The server answers GET only, with HTTP/1.0,
+    and closes; any other method is a 400. The client sends HTTP/1.1
+    with [Connection: close] over {!Omf_transport.Tcp.dial}, and POSTs
+    only to push metrics to a gateway ({!push}). *)
 
 exception Http_error of string
 
@@ -16,36 +16,17 @@ type response = {
 
 val ok : ?content_type:string -> string -> response
 val not_found : string -> response
-val server_error : string -> response
-val conflict : string -> response
-(** 409: the registry's compatibility-gate rejection. *)
-
-val percent_decode : string -> string option
-(** Decode [%XX] escapes; [None] on a malformed escape. *)
-
 (** {1 Server} *)
 
 type handler = path:string -> headers:(string * string) list -> response
 
-type request = {
-  meth : string;  (** "GET" or "POST" *)
-  path : string;
-  headers : (string * string) list;  (** lowercased names *)
-  body : string;  (** "" when absent *)
-}
-
-type request_handler = request -> response
-
-val connection : request_handler -> Omf_reactor.Server.accept
+val connection : handler -> Omf_reactor.Server.accept
 (** The per-connection half of the server, for a listener of an
     {!Omf_reactor.Server} that hosts other listeners too (the
-    registry's): read one request, answer it with the handler (which
-    sees method, path, headers and body, so POST routes can be
-    mounted), close. Each request must complete within a 10 s deadline
-    or its connection is dropped. *)
-
-val get_only : handler -> request_handler
-(** Answer GET with the handler; any other method gets a 400. *)
+    registry's metrics, metaserver's documents and metrics): read one
+    request head, answer a GET with the handler and anything else with
+    a 400 ["only GET is supported"], close. Each request must complete
+    within a 10 s deadline or its connection is dropped. *)
 
 type server
 
@@ -53,9 +34,9 @@ val port : server -> int
 (** The actually bound port (useful with [~port:0]). *)
 
 val serve : ?host:string -> port:int -> handler -> server
-(** Serve GET on one {!Omf_reactor.Server} listener: the accept loop
-    and every connection on one reactor thread. Non-GET methods get a
-    400. [~port:0] binds an ephemeral port (read it with {!port}). *)
+(** Serve GET on one {!Omf_reactor.Server} listener
+    ({!connection}): the accept loop and every connection on one
+    reactor thread. [~port:0] binds an ephemeral port (read it with {!port}). *)
 
 val shutdown : server -> unit
 (** Stop accepting, close in-flight connections, join the loop thread.
@@ -93,11 +74,10 @@ val metrics_handler :
 
 (** {1 Client} *)
 
-val request :
-  port:int -> meth:string -> path:string -> ?body:string -> unit -> response
-(** Blocking request to [127.0.0.1:port] returning the full parsed
-    response — status included, so callers that care about 403-vs-404
-    or the registry's 409 can inspect it. Raises {!Http_error} only on
+val request : port:int -> meth:string -> path:string -> unit -> response
+(** Blocking body-less request to [127.0.0.1:port] returning the full
+    parsed response — status included, so callers that care about
+    403-vs-404 or a refused method can inspect it. Raises {!Http_error} only on
     transport problems (connect failure, timeout, truncated or
     malformed response). Connection establishment and each read/write
     are bounded by 5 s. *)
@@ -120,7 +100,7 @@ val push :
   (unit, string) result
 (** [push ~url sources] POSTs the {!Omf_util.Counters.prometheus}
     rendering of each [(component, snapshot)] source to [url] in one
-    {!request} — push-gateway mode for short-lived tools (the load
+    request — push-gateway mode for short-lived tools (the load
     generator, the bench harness) that exit before any scrape could
     happen. [url] is [http://host[:port][/path]]; the path defaults to
     [/metrics/job/omf]. Blocking, bounded by 2 s per socket operation; every failure (resolution, refusal, non-2xx)

@@ -59,6 +59,14 @@ exception Incompatible of {
   reports : Compat.report list;
 }
 
+exception Invalid_subject of string
+
+(* A record stores the subject as its first line ([encode_version],
+   [encode_mode]), so a subject must be one non-empty line to read back *)
+let check_subject subject =
+  if String.equal subject "" || String.contains subject '\n' then
+    raise (Invalid_subject subject)
+
 let diff_lines (reports : Compat.report list) : string list =
   List.concat_map
     (fun (r : Compat.report) ->
@@ -211,6 +219,7 @@ let mode t ~subject =
       Option.value ~default:t.default_mode (Hashtbl.find_opt t.modes subject))
 
 let set_mode t ~subject m =
+  check_subject subject;
   locked t (fun () ->
       Hashtbl.replace t.modes subject m;
       persist t (encode_mode subject m))
@@ -244,6 +253,7 @@ let by_fingerprint t fp =
 let stats t = Counters.dump t.counters
 
 let register t ~subject text : version =
+  check_subject subject;
   (* parse and fingerprint outside the lock: pure work *)
   let schema = Schema.of_string text in
   let fp = fingerprint_of_schema schema in
@@ -310,18 +320,6 @@ let register t ~subject text : version =
           v))
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering (hand-rolled: no JSON library in the tree)            *)
-(* ------------------------------------------------------------------ *)
-
-let json_string s = "\"" ^ Omf_util.Json.escape s ^ "\""
-
-let json_version (v : version) : string =
-  Printf.sprintf
-    "{\"subject\":%s,\"version\":%d,\"fingerprint\":%s,\"schema\":%s}"
-    (json_string v.subject) v.version (json_string v.fingerprint)
-    (json_string v.schema)
-
-(* ------------------------------------------------------------------ *)
 (* Server                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -333,7 +331,6 @@ module Server = struct
   type server = {
     shell : Shell.t;
     port : int;
-    http_port : int option;
     metrics_port : int option;
   }
 
@@ -374,6 +371,8 @@ module Server = struct
                  :: diff_lines reports))
           | exception Schema.Schema_error m ->
             reply_err conn (Printf.sprintf "invalid schema: %s" m)
+          | exception Invalid_subject s ->
+            reply_err conn (Printf.sprintf "invalid subject %S" s)
           | exception Failure m -> reply_err conn m))
       | 'V' -> (
         match split_line body 0 with
@@ -416,86 +415,27 @@ module Server = struct
         handle_frame registry conn (Omf_util.Slice.to_bytes frame))
       ~on_close ()
 
-  (* HTTP JSON surface *)
-
-  let segments path =
-    match Http.percent_decode path with
-    | None -> None
-    | Some p ->
-      Some (List.filter (fun s -> not (String.equal s "")) (String.split_on_char '/' p))
-
-  let http_handler (registry : t) : Http.request_handler =
-   fun (r : Http.request) ->
-    Counters.incr registry.counters "http_requests";
-    match segments r.Http.path with
-    | None -> Http.server_error "malformed percent-encoding"
-    | Some segs -> (
-      match (r.Http.meth, segs) with
-      | "GET", [ "subjects" ] ->
-        Http.ok ~content_type:"application/json"
-          ("[" ^ String.concat "," (List.map json_string (subjects registry)) ^ "]")
-      | "GET", [ "subjects"; subject; "versions" ] ->
-        let ns = List.map (fun v -> string_of_int v.version) (versions registry subject) in
-        Http.ok ~content_type:"application/json"
-          ("[" ^ String.concat "," ns ^ "]")
-      | "GET", [ "subjects"; subject; "versions"; spec ] -> (
-        match spec_of_string spec with
-        | None -> Http.not_found r.Http.path
-        | Some spec -> (
-          match get_spec registry ~subject spec with
-          | Some v -> Http.ok ~content_type:"application/json" (json_version v)
-          | None -> Http.not_found r.Http.path))
-      | "POST", [ "subjects"; subject; "versions" ] -> (
-        match register registry ~subject r.Http.body with
-        | v ->
-          { (Http.ok ~content_type:"application/json"
-               (Printf.sprintf "{\"version\":%d,\"fingerprint\":%s}" v.version
-                  (json_string v.fingerprint)))
-            with Http.status = 201; reason = "Created" }
-        | exception Incompatible { mode = m; reports; _ } ->
-          Http.conflict
-            (String.concat "\n"
-               (Printf.sprintf "incompatible with %s gate"
-                  (compat_mode_to_string m)
-               :: diff_lines reports))
-        | exception Schema.Schema_error m ->
-          { Http.status = 400; reason = "Bad Request"
-          ; content_type = "text/plain"
-          ; body = Printf.sprintf "invalid schema: %s\n" m }
-        | exception Failure m -> Http.server_error m)
-      | "GET", [ "schemas"; "ids"; fp ] -> (
-        match by_fingerprint registry fp with
-        | Some v -> Http.ok ~content_type:"application/json" (json_version v)
-        | None -> Http.not_found r.Http.path)
-      | _ -> Http.not_found r.Http.path)
-
-  (* the frame, HTTP JSON and metrics listeners share one loop *)
-  let start ?(host = "127.0.0.1") ~port ?http_port ?metrics_port (registry : t)
-      : server =
-    let optional port handler =
-      Option.map (fun p -> (host, p, Http.connection handler)) port
-    in
-    let http = optional http_port (http_handler registry)
-    and metrics =
-      optional metrics_port
-        (Http.get_only
-           (Http.metrics_handler
-              [ ("registry", fun () -> Counters.dump registry.counters) ]))
+  (* the frame and metrics listeners share one loop *)
+  let start ?(host = "127.0.0.1") ~port ?metrics_port (registry : t) : server =
+    let metrics =
+      Option.map
+        (fun p ->
+          ( host,
+            p,
+            Http.connection
+              (Http.metrics_handler
+                 [ ("registry", fun () -> Counters.dump registry.counters) ]) ))
+        metrics_port
     in
     let shell =
       Shell.start
-        ((host, port, frame_connection registry)
-        :: List.filter_map Fun.id [ http; metrics ])
+        ((host, port, frame_connection registry) :: Option.to_list metrics)
     in
-    (* the ports follow the listeners: frame, then HTTP, then metrics *)
-    let ports = Array.of_list (Shell.ports shell) in
-    { shell; port = ports.(0)
-    ; http_port = Option.map (fun _ -> ports.(1)) http
-    ; metrics_port = Option.map (fun _ -> ports.(Array.length ports - 1)) metrics
-    }
+    (* the ports follow the listeners: frames, then metrics *)
+    let ports = Shell.ports shell in
+    { shell; port = List.hd ports; metrics_port = List.nth_opt ports 1 }
 
   let port s = s.port
-  let http_port s = s.http_port
   let metrics_port s = s.metrics_port
   let shutdown s = Shell.shutdown s.shell
 end
@@ -513,9 +453,9 @@ module Client = struct
   exception Server_unavailable of string
   exception Rejected of string
 
-  let connect ~port : t =
+  let connect ?host ~port () : t =
     match
-      Omf_transport.Tcp.connect ~host:"127.0.0.1" ~port ~connect_timeout_s:5.0
+      Omf_transport.Tcp.connect ?host ~port ~connect_timeout_s:5.0
         ~io_timeout_s:5.0 ()
     with
     | link -> { link; mutex = Mutex.create () }
@@ -613,12 +553,21 @@ module Client = struct
     | Error _ -> []
     | Ok "" -> []
     | Ok body ->
+      (* "subject versions mode": a subject may hold spaces, so the
+         line splits at its last two *)
       List.filter_map
         (fun line ->
-          match String.split_on_char ' ' line with
-          | [ s; n; m ] ->
-            Option.map (fun n -> (s, n, m)) (int_of_string_opt n)
-          | _ -> None)
+          let sep = String.rindex_from_opt line in
+          match sep (String.length line - 1) ' ' with
+          | None -> None
+          | Some j -> (
+            match sep (j - 1) ' ' with
+            | None -> None
+            | Some i ->
+              let m = String.sub line (j + 1) (String.length line - j - 1) in
+              Option.map
+                (fun n -> (String.sub line 0 i, n, m))
+                (int_of_string_opt (String.sub line (i + 1) (j - i - 1)))))
         (String.split_on_char '\n' body)
 
   let stats t : (string * int) list =

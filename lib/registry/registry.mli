@@ -13,8 +13,9 @@
 
     The registry persists on the durable {!Omf_store} machinery
     (append-only, CRC-framed, recovered at startup) and is served over
-    both the binary frame protocol and HTTP JSON (doc/REGISTRY.md,
-    doc/PROTOCOLS.md section 14). *)
+    one protocol, length-prefixed binary frames (doc/REGISTRY.md,
+    doc/PROTOCOLS.md section 14); from a shell, [xml2wire register] and
+    [xml2wire fetch] speak it through {!Client}. *)
 
 (** {1 Compatibility modes} *)
 
@@ -60,9 +61,13 @@ exception Incompatible of {
 (** Registration refused by the compatibility gate; the reports carry
     the structured per-format, per-field diff. *)
 
+exception Invalid_subject of string
+(** A subject the store could not read back: empty, or containing a
+    newline (each record keeps its subject on one line). *)
+
 val diff_lines : Omf_xml2wire.Compat.report list -> string list
 (** Render gate reports as one ["severity format.field: description"]
-    line per change — the wire and HTTP error body. *)
+    line per change — the body of the wire's ['e'] reply. *)
 
 val create : ?store:Omf_store.Store.config -> ?mode:compat_mode -> unit -> t
 (** An empty registry. [mode] (default [Backward]) gates every subject
@@ -79,11 +84,13 @@ val register : t -> subject:string -> string -> version
     if the canonical fingerprint already exists in the subject's chain,
     that version is returned unchanged. Otherwise the document is
     gated against the subject's latest version and appended as a new
-    immutable version. Raises {!Omf_xschema.Schema.Schema_error} on
+    immutable version. Raises {!Invalid_subject} on a subject the
+    store could not read back, {!Omf_xschema.Schema.Schema_error} on
     documents that do not parse and {!Incompatible} on gate refusal. *)
 
 val set_mode : t -> subject:string -> compat_mode -> unit
-(** Per-subject override of the registry-wide mode; persisted. *)
+(** Per-subject override of the registry-wide mode; persisted. Raises
+    {!Invalid_subject} as {!register} does. *)
 
 val mode : t -> subject:string -> compat_mode
 
@@ -104,13 +111,14 @@ val stats : t -> (string * int) list
 
 module Server : sig
   (** Serves a registry over the binary frame protocol and optionally
-      HTTP JSON and Prometheus metrics, all on one
+      Prometheus metrics (HTTP, GET only), both on one
       {!Omf_reactor.Server} loop thread.
 
       Binary requests (length-prefixed frames over {!Omf_transport.Tcp}):
       - ['R' "subject\n" schema] — register; reply
         ['o' "version=N\nfingerprint=HEX"] or ['e' reason] (gate
-        refusals carry one diff line per change after the first line)
+        refusals carry one diff line per change after the first line;
+        an empty subject is refused)
       - ['V' "subject\nN|latest"] — fetch a version; reply
         ['o' "version=N\nfingerprint=HEX\n" schema] or ['e'];
       - ['F' hex] — content-addressed fetch; reply
@@ -123,31 +131,14 @@ module Server : sig
 
   type server
 
-  val start :
-    ?host:string ->
-    port:int ->
-    ?http_port:int ->
-    ?metrics_port:int ->
-    t ->
-    server
-  (** [~port:0] (and the optional HTTP/metrics ports) bind ephemeral
-      ports; read them back from the accessors. A port that does not
-      bind raises its [Unix_error], leaving no port bound and no
-      thread running. *)
+  val start : ?host:string -> port:int -> ?metrics_port:int -> t -> server
+  (** [~port:0] (and [~metrics_port:0]) bind ephemeral ports; read them
+      back from the accessors. A port that does not bind raises its
+      [Unix_error], leaving no port bound and no thread running. *)
 
   val port : server -> int
-  val http_port : server -> int option
   val metrics_port : server -> int option
   val shutdown : server -> unit
-  (** The HTTP JSON surface ([?http_port]):
-      - [GET /subjects] — subject names
-      - [GET /subjects/<s>/versions] — version numbers
-      - [GET /subjects/<s>/versions/<n>] — one version ([<n>] numeric
-        or [latest]); the schema text is in the JSON [schema] field
-      - [POST /subjects/<s>/versions] — register (body = schema XML);
-        201 with the version on success, 409 + diff lines on gate
-        refusal, 400 on documents that do not parse
-      - [GET /schemas/ids/<fingerprint>] — content-addressed fetch *)
 end
 
 (** {1 Client} *)
@@ -157,11 +148,14 @@ module Client : sig
 
   exception Server_unavailable of string
   exception Rejected of string
-  (** Registration refused; the message carries the server's diff
-      lines. *)
+  (** Registration refused; the message is the server's ['e'] reply: a
+      gate refusal reads ["incompatible with MODE gate"] and then one
+      diff line per change. *)
 
-  val connect : port:int -> t
-  (** Connect to the registry on [127.0.0.1:port]. A 5 s deadline
+  val connect : ?host:string -> port:int -> unit -> t
+  (** Connect to the registry on [host:port] through
+      {!Omf_transport.Tcp.connect} ([host] defaults to 127.0.0.1 and
+      may be a name). A 5 s deadline
       bounds connection establishment and each later send or receive:
       a server that accepts but never answers makes the call raise
       {!Server_unavailable} instead of hanging. *)

@@ -14,11 +14,14 @@ val parse :
   string array ->
   string array
 (** [parse ~name ~doc ~args specs argv] parses [argv] (its first element,
-    the program, is skipped) and returns its positional arguments,
-    exactly one per name in [args] (none by default). Each doc in
-    [specs] reads ["METAVAR Sentence."], or [" Sentence."] for a flag,
-    as {!Arg.align} lays them out. [--help] prints [doc] and the options
-    on stdout, and [--version] the version; both exit 0. *)
+    the program, is skipped) and returns its positional arguments, one
+    per name in [args] (none by default); a name in brackets
+    (["[N]"]) may be left off, from the end. Each doc in [specs] reads
+    ["METAVAR Sentence."], or [" Sentence."] for a flag, as
+    {!Arg.align} lays them out. [--help] prints [doc] and the options
+    on stdout, each line wrapped to 80 columns (an option's sentence,
+    and an indented line of [doc], continue at their own column), and
+    [--version] the version; both exit 0. *)
 
 val conv : (string -> ('a, string) result) -> ('a -> unit) -> Arg.spec
 (** An option whose value [parse] reads: [conv parse set] passes the

@@ -1151,6 +1151,117 @@ let test_relayd_busy_metrics_port () =
     check bool "stdout starts with the listening line" true
       (String.starts_with ~prefix:"relayd: listening on " out)
 
+(* [exe ARGS] run to its end: its status, stdout and stderr *)
+let run_exe exe args =
+  let out_r, out_w = Unix.pipe ~cloexec:true ()
+  and err_r, err_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin out_w
+      err_w
+  in
+  List.iter Unix.close [ out_w; err_w ];
+  let out = Unix.in_channel_of_descr out_r
+  and err = Unix.in_channel_of_descr err_r in
+  let o = In_channel.input_all out and e = In_channel.input_all err in
+  List.iter close_in [ out; err ];
+  (snd (Unix.waitpid [] pid), o, e)
+
+(** registryd as a process, driven from the shell's side: its command
+    line, then [xml2wire register] and [xml2wire fetch] against it over
+    the frames, across a SIGKILL and a restart on the same store.
+    Requires registryd via [OMF_REGISTRYD] and the xml2wire tool via
+    [OMF_XML2WIRE]; skipped when either is absent. *)
+let test_registryd () =
+  match (Sys.getenv_opt "OMF_REGISTRYD", Sys.getenv_opt "OMF_XML2WIRE") with
+  | None, _ | _, None -> Alcotest.skip ()
+  | Some registryd, Some xml2wire ->
+    let contains = Omf_testkit.Strings.contains in
+    let status, help, _ = run_exe registryd [ "--help" ] in
+    check bool "--help exits 0" true (status = Unix.WEXITED 0);
+    List.iter
+      (fun o ->
+        check bool ("--help names " ^ o) true (contains help ("  " ^ o ^ " ")))
+      [ "--port"; "-p"; "--metrics-port"; "--host"; "--store"; "--compat"
+      ; "--verbose"; "-v"; "--version"; "--help" ];
+    check bool "--help names no --http-port" false
+      (contains help "--http-port");
+    let status, _, err = run_exe registryd [ "--http-port"; "1" ] in
+    check bool "--http-port: exit 124" true (status = Unix.WEXITED 124);
+    check bool "--http-port named" true (contains err "--http-port");
+    with_store_root @@ fun root ->
+    Unix.mkdir root 0o700;
+    let file name text =
+      let path = Filename.concat root name in
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      path
+    in
+    let schema = file "flight.xsd" Fx.schema_a
+    and removed =
+      file "no-equip.xsd"
+        (Omf_testkit.Strings.replace
+           ~sub:{|    <xsd:element name="equip" type="xsd:string" />
+|}
+           ~by:"" Fx.schema_a)
+    and store = Filename.concat root "store" in
+    (* a registryd on [store] until [f] returns or it is killed *)
+    let with_registryd f =
+      let out_r, out_w = Unix.pipe ~cloexec:true () in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      let pid =
+        Unix.create_process registryd
+          [| registryd; "--port"; "0"; "--store"; store |]
+          null out_w null
+      in
+      List.iter Unix.close [ out_w; null ];
+      let out = Unix.in_channel_of_descr out_r in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid);
+          close_in_noerr out)
+      @@ fun () ->
+      (* "registryd: N subject(s), mode M, frames on HOST:PORT" *)
+      let banner = input_line out in
+      let colon = String.rindex banner ':' in
+      f (String.sub banner (colon + 1) (String.length banner - colon - 1))
+    in
+    let cli args = run_exe xml2wire args in
+    let registered = ref "" in
+    with_registryd (fun port ->
+        let register path =
+          cli [ "register"; "flights"; path; "--port"; port ]
+        in
+        let status, out, _ = register schema in
+        check bool "register exits 0" true (status = Unix.WEXITED 0);
+        check bool "register prints version 1" true
+          (String.starts_with ~prefix:"version 1 fingerprint " out);
+        registered := out;
+        let status, again, _ = register schema in
+        check bool "again: exit 0" true (status = Unix.WEXITED 0);
+        check Alcotest.string "again: the same version" out again;
+        let status, diff, err = register removed in
+        check bool "a removed field: exit 1" true (status = Unix.WEXITED 1);
+        check bool "the diff names the field" true (contains diff "equip");
+        check bool "the gate is named" true (contains err "incompatible");
+        let status, doc, _ =
+          cli [ "fetch"; "flights"; "latest"; "--port"; port ]
+        in
+        check bool "fetch exits 0" true (status = Unix.WEXITED 0);
+        check Alcotest.string "fetch prints the document" Fx.schema_a doc;
+        (* the fetched document registers as the same fingerprint *)
+        let _, refetched, _ = register (file "fetched.xsd" doc) in
+        check Alcotest.string "same fingerprint" out refetched);
+    (* the first registryd was SIGKILLed: every registration it
+       acknowledged is on the store *)
+    with_registryd (fun port ->
+        let status, doc, _ = cli [ "fetch"; "flights"; "1"; "--port"; port ] in
+        check bool "fetch after restart exits 0" true (status = Unix.WEXITED 0);
+        check Alcotest.string "version 1 after restart" Fx.schema_a doc;
+        let _, latest, _ =
+          cli [ "register"; "flights"; schema; "--port"; port ]
+        in
+        check Alcotest.string "still version 1" !registered latest)
+
 (** relayd's command line: [--help] names every option, a value is
     read from [--opt V] and from [--opt=V], [--auth-key] repeats, a bad
     option or value is a usage error (exit 124, naming it), and
@@ -1202,6 +1313,12 @@ let test_relayd_command_line () =
       ; "--governor-retry-ms"; "--trace-sample"; "--trace-buffer"
       ; "--trace-slow-us"; "--ingress-rate"; "--ingress-burst"; "--verbose"
       ; "-v"; "--version"; "--help" ];
+    List.iter
+      (fun line ->
+        if String.length line > 80 then
+          Alcotest.failf "--help line of %d columns: %s" (String.length line)
+            line)
+      (String.split_on_char '\n' help);
     List.iter
       (fun args ->
         check bool
@@ -1499,6 +1616,9 @@ let () =
             (relayd_drains ~signal:Sys.sigint ~shards:2)
         ; Alcotest.test_case "one shard: at most 3 threads" `Quick
             test_relayd_footprint ] )
+    ; ( "registryd",
+        [ Alcotest.test_case "register and fetch with xml2wire, SIGKILL"
+            `Quick test_registryd ] )
     ; ( "discovery",
         [ Alcotest.test_case "falls back within deadline (blackhole)" `Quick
             test_discovery_falls_back_within_deadline ] ) ]

@@ -481,8 +481,8 @@ let test_server_shell () =
       [ ("127.0.0.1", 0, echo)
       ; ( "127.0.0.1"
         , 0
-        , Http.connection (fun r ->
-              Http.ok ~content_type:"text/plain" r.Http.path) ) ]
+        , Http.connection (fun ~path ~headers:_ ->
+              Http.ok ~content_type:"text/plain" path) ) ]
   in
   let frame_port, http_port =
     match Server.ports srv with

@@ -1,7 +1,8 @@
 (** Tests for the versioned schema registry (doc/REGISTRY.md):
     fingerprint-idempotent registration, compatibility gating with
     structured diffs, journal-backed recovery across restarts, the
-    binary and HTTP JSON surfaces, the caching resolver, and async
+    binary frame protocol and the metrics listener, the caching
+    resolver, and async
     discovery overlapping first-message delivery with the registry
     fetch (zero loss). *)
 
@@ -215,18 +216,44 @@ let test_recovery_skips_descriptor_records () =
       check int "the D record is junk" 1
         (assoc "recovered_junk" (Registry.stats reg)))
 
+(* A subject is stored as the first line of its records, so one that
+   is empty or spans lines would come back as junk after a restart: the
+   registry refuses it before anything is written. *)
+let test_unreadable_subject_refused () =
+  with_root (fun root ->
+      let cfg = Store.default_config ~root in
+      let reg = Registry.create ~store:cfg () in
+      List.iter
+        (fun subject ->
+          match Registry.register reg ~subject Fx.schema_a with
+          | _ -> Alcotest.failf "registered subject %S" subject
+          | exception Registry.Invalid_subject s ->
+            check string "the refusal names the subject" subject s)
+        [ "a\nb"; "" ];
+      (match Registry.set_mode reg ~subject:"a\nb" Registry.Full with
+      | () -> Alcotest.fail "set a mode on a multi-line subject"
+      | exception Registry.Invalid_subject _ -> ());
+      ignore (Registry.register reg ~subject:"a/b" Fx.schema_a);
+      Registry.close reg;
+      let reg = Registry.create ~store:cfg () in
+      Fun.protect ~finally:(fun () -> Registry.close reg) @@ fun () ->
+      check int "no junk record" 0
+        (assoc "recovered_junk" (Registry.stats reg));
+      check
+        Alcotest.(list string)
+        "only the readable subject" [ "a/b" ] (Registry.subjects reg))
+
 (* ------------------------------------------------------------------ *)
-(* Binary protocol + HTTP JSON surfaces                                 *)
+(* Binary protocol and the metrics listener                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_server_roundtrip () =
   let reg = Registry.create () in
-  let srv = Registry.Server.start ~port:0 ~http_port:0 ~metrics_port:0 reg in
+  let srv = Registry.Server.start ~port:0 ~metrics_port:0 reg in
   Fun.protect ~finally:(fun () -> Registry.Server.shutdown srv) @@ fun () ->
   let port = Registry.Server.port srv in
-  let hport = Option.get (Registry.Server.http_port srv) in
   let mport = Option.get (Registry.Server.metrics_port srv) in
-  let c = Registry.Client.connect ~port in
+  let c = Registry.Client.connect ~port () in
   Fun.protect ~finally:(fun () -> Registry.Client.close c) @@ fun () ->
   let v, fp = Registry.Client.register c ~subject:"flights" Fx.schema_a in
   check int "registered v1 over the wire" 1 v;
@@ -236,80 +263,66 @@ let test_server_roundtrip () =
   | _ -> Alcotest.fail "expected Rejected"
   | exception Registry.Client.Rejected msg ->
     check bool "refusal carries the diff" true (contains msg "equip"));
+  let rejected subject text =
+    match Registry.Client.register c ~subject text with
+    | _ -> Alcotest.failf "registered %S under %S" text subject
+    | exception Registry.Client.Rejected msg -> msg
+  in
+  check bool "a document that does not parse is refused" true
+    (contains (rejected "flights" "<not-a-schema>") "invalid schema");
+  check bool "an empty subject is refused" true
+    (contains (rejected "" Fx.schema_a) "invalid subject");
   let got = Option.get (Registry.Client.get c ~subject:"flights" `Latest) in
   check string "schema round-trips" Fx.schema_a got.Registry.schema;
   let byfp = Option.get (Registry.Client.by_fingerprint c fp) in
   check int "content-addressed fetch" 1 byfp.Registry.version;
+  check string "content-addressed fetch names the subject" "flights"
+    byfp.Registry.subject;
   check bool "unknown version is None" true
     (Registry.Client.get c ~subject:"flights" (`N 9) = None);
+  check bool "unknown subject is None" true
+    (Registry.Client.get c ~subject:"none" `Latest = None);
   (match Registry.Client.subjects c with
   | [ (s, n, m) ] ->
     check string "listed subject" "flights" s;
     check int "listed versions" 1 n;
     check string "listed mode" "backward" m
   | l -> Alcotest.failf "unexpected subject list (%d entries)" (List.length l));
+  let v2, fp2 = Registry.Client.register c ~subject:"flights" schema_v2 in
+  check int "a compatible document is version 2" 2 v2;
+  ignore (Registry.Client.register c ~subject:"flight plans" Fx.schema_a);
+  check
+    Alcotest.(list (triple string int string))
+    "a subject with a space is listed"
+    [ ("flight plans", 1, "backward"); ("flights", 2, "backward") ]
+    (Registry.Client.subjects c);
+  let latest = Option.get (Registry.Client.get c ~subject:"flights" `Latest) in
+  check string "latest carries its fingerprint" fp2 latest.Registry.fingerprint;
   check bool "server counters visible" true
     (Registry.Client.stats c <> []);
-  (* the HTTP JSON surface over the same registry *)
-  let r = Http.request ~port:hport ~meth:"GET" ~path:"/subjects" () in
-  check int "GET /subjects" 200 r.Http.status;
-  check bool "subjects listed as JSON" true (contains r.Http.body "\"flights\"");
-  let r =
-    Http.request ~port:hport ~meth:"POST" ~path:"/subjects/flights/versions"
-      ~body:schema_v2 ()
-  in
-  check int "POST register is 201" 201 r.Http.status;
-  check bool "POST returns the version" true
-    (contains r.Http.body "\"version\":2");
-  let r =
-    Http.request ~port:hport ~meth:"POST" ~path:"/subjects/flights/versions"
-      ~body:schema_removed ()
-  in
-  check int "gate refusal is 409" 409 r.Http.status;
-  check bool "409 body carries the diff" true (contains r.Http.body "equip");
-  let r =
-    Http.request ~port:hport ~meth:"POST" ~path:"/subjects/flights/versions"
-      ~body:"<not-a-schema>" ()
-  in
-  check int "malformed schema is 400" 400 r.Http.status;
-  let r =
-    Http.request ~port:hport ~meth:"GET" ~path:"/subjects/flights/versions/latest"
-      ()
-  in
-  check int "GET latest" 200 r.Http.status;
-  check bool "latest carries its fingerprint" true
-    (contains r.Http.body (Registry.fingerprint_of schema_v2));
-  let r = Http.request ~port:hport ~meth:"GET" ~path:("/schemas/ids/" ^ fp) () in
-  check int "GET /schemas/ids/<fp>" 200 r.Http.status;
-  check bool "fingerprint lookup names the subject" true
-    (contains r.Http.body "\"flights\"");
-  let r =
-    Http.request ~port:hport ~meth:"GET" ~path:"/subjects/none/versions/latest"
-      ()
-  in
-  check int "unknown subject is 404" 404 r.Http.status;
   (* the metrics listener, on the same loop: GET only *)
   let r = Http.request ~port:mport ~meth:"GET" ~path:"/metrics" () in
   check int "GET /metrics" 200 r.Http.status;
   check bool "registry counters as Prometheus text" true
     (contains r.Http.body "omf_registry_");
-  let r = Http.request ~port:mport ~meth:"POST" ~path:"/metrics" ~body:"" () in
+  let r = Http.request ~port:mport ~meth:"POST" ~path:"/metrics" () in
   check int "POST /metrics is 400" 400 r.Http.status
 
-(* A start whose HTTP port is taken raises, and leaves nothing behind:
-   the frame port it had bound is free again, no descriptor stays open
-   and no loop thread keeps running. *)
-let test_server_busy_http_port () =
+(* A start whose metrics port is taken raises, and leaves nothing
+   behind: the frame port it had bound is free again, no descriptor
+   stays open and no loop thread keeps running. *)
+let test_server_busy_metrics_port () =
   let module Listen = Omf_testkit.Listen in
   let threads () = Array.length (Sys.readdir "/proc/self/task") in
-  Listen.with_busy_port @@ fun http_port ->
+  Listen.with_busy_port @@ fun metrics_port ->
   let sock, port = Omf_reactor.Reactor.listener ~port:0 () in
   Unix.close sock;
   let before = threads () in
   Listen.refused_without_leak ~rounds:1
-    [ ( "registry with a busy HTTP port",
+    [ ( "registry with a busy metrics port",
         fun () ->
-          ignore (Registry.Server.start ~port ~http_port (Registry.create ()))
+          ignore
+            (Registry.Server.start ~port ~metrics_port (Registry.create ()))
       ) ];
   check int "no thread left running" before (threads ());
   Listen.rebind port
@@ -322,7 +335,7 @@ let test_resolver_caching () =
   let reg = Registry.create () in
   let srv = Registry.Server.start ~port:0 reg in
   Fun.protect ~finally:(fun () -> Registry.Server.shutdown srv) @@ fun () ->
-  let c = Registry.Client.connect ~port:(Registry.Server.port srv) in
+  let c = Registry.Client.connect ~port:(Registry.Server.port srv) () in
   Fun.protect ~finally:(fun () -> Registry.Client.close c) @@ fun () ->
   let r = Registry.Resolver.create ~neg_ttl_s:0.05 c in
   check bool "miss before registration" true
@@ -353,7 +366,7 @@ let test_resolver_survives_transport_failures () =
   let reg = Registry.create () in
   let srv = Registry.Server.start ~port:0 reg in
   Fun.protect ~finally:(fun () -> Registry.Server.shutdown srv) @@ fun () ->
-  let c = Registry.Client.connect ~port:(Registry.Server.port srv) in
+  let c = Registry.Client.connect ~port:(Registry.Server.port srv) () in
   Fun.protect ~finally:(fun () -> Registry.Client.close c) @@ fun () ->
   let r = Registry.Resolver.create c in
   Registry.Server.shutdown srv;
@@ -377,7 +390,7 @@ let test_async_discovery_zero_loss () =
   let reg = Registry.create () in
   let rsrv = Registry.Server.start ~port:0 reg in
   Fun.protect ~finally:(fun () -> Registry.Server.shutdown rsrv) @@ fun () ->
-  let rc = Registry.Client.connect ~port:(Registry.Server.port rsrv) in
+  let rc = Registry.Client.connect ~port:(Registry.Server.port rsrv) () in
   Fun.protect ~finally:(fun () -> Registry.Client.close rc) @@ fun () ->
   let rv, fp = Registry.Client.register rc ~subject:"flights" Fx.schema_a in
   let resolver = Registry.Resolver.create rc in
@@ -504,11 +517,11 @@ let test_clients_time_out_on_silent_server () =
     (name, outcome, Unix.gettimeofday () -. t0)
   in
   let registry () =
-    let c = Registry.Client.connect ~port in
+    let c = Registry.Client.connect ~port () in
     Fun.protect ~finally:(fun () -> Registry.Client.close c) @@ fun () ->
     ignore (Registry.Client.subjects c)
   in
-  let http () = ignore (Http.get ~port ~path:"/subjects" ()) in
+  let http () = ignore (Http.get ~port ~path:"/metrics" ()) in
   let results = ref [] in
   let m = Mutex.create () in
   let run name call =
@@ -543,12 +556,14 @@ let () =
         ; Alcotest.test_case "journal-backed recovery" `Quick
             test_recovery_across_restart
         ; Alcotest.test_case "old D records recover as junk" `Quick
-            test_recovery_skips_descriptor_records ] )
+            test_recovery_skips_descriptor_records
+        ; Alcotest.test_case "unreadable subject refused" `Quick
+            test_unreadable_subject_refused ] )
     ; ( "server"
-      , [ Alcotest.test_case "binary + HTTP JSON round-trip" `Quick
+      , [ Alcotest.test_case "binary + metrics round-trip" `Quick
             test_server_roundtrip
-        ; Alcotest.test_case "busy HTTP port leaks nothing" `Quick
-            test_server_busy_http_port
+        ; Alcotest.test_case "busy metrics port leaks nothing" `Quick
+            test_server_busy_metrics_port
         ; Alcotest.test_case "clients time out on a silent server" `Quick
             test_clients_time_out_on_silent_server ] )
     ; ( "resolver"
