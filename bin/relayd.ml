@@ -47,12 +47,12 @@ let parse_mirror s =
     | _ -> Error (Printf.sprintf "want HOST:PORT[,GLOB...], got %s" s))
   | [] -> Error "empty --mirror"
 
-let run port host policy max_queue evict_grace auth_keys mac_reject_limit
-    drain shards metrics_port store_dir store_fsync store_segment_mb
-    store_retain_segments store_retain_mb store_retain_age store_compress
-    relay_id mirror mirror_promote mirror_rescan mirror_compress
-    governor_budget governor_retry_ms trace_sample trace_buffer trace_slow_us
-    ingress_rate ingress_burst verbose =
+let run port host policy max_queue evict_grace auth_keys drain shards
+    metrics_port store_dir store_fsync store_segment_mb store_retain_segments
+    store_retain_mb store_retain_age store_compress relay_id mirror
+    mirror_promote mirror_rescan mirror_compress governor_budget
+    governor_retry_ms trace_sample trace_buffer trace_slow_us ingress_rate
+    ingress_burst verbose =
   setup_logs verbose;
   let trace =
     if trace_sample > 0.0 || trace_slow_us > 0 then
@@ -84,8 +84,8 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
   else
     match
       Omf_relay.Relay.listen ~host ~port ~shards ~policy ~max_queue
-        ~evict_grace_s:evict_grace ~auth_keys ~mac_reject_limit
-        ~drain_s:drain ~governor ?ingress ?trace ?store ?relay_id ()
+        ~evict_grace_s:evict_grace ~auth_keys ~drain_s:drain ~governor
+        ?ingress ?trace ?store ?relay_id ()
     with
     | relay ->
       Printf.printf
@@ -134,19 +134,14 @@ let run port host policy max_queue evict_grace auth_keys mac_reject_limit
            | None -> []
            | Some m -> [ ("mirror", Omf_mirror.Mirror.stats m) ])
       in
-      let all_spans () = Omf_relay.Relay.trace_spans relay in
       let trace_routes =
         if trace = None then []
         else
           [ ( "/trace/spans"
             , fun () ->
                 Omf_httpd.Http.ok ~content_type:"application/json"
-                  (Omf_relay.Relay.Trace.chrome_json (all_spans ())) )
-          ; ( "/trace/summary"
-            , fun () ->
-                Omf_httpd.Http.ok ~content_type:"application/json"
-                  (Omf_relay.Relay.Trace.summary_json (all_spans ())) )
-          ]
+                  (Omf_relay.Relay.Trace.chrome_json
+                     (Omf_relay.Relay.trace_spans relay)) ) ]
       in
       let serve_metrics mir p =
         let srv =
@@ -240,7 +235,6 @@ let () =
   and evict_grace = ref 1.0
   and drain = ref 2.0
   and auth_keys = ref []
-  and mac_reject_limit = ref 3
   and shards = ref 1
   and metrics_port = ref None
   and store = ref None
@@ -288,12 +282,9 @@ let () =
       , conv parse_keypair (fun k -> auth_keys := k :: !auth_keys)
       , "KEYID=SECRET Accept HMAC-authenticated framing under this key \
          (repeatable). Clients opting in at HELLO get every subsequent \
-         frame sealed and verified in both directions; with no --auth-key \
-         the mode is refused." )
-    ; ( "--mac-reject-limit"
-      , Arg.Set_int mac_reject_limit
-      , "N Disconnect an authenticated client after N frames fail \
-         verification (default 3)." )
+         frame sealed and verified in both directions, and are \
+         disconnected once 3 frames fail verification; with no \
+         --auth-key the mode is refused." )
     ; ( "--shards"
       , Arg.Set_int shards
       , "N Run N event loops: the first on the main thread, which also \
@@ -402,7 +393,7 @@ let () =
        specs Sys.argv);
   Omf_util.Cli.exit_with ~name:"relayd"
     (run !port !host !policy !max_queue !evict_grace (List.rev !auth_keys)
-       !mac_reject_limit !drain !shards !metrics_port !store !store_fsync
+       !drain !shards !metrics_port !store !store_fsync
        !store_segment_mb !store_retain_segments !store_retain_mb
        !store_retain_age !store_compress !relay_id !mirror !mirror_promote
        !mirror_rescan !mirror_compress !governor_budget !governor_retry_ms

@@ -59,7 +59,9 @@ let () =
     (Format.struct_size receiver_fmt);
 
   (* 3. Bind data and 4. ship it over a link with format negotiation. *)
-  let a_to_b, b_from_a = Omf_transport.Loopback.pair () in
+  let a_to_b, b_from_a, _, _ =
+    Omf_transport.Netsim.pair Omf_transport.Netsim.loopback
+  in
   let sender = Endpoint.Sender.create a_to_b (Memory.create Abi.x86_64) in
   let receiver =
     Endpoint.Receiver.create b_from_a

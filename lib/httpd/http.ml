@@ -425,7 +425,7 @@ let push ~url
     snapshots are taken per request, so mounting a relay's merged
     per-shard counters here gives live scrape data. [routes] mounts
     extra [(path, thunk)] endpoints beside [/metrics] (relayd's
-    [/trace/spans] and [/trace/summary]); thunks run per request.
+    [/trace/spans]); thunks run per request.
     Everything else is 404. *)
 let metrics_handler ?(staleness = false)
     ?(routes : (string * (unit -> response)) list = [])

@@ -67,8 +67,7 @@ val metrics_handler :
     [omf_<component>_stale] marker series counting unchanged series —
     see {!Omf_util.Counters.prometheus}. [routes] mounts extra
     [(path, thunk)] endpoints beside [/metrics] — relayd's
-    [/trace/spans] and [/trace/summary] live here. Everything else is
-    404. It runs on a port of its own ([serve ~port (metrics_handler
+    [/trace/spans] lives here. Everything else is 404. It runs on a port of its own ([serve ~port (metrics_handler
     sources)]: relayd and metaserver [--metrics-port], the registry's
     [?metrics_port]). *)
 

@@ -172,8 +172,8 @@ let admit t (v : version) =
     Hashtbl.replace t.by_fp v.fingerprint v
 
 let recover t (st : Store.t) =
-  Store.iter_from st 0 (fun _off frame ->
-      match decode_record frame with
+  Store.iter_range_slices st 0 max_int (fun _off frame ->
+      match decode_record (Omf_util.Slice.to_bytes frame) with
       | `Version v ->
         admit t v;
         Counters.incr t.counters "recovered_versions"
@@ -404,7 +404,7 @@ module Server = struct
             (subjects registry)
         in
         reply_ok conn (String.concat "\n" lines)
-      | 't' -> reply_ok conn (Counters.to_text registry.counters)
+      | 't' -> reply_ok conn (Counters.to_text (Counters.dump registry.counters))
       | k -> Conn.doom conn (Printf.sprintf "unknown request kind %C" k)
 
   let frame_connection (registry : t) : Shell.accept =

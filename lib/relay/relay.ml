@@ -259,8 +259,6 @@ and shard = {
   auth_keys : (string * string) list;
       (** [key-id -> secret] table for HMAC frame negotiation; empty =
           authenticated mode unavailable *)
-  mac_reject_limit : int;
-      (** close a connection after this many unauthenticated frames *)
   drain_default_s : float;
   governor : Governor.t;
       (** the shard's byte-budget governor (overload control,
@@ -373,22 +371,30 @@ let gc_gauges (t : shard) : (string * int) list =
      [ ("gc.minor_collections", (Gc.quick_stat ()).Gc.minor_collections) ]
    else [])
 
-(** The STATS reply body: relay-wide counters — every shard's streams
-    and GC work as of its last {!gauge_tick} — with the answering
-    shard's own stream gauges read live, and its GC counters refreshed
-    first. Each key appears once: a live value replaces the counter
-    copy, which may be up to a second stale. *)
+(** Write the shard's gauges into its counters: every hosted stream's
+    {!stream_gauges}, the shard's {!gc_gauges} and the governor's.
+    Runs on the shard's own loop (so on its own domain): once a second
+    from {!gauge_tick}, and before each STATS reply. *)
+let write_gauges (t : shard) =
+  let set (k, v) = Counters.set t.counters k v in
+  Hashtbl.iter (fun _ s -> List.iter set (stream_gauges s)) t.streams;
+  List.iter set (gc_gauges t);
+  Counters.set t.counters "governor_used_bytes" (Governor.used t.governor);
+  Counters.set t.counters "governor_health"
+    (Governor.health_level (Governor.health t.governor));
+  if Governor.enabled t.governor then begin
+    Counters.set t.counters "governor_budget_bytes"
+      (Governor.budget t.governor);
+    Counters.set t.counters "governor_retry_ms"
+      (Governor.busy_retry_ms t.governor)
+  end
+
+(** The STATS reply body: the relay-wide {!counter_snapshot}, after
+    the answering shard has written its own gauges, so they are
+    current; every other shard's are as of its last {!gauge_tick}. *)
 let stats (t : shard) : (string * int) list =
-  List.iter (fun (k, v) -> Counters.set t.counters k v) (gc_gauges t);
-  let live =
-    Hashtbl.fold (fun _ s acc -> stream_gauges s @ acc) t.streams []
-  in
-  let is_live = Hashtbl.create 16 in
-  List.iter (fun (k, _) -> Hashtbl.replace is_live k ()) live;
-  List.filter
-    (fun (k, _) -> not (Hashtbl.mem is_live k))
-    (counter_snapshot t.shared)
-  @ live
+  write_gauges t;
+  counter_snapshot t.shared
 
 (* ------------------------------------------------------------------ *)
 (* Graceful drain                                                       *)
@@ -637,26 +643,13 @@ let rec store_tick (t : shard) (period : float) =
     t.store_timer <-
       Some (Reactor.after t.reactor period (fun () -> store_tick t period))
 
-(** Refresh the Prometheus-visible gauges: every hosted stream's
-    {!stream_gauges}, the shard's {!gc_gauges} and the governor's.
-    Runs every second on the shard's own loop (so on its own domain),
-    and no locks are needed; the gauges land in [t.counters] and flow
+(** The once-a-second tick on the shard's own loop: the governor's
+    {!Governor.note_tick}, then {!write_gauges}, so the gauges flow
     through STATS, [Counters.merged] and [Http.metrics_handler] like
     any counter. *)
 let rec gauge_tick (t : shard) =
-  let set (k, v) = Counters.set t.counters k v in
-  Hashtbl.iter (fun _ s -> List.iter set (stream_gauges s)) t.streams;
-  List.iter set (gc_gauges t);
   Governor.note_tick t.governor ~now:(Reactor.now ());
-  Counters.set t.counters "governor_used_bytes" (Governor.used t.governor);
-  Counters.set t.counters "governor_health"
-    (Governor.health_level (Governor.health t.governor));
-  if Governor.enabled t.governor then begin
-    Counters.set t.counters "governor_budget_bytes"
-      (Governor.budget t.governor);
-    Counters.set t.counters "governor_retry_ms"
-      (Governor.busy_retry_ms t.governor)
-  end;
+  write_gauges t;
   if t.state = Running then
     t.gauge_timer <- Some (Reactor.after t.reactor 1.0 (fun () -> gauge_tick t))
 
@@ -1215,7 +1208,7 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
         | exception Store.Store_error msg ->
           Counters.incr t.counters "store_errors";
           reply_err t c (Printf.sprintf "publish %s: store: %s" stream msg))
-  | Proto.Subscribe { stream; from; meta } ->
+  | Proto.Subscribe { stream; from } ->
     if
       Governor.health t.governor = Governor.Overloaded
       && Option.value from ~default:(-1) >= 0
@@ -1228,15 +1221,11 @@ let handle_control (t : shard) (c : conn) (req : Proto.request) =
       hosted "subscribe" stream @@ fun s ->
       (match scoped_schema s c.creds with
       | Ok schema -> (
-        (* [meta=1]: prefix the stream's advertised registry binding
-           ([subject=] / [fingerprint=] ...) to the schema reply — only
-           on request, so pre-§14 clients parse the body as before *)
-        let meta = if meta then s.advert else [] in
         (* the reply goes first so the scoped schema precedes the
            replayed descriptors, then any stored replay *)
         let join offset ~skip_until replay =
           reply_ok c
-            (Proto.encode_schema_reply { Proto.offset; meta; schema });
+            (Proto.encode_schema_reply { Proto.offset; meta = []; schema });
           c.role <- Subscriber { stream = s; skip_until; replay };
           List.iter
             (fun d ->
@@ -1497,6 +1486,9 @@ let handle_frame (t : shard) (c : conn) (frame : Slice.t) =
         (* replies would interleave with relayed frames: refuse *)
         protocol_reject t c "subscriber connections are receive-only"
 
+(** Close a connection after this many frames fail authentication. *)
+let mac_reject_limit = 3
+
 (** A frame that failed authentication on [c]: counted and skipped;
     once the reject limit is reached the connection is doomed — a
     replication link's at once, as a skipped frame would gap the
@@ -1506,8 +1498,8 @@ let auth_reject (t : shard) (c : conn) (msg : string) =
   c.mac_rejects <- c.mac_rejects + 1;
   Log.warn (fun m ->
       m "conn %d: rejected frame (%d/%d): %s" c.cid c.mac_rejects
-        t.mac_reject_limit msg);
-  if is_replica c || c.mac_rejects >= t.mac_reject_limit then
+        mac_reject_limit msg);
+  if is_replica c || c.mac_rejects >= mac_reject_limit then
     Rconn.doom c.io "authentication failures"
 
 (* ------------------------------------------------------------------ *)
@@ -1847,7 +1839,7 @@ type t = {
 
 let listen ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
     ?(policy = Block) ?(max_queue = 256) ?(evict_grace_s = 1.0) ?sndbuf
-    ?(auth_keys = []) ?(mac_reject_limit = 3) ?(drain_s = 2.0)
+    ?(auth_keys = []) ?(drain_s = 2.0)
     ?(governor = Governor.config ~budget:0 ()) ?ingress ?trace ?store () : t =
   if shards < 1 then invalid_arg "Relay.listen: shards must be >= 1";
   let lsock, bound_port = Reactor.listener ~host ~port () in
@@ -1861,7 +1853,7 @@ let listen ?(host = "127.0.0.1") ?(port = 0) ?relay_id ?(shards = 1)
     let gov = Governor.create governor in
     let t =
       { relay_id; policy; max_queue; evict_grace = evict_grace_s; sndbuf
-      ; auth_keys; mac_reject_limit; drain_default_s = drain_s; governor = gov
+      ; auth_keys; drain_default_s = drain_s; governor = gov
       ; ingress
       ; trace = Option.map (fun s -> Trace.collector ~shard:shard_id s) trace
       ; reactor = Reactor.create (); streams = Hashtbl.create 8
@@ -1932,7 +1924,7 @@ let shard_count (r : t) = Array.length r.shared.peers
 let relay_id (r : t) = r.shared.peers.(0).relay_id
 
 (** Relay-wide counter totals (per-shard counters summed), every
-    stream's gauges as of its shard's last {!gauge_tick}. *)
+    shard's gauges as of its last {!gauge_tick} or STATS reply. *)
 let stats (r : t) : (string * int) list = counter_snapshot r.shared
 
 (** Unwritten bytes queued on every shard's loop: what the shards'

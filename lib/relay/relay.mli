@@ -79,7 +79,6 @@ val listen :
   ?evict_grace_s:float ->
   ?sndbuf:int ->
   ?auth_keys:(string * string) list ->
-  ?mac_reject_limit:int ->
   ?drain_s:float ->
   ?governor:Governor.config ->
   ?ingress:float * float ->
@@ -104,9 +103,8 @@ val listen :
     [SO_SNDBUF] on accepted
     sockets (tests use this to provoke backpressure quickly);
     [auth_keys] is the [key-id -> secret] table for HMAC-authenticated
-    framing (PROTOCOLS.md §12; empty = the mode is refused);
-    [mac_reject_limit] (default 3) closes a connection after that many
-    frames fail authentication;
+    framing (PROTOCOLS.md §12; empty = the mode is refused; a
+    connection is closed once 3 of its frames fail authentication);
     [drain_s] is the graceful-shutdown flush deadline (default 2s).
 
     [governor] arms overload control (doc/OVERLOAD.md): a per-shard
@@ -169,8 +167,8 @@ val stats : t -> (string * int) list
     [shard_handoffs], the connections migrated between loops), with
     every stream's gauges — [stream.<s>.published], [.subscribers],
     [.queue_depth] and [store.<s>.*] — as of its shard's last
-    once-a-second gauge tick. A STATS reply carries the same list, with
-    the answering shard's own streams read live. *)
+    once-a-second gauge tick. A STATS reply is the same snapshot, taken
+    once the answering shard has written its own gauges. *)
 
 val governor_used : t -> int
 (** The unwritten bytes queued on every shard's loop

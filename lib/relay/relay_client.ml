@@ -143,15 +143,7 @@ module Client = struct
     decoded (Proto.decode_schema_reply ~offset ~meta (call t req))
 
   let subscribe (t : t) ~(stream : string) : string * Link.t =
-    (call t (Proto.Subscribe { stream; from = None; meta = false }), t.link)
-
-  let subscribe_meta (t : t) ~(stream : string) :
-      (string * string) list * string * Link.t =
-    let r =
-      schema_reply ~offset:false ~meta:true t
-        (Proto.Subscribe { stream; from = None; meta = true })
-    in
-    (r.Proto.meta, r.Proto.schema, t.link)
+    (call t (Proto.Subscribe { stream; from = None }), t.link)
 
   let publish_acked (t : t) ~(stream : string) : int option * Link.t =
     (publish_with ~acks:true t stream, t.link)
@@ -160,7 +152,7 @@ module Client = struct
       int option * string * Link.t =
     let r =
       schema_reply ~offset:true ~meta:false t
-        (Proto.Subscribe { stream; from = Some from; meta = false })
+        (Proto.Subscribe { stream; from = Some from })
     in
     (r.Proto.offset, r.Proto.schema, t.link)
 

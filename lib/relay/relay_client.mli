@@ -85,8 +85,8 @@ module Client : sig
     ?meta:(string * string) list -> t -> stream:string -> schema:string -> unit
   (** [meta] lines ride along as advertisement metadata: a
       schema-registry binding (PROTOCOLS.md §14) — [subject], [version],
-      content [fingerprint] — that {!subscribe_meta} returns so
-      receivers can bind conversion plans by fingerprint; or, from a
+      content [fingerprint] — that {!describe} returns so receivers
+      can bind conversion plans by fingerprint; or, from a
       mirror, the source's metadata verbatim with its [origin]/[epoch]
       tag (§15), which the relay gates: stale epochs and origin loops
       are refused with an ['e'] reply. *)
@@ -100,14 +100,6 @@ module Client : sig
   val subscribe : t -> stream:string -> string * Omf_transport.Link.t
   (** The (credential-scoped) stream schema, and the raw link now
       carrying descriptor/message frames. *)
-
-  val subscribe_meta :
-    t ->
-    stream:string ->
-    (string * string) list * string * Omf_transport.Link.t
-  (** As {!subscribe}, also returning the stream's advertised
-      registry-binding metadata ([subject] / [version] /
-      [fingerprint]); empty when the advertiser supplied none. *)
 
   val publish_acked : t -> stream:string -> int option * Omf_transport.Link.t
   (** Publisher mode with durability acks (PROTOCOLS.md §13): against

@@ -13,7 +13,7 @@ type request =
   | Hello of kvs
   | Advertise of { stream : string; meta : kvs; schema : string }
   | Publish of { stream : string; acks : bool; trace : Trace.ctx option }
-  | Subscribe of { stream : string; from : int option; meta : bool }
+  | Subscribe of { stream : string; from : int option }
   | Stats
   | List
   | Describe of string
@@ -95,11 +95,10 @@ let encode_request (r : request) : Bytes.t =
       ^
       match trace with Some ctx -> "\ntrace=" ^ Trace.to_string ctx | None -> ""
       )
-  | Subscribe { stream; from; meta } ->
+  | Subscribe { stream; from } ->
     frame 's'
       (stream
-      ^ (match from with Some n -> Printf.sprintf "\nfrom=%d" n | None -> "")
-      ^ if meta then "\nmeta=1" else "")
+      ^ match from with Some n -> Printf.sprintf "\nfrom=%d" n | None -> "")
   | Stats -> frame 't' ""
   | List -> frame 'l' ""
   | Describe stream -> frame 'q' stream
@@ -125,8 +124,7 @@ let decode_request (f : Bytes.t) : (request, error) result =
          ; trace = Option.bind (List.assoc_opt "trace" o) Trace.of_string })
   | Some ('s', body) ->
     let stream, opts = first_line body in
-    let o = kv_lines opts in
-    Ok (Subscribe { stream; from = int_opt o "from"; meta = flag o "meta" })
+    Ok (Subscribe { stream; from = int_opt (kv_lines opts) "from" })
   | Some ('t', _) -> Ok Stats
   | Some ('l', _) -> Ok List
   | Some ('q', body) -> Ok (Describe (fst (first_line body)))
@@ -214,9 +212,7 @@ let decode_epoch body : (int, string) result =
 let encode_list = String.concat "\n"
 let decode_list body = List.filter (( <> ) "") (String.split_on_char '\n' body)
 
-let encode_stats kvs =
-  String.concat "" (List.map (fun (k, v) -> Printf.sprintf "%s %d\n" k v) kvs)
-
+let encode_stats = Omf_util.Counters.to_text
 let decode_stats = Omf_util.Counters.of_text
 
 (* ------------------------------------------------------------------ *)

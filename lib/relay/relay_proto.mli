@@ -15,8 +15,7 @@ kind request    body                                      OK reply body
 h    HELLO      credential lines, k=v per line            banner
 a    ADVERTISE  stream \n [metadata lines] schema         (empty)
 p    PUBLISH    stream [\n acks=1] [\n trace=CTX]          (empty) | durable=D
-s    SUBSCRIBE  stream [\n from=N] [\n meta=1]            [offset=S \n]
-                                                          [metadata lines] schema
+s    SUBSCRIBE  stream [\n from=N]                        [offset=S \n] schema
 t    STATS      (empty)                                   "name value" lines
 l    LIST       (empty)                                   stream names, one a line
 q    DESCRIBE   stream                                    metadata lines, schema
@@ -57,10 +56,10 @@ type request =
       acks : bool;  (** [acks=1]: durability acks (§13) *)
       trace : Omf_trace.Trace.ctx option;  (** [trace=] context (§17) *)
     }
-  | Subscribe of { stream : string; from : int option; meta : bool }
+  | Subscribe of { stream : string; from : int option }
       (** [from=N]: stored replay from offset [N], [-1] for the live
-          tail (§13); [meta=1]: metadata lines before the schema
-          (§14). *)
+          tail (§13). The stream's advertisement metadata (§14) is read
+          with DESCRIBE. *)
   | Stats
   | List
   | Describe of string
@@ -110,15 +109,16 @@ val decode_published : string -> (int option, string) result
 
 type schema_reply = { offset : int option; meta : kvs; schema : string }
 (** SUBSCRIBE and DESCRIBE: the first offset delivered (a store-backed
-    [from=] subscription only), metadata lines, the scoped schema. *)
+    [from=] subscription only), metadata lines (DESCRIBE only), the
+    scoped schema. *)
 
 val encode_schema_reply : schema_reply -> string
 
 val decode_schema_reply :
   offset:bool -> meta:bool -> string -> (schema_reply, string) result
-(** [offset] and [meta] say whether the request asked for the offset
-    line ([from=]) and for metadata ([meta=1], or DESCRIBE): only then
-    are they looked for. *)
+(** [offset] says whether the request asked for the offset line
+    ([from=]) and [meta] whether it was a DESCRIBE, whose reply carries
+    metadata lines: only then are they looked for. *)
 
 val encode_epoch : int -> string
 (** PROMOTE: the stream's epoch after the call. *)
@@ -128,6 +128,8 @@ val encode_list : string list -> string
 val decode_list : string -> string list
 val encode_stats : (string * int) list -> string
 val decode_stats : string -> (string * int) list
+(** STATS: {!Omf_util.Counters.to_text} and {!Omf_util.Counters.of_text},
+    one ["name value"] line per counter. *)
 
 (** {1 Refusals}
 

@@ -752,9 +752,6 @@ let iter_range_slices t from upto (f : int -> Slice.t -> unit) =
       end)
     t.segs
 
-let iter_from t from f =
-  iter_range_slices t from max_int (fun off body -> f off (Slice.to_bytes body))
-
 let close t =
   if not t.closed then begin
     (try ignore (do_sync t) with Store_error _ -> ());

@@ -121,10 +121,6 @@ val iter_range_slices :
     start. Raises {!Store_error} if a record fails its length or CRC
     check. *)
 
-val iter_from : t -> int -> (int -> Bytes.t -> unit) -> unit
-(** [iter_from t from f] is {!iter_range_slices} up to the tail, each
-    frame copied out into its own buffer. *)
-
 val schema : t -> string option
 
 val meta : t -> (string * string) list

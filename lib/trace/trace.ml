@@ -202,43 +202,3 @@ let chrome_json (l : span list) : string =
     l;
   Buffer.add_string b "]}";
   Buffer.contents b
-
-(* nearest-rank percentile over a sorted array *)
-let pct (sorted : int array) (p : int) : int =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else
-    let rank = (p * n + 99) / 100 in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-
-let summary (l : span list) : (string * (int * int * int * int * int)) list =
-  let tbl : (string, int list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun sp ->
-      match Hashtbl.find_opt tbl sp.sp_stage with
-      | Some r -> r := sp.sp_dur_us :: !r
-      | None -> Hashtbl.replace tbl sp.sp_stage (ref [ sp.sp_dur_us ]))
-    l;
-  Hashtbl.fold
-    (fun stage durs acc ->
-      let a = Array.of_list !durs in
-      Array.sort compare a;
-      let n = Array.length a in
-      (stage, (n, pct a 50, pct a 95, pct a 99, a.(n - 1))) :: acc)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let summary_json (l : span list) : string =
-  let b = Buffer.create 512 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (stage, (n, p50, p95, p99, mx)) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"p50_us\":%d,\"p95_us\":%d,\"p99_us\":%d,\
-            \"max_us\":%d}"
-           (Omf_util.Json.escape stage) n p50 p95 p99 mx))
-    (summary l);
-  Buffer.add_char b '}';
-  Buffer.contents b

@@ -125,11 +125,3 @@ val chrome_json : span list -> string
 (** Chrome trace-event JSON (load in [chrome://tracing] / Perfetto):
     one complete event (["ph":"X"]) per span, [pid] = shard, with
     trace/span/parent ids and the stream name in [args]. *)
-
-val summary : span list -> (string * (int * int * int * int * int)) list
-(** Per-stage latency decomposition:
-    [(stage, (count, p50, p95, p99, max))] in microseconds, sorted by
-    stage name. Percentiles are nearest-rank. *)
-
-val summary_json : span list -> string
-(** {!summary} as a JSON object keyed by stage. *)

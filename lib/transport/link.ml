@@ -3,8 +3,9 @@
     The paper insists that the metadata system "does not predicate the use
     of specific data delivery mechanisms"; everything above this interface
     (endpoints, the event backbone) works over any duplex byte-message
-    link: the in-process {!Loopback}, the deterministic {!Netsim} used for
-    latency experiments, or real TCP sockets ({!Tcp}). *)
+    link: the deterministic in-process {!Netsim} (at zero cost,
+    {!Netsim.loopback}, or priced for latency experiments) or real TCP
+    sockets ({!Tcp}). *)
 
 type t = {
   send : bytes -> unit;

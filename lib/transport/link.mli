@@ -11,7 +11,7 @@
     [recv] on the same link, which may overwrite it ({!Tcp.link_of_fd}
     reads every frame into one buffer kept per link). A caller that
     keeps a message past its next [recv] copies it. Links that hand
-    out a fresh buffer per message ({!Loopback}, {!Netsim}) meet this
+    out a fresh buffer per message ({!Netsim}) meet this
     contract trivially. *)
 type t = {
   send : bytes -> unit;

@@ -8,7 +8,8 @@
       where the link is busy for per_message + bytes/bandwidth
 
     Virtual time is in microseconds. The clock is shared by both ends of
-    a link. *)
+    a link. At zero cost ({!loopback}) it is the plain in-process link
+    tests and examples use. *)
 
 type clock = { mutable now_us : float }
 
@@ -26,6 +27,10 @@ type profile = {
 let lan_1999 =
   { propagation_us = 100.0; per_message_us = 5.0; bytes_per_us = 12.5 }
 
+(** No cost at all: virtual time never advances. *)
+let loopback =
+  { propagation_us = 0.0; per_message_us = 0.0; bytes_per_us = infinity }
+
 type stats = {
   mutable messages : int;
   mutable bytes : int;
@@ -38,6 +43,7 @@ type side = {
   outbox : (float * bytes) Queue.t;
   mutable out_free_at : float ref;  (** when our sending half is idle *)
   stats : stats;
+  mutable closed : bool;  (** {!Link.close} ran on this end *)
 }
 
 (** [transmit_time profile len] is the serialisation cost of one message —
@@ -48,6 +54,7 @@ let transmit_time (p : profile) (len : int) : float =
 let link_of_side (s : side) : Link.t =
   { Link.send =
       (fun msg ->
+        if s.closed then raise Link.Closed;
         let start = Float.max s.clock.now_us !(s.out_free_at) in
         let busy_until = start +. transmit_time s.profile (Bytes.length msg) in
         s.out_free_at := busy_until;
@@ -66,7 +73,7 @@ let link_of_side (s : side) : Link.t =
           advance_to s.clock arrival;
           Some msg
         end)
-  ; close = (fun () -> ()) }
+  ; close = (fun () -> s.closed <- true) }
 
 (** [pair profile] creates a duplex link whose two ends share a fresh
     virtual clock. Returns [(end_a, end_b, clock, stats_a_to_b)]. *)
@@ -78,10 +85,10 @@ let pair (profile : profile) : Link.t * Link.t * clock * stats =
   let stats_ba = { messages = 0; bytes = 0 } in
   let a =
     { clock = c; profile; inbox = q1; outbox = q2; out_free_at = free_a
-    ; stats = stats_ab }
+    ; stats = stats_ab; closed = false }
   in
   let b =
     { clock = c; profile; inbox = q2; outbox = q1; out_free_at = free_b
-    ; stats = stats_ba }
+    ; stats = stats_ba; closed = false }
   in
   (link_of_side a, link_of_side b, c, stats_ab)

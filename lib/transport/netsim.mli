@@ -2,7 +2,9 @@
     experiments: each message is charged
     [per_message + bytes/bandwidth] serialisation plus [propagation] on a
     shared virtual clock; back-to-back messages queue behind each other
-    on the sending half. Time unit: microseconds. *)
+    on the sending half. Time unit: microseconds. [recv] on an empty
+    link returns [None]; [send] after {!Link.close} on the same end
+    raises {!Link.Closed}; sent buffers are copied. *)
 
 type clock
 
@@ -16,6 +18,9 @@ type profile = {
 
 val lan_1999 : profile
 (** 100 Mbit/s LAN, 100 us one-way — paper-era hardware. *)
+
+val loopback : profile
+(** Zero cost: the plain in-process link (tests, examples). *)
 
 type stats = {
   mutable messages : int;

@@ -1,7 +1,7 @@
 (** Real TCP transport (loopback or LAN): length-prefixed byte messages
     over Unix sockets, satisfying {!Link.t}. Servers bind with
     {!Omf_reactor.Reactor.listener}; simulations and benchmarks prefer
-    {!Loopback} / {!Netsim} for determinism. *)
+    {!Netsim} for determinism. *)
 
 module Frame = Omf_reactor.Frame
 module Compress = Omf_compress.Compress

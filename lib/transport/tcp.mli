@@ -1,7 +1,6 @@
 (** Real TCP transport: length-prefixed byte messages over Unix sockets,
     satisfying {!Link.t}, and the one client dial path ({!dial}).
-    Simulations and benchmarks prefer {!Loopback} / {!Netsim} for
-    determinism. *)
+    Simulations and benchmarks prefer {!Netsim} for determinism. *)
 
 exception Tcp_error of string
 

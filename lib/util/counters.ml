@@ -114,11 +114,11 @@ let merged (ts : t list) : (string * int) list =
   Hashtbl.fold (fun name r l -> (name, !r) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let to_text t =
+let to_text (snapshot : (string * int) list) =
   let b = Buffer.create 256 in
   List.iter
     (fun (name, v) -> Buffer.add_string b (Printf.sprintf "%s %d\n" name v))
-    (dump t);
+    snapshot;
   Buffer.contents b
 
 let of_text s =

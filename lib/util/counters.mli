@@ -45,8 +45,9 @@ val merged : t list -> (string * int) list
 (** Sum same-named counters across tables (per-shard totals into one
     view), sorted by name. *)
 
-val to_text : t -> string
-(** One ["name value\n"] line per counter, sorted — the STATS wire body. *)
+val to_text : (string * int) list -> string
+(** One ["name value\n"] line per counter of a snapshot ({!dump},
+    {!merged}), in its order — the STATS wire body. *)
 
 val of_text : string -> (string * int) list
 (** Parse {!to_text} output (unparseable lines are skipped). *)

@@ -243,7 +243,7 @@ let test_auth_pubsub_end_to_end () =
   Session.close_publisher pub
 
 let test_forged_frames_counted_then_closed () =
-  let h = Relay.start (Relay.listen ~auth_keys:keys ~mac_reject_limit:3 ()) in
+  let h = Relay.start (Relay.listen ~auth_keys:keys ()) in
   let port = Relay.port h in
   Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
   (* speak the handshake honestly, then send frames sealed with the
@@ -1305,7 +1305,7 @@ let test_relayd_command_line () =
       (fun o ->
         check bool ("--help names " ^ o) true (contains help ("  " ^ o ^ " ")))
       [ "--port"; "-p"; "--host"; "--policy"; "--max-queue"; "--evict-grace"
-      ; "--drain"; "--auth-key"; "--mac-reject-limit"; "--shards"
+      ; "--drain"; "--auth-key"; "--shards"
       ; "--metrics-port"; "--store"; "--store-fsync"; "--store-segment-mb"
       ; "--store-retain-segments"; "--store-retain-mb"; "--store-retain-age-s"
       ; "--store-compress"; "--relay-id"; "--mirror"; "--mirror-promote-on-loss"

@@ -409,10 +409,12 @@ let test_async_discovery_zero_loss () =
   ignore (Omf_xml2wire.Xml2wire.register_schema pcat Fx.schema_a);
   let fmt = Option.get (Catalog.find_format pcat "ASDOffEvent") in
   let sender = Endpoint.Sender.create plink (Memory.create Abi.x86_64) in
-  (* the subscriber: stream advertisement carries subject@version +
-     fingerprint, so it knows what to ask the registry for *)
+  (* the subscriber: the stream's advertisement, read with DESCRIBE,
+     carries subject@version + fingerprint, so it knows what to ask the
+     registry for *)
   let sub = Relay.Client.connect ~port () in
-  let meta, _schema, slink = Relay.Client.subscribe_meta sub ~stream:"flights" in
+  let meta, _schema = Relay.Client.describe sub ~stream:"flights" in
+  let _schema, slink = Relay.Client.subscribe sub ~stream:"flights" in
   check bool "advertisement carries the subject" true
     (List.assoc_opt "subject" meta = Some "flights");
   check bool "advertisement carries the version" true

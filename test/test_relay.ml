@@ -777,10 +777,10 @@ let test_stats_protocol () =
   Session.close_subscriber consumer;
   Relay.Client.close pub
 
-(* STATS names every key once, and the answering shard reads its own
-   streams' store gauges live: right after an acked flush the tail is
-   exact, even once the periodic gauge tick has copied an older value
-   into the counters. *)
+(* STATS names every key once, and the answering shard writes its own
+   streams' gauges before the snapshot: right after an acked flush the
+   tail is exact, even once an earlier STATS (or the periodic gauge
+   tick) has written an older value into the counters. *)
 let test_stats_keys_unique_and_live () =
   with_store_root @@ fun root ->
   let h =
@@ -804,21 +804,20 @@ let test_stats_keys_unique_and_live () =
   send 0 5;
   let admin = Relay.Client.connect ~port () in
   Fun.protect ~finally:(fun () -> Relay.Client.close admin) @@ fun () ->
-  (* wait for a gauge tick that saw the stream: its queue-depth gauge
-     (tick-only) appears, and the store gauges land beside it *)
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while
-    not (List.mem_assoc "stream.flights.queue_depth" (Relay.Client.stats admin))
-  do
-    if Unix.gettimeofday () > deadline then Alcotest.fail "no gauge tick";
-    Thread.delay 0.02
-  done;
+  (* the first STATS writes the stream's gauges, the store tail among
+     them: no gauge tick needs to have run *)
+  let first = Relay.Client.stats admin in
+  check bool "queue-depth gauge on the first STATS" true
+    (List.mem_assoc "stream.flights.queue_depth" first);
+  check int "store tail on the first STATS" 5
+    (List.assoc "store.flights.tail" first);
   send 5 12;
   let stats = Relay.Client.stats admin in
   let keys = List.map fst stats in
   let twice k = List.length (List.filter (String.equal k) keys) > 1 in
   check (Alcotest.list Alcotest.string) "no STATS key appears twice" []
     (List.sort_uniq compare (List.filter twice keys));
+  check bool "STATS keys sorted" true (keys = List.sort compare keys);
   check int "store tail read live after the acked flush" 12
     (List.assoc "store.flights.tail" stats)
 
@@ -1692,8 +1691,7 @@ let ctx =
 let publish_req ?(acks = false) ?trace stream =
   Proto.Publish { stream; acks; trace }
 
-let subscribe_req ?from ?(meta = false) stream =
-  Proto.Subscribe { stream; from; meta }
+let subscribe_req ?from stream = Proto.Subscribe { stream; from }
 
 (* one instance of every command and reply, with the exact bytes the
    hand-written encoders this module replaced put on the wire *)
@@ -1714,7 +1712,6 @@ let test_proto_golden () =
       , "pflights\ntrace=0123456789abcdef-0000000000000001-01" )
     ; (publish_req ~acks:true "flights", "pflights\nacks=1")
     ; (subscribe_req "flights", "sflights")
-    ; (subscribe_req ~meta:true "flights", "sflights\nmeta=1")
     ; (subscribe_req ~from:(-1) "flights", "sflights\nfrom=-1")
     ; (Proto.Stats, "t")
     ; (Proto.List, "l")
@@ -1727,6 +1724,11 @@ let test_proto_golden () =
       check bool ("decodes " ^ wire) true
         (Proto.decode_request (Bytes.of_string wire) = Ok req))
     requests;
+  (* the advertisement is read with DESCRIBE: SUBSCRIBE ignores a
+     [meta=1] option like any other it does not know *)
+  check bool "subscribe ignores meta=1" true
+    (Proto.decode_request (Bytes.of_string "sflights\nmeta=1")
+    = Ok (subscribe_req "flights"));
   let replies =
     [ (Proto.Ok "", "o")
     ; (Proto.Err "publish: unknown stream nope", "epublish: unknown stream nope")
@@ -1805,9 +1807,7 @@ let gen_request =
     ; map3
         (fun stream acks trace -> Proto.Publish { stream; acks; trace })
         stream bool (opt gen_ctx)
-    ; map3
-        (fun stream from meta -> Proto.Subscribe { stream; from; meta })
-        stream (opt int) bool
+    ; map2 (fun stream from -> Proto.Subscribe { stream; from }) stream (opt int)
     ; return Proto.Stats
     ; return Proto.List
     ; map (fun s -> Proto.Describe s) stream

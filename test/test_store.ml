@@ -40,7 +40,8 @@ let frame seq = Bytes.of_string (Printf.sprintf "Mevent-%06d" seq)
 
 let read_all st from =
   let acc = ref [] in
-  Store.iter_from st from (fun off f -> acc := (off, Bytes.to_string f) :: !acc);
+  Store.iter_range_slices st from max_int (fun off f ->
+      acc := (off, Slice.to_string f) :: !acc);
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)

@@ -131,12 +131,8 @@ let test_slow_gate () =
 
 let test_export_shapes () =
   let col = Trace.collector ~shard:3 (Trace.settings ~sample:1.0 ()) in
-  (* durations 1..100 under one stage: nearest-rank percentiles are
-     exactly the rank values *)
-  for d = 1 to 100 do
-    Trace.record col ~trace:0xabcL ~parent:2L ~stage:"store_append"
-      ~stream:"flights" ~start_us:d ~dur_us:d
-  done;
+  Trace.record col ~trace:0xabcL ~parent:2L ~stage:"store_append"
+    ~stream:"flights" ~start_us:1 ~dur_us:5;
   Trace.record col ~trace:0xabcL ~parent:2L ~stage:"deliver" ~stream:"flights"
     ~start_us:200 ~dur_us:7;
   let spans = Trace.spans col in
@@ -147,19 +143,7 @@ let test_export_shapes () =
   check bool "stream in args" true (contains json "\"stream\":\"flights\"");
   check bool "trace id in args" true
     (contains json (Trace.id_to_string 0xabcL));
-  (match List.assoc_opt "store_append" (Trace.summary spans) with
-  | Some (count, p50, p95, p99, mx) ->
-    check int "count" 100 count;
-    check int "p50" 50 p50;
-    check int "p95" 95 p95;
-    check int "p99" 99 p99;
-    check int "max" 100 mx
-  | None -> Alcotest.fail "summary lost a stage");
-  let sj = Trace.summary_json spans in
-  check bool "summary json keyed by stage" true (contains sj "\"deliver\"");
-  check bool "summary json carries counts" true (contains sj "\"count\"");
-  check string "empty span list is an empty object" "{}"
-    (Trace.summary_json [])
+  check string "empty span list" "{\"traceEvents\":[]}" (Trace.chrome_json [])
 
 (* ------------------------------------------------------------------ *)
 (* Integration helpers (test_mirror idioms)                             *)
@@ -235,6 +219,28 @@ let has_stages ~trace_id ~want spans =
   let got = stages_of ~trace_id spans in
   List.for_all (fun s -> List.mem s got) want
 
+(* /trace/spans as relayd serves it, beside /metrics *)
+let serve_spans spans =
+  Http.serve ~port:0
+    (Http.metrics_handler
+       ~routes:
+         [ ( "/trace/spans"
+           , fun () ->
+               Http.ok ~content_type:"application/json"
+                 (Trace.chrome_json (spans ())) ) ]
+       [])
+
+(* the spans of [stage] in a /trace/spans body: one event per span *)
+let span_count body stage =
+  let needle = Printf.sprintf "\"name\":\"%s\"" stage in
+  let nl = String.length needle in
+  let rec go i n =
+    if i + nl > String.length body then n
+    else if String.sub body i nl = needle then go (i + nl) (n + 1)
+    else go (i + 1) n
+  in
+  go 0 0
+
 (* ------------------------------------------------------------------ *)
 (* Single relay: a traced session covers the whole frame path           *)
 (* ------------------------------------------------------------------ *)
@@ -297,6 +303,90 @@ let test_single_relay_stages () =
   Relay.Client.close c;
   Relay.Client.close sc;
   Relay.Client.close pub
+
+(* The stage-latency histograms and the span export are fed by one
+   record gate: while the span ring has not wrapped, every stage's
+   [hist.stage_us.<stage>.count] in STATS is its span count on
+   /trace/spans. An untraced publisher beside the traced one sends
+   frames the gate turns away from both. *)
+let test_stage_histograms_match_spans () =
+  with_root @@ fun root ->
+  let buffer = 4096 in
+  let h =
+    Relay.start
+      (Relay.listen ~trace:(Trace.settings ~sample:0.0 ~buffer ())
+         ~store:(store_cfg root) ())
+  in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let ctx = Trace.make ~sampled:true () in
+  let traced = make_publisher ~trace:ctx ~port ~stream:"flights" () in
+  let quiet = make_publisher ~port ~stream:"quiet" () in
+  let n = 40 in
+  List.iter
+    (fun (stream, (_, sender, fmt)) ->
+      let sc = Relay.Client.connect ~port () in
+      let _schema, sub_link = Relay.Client.subscribe sc ~stream in
+      for seq = 0 to n - 1 do
+        publish sender fmt seq
+      done;
+      let seen = ref 0 in
+      while !seen < n do
+        match Link.recv sub_link with
+        | Some f when Bytes.length f > 0 && Bytes.get f 0 = 'M' -> incr seen
+        | Some _ -> ()
+        | None -> Alcotest.fail "subscriber closed early"
+      done;
+      Relay.Client.close sc)
+    [ ("flights", traced); ("quiet", quiet) ];
+  let srv = serve_spans (fun () -> Relay.trace_spans h) in
+  Fun.protect ~finally:(fun () -> Http.shutdown srv) @@ fun () ->
+  let admin = Relay.Client.connect ~port () in
+  Fun.protect ~finally:(fun () -> Relay.Client.close admin) @@ fun () ->
+  let stages =
+    [ "publish_admit"; "store_append"; "fanout_enqueue"; "flush"; "deliver" ]
+  in
+  (* the export first, then STATS, which the shard's loop answers after
+     every span the export held: a stage's last spans may land after
+     its subscriber read the frames, so read until the two agree *)
+  let read () =
+    let body = Http.get ~port:(Http.port srv) ~path:"/trace/spans" () in
+    let stats = Relay.Client.stats admin in
+    List.map
+      (fun stage ->
+        ( stage
+        , span_count body stage
+        , Option.value ~default:0
+            (List.assoc_opt
+               (Printf.sprintf "hist.stage_us.%s.count" stage)
+               stats) ))
+      stages
+  in
+  let deadline = Unix.gettimeofday () +. 15.0 in
+  let rec settle () =
+    let r = read () in
+    if
+      List.for_all (fun (_, spans, hist) -> spans > 0 && spans = hist) r
+      || Unix.gettimeofday () > deadline
+    then r
+    else begin
+      Thread.delay 0.01;
+      settle ()
+    end
+  in
+  let counts = settle () in
+  check bool "the ring has not wrapped" true
+    (List.length (Relay.trace_spans h) < buffer);
+  List.iter
+    (fun (stage, spans, hist) ->
+      check bool (stage ^ " spans exported") true (spans > 0);
+      check int (stage ^ ": histogram count = span count") spans hist)
+    counts;
+  check bool "only the traced stream's frames were admitted as spans" true
+    (List.for_all
+       (fun sp -> String.equal sp.Trace.sp_stream "flights")
+       (Relay.trace_spans h));
+  List.iter (fun (pub, _, _) -> Relay.Client.close pub) [ traced; quiet ]
 
 (* an untraced relay mints nothing and serves no trace metadata *)
 let test_tracing_off_is_inert () =
@@ -448,23 +538,9 @@ let test_mirror_chain_trace () =
       && has_stages ~trace_id:ctx.Trace.trace_id
            ~want:[ "publish_admit"; "store_append" ]
            (Relay.trace_spans hb));
-  (* export the merged trace the way relayd does: /trace/spans and
-     /trace/summary mounted beside /metrics *)
-  let srv =
-    Http.serve ~port:0
-      (Http.metrics_handler
-         ~routes:
-           [ ( "/trace/spans"
-             , fun () ->
-                 Http.ok ~content_type:"application/json"
-                   (Trace.chrome_json (all_spans ())) )
-           ; ( "/trace/summary"
-             , fun () ->
-                 Http.ok ~content_type:"application/json"
-                   (Trace.summary_json (all_spans ())) )
-           ]
-         [])
-  in
+  (* export the merged trace the way relayd does: /trace/spans mounted
+     beside /metrics *)
+  let srv = serve_spans all_spans in
   Fun.protect ~finally:(fun () -> Http.shutdown srv) @@ fun () ->
   let body = Http.get ~port:(Http.port srv) ~path:"/trace/spans" () in
   check bool "spans export has the trace id" true
@@ -474,8 +550,6 @@ let test_mirror_chain_trace () =
       check bool (stage ^ " exported") true
         (contains body (Printf.sprintf "\"name\":\"%s\"" stage)))
     want;
-  let summary = Http.get ~port:(Http.port srv) ~path:"/trace/summary" () in
-  check bool "summary keyed by stage" true (contains summary "store_append");
   (* /metrics still answers beside the trace routes *)
   let metrics = Http.get ~port:(Http.port srv) ~path:"/metrics" () in
   check bool "metrics endpoint intact" true (String.length metrics >= 0);
@@ -496,8 +570,7 @@ let () =
             test_ring_capacity
         ; Alcotest.test_case "slow-span gate" `Quick test_slow_gate ] )
     ; ( "export"
-      , [ Alcotest.test_case "chrome json and summary" `Quick
-            test_export_shapes ] )
+      , [ Alcotest.test_case "chrome json" `Quick test_export_shapes ] )
     ; ( "relay"
       , [ Alcotest.test_case "one session covers the frame path" `Quick
             test_single_relay_stages
@@ -506,7 +579,9 @@ let () =
         ; Alcotest.test_case "relay-side head sampling" `Quick
             test_relay_head_sampling
         ; Alcotest.test_case "session handoff via describe" `Quick
-            test_session_trace_handoff ] )
+            test_session_trace_handoff
+        ; Alcotest.test_case "stage histograms count the exported spans"
+            `Quick test_stage_histograms_match_spans ] )
     ; ( "mirror"
       , [ Alcotest.test_case "one trace crosses a mirror chain" `Quick
             test_mirror_chain_trace ] ) ]

@@ -1,5 +1,5 @@
-(** Tests for the transport layer: loopback, the deterministic netsim
-    link, the format-negotiation endpoint protocol, and real TCP. *)
+(** Tests for the transport layer: the deterministic netsim link, at
+    zero cost (the in-process loopback) and priced, the format-negotiation endpoint protocol, and real TCP. *)
 
 open Omf_machine
 open Omf_pbio.Pbio
@@ -14,20 +14,26 @@ let value_testable =
   Alcotest.testable (fun ppf v -> Fmt.string ppf (Value.to_string v)) Value.equal
 
 (* ------------------------------------------------------------------ *)
-(* Loopback                                                             *)
+(* Loopback: netsim at zero cost                                        *)
 (* ------------------------------------------------------------------ *)
 
+let loopback () =
+  let a, b, _, _ = Netsim.pair Netsim.loopback in
+  (a, b)
+
 let test_loopback_fifo () =
-  let a, b = Loopback.pair () in
+  let a, b, clock, _ = Netsim.pair Netsim.loopback in
   Link.send a (Bytes.of_string "one");
   Link.send a (Bytes.of_string "two");
   check Alcotest.string "fifo 1" "one" (Bytes.to_string (Link.recv_exn b));
   check Alcotest.string "fifo 2" "two" (Bytes.to_string (Link.recv_exn b));
+  check bool "empty link: None" true (Link.recv b = None);
   Link.send b (Bytes.of_string "back");
-  check Alcotest.string "duplex" "back" (Bytes.to_string (Link.recv_exn a))
+  check Alcotest.string "duplex" "back" (Bytes.to_string (Link.recv_exn a));
+  check (Alcotest.float 0.0) "zero cost: no virtual time" 0.0 (Netsim.now clock)
 
 let test_loopback_close_semantics () =
-  let a, b = Loopback.pair () in
+  let a, b = loopback () in
   Link.send a (Bytes.of_string "last");
   Link.close a;
   check bool "queued data still readable" true
@@ -38,16 +44,9 @@ let test_loopback_close_semantics () =
     Alcotest.fail "expected Closed"
   with Link.Closed -> ()
 
-let test_loopback_would_block () =
-  let _, b = Loopback.pair () in
-  try
-    ignore (Link.recv b);
-    Alcotest.fail "expected Would_block"
-  with Loopback.Would_block -> ()
-
 let test_loopback_isolation () =
   (* sent buffers are copied: mutating after send must not corrupt *)
-  let a, b = Loopback.pair () in
+  let a, b = loopback () in
   let msg = Bytes.of_string "data" in
   Link.send a msg;
   Bytes.set msg 0 'X';
@@ -144,7 +143,7 @@ let endpoint_pair sender_abi receiver_abi decl =
   let sfmt = Registry.register sreg decl in
   let rreg = Registry.create receiver_abi in
   ignore (Registry.register rreg decl);
-  let a, b = Loopback.pair () in
+  let a, b = loopback () in
   let sender = Endpoint.Sender.create a (Memory.create sender_abi) in
   let receiver =
     Endpoint.Receiver.create b rreg (Memory.create receiver_abi)
@@ -172,11 +171,9 @@ let test_endpoint_descriptor_sent_once () =
     Endpoint.Sender.send_value sender sfmt Fx.value_a
   done;
   (* drain: 10 data messages; exactly one descriptor frame was prepended *)
-  (try
-     while Option.is_some (Endpoint.Receiver.recv_value receiver) do
-       incr count
-     done
-   with Loopback.Would_block -> ());
+  while Option.is_some (Endpoint.Receiver.recv_value receiver) do
+    incr count
+  done;
   check int "ten data messages decoded" 10 !count
 
 (* value-level endpoints keep their memories one message large: the
@@ -188,7 +185,7 @@ let test_endpoint_memory_flat () =
   let sfmt = Registry.register sreg Fx.decl_a in
   let rreg = Registry.create Abi.sparc_32 in
   ignore (Registry.register rreg Fx.decl_a);
-  let a, b = Loopback.pair () in
+  let a, b = loopback () in
   let sender = Endpoint.Sender.create a smem in
   let receiver = Endpoint.Receiver.create b rreg rmem in
   let exchange () =
@@ -221,7 +218,7 @@ let test_endpoint_reannounces_reused_id () =
   check int "both formats take id 1" fmt1.Format.id fmt2.Format.id;
   let rreg = Registry.create Abi.sparc_32 in
   ignore (Registry.register rreg decl_v2);
-  let a, b = Loopback.pair () in
+  let a, b = loopback () in
   let sender = Endpoint.Sender.create a (Memory.create Abi.x86_64) in
   let receiver = Endpoint.Receiver.create b rreg (Memory.create Abi.sparc_32) in
   let gate () =
@@ -237,7 +234,7 @@ let test_endpoint_reannounces_reused_id () =
 
 let test_endpoint_rejects_garbage_frame () =
   let reg = Registry.create Abi.x86_64 in
-  let a, b = Loopback.pair () in
+  let a, b = loopback () in
   let receiver = Endpoint.Receiver.create b reg (Memory.create Abi.x86_64) in
   Link.send a (Bytes.of_string "Zjunk");
   (try
@@ -661,7 +658,6 @@ let () =
     [ ( "loopback",
         [ Alcotest.test_case "fifo + duplex" `Quick test_loopback_fifo
         ; Alcotest.test_case "close semantics" `Quick test_loopback_close_semantics
-        ; Alcotest.test_case "would-block" `Quick test_loopback_would_block
         ; Alcotest.test_case "buffer isolation" `Quick test_loopback_isolation ] )
     ; ( "netsim",
         [ Alcotest.test_case "latency accounting" `Quick

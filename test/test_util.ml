@@ -307,7 +307,7 @@ let golden_counters () =
 let test_counters_golden () =
   let module C = Omf_util.Counters in
   let t = golden_counters () in
-  let text = C.to_text t in
+  let text = C.to_text (C.dump t) in
   let prom = C.prometheus ~component:"relay" (C.dump t) in
   let md5 s = Digest.to_hex (Digest.string s) in
   check int "STATS text length" 1107 (String.length text);
