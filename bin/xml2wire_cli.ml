@@ -183,7 +183,9 @@ let journal path jpath abi limit =
         Fmt.pr "%d record(s)@." n)
   with
   | () -> `Ok ()
-  | exception Omf_journal.Journal.Journal_error m -> `Error (false, m)
+  | exception Omf_util.Decode.Error { layer; offset; reason } ->
+    `Error
+      (false, "corrupt journal: " ^ Omf_util.Decode.message layer offset reason)
   | exception Omf_pbio.Pbio.Unknown_format m ->
     `Error (false, "journal uses a format the schema does not define: " ^ m)
   | exception Omf_pbio.Convert.Field_mismatch m ->

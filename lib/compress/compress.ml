@@ -3,10 +3,9 @@
    up-front bounds check of the whole window. *)
 
 module Slice = Omf_util.Slice
+module Decode = Omf_util.Decode
 
-exception Error of string
-
-let err fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+let err at reason = Decode.fail "lz" at reason
 
 let tag_stored = '\x00'
 let tag_lz = '\x01'
@@ -267,9 +266,9 @@ let compress_slice ?scratch (s : Slice.t) =
 
 (* one past the end of the 255-continuation run at [i]: its last byte is
    the first one below 255 *)
-let rec run_end src i iend =
-  if i >= iend then err "truncated token stream"
-  else if Bytes.unsafe_get src i = '\xff' then run_end src (i + 1) iend
+let rec run_end src pos i iend =
+  if i >= iend then err (i - pos) Truncated
+  else if Bytes.unsafe_get src i = '\xff' then run_end src pos (i + 1) iend
   else i + 1
 
 (* 15 plus the bytes of the run from [i] to [e] *)
@@ -290,18 +289,17 @@ let decompress_sub ?(into = Bytes.create) src ~pos ~len =
     invalid_arg
       (Printf.sprintf "Compress.decompress_sub: window %d+%d of %d" pos len
          (Bytes.length src));
-  if len < 1 then err "empty block";
+  if len < 1 then err 0 Truncated;
   match Bytes.get src pos with
   | c when c = tag_stored ->
     let out = output into (len - 1) in
     Bytes.blit src (pos + 1) out 0 (len - 1);
     out
   | c when c = tag_lz ->
-    if len < 5 then err "truncated lz header (%d bytes)" len;
+    if len < 5 then err len Truncated;
     let raw_len = Int32.to_int (Bytes.get_int32_be src (pos + 1)) land 0xFFFF_FFFF in
-    if raw_len > max_block_len then err "block claims %d bytes" raw_len;
-    if raw_len > max_expansion * (len - 5) then
-      err "block claims %d bytes from %d token bytes" raw_len (len - 5);
+    if raw_len > max_block_len || raw_len > max_expansion * (len - 5) then
+      err 1 Too_long;
     let out = output into raw_len in
     let iend = pos + len in
     let ip = ref (pos + 5) in
@@ -313,21 +311,21 @@ let decompress_sub ?(into = Bytes.create) src ~pos ~len =
         let l = token lsr 4 in
         if l < 15 then l
         else begin
-          let e = run_end src !ip iend in
+          let e = run_end src pos !ip iend in
           let v = run_value src !ip e in
           ip := e;
           v
         end
       in
       if llen > 0 then begin
-        if !ip + llen > iend then err "literal run past block end";
-        if !op + llen > raw_len then err "literal run past output end";
+        if !ip + llen > iend then err (!ip - pos) Truncated;
+        if !op + llen > raw_len then err (!ip - pos) Inconsistent;
         Bytes.blit src !ip out !op llen;
         ip := !ip + llen;
         op := !op + llen
       end;
       if !ip < iend then begin
-        if !ip + 2 > iend then err "truncated token stream";
+        if !ip + 2 > iend then err (!ip - pos) Truncated;
         let dist = Bytes.get_uint16_be src !ip in
         ip := !ip + 2;
         let mlen =
@@ -336,14 +334,14 @@ let decompress_sub ?(into = Bytes.create) src ~pos ~len =
           +
           if m < 15 then m
           else begin
-            let e = run_end src !ip iend in
+            let e = run_end src pos !ip iend in
             let v = run_value src !ip e in
             ip := e;
             v
           end
         in
-        if dist = 0 || dist > !op then err "match distance %d at offset %d" dist !op;
-        if !op + mlen > raw_len then err "match run past output end";
+        if dist = 0 || dist > !op || !op + mlen > raw_len then
+          err (!ip - pos) Inconsistent;
         (* byte-wise copy: correct for overlapping matches (dist < mlen) *)
         let from = ref (!op - dist) in
         for _ = 1 to mlen do
@@ -353,9 +351,9 @@ let decompress_sub ?(into = Bytes.create) src ~pos ~len =
         done
       end
     done;
-    if !op <> raw_len then err "block decoded %d bytes, header said %d" !op raw_len;
+    if !op <> raw_len then err len Inconsistent;
     out
-  | c -> err "bad block tag 0x%02x" (Char.code c)
+  | _ -> err 0 Bad_tag
 
 let decompress src = decompress_sub src ~pos:0 ~len:(Bytes.length src)
 

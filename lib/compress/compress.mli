@@ -22,14 +22,13 @@
     block when it is strictly smaller than the stored form, so
     incompressible input costs exactly one byte of framing.
 
-    The decoder bounds-checks every read and write and raises [Error]
-    on any malformed block — truncated stream, bad tag, distance past
-    the output start, or a length that disagrees with the header. A
-    header claiming more than 255 bytes per token-stream byte is refused
-    before the output is allocated. *)
-
-exception Error of string
-(** Malformed compressed block. *)
+    The decoder bounds-checks every read and write and raises only
+    [Omf_util.Decode.Error] (layer ["lz"], offsets into the block) on a
+    malformed block: [Truncated] stream, [Bad_tag], a header claiming
+    more than 255 bytes per token-stream byte ([Too_long], refused
+    before the output is allocated), or a distance past the output
+    start or a length that disagrees with the header
+    ([Inconsistent]). *)
 
 val bound : int -> int
 (** [bound n] is the worst-case block size for [n] input bytes: [n+1]. *)
@@ -65,18 +64,20 @@ val compress_slice : ?scratch:scratch -> Omf_util.Slice.t -> Bytes.t
 (** Compress the viewed bytes without copying them first. *)
 
 val decompress : Bytes.t -> Bytes.t
-(** Decompress a whole block. Raises [Error] on malformed input. *)
+(** Decompress a whole block. Raises [Omf_util.Decode.Error] on
+    malformed input. *)
 
 val decompress_sub :
   ?into:(int -> Bytes.t) -> Bytes.t -> pos:int -> len:int -> Bytes.t
 (** Decompress a block sitting in a window of a larger buffer. Raises
-    [Error] on malformed input, [Invalid_argument] on a bad window.
+    [Omf_util.Decode.Error] on malformed input, [Invalid_argument] on a
+    bad window.
     [into n] (default [Bytes.create]) supplies the buffer the block
     decodes into and returns, of exactly the block's [n] decompressed
     bytes ([Invalid_argument] otherwise) — a caller-owned buffer
     reused across blocks of one length, say. It runs once the header
     is checked, so a header claiming an impossible length raises
-    [Error] without calling it. A block that fails later may have
+    [Decode.Error] without calling it. A block that fails later may have
     written into the buffer. *)
 
 

@@ -92,8 +92,8 @@ let dim_change field (old_d : Ftype.dim) (new_d : Ftype.dim) : change list =
     [ change field Degraded "static array shrank %d -> %d: old receivers \
                              zero-fill the tail" a b ]
   | Ftype.Var a, Ftype.Var b ->
-    [ change field Warning "control field renamed %S -> %S: both sides must \
-                            carry the new control" a b ]
+    [ change field Warning "control field renamed %S -> %S: a receiver \
+                            fills its control from the sender's" a b ]
   | _ ->
     [ change field Breaking "dimension changed (%s -> %s): conversion plans \
                              will refuse this field" (dim_phrase old_d)

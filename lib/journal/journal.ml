@@ -16,10 +16,7 @@ open Omf_pbio
 module Endpoint = Omf_transport.Endpoint
 module Frame = Omf_reactor.Frame
 module Link = Omf_transport.Link
-
-exception Journal_error of string
-
-let journal_error fmt = Printf.ksprintf (fun s -> raise (Journal_error s)) fmt
+module Decode = Omf_util.Decode
 
 let magic = "OMFJRNL1"
 
@@ -63,29 +60,22 @@ module Reader = struct
 
   (* One frame per [recv], lent as a TCP link lends it (exact length,
      reused while lengths repeat). Only EOF at a frame boundary ends the
-     journal; a torn or corrupt frame is an error naming its offset. *)
+     journal. *)
   let link ic at : Link.t =
     let hdr = Bytes.create Frame.header_length and lent = ref Bytes.empty in
+    let size = in_channel_length ic in
     let recv () =
       at := pos_in ic;
       match input ic hdr 0 Frame.header_length with
       | 0 -> None
       | n ->
         (try really_input ic hdr n (Frame.header_length - n)
-         with End_of_file ->
-           journal_error
-             "journal truncated in record length prefix at byte %d" !at);
+         with End_of_file -> Decode.fail "journal" 0 Truncated);
         let len = Frame.read_header hdr 0 in
-        if len < 1 || len > Frame.default_max_frame then
-          journal_error "bad record length %d at byte %d" len !at;
+        if len > size - pos_in ic then Decode.fail "journal" 0 Truncated;
         if Bytes.length !lent <> len then lent := Bytes.create len;
         (try really_input ic !lent 0 len
-         with End_of_file ->
-           journal_error
-             "journal truncated mid-record at byte %d (need %d body bytes, \
-              have %d)"
-             !at len
-             (pos_in ic - !at - Frame.header_length));
+         with End_of_file -> Decode.fail "journal" 0 Truncated);
         Some !lent
     in
     { Link.send = ignore; recv; close = (fun () -> close_in ic) }
@@ -98,28 +88,20 @@ module Reader = struct
       let at = ref 0 in
       ( { endpoint = Endpoint.Receiver.create (link ic at) registry mem; at }
       , fun () -> close_in ic )
-    | m ->
+    | _ ->
       close_in_noerr ic;
-      journal_error "bad journal magic %S" m
+      Decode.fail "journal" 0 Bad_magic
     | exception End_of_file ->
       close_in_noerr ic;
-      journal_error "not a journal: file too short"
+      Decode.fail "journal" 0 Truncated
 
   (** [next_value t] is the endpoint's next message as a value; the
-      reader's memory is reset after each one. A sound file the reader's
-      schema cannot read is not corrupt: a format the registry lacks
-      raises {!Omf_pbio.Pbio.Unknown_format}, and one it defines
-      incompatibly {!Omf_pbio.Convert.Field_mismatch}. Any other
-      failure is a {!Journal_error} naming the frame's byte offset. *)
+      reader's memory is reset after each one. A [Decode.Error] gets the
+      frame's byte offset in the file. *)
   let next_value (t : t) : (Format.t * Value.t) option =
-    try Endpoint.Receiver.recv_value t.endpoint with
-    | (Journal_error _ | Pbio.Unknown_format _ | Convert.Field_mismatch _) as e
-      ->
-      raise e
-    | Endpoint.Protocol_error m -> journal_error "%s at byte %d" m !(t.at)
-    | e ->
-      journal_error "corrupt record at byte %d: %s" !(t.at)
-        (Printexc.to_string e)
+    try Endpoint.Receiver.recv_value t.endpoint
+    with Decode.Error { layer; reason; _ } ->
+      raise (Decode.Error { layer; offset = !(t.at); reason })
 
   (** [fold t f acc] replays the whole journal. *)
   let fold (t : t) (f : 'a -> Format.t * Value.t -> 'a) (acc : 'a) : 'a =

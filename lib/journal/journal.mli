@@ -6,8 +6,6 @@
 open Omf_machine
 open Omf_pbio
 
-exception Journal_error of string
-
 module Writer : sig
   type t
 
@@ -29,17 +27,18 @@ module Reader : sig
 
   val of_file :
     string -> Format.Registry.t -> Memory.t -> t * (unit -> unit)
-  (** Checks the magic. The registry supplies the reader's native
-      formats (discovered or compiled-in, as usual). *)
+  (** Checks the magic ([Omf_util.Decode.Error] otherwise). The
+      registry supplies the reader's native formats (discovered or
+      compiled-in, as usual). *)
 
   val next_value : t -> (Format.t * Value.t) option
   (** The next message, lifted to a value, after which the reader's
-      memory is reset. [None] at clean EOF; {!Journal_error} (naming the
-      byte offset) on truncation or corruption, a message before its
-      format's descriptor included; {!Omf_pbio.Pbio.Unknown_format} for
-      a format the registry lacks, and {!Omf_pbio.Convert.Field_mismatch}
-      (naming the format and the field) for one it defines
-      incompatibly. *)
+      memory is reset. [None] at clean EOF. A torn or corrupt record (a
+      message before its format's descriptor included) raises only
+      [Omf_util.Decode.Error], at the record's byte offset in the file;
+      a format the registry lacks {!Omf_pbio.Pbio.Unknown_format}, and
+      one it defines incompatibly {!Omf_pbio.Convert.Field_mismatch}
+      (naming the format and the field). *)
 
   val fold : t -> ('a -> Format.t * Value.t -> 'a) -> 'a -> 'a
 end

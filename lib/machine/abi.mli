@@ -62,8 +62,6 @@ val find_by_name : string -> t option
 (** {1 Fingerprints} — the compact on-the-wire identification of an ABI,
     carried in every NDR message header. *)
 
-val fingerprint_length : int
-
 val fingerprint : t -> string
 (** 6 bytes: endianness, short/int/long/pointer sizes, alignment cap. *)
 

@@ -26,11 +26,11 @@
 
 open Omf_machine
 
+module Decode = Omf_util.Decode
+
 exception Field_mismatch of string
-exception Decode_error of string
 
 let mismatch fmt = Printf.ksprintf (fun s -> raise (Field_mismatch s)) fmt
-let dec_error fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
 type count_src =
   | Wire_field of { off : int; size : int }
@@ -59,6 +59,7 @@ type op =
       d_stride : int;
       body : op array;
     }  (** inline (fixed) array whose elements need per-element work *)
+  | Keep_zero  (** a native field the wire does not fill: no blit spans it *)
   | Var_array of {
       s_slot : int;
       d_slot : int;
@@ -119,6 +120,7 @@ let offset_ops (ops : op array) ~ds ~dd : op array =
       | Num n -> Num { n with s_off = n.s_off + ds; d_off = n.d_off + dd }
       | Str s -> Str { s_off = s.s_off + ds; d_off = s.d_off + dd }
       | Loop l -> Loop { l with s_off = l.s_off + ds; d_off = l.d_off + dd }
+      | Keep_zero -> Keep_zero
       | Var_array v ->
         let count =
           match v.count with
@@ -142,7 +144,7 @@ let coalesce ~(same_order : bool) (ops : op list) : op array =
          | Endian.Signed | Endian.Unsigned | Endian.Ieee ->
            Some (s_off, d_off, s_size))
       else None
-    | Swap _ | Str _ | Loop _ | Var_array _ -> None
+    | Swap _ | Str _ | Loop _ | Keep_zero | Var_array _ -> None
   in
   let rec go acc pending = function
     | [] -> (
@@ -182,30 +184,43 @@ let elems_of ~s_stride ~d_stride (body : op array) : elems =
       Swapped s_size
     | _ -> Each body
 
+(* The wire field [nf] converts from: the same-named one, unless [nf]
+   counts a dynamic array. Then it is the wire's count of that array (a
+   control renamed between versions), or nothing when the wire lacks
+   the array (it stays empty, and so does its count). *)
+let wire_source ~(wire : Format.t) ~(native : Format.t) (nf : Format.rfield) =
+  let name = nf.Format.rf_name in
+  let rec go counts = function
+    | [] -> if counts then None else Format.find_field wire name
+    | (g : Format.rfield) :: rest -> (
+      match g.Format.rf_dim with
+      | Format.Rvar c when String.equal c name -> (
+        match Format.find_field wire g.Format.rf_name with
+        | Some { Format.rf_dim = Format.Rvar wc; _ } -> Format.find_field wire wc
+        | _ -> go true rest)
+      | _ -> go counts rest)
+  in
+  go false native.Format.fields
+
 let rec compile_record ~optimize ~(wire : Format.t) ~(native : Format.t) :
     op array =
   let same_order =
     Endian.order_equal wire.Format.abi.Abi.endianness
       native.Format.abi.Abi.endianness
   in
-  let native_abi = native.Format.abi in
   let ops =
-    List.filter_map
+    List.concat_map
       (fun (nf : Format.rfield) ->
-        match Format.find_field wire nf.Format.rf_name with
-        | None -> None (* native-only field: stays zero *)
+        match wire_source ~wire ~native nf with
+        | None -> [ Keep_zero ]
         | Some wf ->
-          Some
-            (compile_field ~optimize ~wire ~native ~same_order ~wf ~nf
-               ~native_abi))
+          compile_field ~optimize ~wire ~native ~same_order ~wf ~nf)
       native.Format.fields
-    |> List.concat
   in
   if optimize then coalesce ~same_order ops else Array.of_list ops
 
 and compile_field ~optimize ~wire ~native ~same_order ~(wf : Format.rfield)
-    ~(nf : Format.rfield) ~native_abi : op list =
-  ignore native;
+    ~(nf : Format.rfield) : op list =
   let s_off = wf.Format.rf_layout.Layout.offset in
   let d_off = nf.Format.rf_layout.Layout.offset in
   let s_size = wf.Format.rf_layout.Layout.elem_size in
@@ -228,13 +243,6 @@ and compile_field ~optimize ~wire ~native ~same_order ~(wf : Format.rfield)
         (match elem_class nf.Format.rf_elem with
         | `Num -> "numeric" | `String -> "string" | `Nested -> "struct")
   in
-  let elem_align_native () =
-    match nf.Format.rf_elem with
-    | Format.Rint { prim; _ } | Format.Rfloat prim -> Abi.align_of native_abi prim
-    | Format.Rchar -> 1
-    | Format.Rstring -> Abi.align_of native_abi Abi.Pointer
-    | Format.Rnested n -> n.Format.layout.Layout.struct_align
-  in
   match (wf.Format.rf_dim, nf.Format.rf_dim) with
   | Format.Rscalar, Format.Rscalar ->
     Array.to_list (offset_ops (Array.of_list (scalar_ops ())) ~ds:s_off ~dd:d_off)
@@ -255,12 +263,22 @@ and compile_field ~optimize ~wire ~native ~same_order ~(wf : Format.rfield)
      | Each body ->
        [ Loop
            { count; s_off; d_off; s_stride = s_size; d_stride = d_size; body } ])
-  | Format.Rvar w_control, Format.Rvar _ ->
+  | Format.Rvar w_control, Format.Rvar n_control ->
     let count_field =
       match Format.find_field wire w_control with
       | Some cf -> cf
       | None -> assert false
     in
+    (* the native control converts from [wire_source]: when that is not
+       this array's wire count (two arrays sharing a native control,
+       counted apart on the wire), the loaded count would disagree *)
+    (match
+       Option.bind (Format.find_field native n_control) (wire_source ~wire ~native)
+     with
+     | Some src when src == count_field -> ()
+     | _ ->
+       mismatch "field %S: counted by %S on the wire, and %S takes another count"
+         nf.Format.rf_name w_control n_control);
     let body =
       if optimize then coalesce ~same_order (scalar_ops ())
       else Array.of_list (scalar_ops ())
@@ -276,7 +294,7 @@ and compile_field ~optimize ~wire ~native ~same_order ~(wf : Format.rfield)
               { off = count_field.Format.rf_layout.Layout.offset
               ; size = count_field.Format.rf_layout.Layout.elem_size }
         ; s_stride = s_size; d_stride = d_size
-        ; d_align = elem_align_native (); elems } ]
+        ; d_align = Format.elem_align native.Format.abi nf.Format.rf_elem; elems } ]
   | _ ->
     mismatch "field %S: wire and native dimensions disagree (fixed/var/scalar)"
       nf.Format.rf_name
@@ -315,25 +333,17 @@ let op_count (t : t) : int = Array.length t.ops
 (* Execution reads a payload window: [plen] bytes of [buf] starting at
    [base]. Every offset below — op offsets, and the string and array
    offsets stored in the payload — is relative to the window, and is
-   bounds-checked against it before the access. *)
+   bounds-checked against it before the access: a fault is a
+   [Decode.Error] of layer ["ndr"] at that offset. *)
 
 let window_strlen buf ~base ~plen (woff : int) : int =
-  if woff < 0 || woff >= plen then
-    dec_error "string offset %d out of payload" woff;
+  if woff < 0 || woff >= plen then Decode.fail "ndr" woff Truncated;
   match Bytes.index_from buf (base + woff) '\000' with
   | nul when nul < base + plen -> nul - (base + woff)
-  | _ | (exception Not_found) ->
-    dec_error "unterminated string at payload offset %d" woff
+  | _ | (exception Not_found) -> Decode.fail "ndr" plen Truncated
 
-let check_window ~plen off len what =
-  if off < 0 || len < 0 || off > plen - len then
-    dec_error "%s [%d, +%d) escapes payload of %d bytes" what off len plen
-
-let payload_strlen (payload : bytes) (off : int) : int =
-  window_strlen payload ~base:0 ~plen:(Bytes.length payload) off
-
-let check_range payload off len what =
-  check_window ~plen:(Bytes.length payload) off len what
+let check_window ~plen off len =
+  if off < 0 || len < 0 || off > plen - len then Decode.fail "ndr" off Truncated
 
 (** Execute [ops] over the payload window, materialising native data in
     [mem] at [d_base] (an allocated, zeroed block); [s_base] is the
@@ -349,21 +359,21 @@ and exec_op plan buf ~base ~plen s_base mem d_base op =
   let wp = plan.wire_ptr_size in
   match op with
   | Blit { s_off; d_off; len } ->
-    check_window ~plen (s_base + s_off) len "blit";
+    check_window ~plen (s_base + s_off) len;
     Memory.blit_from_buffer mem ~src:buf ~src_off:(base + s_base + s_off) ~len
       (d_base + d_off)
   | Swap { s_off; d_off; size; count } ->
-    check_window ~plen (s_base + s_off) (size * count) "array";
+    check_window ~plen (s_base + s_off) (size * count);
     Memory.swap_from_buffer mem ~src:buf ~src_off:(base + s_base + s_off) ~size
       ~count (d_base + d_off)
   | Num { s_off; s_size; d_off; d_size; kind } ->
-    check_window ~plen (s_base + s_off) s_size "number";
+    check_window ~plen (s_base + s_off) s_size;
     Memory.convert_from_buffer mem kind we ~src:buf
       ~src_off:(base + s_base + s_off) ~src_size:s_size ~size:d_size
       (d_base + d_off)
   | Str { s_off; d_off } ->
     let slot = s_base + s_off in
-    check_window ~plen slot wp "string pointer";
+    check_window ~plen slot wp;
     let woff = Endian.read_offset we buf ~off:(base + slot) ~size:wp in
     if woff = 0 then Memory.write_pointer mem (d_base + d_off) Memory.null
     else begin
@@ -371,6 +381,7 @@ and exec_op plan buf ~base ~plen s_base mem d_base op =
       Memory.write_pointer mem (d_base + d_off)
         (Memory.alloc_cstring_sub mem buf ~off:(base + woff) ~len)
     end
+  | Keep_zero -> ()
   | Loop { count; s_off; d_off; s_stride; d_stride; body } ->
     for i = 0 to count - 1 do
       exec_ops plan buf ~base ~plen
@@ -383,19 +394,17 @@ and exec_op plan buf ~base ~plen s_base mem d_base op =
     let n =
       match count with
       | Wire_field { off; size } ->
-        check_window ~plen (s_base + off) size "array count";
+        check_window ~plen (s_base + off) size;
         let n = Endian.read_count we buf ~off:(base + s_base + off) ~size in
-        if n < 0 || n > 0x7FFFFFFF then
-          dec_error "dynamic array count %Ld out of range"
-            (Endian.read_int we buf ~off:(base + s_base + off) ~size);
+        if n < 0 || n > 0x7FFFFFFF then Decode.fail "ndr" (s_base + off) Too_long;
         n
     in
     if n = 0 then Memory.write_pointer mem (d_base + d_slot) Memory.null
     else begin
       let slot = s_base + s_slot in
-      check_window ~plen slot wp "array pointer";
+      check_window ~plen slot wp;
       let woff = Endian.read_offset we buf ~off:(base + slot) ~size:wp in
-      check_window ~plen woff (n * s_stride) "dynamic array";
+      check_window ~plen woff (n * s_stride);
       let block = Memory.alloc mem ~align:d_align (n * d_stride) in
       Memory.write_pointer mem (d_base + d_slot) block;
       match elems with
@@ -449,7 +458,7 @@ let interpret ~(wire : Format.t) ~(native : Format.t) (payload : bytes)
   let rec record (wire : Format.t) (native : Format.t) s_base d_base =
     List.iter
       (fun (nf : Format.rfield) ->
-        match Format.find_field wire nf.Format.rf_name with
+        match wire_source ~wire ~native nf with
         | None -> ()
         | Some wf -> field wire wf nf s_base d_base)
       native.Format.fields
@@ -477,7 +486,9 @@ let interpret ~(wire : Format.t) ~(native : Format.t) (payload : bytes)
         let woff = Int64.to_int (Endian.read_uint we payload ~off:s ~size:wp) in
         if woff = 0 then Memory.write_pointer mem d Memory.null
         else begin
-          let len = payload_strlen payload woff in
+          let len =
+            window_strlen payload ~base:0 ~plen:(Bytes.length payload) woff
+          in
           Memory.write_pointer mem d
             (Memory.alloc_cstring mem (Bytes.sub_string payload woff len))
         end
@@ -507,15 +518,8 @@ let interpret ~(wire : Format.t) ~(native : Format.t) (payload : bytes)
         let woff =
           Int64.to_int (Endian.read_uint we payload ~off:s_off ~size:wp)
         in
-        check_range payload woff (n * s_size) "dynamic array";
-        let align =
-          match nf.Format.rf_elem with
-          | Format.Rint { prim; _ } | Format.Rfloat prim ->
-            Abi.align_of native_abi prim
-          | Format.Rchar -> 1
-          | Format.Rstring -> Abi.align_of native_abi Abi.Pointer
-          | Format.Rnested nested -> nested.Format.layout.Layout.struct_align
-        in
+        check_window ~plen:(Bytes.length payload) woff (n * s_size);
+        let align = Format.elem_align native_abi nf.Format.rf_elem in
         let block = Memory.alloc mem ~align (n * d_size) in
         Memory.write_pointer mem d_off block;
         for i = 0 to n - 1 do

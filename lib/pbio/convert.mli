@@ -16,10 +16,6 @@ exception Field_mismatch of string
     (string vs number, scalar vs array). {!compile}'s message names the
     native format and the field: [format F: field "x": ...]. *)
 
-exception Decode_error of string
-(** Malformed or malicious payload: offsets or counts escaping the
-    buffer, unterminated strings. *)
-
 type t
 (** A compiled conversion plan. *)
 
@@ -35,7 +31,10 @@ val op_count : t -> int
 val run : t -> bytes -> Memory.t -> int
 (** Allocate the destination struct in the memory, execute the plan over
     the payload, return the struct's address. Allocates nothing on the
-    OCaml heap beyond the native blocks it builds in the memory. *)
+    OCaml heap beyond the native blocks it builds in the memory. A
+    malformed payload (an offset, count or string escaping it) raises
+    only [Omf_util.Decode.Error], layer ["ndr"], at the payload offset
+    that escaped. *)
 
 val run_sub : t -> bytes -> off:int -> len:int -> Memory.t -> int
 (** {!run} over the payload held in [buf.[off..off+len-1]], in place (a

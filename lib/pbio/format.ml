@@ -29,6 +29,7 @@ and rfield = {
   rf_elem : relem;
   rf_dim : rdim;
   rf_layout : Layout.field;  (** offset / sizes under [abi] *)
+  rf_recount : bool;  (** a count it must agree with comes before it *)
 }
 
 and t = {
@@ -129,9 +130,21 @@ let resolve ~(abi : Abi.t) ~(id : int) (lookup : string -> t option)
           | None -> assert false
         in
         { rf_name = f.Ftype.f_name; rf_elem = relem; rf_dim = rdim_of f
-        ; rf_layout = lf })
+        ; rf_layout = lf; rf_recount = false })
       decl.Ftype.fields relems
   in
+  let rec recount before = function
+    | [] -> []
+    | f :: rest ->
+      let counts name g = g.rf_dim = Rvar name in
+      let known =
+        match f.rf_dim with
+        | Rvar c -> List.exists (fun g -> g.rf_name = c || counts c g) before
+        | Rscalar | Rfixed _ -> List.exists (counts f.rf_name) before
+      in
+      { f with rf_recount = known } :: recount (f :: before) rest
+  in
+  let fields = recount [] fields in
   (* Validate dynamic-array control fields. *)
   List.iter
     (fun f ->
@@ -149,6 +162,12 @@ let resolve ~(abi : Abi.t) ~(id : int) (lookup : string -> t option)
     fields;
   let names = Array.of_list (List.map (fun f -> f.rf_name) fields) in
   { name = decl.Ftype.name; id; abi; fields; names; layout; decl }
+
+let elem_align (abi : Abi.t) = function
+  | Rint { prim; _ } | Rfloat prim -> Abi.align_of abi prim
+  | Rchar -> 1
+  | Rstring -> Abi.align_of abi Abi.Pointer
+  | Rnested nested -> nested.layout.Layout.struct_align
 
 let find_field t name =
   List.find_opt (fun f -> String.equal f.rf_name name) t.fields

@@ -24,6 +24,12 @@ and rfield = {
   rf_elem : relem;
   rf_dim : rdim;
   rf_layout : Layout.field;  (** offsets / sizes under [abi] *)
+  rf_recount : bool;
+      (** in declaration order, a count this field must agree with is
+          already read: it controls a dynamic array declared before it,
+          or it is a dynamic array whose control, or another array on
+          that control, comes before it. A reader of a format that also
+          carries each array's length (XDR) compares here. *)
 }
 
 and t = {
@@ -45,6 +51,9 @@ val resolve : abi:Abi.t -> id:int -> (string -> t option) -> Ftype.t -> t
 
 val find_field : t -> string -> rfield option
 val struct_size : t -> int
+
+val elem_align : Abi.t -> relem -> int
+(** The alignment of one element under an ABI (a dynamic array's block). *)
 
 val layout_signature : t -> string
 (** Stable signature of the physical layout: equal signatures mean

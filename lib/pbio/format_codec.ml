@@ -11,45 +11,19 @@
     format last, so decoding can resolve references in order. *)
 
 open Omf_machine
-
-exception Codec_error of string
-
-let codec_error fmt = Printf.ksprintf (fun s -> raise (Codec_error s)) fmt
+module Decode = Omf_util.Decode
 
 (* ---- primitive emitters: big-endian, length-prefixed strings ---- *)
 
 let emit_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
 
-let emit_u32 b v =
-  let tmp = Bytes.create 4 in
-  Endian.write_uint Endian.Big tmp ~off:0 ~size:4 (Int64.of_int v);
-  Buffer.add_bytes b tmp
+let emit_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
 
 let emit_string b s =
   emit_u32 b (String.length s);
   Buffer.add_string b s
 
-type cursor = { data : string; mutable pos : int }
-
-let take_u8 c =
-  if c.pos >= String.length c.data then codec_error "descriptor truncated";
-  let v = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let take_u32 c =
-  if c.pos + 4 > String.length c.data then codec_error "descriptor truncated";
-  let b = Bytes.of_string (String.sub c.data c.pos 4) in
-  c.pos <- c.pos + 4;
-  Int64.to_int (Endian.read_uint Endian.Big b ~off:0 ~size:4)
-
-let take_string c =
-  let n = take_u32 c in
-  if n < 0 || c.pos + n > String.length c.data then
-    codec_error "descriptor truncated (string of %d)" n;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
+let take_string c = Decode.string c (Decode.u32 c)
 
 (* ---- element/dimension tags ---- *)
 
@@ -59,12 +33,13 @@ let prim_code = function
   | Abi.Longlong -> 8 | Abi.Ulonglong -> 9 | Abi.Float -> 10
   | Abi.Double -> 11 | Abi.Pointer -> 12
 
-let prim_of_code = function
+let take_prim c =
+  match Decode.u8 c with
   | 0 -> Abi.Char | 1 -> Abi.Uchar | 2 -> Abi.Short | 3 -> Abi.Ushort
   | 4 -> Abi.Int | 5 -> Abi.Uint | 6 -> Abi.Long | 7 -> Abi.Ulong
   | 8 -> Abi.Longlong | 9 -> Abi.Ulonglong | 10 -> Abi.Float
   | 11 -> Abi.Double | 12 -> Abi.Pointer
-  | n -> codec_error "unknown primitive code %d" n
+  | _ -> Decode.fail_at c Bad_tag
 
 let emit_elem b = function
   | Ftype.Int_t p ->
@@ -80,13 +55,13 @@ let emit_elem b = function
     emit_string b n
 
 let take_elem c : Ftype.elem =
-  match take_u8 c with
-  | 0 -> Ftype.Int_t (prim_of_code (take_u8 c))
-  | 1 -> Ftype.Float_t (prim_of_code (take_u8 c))
+  match Decode.u8 c with
+  | 0 -> Ftype.Int_t (take_prim c)
+  | 1 -> Ftype.Float_t (take_prim c)
   | 2 -> Ftype.Char_t
   | 3 -> Ftype.String_t
   | 4 -> Ftype.Named_t (take_string c)
-  | n -> codec_error "unknown element tag %d" n
+  | _ -> Decode.fail_at c Bad_tag
 
 let emit_dim b = function
   | Ftype.Scalar -> emit_u8 b 0
@@ -98,11 +73,11 @@ let emit_dim b = function
     emit_string b control
 
 let take_dim c : Ftype.dim =
-  match take_u8 c with
+  match Decode.u8 c with
   | 0 -> Ftype.Scalar
-  | 1 -> Ftype.Fixed (take_u32 c)
+  | 1 -> Ftype.Fixed (Decode.u32 c)
   | 2 -> Ftype.Var (take_string c)
-  | n -> codec_error "unknown dimension tag %d" n
+  | _ -> Decode.fail_at c Bad_tag
 
 (* ---- formats ---- *)
 
@@ -150,60 +125,59 @@ let encode (fmt : Format.t) : string =
     {!Format.t} (laid out under the sender's ABI, usable as the [wire]
     argument of {!Convert.compile}). The descriptor's recorded offsets are
     cross-checked against a recomputation under the reconstructed ABI —
-    a malformed or tampered descriptor is rejected rather than mis-read. *)
+    a malformed or tampered descriptor is rejected rather than mis-read,
+    as is a declaration that does not resolve ([Inconsistent]). *)
 let decode (blob : string) : Format.t =
-  let c = { data = blob; pos = 0 } in
-  if String.length blob < 4 || not (String.equal (String.sub blob 0 4) "OMFD")
-  then codec_error "bad descriptor magic";
-  c.pos <- 4;
-  let abi =
-    try Abi.of_fingerprint (take_string c)
-    with Abi.Bad_fingerprint m -> codec_error "bad ABI fingerprint: %s" m
+  let c =
+    Decode.cursor "descriptor" (Bytes.unsafe_of_string blob) 0 (String.length blob)
   in
-  let count = take_u32 c in
-  if count <= 0 || count > 1024 then codec_error "unreasonable format count %d" count;
+  if not (String.equal (Decode.string c 4) "OMFD") then
+    Decode.fail "descriptor" 0 Bad_magic;
+  let abi =
+    let at = Decode.offset c in
+    try Abi.of_fingerprint (take_string c)
+    with Abi.Bad_fingerprint _ -> Decode.fail "descriptor" at Bad_tag
+  in
+  let count = Decode.u32 c in
+  if count <= 0 || count > 1024 then Decode.fail_at c Too_long;
   let catalog : (string, Format.t) Hashtbl.t = Hashtbl.create 8 in
   let last = ref None in
   for _ = 1 to count do
     let name = take_string c in
-    let id = take_u32 c in
-    let size = take_u32 c in
-    let align = take_u32 c in
-    let nfields = take_u32 c in
-    if nfields <= 0 || nfields > 4096 then
-      codec_error "format %S: unreasonable field count %d" name nfields;
+    let id = Decode.u32 c in
+    let size = Decode.u32 c in
+    let align = Decode.u32 c in
+    let nfields = Decode.u32 c in
+    if nfields <= 0 || nfields > 4096 then Decode.fail_at c Too_long;
     let fields =
       List.init nfields (fun _ ->
           let f_name = take_string c in
           let f_elem = take_elem c in
           let f_dim = take_dim c in
-          let offset = take_u32 c in
-          let elem_size = take_u32 c in
+          let offset = Decode.u32 c in
+          let elem_size = Decode.u32 c in
           ({ Ftype.f_name; f_elem; f_dim }, offset, elem_size))
     in
     let decl = { Ftype.name; fields = List.map (fun (d, _, _) -> d) fields } in
-    let fmt = Format.resolve ~abi ~id (Hashtbl.find_opt catalog) decl in
+    let fmt =
+      try Format.resolve ~abi ~id (Hashtbl.find_opt catalog) decl
+      with Format.Registration_error _ | Layout.Layout_error _ ->
+        Decode.fail_at c Inconsistent
+    in
     (* Cross-check the transmitted physical layout against our own
        recomputation under the same ABI: they must agree, or our plans
        would read the payload at the wrong offsets. *)
-    if fmt.Format.layout.Layout.size <> size then
-      codec_error "format %S: size %d disagrees with recomputed %d" name size
-        fmt.Format.layout.Layout.size;
-    if fmt.Format.layout.Layout.struct_align <> align then
-      codec_error "format %S: align %d disagrees with recomputed %d" name align
-        fmt.Format.layout.Layout.struct_align;
-    List.iter2
-      (fun (f : Format.rfield) ((d : Ftype.field), offset, elem_size) ->
-        ignore d;
-        if f.Format.rf_layout.Layout.offset <> offset
-           || f.Format.rf_layout.Layout.elem_size <> elem_size then
-          codec_error "format %S: field %S layout (%d,%d) disagrees with (%d,%d)"
-            name f.Format.rf_name offset elem_size
-            f.Format.rf_layout.Layout.offset f.Format.rf_layout.Layout.elem_size)
-      fmt.Format.fields fields;
+    if fmt.Format.layout.Layout.size <> size
+       || fmt.Format.layout.Layout.struct_align <> align
+       || not
+            (List.for_all2
+               (fun (f : Format.rfield) (_, offset, elem_size) ->
+                 f.Format.rf_layout.Layout.offset = offset
+                 && f.Format.rf_layout.Layout.elem_size = elem_size)
+               fmt.Format.fields fields)
+    then Decode.fail_at c Inconsistent;
     Hashtbl.replace catalog name fmt;
     last := Some fmt
   done;
-  match !last with
-  | Some fmt -> fmt
-  | None -> codec_error "empty descriptor"
+  (* [count] is at least 1 *)
+  Option.get !last

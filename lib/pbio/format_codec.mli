@@ -6,8 +6,10 @@
     the reconstructed ABI, so corrupt descriptors are rejected rather
     than mis-read. *)
 
-exception Codec_error of string
-
 val encode : Format.t -> string
+
 val decode : string -> Format.t
-(** Raises {!Codec_error} on malformed input. *)
+(** Raises only [Omf_util.Decode.Error] (layer ["descriptor"]) on
+    malformed input: a truncated blob, a bad magic, an unknown tag or
+    ABI, an unreasonable count, or a declaration that does not resolve
+    or lays out differently from what it records ([Inconsistent]). *)

@@ -41,13 +41,6 @@ exception Bind_error of string
 
 let bind_error fmt = Printf.ksprintf (fun s -> raise (Bind_error s)) fmt
 
-let elem_align (abi : Abi.t) (elem : Format.relem) : int =
-  match elem with
-  | Format.Rint { prim; _ } | Format.Rfloat prim -> Abi.align_of abi prim
-  | Format.Rchar -> 1
-  | Format.Rstring -> Abi.align_of abi Abi.Pointer
-  | Format.Rnested nested -> nested.Format.layout.Layout.struct_align
-
 (* Binding walks the format's fields. A [Value.Struct] whose names are
    the format's (a value decoded in it) binds by position: field [i]'s
    value is [values.(i)]. Any other record binds by name, looking each
@@ -216,7 +209,7 @@ and not_an_array (fmt : Format.t) (f : Format.rfield) = function
       fmt.Format.name f.Format.rf_name (Value.to_string v)
 
 and alloc_elements mem f elem_size n =
-  let align = elem_align (Memory.abi mem) f.Format.rf_elem in
+  let align = Format.elem_align (Memory.abi mem) f.Format.rf_elem in
   Memory.alloc mem ~align (n * elem_size)
 
 and store_elements mem fmt f slot elem_size a =

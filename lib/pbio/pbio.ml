@@ -119,14 +119,11 @@ module Receiver = struct
 
   (* A message under an id no descriptor announced breaks the protocol
      (the sender announces each format before its first message): a
-     framing error, not a format this receiver lacks. *)
+     decode error, not a format this receiver lacks. *)
   let resolve_format (t : t) (id : int) : Format.t =
     match Hashtbl.find t.wire_formats id with
     | _, f -> f
-    | exception Not_found ->
-      raise
-        (Wire.Frame_error
-           (Printf.sprintf "message of format id %d before its descriptor" id))
+    | exception Not_found -> Omf_util.Decode.(fail "wire" 12 Inconsistent)
 
   (** [receive ?off t msg] demarshals the framed message at [msg.[off ..]]
       (default 0, to the end of [msg]) into [t]'s memory and returns

@@ -61,7 +61,8 @@ module Receiver : sig
       per-connection negotiation). Learning the blob already known under
       that id does nothing — [formats_learned] does not rise and the
       cached plan stays; a different blob replaces the format and drops
-      its plan. *)
+      its plan. A malformed blob raises only [Omf_util.Decode.Error]
+      ({!Format_codec.decode}). *)
 
   val receive : ?off:int -> t -> bytes -> Format.t * int
   (** Demarshal the framed message at [off] (default 0; it runs to the
@@ -70,8 +71,10 @@ module Receiver : sig
       lies, so a link frame carrying a kind byte before the message
       needs no copy. Allocates only the pair it returns.
 
-      Raises {!Wire.Frame_error} when no descriptor announced the
-      message's format id (the peer broke the protocol),
+      Raises [Omf_util.Decode.Error] for a malformed message
+      ({!Wire.format_id}, {!Convert.run_sub}) and when no descriptor
+      announced its format id (layer ["wire"], [Inconsistent]: the
+      peer broke the protocol),
       {!Unknown_format} when the receiver's registry has no format of
       the announced name, and {!Convert.Field_mismatch} when it has one
       that cannot be converted to. *)

@@ -487,7 +487,8 @@ let rec drain_frames home (c : t) =
       c.inbuf <- frame.Slice.buf;
       deliver c frame;
       drain_frames home c
-    | exception Frame.Frame_error msg ->
+    | exception Omf_util.Decode.Error { layer; offset; reason } ->
+      let msg = Omf_util.Decode.message layer offset reason in
       c.on_decode_error c msg;
       doom c msg
 

@@ -9,23 +9,18 @@
 
 module Slice = Omf_util.Slice
 
-exception Frame_error of string
-
-let frame_error fmt = Printf.ksprintf (fun s -> raise (Frame_error s)) fmt
-
 let header_length = 4
 
-(** Frames longer than this are treated as protocol corruption. *)
-let default_max_frame = 1 lsl 30
+(* Frames longer than this (1 GiB) are treated as protocol corruption. *)
+let max_frame = 1 lsl 30
 
 let write_header (buf : Bytes.t) (off : int) (len : int) : unit =
-  Bytes.set buf off (Char.chr ((len lsr 24) land 0xFF));
-  Bytes.set buf (off + 1) (Char.chr ((len lsr 16) land 0xFF));
-  Bytes.set buf (off + 2) (Char.chr ((len lsr 8) land 0xFF));
-  Bytes.set buf (off + 3) (Char.chr (len land 0xFF))
+  Bytes.set_int32_be buf off (Int32.of_int len)
 
 let read_header (buf : Bytes.t) (off : int) : int =
-  Int32.to_int (Bytes.get_int32_be buf off) land 0xFFFF_FFFF
+  let len = Int32.to_int (Bytes.get_int32_be buf off) land 0xFFFF_FFFF in
+  if len > max_frame then Omf_util.Decode.(fail "frame" 0 Too_long);
+  len
 
 (** [encode body] is the on-the-wire bytes: header + body, one buffer
     (so one [write] on the socket). Copies [body]; the zero-copy path
@@ -46,11 +41,9 @@ module Decoder = struct
     mutable buf : Bytes.t;  (** accumulated unconsumed bytes *)
     mutable start : int;  (** first live byte in [buf] *)
     mutable stop : int;  (** one past the last live byte *)
-    max_frame : int;
   }
 
-  let create ?(max_frame = default_max_frame) () : t =
-    { buf = Bytes.create 4096; start = 0; stop = 0; max_frame }
+  let create () : t = { buf = Bytes.create 4096; start = 0; stop = 0 }
 
   let pending_bytes t = t.stop - t.start
 
@@ -83,16 +76,10 @@ module Decoder = struct
     Bytes.blit chunk off t.buf t.stop len;
     t.stop <- t.stop + len
 
-  (** [has_frame t]: a complete frame body has arrived. Raises
-      {!Frame_error} on an over-long or negative length header
-      (protocol corruption — the connection is unrecoverable). *)
+  (** [has_frame t]: a complete frame body has arrived. *)
   let has_frame (t : t) : bool =
     pending_bytes t >= header_length
-    &&
-    let len = read_header t.buf t.start in
-    if len < 0 || len > t.max_frame then
-      frame_error "bad frame length %d (max %d)" len t.max_frame;
-    pending_bytes t >= header_length + len
+    && pending_bytes t >= header_length + read_header t.buf t.start
 
   (** [pop t] is a view of the next complete frame body, which
       {!has_frame} found. The view borrows [t]'s buffer: it stays valid

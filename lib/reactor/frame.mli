@@ -6,19 +6,16 @@
     from non-blocking sockets and reassembles frames across partial
     reads with {!Decoder}. *)
 
-exception Frame_error of string
-
 val header_length : int
 (** 4 — the big-endian length prefix. *)
-
-val default_max_frame : int
-(** Frames longer than this (1 GiB) are treated as corruption. *)
 
 val write_header : Bytes.t -> int -> int -> unit
 (** [write_header buf off len] writes the 4-byte prefix at [off]. *)
 
 val read_header : Bytes.t -> int -> int
-(** [read_header buf off] reads the 4-byte prefix at [off]. *)
+(** [read_header buf off] reads the 4-byte prefix at [off], the one
+    check of a frame's length: above 2^30 (1 GiB), it raises
+    [Omf_util.Decode.Error] (layer ["frame"], offset 0, [Too_long]). *)
 
 val encode : Bytes.t -> Bytes.t
 (** [encode body] is header + body in one buffer (one socket write).
@@ -28,15 +25,15 @@ val encode : Bytes.t -> Bytes.t
 module Decoder : sig
   type t
 
-  val create : ?max_frame:int -> unit -> t
+  val create : unit -> t
 
   val feed : t -> Bytes.t -> int -> int -> unit
   (** [feed t chunk off len] appends raw socket bytes. *)
 
   val has_frame : t -> bool
-  (** Whether a complete frame body has arrived. Raises {!Frame_error}
-      on an over-long or negative length header (protocol corruption —
-      the connection is unrecoverable). *)
+  (** Whether a complete frame body has arrived. An over-long length
+      header raises {!read_header}'s error: the connection is
+      unrecoverable. *)
 
   val pop : t -> Omf_util.Slice.t
   (** A view of the next complete frame body, which {!has_frame} found

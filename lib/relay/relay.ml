@@ -54,6 +54,7 @@ module Proto = Relay_proto
 module Clock = Omf_util.Clock
 module Counters = Omf_util.Counters
 module Slice = Omf_util.Slice
+module Decode = Omf_util.Decode
 module Store = Omf_store.Store
 module Compress = Omf_compress.Compress
 module Governor = Governor
@@ -1489,18 +1490,23 @@ let handle_frame (t : shard) (c : conn) (frame : Slice.t) =
 (** Close a connection after this many frames fail authentication. *)
 let mac_reject_limit = 3
 
-(** A frame that failed authentication on [c]: counted and skipped;
-    once the reject limit is reached the connection is doomed — a
-    replication link's at once, as a skipped frame would gap the
-    replica. *)
-let auth_reject (t : shard) (c : conn) (msg : string) =
+(** A frame of [c] that failed to decode, counted and logged. Failed
+    authentication skips the frame until the reject limit dooms [c] (a
+    replica link at once: a skip would gap it); any other fault dooms [c]. *)
+let decode_reject (t : shard) (c : conn) layer offset reason =
   Counters.incr t.counters "frames_rejected";
-  c.mac_rejects <- c.mac_rejects + 1;
-  Log.warn (fun m ->
-      m "conn %d: rejected frame (%d/%d): %s" c.cid c.mac_rejects
-        mac_reject_limit msg);
-  if is_replica c || c.mac_rejects >= mac_reject_limit then
-    Rconn.doom c.io "authentication failures"
+  let msg = Decode.message layer offset reason in
+  match reason with
+  | Decode.Bad_mac | Decode.Replayed ->
+    c.mac_rejects <- c.mac_rejects + 1;
+    Log.warn (fun m ->
+        m "conn %d: rejected frame (%d/%d): %s" c.cid c.mac_rejects
+          mac_reject_limit msg);
+    if is_replica c || c.mac_rejects >= mac_reject_limit then
+      Rconn.doom c.io "authentication failures"
+  | _ ->
+    Log.warn (fun m -> m "conn %d: rejected frame: %s" c.cid msg);
+    Rconn.doom c.io msg
 
 (* ------------------------------------------------------------------ *)
 (* Reactor callbacks                                                    *)
@@ -1522,59 +1528,50 @@ let relay_input (t : shard) (c : conn) (frame : Slice.t) ~framed ~inflated =
   t.src_lender <- c.lend;
   t.src_framed <- framed;
   t.src_inflated <- inflated;
-  (try handle_frame t c frame with
-  | Frame.Frame_error m ->
-    Counters.incr t.counters "frames_rejected";
-    Rconn.doom c.io m
-  | e ->
-    end_input t;
-    raise e);
+  (try handle_frame t c frame
+   with e ->
+     end_input t;
+     raise e);
   end_input t
 
 (** A [comp=lz] body of [c]: inflate it into [c]'s lent buffer — after
     the MAC check, mirroring the outbound [seal (compress _)] order —
     and seed the fan-out's block cache with the publisher's own block
     ([framed]: its length header is right in front of it), so no
-    compressed queue pays for a second LZ pass. A malformed block means
-    the peer lost framing sync entirely (there is no per-frame
-    tolerance to build on, unlike MAC rejects): doom. *)
+    compressed queue pays for a second LZ pass. *)
 let inflate_input (t : shard) (c : conn) (blk : Slice.t) ~framed =
-  match
+  let raw =
     Compress.decompress_sub ?into:c.inflate_into blk.buf ~pos:blk.off
       ~len:(Slice.length blk)
-  with
-  | raw ->
-    if c.inflated.buf != raw then c.inflated <- Slice.of_bytes raw;
-    t.comp_cache_seq <- t.fanout_seq + 1;
-    t.comp_cache_blk <- blk;
-    t.comp_cache_framed <- framed;
-    t.comp_cache_lender <- c.lend;
-    relay_input t c c.inflated ~framed:false ~inflated:true
-  | exception Compress.Error msg ->
-    Counters.incr t.counters "frames_rejected";
-    Log.warn (fun m -> m "conn %d: corrupt compressed frame: %s" c.cid msg);
-    Rconn.doom c.io "compression error"
+  in
+  if c.inflated.buf != raw then c.inflated <- Slice.of_bytes raw;
+  t.comp_cache_seq <- t.fanout_seq + 1;
+  t.comp_cache_blk <- blk;
+  t.comp_cache_framed <- framed;
+  t.comp_cache_lender <- c.lend;
+  relay_input t c c.inflated ~framed:false ~inflated:true
 
 (** One complete inbound frame, borrowing [c]'s decoder buffer until
     the read's dispatch returns (MAC frames are verified in place, and
     compressed ones inflate into a buffer of [c]'s). The callbacks
     consult [c.home] rather than a captured shard so a handed-off
-    connection dispatches on its adopting shard. *)
+    connection dispatches on its adopting shard. A frame that fails to
+    decode (its MAC, its LZ block or its body) goes to {!decode_reject}. *)
 let conn_frame (c : conn) (frame : Slice.t) =
   let t = c.home in
-  match c.mac with
-  | None ->
-    if c.comp then inflate_input t c frame ~framed:true
-    else relay_input t c frame ~framed:true ~inflated:false
-  | Some st -> (
-    match Macframe.open_in_place st frame.buf frame.off (Slice.length frame) with
-    | () ->
+  try
+    match c.mac with
+    | None ->
+      if c.comp then inflate_input t c frame ~framed:true
+      else relay_input t c frame ~framed:true ~inflated:false
+    | Some st ->
+      Macframe.open_in_place st frame.buf frame.off (Slice.length frame);
       let body =
         Slice.sub frame Macframe.overhead (Slice.length frame - Macframe.overhead)
       in
       if c.comp then inflate_input t c body ~framed:false
       else relay_input t c body ~framed:false ~inflated:false
-    | exception Macframe.Auth_error msg -> auth_reject t c msg)
+  with Decode.Error { layer; offset; reason } -> decode_reject t c layer offset reason
 
 let conn_closed (c : conn) (reason : string) =
   let t = c.home in

@@ -184,10 +184,16 @@ let rec recv_subscriber (s : subscriber) : (Format.t * Value.t) option =
       | Some _ as event ->
         if s.s_next >= 0 then s.s_next <- s.s_next + 1;
         event
-      | None | exception Endpoint.Protocol_error _ ->
-        (* graceful close or garbage: either way, this link is done *)
+      | None ->
         drop_subscriber_link s;
         recv_subscriber s
+      | exception
+          (Omf_util.Decode.Error
+             { layer = "endpoint" | "descriptor" | "wire" | "ndr"; _ } as e) ->
+        (* a resubscribe would be replayed the same frame; a link-layer
+           fault (frame, mac, lz) is cured by a fresh connection *)
+        drop_subscriber_link s;
+        raise e
       | exception e when Atomic.get s.s_closed || Client.transient e ->
         drop_subscriber_link s;
         recv_subscriber s)

@@ -100,10 +100,15 @@ val recv_subscriber :
 (** Blocking receive of the next event, decoded into the subscriber's
     ABI, transparently reconnecting and resubscribing across outages.
     A replayed descriptor the session already learned changes
-    nothing ([formats_learned] stays). A garbage frame ends the
-    link like an outage does: the session resubscribes. [None] only
-    after {!close_subscriber} — also when closed from another thread
-    mid-outage; raises {!Gave_up} when an outage outlives the budget. *)
+    nothing ([formats_learned] stays). A frame whose content fails to
+    decode (layer ["endpoint"], ["descriptor"], ["wire"] or ["ndr"])
+    drops the link and raises its [Omf_util.Decode.Error]: the relay
+    replays its cached descriptors to every joiner, so a resubscribe
+    would meet the frame again. A link-layer fault (layer ["frame"],
+    ["mac"] or ["lz"]) is an outage like any other: a fresh connection
+    renegotiates the link. [None] only after {!close_subscriber}
+    — also when closed from another thread mid-outage; raises
+    {!Gave_up} when an outage outlives the budget. *)
 
 val subscriber_reconnects : subscriber -> int
 (** Times the session resubscribed after an outage. *)

@@ -1,6 +1,7 @@
 module Log = Omf_util.Log
 module Slice = Omf_util.Slice
 module Compress = Omf_compress.Compress
+module Decode = Omf_util.Decode
 
 exception Store_error of string
 
@@ -146,17 +147,8 @@ let read_exact fd b pos len =
    with Exit -> ());
   len - !left
 
-let put_u32 b pos v =
-  Bytes.set b pos (Char.chr ((v lsr 24) land 0xFF));
-  Bytes.set b (pos + 1) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set b (pos + 2) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b (pos + 3) (Char.chr (v land 0xFF))
-
-let get_u32 b pos =
-  (Char.code (Bytes.get b pos) lsl 24)
-  lor (Char.code (Bytes.get b (pos + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (pos + 2)) lsl 8)
-  lor Char.code (Bytes.get b (pos + 3))
+let put_u32 b pos v = Bytes.set_int32_be b pos (Int32.of_int v)
+let get_u32 b pos = Int32.to_int (Bytes.get_int32_be b pos) land 0xFFFF_FFFF
 
 let fsync_dir path =
   (* Persist directory entries (segment creation/unlink); best effort —
@@ -716,8 +708,8 @@ let seg_source t (seg : seg) fd =
     if read_exact fd blob 0 zlen < zlen then corrupt "truncated";
     match Compress.decompress blob with
     | region -> Region region
-    | exception Compress.Error msg ->
-      corrupt ("corrupt compressed region: " ^ msg))
+    | exception Decode.Error { layer; offset; reason } ->
+      corrupt ("corrupt compressed region: " ^ Decode.message layer offset reason))
   | m when String.length m < magic_len -> corrupt "truncated"
   | _ -> corrupt "bad magic"
 

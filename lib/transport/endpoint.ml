@@ -11,10 +11,6 @@
 open Omf_machine
 open Omf_pbio
 
-exception Protocol_error of string
-
-let proto_error fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
-
 let frame_descriptor = 'D'
 let frame_message = 'M'
 
@@ -83,7 +79,7 @@ module Receiver = struct
     match Link.recv t.link with
     | None -> None
     | Some b ->
-      if Bytes.length b < 1 then proto_error "empty frame";
+      Omf_util.Decode.need "endpoint" ~base:0 ~stop:(Bytes.length b) 0 1;
       let kind = Bytes.get b 0 in
       if Char.equal kind frame_descriptor then begin
         ignore
@@ -92,7 +88,7 @@ module Receiver = struct
       end
       else if Char.equal kind frame_message then
         Some (Pbio.Receiver.receive ~off:1 t.pbio b)
-      else proto_error "unknown frame kind %C" kind
+      else Omf_util.Decode.(fail "endpoint" 0 Bad_tag)
 
   (** [recv_value t] is {!recv} lifted to a value, after which the
       receiver's memory is reset: it stays one message large however

@@ -7,8 +7,6 @@
 open Omf_machine
 open Omf_pbio
 
-exception Protocol_error of string
-
 module Sender : sig
   type t
 
@@ -43,7 +41,11 @@ module Receiver : sig
 
   val recv : t -> (Format.t * int) option
   (** Process frames until a data message arrives (descriptor frames are
-      ingested transparently); [None] when the link closes. *)
+      ingested transparently); [None] when the link closes. A frame
+      that fails to decode raises only [Omf_util.Decode.Error] (layer
+      ["endpoint"] for an empty frame or an unknown kind); a sound
+      message the registry cannot take, {!Omf_pbio.Pbio.Unknown_format}
+      or {!Omf_pbio.Convert.Field_mismatch}. *)
 
   val recv_value : t -> (Format.t * Value.t) option
   (** {!recv}, then the message loaded as a value, after which the

@@ -16,11 +16,8 @@
     direction of a connection runs its own nonce counter; both start at
     1 when the mode is negotiated (the relay's HELLO exchange). *)
 
-exception Auth_error of string
-
-let auth_error fmt = Printf.ksprintf (fun s -> raise (Auth_error s)) fmt
-
 module Sha256 = Omf_util.Sha256
+module Decode = Omf_util.Decode
 module Frame = Omf_reactor.Frame
 
 let overhead = 8 + 32
@@ -76,7 +73,7 @@ let seal_in_place (st : state) buf off len =
 
 (* the sealed body of [len] bytes at [off] carries a valid tag *)
 let check_tag key (d : dir) buf off len =
-  if len < overhead then auth_error "sealed frame too short (%d bytes)" len;
+  Decode.need "mac" ~base:0 ~stop:len 0 overhead;
   tag_into key d buf off buf (off + overhead) (len - overhead) d.tag 0;
   (* constant time: no early exit on the first differing byte *)
   let acc = ref 0 in
@@ -86,23 +83,19 @@ let check_tag key (d : dir) buf off len =
       lor (Char.code (Bytes.unsafe_get d.tag i)
           lxor Char.code (Bytes.get buf (off + 8 + i)))
   done;
-  if !acc <> 0 then
-    auth_error "MAC mismatch (nonce %Ld)" (Bytes.get_int64_be buf off)
+  if !acc <> 0 then Decode.(fail "mac" 8 Bad_mac)
 
 (** [open_in_place st buf off len] authenticates the [len]-byte sealed
     body at [off] in [buf] against the expected receive nonce and
     advances it; the payload is then the [len - overhead] bytes at
     [off + overhead]. Allocates nothing. A failed frame raises
-    {!Auth_error} and does {e not} advance the counter — after
+    [Decode.Error] and does {e not} advance the counter — after
     in-flight tampering the chain stays broken by design and the peer's
     reject threshold closes the connection. *)
 let open_in_place (st : state) buf off len =
   check_tag st.key st.rx buf off len;
-  let nonce = Bytes.get_int64_be buf off in
-  let expected = Int64.of_int st.rx.nonce in
-  if nonce <> expected then
-    auth_error "nonce %Ld, expected %Ld (replayed or dropped frame)" nonce
-      expected;
+  if Bytes.get_int64_be buf off <> Int64.of_int st.rx.nonce then
+    Decode.(fail "mac" 0 Replayed);
   st.rx.nonce <- st.rx.nonce + 1
 
 let seal_next (st : state) (payload : Bytes.t) : Bytes.t =

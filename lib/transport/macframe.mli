@@ -5,8 +5,6 @@
     sequential per-direction nonce and the MAC'd length defeat replay,
     reordering, truncation, and splicing. *)
 
-exception Auth_error of string
-
 val overhead : int
 (** Bytes a sealed frame adds: 8 (nonce) + 32 (tag) = 40. *)
 
@@ -30,8 +28,10 @@ val open_in_place : state -> Bytes.t -> int -> int -> unit
 (** [open_in_place st buf off len] authenticates the [len]-byte sealed
     body at [off] against the expected receive nonce and advances it;
     the payload is the [len - overhead] bytes at [off + overhead].
-    Allocates nothing. Raises {!Auth_error}, without advancing the
-    nonce, on a short frame, a MAC mismatch or a wrong nonce. *)
+    Allocates nothing. Raises only [Omf_util.Decode.Error] (layer
+    ["mac"]), without advancing the nonce: [Truncated] for a frame
+    shorter than {!overhead}, [Bad_mac] for a tag that does not verify,
+    [Replayed] for a wrong nonce. *)
 
 val seal_next : state -> Bytes.t -> Bytes.t
 (** A fresh sealed body: {!seal_in_place} on a copy of the payload. *)

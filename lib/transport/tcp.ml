@@ -6,10 +6,9 @@
 module Frame = Omf_reactor.Frame
 module Compress = Omf_compress.Compress
 module Poll = Omf_util.Poll
+module Decode = Omf_util.Decode
 
 exception Tcp_error of string
-
-let tcp_error fmt = Printf.ksprintf (fun s -> raise (Tcp_error s)) fmt
 
 (* a write to a peer that vanished must surface as EPIPE (an exception
    our reconnect/doom paths handle), not kill the whole process — the
@@ -105,8 +104,6 @@ let link_of_fd ?mac ?comp (fd : Unix.file_descr) : Link.t =
   let read_frame () =
     really_read fd !rbuf 0 hdr;
     let len = Frame.read_header !rbuf 0 in
-    if len < 0 || len > Frame.default_max_frame then
-      tcp_error "bad frame length %d" len;
     if plain then begin
       let msg = lend len in
       really_read fd msg 0 len;
@@ -166,7 +163,9 @@ let set_io_timeout fd t =
     {!Tcp_error}. *)
 let dial ?(host = "127.0.0.1") ~port ?connect_timeout_s ?io_timeout_s () :
     Unix.file_descr =
-  let fail msg = tcp_error "connect %s:%d: %s" host port msg in
+  let fail msg =
+    raise (Tcp_error (Printf.sprintf "connect %s:%d: %s" host port msg))
+  in
   let addr =
     try Unix.ADDR_INET (Omf_reactor.Reactor.resolve host, port)
     with Omf_reactor.Reactor.Resolve_error m -> fail m
@@ -219,8 +218,8 @@ let connect ?host ~port ?connect_timeout_s ?io_timeout_s () : Link.t =
 let failure_message : exn -> string option = function
   | Link.Closed | End_of_file -> Some "connection closed"
   | Link.Timeout -> Some "timeout"
-  | Tcp_error m | Frame.Frame_error m -> Some m
-  | Macframe.Auth_error m -> Some ("authentication: " ^ m)
-  | Compress.Error m -> Some ("compression: " ^ m)
+  | Tcp_error m -> Some m
+  | Decode.Error { layer; offset; reason } ->
+    Some (Decode.message layer offset reason)
   | Unix.Unix_error (e, fn, _) -> Some (fn ^ ": " ^ Unix.error_message e)
   | _ -> None

@@ -3,6 +3,7 @@
     Simulations and benchmarks prefer {!Netsim} for determinism. *)
 
 exception Tcp_error of string
+(** A failed dial ({!dial}). *)
 
 val read : Unix.file_descr -> bytes -> int -> int -> int
 (** [Unix.read], with an expired [SO_RCVTIMEO] deadline raised as
@@ -43,9 +44,9 @@ val link_of_fd :
     out; a compressed block is decoded into it once its header is
     checked. One thread may
     send while another receives; two concurrent sends, or two
-    concurrent receives, are not supported. A forged frame
-    raises {!Macframe.Auth_error}, a corrupt block
-    {!Omf_compress.Compress.Error}; either way, close the link. On a
+    concurrent receives, are not supported. An over-long length
+    prefix, a forged frame or a corrupt block raises
+    [Omf_util.Decode.Error]; close the link then. On a
     socket from {!dial} with [io_timeout_s], a stalled send or receive
     raises {!Link.Timeout}. *)
 
@@ -78,5 +79,6 @@ val connect :
 val failure_message : exn -> string option
 (** The one rule for "this exception is a transport failure", which
     every client maps its errors through: [Some message] for a closed
-    or timed-out link, a failed dial, a malformed or unauthenticated
-    frame, or a failed socket call; [None] for anything else. *)
+    or timed-out link, a failed dial, a frame that failed to decode
+    ([Omf_util.Decode.Error]: over-long, unauthenticated, corrupt), or
+    a failed socket call; [None] for anything else. *)

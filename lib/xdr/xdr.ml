@@ -26,10 +26,7 @@
 
 open Omf_machine
 open Omf_pbio
-
-exception Xdr_error of string
-
-let xdr_error fmt = Printf.ksprintf (fun s -> raise (Xdr_error s)) fmt
+module Decode = Omf_util.Decode
 
 let unit_of_prim = function
   | Abi.Longlong | Abi.Ulonglong -> 8
@@ -46,11 +43,6 @@ let pad4 n = (n + 3) land lnot 3
 (* Encoding (sender-side conversion)                                    *)
 (* ------------------------------------------------------------------ *)
 
-let emit_u32 buf v =
-  let b = Bytes.create 4 in
-  Endian.write_uint Endian.Big b ~off:0 ~size:4 v;
-  Buffer.add_bytes buf b
-
 let emit_uint buf ~size v =
   let b = Bytes.create size in
   Endian.write_uint Endian.Big b ~off:0 ~size v;
@@ -62,7 +54,7 @@ let emit_pad buf n =
   done
 
 let emit_string buf s =
-  emit_u32 buf (Int64.of_int (String.length s));
+  emit_uint buf ~size:4 (Int64.of_int (String.length s));
   Buffer.add_string buf s;
   emit_pad buf (String.length s)
 
@@ -113,11 +105,13 @@ let rec encode_record buf mem (fmt : Format.t) addr =
         done
       | Format.Rvar control, _ ->
         let count = read_count mem fmt addr control in
-        emit_u32 buf (Int64.of_int count);
+        emit_uint buf ~size:4 (Int64.of_int count);
         let ptr = Memory.read_pointer mem slot in
         if count > 0 && ptr = Memory.null then
-          xdr_error "format %s: %S count %d with null data" fmt.Format.name
-            f.Format.rf_name count;
+          raise
+            (Encode.Encode_error
+               (Printf.sprintf "format %s: %S count %d with null data"
+                  fmt.Format.name f.Format.rf_name count));
         (match f.Format.rf_elem with
         | Format.Rchar ->
           if count > 0 then
@@ -139,46 +133,21 @@ let encode (mem : Memory.t) (fmt : Format.t) (addr : int) : bytes =
 (* Decoding (receiver-side conversion)                                  *)
 (* ------------------------------------------------------------------ *)
 
-type cursor = { data : bytes; mutable pos : int }
-
-let need c n =
-  if c.pos + n > Bytes.length c.data then
-    xdr_error "XDR data truncated at %d (+%d of %d)" c.pos n (Bytes.length c.data)
-
 let take_uint c ~size =
-  need c size;
-  let v = Endian.read_uint Endian.Big c.data ~off:c.pos ~size in
-  c.pos <- c.pos + size;
-  v
+  Endian.read_uint Endian.Big (Decode.buffer c) ~off:(Decode.take c size) ~size
 
 let take_int c ~size =
-  need c size;
-  let v = Endian.read_int Endian.Big c.data ~off:c.pos ~size in
-  c.pos <- c.pos + size;
-  v
+  Endian.read_int Endian.Big (Decode.buffer c) ~off:(Decode.take c size) ~size
 
 let take_float c ~size =
-  need c size;
-  let v = Endian.read_float Endian.Big c.data ~off:c.pos ~size in
-  c.pos <- c.pos + size;
-  v
+  Endian.read_float Endian.Big (Decode.buffer c) ~off:(Decode.take c size) ~size
 
-let take_bytes c n =
-  need c n;
-  let b = Bytes.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  b
-
-let skip_pad c n =
-  let p = pad4 n - n in
-  need c p;
-  c.pos <- c.pos + p
+let take_bytes c n = Bytes.sub (Decode.buffer c) (Decode.take c n) n
+let skip_pad c n = ignore (Decode.take c (pad4 n - n))
 
 let take_string c =
-  let n = Int64.to_int (take_uint c ~size:4) in
-  if n < 0 || n > Bytes.length c.data then xdr_error "bad string length %d" n;
-  let s = Bytes.to_string (take_bytes c n) in
-  skip_pad c n;
+  let s = Decode.string c (Decode.u32 c) in
+  skip_pad c (String.length s);
   s
 
 let rec decode_record c mem (fmt : Format.t) addr =
@@ -201,6 +170,13 @@ let rec decode_record c mem (fmt : Format.t) addr =
         | Format.Rnested nested -> decode_record c mem nested slot
       in
       match (f.Format.rf_dim, f.Format.rf_elem) with
+      | Format.Rscalar, Format.Rint _ when f.Format.rf_recount ->
+        (* an array before it put its own count here: they must agree *)
+        let count = Memory.read_count mem slot ~size:elem_size in
+        let at = Decode.offset c in
+        take_scalar slot;
+        if Memory.read_count mem slot ~size:elem_size <> count then
+          Decode.fail "xdr" at Inconsistent
       | Format.Rscalar, _ -> take_scalar slot
       | Format.Rfixed n, Format.Rchar ->
         Memory.write_bytes mem slot (take_bytes c n);
@@ -209,10 +185,17 @@ let rec decode_record c mem (fmt : Format.t) addr =
         for i = 0 to n - 1 do
           take_scalar (slot + (i * elem_size))
         done
-      | Format.Rvar _, _ -> (
-        let count = Int64.to_int (take_uint c ~size:4) in
-        if count < 0 || count > Bytes.length c.data then
-          xdr_error "bad array count %d" count;
+      | Format.Rvar control, _ -> (
+        let at = Decode.offset c in
+        let count = Decode.u32 c in
+        if count > Decode.remaining c then Decode.fail "xdr" at Too_long;
+        (* the control field travels too, and must hold this count *)
+        let cf = Option.get (Format.find_field fmt control) in
+        let cslot = addr + cf.Format.rf_layout.Layout.offset
+        and size = cf.Format.rf_layout.Layout.elem_size in
+        if not f.Format.rf_recount then Memory.write_count mem cslot ~size count
+        else if Memory.read_count mem cslot ~size <> count then
+          Decode.fail "xdr" at Inconsistent;
         if count = 0 then Memory.write_pointer mem slot Memory.null
         else
           match f.Format.rf_elem with
@@ -222,14 +205,7 @@ let rec decode_record c mem (fmt : Format.t) addr =
             skip_pad c count;
             Memory.write_pointer mem slot block
           | _ ->
-            let align =
-              match f.Format.rf_elem with
-              | Format.Rint { prim; _ } | Format.Rfloat prim ->
-                Abi.align_of (Memory.abi mem) prim
-              | Format.Rnested nested -> nested.Format.layout.Layout.struct_align
-              | Format.Rstring -> Abi.align_of (Memory.abi mem) Abi.Pointer
-              | Format.Rchar -> 1
-            in
+            let align = Format.elem_align (Memory.abi mem) f.Format.rf_elem in
             let block = Memory.alloc mem ~align (count * elem_size) in
             Memory.write_pointer mem slot block;
             for i = 0 to count - 1 do
@@ -241,15 +217,14 @@ let rec decode_record c mem (fmt : Format.t) addr =
     interface declaration* — classic stub assumption) into a fresh native
     struct in [mem], returning its address. *)
 let decode (fmt : Format.t) (mem : Memory.t) (data : bytes) : int =
-  let c = { data; pos = 0 } in
+  let c = Decode.cursor "xdr" data 0 (Bytes.length data) in
   let addr =
     Memory.alloc mem
       ~align:fmt.Format.layout.Layout.struct_align
       (max (Format.struct_size fmt) 1)
   in
   decode_record c mem fmt addr;
-  if c.pos <> Bytes.length data then
-    xdr_error "trailing bytes: consumed %d of %d" c.pos (Bytes.length data);
+  if Decode.remaining c > 0 then Decode.fail_at c Inconsistent;
   addr
 
 (* ---- value-level conveniences (tests, examples) ---- *)

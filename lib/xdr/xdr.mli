@@ -11,15 +11,17 @@
 open Omf_machine
 open Omf_pbio
 
-exception Xdr_error of string
-
 val encode : Memory.t -> Format.t -> int -> bytes
-(** Sender-side conversion: native struct → canonical XDR. *)
+(** Sender-side conversion: native struct → canonical XDR. Raises
+    {!Omf_pbio.Encode.Encode_error} for a dynamic array with a count
+    and no data. *)
 
 val decode : Format.t -> Memory.t -> bytes -> int
 (** Receiver-side conversion: parse XDR into a fresh native struct;
-    returns its address. Raises {!Xdr_error} on truncated, oversized or
-    trailing data. *)
+    returns its address. Raises only [Omf_util.Decode.Error] (layer
+    ["xdr"]): [Truncated] data, an array count longer than the rest
+    ([Too_long]), and [Inconsistent] for trailing bytes or a control
+    field that disagrees with its array's own count. *)
 
 val encode_value : Abi.t -> Format.t -> Value.t -> bytes
 val decode_value : Abi.t -> Format.t -> bytes -> Value.t

@@ -16,10 +16,10 @@
 
 open Omf_machine
 open Omf_pbio
+module Decode = Omf_util.Decode
 
-exception Xmlwire_error of string
-
-let xw_error fmt = Printf.ksprintf (fun s -> raise (Xmlwire_error s)) fmt
+(* a fault: at offset 0, as the layer reads its text whole *)
+let bad reason = Decode.fail "xml" 0 reason
 
 let controls_of (fmt : Format.t) : string list =
   List.filter_map
@@ -51,8 +51,8 @@ let rec element_of_record (fmt : Format.t) (v : Value.t) : Omf_xml.Doc.element
             match Value.lookup f.Format.rf_name v with
             | fv -> fv
             | exception Not_found ->
-              xw_error "format %s: value lacks field %S" fmt.Format.name
-                f.Format.rf_name
+              Value.type_error "format %s: value lacks field %S"
+                fmt.Format.name f.Format.rf_name
           in
           let size = f.Format.rf_layout.Layout.elem_size in
           let scalar fv : Omf_xml.Doc.node list =
@@ -85,7 +85,7 @@ let rec element_of_record (fmt : Format.t) (v : Value.t) : Omf_xml.Doc.element
             List.init (Float.Array.length a) (fun i ->
                 mk (scalar (Value.Float (Float.Array.get a i))))
           | _, _, other ->
-            xw_error "format %s, field %S: expected an array, got %s"
+            Value.type_error "format %s, field %S: expected an array, got %s"
               fmt.Format.name f.Format.rf_name (Value.to_string other))
       fmt.Format.fields
   in
@@ -104,15 +104,9 @@ let encode (mem : Memory.t) (fmt : Format.t) (addr : int) : string =
 (* Decoding                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let int_of_text name s =
-  match Int64.of_string_opt (String.trim s) with
-  | Some v -> v
-  | None -> xw_error "field %S: %S is not an integer" name s
-
-let float_of_text name s =
-  match float_of_string_opt (String.trim s) with
-  | Some v -> v
-  | None -> xw_error "field %S: %S is not a number" name s
+(* the number [parse] reads in text [s] *)
+let number parse s =
+  match parse (String.trim s) with Some v -> v | None -> bad Inconsistent
 
 (* the record in [fmt]'s positional form, as {!Native.load} returns it:
    float arrays as [Floats], each control field holding its array's
@@ -125,13 +119,12 @@ let rec record_of_element (fmt : Format.t) (el : Omf_xml.Doc.element) :
     let text = Omf_xml.Doc.text child in
     match f.Format.rf_elem with
     | Format.Rint { signed; _ } ->
-      let v = int_of_text f.Format.rf_name text in
+      let v = number Int64.of_string_opt text in
       if signed then Value.Int v else Value.Uint v
-    | Format.Rfloat _ -> Value.Float (float_of_text f.Format.rf_name text)
+    | Format.Rfloat _ -> Value.Float (number float_of_string_opt text)
     | Format.Rchar ->
-      let code = Int64.to_int (int_of_text f.Format.rf_name text) in
-      if code < 0 || code > 255 then
-        xw_error "field %S: char code %d out of range" f.Format.rf_name code;
+      let code = Int64.to_int (number Int64.of_string_opt text) in
+      if code < 0 || code > 255 then bad Too_long;
       Value.Char (Char.chr code)
     | Format.Rstring -> Value.String text
     | Format.Rnested nested -> record_of_element nested child
@@ -142,7 +135,7 @@ let rec record_of_element (fmt : Format.t) (el : Omf_xml.Doc.element) :
       Value.Floats
         (Float.Array.of_list
            (List.map
-              (fun c -> float_of_text f.Format.rf_name (Omf_xml.Doc.text c))
+              (fun c -> number float_of_string_opt (Omf_xml.Doc.text c))
               children))
     | _ -> Value.Array (Array.of_list (List.map (scalar f) children))
   in
@@ -164,26 +157,19 @@ let rec record_of_element (fmt : Format.t) (el : Omf_xml.Doc.element) :
         | Format.Rscalar -> (
           match children with
           | [ child ] -> values.(i) <- scalar f child
-          | [] ->
-            xw_error "format %s: message lacks element <%s>" fmt.Format.name
-              f.Format.rf_name
-          | _ ->
-            xw_error "format %s: repeated scalar element <%s>" fmt.Format.name
-              f.Format.rf_name)
+          | [] -> bad Truncated
+          | _ -> bad Inconsistent)
         | Format.Rfixed n -> (
           match f.Format.rf_elem with
           | Format.Rchar -> (
             match children with
             | [ child ] ->
               let s = Omf_xml.Doc.text child in
-              if String.length s > n then
-                xw_error "field %S: %S exceeds char[%d]" f.Format.rf_name s n;
+              if String.length s > n then bad Too_long;
               values.(i) <- Value.String s
-            | _ -> xw_error "field %S: expected one element" f.Format.rf_name)
+            | _ -> bad Inconsistent)
           | _ ->
-            if List.length children <> n then
-              xw_error "field %S: expected %d elements, found %d"
-                f.Format.rf_name n (List.length children);
+            if List.length children <> n then bad Inconsistent;
             values.(i) <- array f children)
         | Format.Rvar control ->
           values.(i) <- array f children;
@@ -194,13 +180,9 @@ let rec record_of_element (fmt : Format.t) (el : Omf_xml.Doc.element) :
 (** [decode_value fmt text] parses an XML message back into a record. *)
 let decode_value (fmt : Format.t) (text : string) : Value.t =
   let el =
-    try Omf_xml.Parse.element text
-    with Omf_xml.Parse.Error _ as e ->
-      xw_error "unparsable message: %s" (Printexc.to_string e)
+    try Omf_xml.Parse.element text with Omf_xml.Parse.Error _ -> bad Bad_tag
   in
-  if not (String.equal el.Omf_xml.Doc.tag fmt.Format.name) then
-    xw_error "message is <%s>, expected <%s>" el.Omf_xml.Doc.tag
-      fmt.Format.name;
+  if not (String.equal el.Omf_xml.Doc.tag fmt.Format.name) then bad Bad_tag;
   record_of_element fmt el
 
 (** [decode fmt mem text] is the full receiver-side cost: parse the

@@ -7,14 +7,16 @@
 open Omf_machine
 open Omf_pbio
 
-exception Xmlwire_error of string
-
 val encode_value : Format.t -> Value.t -> string
+(** Raises {!Omf_pbio.Value.Type_error} for a value that does not fit
+    the format. *)
+
 val decode_value : Format.t -> string -> Value.t
 (** The record as {!Native.load} returns it: a {!Value.Struct} under the
     format's names, every float array one [Floats], each control field
-    its array's repetition count. Raises {!Xmlwire_error} on unparsable
-    or schema-mismatched text. *)
+    its array's repetition count. Raises only [Omf_util.Decode.Error]
+    (layer ["xml"], offset 0) on unparsable or schema-mismatched
+    text. *)
 
 val encode : Memory.t -> Format.t -> int -> string
 (** Full sender-side cost: read native binary data, convert to markup. *)

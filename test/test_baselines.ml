@@ -8,6 +8,7 @@ open Omf_pbio.Pbio
 module Xdr = Omf_xdr.Xdr
 module Xmlwire = Omf_xmlwire.Xmlwire
 module Fx = Omf_fixtures.Paper_structs
+module Decode = Omf_util.Decode
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -84,13 +85,59 @@ let test_xdr_rejects_truncation () =
   let truncated = Bytes.sub wire 0 (Bytes.length wire - 4) in
   (try
      ignore (Xdr.decode_value Abi.x86_64 fmt truncated);
-     Alcotest.fail "expected Xdr_error"
-   with Xdr.Xdr_error _ -> ());
+     Alcotest.fail "expected a truncated decode error"
+   with Decode.Error { layer = "xdr"; reason = Truncated; _ } -> ());
   let padded = Bytes.cat wire (Bytes.make 4 '\000') in
   try
     ignore (Xdr.decode_value Abi.x86_64 fmt padded);
-    Alcotest.fail "expected Xdr_error (trailing)"
-  with Xdr.Xdr_error _ -> ()
+    Alcotest.fail "expected an inconsistent decode error (trailing)"
+  with Decode.Error { layer = "xdr"; reason = Inconsistent; offset } ->
+    check Alcotest.int "at the first trailing byte" (Bytes.length wire) offset
+
+(* A dynamic array's count travels twice in XDR: as its own prefix and
+   as the control field. A message whose two counts disagree is
+   refused, whether the control field comes before the array or after
+   it; a loader would otherwise trust a count the array lacks. *)
+let test_xdr_control_field_must_match () =
+  let shape = Omf_testkit.Shapes.strvar in
+  let fmt = Omf_testkit.Shapes.register Abi.x86_64 shape in
+  let wire = Xdr.encode_value Abi.x86_64 fmt shape.value in
+  (* name = "probe-7": u32 7, 7 bytes, 1 pad; then n (5) at 12, vals'
+     own count at 16 and 5 doubles; tags' count (3) at 60, then "a"
+     (8 bytes), "" (4) and "ccc" (8); then k (3) at 84 *)
+  check Alcotest.int "n" 5 (Int32.to_int (Bytes.get_int32_be wire 12));
+  check Alcotest.int "vals count" 5 (Int32.to_int (Bytes.get_int32_be wire 16));
+  check Alcotest.int "k" 3 (Int32.to_int (Bytes.get_int32_be wire 84));
+  List.iter
+    (fun (what, at, v) ->
+      let b = Bytes.copy wire in
+      Bytes.set_int32_be b at (Int32.of_int v);
+      match Xdr.decode_value Abi.x86_64 fmt b with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Decode.Error { layer = "xdr"; reason = Inconsistent; _ } -> ())
+    [ ("control before its array", 12, 1_000_000)
+    ; ("control after its array", 84, 1_000) ];
+  (* two arrays on one control, both before it: the second array's count
+     must agree with the first's, not only with the control *)
+  let fmt =
+    formats_for Abi.x86_64
+      [ Ftype.declare "shared"
+          [ ("xs", "integer[n]"); ("ys", "integer[n]"); ("n", "integer") ] ]
+      "shared"
+  in
+  let ints l = Value.Array (Array.of_list (List.map (fun i -> Value.Int i) l)) in
+  let v = Value.Record [ ("xs", ints [ 1L; 2L ]); ("ys", ints [ 3L; 4L ]); ("n", Value.Int 2L) ] in
+  check value_testable "agreeing counts decode" (ints [ 3L; 4L ])
+    (Value.field_exn
+       (Xdr.decode_value Abi.x86_64 fmt (Xdr.encode_value Abi.x86_64 fmt v))
+       "ys");
+  (* xs = [10], ys = [20; 21], n = 2 *)
+  let b = Bytes.create 24 in
+  List.iteri (fun i v -> Bytes.set_int32_be b (4 * i) (Int32.of_int v)) [ 1; 10; 2; 20; 21; 2 ];
+  match Xdr.decode_value Abi.x86_64 fmt b with
+  | _ -> Alcotest.fail "arrays sharing a control with two counts: accepted"
+  | exception Decode.Error { layer = "xdr"; reason = Inconsistent; offset } ->
+    check Alcotest.int "at the second array's count" 8 offset
 
 let test_xdr_empty_dynamic_array () =
   let v =
@@ -179,8 +226,8 @@ let test_xmlwire_rejects_garbage () =
     (fun text ->
       try
         ignore (Xmlwire.decode_value fmt text);
-        Alcotest.failf "expected Xmlwire_error for %s" text
-      with Xmlwire.Xmlwire_error _ -> ())
+        Alcotest.failf "expected a decode error for %s" text
+      with Decode.Error { layer = "xml"; _ } -> ())
     [ "not xml at all"
     ; "<WrongRoot/>"
     ; "<ASDOffEvent><cntrID>x</cntrID></ASDOffEvent>" (* missing fields *)
@@ -278,6 +325,8 @@ let () =
         ; Alcotest.test_case "cross-ABI round-trips" `Quick test_xdr_cross_abi
         ; Alcotest.test_case "size close to binary" `Quick test_xdr_size_is_modest
         ; Alcotest.test_case "truncation rejected" `Quick test_xdr_rejects_truncation
+        ; Alcotest.test_case "control field must match its array" `Quick
+            test_xdr_control_field_must_match
         ; Alcotest.test_case "empty dynamic arrays" `Quick
             test_xdr_empty_dynamic_array ]
         @ qsuite [ prop_xdr_roundtrip ] )

@@ -268,7 +268,7 @@ let test_forged_frames_counted_then_closed () =
        match Link.recv link with Some _ -> drain () | None -> ()
      in
      drain ()
-   with Macframe.Auth_error _ | Link.Closed | Link.Timeout -> ());
+   with Omf_util.Decode.Error { layer = "mac"; _ } | Link.Closed | Link.Timeout -> ());
   Link.close link;
   check int "every forged frame counted" 3
     (relay_stat ~port "frames_rejected");

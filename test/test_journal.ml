@@ -6,6 +6,7 @@ open Omf_machine
 open Omf_pbio.Pbio
 module Journal = Omf_journal.Journal
 module Fx = Omf_fixtures.Paper_structs
+module Decode = Omf_util.Decode
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -133,21 +134,28 @@ let test_corruption_detected () =
       Fun.protect ~finally:close (fun () ->
           try
             ignore (Journal.Reader.fold reader (fun acc _ -> acc) ());
-            Alcotest.fail "expected Journal_error"
-          with Journal.Journal_error _ -> ()))
+            Alcotest.fail "expected a decode error"
+          with Decode.Error { layer = "journal"; reason = Truncated; _ } -> ()))
 
-let expect_journal_error ~substring f =
-  try
-    f ();
-    Alcotest.fail "expected Journal_error"
-  with Journal.Journal_error msg ->
-    let contains hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-      nn = 0 || go 0
-    in
-    check bool (Printf.sprintf "error %S mentions %S" msg substring) true
-      (contains msg substring)
+(* [f] raises the decode error of [layer] and [reason] at [offset] *)
+let expect_decode_error ~layer ~reason ~offset f =
+  match f () with
+  | () -> Alcotest.fail "expected a decode error"
+  | exception Decode.Error { layer = l; offset = o; reason = r } ->
+    check Alcotest.string "layer" layer l;
+    check bool (Decode.message l o r) true (r = reason);
+    check int "offset" offset o
+
+(* the byte offset of each record in the journal at [path] *)
+let record_offsets path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let rec go at acc =
+    if at + 4 > String.length s then List.rev acc
+    else go (at + 4 + Int32.to_int (String.get_int32_be s at)) (at :: acc)
+  in
+  go 8 []
 
 let read_with_decl path =
   let reg = Registry.create Abi.x86_64 in
@@ -168,19 +176,21 @@ let test_torn_length_prefix () =
      swallowed as end-of-journal. *)
   with_tmp (fun path ->
       write_events path Abi.x86_64 [ ("ASDOffEvent", Fx.value_a) ];
+      let size = (Unix.stat path).Unix.st_size in
       let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
       output_string oc "\x00\x00";
       close_out oc;
-      expect_journal_error ~substring:"length prefix at byte" (fun () ->
-          read_with_decl path))
+      expect_decode_error ~layer:"journal" ~reason:Truncated ~offset:size
+        (fun () -> read_with_decl path))
 
 let test_truncation_offset_reported () =
   with_tmp (fun path ->
       write_events path Abi.x86_64 [ ("ASDOffEvent", Fx.value_a) ];
+      let last = List.nth (record_offsets path) 1 in
       let size = (Unix.stat path).Unix.st_size in
       truncate_to path (size - 5);
-      expect_journal_error ~substring:"mid-record at byte" (fun () ->
-          read_with_decl path))
+      expect_decode_error ~layer:"journal" ~reason:Truncated ~offset:last
+        (fun () -> read_with_decl path))
 
 let test_unknown_kind_offset () =
   with_tmp (fun path ->
@@ -189,12 +199,12 @@ let test_unknown_kind_offset () =
       (* one record: len=3, kind 'X' (unknown), body "ab" *)
       output_string oc "\x00\x00\x00\x03Xab";
       close_out oc;
-      expect_journal_error ~substring:"kind 'X' at byte 8" (fun () ->
-          read_with_decl path))
+      expect_decode_error ~layer:"endpoint" ~reason:Bad_tag ~offset:8
+        (fun () -> read_with_decl path))
 
 let test_garbage_descriptor_payload () =
   (* A descriptor record whose payload is noise must surface as a
-     Journal_error naming the offset, not a random decoder exception. *)
+     decode error naming the offset, not a random decoder exception. *)
   with_tmp (fun path ->
       let oc = open_out_bin path in
       output_string oc "OMFJRNL1";
@@ -207,8 +217,8 @@ let test_garbage_descriptor_payload () =
       output_char oc 'D';
       output_string oc payload;
       close_out oc;
-      expect_journal_error ~substring:"at byte 8" (fun () ->
-          read_with_decl path))
+      expect_decode_error ~layer:"descriptor" ~reason:Bad_magic ~offset:8
+        (fun () -> read_with_decl path))
 
 let test_bad_magic_detected () =
   with_tmp (fun path ->
@@ -218,8 +228,8 @@ let test_bad_magic_detected () =
       let reg = Registry.create Abi.x86_64 in
       try
         ignore (Journal.Reader.of_file path reg (Memory.create Abi.x86_64));
-        Alcotest.fail "expected Journal_error"
-      with Journal.Journal_error _ -> ())
+        Alcotest.fail "expected a decode error"
+      with Decode.Error { layer = "journal"; reason = Bad_magic; _ } -> ())
 
 let test_empty_journal () =
   with_tmp (fun path ->
@@ -299,8 +309,8 @@ let test_message_before_descriptor () =
       output_string oc "OMFJRNL1";
       output_bytes oc (Omf_reactor.Frame.encode msg);
       close_out oc;
-      expect_journal_error ~substring:"corrupt record at byte 8" (fun () ->
-          read_with_decl path))
+      expect_decode_error ~layer:"wire" ~reason:Inconsistent ~offset:8
+        (fun () -> read_with_decl path))
 
 (* replay resets the reader's memory after each record *)
 let test_replay_memory_flat () =

@@ -5,6 +5,7 @@
 open Omf_machine
 open Omf_pbio.Pbio
 module Fx = Omf_fixtures.Paper_structs
+module Decode = Omf_util.Decode
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -553,7 +554,7 @@ let test_receive_at_offset () =
     (Native.load (Receiver.memory receiver) fmt addr);
   match Receiver.receive ~off:2 receiver framed with
   | _ -> Alcotest.fail "a misplaced header was accepted"
-  | exception Wire.Frame_error _ -> ()
+  | exception Decode.Error { layer = "wire"; reason = Bad_magic; offset = 0 } -> ()
 
 (* a relay replays every cached descriptor to a reconnecting
    subscriber: the blob already known under its id changes nothing *)
@@ -636,12 +637,12 @@ let test_codec_rejects_corruption () =
   Bytes.set corrupt (Bytes.length corrupt - 3) '\xFF';
   (try
      ignore (Format_codec.decode (Bytes.to_string corrupt));
-     Alcotest.fail "expected Codec_error"
-   with Format_codec.Codec_error _ -> ());
+     Alcotest.fail "expected a decode error"
+   with Decode.Error { layer = "descriptor"; reason = Inconsistent; _ } -> ());
   try
     ignore (Format_codec.decode "OMFDgarbage");
-    Alcotest.fail "expected Codec_error"
-  with Format_codec.Codec_error _ -> ()
+    Alcotest.fail "expected a decode error"
+  with Decode.Error { layer = "descriptor"; reason = Truncated; _ } -> ()
 
 let test_receiver_requires_negotiation () =
   let reg = Registry.create Abi.x86_64 in
@@ -649,47 +650,45 @@ let test_receiver_requires_negotiation () =
   let msg = message_of_value Abi.x86_64 a Fx.value_a in
   let receiver = Receiver.create reg (Memory.create Abi.x86_64) in
   (* the peer broke the protocol: a message before its descriptor is a
-     framing error, not a format this receiver lacks *)
+     decode error at the header's format id, not a format this receiver
+     lacks *)
   try
     ignore (Receiver.receive receiver msg);
-    Alcotest.fail "expected Frame_error"
-  with Wire.Frame_error _ -> ()
+    Alcotest.fail "expected a decode error"
+  with Decode.Error { layer = "wire"; reason = Inconsistent; offset = 12 } -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let test_wire_header_roundtrip () =
-  let h =
-    { Wire.abi_fingerprint = Abi.fingerprint Abi.sparc_64; format_id = 42
-    ; base_size = 180; payload_length = 268 }
-  in
-  let b = Wire.write_header h in
-  check int "header length" Wire.header_length (Bytes.length b);
-  let h' = Wire.read_header b in
-  check int "format id" 42 h'.Wire.format_id;
-  check int "base size" 180 h'.Wire.base_size;
-  check int "payload length" 268 h'.Wire.payload_length;
-  check str "fingerprint" h.Wire.abi_fingerprint h'.Wire.abi_fingerprint
+  let reg = Registry.create Abi.sparc_64 in
+  let _, _, _, d = Fx.register_all reg in
+  let b = Bytes.make (Wire.header_length + 268) '\000' in
+  Wire.put_header d ~payload_length:268 b ~off:0;
+  check int "format id" d.Format.id (Wire.format_id b);
+  check int "base size" (Format.struct_size d) (Int32.to_int (Bytes.get_int32_be b 16));
+  check int "payload length" 268 (Int32.to_int (Bytes.get_int32_be b 20));
+  check str "fingerprint" (Abi.fingerprint Abi.sparc_64) (Bytes.sub_string b 6 6)
 
 let test_wire_rejects_garbage () =
   (try
-     ignore (Wire.read_header (Bytes.of_string "short"));
-     Alcotest.fail "expected Frame_error"
-   with Wire.Frame_error _ -> ());
+     ignore (Wire.format_id (Bytes.of_string "short"));
+     Alcotest.fail "expected a decode error"
+   with Decode.Error { layer = "wire"; reason = Truncated; _ } -> ());
   let bad = Bytes.make Wire.header_length '\000' in
   (try
-     ignore (Wire.read_header bad);
-     Alcotest.fail "expected Frame_error (magic)"
-   with Wire.Frame_error _ -> ());
+     ignore (Wire.format_id bad);
+     Alcotest.fail "expected a decode error (magic)"
+   with Decode.Error { layer = "wire"; reason = Bad_magic; _ } -> ());
   let reg = Registry.create Abi.x86_64 in
   let a, _, _, _ = Fx.register_all reg in
   let msg = message_of_value Abi.x86_64 a Fx.value_a in
   let truncated = Bytes.sub msg 0 (Bytes.length msg - 1) in
   try
     ignore (Wire.format_id truncated);
-    Alcotest.fail "expected Frame_error (length)"
-  with Wire.Frame_error _ -> ()
+    Alcotest.fail "expected a decode error (length)"
+  with Decode.Error { layer = "wire"; reason = Truncated; _ } -> ()
 
 let test_malicious_payload_bounds () =
   (* a payload whose string offset points outside must be rejected, not
@@ -702,8 +701,8 @@ let test_malicious_payload_bounds () =
   let plan = Convert.compile ~wire:rfmt ~native:fmt in
   try
     ignore (Convert.run plan evil (Memory.create Abi.x86_64));
-    Alcotest.fail "expected Decode_error"
-  with Convert.Decode_error _ -> ()
+    Alcotest.fail "expected a decode error"
+  with Decode.Error { layer = "ndr"; reason = Truncated; offset = 9999 } -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                           *)

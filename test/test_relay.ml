@@ -9,6 +9,7 @@ open Omf_machine
 open Omf_pbio.Pbio
 open Omf_transport
 module Frame = Omf_reactor.Frame
+module Decode = Omf_util.Decode
 module Relay = Omf_relay.Relay
 module Session = Omf_relay.Relay_session
 module Proto = Omf_relay.Relay_proto
@@ -105,15 +106,22 @@ let prop_decoder_views =
       done;
       !shared && List.rev !out = frames && Frame.Decoder.pending_bytes dec = 0)
 
+(* a header announcing one byte more than the 1 GiB limit is refused
+   before any body arrives; the limit itself is only waited on *)
 let test_frame_max_length () =
-  let dec = Frame.Decoder.create ~max_frame:100 () in
-  let b = Bytes.create 4 in
-  Frame.write_header b 0 1000;
-  Frame.Decoder.feed dec b 0 4;
+  let header len =
+    let dec = Frame.Decoder.create () in
+    let b = Bytes.create 4 in
+    Frame.write_header b 0 len;
+    Frame.Decoder.feed dec b 0 4;
+    dec
+  in
+  check bool "a frame at the limit waits for its body" false
+    (Frame.Decoder.has_frame (header (1 lsl 30)));
   try
-    ignore (Frame.Decoder.has_frame dec);
-    Alcotest.fail "expected Frame_error"
-  with Frame.Frame_error _ -> ()
+    ignore (Frame.Decoder.has_frame (header ((1 lsl 30) + 1)));
+    Alcotest.fail "expected a decode error"
+  with Decode.Error { layer = "frame"; reason = Too_long; _ } -> ()
 
 (* sealed (HMAC) frames: a sequence survives the frame codec across
    arbitrary read boundaries and verifies in order; flipping any single
@@ -171,7 +179,7 @@ let prop_macframe_roundtrip_and_tamper =
               (Char.chr (Char.code (Bytes.get f byte) lxor (1 lsl bit)));
             (match Macframe.open_next rx2 f with
             | _ -> ()
-            | exception Macframe.Auth_error _ -> rejected := true);
+            | exception Decode.Error { layer = "mac"; _ } -> rejected := true);
             (* the chain stays broken: even the genuine next frame is
                now refused (no silent deletion of the damaged one) *)
             match List.nth_opt sealed (i + 1) with
@@ -179,7 +187,7 @@ let prop_macframe_roundtrip_and_tamper =
             | Some next -> (
               match Macframe.open_next rx2 next with
               | _ -> rejected := false
-              | exception Macframe.Auth_error _ -> ())
+              | exception Decode.Error { layer = "mac"; _ } -> ())
           end)
         sealed;
       roundtrips && !rejected)
@@ -228,8 +236,8 @@ let prop_slice_codec_equivalence =
              (sealed ())
       in
       (* the framed view reassembles to the body across arbitrary
-         read boundaries, with max_frame set exactly to the body size *)
-      let dec = Frame.Decoder.create ~max_frame:(Bytes.length body) () in
+         read boundaries *)
+      let dec = Frame.Decoder.create () in
       let out = ref None in
       let off = ref 0 in
       while !off < Bytes.length flat do
@@ -386,6 +394,26 @@ let pubsub_and_descriptor_replay ?shards ~joiners () =
 
 let test_pubsub_and_descriptor_replay () =
   pubsub_and_descriptor_replay ~joiners:1 ()
+
+(* A publisher's malformed descriptor reaches a subscriber session as
+   the one decode error: the session drops its link and raises it. The
+   relay replays the cached frame to every joiner, so a resubscribe
+   would meet it again. *)
+let test_malformed_descriptor_ends_subscriber () =
+  let h = Relay.start (Relay.listen ()) in
+  let port = Relay.port h in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let pub = Relay.Client.connect ~port () in
+  Relay.Client.advertise pub ~stream:"flights" ~schema:Fx.schema_a;
+  let link = Relay.Client.publish pub ~stream:"flights" in
+  let sub = Session.subscribe (Session.config ~port ()) ~stream:"flights" Abi.sparc_32 in
+  Link.send link (Bytes.of_string "DOMFD\000\000");
+  (match Session.recv_subscriber sub with
+  | _ -> Alcotest.fail "a malformed descriptor was accepted"
+  | exception Decode.Error { layer = "descriptor"; reason = Truncated; _ } -> ());
+  check int "no resubscribe" 0 (Session.subscriber_reconnects sub);
+  Session.close_subscriber sub;
+  Relay.Client.close pub
 
 (* two events from an x86-64 publisher decode on a SPARC subscriber;
    [host] names the relay for the bind and for every client dial *)
@@ -2175,6 +2203,8 @@ let () =
             test_fanout_many_subscribers
         ; Alcotest.test_case "late joiner descriptor replay" `Quick
             test_late_joiner_descriptor_replay
+        ; Alcotest.test_case "malformed descriptor ends a subscriber" `Quick
+            test_malformed_descriptor_ends_subscriber
         ; Alcotest.test_case "unsubscribe" `Quick test_unsubscribe
         ; Alcotest.test_case "stress: streams x subscribers" `Quick
             test_stress_streams_x_subscribers

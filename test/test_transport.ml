@@ -5,6 +5,7 @@ open Omf_machine
 open Omf_pbio.Pbio
 open Omf_transport
 module Fx = Omf_fixtures.Paper_structs
+module Decode = Omf_util.Decode
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -239,13 +240,13 @@ let test_endpoint_rejects_garbage_frame () =
   Link.send a (Bytes.of_string "Zjunk");
   (try
      ignore (Endpoint.Receiver.recv receiver);
-     Alcotest.fail "expected Protocol_error"
-   with Endpoint.Protocol_error _ -> ());
+     Alcotest.fail "expected a decode error"
+   with Decode.Error { layer = "endpoint"; reason = Bad_tag; _ } -> ());
   Link.send a (Bytes.of_string "");
   try
     ignore (Endpoint.Receiver.recv receiver);
-    Alcotest.fail "expected Protocol_error (empty)"
-  with Endpoint.Protocol_error _ -> ()
+    Alcotest.fail "expected a decode error (empty)"
+  with Decode.Error { layer = "endpoint"; reason = Truncated; _ } -> ()
 
 let test_endpoint_over_netsim () =
   (* the protocol is transport-agnostic: same flow over a netsim link *)
@@ -469,7 +470,7 @@ let test_link_bytes () =
             Linkpair.write_raw t forged;
             match Link.recv t.link with
             | _ -> Alcotest.failf "%s: tampered frame accepted" case
-            | exception Macframe.Auth_error _ -> ()
+            | exception Decode.Error { layer = "mac"; reason = Bad_mac; _ } -> ()
           end;
           Linkpair.write_raw t frame;
           check bool (case ^ ": received body") true
