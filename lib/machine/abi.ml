@@ -131,27 +131,18 @@ let find_by_name name = List.find_opt (fun t -> String.equal t.name name) all
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints: the compact on-the-wire identification of an ABI.     *)
-(* NDR headers carry this so receivers can decide whether conversion   *)
-(* is needed at all.                                                   *)
+(* Format descriptors carry it, so a receiver rebuilds the sender's    *)
+(* layout and compiles its conversion plan once per connection.        *)
 (* ------------------------------------------------------------------ *)
 
 (** A fingerprint is 6 bytes:
     endianness, short size, int size, long size, pointer size, cap. *)
 let fingerprint_length = 6
 
-let blit_fingerprint t b ~off =
-  let e = match t.endianness with Endian.Little -> 0 | Endian.Big -> 1 in
-  Bytes.set b off (Char.chr e);
-  Bytes.set b (off + 1) (Char.chr t.short_size);
-  Bytes.set b (off + 2) (Char.chr t.int_size);
-  Bytes.set b (off + 3) (Char.chr t.long_size);
-  Bytes.set b (off + 4) (Char.chr t.pointer_size);
-  Bytes.set b (off + 5) (Char.chr t.align_cap)
-
 let fingerprint t : string =
-  let b = Bytes.create fingerprint_length in
-  blit_fingerprint t b ~off:0;
-  Bytes.unsafe_to_string b
+  let e = match t.endianness with Endian.Little -> 0 | Endian.Big -> 1 in
+  [ e; t.short_size; t.int_size; t.long_size; t.pointer_size; t.align_cap ]
+  |> List.to_seq |> Seq.map Char.chr |> String.of_seq
 
 exception Bad_fingerprint of string
 

@@ -60,13 +60,10 @@ val native : t
 val find_by_name : string -> t option
 
 (** {1 Fingerprints} — the compact on-the-wire identification of an ABI,
-    carried in every NDR message header. *)
+    carried in every format descriptor, once per connection. *)
 
 val fingerprint : t -> string
 (** 6 bytes: endianness, short/int/long/pointer sizes, alignment cap. *)
-
-val blit_fingerprint : t -> bytes -> off:int -> unit
-(** Write the fingerprint into the buffer at [off] (message headers). *)
 
 exception Bad_fingerprint of string
 

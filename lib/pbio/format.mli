@@ -1,7 +1,8 @@
 (** Registered message formats and the per-process format registry: a
     declaration resolved against previously registered formats (the
     Catalog role), laid out for the registry's {!Omf_machine.Abi.t}, and
-    assigned the format id that travels in message headers. *)
+    assigned the format id that is each message's whole header
+    ({!Wire}). *)
 
 open Omf_machine
 
@@ -34,7 +35,9 @@ and rfield = {
 
 and t = {
   name : string;
-  id : int;  (** registry-assigned; wire-side formats carry the peer's *)
+  id : int;
+      (** registry-assigned, and sent as the 4-byte header of each
+          message; wire-side formats carry the peer's *)
   abi : Abi.t;
   fields : rfield list;
   names : string array;

@@ -13,6 +13,11 @@
 open Omf_machine
 module Decode = Omf_util.Decode
 
+(* the layout version of the NDR protocol, descriptors and the messages
+   that follow them: checked once per connection, here
+   (doc/PROTOCOLS.md §3) *)
+let magic = "OMD2"
+
 (* ---- primitive emitters: big-endian, length-prefixed strings ---- *)
 
 let emit_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
@@ -114,7 +119,7 @@ let emit_one b (fmt : Format.t) =
     into a self-contained descriptor blob. *)
 let encode (fmt : Format.t) : string =
   let b = Buffer.create 256 in
-  Buffer.add_string b "OMFD";
+  Buffer.add_string b magic;
   emit_string b (Abi.fingerprint fmt.Format.abi);
   let formats = collect_nested [] fmt in
   emit_u32 b (List.length formats);
@@ -131,7 +136,7 @@ let decode (blob : string) : Format.t =
   let c =
     Decode.cursor "descriptor" (Bytes.unsafe_of_string blob) 0 (String.length blob)
   in
-  if not (String.equal (Decode.string c 4) "OMFD") then
+  if not (String.equal (Decode.string c 4) magic) then
     Decode.fail "descriptor" 0 Bad_magic;
   let abi =
     let at = Decode.offset c in

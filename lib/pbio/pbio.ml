@@ -29,19 +29,20 @@ exception Unknown_format of string
 (* Sending                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** [message ?kind mem fmt addr] marshals the struct at [addr]: NDR
-    payload plus framing header, after the byte [kind] if given. The
+(** [message ?kind mem fmt addr] marshals the struct at [addr]: the
+    format's id then the NDR payload, after the byte [kind] if given. The
     sender performs no data conversion. The message is lent: it is
     [mem]'s output buffer, valid until the next [message] on [mem]. *)
 let message ?kind (mem : Memory.t) (fmt : Format.t) (addr : int) : bytes =
   (* no allocation while the length repeats: the kind byte, the header
      and the payload emitted straight after it, in the memory's own
      buffer *)
-  let payload_length = Encode.length mem fmt addr in
   let off = match kind with Some _ -> 1 | None -> 0 in
-  let msg = Memory.out_buffer mem (off + Wire.header_length + payload_length) in
+  let msg =
+    Memory.out_buffer mem (off + Wire.header_length + Encode.length mem fmt addr)
+  in
   (match kind with Some k -> Bytes.set msg 0 k | None -> ());
-  Wire.put_header fmt ~payload_length msg ~off;
+  Wire.put_header fmt msg ~off;
   Encode.emit mem fmt addr msg ~off:(off + Wire.header_length);
   msg
 
@@ -119,11 +120,12 @@ module Receiver = struct
 
   (* A message under an id no descriptor announced breaks the protocol
      (the sender announces each format before its first message): a
-     decode error, not a format this receiver lacks. *)
+     decode error at the header's id, not a format this receiver
+     lacks. *)
   let resolve_format (t : t) (id : int) : Format.t =
     match Hashtbl.find t.wire_formats id with
     | _, f -> f
-    | exception Not_found -> Omf_util.Decode.(fail "wire" 12 Inconsistent)
+    | exception Not_found -> Omf_util.Decode.(fail "wire" 0 Inconsistent)
 
   (** [receive ?off t msg] demarshals the framed message at [msg.[off ..]]
       (default 0, to the end of [msg]) into [t]'s memory and returns

@@ -21,8 +21,9 @@ module Format_codec = Format_codec
 exception Unknown_format of string
 
 val message : ?kind:char -> Memory.t -> Format.t -> int -> bytes
-(** Marshal the struct at the given address: NDR payload plus framing
-    header. The sender performs no data conversion. [?kind]
+(** Marshal the struct at the given address: the format's 4-byte id
+    ({!Wire}) then the NDR payload. The sender performs no data
+    conversion. [?kind]
     puts one byte in front of the message, in the same buffer: an
     endpoint's frame kind, so framing needs no copy.
 
@@ -67,13 +68,16 @@ module Receiver : sig
   val receive : ?off:int -> t -> bytes -> Format.t * int
   (** Demarshal the framed message at [off] (default 0; it runs to the
       end of the buffer) into the receiver's memory; returns the native
-      format and struct address. The payload is converted where it
-      lies, so a link frame carrying a kind byte before the message
-      needs no copy. Allocates only the pair it returns.
+      format and struct address. The message is the 4-byte format id
+      and the NDR payload, which runs to the end of the buffer: the
+      frame's length is the payload's, and the plan bounds-checks every
+      reference into it. The payload is converted where it lies, so a
+      link frame carrying a kind byte before the message needs no copy.
+      Allocates only the pair it returns.
 
       Raises [Omf_util.Decode.Error] for a malformed message
       ({!Wire.format_id}, {!Convert.run_sub}) and when no descriptor
-      announced its format id (layer ["wire"], [Inconsistent]: the
+      announced its format id (layer ["wire"], [Inconsistent] at 0: the
       peer broke the protocol),
       {!Unknown_format} when the receiver's registry has no format of
       the announced name, and {!Convert.Field_mismatch} when it has one

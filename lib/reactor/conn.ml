@@ -92,9 +92,10 @@ type sealer = {
 }
 
 (* written entries a connection keeps for reuse, at most: about what
-   one 64 KiB read of small relayed frames (500 of paper-a's) queues on
-   a subscriber before the read's loans settle, 32 KiB of records *)
-let spare_limit = 512
+   one 64 KiB read of small relayed frames (601 of paper-a's 109-byte
+   ones) queues on a subscriber before the read's loans settle, 55 KiB
+   of records *)
+let spare_limit = 640
 
 type state =
   | Alive

@@ -554,7 +554,7 @@ let test_receive_at_offset () =
     (Native.load (Receiver.memory receiver) fmt addr);
   match Receiver.receive ~off:2 receiver framed with
   | _ -> Alcotest.fail "a misplaced header was accepted"
-  | exception Decode.Error { layer = "wire"; reason = Bad_magic; offset = 0 } -> ()
+  | exception Decode.Error { layer = "wire"; reason = Inconsistent; offset = 0 } -> ()
 
 (* a relay replays every cached descriptor to a reconnecting
    subscriber: the blob already known under its id changes nothing *)
@@ -640,7 +640,7 @@ let test_codec_rejects_corruption () =
      Alcotest.fail "expected a decode error"
    with Decode.Error { layer = "descriptor"; reason = Inconsistent; _ } -> ());
   try
-    ignore (Format_codec.decode "OMFDgarbage");
+    ignore (Format_codec.decode "OMD2garbage");
     Alcotest.fail "expected a decode error"
   with Decode.Error { layer = "descriptor"; reason = Truncated; _ } -> ()
 
@@ -655,40 +655,98 @@ let test_receiver_requires_negotiation () =
   try
     ignore (Receiver.receive receiver msg);
     Alcotest.fail "expected a decode error"
-  with Decode.Error { layer = "wire"; reason = Inconsistent; offset = 12 } -> ()
+  with Decode.Error { layer = "wire"; reason = Inconsistent; offset = 0 } -> ()
+
+(* Input of the first NDR layout ({!Omf_testkit.Wire_v1}) is refused
+   with the one decode error, never decoded: its descriptor by the
+   magic, its message (under a format announced today) at the header,
+   and a journal of it at its first descriptor. *)
+let test_version_1_refused () =
+  let module V1 = Omf_testkit.Wire_v1 in
+  let reg = Registry.create Abi.x86_64 in
+  let a, _, _, _ = Fx.register_all reg in
+  (match Format_codec.decode (V1.descriptor a) with
+  | _ -> Alcotest.fail "a version-1 descriptor was accepted"
+  | exception Decode.Error { layer = "descriptor"; reason = Bad_magic; offset = 0 } -> ());
+  let mem = Memory.create Abi.x86_64 in
+  let addr = Native.store mem a Fx.value_a in
+  let old = V1.message a (Encode.payload mem a addr) in
+  let receiver = Receiver.create reg (Memory.create Abi.x86_64) in
+  ignore (Receiver.learn receiver (Format_codec.encode a));
+  (match Receiver.receive receiver old with
+  | _ -> Alcotest.fail "a version-1 message was accepted"
+  | exception Decode.Error { layer = "wire"; offset = 0; _ } -> ());
+  check int "nothing received" 0 (Receiver.stats receiver).messages;
+  let path = Filename.temp_file "omf-v1" ".jrnl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let frame kind body = V1.u32 (1 + String.length body) ^ kind ^ body in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        ("OMFJRNL1" ^ frame "D" (V1.descriptor a) ^ frame "M" (Bytes.to_string old)));
+  let reader, close =
+    Omf_journal.Journal.Reader.of_file path reg (Memory.create Abi.x86_64)
+  in
+  Fun.protect ~finally:close @@ fun () ->
+  match Omf_journal.Journal.Reader.next_value reader with
+  | _ -> Alcotest.fail "a version-1 journal was replayed"
+  | exception Decode.Error { layer = "descriptor"; reason = Bad_magic; offset = 8 } -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* the header is exactly the format id, a big-endian u32, and a message
+   is that header and the NDR payload, nothing more *)
 let test_wire_header_roundtrip () =
   let reg = Registry.create Abi.sparc_64 in
   let _, _, _, d = Fx.register_all reg in
-  let b = Bytes.make (Wire.header_length + 268) '\000' in
-  Wire.put_header d ~payload_length:268 b ~off:0;
-  check int "format id" d.Format.id (Wire.format_id b);
-  check int "base size" (Format.struct_size d) (Int32.to_int (Bytes.get_int32_be b 16));
-  check int "payload length" 268 (Int32.to_int (Bytes.get_int32_be b 20));
-  check str "fingerprint" (Abi.fingerprint Abi.sparc_64) (Bytes.sub_string b 6 6)
+  let d = { d with Format.id = 0x01020304 } in
+  check int "header length" 4 Wire.header_length;
+  let b = Bytes.make (3 + Wire.header_length + 268) '\xAA' in
+  Wire.put_header d b ~off:3;
+  check int "format id" d.Format.id (Wire.format_id ~off:3 b);
+  check str "the header is the big-endian id" "\001\002\003\004"
+    (Bytes.sub_string b 3 4);
+  check str "nothing else written"
+    (String.make 3 '\xAA' ^ "\001\002\003\004" ^ String.make 268 '\xAA')
+    (Bytes.to_string b);
+  let mem = Memory.create Abi.sparc_64 in
+  let addr = Native.store mem d Fx.value_d in
+  let payload = Bytes.to_string (Encode.payload mem d addr) in
+  check str "message = id ^ payload" ("\001\002\003\004" ^ payload)
+    (Bytes.to_string (message mem d addr));
+  check str "after a kind byte" ("M\001\002\003\004" ^ payload)
+    (Bytes.to_string (message ~kind:'M' mem d addr))
 
 let test_wire_rejects_garbage () =
-  (try
-     ignore (Wire.format_id (Bytes.of_string "short"));
-     Alcotest.fail "expected a decode error"
-   with Decode.Error { layer = "wire"; reason = Truncated; _ } -> ());
-  let bad = Bytes.make Wire.header_length '\000' in
-  (try
-     ignore (Wire.format_id bad);
-     Alcotest.fail "expected a decode error (magic)"
-   with Decode.Error { layer = "wire"; reason = Bad_magic; _ } -> ());
+  List.iter
+    (fun (short, off) ->
+      try
+        ignore (Wire.format_id ~off (Bytes.of_string short));
+        Alcotest.failf "a %d-byte header was accepted" (String.length short - off)
+      with Decode.Error { layer = "wire"; reason = Truncated; offset = 0 } -> ())
+    [ ("", 0); ("abc", 0); ("Mabc", 1); ("abcd", 1); ("abcd", 4) ];
   let reg = Registry.create Abi.x86_64 in
   let a, _, _, _ = Fx.register_all reg in
   let msg = message_of_value Abi.x86_64 a Fx.value_a in
-  let truncated = Bytes.sub msg 0 (Bytes.length msg - 1) in
-  try
-    ignore (Wire.format_id truncated);
-    Alcotest.fail "expected a decode error (length)"
-  with Decode.Error { layer = "wire"; reason = Truncated; _ } -> ()
+  let receiver = Receiver.create reg (Memory.create Abi.x86_64) in
+  ignore (Receiver.learn receiver (Format_codec.encode a));
+  let refused what layer reason m =
+    match Receiver.receive receiver m with
+    | _ -> Alcotest.failf "%s was accepted" what
+    | exception Decode.Error e when e.layer = layer && e.reason = reason -> ()
+  in
+  let zero_id = Bytes.copy msg in
+  Bytes.fill zero_id 0 Wire.header_length '\000';
+  refused "a zero format id" "wire" Inconsistent zero_id;
+  (* the payload runs to the end of the frame: one byte short loses the
+     last string's terminator, and a cut inside the base image its
+     fields *)
+  refused "a payload one byte short" "ndr" Truncated
+    (Bytes.sub msg 0 (Bytes.length msg - 1));
+  refused "a cut base image" "ndr" Truncated (Bytes.sub msg 0 (Wire.header_length + 8));
+  refused "a bare header" "ndr" Truncated (Bytes.sub msg 0 Wire.header_length);
+  check int "nothing received" 0 (Receiver.stats receiver).messages
 
 let test_malicious_payload_bounds () =
   (* a payload whose string offset points outside must be rejected, not
@@ -1006,6 +1064,8 @@ let () =
             test_codec_rejects_corruption
         ; Alcotest.test_case "receive before negotiation fails" `Quick
             test_receiver_requires_negotiation
+        ; Alcotest.test_case "version-1 input refused, never decoded" `Quick
+            test_version_1_refused
         ; Alcotest.test_case "same descriptor learned once" `Quick
             test_learn_same_blob_once
         ; Alcotest.test_case "changed descriptor relearned" `Quick

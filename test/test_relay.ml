@@ -407,7 +407,7 @@ let test_malformed_descriptor_ends_subscriber () =
   Relay.Client.advertise pub ~stream:"flights" ~schema:Fx.schema_a;
   let link = Relay.Client.publish pub ~stream:"flights" in
   let sub = Session.subscribe (Session.config ~port ()) ~stream:"flights" Abi.sparc_32 in
-  Link.send link (Bytes.of_string "DOMFD\000\000");
+  Link.send link (Bytes.of_string "DOMD2\000\000");
   (match Session.recv_subscriber sub with
   | _ -> Alcotest.fail "a malformed descriptor was accepted"
   | exception Decode.Error { layer = "descriptor"; reason = Truncated; _ } -> ());
