@@ -22,7 +22,9 @@
       fresh, and after compressing one event frame of each shape;
     - per frame mode: the words a relay shard allocates per event it
       relays from one publisher to one subscriber, paper-a's event
-      frames sent back to back ({!Omf_testkit.Relaypair}).
+      frames sent back to back ({!Omf_testkit.Relaypair}); and again
+      ([relay_small]) for a 74 B paper-a frame whose strings are
+      empty, so that one read holds more frames.
 
     Client allocation is deterministic, so one run is enough; the numbers
     do not depend on the host's speed. The relay's words include each
@@ -93,8 +95,18 @@ let endpoint_row (s : Shapes.t) =
     (Alloc.bytes_per_call ~iters:500 (fun () ->
          Omf_transport.Endpoint.Sender.send sender mem fmt addr))
 
-let relay_row () =
-  let frame = event_frame (List.hd Shapes.bench) in
+(* paper-a's event with its five strings empty: a 74 B frame, about
+   885 to a 64 KiB read *)
+let small_frame () =
+  let paper_a = List.hd Shapes.bench in
+  let empty v f = Omf_pbio.Value.(set_field v f (String "")) in
+  event_frame
+    { paper_a with
+      value =
+        List.fold_left empty paper_a.value
+          [ "cntrID"; "arln"; "equip"; "org"; "dest" ] }
+
+let relay_row frame =
   let mode (m : Linkpair.mode) =
     Printf.sprintf {|"%s": %.1f|} m.name
       (Omf_testkit.Relaypair.words_per_event ~events:5_000 m frame)
@@ -151,7 +163,8 @@ let () =
     \  \"endpoint_send_B\": {%s},\n\
     \  \"link\": {\n%s\n  },\n\
     \  \"scratch\": %s,\n\
-    \  \"relay\": %s\n}\n"
+    \  \"relay\": %s,\n\
+    \  \"relay_small\": %s\n}\n"
     Sys.ocaml_version Sys.word_size
     (String.concat ",\n" (List.map row (Shapes.bench @ [ Shapes.strvar ])))
     (Bytes.length msg) compress hmac
@@ -162,4 +175,6 @@ let () =
     (shape_row (fun s -> get_seq s.value (seq_path s)))
     (String.concat ", " (List.map endpoint_row Shapes.bench))
     (String.concat ",\n" (List.map link_row Shapes.bench))
-    (scratch_row ()) (relay_row ())
+    (scratch_row ())
+    (relay_row (event_frame (List.hd Shapes.bench)))
+    (relay_row (small_frame ()))

@@ -100,9 +100,6 @@ let compute ~(abi : Abi.t) ~(name : string) (decls : decl list) : t =
   { struct_name = name; abi; fields = List.rev fields_rev; size; end_offset
   ; struct_align }
 
-let find_field t name =
-  List.find_opt (fun f -> String.equal f.name name) t.fields
-
 (** Render the layout like a compiler's record-layout dump; used by the
     CLI tool and handy in test failures. *)
 let rec pp ppf t =

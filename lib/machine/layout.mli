@@ -46,7 +46,5 @@ val compute : abi:Abi.t -> name:string -> decl list -> t
 (** Lays out the structure. Field names must be unique; fixed array
     bounds positive. Raises {!Layout_error} otherwise. *)
 
-val find_field : t -> string -> field option
-
 val pp : Format.formatter -> t -> unit
 (** Compiler-style record-layout dump. *)

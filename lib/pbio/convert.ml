@@ -189,18 +189,18 @@ let elems_of ~s_stride ~d_stride (body : op array) : elems =
    control renamed between versions), or nothing when the wire lacks
    the array (it stays empty, and so does its count). *)
 let wire_source ~(wire : Format.t) ~(native : Format.t) (nf : Format.rfield) =
-  let name = nf.Format.rf_name in
-  let rec go counts = function
-    | [] -> if counts then None else Format.find_field wire name
-    | (g : Format.rfield) :: rest -> (
-      match g.Format.rf_dim with
-      | Format.Rvar c when String.equal c name -> (
-        match Format.find_field wire g.Format.rf_name with
-        | Some { Format.rf_dim = Format.Rvar wc; _ } -> Format.find_field wire wc
-        | _ -> go true rest)
-      | _ -> go counts rest)
-  in
-  go false native.Format.fields
+  if nf.Format.rf_counts < 0 then Format.find_field wire nf.Format.rf_name
+  else
+    Array.find_map
+      (fun (g : Format.rfield) ->
+        match g.Format.rf_dim with
+        | Format.Rvar { at; _ } when native.Format.fields.(at) == nf -> (
+          match Format.find_field wire g.Format.rf_name with
+          | Some { Format.rf_dim = Format.Rvar { at; _ }; _ } ->
+            Some wire.Format.fields.(at)
+          | _ -> None)
+        | _ -> None)
+      native.Format.fields
 
 let rec compile_record ~optimize ~(wire : Format.t) ~(native : Format.t) :
     op array =
@@ -215,7 +215,7 @@ let rec compile_record ~optimize ~(wire : Format.t) ~(native : Format.t) :
         | None -> [ Keep_zero ]
         | Some wf ->
           compile_field ~optimize ~wire ~native ~same_order ~wf ~nf)
-      native.Format.fields
+      (Array.to_list native.Format.fields)
   in
   if optimize then coalesce ~same_order ops else Array.of_list ops
 
@@ -263,18 +263,13 @@ and compile_field ~optimize ~wire ~native ~same_order ~(wf : Format.rfield)
      | Each body ->
        [ Loop
            { count; s_off; d_off; s_stride = s_size; d_stride = d_size; body } ])
-  | Format.Rvar w_control, Format.Rvar n_control ->
-    let count_field =
-      match Format.find_field wire w_control with
-      | Some cf -> cf
-      | None -> assert false
-    in
+  | ( Format.Rvar { control = w_control; at = w_at }
+    , Format.Rvar { control = n_control; at = n_at } ) ->
+    let count_field = wire.Format.fields.(w_at) in
     (* the native control converts from [wire_source]: when that is not
        this array's wire count (two arrays sharing a native control,
        counted apart on the wire), the loaded count would disagree *)
-    (match
-       Option.bind (Format.find_field native n_control) (wire_source ~wire ~native)
-     with
+    (match wire_source ~wire ~native native.Format.fields.(n_at) with
      | Some src when src == count_field -> ()
      | _ ->
        mismatch "field %S: counted by %S on the wire, and %S takes another count"
@@ -456,7 +451,7 @@ let interpret ~(wire : Format.t) ~(native : Format.t) (payload : bytes)
   let wp = Abi.size_of wire.Format.abi Abi.Pointer in
   let native_abi = native.Format.abi in
   let rec record (wire : Format.t) (native : Format.t) s_base d_base =
-    List.iter
+    Array.iter
       (fun (nf : Format.rfield) ->
         match wire_source ~wire ~native nf with
         | None -> ()
@@ -501,7 +496,7 @@ let interpret ~(wire : Format.t) ~(native : Format.t) (payload : bytes)
       for i = 0 to min wn nn - 1 do
         scalar (s_off + (i * s_size)) (d_off + (i * d_size))
       done
-    | Format.Rvar w_control, Format.Rvar _ ->
+    | Format.Rvar { control = w_control; _ }, Format.Rvar _ ->
       let cf =
         match Format.find_field wire w_control with
         | Some cf -> cf

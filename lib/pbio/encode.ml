@@ -30,20 +30,15 @@ let check_abi (mem : Memory.t) (fmt : Format.t) =
     enc_error "format %s was registered for ABI %s but memory uses %s"
       fmt.Format.name fmt.Format.abi.Abi.name (Memory.abi mem).Abi.name
 
-let rec find_control control = function
-  | [] -> assert false (* registration validated the control field *)
-  | (f : Format.rfield) :: rest ->
-    if String.equal f.Format.rf_name control then f
-    else find_control control rest
-
-let read_count mem (fmt : Format.t) addr control =
-  let cf = find_control control fmt.Format.fields in
+(* the count in the control field [fields.(at)] of the record at [addr] *)
+let read_count mem (fmt : Format.t) addr at =
+  let cf = fmt.Format.fields.(at) in
   let slot = addr + cf.Format.rf_layout.Layout.offset in
   let size = cf.Format.rf_layout.Layout.elem_size in
   let n = Memory.read_count mem slot ~size in
   if n < 0 then
     enc_error "format %s: negative dynamic array count %Ld in %S"
-      fmt.Format.name (Memory.read_int mem slot ~size) control;
+      fmt.Format.name (Memory.read_int mem slot ~size) cf.Format.rf_name;
   n
 
 (* The data pointer of a dynamic array field holding [count] elements. *)
@@ -67,12 +62,11 @@ let string_size mem slot =
 (* Bytes the record at [src_addr] appends after its own image: strings
    and dynamic arrays, transitively. *)
 let rec heap_size mem (fmt : Format.t) src_addr : int =
-  fields_size mem fmt src_addr 0 fmt.Format.fields
-
-and fields_size mem fmt src_addr acc = function
-  | [] -> acc
-  | (f : Format.rfield) :: rest ->
-    fields_size mem fmt src_addr (acc + field_size mem fmt src_addr f) rest
+  let acc = ref 0 in
+  for i = 0 to Array.length fmt.Format.fields - 1 do
+    acc := !acc + field_size mem fmt src_addr fmt.Format.fields.(i)
+  done;
+  !acc
 
 and field_size mem fmt src_addr (f : Format.rfield) : int =
   let slot = src_addr + f.Format.rf_layout.Layout.offset in
@@ -83,8 +77,8 @@ and field_size mem fmt src_addr (f : Format.rfield) : int =
   | Format.Rfixed n, Format.Rstring -> strings_size mem slot elem_size n
   | Format.Rfixed n, Format.Rnested nested ->
     records_size mem nested slot elem_size n
-  | Format.Rvar control, elem -> (
-    let count = read_count mem fmt src_addr control in
+  | Format.Rvar { at; _ }, elem -> (
+    let count = read_count mem fmt src_addr at in
     let ptr = array_data mem fmt f src_addr count in
     if count = 0 || ptr = Memory.null then 0
     else
@@ -148,13 +142,11 @@ let emit_string mem buf ~p0 ~at src_slot pos =
 (* [patch_record] fixes up the record whose image was copied to [at]
    from [src_addr], appending its heap blocks from [pos]. *)
 let rec patch_record mem buf ~p0 (fmt : Format.t) src_addr at pos : int =
-  patch_fields mem buf ~p0 fmt src_addr at pos fmt.Format.fields
-
-and patch_fields mem buf ~p0 fmt src_addr at pos = function
-  | [] -> pos
-  | (f : Format.rfield) :: rest ->
-    let pos = patch_field mem buf ~p0 fmt src_addr at pos f in
-    patch_fields mem buf ~p0 fmt src_addr at pos rest
+  let pos = ref pos in
+  for i = 0 to Array.length fmt.Format.fields - 1 do
+    pos := patch_field mem buf ~p0 fmt src_addr at !pos fmt.Format.fields.(i)
+  done;
+  !pos
 
 and patch_field mem buf ~p0 fmt src_addr at pos (f : Format.rfield) : int =
   let foff = f.Format.rf_layout.Layout.offset in
@@ -169,7 +161,7 @@ and patch_field mem buf ~p0 fmt src_addr at pos (f : Format.rfield) : int =
   | Format.Rfixed n, Format.Rnested nested ->
     patch_records mem buf ~p0 nested (src_addr + foff) (at + foff) elem_size n
       pos
-  | Format.Rvar control, elem ->
+  | Format.Rvar { at = control; _ }, elem ->
     let count = read_count mem fmt src_addr control in
     let ptr = array_data mem fmt f src_addr count in
     if count = 0 || ptr = Memory.null then begin

@@ -22,13 +22,15 @@ type relem =
 and rdim =
   | Rscalar
   | Rfixed of int
-  | Rvar of string  (** control field name (same record) *)
+  | Rvar of { control : string; at : int }
+      (** the control field's name and its index in [fields] *)
 
 and rfield = {
   rf_name : string;
   rf_elem : relem;
   rf_dim : rdim;
   rf_layout : Layout.field;  (** offset / sizes under [abi] *)
+  rf_counts : int;  (** index of the first array it counts, or -1 *)
   rf_recount : bool;  (** a count it must agree with comes before it *)
 }
 
@@ -36,7 +38,7 @@ and t = {
   name : string;
   id : int;  (** registry-assigned; 0 for unregistered wire formats *)
   abi : Abi.t;
-  fields : rfield list;
+  fields : rfield array;
   names : string array;
       (** the fields' names in declaration order: the [names] of every
           {!Value.Struct} decoded in this format, this very array *)
@@ -96,72 +98,64 @@ let layout_decl (f : Ftype.field) (relem : relem) : Layout.decl =
     { Layout.d_name = f.Ftype.f_name; d_ctype = Layout.Prim Abi.Pointer
     ; d_dim = Layout.Pointer_to (pointee_of other) }
 
-let rdim_of (f : Ftype.field) : rdim =
-  match f.Ftype.f_dim with
-  | Ftype.Scalar -> Rscalar
-  | Ftype.Fixed n -> Rfixed n
-  | Ftype.Var control -> Rvar control
-
-let is_integer_field (f : rfield) =
-  match (f.rf_elem, f.rf_dim) with
-  | Rint _, Rscalar -> true
-  | _ -> false
-
 (** Resolve and lay out a declaration. [lookup] supplies nested formats
-    (registry contents). *)
+    (registry contents). Each dynamic array's control is resolved here,
+    once, to an index: the walkers read the relation, never a name. *)
 let resolve ~(abi : Abi.t) ~(id : int) (lookup : string -> t option)
     (decl : Ftype.t) : t =
-  if String.equal decl.Ftype.name "" then reg_error "empty format name";
-  if decl.Ftype.fields = [] then
-    reg_error "format %S has no fields" decl.Ftype.name;
-  let relems =
-    List.map (fun f -> resolve_elem lookup decl.Ftype.name f) decl.Ftype.fields
+  let name = decl.Ftype.name in
+  if String.equal name "" then reg_error "empty format name";
+  if decl.Ftype.fields = [] then reg_error "format %S has no fields" name;
+  let decls = Array.of_list decl.Ftype.fields in
+  let relems = Array.map (resolve_elem lookup name) decls in
+  let layout =
+    Layout.compute ~abi ~name
+      (Array.to_list (Array.map2 layout_decl decls relems))
   in
-  let ldecls =
-    List.map2 layout_decl decl.Ftype.fields relems
-  in
-  let layout = Layout.compute ~abi ~name:decl.Ftype.name ldecls in
-  let fields =
-    List.map2
-      (fun f relem ->
-        let lf =
-          match Layout.find_field layout f.Ftype.f_name with
-          | Some lf -> lf
-          | None -> assert false
-        in
-        { rf_name = f.Ftype.f_name; rf_elem = relem; rf_dim = rdim_of f
-        ; rf_layout = lf; rf_recount = false })
-      decl.Ftype.fields relems
-  in
-  let rec recount before = function
-    | [] -> []
-    | f :: rest ->
-      let counts name g = g.rf_dim = Rvar name in
-      let known =
-        match f.rf_dim with
-        | Rvar c -> List.exists (fun g -> g.rf_name = c || counts c g) before
-        | Rscalar | Rfixed _ -> List.exists (counts f.rf_name) before
-      in
-      { f with rf_recount = known } :: recount (f :: before) rest
-  in
-  let fields = recount [] fields in
-  (* Validate dynamic-array control fields. *)
-  List.iter
-    (fun f ->
-      match f.rf_dim with
-      | Rvar control -> (
-        match List.find_opt (fun g -> String.equal g.rf_name control) fields with
-        | Some g when is_integer_field g -> ()
-        | Some _ ->
-          reg_error "format %S: control field %S of %S is not a scalar integer"
-            decl.Ftype.name control f.rf_name
+  (* [Layout.compute] refused duplicates: a name is one field's *)
+  let index = Hashtbl.create (Array.length decls) in
+  Array.iteri
+    (fun i (d : Ftype.field) -> Hashtbl.add index d.Ftype.f_name i)
+    decls;
+  let counts = Array.make (Array.length decls) (-1) in
+  let dim i (d : Ftype.field) =
+    match d.Ftype.f_dim with
+    | Ftype.Scalar -> Rscalar
+    | Ftype.Fixed n -> Rfixed n
+    | Ftype.Var control ->
+      let at =
+        match Hashtbl.find_opt index control with
+        | Some at -> at
         | None ->
           reg_error "format %S: field %S references missing control field %S"
-            decl.Ftype.name f.rf_name control)
-      | Rscalar | Rfixed _ -> ())
-    fields;
-  let names = Array.of_list (List.map (fun f -> f.rf_name) fields) in
-  { name = decl.Ftype.name; id; abi; fields; names; layout; decl }
+            name d.Ftype.f_name control
+      in
+      (match (relems.(at), decls.(at).Ftype.f_dim) with
+      | Rint _, Ftype.Scalar -> ()
+      | _ ->
+        reg_error "format %S: control field %S of %S is not a scalar integer"
+          name control d.Ftype.f_name);
+      if counts.(at) < 0 then counts.(at) <- i;
+      Rvar { control; at }
+  in
+  let dims = Array.mapi dim decls in
+  (* a count this field must agree with is read before it: the first
+     array it counts, or its own control or that control's first array *)
+  let recount i = function
+    | Rvar { at; _ } -> at < i || counts.(at) < i
+    | Rscalar | Rfixed _ -> counts.(i) >= 0 && counts.(i) < i
+  in
+  let fields =
+    Array.of_list
+      (List.mapi
+         (fun i (lf : Layout.field) ->
+           { rf_name = lf.Layout.name; rf_elem = relems.(i); rf_dim = dims.(i)
+           ; rf_layout = lf; rf_counts = counts.(i)
+           ; rf_recount = recount i dims.(i) })
+         layout.Layout.fields)
+  in
+  let names = Array.map (fun f -> f.rf_name) fields in
+  { name; id; abi; fields; names; layout; decl }
 
 let elem_align (abi : Abi.t) = function
   | Rint { prim; _ } | Rfloat prim -> Abi.align_of abi prim
@@ -170,7 +164,7 @@ let elem_align (abi : Abi.t) = function
   | Rnested nested -> nested.layout.Layout.struct_align
 
 let find_field t name =
-  List.find_opt (fun f -> String.equal f.rf_name name) t.fields
+  Array.find_opt (fun f -> String.equal f.rf_name name) t.fields
 
 let struct_size t = t.layout.Layout.size
 
@@ -182,7 +176,7 @@ let rec layout_signature (t : t) : string =
   Buffer.add_string b
     (match t.abi.Abi.endianness with Endian.Little -> "L" | Endian.Big -> "B");
   Buffer.add_string b (string_of_int t.layout.Layout.size);
-  List.iter
+  Array.iter
     (fun f ->
       Buffer.add_char b '|';
       Buffer.add_string b f.rf_name;
@@ -194,7 +188,7 @@ let rec layout_signature (t : t) : string =
       (match f.rf_dim with
       | Rscalar -> Buffer.add_string b "s"
       | Rfixed n -> Buffer.add_string b (Printf.sprintf "f%d" n)
-      | Rvar c -> Buffer.add_string b ("v" ^ c));
+      | Rvar { control; _ } -> Buffer.add_string b ("v" ^ control));
       Buffer.add_char b ',';
       match f.rf_elem with
       | Rint { signed; _ } -> Buffer.add_string b (if signed then "i" else "u")
@@ -211,13 +205,9 @@ let rec layout_signature (t : t) : string =
 (** Render the format as PBIO IOField rows (compare Figures 5/8/11). *)
 let pp_io_fields ppf t =
   Fmt.pf ppf "@[<v2>IOField %sFields[] = {@," t.name;
-  List.iter
-    (fun (f : rfield) ->
-      let decl_field =
-        List.find
-          (fun (d : Ftype.field) -> String.equal d.Ftype.f_name f.rf_name)
-          t.decl.Ftype.fields
-      in
+  List.iteri
+    (fun i (d : Ftype.field) ->
+      let f = t.fields.(i) in
       (* the paper's size column: sizeof(char* ) for strings, element size
          for everything else (Figures 5/8/11) *)
       let size =
@@ -226,9 +216,9 @@ let pp_io_fields ppf t =
         | Rint _ | Rfloat _ | Rchar | Rnested _ -> f.rf_layout.Layout.elem_size
       in
       Fmt.pf ppf "{ %S, %S, %d, %d },@," f.rf_name
-        (Ftype.to_type_string (decl_field.Ftype.f_elem, decl_field.Ftype.f_dim))
+        (Ftype.to_type_string (d.Ftype.f_elem, d.Ftype.f_dim))
         size f.rf_layout.Layout.offset)
-    t.fields;
+    t.decl.Ftype.fields;
   Fmt.pf ppf "{ NULL, NULL, 0, 0 }@]@,};"
 
 (* ------------------------------------------------------------------ *)

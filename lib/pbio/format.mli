@@ -18,13 +18,20 @@ type relem =
 and rdim =
   | Rscalar
   | Rfixed of int
-  | Rvar of string  (** control field name (same record) *)
+  | Rvar of { control : string; at : int }
+      (** a dynamic array: its control field's name, and that field's
+          index in [fields] ([at]), resolved once at registration *)
 
 and rfield = {
   rf_name : string;
   rf_elem : relem;
   rf_dim : rdim;
   rf_layout : Layout.field;  (** offsets / sizes under [abi] *)
+  rf_counts : int;
+      (** the index in [fields] of the first dynamic array this field
+          controls, or -1 when it controls none. A control shared by
+          several arrays names the first; the others are the later
+          fields whose [rf_dim] is [Rvar] with this field's index. *)
   rf_recount : bool;
       (** in declaration order, a count this field must agree with is
           already read: it controls a dynamic array declared before it,
@@ -39,7 +46,9 @@ and t = {
       (** registry-assigned, and sent as the 4-byte header of each
           message; wire-side formats carry the peer's *)
   abi : Abi.t;
-  fields : rfield list;
+  fields : rfield array;
+      (** in declaration order: [fields.(i)] is the field named
+          [names.(i)] *)
   names : string array;
       (** the fields' names in declaration order: the [names] of every
           {!Value.Struct} decoded in this format, this very array *)

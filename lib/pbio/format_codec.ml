@@ -89,7 +89,7 @@ let take_dim c : Ftype.dim =
 let rec collect_nested acc (fmt : Format.t) : Format.t list =
   (* dependency order: nested first, dedup by name *)
   let acc =
-    List.fold_left
+    Array.fold_left
       (fun acc (f : Format.rfield) ->
         match f.Format.rf_elem with
         | Format.Rnested nested -> collect_nested acc nested
@@ -105,15 +105,16 @@ let emit_one b (fmt : Format.t) =
   emit_u32 b fmt.Format.id;
   emit_u32 b fmt.Format.layout.Layout.size;
   emit_u32 b fmt.Format.layout.Layout.struct_align;
-  emit_u32 b (List.length fmt.Format.fields);
-  List.iter2
-    (fun (f : Format.rfield) (d : Ftype.field) ->
+  emit_u32 b (Array.length fmt.Format.fields);
+  List.iteri
+    (fun i (d : Ftype.field) ->
+      let f = fmt.Format.fields.(i) in
       emit_string b f.Format.rf_name;
       emit_elem b d.Ftype.f_elem;
       emit_dim b d.Ftype.f_dim;
       emit_u32 b f.Format.rf_layout.Layout.offset;
       emit_u32 b f.Format.rf_layout.Layout.elem_size)
-    fmt.Format.fields fmt.Format.decl.Ftype.fields
+    fmt.Format.decl.Ftype.fields
 
 (** [encode fmt] serialises [fmt] (and, recursively, the formats it nests)
     into a self-contained descriptor blob. *)
@@ -179,7 +180,7 @@ let decode (blob : string) : Format.t =
                (fun (f : Format.rfield) (_, offset, elem_size) ->
                  f.Format.rf_layout.Layout.offset = offset
                  && f.Format.rf_layout.Layout.elem_size = elem_size)
-               fmt.Format.fields fields)
+               (Array.to_list fmt.Format.fields) fields)
     then Decode.fail_at c Inconsistent;
     Hashtbl.replace catalog name fmt;
     last := Some fmt

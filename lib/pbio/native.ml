@@ -10,8 +10,11 @@
     - A [char[N]] field is presented as a [Value.String] truncated at the
       first NUL (C string-in-buffer semantics); [store] accepts a string of
       length <= N and zero-pads.
-    - The control field of a dynamic array may be omitted from the record;
-      it is then filled from the array's length. If present, it must agree.
+    - The control field of dynamic arrays may be omitted from the
+      record; it is then filled from the length of the first array it
+      counts. Present or not, it must agree with every array it counts
+      (several arrays may share one control), or [store] raises
+      {!Bind_error} naming the array that disagrees.
     - [Value.String] fields always store as non-null pointers (an empty
       string is a 1-byte NUL block), matching what C senders do.
 
@@ -45,17 +48,15 @@ let bind_error fmt = Printf.ksprintf (fun s -> raise (Bind_error s)) fmt
    the format's (a value decoded in it) binds by position: field [i]'s
    value is [values.(i)]. Any other record binds by name, looking each
    field up with allocation-free scans (no option boxes, no closures):
-   {!Value.lookup} and these. *)
+   {!Value.lookup} and these. Controls are found by index: the format
+   resolved them. *)
 
-let rec field_named name = function
-  | [] -> raise Not_found
-  | (f : Format.rfield) :: rest ->
-    if String.equal f.Format.rf_name name then f else field_named name rest
+let rec has_name names k i =
+  i < Array.length names
+  && (String.equal (Array.unsafe_get names i) k || has_name names k (i + 1))
 
 let check_name (fmt : Format.t) k =
-  match field_named k fmt.Format.fields with
-  | _ -> ()
-  | exception Not_found ->
+  if not (has_name fmt.Format.names k 0) then
     bind_error "format %s: value has unknown field %S" fmt.Format.name k
 
 let rec check_bindings fmt = function
@@ -83,14 +84,11 @@ let positional (fmt : Format.t) names values =
   && (names == own
      || (Array.length names = Array.length own && same_names names own 0))
 
-(* The dynamic-array field whose count lives in [name], if any. *)
-let rec array_counted_by name = function
-  | [] -> raise Not_found
-  | (f : Format.rfield) :: rest -> (
-    match f.Format.rf_dim with
-    | Format.Rvar control when String.equal control name -> f
-    | Format.Rvar _ | Format.Rscalar | Format.Rfixed _ ->
-      array_counted_by name rest)
+(* Field [j]'s value: [values.(j)] when binding by position, its first
+   binding in [record] when [values] is empty (raises [Not_found]). *)
+let value_at (fmt : Format.t) record values j =
+  if Array.length values > 0 then Array.unsafe_get values j
+  else Value.lookup fmt.Format.fields.(j).Format.rf_name record
 
 (* The element count of an array value, or -1 when it is not one. *)
 let array_length = function
@@ -98,73 +96,74 @@ let array_length = function
   | Value.Floats a -> Float.Array.length a
   | _ -> -1
 
-(* The record's binding for field [f], checked against the length of
-   the array it counts when [f] is a control field. *)
-let check_control (fmt : Format.t) record (f : Format.rfield) (v : Value.t) =
-  let name = f.Format.rf_name in
-  match array_counted_by name fmt.Format.fields with
-  | exception Not_found -> ()
-  | arr_field -> (
-    match array_length (Value.lookup arr_field.Format.rf_name record) with
-    | n when n >= 0 && Int64.to_int (Value.to_int64 v) <> n ->
-      bind_error
-        "format %s: control field %S = %Ld disagrees with %S length %d"
-        fmt.Format.name name (Value.to_int64 v) arr_field.Format.rf_name n
-    | _ | (exception Not_found) -> ())
+(* Every array control [c] counts, from field [j] on, holds [n]
+   elements. A value that is not an array is left to its own field. *)
+let rec check_counted (fmt : Format.t) record values c n j =
+  if j < Array.length fmt.Format.fields then begin
+    let f = fmt.Format.fields.(j) in
+    (match f.Format.rf_dim with
+    | Format.Rvar { at; _ } when at = c -> (
+      match array_length (value_at fmt record values j) with
+      | m when m >= 0 && m <> n ->
+        bind_error "format %s: control field %S = %d disagrees with %S length %d"
+          fmt.Format.name fmt.Format.fields.(c).Format.rf_name n
+          f.Format.rf_name m
+      | _ | (exception Not_found) -> ())
+    | Format.Rvar _ | Format.Rscalar | Format.Rfixed _ -> ());
+    check_counted fmt record values c n (j + 1)
+  end
 
-(* An omitted field must be a control field: its slot gets the length
-   of the array it counts, written as it is, with no [Value.Int] box. *)
-let store_count mem (fmt : Format.t) addr record (f : Format.rfield) =
-  match array_counted_by f.Format.rf_name fmt.Format.fields with
+(* An omitted field [c] must be a control field: its slot gets the
+   length of the first array it counts, written as it is, with no
+   [Value.Int] box, and every other array it counts must have that
+   length too. *)
+let store_count mem (fmt : Format.t) addr record c =
+  let f = fmt.Format.fields.(c) in
+  let first = f.Format.rf_counts in
+  if first < 0 then
+    bind_error "format %s: missing field %S" fmt.Format.name f.Format.rf_name;
+  let arr_name = fmt.Format.fields.(first).Format.rf_name in
+  match Value.lookup arr_name record with
+  | v when array_length v >= 0 ->
+    check_counted fmt record [||] c (array_length v) (first + 1);
+    Memory.write_count mem
+      (addr + f.Format.rf_layout.Layout.offset)
+      ~size:f.Format.rf_layout.Layout.elem_size (array_length v)
+  | v ->
+    bind_error "format %s: field %S must be an array, got %s" fmt.Format.name
+      arr_name (Value.to_string v)
   | exception Not_found ->
-    bind_error "format %s: missing field %S" fmt.Format.name f.Format.rf_name
-  | arr_field -> (
-    match Value.lookup arr_field.Format.rf_name record with
-    | v when array_length v >= 0 ->
-      Memory.write_count mem
-        (addr + f.Format.rf_layout.Layout.offset)
-        ~size:f.Format.rf_layout.Layout.elem_size (array_length v)
-    | v ->
-      bind_error "format %s: field %S must be an array, got %s"
-        fmt.Format.name arr_field.Format.rf_name (Value.to_string v)
-    | exception Not_found ->
-      bind_error "format %s: missing field %S" fmt.Format.name
-        arr_field.Format.rf_name)
+    bind_error "format %s: missing field %S" fmt.Format.name arr_name
 
 let rec store_into (mem : Memory.t) (fmt : Format.t) (addr : int)
     (record : Value.t) : unit =
   match record with
   | Value.Struct { names; values } when positional fmt names values ->
-    store_values mem fmt addr record values 0 fmt.Format.fields
+    store_fields mem fmt addr record values 0
   | Value.Struct { names; _ } ->
     check_names fmt names 0;
-    store_fields mem fmt addr record fmt.Format.fields
+    store_fields mem fmt addr record [||] 0
   | Value.Record fields ->
     check_bindings fmt fields;
-    store_fields mem fmt addr record fmt.Format.fields
+    store_fields mem fmt addr record [||] 0
   | v ->
     bind_error "format %s: expected a record, got %s" fmt.Format.name
       (Value.to_string v)
 
-(* by name: each field's first binding in [record] *)
-and store_fields mem fmt addr record = function
-  | [] -> ()
-  | f :: rest ->
-    (match Value.lookup f.Format.rf_name record with
+(* field [i] on: by position from [values], or by name when it is empty *)
+and store_fields mem fmt addr record values i =
+  if i < Array.length fmt.Format.fields then begin
+    let f = fmt.Format.fields.(i) in
+    (match value_at fmt record values i with
     | v ->
-      check_control fmt record f v;
+      if f.Format.rf_counts >= 0 then
+        check_counted fmt record values i
+          (Int64.to_int (Value.to_int64 v))
+          f.Format.rf_counts;
       store_field mem fmt addr f v
-    | exception Not_found -> store_count mem fmt addr record f);
-    store_fields mem fmt addr record rest
-
-(* by position: field [i] of the format is [values.(i)] *)
-and store_values mem fmt addr record values i = function
-  | [] -> ()
-  | f :: rest ->
-    let v = Array.unsafe_get values i in
-    check_control fmt record f v;
-    store_field mem fmt addr f v;
-    store_values mem fmt addr record values (i + 1) rest
+    | exception Not_found -> store_count mem fmt addr record i);
+    store_fields mem fmt addr record values (i + 1)
+  end
 
 and store_field mem (fmt : Format.t) addr (f : Format.rfield) v =
   let slot = addr + f.Format.rf_layout.Layout.offset in
@@ -247,14 +246,10 @@ let store (mem : Memory.t) (fmt : Format.t) (record : Value.t) : int =
 let rec load_from (mem : Memory.t) (fmt : Format.t) (addr : int) : Value.t =
   let names = fmt.Format.names in
   let values = Array.make (Array.length names) (Value.Int 0L) in
-  load_fields mem fmt addr values 0 fmt.Format.fields;
+  for i = 0 to Array.length values - 1 do
+    Array.unsafe_set values i (load_field mem fmt addr fmt.Format.fields.(i))
+  done;
   Value.Struct { names; values }
-
-and load_fields mem fmt addr values i = function
-  | [] -> ()
-  | (f : Format.rfield) :: rest ->
-    Array.unsafe_set values i (load_field mem fmt addr f);
-    load_fields mem fmt addr values (i + 1) rest
 
 and load_field mem (fmt : Format.t) addr (f : Format.rfield) : Value.t =
   let slot = addr + f.Format.rf_layout.Layout.offset in
@@ -267,9 +262,8 @@ and load_field mem (fmt : Format.t) addr (f : Format.rfield) : Value.t =
       (* char[N]: C string-in-buffer semantics, stop at first NUL *)
       Value.String (Memory.read_chars mem slot n)
     | _ -> load_array mem f slot elem_size n)
-  | Format.Rvar control ->
-    (* registration validated the control field *)
-    let cf = field_named control fmt.Format.fields in
+  | Format.Rvar { at; _ } ->
+    let cf = fmt.Format.fields.(at) in
     let count =
       Memory.read_count mem
         (addr + cf.Format.rf_layout.Layout.offset)

@@ -4,8 +4,8 @@
 
     Conventions: [char[N]] fields bind from/to strings (truncated at the
     first NUL); dynamic-array control fields may be omitted (filled from
-    the array length) and are validated when present; strings always
-    store as non-null pointers. *)
+    the array length), and must agree with every array they count;
+    strings always store as non-null pointers. *)
 
 open Omf_machine
 

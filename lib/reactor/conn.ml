@@ -67,7 +67,12 @@ type seal =
    allocate nothing. An entry is at most two pieces, both unboxed: the
    first [hstop] bytes of its own header buffer [hdr], then [buf]'s
    [pos, stop) window. Written entries go back to their connection's
-   [spare] list, header buffer and all, and are queued again. *)
+   [spare] list, header buffer and all, and are queued again. The list
+   sizes itself: it keeps as many as the most entries queued on the
+   connection between two flushes (on a relay subscriber, what one
+   read of a publisher fans out to it), so a burst of that size
+   allocates none, and a backlog that grew over many flushes is not
+   held on to once it is written. *)
 type entry = {
   mutable hdr : Bytes.t;  (** the entry's header buffer, kept for reuse *)
   mutable hpos : int;  (** its first unwritten byte *)
@@ -91,12 +96,6 @@ type sealer = {
   seal_header : Bytes.t -> Bytes.t -> int -> int -> unit;
 }
 
-(* written entries a connection keeps for reuse, at most: about what
-   one 64 KiB read of small relayed frames (601 of paper-a's 109-byte
-   ones) queues on a subscriber before the read's loans settle, 55 KiB
-   of records *)
-let spare_limit = 640
-
 type state =
   | Alive
   | Closing  (** flush the queue, then close *)
@@ -115,7 +114,9 @@ type t = {
       (** unwritten bytes across all queued entries; moved only by
           {!account}, which keeps the loop's sum in step *)
   mutable spare : entry;  (** written entries kept for reuse, via [next] *)
-  mutable spares : int;
+  mutable spares : int;  (** their number, at most [burst_max] *)
+  mutable burst : int;  (** entries queued since the last flush began *)
+  mutable burst_max : int;  (** the most [burst] has been *)
   mutable sealer : sealer option;  (** set once: {!set_sealer} *)
   mutable loop : Reactor.t option;  (** [None] while detached *)
   mutable reg : Reactor.registration option;
@@ -224,7 +225,7 @@ let take_entry (c : t) ~droppable ~header ~seal buf pos stop =
 (* a dequeued entry: keep it for reuse, holding on to no body *)
 let release (c : t) (e : entry) =
   e.buf <- Bytes.empty;
-  if c.spares < spare_limit then begin
+  if c.spares < c.burst_max then begin
     e.next <- c.spare;
     c.spare <- e;
     c.spares <- c.spares + 1
@@ -234,7 +235,9 @@ let release (c : t) (e : entry) =
 let push (c : t) (e : entry) =
   if c.q_len = 0 then c.head <- e else c.tail.next <- e;
   c.tail <- e;
-  c.q_len <- c.q_len + 1
+  c.q_len <- c.q_len + 1;
+  c.burst <- c.burst + 1;
+  if c.burst > c.burst_max then c.burst_max <- c.burst
 
 let pop (c : t) =
   let e = c.head in
@@ -340,6 +343,7 @@ let write_some (c : t) buf off len =
     adjacent slices coalesce into one gather write. Raises
     {!Write_failed} on a hard socket error. *)
 let flush_step (c : t) : bool =
+  c.burst <- 0;
   let progressed = ref false in
   let continue = ref true in
   while
@@ -551,7 +555,7 @@ let attach (loop : Reactor.t) (fd : Unix.file_descr) ?(mode = Frames)
   let c =
     { fd; mode; decoder = Frame.Decoder.create ()
     ; head = nil; tail = nil; q_len = 0; q_droppable = 0; q_bytes = 0
-    ; spare = nil; spares = 0; sealer = None
+    ; spare = nil; spares = 0; burst = 0; burst_max = 0; sealer = None
     ; loop = Some loop
     ; reg = None; on_input; on_close; on_progress; on_decode_error; on_bytes
     ; deadline = None; state = Alive; reading = true; inbuf = Bytes.empty

@@ -58,17 +58,15 @@ let emit_string buf s =
   Buffer.add_string buf s;
   emit_pad buf (String.length s)
 
-let read_count mem (fmt : Format.t) addr control =
-  match Format.find_field fmt control with
-  | Some cf ->
-    Int64.to_int
-      (Memory.read_int mem
-         (addr + cf.Format.rf_layout.Layout.offset)
-         ~size:cf.Format.rf_layout.Layout.elem_size)
-  | None -> assert false
+let read_count mem (fmt : Format.t) addr at =
+  let cf = fmt.Format.fields.(at) in
+  Int64.to_int
+    (Memory.read_int mem
+       (addr + cf.Format.rf_layout.Layout.offset)
+       ~size:cf.Format.rf_layout.Layout.elem_size)
 
 let rec encode_record buf mem (fmt : Format.t) addr =
-  List.iter
+  Array.iter
     (fun (f : Format.rfield) ->
       let slot = addr + f.Format.rf_layout.Layout.offset in
       let elem_size = f.Format.rf_layout.Layout.elem_size in
@@ -103,8 +101,8 @@ let rec encode_record buf mem (fmt : Format.t) addr =
         for i = 0 to n - 1 do
           emit_scalar (slot + (i * elem_size))
         done
-      | Format.Rvar control, _ ->
-        let count = read_count mem fmt addr control in
+      | Format.Rvar { at; _ }, _ ->
+        let count = read_count mem fmt addr at in
         emit_uint buf ~size:4 (Int64.of_int count);
         let ptr = Memory.read_pointer mem slot in
         if count > 0 && ptr = Memory.null then
@@ -151,7 +149,7 @@ let take_string c =
   s
 
 let rec decode_record c mem (fmt : Format.t) addr =
-  List.iter
+  Array.iter
     (fun (f : Format.rfield) ->
       let slot = addr + f.Format.rf_layout.Layout.offset in
       let elem_size = f.Format.rf_layout.Layout.elem_size in
@@ -185,12 +183,12 @@ let rec decode_record c mem (fmt : Format.t) addr =
         for i = 0 to n - 1 do
           take_scalar (slot + (i * elem_size))
         done
-      | Format.Rvar control, _ -> (
+      | Format.Rvar { at = control; _ }, _ -> (
         let at = Decode.offset c in
         let count = Decode.u32 c in
         if count > Decode.remaining c then Decode.fail "xdr" at Too_long;
         (* the control field travels too, and must hold this count *)
-        let cf = Option.get (Format.find_field fmt control) in
+        let cf = fmt.Format.fields.(control) in
         let cslot = addr + cf.Format.rf_layout.Layout.offset
         and size = cf.Format.rf_layout.Layout.elem_size in
         if not f.Format.rf_recount then Memory.write_count mem cslot ~size count

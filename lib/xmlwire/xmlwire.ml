@@ -10,7 +10,8 @@
     Conventions:
     - one element per field: [<fltNum>1771</fltNum>];
     - arrays repeat the element; dynamic-array control fields are implied
-      by the repetition count and not transmitted;
+      by the repetition count and not transmitted, so arrays that share
+      one control must repeat equally often;
     - chars travel as numeric character codes, floats as shortest
       round-trip decimal, strings as escaped character data. *)
 
@@ -20,14 +21,6 @@ module Decode = Omf_util.Decode
 
 (* a fault: at offset 0, as the layer reads its text whole *)
 let bad reason = Decode.fail "xml" 0 reason
-
-let controls_of (fmt : Format.t) : string list =
-  List.filter_map
-    (fun (f : Format.rfield) ->
-      match f.Format.rf_dim with
-      | Format.Rvar control -> Some control
-      | Format.Rscalar | Format.Rfixed _ -> None)
-    fmt.Format.fields
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                             *)
@@ -41,11 +34,10 @@ let rec element_of_record (fmt : Format.t) (v : Value.t) : Omf_xml.Doc.element
   (match v with
   | Value.Record _ | Value.Struct _ -> ()
   | v -> Value.type_error "expected a record, got %s" (Value.to_string v));
-  let controls = controls_of fmt in
   let children =
     List.concat_map
       (fun (f : Format.rfield) ->
-        if List.mem f.Format.rf_name controls then []
+        if f.Format.rf_counts >= 0 then []
         else
           let fv =
             match Value.lookup f.Format.rf_name v with
@@ -87,7 +79,7 @@ let rec element_of_record (fmt : Format.t) (v : Value.t) : Omf_xml.Doc.element
           | _, _, other ->
             Value.type_error "format %s, field %S: expected an array, got %s"
               fmt.Format.name f.Format.rf_name (Value.to_string other))
-      fmt.Format.fields
+      (Array.to_list fmt.Format.fields)
   in
   Omf_xml.Doc.element ~children fmt.Format.name
 
@@ -139,19 +131,22 @@ let rec record_of_element (fmt : Format.t) (el : Omf_xml.Doc.element) :
               children))
     | _ -> Value.Array (Array.of_list (List.map (scalar f) children))
   in
-  (* a control field is not sent: it is its array's repetition count *)
-  let set_count control n =
-    let i = Option.get (Array.find_index (String.equal control) names) in
-    let n = Int64.of_int n in
-    values.(i) <-
-      (match (List.nth fmt.Format.fields i).Format.rf_elem with
-      | Format.Rint { signed = false; _ } -> Value.Uint n
-      | _ -> Value.Int n)
+  (* a control field is not sent: it is its arrays' repetition count,
+     which must be one count *)
+  let set_count i at n =
+    let control = fmt.Format.fields.(at) in
+    if
+      control.Format.rf_counts < i
+      && not (Int64.equal (Value.to_int64 values.(at)) (Int64.of_int n))
+    then bad Inconsistent;
+    values.(at) <-
+      (match control.Format.rf_elem with
+      | Format.Rint { signed = false; _ } -> Value.Uint (Int64.of_int n)
+      | _ -> Value.Int (Int64.of_int n))
   in
-  let controls = controls_of fmt in
-  List.iteri
+  Array.iteri
     (fun i (f : Format.rfield) ->
-      if not (List.mem f.Format.rf_name controls) then
+      if f.Format.rf_counts < 0 then
         let children = Omf_xml.Doc.find_children el f.Format.rf_name in
         match f.Format.rf_dim with
         | Format.Rscalar -> (
@@ -171,9 +166,9 @@ let rec record_of_element (fmt : Format.t) (el : Omf_xml.Doc.element) :
           | _ ->
             if List.length children <> n then bad Inconsistent;
             values.(i) <- array f children)
-        | Format.Rvar control ->
+        | Format.Rvar { at; _ } ->
           values.(i) <- array f children;
-          set_count control (List.length children))
+          set_count i at (List.length children))
     fmt.Format.fields;
   Value.Struct { names; values }
 

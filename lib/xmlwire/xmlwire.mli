@@ -14,9 +14,10 @@ val encode_value : Format.t -> Value.t -> string
 val decode_value : Format.t -> string -> Value.t
 (** The record as {!Native.load} returns it: a {!Value.Struct} under the
     format's names, every float array one [Floats], each control field
-    its array's repetition count. Raises only [Omf_util.Decode.Error]
-    (layer ["xml"], offset 0) on unparsable or schema-mismatched
-    text. *)
+    its arrays' repetition count. Raises only [Omf_util.Decode.Error]
+    (layer ["xml"], offset 0) on unparsable or schema-mismatched text,
+    [Inconsistent] among them for arrays that share one control but
+    repeat a different number of times. *)
 
 val encode : Memory.t -> Format.t -> int -> string
 (** Full sender-side cost: read native binary data, convert to markup. *)

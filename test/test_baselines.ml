@@ -134,10 +134,25 @@ let test_xdr_control_field_must_match () =
   (* xs = [10], ys = [20; 21], n = 2 *)
   let b = Bytes.create 24 in
   List.iteri (fun i v -> Bytes.set_int32_be b (4 * i) (Int32.of_int v)) [ 1; 10; 2; 20; 21; 2 ];
-  match Xdr.decode_value Abi.x86_64 fmt b with
+  (match Xdr.decode_value Abi.x86_64 fmt b with
   | _ -> Alcotest.fail "arrays sharing a control with two counts: accepted"
   | exception Decode.Error { layer = "xdr"; reason = Inconsistent; offset } ->
-    check Alcotest.int "at the second array's count" 8 offset
+    check Alcotest.int "at the second array's count" 8 offset);
+  (* XML implies the shared control from the repetitions: xs and ys
+     must repeat equally often, as value and as native struct *)
+  let text =
+    "<shared><xs>1</xs><xs>2</xs><ys>7</ys><ys>8</ys><ys>9</ys></shared>"
+  in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "xml %s: unequal repetitions accepted" what
+    | exception Decode.Error { layer = "xml"; reason = Inconsistent; _ } -> ()
+  in
+  refused "decode_value" (fun () -> ignore (Xmlwire.decode_value fmt text));
+  refused "decode" (fun () ->
+      ignore (Xmlwire.decode fmt (Memory.create Abi.x86_64) text));
+  check value_testable "equal repetitions decode" (Value.Int 2L)
+    (Value.field_exn (Xmlwire.decode_value fmt (Xmlwire.encode_value fmt v)) "n")
 
 let test_xdr_empty_dynamic_array () =
   let v =

@@ -8,6 +8,10 @@ let int = Alcotest.int
 let str = Alcotest.string
 let bool = Alcotest.bool
 
+(* the laid-out field named [name] *)
+let field (l : Layout.t) name =
+  List.find (fun (f : Layout.field) -> String.equal f.Layout.name name) l.Layout.fields
+
 (* ------------------------------------------------------------------ *)
 (* Endian                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -244,7 +248,7 @@ let test_layout_char_int () =
           ; decl "i" (Layout.Prim Abi.Int) Layout.Scalar ]
       in
       let ia = Abi.align_of abi Abi.Int in
-      let i = Option.get (Layout.find_field l "i") in
+      let i = field l "i" in
       check int (abi.Abi.name ^ " int offset") ia i.Layout.offset;
       check int (abi.Abi.name ^ " struct size")
         ((ia + 4 + ia - 1) / ia * ia)
@@ -257,7 +261,7 @@ let test_layout_char_int () =
       ; decl "i" (Layout.Prim Abi.Int) Layout.Scalar ]
   in
   check int "m68k packs int at 2" 2
-    (Option.get (Layout.find_field l "i")).Layout.offset;
+    (field l "i").Layout.offset;
   check int "m68k struct size 6" 6 l.Layout.size
 
 let test_layout_double_alignment_differs () =
@@ -268,10 +272,10 @@ let test_layout_double_alignment_differs () =
   in
   let x86 = mk Abi.x86_32 and sparc = mk Abi.sparc_32 in
   check int "i386 packs double at 4" 4
-    (Option.get (Layout.find_field x86 "d")).Layout.offset;
+    (field x86 "d").Layout.offset;
   check int "i386 size 12" 12 x86.Layout.size;
   check int "sparc places double at 8" 8
-    (Option.get (Layout.find_field sparc "d")).Layout.offset;
+    (field sparc "d").Layout.offset;
   check int "sparc size 16" 16 sparc.Layout.size
 
 let test_layout_trailing_padding () =
@@ -289,7 +293,7 @@ let test_layout_fixed_array () =
       [ decl "c" (Layout.Prim Abi.Char) Layout.Scalar
       ; decl "a" (Layout.Prim Abi.Int) (Layout.Fixed_array 5) ]
   in
-  let a = Option.get (Layout.find_field l "a") in
+  let a = field l "a" in
   check int "array offset" 4 a.Layout.offset;
   check int "array field size" 20 a.Layout.field_size;
   check int "struct size" 24 l.Layout.size
@@ -319,7 +323,7 @@ let test_layout_nested_struct () =
       ; decl "in1" (Layout.Struct inner) Layout.Scalar
       ; decl "c2" (Layout.Prim Abi.Char) Layout.Scalar ]
   in
-  let in1 = Option.get (Layout.find_field outer "in1") in
+  let in1 = field outer "in1" in
   check int "nested aligned to its struct alignment" 8 in1.Layout.offset;
   check int "outer size" 32 outer.Layout.size
 

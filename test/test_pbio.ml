@@ -180,10 +180,41 @@ let test_control_field_autofill () =
 
 let test_control_field_disagreement_rejected () =
   let bad = Value.set_field Fx.value_b "eta_count" (Value.Int 7L) in
-  try
-    ignore (normalize Abi.x86_64 [ Fx.decl_b ] "ASDOffEventB" bad);
-    Alcotest.fail "expected Bind_error"
-  with Native.Bind_error _ -> ()
+  (try
+     ignore (normalize Abi.x86_64 [ Fx.decl_b ] "ASDOffEventB" bad);
+     Alcotest.fail "expected Bind_error"
+   with Native.Bind_error _ -> ());
+  (* a shared control agrees with every array it counts, not only the
+     first: each case names the array that disagrees *)
+  let shared =
+    Ftype.declare "shared"
+      [ ("a", "integer[n]"); ("b", "integer[n]"); ("n", "integer") ]
+  in
+  let fmt = Registry.register (Registry.create Abi.x86_64) shared in
+  let ints l = Value.Array (Array.of_list (List.map (fun i -> Value.Int i) l)) in
+  let rejects what v =
+    match normalize Abi.x86_64 [ shared ] "shared" v with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Native.Bind_error m ->
+      check bool (what ^ ": names b") true
+        (Omf_testkit.Strings.contains m "\"b\"")
+  in
+  List.iter
+    (fun (what, n, a, b) ->
+      let by_name = [ ("a", ints a); ("b", ints b) ] in
+      rejects ("by name, " ^ what)
+        (Value.Record
+           (match n with
+           | None -> by_name
+           | Some n -> ("n", Value.Int n) :: by_name));
+      let n = match n with Some n -> n | None -> Int64.of_int (List.length a) in
+      rejects ("positionally, " ^ what)
+        (Value.Struct
+           { names = fmt.Format.names
+           ; values = [| ints a; ints b; Value.Int n |] }))
+    [ ("n omitted, b longer", None, [ 1L; 2L ], [ 7L; 8L; 9L ])
+    ; ("n omitted, b shorter", None, [ 1L; 2L; 3L ], [ 7L ])
+    ; ("n = 3, b empty", Some 3L, [ 1L; 2L; 3L ], []) ]
 
 (* every float array loads as one [Value.Floats], whichever way it was
    bound; [Floats] binds, fills and checks control fields like an [Array] *)
@@ -776,6 +807,44 @@ let prop_native_fixpoint =
       let v2 = Native.load mem fmt (Native.store mem fmt v1) in
       Value.equal v1 v2)
 
+(* the control relation [Format.resolve] keeps by index, recomputed
+   from the declaration's names *)
+let prop_control_indices_agree =
+  QCheck.Test.make ~name:"resolved control indices agree with the names"
+    ~count:200
+    (QCheck.make (Omf_testkit.Gen.format_and_value ()))
+    (fun (_, fmt, _) ->
+      let fields = fmt.Format.fields in
+      let all = List.init (Array.length fields) Fun.id in
+      (* the indices of the arrays the field named [c] counts *)
+      let counted c =
+        List.filter
+          (fun j ->
+            match fields.(j).Format.rf_dim with
+            | Format.Rvar { control; _ } -> String.equal control c
+            | Format.Rscalar | Format.Rfixed _ -> false)
+          all
+      in
+      let before i = List.exists (fun j -> j < i) in
+      List.for_all2
+        (fun i (d : Ftype.field) ->
+          let f = fields.(i) in
+          let arrays = counted d.Ftype.f_name in
+          String.equal fmt.Format.names.(i) d.Ftype.f_name
+          && String.equal f.Format.rf_name d.Ftype.f_name
+          && String.equal f.Format.rf_layout.Layout.name d.Ftype.f_name
+          && f.Format.rf_counts = (match arrays with j :: _ -> j | [] -> -1)
+          &&
+          match (d.Ftype.f_dim, f.Format.rf_dim) with
+          | Ftype.Var c, Format.Rvar { control; at } ->
+            String.equal control c
+            && String.equal fmt.Format.names.(at) c
+            && f.Format.rf_recount = (at < i || before i (counted c))
+          | (Ftype.Scalar | Ftype.Fixed _), (Format.Rscalar | Format.Rfixed _) ->
+            f.Format.rf_recount = before i arrays
+          | _ -> false)
+        all fmt.Format.decl.Ftype.fields)
+
 let prop_cross_abi_transfer =
   QCheck.Test.make
     ~name:"cross-ABI NDR transfer preserves values (random formats)"
@@ -1026,7 +1095,7 @@ let () =
         ; Alcotest.test_case "char[N] strings" `Quick test_char_array_semantics
         ; Alcotest.test_case "empty dynamic arrays" `Quick
             test_empty_dynamic_array ]
-        @ qsuite [ prop_native_fixpoint ] )
+        @ qsuite [ prop_native_fixpoint; prop_control_indices_agree ] )
     ; ( "encode",
         [ Alcotest.test_case "Table 1 encoded sizes (sparc-32)" `Quick
             test_encoded_sizes_sparc32

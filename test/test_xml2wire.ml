@@ -134,7 +134,9 @@ let test_mapper_simple_types_map_to_base () =
   (* the simple integer type is accepted as an explicit control field *)
   let hops = Option.get (Format.find_field fmt "hops") in
   check bool "simple int type usable as maxOccurs control" true
-    (hops.Format.rf_dim = Format.Rvar "n")
+    (match hops.Format.rf_dim with
+    | Format.Rvar { control = "n"; at } -> fmt.Format.names.(at) = "n"
+    | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Registration end-to-end: xml2wire vs compiled-in must agree          *)

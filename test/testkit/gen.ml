@@ -30,13 +30,14 @@ let elem_of ~schema_safe : Ftype.elem G.t =
 
 let elem : Ftype.elem G.t = elem_of ~schema_safe:false
 
-(** A format declaration with [n] fields. Dynamic arrays get a dedicated
-    control field appended; nested formats come from [nested] (must be
-    registered before this one). *)
+(** A format declaration with [n] fields. A dynamic array's control is
+    an [int] field: most often a dedicated one right after the array
+    (named [<array>_count], the form an XML Schema [maxOccurs="*"]
+    maps to), else a dedicated one before it, or one shared by two
+    arrays and declared before, between or after them. Nested formats
+    come from [nested] (must be registered before this one). *)
 let decl ?(allow_nested = []) ?(schema_safe = false) ~name n : Ftype.t G.t =
   let elem = elem_of ~schema_safe in
-  let int_prim = int_prim_of ~schema_safe in
-  ignore int_prim;
   let open G in
   let* kinds =
     list_repeat n
@@ -44,48 +45,49 @@ let decl ?(allow_nested = []) ?(schema_safe = false) ~name n : Ftype.t G.t =
          ([ (5, return `Scalar); (2, return `Fixed); (1, return `Var) ]
          @ (if allow_nested = [] then [] else [ (2, return `Nested) ])))
   in
-  let* fields_and_controls =
-    let rec go i acc = function
-      | [] -> return (List.rev acc)
-      | kind :: rest -> (
-        match kind with
-        | `Scalar ->
-          let* e = elem in
-          go (i + 1) (`F (Ftype.field (field_name i) e) :: acc) rest
-        | `Fixed ->
-          let* e = elem in
-          (* bound 1 renders as maxOccurs="1", which legitimately reads
-             back as a scalar — exclude it when schema round-tripping *)
-          let* bound = int_range (if schema_safe then 2 else 1) 6 in
-          (* dynamic arrays of strings are rejected at registration;
-             fixed arrays of strings are fine *)
-          go (i + 1)
-            (`F (Ftype.field ~dim:(Ftype.Fixed bound) (field_name i) e) :: acc)
-            rest
-        | `Var ->
-          let* e =
-            frequency
-              [ (4, map (fun p -> Ftype.Int_t p) (int_prim_of ~schema_safe))
-              ; (2, map (fun p -> Ftype.Float_t p) float_prim)
-              ; (1, return Ftype.Char_t)
-              ; (2, return Ftype.String_t) ]
-          in
-          let control = field_name i ^ "_count" in
-          go (i + 1)
-            (`F (Ftype.field (control) (Ftype.Int_t Abi.Int))
-             :: `F (Ftype.field ~dim:(Ftype.Var control) (field_name i) e)
-             :: acc)
-            rest
-        | `Nested ->
-          let* nested_name = oneofl allow_nested in
-          go (i + 1)
-            (`F (Ftype.field (field_name i) (Ftype.Named_t nested_name)) :: acc)
-            rest)
-    in
-    go 0 [] kinds
+  let var_elem =
+    frequency
+      [ (4, map (fun p -> Ftype.Int_t p) (int_prim_of ~schema_safe))
+      ; (2, map (fun p -> Ftype.Float_t p) float_prim)
+      ; (1, return Ftype.Char_t)
+      ; (2, return Ftype.String_t) ]
   in
-  let fields = List.map (function `F f -> f) fields_and_controls in
-  return { Ftype.name; fields }
+  let array name control =
+    map (fun e -> Ftype.field ~dim:(Ftype.Var control) name e) var_elem
+  in
+  let control name = Ftype.field name (Ftype.Int_t Abi.Int) in
+  (* the fields one kind declares at position [i], in order *)
+  let fields i = function
+    | `Scalar -> map (fun e -> [ Ftype.field (field_name i) e ]) elem
+    | `Fixed ->
+      let* e = elem in
+      (* bound 1 renders as maxOccurs="1", which legitimately reads
+         back as a scalar — exclude it when schema round-tripping *)
+      let+ bound = int_range (if schema_safe then 2 else 1) 6 in
+      [ Ftype.field ~dim:(Ftype.Fixed bound) (field_name i) e ]
+    | `Var -> (
+      let a = field_name i and c = Printf.sprintf "n%d" i in
+      let* placement =
+        frequency [ (2, return `After); (1, return `Before); (1, return `Shared) ]
+      in
+      match placement with
+      | `After ->
+        let+ arr = array a (a ^ "_count") in
+        [ arr; control (a ^ "_count") ]
+      | `Before ->
+        let+ arr = array a c in
+        [ control c; arr ]
+      | `Shared ->
+        let* arrays = flatten_l [ array a c; array (a ^ "_b") c ] in
+        let+ at = int_range 0 2 in
+        List.filteri (fun j _ -> j < at) arrays
+        @ (control c :: List.filteri (fun j _ -> j >= at) arrays))
+    | `Nested ->
+      let+ nested_name = oneofl allow_nested in
+      [ Ftype.field (field_name i) (Ftype.Named_t nested_name) ]
+  in
+  let+ fields = flatten_l (List.mapi fields kinds) in
+  { Ftype.name; fields = List.concat fields }
 
 (* ---- values matching a resolved format ---- *)
 
@@ -135,13 +137,13 @@ let rec value_for_format (fmt : Format.t) : Value.t G.t =
     | Format.Rstring -> string_value
     | Format.Rnested nested -> value_for_format nested
   in
-  let controls =
-    List.filter_map
-      (fun (f : Format.rfield) ->
-        match f.Format.rf_dim with
-        | Format.Rvar control -> Some control
-        | _ -> None)
-      fmt.Format.fields
+  (* one length per control, shared by every array it counts *)
+  let* lengths =
+    flatten_a
+      (Array.map
+         (fun (f : Format.rfield) ->
+           if f.Format.rf_counts >= 0 then int_range 0 5 else return 0)
+         fmt.Format.fields)
   in
   (* a float array binds as [Floats] or as boxed [Float]s, half the time
      each: the two representations of one value *)
@@ -158,7 +160,7 @@ let rec value_for_format (fmt : Format.t) : Value.t G.t =
   let rec fields_gen = function
     | [] -> return []
     | (f : Format.rfield) :: rest ->
-      if List.mem f.Format.rf_name controls then
+      if f.Format.rf_counts >= 0 then
         (* control fields are auto-filled by Native.store *)
         fields_gen rest
       else
@@ -174,14 +176,13 @@ let rec value_for_format (fmt : Format.t) : Value.t G.t =
               in
               Value.String s
             | _ -> array_of f (list_repeat n (scalar f)))
-          | Format.Rvar _ ->
-            let* k = int_range 0 5 in
-            array_of f (list_repeat k (scalar f))
+          | Format.Rvar { at; _ } ->
+            array_of f (list_repeat lengths.(at) (scalar f))
         in
         let+ rest = fields_gen rest in
         (f.Format.rf_name, v) :: rest
   in
-  let+ fields = fields_gen fmt.Format.fields in
+  let+ fields = fields_gen (Array.to_list fmt.Format.fields) in
   Value.Record fields
 
 (** Generate (abi, registered format, matching value) triples. *)

@@ -10,9 +10,11 @@ module Link = Omf_transport.Link
 
 let key = ("relaypair", "relaypair-secret")
 
-(** [words_per_event mode frame] relays 1 000 copies of [frame] (an
-    event frame: kind byte, then the message) to warm the relay up,
-    then [events] more, and returns the shard's minor-heap words per
+(** [words_per_event mode frame] relays 5 000 copies of [frame] (an
+    event frame: kind byte, then the message) to warm the relay up (a
+    connection keeps as many spare queue entries as the most one flush
+    found queued, so its first full 64 KiB reads must be in the
+    warm-up), then [events] more, and returns the shard's minor-heap words per
     relayed event over the second batch. The publisher sends back to
     back while a thread reads the subscriber's link, so the relay reads
     the frames in batches, as under a saturated closed loop, and the
@@ -53,7 +55,7 @@ let words_per_event ?(events = 20_000) (mode : Linkpair.mode) (frame : Bytes.t)
     if !received < k then
       failwith (Printf.sprintf "relaypair: %d of %d frames arrived" !received k)
   in
-  relay 1000;
+  relay 5000;
   let w0 = stat "gc.minor_words" and e0 = stat "events_relayed" in
   relay events;
   let w1 = stat "gc.minor_words" and e1 = stat "events_relayed" in
